@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="csv is valid only for histogram-bearing estimates")
     common.add_argument("--threads", type=int, default=_default_threads(),
-                        help=f"worker cap for estimators (default ${ENV_THREADS} or 1)")
+                        help=f"accepted for compatibility; no effect (default ${ENV_THREADS} or 1)")
 
     parser = _Parser(prog="gptpurity", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,16 +175,14 @@ def _run_estimate(args: argparse.Namespace) -> dict:
         _require(args, ["n", "trp"])
         face = faces_mod.sym_face(args.n) if args.face == "sym" else faces_mod.antisym_face(args.n)
         report = faces_mod.estimate_face_local_purity(
-            face, args.trp, args.samples, args.seed,
-            histogram_bins=bins, n_workers=args.threads,
+            face, args.trp, args.samples, args.seed, histogram_bins=bins
         )
         sign = 1 if args.face == "sym" else -1
         prediction = faces_mod.predict_symm(args.n, sign, args.trp)
     elif args.theory == "real-quantum":
         _require(args, ["ma", "mb", "p0"])
         report = rnd.estimate_real_quantum_local_purity(
-            args.ma, args.mb, args.p0, args.samples, args.seed,
-            histogram_bins=bins, n_workers=args.threads,
+            args.ma, args.mb, args.p0, args.samples, args.seed, histogram_bins=bins
         )
         pair = rnd.real_quantum_pair(args.ma, args.mb)
         prediction = rnd.predict_nonlocaltomo(
@@ -194,8 +192,7 @@ def _run_estimate(args: argparse.Namespace) -> dict:
         _require(args, ["na", "nb", "p0"])
         comp, gram_a, gram_ab = _spaces_for_theory(args.theory, args.na, args.nb)
         report = rnd.estimate_expected_local_purity(
-            comp, gram_a, gram_ab, args.p0, args.samples, args.seed,
-            histogram_bins=bins, n_workers=args.threads,
+            comp, gram_a, gram_ab, args.p0, args.samples, args.seed, histogram_bins=bins
         )
         prediction = rnd.predict_general(comp, gram_ab, args.p0)
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}
@@ -352,8 +349,7 @@ def _run_two_design(args: argparse.Namespace) -> dict:
 
 
 def _run_coin_record(args: argparse.Namespace) -> dict:
-    res = faces_mod.coin_with_record(args.s0, args.samples, args.seed,
-                                     n_workers=args.threads)
+    res = faces_mod.coin_with_record(args.s0, args.samples, args.seed)
     slack = 3.0 * res.report.stderr if res.report.stderr > 0 else 1e-12
     passed = abs(res.report.mean - res.prediction.value) <= slack
     return {"result": res.report.to_json_dict(),
@@ -415,8 +411,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"gptpurity: error: {exc}", file=sys.stderr)
             return 1
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    _emit(text, args.out)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"gptpurity: error: cannot write the report: {exc}", file=sys.stderr)
+        return 1
     if "passed" in report and not report["passed"]:
         return 2
     return 0

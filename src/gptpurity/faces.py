@@ -33,7 +33,15 @@ from .errors import (
     RangeError,
     UnsupportedSpaceError,
 )
-from .randomize import McReport, Prediction, _make_report, _run_indexed, sample_rng
+from .randomize import (
+    McReport,
+    Prediction,
+    _blocks,
+    _haar_ket_states,
+    _make_report,
+    _permuted_states,
+    _tr_sq,
+)
 
 KIND_QUANTUM_FACE = "quantum-subspace"
 KIND_CLASSICAL_FACE = "classical-support"
@@ -195,65 +203,65 @@ def estimate_face_local_purity(
 ) -> McReport:
     """Monte Carlo expected local purity over face-constrained random states.
 
-    Quantum faces: states of the requested global Tr(rho^2) are drawn by
-    interpolating a fixed in-face pure state with the face-maximally-mixed
-    state and applying a Haar unitary of the subspace (the stabilizer acts
-    transitively on in-face pure states); the sample value is Tr(rho_A^2)
-    and the realized global purity is reported in the same collision units.
-    Classical faces: the target and samples are face-restricted generalized
-    purities, and the stabilizer is the permutation group of the support.
+    Quantum faces: states of the requested global Tr(rho^2) interpolate a
+    Haar-random in-face pure state with the face-maximally-mixed state,
+    which is what a Haar unitary of the subspace makes of a fixed one (the
+    stabilizer acts transitively on in-face pure states); the sample value
+    is Tr(rho_A^2) and the realized global purity is reported in the same
+    collision units.  Classical faces: the target and samples are
+    face-restricted generalized purities, and the stabilizer is the
+    permutation group of the support.  ``n_workers`` is accepted for
+    compatibility and has no effect.
     """
-    vals = np.empty(n_samples)
-    gvals = np.empty(n_samples)
-
     if face.kind == KIND_QUANTUM_FACE:
         # Quantum targets are collision values with floor 1/N_S.
         t = _face_interpolation_weight(face.n_sub, target_global_purity)
-        n_s = face.n_sub
-        v = face.isometry
-        na = face.comp.part_a.level
-        nb = face.comp.part_b.level
-        sigma0 = np.zeros((n_s, n_s), dtype=complex)
-        sigma0[0, 0] = t
-        sigma0 += (1.0 - t) * np.eye(n_s) / n_s
-        g0 = float(np.real(np.trace(sigma0 @ sigma0)))
+        dims = (face.comp.part_a.level, face.comp.part_b.level)
+        sigma_a = partial_trace(face.projector, dims, keep=0) / face.n_sub
+        blocks = _blocks(n_samples, seed)
+        vals = np.empty(n_samples)
+        gvals = np.empty(n_samples)
+        for span, rho_a, tr2 in _haar_ket_states(
+            blocks, t, dims, isometry=face.isometry, sigma_a=sigma_a
+        ):
+            vals[span] = _tr_sq(rho_a)
+            gvals[span] = tr2
+        return _make_report(vals, gvals, seed, histogram_bins)
 
-        def body(i: int) -> None:
-            rng = sample_rng(seed, i)
-            u = grouprep.haar_unitary(n_s, rng)
-            sigma = u @ sigma0 @ u.conj().T
-            rho = v @ sigma @ v.conj().T
-            rho_a = partial_trace(rho, (na, nb), keep=0)
-            vals[i] = float(np.real(np.trace(rho_a @ rho_a)))
-            gvals[i] = g0
-
-    elif face.kind == KIND_CLASSICAL_FACE:
+    if face.kind == KIND_CLASSICAL_FACE:
         # Classical targets are face-restricted generalized purities in [0, 1].
         if not 0.0 <= target_global_purity <= 1.0 + 1e-12:
             raise RangeError(
                 f"face purity must lie in [0, 1], got {target_global_purity}"
             )
         t = math.sqrt(min(target_global_purity, 1.0))
-        support = face.support
-        n_f = face.n_sub
-        na = face.comp.part_a.K
-        nb = face.comp.part_b.K
-        p0_face = np.full(n_f, (1.0 - t) / n_f)
-        p0_face[0] += t
-        g0 = float(n_f / (n_f - 1) * np.sum(p0_face**2) - 1.0 / (n_f - 1)) if n_f > 1 else 1.0
+        p_face = np.full(face.n_sub, (1.0 - t) / face.n_sub)
+        p_face[0] += t
+        return _estimate_support_face(face, p_face, n_samples, seed, histogram_bins)
 
-        def body(i: int) -> None:
-            rng = sample_rng(seed, i)
-            joint = np.zeros(na * nb)
-            joint[support[rng.permutation(n_f)]] = p0_face
-            marg = joint.reshape(na, nb).sum(axis=1)
-            vals[i] = float(na / (na - 1) * np.sum(marg**2) - 1.0 / (na - 1))
-            gvals[i] = g0
+    raise UnsupportedSpaceError(f"unsupported face kind {face.kind!r}")
 
-    else:
-        raise UnsupportedSpaceError(f"unsupported face kind {face.kind!r}")
 
-    _run_indexed(n_samples, body, n_workers)
+def _estimate_support_face(
+    face: FaceDescriptor,
+    p_face: np.ndarray,
+    n_samples: int,
+    seed: int,
+    histogram_bins: int | None,
+) -> McReport:
+    """Marginal purity on A of uniform permutations of ``p_face`` over the face support."""
+    blocks = _blocks(n_samples, seed)
+    joint_k = face.comp.joint.K
+    na = face.comp.part_a.K
+    omega0 = np.zeros(joint_k)
+    omega0[face.support] = p_face
+    vals = np.empty(n_samples)
+    for span, perm in _permuted_states(blocks, p_face):
+        omega = np.zeros((len(perm), joint_k))
+        omega[:, face.support] = perm
+        marg = omega.reshape(len(perm), na, -1).sum(axis=2)
+        vals[span] = na / (na - 1) * np.sum(marg**2, axis=1) - 1.0 / (na - 1)
+    gvals = np.full(n_samples, face_restricted_purity(face, omega0))
     return _make_report(vals, gvals, seed, histogram_bins)
 
 
@@ -318,7 +326,7 @@ def coin_with_record(
     uniform mixture over S_0, and the dynamics are uniform permutations of
     the support.  The expected marginal coin purity is 1/(2 s0_size - 1):
     the recording environment randomizes like an unconstrained one of half
-    its size.
+    its size.  ``n_workers`` is accepted for compatibility and has no effect.
     """
     if s0_size < 1:
         raise RangeError(f"the record set needs at least one string, got {s0_size}")
@@ -328,25 +336,9 @@ def coin_with_record(
         [np.arange(s0_size), n_b + s0_size + np.arange(s0_size)]
     )
     face = classical_support_face(comp, support)
-    initial = np.zeros(comp.joint.K)
-    initial[np.arange(s0_size)] = 1.0 / s0_size
-
-    n_f = face.n_sub
-    p_face = initial[support]
-    vals = np.empty(n_samples)
-    gvals = np.empty(n_samples)
-    g0 = face_restricted_purity(face, initial)
-
-    def body(i: int) -> None:
-        rng = sample_rng(seed, i)
-        joint = np.zeros(comp.joint.K)
-        joint[support[rng.permutation(n_f)]] = p_face
-        marg = joint.reshape(2, n_b).sum(axis=1)
-        vals[i] = float(2.0 * np.sum(marg**2) - 1.0)
-        gvals[i] = g0
-
-    _run_indexed(n_samples, body, n_workers)
-    report = _make_report(vals, gvals, seed, None)
+    p_face = np.zeros(face.n_sub)
+    p_face[:s0_size] = 1.0 / s0_size
+    report = _estimate_support_face(face, p_face, n_samples, seed, None)
     prediction = Prediction(
         value=1.0 / (2 * s0_size - 1),
         formula_id="class-face",

@@ -228,6 +228,8 @@ def pauli_haar_average(
         states = sampler.elements @ omega
         vals = x.evaluate_many(states) ** 2
         return PauliAverage(mean=float(vals.mean()), stderr=0.0, n_samples=len(vals), exact=True)
+    if n_samples < 2:
+        raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
     vals = np.empty(n_samples)
     for i in range(n_samples):
         vals[i] = x(sampler.draw(rng) @ omega) ** 2

@@ -10,17 +10,21 @@ averages the local purity.  Closed forms:
 * nonlocaltomo (K_A-1)/(K_AB-1) * P0 / (P(phi_A (x) mu_B) - |mu_C|^2),
   for compositions that are not locally tomographic (real quantum theory).
 
-Estimators are embarrassingly parallel: sample i uses a generator derived
-from (seed, i), values are reduced in index order, so reports are identical
-for any worker count.
+Estimators draw their samples in fixed blocks of ``BLOCK_SIZE``: block b
+uses the generator derived from (seed, b), and the blocks are reduced in
+order, so a report depends on the seed and the sample count alone.  The
+default quantum estimate needs no group element: conjugation fixes the
+maximally mixed state mu, so U (t phi + (1-t) mu) U^dagger equals
+t |psi><psi| + (1-t) mu for a Haar-random ket psi, and a block of kets gives
+a block of marginals in one contraction.  Only a fixed ``initial`` state is
+conjugated by a Haar unitary per sample.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,10 +39,14 @@ from .errors import (
     UndefinedRatioError,
 )
 from .grouprep import GramMatrix
+from .purity import purity_from_tr2
 from .statespace import SpaceDescriptor
 
 HISTOGRAM_BINS = 100
 GLOBAL_PURITY_TOL = 1e-9
+# Samples per random stream.  It bounds the kernels' working memory; a
+# report depends on it, so changing it changes every Monte Carlo value.
+BLOCK_SIZE = 1024
 
 
 # -- predictions ---------------------------------------------------------------------------
@@ -145,9 +153,12 @@ class McReport:
     """Monte Carlo estimate of an expected local purity.
 
     ``stderr`` is the sample standard deviation over sqrt(n);
-    ``realized_global_purity`` is the per-sample global purity, which is
-    constant across samples because reversible transformations preserve
-    purity.
+    ``realized_global_purity`` is the mean per-sample global purity.  On the
+    Haar-ket path it is computed from each ket's norm, on the ``initial``
+    path from Tr(rho^2) after conjugation, and on the classical path from
+    the permuted joint distribution.  Reversible transformations preserve
+    purity, so it is constant across samples; a spread beyond
+    ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
     """
 
     mean: float
@@ -175,30 +186,126 @@ class McReport:
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for one sample, derived from (seed, index).
+    """Generator for block ``index`` of a run with ``seed``.
 
-    Every sample owns an independent stream, so partitioning samples across
-    workers cannot change any drawn value.
+    Estimators draw samples in blocks of ``BLOCK_SIZE``; every block owns an
+    independent stream derived from (seed, index), so no drawn value depends
+    on how the work is scheduled.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _run_indexed(
-    n_samples: int, body: Callable[[int], None], n_workers: int | None
-) -> None:
-    if not n_workers or n_workers <= 1:
-        for i in range(n_samples):
-            body(i)
-        return
-    chunk = math.ceil(n_samples / n_workers)
-    spans = [(lo, min(lo + chunk, n_samples)) for lo in range(0, n_samples, chunk)]
+def _blocks(n_samples: int, seed: int) -> Iterator[tuple[slice, np.random.Generator]]:
+    """The sample span of each block of a run, with the block's generator.
 
-    def run_span(span: tuple[int, int]) -> None:
-        for i in range(*span):
-            body(i)
+    Validates eagerly: every estimator calls this before allocating.
+    """
+    if n_samples < 2:
+        raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
+    if seed < 0:
+        raise RangeError(f"the seed must be non-negative, got {seed}")
+    return (
+        (slice(lo, min(lo + BLOCK_SIZE, n_samples)), sample_rng(seed, b))
+        for b, lo in enumerate(range(0, n_samples, BLOCK_SIZE))
+    )
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(run_span, spans))
+
+def _haar_kets(rng: np.random.Generator, size: int, d: int, real: bool) -> np.ndarray:
+    """``size`` uniformly random unit vectors in C^d (R^d when ``real``), one per row."""
+    psi = rng.normal(size=(size, d))
+    if not real:
+        psi = psi + 1j * rng.normal(size=(size, d))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def _mixed_marginals(
+    psi: np.ndarray,
+    t: float,
+    dims: tuple[int, int],
+    *,
+    isometry: np.ndarray | None = None,
+    sigma_a: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A marginals and global Tr(rho^2) of rho = t |psi><psi| + (1-t) mu, per row of ``psi``.
+
+    Without ``isometry`` the kets live in C^(n_A n_B) and mu is maximally
+    mixed.  With it the kets live in its column space, mu is the normalized
+    projector onto that space, and ``sigma_a`` must be the A marginal of mu.
+    Tr(rho^2) comes from each ket's norm.
+    """
+    size, d = psi.shape
+    norm_sq = np.einsum("bi,bi->b", psi.conj(), psi).real
+    tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / d
+    na, nb = dims
+    if isometry is not None:
+        psi = psi @ isometry.T
+    if sigma_a is None:
+        sigma_a = np.eye(na) / na
+    m = psi.reshape(size, na, nb)
+    rho_a = t * np.einsum("bij,bkj->bik", m, m.conj()) + (1.0 - t) * sigma_a
+    return rho_a, tr2
+
+
+def _haar_ket_states(
+    blocks: Iterable[tuple[slice, np.random.Generator]],
+    t: float,
+    dims: tuple[int, int],
+    *,
+    real: bool = False,
+    isometry: np.ndarray | None = None,
+    sigma_a: np.ndarray | None = None,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Per block: the span, A marginals and global Tr(rho^2) of Haar-ket states.
+
+    See ``_mixed_marginals`` for the state and the roles of the options.
+    """
+    d = dims[0] * dims[1] if isometry is None else isometry.shape[1]
+    for span, rng in blocks:
+        psi = _haar_kets(rng, span.stop - span.start, d, real)
+        yield (span, *_mixed_marginals(psi, t, dims, isometry=isometry, sigma_a=sigma_a))
+
+
+def _conjugated_states(
+    blocks: Iterable[tuple[slice, np.random.Generator]],
+    phi: np.ndarray,
+    dims: tuple[int, int],
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Per block: the span, A marginals and Tr(rho^2) of U phi U^dagger for Haar U."""
+    n = phi.shape[0]
+    for span, rng in blocks:
+        size = span.stop - span.start
+        rho_a = np.empty((size, dims[0], dims[0]), dtype=complex)
+        tr2 = np.empty(size)
+        for k in range(size):
+            u = grouprep.haar_unitary(n, rng)
+            rho = u @ phi @ u.conj().T
+            rho_a[k] = partial_trace(rho, dims, keep=0)
+            tr2[k] = np.einsum("ij,ji->", rho, rho).real
+        yield span, rho_a, tr2
+
+
+def _permuted_states(
+    blocks: Iterable[tuple[slice, np.random.Generator]], p: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Per block: the span and uniformly random permutations of ``p``, one per row."""
+    for span, rng in blocks:
+        yield span, rng.permuted(np.tile(p, (span.stop - span.start, 1)), axis=1)
+
+
+def _gram_norms(gram: GramMatrix, x: np.ndarray) -> np.ndarray:
+    """Squared Gram norm of each row of ``x``."""
+    return np.einsum("bk,bk->b", x @ gram.matrix, x)
+
+
+def _local_purities(space: SpaceDescriptor, gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
+    """Gram purity of each matrix in a (size, n, n) stack of states of ``space``."""
+    coords = np.einsum("kij,bji->bk", space.hermitian_basis, rho).real
+    return _gram_norms(gram, coords - space.max_mixed)
+
+
+def _tr_sq(rho: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) of each matrix in a (size, n, n) stack."""
+    return np.einsum("bij,bji->b", rho, rho).real
 
 
 def _make_report(
@@ -242,62 +349,49 @@ def estimate_expected_local_purity(
     Each sample builds a global state of purity ``p0`` (or starts from the
     fixed ``initial`` coordinates when given), applies a uniformly random
     reversible transformation of the joint space, marginalizes to A, and
-    evaluates the local purity under ``gram_a``.
+    evaluates the local purity under ``gram_a``.  Quantum samples without
+    ``initial`` are t |psi><psi| + (1-t) mu for Haar-random kets psi, which
+    has the same distribution; with ``initial`` a Haar unitary conjugates it.
+    Classical samples are uniform permutations of the joint distribution.
+    ``n_workers`` is accepted for compatibility and has no effect.
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    vals = np.empty(n_samples)
-    gvals = np.empty(n_samples)
+    blocks = _blocks(n_samples, seed)
     t = math.sqrt(p0)
     joint = comp.joint
-    mm_a = comp.part_a.max_mixed
-    mm_ab = joint.max_mixed
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
         ss.validate_state(joint, initial)
-        got = gram_ab.norm_sq(initial - mm_ab)
+        got = gram_ab.norm_sq(initial - joint.max_mixed)
         if abs(got - p0) > 1e-9:
             raise RangeError(
                 f"the supplied initial state has purity {got!r}, requested {p0}"
             )
+    vals = np.empty(n_samples)
+    gvals = np.empty(n_samples)
 
     if comp.kind == ss.KIND_QUANTUM:
-        na, nb = comp.part_a.level, comp.part_b.level
-        n = na * nb
-        init_mat = None if initial is None else joint.to_matrix(initial)
-
-        def body(i: int) -> None:
-            rng = sample_rng(seed, i)
-            if init_mat is None:
-                psi = ss.haar_ket(n, rng)
-                phi = t * np.outer(psi, psi.conj()) + (1.0 - t) * np.eye(n) / n
-            else:
-                phi = init_mat
-            u = grouprep.haar_unitary(n, rng)
-            rho = u @ phi @ u.conj().T
-            rho_a = partial_trace(rho, (na, nb), keep=0)
-            b = comp.part_a.to_coords(rho_a) - mm_a
-            vals[i] = gram_a.norm_sq(b)
-            gb = joint.to_coords(rho) - mm_ab
-            gvals[i] = gram_ab.norm_sq(gb)
-
+        dims = (comp.part_a.level, comp.part_b.level)
+        if initial is None:
+            states = _haar_ket_states(blocks, t, dims)
+        else:
+            states = _conjugated_states(blocks, joint.to_matrix(initial), dims)
+        for span, rho_a, tr2 in states:
+            vals[span] = _local_purities(comp.part_a, gram_a, rho_a)
+            gvals[span] = purity_from_tr2(joint.level, tr2)
     else:
         n = joint.K
-        na = comp.part_a.K
+        if initial is None:
+            p = np.full(n, (1.0 - t) / n)
+            p[0] += t
+        else:
+            p = initial
+        for span, omega in _permuted_states(blocks, p):
+            marg = omega.reshape(len(omega), comp.part_a.K, -1).sum(axis=2)
+            vals[span] = _gram_norms(gram_a, marg - comp.part_a.max_mixed)
+            gvals[span] = _gram_norms(gram_ab, omega - joint.max_mixed)
 
-        def body(i: int) -> None:
-            rng = sample_rng(seed, i)
-            if initial is None:
-                p = np.full(n, (1.0 - t) / n)
-                p[rng.integers(n)] += t
-            else:
-                p = np.asarray(initial, dtype=float)
-            omega = p[rng.permutation(n)]
-            marg = omega.reshape(na, -1).sum(axis=1)
-            vals[i] = gram_a.norm_sq(marg - mm_a)
-            gvals[i] = gram_ab.norm_sq(omega - mm_ab)
-
-    _run_indexed(n_samples, body, n_workers)
     return _make_report(vals, gvals, seed, histogram_bins)
 
 
@@ -360,34 +454,22 @@ def estimate_real_quantum_local_purity(
     """Monte Carlo expected local purity in bipartite real quantum theory.
 
     States are real symmetric density matrices; the global group is
-    conjugation by Haar-random orthogonal matrices on the joint space.  The
-    report is in generalized-purity units; convert with ``tr2_from_purity``
-    for collision values.
+    conjugation by Haar-random orthogonal matrices on the joint space, which
+    maps t |phi><phi| + (1-t) mu to t |psi><psi| + (1-t) mu for a uniformly
+    random real unit vector psi.  The report is in generalized-purity units;
+    convert with ``tr2_from_purity`` for collision values.  ``n_workers`` is
+    accepted for compatibility and has no effect.
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
     pair = real_quantum_pair(m_a, m_b)
     gram_a = grouprep.analytic_gram(pair.part_a)
-    gram_ab = grouprep.analytic_gram(pair.joint)
-    m = m_a * m_b
-    t = math.sqrt(p0)
+    blocks = _blocks(n_samples, seed)
     vals = np.empty(n_samples)
     gvals = np.empty(n_samples)
-    mm_a = pair.part_a.max_mixed
-    mm_ab = pair.joint.max_mixed
-
-    def body(i: int) -> None:
-        rng = sample_rng(seed, i)
-        psi = rng.normal(size=m)
-        psi /= np.linalg.norm(psi)
-        phi = t * np.outer(psi, psi) + (1.0 - t) * np.eye(m) / m
-        o = grouprep.haar_orthogonal(m, rng)
-        rho = o @ phi @ o.T
-        rho_a = partial_trace(rho, (m_a, m_b), keep=0)
-        vals[i] = gram_a.norm_sq(pair.part_a.to_coords(rho_a) - mm_a)
-        gvals[i] = gram_ab.norm_sq(pair.joint.to_coords(rho) - mm_ab)
-
-    _run_indexed(n_samples, body, n_workers)
+    for span, rho_a, tr2 in _haar_ket_states(blocks, math.sqrt(p0), (m_a, m_b), real=True):
+        vals[span] = _local_purities(pair.part_a, gram_a, rho_a)
+        gvals[span] = purity_from_tr2(m_a * m_b, tr2)
     return _make_report(vals, gvals, seed, histogram_bins)
 
 
@@ -431,7 +513,10 @@ def qubit_pauli_oracle(
     *,
     n_workers: int | None = None,
 ) -> QubitOracleResult:
-    """Estimate the qubit-register coefficient ratio and its closed form."""
+    """Estimate the qubit-register coefficient ratio and its closed form.
+
+    ``n_workers`` is accepted for compatibility and has no effect.
+    """
     if n_a < 1 or n_b < 1:
         raise RangeError("both registers need at least one qubit")
     n = n_a + n_b
@@ -445,18 +530,10 @@ def qubit_pauli_oracle(
     if abs(global_tr_purity - min_tr) < 1e-12:
         raise UndefinedRatioError("the ratio is undefined at the globally maximally mixed state")
     t = math.sqrt((global_tr_purity - min_tr) / (1.0 - min_tr))
+    blocks = _blocks(n_samples, seed)
     vals = np.empty(n_samples)
-
-    def body(i: int) -> None:
-        rng = sample_rng(seed, i)
-        psi = ss.haar_ket(dim, rng)
-        phi = t * np.outer(psi, psi.conj()) + (1.0 - t) * np.eye(dim) / dim
-        u = grouprep.haar_unitary(dim, rng)
-        rho = u @ phi @ u.conj().T
-        rho_a = partial_trace(rho, (dim_a, 2**n_b), keep=0)
-        vals[i] = float(np.real(np.trace(rho_a @ rho_a)))
-
-    _run_indexed(n_samples, body, n_workers)
+    for span, rho_a, _ in _haar_ket_states(blocks, t, (dim_a, 2**n_b)):
+        vals[span] = _tr_sq(rho_a)
     mean_tr_a = float(vals.mean())
     denom = global_tr_purity - min_tr
     lhs = (mean_tr_a - 1.0 / dim_a) / denom

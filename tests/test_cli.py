@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,3 +185,29 @@ def test_failed_verification_exits_two(capsys, monkeypatch):
     assert code == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
+
+
+_EST = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    _EST + ["--samples", "1", "--seed", "3"],
+    _EST + ["--samples", "0", "--seed", "3"],
+    _EST + ["--samples", "-5", "--seed", "3"],
+    _EST + ["--samples", "100", "--seed", "-1"],
+    ["coin-record", "--s0", "4", "--samples", "1", "--seed", "3"],
+    ["verify", "pauli-identities", "--samples", "1"],
+    ["predict", "main", "--ka", "4", "--kb", "4", "--na", "2", "--nb", "2", "--p0", "1",
+     "--out", "{missing}/report.json"],
+])
+def test_bad_input_exits_one_with_one_line(argv, tmp_path):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "gptpurity.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stdout == ""

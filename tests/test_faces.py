@@ -259,3 +259,28 @@ def test_classical_support_face_validates_support():
         faces.classical_support_face(comp, np.array([0, 9]))
     with pytest.raises(RangeError):
         faces.classical_support_face(comp, np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("make", [faces.sym_face, faces.antisym_face])
+def test_face_ket_kernel_matches_explicit_route(make):
+    # The in-face ket goes through the isometry; the explicit route builds
+    # rho, then partial_trace -> to_coords -> GramMatrix.norm_sq.
+    face = make(3)
+    n_s, v, t, dims = face.n_sub, face.isometry, math.sqrt(0.5), (3, 3)
+    part_a = face.comp.part_a
+    gram_a = grouprep.analytic_gram(part_a)
+    rng = np.random.default_rng(5301)
+    psi = rng.normal(size=(3, n_s)) + 1j * rng.normal(size=(3, n_s))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    sigma_a = cm.partial_trace(face.projector, dims, keep=0) / n_s
+    rho_a, tr2 = rnd._mixed_marginals(psi, t, dims, isometry=v, sigma_a=sigma_a)
+    local = rnd._local_purities(part_a, gram_a, rho_a)
+    collision = rnd._tr_sq(rho_a)
+    for k, ket in enumerate(psi):
+        sigma = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n_s) / n_s
+        rho = v @ sigma @ v.conj().T
+        ref_a = cm.partial_trace(rho, dims, keep=0)
+        assert local[k] == pytest.approx(
+            gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
+        assert collision[k] == pytest.approx(np.trace(ref_a @ ref_a).real, abs=1e-12)
+        assert tr2[k] == pytest.approx(np.trace(rho @ rho).real, abs=1e-12)

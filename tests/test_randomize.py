@@ -323,3 +323,68 @@ def test_estimator_rejects_initial_state_with_wrong_purity(rng):
     with pytest.raises(RangeError):
         rnd.estimate_expected_local_purity(
             comp, gram_a, gram_ab, 0.5, 10, 1, initial=init)
+
+
+# -- the batched kernel against the explicit route -------------------------------------------
+
+
+def _fixed_kets(d, *, real=False):
+    rng = np.random.default_rng(5300)
+    psi = rng.normal(size=(3, d))
+    if not real:
+        psi = psi + 1j * rng.normal(size=(3, d))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("builder,real", [(ss.build_quantum, False),
+                                          (ss.build_real_quantum, True)])
+def test_ket_kernel_matches_explicit_route(builder, real):
+    # Build rho, then partial_trace -> to_coords -> GramMatrix.norm_sq.
+    na, nb, p0 = 2, 3, 0.5
+    n, t = na * nb, math.sqrt(p0)
+    part_a, joint = builder(na), builder(n)
+    gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
+    psi = _fixed_kets(n, real=real)
+    rho_a, tr2 = rnd._mixed_marginals(psi, t, (na, nb))
+    local = rnd._local_purities(part_a, gram_a, rho_a)
+    glob = purity_from_tr2(n, tr2)
+    for k, ket in enumerate(psi):
+        rho = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n) / n
+        ref_a = cm.partial_trace(rho, (na, nb), keep=0)
+        assert local[k] == pytest.approx(
+            gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
+        assert glob[k] == pytest.approx(
+            gram_ab.norm_sq(joint.to_coords(rho) - joint.max_mixed), abs=1e-12)
+        assert glob[k] == pytest.approx(p0, abs=1e-12)
+
+
+def test_blocks_spans_and_streams():
+    blocks = list(rnd._blocks(2500, 9))
+    assert [(s.start, s.stop) for s, _ in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
+    for b, (_, rng) in enumerate(blocks):
+        assert rng.bit_generator.state == rnd.sample_rng(9, b).bit_generator.state
+
+
+# -- statistical cross-checks ----------------------------------------------------------------
+
+
+def test_ket_path_agrees_with_full_unitary_path():
+    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
+    init = fixed_purity_state(comp.joint, gram_ab, 0.5, np.random.default_rng(5100))
+    ket = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.5, 10_000, 5101)
+    full = rnd.estimate_expected_local_purity(
+        comp, gram_a, gram_ab, 0.5, 10_000, 5102, initial=init)
+    assert full.realized_global_purity == pytest.approx(0.5, abs=1e-9)
+    assert abs(ket.mean - full.mean) <= 3 * math.hypot(ket.stderr, full.stderr)
+
+
+@pytest.mark.parametrize("nb,seed", [(4, 5201), (8, 5202)])
+def test_estimator_matches_page_average_purity(nb, seed):
+    # Lubkin (1978) / Page (1993): E Tr rho_A^2 = (m + n)/(mn + 1) for a
+    # Haar-random pure state on C^m (x) C^n.
+    na = 4
+    comp, gram_a, gram_ab = _pair(ss.build_quantum, na, nb)
+    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 10_000, seed)
+    page = (na + nb) / (na * nb + 1)
+    tr_sigma = rep.stderr * (na - 1) / na  # d(tr)/d(P) = (n-1)/n
+    assert abs(tr2_from_purity(na, rep.mean) - page) <= 3 * tr_sigma
