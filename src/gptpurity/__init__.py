@@ -71,13 +71,13 @@ from .randomize import (
 )
 from .statespace import (
     SpaceDescriptor,
-    bloch,
     build_boxworld_bipartite,
     build_boxworld_local,
     build_classical,
     build_polygon,
     build_quantum,
     build_real_quantum,
+    random_mixtures,
     validate_state,
 )
 

@@ -22,7 +22,7 @@ from . import faces as faces_mod
 from . import grouprep
 from . import randomize as rnd
 from . import statespace as ss
-from .errors import GptPurityError
+from .errors import GptPurityError, RangeError
 from .purity import (
     complete_pauli_set,
     max_collision_probability,
@@ -198,15 +198,15 @@ def _run_estimate(args: argparse.Namespace) -> dict:
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}
 
 
-def _random_mixtures(space: ss.SpaceDescriptor, count: int, rng: np.random.Generator) -> np.ndarray:
-    pures = np.stack([space.sample_pure(rng) for _ in range(space.K + 1)])
-    weights = rng.dirichlet(np.ones(len(pures)), size=count)
-    return weights @ pures
+def _suite_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise RangeError(f"the seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _verify_pauli_identities(seed: int, samples: int) -> list[dict]:
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(seed)
     spaces = {
         "qubit": ss.build_quantum(2),
         "classical-4": ss.build_classical(4),
@@ -216,7 +216,7 @@ def _verify_pauli_identities(seed: int, samples: int) -> list[dict]:
     for name, space in spaces.items():
         gram = grouprep.analytic_gram(space)
         pset = complete_pauli_set(space, gram)
-        states = _random_mixtures(space, 200, rng)
+        states = ss.random_mixtures(space, 200, rng)
         dev = 0.0
         cdev = 0.0
         for omega in states:
@@ -243,7 +243,7 @@ def _verify_pauli_identities(seed: int, samples: int) -> list[dict]:
 
 def _verify_gram_invariance(seed: int, samples: int) -> list[dict]:
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(seed)
     spaces = [
         ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
         ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),

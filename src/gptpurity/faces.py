@@ -255,11 +255,12 @@ def _estimate_support_face(
     na = face.comp.part_a.K
     omega0 = np.zeros(joint_k)
     omega0[face.support] = p_face
+    # Support outcome s = a * K_B + b contributes to the A marginal at a.
+    to_a = np.zeros((face.n_sub, na))
+    to_a[np.arange(face.n_sub), face.support // face.comp.part_b.K] = 1.0
     vals = np.empty(n_samples)
     for span, perm in _permuted_states(blocks, p_face):
-        omega = np.zeros((len(perm), joint_k))
-        omega[:, face.support] = perm
-        marg = omega.reshape(len(perm), na, -1).sum(axis=2)
+        marg = perm @ to_a
         vals[span] = na / (na - 1) * np.sum(marg**2, axis=1) - 1.0 / (na - 1)
     gvals = np.full(n_samples, face_restricted_purity(face, omega0))
     return _make_report(vals, gvals, seed, histogram_bins)

@@ -65,17 +65,22 @@ class GroupSampler:
 
     ``draw`` yields a K x K real matrix T with ``order_unit @ T == order_unit``
     and ``T(cone) <= cone``.  For finite groups with a stored element list,
-    ``elements`` holds all of them and ``draw`` picks uniformly from it.
-    Samplers are pure functions of the passed generator, so averaging can be
-    partitioned across workers with per-sample generators derived from
-    (seed, index) without changing any result.
+    ``elements`` holds all of them and ``draw`` picks uniformly from it;
+    otherwise ``_draw`` draws an element.  Samplers are pure functions of the
+    passed generator, so averaging can be partitioned across workers with
+    per-sample generators derived from (seed, index) without changing any
+    result.
     """
 
     space: SpaceDescriptor
     name: str
     is_finite: bool
-    _draw: Callable[[np.random.Generator], np.ndarray]
+    _draw: Callable[[np.random.Generator], np.ndarray] | None = None
     elements: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self._draw is None and self.elements is None:
+            raise ValueError("a group sampler needs a draw function or an element list")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         if self.elements is not None:
@@ -154,13 +159,7 @@ def _boxworld_group_elements() -> np.ndarray:
 
 
 def _finite_sampler(space: SpaceDescriptor, name: str, elements: np.ndarray) -> GroupSampler:
-    return GroupSampler(
-        space=space,
-        name=name,
-        is_finite=True,
-        _draw=lambda rng: np.array(elements[rng.integers(len(elements))]),
-        elements=elements,
-    )
+    return GroupSampler(space=space, name=name, is_finite=True, elements=elements)
 
 
 def sampler_for(space: SpaceDescriptor, *, enumerate_limit: int = 1000) -> GroupSampler:
@@ -195,26 +194,73 @@ def sampler_for(space: SpaceDescriptor, *, enumerate_limit: int = 1000) -> Group
 # -- invariant inner product -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GramMatrix:
     """Invariant inner product on the Bloch subspace.
 
-    ``matrix`` is K x K, symmetric positive semidefinite, supported on the
-    Bloch subspace, and normalized so that pure states have norm 1.
-    ``scale`` records the pure-state rescaling factor that was applied.
+    The product G is a symmetric positive semidefinite form supported on the
+    Bloch subspace ``ker u`` and normalized so that pure states have norm 1;
+    ``scale`` records the pure-state rescaling factor that was applied.  It
+    is held in one of two forms:
+
+    * **scale-only** (``order_unit`` set; every ``analytic_gram``): G is
+      ``scale`` times the Euclidean projector onto ``ker u``, so
+      ``G x = scale (x - u (u.x)/(u.u))`` costs O(K) and nothing K x K is
+      stored;
+    * **stored** (``stored`` set; ``invariant_gram`` and explicit
+      ``GramMatrix(matrix=..., scale=...)``): a dense K x K matrix.
+
+    ``apply`` is the one operation that depends on the form; ``inner``,
+    ``norm_sq`` and ``norms_sq`` are built on it.  ``matrix`` is the dense
+    form; for a scale-only Gram it is built on each access and refused
+    beyond ``statespace.MEMORY_CAP_BYTES``.
     """
 
-    matrix: np.ndarray
     scale: float
+    order_unit: np.ndarray | None
+    stored: np.ndarray | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", ss._frozen(np.asarray(self.matrix, dtype=float)))
+    def __init__(
+        self,
+        matrix: np.ndarray | None = None,
+        scale: float = 1.0,
+        *,
+        order_unit: np.ndarray | None = None,
+    ) -> None:
+        if (matrix is None) == (order_unit is None):
+            raise ValueError("a Gram needs exactly one of a matrix and an order unit")
+        for name, a in (("stored", matrix), ("order_unit", order_unit)):
+            frozen = None if a is None else ss._frozen(np.asarray(a, dtype=float))
+            object.__setattr__(self, name, frozen)
+        object.__setattr__(self, "scale", float(scale))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense K x K Gram matrix."""
+        if self.stored is not None:
+            return self.stored
+        u = self.order_unit
+        ss.check_memory(8 * u.size * u.size, f"a dense {u.size} x {u.size} Gram matrix")
+        return ss._frozen(self.scale * (np.eye(u.size) - np.outer(u, u) / float(u @ u)))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The covector G x of a vector, or of each row of a (m, K) stack."""
+        x = np.asarray(x, dtype=float)
+        if self.stored is not None:
+            return x @ self.stored
+        u = self.order_unit
+        return self.scale * (x - np.multiply.outer(x @ u / float(u @ u), u))
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.asarray(x) @ self.matrix @ np.asarray(y))
+        return float(self.apply(x) @ np.asarray(y, dtype=float))
 
     def norm_sq(self, x: np.ndarray) -> float:
         return self.inner(x, x)
+
+    def norms_sq(self, rows: np.ndarray) -> np.ndarray:
+        """Squared Gram norm of each row of a (m, K) stack."""
+        rows = np.asarray(rows, dtype=float)
+        return np.einsum("bk,bk->b", self.apply(rows), rows)
 
 
 def analytic_gram(space: SpaceDescriptor) -> GramMatrix:
@@ -224,8 +270,8 @@ def analytic_gram(space: SpaceDescriptor) -> GramMatrix:
     isometry of the Bloch subspace, so the invariant product is the Euclidean
     one up to the pure-state normalization: n/(n-1) for quantum and classical
     n-level systems, m/(m-1) for real quantum theory, and 1 for polygons.
+    The result is scale-only and shares the space's order unit.
     """
-    p = space.bloch_projector()
     if space.kind in (ss.KIND_QUANTUM, ss.KIND_CLASSICAL, ss.KIND_REAL_QUANTUM):
         n = space.level
         scale = n / (n - 1)
@@ -235,7 +281,7 @@ def analytic_gram(space: SpaceDescriptor) -> GramMatrix:
         raise UnsupportedSpaceError(
             f"no pure-normalized invariant gram for kind {space.kind!r}"
         )
-    return GramMatrix(matrix=scale * p, scale=scale)
+    return GramMatrix(scale=scale, order_unit=space.order_unit)
 
 
 def check_irreducible(

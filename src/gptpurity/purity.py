@@ -86,7 +86,7 @@ class PauliMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vector", ss._frozen(np.asarray(self.vector, dtype=float)))
-        object.__setattr__(self, "covector", ss._frozen(self.gram.matrix @ self.vector))
+        object.__setattr__(self, "covector", ss._frozen(self.gram.apply(self.vector)))
 
     def __call__(self, omega: np.ndarray) -> float:
         """Evaluate on a normalized state (coordinates)."""

@@ -261,7 +261,11 @@ def _haar_ket_states(
     """
     d = dims[0] * dims[1] if isometry is None else isometry.shape[1]
     for span, rng in blocks:
-        psi = _haar_kets(rng, span.stop - span.start, d, real)
+        size = span.stop - span.start
+        # Kets in an isometry's column space are mapped into C^(n_A n_B).
+        ss.check_memory((8 if real else 16) * size * dims[0] * dims[1],
+                        f"a block of {size} kets in dimension {dims[0] * dims[1]}")
+        psi = _haar_kets(rng, size, d, real)
         yield (span, *_mixed_marginals(psi, t, dims, isometry=isometry, sigma_a=sigma_a))
 
 
@@ -289,18 +293,14 @@ def _permuted_states(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Per block: the span and uniformly random permutations of ``p``, one per row."""
     for span, rng in blocks:
-        yield span, rng.permuted(np.tile(p, (span.stop - span.start, 1)), axis=1)
-
-
-def _gram_norms(gram: GramMatrix, x: np.ndarray) -> np.ndarray:
-    """Squared Gram norm of each row of ``x``."""
-    return np.einsum("bk,bk->b", x @ gram.matrix, x)
+        size = span.stop - span.start
+        ss.check_memory(8 * size * p.size, f"a block of {size} distributions on {p.size} outcomes")
+        yield span, rng.permuted(np.tile(p, (size, 1)), axis=1)
 
 
 def _local_purities(space: SpaceDescriptor, gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
     """Gram purity of each matrix in a (size, n, n) stack of states of ``space``."""
-    coords = np.einsum("kij,bji->bk", space.hermitian_basis, rho).real
-    return _gram_norms(gram, coords - space.max_mixed)
+    return gram.norms_sq(space.to_coords(rho) - space.max_mixed)
 
 
 def _tr_sq(rho: np.ndarray) -> np.ndarray:
@@ -389,8 +389,8 @@ def estimate_expected_local_purity(
             p = initial
         for span, omega in _permuted_states(blocks, p):
             marg = omega.reshape(len(omega), comp.part_a.K, -1).sum(axis=2)
-            vals[span] = _gram_norms(gram_a, marg - comp.part_a.max_mixed)
-            gvals[span] = _gram_norms(gram_ab, omega - joint.max_mixed)
+            vals[span] = gram_a.norms_sq(marg - comp.part_a.max_mixed)
+            gvals[span] = gram_ab.norms_sq(omega - joint.max_mixed)
 
     return _make_report(vals, gvals, seed, histogram_bins)
 

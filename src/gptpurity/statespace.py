@@ -6,7 +6,13 @@ state, and a kind-specific cone test and pure-state sampler.  Matrix-valued
 theories (quantum over C, quantum over R) are vectorized in a fixed
 orthonormal Hermitian basis whose first element is ``identity/sqrt(d)``, so
 that states of all kinds are plain real vectors and the tensor product of
-coordinate vectors is the coordinate vector of the tensor product.
+coordinate vectors is the coordinate vector of the tensor product.  A
+descriptor keeps that basis as Kronecker factors: one for a built-in space,
+one per party for a composite, so joint coordinates never need the stacked
+joint basis.
+
+Arrays that grow with a joint space are checked against ``MEMORY_CAP_BYTES``
+by ``check_memory`` before they are allocated.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,11 +29,15 @@ from .errors import (
     InternalError,
     InvalidDimensionError,
     NormalizationError,
+    RangeError,
     UnsupportedSpaceError,
 )
 
 CONE_TOL = 1e-9
 NORM_TOL = 1e-9
+# Largest single array a request may allocate when it grows with the joint
+# space (a coordinate block, a dense Gram, a stacked basis, a descriptor).
+MEMORY_CAP_BYTES = 1 << 30
 
 KIND_QUANTUM = "quantum"
 KIND_CLASSICAL = "classical"
@@ -43,6 +53,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, ``what`` needing more than ``MEMORY_CAP_BYTES``."""
+    if nbytes > MEMORY_CAP_BYTES:
+        raise RangeError(
+            f"{what} would need {nbytes} bytes, over the {MEMORY_CAP_BYTES}-byte memory cap"
+        )
 
 
 @dataclass(frozen=True)
@@ -67,8 +85,12 @@ class SpaceDescriptor:
     level:
         Kind parameter: Hilbert-space dimension, outcome count, or vertex
         count.  ``None`` only for the bipartite boxworld space.
-    hermitian_basis:
-        ``(K, d, d)`` orthonormal basis stack for matrix-valued kinds.
+    basis_factors:
+        Matrix-valued kinds only: the orthonormal Hermitian basis as
+        Kronecker factors, each a ``(K_i, d_i, d_i)`` stack.  Basis element
+        ``k`` is the Kronecker product of one element per factor, ``k`` being
+        the row-major flat index of their indices.  A built-in space has one
+        factor; a composite has one per party.
     vertices:
         ``(n_pure, K)`` array of all pure states for polytopal kinds.
     effects:
@@ -82,15 +104,19 @@ class SpaceDescriptor:
     max_mixed: np.ndarray
     basis_labels: tuple[str, ...]
     level: int | None = None
-    hermitian_basis: np.ndarray | None = None
+    basis_factors: tuple[np.ndarray, ...] | None = None
     vertices: np.ndarray | None = None
     effects: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("order_unit", "max_mixed", "hermitian_basis", "vertices", "effects"):
+        for name in ("order_unit", "max_mixed", "vertices", "effects"):
             a = getattr(self, name)
             if a is not None:
                 object.__setattr__(self, name, _frozen(np.asarray(a)))
+        if self.basis_factors is not None:
+            object.__setattr__(
+                self, "basis_factors", tuple(_frozen(np.asarray(b)) for b in self.basis_factors)
+            )
 
     # -- generic linear structure -------------------------------------------------
 
@@ -99,7 +125,8 @@ class SpaceDescriptor:
         return float(self.order_unit @ np.asarray(x, dtype=float))
 
     def bloch_projector(self) -> np.ndarray:
-        """Euclidean-orthogonal projector onto the Bloch subspace ``ker u``."""
+        """Euclidean-orthogonal projector onto the Bloch subspace ``ker u``, as a K x K matrix."""
+        check_memory(8 * self.K * self.K, f"a {self.K} x {self.K} Bloch projector")
         u = self.order_unit
         return np.eye(self.K) - np.outer(u, u) / float(u @ u)
 
@@ -114,18 +141,66 @@ class SpaceDescriptor:
 
     # -- matrix representation (quantum kinds) ------------------------------------
 
-    def to_matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Reassemble the (Hermitian or symmetric) matrix from coordinates."""
-        if self.hermitian_basis is None:
+    def _factors(self) -> tuple[np.ndarray, ...]:
+        if self.basis_factors is None:
             raise UnsupportedSpaceError(f"space kind {self.kind!r} has no matrix form")
-        return np.einsum("k,kij->ij", np.asarray(coords), self.hermitian_basis)
+        return self.basis_factors
+
+    def to_matrix(self, coords: np.ndarray) -> np.ndarray:
+        """Reassemble the (Hermitian or symmetric) matrix from coordinates.
+
+        Contracts one coordinate index with one basis factor at a time; the
+        result has axes (i_1, j_1, ..., i_m, j_m) and is reordered to rows
+        (i_1..i_m) and columns (j_1..j_m).
+        """
+        factors = self._factors()
+        t = np.asarray(coords).reshape([b.shape[0] for b in factors])
+        for b in factors:
+            t = np.tensordot(t, b, axes=([0], [0]))
+        m = len(factors)
+        t = t.transpose([*range(0, 2 * m, 2), *range(1, 2 * m, 2)])
+        return t.reshape(self.level, self.level)
 
     def to_coords(self, matrix: np.ndarray) -> np.ndarray:
-        """Coordinates ``c_k = Tr(B_k @ M)`` of a Hermitian matrix ``M``."""
-        if self.hermitian_basis is None:
-            raise UnsupportedSpaceError(f"space kind {self.kind!r} has no matrix form")
-        c = np.einsum("kij,ji->k", self.hermitian_basis, np.asarray(matrix))
-        return np.real(c).astype(float)
+        """Coordinates ``c_k = Tr(B_k @ M)`` of a Hermitian matrix ``M``, or of each in a stack.
+
+        ``M`` is viewed as a tensor with row axes (r_1..r_m) and column axes
+        (c_1..c_m), one pair per basis factor, and contracted with one factor
+        at a time.  Leading axes of ``matrix`` are batch axes.
+        """
+        factors = self._factors()
+        matrix = np.asarray(matrix)
+        lead = matrix.shape[:-2]
+        dims = [b.shape[1] for b in factors]
+        t = matrix.reshape([*lead, *dims, *dims])
+        nb = len(lead)
+        # Factor f pairs its column index with r_f and its row index with
+        # c_f; both are then the first of the remaining pairs.
+        for rem, b in zip(range(len(factors), 0, -1), factors):
+            t = np.tensordot(t, b, axes=([nb, nb + rem], [2, 1]))
+        return np.real(t).reshape(*lead, self.K).astype(float)
+
+    @cached_property
+    def hermitian_basis(self) -> np.ndarray | None:
+        """The ``(K, d, d)`` stacked basis, built from the factors on first access.
+
+        ``None`` for kinds without a matrix form.  A composite's stack grows
+        like d^4 and is refused beyond ``MEMORY_CAP_BYTES``.
+        """
+        if self.basis_factors is None:
+            return None
+        if len(self.basis_factors) == 1:
+            return self.basis_factors[0]
+        itemsize = np.result_type(*self.basis_factors).itemsize
+        check_memory(
+            itemsize * self.K * self.level**2,
+            f"the stacked {self.K}-element basis of {self.level} x {self.level} matrices",
+        )
+        out = self.basis_factors[0]
+        for b in self.basis_factors[1:]:
+            k, d = out.shape[0] * b.shape[0], out.shape[1] * b.shape[1]
+            out = np.einsum("aij,bkl->abikjl", out, b).reshape(k, d, d)
+        return _frozen(out)
 
     # -- cone test ----------------------------------------------------------------
 
@@ -191,9 +266,11 @@ def validate_state(
         raise ConeError("state fails the cone test")
 
 
-def bloch(space: SpaceDescriptor, omega: np.ndarray) -> np.ndarray:
-    """Bloch vector of a normalized state: ``omega - max_mixed``."""
-    return space.bloch(omega)
+def random_mixtures(space: SpaceDescriptor, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random convex mixtures of K+1 sampled pure states, shape (count, K)."""
+    pures = np.stack([space.sample_pure(rng) for _ in range(space.K + 1)])
+    weights = rng.dirichlet(np.ones(len(pures)), size=count)
+    return weights @ pures
 
 
 def haar_ket(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,6 +291,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     elements after the first are traceless, so the first coordinate alone
     carries normalization.
     """
+    check_memory(16 * d**4, f"the {d * d}-element Hermitian basis of {d} x {d} matrices")
     mats = [np.eye(d, dtype=complex) / math.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):
@@ -245,6 +323,8 @@ def _hermitian_labels(d: int) -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def symmetric_basis(d: int) -> np.ndarray:
     """Orthonormal basis of d x d real symmetric matrices, identity/sqrt(d) first."""
+    count = d * (d + 1) // 2
+    check_memory(8 * count * d * d, f"the {count}-element symmetric basis of {d} x {d} matrices")
     mats = [np.eye(d) / math.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):
@@ -290,7 +370,7 @@ def build_quantum(n: int) -> SpaceDescriptor:
         max_mixed=max_mixed,
         basis_labels=_hermitian_labels(n),
         level=n,
-        hermitian_basis=basis,
+        basis_factors=(basis,),
     )
 
 
@@ -365,7 +445,7 @@ def build_real_quantum(m: int) -> SpaceDescriptor:
         max_mixed=max_mixed,
         basis_labels=_symmetric_labels(m),
         level=m,
-        hermitian_basis=basis,
+        basis_factors=(basis,),
     )
 
 

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from gptpurity import statespace as ss
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_mixtures(space: ss.SpaceDescriptor, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Random convex mixtures of K+1 sampled pure states, shape (count, K)."""
-    pures = np.stack([space.sample_pure(rng) for _ in range(space.K + 1)])
-    weights = rng.dirichlet(np.ones(len(pures)), size=count)
-    return weights @ pures

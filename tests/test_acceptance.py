@@ -14,8 +14,7 @@ from gptpurity import boxworld as bw
 from gptpurity import composite as cm
 from gptpurity import faces, grouprep, randomize as rnd, statespace as ss
 from gptpurity import purity as pur
-
-from conftest import random_mixtures
+from gptpurity.statespace import random_mixtures
 
 SAMPLES = 10_000
 EPS = 1e-12

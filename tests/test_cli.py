@@ -199,6 +199,8 @@ _EST = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1"
     ["verify", "pauli-identities", "--samples", "1"],
     ["predict", "main", "--ka", "4", "--kb", "4", "--na", "2", "--nb", "2", "--p0", "1",
      "--out", "{missing}/report.json"],
+    ["verify", "pauli-identities", "--seed", "-1"],
+    ["verify", "gram-invariance", "--seed", "-1"],
 ])
 def test_bad_input_exits_one_with_one_line(argv, tmp_path):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]

@@ -7,8 +7,7 @@ from gptpurity import composite as cm
 from gptpurity import grouprep, statespace as ss
 from gptpurity.errors import InconsistencyError, UnsupportedCompositeError
 from gptpurity.purity import complete_pauli_set
-
-from conftest import random_mixtures
+from gptpurity.statespace import random_mixtures
 
 
 def _quantum_pair(na, nb):
@@ -233,3 +232,58 @@ def test_global_pauli_norm_matches_inverse_sqrt_scaling():
         for pauli in complete_pauli_set(comp.part_a, gram_a).maps[:2]:
             norm = cm.global_pauli_norm(comp, gram_ab, pauli)
             assert abs(norm - 1 / math.sqrt(scale)) < 1e-6
+
+
+def _kron_stacked_basis(comp):
+    return np.stack([np.kron(ba, bb) for ba in comp.part_a.hermitian_basis
+                     for bb in comp.part_b.hermitian_basis])
+
+
+def _density(psi):
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("na,nb", [(2, 3), (3, 2)])
+def test_factored_joint_coordinates_match_kron_stacked_basis(na, nb, rng):
+    comp = cm.compose(ss.build_quantum(na), ss.build_quantum(nb))
+    joint = comp.joint
+    basis = _kron_stacked_basis(comp)
+    n = na * nb
+    np.testing.assert_allclose(joint.hermitian_basis, basis, atol=1e-12)
+
+    def coords(m):
+        return np.einsum("kij,ji->k", basis, m).real
+
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    herm = z + z.conj().T
+    k = min(na, nb)
+    bell = _density(np.eye(na, nb).ravel().astype(complex) / np.sqrt(k))
+    rho_a = _density(rng.normal(size=na) + 1j * rng.normal(size=na))
+    rho_b = _density(rng.normal(size=nb) + 1j * rng.normal(size=nb))
+    product = np.kron(rho_a, rho_b)
+    for m in (herm, bell, product):
+        c = joint.to_coords(m)
+        np.testing.assert_allclose(c, coords(m), atol=1e-12)
+        np.testing.assert_allclose(joint.to_matrix(c), m, atol=1e-12)
+        np.testing.assert_allclose(joint.to_matrix(c), np.einsum("k,kij->ij", c, basis), atol=1e-12)
+    np.testing.assert_allclose(
+        joint.to_coords(product),
+        np.kron(comp.part_a.to_coords(rho_a), comp.part_b.to_coords(rho_b)),
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(joint.to_coords(bell) @ joint.order_unit, 1.0, atol=1e-12)
+    stack = np.stack([herm, bell, product])
+    np.testing.assert_allclose(joint.to_coords(stack), [coords(m) for m in stack], atol=1e-12)
+
+
+@pytest.mark.parametrize("builder", [ss.build_quantum, ss.build_classical])
+def test_global_pauli_norm_matches_pinv_riesz_route(builder):
+    comp = cm.compose(builder(2), builder(3))
+    gram_a = grouprep.analytic_gram(comp.part_a)
+    gram_ab = grouprep.analytic_gram(comp.joint)
+    dense = gram_ab.matrix
+    for pauli in complete_pauli_set(comp.part_a, gram_a).maps:
+        covector = np.kron(pauli.covector, comp.part_b.order_unit)
+        w = comp.joint.bloch_projector() @ np.linalg.pinv(dense, hermitian=True) @ covector
+        assert abs(cm.global_pauli_norm(comp, gram_ab, pauli) - math.sqrt(w @ dense @ w)) < 1e-12

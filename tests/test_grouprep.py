@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gptpurity import composite as cm
 from gptpurity import grouprep, statespace as ss
 from gptpurity.errors import ReducibleSpaceError, UnsupportedSpaceError
 
@@ -272,3 +273,35 @@ def test_large_classical_group_is_finite_but_not_enumerated(rng):
     assert sampler.elements is None
     t = sampler.draw(rng)
     np.testing.assert_allclose(t.sum(axis=0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [ss.build_quantum(3), ss.build_classical(5), ss.build_real_quantum(3), ss.build_polygon(5),
+     cm.compose(ss.build_quantum(2), ss.build_quantum(3)).joint],
+    ids=["quantum-3", "classical-5", "real-quantum-3", "polygon-5", "quantum-2x3"],
+)
+def test_scale_only_gram_matches_dense_projector(space, rng):
+    gram = grouprep.analytic_gram(space)
+    assert gram.stored is None
+    dense = gram.scale * space.bloch_projector()
+    np.testing.assert_allclose(gram.matrix, dense, atol=1e-12)
+    rows = rng.normal(size=(6, space.K))
+    stored = grouprep.GramMatrix(matrix=dense, scale=gram.scale)
+    for g in (gram, stored):
+        np.testing.assert_allclose(g.apply(rows), rows @ dense, atol=1e-12)
+        np.testing.assert_allclose(g.apply(rows[0]), dense @ rows[0], atol=1e-12)
+        np.testing.assert_allclose(g.norms_sq(rows), np.einsum("bk,kl,bl->b", rows, dense, rows),
+                                   atol=1e-12)
+        for x, y in zip(rows[:-1], rows[1:]):
+            assert abs(g.inner(x, y) - x @ dense @ y) < 1e-12
+            assert abs(g.norm_sq(x) - x @ dense @ x) < 1e-12
+
+
+def test_finite_samplers_carry_elements_without_a_draw_function():
+    space = ss.build_polygon(5)
+    sampler = grouprep.sampler_for(space)
+    assert sampler._draw is None
+    assert len(sampler.elements) == 10
+    with pytest.raises(ValueError):
+        grouprep.GroupSampler(space=space, name="empty", is_finite=True)

@@ -1,0 +1,88 @@
+"""Bounded memory: large composites run in little memory, oversized ones are refused up front."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from gptpurity import composite as cm
+from gptpurity import grouprep, randomize as rnd, statespace as ss
+from gptpurity.errors import RangeError
+
+SRC = str(Path(cm.__file__).resolve().parents[1])
+# The child runs one CLI command and writes its own peak RSS (KiB) to a file,
+# so stdout and stderr stay exactly what the CLI wrote.
+_CHILD = """
+import resource, sys
+from gptpurity.cli import main
+rc = main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+sys.exit(rc)
+"""
+MAX_RSS_MB = 200
+
+
+def _run_cli(tmp_path, argv):
+    rss_file = tmp_path / "maxrss"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(rss_file), *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc, int(rss_file.read_text()) / 1024
+
+
+def test_quantum_16x16_predict_and_estimate_run_in_bounded_memory(tmp_path):
+    seed = "16016"
+    proc, rss = _run_cli(tmp_path, ["predict", "general", "--theory", "quantum",
+                                    "--na", "16", "--nb", "16", "--p0", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert rss < MAX_RSS_MB
+    exact = rnd.predict_main(256, 256, 16, 16, 1.0).value
+    assert abs(json.loads(proc.stdout)["value"] - exact) <= 1e-12
+
+    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "16", "--nb", "16",
+                                    "--p0", "1", "--samples", "2000", "--seed", seed])
+    assert proc.returncode == 0, proc.stderr
+    assert rss < MAX_RSS_MB
+    doc = json.loads(proc.stdout)
+    assert abs(doc["prediction"]["value"] - exact) <= 1e-12
+    assert abs(doc["result"]["mean"] - exact) <= 3 * doc["result"]["stderr"]
+
+
+def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
+    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "classical", "--na", "4096",
+                                    "--nb", "4096", "--p0", "0.3", "--samples", "10000",
+                                    "--seed", "0"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "bytes" in lines[0]
+    assert rss < MAX_RSS_MB
+
+
+def test_estimator_blocks_are_refused_beyond_the_cap():
+    comp = cm.compose(ss.build_classical(256), ss.build_classical(1024))
+    gram_a, gram_ab = grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
+    with pytest.raises(RangeError, match="2147483648 bytes"):
+        rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
+    with pytest.raises(RangeError, match="2147483648 bytes"):
+        rnd.qubit_pauli_oracle(1, 16, 1.0, 2000, 0)
+
+
+def test_dense_joint_structures_are_derived_only_within_the_cap():
+    joint = cm.compose(ss.build_quantum(16), ss.build_quantum(16)).joint
+    assert len(joint.basis_factors) == 2
+    with pytest.raises(RangeError, match="bytes"):
+        joint.hermitian_basis
+    with pytest.raises(RangeError, match="bytes"):
+        grouprep.analytic_gram(joint).matrix
+    with pytest.raises(RangeError, match="bytes"):
+        joint.bloch_projector()
+    with pytest.raises(RangeError, match="bytes"):
+        ss.build_quantum(128)

@@ -13,8 +13,7 @@ from gptpurity.errors import (
     RangeError,
     UnsupportedSpaceError,
 )
-
-from conftest import random_mixtures
+from gptpurity.statespace import random_mixtures
 
 
 def _space_gram(space):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from gptpurity import grouprep
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
-
-from conftest import random_mixtures
+from gptpurity.statespace import random_mixtures
 
 
 @pytest.mark.parametrize("n,k", [(2, 4), (3, 9), (5, 25)])
