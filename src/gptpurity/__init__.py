@@ -37,6 +37,8 @@ from .grouprep import (
     check_irreducible,
     clifford_unitaries,
     enumerate_clifford_1q,
+    frame_potential,
+    haar_unitaries,
     haar_unitary,
     invariant_gram,
     sampler_for,

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,28 +32,41 @@ DEFAULT_GRAM_SAMPLES = 20_000
 # -- raw matrix-group sampling -------------------------------------------------------
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x n unitary: QR of a complex Ginibre matrix, phase-fixed."""
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2)
+def haar_unitaries(
+    size: int, n: int, rng: np.random.Generator, *, real: bool = False
+) -> np.ndarray:
+    """A (size, n, n) stack of Haar-random unitaries (orthogonal when ``real``).
+
+    One stacked QR of Gaussian (complex Ginibre) matrices, with each column's
+    phase fixed by the diagonal of R.  The real parts of the whole stack are
+    drawn before the imaginary parts.
+    """
+    z = rng.normal(size=(size, n, n))
+    if not real:
+        z = (z + 1j * rng.normal(size=(size, n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (np.sign(d) if real else d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random n x n unitary: the size-1 case of ``haar_unitaries``."""
+    return haar_unitaries(1, n, rng)[0]
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x n orthogonal matrix: QR of a real Gaussian, sign-fixed."""
-    z = rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * np.sign(np.diagonal(r))
+    """Haar-random n x n orthogonal matrix: the real size-1 case of ``haar_unitaries``."""
+    return haar_unitaries(1, n, rng, real=True)[0]
 
 
 def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Superoperator of M -> U M U^dag in an orthonormal Hermitian basis.
 
-    Returns the K x K real matrix T with (T c)_k = Tr(B_k U (sum_l c_l B_l) U^dag).
+    Returns the K x K real matrix T with (T c)_k = Tr(B_k U (sum_l c_l B_l) U^dag),
+    or a (size, K, K) stack of them for a (size, n, n) stack of unitaries.
     """
-    rotated = np.einsum("ab,lbc,dc->lad", u, basis, u.conj())
-    return np.real(np.einsum("kij,lji->kl", basis, rotated))
+    rotated = np.einsum("...ab,lbc,...dc->...lad", u, basis, u.conj())
+    return np.real(np.einsum("kij,...lji->...kl", basis, rotated))
 
 
 # -- group samplers --------------------------------------------------------------------
@@ -66,10 +79,10 @@ class GroupSampler:
     ``draw`` yields a K x K real matrix T with ``order_unit @ T == order_unit``
     and ``T(cone) <= cone``.  For finite groups with a stored element list,
     ``elements`` holds all of them and ``draw`` picks uniformly from it;
-    otherwise ``_draw`` draws an element.  Samplers are pure functions of the
-    passed generator, so averaging can be partitioned across workers with
-    per-sample generators derived from (seed, index) without changing any
-    result.
+    otherwise ``_draw`` draws an element.  ``draw_many`` yields a stack of
+    independent elements: one stacked QR and one batched conjugation for the
+    Haar samplers (``_draw_many``), ``size`` calls of ``draw`` otherwise.
+    Samplers are pure functions of the passed generator.
     """
 
     space: SpaceDescriptor
@@ -77,6 +90,7 @@ class GroupSampler:
     is_finite: bool
     _draw: Callable[[np.random.Generator], np.ndarray] | None = None
     elements: np.ndarray | None = None
+    _draw_many: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self._draw is None and self.elements is None:
@@ -87,6 +101,18 @@ class GroupSampler:
             return np.array(self.elements[rng.integers(len(self.elements))])
         return self._draw(rng)
 
+    def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """A (size, K, K) stack of independent uniform elements.
+
+        Refused beyond ``statespace.MEMORY_CAP_BYTES``, counting the complex
+        (size, K, K) conjugation intermediates of the Haar samplers.
+        """
+        k = self.space.K
+        ss.check_memory(32 * size * k * k, f"a stack of {size} group elements on {k} coordinates")
+        if self._draw_many is not None:
+            return self._draw_many(rng, size)
+        return np.stack([self.draw(rng) for _ in range(size)])
+
 
 def sample_haar_unitary(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
     """Conjugation by a Haar-random unitary, as a K x K coordinate matrix."""
@@ -96,6 +122,19 @@ def sample_haar_unitary(space: SpaceDescriptor, rng: np.random.Generator) -> np.
 def sample_orthogonal(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
     """Conjugation by a Haar-random orthogonal matrix (real quantum theory)."""
     return conjugation_matrix(space.hermitian_basis, haar_orthogonal(space.level, rng))
+
+
+def _haar_sampler(space: SpaceDescriptor, real: bool) -> GroupSampler:
+    one = sample_orthogonal if real else sample_haar_unitary
+    return GroupSampler(
+        space,
+        "haar-orthogonal-conjugation" if real else "haar-unitary-conjugation",
+        False,
+        lambda rng: one(space, rng),
+        _draw_many=lambda rng, size: conjugation_matrix(
+            space.hermitian_basis, haar_unitaries(size, space.level, rng, real=real)
+        ),
+    )
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:
@@ -168,12 +207,8 @@ def sampler_for(space: SpaceDescriptor, *, enumerate_limit: int = 1000) -> Group
     Finite groups with at most ``enumerate_limit`` elements carry the full
     element list; the classical group S_n is enumerated only for small n.
     """
-    if space.kind == ss.KIND_QUANTUM:
-        return GroupSampler(space, "haar-unitary-conjugation", False,
-                            lambda rng: sample_haar_unitary(space, rng))
-    if space.kind == ss.KIND_REAL_QUANTUM:
-        return GroupSampler(space, "haar-orthogonal-conjugation", False,
-                            lambda rng: sample_orthogonal(space, rng))
+    if space.kind in (ss.KIND_QUANTUM, ss.KIND_REAL_QUANTUM):
+        return _haar_sampler(space, real=space.kind == ss.KIND_REAL_QUANTUM)
     if space.kind == ss.KIND_CLASSICAL:
         if math.factorial(space.K) <= enumerate_limit:
             els = np.stack(
@@ -249,7 +284,10 @@ class GramMatrix:
         if self.stored is not None:
             return x @ self.stored
         u = self.order_unit
-        return self.scale * (x - np.multiply.outer(x @ u / float(u @ u), u))
+        cov = np.multiply.outer(x @ u / float(u @ u), u)
+        np.subtract(x, cov, out=cov)
+        cov *= self.scale
+        return cov
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(self.apply(x) @ np.asarray(y, dtype=float))
@@ -367,37 +405,63 @@ def invariant_gram(
 
 # -- Clifford group and the 2-design identity ---------------------------------------------
 
+# Frontier elements expanded per stacked product in the Clifford closure; it
+# bounds the product arrays, which no stored element is a view of.
+_CLOSURE_CHUNK = 256
+
 
 def _phase_canonical(u: np.ndarray) -> np.ndarray:
-    flat = u.ravel()
-    idx = int(np.argmax(np.abs(flat) > 1e-9))
-    z = flat[idx]
-    return u * (z.conjugate() / abs(z))
+    """Each matrix of a (..., d, d) stack times the phase that makes its first
+    entry of modulus above 1e-9 real and positive."""
+    flat = u.reshape(*u.shape[:-2], -1)
+    idx = np.argmax(np.abs(flat) > 1e-9, axis=-1)
+    z = np.take_along_axis(flat, idx[..., None], axis=-1)
+    return u * (z.conj() / np.abs(z))[..., None]
+
+
+def _keys(u: np.ndarray) -> list[bytes]:
+    """The rounded-entry key of each matrix of a (m, d, d) stack."""
+    raw = (np.round(u, 9) + 0.0).tobytes()
+    step = len(raw) // len(u)
+    return [raw[i:i + step] for i in range(0, len(raw), step)]
 
 
 def _key(u: np.ndarray) -> bytes:
-    return (np.round(u, 9) + 0.0).tobytes()
+    return _keys(u[None])[0]
 
 
-def _bfs_closure(generators: list[np.ndarray], expect: int, cap: int) -> list[np.ndarray]:
-    start = np.eye(generators[0].shape[0], dtype=complex)
-    seen: dict[bytes, np.ndarray] = {_key(start): start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for u in frontier:
-            for g in generators:
-                v = _phase_canonical(g @ u)
-                k = _key(v)
+def _bfs_closure(generators: list[np.ndarray], expect: int) -> list[np.ndarray]:
+    """Breadth-first closure of the generated group modulo phase.
+
+    Elements come in discovery order: level by level, and within a level by
+    frontier element, then by generator.  Each chunk of the frontier is
+    multiplied by every generator in one stacked product, and new elements
+    are copied into one preallocated (expect, d, d) array.
+    """
+    gens = np.stack(generators)
+    d = gens.shape[1]
+    out = np.empty((expect, d, d), dtype=complex)
+    out[0] = np.eye(d)
+    seen = set(_keys(out[:1]))
+    lo, hi = 0, 1  # the current level is out[lo:hi]
+    while lo < hi:
+        n = hi
+        for c in range(lo, hi, _CLOSURE_CHUNK):
+            frontier = out[c:min(c + _CLOSURE_CHUNK, hi), None]
+            prod = _phase_canonical(np.matmul(gens[None], frontier)).reshape(-1, d, d)
+            fresh = []
+            for i, k in enumerate(_keys(prod)):
                 if k not in seen:
-                    seen[k] = v
-                    new.append(v)
-        frontier = new
-        if len(seen) > cap:
-            raise InternalError(f"group closure exceeded {cap} elements")
-    if len(seen) != expect:
-        raise InternalError(f"group closure produced {len(seen)} elements, expected {expect}")
-    return list(seen.values())
+                    seen.add(k)
+                    fresh.append(i)
+            if n + len(fresh) > expect:
+                raise InternalError(f"group closure exceeded {expect} elements")
+            out[n:n + len(fresh)] = prod[fresh]
+            n += len(fresh)
+        lo, hi = hi, n
+    if hi != expect:
+        raise InternalError(f"group closure produced {hi} elements, expected {expect}")
+    return list(out)
 
 
 @lru_cache(maxsize=None)
@@ -411,19 +475,19 @@ def clifford_unitaries(k: int = 1) -> tuple[np.ndarray, ...]:
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     s = np.diag([1, 1j]).astype(complex)
     if k == 1:
-        return tuple(_bfs_closure([h, s], expect=24, cap=1000))
+        return tuple(_bfs_closure([h, s], expect=24))
     if k == 2:
         eye = np.eye(2, dtype=complex)
         cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
         gens = [np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot]
-        return tuple(_bfs_closure(gens, expect=11520, cap=20000))
+        return tuple(_bfs_closure(gens, expect=11520))
     raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
 
 
 def enumerate_clifford_1q() -> np.ndarray:
     """The 24 single-qubit Clifford conjugations as 4 x 4 coordinate matrices."""
     space = ss.build_quantum(2)
-    return np.stack([conjugation_matrix(space.hermitian_basis, u) for u in clifford_unitaries(1)])
+    return conjugation_matrix(space.hermitian_basis, np.stack(clifford_unitaries(1)))
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -443,32 +507,24 @@ def antisymmetric_projector(d: int) -> np.ndarray:
     return (np.eye(d * d) - swap_operator(d)) / 2
 
 
-def two_design_superoperators(k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Left side (Clifford second-moment average) and right side superoperators.
+def frame_potential(unitaries: np.ndarray | Sequence[np.ndarray]) -> float:
+    """Second frame potential F = (1/|G|) sum_g |Tr g|^4 of a finite unitary group.
 
-    Both act on row-major-vectorized d^2 x d^2 matrices M: the left side is
-    the group average of M -> (U (x) U) M (U (x) U)^dag; the right side is the
-    projector combination 2 Tr(pi_s M) pi_s / (d(d+1)) + 2 Tr(pi_a M) pi_a / (d(d-1)).
+    F is the sum of the squared multiplicities of the irreducible components
+    of g (x) g: an integer that is at least 2 in dimension d >= 2, with
+    equality exactly when the group is a unitary 2-design (Gross, Audenaert
+    and Eisert, J. Math. Phys. 48, 052104, 2007).
     """
-    d = 2**k
-    lhs = np.zeros(((d * d) ** 2, (d * d) ** 2), dtype=complex)
-    for u in clifford_unitaries(k):
-        a = np.kron(u, u)
-        lhs += np.kron(a, a.conj())
-    lhs /= len(clifford_unitaries(k))
-    pi_s = symmetric_projector(d)
-    pi_a = antisymmetric_projector(d)
-    rhs = (2.0 / (d * (d + 1))) * np.outer(pi_s.ravel(), pi_s.ravel()) + (
-        2.0 / (d * (d - 1))
-    ) * np.outer(pi_a.ravel(), pi_a.ravel())
-    return lhs, rhs.astype(complex)
+    traces = np.trace(np.asarray(unitaries), axis1=-2, axis2=-1)
+    return float(np.mean(np.abs(traces) ** 4))
 
 
 def two_design_check(k: int = 1) -> float:
-    """Maximum absolute entry deviation of the second-moment identity.
+    """|F - 2| for the frame potential F of the k-qubit Clifford group.
 
-    Comparing the superoperators entrywise is equivalent to comparing the two
-    sides on a full basis of elementary matrices.
+    The group average of U (x) U (x) conj(U (x) U) is the projector onto the
+    commutant of U (x) U, of trace F; the Haar average is its rank-2 part
+    spanned by the symmetric and antisymmetric projectors.  So F - 2 is the
+    squared Frobenius distance between the two second-moment superoperators.
     """
-    lhs, rhs = two_design_superoperators(k)
-    return float(np.max(np.abs(lhs - rhs)))
+    return abs(frame_potential(clifford_unitaries(k)) - 2.0)

@@ -22,6 +22,10 @@ from .errors import DegenerateDirectionError, RangeError, UnsupportedSpaceError
 from .grouprep import GramMatrix, GroupSampler
 from .statespace import SpaceDescriptor
 
+# Group elements drawn at once by ``pauli_haar_average``; a Monte Carlo
+# average depends on it.
+AVERAGE_BLOCK = 1024
+
 
 def purity(
     space: SpaceDescriptor,
@@ -220,7 +224,9 @@ def pauli_haar_average(
     """Average of (X o T)(omega)^2 over the reversible group.
 
     Equals purity(omega) / (K - 1) for any Pauli map on an irreducible space.
-    Uses the exact finite sum when the sampler enumerates its group.
+    Uses the exact finite sum when the sampler enumerates its group, and
+    otherwise draws the group elements in blocks of ``AVERAGE_BLOCK``
+    through ``GroupSampler.draw_many``.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     omega = np.asarray(omega, dtype=float)
@@ -231,8 +237,9 @@ def pauli_haar_average(
     if n_samples < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
     vals = np.empty(n_samples)
-    for i in range(n_samples):
-        vals[i] = x(sampler.draw(rng) @ omega) ** 2
+    for lo in range(0, n_samples, AVERAGE_BLOCK):
+        ts = sampler.draw_many(rng, min(AVERAGE_BLOCK, n_samples - lo))
+        vals[lo:lo + len(ts)] = x.evaluate_many(ts @ omega) ** 2
     return PauliAverage(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(n_samples)),

@@ -16,8 +16,8 @@ order, so a report depends on the seed and the sample count alone.  The
 default quantum estimate needs no group element: conjugation fixes the
 maximally mixed state mu, so U (t phi + (1-t) mu) U^dagger equals
 t |psi><psi| + (1-t) mu for a Haar-random ket psi, and a block of kets gives
-a block of marginals in one contraction.  Only a fixed ``initial`` state is
-conjugated by a Haar unitary per sample.
+a block of marginals in one contraction.  A fixed ``initial`` state is
+conjugated by a block of Haar unitaries drawn with one stacked QR.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import composite as comp_mod
 from . import grouprep
 from . import statespace as ss
-from .composite import CompositeDescriptor, partial_trace
+from .composite import CompositeDescriptor
 from .errors import (
     DegenerateCompositeError,
     InternalError,
@@ -274,28 +274,36 @@ def _conjugated_states(
     phi: np.ndarray,
     dims: tuple[int, int],
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Per block: the span, A marginals and Tr(rho^2) of U phi U^dagger for Haar U."""
+    """Per block: the span, A marginals and Tr(rho^2) of U phi U^dagger for Haar U.
+
+    A block draws its unitaries with one ``grouprep.haar_unitaries`` call.
+    """
     n = phi.shape[0]
     for span, rng in blocks:
         size = span.stop - span.start
-        rho_a = np.empty((size, dims[0], dims[0]), dtype=complex)
-        tr2 = np.empty(size)
-        for k in range(size):
-            u = grouprep.haar_unitary(n, rng)
-            rho = u @ phi @ u.conj().T
-            rho_a[k] = partial_trace(rho, dims, keep=0)
-            tr2[k] = np.einsum("ij,ji->", rho, rho).real
-        yield span, rho_a, tr2
+        # U, U phi, conj(U) and rho are alive at once.
+        ss.check_memory(4 * 16 * size * n * n, f"a block of {size} unitaries in dimension {n}")
+        u = grouprep.haar_unitaries(size, n, rng)
+        rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
+        m = rho.reshape(size, dims[0], dims[1], dims[0], dims[1])
+        yield span, np.einsum("bijkj->bik", m), _tr_sq(rho)
 
 
 def _permuted_states(
-    blocks: Iterable[tuple[slice, np.random.Generator]], p: np.ndarray
+    blocks: Iterable[tuple[slice, np.random.Generator]], p: np.ndarray, *, alive: int = 1
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Per block: the span and uniformly random permutations of ``p``, one per row."""
+    """Per block: the span and uniformly random permutations of ``p``, one per row.
+
+    Each row is permuted in place.  ``alive`` is the number of (block, K)
+    arrays the caller holds at once, counting the yielded one; the memory
+    check counts them all.
+    """
     for span, rng in blocks:
         size = span.stop - span.start
-        ss.check_memory(8 * size * p.size, f"a block of {size} distributions on {p.size} outcomes")
-        yield span, rng.permuted(np.tile(p, (size, 1)), axis=1)
+        ss.check_memory(alive * 8 * size * p.size,
+                        f"{alive} block(s) of {size} distributions on {p.size} outcomes")
+        omega = np.tile(p, (size, 1))
+        yield span, rng.permuted(omega, axis=1, out=omega)
 
 
 def _local_purities(space: SpaceDescriptor, gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
@@ -387,10 +395,13 @@ def estimate_expected_local_purity(
             p[0] += t
         else:
             p = initial
-        for span, omega in _permuted_states(blocks, p):
+        # The block, turned into its Bloch rows in place, and the Gram's
+        # covectors are alive at once.
+        for span, omega in _permuted_states(blocks, p, alive=2):
             marg = omega.reshape(len(omega), comp.part_a.K, -1).sum(axis=2)
             vals[span] = gram_a.norms_sq(marg - comp.part_a.max_mixed)
-            gvals[span] = gram_ab.norms_sq(omega - joint.max_mixed)
+            omega -= joint.max_mixed
+            gvals[span] = gram_ab.norms_sq(omega)
 
     return _make_report(vals, gvals, seed, histogram_bins)
 
@@ -462,13 +473,13 @@ def estimate_real_quantum_local_purity(
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    pair = real_quantum_pair(m_a, m_b)
-    gram_a = grouprep.analytic_gram(pair.part_a)
+    part_a = ss.build_real_quantum(m_a)
+    gram_a = grouprep.analytic_gram(part_a)
     blocks = _blocks(n_samples, seed)
     vals = np.empty(n_samples)
     gvals = np.empty(n_samples)
     for span, rho_a, tr2 in _haar_ket_states(blocks, math.sqrt(p0), (m_a, m_b), real=True):
-        vals[span] = _local_purities(pair.part_a, gram_a, rho_a)
+        vals[span] = _local_purities(part_a, gram_a, rho_a)
         gvals[span] = purity_from_tr2(m_a * m_b, tr2)
     return _make_report(vals, gvals, seed, histogram_bins)
 

@@ -148,6 +148,24 @@ def test_two_design_cli(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_deviation"] < 1e-12
+    assert doc["max_deviation"] == abs(doc["frame_potential"] - 2.0)
+
+
+def test_real_quantum_estimate_builds_the_pair_once(capsys, monkeypatch):
+    from gptpurity import randomize as rnd
+
+    calls = []
+    build = rnd.real_quantum_pair
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(rnd, "real_quantum_pair", counted)
+    code, _ = _run(capsys, ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2",
+                            "--p0", "1", "--samples", "200", "--seed", "3"])
+    assert code == 0
+    assert calls == [(2, 2)]
 
 
 def test_coin_record_cli(capsys):

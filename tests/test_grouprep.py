@@ -46,6 +46,34 @@ def test_haar_unitary_is_unitary(rng):
     np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_haar_unitaries_stack_and_size_one_case(real):
+    one = grouprep.haar_orthogonal if real else grouprep.haar_unitary
+    for n in (1, 2, 5):
+        a = one(n, np.random.default_rng(4200 + n))
+        b = grouprep.haar_unitaries(1, n, np.random.default_rng(4200 + n), real=real)[0]
+        np.testing.assert_array_equal(a, b)
+    us = grouprep.haar_unitaries(7, 4, np.random.default_rng(4210), real=real)
+    assert us.shape == (7, 4, 4)
+    assert us.dtype == (float if real else complex)
+    np.testing.assert_allclose(us @ us.conj().transpose(0, 2, 1), np.broadcast_to(np.eye(4), us.shape),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("builder", [ss.build_quantum, ss.build_real_quantum])
+def test_haar_draw_many_is_a_stack_of_conjugations(builder):
+    space = builder(3)
+    sampler = grouprep.sampler_for(space)
+    ts = sampler.draw_many(np.random.default_rng(4220), 5)
+    assert ts.shape == (5, space.K, space.K)
+    real = space.kind == ss.KIND_REAL_QUANTUM
+    us = grouprep.haar_unitaries(5, 3, np.random.default_rng(4220), real=real)
+    for t, u in zip(ts, us):
+        np.testing.assert_allclose(t, grouprep.conjugation_matrix(space.hermitian_basis, u),
+                                   atol=1e-12)
+        np.testing.assert_allclose(space.order_unit @ t, space.order_unit, atol=1e-12)
+
+
 def test_permutation_matrices_are_01_doubly_stochastic(rng):
     space = ss.build_classical(6)
     for _ in range(25):
@@ -232,12 +260,36 @@ def test_check_irreducible_qubit_statistical():
 # -- two-design ----------------------------------------------------------------------------
 
 
+def _two_design_superoperators(k):
+    """Left side (Clifford second-moment average) and right side superoperators.
+
+    Both act on row-major-vectorized d^2 x d^2 matrices M: the left side is
+    the group average of M -> (U (x) U) M (U (x) U)^dag; the right side is the
+    projector combination 2 Tr(pi_s M) pi_s / (d(d+1)) + 2 Tr(pi_a M) pi_a / (d(d-1)).
+    The left side is one product M^T conj(M) / |G| over the stacked,
+    vectorized A = U (x) U, reordered from [(i,j),(k,l)] to kron(A, conj A)'s
+    [(i,k),(j,l)].
+    """
+    d = 2**k
+    us = np.stack(grouprep.clifford_unitaries(k))
+    a = np.einsum("gij,gkl->gikjl", us, us).reshape(len(us), -1)
+    dd = d * d
+    lhs = (a.T @ a.conj() / len(us)).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3)
+    lhs = lhs.reshape(dd * dd, dd * dd)
+    pi_s = grouprep.symmetric_projector(d)
+    pi_a = grouprep.antisymmetric_projector(d)
+    rhs = (2.0 / (d * (d + 1))) * np.outer(pi_s.ravel(), pi_s.ravel()) + (
+        2.0 / (d * (d - 1))
+    ) * np.outer(pi_a.ravel(), pi_a.ravel())
+    return lhs, rhs
+
+
 def test_two_design_identity_k1():
     assert grouprep.two_design_check(1) < 1e-12
 
 
 def test_two_design_superoperator_on_identity_and_swap():
-    lhs, rhs = grouprep.two_design_superoperators(1)
+    lhs, rhs = _two_design_superoperators(1)
     d = 2
     ident = np.eye(d * d)
     np.testing.assert_allclose((lhs @ ident.ravel()).reshape(4, 4), ident, atol=1e-12)
@@ -247,6 +299,37 @@ def test_two_design_superoperator_on_identity_and_swap():
     # Tr(pi_a S) = -Tr(pi_a), so the right side returns pi_s - pi_a = S.
     np.testing.assert_allclose((rhs @ swap.ravel()).reshape(4, 4), swap, atol=1e-12)
     np.testing.assert_allclose((lhs @ swap.ravel()).reshape(4, 4), swap, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,bound", [(1, 1e-12), (2, 1e-11)])
+def test_superoperators_agree_and_lhs_trace_is_frame_potential(k, bound):
+    lhs, rhs = _two_design_superoperators(k)
+    assert np.max(np.abs(lhs - rhs)) < bound
+    frame = grouprep.frame_potential(grouprep.clifford_unitaries(k))
+    assert abs(np.trace(lhs) - frame) < 1e-12
+    # F - 2 is the squared Frobenius distance between the two sides.
+    assert abs(np.linalg.norm(lhs - rhs) ** 2 - (frame - 2.0)) < bound
+
+
+def test_pauli_group_is_not_a_two_design():
+    # {I, X, Y, Z} is a 1-design only: F = 4, so |F - 2| = 2.
+    from gptpurity.purity import pauli_string
+
+    frame = grouprep.frame_potential([pauli_string(p) for p in "IXYZ"])
+    assert frame == pytest.approx(4.0, abs=1e-12)
+    assert abs(frame - 2.0) > 1.0
+
+
+@pytest.mark.parametrize("k,digest", [
+    (1, "a8a60e4851b0b1d70283eb7385bc209f5c77cdf404a31c5d83f595baa284a5ea"),
+    (2, "8779e656f1fa27caec7a130a8c9ad599f98e780283891aa1c97742eb11e55dda"),
+])
+def test_clifford_closure_order_is_frozen(k, digest):
+    # sha256 of the ordered rounded keys as the per-element closure produced them.
+    import hashlib
+
+    keys = b"".join(grouprep._key(u) for u in grouprep.clifford_unitaries(k))
+    assert hashlib.sha256(keys).hexdigest() == digest
 
 
 @pytest.mark.slow

@@ -14,13 +14,22 @@ from gptpurity.errors import RangeError
 
 SRC = str(Path(cm.__file__).resolve().parents[1])
 # The child runs one CLI command and writes its own peak RSS (KiB) to a file,
-# so stdout and stderr stay exactly what the CLI wrote.
+# so stdout and stderr stay exactly what the CLI wrote.  It reads VmHWM where
+# the kernel reports it: Linux carries the spawning process's peak into the
+# child's ru_maxrss across exec, so under a large pytest process ru_maxrss
+# reads that process's peak instead of the child's.
 _CHILD = """
 import resource, sys
 from gptpurity.cli import main
 rc = main(sys.argv[2:])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    pass
 with open(sys.argv[1], "w") as fh:
-    fh.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+    fh.write(str(peak))
 sys.exit(rc)
 """
 MAX_RSS_MB = 200
@@ -66,10 +75,22 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
     assert rss < MAX_RSS_MB
 
 
+def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
+    # The closure keeps no stacked product alive; its peak was 42 MB before
+    # the closure was batched.
+    proc, rss = _run_cli(tmp_path, ["two-design", "--k", "2"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["passed"] is True
+    assert doc["max_deviation"] == abs(doc["frame_potential"] - 2.0) < 1e-11
+    assert rss < 46
+
+
 def test_estimator_blocks_are_refused_beyond_the_cap():
     comp = cm.compose(ss.build_classical(256), ss.build_classical(1024))
     gram_a, gram_ab = grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
-    with pytest.raises(RangeError, match="2147483648 bytes"):
+    # Two (1024, 262144) float arrays are alive at once in the classical loop.
+    with pytest.raises(RangeError, match="4294967296 bytes"):
         rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
     with pytest.raises(RangeError, match="2147483648 bytes"):
         rnd.qubit_pauli_oracle(1, 16, 1.0, 2000, 0)

@@ -213,6 +213,22 @@ def test_pauli_haar_average_qubit_pure(rng):
     assert abs(avg.mean - 1 / 3) <= 3 * avg.stderr
 
 
+@pytest.mark.parametrize("builder,level,seed", [(ss.build_quantum, 2, 4301),
+                                                 (ss.build_quantum, 3, 4302),
+                                                 (ss.build_real_quantum, 3, 4303)])
+def test_pauli_haar_average_matches_purity_over_k_minus_one(builder, level, seed):
+    # 5000 samples span four full draw_many blocks and one partial one.
+    rng = np.random.default_rng(seed)
+    space, gram = _space_gram(builder(level))
+    sampler = grouprep.sampler_for(space)
+    x = pur.pauli_from_direction(space, gram, rng.normal(size=space.K))
+    omega = random_mixtures(space, 1, rng)[0]
+    avg = pur.pauli_haar_average(space, sampler, x, omega, n_samples=5000, rng=rng)
+    assert avg.n_samples == 5000 and not avg.exact
+    expected = pur.purity(space, gram, omega) / (space.K - 1)
+    assert abs(avg.mean - expected) <= 3 * avg.stderr
+
+
 def test_pauli_haar_average_classical_exact():
     space, gram = _space_gram(ss.build_classical(4))
     sampler = grouprep.sampler_for(space)

@@ -358,6 +358,36 @@ def test_ket_kernel_matches_explicit_route(builder, real):
         assert glob[k] == pytest.approx(p0, abs=1e-12)
 
 
+def test_conjugated_states_match_explicit_route():
+    # One haar_unitaries draw per block, against U phi U^dagger -> partial_trace per sample.
+    na, nb = 2, 3
+    joint = ss.build_quantum(na * nb)
+    gram_ab = grouprep.analytic_gram(joint)
+    phi = joint.to_matrix(fixed_purity_state(joint, gram_ab, 0.5, np.random.default_rng(4400)))
+    got = list(rnd._conjugated_states(rnd._blocks(1500, 4401), phi, (na, nb)))
+    assert [(s.start, s.stop) for s, _, _ in got] == [(0, 1024), (1024, 1500)]
+    for b, (span, rho_a, tr2) in enumerate(got):
+        us = grouprep.haar_unitaries(span.stop - span.start, na * nb, rnd.sample_rng(4401, b))
+        for k in (0, 1, len(us) - 1):
+            rho = us[k] @ phi @ us[k].conj().T
+            np.testing.assert_allclose(rho_a[k], cm.partial_trace(rho, (na, nb), keep=0),
+                                       atol=1e-12)
+            assert tr2[k] == pytest.approx(np.trace(rho @ rho).real, abs=1e-12)
+        assert np.ptp(purity_from_tr2(na * nb, tr2)) < rnd.GLOBAL_PURITY_TOL
+
+
+def test_classical_memory_check_counts_both_block_arrays(monkeypatch):
+    # A 2x8 block holds 1024 rows of K = 16: the permuted rows and the Gram's
+    # covectors are alive at once, 2 * 8 * 1024 * 16 = 262144 bytes.
+    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 8)
+    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 262143)
+    with pytest.raises(RangeError, match="262144 bytes"):
+        rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
+    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 262144)
+    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
+    assert rep.realized_global_purity == pytest.approx(0.3, abs=1e-9)
+
+
 def test_blocks_spans_and_streams():
     blocks = list(rnd._blocks(2500, 9))
     assert [(s.start, s.stop) for s, _ in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
