@@ -11,27 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-import numpy as np
-
-from . import boxworld as bw
 from . import composite as comp_mod
 from . import faces as faces_mod
 from . import grouprep
 from . import randomize as rnd
 from . import statespace as ss
-from .errors import GptPurityError, RangeError
-from .purity import (
-    complete_pauli_set,
-    max_collision_probability,
-    pauli_haar_average,
-    purity,
-    purity_via_pauli_set,
-)
-
-ENV_THREADS = "GPTPURITY_THREADS"
+from .checks import EXACT, SUITES, Check, run_suite
+from .errors import GptPurityError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,20 +30,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_THREADS, "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="csv is valid only for histogram-bearing estimates")
-    common.add_argument("--threads", type=int, default=_default_threads(),
-                        help=f"accepted for compatibility; no effect (default ${ENV_THREADS} or 1)")
 
     parser = _Parser(prog="gptpurity", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -114,10 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach a 100-bin histogram of the per-sample values")
 
     ver = sub.add_parser("verify", parents=[common], help="bounded verification suites")
-    ver.add_argument("suite", choices=(
-        "pauli-identities", "gram-invariance", "classical-subsystem",
-        "markov-tail", "boxworld",
-    ))
+    ver.add_argument("suite", choices=tuple(SUITES))
     ver.add_argument("--seed", type=int, default=2024)
     ver.add_argument("--samples", type=int, default=10_000)
 
@@ -198,164 +174,28 @@ def _run_estimate(args: argparse.Namespace) -> dict:
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}
 
 
-def _suite_rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise RangeError(f"the seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
-
-
-def _verify_pauli_identities(seed: int, samples: int) -> list[dict]:
-    checks = []
-    rng = _suite_rng(seed)
-    spaces = {
-        "qubit": ss.build_quantum(2),
-        "classical-4": ss.build_classical(4),
-        "square": ss.build_polygon(4),
-        "pentagon": ss.build_polygon(5),
-    }
-    for name, space in spaces.items():
-        gram = grouprep.analytic_gram(space)
-        pset = complete_pauli_set(space, gram)
-        states = ss.random_mixtures(space, 200, rng)
-        dev = 0.0
-        cdev = 0.0
-        for omega in states:
-            p = purity(space, gram, omega)
-            dev = max(dev, abs(purity_via_pauli_set(pset, omega) - p))
-            coll = max_collision_probability(space, gram, omega)
-            cdev = max(cdev, abs(coll.value - 0.5 * (1.0 + p)))
-        checks.append({"name": f"complete-set-{name}", "value": dev, "bound": 1e-10,
-                       "passed": bool(dev < 1e-10)})
-        checks.append({"name": f"collision-{name}", "value": cdev, "bound": 1e-10,
-                       "passed": bool(cdev < 1e-10)})
-    qubit = spaces["qubit"]
-    gram = grouprep.analytic_gram(qubit)
-    sampler = grouprep.sampler_for(qubit)
-    x = complete_pauli_set(qubit, gram).maps[0]
-    omega = qubit.sample_pure(rng)
-    avg = pauli_haar_average(qubit, sampler, x, omega, n_samples=samples, rng=rng)
-    expected = purity(qubit, gram, omega) / (qubit.K - 1)
-    band = 3.0 * avg.stderr
-    checks.append({"name": "haar-average-qubit", "value": abs(avg.mean - expected),
-                   "bound": band, "passed": bool(abs(avg.mean - expected) <= band)})
-    return checks
-
-
-def _verify_gram_invariance(seed: int, samples: int) -> list[dict]:
-    checks = []
-    rng = _suite_rng(seed)
-    spaces = [
-        ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
-        ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),
-        ss.build_real_quantum(2),
-    ]
-    for space in spaces:
-        gram = grouprep.analytic_gram(space)
-        sampler = grouprep.sampler_for(space)
-        p = space.bloch_projector()
-        dev = 0.0
-        for _ in range(100):
-            t = sampler.draw(rng)
-            x = p @ rng.normal(size=space.K)
-            y = p @ rng.normal(size=space.K)
-            dev = max(dev, abs(gram.inner(t @ x, t @ y) - gram.inner(x, y)))
-        checks.append({"name": f"gram-invariance-{space.kind}-{space.level}",
-                       "value": dev, "bound": 1e-8, "passed": bool(dev < 1e-8)})
-    return checks
-
-
-def _verify_classical_subsystem(seed: int, samples: int) -> list[dict]:
-    checks = []
-    for name, space in (
-        ("classical-2", ss.build_classical(2)),
-        ("classical-4", ss.build_classical(4)),
-        ("classical-8", ss.build_classical(8)),
-        ("qubit", ss.build_quantum(2)),
-        ("square-gbit", ss.build_boxworld_local()),
-    ):
-        gram = grouprep.analytic_gram(space)
-        witness = comp_mod.capacity_witness(space)
-        report = comp_mod.verify_centered_dynamical(space, gram, witness)
-        checks.append({
-            "name": f"centered-{name}",
-            "value": max(report.center_deviation, report.gram_offdiag_deviation),
-            "bound": 1e-10,
-            "passed": report.passed,
-        })
-    pentagon = comp_mod.capacity_witness(ss.build_polygon(5))
-    checks.append({"name": "pentagon-not-centered", "value": float(pentagon.centered),
-                   "bound": 0.0, "passed": bool(not pentagon.centered)})
-    return checks
-
-
-def _verify_markov_tail(seed: int, samples: int) -> list[dict]:
-    comp, gram_a, gram_ab = _spaces_for_theory("quantum", 2, 8)
-    report = rnd.estimate_expected_local_purity(
-        comp, gram_a, gram_ab, 1.0, samples, seed, histogram_bins=rnd.HISTOGRAM_BINS
-    )
-    checks = []
-    for x in (2.0, 5.0, 10.0):
-        res = rnd.markov_tail_check(report, x)
-        checks.append({"name": f"markov-x-{x:g}", "value": res.empirical,
-                       "bound": res.bound + 3 * res.binomial_sigma, "passed": res.passed})
-    return checks
-
-
-def _verify_boxworld(seed: int, samples: int) -> list[dict]:
-    space = bw.boxworld_space()
-    prod_p, pr_p = bw.vertex_purities()
-    obstruction = bw.boxworld_normalization_obstruction()
-    inv = bw.gram_invariance_deviation()
-    third = 1.0 / 3.0
-    return [
-        {"name": "vertex-count", "value": len(space.vertices), "bound": 24,
-         "passed": bool(len(space.vertices) == 24)},
-        {"name": "product-purity-one", "value": float(np.max(np.abs(prod_p - 1.0))),
-         "bound": 1e-12, "passed": bool(np.max(np.abs(prod_p - 1.0)) < 1e-12)},
-        {"name": "pr-purity-one-third", "value": float(np.max(np.abs(pr_p - third))),
-         "bound": 0.0, "passed": bool(np.all(pr_p == third))},
-        {"name": "obstruction-a", "value": obstruction.solution_a, "bound": 3.0,
-         "passed": bool(abs(obstruction.solution_a - 3.0) < 1e-12)},
-        {"name": "obstruction-b", "value": obstruction.solution_b, "bound": 0.0,
-         "passed": bool(abs(obstruction.solution_b) < 1e-12)},
-        {"name": "degenerate-zero-purity", "value": obstruction.zero_purity_value,
-         "bound": 1e-12, "passed": bool(abs(obstruction.zero_purity_value) < 1e-12)},
-        {"name": "group-invariance", "value": inv, "bound": 1e-12,
-         "passed": bool(inv < 1e-12)},
-        {"name": "non-transitivity-witness", "value": 1.0, "bound": 1.0,
-         "passed": bw.transitivity_obstruction_witness()},
-    ]
-
-
-_VERIFY_SUITES = {
-    "pauli-identities": _verify_pauli_identities,
-    "gram-invariance": _verify_gram_invariance,
-    "classical-subsystem": _verify_classical_subsystem,
-    "markov-tail": _verify_markov_tail,
-    "boxworld": _verify_boxworld,
-}
-
-
 def _run_verify(args: argparse.Namespace) -> dict:
-    checks = _VERIFY_SUITES[args.suite](args.seed, args.samples)
-    return {"checks": checks, "passed": bool(all(c["passed"] for c in checks))}
+    checks = run_suite(args.suite, args.seed, args.samples)
+    return {"checks": [c.to_json_dict() for c in checks],
+            "passed": all(c.passed for c in checks)}
 
 
 def _run_two_design(args: argparse.Namespace) -> dict:
     frame = grouprep.frame_potential(grouprep.clifford_unitaries(args.k))
-    dev = abs(frame - 2.0)
-    bound = 1e-12 if args.k == 1 else 1e-11
-    return {"k": args.k, "frame_potential": frame, "max_deviation": dev, "bound": bound,
-            "passed": bool(dev < bound)}
+    check = Check("two-design", abs(frame - 2.0), EXACT if args.k == 1 else 1e-11)
+    return {"k": args.k, "frame_potential": frame, "max_deviation": check.value,
+            "bound": check.bound, "passed": check.passed}
 
 
 def _run_coin_record(args: argparse.Namespace) -> dict:
     res = faces_mod.coin_with_record(args.s0, args.samples, args.seed)
-    slack = 3.0 * res.report.stderr if res.report.stderr > 0 else 1e-12
-    passed = abs(res.report.mean - res.prediction.value) <= slack
+    stderr = res.report.stderr
+    # A record of one string makes every sample exact: the stderr is then 0.
+    check = Check("coin-record", abs(res.report.mean - res.prediction.value),
+                  3.0 * stderr if stderr > 0 else EXACT)
     return {"result": res.report.to_json_dict(),
             "prediction": res.prediction.to_json_dict(),
-            "passed": bool(passed)}
+            "passed": check.passed}
 
 
 # -- report output -----------------------------------------------------------------------

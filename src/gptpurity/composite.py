@@ -27,10 +27,6 @@ from .grouprep import GramMatrix
 from .purity import PauliMap
 from .statespace import SpaceDescriptor
 
-# A joint descriptor holds two float64 vectors and one label string per
-# coordinate; CPython 3.11 measures about 85 bytes per coordinate in all.
-_DESCRIPTOR_BYTES_PER_COORD = 96
-
 
 @dataclass(frozen=True)
 class CompositeDescriptor:
@@ -63,7 +59,7 @@ def compose(a: SpaceDescriptor, b: SpaceDescriptor) -> CompositeDescriptor:
             f"no transitive tomographic composite for kinds {a.kind!r} x {b.kind!r}"
         )
     ss.check_memory(
-        _DESCRIPTOR_BYTES_PER_COORD * a.K * b.K,
+        ss.DESCRIPTOR_BYTES_PER_COORD * a.K * b.K,
         f"the {a.K * b.K}-coordinate joint {a.kind} space",
     )
     if a.kind == ss.KIND_CLASSICAL:

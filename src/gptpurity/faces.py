@@ -173,6 +173,9 @@ def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
         raise RangeError(f"sign must be +1 or -1, got {sign}")
     if n < 2:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
+    n_s = n * (n + sign) // 2
+    if not 1.0 / n_s - 1e-12 <= tr_purity_global <= 1.0 + 1e-12:
+        raise RangeError(f"Tr rho^2 on the face must lie in [1/{n_s}, 1], got {tr_purity_global}")
     value = (1.0 + tr_purity_global) * (n + sign) / (n * n + sign * n + 2)
     return Prediction(
         value=value,
@@ -183,7 +186,7 @@ def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
 
 def _face_interpolation_weight(n_sub: int, target: float) -> float:
     lo = 1.0 / n_sub
-    if target > 1.0 + 1e-12 or target < lo - 1e-12:
+    if not lo - 1e-12 <= target <= 1.0 + 1e-12:
         raise RangeError(
             f"target global purity {target} is outside [{lo}, 1] for this face"
         )
@@ -199,7 +202,6 @@ def estimate_face_local_purity(
     seed: int,
     *,
     histogram_bins: int | None = None,
-    n_workers: int | None = None,
 ) -> McReport:
     """Monte Carlo expected local purity over face-constrained random states.
 
@@ -210,8 +212,7 @@ def estimate_face_local_purity(
     is Tr(rho_A^2) and the realized global purity is reported in the same
     collision units.  Classical faces: the target and samples are
     face-restricted generalized purities, and the stabilizer is the
-    permutation group of the support.  ``n_workers`` is accepted for
-    compatibility and has no effect.
+    permutation group of the support.
     """
     if face.kind == KIND_QUANTUM_FACE:
         # Quantum targets are collision values with floor 1/N_S.
@@ -316,8 +317,6 @@ def coin_with_record(
     s0_size: int,
     n_samples: int,
     seed: int,
-    *,
-    n_workers: int | None = None,
 ) -> CoinRecordResult:
     """Toss a known coin against an environment that records its value.
 
@@ -327,7 +326,7 @@ def coin_with_record(
     uniform mixture over S_0, and the dynamics are uniform permutations of
     the support.  The expected marginal coin purity is 1/(2 s0_size - 1):
     the recording environment randomizes like an unconstrained one of half
-    its size.  ``n_workers`` is accepted for compatibility and has no effect.
+    its size.
     """
     if s0_size < 1:
         raise RangeError(f"the record set needs at least one string, got {s0_size}")

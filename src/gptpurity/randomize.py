@@ -35,6 +35,7 @@ from .composite import CompositeDescriptor
 from .errors import (
     DegenerateCompositeError,
     InternalError,
+    InvalidDimensionError,
     RangeError,
     UndefinedRatioError,
 )
@@ -350,7 +351,6 @@ def estimate_expected_local_purity(
     *,
     initial: np.ndarray | None = None,
     histogram_bins: int | None = HISTOGRAM_BINS,
-    n_workers: int | None = None,
 ) -> McReport:
     """Monte Carlo mean of the local purity after global randomization.
 
@@ -361,7 +361,6 @@ def estimate_expected_local_purity(
     ``initial`` are t |psi><psi| + (1-t) mu for Haar-random kets psi, which
     has the same distribution; with ``initial`` a Haar unitary conjugates it.
     Classical samples are uniform permutations of the joint distribution.
-    ``n_workers`` is accepted for compatibility and has no effect.
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
@@ -460,7 +459,6 @@ def estimate_real_quantum_local_purity(
     seed: int,
     *,
     histogram_bins: int | None = HISTOGRAM_BINS,
-    n_workers: int | None = None,
 ) -> McReport:
     """Monte Carlo expected local purity in bipartite real quantum theory.
 
@@ -468,11 +466,12 @@ def estimate_real_quantum_local_purity(
     conjugation by Haar-random orthogonal matrices on the joint space, which
     maps t |phi><phi| + (1-t) mu to t |psi><psi| + (1-t) mu for a uniformly
     random real unit vector psi.  The report is in generalized-purity units;
-    convert with ``tr2_from_purity`` for collision values.  ``n_workers`` is
-    accepted for compatibility and has no effect.
+    convert with ``tr2_from_purity`` for collision values.
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
+    if m_b < 2:
+        raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m_b}")
     part_a = ss.build_real_quantum(m_a)
     gram_a = grouprep.analytic_gram(part_a)
     blocks = _blocks(n_samples, seed)
@@ -521,13 +520,8 @@ def qubit_pauli_oracle(
     global_tr_purity: float,
     n_samples: int,
     seed: int,
-    *,
-    n_workers: int | None = None,
 ) -> QubitOracleResult:
-    """Estimate the qubit-register coefficient ratio and its closed form.
-
-    ``n_workers`` is accepted for compatibility and has no effect.
-    """
+    """Estimate the qubit-register coefficient ratio and its closed form."""
     if n_a < 1 or n_b < 1:
         raise RangeError("both registers need at least one qubit")
     n = n_a + n_b

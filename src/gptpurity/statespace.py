@@ -38,6 +38,9 @@ NORM_TOL = 1e-9
 # Largest single array a request may allocate when it grows with the joint
 # space (a coordinate block, a dense Gram, a stacked basis, a descriptor).
 MEMORY_CAP_BYTES = 1 << 30
+# A descriptor holds two float64 vectors and one label string per
+# coordinate; CPython 3.11 measures about 85 bytes per coordinate in all.
+DESCRIPTOR_BYTES_PER_COORD = 96
 
 KIND_QUANTUM = "quantum"
 KIND_CLASSICAL = "classical"
@@ -378,6 +381,7 @@ def build_classical(n: int) -> SpaceDescriptor:
     """Classical n-outcome system: probability vectors, K = N = n."""
     if n < 2:
         raise InvalidDimensionError(f"classical outcome count must be >= 2, got {n}")
+    check_memory(DESCRIPTOR_BYTES_PER_COORD * n, f"the {n}-outcome classical space")
     return SpaceDescriptor(
         kind=KIND_CLASSICAL,
         K=n,

@@ -1,12 +1,17 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gptpurity import cli
+from gptpurity import checks, cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,29 +181,17 @@ def test_coin_record_cli(capsys):
     assert doc["passed"] is True
 
 
-def test_threads_flag_does_not_change_results(capsys):
-    base = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2",
-            "--p0", "1", "--samples", "300", "--seed", "5"]
-    _, out1 = _run(capsys, base + ["--threads", "1"])
-    _, out4 = _run(capsys, base + ["--threads", "4"])
-    doc1, doc4 = json.loads(out1), json.loads(out4)
-    assert doc1["result"] == doc4["result"]
-
-
-def test_threads_default_from_environment(monkeypatch):
-    monkeypatch.setenv(cli.ENV_THREADS, "3")
-    args = cli.build_parser().parse_args(
-        ["estimate", "--theory", "classical", "--na", "2", "--nb", "2",
-         "--p0", "1", "--samples", "10", "--seed", "1"])
-    assert args.threads == 3
+def test_coin_record_with_one_string_passes_at_zero_stderr(capsys):
+    # Every sample is the pure coin, so the band is the exact tolerance.
+    code, out = _run(capsys, ["coin-record", "--s0", "1", "--samples", "50", "--seed", "2"])
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True
+    assert doc["result"]["stderr"] == 0.0 and doc["result"]["mean"] == 1.0
 
 
 def test_failed_verification_exits_two(capsys, monkeypatch):
-    monkeypatch.setitem(
-        cli._VERIFY_SUITES, "boxworld",
-        lambda seed, samples: [{"name": "forced", "value": 1.0, "bound": 0.0,
-                                "passed": False}],
-    )
+    monkeypatch.setitem(checks.SUITES, "boxworld",
+                        lambda seed, samples: [checks.Check("forced", 1.0, 0.0)])
     code = cli.main(["verify", "boxworld"])
     assert code == 2
     doc = json.loads(capsys.readouterr().out)
@@ -219,6 +212,14 @@ _EST = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1"
      "--out", "{missing}/report.json"],
     ["verify", "pauli-identities", "--seed", "-1"],
     ["verify", "gram-invariance", "--seed", "-1"],
+    ["predict", "symm", "--n", "3", "--sign", "+", "--trp", "nan"],
+    ["predict", "symm", "--n", "3", "--sign", "+", "--trp", "inf"],
+    ["predict", "symm", "--n", "3", "--sign", "+", "--trp", "5"],
+    ["estimate", "--face", "sym", "--n", "3", "--trp", "nan", "--seed", "1"],
+    ["estimate", "--face", "sym", "--n", "3", "--trp=-inf", "--seed", "1"],
+    ["verify", "boxworld", "--seed", "-1"],
+    ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "0", "--p0", "1", "--seed", "1"],
+    ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "-1", "--p0", "1", "--seed", "1"],
 ])
 def test_bad_input_exits_one_with_one_line(argv, tmp_path):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
@@ -231,3 +232,69 @@ def test_bad_input_exits_one_with_one_line(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stdout == ""
+
+
+# -- generated argument vectors ---------------------------------------------------------
+
+# Sizes stay small: every draw runs in-process, and a classical part is
+# refused only beyond 10^7 outcomes.
+_DIM = st.integers(-1, 4)
+_FLOAT = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 0.0, 0.3, 1.0, 1.5, 7.0]),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_SAMPLES = st.integers(-1, 64)
+_SEED = st.integers(-1, 2**32)
+_OPTIONS = {
+    ("predict", "main"): {"ka": _DIM, "kb": _DIM, "na": _DIM, "nb": _DIM, "p0": _FLOAT},
+    ("predict", "general"): {"theory": st.sampled_from(["quantum", "classical"]),
+                             "na": _DIM, "nb": _DIM, "p0": _FLOAT},
+    ("predict", "power-law"): {"r": _DIM, "na": _DIM, "nb": _DIM, "p0": _FLOAT},
+    ("predict", "nonlocaltomo"): {"ma": _DIM, "mb": _DIM, "p0": _FLOAT},
+    ("predict", "symm"): {"n": _DIM, "sign": st.sampled_from("+-"), "trp": _FLOAT},
+    ("predict", "qface"): {"n": _DIM, "sign": st.sampled_from("+-"), "trp": _FLOAT},
+    ("estimate", "--theory=quantum"): {"na": _DIM, "nb": _DIM, "p0": _FLOAT},
+    ("estimate", "--theory=classical"): {"na": _DIM, "nb": _DIM, "p0": _FLOAT},
+    ("estimate", "--theory=real-quantum"): {"ma": _DIM, "mb": _DIM, "p0": _FLOAT},
+    ("estimate", "--face=sym"): {"n": _DIM, "trp": _FLOAT},
+    ("estimate", "--face=antisym"): {"n": _DIM, "trp": _FLOAT},
+    ("coin-record",): {"s0": _DIM},
+}
+
+
+@st.composite
+def _argv(draw):
+    head = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = dict(_OPTIONS[head])
+    if head[0] != "predict":
+        options.update(samples=_SAMPLES, seed=_SEED)
+    argv = list(head)
+    for name, values in options.items():
+        # --name=value keeps a negative or non-finite value from reading as a flag.
+        value = draw(values)
+        argv.append(f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}")
+    if head[0] == "estimate" and draw(st.booleans()):
+        argv.append("--histogram")
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_generated_argv_ends_in_strict_json_or_exit_one(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert err.getvalue(), argv
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

