@@ -18,10 +18,12 @@ from . import grouprep
 from . import randomize as rnd
 from . import statespace as ss
 from .errors import RangeError
+from .grouprep import GramMatrix
 from .purity import (
+    MIXED_PURITY_FLOOR,
     complete_pauli_set,
-    max_collision_probability,
     pauli_haar_average,
+    pauli_vectors,
     purity,
     purity_via_pauli_set,
 )
@@ -48,23 +50,39 @@ class Check:
                 "passed": self.passed}
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("mk,mk->m", x, y)
+
+
 def pauli_identity_deviations(space: SpaceDescriptor, states: np.ndarray) -> tuple[float, float]:
     """Largest deviations of the complete-Pauli-set and collision identities.
 
-    The first is |(purity via the complete set) - P|; the second is
-    |1/2 (1 + X(omega)^2) - 1/2 (1 + P)| for the optimizer X that
-    ``max_collision_probability`` returns (1/2 when there is none).
+    Over the rows of a (m, K) stack of states, the first is
+    |(purity via the complete set) - P|; the second is
+    |1/2 (1 + X(omega)^2) - 1/2 (1 + P)| for the optimizer X of
+    ``max_collision_probability``, the Pauli map along the state's own Bloch
+    direction (1/2 for a state without one).  Every term is computed for the
+    whole stack at once.
     """
     gram = grouprep.analytic_gram(space)
     pset = complete_pauli_set(space, gram)
-    dev = cdev = 0.0
-    for omega in states:
-        p = purity(space, gram, omega)
-        dev = max(dev, abs(purity_via_pauli_set(pset, omega) - p))
-        x = max_collision_probability(space, gram, omega).optimizer
-        attained = 0.5 if x is None else 0.5 * (1.0 + x(omega) ** 2)
-        cdev = max(cdev, abs(attained - 0.5 * (1.0 + p)))
-    return dev, cdev
+    b = space.bloch(states)
+    p = gram.norms_sq(b)
+    dev = np.max(np.abs(purity_via_pauli_set(pset, states) - p), initial=0.0)
+    attained = np.full(len(b), 0.5)
+    directed = p >= MIXED_PURITY_FLOOR
+    x = gram.apply(pauli_vectors(space, gram, b[directed]))
+    attained[directed] = 0.5 * (1.0 + _row_dots(x, b[directed]) ** 2)
+    cdev = np.max(np.abs(attained - 0.5 * (1.0 + p)), initial=0.0)
+    return float(dev), float(cdev)
+
+
+def invariance_deviation(gram: GramMatrix, ts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
+    """Largest |<T_i x_i, T_i y_i> - <x_i, y_i>| in the Gram product over stacked triples."""
+    tx = np.einsum("mkl,ml->mk", ts, xs)
+    ty = np.einsum("mkl,ml->mk", ts, ys)
+    diff = _row_dots(gram.apply(tx), ty) - _row_dots(gram.apply(xs), ys)
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def _pauli_identities(seed: int, samples: int) -> list[Check]:
@@ -93,15 +111,9 @@ def _gram_invariance(seed: int, samples: int) -> list[Check]:
     for space in (ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
                   ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),
                   ss.build_real_quantum(2)):
-        gram = grouprep.analytic_gram(space)
-        sampler = grouprep.sampler_for(space)
-        p = space.bloch_projector()
-        dev = 0.0
-        for _ in range(100):
-            t = sampler.draw(rng)
-            x = p @ rng.normal(size=space.K)
-            y = p @ rng.normal(size=space.K)
-            dev = max(dev, abs(gram.inner(t @ x, t @ y) - gram.inner(x, y)))
+        ts = grouprep.sampler_for(space).draw_many(rng, 100)
+        xs, ys = space.project_bloch(rng.normal(size=(2, 100, space.K)))
+        dev = invariance_deviation(grouprep.analytic_gram(space), ts, xs, ys)
         checks.append(Check(f"gram-invariance-{space.kind}-{space.level}", dev, 1e-8))
     return checks
 

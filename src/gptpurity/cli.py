@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import composite as comp_mod
@@ -189,10 +190,9 @@ def _run_two_design(args: argparse.Namespace) -> dict:
 
 def _run_coin_record(args: argparse.Namespace) -> dict:
     res = faces_mod.coin_with_record(args.s0, args.samples, args.seed)
-    stderr = res.report.stderr
-    # A record of one string makes every sample exact: the stderr is then 0.
+    # Only a record of one string has sigma = 0: every sample is then exact.
     check = Check("coin-record", abs(res.report.mean - res.prediction.value),
-                  3.0 * stderr if stderr > 0 else EXACT)
+                  3.0 * res.sigma / math.sqrt(res.report.n_samples) if res.sigma > 0 else EXACT)
     return {"result": res.report.to_json_dict(),
             "prediction": res.prediction.to_json_dict(),
             "passed": check.passed}

@@ -272,10 +272,14 @@ def _estimate_support_face(
 
 @dataclass(frozen=True)
 class CoinRecordResult:
-    """Monte Carlo report and face-restricted prediction for the record scenario."""
+    """Monte Carlo report and face-restricted prediction for the record scenario.
+
+    ``sigma`` is the exact per-sample standard deviation (``coin_record_sigma``).
+    """
 
     report: McReport
     prediction: Prediction
+    sigma: float
 
 
 def classical_support_face(
@@ -285,7 +289,8 @@ def classical_support_face(
     if comp.kind != ss.KIND_CLASSICAL:
         raise UnsupportedSpaceError("support faces require a classical composite")
     support = np.asarray(support, dtype=int)
-    if len(support) == 0 or len(np.unique(support)) != len(support):
+    ordered = np.sort(support)
+    if len(support) == 0 or np.any(ordered[1:] == ordered[:-1]):
         raise RangeError("the support must be a nonempty set of distinct outcomes")
     if support.min() < 0 or support.max() >= comp.joint.K:
         raise RangeError("support indices must address joint outcomes")
@@ -311,6 +316,21 @@ def face_restricted_purity(face: FaceDescriptor, omega: np.ndarray) -> float:
     if n_f == 1:
         return 1.0
     return float(n_f / (n_f - 1) * np.sum(p**2) - 1.0 / (n_f - 1))
+
+
+def coin_record_sigma(s0_size: int) -> float:
+    """Exact standard deviation of one sample of the recorded coin's purity.
+
+    A sample is (2k/s0 - 1)^2, where k ~ Hypergeometric(2 s0, s0, s0) counts
+    the occupied strings that land on coin value 0.  Its mean is 1/(2 s0 - 1)
+    and, from the hypergeometric fourth central moment, its variance is
+    4 (s0 - 1)^2 / (s0 (2 s0 - 3) (2 s0 - 1)^2): zero only for s0 = 1, where
+    every sample is exact.
+    """
+    if s0_size == 1:
+        return 0.0
+    s = s0_size
+    return math.sqrt(4.0 * (s - 1) ** 2 / (s * (2 * s - 3) * (2 * s - 1) ** 2))
 
 
 def coin_with_record(
@@ -344,4 +364,5 @@ def coin_with_record(
         formula_id="class-face",
         inputs={"s0_size": s0_size},
     )
-    return CoinRecordResult(report=report, prediction=prediction)
+    return CoinRecordResult(report=report, prediction=prediction,
+                            sigma=coin_record_sigma(s0_size))

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,15 @@ from .errors import InternalError, ReducibleSpaceError, UnsupportedSpaceError
 from .statespace import SpaceDescriptor
 
 DEFAULT_GRAM_SAMPLES = 20_000
+# Group elements drawn at once by the Monte Carlo group averages
+# (``GroupSampler.draw_blocks``); their values depend on it.
+DRAW_BLOCK = 1024
+# Peak bytes of ``draw_many`` per entry of its (size, K, K) result.  The Haar
+# samplers' ``conjugation_matrix`` holds two of its three products at once:
+# (size, n^2, n^2), (size, K, n^2) and (size, K, K).  That is 32 bytes per
+# entry for complex quantum (n^2 = K) and under 48 for real quantum, whose
+# float64 products have n^2 < 2K.
+_DRAW_BYTES_PER_ENTRY = 48
 
 
 # -- raw matrix-group sampling -------------------------------------------------------
@@ -64,9 +73,18 @@ def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Returns the K x K real matrix T with (T c)_k = Tr(B_k U (sum_l c_l B_l) U^dag),
     or a (size, K, K) stack of them for a (size, n, n) stack of unitaries.
+    Row-major vectorization maps U M U^dag to (U (x) conj U) vec(M), and the
+    basis is Hermitian, so with B the (K, n^2) row-vectorized basis
+    T = Re(conj(B) (U (x) conj U) B^T): two matrix products per unitary.
     """
-    rotated = np.einsum("...ab,lbc,...dc->...lad", u, basis, u.conj())
-    return np.real(np.einsum("kij,...lji->...kl", basis, rotated))
+    k, n = basis.shape[0], basis.shape[1]
+    b = basis.reshape(k, n * n)
+    u = np.asarray(u)
+    lead = u.shape[:-2]
+    kron = (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(*lead, n * n, n * n)
+    left = b.conj() @ kron
+    del kron
+    return np.real(left @ b.T)
 
 
 # -- group samplers --------------------------------------------------------------------
@@ -77,11 +95,16 @@ class GroupSampler:
     """Uniform sampler over a space's reversible-transformation group.
 
     ``draw`` yields a K x K real matrix T with ``order_unit @ T == order_unit``
-    and ``T(cone) <= cone``.  For finite groups with a stored element list,
-    ``elements`` holds all of them and ``draw`` picks uniformly from it;
-    otherwise ``_draw`` draws an element.  ``draw_many`` yields a stack of
-    independent elements: one stacked QR and one batched conjugation for the
-    Haar samplers (``_draw_many``), ``size`` calls of ``draw`` otherwise.
+    and ``T(cone) <= cone``.  ``draw_many`` yields a stack of independent
+    elements, and ``draw_blocks`` a given number of them in memory-bounded
+    stacks.  The element source is one of:
+
+    * ``elements``, for finite groups with a stored element list: a stack is
+      one gather at uniform indices, drawn as ``size`` calls of ``draw`` would;
+    * ``_draw_many``, for the Haar samplers: one stacked QR and one batched
+      Kronecker-form ``conjugation_matrix``; ``draw`` is its size-1 case;
+    * ``_draw``, one element per call; a stack is ``size`` calls.
+
     Samplers are pure functions of the passed generator.
     """
 
@@ -93,44 +116,49 @@ class GroupSampler:
     _draw_many: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self._draw is None and self.elements is None:
+        if self._draw is None and self.elements is None and self._draw_many is None:
             raise ValueError("a group sampler needs a draw function or an element list")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         if self.elements is not None:
             return np.array(self.elements[rng.integers(len(self.elements))])
+        if self._draw is None:
+            return self._draw_many(rng, 1)[0]
         return self._draw(rng)
 
     def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """A (size, K, K) stack of independent uniform elements.
 
-        Refused beyond ``statespace.MEMORY_CAP_BYTES``, counting the complex
-        (size, K, K) conjugation intermediates of the Haar samplers.
+        Refused beyond ``statespace.MEMORY_CAP_BYTES``, counting the
+        conjugation intermediates of the Haar samplers.
         """
         k = self.space.K
-        ss.check_memory(32 * size * k * k, f"a stack of {size} group elements on {k} coordinates")
+        ss.check_memory(_DRAW_BYTES_PER_ENTRY * size * k * k,
+                        f"a stack of {size} group elements on {k} coordinates")
+        if self.elements is not None:
+            return self.elements[rng.integers(len(self.elements), size=size)]
         if self._draw_many is not None:
             return self._draw_many(rng, size)
-        return np.stack([self.draw(rng) for _ in range(size)])
+        return np.stack([self._draw(rng) for _ in range(size)])
 
+    def draw_blocks(self, rng: np.random.Generator, total: int) -> Iterator[np.ndarray]:
+        """``total`` independent elements as ``draw_many`` stacks of ``DRAW_BLOCK``.
 
-def sample_haar_unitary(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
-    """Conjugation by a Haar-random unitary, as a K x K coordinate matrix."""
-    return conjugation_matrix(space.hermitian_basis, haar_unitary(space.level, rng))
-
-
-def sample_orthogonal(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
-    """Conjugation by a Haar-random orthogonal matrix (real quantum theory)."""
-    return conjugation_matrix(space.hermitian_basis, haar_orthogonal(space.level, rng))
+        Blocks shrink (to one element at the least) where a full block would
+        pass ``statespace.MEMORY_CAP_BYTES``; only the last block is shorter
+        otherwise.
+        """
+        k = self.space.K
+        block = max(1, min(DRAW_BLOCK, ss.MEMORY_CAP_BYTES // (_DRAW_BYTES_PER_ENTRY * k * k)))
+        for lo in range(0, total, block):
+            yield self.draw_many(rng, min(block, total - lo))
 
 
 def _haar_sampler(space: SpaceDescriptor, real: bool) -> GroupSampler:
-    one = sample_orthogonal if real else sample_haar_unitary
     return GroupSampler(
         space,
         "haar-orthogonal-conjugation" if real else "haar-unitary-conjugation",
         False,
-        lambda rng: one(space, rng),
         _draw_many=lambda rng, size: conjugation_matrix(
             space.hermitian_basis, haar_unitaries(size, space.level, rng, real=real)
         ),
@@ -283,9 +311,7 @@ class GramMatrix:
         x = np.asarray(x, dtype=float)
         if self.stored is not None:
             return x @ self.stored
-        u = self.order_unit
-        cov = np.multiply.outer(x @ u / float(u @ u), u)
-        np.subtract(x, cov, out=cov)
+        cov = ss.project_off(x, self.order_unit)
         cov *= self.scale
         return cov
 
@@ -344,14 +370,30 @@ def check_irreducible(
     for _ in range(n_probes):
         x = p @ rng.normal(size=space.K)
         x /= np.linalg.norm(x)
-        if sampler.elements is not None:
-            tx = sampler.elements @ x
-        else:
-            tx = np.stack([sampler.draw(rng) @ x for _ in range(trials)])
-        avg = (tx[:, :, None] * tx[:, None, :]).mean(axis=0)
+        avg = np.zeros((space.K, space.K))
+        count = 0
+        for ts in _element_blocks(sampler, rng, trials):
+            tx = ts @ x
+            avg += tx.T @ tx
+            count += len(tx)
+        avg /= count
         c = np.trace(avg) / dim
         worst = max(worst, float(np.max(np.abs(avg - c * p)) / c))
     return worst
+
+
+def _element_blocks(
+    sampler: GroupSampler, rng: np.random.Generator, trials: int
+) -> Iterator[np.ndarray]:
+    """The stacks a group average sums over.
+
+    An enumerated group gives its whole element list (an exact sum); any
+    other gives ``trials`` draws from ``GroupSampler.draw_blocks``.
+    """
+    if sampler.elements is not None:
+        yield sampler.elements
+    else:
+        yield from sampler.draw_blocks(rng, trials)
 
 
 def _irreducibility_threshold(sampler: GroupSampler, trials: int) -> float:
@@ -372,7 +414,8 @@ def invariant_gram(
     """Invariant Gram by group averaging of the Euclidean Bloch product.
 
     Averages T^T E T over the group (exact sum for enumerated finite groups,
-    ``n_avg`` Monte Carlo draws otherwise, with ~1/sqrt(n_avg) error) and
+    ``n_avg`` Monte Carlo draws in ``draw_blocks`` stacks otherwise, with
+    ~1/sqrt(n_avg) error) and
     rescales so sampled pure states have norm 1.  Raises
     ``ReducibleSpaceError`` when the irreducibility diagnostic exceeds ten
     times the statistical error, since no invariant product is then unique.
@@ -385,15 +428,14 @@ def invariant_gram(
             "the invariant inner product is not unique"
         )
     e = space.bloch_projector()
-    if sampler.elements is not None:
-        ts = sampler.elements
-        g = np.einsum("mki,kl,mlj->ij", ts, e, ts) / len(ts)
-    else:
-        g = np.zeros((space.K, space.K))
-        for _ in range(n_avg):
-            t = sampler.draw(rng)
-            g += t.T @ e @ t
-        g /= n_avg
+    g = np.zeros((space.K, space.K))
+    count = 0
+    for ts in _element_blocks(sampler, rng, n_avg):
+        # T^T E T = (E T)^T (E T), since E is a symmetric projector.
+        et = np.matmul(e, ts)
+        g += np.tensordot(et, et, axes=([0, 1], [0, 1]))
+        count += len(ts)
+    g /= count
     norms = []
     for _ in range(n_norm_states):
         phi = space.sample_pure(rng)
@@ -430,13 +472,13 @@ def _key(u: np.ndarray) -> bytes:
     return _keys(u[None])[0]
 
 
-def _bfs_closure(generators: list[np.ndarray], expect: int) -> list[np.ndarray]:
+def _bfs_closure(generators: list[np.ndarray], expect: int) -> np.ndarray:
     """Breadth-first closure of the generated group modulo phase.
 
     Elements come in discovery order: level by level, and within a level by
     frontier element, then by generator.  Each chunk of the frontier is
     multiplied by every generator in one stacked product, and new elements
-    are copied into one preallocated (expect, d, d) array.
+    are copied into one preallocated (expect, d, d) array, which is returned.
     """
     gens = np.stack(generators)
     d = gens.shape[1]
@@ -461,33 +503,34 @@ def _bfs_closure(generators: list[np.ndarray], expect: int) -> list[np.ndarray]:
         lo, hi = hi, n
     if hi != expect:
         raise InternalError(f"group closure produced {hi} elements, expected {expect}")
-    return list(out)
+    return out
 
 
 @lru_cache(maxsize=None)
-def clifford_unitaries(k: int = 1) -> tuple[np.ndarray, ...]:
+def clifford_unitaries(k: int = 1) -> np.ndarray:
     """The k-qubit Clifford group modulo global phase (k = 1 or 2).
 
     Generated by breadth-first closure over Hadamard and phase gates (plus
-    CNOT for k = 2), with a deterministic phase canonicalization.  Sizes are
-    24 and 11520.
+    CNOT for k = 2), with a deterministic phase canonicalization.  Returns
+    one read-only (|G|, d, d) array, shared by every caller; sizes are 24
+    and 11520.
     """
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     s = np.diag([1, 1j]).astype(complex)
     if k == 1:
-        return tuple(_bfs_closure([h, s], expect=24))
+        return ss._frozen(_bfs_closure([h, s], expect=24))
     if k == 2:
         eye = np.eye(2, dtype=complex)
         cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
         gens = [np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot]
-        return tuple(_bfs_closure(gens, expect=11520))
+        return ss._frozen(_bfs_closure(gens, expect=11520))
     raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
 
 
 def enumerate_clifford_1q() -> np.ndarray:
     """The 24 single-qubit Clifford conjugations as 4 x 4 coordinate matrices."""
     space = ss.build_quantum(2)
-    return conjugation_matrix(space.hermitian_basis, np.stack(clifford_unitaries(1)))
+    return conjugation_matrix(space.hermitian_basis, clifford_unitaries(1))
 
 
 def swap_operator(d: int) -> np.ndarray:

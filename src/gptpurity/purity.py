@@ -22,9 +22,9 @@ from .errors import DegenerateDirectionError, RangeError, UnsupportedSpaceError
 from .grouprep import GramMatrix, GroupSampler
 from .statespace import SpaceDescriptor
 
-# Group elements drawn at once by ``pauli_haar_average``; a Monte Carlo
-# average depends on it.
-AVERAGE_BLOCK = 1024
+# Purity below which a state counts as maximally mixed: it has no Bloch
+# direction, so no Pauli map attains its collision probability.
+MIXED_PURITY_FLOOR = 1e-18
 
 
 def purity(
@@ -112,15 +112,25 @@ class PauliSet:
         return len(self.maps)
 
 
+def pauli_vectors(space: SpaceDescriptor, gram: GramMatrix, directions: np.ndarray) -> np.ndarray:
+    """Normalize each row of a (m, K) stack of directions to a Pauli-map vector.
+
+    A row is projected onto the Bloch subspace (``project_bloch``, O(K)) and
+    divided by its Gram norm.
+    """
+    v = space.project_bloch(directions)
+    nsq = gram.norms_sq(v)
+    if np.any(nsq < 1e-24):
+        raise DegenerateDirectionError("zero direction has no associated Pauli map")
+    return v / np.sqrt(nsq)[:, None]
+
+
 def pauli_from_direction(
     space: SpaceDescriptor, gram: GramMatrix, v: np.ndarray, label: str = ""
 ) -> PauliMap:
-    """Normalize a Bloch direction to a Pauli map."""
-    v = space.bloch_projector() @ np.asarray(v, dtype=float)
-    nsq = gram.norm_sq(v)
-    if nsq < 1e-24:
-        raise DegenerateDirectionError("zero direction has no associated Pauli map")
-    return PauliMap(space=space, gram=gram, vector=v / math.sqrt(nsq), label=label)
+    """Normalize a Bloch direction to a Pauli map: the one-row case of ``pauli_vectors``."""
+    vector = pauli_vectors(space, gram, np.asarray(v, dtype=float)[None])[0]
+    return PauliMap(space=space, gram=gram, vector=vector, label=label)
 
 
 _PAULI_1Q = {
@@ -196,11 +206,17 @@ def complete_pauli_set(space: SpaceDescriptor, gram: GramMatrix | None = None) -
     raise UnsupportedSpaceError(f"no complete Pauli set for kind {space.kind!r}")
 
 
-def purity_via_pauli_set(pset: PauliSet, omega: np.ndarray) -> float:
-    """Purity reconstructed from a complete set: (K-1) * mean of X(omega)^2."""
-    k = pset.maps[0].space.K
-    vals = np.array([x(omega) for x in pset.maps])
-    return float((k - 1) * np.mean(vals**2))
+def purity_via_pauli_set(pset: PauliSet, omega: np.ndarray) -> float | np.ndarray:
+    """Purity reconstructed from a complete set: (K-1) * mean of X(omega)^2.
+
+    ``omega`` is one state, or a (m, K) stack with one purity per row; the
+    set's stacked covectors act on all of it in one product.
+    """
+    space = pset.maps[0].space
+    covectors = np.stack([x.covector for x in pset.maps])
+    vals = (np.asarray(omega, dtype=float) - space.max_mixed) @ covectors.T
+    p = (space.K - 1) * np.mean(vals**2, axis=-1)
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -225,8 +241,7 @@ def pauli_haar_average(
 
     Equals purity(omega) / (K - 1) for any Pauli map on an irreducible space.
     Uses the exact finite sum when the sampler enumerates its group, and
-    otherwise draws the group elements in blocks of ``AVERAGE_BLOCK``
-    through ``GroupSampler.draw_many``.
+    otherwise draws the group elements through ``GroupSampler.draw_blocks``.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     omega = np.asarray(omega, dtype=float)
@@ -236,10 +251,9 @@ def pauli_haar_average(
         return PauliAverage(mean=float(vals.mean()), stderr=0.0, n_samples=len(vals), exact=True)
     if n_samples < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
-    vals = np.empty(n_samples)
-    for lo in range(0, n_samples, AVERAGE_BLOCK):
-        ts = sampler.draw_many(rng, min(AVERAGE_BLOCK, n_samples - lo))
-        vals[lo:lo + len(ts)] = x.evaluate_many(ts @ omega) ** 2
+    vals = np.concatenate(
+        [x.evaluate_many(ts @ omega) ** 2 for ts in sampler.draw_blocks(rng, n_samples)]
+    )
     return PauliAverage(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(n_samples)),
@@ -267,7 +281,7 @@ def max_collision_probability(
     """
     b = space.bloch(omega)
     p = gram.norm_sq(b)
-    if p < 1e-18:
+    if p < MIXED_PURITY_FLOOR:
         return CollisionResult(value=0.5, optimizer=None)
     return CollisionResult(
         value=0.5 * (1.0 + p),

@@ -58,6 +58,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def project_off(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x - u (u.x)/(u.u) along the last axis of ``x``: the Euclidean projection onto ``ker u``."""
+    out = np.multiply.outer(x @ u / float(u @ u), u)
+    np.subtract(x, out, out=out)
+    return out
+
+
 def check_memory(nbytes: int, what: str) -> None:
     """Refuse, before allocating, ``what`` needing more than ``MEMORY_CAP_BYTES``."""
     if nbytes > MEMORY_CAP_BYTES:
@@ -133,12 +140,21 @@ class SpaceDescriptor:
         u = self.order_unit
         return np.eye(self.K) - np.outer(u, u) / float(u @ u)
 
+    def project_bloch(self, x: np.ndarray) -> np.ndarray:
+        """``bloch_projector() @ x`` without the K x K matrix: x - u (u.x)/(u.u).
+
+        ``x`` is a vector or a stack whose last axis holds the coordinates.
+        """
+        return project_off(np.asarray(x, dtype=float), self.order_unit)
+
     def bloch(self, omega: np.ndarray, *, norm_tol: float = NORM_TOL) -> np.ndarray:
-        """Bloch vector ``omega - max_mixed`` of a normalized state."""
+        """Bloch vector ``omega - max_mixed`` of a normalized state, or of each row of a (m, K) stack."""
         omega = np.asarray(omega, dtype=float)
-        if abs(self.unit(omega) - 1.0) > norm_tol:
+        units = np.atleast_1d(omega @ self.order_unit)
+        off = np.abs(units - 1.0) > norm_tol
+        if off.any():
             raise NormalizationError(
-                f"state has order-unit value {self.unit(omega)!r}, expected 1"
+                f"state has order-unit value {float(units[off][0])!r}, expected 1"
             )
         return omega - self.max_mixed
 

@@ -189,6 +189,15 @@ def test_coin_record_with_one_string_passes_at_zero_stderr(capsys):
     assert doc["result"]["stderr"] == 0.0 and doc["result"]["mean"] == 1.0
 
 
+def test_coin_record_band_holds_when_few_samples_coincide():
+    # Two samples of s0 = 2 often coincide (sample stderr 0); the band is the
+    # exact sigma / sqrt(n), so no such run may fail.
+    for seed in range(300):
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["coin-record", "--s0", "2", "--samples", "2", "--seed", str(seed)])
+        assert code == 0, seed
+
+
 def test_failed_verification_exits_two(capsys, monkeypatch):
     monkeypatch.setitem(checks.SUITES, "boxworld",
                         lambda seed, samples: [checks.Check("forced", 1.0, 0.0)])
@@ -260,6 +269,8 @@ _OPTIONS = {
     ("estimate", "--face=sym"): {"n": _DIM, "trp": _FLOAT},
     ("estimate", "--face=antisym"): {"n": _DIM, "trp": _FLOAT},
     ("coin-record",): {"s0": _DIM},
+    ("two-design",): {"k": st.integers(0, 3)},
+    **{("verify", suite): {} for suite in checks.SUITES},
 }
 
 
@@ -267,7 +278,7 @@ _OPTIONS = {
 def _argv(draw):
     head = draw(st.sampled_from(sorted(_OPTIONS)))
     options = dict(_OPTIONS[head])
-    if head[0] != "predict":
+    if head[0] not in ("predict", "two-design"):
         options.update(samples=_SAMPLES, seed=_SEED)
     argv = list(head)
     for name, values in options.items():

@@ -88,8 +88,8 @@ def test_marginal_of_correlated_classical_pair():
 def test_marginalization_commutes_with_local_transformations(rng):
     comp, _, _ = _quantum_pair(2, 2)
     for _ in range(30):
-        ta = grouprep.sample_haar_unitary(comp.part_a, rng)
-        tb = grouprep.sample_haar_unitary(comp.part_b, rng)
+        ta = grouprep.sampler_for(comp.part_a).draw(rng)
+        tb = grouprep.sampler_for(comp.part_b).draw(rng)
         omega = random_mixtures(comp.joint, 1, rng)[0]
         lhs = cm.marginal_a(comp, np.kron(ta, tb) @ omega)
         rhs = ta @ cm.marginal_a(comp, omega)

@@ -246,6 +246,20 @@ def test_coin_with_record_prediction_equals_face_restricted_purity():
         )
 
 
+@pytest.mark.parametrize("s0", range(1, 13))
+def test_coin_record_sigma_is_the_hypergeometric_purity_spread(s0):
+    # A sample is (2k/s0 - 1)^2 with k ~ Hypergeometric(2 s0, s0, s0).
+    from fractions import Fraction
+
+    pmf = [Fraction(math.comb(s0, k) ** 2, math.comb(2 * s0, s0)) for k in range(s0 + 1)]
+    purity = [Fraction(2 * k - s0, s0) ** 2 for k in range(s0 + 1)]
+    mean = sum(w * v for w, v in zip(pmf, purity))
+    var = sum(w * v * v for w, v in zip(pmf, purity)) - mean * mean
+    assert mean == Fraction(1, 2 * s0 - 1)
+    assert faces.coin_record_sigma(s0) == pytest.approx(math.sqrt(var), rel=1e-14, abs=0.0)
+    assert (faces.coin_record_sigma(s0) == 0.0) == (s0 == 1)
+
+
 def test_coin_with_record_rejects_empty_record():
     with pytest.raises(RangeError):
         faces.coin_with_record(0, 10, 1)

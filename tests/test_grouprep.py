@@ -12,7 +12,7 @@ def test_haar_conjugation_is_gram_orthogonal(rng):
     space = ss.build_quantum(3)
     gram = grouprep.analytic_gram(space)
     for _ in range(20):
-        t = grouprep.sample_haar_unitary(space, rng)
+        t = grouprep.sampler_for(space).draw(rng)
         np.testing.assert_allclose(t.T @ gram.matrix @ t, gram.matrix, atol=1e-9)
 
 
@@ -74,6 +74,43 @@ def test_haar_draw_many_is_a_stack_of_conjugations(builder):
         np.testing.assert_allclose(space.order_unit @ t, space.order_unit, atol=1e-12)
 
 
+def _einsum_conjugation(basis, u):
+    """The per-element route: rotate every basis matrix, then take traces."""
+    rotated = np.einsum("...ab,lbc,...dc->...lad", u, basis, u.conj())
+    return np.real(np.einsum("kij,...lji->...kl", basis, rotated))
+
+
+@pytest.mark.parametrize("builder,n", [(ss.build_quantum, 2), (ss.build_quantum, 3),
+                                       (ss.build_quantum, 4), (ss.build_real_quantum, 3)])
+def test_kronecker_conjugation_matches_einsum_route(builder, n):
+    space = builder(n)
+    real = space.kind == ss.KIND_REAL_QUANTUM
+    us = grouprep.haar_unitaries(64, n, np.random.default_rng(4230 + n), real=real)
+    ts = grouprep.conjugation_matrix(space.hermitian_basis, us)
+    assert ts.shape == (64, space.K, space.K)
+    assert ts.dtype == float
+    np.testing.assert_allclose(ts, _einsum_conjugation(space.hermitian_basis, us), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grouprep.conjugation_matrix(space.hermitian_basis, us[0]), ts[0],
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("builder", [ss.build_classical, ss.build_polygon])
+def test_finite_draw_many_is_a_gather_of_draws(builder):
+    sampler = grouprep.sampler_for(builder(5))
+    ts = sampler.draw_many(np.random.default_rng(4240), 30)
+    rng = np.random.default_rng(4240)
+    np.testing.assert_array_equal(ts, np.stack([sampler.draw(rng) for _ in range(30)]))
+
+
+def test_draw_blocks_shrink_under_the_memory_cap(monkeypatch):
+    sampler = grouprep.sampler_for(ss.build_quantum(2))
+    full = [len(ts) for ts in sampler.draw_blocks(np.random.default_rng(0), 2 * grouprep.DRAW_BLOCK + 5)]
+    assert full == [grouprep.DRAW_BLOCK, grouprep.DRAW_BLOCK, 5]
+    # Room for ten elements on K = 4 coordinates.
+    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", grouprep._DRAW_BYTES_PER_ENTRY * 16 * 10)
+    assert [len(ts) for ts in sampler.draw_blocks(np.random.default_rng(0), 25)] == [10, 10, 5]
+
+
 def test_permutation_matrices_are_01_doubly_stochastic(rng):
     space = ss.build_classical(6)
     for _ in range(25):
@@ -95,7 +132,7 @@ def test_orthogonal_conjugation_preserves_real_cone(rng):
     space = ss.build_real_quantum(2)
     mm = space.max_mixed
     for _ in range(100):
-        t = grouprep.sample_orthogonal(space, rng)
+        t = grouprep.sampler_for(space).draw(rng)
         omega = 0.7 * space.sample_pure(rng) + 0.3 * mm
         assert space.cone_contains(t @ omega)
 
@@ -106,6 +143,8 @@ def test_orthogonal_conjugation_preserves_real_cone(rng):
 def test_clifford_1q_has_24_elements_including_identity():
     els = grouprep.clifford_unitaries(1)
     assert len(els) == 24
+    assert els.shape == (24, 2, 2) and not els.flags.writeable
+    assert grouprep.clifford_unitaries(1) is els
     keys = {grouprep._key(u) for u in els}
     ident = grouprep._phase_canonical(np.eye(2, dtype=complex))
     assert grouprep._key(ident) in keys
