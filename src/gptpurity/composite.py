@@ -9,9 +9,9 @@ contraction with the other party's order unit (partial trace for quantum,
 row sums for classical).
 
 Nothing here grows faster than the joint dimension K = K_A K_B.  A quantum
-joint keeps the local bases as its Kronecker factors (B_A, B_B) instead of a
-stacked (K, n, n) basis, and its analytic Gram is scale-only, so the joint
-purity constant P(phi_A (x) mu_B) and the global Pauli norm cost O(K).
+joint keeps the levels (n_A, n_B) of its Kronecker factors, not a basis,
+and its analytic Gram is scale-only, so the joint purity constant
+P(phi_A (x) mu_B) and the global Pauli norm cost O(K).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class CompositeDescriptor:
 
     ``joint`` is a full SpaceDescriptor whose coordinate basis is the tensor
     product of the local bases; the flat index of the local pair (i, j) is
-    ``i * K_B + j``.  A quantum joint's basis factors are those of A
+    ``i * K_B + j``.  A quantum joint's factor levels are those of A
     followed by those of B.
     """
 
@@ -75,7 +75,7 @@ def compose(a: SpaceDescriptor, b: SpaceDescriptor) -> CompositeDescriptor:
         max_mixed=np.kron(a.max_mixed, b.max_mixed),
         basis_labels=labels,
         level=n,
-        basis_factors=a.basis_factors + b.basis_factors,
+        factor_levels=a.factor_levels + b.factor_levels,
     )
     return CompositeDescriptor(part_a=a, part_b=b, joint=joint)
 
@@ -164,12 +164,9 @@ def capacity_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
     """
     if space.kind == ss.KIND_QUANTUM or space.kind == ss.KIND_REAL_QUANTUM:
         n = space.level
-        states = []
-        for i in range(n):
-            m = np.zeros((n, n))
-            m[i, i] = 1.0
-            states.append(space.to_coords(m))
-        states = np.stack(states)
+        projectors = np.zeros((n, n, n))
+        projectors[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+        states = space.to_coords(projectors)
         return ClassicalSubsystemWitness(
             space=space, states=states, effects=states.copy(), centered=True
         )

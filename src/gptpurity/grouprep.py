@@ -75,7 +75,8 @@ def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     or a (size, K, K) stack of them for a (size, n, n) stack of unitaries.
     Row-major vectorization maps U M U^dag to (U (x) conj U) vec(M), and the
     basis is Hermitian, so with B the (K, n^2) row-vectorized basis
-    T = Re(conj(B) (U (x) conj U) B^T): two matrix products per unitary.
+    T = Re(L B^T) with L = conj(B) (U (x) conj U): two products per unitary,
+    the second a real one, Re(L) Re(B)^T - Im(L) Im(B)^T over L's float view.
     """
     k, n = basis.shape[0], basis.shape[1]
     b = basis.reshape(k, n * n)
@@ -84,7 +85,9 @@ def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     kron = (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(*lead, n * n, n * n)
     left = b.conj() @ kron
     del kron
-    return np.real(left @ b.T)
+    if not np.iscomplexobj(left):
+        return left @ b.T
+    return left.view(float) @ np.stack([b.real, -b.imag], axis=-1).reshape(k, 2 * n * n).T
 
 
 # -- group samplers --------------------------------------------------------------------
@@ -191,16 +194,10 @@ def dihedral_elements(n: int) -> np.ndarray:
     return np.stack(mats)
 
 
-def _lift_plane(g: np.ndarray) -> np.ndarray:
-    t = np.eye(3)
-    t[1:, 1:] = g
-    return t
-
-
 def sample_dihedral(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
     """Uniform element of D_n lifted to the 3-dim polygon coordinates."""
     els = dihedral_elements(space.level if space.kind == ss.KIND_POLYGON else 4)
-    return _lift_plane(els[rng.integers(len(els))])
+    return ss.lift_plane(els[rng.integers(len(els))])
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +207,7 @@ def _boxworld_group_elements() -> np.ndarray:
     These are the local pairs G_A (x) G_B with G in D4 on each side, together
     with each of those composed with the swap of the two parties.
     """
-    locals3 = [_lift_plane(g) for g in ss.gbit_symmetries()]
+    locals3 = [ss.lift_plane(g) for g in ss.gbit_symmetries()]
     swap = np.zeros((9, 9))
     for i in range(3):
         for j in range(3):
@@ -247,7 +244,7 @@ def sampler_for(space: SpaceDescriptor, *, enumerate_limit: int = 1000) -> Group
                             lambda rng: sample_permutation(space, rng))
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         n = space.level if space.kind == ss.KIND_POLYGON else 4
-        els = np.stack([_lift_plane(g) for g in dihedral_elements(n)])
+        els = np.stack([ss.lift_plane(g) for g in dihedral_elements(n)])
         return _finite_sampler(space, f"dihedral-{n}", els)
     if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
         return _finite_sampler(space, "boxworld-local-and-swap", _boxworld_group_elements())
@@ -436,12 +433,8 @@ def invariant_gram(
         g += np.tensordot(et, et, axes=([0, 1], [0, 1]))
         count += len(ts)
     g /= count
-    norms = []
-    for _ in range(n_norm_states):
-        phi = space.sample_pure(rng)
-        b = phi - space.max_mixed
-        norms.append(float(b @ g @ b))
-    scale = 1.0 / float(np.mean(norms))
+    b = space.sample_pures(rng, n_norm_states) - space.max_mixed
+    scale = 1.0 / float(np.mean(np.einsum("bi,ij,bj->b", b, g, b)))
     return GramMatrix(matrix=scale * g, scale=scale)
 
 

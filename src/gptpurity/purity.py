@@ -174,14 +174,10 @@ def complete_pauli_set(space: SpaceDescriptor, gram: GramMatrix | None = None) -
             raise UnsupportedSpaceError(
                 f"complete Pauli sets need a qubit register; level {n} is not a power of 2"
             )
-        coeff = math.sqrt(n - 1) / n
-        maps = []
-        for letters in itertools.product("IXYZ", repeat=k):
-            label = "".join(letters)
-            if label == "I" * k:
-                continue
-            vec = space.to_coords(coeff * pauli_string(label))
-            maps.append(PauliMap(space=space, gram=gram, vector=vec, label=label))
+        # Every string but the leading identity, as one to_coords stack.
+        labels = ["".join(letters) for letters in itertools.product("IXYZ", repeat=k)][1:]
+        vecs = space.to_coords(math.sqrt(n - 1) / n * np.stack([pauli_string(s) for s in labels]))
+        maps = (PauliMap(space=space, gram=gram, vector=v, label=s) for s, v in zip(labels, vecs))
         return PauliSet(maps=tuple(maps), provenance="clifford-orbit")
     if space.kind == ss.KIND_CLASSICAL:
         n = space.level

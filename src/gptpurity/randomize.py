@@ -48,6 +48,9 @@ GLOBAL_PURITY_TOL = 1e-9
 # Samples per random stream.  It bounds the kernels' working memory; a
 # report depends on it, so changing it changes every Monte Carlo value.
 BLOCK_SIZE = 1024
+# (block, n_A, n_A) arrays alive at once on the Haar-ket path: the marginals
+# and the gathers of ``to_coords`` (a measured 2.6 at n_A = 32 and 64).
+_MARGINALS_ALIVE = 3
 
 
 # -- predictions ---------------------------------------------------------------------------
@@ -211,14 +214,6 @@ def _blocks(n_samples: int, seed: int) -> Iterator[tuple[slice, np.random.Genera
     )
 
 
-def _haar_kets(rng: np.random.Generator, size: int, d: int, real: bool) -> np.ndarray:
-    """``size`` uniformly random unit vectors in C^d (R^d when ``real``), one per row."""
-    psi = rng.normal(size=(size, d))
-    if not real:
-        psi = psi + 1j * rng.normal(size=(size, d))
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
 def _mixed_marginals(
     psi: np.ndarray,
     t: float,
@@ -261,12 +256,15 @@ def _haar_ket_states(
     See ``_mixed_marginals`` for the state and the roles of the options.
     """
     d = dims[0] * dims[1] if isometry is None else isometry.shape[1]
+    itemsize = 8 if real else 16
     for span, rng in blocks:
         size = span.stop - span.start
         # Kets in an isometry's column space are mapped into C^(n_A n_B).
-        ss.check_memory((8 if real else 16) * size * dims[0] * dims[1],
+        ss.check_memory(itemsize * size * dims[0] * dims[1],
                         f"a block of {size} kets in dimension {dims[0] * dims[1]}")
-        psi = _haar_kets(rng, size, d, real)
+        ss.check_memory(_MARGINALS_ALIVE * itemsize * size * dims[0] ** 2,
+                        f"{_MARGINALS_ALIVE} blocks of {size} marginals of level {dims[0]}")
+        psi = ss.haar_kets(size, d, rng, real=real)
         yield (span, *_mixed_marginals(psi, t, dims, isometry=isometry, sigma_a=sigma_a))
 
 

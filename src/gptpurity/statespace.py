@@ -6,10 +6,12 @@ state, and a kind-specific cone test and pure-state sampler.  Matrix-valued
 theories (quantum over C, quantum over R) are vectorized in a fixed
 orthonormal Hermitian basis whose first element is ``identity/sqrt(d)``, so
 that states of all kinds are plain real vectors and the tensor product of
-coordinate vectors is the coordinate vector of the tensor product.  A
-descriptor keeps that basis as Kronecker factors: one for a built-in space,
-one per party for a composite, so joint coordinates never need the stacked
-joint basis.
+coordinate vectors is the coordinate vector of the tensor product.  It is
+the generalized Gell-Mann basis (Bertlmann and Krammer, J. Phys. A 41,
+235303, 2008), whose elements have at most two nonzero entries, so
+coordinates are index arithmetic.  A descriptor stores no basis, only the
+level of each Kronecker factor: one for a built-in space, one per party for
+a composite.
 
 Arrays that grow with a joint space are checked against ``MEMORY_CAP_BYTES``
 by ``check_memory`` before they are allocated.
@@ -21,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,11 +98,12 @@ class SpaceDescriptor:
     level:
         Kind parameter: Hilbert-space dimension, outcome count, or vertex
         count.  ``None`` only for the bipartite boxworld space.
-    basis_factors:
-        Matrix-valued kinds only: the orthonormal Hermitian basis as
-        Kronecker factors, each a ``(K_i, d_i, d_i)`` stack.  Basis element
-        ``k`` is the Kronecker product of one element per factor, ``k`` being
-        the row-major flat index of their indices.  A built-in space has one
+    factor_levels:
+        Matrix-valued kinds only: the level d_i of each Kronecker factor of
+        the basis, whose element order ``factor_layout`` gives (complex for
+        ``quantum``, real for ``real-quantum``).  Basis element ``k`` is the
+        Kronecker product of one element per factor, ``k`` being the
+        row-major flat index of their indices.  A built-in space has one
         factor; a composite has one per party.
     vertices:
         ``(n_pure, K)`` array of all pure states for polytopal kinds.
@@ -114,7 +118,7 @@ class SpaceDescriptor:
     max_mixed: np.ndarray
     basis_labels: tuple[str, ...]
     level: int | None = None
-    basis_factors: tuple[np.ndarray, ...] | None = None
+    factor_levels: tuple[int, ...] | None = None
     vertices: np.ndarray | None = None
     effects: np.ndarray | None = None
 
@@ -123,10 +127,6 @@ class SpaceDescriptor:
             a = getattr(self, name)
             if a is not None:
                 object.__setattr__(self, name, _frozen(np.asarray(a)))
-        if self.basis_factors is not None:
-            object.__setattr__(
-                self, "basis_factors", tuple(_frozen(np.asarray(b)) for b in self.basis_factors)
-            )
 
     # -- generic linear structure -------------------------------------------------
 
@@ -160,66 +160,66 @@ class SpaceDescriptor:
 
     # -- matrix representation (quantum kinds) ------------------------------------
 
-    def _factors(self) -> tuple[np.ndarray, ...]:
-        if self.basis_factors is None:
+    def _layouts(self) -> list[FactorLayout]:
+        if self.factor_levels is None:
             raise UnsupportedSpaceError(f"space kind {self.kind!r} has no matrix form")
-        return self.basis_factors
+        return [factor_layout(d, self.kind == KIND_REAL_QUANTUM) for d in self.factor_levels]
 
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Reassemble the (Hermitian or symmetric) matrix from coordinates.
+        """The matrix ``sum_k c_k B_k`` of coordinates, or of each in a stack.
 
-        Contracts one coordinate index with one basis factor at a time; the
-        result has axes (i_1, j_1, ..., i_m, j_m) and is reordered to rows
-        (i_1..i_m) and columns (j_1..j_m).
+        The inverse of ``to_coords``: ``_pair_matrix`` scatters each factor's
+        coordinates to its (row, column) axis pair, and the pairs are then
+        reordered to rows (i_1..i_m) and columns (j_1..j_m).  Complex kinds
+        give complex matrices.
         """
-        factors = self._factors()
-        t = np.asarray(coords).reshape([b.shape[0] for b in factors])
-        for b in factors:
-            t = np.tensordot(t, b, axes=([0], [0]))
-        m = len(factors)
-        t = t.transpose([*range(0, 2 * m, 2), *range(1, 2 * m, 2)])
-        return t.reshape(self.level, self.level)
+        layouts = self._layouts()
+        coords = np.asarray(coords)
+        lead, m = coords.shape[:-1], len(layouts)
+        t, before, after = coords, math.prod(lead), self.K
+        for lay in layouts:
+            after //= lay.K
+            t = _pair_matrix(t.reshape(before, lay.K, after), lay)
+            before *= lay.d**2
+        t = t.reshape(math.prod(lead), *(lay.d for lay in layouts for _ in "ij"))
+        t = t.transpose(0, *range(1, 2 * m + 1, 2), *range(2, 2 * m + 1, 2))
+        return t.reshape(*lead, self.level, self.level)
 
     def to_coords(self, matrix: np.ndarray) -> np.ndarray:
-        """Coordinates ``c_k = Tr(B_k @ M)`` of a Hermitian matrix ``M``, or of each in a stack.
+        """Real parts of the coordinates ``c_k = Tr(B_k @ M)`` of a matrix, or of each in a stack.
 
-        ``M`` is viewed as a tensor with row axes (r_1..r_m) and column axes
-        (c_1..c_m), one pair per basis factor, and contracted with one factor
-        at a time.  Leading axes of ``matrix`` are batch axes.
+        ``M`` is viewed with row axes (r_1..r_m) and column axes (c_1..c_m),
+        and ``_pair_coords`` replaces each factor's pair (r_f, c_f) by its
+        coordinates.  That map is linear and needs no Hermitian input, so it
+        also holds on the partial results of a joint.
         """
-        factors = self._factors()
+        layouts = self._layouts()
         matrix = np.asarray(matrix)
-        lead = matrix.shape[:-2]
-        dims = [b.shape[1] for b in factors]
-        t = matrix.reshape([*lead, *dims, *dims])
-        nb = len(lead)
-        # Factor f pairs its column index with r_f and its row index with
-        # c_f; both are then the first of the remaining pairs.
-        for rem, b in zip(range(len(factors), 0, -1), factors):
-            t = np.tensordot(t, b, axes=([nb, nb + rem], [2, 1]))
-        return np.real(t).reshape(*lead, self.K).astype(float)
+        matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
+        lead, dims, m = matrix.shape[:-2], [lay.d for lay in layouts], len(layouts)
+        t = matrix.reshape(math.prod(lead), *dims, *dims)
+        t = t.transpose(0, *(a for f in range(1, m + 1) for a in (f, f + m)))
+        before, after = math.prod(lead), self.level**2
+        for f, lay in enumerate(layouts):
+            after //= lay.d**2
+            t = _pair_coords(t.reshape(before, lay.d, lay.d, after), lay, take_real=f == m - 1)
+            before *= lay.K
+        return t.reshape(*lead, self.K)
 
     @cached_property
     def hermitian_basis(self) -> np.ndarray | None:
-        """The ``(K, d, d)`` stacked basis, built from the factors on first access.
+        """The ``(K, d, d)`` stacked basis, ``to_matrix(eye(K))``, built on first access.
 
-        ``None`` for kinds without a matrix form.  A composite's stack grows
-        like d^4 and is refused beyond ``MEMORY_CAP_BYTES``.
+        ``None`` for kinds without a matrix form.  The stack grows like d^4;
+        ``to_matrix`` holds about three of its size at its peak, and that is
+        refused beyond ``MEMORY_CAP_BYTES``.
         """
-        if self.basis_factors is None:
+        if self.factor_levels is None:
             return None
-        if len(self.basis_factors) == 1:
-            return self.basis_factors[0]
-        itemsize = np.result_type(*self.basis_factors).itemsize
-        check_memory(
-            itemsize * self.K * self.level**2,
-            f"the stacked {self.K}-element basis of {self.level} x {self.level} matrices",
-        )
-        out = self.basis_factors[0]
-        for b in self.basis_factors[1:]:
-            k, d = out.shape[0] * b.shape[0], out.shape[1] * b.shape[1]
-            out = np.einsum("aij,bkl->abikjl", out, b).reshape(k, d, d)
-        return _frozen(out)
+        n, itemsize = self.level, 8 if self.kind == KIND_REAL_QUANTUM else 16
+        check_memory(3 * itemsize * self.K * n * n,
+                     f"the stacked {self.K}-element basis of {n} x {n} matrices")
+        return _frozen(self.to_matrix(np.eye(self.K)))
 
     # -- cone test ----------------------------------------------------------------
 
@@ -237,22 +237,26 @@ class SpaceDescriptor:
 
     # -- pure states ---------------------------------------------------------------
 
-    def sample_pure(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a uniformly random pure state (group-orbit uniform)."""
-        if self.kind == KIND_QUANTUM:
-            psi = haar_ket(self.level, rng)
-            return self.to_coords(np.outer(psi, psi.conj()))
-        if self.kind == KIND_REAL_QUANTUM:
-            psi = rng.normal(size=self.level)
-            psi /= np.linalg.norm(psi)
-            return self.to_coords(np.outer(psi, psi))
+    def sample_pures(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """A (size, K) stack of uniformly random pure states (group-orbit uniform).
+
+        Matrix kinds map one ``haar_kets`` stack with one ``to_coords``; the
+        others gather at uniform indices, drawn as ``size`` single draws.
+        """
+        if self.kind in _MATRIX_KINDS:
+            psi = haar_kets(size, self.level, rng, real=self.kind == KIND_REAL_QUANTUM)
+            return self.to_coords(psi[:, :, None] * psi[:, None, :].conj())
         if self.kind == KIND_CLASSICAL:
-            e = np.zeros(self.K)
-            e[rng.integers(self.K)] = 1.0
+            e = np.zeros((size, self.K))
+            e[np.arange(size), rng.integers(self.K, size=size)] = 1.0
             return e
         if self.vertices is not None:
-            return np.array(self.vertices[rng.integers(len(self.vertices))])
+            return self.vertices[rng.integers(len(self.vertices), size=size)]
         raise UnsupportedSpaceError(f"no pure-state sampler for kind {self.kind!r}")
+
+    def sample_pure(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw a uniformly random pure state: the size-1 case of ``sample_pures``."""
+        return self.sample_pures(rng, 1)[0]
 
     # -- serialization ---------------------------------------------------------------
 
@@ -287,82 +291,101 @@ def validate_state(
 
 def random_mixtures(space: SpaceDescriptor, count: int, rng: np.random.Generator) -> np.ndarray:
     """Random convex mixtures of K+1 sampled pure states, shape (count, K)."""
-    pures = np.stack([space.sample_pure(rng) for _ in range(space.K + 1)])
+    pures = space.sample_pures(rng, space.K + 1)
     weights = rng.dirichlet(np.ones(len(pures)), size=count)
     return weights @ pures
 
 
-def haar_ket(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random unit vector in C^d (normalized complex Gaussian)."""
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return psi / np.linalg.norm(psi)
+def haar_kets(size: int, d: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
+    """``size`` uniformly random unit vectors in C^d (R^d when ``real``), one per row.
 
-
-# -- orthonormal Hermitian bases -----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of d x d Hermitian matrices, identity/sqrt(d) first.
-
-    Order: identity, then the symmetric off-diagonal pairs, the antisymmetric
-    (imaginary) pairs, and finally the diagonal traceless elements.  All
-    elements after the first are traceless, so the first coordinate alone
-    carries normalization.
+    The real parts of the whole stack are drawn before the imaginary parts.
     """
-    check_memory(16 * d**4, f"the {d * d}-element Hermitian basis of {d} x {d} matrices")
-    mats = [np.eye(d, dtype=complex) / math.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1 / math.sqrt(2)
-            mats.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / math.sqrt(2)
-            m[k, j] = 1j / math.sqrt(2)
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        mats.append(m / math.sqrt(l * (l + 1)))
-    return np.stack(mats)
+    psi = rng.normal(size=(size, d))
+    if not real:
+        psi = psi + 1j * rng.normal(size=(size, d))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
-def _hermitian_labels(d: int) -> tuple[str, ...]:
-    labels = ["u"]
-    labels += [f"x{j}{k}" for j in range(d) for k in range(j + 1, d)]
-    labels += [f"y{j}{k}" for j in range(d) for k in range(j + 1, d)]
-    labels += [f"z{l}" for l in range(1, d)]
-    return tuple(labels)
+def haar_ket(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random unit vector in C^d: the size-1 case of ``haar_kets``."""
+    return haar_kets(1, d, rng)[0]
+
+
+# -- generalized Gell-Mann coordinates -------------------------------------------------
+
+
+class FactorLayout(NamedTuple):
+    """The basis order of one d-level matrix factor; see ``factor_layout``."""
+
+    d: int
+    real: bool
+    rows: np.ndarray
+    cols: np.ndarray
+    scale: np.ndarray
+    labels: tuple[str, ...]
+    K: int
 
 
 @lru_cache(maxsize=None)
-def symmetric_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of d x d real symmetric matrices, identity/sqrt(d) first."""
-    count = d * (d + 1) // 2
-    check_memory(8 * count * d * d, f"the {count}-element symmetric basis of {d} x {d} matrices")
-    mats = [np.eye(d) / math.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d))
-            m[j, k] = m[k, j] = 1 / math.sqrt(2)
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d))
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        mats.append(m / math.sqrt(l * (l + 1)))
-    return np.stack(mats)
+def factor_layout(d: int, real: bool) -> FactorLayout:
+    """Order and labels of the orthonormal basis of d x d Hermitian (``real``: symmetric) matrices.
+
+    With E_jk the matrix units and the pairs j < k in row-major order
+    (``rows``, ``cols``): ``u`` = identity/sqrt(d), then ``x{j}{k}`` =
+    (E_jk + E_kj)/sqrt(2), ``y{j}{k}`` = i (E_kj - E_jk)/sqrt(2) for complex
+    factors, and ``z{l}`` = (sum_{i<l} E_ii - l E_ll)/sqrt(l (l+1)) for
+    l = 1..d-1.  ``scale`` holds each element's normalizing divisor.
+    """
+    rows, cols = np.triu_indices(d, 1)
+    pairs = [f"{j}{k}" for j, k in zip(rows, cols)]
+    labels = ("u", *(f"x{p}" for p in pairs), *(() if real else (f"y{p}" for p in pairs)),
+              *(f"z{l}" for l in range(1, d)))
+    steps = np.arange(1.0, d)
+    scale = np.concatenate([[math.sqrt(d)], np.full(len(labels) - d, math.sqrt(2)),
+                            np.sqrt(steps * (steps + 1))])
+    return FactorLayout(d, real, _frozen(rows), _frozen(cols), _frozen(scale), labels, len(labels))
 
 
-def _symmetric_labels(d: int) -> tuple[str, ...]:
-    labels = ["u"]
-    labels += [f"x{j}{k}" for j in range(d) for k in range(j + 1, d)]
-    labels += [f"z{l}" for l in range(1, d)]
-    return tuple(labels)
+def _pair_coords(t: np.ndarray, lay: FactorLayout, *, take_real: bool) -> np.ndarray:
+    """Coordinates of each (d, d) slice M of a (X, d, d, Y) array, as (X, K_d, Y).
+
+    u = Tr M/sqrt(d), x_jk = (M_jk + M_kj)/sqrt(2), y_jk = i (M_jk - M_kj)/sqrt(2)
+    and z_l = (sum_{i<l} M_ii - l M_ll)/sqrt(l (l+1)).  ``take_real`` keeps
+    only the real parts, and forms no complex one.
+    """
+    diag = t[:, np.arange(lay.d), np.arange(lay.d)]
+    hi, lo = t[:, lay.rows, lay.cols], t[:, lay.cols, lay.rows]
+    if take_real:
+        diag, x, y = diag.real, hi.real + lo.real, None if lay.real else lo.imag - hi.imag
+    else:
+        x, y = hi + lo, None if lay.real else 1j * (hi - lo)
+    del hi, lo
+    z = np.cumsum(diag, axis=1)[:, :-1] - np.arange(1, lay.d)[:, None] * diag[:, 1:]
+    parts = (diag.sum(axis=1, keepdims=True), x, y, z)
+    out = np.concatenate([a for a in parts if a is not None], axis=1)
+    out /= lay.scale[:, None]
+    return out
+
+
+def _pair_matrix(c: np.ndarray, lay: FactorLayout) -> np.ndarray:
+    """The inverse of ``_pair_coords``: (X, K_d, Y) coordinates to (X, d, d, Y) matrices.
+
+    M_jk = (x_jk - i y_jk)/sqrt(2), M_kj = (x_jk + i y_jk)/sqrt(2), and the
+    diagonal entry i is u/sqrt(d) + sum_{l>i} z_l/s_l - i z_i/s_i.
+    """
+    d, p = lay.d, len(lay.rows)
+    c = c / lay.scale[:, None]
+    x, w = c[:, 1:1 + p], c[:, lay.K - (d - 1):]
+    out = np.zeros((len(c), d, d, c.shape[2]), dtype=c.dtype if lay.real else complex)
+    iy = 0.0 if lay.real else 1j * c[:, 1 + p:1 + 2 * p]
+    out[:, lay.rows, lay.cols] = x - iy
+    out[:, lay.cols, lay.rows] = x + iy
+    diag = np.repeat(c[:, :1], d, axis=1)
+    diag[:, :-1] += np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    diag[:, 1:] -= np.arange(1, d)[:, None] * w
+    out[:, np.arange(d), np.arange(d)] = diag
+    return out
 
 
 # -- builders --------------------------------------------------------------------------
@@ -376,20 +399,23 @@ def build_quantum(n: int) -> SpaceDescriptor:
     """
     if n < 2:
         raise InvalidDimensionError(f"quantum level count must be >= 2, got {n}")
-    basis = hermitian_basis(n)
-    order_unit = np.zeros(n * n)
-    order_unit[0] = math.sqrt(n)
-    max_mixed = np.zeros(n * n)
-    max_mixed[0] = 1 / math.sqrt(n)
+    return _matrix_space(KIND_QUANTUM, n, n * n)
+
+
+def _matrix_space(kind: str, n: int, k: int) -> SpaceDescriptor:
+    """One n-level matrix factor with K = k, refused up front beyond the memory cap."""
+    check_memory(DESCRIPTOR_BYTES_PER_COORD * k, f"the {n}-level {kind} space")
+    order_unit, max_mixed = np.zeros(k), np.zeros(k)
+    order_unit[0], max_mixed[0] = math.sqrt(n), 1 / math.sqrt(n)
     return SpaceDescriptor(
-        kind=KIND_QUANTUM,
-        K=n * n,
+        kind=kind,
+        K=k,
         N=n,
         order_unit=order_unit,
         max_mixed=max_mixed,
-        basis_labels=_hermitian_labels(n),
+        basis_labels=factor_layout(n, kind == KIND_REAL_QUANTUM).labels,
         level=n,
-        basis_factors=(basis,),
+        factor_levels=(n,),
     )
 
 
@@ -451,22 +477,7 @@ def build_real_quantum(m: int) -> SpaceDescriptor:
     """
     if m < 2:
         raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m}")
-    k = m * (m + 1) // 2
-    basis = symmetric_basis(m)
-    order_unit = np.zeros(k)
-    order_unit[0] = math.sqrt(m)
-    max_mixed = np.zeros(k)
-    max_mixed[0] = 1 / math.sqrt(m)
-    return SpaceDescriptor(
-        kind=KIND_REAL_QUANTUM,
-        K=k,
-        N=m,
-        order_unit=order_unit,
-        max_mixed=max_mixed,
-        basis_labels=_symmetric_labels(m),
-        level=m,
-        basis_factors=(basis,),
-    )
+    return _matrix_space(KIND_REAL_QUANTUM, m, m * (m + 1) // 2)
 
 
 # -- boxworld ---------------------------------------------------------------------------
@@ -533,7 +544,7 @@ def gbit_symmetries() -> np.ndarray:
     return np.array(rotations + reflections, dtype=float)
 
 
-def _gbit_local_action(g: np.ndarray) -> np.ndarray:
+def lift_plane(g: np.ndarray) -> np.ndarray:
     """Lift a 2x2 Bloch-plane symmetry to the 3-dim ambient coordinates."""
     t = np.eye(3)
     t[1:, 1:] = g
@@ -546,7 +557,7 @@ def _pr_orbit() -> np.ndarray:
     seen: dict[bytes, np.ndarray] = {}
     for ga in gbit_symmetries():
         for gb in gbit_symmetries():
-            v = _gbit_local_action(ga) @ w @ _gbit_local_action(gb).T
+            v = lift_plane(ga) @ w @ lift_plane(gb).T
             key = np.round(v, 12).tobytes()
             if key not in seen:
                 seen[key] = v.ravel()

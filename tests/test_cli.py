@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -287,6 +288,11 @@ def _argv(draw):
         argv.append(f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}")
     if head[0] == "estimate" and draw(st.booleans()):
         argv.append("--histogram")
+    if draw(st.booleans()):
+        argv.append("--format=csv")
+    out = draw(st.sampled_from([None, "{tmp}/report", "{tmp}/missing/report"]))
+    if out is not None:
+        argv.append(f"--out={out}")
     return argv
 
 
@@ -298,14 +304,33 @@ def _reject_constant(name):
 @given(argv=_argv())
 def test_generated_argv_ends_in_strict_json_or_exit_one(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in (0, 1, 2), (argv, code)
-    if code == 1:
-        assert out.getvalue() == "", argv
-        assert err.getvalue(), argv
-    else:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        path = next((Path(a.split("=", 1)[1]) for a in argv if a.startswith("--out=")), None)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        if path is not None and path.parent.name == "missing":
+            assert code == 1, argv
+        if code == 1:
+            assert out.getvalue() == "", argv
+            assert err.getvalue(), argv
+            assert path is None or not path.exists(), argv
+            return
+        if path is None:
+            text = out.getvalue()
+        else:
+            assert out.getvalue() == "", argv
+            text = path.read_text(encoding="utf-8")
+    if "--format=csv" not in argv:
+        json.loads(text, parse_constant=_reject_constant)
+        return
+    header, *rows = text.splitlines()
+    assert header == "bin_lo,bin_hi,count", argv
+    assert rows, argv
+    for row in rows:
+        lo, hi, count = row.split(",")
+        assert math.isfinite(float(lo)) and math.isfinite(float(hi)) and int(count) >= 0, argv

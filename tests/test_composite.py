@@ -244,7 +244,7 @@ def _density(psi):
     return np.outer(psi, psi.conj())
 
 
-@pytest.mark.parametrize("na,nb", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 4)])
 def test_factored_joint_coordinates_match_kron_stacked_basis(na, nb, rng):
     comp = cm.compose(ss.build_quantum(na), ss.build_quantum(nb))
     joint = comp.joint

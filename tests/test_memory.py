@@ -125,12 +125,33 @@ def test_estimator_blocks_are_refused_beyond_the_cap():
 
 def test_dense_joint_structures_are_derived_only_within_the_cap():
     joint = cm.compose(ss.build_quantum(16), ss.build_quantum(16)).joint
-    assert len(joint.basis_factors) == 2
+    assert joint.factor_levels == (16, 16)
     with pytest.raises(RangeError, match="bytes"):
         joint.hermitian_basis
     with pytest.raises(RangeError, match="bytes"):
         grouprep.analytic_gram(joint).matrix
     with pytest.raises(RangeError, match="bytes"):
         joint.bloch_projector()
-    with pytest.raises(RangeError, match="bytes"):
-        ss.build_quantum(128)
+    # A local level needs no stacked basis; only its descriptor and the
+    # estimator's marginal blocks grow with it.
+    assert ss.build_quantum(128).K == 16384
+    with pytest.raises(RangeError, match="4096-level quantum space"):
+        ss.build_quantum(4096)
+    comp = cm.compose(ss.build_quantum(256), ss.build_quantum(2))
+    gram_a, gram_ab = grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
+    with pytest.raises(RangeError, match="3221225472 bytes"):
+        rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 2000, 0)
+
+
+def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
+    # Three (1024, 256, 256) complex marginal blocks would be 3 GiB.
+    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "256",
+                                    "--nb", "2", "--p0", "1", "--samples", "2000",
+                                    "--seed", "0"], address_limit=4 << 30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "marginals of level 256" in lines[0]
+    assert rss < MAX_RSS_MB

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptpurity import composite as cm
 from gptpurity import grouprep
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
 from gptpurity.statespace import random_mixtures
 
 
-@pytest.mark.parametrize("n,k", [(2, 4), (3, 9), (5, 25)])
+@pytest.mark.parametrize("n,k", [(2, 4), (3, 9), (5, 25), (128, 16384)])
 def test_quantum_dimensions(n, k):
     space = ss.build_quantum(n)
     assert space.K == k
@@ -26,7 +27,7 @@ def test_quantum_max_mixed_reassembles_to_identity_over_n():
 
 
 def test_quantum_basis_orthonormal():
-    b = ss.hermitian_basis(3)
+    b = ss.build_quantum(3).hermitian_basis
     g = np.einsum("kij,lji->kl", b, b)
     np.testing.assert_allclose(g, np.eye(9), atol=1e-14)
 
@@ -80,7 +81,7 @@ def test_polygon_vertices_pass_cone_and_interior_points_too(rng):
         assert not space.cone_contains(outside)
 
 
-@pytest.mark.parametrize("m,k", [(2, 3), (3, 6), (4, 10)])
+@pytest.mark.parametrize("m,k", [(2, 3), (3, 6), (4, 10), (8, 36)])
 def test_real_quantum_dimensions(m, k):
     space = ss.build_real_quantum(m)
     assert space.K == k
@@ -221,3 +222,117 @@ def test_descriptors_are_immutable():
     gram = grouprep.analytic_gram(space)
     with pytest.raises(ValueError):
         gram.matrix[0, 0] = 7.0
+
+
+# -- generalized Gell-Mann coordinates against loop-built bases ------------------------
+
+
+def _loop_hermitian_basis(d):
+    """The d x d Hermitian basis, built element by element (identity first)."""
+    mats = [np.eye(d, dtype=complex) / math.sqrt(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1 / math.sqrt(2)
+            mats.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j / math.sqrt(2)
+            m[k, j] = 1j / math.sqrt(2)
+            mats.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -float(l)
+        mats.append(m / math.sqrt(l * (l + 1)))
+    return np.stack(mats)
+
+
+def _loop_symmetric_basis(d):
+    """The d x d real symmetric basis: the Hermitian one without its imaginary pairs."""
+    pairs = d * (d - 1) // 2
+    full = _loop_hermitian_basis(d)
+    return np.concatenate([full[:1 + pairs], full[1 + 2 * pairs:]]).real
+
+
+def _loop_labels(d, real):
+    pairs = [f"{j}{k}" for j in range(d) for k in range(j + 1, d)]
+    ys = [] if real else [f"y{p}" for p in pairs]
+    return ("u", *(f"x{p}" for p in pairs), *ys, *(f"z{l}" for l in range(1, d)))
+
+
+def _oracle(levels, real):
+    """The Kronecker-stacked basis of a joint with these factor levels."""
+    basis = np.ones((1, 1, 1))
+    for d in levels:
+        b = _loop_symmetric_basis(d) if real else _loop_hermitian_basis(d)
+        basis = np.einsum("aij,bkl->abikjl", basis, b).reshape(
+            len(basis) * len(b), basis.shape[1] * d, basis.shape[1] * d)
+    return basis
+
+
+def _random_matrices(rng, size, n, real):
+    z = rng.normal(size=(size, n, n))
+    if not real:
+        z = z + 1j * rng.normal(size=(size, n, n))
+    return z
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_index_arithmetic_matches_loop_built_basis(d, real, rng):
+    space = ss.build_real_quantum(d) if real else ss.build_quantum(d)
+    basis = _oracle((d,), real)
+    assert space.factor_levels == (d,)
+    assert space.basis_labels == _loop_labels(d, real)
+    np.testing.assert_allclose(space.hermitian_basis, basis, rtol=0, atol=1e-15)
+    # A batched stack of general (not Hermitian) matrices: the real part of
+    # Tr(B_k M) for every k.
+    ms = _random_matrices(rng, 5, d, real).reshape(5, 1, d, d)
+    coords = space.to_coords(ms)
+    assert coords.shape == (5, 1, space.K) and coords.dtype == float
+    np.testing.assert_allclose(coords, np.einsum("kij,...ji->...k", basis, ms).real,
+                               rtol=0, atol=1e-14)
+    c = rng.normal(size=(3, space.K))
+    np.testing.assert_allclose(space.to_matrix(c), np.einsum("...k,kij->...ij", c, basis),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(space.to_coords(space.to_matrix(c)), c, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(space.to_coords(np.eye(d, dtype=int)),
+                               np.sqrt(d) * (np.arange(space.K) == 0), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 4)])
+def test_joint_index_arithmetic_matches_kronecker_of_loop_bases(na, nb, rng):
+    joint = cm.compose(ss.build_quantum(na), ss.build_quantum(nb)).joint
+    basis = _oracle((na, nb), False)
+    assert joint.factor_levels == (na, nb)
+    np.testing.assert_allclose(joint.hermitian_basis, basis, rtol=0, atol=1e-15)
+    ms = _random_matrices(rng, 4, na * nb, False)
+    np.testing.assert_allclose(joint.to_coords(ms), np.einsum("kij,bji->bk", basis, ms).real,
+                               rtol=0, atol=1e-13)
+    c = rng.normal(size=(2, joint.K))
+    np.testing.assert_allclose(joint.to_matrix(c), np.einsum("bk,kij->bij", c, basis),
+                               rtol=0, atol=1e-13)
+
+
+def test_haar_kets_size_one_is_haar_ket_and_sample_pure():
+    for real in (False, True):
+        kets = ss.haar_kets(6, 5, np.random.default_rng(11), real=real)
+        assert kets.shape == (6, 5) and np.iscomplexobj(kets) != real
+        np.testing.assert_allclose(np.linalg.norm(kets, axis=1), 1.0, atol=1e-15)
+    np.testing.assert_array_equal(ss.haar_ket(5, np.random.default_rng(12)),
+                                  ss.haar_kets(1, 5, np.random.default_rng(12))[0])
+    for space in (ss.build_quantum(3), ss.build_real_quantum(3)):
+        real = space.kind == ss.KIND_REAL_QUANTUM
+        psi = ss.haar_kets(4, 3, np.random.default_rng(13), real=real)
+        rhos = psi[:, :, None] * psi[:, None, :].conj()
+        np.testing.assert_array_equal(space.sample_pures(np.random.default_rng(13), 4),
+                                      space.to_coords(rhos))
+        np.testing.assert_array_equal(space.sample_pure(np.random.default_rng(14)),
+                                      space.sample_pures(np.random.default_rng(14), 1)[0])
+    for space in (ss.build_classical(4), ss.build_polygon(5)):
+        # A gather at uniform indices draws the stream of single draws.
+        a, b = np.random.default_rng(15), np.random.default_rng(15)
+        stack = space.sample_pures(a, 4)
+        np.testing.assert_array_equal(stack, [space.sample_pure(b) for _ in range(4)])
