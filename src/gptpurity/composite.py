@@ -98,12 +98,13 @@ def marginal_b(comp: CompositeDescriptor, omega: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Partial trace of a (d_a * d_b) square matrix over one tensor slot."""
+    """Partial trace over one tensor slot of a (d_a * d_b) square matrix or a stack of them."""
     da, db = dims
-    r = np.asarray(rho).reshape(da, db, da, db)
+    rho = np.asarray(rho)
+    r = rho.reshape(*rho.shape[:-2], da, db, da, db)
     if keep == 0:
-        return np.einsum("ibjb->ij", r)
-    return np.einsum("aiaj->ij", r)
+        return np.einsum("...ibjb->...ij", r)
+    return np.einsum("...aiaj->...ij", r)
 
 
 # -- classical subsystems and capacity witnesses ----------------------------------------

@@ -33,15 +33,7 @@ from .errors import (
     RangeError,
     UnsupportedSpaceError,
 )
-from .randomize import (
-    McReport,
-    Prediction,
-    _blocks,
-    _haar_ket_states,
-    _make_report,
-    _permuted_states,
-    _tr_sq,
-)
+from .randomize import McReport, Prediction, _estimate, _haar_ket_block, _permuted_block, _tr_sq
 
 KIND_QUANTUM_FACE = "quantum-subspace"
 KIND_CLASSICAL_FACE = "classical-support"
@@ -219,15 +211,13 @@ def estimate_face_local_purity(
         t = _face_interpolation_weight(face.n_sub, target_global_purity)
         dims = (face.comp.part_a.level, face.comp.part_b.level)
         sigma_a = partial_trace(face.projector, dims, keep=0) / face.n_sub
-        blocks = _blocks(n_samples, seed)
-        vals = np.empty(n_samples)
-        gvals = np.empty(n_samples)
-        for span, rho_a, tr2 in _haar_ket_states(
-            blocks, t, dims, isometry=face.isometry, sigma_a=sigma_a
-        ):
-            vals[span] = _tr_sq(rho_a)
-            gvals[span] = tr2
-        return _make_report(vals, gvals, seed, histogram_bins)
+
+        def draw(rng, size):
+            rho_a, tr2 = _haar_ket_block(rng, size, t, dims, isometry=face.isometry,
+                                         sigma_a=sigma_a)
+            return _tr_sq(rho_a), tr2
+
+        return _estimate(n_samples, seed, draw, histogram_bins)
 
     if face.kind == KIND_CLASSICAL_FACE:
         # Classical targets are face-restricted generalized purities in [0, 1].
@@ -251,20 +241,19 @@ def _estimate_support_face(
     histogram_bins: int | None,
 ) -> McReport:
     """Marginal purity on A of uniform permutations of ``p_face`` over the face support."""
-    blocks = _blocks(n_samples, seed)
-    joint_k = face.comp.joint.K
     na = face.comp.part_a.K
-    omega0 = np.zeros(joint_k)
+    omega0 = np.zeros(face.comp.joint.K)
     omega0[face.support] = p_face
+    purity = face_restricted_purity(face, omega0)
     # Support outcome s = a * K_B + b contributes to the A marginal at a.
     to_a = np.zeros((face.n_sub, na))
     to_a[np.arange(face.n_sub), face.support // face.comp.part_b.K] = 1.0
-    vals = np.empty(n_samples)
-    for span, perm in _permuted_states(blocks, p_face):
-        marg = perm @ to_a
-        vals[span] = na / (na - 1) * np.sum(marg**2, axis=1) - 1.0 / (na - 1)
-    gvals = np.full(n_samples, face_restricted_purity(face, omega0))
-    return _make_report(vals, gvals, seed, histogram_bins)
+
+    def draw(rng, size):
+        marg = _permuted_block(rng, size, p_face) @ to_a
+        return na / (na - 1) * np.sum(marg**2, axis=1) - 1.0 / (na - 1), purity
+
+    return _estimate(n_samples, seed, draw, histogram_bins)
 
 
 # -- coin tossing against a record-keeping environment --------------------------------------

@@ -100,13 +100,14 @@ class GroupSampler:
     ``draw`` yields a K x K real matrix T with ``order_unit @ T == order_unit``
     and ``T(cone) <= cone``.  ``draw_many`` yields a stack of independent
     elements, and ``draw_blocks`` a given number of them in memory-bounded
-    stacks.  The element source is one of:
+    stacks; ``draw`` is the size-1 case of ``draw_many``.  The element source
+    is one of:
 
     * ``elements``, for finite groups with a stored element list: a stack is
-      one gather at uniform indices, drawn as ``size`` calls of ``draw`` would;
-    * ``_draw_many``, for the Haar samplers: one stacked QR and one batched
-      Kronecker-form ``conjugation_matrix``; ``draw`` is its size-1 case;
-    * ``_draw``, one element per call; a stack is ``size`` calls.
+      one gather at uniform indices, drawn as ``size`` single draws would;
+    * ``_draw_many``, a function of (generator, size): one stacked QR and one
+      batched Kronecker-form ``conjugation_matrix`` for the Haar samplers,
+      one row-wise ``Generator.permuted`` for large permutation groups.
 
     Samplers are pure functions of the passed generator.
     """
@@ -114,20 +115,15 @@ class GroupSampler:
     space: SpaceDescriptor
     name: str
     is_finite: bool
-    _draw: Callable[[np.random.Generator], np.ndarray] | None = None
     elements: np.ndarray | None = None
     _draw_many: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self._draw is None and self.elements is None and self._draw_many is None:
+        if self.elements is None and self._draw_many is None:
             raise ValueError("a group sampler needs a draw function or an element list")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.elements is not None:
-            return np.array(self.elements[rng.integers(len(self.elements))])
-        if self._draw is None:
-            return self._draw_many(rng, 1)[0]
-        return self._draw(rng)
+        return self.draw_many(rng, 1)[0]
 
     def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """A (size, K, K) stack of independent uniform elements.
@@ -140,9 +136,7 @@ class GroupSampler:
                         f"a stack of {size} group elements on {k} coordinates")
         if self.elements is not None:
             return self.elements[rng.integers(len(self.elements), size=size)]
-        if self._draw_many is not None:
-            return self._draw_many(rng, size)
-        return np.stack([self._draw(rng) for _ in range(size)])
+        return self._draw_many(rng, size)
 
     def draw_blocks(self, rng: np.random.Generator, total: int) -> Iterator[np.ndarray]:
         """``total`` independent elements as ``draw_many`` stacks of ``DRAW_BLOCK``.
@@ -169,9 +163,10 @@ def _haar_sampler(space: SpaceDescriptor, real: bool) -> GroupSampler:
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    n = len(perm)
-    t = np.zeros((n, n))
-    t[perm, np.arange(n)] = 1.0
+    """The 0/1 matrix of a permutation, or of each row of a stack of permutations."""
+    perm = np.asarray(perm)
+    t = np.zeros((*perm.shape, perm.shape[-1]))
+    np.put_along_axis(t, perm[..., None, :], 1.0, axis=-2)
     return t
 
 
@@ -236,12 +231,14 @@ def sampler_for(space: SpaceDescriptor, *, enumerate_limit: int = 1000) -> Group
         return _haar_sampler(space, real=space.kind == ss.KIND_REAL_QUANTUM)
     if space.kind == ss.KIND_CLASSICAL:
         if math.factorial(space.K) <= enumerate_limit:
-            els = np.stack(
-                [permutation_matrix(np.array(p)) for p in itertools.permutations(range(space.K))]
-            )
+            els = permutation_matrix(np.array(list(itertools.permutations(range(space.K)))))
             return _finite_sampler(space, "permutations", els)
-        return GroupSampler(space, "permutations", True,
-                            lambda rng: sample_permutation(space, rng))
+
+        def draw_many(rng, size):
+            # One row-wise shuffle draws as ``size`` calls of rng.permutation(K).
+            return permutation_matrix(rng.permuted(np.tile(np.arange(space.K), (size, 1)), axis=1))
+
+        return GroupSampler(space, "permutations", True, _draw_many=draw_many)
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         n = space.level if space.kind == ss.KIND_POLYGON else 4
         els = np.stack([ss.lift_plane(g) for g in dihedral_elements(n)])

@@ -247,6 +247,8 @@ def pauli_haar_average(
         return PauliAverage(mean=float(vals.mean()), stderr=0.0, n_samples=len(vals), exact=True)
     if n_samples < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
+    # The blocks' values and their concatenation are alive at once.
+    ss.check_memory(2 * 8 * n_samples, f"2 arrays of {n_samples} per-sample values")
     vals = np.concatenate(
         [x.evaluate_many(ts @ omega) ** 2 for ts in sampler.draw_blocks(rng, n_samples)]
     )

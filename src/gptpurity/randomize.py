@@ -10,9 +10,13 @@ averages the local purity.  Closed forms:
 * nonlocaltomo (K_A-1)/(K_AB-1) * P0 / (P(phi_A (x) mu_B) - |mu_C|^2),
   for compositions that are not locally tomographic (real quantum theory).
 
-Estimators draw their samples in fixed blocks of ``BLOCK_SIZE``: block b
-uses the generator derived from (seed, b), and the blocks are reduced in
-order, so a report depends on the seed and the sample count alone.  The
+Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
+come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
+derived from (seed, b), and the blocks are reduced in order, so a report
+depends on the seed and the sample count alone.  An estimator only says how
+to draw one block: Haar kets (``_haar_ket_block``), Haar-conjugated fixed
+states (``_conjugated_block``) or permuted distributions
+(``_permuted_block``), then marginalize and take the local purity.  The
 default quantum estimate needs no group element: conjugation fixes the
 maximally mixed state mu, so U (t phi + (1-t) mu) U^dagger equals
 t |psi><psi| + (1-t) mu for a Haar-random ket psi, and a block of kets gives
@@ -23,7 +27,7 @@ conjugated by a block of Haar unitaries drawn with one stacked QR.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,40 +203,74 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _blocks(n_samples: int, seed: int) -> Iterator[tuple[slice, np.random.Generator]]:
-    """The sample span of each block of a run, with the block's generator.
+def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | None) -> McReport:
+    """The one Monte Carlo loop: every estimator is a ``draw`` over its blocks.
 
-    Validates eagerly: every estimator calls this before allocating.
+    Block b holds samples [b BLOCK_SIZE, (b + 1) BLOCK_SIZE) and draws from
+    ``sample_rng(seed, b)``; ``draw(rng, size)`` returns the block's sample
+    values and global purities (an array or one number).  Reversible
+    transformations preserve purity, so a spread of the global purities
+    beyond ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
     """
     if n_samples < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
     if seed < 0:
         raise RangeError(f"the seed must be non-negative, got {seed}")
-    return (
-        (slice(lo, min(lo + BLOCK_SIZE, n_samples)), sample_rng(seed, b))
-        for b, lo in enumerate(range(0, n_samples, BLOCK_SIZE))
+    # The values, the global purities and one temporary of the reduction (the
+    # deviations in ``std`` or the clipped values of the histogram).
+    ss.check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
+    vals = np.empty(n_samples)
+    gvals = np.empty(n_samples)
+    for b, lo in enumerate(range(0, n_samples, BLOCK_SIZE)):
+        hi = min(lo + BLOCK_SIZE, n_samples)
+        vals[lo:hi], gvals[lo:hi] = draw(sample_rng(seed, b), hi - lo)
+    spread = float(np.ptp(gvals))
+    if spread > GLOBAL_PURITY_TOL:
+        raise InternalError(f"global purity varied by {spread:.3g} across samples")
+    counts = edges = None
+    if histogram_bins:
+        counts, edges = np.histogram(np.clip(vals, 0.0, 1.0), bins=histogram_bins, range=(0.0, 1.0))
+    return McReport(
+        mean=float(vals.mean()),
+        stderr=float(vals.std(ddof=1) / math.sqrt(n_samples)),
+        n_samples=n_samples,
+        seed=int(seed),
+        realized_global_purity=float(gvals.mean()),
+        histogram_counts=counts,
+        histogram_edges=edges,
     )
 
 
-def _mixed_marginals(
-    psi: np.ndarray,
+def _haar_ket_block(
+    rng: np.random.Generator,
+    size: int,
     t: float,
     dims: tuple[int, int],
     *,
+    real: bool = False,
     isometry: np.ndarray | None = None,
     sigma_a: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A marginals and global Tr(rho^2) of rho = t |psi><psi| + (1-t) mu, per row of ``psi``.
+    """A marginals and global Tr(rho^2) of ``size`` states t |psi><psi| + (1-t) mu.
 
-    Without ``isometry`` the kets live in C^(n_A n_B) and mu is maximally
-    mixed.  With it the kets live in its column space, mu is the normalized
-    projector onto that space, and ``sigma_a`` must be the A marginal of mu.
-    Tr(rho^2) comes from each ket's norm.
+    The kets psi are Haar-random.  Without ``isometry`` they live in
+    C^(n_A n_B) (R^(n_A n_B) when ``real``) and mu is maximally mixed.  With
+    it they live in its column space, mu is the normalized projector onto
+    that space, and ``sigma_a`` must be the A marginal of mu.  Tr(rho^2)
+    comes from each ket's norm.
     """
-    size, d = psi.shape
+    na, nb = dims
+    d = na * nb if isometry is None else isometry.shape[1]
+    itemsize = 8 if real else 16
+    # Kets in an isometry's column space are mapped into C^(n_A n_B); the
+    # norm and marginal contractions hold them and their conjugates.
+    ss.check_memory(2 * itemsize * size * na * nb,
+                    f"2 blocks of {size} kets in dimension {na * nb}")
+    ss.check_memory(_MARGINALS_ALIVE * itemsize * size * na * na,
+                    f"{_MARGINALS_ALIVE} blocks of {size} marginals of level {na}")
+    psi = ss.haar_kets(size, d, rng, real=real)
     norm_sq = np.einsum("bi,bi->b", psi.conj(), psi).real
     tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / d
-    na, nb = dims
     if isometry is not None:
         psi = psi @ isometry.T
     if sigma_a is None:
@@ -242,67 +280,33 @@ def _mixed_marginals(
     return rho_a, tr2
 
 
-def _haar_ket_states(
-    blocks: Iterable[tuple[slice, np.random.Generator]],
-    t: float,
-    dims: tuple[int, int],
-    *,
-    real: bool = False,
-    isometry: np.ndarray | None = None,
-    sigma_a: np.ndarray | None = None,
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Per block: the span, A marginals and global Tr(rho^2) of Haar-ket states.
+def _conjugated_block(
+    rng: np.random.Generator, size: int, phi: np.ndarray, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A marginals and Tr(rho^2) of ``size`` states U phi U^dagger for Haar U.
 
-    See ``_mixed_marginals`` for the state and the roles of the options.
-    """
-    d = dims[0] * dims[1] if isometry is None else isometry.shape[1]
-    itemsize = 8 if real else 16
-    for span, rng in blocks:
-        size = span.stop - span.start
-        # Kets in an isometry's column space are mapped into C^(n_A n_B).
-        ss.check_memory(itemsize * size * dims[0] * dims[1],
-                        f"a block of {size} kets in dimension {dims[0] * dims[1]}")
-        ss.check_memory(_MARGINALS_ALIVE * itemsize * size * dims[0] ** 2,
-                        f"{_MARGINALS_ALIVE} blocks of {size} marginals of level {dims[0]}")
-        psi = ss.haar_kets(size, d, rng, real=real)
-        yield (span, *_mixed_marginals(psi, t, dims, isometry=isometry, sigma_a=sigma_a))
-
-
-def _conjugated_states(
-    blocks: Iterable[tuple[slice, np.random.Generator]],
-    phi: np.ndarray,
-    dims: tuple[int, int],
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Per block: the span, A marginals and Tr(rho^2) of U phi U^dagger for Haar U.
-
-    A block draws its unitaries with one ``grouprep.haar_unitaries`` call.
+    The unitaries come from one ``grouprep.haar_unitaries`` call.
     """
     n = phi.shape[0]
-    for span, rng in blocks:
-        size = span.stop - span.start
-        # U, U phi, conj(U) and rho are alive at once.
-        ss.check_memory(4 * 16 * size * n * n, f"a block of {size} unitaries in dimension {n}")
-        u = grouprep.haar_unitaries(size, n, rng)
-        rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
-        m = rho.reshape(size, dims[0], dims[1], dims[0], dims[1])
-        yield span, np.einsum("bijkj->bik", m), _tr_sq(rho)
+    # U, U phi, conj(U) and rho are alive at once.
+    ss.check_memory(4 * 16 * size * n * n, f"a block of {size} unitaries in dimension {n}")
+    u = grouprep.haar_unitaries(size, n, rng)
+    rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
+    return comp_mod.partial_trace(rho, dims, keep=0), _tr_sq(rho)
 
 
-def _permuted_states(
-    blocks: Iterable[tuple[slice, np.random.Generator]], p: np.ndarray, *, alive: int = 1
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Per block: the span and uniformly random permutations of ``p``, one per row.
+def _permuted_block(
+    rng: np.random.Generator, size: int, p: np.ndarray, *, alive: int = 1
+) -> np.ndarray:
+    """``size`` uniformly random permutations of ``p``, one per row.
 
-    Each row is permuted in place.  ``alive`` is the number of (block, K)
-    arrays the caller holds at once, counting the yielded one; the memory
-    check counts them all.
+    ``alive`` is the number of (size, K) arrays the caller holds at once,
+    counting the returned one; the memory check counts them all.
     """
-    for span, rng in blocks:
-        size = span.stop - span.start
-        ss.check_memory(alive * 8 * size * p.size,
-                        f"{alive} block(s) of {size} distributions on {p.size} outcomes")
-        omega = np.tile(p, (size, 1))
-        yield span, rng.permuted(omega, axis=1, out=omega)
+    ss.check_memory(alive * 8 * size * p.size,
+                    f"{alive} block(s) of {size} distributions on {p.size} outcomes")
+    omega = np.tile(p, (size, 1))
+    return rng.permuted(omega, axis=1, out=omega)
 
 
 def _local_purities(space: SpaceDescriptor, gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
@@ -313,30 +317,6 @@ def _local_purities(space: SpaceDescriptor, gram: GramMatrix, rho: np.ndarray) -
 def _tr_sq(rho: np.ndarray) -> np.ndarray:
     """Tr(rho^2) of each matrix in a (size, n, n) stack."""
     return np.einsum("bij,bji->b", rho, rho).real
-
-
-def _make_report(
-    vals: np.ndarray,
-    gvals: np.ndarray,
-    seed: int,
-    histogram_bins: int | None,
-) -> McReport:
-    if float(np.ptp(gvals)) > GLOBAL_PURITY_TOL:
-        raise InternalError(
-            f"global purity varied by {float(np.ptp(gvals)):.3g} across samples"
-        )
-    counts = edges = None
-    if histogram_bins:
-        counts, edges = np.histogram(np.clip(vals, 0.0, 1.0), bins=histogram_bins, range=(0.0, 1.0))
-    return McReport(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(len(vals))),
-        n_samples=len(vals),
-        seed=int(seed),
-        realized_global_purity=float(gvals.mean()),
-        histogram_counts=counts,
-        histogram_edges=edges,
-    )
 
 
 def estimate_expected_local_purity(
@@ -362,7 +342,6 @@ def estimate_expected_local_purity(
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    blocks = _blocks(n_samples, seed)
     t = math.sqrt(p0)
     joint = comp.joint
     if initial is not None:
@@ -373,34 +352,34 @@ def estimate_expected_local_purity(
             raise RangeError(
                 f"the supplied initial state has purity {got!r}, requested {p0}"
             )
-    vals = np.empty(n_samples)
-    gvals = np.empty(n_samples)
 
     if comp.kind == ss.KIND_QUANTUM:
         dims = (comp.part_a.level, comp.part_b.level)
-        if initial is None:
-            states = _haar_ket_states(blocks, t, dims)
-        else:
-            states = _conjugated_states(blocks, joint.to_matrix(initial), dims)
-        for span, rho_a, tr2 in states:
-            vals[span] = _local_purities(comp.part_a, gram_a, rho_a)
-            gvals[span] = purity_from_tr2(joint.level, tr2)
+        phi = None if initial is None else joint.to_matrix(initial)
+
+        def draw(rng, size):
+            if phi is None:
+                rho_a, tr2 = _haar_ket_block(rng, size, t, dims)
+            else:
+                rho_a, tr2 = _conjugated_block(rng, size, phi, dims)
+            return _local_purities(comp.part_a, gram_a, rho_a), purity_from_tr2(joint.level, tr2)
     else:
-        n = joint.K
         if initial is None:
-            p = np.full(n, (1.0 - t) / n)
+            p = np.full(joint.K, (1.0 - t) / joint.K)
             p[0] += t
         else:
             p = initial
-        # The block, turned into its Bloch rows in place, and the Gram's
-        # covectors are alive at once.
-        for span, omega in _permuted_states(blocks, p, alive=2):
-            marg = omega.reshape(len(omega), comp.part_a.K, -1).sum(axis=2)
-            vals[span] = gram_a.norms_sq(marg - comp.part_a.max_mixed)
-            omega -= joint.max_mixed
-            gvals[span] = gram_ab.norms_sq(omega)
 
-    return _make_report(vals, gvals, seed, histogram_bins)
+        def draw(rng, size):
+            # The block, turned into its Bloch rows in place, and the Gram's
+            # covectors are alive at once.
+            omega = _permuted_block(rng, size, p, alive=2)
+            marg = omega.reshape(size, comp.part_a.K, -1).sum(axis=2)
+            vals = gram_a.norms_sq(marg - comp.part_a.max_mixed)
+            omega -= joint.max_mixed
+            return vals, gram_ab.norms_sq(omega)
+
+    return _estimate(n_samples, seed, draw, histogram_bins)
 
 
 # -- real quantum theory (not locally tomographic) ----------------------------------------
@@ -472,13 +451,12 @@ def estimate_real_quantum_local_purity(
         raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m_b}")
     part_a = ss.build_real_quantum(m_a)
     gram_a = grouprep.analytic_gram(part_a)
-    blocks = _blocks(n_samples, seed)
-    vals = np.empty(n_samples)
-    gvals = np.empty(n_samples)
-    for span, rho_a, tr2 in _haar_ket_states(blocks, math.sqrt(p0), (m_a, m_b), real=True):
-        vals[span] = _local_purities(part_a, gram_a, rho_a)
-        gvals[span] = purity_from_tr2(m_a * m_b, tr2)
-    return _make_report(vals, gvals, seed, histogram_bins)
+
+    def draw(rng, size):
+        rho_a, tr2 = _haar_ket_block(rng, size, math.sqrt(p0), (m_a, m_b), real=True)
+        return _local_purities(part_a, gram_a, rho_a), purity_from_tr2(m_a * m_b, tr2)
+
+    return _estimate(n_samples, seed, draw, histogram_bins)
 
 
 # -- qubit Pauli-coefficient oracle --------------------------------------------------------
@@ -533,20 +511,18 @@ def qubit_pauli_oracle(
     if abs(global_tr_purity - min_tr) < 1e-12:
         raise UndefinedRatioError("the ratio is undefined at the globally maximally mixed state")
     t = math.sqrt((global_tr_purity - min_tr) / (1.0 - min_tr))
-    blocks = _blocks(n_samples, seed)
-    vals = np.empty(n_samples)
-    for span, rho_a, _ in _haar_ket_states(blocks, t, (dim_a, 2**n_b)):
-        vals[span] = _tr_sq(rho_a)
-    mean_tr_a = float(vals.mean())
+
+    def draw(rng, size):
+        rho_a, tr2 = _haar_ket_block(rng, size, t, (dim_a, 2**n_b))
+        return _tr_sq(rho_a), tr2
+
+    report = _estimate(n_samples, seed, draw, None)
     denom = global_tr_purity - min_tr
-    lhs = (mean_tr_a - 1.0 / dim_a) / denom
-    lhs_stderr = float(vals.std(ddof=1) / math.sqrt(n_samples) / denom)
-    rhs = 2.0**n_b * (4.0**n_a - 1.0) / (4.0**n - 1.0)
     return QubitOracleResult(
-        lhs=lhs,
-        lhs_stderr=lhs_stderr,
-        rhs=rhs,
-        mean_tr_a=mean_tr_a,
+        lhs=(report.mean - 1.0 / dim_a) / denom,
+        lhs_stderr=report.stderr / denom,
+        rhs=2.0**n_b * (4.0**n_a - 1.0) / (4.0**n - 1.0),
+        mean_tr_a=report.mean,
         n_samples=n_samples,
         seed=int(seed),
     )

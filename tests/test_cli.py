@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -39,6 +40,18 @@ def test_predict_golden_file_freezes_schema(capsys):
     assert code == 0
     golden = (DATA / "golden_predict_main.json").read_text()
     assert out == golden
+
+GOLDEN_ESTIMATES = json.loads((DATA / "golden_estimates.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN_ESTIMATES, ids=lambda e: " ".join(e["argv"]))
+def test_monte_carlo_reports_match_golden_hashes(capsys, entry):
+    # sha256 of whole reports: the benchmark's mc-acceptance and
+    # large-composite commands at workload seed 1, `verify markov-tail` and
+    # `coin-record --s0 1`.  A change of any Monte Carlo value shows here.
+    code, out = _run(capsys, entry["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

@@ -296,11 +296,10 @@ def test_face_ket_kernel_matches_explicit_route(make):
     n_s, v, t, dims = face.n_sub, face.isometry, math.sqrt(0.5), (3, 3)
     part_a = face.comp.part_a
     gram_a = grouprep.analytic_gram(part_a)
-    rng = np.random.default_rng(5301)
-    psi = rng.normal(size=(3, n_s)) + 1j * rng.normal(size=(3, n_s))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    psi = ss.haar_kets(3, n_s, np.random.default_rng(5301))
     sigma_a = cm.partial_trace(face.projector, dims, keep=0) / n_s
-    rho_a, tr2 = rnd._mixed_marginals(psi, t, dims, isometry=v, sigma_a=sigma_a)
+    rho_a, tr2 = rnd._haar_ket_block(np.random.default_rng(5301), 3, t, dims, isometry=v,
+                                     sigma_a=sigma_a)
     local = rnd._local_purities(part_a, gram_a, rho_a)
     collision = rnd._tr_sq(rho_a)
     for k, ket in enumerate(psi):

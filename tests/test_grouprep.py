@@ -102,6 +102,18 @@ def test_finite_draw_many_is_a_gather_of_draws(builder):
     np.testing.assert_array_equal(ts, np.stack([sampler.draw(rng) for _ in range(30)]))
 
 
+def test_large_permutation_sampler_draws_as_single_permutations():
+    # 9! > enumerate_limit: one row-wise shuffle replaces 30 rng.permutation calls.
+    sampler = grouprep.sampler_for(ss.build_classical(9))
+    assert sampler.elements is None
+    rng, ref = np.random.default_rng(4241), np.random.default_rng(4241)
+    ts = sampler.draw_many(rng, 30)
+    # Column j of a permutation matrix is the unit vector at perm[j].
+    ref_ts = np.stack([np.eye(9)[:, ref.permutation(9)] for _ in range(30)])
+    np.testing.assert_array_equal(ts, ref_ts)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_draw_blocks_shrink_under_the_memory_cap(monkeypatch):
     sampler = grouprep.sampler_for(ss.build_quantum(2))
     full = [len(ts) for ts in sampler.draw_blocks(np.random.default_rng(0), 2 * grouprep.DRAW_BLOCK + 5)]
@@ -262,14 +274,15 @@ def _reducible_cylinder_space_and_sampler():
         vertices=np.array(verts),
     )
 
-    def draw(rng):
-        t = np.eye(5)
-        a, b = rng.uniform(0, 2 * math.pi, size=2)
-        t[1:3, 1:3] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
-        t[3:, 3:] = [[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]]
+    def draw_many(rng, size):
+        t = np.tile(np.eye(5), (size, 1, 1))
+        for k, (a, b) in enumerate(rng.uniform(0, 2 * math.pi, size=(size, 2))):
+            t[k, 1:3, 1:3] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+            t[k, 3:, 3:] = [[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]]
         return t
 
-    sampler = grouprep.GroupSampler(space=space, name="two-rotations", is_finite=False, _draw=draw)
+    sampler = grouprep.GroupSampler(space=space, name="two-rotations", is_finite=False,
+                                    _draw_many=draw_many)
     return space, sampler
 
 
@@ -423,7 +436,7 @@ def test_scale_only_gram_matches_dense_projector(space, rng):
 def test_finite_samplers_carry_elements_without_a_draw_function():
     space = ss.build_polygon(5)
     sampler = grouprep.sampler_for(space)
-    assert sampler._draw is None
+    assert sampler._draw_many is None
     assert len(sampler.elements) == 10
     with pytest.raises(ValueError):
         grouprep.GroupSampler(space=space, name="empty", is_finite=True)

@@ -12,6 +12,7 @@ import pytest
 from gptpurity import composite as cm
 from gptpurity import grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import RangeError
+from gptpurity.purity import complete_pauli_set, pauli_haar_average
 
 SRC = str(Path(cm.__file__).resolve().parents[1])
 # The child runs one CLI command and writes its own peak RSS (KiB) to a file,
@@ -119,7 +120,8 @@ def test_estimator_blocks_are_refused_beyond_the_cap():
     # Two (1024, 262144) float arrays are alive at once in the classical loop.
     with pytest.raises(RangeError, match="4294967296 bytes"):
         rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
-    with pytest.raises(RangeError, match="2147483648 bytes"):
+    # The (1024, 2^17) complex kets and their conjugate copy.
+    with pytest.raises(RangeError, match="4294967296 bytes"):
         rnd.qubit_pauli_oracle(1, 16, 1.0, 2000, 0)
 
 
@@ -154,4 +156,28 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert "marginals of level 256" in lines[0]
+    assert rss < MAX_RSS_MB
+
+
+def test_per_sample_arrays_are_refused_before_any_draw():
+    with pytest.raises(RangeError, match="4800000000 bytes"):
+        rnd.estimate_real_quantum_local_purity(2, 2, 1.0, 200_000_000, 0)
+    qubit = ss.build_quantum(2)
+    x = complete_pauli_set(qubit, grouprep.analytic_gram(qubit)).maps[0]
+    with pytest.raises(RangeError, match="3200000000 bytes"):
+        pauli_haar_average(qubit, grouprep.sampler_for(qubit), x, qubit.max_mixed,
+                           n_samples=200_000_000)
+
+
+def test_oversized_sample_count_exits_one_before_allocating(tmp_path):
+    # Three per-sample arrays of 2e8 float64 values would be 4.8 GB.
+    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2",
+                                    "--p0", "1", "--samples", "200000000", "--seed", "0"],
+                         address_limit=2 << 30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "200000000 per-sample values would need 4800000000 bytes" in lines[0]
     assert rss < MAX_RSS_MB

@@ -7,6 +7,7 @@ from gptpurity import composite as cm
 from gptpurity import grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import (
     DegenerateCompositeError,
+    InternalError,
     RangeError,
     UndefinedRatioError,
 )
@@ -328,14 +329,6 @@ def test_estimator_rejects_initial_state_with_wrong_purity(rng):
 # -- the batched kernel against the explicit route -------------------------------------------
 
 
-def _fixed_kets(d, *, real=False):
-    rng = np.random.default_rng(5300)
-    psi = rng.normal(size=(3, d))
-    if not real:
-        psi = psi + 1j * rng.normal(size=(3, d))
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
 @pytest.mark.parametrize("builder,real", [(ss.build_quantum, False),
                                           (ss.build_real_quantum, True)])
 def test_ket_kernel_matches_explicit_route(builder, real):
@@ -344,8 +337,9 @@ def test_ket_kernel_matches_explicit_route(builder, real):
     n, t = na * nb, math.sqrt(p0)
     part_a, joint = builder(na), builder(n)
     gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
-    psi = _fixed_kets(n, real=real)
-    rho_a, tr2 = rnd._mixed_marginals(psi, t, (na, nb))
+    # The block draws its kets as haar_kets does from the same generator.
+    psi = ss.haar_kets(3, n, np.random.default_rng(5300), real=real)
+    rho_a, tr2 = rnd._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
     local = rnd._local_purities(part_a, gram_a, rho_a)
     glob = purity_from_tr2(n, tr2)
     for k, ket in enumerate(psi):
@@ -364,10 +358,17 @@ def test_conjugated_states_match_explicit_route():
     joint = ss.build_quantum(na * nb)
     gram_ab = grouprep.analytic_gram(joint)
     phi = joint.to_matrix(fixed_purity_state(joint, gram_ab, 0.5, np.random.default_rng(4400)))
-    got = list(rnd._conjugated_states(rnd._blocks(1500, 4401), phi, (na, nb)))
-    assert [(s.start, s.stop) for s, _, _ in got] == [(0, 1024), (1024, 1500)]
-    for b, (span, rho_a, tr2) in enumerate(got):
-        us = grouprep.haar_unitaries(span.stop - span.start, na * nb, rnd.sample_rng(4401, b))
+    got = []
+
+    def draw(rng, size):
+        rho_a, tr2 = rnd._conjugated_block(rng, size, phi, (na, nb))
+        got.append((size, rho_a, tr2))
+        return np.zeros(size), purity_from_tr2(na * nb, tr2)
+
+    rnd._estimate(1500, 4401, draw, None)
+    assert [size for size, _, _ in got] == [1024, 476]
+    for b, (size, rho_a, tr2) in enumerate(got):
+        us = grouprep.haar_unitaries(size, na * nb, rnd.sample_rng(4401, b))
         for k in (0, 1, len(us) - 1):
             rho = us[k] @ phi @ us[k].conj().T
             np.testing.assert_allclose(rho_a[k], cm.partial_trace(rho, (na, nb), keep=0),
@@ -389,10 +390,32 @@ def test_classical_memory_check_counts_both_block_arrays(monkeypatch):
 
 
 def test_blocks_spans_and_streams():
-    blocks = list(rnd._blocks(2500, 9))
-    assert [(s.start, s.stop) for s, _ in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
-    for b, (_, rng) in enumerate(blocks):
-        assert rng.bit_generator.state == rnd.sample_rng(9, b).bit_generator.state
+    calls = []
+
+    def draw(rng, size):
+        calls.append((size, rng.bit_generator.state))
+        return np.full(size, 0.5), 1.0
+
+    rep = rnd._estimate(2500, 9, draw, None)
+    assert [size for size, _ in calls] == [1024, 1024, 452]
+    for b, (_, state) in enumerate(calls):
+        assert state == rnd.sample_rng(9, b).bit_generator.state
+    assert (rep.mean, rep.stderr, rep.n_samples) == (0.5, 0.0, 2500)
+    assert rep.realized_global_purity == 1.0
+    # Bad counts and seeds are refused before any block is drawn.
+    calls.clear()
+    for n_samples, seed in ((1, 9), (2500, -1)):
+        with pytest.raises(RangeError):
+            rnd._estimate(n_samples, seed, draw, None)
+    assert calls == []
+
+
+def test_driver_refuses_a_global_purity_spread():
+    def draw(rng, size):
+        return np.zeros(size), rng.random(size)
+
+    with pytest.raises(InternalError, match="global purity varied"):
+        rnd._estimate(100, 0, draw, None)
 
 
 # -- statistical cross-checks ----------------------------------------------------------------
