@@ -36,13 +36,10 @@ from .grouprep import (
     analytic_gram,
     check_irreducible,
     clifford_unitaries,
-    enumerate_clifford_1q,
     frame_potential,
     haar_unitaries,
-    haar_unitary,
     invariant_gram,
     sampler_for,
-    two_design_check,
 )
 from .purity import (
     CollisionResult,

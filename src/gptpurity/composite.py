@@ -11,12 +11,12 @@ row sums for classical).
 Nothing here grows faster than the joint dimension K = K_A K_B.  A quantum
 joint keeps the levels (n_A, n_B) of its Kronecker factors, not a basis,
 and its analytic Gram is scale-only, so the joint purity constant
-P(phi_A (x) mu_B) and the global Pauli norm cost O(K).
+P(phi_A (x) mu_B) costs O(K).  Its coordinate labels are derived on request
+(``SpaceDescriptor.labels``), not stored.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from . import statespace as ss
 from .errors import InconsistencyError, UnsupportedCompositeError, UnsupportedSpaceError
 from .grouprep import GramMatrix
-from .purity import PauliMap
 from .statespace import SpaceDescriptor
 
 
@@ -66,14 +65,12 @@ def compose(a: SpaceDescriptor, b: SpaceDescriptor) -> CompositeDescriptor:
         joint = ss.build_classical(a.N * b.N)
         return CompositeDescriptor(part_a=a, part_b=b, joint=joint)
     n = a.level * b.level
-    labels = tuple(f"{la}*{lb}" for la in a.basis_labels for lb in b.basis_labels)
     joint = SpaceDescriptor(
         kind=ss.KIND_QUANTUM,
         K=a.K * b.K,
         N=n,
         order_unit=np.kron(a.order_unit, b.order_unit),
         max_mixed=np.kron(a.max_mixed, b.max_mixed),
-        basis_labels=labels,
         level=n,
         factor_levels=a.factor_levels + b.factor_levels,
     )
@@ -260,20 +257,3 @@ def purity_pure_times_maxmixed(
             f"P(phi (x) mu) = {numeric!r} disagrees with closed form {closed!r}"
         )
     return PurityPhiMu(numeric=numeric, closed_form=closed)
-
-
-def global_pauli_norm(
-    comp: CompositeDescriptor, gram_ab: GramMatrix, pauli_a: PauliMap
-) -> float:
-    """Gram norm of the Bloch representer of the covector X_A (x) u_B on the joint space.
-
-    The representer is the Gram-Riesz vector w of the covector c, taken in
-    the joint Bloch subspace.  A transitive joint Gram is scale * P, with P
-    the Euclidean projector onto ``ker u``, so w = P c / scale and
-    |w|^2 = |P c|^2 / scale.  The norm equals 1/sqrt(P(phi_A (x) mu_B)), so
-    dividing w by it yields a Pauli map on the composite.
-    """
-    c = np.kron(pauli_a.covector, comp.part_b.order_unit)
-    u = comp.joint.order_unit
-    pc = c - u * (u @ c) / float(u @ u)
-    return math.sqrt(float(pc @ pc) / gram_ab.scale)

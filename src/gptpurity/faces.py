@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
     RangeError,
     UnsupportedSpaceError,
 )
-from .randomize import McReport, Prediction, _estimate, _haar_ket_block, _permuted_block, _tr_sq
+from .randomize import McReport, Prediction, _estimate, _haar_ket_block, _permuted_block
 
 KIND_QUANTUM_FACE = "quantum-subspace"
 KIND_CLASSICAL_FACE = "classical-support"
@@ -211,12 +212,7 @@ def estimate_face_local_purity(
         t = _face_interpolation_weight(face.n_sub, target_global_purity)
         dims = (face.comp.part_a.level, face.comp.part_b.level)
         sigma_a = partial_trace(face.projector, dims, keep=0) / face.n_sub
-
-        def draw(rng, size):
-            rho_a, tr2 = _haar_ket_block(rng, size, t, dims, isometry=face.isometry,
-                                         sigma_a=sigma_a)
-            return _tr_sq(rho_a), tr2
-
+        draw = partial(_haar_ket_block, t=t, dims=dims, isometry=face.isometry, sigma_a=sigma_a)
         return _estimate(n_samples, seed, draw, histogram_bins)
 
     if face.kind == KIND_CLASSICAL_FACE:

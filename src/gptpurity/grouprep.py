@@ -8,8 +8,8 @@ order unit and map the cone into itself.  This module provides
 * the invariant inner product (Gram matrix) on the Bloch subspace, both by
   group averaging and by exact analytic constructors,
 * a numerical irreducibility diagnostic based on averaging rank-one maps,
-* enumeration of the single-qubit Clifford group and the second-moment
-  (2-design) identity check.
+* enumeration of the one- and two-qubit Clifford groups and their frame
+  potential, which is 2 exactly for a unitary 2-design.
 """
 
 from __future__ import annotations
@@ -56,16 +56,6 @@ def haar_unitaries(
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (np.sign(d) if real else d / np.abs(d))[:, None, :]
-
-
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x n unitary: the size-1 case of ``haar_unitaries``."""
-    return haar_unitaries(1, n, rng)[0]
-
-
-def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x n orthogonal matrix: the real size-1 case of ``haar_unitaries``."""
-    return haar_unitaries(1, n, rng, real=True)[0]
 
 
 def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -170,11 +160,6 @@ def permutation_matrix(perm: np.ndarray) -> np.ndarray:
     return t
 
 
-def sample_permutation(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random permutation of classical outcomes, as a 0/1 matrix."""
-    return permutation_matrix(rng.permutation(space.K))
-
-
 def dihedral_elements(n: int) -> np.ndarray:
     """The 2n elements of D_n acting on the Bloch plane: rotations, then reflections."""
     mats = []
@@ -187,12 +172,6 @@ def dihedral_elements(n: int) -> np.ndarray:
             np.array([[math.cos(2 * a), math.sin(2 * a)], [math.sin(2 * a), -math.cos(2 * a)]])
         )
     return np.stack(mats)
-
-
-def sample_dihedral(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
-    """Uniform element of D_n lifted to the 3-dim polygon coordinates."""
-    els = dihedral_elements(space.level if space.kind == ss.KIND_POLYGON else 4)
-    return ss.lift_plane(els[rng.integers(len(els))])
 
 
 @lru_cache(maxsize=None)
@@ -458,10 +437,6 @@ def _keys(u: np.ndarray) -> list[bytes]:
     return [raw[i:i + step] for i in range(0, len(raw), step)]
 
 
-def _key(u: np.ndarray) -> bytes:
-    return _keys(u[None])[0]
-
-
 def _bfs_closure(generators: list[np.ndarray], expect: int) -> np.ndarray:
     """Breadth-first closure of the generated group modulo phase.
 
@@ -517,12 +492,6 @@ def clifford_unitaries(k: int = 1) -> np.ndarray:
     raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
 
 
-def enumerate_clifford_1q() -> np.ndarray:
-    """The 24 single-qubit Clifford conjugations as 4 x 4 coordinate matrices."""
-    space = ss.build_quantum(2)
-    return conjugation_matrix(space.hermitian_basis, clifford_unitaries(1))
-
-
 def swap_operator(d: int) -> np.ndarray:
     """Swap of the two tensor factors of C^d (x) C^d."""
     s = np.zeros((d * d, d * d))
@@ -550,14 +519,3 @@ def frame_potential(unitaries: np.ndarray | Sequence[np.ndarray]) -> float:
     """
     traces = np.trace(np.asarray(unitaries), axis1=-2, axis2=-1)
     return float(np.mean(np.abs(traces) ** 4))
-
-
-def two_design_check(k: int = 1) -> float:
-    """|F - 2| for the frame potential F of the k-qubit Clifford group.
-
-    The group average of U (x) U (x) conj(U (x) U) is the projector onto the
-    commutant of U (x) U, of trace F; the Haar average is its rank-2 part
-    spanned by the symmetric and antisymmetric projectors.  So F - 2 is the
-    squared Frobenius distance between the two second-moment superoperators.
-    """
-    return abs(frame_potential(clifford_unitaries(k)) - 2.0)

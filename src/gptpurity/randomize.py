@@ -16,12 +16,15 @@ derived from (seed, b), and the blocks are reduced in order, so a report
 depends on the seed and the sample count alone.  An estimator only says how
 to draw one block: Haar kets (``_haar_ket_block``), Haar-conjugated fixed
 states (``_conjugated_block``) or permuted distributions
-(``_permuted_block``), then marginalize and take the local purity.  The
-default quantum estimate needs no group element: conjugation fixes the
-maximally mixed state mu, so U (t phi + (1-t) mu) U^dagger equals
-t |psi><psi| + (1-t) mu for a Haar-random ket psi, and a block of kets gives
-a block of marginals in one contraction.  A fixed ``initial`` state is
-conjugated by a block of Haar unitaries drawn with one stacked QR.
+(``_permuted_block``), then take the local purity.  The default quantum
+estimate needs no group element: conjugation fixes the maximally mixed
+state mu, so U (t phi + (1-t) mu) U^dagger equals t |psi><psi| + (1-t) mu
+for a Haar-random ket psi.  Its local purity is a Schmidt-side quantity
+(Lubkin 1978; Page 1993): with psi reshaped to an n_A x n_B matrix M it
+depends only on Tr (M M^dagger)^2, so a block of kets gives its purities
+through one batched product of the smaller Gram, and no A marginal is
+formed.  A fixed ``initial`` state is conjugated by a block of Haar
+unitaries drawn with one stacked QR.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +48,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .grouprep import GramMatrix
-from .purity import purity_from_tr2
+from .purity import purity_from_tr2, tr2_from_purity
 from .statespace import SpaceDescriptor
 
 HISTOGRAM_BINS = 100
@@ -52,9 +56,6 @@ GLOBAL_PURITY_TOL = 1e-9
 # Samples per random stream.  It bounds the kernels' working memory; a
 # report depends on it, so changing it changes every Monte Carlo value.
 BLOCK_SIZE = 1024
-# (block, n_A, n_A) arrays alive at once on the Haar-ket path: the marginals
-# and the gathers of ``to_coords`` (a measured 2.6 at n_A = 32 and 64).
-_MARGINALS_ALIVE = 3
 
 
 # -- predictions ---------------------------------------------------------------------------
@@ -162,11 +163,13 @@ class McReport:
 
     ``stderr`` is the sample standard deviation over sqrt(n);
     ``realized_global_purity`` is the mean per-sample global purity.  On the
-    Haar-ket path it is computed from each ket's norm, on the ``initial``
-    path from Tr(rho^2) after conjugation, and on the classical path from
-    the permuted joint distribution.  Reversible transformations preserve
-    purity, so it is constant across samples; a spread beyond
-    ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
+    Haar-ket path it is computed from each ket's norm (p0 |psi|^4 when mu is
+    maximally mixed; a face reports Tr(rho^2)), on the ``initial`` path from
+    Tr(rho^2) after conjugation, and on the classical path from the permuted
+    joint distribution.  The local values on the quantum paths come from
+    Tr(rho_A^2) alone, on the Haar-ket path without forming rho_A.
+    Reversible transformations preserve purity, so it is constant across
+    samples; a spread beyond ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
     """
 
     mean: float
@@ -251,48 +254,62 @@ def _haar_ket_block(
     isometry: np.ndarray | None = None,
     sigma_a: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A marginals and global Tr(rho^2) of ``size`` states t |psi><psi| + (1-t) mu.
+    """Local and global values of ``size`` states rho = t |psi><psi| + (1-t) mu.
 
     The kets psi are Haar-random.  Without ``isometry`` they live in
-    C^(n_A n_B) (R^(n_A n_B) when ``real``) and mu is maximally mixed.  With
-    it they live in its column space, mu is the normalized projector onto
-    that space, and ``sigma_a`` must be the A marginal of mu.  Tr(rho^2)
-    comes from each ket's norm.
+    C^(n_A n_B) (R^(n_A n_B) when ``real``), mu is maximally mixed, and the
+    values are the generalized purities P_A and P.  With it they live in
+    its column space, mu is the normalized projector onto that space,
+    ``sigma_a`` must be the A marginal of mu, and the values are the
+    collision values Tr(rho_A^2) and Tr(rho^2).
+
+    No A marginal is formed.  With psi reshaped to M (n_A x n_B), the
+    smaller Gram W (M M^dagger for n_A <= n_B, M^dagger M otherwise) shares
+    the nonzero spectrum of M M^dagger and Tr W = |psi|^2, so
+    Tr(rho_A^2) = t^2 Tr W^2 + 2t(1-t) Tr(M^dagger sigma_A M) + (1-t)^2 Tr sigma_A^2.
+    For maximally mixed mu the purities keep t^2 factored out,
+    P_A = t^2 (n_A Tr W^2 - (Tr W)^2)/(n_A - 1) and P = t^2 |psi|^4, so
+    t = 0 gives exactly zero.
     """
     na, nb = dims
     d = na * nb if isometry is None else isometry.shape[1]
-    itemsize = 8 if real else 16
-    # Kets in an isometry's column space are mapped into C^(n_A n_B); the
-    # norm and marginal contractions hold them and their conjugates.
-    ss.check_memory(2 * itemsize * size * na * nb,
-                    f"2 blocks of {size} kets in dimension {na * nb}")
-    ss.check_memory(_MARGINALS_ALIVE * itemsize * size * na * na,
-                    f"{_MARGINALS_ALIVE} blocks of {size} marginals of level {na}")
+    k = min(na, nb)
+    # The kets (mapped into C^(n_A n_B) from an isometry's column space), their
+    # conjugates, W and, on a face, sigma_A M.
+    kets = 2 if sigma_a is None else 3
+    ss.check_memory((8 if real else 16) * size * (kets * na * nb + k * k),
+                    f"{kets} blocks of {size} kets in dimension {na * nb} and their Grams")
     psi = ss.haar_kets(size, d, rng, real=real)
-    norm_sq = np.einsum("bi,bi->b", psi.conj(), psi).real
-    tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / d
     if isometry is not None:
         psi = psi @ isometry.T
-    if sigma_a is None:
-        sigma_a = np.eye(na) / na
     m = psi.reshape(size, na, nb)
-    rho_a = t * np.einsum("bij,bkj->bik", m, m.conj()) + (1.0 - t) * sigma_a
-    return rho_a, tr2
+    mc = m.conj()
+    w = m @ mc.transpose(0, 2, 1) if na <= nb else mc.transpose(0, 2, 1) @ m
+    norm_sq = np.einsum("bii->b", w).real
+    tr_w2 = _tr_sq(w)
+    if sigma_a is None:
+        return t * t * (na * tr_w2 - norm_sq**2) / (na - 1), t * t * norm_sq**2
+    cross = np.einsum("bij,bij->b", mc, sigma_a @ m).real
+    tr_a2 = t * t * tr_w2 + 2.0 * t * (1.0 - t) * cross + (1.0 - t) ** 2 * _tr_sq(sigma_a)
+    tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / d
+    return tr_a2, tr2
 
 
 def _conjugated_block(
     rng: np.random.Generator, size: int, phi: np.ndarray, dims: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A marginals and Tr(rho^2) of ``size`` states U phi U^dagger for Haar U.
+    """Local and global generalized purities of ``size`` states U phi U^dagger for Haar U.
 
-    The unitaries come from one ``grouprep.haar_unitaries`` call.
+    The unitaries come from one ``grouprep.haar_unitaries`` call; each state
+    is reduced to Tr(rho_A^2) and Tr(rho^2).
     """
     n = phi.shape[0]
     # U, U phi, conj(U) and rho are alive at once.
     ss.check_memory(4 * 16 * size * n * n, f"a block of {size} unitaries in dimension {n}")
     u = grouprep.haar_unitaries(size, n, rng)
     rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
-    return comp_mod.partial_trace(rho, dims, keep=0), _tr_sq(rho)
+    tr_a2 = _tr_sq(comp_mod.partial_trace(rho, dims, keep=0))
+    return purity_from_tr2(dims[0], tr_a2), purity_from_tr2(n, _tr_sq(rho))
 
 
 def _permuted_block(
@@ -309,14 +326,9 @@ def _permuted_block(
     return rng.permuted(omega, axis=1, out=omega)
 
 
-def _local_purities(space: SpaceDescriptor, gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
-    """Gram purity of each matrix in a (size, n, n) stack of states of ``space``."""
-    return gram.norms_sq(space.to_coords(rho) - space.max_mixed)
-
-
 def _tr_sq(rho: np.ndarray) -> np.ndarray:
-    """Tr(rho^2) of each matrix in a (size, n, n) stack."""
-    return np.einsum("bij,bji->b", rho, rho).real
+    """Tr(rho^2) of a square matrix, or of each matrix in a (size, n, n) stack."""
+    return np.einsum("...ij,...ji->...", rho, rho).real
 
 
 def estimate_expected_local_purity(
@@ -334,11 +346,15 @@ def estimate_expected_local_purity(
 
     Each sample builds a global state of purity ``p0`` (or starts from the
     fixed ``initial`` coordinates when given), applies a uniformly random
-    reversible transformation of the joint space, marginalizes to A, and
-    evaluates the local purity under ``gram_a``.  Quantum samples without
-    ``initial`` are t |psi><psi| + (1-t) mu for Haar-random kets psi, which
-    has the same distribution; with ``initial`` a Haar unitary conjugates it.
-    Classical samples are uniform permutations of the joint distribution.
+    reversible transformation of the joint space, and takes the purity of
+    the A marginal.  Quantum samples without ``initial`` are
+    t |psi><psi| + (1-t) mu for Haar-random kets psi, which has the same
+    distribution; with ``initial`` a Haar unitary conjugates it.  Classical
+    samples are uniform permutations of the joint distribution.
+
+    ``gram_a`` is consulted on the classical path only.  The pure-normalized
+    invariant Gram of a quantum part is unique, so there the local purity is
+    exactly P_A = (n_A Tr rho_A^2 - 1)/(n_A - 1), which needs no coordinates.
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
@@ -355,14 +371,10 @@ def estimate_expected_local_purity(
 
     if comp.kind == ss.KIND_QUANTUM:
         dims = (comp.part_a.level, comp.part_b.level)
-        phi = None if initial is None else joint.to_matrix(initial)
-
-        def draw(rng, size):
-            if phi is None:
-                rho_a, tr2 = _haar_ket_block(rng, size, t, dims)
-            else:
-                rho_a, tr2 = _conjugated_block(rng, size, phi, dims)
-            return _local_purities(comp.part_a, gram_a, rho_a), purity_from_tr2(joint.level, tr2)
+        if initial is None:
+            draw = partial(_haar_ket_block, t=t, dims=dims)
+        else:
+            draw = partial(_conjugated_block, phi=joint.to_matrix(initial), dims=dims)
     else:
         if initial is None:
             p = np.full(joint.K, (1.0 - t) / joint.K)
@@ -447,15 +459,10 @@ def estimate_real_quantum_local_purity(
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    if m_b < 2:
-        raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m_b}")
-    part_a = ss.build_real_quantum(m_a)
-    gram_a = grouprep.analytic_gram(part_a)
-
-    def draw(rng, size):
-        rho_a, tr2 = _haar_ket_block(rng, size, math.sqrt(p0), (m_a, m_b), real=True)
-        return _local_purities(part_a, gram_a, rho_a), purity_from_tr2(m_a * m_b, tr2)
-
+    for m in (m_b, m_a):
+        if m < 2:
+            raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m}")
+    draw = partial(_haar_ket_block, t=math.sqrt(p0), dims=(m_a, m_b), real=True)
     return _estimate(n_samples, seed, draw, histogram_bins)
 
 
@@ -511,18 +518,14 @@ def qubit_pauli_oracle(
     if abs(global_tr_purity - min_tr) < 1e-12:
         raise UndefinedRatioError("the ratio is undefined at the globally maximally mixed state")
     t = math.sqrt((global_tr_purity - min_tr) / (1.0 - min_tr))
-
-    def draw(rng, size):
-        rho_a, tr2 = _haar_ket_block(rng, size, t, (dim_a, 2**n_b))
-        return _tr_sq(rho_a), tr2
-
-    report = _estimate(n_samples, seed, draw, None)
-    denom = global_tr_purity - min_tr
+    # The kernel gives local purities P_A; E Tr rho_A^2 - 1/n_A = (1 - 1/n_A) E P_A.
+    report = _estimate(n_samples, seed, partial(_haar_ket_block, t=t, dims=(dim_a, 2**n_b)), None)
+    per_purity = (1.0 - 1.0 / dim_a) / (global_tr_purity - min_tr)
     return QubitOracleResult(
-        lhs=(report.mean - 1.0 / dim_a) / denom,
-        lhs_stderr=report.stderr / denom,
+        lhs=report.mean * per_purity,
+        lhs_stderr=report.stderr * per_purity,
         rhs=2.0**n_b * (4.0**n_a - 1.0) / (4.0**n - 1.0),
-        mean_tr_a=report.mean,
+        mean_tr_a=tr2_from_purity(dim_a, report.mean),
         n_samples=n_samples,
         seed=int(seed),
     )

@@ -19,6 +19,7 @@ by ``check_memory`` before they are allocated.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,8 +42,11 @@ NORM_TOL = 1e-9
 # Largest single array a request may allocate when it grows with the joint
 # space (a coordinate block, a dense Gram, a stacked basis, a descriptor).
 MEMORY_CAP_BYTES = 1 << 30
-# A descriptor holds two float64 vectors and one label string per
-# coordinate; CPython 3.11 measures about 85 bytes per coordinate in all.
+# A built-in descriptor holds two float64 vectors and one label string per
+# coordinate; CPython 3.11 measures about 85 bytes per coordinate in all.  A
+# composite of matrix factors stores no labels (``labels`` derives them on
+# request), so it holds 16 bytes per coordinate, but its check keeps this
+# bound.
 DESCRIPTOR_BYTES_PER_COORD = 96
 
 KIND_QUANTUM = "quantum"
@@ -94,7 +98,9 @@ class SpaceDescriptor:
     max_mixed:
         The unique state fixed by every reversible transformation.
     basis_labels:
-        One label per ambient coordinate.
+        One label per ambient coordinate, stored by every built-in space;
+        ``None`` for a composite of matrix factors, whose labels ``labels``
+        builds on request from ``factor_levels``.
     level:
         Kind parameter: Hilbert-space dimension, outcome count, or vertex
         count.  ``None`` only for the bipartite boxworld space.
@@ -116,7 +122,7 @@ class SpaceDescriptor:
     N: int
     order_unit: np.ndarray
     max_mixed: np.ndarray
-    basis_labels: tuple[str, ...]
+    basis_labels: tuple[str, ...] | None = None
     level: int | None = None
     factor_levels: tuple[int, ...] | None = None
     vertices: np.ndarray | None = None
@@ -127,6 +133,15 @@ class SpaceDescriptor:
             a = getattr(self, name)
             if a is not None:
                 object.__setattr__(self, name, _frozen(np.asarray(a)))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """One label per ambient coordinate: ``basis_labels``, or the factor
+        labels of each basis element joined by ``*``."""
+        if self.basis_labels is not None:
+            return self.basis_labels
+        factors = (lay.labels for lay in self._layouts())
+        return tuple("*".join(ls) for ls in itertools.product(*factors))
 
     # -- generic linear structure -------------------------------------------------
 
@@ -267,7 +282,7 @@ class SpaceDescriptor:
             "N": self.N,
             "order_unit": [float(v) for v in self.order_unit],
             "max_mixed": [float(v) for v in self.max_mixed],
-            "labels": list(self.basis_labels),
+            "labels": list(self.labels),
         }
 
     def to_json(self) -> str:
@@ -305,11 +320,6 @@ def haar_kets(size: int, d: int, rng: np.random.Generator, real: bool = False) -
     if not real:
         psi = psi + 1j * rng.normal(size=(size, d))
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
-def haar_ket(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random unit vector in C^d: the size-1 case of ``haar_kets``."""
-    return haar_kets(1, d, rng)[0]
 
 
 # -- generalized Gell-Mann coordinates -------------------------------------------------

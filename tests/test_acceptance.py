@@ -154,7 +154,7 @@ def test_criterion_07_pauli_identities():
 
 
 def test_criterion_08_clifford_two_design():
-    dev = grouprep.two_design_check(1)
+    dev = abs(grouprep.frame_potential(grouprep.clifford_unitaries(1)) - 2.0)
     ok = dev <= 1e-12
     _report(8, ok, f"k=1 second-moment identity over the full matrix basis: max dev {dev:.2e}")
 

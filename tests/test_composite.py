@@ -21,6 +21,22 @@ def test_compose_quantum_dimensions():
     assert comp.joint.N == 4
 
 
+def test_joint_labels_are_derived_from_the_factor_levels():
+    # The labels of a Kronecker basis element join its factor labels by "*".
+    a, b = ss.build_quantum(2), ss.build_quantum(3)
+    joint = cm.compose(a, b).joint
+    assert joint.basis_labels is None
+    pairs = [f"{la}*{lb}" for la in a.labels for lb in b.labels]
+    assert joint.to_json_dict()["labels"] == pairs
+    assert pairs[:3] == ["u*u", "u*x01", "u*x02"] and pairs[-1] == "z1*z2"
+    nested = cm.compose(joint, ss.build_quantum(2)).joint
+    assert nested.factor_levels == (2, 3, 2)
+    assert nested.to_json_dict()["labels"] == [f"{lab}*{lc}" for lab in pairs
+                                               for lc in ss.build_quantum(2).labels]
+    classical = cm.compose(ss.build_classical(2), ss.build_classical(3)).joint
+    assert classical.labels == classical.basis_labels == tuple(f"p{i}" for i in range(6))
+
+
 def test_compose_classical_dimensions():
     comp = cm.compose(ss.build_classical(2), ss.build_classical(3))
     assert comp.joint.K == 6
@@ -96,8 +112,8 @@ def test_marginalization_commutes_with_local_transformations(rng):
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
     comp_c = cm.compose(ss.build_classical(3), ss.build_classical(3))
     for _ in range(30):
-        ta = grouprep.sample_permutation(comp_c.part_a, rng)
-        tb = grouprep.sample_permutation(comp_c.part_b, rng)
+        ta = grouprep.sampler_for(comp_c.part_a, enumerate_limit=0).draw(rng)
+        tb = grouprep.sampler_for(comp_c.part_b, enumerate_limit=0).draw(rng)
         omega = random_mixtures(comp_c.joint, 1, rng)[0]
         lhs = cm.marginal_a(comp_c, np.kron(ta, tb) @ omega)
         rhs = ta @ cm.marginal_a(comp_c, omega)
@@ -223,14 +239,24 @@ def test_inner_product_with_max_mixed_scaling(rng):
             assert abs(lhs - scale * gram_a.inner(x, y)) < 1e-6
 
 
+def _riesz_norm(comp, gram_ab, pauli):
+    """Gram norm of the Bloch representer of the covector X_A (x) u_B, by pseudo-inverse."""
+    dense = gram_ab.matrix
+    covector = np.kron(pauli.covector, comp.part_b.order_unit)
+    w = comp.joint.bloch_projector() @ np.linalg.pinv(dense, hermitian=True) @ covector
+    return math.sqrt(w @ dense @ w)
+
+
 def test_global_pauli_norm_matches_inverse_sqrt_scaling():
+    # Dividing the representer by its norm 1/sqrt(P(phi_A (x) mu_B)) makes a
+    # Pauli map on the composite.
     for builder, na, nb in ((ss.build_quantum, 2, 2), (ss.build_classical, 2, 3)):
         comp = cm.compose(builder(na), builder(nb))
         gram_a = grouprep.analytic_gram(comp.part_a)
         gram_ab = grouprep.analytic_gram(comp.joint)
         scale = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
         for pauli in complete_pauli_set(comp.part_a, gram_a).maps[:2]:
-            norm = cm.global_pauli_norm(comp, gram_ab, pauli)
+            norm = _riesz_norm(comp, gram_ab, pauli)
             assert abs(norm - 1 / math.sqrt(scale)) < 1e-6
 
 
@@ -282,8 +308,6 @@ def test_global_pauli_norm_matches_pinv_riesz_route(builder):
     comp = cm.compose(builder(2), builder(3))
     gram_a = grouprep.analytic_gram(comp.part_a)
     gram_ab = grouprep.analytic_gram(comp.joint)
-    dense = gram_ab.matrix
+    phimu = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
     for pauli in complete_pauli_set(comp.part_a, gram_a).maps:
-        covector = np.kron(pauli.covector, comp.part_b.order_unit)
-        w = comp.joint.bloch_projector() @ np.linalg.pinv(dense, hermitian=True) @ covector
-        assert abs(cm.global_pauli_norm(comp, gram_ab, pauli) - math.sqrt(w @ dense @ w)) < 1e-12
+        assert abs(1 / math.sqrt(phimu) - _riesz_norm(comp, gram_ab, pauli)) < 1e-12

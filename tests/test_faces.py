@@ -82,7 +82,7 @@ def test_face_states_orthogonal_to_face_max_mixed_bloch(rng):
     mu_f_bloch = face.mu_face - joint.max_mixed
     v = face.isometry
     for _ in range(30):
-        psi = ss.haar_ket(face.n_sub, rng)
+        psi = ss.haar_kets(1, face.n_sub, rng)[0]
         rho = v @ np.outer(psi, psi.conj()) @ v.conj().T
         bar = joint.to_coords(rho) - face.mu_face
         assert abs(gram.inner(bar, mu_f_bloch)) < 1e-8
@@ -288,20 +288,31 @@ def test_classical_support_face_validates_support():
         faces.classical_support_face(comp, np.array([], dtype=int))
 
 
-@pytest.mark.parametrize("make", [faces.sym_face, faces.antisym_face])
+def tilted_face(n):
+    """A face of C^2 (x) C^n on a random n-dimensional subspace, whose A marginal
+    of mu is not I/2 (the (anti)symmetric faces have sigma_A = I/n)."""
+    g = np.random.default_rng(5302).normal(size=(2 * n, n, 2)) @ [1, 1j]
+    q = np.linalg.qr(g)[0]
+    return faces.subspace_face(cm.compose(ss.build_quantum(2), ss.build_quantum(n)),
+                               q @ q.conj().T)
+
+
+@pytest.mark.parametrize("make", [faces.sym_face, faces.antisym_face, tilted_face])
 def test_face_ket_kernel_matches_explicit_route(make):
     # The in-face ket goes through the isometry; the explicit route builds
     # rho, then partial_trace -> to_coords -> GramMatrix.norm_sq.
     face = make(3)
-    n_s, v, t, dims = face.n_sub, face.isometry, math.sqrt(0.5), (3, 3)
     part_a = face.comp.part_a
+    n_s, v, t = face.n_sub, face.isometry, math.sqrt(0.5)
+    dims = (part_a.level, face.comp.part_b.level)
     gram_a = grouprep.analytic_gram(part_a)
     psi = ss.haar_kets(3, n_s, np.random.default_rng(5301))
     sigma_a = cm.partial_trace(face.projector, dims, keep=0) / n_s
-    rho_a, tr2 = rnd._haar_ket_block(np.random.default_rng(5301), 3, t, dims, isometry=v,
-                                     sigma_a=sigma_a)
-    local = rnd._local_purities(part_a, gram_a, rho_a)
-    collision = rnd._tr_sq(rho_a)
+    if make is tilted_face:
+        assert np.max(np.abs(sigma_a - np.eye(dims[0]) / dims[0])) > 0.01
+    collision, tr2 = rnd._haar_ket_block(np.random.default_rng(5301), 3, t, dims, isometry=v,
+                                         sigma_a=sigma_a)
+    local = purity_from_tr2(dims[0], collision)
     for k, ket in enumerate(psi):
         sigma = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n_s) / n_s
         rho = v @ sigma @ v.conj().T

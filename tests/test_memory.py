@@ -120,12 +120,12 @@ def test_estimator_blocks_are_refused_beyond_the_cap():
     # Two (1024, 262144) float arrays are alive at once in the classical loop.
     with pytest.raises(RangeError, match="4294967296 bytes"):
         rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
-    # The (1024, 2^17) complex kets and their conjugate copy.
-    with pytest.raises(RangeError, match="4294967296 bytes"):
+    # The (1024, 2^17) complex kets, their conjugate copy and the 2 x 2 Grams.
+    with pytest.raises(RangeError, match="4295032832 bytes"):
         rnd.qubit_pauli_oracle(1, 16, 1.0, 2000, 0)
 
 
-def test_dense_joint_structures_are_derived_only_within_the_cap():
+def test_dense_joint_structures_are_derived_only_within_the_cap(monkeypatch):
     joint = cm.compose(ss.build_quantum(16), ss.build_quantum(16)).joint
     assert joint.factor_levels == (16, 16)
     with pytest.raises(RangeError, match="bytes"):
@@ -134,20 +134,36 @@ def test_dense_joint_structures_are_derived_only_within_the_cap():
         grouprep.analytic_gram(joint).matrix
     with pytest.raises(RangeError, match="bytes"):
         joint.bloch_projector()
-    # A local level needs no stacked basis; only its descriptor and the
-    # estimator's marginal blocks grow with it.
+    # A local level needs no stacked basis and the estimator no marginal;
+    # only its descriptor and the estimator's ket blocks grow with it.
     assert ss.build_quantum(128).K == 16384
     with pytest.raises(RangeError, match="4096-level quantum space"):
         ss.build_quantum(4096)
     comp = cm.compose(ss.build_quantum(256), ss.build_quantum(2))
     gram_a, gram_ab = grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
-    with pytest.raises(RangeError, match="3221225472 bytes"):
+    # A 256x2 block holds 1024 complex kets of 512 entries, their conjugates
+    # and 2 x 2 Grams: 16 * 1024 * (2 * 512 + 4) = 16842752 bytes.
+    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 16842751)
+    with pytest.raises(RangeError, match="16842752 bytes"):
         rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 2000, 0)
+    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 16842752)
+    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 2000, 0)
+    assert rep.realized_global_purity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
-    # Three (1024, 256, 256) complex marginal blocks would be 3 GiB.
-    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "256",
+    # No A marginal is formed, so large local levels run in little memory.
+    for na, nb, max_mb in (("256", "2", MAX_RSS_MB), ("64", "4", 100)):
+        proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", na,
+                                        "--nb", nb, "--p0", "1", "--samples", "2000",
+                                        "--seed", "0"], address_limit=4 << 30)
+        assert proc.returncode == 0, proc.stderr
+        assert rss < max_mb
+        doc = json.loads(proc.stdout)
+        assert abs(doc["result"]["mean"] - doc["prediction"]["value"]) <= (
+            3 * doc["result"]["stderr"])
+    # A 4096-level part is refused at its descriptor, before anything grows with it.
+    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "4096",
                                     "--nb", "2", "--p0", "1", "--samples", "2000",
                                     "--seed", "0"], address_limit=4 << 30)
     assert proc.returncode == 1
@@ -155,7 +171,7 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert "marginals of level 256" in lines[0]
+    assert "4096-level quantum space would need 1610612736 bytes" in lines[0]
     assert rss < MAX_RSS_MB
 
 

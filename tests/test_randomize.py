@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -267,13 +269,29 @@ def test_report_serialization_roundtrip():
     assert sum(doc["histogram"]["counts"]) == 100
 
 
-@pytest.mark.parametrize("p0", [0.5, 0.25])
-def test_estimator_tracks_prediction_at_mixed_purity(p0):
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, p0, 4000, 61)
-    expected = rnd.predict_main(4, 4, 2, 2, p0).value
+@pytest.mark.parametrize("theory,na,nb,p0", [
+    pytest.param("quantum", 2, 2, 0.5, id="0.5"),
+    pytest.param("quantum", 2, 2, 0.25, id="0.25"),
+    # 98 fl(1/98) != 1: a purity taken from Tr(rho^2) is not zero here.
+    pytest.param("quantum", 49, 2, 0.0, id="quantum-49x2-0.0"),
+    pytest.param("real-quantum", 7, 7, 0.0, id="real-quantum-7x7-0.0"),
+])
+def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
+    if theory == "quantum":
+        comp, gram_a, gram_ab = _pair(ss.build_quantum, na, nb)
+        rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, p0, 4000, 61)
+        expected = rnd.predict_main(na * na, nb * nb, na, nb, p0).value
+    else:
+        rep = rnd.estimate_real_quantum_local_purity(na, nb, p0, 4000, 61)
+        pair = rnd.real_quantum_pair(na, nb)
+        expected = rnd.predict_nonlocaltomo(pair.k_a, pair.k_ab, p0, pair.p_phi_mu,
+                                            pair.mu_c_norm_sq).value
     assert abs(rep.mean - expected) <= 3 * rep.stderr + 1e-12
     assert rep.realized_global_purity == pytest.approx(p0, abs=1e-9)
+    if p0 == 0.0:
+        # A maximally mixed global state has exactly zero purity, globally and locally.
+        assert (rep.mean, rep.stderr, rep.realized_global_purity) == (0.0, 0.0, 0.0)
+        assert json.dumps(rep.to_json_dict()["mean"]) == "0.0"
 
 
 def test_estimator_quantum_asymmetric_parts():
@@ -332,49 +350,52 @@ def test_estimator_rejects_initial_state_with_wrong_purity(rng):
 @pytest.mark.parametrize("builder,real", [(ss.build_quantum, False),
                                           (ss.build_real_quantum, True)])
 def test_ket_kernel_matches_explicit_route(builder, real):
-    # Build rho, then partial_trace -> to_coords -> GramMatrix.norm_sq.
-    na, nb, p0 = 2, 3, 0.5
-    n, t = na * nb, math.sqrt(p0)
-    part_a, joint = builder(na), builder(n)
-    gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
-    # The block draws its kets as haar_kets does from the same generator.
-    psi = ss.haar_kets(3, n, np.random.default_rng(5300), real=real)
-    rho_a, tr2 = rnd._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
-    local = rnd._local_purities(part_a, gram_a, rho_a)
-    glob = purity_from_tr2(n, tr2)
-    for k, ket in enumerate(psi):
-        rho = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n) / n
-        ref_a = cm.partial_trace(rho, (na, nb), keep=0)
-        assert local[k] == pytest.approx(
-            gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
-        assert glob[k] == pytest.approx(
-            gram_ab.norm_sq(joint.to_coords(rho) - joint.max_mixed), abs=1e-12)
-        assert glob[k] == pytest.approx(p0, abs=1e-12)
+    # Build rho, then partial_trace -> to_coords -> GramMatrix.norm_sq.  The
+    # shapes cover both Schmidt sides: W = M M^dagger for 2x3, M^dagger M
+    # for 3x2 and 8x2.
+    for (na, nb), p0 in itertools.product(((2, 3), (3, 2), (8, 2)), (0.5, 1.0)):
+        n, t = na * nb, math.sqrt(p0)
+        part_a, joint = builder(na), builder(n)
+        gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
+        # The block draws its kets as haar_kets does from the same generator.
+        psi = ss.haar_kets(3, n, np.random.default_rng(5300), real=real)
+        local, glob = rnd._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
+        for k, ket in enumerate(psi):
+            rho = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n) / n
+            ref_a = cm.partial_trace(rho, (na, nb), keep=0)
+            assert local[k] == pytest.approx(
+                gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
+            assert glob[k] == pytest.approx(
+                gram_ab.norm_sq(joint.to_coords(rho) - joint.max_mixed), abs=1e-12)
+            assert glob[k] == pytest.approx(p0, abs=1e-12)
 
 
 def test_conjugated_states_match_explicit_route():
-    # One haar_unitaries draw per block, against U phi U^dagger -> partial_trace per sample.
+    # One haar_unitaries draw per block, against U phi U^dagger ->
+    # partial_trace -> to_coords -> GramMatrix.norm_sq per sample.
     na, nb = 2, 3
-    joint = ss.build_quantum(na * nb)
-    gram_ab = grouprep.analytic_gram(joint)
+    part_a, joint = ss.build_quantum(na), ss.build_quantum(na * nb)
+    gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
     phi = joint.to_matrix(fixed_purity_state(joint, gram_ab, 0.5, np.random.default_rng(4400)))
     got = []
 
     def draw(rng, size):
-        rho_a, tr2 = rnd._conjugated_block(rng, size, phi, (na, nb))
-        got.append((size, rho_a, tr2))
-        return np.zeros(size), purity_from_tr2(na * nb, tr2)
+        local, glob = rnd._conjugated_block(rng, size, phi, (na, nb))
+        got.append((size, local, glob))
+        return local, glob
 
     rnd._estimate(1500, 4401, draw, None)
     assert [size for size, _, _ in got] == [1024, 476]
-    for b, (size, rho_a, tr2) in enumerate(got):
+    for b, (size, local, glob) in enumerate(got):
         us = grouprep.haar_unitaries(size, na * nb, rnd.sample_rng(4401, b))
         for k in (0, 1, len(us) - 1):
             rho = us[k] @ phi @ us[k].conj().T
-            np.testing.assert_allclose(rho_a[k], cm.partial_trace(rho, (na, nb), keep=0),
-                                       atol=1e-12)
-            assert tr2[k] == pytest.approx(np.trace(rho @ rho).real, abs=1e-12)
-        assert np.ptp(purity_from_tr2(na * nb, tr2)) < rnd.GLOBAL_PURITY_TOL
+            ref_a = cm.partial_trace(rho, (na, nb), keep=0)
+            assert local[k] == pytest.approx(
+                gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
+            assert glob[k] == pytest.approx(
+                gram_ab.norm_sq(joint.to_coords(rho) - joint.max_mixed), abs=1e-12)
+        assert np.ptp(glob) < rnd.GLOBAL_PURITY_TOL
 
 
 def test_classical_memory_check_counts_both_block_arrays(monkeypatch):
