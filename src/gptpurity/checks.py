@@ -136,9 +136,8 @@ def _classical_subsystem(seed: int, samples: int) -> list[Check]:
 
 def _markov_tail(seed: int, samples: int) -> list[Check]:
     comp = comp_mod.compose(ss.build_quantum(2), ss.build_quantum(8))
-    report = rnd.estimate_expected_local_purity(
-        comp, grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint), 1.0,
-        samples, seed, histogram_bins=rnd.HISTOGRAM_BINS)
+    report = rnd.estimate_expected_local_purity(comp, 1.0, samples, seed,
+                                                histogram_bins=rnd.HISTOGRAM_BINS)
     tails = [rnd.markov_tail_check(report, x) for x in (2.0, 5.0, 10.0)]
     return [Check(f"markov-x-{t.x:g}", t.empirical, t.bound + 3 * t.binomial_sigma) for t in tails]
 

@@ -114,17 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spaces_for_theory(theory: str, na: int, nb: int):
     build = ss.build_quantum if theory == "quantum" else ss.build_classical
-    a, b = build(na), build(nb)
-    comp = comp_mod.compose(a, b)
-    return comp, grouprep.analytic_gram(a), grouprep.analytic_gram(comp.joint)
+    return comp_mod.compose(build(na), build(nb))
 
 
 def _run_predict(args: argparse.Namespace) -> dict:
     if args.formula == "main":
         pred = rnd.predict_main(args.ka, args.kb, args.na, args.nb, args.p0)
     elif args.formula == "general":
-        comp, _, gram_ab = _spaces_for_theory(args.theory, args.na, args.nb)
-        pred = rnd.predict_general(comp, gram_ab, args.p0)
+        pred = rnd.predict_general(_spaces_for_theory(args.theory, args.na, args.nb), args.p0)
     elif args.formula == "power-law":
         pred = rnd.predict_power_law(args.r, args.na, args.nb, args.p0)
     elif args.formula == "nonlocaltomo":
@@ -158,20 +155,21 @@ def _run_estimate(args: argparse.Namespace) -> dict:
         prediction = faces_mod.predict_symm(args.n, sign, args.trp)
     elif args.theory == "real-quantum":
         _require(args, ["ma", "mb", "p0"])
-        report = rnd.estimate_real_quantum_local_purity(
-            args.ma, args.mb, args.p0, args.samples, args.seed, histogram_bins=bins
-        )
+        # The pair refuses an oversized joint before any sample is drawn.
         pair = rnd.real_quantum_pair(args.ma, args.mb)
         prediction = rnd.predict_nonlocaltomo(
             pair.k_a, pair.k_ab, args.p0, pair.p_phi_mu, pair.mu_c_norm_sq
         )
+        report = rnd.estimate_real_quantum_local_purity(
+            args.ma, args.mb, args.p0, args.samples, args.seed, histogram_bins=bins
+        )
     else:
         _require(args, ["na", "nb", "p0"])
-        comp, gram_a, gram_ab = _spaces_for_theory(args.theory, args.na, args.nb)
+        comp = _spaces_for_theory(args.theory, args.na, args.nb)
         report = rnd.estimate_expected_local_purity(
-            comp, gram_a, gram_ab, args.p0, args.samples, args.seed, histogram_bins=bins
+            comp, args.p0, args.samples, args.seed, histogram_bins=bins
         )
-        prediction = rnd.predict_general(comp, gram_ab, args.p0)
+        prediction = rnd.predict_general(comp, args.p0)
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}
 
 

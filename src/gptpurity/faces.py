@@ -34,7 +34,8 @@ from .errors import (
     RangeError,
     UnsupportedSpaceError,
 )
-from .randomize import McReport, Prediction, _estimate, _haar_ket_block, _permuted_block
+from .randomize import (McReport, Prediction, _classical_purities, _estimate, _haar_ket_block,
+                        _permuted_block)
 
 KIND_QUANTUM_FACE = "quantum-subspace"
 KIND_CLASSICAL_FACE = "classical-support"
@@ -236,18 +237,21 @@ def _estimate_support_face(
     seed: int,
     histogram_bins: int | None,
 ) -> McReport:
-    """Marginal purity on A of uniform permutations of ``p_face`` over the face support."""
+    """Marginal purity on A of uniform permutations of ``p_face`` over the face support.
+
+    Support outcome s = a K_B + b adds to the A marginal at a (``np.add.at``).
+    """
     na = face.comp.part_a.K
     omega0 = np.zeros(face.comp.joint.K)
     omega0[face.support] = p_face
     purity = face_restricted_purity(face, omega0)
-    # Support outcome s = a * K_B + b contributes to the A marginal at a.
-    to_a = np.zeros((face.n_sub, na))
-    to_a[np.arange(face.n_sub), face.support // face.comp.part_b.K] = 1.0
+    to_a = face.support // face.comp.part_b.K
 
     def draw(rng, size):
-        marg = _permuted_block(rng, size, p_face) @ to_a
-        return na / (na - 1) * np.sum(marg**2, axis=1) - 1.0 / (na - 1), purity
+        block = _permuted_block(rng, size, p_face, na)
+        marg = np.zeros((size, na))
+        np.add.at(marg, (slice(None), to_a), block)
+        return _classical_purities(marg), purity
 
     return _estimate(n_samples, seed, draw, histogram_bins)
 
@@ -296,11 +300,9 @@ def face_restricted_purity(face: FaceDescriptor, omega: np.ndarray) -> float:
     """Purity of a face-supported distribution, treated as a state of the face."""
     if face.kind != KIND_CLASSICAL_FACE:
         raise UnsupportedSpaceError("face-restricted purity applies to classical faces")
-    p = np.asarray(omega, dtype=float)[face.support]
-    n_f = face.n_sub
-    if n_f == 1:
+    if face.n_sub == 1:
         return 1.0
-    return float(n_f / (n_f - 1) * np.sum(p**2) - 1.0 / (n_f - 1))
+    return float(_classical_purities(np.asarray(omega, dtype=float)[face.support]))
 
 
 def coin_record_sigma(s0_size: int) -> float:

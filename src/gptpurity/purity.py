@@ -49,12 +49,7 @@ def tr2_from_purity(n: int, p: float) -> float:
     return ((n - 1.0) * p + 1.0) / n
 
 
-def fixed_purity_state(
-    space: SpaceDescriptor,
-    gram: GramMatrix,
-    p0: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def fixed_purity_state(space: SpaceDescriptor, p0: float, rng: np.random.Generator) -> np.ndarray:
     """A state of purity exactly ``p0``: sqrt(p0) * phi + (1 - sqrt(p0)) * mu.
 
     ``phi`` is a sampled pure state.  By Bloch linearity and the pure-state

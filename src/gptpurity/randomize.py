@@ -16,7 +16,10 @@ derived from (seed, b), and the blocks are reduced in order, so a report
 depends on the seed and the sample count alone.  An estimator only says how
 to draw one block: Haar kets (``_haar_ket_block``), Haar-conjugated fixed
 states (``_conjugated_block``) or permuted distributions
-(``_permuted_block``), then take the local purity.  The default quantum
+(``_classical_block``), then take the local purity.  No estimator takes a
+Gram: each group acts irreducibly, so its invariant Gram is unique and a
+purity is (n Tr rho^2 - 1)/(n - 1) on n quantum levels and n/(n-1) |x - 1/n|^2
+(``_classical_purities``) on n classical outcomes.  The default quantum
 estimate needs no group element: conjugation fixes the maximally mixed
 state mu, so U (t phi + (1-t) mu) U^dagger equals t |psi><psi| + (1-t) mu
 for a Haar-random ket psi.  Its local purity is a Schmidt-side quantity
@@ -47,7 +50,6 @@ from .errors import (
     RangeError,
     UndefinedRatioError,
 )
-from .grouprep import GramMatrix
 from .purity import purity_from_tr2, tr2_from_purity
 from .statespace import SpaceDescriptor
 
@@ -88,13 +90,11 @@ def predict_main(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> Predictio
     )
 
 
-def predict_general(
-    comp: CompositeDescriptor, gram_ab: GramMatrix, p0: float, *, tol: float = 1e-6
-) -> Prediction:
-    """Expected local purity from the numerically evaluated P(phi_A (x) mu_B)."""
+def predict_general(comp: CompositeDescriptor, p0: float) -> Prediction:
+    """Expected local purity from P(phi_A (x) mu_B) in the joint's unique invariant Gram."""
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    phimu = comp_mod.purity_pure_times_maxmixed(comp, gram_ab, tol=tol)
+    phimu = comp_mod.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint))
     k_a, k_b = comp.part_a.K, comp.part_b.K
     value = (k_a - 1) / (k_a * k_b - 1) * p0 / phimu.numeric
     return Prediction(
@@ -167,7 +167,8 @@ class McReport:
     maximally mixed; a face reports Tr(rho^2)), on the ``initial`` path from
     Tr(rho^2) after conjugation, and on the classical path from the permuted
     joint distribution.  The local values on the quantum paths come from
-    Tr(rho_A^2) alone, on the Haar-ket path without forming rho_A.
+    Tr(rho_A^2) alone, on the Haar-ket path without forming rho_A, and on the
+    classical paths from the closed form of each A marginal, with no Gram.
     Reversible transformations preserve purity, so it is constant across
     samples; a spread beyond ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
     """
@@ -275,10 +276,9 @@ def _haar_ket_block(
     d = na * nb if isometry is None else isometry.shape[1]
     k = min(na, nb)
     # The kets (mapped into C^(n_A n_B) from an isometry's column space), their
-    # conjugates, W and, on a face, sigma_A M.
-    kets = 2 if sigma_a is None else 3
-    ss.check_memory((8 if real else 16) * size * (kets * na * nb + k * k),
-                    f"{kets} blocks of {size} kets in dimension {na * nb} and their Grams")
+    # conjugates and W.
+    ss.check_memory((8 if real else 16) * size * (2 * na * nb + k * k),
+                    f"2 blocks of {size} kets in dimension {na * nb} and their Grams")
     psi = ss.haar_kets(size, d, rng, real=real)
     if isometry is not None:
         psi = psi @ isometry.T
@@ -289,7 +289,7 @@ def _haar_ket_block(
     tr_w2 = _tr_sq(w)
     if sigma_a is None:
         return t * t * (na * tr_w2 - norm_sq**2) / (na - 1), t * t * norm_sq**2
-    cross = np.einsum("bij,bij->b", mc, sigma_a @ m).real
+    cross = np.einsum("ij,bjk,bik->b", sigma_a, m, mc).real
     tr_a2 = t * t * tr_w2 + 2.0 * t * (1.0 - t) * cross + (1.0 - t) ** 2 * _tr_sq(sigma_a)
     tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / d
     return tr_a2, tr2
@@ -312,16 +312,13 @@ def _conjugated_block(
     return purity_from_tr2(dims[0], tr_a2), purity_from_tr2(n, _tr_sq(rho))
 
 
-def _permuted_block(
-    rng: np.random.Generator, size: int, p: np.ndarray, *, alive: int = 1
-) -> np.ndarray:
+def _permuted_block(rng: np.random.Generator, size: int, p: np.ndarray, k_a: int) -> np.ndarray:
     """``size`` uniformly random permutations of ``p``, one per row.
 
-    ``alive`` is the number of (size, K) arrays the caller holds at once,
-    counting the returned one; the memory check counts them all.
+    The memory check also counts the (size, k_a) A marginal every caller forms.
     """
-    ss.check_memory(alive * 8 * size * p.size,
-                    f"{alive} block(s) of {size} distributions on {p.size} outcomes")
+    ss.check_memory(8 * size * (p.size + k_a),
+                    f"a block of {size} distributions on {p.size} outcomes and their marginals")
     omega = np.tile(p, (size, 1))
     return rng.permuted(omega, axis=1, out=omega)
 
@@ -331,10 +328,24 @@ def _tr_sq(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", rho, rho).real
 
 
+def _classical_purities(x: np.ndarray) -> np.ndarray:
+    """Purity n/(n-1) |x - 1/n|^2 of each row of n-outcome distributions; overwrites x."""
+    n = x.shape[-1]
+    x -= 1.0 / n
+    return n / (n - 1) * np.einsum("...k,...k->...", x, x)
+
+
+def _classical_block(
+    rng: np.random.Generator, size: int, p: np.ndarray, k_a: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local and global purities of ``size`` uniform permutations of ``p``."""
+    omega = _permuted_block(rng, size, p, k_a)
+    local = _classical_purities(omega.reshape(size, k_a, -1).sum(axis=2))
+    return local, _classical_purities(omega)
+
+
 def estimate_expected_local_purity(
     comp: CompositeDescriptor,
-    gram_a: GramMatrix,
-    gram_ab: GramMatrix,
     p0: float,
     n_samples: int,
     seed: int,
@@ -352,9 +363,9 @@ def estimate_expected_local_purity(
     distribution; with ``initial`` a Haar unitary conjugates it.  Classical
     samples are uniform permutations of the joint distribution.
 
-    ``gram_a`` is consulted on the classical path only.  The pure-normalized
-    invariant Gram of a quantum part is unique, so there the local purity is
-    exactly P_A = (n_A Tr rho_A^2 - 1)/(n_A - 1), which needs no coordinates.
+    No Gram is taken: each part's group acts irreducibly, so its invariant
+    Gram is unique and every purity has a closed form, (n Tr rho^2 - 1)/(n - 1)
+    for n quantum levels and n/(n-1) |x - 1/n|^2 for n classical outcomes.
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
@@ -363,7 +374,7 @@ def estimate_expected_local_purity(
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
         ss.validate_state(joint, initial)
-        got = gram_ab.norm_sq(initial - joint.max_mixed)
+        got = grouprep.analytic_gram(joint).norm_sq(initial - joint.max_mixed)
         if abs(got - p0) > 1e-9:
             raise RangeError(
                 f"the supplied initial state has purity {got!r}, requested {p0}"
@@ -381,15 +392,7 @@ def estimate_expected_local_purity(
             p[0] += t
         else:
             p = initial
-
-        def draw(rng, size):
-            # The block, turned into its Bloch rows in place, and the Gram's
-            # covectors are alive at once.
-            omega = _permuted_block(rng, size, p, alive=2)
-            marg = omega.reshape(size, comp.part_a.K, -1).sum(axis=2)
-            vals = gram_a.norms_sq(marg - comp.part_a.max_mixed)
-            omega -= joint.max_mixed
-            return vals, gram_ab.norms_sq(omega)
+        draw = partial(_classical_block, p=p, k_a=comp.part_a.K)
 
     return _estimate(n_samples, seed, draw, histogram_bins)
 
@@ -418,9 +421,10 @@ def real_quantum_pair(m_a: int, m_b: int) -> RealQuantumPair:
     P(phi_A (x) mu_B) and the locally inaccessible part of the joint
     maximally mixed state are computed numerically from the joint Gram.
     """
+    # The joint first: an oversized pair is refused before either part is built.
+    joint = ss.build_real_quantum(m_a * m_b)
     a = ss.build_real_quantum(m_a)
     b = ss.build_real_quantum(m_b)
-    joint = ss.build_real_quantum(m_a * m_b)
     gram = grouprep.analytic_gram(joint)
     phi = np.zeros((m_a, m_a))
     phi[0, 0] = 1.0

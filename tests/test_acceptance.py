@@ -27,13 +27,12 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _pair(builder, na, nb):
-    comp = cm.compose(builder(na), builder(nb))
-    return comp, grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
+    return cm.compose(builder(na), builder(nb))
 
 
 def test_criterion_01_quantum_2x2_random_pure():
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, SAMPLES, 1001)
+    comp = _pair(ss.build_quantum, 2, 2)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, SAMPLES, 1001)
     tr_mean = pur.tr2_from_purity(2, rep.mean)
     dev = abs(rep.mean - 3 / 5)
     ok = dev <= 3 * rep.stderr + EPS
@@ -42,8 +41,8 @@ def test_criterion_01_quantum_2x2_random_pure():
 
 
 def test_criterion_02_quantum_2x8_and_markov():
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 8)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, SAMPLES, 1002)
+    comp = _pair(ss.build_quantum, 2, 8)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, SAMPLES, 1002)
     dev = abs(rep.mean - 3 / 17)
     ok = dev <= 3 * rep.stderr + EPS
     tails = [rnd.markov_tail_check(rep, x) for x in (2.0, 5.0, 10.0)]
@@ -54,11 +53,12 @@ def test_criterion_02_quantum_2x8_and_markov():
 
 
 def test_criterion_03_classical_pure_marginals_exact():
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 8)
+    comp = _pair(ss.build_classical, 2, 8)
+    gram_a = grouprep.analytic_gram(comp.part_a)
     worst = 0.0
     for i in range(SAMPLES):
         rng = rnd.sample_rng(1003, i)
-        omega = pur.fixed_purity_state(comp.joint, gram_ab, 1.0, rng)
+        omega = pur.fixed_purity_state(comp.joint, 1.0, rng)
         sampled = omega[rng.permutation(comp.joint.K)]
         marg = cm.marginal_a(comp, sampled)
         worst = max(worst, abs(pur.purity(comp.part_a, gram_a, marg) - 1.0))
@@ -67,11 +67,11 @@ def test_criterion_03_classical_pure_marginals_exact():
 
 
 def test_criterion_04_classical_coin_toss_mixed_levels():
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 8)
+    comp = _pair(ss.build_classical, 2, 8)
     details = []
     ok = True
     for p0, seed in ((0.3, 1004), (0.7, 1005)):
-        rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, p0, SAMPLES, seed)
+        rep = rnd.estimate_expected_local_purity(comp, p0, SAMPLES, seed)
         good = abs(rep.mean - p0) <= 3 * rep.stderr + EPS
         ok = ok and good
         details.append(f"P0={p0}: mean={rep.mean:.6f}")
@@ -115,7 +115,7 @@ def test_criterion_06_purity_pure_times_maxmixed():
         good = abs(res.numeric - res.closed_form) <= 1e-12
         ok = ok and good
         details.append(f"{comp.kind} {na}x{nb}: {res.numeric:.6f}")
-    comp, _, _ = _pair(ss.build_quantum, 2, 2)
+    comp = _pair(ss.build_quantum, 2, 2)
     sampler = grouprep.sampler_for(comp.joint)
     mc_gram = grouprep.invariant_gram(comp.joint, sampler, n_avg=20_000,
                                       rng=np.random.default_rng(1006))
@@ -250,19 +250,19 @@ def test_criterion_14_property_suite():
     notes.append("bounds/invariance/sqrt-convexity")
 
     # estimator seed determinism
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
-    r1 = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 1000, 99)
-    r2 = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 1000, 99)
+    comp = _pair(ss.build_quantum, 2, 2)
+    r1 = rnd.estimate_expected_local_purity(comp, 1.0, 1000, 99)
+    r2 = rnd.estimate_expected_local_purity(comp, 1.0, 1000, 99)
     ok = ok and r1.mean == r2.mean and r1.stderr == r2.stderr
     notes.append(f"seed determinism (mean {r1.mean:.6f})")
 
     # initial-state independence of the mean at fixed purity
     p0 = 0.5
-    init1 = pur.fixed_purity_state(comp.joint, gram_ab, p0, rng)
-    init2 = pur.fixed_purity_state(comp.joint, gram_ab, p0, rng)
-    ra = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, p0, SAMPLES, 301,
+    init1 = pur.fixed_purity_state(comp.joint, p0, rng)
+    init2 = pur.fixed_purity_state(comp.joint, p0, rng)
+    ra = rnd.estimate_expected_local_purity(comp, p0, SAMPLES, 301,
                                             initial=init1)
-    rb = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, p0, SAMPLES, 302,
+    rb = rnd.estimate_expected_local_purity(comp, p0, SAMPLES, 302,
                                             initial=init2)
     sigma = math.hypot(ra.stderr, rb.stderr)
     ok = ok and abs(ra.mean - rb.mean) <= 3 * sigma + EPS

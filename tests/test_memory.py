@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import grouprep, randomize as rnd, statespace as ss
+from gptpurity import faces, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import complete_pauli_set, pauli_haar_average
 
@@ -116,10 +116,9 @@ def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
 
 def test_estimator_blocks_are_refused_beyond_the_cap():
     comp = cm.compose(ss.build_classical(256), ss.build_classical(1024))
-    gram_a, gram_ab = grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
-    # Two (1024, 262144) float arrays are alive at once in the classical loop.
-    with pytest.raises(RangeError, match="4294967296 bytes"):
-        rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
+    # The (1024, 262144) float block and its (1024, 256) marginal.
+    with pytest.raises(RangeError, match="2149580800 bytes"):
+        rnd.estimate_expected_local_purity(comp, 0.3, 2000, 0)
     # The (1024, 2^17) complex kets, their conjugate copy and the 2 x 2 Grams.
     with pytest.raises(RangeError, match="4295032832 bytes"):
         rnd.qubit_pauli_oracle(1, 16, 1.0, 2000, 0)
@@ -140,14 +139,13 @@ def test_dense_joint_structures_are_derived_only_within_the_cap(monkeypatch):
     with pytest.raises(RangeError, match="4096-level quantum space"):
         ss.build_quantum(4096)
     comp = cm.compose(ss.build_quantum(256), ss.build_quantum(2))
-    gram_a, gram_ab = grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
     # A 256x2 block holds 1024 complex kets of 512 entries, their conjugates
     # and 2 x 2 Grams: 16 * 1024 * (2 * 512 + 4) = 16842752 bytes.
     monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 16842751)
     with pytest.raises(RangeError, match="16842752 bytes"):
-        rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 2000, 0)
+        rnd.estimate_expected_local_purity(comp, 1.0, 2000, 0)
     monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 16842752)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 2000, 0)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 2000, 0)
     assert rep.realized_global_purity == pytest.approx(1.0, abs=1e-9)
 
 
@@ -172,6 +170,34 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert "4096-level quantum space would need 1610612736 bytes" in lines[0]
+    assert rss < MAX_RSS_MB
+
+
+def test_support_face_marginal_is_counted_against_the_cap(monkeypatch):
+    # A two-outcome support on a 4096 x 2 composite: the permuted block is
+    # tiny, but its A marginal is (1024, 4096), 32 MB; with the block,
+    # 8 * 1024 * (2 + 4096) = 33570816 bytes.
+    face = faces.classical_support_face(
+        cm.compose(ss.build_classical(4096), ss.build_classical(2)), [0, 1])
+    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 33570815)
+    with pytest.raises(RangeError, match="33570816 bytes"):
+        faces.estimate_face_local_purity(face, 1.0, 2000, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "nonlocaltomo", "--ma", "2400", "--mb", "2", "--p0", "1"],
+    ["estimate", "--theory", "real-quantum", "--ma", "2400", "--mb", "2", "--p0", "1",
+     "--samples", "2000", "--seed", "0"],
+])
+def test_oversized_real_quantum_joint_is_refused_before_anything_is_built(tmp_path, argv):
+    # The 4800-level joint is checked before either part and before any sample.
+    proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "4800-level real-quantum space would need 1106150400 bytes" in lines[0]
     assert rss < MAX_RSS_MB
 
 

@@ -61,20 +61,20 @@ def test_tr2_conversion_roundtrip(n, p):
 
 def test_fixed_purity_state_endpoints(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    full = pur.fixed_purity_state(space, gram, 1.0, rng)
+    full = pur.fixed_purity_state(space, 1.0, rng)
     assert pur.purity(space, gram, full) == pytest.approx(1.0, abs=1e-12)
-    null = pur.fixed_purity_state(space, gram, 0.0, rng)
+    null = pur.fixed_purity_state(space, 0.0, rng)
     np.testing.assert_allclose(null, space.max_mixed, atol=1e-15)
 
 
 def test_fixed_purity_state_hits_target_and_converts(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    omega = pur.fixed_purity_state(space, gram, 0.25, rng)
+    omega = pur.fixed_purity_state(space, 0.25, rng)
     assert pur.purity(space, gram, omega) == pytest.approx(0.25, abs=1e-12)
     rho = space.to_matrix(omega)
     assert np.trace(rho @ rho).real == pytest.approx(5 / 8, abs=1e-12)
     with pytest.raises(RangeError):
-        pur.fixed_purity_state(space, gram, 1.5, rng)
+        pur.fixed_purity_state(space, 1.5, rng)
 
 
 def test_purity_bounds_and_zero_iff_max_mixed(rng):
@@ -264,7 +264,7 @@ def test_collision_probability_endpoints(rng):
 
 def test_collision_probability_quarter_purity(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    omega = pur.fixed_purity_state(space, gram, 0.25, rng)
+    omega = pur.fixed_purity_state(space, 0.25, rng)
     res = pur.max_collision_probability(space, gram, omega)
     assert res.value == pytest.approx(5 / 8, abs=1e-12)
 
@@ -293,5 +293,5 @@ def test_fixed_purity_state_purity_matches_target_everywhere(p0):
     space = ss.build_quantum(2)
     gram = grouprep.analytic_gram(space)
     gen = np.random.default_rng(12)
-    omega = pur.fixed_purity_state(space, gram, p0, gen)
+    omega = pur.fixed_purity_state(space, p0, gen)
     assert pur.purity(space, gram, omega) == pytest.approx(p0, abs=1e-10)

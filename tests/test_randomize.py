@@ -17,8 +17,7 @@ from gptpurity.purity import fixed_purity_state, purity_from_tr2, tr2_from_purit
 
 
 def _pair(builder, na, nb):
-    comp = cm.compose(builder(na), builder(nb))
-    return comp, grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
+    return cm.compose(builder(na), builder(nb))
 
 
 # -- predictions ---------------------------------------------------------------------
@@ -51,19 +50,19 @@ def test_predict_main_validates_inputs():
 
 
 def test_predict_general_matches_main_for_quantum():
-    comp, _, gram_ab = _pair(ss.build_quantum, 2, 2)
-    pred = rnd.predict_general(comp, gram_ab, 1.0)
+    comp = _pair(ss.build_quantum, 2, 2)
+    pred = rnd.predict_general(comp, 1.0)
     assert pred.value == pytest.approx(3 / 5, abs=1e-10)
 
 
 def test_predict_general_classical_identity():
-    comp, _, gram_ab = _pair(ss.build_classical, 3, 3)
-    assert rnd.predict_general(comp, gram_ab, 0.5).value == pytest.approx(0.5, abs=1e-10)
+    comp = _pair(ss.build_classical, 3, 3)
+    assert rnd.predict_general(comp, 0.5).value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_predict_general_quantum_2x4():
-    comp, _, gram_ab = _pair(ss.build_quantum, 2, 4)
-    assert rnd.predict_general(comp, gram_ab, 1.0).value == pytest.approx(1 / 3, abs=1e-10)
+    comp = _pair(ss.build_quantum, 2, 4)
+    assert rnd.predict_general(comp, 1.0).value == pytest.approx(1 / 3, abs=1e-10)
 
 
 def test_predict_power_law_cases():
@@ -114,10 +113,11 @@ def test_predict_nonlocaltomo_real_quantum_2x2():
 
 
 def test_predict_nonlocaltomo_reduces_to_general_when_tomographic():
-    comp, _, gram_ab = _pair(ss.build_quantum, 2, 2)
-    phimu = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
+    comp = _pair(ss.build_quantum, 2, 2)
+    phimu = cm.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
+                                          tol=1e-10).numeric
     pred = rnd.predict_nonlocaltomo(4, 16, 1.0, phimu, 0.0)
-    assert pred.value == pytest.approx(rnd.predict_general(comp, gram_ab, 1.0).value, abs=1e-12)
+    assert pred.value == pytest.approx(rnd.predict_general(comp, 1.0).value, abs=1e-12)
 
 
 def test_predict_nonlocaltomo_edge_cases():
@@ -130,15 +130,15 @@ def test_predict_nonlocaltomo_edge_cases():
 
 
 def test_estimator_quantum_2x2_matches_prediction():
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 4000, 101)
+    comp = _pair(ss.build_quantum, 2, 2)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 4000, 101)
     assert abs(rep.mean - 0.6) <= 3 * rep.stderr
     assert rep.realized_global_purity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_estimator_classical_pure_marginals_exactly_one():
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 8)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 500, 11)
+    comp = _pair(ss.build_classical, 2, 8)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 500, 11)
     assert rep.mean == pytest.approx(1.0, abs=1e-12)
     assert rep.stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -146,41 +146,41 @@ def test_estimator_classical_pure_marginals_exactly_one():
 def test_estimator_classical_mixed_transfers_ignorance():
     # The mu-interpolated initial state makes every sample's marginal purity
     # exactly P0 here, so the band degenerates to float roundoff.
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 8)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 6000, 13)
+    comp = _pair(ss.build_classical, 2, 8)
+    rep = rnd.estimate_expected_local_purity(comp, 0.3, 6000, 13)
     assert abs(rep.mean - 0.3) <= 3 * rep.stderr + 1e-12
     assert rep.realized_global_purity == pytest.approx(0.3, abs=1e-9)
 
 
 def test_estimator_seed_determinism_and_worker_independence():
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
+    comp = _pair(ss.build_quantum, 2, 2)
     kw = dict(p0=0.5, n_samples=600, seed=77)
-    a = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, **kw)
-    b = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, **kw)
-    c = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, **kw)
+    a = rnd.estimate_expected_local_purity(comp, **kw)
+    b = rnd.estimate_expected_local_purity(comp, **kw)
+    c = rnd.estimate_expected_local_purity(comp, **kw)
     assert a.mean == b.mean == c.mean
     assert a.stderr == b.stderr == c.stderr
     np.testing.assert_array_equal(a.histogram_counts, c.histogram_counts)
 
 
 def test_estimator_initial_state_independence():
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
+    comp = _pair(ss.build_quantum, 2, 2)
     p0 = 0.5
     rng = np.random.default_rng(5)
-    init1 = fixed_purity_state(comp.joint, gram_ab, p0, rng)
-    init2 = fixed_purity_state(comp.joint, gram_ab, p0, rng)
+    init1 = fixed_purity_state(comp.joint, p0, rng)
+    init2 = fixed_purity_state(comp.joint, p0, rng)
     assert np.max(np.abs(init1 - init2)) > 1e-3
     rep1 = rnd.estimate_expected_local_purity(
-        comp, gram_a, gram_ab, p0, 4000, 21, initial=init1)
+        comp, p0, 4000, 21, initial=init1)
     rep2 = rnd.estimate_expected_local_purity(
-        comp, gram_a, gram_ab, p0, 4000, 22, initial=init2)
+        comp, p0, 4000, 22, initial=init2)
     sigma = math.hypot(rep1.stderr, rep2.stderr)
     assert abs(rep1.mean - rep2.mean) <= 3 * sigma
 
 
 def test_estimator_histogram_counts_sum_to_samples():
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 300, 3)
+    comp = _pair(ss.build_quantum, 2, 2)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 300, 3)
     assert rep.histogram_counts.sum() == 300
     assert len(rep.histogram_edges) == len(rep.histogram_counts) + 1
 
@@ -233,16 +233,16 @@ def test_qubit_oracle_rejects_degenerate_input():
 
 
 def test_markov_tail_quantum_2x8():
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 8)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 4000, 51)
+    comp = _pair(ss.build_quantum, 2, 8)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 4000, 51)
     res = rnd.markov_tail_check(rep, 5.0)
     assert res.passed
     assert res.bound == pytest.approx(5 * rep.mean)
 
 
 def test_markov_tail_degenerate_classical():
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 200, 5)
+    comp = _pair(ss.build_classical, 2, 2)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 200, 5)
     res = rnd.markov_tail_check(rep, 2.0)
     assert res.empirical == pytest.approx(1.0)
     assert res.bound >= 1.0
@@ -250,19 +250,19 @@ def test_markov_tail_degenerate_classical():
 
 
 def test_markov_tail_rejects_bad_inputs():
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 50, 5)
+    comp = _pair(ss.build_classical, 2, 2)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 50, 5)
     with pytest.raises(RangeError):
         rnd.markov_tail_check(rep, 0.5)
     bare = rnd.estimate_expected_local_purity(
-        comp, gram_a, gram_ab, 1.0, 50, 5, histogram_bins=None)
+        comp, 1.0, 50, 5, histogram_bins=None)
     with pytest.raises(RangeError):
         rnd.markov_tail_check(bare, 2.0)
 
 
 def test_report_serialization_roundtrip():
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 4)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.5, 100, 9)
+    comp = _pair(ss.build_classical, 2, 4)
+    rep = rnd.estimate_expected_local_purity(comp, 0.5, 100, 9)
     doc = rep.to_json_dict()
     assert doc["n_samples"] == 100
     assert doc["seed"] == 9
@@ -278,8 +278,8 @@ def test_report_serialization_roundtrip():
 ])
 def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
     if theory == "quantum":
-        comp, gram_a, gram_ab = _pair(ss.build_quantum, na, nb)
-        rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, p0, 4000, 61)
+        comp = _pair(ss.build_quantum, na, nb)
+        rep = rnd.estimate_expected_local_purity(comp, p0, 4000, 61)
         expected = rnd.predict_main(na * na, nb * nb, na, nb, p0).value
     else:
         rep = rnd.estimate_real_quantum_local_purity(na, nb, p0, 4000, 61)
@@ -296,16 +296,16 @@ def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
 
 def test_estimator_quantum_asymmetric_parts():
     # 2x3: prediction (K_A-1)/(K_A K_B - 1) * (N_A N_B - 1)/(N_A - 1) = 3/7.
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 3)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 4000, 71)
+    comp = _pair(ss.build_quantum, 2, 3)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 4000, 71)
     expected = rnd.predict_main(4, 9, 2, 3, 1.0).value
     assert expected == pytest.approx(3 / 7, abs=1e-14)
     assert abs(rep.mean - expected) <= 3 * rep.stderr + 1e-12
 
 
 def test_estimator_classical_asymmetric_parts():
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 3, 5)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.4, 4000, 73)
+    comp = _pair(ss.build_classical, 3, 5)
+    rep = rnd.estimate_expected_local_purity(comp, 0.4, 4000, 73)
     assert abs(rep.mean - 0.4) <= 3 * rep.stderr + 1e-12
 
 
@@ -337,11 +337,11 @@ def test_nonlocaltomo_asymmetric_real_quantum_agrees_with_oracle():
 
 
 def test_estimator_rejects_initial_state_with_wrong_purity(rng):
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
-    init = fixed_purity_state(comp.joint, gram_ab, 0.8, rng)
+    comp = _pair(ss.build_quantum, 2, 2)
+    init = fixed_purity_state(comp.joint, 0.8, rng)
     with pytest.raises(RangeError):
         rnd.estimate_expected_local_purity(
-            comp, gram_a, gram_ab, 0.5, 10, 1, initial=init)
+            comp, 0.5, 10, 1, initial=init)
 
 
 # -- the batched kernel against the explicit route -------------------------------------------
@@ -376,7 +376,7 @@ def test_conjugated_states_match_explicit_route():
     na, nb = 2, 3
     part_a, joint = ss.build_quantum(na), ss.build_quantum(na * nb)
     gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
-    phi = joint.to_matrix(fixed_purity_state(joint, gram_ab, 0.5, np.random.default_rng(4400)))
+    phi = joint.to_matrix(fixed_purity_state(joint, 0.5, np.random.default_rng(4400)))
     got = []
 
     def draw(rng, size):
@@ -396,17 +396,49 @@ def test_conjugated_states_match_explicit_route():
             assert glob[k] == pytest.approx(
                 gram_ab.norm_sq(joint.to_coords(rho) - joint.max_mixed), abs=1e-12)
         assert np.ptp(glob) < rnd.GLOBAL_PURITY_TOL
+    # The classical group permutes outcomes: each permuted state against
+    # marginal_a -> GramMatrix.norm_sq, rebuilt from one rng.permutation per
+    # sample on an equal stream.  A mu-interpolated state gives every sample
+    # the same local purity, so a generic (Dirichlet) initial state joins it.
+    for (na, nb), p0 in itertools.product(((2, 8), (3, 5)), (0.0, 0.3, 1.0, None)):
+        comp = _pair(ss.build_classical, na, nb)
+        gram_a, gram_ab = grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
+        k = comp.joint.K
+        if p0 is None:
+            p = np.random.default_rng(4403).dirichlet(np.ones(k))
+        else:
+            t = math.sqrt(p0)
+            p = np.full(k, (1.0 - t) / k)
+            p[0] += t
+        got.clear()
+
+        def draw_classical(rng, size):
+            local, glob = rnd._classical_block(rng, size, p, na)
+            got.append((size, local, glob))
+            return local, glob
+
+        rnd._estimate(1500, 4402, draw_classical, None)
+        assert [size for size, _, _ in got] == [1024, 476]
+        for b, (size, local, glob) in enumerate(got):
+            ref = rnd.sample_rng(4402, b)
+            for j in range(size):
+                omega = p[ref.permutation(k)]
+                marg = cm.marginal_a(comp, omega)
+                assert abs(local[j] - gram_a.norm_sq(marg - comp.part_a.max_mixed)) <= 1e-15
+                assert abs(glob[j] - gram_ab.norm_sq(omega - comp.joint.max_mixed)) <= 1e-15
+            if p0 == 0.0:
+                assert not local.any() and not glob.any()
 
 
 def test_classical_memory_check_counts_both_block_arrays(monkeypatch):
-    # A 2x8 block holds 1024 rows of K = 16: the permuted rows and the Gram's
-    # covectors are alive at once, 2 * 8 * 1024 * 16 = 262144 bytes.
-    comp, gram_a, gram_ab = _pair(ss.build_classical, 2, 8)
-    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 262143)
-    with pytest.raises(RangeError, match="262144 bytes"):
-        rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
-    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 262144)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.3, 2000, 0)
+    # A 2x8 block holds 1024 rows of K = 16 and their A marginals of K_A = 2:
+    # 8 * 1024 * (16 + 2) = 147456 bytes.
+    comp = _pair(ss.build_classical, 2, 8)
+    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 147455)
+    with pytest.raises(RangeError, match="147456 bytes"):
+        rnd.estimate_expected_local_purity(comp, 0.3, 2000, 0)
+    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 147456)
+    rep = rnd.estimate_expected_local_purity(comp, 0.3, 2000, 0)
     assert rep.realized_global_purity == pytest.approx(0.3, abs=1e-9)
 
 
@@ -443,11 +475,11 @@ def test_driver_refuses_a_global_purity_spread():
 
 
 def test_ket_path_agrees_with_full_unitary_path():
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, 2, 2)
-    init = fixed_purity_state(comp.joint, gram_ab, 0.5, np.random.default_rng(5100))
-    ket = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 0.5, 10_000, 5101)
+    comp = _pair(ss.build_quantum, 2, 2)
+    init = fixed_purity_state(comp.joint, 0.5, np.random.default_rng(5100))
+    ket = rnd.estimate_expected_local_purity(comp, 0.5, 10_000, 5101)
     full = rnd.estimate_expected_local_purity(
-        comp, gram_a, gram_ab, 0.5, 10_000, 5102, initial=init)
+        comp, 0.5, 10_000, 5102, initial=init)
     assert full.realized_global_purity == pytest.approx(0.5, abs=1e-9)
     assert abs(ket.mean - full.mean) <= 3 * math.hypot(ket.stderr, full.stderr)
 
@@ -457,8 +489,8 @@ def test_estimator_matches_page_average_purity(nb, seed):
     # Lubkin (1978) / Page (1993): E Tr rho_A^2 = (m + n)/(mn + 1) for a
     # Haar-random pure state on C^m (x) C^n.
     na = 4
-    comp, gram_a, gram_ab = _pair(ss.build_quantum, na, nb)
-    rep = rnd.estimate_expected_local_purity(comp, gram_a, gram_ab, 1.0, 10_000, seed)
+    comp = _pair(ss.build_quantum, na, nb)
+    rep = rnd.estimate_expected_local_purity(comp, 1.0, 10_000, seed)
     page = (na + nb) / (na * nb + 1)
     tr_sigma = rep.stderr * (na - 1) / na  # d(tr)/d(P) = (n-1)/n
     assert abs(tr2_from_purity(na, rep.mean) - page) <= 3 * tr_sigma
