@@ -60,13 +60,12 @@ from .randomize import (
     Prediction,
     estimate_expected_local_purity,
     estimate_real_quantum_local_purity,
-    markov_tail_check,
     predict_general,
     predict_main,
     predict_nonlocaltomo,
     predict_power_law,
+    predict_real_quantum,
     qubit_pauli_oracle,
-    real_quantum_pair,
 )
 from .statespace import (
     SpaceDescriptor,

@@ -55,13 +55,11 @@ def boxworld_space() -> SpaceDescriptor:
     return ss.build_boxworld_bipartite()
 
 
-def boxworld_purity(
-    omega: np.ndarray, gram: BoxworldGram = DEFAULT_GRAM, *, cone_tol: float = ss.CONE_TOL
-) -> float:
+def boxworld_purity(omega: np.ndarray, gram: BoxworldGram = DEFAULT_GRAM) -> float:
     """c <omega-hat, omega-hat> with the block-weighted inner product."""
     space = boxworld_space()
     omega = np.asarray(omega, dtype=float)
-    ss.validate_state(space, omega, cone_tol=cone_tol)
+    ss.validate_state(space, omega)
     b = omega - space.max_mixed
     return float(b @ gram.matrix() @ b)
 
@@ -102,16 +100,6 @@ class ObstructionRecord:
     pr_coefficients: tuple[float, float]
     zero_purity_state: np.ndarray
     zero_purity_value: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "solution_a": self.solution_a,
-            "solution_b": self.solution_b,
-            "violated_constraint": self.violated_constraint,
-            "product_coefficients": list(self.product_coefficients),
-            "pr_coefficients": list(self.pr_coefficients),
-            "zero_purity_value": self.zero_purity_value,
-        }
 
 
 def boxworld_normalization_obstruction() -> ObstructionRecord:

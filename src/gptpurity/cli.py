@@ -125,10 +125,7 @@ def _run_predict(args: argparse.Namespace) -> dict:
     elif args.formula == "power-law":
         pred = rnd.predict_power_law(args.r, args.na, args.nb, args.p0)
     elif args.formula == "nonlocaltomo":
-        pair = rnd.real_quantum_pair(args.ma, args.mb)
-        pred = rnd.predict_nonlocaltomo(
-            pair.k_a, pair.k_ab, args.p0, pair.p_phi_mu, pair.mu_c_norm_sq
-        )
+        pred = rnd.predict_real_quantum(args.ma, args.mb, args.p0)
     elif args.formula == "symm":
         pred = faces_mod.predict_symm(args.n, 1 if args.sign == "+" else -1, args.trp)
     else:
@@ -155,14 +152,10 @@ def _run_estimate(args: argparse.Namespace) -> dict:
         prediction = faces_mod.predict_symm(args.n, sign, args.trp)
     elif args.theory == "real-quantum":
         _require(args, ["ma", "mb", "p0"])
-        # The pair refuses an oversized joint before any sample is drawn.
-        pair = rnd.real_quantum_pair(args.ma, args.mb)
-        prediction = rnd.predict_nonlocaltomo(
-            pair.k_a, pair.k_ab, args.p0, pair.p_phi_mu, pair.mu_c_norm_sq
-        )
         report = rnd.estimate_real_quantum_local_purity(
             args.ma, args.mb, args.p0, args.samples, args.seed, histogram_bins=bins
         )
+        prediction = rnd.predict_real_quantum(args.ma, args.mb, args.p0)
     else:
         _require(args, ["na", "nb", "p0"])
         comp = _spaces_for_theory(args.theory, args.na, args.nb)
@@ -224,11 +217,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse an integer option other than ``--seed`` of magnitude 2^63 or more.
+
+    No array dimension or sample count can be that large, and such an
+    integer would overflow a float or the decimal conversion of a message.
+    """
+    for name, value in vars(args).items():
+        if name != "seed" and isinstance(value, int) and abs(value) >= 2**63:
+            raise GptPurityError(f"--{name} has {value.bit_length()} bits; "
+                                 "counts must be below 2^63")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         if args.command == "predict":
             body = _run_predict(args)
         elif args.command == "estimate":

@@ -189,16 +189,12 @@ class CenteredReport:
     center_deviation: float
     gram_offdiag_deviation: float
     expected_offdiag: float
-    passed: bool
 
 
 def verify_centered_dynamical(
-    space: SpaceDescriptor,
-    gram: GramMatrix,
-    witness: ClassicalSubsystemWitness,
-    tol: float = 1e-10,
+    space: SpaceDescriptor, gram: GramMatrix, witness: ClassicalSubsystemWitness
 ) -> CenteredReport:
-    """Check (1/n) sum omega_i = mu and <omega_i, omega_j> = -1/(N-1) (i != j)."""
+    """Deviations from (1/n) sum omega_i = mu and <omega_i, omega_j> = -1/(N-1) (i != j)."""
     n = len(witness)
     center_dev = float(np.max(np.abs(witness.states.mean(axis=0) - space.max_mixed)))
     blochs = witness.states - space.max_mixed
@@ -211,7 +207,6 @@ def verify_centered_dynamical(
         center_deviation=center_dev,
         gram_offdiag_deviation=off_dev,
         expected_offdiag=expected,
-        passed=bool(center_dev <= tol and off_dev <= tol),
     )
 
 

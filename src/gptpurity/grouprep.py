@@ -382,14 +382,13 @@ def invariant_gram(
     rng: np.random.Generator | None = None,
     *,
     check_trials: int = 4000,
-    n_norm_states: int = 32,
 ) -> GramMatrix:
     """Invariant Gram by group averaging of the Euclidean Bloch product.
 
     Averages T^T E T over the group (exact sum for enumerated finite groups,
     ``n_avg`` Monte Carlo draws in ``draw_blocks`` stacks otherwise, with
     ~1/sqrt(n_avg) error) and
-    rescales so sampled pure states have norm 1.  Raises
+    rescales so 32 sampled pure states have mean norm 1.  Raises
     ``ReducibleSpaceError`` when the irreducibility diagnostic exceeds ten
     times the statistical error, since no invariant product is then unique.
     """
@@ -409,7 +408,7 @@ def invariant_gram(
         g += np.tensordot(et, et, axes=([0, 1], [0, 1]))
         count += len(ts)
     g /= count
-    b = space.sample_pures(rng, n_norm_states) - space.max_mixed
+    b = space.sample_pures(rng, 32) - space.max_mixed
     scale = 1.0 / float(np.mean(np.einsum("bi,ij,bj->b", b, g, b)))
     return GramMatrix(matrix=scale * g, scale=scale)
 

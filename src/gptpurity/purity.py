@@ -27,15 +27,9 @@ from .statespace import SpaceDescriptor
 MIXED_PURITY_FLOOR = 1e-18
 
 
-def purity(
-    space: SpaceDescriptor,
-    gram: GramMatrix,
-    omega: np.ndarray,
-    *,
-    norm_tol: float = ss.NORM_TOL,
-) -> float:
+def purity(space: SpaceDescriptor, gram: GramMatrix, omega: np.ndarray) -> float:
     """Squared Gram length of the Bloch vector of a normalized state."""
-    b = space.bloch(omega, norm_tol=norm_tol)
+    b = space.bloch(omega)
     return gram.norm_sq(b)
 
 

@@ -1,4 +1,4 @@
-"""Randomization experiments: closed-form predictions and Monte Carlo checks.
+"""Randomization experiments: closed-form predictions and Monte Carlo estimates.
 
 The central experiment draws a global state of fixed purity, applies a
 Haar-random reversible transformation, marginalizes to one party, and
@@ -8,7 +8,8 @@ averages the local purity.  Closed forms:
 * general:     (K_A-1)/(K_A K_B-1) * P0 / P(phi_A (x) mu_B)
 * power-law:   main with K = N^r on both parts
 * nonlocaltomo (K_A-1)/(K_AB-1) * P0 / (P(phi_A (x) mu_B) - |mu_C|^2),
-  for compositions that are not locally tomographic (real quantum theory).
+  for compositions that are not locally tomographic; real quantum theory
+  (``predict_real_quantum``) needs only the level counts for its inputs.
 
 Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
@@ -27,7 +28,8 @@ for a Haar-random ket psi.  Its local purity is a Schmidt-side quantity
 depends only on Tr (M M^dagger)^2, so a block of kets gives its purities
 through one batched product of the smaller Gram, and no A marginal is
 formed.  A fixed ``initial`` state is conjugated by a block of Haar
-unitaries drawn with one stacked QR.
+unitaries drawn with one stacked QR.  A report carries no verdict: a
+``checks.Check`` judges it (``checks.markov_tail`` for its histogram).
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .errors import (
     UndefinedRatioError,
 )
 from .purity import purity_from_tr2, tr2_from_purity
-from .statespace import SpaceDescriptor
 
 HISTOGRAM_BINS = 100
 GLOBAL_PURITY_TOL = 1e-9
@@ -117,6 +118,14 @@ def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
     """
     if r < 1 or int(r) != r:
         raise RangeError(f"power-law exponent must be a positive integer, got {r}")
+    for n, side in ((n_a, "A"), (n_b, "B")):
+        if n < 2:
+            raise RangeError(f"need N >= 2 on part {side}, got N={n}")
+    # K_A K_B = (N_A N_B)^r is exact and has r log2(N_A N_B) bits.  K_A, K_B,
+    # the product and the temporaries of the powers and of the division hold
+    # up to about 7.4 integers of that size (tracemalloc), so eight are counted.
+    ss.check_memory(8 * math.ceil(r * math.log2(n_a * n_b) / 8),
+                    f"the exact K_A = {n_a}^{r}, K_B = {n_b}^{r} and their product")
     inner = predict_main(n_a**r, n_b**r, n_a, n_b, p0)
     return Prediction(
         value=inner.value,
@@ -400,48 +409,23 @@ def estimate_expected_local_purity(
 # -- real quantum theory (not locally tomographic) ----------------------------------------
 
 
-@dataclass(frozen=True)
-class RealQuantumPair:
-    """A real-quantum composition with the inputs of the nonlocaltomo formula."""
+def predict_real_quantum(m_a: int, m_b: int, p0: float) -> Prediction:
+    """The nonlocaltomo formula for two real-quantum systems, from their level counts.
 
-    part_a: SpaceDescriptor
-    part_b: SpaceDescriptor
-    joint: SpaceDescriptor
-    k_a: int
-    k_ab: int
-    p_phi_mu: float
-    mu_c_norm_sq: float
-
-
-def real_quantum_pair(m_a: int, m_b: int) -> RealQuantumPair:
-    """Compose two real-quantum systems and evaluate the formula inputs.
-
-    The joint space is real quantum theory on m_a * m_b levels; its dimension
-    exceeds K_A * K_B, so the composition is not locally tomographic.  Both
-    P(phi_A (x) mu_B) and the locally inaccessible part of the joint
-    maximally mixed state are computed numerically from the joint Gram.
+    Real quantum theory on m levels has K = m(m+1)/2, and the joint on
+    n = m_a m_b levels has K_AB = n(n+1)/2 > K_A K_B, so the composition is
+    not locally tomographic.  Purity is (n Tr rho^2 - 1)/(n - 1) and Tr rho^2
+    is multiplicative on products, so Tr (phi_A (x) mu_B)^2 = 1/m_b and
+    P(phi_A (x) mu_B) = (m_a - 1)/(n - 1).  The joint maximally mixed state is
+    the product mu_A (x) mu_B, so its locally inaccessible component vanishes:
+    |mu_C|^2 = 0.
     """
-    # The joint first: an oversized pair is refused before either part is built.
-    joint = ss.build_real_quantum(m_a * m_b)
-    a = ss.build_real_quantum(m_a)
-    b = ss.build_real_quantum(m_b)
-    gram = grouprep.analytic_gram(joint)
-    phi = np.zeros((m_a, m_a))
-    phi[0, 0] = 1.0
-    phimu_mat = np.kron(phi, np.eye(m_b) / m_b)
-    phimu = joint.to_coords(phimu_mat) - joint.max_mixed
-    p_phi_mu = gram.norm_sq(phimu)
-    mu_c_mat = np.eye(m_a * m_b) / (m_a * m_b) - np.kron(np.eye(m_a) / m_a, np.eye(m_b) / m_b)
-    mu_c = joint.to_coords(mu_c_mat)
-    return RealQuantumPair(
-        part_a=a,
-        part_b=b,
-        joint=joint,
-        k_a=a.K,
-        k_ab=joint.K,
-        p_phi_mu=p_phi_mu,
-        mu_c_norm_sq=gram.norm_sq(mu_c),
-    )
+    for m in (m_b, m_a):
+        if m < 2:
+            raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m}")
+    n = m_a * m_b
+    return predict_nonlocaltomo(m_a * (m_a + 1) // 2, n * (n + 1) // 2, p0,
+                                (m_a - 1) / (n - 1), 0.0)
 
 
 def estimate_real_quantum_local_purity(
@@ -490,16 +474,6 @@ class QubitOracleResult:
     n_samples: int
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs": self.rhs,
-            "mean_tr_a": self.mean_tr_a,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
-
 
 def qubit_pauli_oracle(
     n_a: int,
@@ -532,55 +506,4 @@ def qubit_pauli_oracle(
         mean_tr_a=tr2_from_purity(dim_a, report.mean),
         n_samples=n_samples,
         seed=int(seed),
-    )
-
-
-# -- Markov tail bound ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarkovTailResult:
-    """Empirical tail frequency P{P(omega_A) >= 1/x} against the bound x * mean."""
-
-    x: float
-    empirical: float
-    bound: float
-    binomial_sigma: float
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "empirical": self.empirical,
-            "bound": self.bound,
-            "binomial_sigma": self.binomial_sigma,
-            "passed": self.passed,
-        }
-
-
-def markov_tail_check(report: McReport, x: float) -> MarkovTailResult:
-    """Check the Markov inequality on a histogram-bearing report.
-
-    The empirical tail is measured from the first histogram edge at or above
-    1/x (which understates the true tail when 1/x falls inside a bin, keeping
-    the check conservative); it must not exceed x * mean plus three binomial
-    standard deviations.
-    """
-    if x <= 1.0:
-        raise RangeError(f"the tail parameter must exceed 1, got {x}")
-    if report.histogram_counts is None:
-        raise RangeError("the report carries no histogram")
-    edges = report.histogram_edges
-    counts = report.histogram_counts
-    cut = 1.0 / x
-    tail = int(counts[np.asarray(edges[:-1]) >= cut - 1e-12].sum())
-    emp = tail / report.n_samples
-    sigma = math.sqrt(max(emp * (1.0 - emp), 0.0) / report.n_samples)
-    bound = x * report.mean
-    return MarkovTailResult(
-        x=float(x),
-        empirical=emp,
-        bound=bound,
-        binomial_sigma=sigma,
-        passed=bool(emp <= bound + 3.0 * sigma),
     )

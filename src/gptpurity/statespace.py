@@ -162,11 +162,11 @@ class SpaceDescriptor:
         """
         return project_off(np.asarray(x, dtype=float), self.order_unit)
 
-    def bloch(self, omega: np.ndarray, *, norm_tol: float = NORM_TOL) -> np.ndarray:
+    def bloch(self, omega: np.ndarray) -> np.ndarray:
         """Bloch vector ``omega - max_mixed`` of a normalized state, or of each row of a (m, K) stack."""
         omega = np.asarray(omega, dtype=float)
         units = np.atleast_1d(omega @ self.order_unit)
-        off = np.abs(units - 1.0) > norm_tol
+        off = np.abs(units - 1.0) > NORM_TOL
         if off.any():
             raise NormalizationError(
                 f"state has order-unit value {float(units[off][0])!r}, expected 1"
@@ -238,16 +238,16 @@ class SpaceDescriptor:
 
     # -- cone test ----------------------------------------------------------------
 
-    def cone_contains(self, x: np.ndarray, tol: float = CONE_TOL) -> bool:
-        """Membership test for the cone of unnormalized states."""
+    def cone_contains(self, x: np.ndarray) -> bool:
+        """Membership test for the cone of unnormalized states, up to ``CONE_TOL``."""
         x = np.asarray(x, dtype=float)
         if self.kind == KIND_CLASSICAL:
-            return bool(np.all(x >= -tol))
+            return bool(np.all(x >= -CONE_TOL))
         if self.kind in _MATRIX_KINDS:
             eigs = np.linalg.eigvalsh(self.to_matrix(x))
-            return bool(np.all(eigs >= -tol))
+            return bool(np.all(eigs >= -CONE_TOL))
         if self.effects is not None:
-            return bool(np.all(self.effects @ x >= -tol))
+            return bool(np.all(self.effects @ x >= -CONE_TOL))
         raise UnsupportedSpaceError(f"no cone test for kind {self.kind!r}")
 
     # -- pure states ---------------------------------------------------------------
@@ -289,18 +289,12 @@ class SpaceDescriptor:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def validate_state(
-    space: SpaceDescriptor,
-    omega: np.ndarray,
-    *,
-    cone_tol: float = CONE_TOL,
-    norm_tol: float = NORM_TOL,
-) -> None:
-    """Raise unless ``omega`` is a normalized state of ``space``."""
+def validate_state(space: SpaceDescriptor, omega: np.ndarray) -> None:
+    """Raise unless ``omega`` is a normalized state of ``space``, up to ``NORM_TOL``."""
     omega = np.asarray(omega, dtype=float)
-    if abs(space.unit(omega) - 1.0) > norm_tol:
+    if abs(space.unit(omega) - 1.0) > NORM_TOL:
         raise NormalizationError(f"order-unit value {space.unit(omega)!r} != 1")
-    if not space.cone_contains(omega, tol=cone_tol):
+    if not space.cone_contains(omega):
         raise ConeError("state fails the cone test")
 
 
@@ -445,14 +439,14 @@ def build_classical(n: int) -> SpaceDescriptor:
     )
 
 
-def _polygon_vertices(n: int, phase: float = 0.0) -> np.ndarray:
-    ang = 2 * np.pi * np.arange(n) / n + phase
+def _polygon_vertices(n: int) -> np.ndarray:
+    ang = 2 * np.pi * np.arange(n) / n
     return np.column_stack([np.ones(n), np.cos(ang), np.sin(ang)])
 
 
-def _polygon_effects(n: int, phase: float = 0.0) -> np.ndarray:
+def _polygon_effects(n: int) -> np.ndarray:
     """Edge covectors: x*cos(phi_k) + y*sin(phi_k) <= u*cos(pi/n)."""
-    phi = (2 * np.arange(n) + 1) * np.pi / n + phase
+    phi = (2 * np.arange(n) + 1) * np.pi / n
     return np.column_stack([np.full(n, math.cos(math.pi / n)), -np.cos(phi), -np.sin(phi)])
 
 

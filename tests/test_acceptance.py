@@ -45,11 +45,11 @@ def test_criterion_02_quantum_2x8_and_markov():
     rep = rnd.estimate_expected_local_purity(comp, 1.0, SAMPLES, 1002)
     dev = abs(rep.mean - 3 / 17)
     ok = dev <= 3 * rep.stderr + EPS
-    tails = [rnd.markov_tail_check(rep, x) for x in (2.0, 5.0, 10.0)]
+    tails = [checks.markov_tail(rep, x) for x in (2.0, 5.0, 10.0)]
     ok = ok and all(t.passed for t in tails)
     _report(2, ok, f"quantum 2x8 pure: E P = {rep.mean:.4f} (target {3 / 17:.4f}); "
                    f"markov empirical/bound: "
-                   + ", ".join(f"x={t.x:g}: {t.empirical:.3f}<={t.bound:.3f}" for t in tails))
+                   + ", ".join(f"{t.name}: {t.value:.3f}<={t.bound:.3f}" for t in tails))
 
 
 def test_criterion_03_classical_pure_marginals_exact():
@@ -188,8 +188,7 @@ def test_criterion_11_coin_with_record():
 
 
 def test_criterion_12_real_quantum_nonlocal_tomography():
-    pair = rnd.real_quantum_pair(2, 2)
-    pred = rnd.predict_nonlocaltomo(pair.k_a, pair.k_ab, 1.0, pair.p_phi_mu, pair.mu_c_norm_sq)
+    pred = rnd.predict_real_quantum(2, 2, 1.0)
     rep = rnd.estimate_real_quantum_local_purity(2, 2, 1.0, SAMPLES, 1014)
     tr_mean = pur.tr2_from_purity(2, rep.mean)
     tr_sigma = rep.stderr / 2

@@ -174,17 +174,17 @@ def test_real_quantum_estimate_builds_the_pair_once(capsys, monkeypatch):
     from gptpurity import randomize as rnd
 
     calls = []
-    build = rnd.real_quantum_pair
+    predict = rnd.predict_real_quantum
 
     def counted(*args):
         calls.append(args)
-        return build(*args)
+        return predict(*args)
 
-    monkeypatch.setattr(rnd, "real_quantum_pair", counted)
+    monkeypatch.setattr(rnd, "predict_real_quantum", counted)
     code, _ = _run(capsys, ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2",
                             "--p0", "1", "--samples", "200", "--seed", "3"])
     assert code == 0
-    assert calls == [(2, 2)]
+    assert calls == [(2, 2, 1.0)]
 
 
 def test_coin_record_cli(capsys):
@@ -222,6 +222,8 @@ def test_failed_verification_exits_two(capsys, monkeypatch):
 
 
 _EST = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1"]
+# Integers past Python's 4300-digit string limit once squared (D) and on their own (H).
+_D, _H = "9" * 2200, "9" * 4299
 
 
 @pytest.mark.parametrize("argv", [
@@ -243,6 +245,13 @@ _EST = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1"
     ["verify", "boxworld", "--seed", "-1"],
     ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "0", "--p0", "1", "--seed", "1"],
     ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "-1", "--p0", "1", "--seed", "1"],
+    ["predict", "general", "--theory", "quantum", "--na", _D, "--nb", "2", "--p0", "1"],
+    ["predict", "qface", "--n", _D, "--sign", "+", "--trp", "1"],
+    ["predict", "nonlocaltomo", "--ma", _D, "--mb", "2", "--p0", "1"],
+    ["coin-record", "--s0", _H, "--seed", "1"],
+    ["estimate", "--theory", "classical", "--na", _H, "--nb", "2", "--p0", "0.3", "--seed", "0"],
+    ["predict", "symm", "--n", _H, "--sign", "+", "--trp", "1"],
+    ["predict", "power-law", "--r", "3", "--na", _D, "--nb", "2", "--p0", "1"],
 ])
 def test_bad_input_exits_one_with_one_line(argv, tmp_path):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]

@@ -185,19 +185,45 @@ def test_support_face_marginal_is_counted_against_the_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["predict", "nonlocaltomo", "--ma", "2400", "--mb", "2", "--p0", "1"],
-    ["estimate", "--theory", "real-quantum", "--ma", "2400", "--mb", "2", "--p0", "1",
-     "--samples", "2000", "--seed", "0"],
+    (["predict", "nonlocaltomo", "--ma", "2000", "--mb", "2", "--p0", "1"], None),
+    (["estimate", "--theory", "real-quantum", "--ma", "2400", "--mb", "2", "--p0", "1",
+      "--samples", "2000", "--seed", "0"], None),
+    # Two blocks of 1024 real kets of 131072 entries and their 64 x 64 Grams.
+    (["estimate", "--theory", "real-quantum", "--ma", "2048", "--mb", "64", "--p0", "1",
+      "--samples", "2000", "--seed", "0"], "2181038080 bytes"),
 ])
 def test_oversized_real_quantum_joint_is_refused_before_anything_is_built(tmp_path, argv):
-    # The 4800-level joint is checked before either part and before any sample.
+    # The prediction needs only the level counts, so no joint descriptor is
+    # built; what grows with the levels is the estimator's ket block, refused
+    # by its own check.
+    argv, refusal = argv
     proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
+    assert rss < MAX_RSS_MB
+    assert "Traceback" not in proc.stderr
+    if refusal is not None:
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert refusal in lines[0]
+        return
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"JSON constant {name}"))
+    if argv[0] == "estimate":
+        assert abs(doc["result"]["mean"] - doc["prediction"]["value"]) <= (
+            3 * doc["result"]["stderr"])
+
+
+def test_power_law_exact_integers_are_counted_against_the_cap(tmp_path):
+    # K = 2^(10^10) on both parts: the exact integers alone would be gigabytes.
+    proc, rss = _run_cli(tmp_path, ["predict", "power-law", "--r", "10000000000", "--na", "2",
+                                    "--nb", "2", "--p0", "1"], address_limit=4 << 30)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert "4800-level real-quantum space would need 1106150400 bytes" in lines[0]
+    assert "20000000000 bytes" in lines[0]
     assert rss < MAX_RSS_MB
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import grouprep, randomize as rnd, statespace as ss
+from gptpurity import checks, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import (
     DegenerateCompositeError,
     InternalError,
+    InvalidDimensionError,
     RangeError,
     UndefinedRatioError,
 )
@@ -100,16 +101,33 @@ def test_sphere_moment_oracle_value():
 
 
 def test_predict_nonlocaltomo_real_quantum_2x2():
-    pair = rnd.real_quantum_pair(2, 2)
-    assert pair.k_a == 3 and pair.k_ab == 10
-    assert pair.p_phi_mu == pytest.approx(1 / 3, abs=1e-12)
-    assert pair.mu_c_norm_sq == pytest.approx(0.0, abs=1e-12)
-    pred = rnd.predict_nonlocaltomo(pair.k_a, pair.k_ab, 1.0, pair.p_phi_mu, pair.mu_c_norm_sq)
+    pred = rnd.predict_real_quantum(2, 2, 1.0)
+    assert pred.formula_id == "nonlocaltomo"
+    assert pred.inputs["K_A"] == 3 and pred.inputs["K_AB"] == 10
+    assert pred.inputs["P_phi_mu"] == pytest.approx(1 / 3, abs=1e-12)
+    assert pred.inputs["mu_C_norm_sq"] == 0.0
     assert pred.value == pytest.approx(2 / 3, abs=1e-12)
     # Equivalent collision value matches the sphere-moment oracle.
     assert tr2_from_purity(2, pred.value) == pytest.approx(
         _sphere_moment_expected_tr2(2, 2), abs=1e-12
     )
+    # The level-count inputs against the numeric route through the joint
+    # real-quantum descriptor, its coordinates and its Gram.
+    for m_a, m_b in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        inputs = rnd.predict_real_quantum(m_a, m_b, 1.0).inputs
+        joint = ss.build_real_quantum(m_a * m_b)
+        gram = grouprep.analytic_gram(joint)
+        phi = np.zeros((m_a, m_a))
+        phi[0, 0] = 1.0
+        phimu = joint.to_coords(np.kron(phi, np.eye(m_b) / m_b)) - joint.max_mixed
+        assert abs(gram.norm_sq(phimu) - inputs["P_phi_mu"]) <= 1e-15
+        mu_c = joint.to_coords(np.eye(m_a * m_b) / (m_a * m_b)
+                               - np.kron(np.eye(m_a) / m_a, np.eye(m_b) / m_b))
+        assert gram.norm_sq(mu_c) <= 1e-30
+        assert (inputs["K_A"], inputs["K_AB"]) == (ss.build_real_quantum(m_a).K, joint.K)
+    for m_a, m_b in ((2, 1), (0, 2)):
+        with pytest.raises(InvalidDimensionError, match="real-quantum level count must be >= 2"):
+            rnd.predict_real_quantum(m_a, m_b, 1.0)
 
 
 def test_predict_nonlocaltomo_reduces_to_general_when_tomographic():
@@ -235,16 +253,18 @@ def test_qubit_oracle_rejects_degenerate_input():
 def test_markov_tail_quantum_2x8():
     comp = _pair(ss.build_quantum, 2, 8)
     rep = rnd.estimate_expected_local_purity(comp, 1.0, 4000, 51)
-    res = rnd.markov_tail_check(rep, 5.0)
+    res = checks.markov_tail(rep, 5.0)
     assert res.passed
-    assert res.bound == pytest.approx(5 * rep.mean)
+    assert res.name == "markov-x-5"
+    sigma = math.sqrt(res.value * (1.0 - res.value) / rep.n_samples)
+    assert res.bound == pytest.approx(5 * rep.mean + 3 * sigma)
 
 
 def test_markov_tail_degenerate_classical():
     comp = _pair(ss.build_classical, 2, 2)
     rep = rnd.estimate_expected_local_purity(comp, 1.0, 200, 5)
-    res = rnd.markov_tail_check(rep, 2.0)
-    assert res.empirical == pytest.approx(1.0)
+    res = checks.markov_tail(rep, 2.0)
+    assert res.value == pytest.approx(1.0)
     assert res.bound >= 1.0
     assert res.passed
 
@@ -253,11 +273,11 @@ def test_markov_tail_rejects_bad_inputs():
     comp = _pair(ss.build_classical, 2, 2)
     rep = rnd.estimate_expected_local_purity(comp, 1.0, 50, 5)
     with pytest.raises(RangeError):
-        rnd.markov_tail_check(rep, 0.5)
+        checks.markov_tail(rep, 0.5)
     bare = rnd.estimate_expected_local_purity(
         comp, 1.0, 50, 5, histogram_bins=None)
     with pytest.raises(RangeError):
-        rnd.markov_tail_check(bare, 2.0)
+        checks.markov_tail(bare, 2.0)
 
 
 def test_report_serialization_roundtrip():
@@ -283,9 +303,7 @@ def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
         expected = rnd.predict_main(na * na, nb * nb, na, nb, p0).value
     else:
         rep = rnd.estimate_real_quantum_local_purity(na, nb, p0, 4000, 61)
-        pair = rnd.real_quantum_pair(na, nb)
-        expected = rnd.predict_nonlocaltomo(pair.k_a, pair.k_ab, p0, pair.p_phi_mu,
-                                            pair.mu_c_norm_sq).value
+        expected = rnd.predict_real_quantum(na, nb, p0).value
     assert abs(rep.mean - expected) <= 3 * rep.stderr + 1e-12
     assert rep.realized_global_purity == pytest.approx(p0, abs=1e-9)
     if p0 == 0.0:
@@ -325,10 +343,9 @@ def test_predict_main_quantum_reduces_to_pure_state_form(n_a, n_b, p0):
 
 
 def test_nonlocaltomo_asymmetric_real_quantum_agrees_with_oracle():
-    pair = rnd.real_quantum_pair(2, 3)
-    assert pair.k_ab == 21
-    assert pair.p_phi_mu == pytest.approx(1 / 5, abs=1e-12)
-    pred = rnd.predict_nonlocaltomo(pair.k_a, pair.k_ab, 1.0, pair.p_phi_mu, pair.mu_c_norm_sq)
+    pred = rnd.predict_real_quantum(2, 3, 1.0)
+    assert pred.inputs["K_AB"] == 21
+    assert pred.inputs["P_phi_mu"] == pytest.approx(1 / 5, abs=1e-12)
     assert tr2_from_purity(2, pred.value) == pytest.approx(
         _sphere_moment_expected_tr2(2, 3), abs=1e-12
     )
