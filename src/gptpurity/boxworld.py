@@ -13,7 +13,7 @@ weights can normalize both families to 1 simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ _CORR_IDX = np.array([4, 5, 7, 8])  # A-hat (x) B-hat block
 _MARG_IDX = np.array([1, 2, 3, 6])  # mu (x) B-hat and A-hat (x) mu blocks
 
 
-@dataclass(frozen=True)
-class BoxworldGram:
+class BoxworldGram(NamedTuple):
     """Block-weighted invariant inner product on the boxworld Bloch subspace.
 
     ``a`` weighs the correlation block, ``b`` the two marginal blocks, and
@@ -82,8 +81,7 @@ def gram_invariance_deviation(gram: BoxworldGram = DEFAULT_GRAM) -> float:
     return dev
 
 
-@dataclass(frozen=True)
-class ObstructionRecord:
+class ObstructionRecord(NamedTuple):
     """Why no invariant inner product normalizes all boxworld pure states.
 
     The purities of the two vertex families are linear in the block weights:

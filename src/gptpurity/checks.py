@@ -10,7 +10,7 @@ producer, shared by the command line and the acceptance tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .statespace import SpaceDescriptor
 EXACT = 1e-12
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named non-negative deviation and the bound it must not exceed."""
 
     name: str

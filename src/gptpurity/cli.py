@@ -14,6 +14,7 @@ import json
 import math
 import sys
 
+# Module level on purpose: perfbench/child.py traces every layer it finds in sys.modules.
 from . import composite as comp_mod
 from . import faces as faces_mod
 from . import grouprep
@@ -24,10 +25,9 @@ from .errors import GptPurityError
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits with status 1 on usage errors."""
+    """argparse variant that exits with status 1 and one line on usage errors."""
 
     def error(self, message: str) -> None:  # noqa: D401 - argparse contract
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

@@ -18,6 +18,7 @@ P(phi_A (x) mu_B) costs O(K).  Its coordinate labels are derived on request
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,7 @@ from .grouprep import GramMatrix
 from .statespace import SpaceDescriptor
 
 
-@dataclass(frozen=True)
-class CompositeDescriptor:
+class CompositeDescriptor(NamedTuple):
     """A bipartite composite with K_AB = K_A * K_B.
 
     ``joint`` is a full SpaceDescriptor whose coordinate basis is the tensor
@@ -88,12 +88,6 @@ def marginal_a(comp: CompositeDescriptor, omega: np.ndarray) -> np.ndarray:
     return c @ comp.part_b.order_unit
 
 
-def marginal_b(comp: CompositeDescriptor, omega: np.ndarray) -> np.ndarray:
-    """Reduced state on B."""
-    c = np.asarray(omega, dtype=float).reshape(comp.part_a.K, comp.part_b.K)
-    return comp.part_a.order_unit @ c
-
-
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Partial trace over one tensor slot of a (d_a * d_b) square matrix or a stack of them."""
     da, db = dims
@@ -107,7 +101,7 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
 # -- classical subsystems and capacity witnesses ----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalSubsystemWitness:
     """Perfectly distinguishable pure states with their distinguishing effects.
 
@@ -181,8 +175,7 @@ def capacity_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
     raise UnsupportedSpaceError(f"no capacity witness for kind {space.kind!r}")
 
 
-@dataclass(frozen=True)
-class CenteredReport:
+class CenteredReport(NamedTuple):
     """Deviations of a witness from the centered-dynamical Gram identity."""
 
     n: int
@@ -227,8 +220,7 @@ def _reference_pure(space: SpaceDescriptor) -> np.ndarray:
     raise UnsupportedSpaceError(f"no reference pure state for kind {space.kind!r}")
 
 
-@dataclass(frozen=True)
-class PurityPhiMu:
+class PurityPhiMu(NamedTuple):
     """The quantity P(phi_A (x) mu_B), numerically and in closed form."""
 
     numeric: float

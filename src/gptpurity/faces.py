@@ -18,8 +18,8 @@ Expected local collision values for quantum faces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ KIND_QUANTUM_FACE = "quantum-subspace"
 KIND_CLASSICAL_FACE = "classical-support"
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(NamedTuple):
     """A face of a bipartite state space, preserved by matched local actions.
 
     ``projector`` / ``isometry`` describe the quantum subspace (the isometry
@@ -259,8 +258,7 @@ def _estimate_support_face(
 # -- coin tossing against a record-keeping environment --------------------------------------
 
 
-@dataclass(frozen=True)
-class CoinRecordResult:
+class CoinRecordResult(NamedTuple):
     """Monte Carlo report and face-restricted prediction for the record scenario.
 
     ``sigma`` is the exact per-sample standard deviation (``coin_record_sigma``).

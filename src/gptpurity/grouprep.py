@@ -83,7 +83,7 @@ def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
 # -- group samplers --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSampler:
     """Uniform sampler over a space's reversible-transformation group.
 
@@ -230,7 +230,7 @@ def sampler_for(space: SpaceDescriptor, *, enumerate_limit: int = 1000) -> Group
 # -- invariant inner product -------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GramMatrix:
     """Invariant inner product on the Bloch subspace.
 

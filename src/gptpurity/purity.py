@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,7 @@ def fixed_purity_state(space: SpaceDescriptor, p0: float, rng: np.random.Generat
 # -- Pauli maps -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliMap:
     """A unit-Gram-norm linear functional vanishing on the maximally mixed state.
 
@@ -75,7 +76,7 @@ class PauliMap:
     gram: GramMatrix
     vector: np.ndarray
     label: str = ""
-    covector: np.ndarray = field(init=False, repr=False, compare=False)
+    covector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vector", ss._frozen(np.asarray(self.vector, dtype=float)))
@@ -90,7 +91,7 @@ class PauliMap:
         return (np.asarray(states) - self.space.max_mixed) @ self.covector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliSet:
     """A complete set of Paulis: a sign-quotiented group orbit of one map."""
 
@@ -204,8 +205,7 @@ def purity_via_pauli_set(pset: PauliSet, omega: np.ndarray) -> float | np.ndarra
     return float(p) if p.ndim == 0 else p
 
 
-@dataclass(frozen=True)
-class PauliAverage:
+class PauliAverage(NamedTuple):
     """Group average of X(T omega)^2, exact or Monte Carlo."""
 
     mean: float
@@ -249,8 +249,7 @@ def pauli_haar_average(
     )
 
 
-@dataclass(frozen=True)
-class CollisionResult:
+class CollisionResult(NamedTuple):
     """Best repeat-outcome probability over Pauli measurements."""
 
     value: float

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ BLOCK_SIZE = 1024
 # -- predictions ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """A closed-form expected local purity with its input echo."""
 
     value: float
@@ -166,8 +165,7 @@ def predict_nonlocaltomo(
 # -- Monte Carlo reports -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(NamedTuple):
     """Monte Carlo estimate of an expected local purity.
 
     ``stderr`` is the sample standard deviation over sqrt(n);
@@ -457,8 +455,7 @@ def estimate_real_quantum_local_purity(
 # -- qubit Pauli-coefficient oracle --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QubitOracleResult:
+class QubitOracleResult(NamedTuple):
     """Monte Carlo and closed-form sides of the qubit coefficient identity.
 
     The identity relates the expected local collision value on n_A qubits to

@@ -20,7 +20,6 @@ by ``check_memory`` before they are allocated.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -80,7 +79,7 @@ def check_memory(nbytes: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceDescriptor:
     """A finite-dimensional state space in ambient coordinates.
 
@@ -272,21 +271,6 @@ class SpaceDescriptor:
     def sample_pure(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a uniformly random pure state: the size-1 case of ``sample_pures``."""
         return self.sample_pures(rng, 1)[0]
-
-    # -- serialization ---------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "K": self.K,
-            "N": self.N,
-            "order_unit": [float(v) for v in self.order_unit],
-            "max_mixed": [float(v) for v in self.max_mixed],
-            "labels": list(self.labels),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def validate_state(space: SpaceDescriptor, omega: np.ndarray) -> None:

@@ -252,6 +252,11 @@ _D, _H = "9" * 2200, "9" * 4299
     ["estimate", "--theory", "classical", "--na", _H, "--nb", "2", "--p0", "0.3", "--seed", "0"],
     ["predict", "symm", "--n", _H, "--sign", "+", "--trp", "1"],
     ["predict", "power-law", "--r", "3", "--na", _D, "--nb", "2", "--p0", "1"],
+    _EST,
+    ["predict", "main", "--ka", "x", "--kb", "4", "--na", "2", "--nb", "2", "--p0", "1"],
+    ["verify", "no-such-suite"],
+    ["no-such-command"],
+    ["two-design", "--k", "3"],
 ])
 def test_bad_input_exits_one_with_one_line(argv, tmp_path):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]

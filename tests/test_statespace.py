@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -200,15 +199,14 @@ def test_boxworld_vertices_are_extreme_points():
         assert not res.success
 
 
-def test_descriptor_json_roundtrip():
+def test_quantum_descriptor_fields():
     space = ss.build_quantum(2)
-    doc = json.loads(space.to_json())
-    assert doc["kind"] == "quantum"
-    assert doc["K"] == 4 and doc["N"] == 2
-    np.testing.assert_allclose(doc["order_unit"], space.order_unit)
-    np.testing.assert_allclose(doc["max_mixed"], space.max_mixed)
-    assert doc["labels"] == list(space.basis_labels)
-    assert doc["order_unit"][0] == math.sqrt(2)
+    assert space.kind == "quantum"
+    assert space.K == 4 and space.N == 2
+    assert space.order_unit[0] == math.sqrt(2)
+    np.testing.assert_allclose(space.order_unit, [math.sqrt(2), 0, 0, 0])
+    np.testing.assert_allclose(space.to_matrix(space.max_mixed), np.eye(2) / 2, atol=1e-15)
+    assert space.labels == space.basis_labels == ("u", "x01", "y01", "z1")
 
 
 def test_descriptors_are_immutable():
