@@ -4,7 +4,9 @@ A ``Check`` passes when its non-negative ``value`` is at most its ``bound``,
 so a NaN value fails; it is the only pass/fail rule of the package.
 ``markov_tail`` turns a histogram-bearing Monte Carlo report into one.
 ``SUITES`` maps each ``verify`` suite to a ``(seed, samples) -> list[Check]``
-producer, shared by the command line and the acceptance tests.
+producer, shared by the command line and the acceptance tests; it is the one
+list of suite names.  Other layers are reached through module aliases only,
+so running this module runs none of them.
 """
 
 from __future__ import annotations
@@ -17,19 +19,10 @@ import numpy as np
 from . import boxworld as bw
 from . import composite as comp_mod
 from . import grouprep
+from . import purity as pur
 from . import randomize as rnd
 from . import statespace as ss
 from .errors import RangeError
-from .grouprep import GramMatrix
-from .purity import (
-    MIXED_PURITY_FLOOR,
-    complete_pauli_set,
-    pauli_haar_average,
-    pauli_vectors,
-    purity,
-    purity_via_pauli_set,
-)
-from .statespace import SpaceDescriptor
 
 # Tolerance of the exact identities checked in floating point.
 EXACT = 1e-12
@@ -55,7 +48,8 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("mk,mk->m", x, y)
 
 
-def pauli_identity_deviations(space: SpaceDescriptor, states: np.ndarray) -> tuple[float, float]:
+def pauli_identity_deviations(space: ss.SpaceDescriptor,
+                              states: np.ndarray) -> tuple[float, float]:
     """Largest deviations of the complete-Pauli-set and collision identities.
 
     Over the rows of a (m, K) stack of states, the first is
@@ -66,19 +60,20 @@ def pauli_identity_deviations(space: SpaceDescriptor, states: np.ndarray) -> tup
     whole stack at once.
     """
     gram = grouprep.analytic_gram(space)
-    pset = complete_pauli_set(space, gram)
+    pset = pur.complete_pauli_set(space, gram)
     b = space.bloch(states)
     p = gram.norms_sq(b)
-    dev = np.max(np.abs(purity_via_pauli_set(pset, states) - p), initial=0.0)
+    dev = np.max(np.abs(pur.purity_via_pauli_set(pset, states) - p), initial=0.0)
     attained = np.full(len(b), 0.5)
-    directed = p >= MIXED_PURITY_FLOOR
-    x = gram.apply(pauli_vectors(space, gram, b[directed]))
+    directed = p >= pur.MIXED_PURITY_FLOOR
+    x = gram.apply(pur.pauli_vectors(space, gram, b[directed]))
     attained[directed] = 0.5 * (1.0 + _row_dots(x, b[directed]) ** 2)
     cdev = np.max(np.abs(attained - 0.5 * (1.0 + p)), initial=0.0)
     return float(dev), float(cdev)
 
 
-def invariance_deviation(gram: GramMatrix, ts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
+def invariance_deviation(gram: grouprep.GramMatrix, ts: np.ndarray, xs: np.ndarray,
+                         ys: np.ndarray) -> float:
     """Largest |<T_i x_i, T_i y_i> - <x_i, y_i>| in the Gram product over stacked triples."""
     tx = np.einsum("mkl,ml->mk", ts, xs)
     ty = np.einsum("mkl,ml->mk", ts, ys)
@@ -117,10 +112,10 @@ def _pauli_identities(seed: int, samples: int) -> list[Check]:
     qubit = spaces["qubit"]
     gram = grouprep.analytic_gram(qubit)
     sampler = grouprep.sampler_for(qubit)
-    x = complete_pauli_set(qubit, gram).maps[0]
+    x = pur.complete_pauli_set(qubit, gram).maps[0]
     omega = qubit.sample_pure(rng)
-    avg = pauli_haar_average(qubit, sampler, x, omega, n_samples=samples, rng=rng)
-    expected = purity(qubit, gram, omega) / (qubit.K - 1)
+    avg = pur.pauli_haar_average(qubit, sampler, x, omega, n_samples=samples, rng=rng)
+    expected = pur.purity(qubit, gram, omega) / (qubit.K - 1)
     checks.append(Check("haar-average-qubit", abs(avg.mean - expected), 3.0 * avg.stderr))
     return checks
 
@@ -155,8 +150,7 @@ def _classical_subsystem(seed: int, samples: int) -> list[Check]:
 
 
 def _markov_tail(seed: int, samples: int) -> list[Check]:
-    comp = comp_mod.compose(ss.build_quantum(2), ss.build_quantum(8))
-    report = rnd.estimate_expected_local_purity(comp, 1.0, samples, seed,
+    report = rnd.estimate_expected_local_purity(rnd.QUANTUM, 2, 8, 1.0, samples, seed,
                                                 histogram_bins=rnd.HISTOGRAM_BINS)
     return [markov_tail(report, x) for x in (2.0, 5.0, 10.0)]
 

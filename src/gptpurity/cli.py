@@ -10,18 +10,43 @@ failure, 1 usage error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
 
-# Module level on purpose: perfbench/child.py traces every layer it finds in sys.modules.
-from . import composite as comp_mod
-from . import faces as faces_mod
-from . import grouprep
-from . import randomize as rnd
-from . import statespace as ss
-from .checks import EXACT, SUITES, Check, run_suite
 from .errors import GptPurityError
+
+
+def _lazy(name: str) -> None:
+    """Register layer ``name`` of this package, to run on its first attribute access.
+
+    An already loaded module is reused.  The module is bound on the package
+    too, so ``from . import name`` finds it there and does not run it.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+
+
+# Every layer is in sys.modules from here on, but a command runs only the
+# layers it reads: a quantum estimate runs randomize and checks, not the
+# descriptors, Grams and faces it does not need.
+for _name in ("statespace", "grouprep", "composite", "purity", "boxworld", "randomize",
+              "faces", "checks"):
+    _lazy(_name)
+
+# Imported after the registration, so binding a layer here does not run it.
+from . import checks  # noqa: E402
+from . import faces as faces_mod  # noqa: E402
+from . import grouprep  # noqa: E402
+from . import randomize as rnd  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach a 100-bin histogram of the per-sample values")
 
     ver = sub.add_parser("verify", parents=[common], help="bounded verification suites")
-    ver.add_argument("suite", choices=tuple(SUITES))
+    ver.add_argument("suite", choices=tuple(checks.SUITES))
     ver.add_argument("--seed", type=int, default=2024)
     ver.add_argument("--samples", type=int, default=10_000)
 
@@ -112,16 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command bodies ---------------------------------------------------------------------
 
 
-def _spaces_for_theory(theory: str, na: int, nb: int):
-    build = ss.build_quantum if theory == "quantum" else ss.build_classical
-    return comp_mod.compose(build(na), build(nb))
-
-
 def _run_predict(args: argparse.Namespace) -> dict:
     if args.formula == "main":
         pred = rnd.predict_main(args.ka, args.kb, args.na, args.nb, args.p0)
     elif args.formula == "general":
-        pred = rnd.predict_general(_spaces_for_theory(args.theory, args.na, args.nb), args.p0)
+        pred = rnd.predict_general(args.theory, args.na, args.nb, args.p0)
     elif args.formula == "power-law":
         pred = rnd.predict_power_law(args.r, args.na, args.nb, args.p0)
     elif args.formula == "nonlocaltomo":
@@ -158,23 +178,22 @@ def _run_estimate(args: argparse.Namespace) -> dict:
         prediction = rnd.predict_real_quantum(args.ma, args.mb, args.p0)
     else:
         _require(args, ["na", "nb", "p0"])
-        comp = _spaces_for_theory(args.theory, args.na, args.nb)
         report = rnd.estimate_expected_local_purity(
-            comp, args.p0, args.samples, args.seed, histogram_bins=bins
+            args.theory, args.na, args.nb, args.p0, args.samples, args.seed, histogram_bins=bins
         )
-        prediction = rnd.predict_general(comp, args.p0)
+        prediction = rnd.predict_general(args.theory, args.na, args.nb, args.p0)
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}
 
 
 def _run_verify(args: argparse.Namespace) -> dict:
-    checks = run_suite(args.suite, args.seed, args.samples)
-    return {"checks": [c.to_json_dict() for c in checks],
-            "passed": all(c.passed for c in checks)}
+    results = checks.run_suite(args.suite, args.seed, args.samples)
+    return {"checks": [c.to_json_dict() for c in results],
+            "passed": all(c.passed for c in results)}
 
 
 def _run_two_design(args: argparse.Namespace) -> dict:
     frame = grouprep.frame_potential(grouprep.clifford_unitaries(args.k))
-    check = Check("two-design", abs(frame - 2.0), EXACT if args.k == 1 else 1e-11)
+    check = checks.Check("two-design", abs(frame - 2.0), checks.EXACT if args.k == 1 else 1e-11)
     return {"k": args.k, "frame_potential": frame, "max_deviation": check.value,
             "bound": check.bound, "passed": check.passed}
 
@@ -182,8 +201,9 @@ def _run_two_design(args: argparse.Namespace) -> dict:
 def _run_coin_record(args: argparse.Namespace) -> dict:
     res = faces_mod.coin_with_record(args.s0, args.samples, args.seed)
     # Only a record of one string has sigma = 0: every sample is then exact.
-    check = Check("coin-record", abs(res.report.mean - res.prediction.value),
-                  3.0 * res.sigma / math.sqrt(res.report.n_samples) if res.sigma > 0 else EXACT)
+    check = checks.Check("coin-record", abs(res.report.mean - res.prediction.value),
+                         3.0 * res.sigma / math.sqrt(res.report.n_samples) if res.sigma > 0
+                         else checks.EXACT)
     return {"result": res.report.to_json_dict(),
             "prediction": res.prediction.to_json_dict(),
             "passed": check.passed}

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import statespace as ss
-from .errors import InconsistencyError, UnsupportedCompositeError, UnsupportedSpaceError
+from .errors import (InconsistencyError, UnsupportedCompositeError, UnsupportedSpaceError,
+                     check_memory)
 from .grouprep import GramMatrix
 from .statespace import SpaceDescriptor
 
@@ -57,7 +58,7 @@ def compose(a: SpaceDescriptor, b: SpaceDescriptor) -> CompositeDescriptor:
         raise UnsupportedCompositeError(
             f"no transitive tomographic composite for kinds {a.kind!r} x {b.kind!r}"
         )
-    ss.check_memory(
+    check_memory(
         ss.DESCRIPTOR_BYTES_PER_COORD * a.K * b.K,
         f"the {a.K * b.K}-coordinate joint {a.kind} space",
     )

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory cap every layer checks.
+
+Arrays that grow with a request (a coordinate block, a dense Gram, a stacked
+basis, a descriptor, a block of Monte Carlo samples) are checked against
+``MEMORY_CAP_BYTES`` by ``check_memory`` before they are allocated.
+"""
+
+# Largest single array a request may allocate when it grows with the request.
+MEMORY_CAP_BYTES = 1 << 30
 
 
 class GptPurityError(Exception):
@@ -59,3 +67,11 @@ class InvalidProbeError(GptPurityError, ValueError):
 
 class InternalError(GptPurityError):
     """An internal self-check failed; indicates a bug, not bad input."""
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, ``what`` needing more than ``MEMORY_CAP_BYTES``."""
+    if nbytes > MEMORY_CAP_BYTES:
+        raise RangeError(
+            f"{what} would need {nbytes} bytes, over the {MEMORY_CAP_BYTES}-byte memory cap"
+        )

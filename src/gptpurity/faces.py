@@ -238,18 +238,23 @@ def _estimate_support_face(
 ) -> McReport:
     """Marginal purity on A of uniform permutations of ``p_face`` over the face support.
 
-    Support outcome s = a K_B + b adds to the A marginal at a (``np.add.at``).
+    Support outcome s = a K_B + b adds to the A marginal at a: the block's
+    columns are ordered by A outcome, and each run of equal outcomes is summed
+    by one ``np.add.reduceat``.
     """
     na = face.comp.part_a.K
     omega0 = np.zeros(face.comp.joint.K)
     omega0[face.support] = p_face
     purity = face_restricted_purity(face, omega0)
     to_a = face.support // face.comp.part_b.K
+    order = np.argsort(to_a, kind="stable")
+    runs = np.flatnonzero(np.diff(to_a[order], prepend=-1))
+    outcomes = to_a[order[runs]]
 
     def draw(rng, size):
         block = _permuted_block(rng, size, p_face, na)
         marg = np.zeros((size, na))
-        np.add.at(marg, (slice(None), to_a), block)
+        marg[:, outcomes] = np.add.reduceat(block[:, order], runs, axis=1)
         return _classical_purities(marg), purity
 
     return _estimate(n_samples, seed, draw, histogram_bins)

@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import errors
 from . import statespace as ss
 from .errors import InternalError, ReducibleSpaceError, UnsupportedSpaceError
 from .statespace import SpaceDescriptor
@@ -118,12 +119,12 @@ class GroupSampler:
     def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """A (size, K, K) stack of independent uniform elements.
 
-        Refused beyond ``statespace.MEMORY_CAP_BYTES``, counting the
+        Refused beyond ``errors.MEMORY_CAP_BYTES``, counting the
         conjugation intermediates of the Haar samplers.
         """
         k = self.space.K
-        ss.check_memory(_DRAW_BYTES_PER_ENTRY * size * k * k,
-                        f"a stack of {size} group elements on {k} coordinates")
+        errors.check_memory(_DRAW_BYTES_PER_ENTRY * size * k * k,
+                            f"a stack of {size} group elements on {k} coordinates")
         if self.elements is not None:
             return self.elements[rng.integers(len(self.elements), size=size)]
         return self._draw_many(rng, size)
@@ -132,11 +133,12 @@ class GroupSampler:
         """``total`` independent elements as ``draw_many`` stacks of ``DRAW_BLOCK``.
 
         Blocks shrink (to one element at the least) where a full block would
-        pass ``statespace.MEMORY_CAP_BYTES``; only the last block is shorter
+        pass ``errors.MEMORY_CAP_BYTES``; only the last block is shorter
         otherwise.
         """
         k = self.space.K
-        block = max(1, min(DRAW_BLOCK, ss.MEMORY_CAP_BYTES // (_DRAW_BYTES_PER_ENTRY * k * k)))
+        fits = errors.MEMORY_CAP_BYTES // (_DRAW_BYTES_PER_ENTRY * k * k)
+        block = max(1, min(DRAW_BLOCK, fits))
         for lo in range(0, total, block):
             yield self.draw_many(rng, min(block, total - lo))
 
@@ -249,7 +251,7 @@ class GramMatrix:
     ``apply`` is the one operation that depends on the form; ``inner``,
     ``norm_sq`` and ``norms_sq`` are built on it.  ``matrix`` is the dense
     form; for a scale-only Gram it is built on each access and refused
-    beyond ``statespace.MEMORY_CAP_BYTES``.
+    beyond ``errors.MEMORY_CAP_BYTES``.
     """
 
     scale: float
@@ -276,7 +278,7 @@ class GramMatrix:
         if self.stored is not None:
             return self.stored
         u = self.order_unit
-        ss.check_memory(8 * u.size * u.size, f"a dense {u.size} x {u.size} Gram matrix")
+        errors.check_memory(8 * u.size * u.size, f"a dense {u.size} x {u.size} Gram matrix")
         return ss._frozen(self.scale * (np.eye(u.size) - np.outer(u, u) / float(u @ u)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:

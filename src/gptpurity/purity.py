@@ -19,7 +19,7 @@ import numpy as np
 
 from . import grouprep
 from . import statespace as ss
-from .errors import DegenerateDirectionError, RangeError, UnsupportedSpaceError
+from .errors import DegenerateDirectionError, RangeError, UnsupportedSpaceError, check_memory
 from .grouprep import GramMatrix, GroupSampler
 from .statespace import SpaceDescriptor
 
@@ -237,7 +237,7 @@ def pauli_haar_average(
     if n_samples < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
     # The blocks' values and their concatenation are alive at once.
-    ss.check_memory(2 * 8 * n_samples, f"2 arrays of {n_samples} per-sample values")
+    check_memory(2 * 8 * n_samples, f"2 arrays of {n_samples} per-sample values")
     vals = np.concatenate(
         [x.evaluate_many(ts @ omega) ** 2 for ts in sampler.draw_blocks(rng, n_samples)]
     )

@@ -8,8 +8,12 @@ averages the local purity.  Closed forms:
 * general:     (K_A-1)/(K_A K_B-1) * P0 / P(phi_A (x) mu_B)
 * power-law:   main with K = N^r on both parts
 * nonlocaltomo (K_A-1)/(K_AB-1) * P0 / (P(phi_A (x) mu_B) - |mu_C|^2),
-  for compositions that are not locally tomographic; real quantum theory
-  (``predict_real_quantum``) needs only the level counts for its inputs.
+  for compositions that are not locally tomographic.
+
+``predict_general`` and ``predict_real_quantum`` take level counts alone.
+``main``, ``general`` and ``nonlocaltomo`` are evaluated once in exact
+rationals, from the integer level counts and the exact value of the float P0,
+so each reported value is correctly rounded.
 
 Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
@@ -30,12 +34,16 @@ through one batched product of the smaller Gram, and no A marginal is
 formed.  A fixed ``initial`` state is conjugated by a block of Haar
 unitaries drawn with one stacked QR.  A report carries no verdict: a
 ``checks.Check`` judges it (``checks.markov_tail`` for its histogram).
+
+The level-count paths use no other layer of the package, and the others reach
+theirs through module aliases, so a lazily registered layer runs only if used.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
@@ -43,22 +51,26 @@ import numpy as np
 
 from . import composite as comp_mod
 from . import grouprep
+from . import purity as pur
 from . import statespace as ss
-from .composite import CompositeDescriptor
 from .errors import (
     DegenerateCompositeError,
     InternalError,
     InvalidDimensionError,
     RangeError,
     UndefinedRatioError,
+    UnsupportedSpaceError,
+    check_memory,
 )
-from .purity import purity_from_tr2, tr2_from_purity
 
 HISTOGRAM_BINS = 100
 GLOBAL_PURITY_TOL = 1e-9
 # Samples per random stream.  It bounds the kernels' working memory; a
 # report depends on it, so changing it changes every Monte Carlo value.
 BLOCK_SIZE = 1024
+# The theories whose estimates and predictions take two level counts.
+QUANTUM = "quantum"
+CLASSICAL = "classical"
 
 
 # -- predictions ---------------------------------------------------------------------------
@@ -75,36 +87,60 @@ class Prediction(NamedTuple):
         return {"value": self.value, "formula_id": self.formula_id, "inputs": dict(self.inputs)}
 
 
+def _check_p0(p0: float) -> None:
+    if not 0.0 <= p0 <= 1.0:
+        raise RangeError(f"global purity must lie in [0, 1], got {p0}")
+
+
+def _main_value(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> float:
+    """The main formula, exact in rationals and rounded once."""
+    exact = Fraction(k_a - 1, k_a * k_b - 1) * Fraction(n_a * n_b - 1, n_a - 1) * Fraction(p0)
+    return float(exact)
+
+
 def predict_main(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> Prediction:
     """Expected local purity for composites with a composite classical subsystem."""
     for k, n, side in ((k_a, n_a, "A"), (k_b, n_b, "B")):
         if not k >= n >= 2:
             raise RangeError(f"need K >= N >= 2 on part {side}, got K={k}, N={n}")
-    if not 0.0 <= p0 <= 1.0:
-        raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    value = (k_a - 1) / (k_a * k_b - 1) * (n_a * n_b - 1) / (n_a - 1) * p0
+    _check_p0(p0)
     return Prediction(
-        value=value,
+        value=_main_value(k_a, k_b, n_a, n_b, p0),
         formula_id="main",
         inputs={"K_A": k_a, "K_B": k_b, "N_A": n_a, "N_B": n_b, "P0": p0},
     )
 
 
-def predict_general(comp: CompositeDescriptor, p0: float) -> Prediction:
-    """Expected local purity from P(phi_A (x) mu_B) in the joint's unique invariant Gram."""
-    if not 0.0 <= p0 <= 1.0:
-        raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    phimu = comp_mod.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint))
-    k_a, k_b = comp.part_a.K, comp.part_b.K
-    value = (k_a - 1) / (k_a * k_b - 1) * p0 / phimu.numeric
+def _check_levels(theory: str, *levels: int) -> None:
+    for n in levels:
+        if n < 2:
+            raise InvalidDimensionError(f"{theory} level count must be >= 2, got {n}")
+
+
+def _local_dimensions(theory: str, n_a: int, n_b: int) -> tuple[int, int]:
+    """K_A and K_B of two quantum or two classical parts with n_A and n_B levels."""
+    if theory not in (QUANTUM, CLASSICAL):
+        raise UnsupportedSpaceError(f"no level-count composite for theory {theory!r}")
+    _check_levels(theory, n_a, n_b)
+    return (n_a * n_a, n_b * n_b) if theory == QUANTUM else (n_a, n_b)
+
+
+def predict_general(theory: str, n_a: int, n_b: int, p0: float) -> Prediction:
+    """Expected local purity of two quantum or two classical parts, from their level counts.
+
+    P(phi_A (x) mu_B) = (N_A-1)/(N_A N_B-1) holds for every composite with a
+    composite classical subsystem, so no descriptor or Gram is built.
+    """
+    k_a, k_b = _local_dimensions(theory, n_a, n_b)
+    _check_p0(p0)
     return Prediction(
-        value=value,
+        value=_main_value(k_a, k_b, n_a, n_b, p0),
         formula_id="general",
         inputs={
             "K_A": k_a,
             "K_B": k_b,
             "P0": p0,
-            "P_phi_mu": phimu.numeric,
+            "P_phi_mu": float(Fraction(n_a - 1, n_a * n_b - 1)),
         },
     )
 
@@ -113,51 +149,53 @@ def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
     """The main formula in a theory class with K = N^r on both parts.
 
     r = 1 reduces to the classical cancellation, r = 2 to quantum theory.
-    The exact value scales like N_B^(1-r) for a large second party.
+    The exact value scales like N_B^(1-r) for a large second party.  Its
+    integers have up to r log2(N_A N_B) bits, too many for a rational's gcd,
+    so it is evaluated as one correctly rounded integer division times floats.
     """
     if r < 1 or int(r) != r:
         raise RangeError(f"power-law exponent must be a positive integer, got {r}")
     for n, side in ((n_a, "A"), (n_b, "B")):
         if n < 2:
             raise RangeError(f"need N >= 2 on part {side}, got N={n}")
+    _check_p0(p0)
     # K_A K_B = (N_A N_B)^r is exact and has r log2(N_A N_B) bits.  K_A, K_B,
     # the product and the temporaries of the powers and of the division hold
     # up to about 7.4 integers of that size (tracemalloc), so eight are counted.
-    ss.check_memory(8 * math.ceil(r * math.log2(n_a * n_b) / 8),
-                    f"the exact K_A = {n_a}^{r}, K_B = {n_b}^{r} and their product")
-    inner = predict_main(n_a**r, n_b**r, n_a, n_b, p0)
+    check_memory(8 * math.ceil(r * math.log2(n_a * n_b) / 8),
+                 f"the exact K_A = {n_a}^{r}, K_B = {n_b}^{r} and their product")
+    k_a, k_b = n_a**r, n_b**r
     return Prediction(
-        value=inner.value,
+        value=(k_a - 1) / (k_a * k_b - 1) * (n_a * n_b - 1) / (n_a - 1) * p0,
         formula_id="power-law",
         inputs={"r": r, "N_A": n_a, "N_B": n_b, "P0": p0},
     )
 
 
 def predict_nonlocaltomo(
-    k_a: int, k_ab: int, p0: float, p_phi_mu: float, mu_c_norm_sq: float
+    k_a: int, k_ab: int, p0: float, p_phi_mu: float | Fraction, mu_c_norm_sq: float | Fraction
 ) -> Prediction:
     """Expected local purity without local tomography.
 
     ``mu_c_norm_sq`` is the squared Gram norm of the locally inaccessible
-    component of the joint maximally mixed state.
+    component of the joint maximally mixed state.  Floats enter as their
+    exact values, so a ``Fraction`` input keeps the value correctly rounded.
     """
-    if not 0.0 <= p0 <= 1.0:
-        raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    denom = p_phi_mu - mu_c_norm_sq
+    _check_p0(p0)
+    denom = Fraction(p_phi_mu) - Fraction(mu_c_norm_sq)
     if denom <= 0:
         raise DegenerateCompositeError(
-            f"P(phi (x) mu) - |mu_C|^2 = {denom!r} must be positive"
+            f"P(phi (x) mu) - |mu_C|^2 = {float(denom)!r} must be positive"
         )
-    value = (k_a - 1) / (k_ab - 1) * p0 / denom
     return Prediction(
-        value=value,
+        value=float(Fraction(k_a - 1, k_ab - 1) * Fraction(p0) / denom),
         formula_id="nonlocaltomo",
         inputs={
             "K_A": k_a,
             "K_AB": k_ab,
             "P0": p0,
-            "P_phi_mu": p_phi_mu,
-            "mu_C_norm_sq": mu_c_norm_sq,
+            "P_phi_mu": float(p_phi_mu),
+            "mu_C_norm_sq": float(mu_c_norm_sq),
         },
     )
 
@@ -229,7 +267,7 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
         raise RangeError(f"the seed must be non-negative, got {seed}")
     # The values, the global purities and one temporary of the reduction (the
     # deviations in ``std`` or the clipped values of the histogram).
-    ss.check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
+    check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
     vals = np.empty(n_samples)
     gvals = np.empty(n_samples)
     for b, lo in enumerate(range(0, n_samples, BLOCK_SIZE)):
@@ -250,6 +288,17 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
         histogram_counts=counts,
         histogram_edges=edges,
     )
+
+
+def haar_kets(size: int, d: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
+    """``size`` uniformly random unit vectors in C^d (R^d when ``real``), one per row.
+
+    The real parts of the whole stack are drawn before the imaginary parts.
+    """
+    psi = rng.normal(size=(size, d))
+    if not real:
+        psi = psi + 1j * rng.normal(size=(size, d))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 def _haar_ket_block(
@@ -284,9 +333,9 @@ def _haar_ket_block(
     k = min(na, nb)
     # The kets (mapped into C^(n_A n_B) from an isometry's column space), their
     # conjugates and W.
-    ss.check_memory((8 if real else 16) * size * (2 * na * nb + k * k),
-                    f"2 blocks of {size} kets in dimension {na * nb} and their Grams")
-    psi = ss.haar_kets(size, d, rng, real=real)
+    check_memory((8 if real else 16) * size * (2 * na * nb + k * k),
+                 f"2 blocks of {size} kets in dimension {na * nb} and their Grams")
+    psi = haar_kets(size, d, rng, real=real)
     if isometry is not None:
         psi = psi @ isometry.T
     m = psi.reshape(size, na, nb)
@@ -312,11 +361,11 @@ def _conjugated_block(
     """
     n = phi.shape[0]
     # U, U phi, conj(U) and rho are alive at once.
-    ss.check_memory(4 * 16 * size * n * n, f"a block of {size} unitaries in dimension {n}")
+    check_memory(4 * 16 * size * n * n, f"a block of {size} unitaries in dimension {n}")
     u = grouprep.haar_unitaries(size, n, rng)
     rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
     tr_a2 = _tr_sq(comp_mod.partial_trace(rho, dims, keep=0))
-    return purity_from_tr2(dims[0], tr_a2), purity_from_tr2(n, _tr_sq(rho))
+    return pur.purity_from_tr2(dims[0], tr_a2), pur.purity_from_tr2(n, _tr_sq(rho))
 
 
 def _permuted_block(rng: np.random.Generator, size: int, p: np.ndarray, k_a: int) -> np.ndarray:
@@ -324,8 +373,8 @@ def _permuted_block(rng: np.random.Generator, size: int, p: np.ndarray, k_a: int
 
     The memory check also counts the (size, k_a) A marginal every caller forms.
     """
-    ss.check_memory(8 * size * (p.size + k_a),
-                    f"a block of {size} distributions on {p.size} outcomes and their marginals")
+    check_memory(8 * size * (p.size + k_a),
+                 f"a block of {size} distributions on {p.size} outcomes and their marginals")
     omega = np.tile(p, (size, 1))
     return rng.permuted(omega, axis=1, out=omega)
 
@@ -352,7 +401,9 @@ def _classical_block(
 
 
 def estimate_expected_local_purity(
-    comp: CompositeDescriptor,
+    theory: str,
+    n_a: int,
+    n_b: int,
     p0: float,
     n_samples: int,
     seed: int,
@@ -362,23 +413,27 @@ def estimate_expected_local_purity(
 ) -> McReport:
     """Monte Carlo mean of the local purity after global randomization.
 
-    Each sample builds a global state of purity ``p0`` (or starts from the
-    fixed ``initial`` coordinates when given), applies a uniformly random
-    reversible transformation of the joint space, and takes the purity of
-    the A marginal.  Quantum samples without ``initial`` are
-    t |psi><psi| + (1-t) mu for Haar-random kets psi, which has the same
+    The parts are two quantum or two classical systems with ``n_a`` and
+    ``n_b`` levels.  Each sample builds a global state of purity ``p0`` (or
+    starts from the fixed ``initial`` joint coordinates when given), applies
+    a uniformly random reversible transformation of the joint space, and
+    takes the purity of the A marginal.  Quantum samples without ``initial``
+    are t |psi><psi| + (1-t) mu for Haar-random kets psi, which has the same
     distribution; with ``initial`` a Haar unitary conjugates it.  Classical
     samples are uniform permutations of the joint distribution.
 
     No Gram is taken: each part's group acts irreducibly, so its invariant
     Gram is unique and every purity has a closed form, (n Tr rho^2 - 1)/(n - 1)
     for n quantum levels and n/(n-1) |x - 1/n|^2 for n classical outcomes.
+    Only the ``initial`` path builds the composite descriptor, to check the
+    state and read its matrix.
     """
-    if not 0.0 <= p0 <= 1.0:
-        raise RangeError(f"global purity must lie in [0, 1], got {p0}")
+    _local_dimensions(theory, n_a, n_b)
+    _check_p0(p0)
     t = math.sqrt(p0)
-    joint = comp.joint
     if initial is not None:
+        build = ss.build_quantum if theory == QUANTUM else ss.build_classical
+        joint = comp_mod.compose(build(n_a), build(n_b)).joint
         initial = np.asarray(initial, dtype=float)
         ss.validate_state(joint, initial)
         got = grouprep.analytic_gram(joint).norm_sq(initial - joint.max_mixed)
@@ -387,19 +442,24 @@ def estimate_expected_local_purity(
                 f"the supplied initial state has purity {got!r}, requested {p0}"
             )
 
-    if comp.kind == ss.KIND_QUANTUM:
-        dims = (comp.part_a.level, comp.part_b.level)
+    if theory == QUANTUM:
         if initial is None:
-            draw = partial(_haar_ket_block, t=t, dims=dims)
+            draw = partial(_haar_ket_block, t=t, dims=(n_a, n_b))
         else:
-            draw = partial(_conjugated_block, phi=joint.to_matrix(initial), dims=dims)
+            draw = partial(_conjugated_block, phi=joint.to_matrix(initial), dims=(n_a, n_b))
     else:
         if initial is None:
-            p = np.full(joint.K, (1.0 - t) / joint.K)
+            k = n_a * n_b
+            size = min(n_samples, BLOCK_SIZE)
+            # The distribution, then the block and its marginals that
+            # ``_permuted_block`` checks again once the distribution exists.
+            check_memory(8 * (k + size * (k + n_a)),
+                         f"a {k}-outcome distribution and a block of {size} permutations of it")
+            p = np.full(k, (1.0 - t) / k)
             p[0] += t
         else:
             p = initial
-        draw = partial(_classical_block, p=p, k_a=comp.part_a.K)
+        draw = partial(_classical_block, p=p, k_a=n_a)
 
     return _estimate(n_samples, seed, draw, histogram_bins)
 
@@ -418,12 +478,10 @@ def predict_real_quantum(m_a: int, m_b: int, p0: float) -> Prediction:
     the product mu_A (x) mu_B, so its locally inaccessible component vanishes:
     |mu_C|^2 = 0.
     """
-    for m in (m_b, m_a):
-        if m < 2:
-            raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m}")
+    _check_levels("real-quantum", m_b, m_a)
     n = m_a * m_b
     return predict_nonlocaltomo(m_a * (m_a + 1) // 2, n * (n + 1) // 2, p0,
-                                (m_a - 1) / (n - 1), 0.0)
+                                Fraction(m_a - 1, n - 1), 0)
 
 
 def estimate_real_quantum_local_purity(
@@ -441,13 +499,10 @@ def estimate_real_quantum_local_purity(
     conjugation by Haar-random orthogonal matrices on the joint space, which
     maps t |phi><phi| + (1-t) mu to t |psi><psi| + (1-t) mu for a uniformly
     random real unit vector psi.  The report is in generalized-purity units;
-    convert with ``tr2_from_purity`` for collision values.
+    convert with ``purity.tr2_from_purity`` for collision values.
     """
-    if not 0.0 <= p0 <= 1.0:
-        raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-    for m in (m_b, m_a):
-        if m < 2:
-            raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m}")
+    _check_p0(p0)
+    _check_levels("real-quantum", m_b, m_a)
     draw = partial(_haar_ket_block, t=math.sqrt(p0), dims=(m_a, m_b), real=True)
     return _estimate(n_samples, seed, draw, histogram_bins)
 
@@ -500,7 +555,7 @@ def qubit_pauli_oracle(
         lhs=report.mean * per_purity,
         lhs_stderr=report.stderr * per_purity,
         rhs=2.0**n_b * (4.0**n_a - 1.0) / (4.0**n - 1.0),
-        mean_tr_a=tr2_from_purity(dim_a, report.mean),
+        mean_tr_a=pur.tr2_from_purity(dim_a, report.mean),
         n_samples=n_samples,
         seed=int(seed),
     )

@@ -13,8 +13,9 @@ coordinates are index arithmetic.  A descriptor stores no basis, only the
 level of each Kronecker factor: one for a built-in space, one per party for
 a composite.
 
-Arrays that grow with a joint space are checked against ``MEMORY_CAP_BYTES``
-by ``check_memory`` before they are allocated.
+Arrays that grow with a joint space are checked against
+``errors.MEMORY_CAP_BYTES`` by ``errors.check_memory`` before they are
+allocated.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ from .errors import (
     InternalError,
     InvalidDimensionError,
     NormalizationError,
-    RangeError,
     UnsupportedSpaceError,
+    check_memory,
 )
 
 CONE_TOL = 1e-9
 NORM_TOL = 1e-9
-# Largest single array a request may allocate when it grows with the joint
-# space (a coordinate block, a dense Gram, a stacked basis, a descriptor).
-MEMORY_CAP_BYTES = 1 << 30
 # A built-in descriptor holds two float64 vectors and one label string per
 # coordinate; CPython 3.11 measures about 85 bytes per coordinate in all.  A
 # composite of matrix factors stores no labels (``labels`` derives them on
@@ -69,14 +67,6 @@ def project_off(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     out = np.multiply.outer(x @ u / float(u @ u), u)
     np.subtract(x, out, out=out)
     return out
-
-
-def check_memory(nbytes: int, what: str) -> None:
-    """Refuse, before allocating, ``what`` needing more than ``MEMORY_CAP_BYTES``."""
-    if nbytes > MEMORY_CAP_BYTES:
-        raise RangeError(
-            f"{what} would need {nbytes} bytes, over the {MEMORY_CAP_BYTES}-byte memory cap"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +216,7 @@ class SpaceDescriptor:
 
         ``None`` for kinds without a matrix form.  The stack grows like d^4;
         ``to_matrix`` holds about three of its size at its peak, and that is
-        refused beyond ``MEMORY_CAP_BYTES``.
+        refused beyond ``errors.MEMORY_CAP_BYTES``.
         """
         if self.factor_levels is None:
             return None
@@ -254,10 +244,15 @@ class SpaceDescriptor:
     def sample_pures(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """A (size, K) stack of uniformly random pure states (group-orbit uniform).
 
-        Matrix kinds map one ``haar_kets`` stack with one ``to_coords``; the
-        others gather at uniform indices, drawn as ``size`` single draws.
+        Matrix kinds map one ``randomize.haar_kets`` stack with one
+        ``to_coords``; the others gather at uniform indices, drawn as ``size``
+        single draws.
         """
         if self.kind in _MATRIX_KINDS:
+            # Imported here: the estimators own the ket draw, and importing
+            # this module loads no layer above it.
+            from .randomize import haar_kets
+
             psi = haar_kets(size, self.level, rng, real=self.kind == KIND_REAL_QUANTUM)
             return self.to_coords(psi[:, :, None] * psi[:, None, :].conj())
         if self.kind == KIND_CLASSICAL:
@@ -287,17 +282,6 @@ def random_mixtures(space: SpaceDescriptor, count: int, rng: np.random.Generator
     pures = space.sample_pures(rng, space.K + 1)
     weights = rng.dirichlet(np.ones(len(pures)), size=count)
     return weights @ pures
-
-
-def haar_kets(size: int, d: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
-    """``size`` uniformly random unit vectors in C^d (R^d when ``real``), one per row.
-
-    The real parts of the whole stack are drawn before the imaginary parts.
-    """
-    psi = rng.normal(size=(size, d))
-    if not real:
-        psi = psi + 1j * rng.normal(size=(size, d))
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 # -- generalized Gell-Mann coordinates -------------------------------------------------

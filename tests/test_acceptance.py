@@ -31,8 +31,7 @@ def _pair(builder, na, nb):
 
 
 def test_criterion_01_quantum_2x2_random_pure():
-    comp = _pair(ss.build_quantum, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, SAMPLES, 1001)
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, SAMPLES, 1001)
     tr_mean = pur.tr2_from_purity(2, rep.mean)
     dev = abs(rep.mean - 3 / 5)
     ok = dev <= 3 * rep.stderr + EPS
@@ -41,8 +40,7 @@ def test_criterion_01_quantum_2x2_random_pure():
 
 
 def test_criterion_02_quantum_2x8_and_markov():
-    comp = _pair(ss.build_quantum, 2, 8)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, SAMPLES, 1002)
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 8, 1.0, SAMPLES, 1002)
     dev = abs(rep.mean - 3 / 17)
     ok = dev <= 3 * rep.stderr + EPS
     tails = [checks.markov_tail(rep, x) for x in (2.0, 5.0, 10.0)]
@@ -67,11 +65,10 @@ def test_criterion_03_classical_pure_marginals_exact():
 
 
 def test_criterion_04_classical_coin_toss_mixed_levels():
-    comp = _pair(ss.build_classical, 2, 8)
     details = []
     ok = True
     for p0, seed in ((0.3, 1004), (0.7, 1005)):
-        rep = rnd.estimate_expected_local_purity(comp, p0, SAMPLES, seed)
+        rep = rnd.estimate_expected_local_purity("classical", 2, 8, p0, SAMPLES, seed)
         good = abs(rep.mean - p0) <= 3 * rep.stderr + EPS
         ok = ok and good
         details.append(f"P0={p0}: mean={rep.mean:.6f}")
@@ -250,8 +247,8 @@ def test_criterion_14_property_suite():
 
     # estimator seed determinism
     comp = _pair(ss.build_quantum, 2, 2)
-    r1 = rnd.estimate_expected_local_purity(comp, 1.0, 1000, 99)
-    r2 = rnd.estimate_expected_local_purity(comp, 1.0, 1000, 99)
+    r1 = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 1000, 99)
+    r2 = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 1000, 99)
     ok = ok and r1.mean == r2.mean and r1.stderr == r2.stderr
     notes.append(f"seed determinism (mean {r1.mean:.6f})")
 
@@ -259,9 +256,9 @@ def test_criterion_14_property_suite():
     p0 = 0.5
     init1 = pur.fixed_purity_state(comp.joint, p0, rng)
     init2 = pur.fixed_purity_state(comp.joint, p0, rng)
-    ra = rnd.estimate_expected_local_purity(comp, p0, SAMPLES, 301,
+    ra = rnd.estimate_expected_local_purity("quantum", 2, 2, p0, SAMPLES, 301,
                                             initial=init1)
-    rb = rnd.estimate_expected_local_purity(comp, p0, SAMPLES, 302,
+    rb = rnd.estimate_expected_local_purity("quantum", 2, 2, p0, SAMPLES, 302,
                                             initial=init2)
     sigma = math.hypot(ra.stderr, rb.stderr)
     ok = ok and abs(ra.mean - rb.mean) <= 3 * sigma + EPS

@@ -57,12 +57,14 @@ def test_collision_check_detects_a_wrong_optimizer(monkeypatch):
     dev, cdev = checks.pauli_identity_deviations(space, states)
     assert dev <= 1e-10 and cdev <= 1e-10
 
+    # Pauli maps along a fixed direction instead of each state's own.  The map
+    # is built before the patch, which ``pauli_from_direction`` would also see.
+    x = pauli_from_direction(space, gram, np.eye(space.K)[1])
+
     def wrong(space, gram, directions):
-        # Pauli maps along a fixed direction instead of each state's own.
-        x = pauli_from_direction(space, gram, np.eye(space.K)[1])
         return np.tile(x.vector, (len(directions), 1))
 
-    monkeypatch.setattr(checks, "pauli_vectors", wrong)
+    monkeypatch.setattr(checks.pur, "pauli_vectors", wrong)
     _, cdev = checks.pauli_identity_deviations(space, states)
     assert cdev > 1e-3
 

@@ -82,7 +82,7 @@ def test_face_states_orthogonal_to_face_max_mixed_bloch(rng):
     mu_f_bloch = face.mu_face - joint.max_mixed
     v = face.isometry
     for _ in range(30):
-        psi = ss.haar_kets(1, face.n_sub, rng)[0]
+        psi = rnd.haar_kets(1, face.n_sub, rng)[0]
         rho = v @ np.outer(psi, psi.conj()) @ v.conj().T
         bar = joint.to_coords(rho) - face.mu_face
         assert abs(gram.inner(bar, mu_f_bloch)) < 1e-8
@@ -306,7 +306,7 @@ def test_face_ket_kernel_matches_explicit_route(make):
     n_s, v, t = face.n_sub, face.isometry, math.sqrt(0.5)
     dims = (part_a.level, face.comp.part_b.level)
     gram_a = grouprep.analytic_gram(part_a)
-    psi = ss.haar_kets(3, n_s, np.random.default_rng(5301))
+    psi = rnd.haar_kets(3, n_s, np.random.default_rng(5301))
     sigma_a = cm.partial_trace(face.projector, dims, keep=0) / n_s
     if make is tilted_face:
         assert np.max(np.abs(sigma_a - np.eye(dims[0]) / dims[0])) > 0.01

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import grouprep, statespace as ss
+from gptpurity import errors, grouprep, statespace as ss
 from gptpurity.errors import ReducibleSpaceError, UnsupportedSpaceError
 
 
@@ -119,7 +119,7 @@ def test_draw_blocks_shrink_under_the_memory_cap(monkeypatch):
     full = [len(ts) for ts in sampler.draw_blocks(np.random.default_rng(0), 2 * grouprep.DRAW_BLOCK + 5)]
     assert full == [grouprep.DRAW_BLOCK, grouprep.DRAW_BLOCK, 5]
     # Room for ten elements on K = 4 coordinates.
-    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", grouprep._DRAW_BYTES_PER_ENTRY * 16 * 10)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", grouprep._DRAW_BYTES_PER_ENTRY * 16 * 10)
     assert [len(ts) for ts in sampler.draw_blocks(np.random.default_rng(0), 25)] == [10, 10, 5]
 
 

@@ -1,11 +1,16 @@
 """Import hygiene: every import of a library module is used (the stand-in for a
-linter's unused-import rule), and importing a module loads only what it needs."""
+linter's unused-import rule), importing a module loads only what it needs, and a
+command runs only the layers it reads."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import gptpurity
 
@@ -42,22 +47,30 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+
+
 def _loaded_by(module: str) -> set[str]:
     """The ``gptpurity`` modules a fresh interpreter holds after ``import module``."""
     code = (f"import sys, {module}; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gptpurity'))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=_env(), timeout=120, check=True)
     return set(proc.stdout.split())
 
 
-def _child_layers() -> tuple[str, ...]:
-    """The ``LAYERS`` tuple of the benchmark's child process, read without running it."""
+def _child_constant(name: str):
+    """A literal module constant of the benchmark's child process, read without running it."""
     tree = ast.parse(CHILD.read_text(encoding="utf-8"))
     return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
+def _child_layers() -> tuple[str, ...]:
+    """The ``LAYERS`` tuple of the benchmark's child process."""
+    return _child_constant("LAYERS")
 
 
 def test_statespace_loads_only_the_package_and_its_errors():
@@ -73,7 +86,70 @@ def test_randomize_loads_neither_faces_nor_boxworld():
 
 def test_cli_loads_every_traced_layer():
     # The benchmark's tracer looks each layer up in sys.modules right after
-    # ``import gptpurity.cli``; a lazy import in cli would break it.
+    # ``import gptpurity.cli``.  cli registers every layer there, lazily: a
+    # layer runs on its first attribute access, and the tracer's ``vars``
+    # of it is one (``test_traced_child_sees_the_layers_it_runs``).
     layers = _child_layers()
     assert "cli" in layers and len(layers) >= 8
     assert {f"gptpurity.{name}" for name in layers} <= _loaded_by("gptpurity.cli")
+
+
+def _executed_by(argv: list[str]) -> set[str]:
+    """The ``gptpurity`` layers a fresh interpreter has run after ``cli.main(argv)``.
+
+    A lazily registered layer that never ran is still a ``_LazyModule``.
+    """
+    code = ("import contextlib, io, sys, types\n"
+            "from gptpurity import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "print(*sorted(n for n, m in sys.modules.items()\n"
+            "              if n.startswith('gptpurity.') and type(m) is types.ModuleType))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=_env(), timeout=120, check=True)
+    return {name.split(".", 1)[1] for name in proc.stdout.split()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "main", "--ka", "4", "--kb", "4", "--na", "2", "--nb", "2", "--p0", "1"],
+    ["predict", "general", "--theory", "quantum", "--na", "8", "--nb", "8", "--p0", "1"],
+    ["estimate", "--theory", "quantum", "--na", "2", "--nb", "8", "--p0", "1",
+     "--samples", "100", "--seed", "1", "--histogram"],
+    ["estimate", "--theory", "classical", "--na", "2", "--nb", "8", "--p0", "0.3",
+     "--samples", "100", "--seed", "1"],
+    ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2", "--p0", "1",
+     "--samples", "100", "--seed", "1"],
+], ids=["predict-main", "predict-general", "estimate-quantum", "estimate-classical",
+        "estimate-real-quantum"])
+def test_level_count_commands_run_no_descriptor_layer(argv):
+    # No descriptor, Gram, face or boxworld layer runs: only the front end,
+    # the suite registry that lists verify's choices, and the estimators.
+    assert _executed_by(argv) == {"cli", "errors", "checks", "randomize"}
+
+
+def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():
+    assert {"boxworld", "checks"} <= _executed_by(["verify", "boxworld"])
+    proc = subprocess.run([sys.executable, "-m", "gptpurity.cli", "predict", "nonlocaltomo",
+                           "--ma", "2", "--mb", "2", "--p0", "1"],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 2 / 3
+
+
+@pytest.mark.parametrize("argv,layer", [
+    (["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1",
+      "--samples", "200", "--seed", "5"], "randomize"),
+    (["verify", "boxworld"], "boxworld"),
+], ids=["estimate", "verify"])
+def test_traced_child_sees_the_layers_it_runs(argv, layer):
+    # The benchmark's child process, run as it is, with tracing on.
+    proc = subprocess.run([sys.executable, str(CHILD), repr(time.monotonic()), "1", "--", *argv],
+                          capture_output=True, text=True, env=_env(), timeout=120,
+                          cwd=CHILD.parents[1])
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)
+    marker = _child_constant("META_MARKER")
+    metas = [line for line in proc.stderr.splitlines() if line.startswith(marker)]
+    assert len(metas) == 1
+    trace = json.loads(metas[0][len(marker):])["trace"]
+    assert any(name.startswith(f"{layer}.") for name in trace), sorted(trace)

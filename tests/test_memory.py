@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import faces, grouprep, randomize as rnd, statespace as ss
+from gptpurity import errors, faces, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import complete_pauli_set, pauli_haar_average
 
@@ -71,6 +71,18 @@ def test_quantum_16x16_predict_and_estimate_run_in_bounded_memory(tmp_path):
     assert abs(doc["result"]["mean"] - exact) <= 3 * doc["result"]["stderr"]
 
 
+@pytest.mark.parametrize("na,nb", [("64", "64"), ("1000000", "1000000")])
+def test_quantum_predictions_need_only_the_level_counts(tmp_path, na, nb):
+    # No descriptor is built, so any level counts below 2^63 give the closed
+    # form (n_A + 1)/(n_A n_B + 1) at P0 = 1, correctly rounded.
+    proc, rss = _run_cli(tmp_path, ["predict", "general", "--theory", "quantum", "--na", na,
+                                    "--nb", nb, "--p0", "1"], address_limit=4 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert rss < MAX_RSS_MB
+    n_a, n_b = int(na), int(nb)
+    assert json.loads(proc.stdout)["value"] == (n_a + 1) / (n_a * n_b + 1)
+
+
 def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
     proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "classical", "--na", "4096",
                                     "--nb", "4096", "--p0", "0.3", "--samples", "10000",
@@ -85,22 +97,34 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["coin-record", "--s0", "100000000", "--seed", "1"],
-    ["estimate", "--theory", "classical", "--na", "2", "--nb", "200000000", "--p0", "0.3",
-     "--seed", "0"],
-    ["predict", "general", "--theory", "classical", "--na", "2", "--nb", "200000000",
-     "--p0", "0.3"],
+    (["coin-record", "--s0", "100000000", "--seed", "1"],
+     "200000000-outcome classical space would need 19200000000 bytes"),
+    # The 4e8-outcome distribution and a block of 1024 permutations of it.
+    (["estimate", "--theory", "classical", "--na", "2", "--nb", "200000000", "--p0", "0.3",
+      "--seed", "0"],
+     "400000000-outcome distribution and a block of 1024 permutations of it would need "
+     "3280000016384 bytes"),
+    (["predict", "general", "--theory", "classical", "--na", "2", "--nb", "200000000",
+      "--p0", "0.3"], None),
 ])
 def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
-    # A 2e8-outcome part alone needs two 1.6 GB vectors and 2e8 labels.
+    # A 2e8-outcome part alone needs two 1.6 GB vectors and 2e8 labels, and
+    # the coin record builds one.  The estimate builds no part, but its
+    # distribution is refused before it is allocated; the prediction needs
+    # only the level counts and is the classical cancellation, P0 itself.
+    argv, refusal = argv
     proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
+    assert "Traceback" not in proc.stderr
+    assert rss < MAX_RSS_MB
+    if refusal is None:
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["value"] == 0.3
+        return
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert "200000000-outcome classical space would need 19200000000 bytes" in lines[0]
-    assert rss < MAX_RSS_MB
+    assert refusal in lines[0]
 
 
 def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
@@ -115,10 +139,10 @@ def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
 
 
 def test_estimator_blocks_are_refused_beyond_the_cap():
-    comp = cm.compose(ss.build_classical(256), ss.build_classical(1024))
-    # The (1024, 262144) float block and its (1024, 256) marginal.
-    with pytest.raises(RangeError, match="2149580800 bytes"):
-        rnd.estimate_expected_local_purity(comp, 0.3, 2000, 0)
+    # The 262144-outcome distribution, the (1024, 262144) float block and its
+    # (1024, 256) marginal.
+    with pytest.raises(RangeError, match="2151677952 bytes"):
+        rnd.estimate_expected_local_purity("classical", 256, 1024, 0.3, 2000, 0)
     # The (1024, 2^17) complex kets, their conjugate copy and the 2 x 2 Grams.
     with pytest.raises(RangeError, match="4295032832 bytes"):
         rnd.qubit_pauli_oracle(1, 16, 1.0, 2000, 0)
@@ -138,20 +162,21 @@ def test_dense_joint_structures_are_derived_only_within_the_cap(monkeypatch):
     assert ss.build_quantum(128).K == 16384
     with pytest.raises(RangeError, match="4096-level quantum space"):
         ss.build_quantum(4096)
-    comp = cm.compose(ss.build_quantum(256), ss.build_quantum(2))
     # A 256x2 block holds 1024 complex kets of 512 entries, their conjugates
     # and 2 x 2 Grams: 16 * 1024 * (2 * 512 + 4) = 16842752 bytes.
-    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 16842751)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 16842751)
     with pytest.raises(RangeError, match="16842752 bytes"):
-        rnd.estimate_expected_local_purity(comp, 1.0, 2000, 0)
-    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 16842752)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 2000, 0)
+        rnd.estimate_expected_local_purity("quantum", 256, 2, 1.0, 2000, 0)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 16842752)
+    rep = rnd.estimate_expected_local_purity("quantum", 256, 2, 1.0, 2000, 0)
     assert rep.realized_global_purity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
-    # No A marginal is formed, so large local levels run in little memory.
-    for na, nb, max_mb in (("256", "2", MAX_RSS_MB), ("64", "4", 100)):
+    # No A marginal and no descriptor is formed, so large local levels run in
+    # the memory of their ket blocks: 16 * 1024 * (2 * 8192 + 4) bytes, about
+    # 268 MB, at 4096x2.
+    for na, nb, max_mb in (("256", "2", MAX_RSS_MB), ("64", "4", 100), ("4096", "2", 320)):
         proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", na,
                                         "--nb", nb, "--p0", "1", "--samples", "2000",
                                         "--seed", "0"], address_limit=4 << 30)
@@ -160,8 +185,8 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
         doc = json.loads(proc.stdout)
         assert abs(doc["result"]["mean"] - doc["prediction"]["value"]) <= (
             3 * doc["result"]["stderr"])
-    # A 4096-level part is refused at its descriptor, before anything grows with it.
-    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "4096",
+    # At 16384x2 the ket blocks alone pass the cap, and are refused before a draw.
+    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "16384",
                                     "--nb", "2", "--p0", "1", "--samples", "2000",
                                     "--seed", "0"], address_limit=4 << 30)
     assert proc.returncode == 1
@@ -169,7 +194,7 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert "4096-level quantum space would need 1610612736 bytes" in lines[0]
+    assert "kets in dimension 32768 and their Grams would need 1073807360 bytes" in lines[0]
     assert rss < MAX_RSS_MB
 
 
@@ -179,7 +204,7 @@ def test_support_face_marginal_is_counted_against_the_cap(monkeypatch):
     # 8 * 1024 * (2 + 4096) = 33570816 bytes.
     face = faces.classical_support_face(
         cm.compose(ss.build_classical(4096), ss.build_classical(2)), [0, 1])
-    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 33570815)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 33570815)
     with pytest.raises(RangeError, match="33570816 bytes"):
         faces.estimate_face_local_purity(face, 1.0, 2000, 0)
 

@@ -1,18 +1,20 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import checks, grouprep, randomize as rnd, statespace as ss
+from gptpurity import checks, errors, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import (
     DegenerateCompositeError,
     InternalError,
     InvalidDimensionError,
     RangeError,
     UndefinedRatioError,
+    UnsupportedSpaceError,
 )
 from gptpurity.purity import fixed_purity_state, purity_from_tr2, tr2_from_purity
 
@@ -51,19 +53,32 @@ def test_predict_main_validates_inputs():
 
 
 def test_predict_general_matches_main_for_quantum():
-    comp = _pair(ss.build_quantum, 2, 2)
-    pred = rnd.predict_general(comp, 1.0)
+    pred = rnd.predict_general("quantum", 2, 2, 1.0)
     assert pred.value == pytest.approx(3 / 5, abs=1e-10)
 
 
 def test_predict_general_classical_identity():
-    comp = _pair(ss.build_classical, 3, 3)
-    assert rnd.predict_general(comp, 0.5).value == pytest.approx(0.5, abs=1e-10)
+    assert rnd.predict_general("classical", 3, 3, 0.5).value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_predict_general_quantum_2x4():
-    comp = _pair(ss.build_quantum, 2, 4)
-    assert rnd.predict_general(comp, 1.0).value == pytest.approx(1 / 3, abs=1e-10)
+    assert rnd.predict_general("quantum", 2, 4, 1.0).value == pytest.approx(1 / 3, abs=1e-10)
+
+
+@pytest.mark.parametrize("builder,theory", [(ss.build_quantum, "quantum"),
+                                            (ss.build_classical, "classical")])
+def test_predict_general_matches_the_composite_route(builder, theory):
+    # The level-count lemma against P(phi_A (x) mu_B) taken in the joint's
+    # analytic Gram, on composites small enough to build.
+    for na, nb in ((2, 2), (2, 3), (3, 2), (4, 4)):
+        comp = _pair(builder, na, nb)
+        phimu = cm.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
+                                              tol=1e-12).numeric
+        pred = rnd.predict_general(theory, na, nb, 0.7)
+        assert abs(pred.inputs["P_phi_mu"] - phimu) <= 1e-15
+        assert (pred.inputs["K_A"], pred.inputs["K_B"]) == (comp.part_a.K, comp.part_b.K)
+        k_a, k_b = comp.part_a.K, comp.part_b.K
+        assert pred.value == pytest.approx((k_a - 1) / (k_a * k_b - 1) * 0.7 / phimu, abs=1e-15)
 
 
 def test_predict_power_law_cases():
@@ -135,7 +150,7 @@ def test_predict_nonlocaltomo_reduces_to_general_when_tomographic():
     phimu = cm.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
                                           tol=1e-10).numeric
     pred = rnd.predict_nonlocaltomo(4, 16, 1.0, phimu, 0.0)
-    assert pred.value == pytest.approx(rnd.predict_general(comp, 1.0).value, abs=1e-12)
+    assert pred.value == pytest.approx(rnd.predict_general("quantum", 2, 2, 1.0).value, abs=1e-12)
 
 
 def test_predict_nonlocaltomo_edge_cases():
@@ -148,15 +163,13 @@ def test_predict_nonlocaltomo_edge_cases():
 
 
 def test_estimator_quantum_2x2_matches_prediction():
-    comp = _pair(ss.build_quantum, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 4000, 101)
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 4000, 101)
     assert abs(rep.mean - 0.6) <= 3 * rep.stderr
     assert rep.realized_global_purity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_estimator_classical_pure_marginals_exactly_one():
-    comp = _pair(ss.build_classical, 2, 8)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 500, 11)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 8, 1.0, 500, 11)
     assert rep.mean == pytest.approx(1.0, abs=1e-12)
     assert rep.stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -164,18 +177,16 @@ def test_estimator_classical_pure_marginals_exactly_one():
 def test_estimator_classical_mixed_transfers_ignorance():
     # The mu-interpolated initial state makes every sample's marginal purity
     # exactly P0 here, so the band degenerates to float roundoff.
-    comp = _pair(ss.build_classical, 2, 8)
-    rep = rnd.estimate_expected_local_purity(comp, 0.3, 6000, 13)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 8, 0.3, 6000, 13)
     assert abs(rep.mean - 0.3) <= 3 * rep.stderr + 1e-12
     assert rep.realized_global_purity == pytest.approx(0.3, abs=1e-9)
 
 
 def test_estimator_seed_determinism_and_worker_independence():
-    comp = _pair(ss.build_quantum, 2, 2)
     kw = dict(p0=0.5, n_samples=600, seed=77)
-    a = rnd.estimate_expected_local_purity(comp, **kw)
-    b = rnd.estimate_expected_local_purity(comp, **kw)
-    c = rnd.estimate_expected_local_purity(comp, **kw)
+    a = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
+    b = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
+    c = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
     assert a.mean == b.mean == c.mean
     assert a.stderr == b.stderr == c.stderr
     np.testing.assert_array_equal(a.histogram_counts, c.histogram_counts)
@@ -189,16 +200,15 @@ def test_estimator_initial_state_independence():
     init2 = fixed_purity_state(comp.joint, p0, rng)
     assert np.max(np.abs(init1 - init2)) > 1e-3
     rep1 = rnd.estimate_expected_local_purity(
-        comp, p0, 4000, 21, initial=init1)
+        "quantum", 2, 2, p0, 4000, 21, initial=init1)
     rep2 = rnd.estimate_expected_local_purity(
-        comp, p0, 4000, 22, initial=init2)
+        "quantum", 2, 2, p0, 4000, 22, initial=init2)
     sigma = math.hypot(rep1.stderr, rep2.stderr)
     assert abs(rep1.mean - rep2.mean) <= 3 * sigma
 
 
 def test_estimator_histogram_counts_sum_to_samples():
-    comp = _pair(ss.build_quantum, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 300, 3)
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 300, 3)
     assert rep.histogram_counts.sum() == 300
     assert len(rep.histogram_edges) == len(rep.histogram_counts) + 1
 
@@ -251,8 +261,7 @@ def test_qubit_oracle_rejects_degenerate_input():
 
 
 def test_markov_tail_quantum_2x8():
-    comp = _pair(ss.build_quantum, 2, 8)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 4000, 51)
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 8, 1.0, 4000, 51)
     res = checks.markov_tail(rep, 5.0)
     assert res.passed
     assert res.name == "markov-x-5"
@@ -261,8 +270,7 @@ def test_markov_tail_quantum_2x8():
 
 
 def test_markov_tail_degenerate_classical():
-    comp = _pair(ss.build_classical, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 200, 5)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 200, 5)
     res = checks.markov_tail(rep, 2.0)
     assert res.value == pytest.approx(1.0)
     assert res.bound >= 1.0
@@ -270,19 +278,17 @@ def test_markov_tail_degenerate_classical():
 
 
 def test_markov_tail_rejects_bad_inputs():
-    comp = _pair(ss.build_classical, 2, 2)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 50, 5)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 50, 5)
     with pytest.raises(RangeError):
         checks.markov_tail(rep, 0.5)
     bare = rnd.estimate_expected_local_purity(
-        comp, 1.0, 50, 5, histogram_bins=None)
+        "classical", 2, 2, 1.0, 50, 5, histogram_bins=None)
     with pytest.raises(RangeError):
         checks.markov_tail(bare, 2.0)
 
 
 def test_report_serialization_roundtrip():
-    comp = _pair(ss.build_classical, 2, 4)
-    rep = rnd.estimate_expected_local_purity(comp, 0.5, 100, 9)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 4, 0.5, 100, 9)
     doc = rep.to_json_dict()
     assert doc["n_samples"] == 100
     assert doc["seed"] == 9
@@ -298,8 +304,7 @@ def test_report_serialization_roundtrip():
 ])
 def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
     if theory == "quantum":
-        comp = _pair(ss.build_quantum, na, nb)
-        rep = rnd.estimate_expected_local_purity(comp, p0, 4000, 61)
+        rep = rnd.estimate_expected_local_purity("quantum", na, nb, p0, 4000, 61)
         expected = rnd.predict_main(na * na, nb * nb, na, nb, p0).value
     else:
         rep = rnd.estimate_real_quantum_local_purity(na, nb, p0, 4000, 61)
@@ -314,16 +319,14 @@ def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
 
 def test_estimator_quantum_asymmetric_parts():
     # 2x3: prediction (K_A-1)/(K_A K_B - 1) * (N_A N_B - 1)/(N_A - 1) = 3/7.
-    comp = _pair(ss.build_quantum, 2, 3)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 4000, 71)
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 3, 1.0, 4000, 71)
     expected = rnd.predict_main(4, 9, 2, 3, 1.0).value
     assert expected == pytest.approx(3 / 7, abs=1e-14)
     assert abs(rep.mean - expected) <= 3 * rep.stderr + 1e-12
 
 
 def test_estimator_classical_asymmetric_parts():
-    comp = _pair(ss.build_classical, 3, 5)
-    rep = rnd.estimate_expected_local_purity(comp, 0.4, 4000, 73)
+    rep = rnd.estimate_expected_local_purity("classical", 3, 5, 0.4, 4000, 73)
     assert abs(rep.mean - 0.4) <= 3 * rep.stderr + 1e-12
 
 
@@ -342,6 +345,42 @@ def test_predict_main_quantum_reduces_to_pure_state_form(n_a, n_b, p0):
     assert pred.value == pytest.approx(expected, abs=1e-12)
 
 
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=2, max_value=40),
+       st.floats(min_value=0, max_value=1))
+@settings(max_examples=300, deadline=None)
+def test_level_count_predictions_are_correctly_rounded(n_a, n_b, p0):
+    # Each value is the float nearest its exact rational: the main formula, its
+    # quantum and classical level-count forms and the real-quantum form.
+    exact_p0 = Fraction(p0)
+
+    def main(k_a, k_b):
+        return Fraction(k_a - 1, k_a * k_b - 1) * Fraction(n_a * n_b - 1, n_a - 1) * exact_p0
+
+    for k_a, k_b, theory in ((n_a**2, n_b**2, "quantum"), (n_a, n_b, "classical")):
+        assert rnd.predict_main(k_a, k_b, n_a, n_b, p0).value == float(main(k_a, k_b))
+        pred = rnd.predict_general(theory, n_a, n_b, p0)
+        assert pred.value == float(main(k_a, k_b))
+        assert pred.inputs["P_phi_mu"] == float(Fraction(n_a - 1, n_a * n_b - 1))
+    n = n_a * n_b
+    k_a, k_ab = n_a * (n_a + 1) // 2, n * (n + 1) // 2
+    exact = Fraction(k_a - 1, k_ab - 1) * exact_p0 / Fraction(n_a - 1, n - 1)
+    assert rnd.predict_real_quantum(n_a, n_b, p0).value == float(exact)
+    # The largest integers of a power-law prediction stay integer divisions.
+    assert rnd.predict_power_law(2, n_a, n_b, p0).value == pytest.approx(
+        float(main(n_a**2, n_b**2)), rel=1e-15)
+
+
+def test_level_count_predictions_refuse_bad_theories_and_levels():
+    with pytest.raises(InvalidDimensionError, match="quantum level count must be >= 2, got 1"):
+        rnd.predict_general("quantum", 1, 2, 1.0)
+    with pytest.raises(InvalidDimensionError, match="classical level count must be >= 2"):
+        rnd.estimate_expected_local_purity("classical", 2, 0, 1.0, 10, 1)
+    with pytest.raises(UnsupportedSpaceError):
+        rnd.predict_general("real-quantum", 2, 2, 1.0)
+    with pytest.raises(UnsupportedSpaceError):
+        rnd.estimate_expected_local_purity("boxworld", 2, 2, 1.0, 10, 1)
+
+
 def test_nonlocaltomo_asymmetric_real_quantum_agrees_with_oracle():
     pred = rnd.predict_real_quantum(2, 3, 1.0)
     assert pred.inputs["K_AB"] == 21
@@ -358,7 +397,7 @@ def test_estimator_rejects_initial_state_with_wrong_purity(rng):
     init = fixed_purity_state(comp.joint, 0.8, rng)
     with pytest.raises(RangeError):
         rnd.estimate_expected_local_purity(
-            comp, 0.5, 10, 1, initial=init)
+            "quantum", 2, 2, 0.5, 10, 1, initial=init)
 
 
 # -- the batched kernel against the explicit route -------------------------------------------
@@ -375,7 +414,7 @@ def test_ket_kernel_matches_explicit_route(builder, real):
         part_a, joint = builder(na), builder(n)
         gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
         # The block draws its kets as haar_kets does from the same generator.
-        psi = ss.haar_kets(3, n, np.random.default_rng(5300), real=real)
+        psi = rnd.haar_kets(3, n, np.random.default_rng(5300), real=real)
         local, glob = rnd._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
         for k, ket in enumerate(psi):
             rho = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n) / n
@@ -448,14 +487,14 @@ def test_conjugated_states_match_explicit_route():
 
 
 def test_classical_memory_check_counts_both_block_arrays(monkeypatch):
-    # A 2x8 block holds 1024 rows of K = 16 and their A marginals of K_A = 2:
-    # 8 * 1024 * (16 + 2) = 147456 bytes.
-    comp = _pair(ss.build_classical, 2, 8)
-    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 147455)
-    with pytest.raises(RangeError, match="147456 bytes"):
-        rnd.estimate_expected_local_purity(comp, 0.3, 2000, 0)
-    monkeypatch.setattr(ss, "MEMORY_CAP_BYTES", 147456)
-    rep = rnd.estimate_expected_local_purity(comp, 0.3, 2000, 0)
+    # A 2x8 estimate holds its 16-outcome distribution, then a block of 1024
+    # rows of K = 16 and their A marginals of K_A = 2:
+    # 8 * (16 + 1024 * (16 + 2)) = 147584 bytes, counted before the distribution.
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 147583)
+    with pytest.raises(RangeError, match="147584 bytes"):
+        rnd.estimate_expected_local_purity("classical", 2, 8, 0.3, 2000, 0)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 147584)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 8, 0.3, 2000, 0)
     assert rep.realized_global_purity == pytest.approx(0.3, abs=1e-9)
 
 
@@ -494,9 +533,9 @@ def test_driver_refuses_a_global_purity_spread():
 def test_ket_path_agrees_with_full_unitary_path():
     comp = _pair(ss.build_quantum, 2, 2)
     init = fixed_purity_state(comp.joint, 0.5, np.random.default_rng(5100))
-    ket = rnd.estimate_expected_local_purity(comp, 0.5, 10_000, 5101)
+    ket = rnd.estimate_expected_local_purity("quantum", 2, 2, 0.5, 10_000, 5101)
     full = rnd.estimate_expected_local_purity(
-        comp, 0.5, 10_000, 5102, initial=init)
+        "quantum", 2, 2, 0.5, 10_000, 5102, initial=init)
     assert full.realized_global_purity == pytest.approx(0.5, abs=1e-9)
     assert abs(ket.mean - full.mean) <= 3 * math.hypot(ket.stderr, full.stderr)
 
@@ -506,8 +545,7 @@ def test_estimator_matches_page_average_purity(nb, seed):
     # Lubkin (1978) / Page (1993): E Tr rho_A^2 = (m + n)/(mn + 1) for a
     # Haar-random pure state on C^m (x) C^n.
     na = 4
-    comp = _pair(ss.build_quantum, na, nb)
-    rep = rnd.estimate_expected_local_purity(comp, 1.0, 10_000, seed)
+    rep = rnd.estimate_expected_local_purity("quantum", na, nb, 1.0, 10_000, seed)
     page = (na + nb) / (na * nb + 1)
     tr_sigma = rep.stderr * (na - 1) / na  # d(tr)/d(P) = (n-1)/n
     assert abs(tr2_from_purity(na, rep.mean) - page) <= 3 * tr_sigma

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gptpurity import composite as cm
 from gptpurity import grouprep
+from gptpurity import randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
 from gptpurity.statespace import random_mixtures
@@ -316,15 +317,15 @@ def test_joint_index_arithmetic_matches_kronecker_of_loop_bases(na, nb, rng):
 
 def test_haar_kets_size_one_is_haar_ket_and_sample_pure():
     for real in (False, True):
-        kets = ss.haar_kets(6, 5, np.random.default_rng(11), real=real)
+        kets = rnd.haar_kets(6, 5, np.random.default_rng(11), real=real)
         assert kets.shape == (6, 5) and np.iscomplexobj(kets) != real
         np.testing.assert_allclose(np.linalg.norm(kets, axis=1), 1.0, atol=1e-15)
-    one = ss.haar_kets(1, 5, np.random.default_rng(12))
+    one = rnd.haar_kets(1, 5, np.random.default_rng(12))
     assert one.shape == (1, 5)
     assert np.linalg.norm(one) == pytest.approx(1.0, abs=1e-15)
     for space in (ss.build_quantum(3), ss.build_real_quantum(3)):
         real = space.kind == ss.KIND_REAL_QUANTUM
-        psi = ss.haar_kets(4, 3, np.random.default_rng(13), real=real)
+        psi = rnd.haar_kets(4, 3, np.random.default_rng(13), real=real)
         rhos = psi[:, :, None] * psi[:, None, :].conj()
         np.testing.assert_array_equal(space.sample_pures(np.random.default_rng(13), 4),
                                       space.to_coords(rhos))
