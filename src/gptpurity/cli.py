@@ -10,6 +10,8 @@ failure, 1 usage error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import importlib.util
 import json
 import math
@@ -36,8 +38,8 @@ def _lazy(name: str) -> None:
 
 
 # Every layer is in sys.modules from here on, but a command runs only the
-# layers it reads: a quantum estimate runs randomize and checks, not the
-# descriptors, Grams and faces it does not need.
+# layers it reads: a quantum estimate runs randomize, not the descriptors,
+# Grams, faces and suites it does not need.
 for _name in ("statespace", "grouprep", "composite", "purity", "boxworld", "randomize",
               "faces", "checks"):
     _lazy(_name)
@@ -47,6 +49,27 @@ from . import checks  # noqa: E402
 from . import faces as faces_mod  # noqa: E402
 from . import grouprep  # noqa: E402
 from . import randomize as rnd  # noqa: E402
+
+# The interpreter's final collections would walk every object the command
+# created (numpy's included, which loads after this module).  An exit hook
+# registered now runs after the report is written and --out is closed, and
+# moves them all to the permanent generation, which those sweeps skip.
+atexit.register(gc.freeze)
+
+
+class _SuiteNames:
+    """``verify``'s choices: the names of ``checks.SUITES``, read only when they are tested.
+
+    argparse tests a value against its choices, and lists them in help and
+    errors, only when a ``verify`` command is parsed, so no other command runs
+    ``checks`` to build the parser.
+    """
+
+    def __contains__(self, name: object) -> bool:
+        return name in checks.SUITES
+
+    def __iter__(self):
+        return iter(checks.SUITES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,8 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--histogram", action="store_true",
                      help="attach a 100-bin histogram of the per-sample values")
 
-    ver = sub.add_parser("verify", parents=[common], help="bounded verification suites")
-    ver.add_argument("suite", choices=tuple(checks.SUITES))
+    # Raw help text, so no suite name is broken at its hyphen.
+    ver = sub.add_parser("verify", parents=[common], help="bounded verification suites",
+                         formatter_class=argparse.RawTextHelpFormatter)
+    ver.add_argument("suite", choices=_SuiteNames(), metavar="SUITE",
+                     help="one of: %(choices)s")
     ver.add_argument("--seed", type=int, default=2024)
     ver.add_argument("--samples", type=int, default=10_000)
 

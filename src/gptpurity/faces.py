@@ -13,6 +13,11 @@ Expected local collision values for quantum faces:
                  * (Tr rho_AB^2 - 1/N_S)
 * (anti)symmetric specialization: (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2),
   where Tr[(pi (E_A (x) I) pi)^2] = n/4 +- 1/2.
+
+A face holds the level counts of its two parts.  Its composite descriptor and
+joint coordinates are derived only when asked, and other layers are reached
+through module aliases, so the (anti)symmetric faces and the coin record run
+no descriptor layer.
 """
 
 from __future__ import annotations
@@ -24,18 +29,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import composite as comp_mod
-from . import grouprep
 from . import statespace as ss
-from .composite import CompositeDescriptor, partial_trace
 from .errors import (
     EmptyFaceError,
     InvalidDimensionError,
     InvalidProbeError,
     RangeError,
     UnsupportedSpaceError,
+    check_memory,
 )
-from .randomize import (McReport, Prediction, _classical_purities, _estimate, _haar_ket_block,
-                        _permuted_block)
+from .randomize import (BLOCK_SIZE, McReport, Prediction, _check_run, _classical_purities,
+                        _estimate, _haar_ket_block, _permuted_block)
 
 KIND_QUANTUM_FACE = "quantum-subspace"
 KIND_CLASSICAL_FACE = "classical-support"
@@ -44,48 +48,100 @@ KIND_CLASSICAL_FACE = "classical-support"
 class FaceDescriptor(NamedTuple):
     """A face of a bipartite state space, preserved by matched local actions.
 
+    ``levels`` are the level counts (n_A, n_B) of the two parts: quantum
+    levels for a subspace face, classical outcomes for a support face.
     ``projector`` / ``isometry`` describe the quantum subspace (the isometry
     columns span it); ``support`` lists the flat joint outcomes of a
     classical face.  ``n_sub`` is the subspace dimension N_S resp. the
     support size N_F, and ``k_face`` the face dimension (N_S^2 resp. N_F).
-    ``mu_face`` is the face-maximally-mixed state in joint coordinates.
     """
 
     kind: str
-    comp: CompositeDescriptor
+    levels: tuple[int, int]
     n_sub: int
     k_face: int
-    mu_face: np.ndarray
     projector: np.ndarray | None = None
     isometry: np.ndarray | None = None
     support: np.ndarray | None = None
 
+    @property
+    def comp(self) -> comp_mod.CompositeDescriptor:
+        """The composite descriptor of the two parts, built on each access."""
+        build = ss.build_quantum if self.kind == KIND_QUANTUM_FACE else ss.build_classical
+        return comp_mod.compose(build(self.levels[0]), build(self.levels[1]))
 
-def subspace_face(comp: CompositeDescriptor, projector: np.ndarray) -> FaceDescriptor:
+    @property
+    def mu_face(self) -> np.ndarray:
+        """The face-maximally-mixed state in joint coordinates."""
+        if self.kind == KIND_QUANTUM_FACE:
+            return self.comp.joint.to_coords(self.projector / self.n_sub)
+        mu = np.zeros(self.levels[0] * self.levels[1])
+        mu[self.support] = 1.0 / self.n_sub
+        return mu
+
+
+def subspace_face(comp: comp_mod.CompositeDescriptor, projector: np.ndarray) -> FaceDescriptor:
     """The face of states with full support on a joint Hilbert subspace."""
+    if comp.kind != ss.KIND_QUANTUM:
+        raise UnsupportedSpaceError("subspace faces require a quantum composite")
+    return _subspace_face((comp.part_a.level, comp.part_b.level), projector)
+
+
+def _subspace_face(levels: tuple[int, int], projector: np.ndarray) -> FaceDescriptor:
     w, v = np.linalg.eigh(projector)
     cols = v[:, w > 0.5]
     n_sub = cols.shape[1]
     if n_sub == 0:
         raise EmptyFaceError("the projector has rank zero")
-    mu = comp.joint.to_coords(projector / n_sub)
     return FaceDescriptor(
         kind=KIND_QUANTUM_FACE,
-        comp=comp,
+        levels=levels,
         n_sub=n_sub,
         k_face=n_sub * n_sub,
-        mu_face=mu,
         projector=np.asarray(projector, dtype=complex),
         isometry=cols,
     )
+
+
+def symmetric_projector(n: int) -> np.ndarray:
+    """(I + SWAP)/2, the projector onto the symmetric subspace of C^n (x) C^n."""
+    return _swap_projector(n, 1)
+
+
+def antisymmetric_projector(n: int) -> np.ndarray:
+    """(I - SWAP)/2, the projector onto the antisymmetric subspace of C^n (x) C^n."""
+    return _swap_projector(n, -1)
+
+
+def _swap_projector(n: int, sign: int) -> np.ndarray:
+    """(I + sign SWAP)/2 as one real array: SWAP maps |i j> (index n i + j) to |j i>."""
+    d = n * n
+    p = np.zeros((d, d))
+    flat = np.arange(d)
+    i, j = np.divmod(flat, n)
+    p[flat, flat] = 0.5
+    p[flat, n * j + i] += 0.5 * sign
+    return p
+
+
+def _swap_face(n: int, sign: int) -> FaceDescriptor:
+    """The face on the (anti)symmetric subspace of C^n (x) C^n, counted before it is built."""
+    d, n_s = n * n, n * (n + sign) // 2
+    # At the peak, 5 d^2 reals: the real projector, and inside eigh its copy,
+    # its workspace (2 d^2) and the eigenvectors (after eigh, the complex
+    # projector the face keeps takes 2 d^2).  One d^2 more is slack for the
+    # index arrays and the allocator; then the d x n_s isometry.
+    check_memory(8 * d * (6 * d + n_s),
+                 f"the projector onto a {n_s}-dimensional subspace of C^{d}, "
+                 "its eigendecomposition and isometry")
+    return _subspace_face((n, n), _swap_projector(n, sign))
 
 
 def sym_face(n: int) -> FaceDescriptor:
     """States supported on the symmetric subspace of C^n (x) C^n; N_S = n(n+1)/2."""
     if n < 2:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
-    comp = comp_mod.compose(ss.build_quantum(n), ss.build_quantum(n))
-    return subspace_face(comp, grouprep.symmetric_projector(n))
+    return _swap_face(n, 1)
 
 
 def antisym_face(n: int) -> FaceDescriptor:
@@ -94,8 +150,7 @@ def antisym_face(n: int) -> FaceDescriptor:
         raise EmptyFaceError("the antisymmetric subspace of one level is empty")
     if n < 2:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
-    comp = comp_mod.compose(ss.build_quantum(n), ss.build_quantum(n))
-    return subspace_face(comp, grouprep.antisymmetric_projector(n))
+    return _swap_face(n, -1)
 
 
 def face_bloch_projector(face: FaceDescriptor, m: np.ndarray) -> np.ndarray:
@@ -123,7 +178,7 @@ def predict_qface(face: FaceDescriptor, e_a: np.ndarray, tr_purity_global: float
     e_a = np.asarray(e_a)
     if abs(np.trace(e_a)) > 1e-8 or abs(np.trace(e_a @ e_a) - 1.0) > 1e-8:
         raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
-    n_a = face.comp.part_a.level
+    n_a, n_b = face.levels
     n_s = face.n_sub
     if not (1.0 / n_s) - 1e-12 <= tr_purity_global <= 1.0 + 1e-12:
         raise RangeError(f"Tr rho^2 on the face must lie in [1/{n_s}, 1]")
@@ -131,7 +186,7 @@ def predict_qface(face: FaceDescriptor, e_a: np.ndarray, tr_purity_global: float
         value = 1.0 / n_a
         ingredient = 0.0
     else:
-        probe = face.projector @ np.kron(e_a, np.eye(face.comp.part_b.level)) @ face.projector
+        probe = face.projector @ np.kron(e_a, np.eye(n_b)) @ face.projector
         ingredient = float(np.real(np.trace(probe @ probe)))
         value = 1.0 / n_a + (n_a**2 - 1) / (n_s**2 - 1) * ingredient * (
             tr_purity_global - 1.0 / n_s
@@ -210,9 +265,11 @@ def estimate_face_local_purity(
     if face.kind == KIND_QUANTUM_FACE:
         # Quantum targets are collision values with floor 1/N_S.
         t = _face_interpolation_weight(face.n_sub, target_global_purity)
-        dims = (face.comp.part_a.level, face.comp.part_b.level)
-        sigma_a = partial_trace(face.projector, dims, keep=0) / face.n_sub
-        draw = partial(_haar_ket_block, t=t, dims=dims, isometry=face.isometry, sigma_a=sigma_a)
+        na, nb = face.levels
+        # The A marginal of mu: composite.partial_trace's contraction over B.
+        sigma_a = np.einsum("ibjb->ij", face.projector.reshape(na, nb, na, nb)) / face.n_sub
+        draw = partial(_haar_ket_block, t=t, dims=(na, nb), isometry=face.isometry,
+                       sigma_a=sigma_a)
         return _estimate(n_samples, seed, draw, histogram_bins)
 
     if face.kind == KIND_CLASSICAL_FACE:
@@ -238,23 +295,23 @@ def _estimate_support_face(
 ) -> McReport:
     """Marginal purity on A of uniform permutations of ``p_face`` over the face support.
 
-    Support outcome s = a K_B + b adds to the A marginal at a: the block's
-    columns are ordered by A outcome, and each run of equal outcomes is summed
-    by one ``np.add.reduceat``.
+    Support outcome s = a K_B + b adds to the A marginal at a.  The support
+    and ``p_face`` are ordered by A outcome once (stably; the law of a uniform
+    permutation does not change), so each block's runs of equal outcomes are
+    summed in place by one ``np.add.reduceat``.
     """
-    na = face.comp.part_a.K
-    omega0 = np.zeros(face.comp.joint.K)
-    omega0[face.support] = p_face
-    purity = face_restricted_purity(face, omega0)
-    to_a = face.support // face.comp.part_b.K
-    order = np.argsort(to_a, kind="stable")
-    runs = np.flatnonzero(np.diff(to_a[order], prepend=-1))
-    outcomes = to_a[order[runs]]
+    na, nb = face.levels
+    purity = _face_purity(face.n_sub, p_face)
+    order = np.argsort(face.support // nb, kind="stable")
+    to_a = face.support[order] // nb
+    p = p_face[order]
+    runs = np.flatnonzero(np.diff(to_a, prepend=-1))
+    outcomes = to_a[runs]
 
     def draw(rng, size):
-        block = _permuted_block(rng, size, p_face, na)
+        block = _permuted_block(rng, size, p, na)
         marg = np.zeros((size, na))
-        marg[:, outcomes] = np.add.reduceat(block[:, order], runs, axis=1)
+        marg[:, outcomes] = np.add.reduceat(block, runs, axis=1)
         return _classical_purities(marg), purity
 
     return _estimate(n_samples, seed, draw, histogram_bins)
@@ -275,7 +332,7 @@ class CoinRecordResult(NamedTuple):
 
 
 def classical_support_face(
-    comp: CompositeDescriptor, support: np.ndarray
+    comp: comp_mod.CompositeDescriptor, support: np.ndarray
 ) -> FaceDescriptor:
     """The face of a classical composite supported on the given joint outcomes."""
     if comp.kind != ss.KIND_CLASSICAL:
@@ -286,26 +343,27 @@ def classical_support_face(
         raise RangeError("the support must be a nonempty set of distinct outcomes")
     if support.min() < 0 or support.max() >= comp.joint.K:
         raise RangeError("support indices must address joint outcomes")
+    return _support_face((comp.part_a.level, comp.part_b.level), support)
+
+
+def _support_face(levels: tuple[int, int], support: np.ndarray) -> FaceDescriptor:
     n_f = len(support)
-    mu = np.zeros(comp.joint.K)
-    mu[support] = 1.0 / n_f
-    return FaceDescriptor(
-        kind=KIND_CLASSICAL_FACE,
-        comp=comp,
-        n_sub=n_f,
-        k_face=n_f,
-        mu_face=mu,
-        support=support,
-    )
+    return FaceDescriptor(kind=KIND_CLASSICAL_FACE, levels=levels, n_sub=n_f, k_face=n_f,
+                          support=support)
 
 
 def face_restricted_purity(face: FaceDescriptor, omega: np.ndarray) -> float:
     """Purity of a face-supported distribution, treated as a state of the face."""
     if face.kind != KIND_CLASSICAL_FACE:
         raise UnsupportedSpaceError("face-restricted purity applies to classical faces")
-    if face.n_sub == 1:
+    return _face_purity(face.n_sub, np.asarray(omega, dtype=float)[face.support])
+
+
+def _face_purity(n_f: int, p: np.ndarray) -> float:
+    """Purity of the distribution ``p`` over an ``n_f``-outcome support."""
+    if n_f == 1:
         return 1.0
-    return float(_classical_purities(np.asarray(omega, dtype=float)[face.support]))
+    return float(_classical_purities(np.array(p, dtype=float)))
 
 
 def coin_record_sigma(s0_size: int) -> float:
@@ -340,13 +398,16 @@ def coin_with_record(
     """
     if s0_size < 1:
         raise RangeError(f"the record set needs at least one string, got {s0_size}")
-    n_b = 2 * s0_size
-    comp = comp_mod.compose(ss.build_classical(2), ss.build_classical(n_b))
-    support = np.concatenate(
-        [np.arange(s0_size), n_b + s0_size + np.arange(s0_size)]
-    )
-    face = classical_support_face(comp, support)
-    p_face = np.zeros(face.n_sub)
+    _check_run(n_samples, seed)
+    n_b = n_f = 2 * s0_size
+    size = min(n_samples, BLOCK_SIZE)
+    # Before the support exists: the index and value arrays over it, and one
+    # block of permuted distributions with its A marginals.
+    check_memory(8 * (8 * n_f + size * (n_f + 2)),
+                 f"a {n_f}-outcome support face and a block of {size} permutations of it")
+    face = _support_face((2, n_b), np.concatenate(
+        [np.arange(s0_size), n_b + s0_size + np.arange(s0_size)]))
+    p_face = np.zeros(n_f)
     p_face[:s0_size] = 1.0 / s0_size
     report = _estimate_support_face(face, p_face, n_samples, seed, None)
     prediction = Prediction(

@@ -502,14 +502,6 @@ def swap_operator(d: int) -> np.ndarray:
     return s
 
 
-def symmetric_projector(d: int) -> np.ndarray:
-    return (np.eye(d * d) + swap_operator(d)) / 2
-
-
-def antisymmetric_projector(d: int) -> np.ndarray:
-    return (np.eye(d * d) - swap_operator(d)) / 2
-
-
 def frame_potential(unitaries: np.ndarray | Sequence[np.ndarray]) -> float:
     """Second frame potential F = (1/|G|) sum_g |Tr g|^4 of a finite unitary group.
 

@@ -11,9 +11,9 @@ averages the local purity.  Closed forms:
   for compositions that are not locally tomographic.
 
 ``predict_general`` and ``predict_real_quantum`` take level counts alone.
-``main``, ``general`` and ``nonlocaltomo`` are evaluated once in exact
-rationals, from the integer level counts and the exact value of the float P0,
-so each reported value is correctly rounded.
+``main``, ``general`` and ``nonlocaltomo`` are evaluated as one integer true
+division, from the integer level counts and the exact ratio of the float P0
+(``as_integer_ratio``), so each reported value is correctly rounded.
 
 Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
@@ -93,9 +92,9 @@ def _check_p0(p0: float) -> None:
 
 
 def _main_value(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> float:
-    """The main formula, exact in rationals and rounded once."""
-    exact = Fraction(k_a - 1, k_a * k_b - 1) * Fraction(n_a * n_b - 1, n_a - 1) * Fraction(p0)
-    return float(exact)
+    """The main formula, exact in integers and rounded once by the true division."""
+    num, den = p0.as_integer_ratio()
+    return (k_a - 1) * (n_a * n_b - 1) * num / ((k_a * k_b - 1) * (n_a - 1) * den)
 
 
 def predict_main(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> Prediction:
@@ -140,7 +139,7 @@ def predict_general(theory: str, n_a: int, n_b: int, p0: float) -> Prediction:
             "K_A": k_a,
             "K_B": k_b,
             "P0": p0,
-            "P_phi_mu": float(Fraction(n_a - 1, n_a * n_b - 1)),
+            "P_phi_mu": (n_a - 1) / (n_a * n_b - 1),
         },
     )
 
@@ -173,29 +172,40 @@ def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
 
 
 def predict_nonlocaltomo(
-    k_a: int, k_ab: int, p0: float, p_phi_mu: float | Fraction, mu_c_norm_sq: float | Fraction
+    k_a: int, k_ab: int, p0: float, p_phi_mu: float, mu_c_norm_sq: float
 ) -> Prediction:
     """Expected local purity without local tomography.
 
     ``mu_c_norm_sq`` is the squared Gram norm of the locally inaccessible
-    component of the joint maximally mixed state.  Floats enter as their
-    exact values, so a ``Fraction`` input keeps the value correctly rounded.
+    component of the joint maximally mixed state.  The inputs enter as their
+    exact values (``as_integer_ratio``, which an exact rational such as a
+    ``fractions.Fraction`` also has), so the value is correctly rounded.
     """
+    return _nonlocaltomo(k_a, k_ab, p0, p_phi_mu.as_integer_ratio(),
+                         mu_c_norm_sq.as_integer_ratio())
+
+
+def _nonlocaltomo(k_a: int, k_ab: int, p0: float, phi_mu: tuple[int, int],
+                  mu_c: tuple[int, int]) -> Prediction:
+    """``predict_nonlocaltomo`` with P(phi_A (x) mu_B) and |mu_C|^2 as exact integer ratios."""
     _check_p0(p0)
-    denom = Fraction(p_phi_mu) - Fraction(mu_c_norm_sq)
-    if denom <= 0:
+    (a, b), (c, d) = phi_mu, mu_c
+    # P(phi (x) mu) - |mu_C|^2 = gap / (b d), with b d > 0.
+    gap = a * d - c * b
+    if gap <= 0:
         raise DegenerateCompositeError(
-            f"P(phi (x) mu) - |mu_C|^2 = {float(denom)!r} must be positive"
+            f"P(phi (x) mu) - |mu_C|^2 = {gap / (b * d)!r} must be positive"
         )
+    num, den = p0.as_integer_ratio()
     return Prediction(
-        value=float(Fraction(k_a - 1, k_ab - 1) * Fraction(p0) / denom),
+        value=(k_a - 1) * num * b * d / ((k_ab - 1) * den * gap),
         formula_id="nonlocaltomo",
         inputs={
             "K_A": k_a,
             "K_AB": k_ab,
             "P0": p0,
-            "P_phi_mu": float(p_phi_mu),
-            "mu_C_norm_sq": float(mu_c_norm_sq),
+            "P_phi_mu": a / b,
+            "mu_C_norm_sq": c / d,
         },
     )
 
@@ -252,6 +262,17 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def _check_run(n_samples: int, seed: int) -> None:
+    """Refuse a sample count or seed that no run takes, and per-sample arrays beyond the cap."""
+    if n_samples < 2:
+        raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
+    if seed < 0:
+        raise RangeError(f"the seed must be non-negative, got {seed}")
+    # The values, the global purities and one temporary of the reduction (the
+    # deviations in ``std`` or the clipped values of the histogram).
+    check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
+
+
 def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | None) -> McReport:
     """The one Monte Carlo loop: every estimator is a ``draw`` over its blocks.
 
@@ -261,13 +282,7 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
     transformations preserve purity, so a spread of the global purities
     beyond ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
     """
-    if n_samples < 2:
-        raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
-    if seed < 0:
-        raise RangeError(f"the seed must be non-negative, got {seed}")
-    # The values, the global purities and one temporary of the reduction (the
-    # deviations in ``std`` or the clipped values of the histogram).
-    check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
+    _check_run(n_samples, seed)
     vals = np.empty(n_samples)
     gvals = np.empty(n_samples)
     for b, lo in enumerate(range(0, n_samples, BLOCK_SIZE)):
@@ -480,8 +495,7 @@ def predict_real_quantum(m_a: int, m_b: int, p0: float) -> Prediction:
     """
     _check_levels("real-quantum", m_b, m_a)
     n = m_a * m_b
-    return predict_nonlocaltomo(m_a * (m_a + 1) // 2, n * (n + 1) // 2, p0,
-                                Fraction(m_a - 1, n - 1), 0)
+    return _nonlocaltomo(m_a * (m_a + 1) // 2, n * (n + 1) // 2, p0, (m_a - 1, n - 1), (0, 1))
 
 
 def estimate_real_quantum_local_purity(

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -219,6 +220,76 @@ def test_failed_verification_exits_two(capsys, monkeypatch):
     assert code == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
+
+
+def _run_module(argv, code=None):
+    """Run ``python -m gptpurity.cli argv`` (or ``python -c code argv``) in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    head = ["-m", "gptpurity.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_verify_usage_lists_the_suites_of_the_registry():
+    # checks.SUITES is the one list of suite names; the parser reads it only
+    # when a verify command is parsed.
+    proc = _run_module(["verify", "no-such-suite"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert all(repr(name) in lines[0] for name in checks.SUITES)
+    proc = _run_module(["verify", "-h"])
+    assert proc.returncode == 0, proc.stderr
+    assert len(checks.SUITES) == 5
+    assert all(name in proc.stdout for name in checks.SUITES)
+
+
+# Registered before cli's exit hook, so it runs after it: atexit is last in, first out.
+_EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"freeze count at exit: {gc.get_freeze_count()}\\n"))
+from gptpurity import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "main", "--ka", "4", "--kb", "4", "--na", "2", "--nb", "2", "--p0", "1"],
+    ["estimate", "--face", "sym", "--n", "2", "--trp", "1", "--samples", "100", "--seed", "1"],
+], ids=["predict", "estimate-face"])
+def test_exit_hook_freezes_the_collector_before_the_final_sweeps(argv):
+    proc = _run_module(argv, code=_EXIT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("freeze count at exit: ")
+    assert int(last.rsplit(" ", 1)[1]) > 0
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    # Freezing inside main would keep every call's garbage cycles for good.
+    assert gc.get_freeze_count() == 0
+    code, _ = _run(capsys, ["estimate", "--face", "sym", "--n", "2", "--trp", "1",
+                            "--samples", "100", "--seed", "1"])
+    assert code == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_out_file_holds_the_whole_report_once_the_process_has_ended(tmp_path):
+    argv = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "8", "--p0", "1",
+            "--samples", "2000", "--seed", "7", "--histogram"]
+    path = tmp_path / "report.json"
+    to_stdout = _run_module(argv)
+    to_file = _run_module(argv + ["--out", str(path)])
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert to_file.stdout == "" and to_file.stderr == ""
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("}\n")
+    # The reports differ only in the echoed argv.
+    assert text == to_stdout.stdout.replace(
+        '"--histogram"\n', f'"--histogram",\n      "--out",\n      {json.dumps(str(path))}\n')
 
 
 _EST = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1"]

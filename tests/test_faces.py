@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -276,6 +277,24 @@ def test_classical_face_estimator_tracks_face_restricted_target():
         assert abs(rep.mean - target) <= 3 * rep.stderr + 1e-12
     with pytest.raises(RangeError):
         faces.estimate_face_local_purity(face, 1.2, 10, 1)
+
+
+def test_support_face_estimate_tracks_the_target_in_any_support_order():
+    # The support is ordered by A outcome once, before the draws; a support
+    # given out of that order must give the same law.
+    comp = cm.compose(ss.build_classical(2), ss.build_classical(4))
+    face = faces.classical_support_face(comp, np.array([5, 0, 6, 1, 4]))
+    rep = faces.estimate_face_local_purity(face, 0.5, 2000, 37)
+    assert rep.realized_global_purity == pytest.approx(0.5, abs=1e-12)
+    # The A marginal of a uniform permutation of p over three A = 1 and two
+    # A = 0 outcomes; its exact mean is taken over all 5! orders.
+    t = math.sqrt(0.5)
+    p = np.full(5, (1 - t) / 5)
+    p[0] += t
+    marginals = [(p[list(perm[:2])].sum(), p[list(perm[2:])].sum())
+                 for perm in itertools.permutations(range(5))]
+    exact = np.mean([2 * ((a0 - 0.5) ** 2 + (a1 - 0.5) ** 2) for a0, a1 in marginals])
+    assert abs(rep.mean - exact) <= 3 * rep.stderr + 1e-12
 
 
 def test_classical_support_face_validates_support():

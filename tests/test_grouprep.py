@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import errors, grouprep, statespace as ss
+from gptpurity import errors, faces, grouprep, statespace as ss
 from gptpurity.errors import ReducibleSpaceError, UnsupportedSpaceError
 
 
@@ -327,8 +327,8 @@ def _two_design_superoperators(k):
     dd = d * d
     lhs = (a.T @ a.conj() / len(us)).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3)
     lhs = lhs.reshape(dd * dd, dd * dd)
-    pi_s = grouprep.symmetric_projector(d)
-    pi_a = grouprep.antisymmetric_projector(d)
+    pi_s = faces.symmetric_projector(d)
+    pi_a = faces.antisymmetric_projector(d)
     rhs = (2.0 / (d * (d + 1))) * np.outer(pi_s.ravel(), pi_s.ravel()) + (
         2.0 / (d * (d - 1))
     ) * np.outer(pi_a.ravel(), pi_a.ravel())

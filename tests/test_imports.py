@@ -94,8 +94,13 @@ def test_cli_loads_every_traced_layer():
     assert {f"gptpurity.{name}" for name in layers} <= _loaded_by("gptpurity.cli")
 
 
+# Standard-library modules that no level-count or face command needs.
+_UNNEEDED = ("fractions", "dataclasses")
+
+
 def _executed_by(argv: list[str]) -> set[str]:
-    """The ``gptpurity`` layers a fresh interpreter has run after ``cli.main(argv)``.
+    """The ``gptpurity`` layers a fresh interpreter has run after ``cli.main(argv)``,
+    and those of ``_UNNEEDED`` it has imported.
 
     A lazily registered layer that never ran is still a ``_LazyModule``.
     """
@@ -104,10 +109,11 @@ def _executed_by(argv: list[str]) -> set[str]:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(sys.argv[1:]) == 0\n"
             "print(*sorted(n for n, m in sys.modules.items()\n"
-            "              if n.startswith('gptpurity.') and type(m) is types.ModuleType))\n")
+            "              if n.startswith('gptpurity.') and type(m) is types.ModuleType))\n"
+            f"print(*(n for n in {_UNNEEDED!r} if n in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=_env(), timeout=120, check=True)
-    return {name.split(".", 1)[1] for name in proc.stdout.split()}
+    return {name.split(".", 1)[-1] for name in proc.stdout.split()}
 
 
 @pytest.mark.parametrize("argv", [
@@ -122,9 +128,25 @@ def _executed_by(argv: list[str]) -> set[str]:
 ], ids=["predict-main", "predict-general", "estimate-quantum", "estimate-classical",
         "estimate-real-quantum"])
 def test_level_count_commands_run_no_descriptor_layer(argv):
-    # No descriptor, Gram, face or boxworld layer runs: only the front end,
-    # the suite registry that lists verify's choices, and the estimators.
-    assert _executed_by(argv) == {"cli", "errors", "checks", "randomize"}
+    # No descriptor, Gram, face, suite or boxworld layer runs: only the front
+    # end and the estimators; verify's choices are read only by verify.
+    assert _executed_by(argv) == {"cli", "errors", "randomize"}
+
+
+@pytest.mark.parametrize("argv,checks", [
+    (["estimate", "--face", "sym", "--n", "2", "--trp", "1", "--samples", "100", "--seed", "1"],
+     False),
+    (["estimate", "--face", "antisym", "--n", "4", "--trp", "0.3", "--samples", "100",
+      "--seed", "1"], False),
+    (["predict", "symm", "--n", "3", "--sign", "+", "--trp", "1"], False),
+    (["predict", "qface", "--n", "4", "--sign", "-", "--trp", "0.3"], False),
+    (["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"], True),
+], ids=["estimate-sym", "estimate-antisym", "predict-symm", "predict-qface", "coin-record"])
+def test_face_commands_run_no_descriptor_layer(argv, checks):
+    # A face holds level counts, so no composite, state space or group layer
+    # runs; coin-record's verdict is a checks.Check.
+    expected = {"cli", "errors", "randomize", "faces"} | ({"checks"} if checks else set())
+    assert _executed_by(argv) == expected
 
 
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():

@@ -97,8 +97,10 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    # The support face's index arrays and a block of 1024 permutations of it.
     (["coin-record", "--s0", "100000000", "--seed", "1"],
-     "200000000-outcome classical space would need 19200000000 bytes"),
+     "200000000-outcome support face and a block of 1024 permutations of it would need "
+     "1651200016384 bytes"),
     # The 4e8-outcome distribution and a block of 1024 permutations of it.
     (["estimate", "--theory", "classical", "--na", "2", "--nb", "200000000", "--p0", "0.3",
       "--seed", "0"],
@@ -108,10 +110,11 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
       "--p0", "0.3"], None),
 ])
 def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
-    # A 2e8-outcome part alone needs two 1.6 GB vectors and 2e8 labels, and
-    # the coin record builds one.  The estimate builds no part, but its
-    # distribution is refused before it is allocated; the prediction needs
-    # only the level counts and is the classical cancellation, P0 itself.
+    # A 2e8-outcome part alone would need two 1.6 GB vectors and 2e8 labels,
+    # but no command builds one.  The coin record's support and the
+    # estimate's distribution are refused before they are allocated; the
+    # prediction needs only the level counts and is the classical
+    # cancellation, P0 itself.
     argv, refusal = argv
     proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
     assert "Traceback" not in proc.stderr
@@ -125,6 +128,25 @@ def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert refusal in lines[0]
+
+
+@pytest.mark.parametrize("argv,nbytes", [
+    (["estimate", "--face", "sym", "--n", "100", "--trp", "1", "--seed", "1"], 5204000000),
+    (["predict", "qface", "--n", "100", "--sign", "+", "--trp", "1"], 5204000000),
+    (["estimate", "--face", "antisym", "--n", "100", "--trp", "1", "--seed", "1"], 5196000000),
+])
+def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbytes):
+    # A face holds level counts and builds no joint descriptor; its 10^4 x 10^4
+    # projector, eigh's buffers and the isometry are counted before any exists.
+    proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert (f"subspace of C^10000, its eigendecomposition and isometry would need {nbytes} "
+            "bytes") in lines[0]
+    assert rss < MAX_RSS_MB
 
 
 def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
