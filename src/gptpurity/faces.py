@@ -180,8 +180,7 @@ def predict_qface(face: FaceDescriptor, e_a: np.ndarray, tr_purity_global: float
         raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
     n_a, n_b = face.levels
     n_s = face.n_sub
-    if not (1.0 / n_s) - 1e-12 <= tr_purity_global <= 1.0 + 1e-12:
-        raise RangeError(f"Tr rho^2 on the face must lie in [1/{n_s}, 1]")
+    _check_face_purity(n_s, tr_purity_global)
     if n_s == 1:
         value = 1.0 / n_a
         ingredient = 0.0
@@ -222,8 +221,7 @@ def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
     if n < 2:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
     n_s = n * (n + sign) // 2
-    if not 1.0 / n_s - 1e-12 <= tr_purity_global <= 1.0 + 1e-12:
-        raise RangeError(f"Tr rho^2 on the face must lie in [1/{n_s}, 1], got {tr_purity_global}")
+    _check_face_purity(n_s, tr_purity_global)
     value = (1.0 + tr_purity_global) * (n + sign) / (n * n + sign * n + 2)
     return Prediction(
         value=value,
@@ -232,12 +230,16 @@ def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
     )
 
 
+def _check_face_purity(n_sub: int, tr_purity: float) -> None:
+    """Refuse a global Tr(rho^2) outside [1/N_S, 1], the range on a face of dimension N_S."""
+    if not 1.0 / n_sub - 1e-12 <= tr_purity <= 1.0 + 1e-12:
+        raise RangeError(f"Tr rho^2 on a face of dimension {n_sub} must lie in "
+                         f"[1/{n_sub}, 1], got {tr_purity}")
+
+
 def _face_interpolation_weight(n_sub: int, target: float) -> float:
+    _check_face_purity(n_sub, target)
     lo = 1.0 / n_sub
-    if not lo - 1e-12 <= target <= 1.0 + 1e-12:
-        raise RangeError(
-            f"target global purity {target} is outside [{lo}, 1] for this face"
-        )
     if n_sub == 1:
         return 0.0
     return math.sqrt(max(target - lo, 0.0) / (1.0 - lo))

@@ -25,7 +25,6 @@ import numpy as np
 from . import errors
 from . import statespace as ss
 from .errors import InternalError, ReducibleSpaceError, UnsupportedSpaceError
-from .statespace import SpaceDescriptor
 
 DEFAULT_GRAM_SAMPLES = 20_000
 # Group elements drawn at once by the Monte Carlo group averages
@@ -103,7 +102,7 @@ class GroupSampler:
     Samplers are pure functions of the passed generator.
     """
 
-    space: SpaceDescriptor
+    space: ss.SpaceDescriptor
     name: str
     is_finite: bool
     elements: np.ndarray | None = None
@@ -143,7 +142,7 @@ class GroupSampler:
             yield self.draw_many(rng, min(block, total - lo))
 
 
-def _haar_sampler(space: SpaceDescriptor, real: bool) -> GroupSampler:
+def _haar_sampler(space: ss.SpaceDescriptor, real: bool) -> GroupSampler:
     return GroupSampler(
         space,
         "haar-orthogonal-conjugation" if real else "haar-unitary-conjugation",
@@ -198,11 +197,11 @@ def _boxworld_group_elements() -> np.ndarray:
     return np.stack(out)
 
 
-def _finite_sampler(space: SpaceDescriptor, name: str, elements: np.ndarray) -> GroupSampler:
+def _finite_sampler(space: ss.SpaceDescriptor, name: str, elements: np.ndarray) -> GroupSampler:
     return GroupSampler(space=space, name=name, is_finite=True, elements=elements)
 
 
-def sampler_for(space: SpaceDescriptor, *, enumerate_limit: int = 1000) -> GroupSampler:
+def sampler_for(space: ss.SpaceDescriptor, *, enumerate_limit: int = 1000) -> GroupSampler:
     """The reversible-group sampler belonging to a built-in space.
 
     Finite groups with at most ``enumerate_limit`` elements carry the full
@@ -302,7 +301,7 @@ class GramMatrix:
         return np.einsum("bk,bk->b", self.apply(rows), rows)
 
 
-def analytic_gram(space: SpaceDescriptor) -> GramMatrix:
+def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
     """Exact invariant Gram for the built-in transitive spaces.
 
     In these coordinates every reversible transformation acts as a Euclidean
@@ -324,7 +323,7 @@ def analytic_gram(space: SpaceDescriptor) -> GramMatrix:
 
 
 def check_irreducible(
-    space: SpaceDescriptor,
+    space: ss.SpaceDescriptor,
     sampler: GroupSampler,
     trials: int = 2000,
     rng: np.random.Generator | None = None,
@@ -378,7 +377,7 @@ def _irreducibility_threshold(sampler: GroupSampler, trials: int) -> float:
 
 
 def invariant_gram(
-    space: SpaceDescriptor,
+    space: ss.SpaceDescriptor,
     sampler: GroupSampler,
     n_avg: int = DEFAULT_GRAM_SAMPLES,
     rng: np.random.Generator | None = None,
@@ -472,25 +471,46 @@ def _bfs_closure(generators: list[np.ndarray], expect: int) -> np.ndarray:
     return out
 
 
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker products a_i (x) b_j of two stacks of square matrices, i-major."""
+    (m, p, _), (n, q, _) = a.shape, b.shape
+    return np.einsum("aij,bkl->abikjl", a, b).reshape(m * n, p * q, p * q)
+
+
 @lru_cache(maxsize=None)
 def clifford_unitaries(k: int = 1) -> np.ndarray:
     """The k-qubit Clifford group modulo global phase (k = 1 or 2).
 
-    Generated by breadth-first closure over Hadamard and phase gates (plus
-    CNOT for k = 2), with a deterministic phase canonicalization.  Returns
-    one read-only (|G|, d, d) array, shared by every caller; sizes are 24
-    and 11520.
+    k = 1 is the breadth-first closure over the Hadamard and phase gates.
+    k = 2 is built from it by the four-class decomposition of two-qubit
+    randomized benchmarking (Barends et al., Nature 508, 500, 2014):
+
+        C_2 / phase = (C_1 (x) C_1) {I, CNOT S, iSWAP S, SWAP},  S in S_1 (x) S_1,
+
+    with S_1 = {I, SH, (SH)^2}, whose conjugations cycle the Pauli axes.
+    The 576 local pairs times the 20 coset representatives are one stacked
+    product, local pair major, and no element repeats.  Every element
+    carries a deterministic phase canonicalization.  Returns one read-only
+    (|G|, d, d) array, shared by every caller; sizes are 24 and 11520.
     """
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     s = np.diag([1, 1j]).astype(complex)
     if k == 1:
-        return ss._frozen(_bfs_closure([h, s], expect=24))
-    if k == 2:
-        eye = np.eye(2, dtype=complex)
-        cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-        gens = [np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot]
-        return ss._frozen(_bfs_closure(gens, expect=11520))
-    raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
+        out = _bfs_closure([h, s], expect=24)
+    elif k == 2:
+        c1 = clifford_unitaries(1)
+        sh = s @ h
+        s1 = np.stack([np.eye(2), sh, sh @ sh])
+        s11 = _kron_stack(s1, s1)
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        reps = np.concatenate([np.eye(4)[None], cnot @ s11, iswap @ s11, swap[None]])
+        out = _phase_canonical(_kron_stack(c1, c1)[:, None] @ reps).reshape(-1, 4, 4)
+    else:
+        raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
+    out.flags.writeable = False
+    return out
 
 
 def swap_operator(d: int) -> np.ndarray:

@@ -342,6 +342,25 @@ def test_bad_input_exits_one_with_one_line(argv, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv,bound", [
+    (["predict", "qface", "--n", "2", "--sign", "-", "--trp", "0.3"], "[1/1, 1]"),
+    (["predict", "qface", "--n", "3", "--sign", "+", "--trp", "1.5"], "[1/6, 1]"),
+    (["predict", "symm", "--n", "2", "--sign", "-", "--trp", "0.3"], "[1/1, 1]"),
+    (["predict", "symm", "--n", "4", "--sign", "-", "--trp", "0.125"], "[1/6, 1]"),
+    (["estimate", "--face", "antisym", "--n", "2", "--trp", "0.3", "--seed", "1"], "[1/1, 1]"),
+    (["estimate", "--face", "sym", "--n", "3", "--trp", "0.125", "--seed", "1"], "[1/6, 1]"),
+], ids=["qface-antisym-2", "qface-sym-3", "symm-antisym-2", "symm-antisym-4",
+        "estimate-antisym-2", "estimate-sym-3"])
+def test_face_purity_out_of_range_names_the_value_and_the_bound(argv, bound, capsys):
+    # One rule, Tr rho^2 in [1/N_S, 1], refused with one message by every face command.
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert f"got {argv[argv.index('--trp') + 1]}" in lines[0] and bound in lines[0]
+
+
 # -- generated argument vectors ---------------------------------------------------------
 
 # Sizes stay small: every draw runs in-process, and a classical part is

@@ -373,19 +373,36 @@ def test_pauli_group_is_not_a_two_design():
 
 @pytest.mark.parametrize("k,digest", [
     (1, "a8a60e4851b0b1d70283eb7385bc209f5c77cdf404a31c5d83f595baa284a5ea"),
-    (2, "8779e656f1fa27caec7a130a8c9ad599f98e780283891aa1c97742eb11e55dda"),
+    (2, "08bc711ea4c8fb8b97c6f288569a32783b8e4b6f635de15411954157e7a31cd1"),
 ])
 def test_clifford_closure_order_is_frozen(k, digest):
-    # sha256 of the ordered rounded keys as the per-element closure produced them.
+    # sha256 of the ordered rounded keys: the closure's discovery order for
+    # k = 1, local pair major over the 20 coset representatives for k = 2.
     import hashlib
 
     keys = b"".join(grouprep._keys(grouprep.clifford_unitaries(k)))
     assert hashlib.sha256(keys).hexdigest() == digest
 
 
-@pytest.mark.slow
 def test_two_design_identity_k2():
     assert abs(grouprep.frame_potential(grouprep.clifford_unitaries(2)) - 2.0) < 1e-11
+
+
+def test_clifford_2q_cosets_equal_the_generated_closure():
+    # The coset construction against the breadth-first closure over its
+    # generators H (x) I, I (x) H, S (x) I, I (x) S and CNOT.
+    els = grouprep.clifford_unitaries(2)
+    assert els.shape == (11520, 4, 4) and not els.flags.writeable
+    assert grouprep.clifford_unitaries(2) is els
+    keys = grouprep._keys(els)
+    assert len(set(keys)) == 11520
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    s = np.diag([1, 1j])
+    eye = np.eye(2)
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    closure = grouprep._bfs_closure(
+        [np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot], expect=11520)
+    assert set(grouprep._keys(closure)) == set(keys)
 
 
 def test_unsupported_clifford_order():

@@ -149,6 +149,15 @@ def test_face_commands_run_no_descriptor_layer(argv, checks):
     assert _executed_by(argv) == expected
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_two_design_runs_no_descriptor_layer(k):
+    # The Clifford group and its frame potential are plain unitary stacks, so
+    # no state space runs; the verdict is a checks.Check.  grouprep's sampler
+    # and Gram classes are dataclasses, so dataclasses is imported.
+    assert _executed_by(["two-design", "--k", k]) - {"dataclasses"} == {
+        "cli", "errors", "checks", "grouprep"}
+
+
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():
     assert {"boxworld", "checks"} <= _executed_by(["verify", "boxworld"])
     proc = subprocess.run([sys.executable, "-m", "gptpurity.cli", "predict", "nonlocaltomo",
