@@ -112,7 +112,7 @@ def _pauli_identities(seed: int, samples: int) -> list[Check]:
     qubit = spaces["qubit"]
     gram = grouprep.analytic_gram(qubit)
     sampler = grouprep.sampler_for(qubit)
-    x = pur.complete_pauli_set(qubit, gram).maps[0]
+    x = pur.complete_pauli_set(qubit, gram)[0]
     omega = qubit.sample_pure(rng)
     avg = pur.pauli_haar_average(qubit, sampler, x, omega, n_samples=samples, rng=rng)
     expected = pur.purity(qubit, gram, omega) / (qubit.K - 1)

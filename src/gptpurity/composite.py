@@ -10,14 +10,13 @@ row sums for classical).
 
 Nothing here grows faster than the joint dimension K = K_A K_B.  A quantum
 joint keeps the levels (n_A, n_B) of its Kronecker factors, not a basis,
-and its analytic Gram is scale-only, so the joint purity constant
+and its analytic Gram stores no K x K matrix, so the joint purity constant
 P(phi_A (x) mu_B) costs O(K).  Its coordinate labels are derived on request
 (``SpaceDescriptor.labels``), not stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -102,8 +101,7 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
 # -- classical subsystems and capacity witnesses ----------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalSubsystemWitness:
+class ClassicalSubsystemWitness(NamedTuple):
     """Perfectly distinguishable pure states with their distinguishing effects.
 
     ``states`` is (n, K); ``effects`` is (n, K) with effects[i] @ states[j]
@@ -112,13 +110,9 @@ class ClassicalSubsystemWitness:
     state.
     """
 
-    space: SpaceDescriptor
     states: np.ndarray
     effects: np.ndarray
     centered: bool
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def _polygon_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
@@ -145,7 +139,7 @@ def _polygon_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
     if np.min(all_vals) < -1e-12 or np.max(all_vals) > 1 + 1e-12:
         raise InconsistencyError("polygon witness effects are not valid effects")
     centered = bool(np.allclose(states.mean(axis=0), space.max_mixed, atol=1e-12))
-    return ClassicalSubsystemWitness(space=space, states=states, effects=effects, centered=centered)
+    return ClassicalSubsystemWitness(states=states, effects=effects, centered=centered)
 
 
 def capacity_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
@@ -160,19 +154,17 @@ def capacity_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
         projectors = np.zeros((n, n, n))
         projectors[np.arange(n), np.arange(n), np.arange(n)] = 1.0
         states = space.to_coords(projectors)
-        return ClassicalSubsystemWitness(
-            space=space, states=states, effects=states.copy(), centered=True
-        )
+        return ClassicalSubsystemWitness(states=states, effects=states.copy(), centered=True)
     if space.kind == ss.KIND_CLASSICAL:
         eye = np.eye(space.K)
-        return ClassicalSubsystemWitness(space=space, states=eye, effects=eye.copy(), centered=True)
+        return ClassicalSubsystemWitness(states=eye, effects=eye.copy(), centered=True)
     if space.kind == ss.KIND_POLYGON:
         return _polygon_witness(space)
     if space.kind == ss.KIND_BOXWORLD_LOCAL:
         states = np.stack([space.vertices[0], space.vertices[3]])  # omega++ and omega--
         effects = np.stack([space.effects[0], space.effects[1]])  # Y and u - Y
         centered = bool(np.allclose(states.mean(axis=0), space.max_mixed, atol=1e-12))
-        return ClassicalSubsystemWitness(space=space, states=states, effects=effects, centered=centered)
+        return ClassicalSubsystemWitness(states=states, effects=effects, centered=centered)
     raise UnsupportedSpaceError(f"no capacity witness for kind {space.kind!r}")
 
 
@@ -189,7 +181,7 @@ def verify_centered_dynamical(
     space: SpaceDescriptor, gram: GramMatrix, witness: ClassicalSubsystemWitness
 ) -> CenteredReport:
     """Deviations from (1/n) sum omega_i = mu and <omega_i, omega_j> = -1/(N-1) (i != j)."""
-    n = len(witness)
+    n = len(witness.states)
     center_dev = float(np.max(np.abs(witness.states.mean(axis=0) - space.max_mixed)))
     blochs = witness.states - space.max_mixed
     g = gram.apply(blochs) @ blochs.T

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,34 +82,25 @@ def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
 # -- group samplers --------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GroupSampler:
+class GroupSampler(NamedTuple):
     """Uniform sampler over a space's reversible-transformation group.
 
     ``draw`` yields a K x K real matrix T with ``order_unit @ T == order_unit``
     and ``T(cone) <= cone``.  ``draw_many`` yields a stack of independent
     elements, and ``draw_blocks`` a given number of them in memory-bounded
-    stacks; ``draw`` is the size-1 case of ``draw_many``.  The element source
-    is one of:
-
-    * ``elements``, for finite groups with a stored element list: a stack is
-      one gather at uniform indices, drawn as ``size`` single draws would;
-    * ``_draw_many``, a function of (generator, size): one stacked QR and one
-      batched Kronecker-form ``conjugation_matrix`` for the Haar samplers,
-      one row-wise ``Generator.permuted`` for large permutation groups.
+    stacks; ``draw`` is the size-1 case of ``draw_many``.  Every stack comes
+    from ``draw_fn``, a function of (generator, size): one gather at uniform
+    indices for an enumerated group, one stacked QR and one batched
+    Kronecker-form ``conjugation_matrix`` for the Haar samplers, one row-wise
+    ``Generator.permuted`` for large permutation groups.  An enumerated group
+    also keeps its ``elements``, over which group averages sum exactly.
 
     Samplers are pure functions of the passed generator.
     """
 
     space: ss.SpaceDescriptor
-    name: str
-    is_finite: bool
+    draw_fn: Callable[[np.random.Generator, int], np.ndarray]
     elements: np.ndarray | None = None
-    _draw_many: Callable[[np.random.Generator, int], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if self.elements is None and self._draw_many is None:
-            raise ValueError("a group sampler needs a draw function or an element list")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         return self.draw_many(rng, 1)[0]
@@ -124,9 +114,7 @@ class GroupSampler:
         k = self.space.K
         errors.check_memory(_DRAW_BYTES_PER_ENTRY * size * k * k,
                             f"a stack of {size} group elements on {k} coordinates")
-        if self.elements is not None:
-            return self.elements[rng.integers(len(self.elements), size=size)]
-        return self._draw_many(rng, size)
+        return self.draw_fn(rng, size)
 
     def draw_blocks(self, rng: np.random.Generator, total: int) -> Iterator[np.ndarray]:
         """``total`` independent elements as ``draw_many`` stacks of ``DRAW_BLOCK``.
@@ -143,14 +131,8 @@ class GroupSampler:
 
 
 def _haar_sampler(space: ss.SpaceDescriptor, real: bool) -> GroupSampler:
-    return GroupSampler(
-        space,
-        "haar-orthogonal-conjugation" if real else "haar-unitary-conjugation",
-        False,
-        _draw_many=lambda rng, size: conjugation_matrix(
-            space.hermitian_basis, haar_unitaries(size, space.level, rng, real=real)
-        ),
-    )
+    return GroupSampler(space, lambda rng, size: conjugation_matrix(
+        space.hermitian_basis, haar_unitaries(size, space.level, rng, real=real)))
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:
@@ -197,8 +179,10 @@ def _boxworld_group_elements() -> np.ndarray:
     return np.stack(out)
 
 
-def _finite_sampler(space: ss.SpaceDescriptor, name: str, elements: np.ndarray) -> GroupSampler:
-    return GroupSampler(space=space, name=name, is_finite=True, elements=elements)
+def _finite_sampler(space: ss.SpaceDescriptor, elements: np.ndarray) -> GroupSampler:
+    # A stack of uniform indices draws as ``size`` single draws would.
+    return GroupSampler(space, lambda rng, size: elements[rng.integers(len(elements), size=size)],
+                        elements)
 
 
 def sampler_for(space: ss.SpaceDescriptor, *, enumerate_limit: int = 1000) -> GroupSampler:
@@ -212,64 +196,46 @@ def sampler_for(space: ss.SpaceDescriptor, *, enumerate_limit: int = 1000) -> Gr
     if space.kind == ss.KIND_CLASSICAL:
         if math.factorial(space.K) <= enumerate_limit:
             els = permutation_matrix(np.array(list(itertools.permutations(range(space.K)))))
-            return _finite_sampler(space, "permutations", els)
+            return _finite_sampler(space, els)
 
         def draw_many(rng, size):
             # One row-wise shuffle draws as ``size`` calls of rng.permutation(K).
             return permutation_matrix(rng.permuted(np.tile(np.arange(space.K), (size, 1)), axis=1))
 
-        return GroupSampler(space, "permutations", True, _draw_many=draw_many)
+        return GroupSampler(space, draw_many)
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         n = space.level if space.kind == ss.KIND_POLYGON else 4
         els = np.stack([ss.lift_plane(g) for g in dihedral_elements(n)])
-        return _finite_sampler(space, f"dihedral-{n}", els)
+        return _finite_sampler(space, els)
     if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
-        return _finite_sampler(space, "boxworld-local-and-swap", _boxworld_group_elements())
+        return _finite_sampler(space, _boxworld_group_elements())
     raise UnsupportedSpaceError(f"no group sampler for kind {space.kind!r}")
 
 
 # -- invariant inner product -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Invariant inner product on the Bloch subspace.
 
     The product G is a symmetric positive semidefinite form supported on the
-    Bloch subspace ``ker u`` and normalized so that pure states have norm 1;
-    ``scale`` records the pure-state rescaling factor that was applied.  It
-    is held in one of two forms:
+    Bloch subspace ``ker u`` of the order unit u and normalized so that pure
+    states have norm 1; ``scale`` records the pure-state rescaling factor
+    that was applied.  Without ``stored`` (every ``analytic_gram``), G is
+    ``scale`` times the Euclidean projector onto ``ker u``, so
+    ``G x = scale (x - u (u.x)/(u.u))`` costs O(K) and nothing K x K is
+    held.  ``stored`` is a dense K x K matrix that takes its place: the
+    group-averaged reference of ``invariant_gram``.
 
-    * **scale-only** (``order_unit`` set; every ``analytic_gram``): G is
-      ``scale`` times the Euclidean projector onto ``ker u``, so
-      ``G x = scale (x - u (u.x)/(u.u))`` costs O(K) and nothing K x K is
-      stored;
-    * **stored** (``stored`` set; ``invariant_gram`` and explicit
-      ``GramMatrix(matrix=..., scale=...)``): a dense K x K matrix.
-
-    ``apply`` is the one operation that depends on the form; ``inner``,
+    ``apply`` is the one operation that reads ``stored``; ``inner``,
     ``norm_sq`` and ``norms_sq`` are built on it.  ``matrix`` is the dense
-    form; for a scale-only Gram it is built on each access and refused
-    beyond ``errors.MEMORY_CAP_BYTES``.
+    form; without ``stored`` it is built on each access and refused beyond
+    ``errors.MEMORY_CAP_BYTES``.
     """
 
     scale: float
-    order_unit: np.ndarray | None
-    stored: np.ndarray | None
-
-    def __init__(
-        self,
-        matrix: np.ndarray | None = None,
-        scale: float = 1.0,
-        *,
-        order_unit: np.ndarray | None = None,
-    ) -> None:
-        if (matrix is None) == (order_unit is None):
-            raise ValueError("a Gram needs exactly one of a matrix and an order unit")
-        for name, a in (("stored", matrix), ("order_unit", order_unit)):
-            frozen = None if a is None else ss._frozen(np.asarray(a, dtype=float))
-            object.__setattr__(self, name, frozen)
-        object.__setattr__(self, "scale", float(scale))
+    order_unit: np.ndarray
+    stored: np.ndarray | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -308,7 +274,7 @@ def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
     isometry of the Bloch subspace, so the invariant product is the Euclidean
     one up to the pure-state normalization: n/(n-1) for quantum and classical
     n-level systems, m/(m-1) for real quantum theory, and 1 for polygons.
-    The result is scale-only and shares the space's order unit.
+    The result stores no matrix and shares the space's order unit.
     """
     if space.kind in (ss.KIND_QUANTUM, ss.KIND_CLASSICAL, ss.KIND_REAL_QUANTUM):
         n = space.level
@@ -319,7 +285,7 @@ def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
         raise UnsupportedSpaceError(
             f"no pure-normalized invariant gram for kind {space.kind!r}"
         )
-    return GramMatrix(scale=scale, order_unit=space.order_unit)
+    return GramMatrix(scale, space.order_unit)
 
 
 def check_irreducible(
@@ -411,7 +377,7 @@ def invariant_gram(
     g /= count
     b = space.sample_pures(rng, 32) - space.max_mixed
     scale = 1.0 / float(np.mean(np.einsum("bi,ij,bj->b", b, g, b)))
-    return GramMatrix(matrix=scale * g, scale=scale)
+    return GramMatrix(scale, space.order_unit, ss._frozen(scale * g))
 
 
 # -- Clifford group and the 2-design identity ---------------------------------------------

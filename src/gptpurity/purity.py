@@ -75,7 +75,6 @@ class PauliMap:
     space: SpaceDescriptor
     gram: GramMatrix
     vector: np.ndarray
-    label: str = ""
     covector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -91,17 +90,6 @@ class PauliMap:
         return (np.asarray(states) - self.space.max_mixed) @ self.covector
 
 
-@dataclass(frozen=True, eq=False)
-class PauliSet:
-    """A complete set of Paulis: a sign-quotiented group orbit of one map."""
-
-    maps: tuple[PauliMap, ...]
-    provenance: str
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-
 def pauli_vectors(space: SpaceDescriptor, gram: GramMatrix, directions: np.ndarray) -> np.ndarray:
     """Normalize each row of a (m, K) stack of directions to a Pauli-map vector.
 
@@ -115,12 +103,10 @@ def pauli_vectors(space: SpaceDescriptor, gram: GramMatrix, directions: np.ndarr
     return v / np.sqrt(nsq)[:, None]
 
 
-def pauli_from_direction(
-    space: SpaceDescriptor, gram: GramMatrix, v: np.ndarray, label: str = ""
-) -> PauliMap:
+def pauli_from_direction(space: SpaceDescriptor, gram: GramMatrix, v: np.ndarray) -> PauliMap:
     """Normalize a Bloch direction to a Pauli map: the one-row case of ``pauli_vectors``."""
     vector = pauli_vectors(space, gram, np.asarray(v, dtype=float)[None])[0]
-    return PauliMap(space=space, gram=gram, vector=vector, label=label)
+    return PauliMap(space=space, gram=gram, vector=vector)
 
 
 _PAULI_1Q = {
@@ -146,8 +132,10 @@ def _sign_canonical(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def complete_pauli_set(space: SpaceDescriptor, gram: GramMatrix | None = None) -> PauliSet:
-    """The canonical complete set of Paulis for a supported space.
+def complete_pauli_set(
+    space: SpaceDescriptor, gram: GramMatrix | None = None
+) -> tuple[PauliMap, ...]:
+    """The canonical complete set of Paulis for a supported space, as a tuple of maps.
 
     Quantum k qubits: the 4^k - 1 non-identity Pauli-string maps
     rho -> Tr(sigma rho) / sqrt(2^k - 1), enumerated lexicographically over
@@ -167,16 +155,15 @@ def complete_pauli_set(space: SpaceDescriptor, gram: GramMatrix | None = None) -
         # Every string but the leading identity, as one to_coords stack.
         labels = ["".join(letters) for letters in itertools.product("IXYZ", repeat=k)][1:]
         vecs = space.to_coords(math.sqrt(n - 1) / n * np.stack([pauli_string(s) for s in labels]))
-        maps = (PauliMap(space=space, gram=gram, vector=v, label=s) for s, v in zip(labels, vecs))
-        return PauliSet(maps=tuple(maps), provenance="clifford-orbit")
+        return tuple(PauliMap(space=space, gram=gram, vector=v) for v in vecs)
     if space.kind == ss.KIND_CLASSICAL:
         n = space.level
         maps = []
         for i in range(n):
             vec = np.full(n, -1.0 / n)
             vec[i] = (n - 1.0) / n
-            maps.append(PauliMap(space=space, gram=gram, vector=vec, label=f"p{i}"))
-        return PauliSet(maps=tuple(maps), provenance="classical")
+            maps.append(PauliMap(space=space, gram=gram, vector=vec))
+        return tuple(maps)
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         n = space.level
         x1 = np.array([1.0, 0.0])
@@ -184,22 +171,19 @@ def complete_pauli_set(space: SpaceDescriptor, gram: GramMatrix | None = None) -
         for g in grouprep.dihedral_elements(n):
             d = _sign_canonical(g.T @ x1)
             seen.setdefault((np.round(d, 10) + 0.0).tobytes(), d)
-        maps = tuple(
-            PauliMap(space=space, gram=gram, vector=np.concatenate([[0.0], d]), label=f"dir{i}")
-            for i, d in enumerate(seen.values())
-        )
-        return PauliSet(maps=maps, provenance="polygon")
+        return tuple(PauliMap(space=space, gram=gram, vector=np.concatenate([[0.0], d]))
+                     for d in seen.values())
     raise UnsupportedSpaceError(f"no complete Pauli set for kind {space.kind!r}")
 
 
-def purity_via_pauli_set(pset: PauliSet, omega: np.ndarray) -> float | np.ndarray:
+def purity_via_pauli_set(pset: tuple[PauliMap, ...], omega: np.ndarray) -> float | np.ndarray:
     """Purity reconstructed from a complete set: (K-1) * mean of X(omega)^2.
 
     ``omega`` is one state, or a (m, K) stack with one purity per row; the
     set's stacked covectors act on all of it in one product.
     """
-    space = pset.maps[0].space
-    covectors = np.stack([x.covector for x in pset.maps])
+    space = pset[0].space
+    covectors = np.stack([x.covector for x in pset])
     vals = (np.asarray(omega, dtype=float) - space.max_mixed) @ covectors.T
     p = (space.K - 1) * np.mean(vals**2, axis=-1)
     return float(p) if p.ndim == 0 else p
@@ -271,5 +255,5 @@ def max_collision_probability(
         return CollisionResult(value=0.5, optimizer=None)
     return CollisionResult(
         value=0.5 * (1.0 + p),
-        optimizer=pauli_from_direction(space, gram, b, label="state-direction"),
+        optimizer=pauli_from_direction(space, gram, b),
     )

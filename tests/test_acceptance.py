@@ -135,7 +135,7 @@ def test_criterion_07_pauli_identities():
     qubit = ss.build_quantum(2)
     gram = grouprep.analytic_gram(qubit)
     sampler = grouprep.sampler_for(qubit)
-    x = pur.complete_pauli_set(qubit, gram).maps[0]
+    x = pur.complete_pauli_set(qubit, gram)[0]
     omega = qubit.sample_pure(rng)
     avg = pur.pauli_haar_average(qubit, sampler, x, omega, n_samples=SAMPLES, rng=rng)
     expected = pur.purity(qubit, gram, omega) / (qubit.K - 1)
@@ -143,7 +143,7 @@ def test_criterion_07_pauli_identities():
     cls = ss.build_classical(4)
     cgram = grouprep.analytic_gram(cls)
     cavg = pur.pauli_haar_average(cls, grouprep.sampler_for(cls),
-                                  pur.complete_pauli_set(cls, cgram).maps[0],
+                                  pur.complete_pauli_set(cls, cgram)[0],
                                   np.array([1.0, 0, 0, 0]))
     ok = ok and cavg.exact and abs(cavg.mean - 1 / 3) <= 1e-12
     _report(7, ok, "; ".join(details) + f"; haar avg qubit {avg.mean:.4f}/{expected:.4f}, "

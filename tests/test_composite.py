@@ -136,7 +136,7 @@ def test_partial_trace_helper(rng):
 def test_qubit_witness_exact_delta():
     space = ss.build_quantum(2)
     w = cm.capacity_witness(space)
-    assert len(w) == 2
+    assert len(w.states) == 2
     np.testing.assert_allclose(w.effects @ w.states.T, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(w.effects.sum(axis=0), space.order_unit, atol=1e-14)
     assert w.centered
@@ -159,7 +159,7 @@ def test_even_polygon_witness_is_centered():
 def test_odd_polygon_witness_exists_but_not_centered(n):
     space = ss.build_polygon(n)
     w = cm.capacity_witness(space)
-    assert len(w) == 2
+    assert len(w.states) == 2
     np.testing.assert_allclose(w.effects @ w.states.T, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(w.effects.sum(axis=0), space.order_unit, atol=1e-12)
     vals = w.effects @ space.vertices.T
@@ -205,7 +205,7 @@ def test_purity_pure_times_maxmixed(builder, na, nb, expected):
 
 def test_purity_pure_times_maxmixed_inconsistency_raises():
     comp, _, gram_ab = _quantum_pair(2, 2)
-    bad = grouprep.GramMatrix(matrix=2.0 * gram_ab.matrix, scale=2.0 * gram_ab.scale)
+    bad = grouprep.GramMatrix(2.0 * gram_ab.scale, comp.joint.order_unit, 2.0 * gram_ab.matrix)
     with pytest.raises(InconsistencyError):
         cm.purity_pure_times_maxmixed(comp, bad, tol=1e-6)
 
@@ -253,7 +253,7 @@ def test_global_pauli_norm_matches_inverse_sqrt_scaling():
         gram_a = grouprep.analytic_gram(comp.part_a)
         gram_ab = grouprep.analytic_gram(comp.joint)
         scale = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
-        for pauli in complete_pauli_set(comp.part_a, gram_a).maps[:2]:
+        for pauli in complete_pauli_set(comp.part_a, gram_a)[:2]:
             norm = _riesz_norm(comp, gram_ab, pauli)
             assert abs(norm - 1 / math.sqrt(scale)) < 1e-6
 
@@ -307,5 +307,5 @@ def test_global_pauli_norm_matches_pinv_riesz_route(builder):
     gram_a = grouprep.analytic_gram(comp.part_a)
     gram_ab = grouprep.analytic_gram(comp.joint)
     phimu = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
-    for pauli in complete_pauli_set(comp.part_a, gram_a).maps:
+    for pauli in complete_pauli_set(comp.part_a, gram_a):
         assert abs(1 / math.sqrt(phimu) - _riesz_norm(comp, gram_ab, pauli)) < 1e-12

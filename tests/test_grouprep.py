@@ -134,7 +134,6 @@ def test_permutation_matrices_are_01_doubly_stochastic(rng):
 
 def test_dihedral_four_enumerates_eight_elements():
     sampler = grouprep.sampler_for(ss.build_polygon(4))
-    assert sampler.is_finite
     assert len(sampler.elements) == 8
     keys = {np.round(t, 10).tobytes() for t in sampler.elements}
     assert len(keys) == 8
@@ -280,8 +279,7 @@ def _reducible_cylinder_space_and_sampler():
             t[k, 3:, 3:] = [[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]]
         return t
 
-    sampler = grouprep.GroupSampler(space=space, name="two-rotations", is_finite=False,
-                                    _draw_many=draw_many)
+    sampler = grouprep.GroupSampler(space, draw_many)
     return space, sampler
 
 
@@ -421,7 +419,6 @@ def test_sample_dihedral_draws_group_elements(rng):
 
 def test_large_classical_group_is_finite_but_not_enumerated(rng):
     sampler = grouprep.sampler_for(ss.build_classical(8))
-    assert sampler.is_finite
     assert sampler.elements is None
     t = sampler.draw(rng)
     np.testing.assert_allclose(t.sum(axis=0), 1.0)
@@ -439,7 +436,7 @@ def test_scale_only_gram_matches_dense_projector(space, rng):
     dense = gram.scale * space.bloch_projector()
     np.testing.assert_allclose(gram.matrix, dense, atol=1e-12)
     rows = rng.normal(size=(6, space.K))
-    stored = grouprep.GramMatrix(matrix=dense, scale=gram.scale)
+    stored = grouprep.GramMatrix(gram.scale, space.order_unit, dense)
     for g in (gram, stored):
         np.testing.assert_allclose(g.apply(rows), rows @ dense, atol=1e-12)
         np.testing.assert_allclose(g.apply(rows[0]), dense @ rows[0], atol=1e-12)
@@ -450,10 +447,15 @@ def test_scale_only_gram_matches_dense_projector(space, rng):
             assert abs(g.norm_sq(x) - x @ dense @ x) < 1e-12
 
 
-def test_finite_samplers_carry_elements_without_a_draw_function():
-    space = ss.build_polygon(5)
+@pytest.mark.parametrize("space,order", [
+    (ss.build_polygon(5), 10), (ss.build_classical(4), 24), (ss.build_boxworld_bipartite(), 128),
+], ids=["polygon-5", "classical-4", "boxworld-bipartite"])
+def test_enumerated_draws_are_one_gather_of_the_element_list(space, order):
+    # An enumerated group draws through its draw function like every other
+    # sampler; the stream is that of one gather at uniform indices.
     sampler = grouprep.sampler_for(space)
-    assert sampler._draw_many is None
-    assert len(sampler.elements) == 10
-    with pytest.raises(ValueError):
-        grouprep.GroupSampler(space=space, name="empty", is_finite=True)
+    elements = sampler.elements
+    assert len(elements) == order
+    for s in (4250, 4251, 4252):
+        expected = elements[np.random.default_rng(s).integers(len(elements), size=50)]
+        np.testing.assert_array_equal(sampler.draw_many(np.random.default_rng(s), 50), expected)

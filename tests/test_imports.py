@@ -47,6 +47,27 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports of ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_descriptors_and_pauli_maps_are_dataclasses():
+    # SpaceDescriptor (frozen arrays, a cached basis) and PauliMap (a derived
+    # frozen covector) are dataclasses; every other record is a NamedTuple.
+    planted = "import numpy.linalg\nfrom dataclasses import dataclass\nfrom . import errors\n"
+    assert imported_modules(planted) == {"numpy", "dataclasses"}
+    found = {p.name for p in MODULES
+             if "dataclasses" in imported_modules(p.read_text(encoding="utf-8"))}
+    assert found == {"statespace.py", "purity.py"}
+
+
 def _env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
@@ -152,10 +173,8 @@ def test_face_commands_run_no_descriptor_layer(argv, checks):
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_two_design_runs_no_descriptor_layer(k):
     # The Clifford group and its frame potential are plain unitary stacks, so
-    # no state space runs; the verdict is a checks.Check.  grouprep's sampler
-    # and Gram classes are dataclasses, so dataclasses is imported.
-    assert _executed_by(["two-design", "--k", k]) - {"dataclasses"} == {
-        "cli", "errors", "checks", "grouprep"}
+    # no state space runs; the verdict is a checks.Check.
+    assert _executed_by(["two-design", "--k", k]) == {"cli", "errors", "checks", "grouprep"}
 
 
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():

@@ -278,7 +278,7 @@ def test_per_sample_arrays_are_refused_before_any_draw():
     with pytest.raises(RangeError, match="4800000000 bytes"):
         rnd.estimate_real_quantum_local_purity(2, 2, 1.0, 200_000_000, 0)
     qubit = ss.build_quantum(2)
-    x = complete_pauli_set(qubit, grouprep.analytic_gram(qubit)).maps[0]
+    x = complete_pauli_set(qubit, grouprep.analytic_gram(qubit))[0]
     with pytest.raises(RangeError, match="3200000000 bytes"):
         pauli_haar_average(qubit, grouprep.sampler_for(qubit), x, qubit.max_mixed,
                            n_samples=200_000_000)

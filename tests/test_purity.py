@@ -136,7 +136,6 @@ def test_complete_set_sizes():
     assert len(pur.complete_pauli_set(ss.build_classical(6))) == 6
     assert len(pur.complete_pauli_set(ss.build_polygon(4))) == 2
     assert len(pur.complete_pauli_set(ss.build_polygon(5))) == 5
-    assert pur.complete_pauli_set(ss.build_quantum(2)).provenance == "clifford-orbit"
     with pytest.raises(UnsupportedSpaceError):
         pur.complete_pauli_set(ss.build_quantum(3))
 
@@ -145,14 +144,14 @@ def test_classical_pauli_values_on_pure_state():
     space = ss.build_classical(3)
     pset = pur.complete_pauli_set(space)
     e1 = np.array([1.0, 0.0, 0.0])
-    vals = [x(e1) for x in pset.maps]
+    vals = [x(e1) for x in pset]
     np.testing.assert_allclose(vals, [1.0, -0.5, -0.5], atol=1e-12)
 
 
 def test_pauli_maps_have_unit_norm_and_vanish_on_mu():
     for space in (ss.build_quantum(4), ss.build_classical(5), ss.build_polygon(5)):
         gram = grouprep.analytic_gram(space)
-        for x in pur.complete_pauli_set(space, gram).maps:
+        for x in pur.complete_pauli_set(space, gram):
             assert gram.norm_sq(x.vector) == pytest.approx(1.0, abs=1e-10)
             assert x(space.max_mixed) == pytest.approx(0.0, abs=1e-12)
 
@@ -162,7 +161,7 @@ def test_pauli_values_bounded_by_one(rng):
         gram = grouprep.analytic_gram(space)
         pset = pur.complete_pauli_set(space, gram)
         states = random_mixtures(space, 200, rng)
-        for x in pset.maps:
+        for x in pset:
             assert np.max(np.abs(x.evaluate_many(states))) <= 1 + 1e-10
 
 
@@ -207,7 +206,7 @@ def test_purity_via_pauli_set_matches_purity_on_random_states(rng):
 def test_pauli_haar_average_qubit_pure(rng):
     space, gram = _space_gram(ss.build_quantum(2))
     sampler = grouprep.sampler_for(space)
-    x = pur.complete_pauli_set(space, gram).maps[0]
+    x = pur.complete_pauli_set(space, gram)[0]
     omega = space.sample_pure(rng)
     avg = pur.pauli_haar_average(space, sampler, x, omega, n_samples=10_000, rng=rng)
     assert abs(avg.mean - 1 / 3) <= 3 * avg.stderr
@@ -233,7 +232,7 @@ def test_pauli_haar_average_classical_exact():
     space, gram = _space_gram(ss.build_classical(4))
     sampler = grouprep.sampler_for(space)
     assert sampler.elements is not None and len(sampler.elements) == 24
-    x = pur.complete_pauli_set(space, gram).maps[0]
+    x = pur.complete_pauli_set(space, gram)[0]
     pure = np.array([1.0, 0, 0, 0])
     avg = pur.pauli_haar_average(space, sampler, x, pure)
     assert avg.exact
@@ -243,7 +242,7 @@ def test_pauli_haar_average_classical_exact():
 def test_pauli_haar_average_max_mixed_zero(rng):
     space, gram = _space_gram(ss.build_quantum(2))
     sampler = grouprep.sampler_for(space)
-    x = pur.complete_pauli_set(space, gram).maps[1]
+    x = pur.complete_pauli_set(space, gram)[1]
     avg = pur.pauli_haar_average(space, sampler, x, space.max_mixed, n_samples=100, rng=rng)
     assert avg.mean == pytest.approx(0.0, abs=1e-20)
 
@@ -280,9 +279,9 @@ def test_pauli_set_elements_connected_by_group_up_to_sign(rng):
     for space, elements in cases:
         gram = grouprep.analytic_gram(space)
         pset = pur.complete_pauli_set(space, gram)
-        first = pset.maps[0].vector
+        first = pset[0].vector
         orbit = np.concatenate([elements @ first, -(elements @ first)])
-        for x in pset.maps:
+        for x in pset:
             dists = np.max(np.abs(orbit - x.vector), axis=1)
             assert dists.min() < 1e-9
 

@@ -221,6 +221,15 @@ def test_descriptors_are_immutable():
     gram = grouprep.analytic_gram(space)
     with pytest.raises(ValueError):
         gram.matrix[0, 0] = 7.0
+    square = ss.build_polygon(4)
+    averaged = grouprep.invariant_gram(square, grouprep.sampler_for(square))
+    with pytest.raises(ValueError):
+        averaged.stored[0, 0] = 7.0
+    records = ((gram, "scale"), (averaged, "stored"), (grouprep.sampler_for(space), "draw_fn"),
+               (cm.capacity_witness(space), "states"))
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 # -- generalized Gell-Mann coordinates against loop-built bases ------------------------
