@@ -5,6 +5,8 @@ order unit and map the cone into itself.  This module provides
 
 * uniform samplers for the built-in groups (Haar unitary / orthogonal
   conjugations, permutations, dihedral groups, the finite boxworld group),
+* ``group_average``, the one place that chooses between an exact sum over an
+  enumerated group and a Monte Carlo mean over sampled elements,
 * the invariant inner product (Gram matrix) on the Bloch subspace, both by
   group averaging and by exact analytic constructors,
 * a numerical irreducibility diagnostic based on averaging rank-one maps,
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import errors
 from . import statespace as ss
-from .errors import InternalError, ReducibleSpaceError, UnsupportedSpaceError
+from .errors import InternalError, RangeError, ReducibleSpaceError, UnsupportedSpaceError
 
 DEFAULT_GRAM_SAMPLES = 20_000
 # Group elements drawn at once by the Monte Carlo group averages
@@ -93,7 +95,7 @@ class GroupSampler(NamedTuple):
     indices for an enumerated group, one stacked QR and one batched
     Kronecker-form ``conjugation_matrix`` for the Haar samplers, one row-wise
     ``Generator.permuted`` for large permutation groups.  An enumerated group
-    also keeps its ``elements``, over which group averages sum exactly.
+    also keeps its ``elements``, over which ``group_average`` sums exactly.
 
     Samplers are pure functions of the passed generator.
     """
@@ -161,22 +163,13 @@ def dihedral_elements(n: int) -> np.ndarray:
 def _boxworld_group_elements() -> np.ndarray:
     """All 128 reversible transformations of bipartite boxworld.
 
-    These are the local pairs G_A (x) G_B with G in D4 on each side, together
-    with each of those composed with the swap of the two parties.
+    These are the local pairs G_A (x) G_B with G in D4 on each side (G_A
+    major), then each of those composed with the swap of the two parties.
     """
-    locals3 = [ss.lift_plane(g) for g in ss.gbit_symmetries()]
-    swap = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(3):
-            swap[3 * j + i, 3 * i + j] = 1.0
-    out = []
-    for ga in locals3:
-        for gb in locals3:
-            out.append(np.kron(ga, gb))
-    for ga in locals3:
-        for gb in locals3:
-            out.append(np.kron(ga, gb) @ swap)
-    return np.stack(out)
+    g = np.tile(np.eye(3), (8, 1, 1))
+    g[:, 1:, 1:] = ss.gbit_symmetries()
+    pairs = (g[:, None, :, None, :, None] * g[None, :, None, :, None, :]).reshape(64, 9, 9)
+    return np.concatenate([pairs, pairs @ swap_operator(3)])
 
 
 def _finite_sampler(space: ss.SpaceDescriptor, elements: np.ndarray) -> GroupSampler:
@@ -205,7 +198,8 @@ def sampler_for(space: ss.SpaceDescriptor, *, enumerate_limit: int = 1000) -> Gr
         return GroupSampler(space, draw_many)
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         n = space.level if space.kind == ss.KIND_POLYGON else 4
-        els = np.stack([ss.lift_plane(g) for g in dihedral_elements(n)])
+        els = np.tile(np.eye(3), (2 * n, 1, 1))
+        els[:, 1:, 1:] = dihedral_elements(n)
         return _finite_sampler(space, els)
     if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
         return _finite_sampler(space, _boxworld_group_elements())
@@ -288,6 +282,44 @@ def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
     return GramMatrix(scale, space.order_unit)
 
 
+class GroupAverage(NamedTuple):
+    """Group average of per-element values; ``stderr`` is 0 for an exact sum."""
+
+    mean: np.ndarray | float
+    stderr: np.ndarray | float
+    n_samples: int
+    exact: bool
+
+
+def group_average(
+    sampler: GroupSampler,
+    f: Callable[[np.ndarray], np.ndarray],
+    rng: np.random.Generator,
+    trials: int,
+) -> GroupAverage:
+    """Average of ``f`` over the group, the one rule that picks exact or sampled.
+
+    ``f`` maps a (size, K, K) stack of elements to per-element values of
+    shape (size, ...).  An enumerated group is summed exactly over
+    ``sampler.elements``, leaving ``rng`` untouched; any other group draws
+    ``trials`` >= 2 elements through ``GroupSampler.draw_blocks``.  The
+    sampled values are refused beyond ``errors.MEMORY_CAP_BYTES`` before any
+    draw, their width read off ``f`` of the identity.
+    """
+    if sampler.elements is not None:
+        vals = f(sampler.elements)
+        return GroupAverage(vals.mean(axis=0), np.zeros(vals.shape[1:]), len(vals), True)
+    if trials < 2:
+        raise RangeError(f"need at least 2 samples for a standard error, got {trials}")
+    width = f(np.eye(sampler.space.K)[None])[0].size
+    # The blocks' values and their concatenation are alive at once.
+    errors.check_memory(2 * 8 * trials * width,
+                        f"2 arrays of {trials} per-sample values of width {width}")
+    vals = np.concatenate([f(ts) for ts in sampler.draw_blocks(rng, trials)])
+    return GroupAverage(vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(trials),
+                        trials, False)
+
+
 def check_irreducible(
     space: ss.SpaceDescriptor,
     sampler: GroupSampler,
@@ -304,42 +336,29 @@ def check_irreducible(
     statistical-error scale (zero for exact finite sums).
     """
     rng = np.random.default_rng(0) if rng is None else rng
+    return _rank_one_deviation(space, sampler, trials, rng, n_probes)[0]
+
+
+def _rank_one_deviation(
+    space: ss.SpaceDescriptor,
+    sampler: GroupSampler,
+    trials: int,
+    rng: np.random.Generator,
+    n_probes: int,
+) -> tuple[float, GroupAverage]:
+    """``check_irreducible``'s deviation, and the group average of its last probe."""
+    if n_probes < 1:
+        raise RangeError(f"need at least 1 probe, got {n_probes}")
     p = space.bloch_projector()
-    dim = space.K - 1
     worst = 0.0
     for _ in range(n_probes):
         x = p @ rng.normal(size=space.K)
         x /= np.linalg.norm(x)
-        avg = np.zeros((space.K, space.K))
-        count = 0
-        for ts in _element_blocks(sampler, rng, trials):
-            tx = ts @ x
-            avg += tx.T @ tx
-            count += len(tx)
-        avg /= count
-        c = np.trace(avg) / dim
-        worst = max(worst, float(np.max(np.abs(avg - c * p)) / c))
-    return worst
-
-
-def _element_blocks(
-    sampler: GroupSampler, rng: np.random.Generator, trials: int
-) -> Iterator[np.ndarray]:
-    """The stacks a group average sums over.
-
-    An enumerated group gives its whole element list (an exact sum); any
-    other gives ``trials`` draws from ``GroupSampler.draw_blocks``.
-    """
-    if sampler.elements is not None:
-        yield sampler.elements
-    else:
-        yield from sampler.draw_blocks(rng, trials)
-
-
-def _irreducibility_threshold(sampler: GroupSampler, trials: int) -> float:
-    if sampler.elements is not None:
-        return 1e-8
-    return 10.0 / math.sqrt(trials)
+        avg = group_average(sampler, lambda ts: np.einsum("bi,bj->bij", ts @ x, ts @ x),
+                            rng, trials)
+        c = np.trace(avg.mean) / (space.K - 1)
+        worst = max(worst, float(np.max(np.abs(avg.mean - c * p)) / c))
+    return worst, avg
 
 
 def invariant_gram(
@@ -352,29 +371,23 @@ def invariant_gram(
 ) -> GramMatrix:
     """Invariant Gram by group averaging of the Euclidean Bloch product.
 
-    Averages T^T E T over the group (exact sum for enumerated finite groups,
-    ``n_avg`` Monte Carlo draws in ``draw_blocks`` stacks otherwise, with
-    ~1/sqrt(n_avg) error) and
-    rescales so 32 sampled pure states have mean norm 1.  Raises
-    ``ReducibleSpaceError`` when the irreducibility diagnostic exceeds ten
-    times the statistical error, since no invariant product is then unique.
+    Averages T^T E T over the group with ``group_average`` (exact for
+    enumerated finite groups, ``n_avg`` draws with ~1/sqrt(n_avg) error
+    otherwise) and rescales so 32 sampled pure states have mean norm 1.
+    Raises ``ReducibleSpaceError``, before the Gram average, when the
+    irreducibility diagnostic exceeds ten times the statistical error of its
+    ``check_trials`` draws (1e-8 for an exact sum), since no invariant
+    product is then unique.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    dev = check_irreducible(space, sampler, trials=check_trials, rng=rng)
-    if dev > _irreducibility_threshold(sampler, check_trials):
+    dev, check = _rank_one_deviation(space, sampler, check_trials, rng, 3)
+    if dev > (1e-8 if check.exact else 10.0 / math.sqrt(check.n_samples)):
         raise ReducibleSpaceError(
             f"irreducibility deviation {dev:.3g} exceeds threshold; "
             "the invariant inner product is not unique"
         )
     e = space.bloch_projector()
-    g = np.zeros((space.K, space.K))
-    count = 0
-    for ts in _element_blocks(sampler, rng, n_avg):
-        # T^T E T = (E T)^T (E T), since E is a symmetric projector.
-        et = np.matmul(e, ts)
-        g += np.tensordot(et, et, axes=([0, 1], [0, 1]))
-        count += len(ts)
-    g /= count
+    g = group_average(sampler, lambda ts: ts.transpose(0, 2, 1) @ e @ ts, rng, n_avg).mean
     b = space.sample_pures(rng, 32) - space.max_mixed
     scale = 1.0 / float(np.mean(np.einsum("bi,ij,bj->b", b, g, b)))
     return GramMatrix(scale, space.order_unit, ss._frozen(scale * g))

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import grouprep
 from . import statespace as ss
-from .errors import DegenerateDirectionError, RangeError, UnsupportedSpaceError, check_memory
-from .grouprep import GramMatrix, GroupSampler
+from .errors import DegenerateDirectionError, RangeError, UnsupportedSpaceError
+from .grouprep import GramMatrix, GroupAverage, GroupSampler
 from .statespace import SpaceDescriptor
 
 # Purity below which a state counts as maximally mixed: it has no Bloch
@@ -189,15 +189,6 @@ def purity_via_pauli_set(pset: tuple[PauliMap, ...], omega: np.ndarray) -> float
     return float(p) if p.ndim == 0 else p
 
 
-class PauliAverage(NamedTuple):
-    """Group average of X(T omega)^2, exact or Monte Carlo."""
-
-    mean: float
-    stderr: float
-    n_samples: int
-    exact: bool
-
-
 def pauli_haar_average(
     space: SpaceDescriptor,
     sampler: GroupSampler,
@@ -205,32 +196,18 @@ def pauli_haar_average(
     omega: np.ndarray,
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
-) -> PauliAverage:
-    """Average of (X o T)(omega)^2 over the reversible group.
+) -> GroupAverage:
+    """Average of (X o T)(omega)^2 over the reversible group, with float fields.
 
     Equals purity(omega) / (K - 1) for any Pauli map on an irreducible space.
-    Uses the exact finite sum when the sampler enumerates its group, and
-    otherwise draws the group elements through ``GroupSampler.draw_blocks``.
+    ``grouprep.group_average`` sums an enumerated group exactly and draws
+    ``n_samples`` elements of any other.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     omega = np.asarray(omega, dtype=float)
-    if sampler.elements is not None:
-        states = sampler.elements @ omega
-        vals = x.evaluate_many(states) ** 2
-        return PauliAverage(mean=float(vals.mean()), stderr=0.0, n_samples=len(vals), exact=True)
-    if n_samples < 2:
-        raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
-    # The blocks' values and their concatenation are alive at once.
-    check_memory(2 * 8 * n_samples, f"2 arrays of {n_samples} per-sample values")
-    vals = np.concatenate(
-        [x.evaluate_many(ts @ omega) ** 2 for ts in sampler.draw_blocks(rng, n_samples)]
-    )
-    return PauliAverage(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(n_samples)),
-        n_samples=n_samples,
-        exact=False,
-    )
+    avg = grouprep.group_average(sampler, lambda ts: x.evaluate_many(ts @ omega) ** 2,
+                                 rng, n_samples)
+    return avg._replace(mean=float(avg.mean), stderr=float(avg.stderr))
 
 
 class CollisionResult(NamedTuple):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import errors, faces, grouprep, statespace as ss
-from gptpurity.errors import ReducibleSpaceError, UnsupportedSpaceError
+from gptpurity import errors, faces, grouprep, purity as pur, statespace as ss
+from gptpurity.errors import RangeError, ReducibleSpaceError, UnsupportedSpaceError
 
 
 def test_haar_conjugation_is_gram_orthogonal(rng):
@@ -304,6 +304,98 @@ def test_check_irreducible_qubit_statistical():
         space, sampler, trials=100_000, rng=np.random.default_rng(3), n_probes=1
     )
     assert dev < 1e-2
+
+
+# Fewer than two sampled elements give no standard error and no threshold; the
+# reducible cylinder read as irreducible (trials 0), divided by zero (check
+# trials 0), passed the check (check trials 1) or averaged to NaN (n_avg 0).
+
+
+def test_check_irreducible_refuses_zero_trials(rng):
+    space, sampler = _reducible_cylinder_space_and_sampler()
+    with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 0"):
+        grouprep.check_irreducible(space, sampler, trials=0, rng=rng)
+
+
+def test_check_irreducible_refuses_zero_probes():
+    space = ss.build_polygon(5)
+    with pytest.raises(RangeError, match="at least 1 probe, got 0"):
+        grouprep.check_irreducible(space, grouprep.sampler_for(space), n_probes=0)
+
+
+def test_invariant_gram_refuses_zero_check_trials(rng):
+    space, sampler = _reducible_cylinder_space_and_sampler()
+    with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 0"):
+        grouprep.invariant_gram(space, sampler, n_avg=100, rng=rng, check_trials=0)
+
+
+def test_invariant_gram_refuses_one_check_trial(rng):
+    space, sampler = _reducible_cylinder_space_and_sampler()
+    with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 1"):
+        grouprep.invariant_gram(space, sampler, n_avg=100, rng=rng, check_trials=1)
+
+
+def test_invariant_gram_refuses_zero_averaging_samples(rng):
+    space = ss.build_quantum(2)
+    with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 0"):
+        grouprep.invariant_gram(space, grouprep.sampler_for(space), n_avg=0, rng=rng)
+
+
+# -- the group-average primitive ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space,order", [(ss.build_classical(4), 24), (ss.build_polygon(5), 10)],
+                         ids=["classical-4", "polygon-5"])
+def test_group_average_sums_an_enumerated_group_exactly(space, order):
+    sampler = grouprep.sampler_for(space)
+    v = np.random.default_rng(5).normal(size=space.K)
+
+    def f(ts):
+        return (ts @ v) ** 2
+
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    avg = grouprep.group_average(sampler, f, rng, 0)
+    expected = sum(f(t[None])[0] for t in sampler.elements) / order
+    assert avg.exact
+    assert avg.n_samples == order
+    np.testing.assert_allclose(avg.mean, expected, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(avg.stderr, np.zeros(space.K))
+    assert rng.bit_generator.state == state
+
+
+def test_group_average_samples_as_the_concatenated_draw_blocks_route():
+    # The route of ``verify pauli-identities``' haar-average-qubit check.
+    qubit = ss.build_quantum(2)
+    sampler = grouprep.sampler_for(qubit)
+    x = pur.complete_pauli_set(qubit)[0]
+    omega = qubit.sample_pure(np.random.default_rng(11))
+
+    def f(ts):
+        return x.evaluate_many(ts @ omega) ** 2
+
+    trials = 2 * grouprep.DRAW_BLOCK + 500
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    avg = grouprep.group_average(sampler, f, rng, trials)
+    vals = np.concatenate([f(ts) for ts in sampler.draw_blocks(ref, trials)])
+    assert not avg.exact
+    assert avg.n_samples == trials
+    assert avg.mean == vals.mean()
+    assert avg.stderr == vals.std(ddof=1) / math.sqrt(trials)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    pauli = pur.pauli_haar_average(qubit, sampler, x, omega, trials, np.random.default_rng(12))
+    assert pauli == (avg.mean, avg.stderr, trials, False)
+    assert type(pauli.mean) is float and type(pauli.stderr) is float
+
+
+def test_group_average_refuses_per_sample_values_before_any_draw():
+    sampler = grouprep.sampler_for(ss.build_quantum(2))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    # Two arrays of 10^7 (4, 4) values: 2 * 8 * 10^7 * 16 bytes.
+    with pytest.raises(RangeError, match="of width 16 would need 2560000000 bytes"):
+        grouprep.group_average(sampler, lambda ts: ts, rng, 10_000_000)
+    assert rng.bit_generator.state == state
 
 
 # -- two-design ----------------------------------------------------------------------------
