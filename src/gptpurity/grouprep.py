@@ -28,6 +28,8 @@ from . import statespace as ss
 from .errors import InternalError, RangeError, ReducibleSpaceError, UnsupportedSpaceError
 
 DEFAULT_GRAM_SAMPLES = 20_000
+# Random Bloch vectors the irreducibility diagnostic averages over.
+IRREDUCIBILITY_PROBES = 3
 # Group elements drawn at once by the Monte Carlo group averages
 # (``GroupSampler.draw_blocks``); their values depend on it.
 DRAW_BLOCK = 1024
@@ -125,11 +127,14 @@ class GroupSampler(NamedTuple):
         pass ``errors.MEMORY_CAP_BYTES``; only the last block is shorter
         otherwise.
         """
-        k = self.space.K
-        fits = errors.MEMORY_CAP_BYTES // (_DRAW_BYTES_PER_ENTRY * k * k)
-        block = max(1, min(DRAW_BLOCK, fits))
+        block = _draw_block(self.space.K)
         for lo in range(0, total, block):
             yield self.draw_many(rng, min(block, total - lo))
+
+
+def _draw_block(k: int) -> int:
+    """Elements per ``draw_blocks`` stack on ``k`` coordinates."""
+    return max(1, min(DRAW_BLOCK, errors.MEMORY_CAP_BYTES // (_DRAW_BYTES_PER_ENTRY * k * k)))
 
 
 def _haar_sampler(space: ss.SpaceDescriptor, real: bool) -> GroupSampler:
@@ -166,8 +171,7 @@ def _boxworld_group_elements() -> np.ndarray:
     These are the local pairs G_A (x) G_B with G in D4 on each side (G_A
     major), then each of those composed with the swap of the two parties.
     """
-    g = np.tile(np.eye(3), (8, 1, 1))
-    g[:, 1:, 1:] = ss.gbit_symmetries()
+    g = ss.lift_plane(ss.gbit_symmetries())
     pairs = (g[:, None, :, None, :, None] * g[None, :, None, :, None, :]).reshape(64, 9, 9)
     return np.concatenate([pairs, pairs @ swap_operator(3)])
 
@@ -198,9 +202,7 @@ def sampler_for(space: ss.SpaceDescriptor, *, enumerate_limit: int = 1000) -> Gr
         return GroupSampler(space, draw_many)
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         n = space.level if space.kind == ss.KIND_POLYGON else 4
-        els = np.tile(np.eye(3), (2 * n, 1, 1))
-        els[:, 1:, 1:] = dihedral_elements(n)
-        return _finite_sampler(space, els)
+        return _finite_sampler(space, ss.lift_plane(dihedral_elements(n)))
     if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
         return _finite_sampler(space, _boxworld_group_elements())
     raise UnsupportedSpaceError(f"no group sampler for kind {space.kind!r}")
@@ -283,10 +285,14 @@ def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
 
 
 class GroupAverage(NamedTuple):
-    """Group average of per-element values; ``stderr`` is 0 for an exact sum."""
+    """Group average of per-element values.
+
+    ``stderr`` is 0 for an exact sum and None for a sampled average of array
+    values, whose per-sample values are not kept.
+    """
 
     mean: np.ndarray | float
-    stderr: np.ndarray | float
+    stderr: np.ndarray | float | None
     n_samples: int
     exact: bool
 
@@ -302,22 +308,29 @@ def group_average(
     ``f`` maps a (size, K, K) stack of elements to per-element values of
     shape (size, ...).  An enumerated group is summed exactly over
     ``sampler.elements``, leaving ``rng`` untouched; any other group draws
-    ``trials`` >= 2 elements through ``GroupSampler.draw_blocks``.  The
-    sampled values are refused beyond ``errors.MEMORY_CAP_BYTES`` before any
-    draw, their width read off ``f`` of the identity.
+    ``trials`` >= 2 elements through ``GroupSampler.draw_blocks``.  Sampled
+    scalar values are kept for their standard error; array values are summed
+    block by block, in memory that does not grow with ``trials``.  What is
+    held is refused beyond ``errors.MEMORY_CAP_BYTES`` before any draw, the
+    value shape read off ``f`` of the identity.
     """
     if sampler.elements is not None:
         vals = f(sampler.elements)
         return GroupAverage(vals.mean(axis=0), np.zeros(vals.shape[1:]), len(vals), True)
     if trials < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {trials}")
-    width = f(np.eye(sampler.space.K)[None])[0].size
-    # The blocks' values and their concatenation are alive at once.
-    errors.check_memory(2 * 8 * trials * width,
-                        f"2 arrays of {trials} per-sample values of width {width}")
-    vals = np.concatenate([f(ts) for ts in sampler.draw_blocks(rng, trials)])
-    return GroupAverage(vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(trials),
-                        trials, False)
+    k = sampler.space.K
+    value = f(np.eye(k)[None])[0]
+    blocks = sampler.draw_blocks(rng, trials)
+    if value.ndim == 0:
+        # The blocks' values and their concatenation are alive at once.
+        errors.check_memory(2 * 8 * trials, f"2 arrays of {trials} per-sample values")
+        vals = np.concatenate([f(ts) for ts in blocks])
+        return GroupAverage(vals.mean(), vals.std(ddof=1) / math.sqrt(trials), trials, False)
+    block = min(trials, _draw_block(k))
+    errors.check_memory(8 * (block + 1) * value.size,
+                        f"a block of {block} per-sample values of width {value.size} and their sum")
+    return GroupAverage(sum(f(ts).sum(axis=0) for ts in blocks) / trials, None, trials, False)
 
 
 def check_irreducible(
@@ -325,7 +338,7 @@ def check_irreducible(
     sampler: GroupSampler,
     trials: int = 2000,
     rng: np.random.Generator | None = None,
-    n_probes: int = 3,
+    n_probes: int = IRREDUCIBILITY_PROBES,
 ) -> float:
     """Deviation of the averaged rank-one map from a multiple of the identity.
 
@@ -345,8 +358,10 @@ def _rank_one_deviation(
     trials: int,
     rng: np.random.Generator,
     n_probes: int,
-) -> tuple[float, GroupAverage]:
-    """``check_irreducible``'s deviation, and the group average of its last probe."""
+) -> tuple[float, float]:
+    """``check_irreducible``'s deviation, and the threshold an irreducible
+    action stays under: 1e-8 for an exact sum, ten times the statistical
+    error 1/sqrt(trials) otherwise."""
     if n_probes < 1:
         raise RangeError(f"need at least 1 probe, got {n_probes}")
     p = space.bloch_projector()
@@ -358,7 +373,7 @@ def _rank_one_deviation(
                             rng, trials)
         c = np.trace(avg.mean) / (space.K - 1)
         worst = max(worst, float(np.max(np.abs(avg.mean - c * p)) / c))
-    return worst, avg
+    return worst, 1e-8 if avg.exact else 10.0 / math.sqrt(trials)
 
 
 def invariant_gram(
@@ -380,8 +395,8 @@ def invariant_gram(
     product is then unique.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    dev, check = _rank_one_deviation(space, sampler, check_trials, rng, 3)
-    if dev > (1e-8 if check.exact else 10.0 / math.sqrt(check.n_samples)):
+    dev, threshold = _rank_one_deviation(space, sampler, check_trials, rng, IRREDUCIBILITY_PROBES)
+    if dev > threshold:
         raise ReducibleSpaceError(
             f"irreducibility deviation {dev:.3g} exceeds threshold; "
             "the invariant inner product is not unique"

@@ -517,9 +517,10 @@ def gbit_symmetries() -> np.ndarray:
 
 
 def lift_plane(g: np.ndarray) -> np.ndarray:
-    """Lift a 2x2 Bloch-plane symmetry to the 3-dim ambient coordinates."""
-    t = np.eye(3)
-    t[1:, 1:] = g
+    """Lift a 2x2 Bloch-plane symmetry, or each of a (..., 2, 2) stack, to the
+    3-dim ambient coordinates."""
+    t = np.tile(np.eye(3), (*np.shape(g)[:-2], 1, 1))
+    t[..., 1:, 1:] = g
     return t
 
 

@@ -388,14 +388,52 @@ def test_group_average_samples_as_the_concatenated_draw_blocks_route():
     assert type(pauli.mean) is float and type(pauli.stderr) is float
 
 
-def test_group_average_refuses_per_sample_values_before_any_draw():
+def test_group_average_sums_array_values_block_by_block():
     sampler = grouprep.sampler_for(ss.build_quantum(2))
+    trials = 2 * grouprep.DRAW_BLOCK + 500
+    rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+    avg = grouprep.group_average(sampler, lambda ts: ts, rng, trials)
+    expected = sum(ts.sum(axis=0) for ts in sampler.draw_blocks(ref, trials)) / trials
+    assert not avg.exact
+    assert avg.n_samples == trials
+    assert avg.stderr is None
+    np.testing.assert_array_equal(avg.mean, expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_group_average_refuses_what_it_holds_before_any_draw(monkeypatch):
+    sampler = grouprep.sampler_for(ss.build_quantum(2))
+    # Room for draws of ten elements on K = 4 coordinates.
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", grouprep._DRAW_BYTES_PER_ENTRY * 16 * 10)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    # Two arrays of 10^7 (4, 4) values: 2 * 8 * 10^7 * 16 bytes.
-    with pytest.raises(RangeError, match="of width 16 would need 2560000000 bytes"):
-        grouprep.group_average(sampler, lambda ts: ts, rng, 10_000_000)
+
+    def kron_square(ts):
+        return np.einsum("bij,bkl->bikjl", ts, ts).reshape(len(ts), 16, 16)
+
+    # One block of ten (16, 16) values and their sum: 8 * 11 * 256 bytes.
+    with pytest.raises(RangeError, match="a block of 10 per-sample values of width 256 "
+                                         "and their sum would need 22528 bytes"):
+        grouprep.group_average(sampler, kron_square, rng, 1000)
+    # Scalar values are kept, and concatenated: 2 * 8 * 1000 bytes.
+    with pytest.raises(RangeError, match="2 arrays of 1000 per-sample values would need 16000 bytes"):
+        grouprep.group_average(sampler, lambda ts: ts[:, 0, 0], rng, 1000)
     assert rng.bit_generator.state == state
+    # (4, 4) values are never wider than their draws.
+    assert grouprep.group_average(sampler, lambda ts: ts, rng, 1000).mean.shape == (4, 4)
+
+
+def test_array_averages_do_not_grow_with_the_trial_count(monkeypatch):
+    # Keeping 5000 sampled (4, 4) values and their concatenation would need
+    # 1280000 bytes; one block of them and their sum fit in 1 MiB.
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 1 << 20)
+    qubit = ss.build_quantum(2)
+    sampler = grouprep.sampler_for(qubit)
+    dev = grouprep.check_irreducible(qubit, sampler, trials=5000, rng=np.random.default_rng(1))
+    assert dev < 10 / math.sqrt(5000)
+    gram = grouprep.invariant_gram(qubit, sampler, n_avg=5000, rng=np.random.default_rng(2),
+                                   check_trials=5000)
+    np.testing.assert_allclose(gram.matrix, grouprep.analytic_gram(qubit).matrix, atol=1e-10)
 
 
 # -- two-design ----------------------------------------------------------------------------
