@@ -177,7 +177,7 @@ def _run_predict(args: argparse.Namespace) -> dict:
     else:
         face = faces_mod.sym_face(args.n) if args.sign == "+" else faces_mod.antisym_face(args.n)
         pred = faces_mod.predict_qface(face, faces_mod.default_probe(args.n), args.trp)
-    return {"value": pred.value, "formula_id": pred.formula_id, "inputs": pred.inputs}
+    return pred.to_json_dict()
 
 
 def _require(args: argparse.Namespace, names: list[str]) -> None:

@@ -11,8 +11,7 @@ row sums for classical).
 Nothing here grows faster than the joint dimension K = K_A K_B.  A quantum
 joint keeps the levels (n_A, n_B) of its Kronecker factors, not a basis,
 and its analytic Gram stores no K x K matrix, so the joint purity constant
-P(phi_A (x) mu_B) costs O(K).  Its coordinate labels are derived on request
-(``SpaceDescriptor.labels``), not stored.
+P(phi_A (x) mu_B) costs O(K).
 """
 
 from __future__ import annotations
@@ -77,25 +76,10 @@ def compose(a: SpaceDescriptor, b: SpaceDescriptor) -> CompositeDescriptor:
     return CompositeDescriptor(part_a=a, part_b=b, joint=joint)
 
 
-def product_state(comp: CompositeDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Joint coordinates of the product of two local states."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def marginal_a(comp: CompositeDescriptor, omega: np.ndarray) -> np.ndarray:
     """Reduced state on A: contraction of the B slot with B's order unit."""
     c = np.asarray(omega, dtype=float).reshape(comp.part_a.K, comp.part_b.K)
     return c @ comp.part_b.order_unit
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Partial trace over one tensor slot of a (d_a * d_b) square matrix or a stack of them."""
-    da, db = dims
-    rho = np.asarray(rho)
-    r = rho.reshape(*rho.shape[:-2], da, db, da, db)
-    if keep == 0:
-        return np.einsum("...ibjb->...ij", r)
-    return np.einsum("...aiaj->...ij", r)
 
 
 # -- classical subsystems and capacity witnesses ----------------------------------------
@@ -229,7 +213,7 @@ def purity_pure_times_maxmixed(
     (N_A - 1)/(N_A N_B - 1); a mismatch beyond ``tol`` raises.
     """
     phi = _reference_pure(comp.part_a)
-    omega = product_state(comp, phi, comp.part_b.max_mixed)
+    omega = np.kron(phi, comp.part_b.max_mixed)
     numeric = gram_ab.norm_sq(omega - comp.joint.max_mixed)
     closed = (comp.part_a.N - 1.0) / (comp.part_a.N * comp.part_b.N - 1.0)
     if abs(numeric - closed) > tol:

@@ -49,10 +49,6 @@ class DegenerateCompositeError(GptPurityError, ValueError):
     """A composite-dependent denominator is zero or negative."""
 
 
-class UndefinedRatioError(GptPurityError, ValueError):
-    """A ratio is undefined because its denominator vanishes."""
-
-
 class InconsistencyError(GptPurityError):
     """Two routes to the same quantity disagree beyond tolerance."""
 

@@ -39,7 +39,7 @@ from .errors import (
     check_memory,
 )
 from .randomize import (BLOCK_SIZE, McReport, Prediction, _check_run, _classical_purities,
-                        _estimate, _haar_ket_block, _permuted_block)
+                        _estimate, _haar_ket_block, _permuted_block, partial_trace)
 
 KIND_QUANTUM_FACE = "quantum-subspace"
 KIND_CLASSICAL_FACE = "classical-support"
@@ -53,13 +53,12 @@ class FaceDescriptor(NamedTuple):
     ``projector`` / ``isometry`` describe the quantum subspace (the isometry
     columns span it); ``support`` lists the flat joint outcomes of a
     classical face.  ``n_sub`` is the subspace dimension N_S resp. the
-    support size N_F, and ``k_face`` the face dimension (N_S^2 resp. N_F).
+    support size N_F.
     """
 
     kind: str
     levels: tuple[int, int]
     n_sub: int
-    k_face: int
     projector: np.ndarray | None = None
     isometry: np.ndarray | None = None
     support: np.ndarray | None = None
@@ -97,20 +96,9 @@ def _subspace_face(levels: tuple[int, int], projector: np.ndarray) -> FaceDescri
         kind=KIND_QUANTUM_FACE,
         levels=levels,
         n_sub=n_sub,
-        k_face=n_sub * n_sub,
         projector=np.asarray(projector, dtype=complex),
         isometry=cols,
     )
-
-
-def symmetric_projector(n: int) -> np.ndarray:
-    """(I + SWAP)/2, the projector onto the symmetric subspace of C^n (x) C^n."""
-    return _swap_projector(n, 1)
-
-
-def antisymmetric_projector(n: int) -> np.ndarray:
-    """(I - SWAP)/2, the projector onto the antisymmetric subspace of C^n (x) C^n."""
-    return _swap_projector(n, -1)
 
 
 def _swap_projector(n: int, sign: int) -> np.ndarray:
@@ -180,7 +168,7 @@ def predict_qface(face: FaceDescriptor, e_a: np.ndarray, tr_purity_global: float
         raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
     n_a, n_b = face.levels
     n_s = face.n_sub
-    _check_face_purity(n_s, tr_purity_global)
+    _check_purity_on_face(n_s, tr_purity_global)
     if n_s == 1:
         value = 1.0 / n_a
         ingredient = 0.0
@@ -221,7 +209,7 @@ def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
     if n < 2:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
     n_s = n * (n + sign) // 2
-    _check_face_purity(n_s, tr_purity_global)
+    _check_purity_on_face(n_s, tr_purity_global)
     value = (1.0 + tr_purity_global) * (n + sign) / (n * n + sign * n + 2)
     return Prediction(
         value=value,
@@ -230,7 +218,7 @@ def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
     )
 
 
-def _check_face_purity(n_sub: int, tr_purity: float) -> None:
+def _check_purity_on_face(n_sub: int, tr_purity: float) -> None:
     """Refuse a global Tr(rho^2) outside [1/N_S, 1], the range on a face of dimension N_S."""
     if not 1.0 / n_sub - 1e-12 <= tr_purity <= 1.0 + 1e-12:
         raise RangeError(f"Tr rho^2 on a face of dimension {n_sub} must lie in "
@@ -238,7 +226,7 @@ def _check_face_purity(n_sub: int, tr_purity: float) -> None:
 
 
 def _face_interpolation_weight(n_sub: int, target: float) -> float:
-    _check_face_purity(n_sub, target)
+    _check_purity_on_face(n_sub, target)
     lo = 1.0 / n_sub
     if n_sub == 1:
         return 0.0
@@ -268,8 +256,7 @@ def estimate_face_local_purity(
         # Quantum targets are collision values with floor 1/N_S.
         t = _face_interpolation_weight(face.n_sub, target_global_purity)
         na, nb = face.levels
-        # The A marginal of mu: composite.partial_trace's contraction over B.
-        sigma_a = np.einsum("ibjb->ij", face.projector.reshape(na, nb, na, nb)) / face.n_sub
+        sigma_a = partial_trace(face.projector, (na, nb)) / face.n_sub
         draw = partial(_haar_ket_block, t=t, dims=(na, nb), isometry=face.isometry,
                        sigma_a=sigma_a)
         return _estimate(n_samples, seed, draw, histogram_bins)
@@ -350,8 +337,7 @@ def classical_support_face(
 
 def _support_face(levels: tuple[int, int], support: np.ndarray) -> FaceDescriptor:
     n_f = len(support)
-    return FaceDescriptor(kind=KIND_CLASSICAL_FACE, levels=levels, n_sub=n_f, k_face=n_f,
-                          support=support)
+    return FaceDescriptor(kind=KIND_CLASSICAL_FACE, levels=levels, n_sub=n_f, support=support)
 
 
 def face_restricted_purity(face: FaceDescriptor, omega: np.ndarray) -> float:

@@ -57,7 +57,6 @@ from .errors import (
     InternalError,
     InvalidDimensionError,
     RangeError,
-    UndefinedRatioError,
     UnsupportedSpaceError,
     check_memory,
 )
@@ -379,7 +378,7 @@ def _conjugated_block(
     check_memory(4 * 16 * size * n * n, f"a block of {size} unitaries in dimension {n}")
     u = grouprep.haar_unitaries(size, n, rng)
     rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
-    tr_a2 = _tr_sq(comp_mod.partial_trace(rho, dims, keep=0))
+    tr_a2 = _tr_sq(partial_trace(rho, dims))
     return pur.purity_from_tr2(dims[0], tr_a2), pur.purity_from_tr2(n, _tr_sq(rho))
 
 
@@ -397,6 +396,12 @@ def _permuted_block(rng: np.random.Generator, size: int, p: np.ndarray, k_a: int
 def _tr_sq(rho: np.ndarray) -> np.ndarray:
     """Tr(rho^2) of a square matrix, or of each matrix in a (size, n, n) stack."""
     return np.einsum("...ij,...ji->...", rho, rho).real
+
+
+def partial_trace(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The A marginal Tr_B of a (d_a d_b) square matrix, or of each in a stack."""
+    da, db = dims
+    return np.einsum("...ibjb->...ij", rho.reshape(*rho.shape[:-2], da, db, da, db))
 
 
 def _classical_purities(x: np.ndarray) -> np.ndarray:
@@ -519,57 +524,3 @@ def estimate_real_quantum_local_purity(
     _check_levels("real-quantum", m_b, m_a)
     draw = partial(_haar_ket_block, t=math.sqrt(p0), dims=(m_a, m_b), real=True)
     return _estimate(n_samples, seed, draw, histogram_bins)
-
-
-# -- qubit Pauli-coefficient oracle --------------------------------------------------------
-
-
-class QubitOracleResult(NamedTuple):
-    """Monte Carlo and closed-form sides of the qubit coefficient identity.
-
-    The identity relates the expected local collision value on n_A qubits to
-    the global one on n = n_A + n_B qubits:
-    (E Tr rho_A^2 - 2^-n_A) / (Tr phi^2 - 2^-n) = 2^n_B (K_A-1)/(K_AB-1)
-    with K_A = 4^n_A and K_AB = 4^n.
-    """
-
-    lhs: float
-    lhs_stderr: float
-    rhs: float
-    mean_tr_a: float
-    n_samples: int
-    seed: int
-
-
-def qubit_pauli_oracle(
-    n_a: int,
-    n_b: int,
-    global_tr_purity: float,
-    n_samples: int,
-    seed: int,
-) -> QubitOracleResult:
-    """Estimate the qubit-register coefficient ratio and its closed form."""
-    if n_a < 1 or n_b < 1:
-        raise RangeError("both registers need at least one qubit")
-    n = n_a + n_b
-    dim = 2**n
-    dim_a = 2**n_a
-    min_tr = 1.0 / dim
-    if not min_tr <= global_tr_purity <= 1.0 + 1e-12:
-        raise RangeError(
-            f"Tr phi^2 must lie in [{min_tr}, 1], got {global_tr_purity}"
-        )
-    if abs(global_tr_purity - min_tr) < 1e-12:
-        raise UndefinedRatioError("the ratio is undefined at the globally maximally mixed state")
-    t = math.sqrt((global_tr_purity - min_tr) / (1.0 - min_tr))
-    # The kernel gives local purities P_A; E Tr rho_A^2 - 1/n_A = (1 - 1/n_A) E P_A.
-    report = _estimate(n_samples, seed, partial(_haar_ket_block, t=t, dims=(dim_a, 2**n_b)), None)
-    per_purity = (1.0 - 1.0 / dim_a) / (global_tr_purity - min_tr)
-    return QubitOracleResult(
-        lhs=report.mean * per_purity,
-        lhs_stderr=report.stderr * per_purity,
-        rhs=2.0**n_b * (4.0**n_a - 1.0) / (4.0**n - 1.0),
-        mean_tr_a=pur.tr2_from_purity(dim_a, report.mean),
-        n_samples=n_samples,
-        seed=int(seed),
-    )

@@ -20,7 +20,6 @@ allocated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -39,11 +38,10 @@ from .errors import (
 
 CONE_TOL = 1e-9
 NORM_TOL = 1e-9
-# A built-in descriptor holds two float64 vectors and one label string per
-# coordinate; CPython 3.11 measures about 85 bytes per coordinate in all.  A
-# composite of matrix factors stores no labels (``labels`` derives them on
-# request), so it holds 16 bytes per coordinate, but its check keeps this
-# bound.
+# A descriptor holds two float64 vectors, 16 bytes per coordinate.  The
+# bound of 96 was measured when every built-in space also stored a label
+# string per coordinate; it is kept, not re-measured, so that no descriptor
+# is accepted that was refused before.
 DESCRIPTOR_BYTES_PER_COORD = 96
 
 KIND_QUANTUM = "quantum"
@@ -86,10 +84,6 @@ class SpaceDescriptor:
         Length-``K`` covector ``u``; normalized states satisfy ``u @ x == 1``.
     max_mixed:
         The unique state fixed by every reversible transformation.
-    basis_labels:
-        One label per ambient coordinate, stored by every built-in space;
-        ``None`` for a composite of matrix factors, whose labels ``labels``
-        builds on request from ``factor_levels``.
     level:
         Kind parameter: Hilbert-space dimension, outcome count, or vertex
         count.  ``None`` only for the bipartite boxworld space.
@@ -111,7 +105,6 @@ class SpaceDescriptor:
     N: int
     order_unit: np.ndarray
     max_mixed: np.ndarray
-    basis_labels: tuple[str, ...] | None = None
     level: int | None = None
     factor_levels: tuple[int, ...] | None = None
     vertices: np.ndarray | None = None
@@ -122,15 +115,6 @@ class SpaceDescriptor:
             a = getattr(self, name)
             if a is not None:
                 object.__setattr__(self, name, _frozen(np.asarray(a)))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """One label per ambient coordinate: ``basis_labels``, or the factor
-        labels of each basis element joined by ``*``."""
-        if self.basis_labels is not None:
-            return self.basis_labels
-        factors = (lay.labels for lay in self._layouts())
-        return tuple("*".join(ls) for ls in itertools.product(*factors))
 
     # -- generic linear structure -------------------------------------------------
 
@@ -295,28 +279,26 @@ class FactorLayout(NamedTuple):
     rows: np.ndarray
     cols: np.ndarray
     scale: np.ndarray
-    labels: tuple[str, ...]
     K: int
 
 
 @lru_cache(maxsize=None)
 def factor_layout(d: int, real: bool) -> FactorLayout:
-    """Order and labels of the orthonormal basis of d x d Hermitian (``real``: symmetric) matrices.
+    """Order of the orthonormal basis of d x d Hermitian (``real``: symmetric) matrices.
 
     With E_jk the matrix units and the pairs j < k in row-major order
-    (``rows``, ``cols``): ``u`` = identity/sqrt(d), then ``x{j}{k}`` =
-    (E_jk + E_kj)/sqrt(2), ``y{j}{k}`` = i (E_kj - E_jk)/sqrt(2) for complex
-    factors, and ``z{l}`` = (sum_{i<l} E_ii - l E_ll)/sqrt(l (l+1)) for
-    l = 1..d-1.  ``scale`` holds each element's normalizing divisor.
+    (``rows``, ``cols``): u = identity/sqrt(d), then x_jk =
+    (E_jk + E_kj)/sqrt(2), y_jk = i (E_kj - E_jk)/sqrt(2) for complex
+    factors, and z_l = (sum_{i<l} E_ii - l E_ll)/sqrt(l (l+1)) for
+    l = 1..d-1: K = d^2 elements, or d(d+1)/2 without the y.  ``scale``
+    holds each element's normalizing divisor.
     """
     rows, cols = np.triu_indices(d, 1)
-    pairs = [f"{j}{k}" for j, k in zip(rows, cols)]
-    labels = ("u", *(f"x{p}" for p in pairs), *(() if real else (f"y{p}" for p in pairs)),
-              *(f"z{l}" for l in range(1, d)))
+    k = d * (d + 1) // 2 if real else d * d
     steps = np.arange(1.0, d)
-    scale = np.concatenate([[math.sqrt(d)], np.full(len(labels) - d, math.sqrt(2)),
+    scale = np.concatenate([[math.sqrt(d)], np.full(k - d, math.sqrt(2)),
                             np.sqrt(steps * (steps + 1))])
-    return FactorLayout(d, real, _frozen(rows), _frozen(cols), _frozen(scale), labels, len(labels))
+    return FactorLayout(d, real, _frozen(rows), _frozen(cols), _frozen(scale), k)
 
 
 def _pair_coords(t: np.ndarray, lay: FactorLayout, *, take_real: bool) -> np.ndarray:
@@ -385,7 +367,6 @@ def _matrix_space(kind: str, n: int, k: int) -> SpaceDescriptor:
         N=n,
         order_unit=order_unit,
         max_mixed=max_mixed,
-        basis_labels=factor_layout(n, kind == KIND_REAL_QUANTUM).labels,
         level=n,
         factor_levels=(n,),
     )
@@ -402,7 +383,6 @@ def build_classical(n: int) -> SpaceDescriptor:
         N=n,
         order_unit=np.ones(n),
         max_mixed=np.full(n, 1.0 / n),
-        basis_labels=tuple(f"p{i}" for i in range(n)),
         level=n,
     )
 
@@ -435,7 +415,6 @@ def build_polygon(n: int) -> SpaceDescriptor:
         N=3 if n == 3 else 2,
         order_unit=order_unit,
         max_mixed=order_unit.copy(),
-        basis_labels=("u", "x", "y"),
         level=n,
         vertices=_polygon_vertices(n),
         effects=_polygon_effects(n),
@@ -478,7 +457,6 @@ def build_boxworld_local() -> SpaceDescriptor:
         N=2,
         order_unit=order_unit,
         max_mixed=order_unit.copy(),
-        basis_labels=("u", "y", "z"),
         level=4,
         vertices=_GBIT_VERTICES,
         effects=_GBIT_EFFECTS,
@@ -561,14 +539,12 @@ def build_boxworld_bipartite() -> SpaceDescriptor:
     order_unit = np.zeros(9)
     order_unit[0] = 1.0
     max_mixed = order_unit.copy()
-    labels = tuple(f"{a}{b}" for a in ("u", "y", "z") for b in ("u", "y", "z"))
     return SpaceDescriptor(
         kind=KIND_BOXWORLD_BIPARTITE,
         K=9,
         N=4,
         order_unit=order_unit,
         max_mixed=max_mixed,
-        basis_labels=labels,
         level=None,
         vertices=vertices,
         effects=effect_products,

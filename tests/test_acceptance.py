@@ -212,13 +212,23 @@ def test_criterion_13_qubit_pauli_coefficient_oracle():
     ok = True
     details = []
     seed = 1015
+    # (E Tr rho_A^2 - 2^-n_A) / (Tr phi^2 - 2^-n) = 2^n_B (K_A - 1)/(K_AB - 1)
+    # with K_A = 4^n_A and K_AB = 4^n, the left side from the general estimator
+    # at p0 = (Tr phi^2 - 2^-n)/(1 - 2^-n): E Tr rho_A^2 - 2^-n_A = (1 - 2^-n_A) E P_A.
     for n_a, n_b in ((1, 1), (1, 2)):
         for tr2 in (1.0, 0.5):
             seed += 1
-            res = rnd.qubit_pauli_oracle(n_a, n_b, tr2, SAMPLES, seed)
-            good = abs(res.lhs - res.rhs) <= 3 * res.lhs_stderr + EPS
+            n = n_a + n_b
+            min_tr = 1.0 / 2**n
+            rep = rnd.estimate_expected_local_purity(
+                "quantum", 2**n_a, 2**n_b, (tr2 - min_tr) / (1.0 - min_tr), SAMPLES, seed,
+                histogram_bins=None)
+            per_purity = (1.0 - 1.0 / 2**n_a) / (tr2 - min_tr)
+            lhs, lhs_stderr = rep.mean * per_purity, rep.stderr * per_purity
+            rhs = 2.0**n_b * (4.0**n_a - 1.0) / (4.0**n - 1.0)
+            good = abs(lhs - rhs) <= 3 * lhs_stderr + EPS
             ok = ok and good
-            details.append(f"({n_a},{n_b})@{tr2:g}: {res.lhs:.4f}/{res.rhs:.4f}")
+            details.append(f"({n_a},{n_b})@{tr2:g}: {lhs:.4f}/{rhs:.4f}")
     _report(13, ok, "qubit coefficient ratio lhs/rhs: " + ", ".join(details))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import grouprep, statespace as ss
+from gptpurity import grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import InconsistencyError, UnsupportedCompositeError
 from gptpurity.purity import complete_pauli_set
 from gptpurity.statespace import random_mixtures
@@ -21,20 +21,17 @@ def test_compose_quantum_dimensions():
     assert comp.joint.N == 4
 
 
-def test_joint_labels_are_derived_from_the_factor_levels():
-    # The labels of a Kronecker basis element join its factor labels by "*".
+def test_joint_factor_levels_are_those_of_a_then_b():
+    # Joint basis element i K_B + j is the Kronecker product of A's element i
+    # and B's element j, also when A is itself a joint.
     a, b = ss.build_quantum(2), ss.build_quantum(3)
     joint = cm.compose(a, b).joint
-    assert joint.basis_labels is None
-    pairs = [f"{la}*{lb}" for la in a.labels for lb in b.labels]
-    assert list(joint.labels) == pairs
-    assert pairs[:3] == ["u*u", "u*x01", "u*x02"] and pairs[-1] == "z1*z2"
-    nested = cm.compose(joint, ss.build_quantum(2)).joint
+    assert joint.factor_levels == (2, 3)
+    nested = cm.compose(joint, a).joint
     assert nested.factor_levels == (2, 3, 2)
-    assert list(nested.labels) == [f"{lab}*{lc}" for lab in pairs
-                                    for lc in ss.build_quantum(2).labels]
-    classical = cm.compose(ss.build_classical(2), ss.build_classical(3)).joint
-    assert classical.labels == classical.basis_labels == tuple(f"p{i}" for i in range(6))
+    kron = np.einsum("aij,bkl->abikjl", joint.hermitian_basis, a.hermitian_basis)
+    np.testing.assert_allclose(nested.hermitian_basis, kron.reshape(144, 12, 12),
+                               rtol=0, atol=1e-15)
 
 
 def test_compose_classical_dimensions():
@@ -55,7 +52,7 @@ def test_compose_rejects_unsupported_pairs():
 def test_product_of_max_mixed_is_joint_max_mixed():
     for comp in (_quantum_pair(2, 3)[0],
                  cm.compose(ss.build_classical(3), ss.build_classical(4))):
-        prod = cm.product_state(comp, comp.part_a.max_mixed, comp.part_b.max_mixed)
+        prod = np.kron(comp.part_a.max_mixed, comp.part_b.max_mixed)
         np.testing.assert_allclose(prod, comp.joint.max_mixed, atol=1e-14)
 
 
@@ -64,7 +61,7 @@ def test_product_states_pass_joint_cone(rng):
     for _ in range(25):
         a = comp.part_a.sample_pure(rng)
         b = comp.part_b.sample_pure(rng)
-        prod = cm.product_state(comp, a, b)
+        prod = np.kron(a, b)
         assert comp.joint.cone_contains(prod)
         assert abs(comp.joint.unit(prod) - 1.0) < 1e-10
 
@@ -73,7 +70,7 @@ def test_joint_coords_match_matrix_kron(rng):
     comp, _, _ = _quantum_pair(2, 3)
     a = comp.part_a.sample_pure(rng)
     b = comp.part_b.sample_pure(rng)
-    prod = cm.product_state(comp, a, b)
+    prod = np.kron(a, b)
     expected = np.kron(comp.part_a.to_matrix(a), comp.part_b.to_matrix(b))
     np.testing.assert_allclose(comp.joint.to_matrix(prod), expected, atol=1e-12)
 
@@ -82,7 +79,7 @@ def test_marginal_of_product_is_factor(rng):
     comp, _, _ = _quantum_pair(2, 2)
     a = comp.part_a.sample_pure(rng)
     b = comp.part_b.sample_pure(rng)
-    prod = cm.product_state(comp, a, b)
+    prod = np.kron(a, b)
     np.testing.assert_allclose(cm.marginal_a(comp, prod), a, atol=1e-12)
 
 
@@ -123,11 +120,9 @@ def test_partial_trace_helper(rng):
     rho = rng.normal(size=(6, 6))
     rho = rho @ rho.T
     rho /= np.trace(rho)
-    full = cm.partial_trace(rho, (2, 3), keep=0)
+    full = rnd.partial_trace(rho, (2, 3))
     assert full.shape == (2, 2)
     assert np.trace(full) == pytest.approx(1.0, abs=1e-12)
-    other = cm.partial_trace(rho, (2, 3), keep=1)
-    assert np.trace(other) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- capacity witnesses ---------------------------------------------------------------

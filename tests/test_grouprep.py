@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import errors, faces, grouprep, purity as pur, statespace as ss
+from gptpurity import errors, grouprep, purity as pur, statespace as ss
 from gptpurity.errors import RangeError, ReducibleSpaceError, UnsupportedSpaceError
 
 
@@ -268,7 +268,7 @@ def _reducible_cylinder_space_and_sampler():
     space = ss.SpaceDescriptor(
         kind=ss.KIND_POLYGON, K=5, N=2,
         order_unit=order_unit, max_mixed=order_unit.copy(),
-        basis_labels=("u", "x1", "y1", "x2", "y2"), level=8,
+        level=8,
         vertices=np.array(verts),
     )
 
@@ -455,8 +455,8 @@ def _two_design_superoperators(k):
     dd = d * d
     lhs = (a.T @ a.conj() / len(us)).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3)
     lhs = lhs.reshape(dd * dd, dd * dd)
-    pi_s = faces.symmetric_projector(d)
-    pi_a = faces.antisymmetric_projector(d)
+    swap = grouprep.swap_operator(d)
+    pi_s, pi_a = (np.eye(dd) + swap) / 2, (np.eye(dd) - swap) / 2
     rhs = (2.0 / (d * (d + 1))) * np.outer(pi_s.ravel(), pi_s.ravel()) + (
         2.0 / (d * (d - 1))
     ) * np.outer(pi_a.ravel(), pi_a.ravel())

@@ -1,5 +1,5 @@
-"""Import hygiene: every import of a library module is used (the stand-in for a
-linter's unused-import rule), importing a module loads only what it needs, and a
+"""Import hygiene: every import of a library or test module is used (the stand-in
+for a linter's unused-import rule), importing a module loads only what it needs, and a
 command runs only the layers it reads."""
 
 import ast
@@ -16,6 +16,7 @@ import gptpurity
 
 PACKAGE = Path(gptpurity.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 CHILD = PACKAGE.parents[1] / "perfbench" / "child.py"
 
 
@@ -44,6 +45,9 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports(planted) == ["line 2: math", "line 4: check_memory"]
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in MODULES}
     assert len(found) >= 11
+    assert {name: names for name, names in found.items() if names} == {}
+    found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in TEST_MODULES}
+    assert len(found) >= 13 and "conftest.py" in found
     assert {name: names for name, names in found.items() if names} == {}
 
 

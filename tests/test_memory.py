@@ -110,8 +110,9 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
       "--p0", "0.3"], None),
 ])
 def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
-    # A 2e8-outcome part alone would need two 1.6 GB vectors and 2e8 labels,
-    # but no command builds one.  The coin record's support and the
+    # A 2e8-outcome part alone would need two 1.6 GB vectors, and its
+    # descriptor check keeps 96 bytes per coordinate (kept, not re-measured,
+    # since descriptors hold no labels), but no command builds one.  The coin record's support and the
     # estimate's distribution are refused before they are allocated; the
     # prediction needs only the level counts and is the classical
     # cancellation, P0 itself.
@@ -167,7 +168,7 @@ def test_estimator_blocks_are_refused_beyond_the_cap():
         rnd.estimate_expected_local_purity("classical", 256, 1024, 0.3, 2000, 0)
     # The (1024, 2^17) complex kets, their conjugate copy and the 2 x 2 Grams.
     with pytest.raises(RangeError, match="4295032832 bytes"):
-        rnd.qubit_pauli_oracle(1, 16, 1.0, 2000, 0)
+        rnd.estimate_expected_local_purity("quantum", 2, 65536, 1.0, 2000, 0)
 
 
 def test_dense_joint_structures_are_derived_only_within_the_cap(monkeypatch):

@@ -13,7 +13,6 @@ from gptpurity.errors import (
     InternalError,
     InvalidDimensionError,
     RangeError,
-    UndefinedRatioError,
     UnsupportedSpaceError,
 )
 from gptpurity.purity import fixed_purity_state, purity_from_tr2, tr2_from_purity
@@ -223,18 +222,30 @@ def test_real_quantum_estimator_matches_sphere_oracle():
 # -- qubit oracle ---------------------------------------------------------------------
 
 
+def _qubit_rhs(n_a, n_b):
+    """2^n_B (K_A - 1)/(K_AB - 1) with K_A = 4^n_A and K_AB = 4^(n_A + n_B)."""
+    return 2.0**n_b * (4.0**n_a - 1.0) / (4.0 ** (n_a + n_b) - 1.0)
+
+
 def test_qubit_oracle_one_one_pure():
-    res = rnd.qubit_pauli_oracle(1, 1, 1.0, 6000, 41)
-    assert res.rhs == pytest.approx(0.4, abs=1e-15)
-    assert abs(res.lhs - res.rhs) <= 3 * res.lhs_stderr
+    # The qubit coefficient identity
+    # (E Tr rho_A^2 - 2^-n_A) / (Tr phi^2 - 2^-n) = 2^n_B (K_A - 1)/(K_AB - 1)
+    # on the general estimator; at Tr phi^2 = 1 the left side is
+    # (1 - 2^-n_A) E P_A / (1 - 2^-n).
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 6000, 41)
+    per_purity = (1.0 - 0.5) / (1.0 - 0.25)
+    assert _qubit_rhs(1, 1) == pytest.approx(0.4, abs=1e-15)
+    assert abs(rep.mean * per_purity - _qubit_rhs(1, 1)) <= 3 * rep.stderr * per_purity
     # Lubkin-style oracle: E Tr rho_A^2 = (N_A + N_B)/(N_A N_B + 1) = 4/5.
-    sigma_tr = res.lhs_stderr * (1.0 - 0.25)
-    assert abs(res.mean_tr_a - 4 / 5) <= 3 * sigma_tr
+    sigma_tr = rep.stderr * per_purity * (1.0 - 0.25)
+    assert abs(tr2_from_purity(2, rep.mean) - 4 / 5) <= 3 * sigma_tr
 
 
 def test_qubit_oracle_one_two_rhs():
-    res = rnd.qubit_pauli_oracle(1, 2, 1.0, 100, 1)
-    assert res.rhs == pytest.approx(4 / 21, abs=1e-15)
+    # The right side at (1, 2) is the general closed form in ratio units.
+    assert _qubit_rhs(1, 2) == pytest.approx(4 / 21, abs=1e-15)
+    pred = rnd.predict_general("quantum", 2, 4, 1.0).value
+    assert pred * (1.0 - 1.0 / 2) / (1.0 - 1.0 / 8) == pytest.approx(4 / 21, abs=1e-15)
 
 
 def test_qubit_oracle_consistency_triangle():
@@ -243,18 +254,11 @@ def test_qubit_oracle_consistency_triangle():
     for n_a, n_b in ((1, 1), (1, 2), (2, 1)):
         na, nb = 2**n_a, 2**n_b
         n = na * nb
-        rhs = 2.0**n_b * (4.0**n_a - 1) / (4.0 ** (n_a + n_b) - 1)
+        rhs = _qubit_rhs(n_a, n_b)
         main = rnd.predict_main(na**2, nb**2, na, nb, 1.0).value
         # E Tr rho_A^2 for a pure global state via the ratio identity:
         tr_a = 1 / na + rhs * (1.0 - 1.0 / n)
         assert purity_from_tr2(na, tr_a) == pytest.approx(main, abs=1e-12)
-
-
-def test_qubit_oracle_rejects_degenerate_input():
-    with pytest.raises(UndefinedRatioError):
-        rnd.qubit_pauli_oracle(1, 1, 0.25, 10, 1)
-    with pytest.raises(RangeError):
-        rnd.qubit_pauli_oracle(1, 1, 1.2, 10, 1)
 
 
 # -- Markov tail -------------------------------------------------------------------------
@@ -418,7 +422,7 @@ def test_ket_kernel_matches_explicit_route(builder, real):
         local, glob = rnd._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
         for k, ket in enumerate(psi):
             rho = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n) / n
-            ref_a = cm.partial_trace(rho, (na, nb), keep=0)
+            ref_a = rnd.partial_trace(rho, (na, nb))
             assert local[k] == pytest.approx(
                 gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
             assert glob[k] == pytest.approx(
@@ -446,7 +450,7 @@ def test_conjugated_states_match_explicit_route():
         us = grouprep.haar_unitaries(size, na * nb, rnd.sample_rng(4401, b))
         for k in (0, 1, len(us) - 1):
             rho = us[k] @ phi @ us[k].conj().T
-            ref_a = cm.partial_trace(rho, (na, nb), keep=0)
+            ref_a = rnd.partial_trace(rho, (na, nb))
             assert local[k] == pytest.approx(
                 gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
             assert glob[k] == pytest.approx(

@@ -207,7 +207,6 @@ def test_quantum_descriptor_fields():
     assert space.order_unit[0] == math.sqrt(2)
     np.testing.assert_allclose(space.order_unit, [math.sqrt(2), 0, 0, 0])
     np.testing.assert_allclose(space.to_matrix(space.max_mixed), np.eye(2) / 2, atol=1e-15)
-    assert space.labels == space.basis_labels == ("u", "x01", "y01", "z1")
 
 
 def test_descriptors_are_immutable():
@@ -264,12 +263,6 @@ def _loop_symmetric_basis(d):
     return np.concatenate([full[:1 + pairs], full[1 + 2 * pairs:]]).real
 
 
-def _loop_labels(d, real):
-    pairs = [f"{j}{k}" for j in range(d) for k in range(j + 1, d)]
-    ys = [] if real else [f"y{p}" for p in pairs]
-    return ("u", *(f"x{p}" for p in pairs), *ys, *(f"z{l}" for l in range(1, d)))
-
-
 def _oracle(levels, real):
     """The Kronecker-stacked basis of a joint with these factor levels."""
     basis = np.ones((1, 1, 1))
@@ -293,7 +286,6 @@ def test_index_arithmetic_matches_loop_built_basis(d, real, rng):
     space = ss.build_real_quantum(d) if real else ss.build_quantum(d)
     basis = _oracle((d,), real)
     assert space.factor_levels == (d,)
-    assert space.basis_labels == _loop_labels(d, real)
     np.testing.assert_allclose(space.hermitian_basis, basis, rtol=0, atol=1e-15)
     # A batched stack of general (not Hermitian) matrices: the real part of
     # Tr(B_k M) for every k.
