@@ -1,11 +1,11 @@
-"""Group-invariant faces: constrained randomization inside a face.
+"""Group-invariant faces: constrained randomization inside a quantum subspace.
 
-A face here is either a quantum subspace face (states with full support on a
-subspace S of the joint Hilbert space, e.g. the symmetric or antisymmetric
-subspace of C^n (x) C^n) or a classical support face (distributions supported
-on a subset of joint outcomes).  Both carry a face-maximally-mixed state and
-a stabilizer sampler: Haar unitaries on the subspace for quantum faces,
-permutations of the support for classical faces.
+A face here is the set of states with full support on a subspace S of the
+joint Hilbert space, e.g. the symmetric or antisymmetric subspace of
+C^n (x) C^n.  It carries a face-maximally-mixed state and a stabilizer
+sampler: Haar unitaries on the subspace.  The coin recorded by an
+environment (``coin_with_record``) is classical randomization of a free
+2 x s0 joint, not a face.
 
 Expected local collision values for quantum faces:
 
@@ -38,45 +38,32 @@ from .errors import (
     UnsupportedSpaceError,
     check_memory,
 )
-from .randomize import (BLOCK_SIZE, McReport, Prediction, _check_run, _classical_purities,
-                        _estimate, _haar_ket_block, _permuted_block, partial_trace)
-
-KIND_QUANTUM_FACE = "quantum-subspace"
-KIND_CLASSICAL_FACE = "classical-support"
+from .randomize import (BLOCK_SIZE, McReport, Prediction, _check_run, _classical_block,
+                        _estimate, _haar_ket_block, partial_trace)
 
 
 class FaceDescriptor(NamedTuple):
-    """A face of a bipartite state space, preserved by matched local actions.
+    """A quantum subspace face of two parts, preserved by matched local unitaries.
 
-    ``levels`` are the level counts (n_A, n_B) of the two parts: quantum
-    levels for a subspace face, classical outcomes for a support face.
-    ``projector`` / ``isometry`` describe the quantum subspace (the isometry
-    columns span it); ``support`` lists the flat joint outcomes of a
-    classical face.  ``n_sub`` is the subspace dimension N_S resp. the
-    support size N_F.
+    ``levels`` are the level counts (n_A, n_B) of the two parts, ``n_sub``
+    is the subspace dimension N_S, ``projector`` projects onto the subspace
+    and the ``isometry`` columns span it.
     """
 
-    kind: str
     levels: tuple[int, int]
     n_sub: int
-    projector: np.ndarray | None = None
-    isometry: np.ndarray | None = None
-    support: np.ndarray | None = None
+    projector: np.ndarray
+    isometry: np.ndarray
 
     @property
     def comp(self) -> comp_mod.CompositeDescriptor:
         """The composite descriptor of the two parts, built on each access."""
-        build = ss.build_quantum if self.kind == KIND_QUANTUM_FACE else ss.build_classical
-        return comp_mod.compose(build(self.levels[0]), build(self.levels[1]))
+        return comp_mod.compose(ss.build_quantum(self.levels[0]), ss.build_quantum(self.levels[1]))
 
     @property
     def mu_face(self) -> np.ndarray:
         """The face-maximally-mixed state in joint coordinates."""
-        if self.kind == KIND_QUANTUM_FACE:
-            return self.comp.joint.to_coords(self.projector / self.n_sub)
-        mu = np.zeros(self.levels[0] * self.levels[1])
-        mu[self.support] = 1.0 / self.n_sub
-        return mu
+        return self.comp.joint.to_coords(self.projector / self.n_sub)
 
 
 def subspace_face(comp: comp_mod.CompositeDescriptor, projector: np.ndarray) -> FaceDescriptor:
@@ -93,7 +80,6 @@ def _subspace_face(levels: tuple[int, int], projector: np.ndarray) -> FaceDescri
     if n_sub == 0:
         raise EmptyFaceError("the projector has rank zero")
     return FaceDescriptor(
-        kind=KIND_QUANTUM_FACE,
         levels=levels,
         n_sub=n_sub,
         projector=np.asarray(projector, dtype=complex),
@@ -147,8 +133,6 @@ def face_bloch_projector(face: FaceDescriptor, m: np.ndarray) -> np.ndarray:
     pi M pi - pi Tr(pi M pi) / Tr(pi); idempotent and self-adjoint with
     respect to the invariant inner product on the joint Bloch space.
     """
-    if face.kind != KIND_QUANTUM_FACE:
-        raise UnsupportedSpaceError("the Bloch projector formula applies to quantum faces")
     pi = face.projector
     pmp = pi @ np.asarray(m) @ pi
     return pmp - pi * (np.trace(pmp) / np.trace(pi))
@@ -161,8 +145,6 @@ def predict_qface(face: FaceDescriptor, e_a: np.ndarray, tr_purity_global: float
     Tr E_A^2 = 1, and for an irreducible local action the result does not
     depend on the choice.
     """
-    if face.kind != KIND_QUANTUM_FACE:
-        raise UnsupportedSpaceError("predict_qface applies to quantum faces")
     e_a = np.asarray(e_a)
     if abs(np.trace(e_a)) > 1e-8 or abs(np.trace(e_a @ e_a) - 1.0) > 1e-8:
         raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
@@ -243,66 +225,18 @@ def estimate_face_local_purity(
 ) -> McReport:
     """Monte Carlo expected local purity over face-constrained random states.
 
-    Quantum faces: states of the requested global Tr(rho^2) interpolate a
-    Haar-random in-face pure state with the face-maximally-mixed state,
-    which is what a Haar unitary of the subspace makes of a fixed one (the
-    stabilizer acts transitively on in-face pure states); the sample value
-    is Tr(rho_A^2) and the realized global purity is reported in the same
-    collision units.  Classical faces: the target and samples are
-    face-restricted generalized purities, and the stabilizer is the
-    permutation group of the support.
+    States of the requested global Tr(rho^2) interpolate a Haar-random
+    in-face pure state with the face-maximally-mixed state, which is what a
+    Haar unitary of the subspace makes of a fixed one (the stabilizer acts
+    transitively on in-face pure states).  Targets are collision values with
+    floor 1/N_S; the sample value is Tr(rho_A^2) and the realized global
+    purity is reported in the same collision units.
     """
-    if face.kind == KIND_QUANTUM_FACE:
-        # Quantum targets are collision values with floor 1/N_S.
-        t = _face_interpolation_weight(face.n_sub, target_global_purity)
-        na, nb = face.levels
-        sigma_a = partial_trace(face.projector, (na, nb)) / face.n_sub
-        draw = partial(_haar_ket_block, t=t, dims=(na, nb), isometry=face.isometry,
-                       sigma_a=sigma_a)
-        return _estimate(n_samples, seed, draw, histogram_bins)
-
-    if face.kind == KIND_CLASSICAL_FACE:
-        # Classical targets are face-restricted generalized purities in [0, 1].
-        if not 0.0 <= target_global_purity <= 1.0 + 1e-12:
-            raise RangeError(
-                f"face purity must lie in [0, 1], got {target_global_purity}"
-            )
-        t = math.sqrt(min(target_global_purity, 1.0))
-        p_face = np.full(face.n_sub, (1.0 - t) / face.n_sub)
-        p_face[0] += t
-        return _estimate_support_face(face, p_face, n_samples, seed, histogram_bins)
-
-    raise UnsupportedSpaceError(f"unsupported face kind {face.kind!r}")
-
-
-def _estimate_support_face(
-    face: FaceDescriptor,
-    p_face: np.ndarray,
-    n_samples: int,
-    seed: int,
-    histogram_bins: int | None,
-) -> McReport:
-    """Marginal purity on A of uniform permutations of ``p_face`` over the face support.
-
-    Support outcome s = a K_B + b adds to the A marginal at a.  The support
-    and ``p_face`` are ordered by A outcome once (stably; the law of a uniform
-    permutation does not change), so each block's runs of equal outcomes are
-    summed in place by one ``np.add.reduceat``.
-    """
+    t = _face_interpolation_weight(face.n_sub, target_global_purity)
     na, nb = face.levels
-    purity = _face_purity(face.n_sub, p_face)
-    order = np.argsort(face.support // nb, kind="stable")
-    to_a = face.support[order] // nb
-    p = p_face[order]
-    runs = np.flatnonzero(np.diff(to_a, prepend=-1))
-    outcomes = to_a[runs]
-
-    def draw(rng, size):
-        block = _permuted_block(rng, size, p, na)
-        marg = np.zeros((size, na))
-        marg[:, outcomes] = np.add.reduceat(block, runs, axis=1)
-        return _classical_purities(marg), purity
-
+    sigma_a = partial_trace(face.projector, (na, nb)) / face.n_sub
+    draw = partial(_haar_ket_block, t=t, dims=(na, nb), isometry=face.isometry,
+                   sigma_a=sigma_a)
     return _estimate(n_samples, seed, draw, histogram_bins)
 
 
@@ -310,7 +244,7 @@ def _estimate_support_face(
 
 
 class CoinRecordResult(NamedTuple):
-    """Monte Carlo report and face-restricted prediction for the record scenario.
+    """Monte Carlo report and closed-form prediction for the record scenario.
 
     ``sigma`` is the exact per-sample standard deviation (``coin_record_sigma``).
     """
@@ -318,40 +252,6 @@ class CoinRecordResult(NamedTuple):
     report: McReport
     prediction: Prediction
     sigma: float
-
-
-def classical_support_face(
-    comp: comp_mod.CompositeDescriptor, support: np.ndarray
-) -> FaceDescriptor:
-    """The face of a classical composite supported on the given joint outcomes."""
-    if comp.kind != ss.KIND_CLASSICAL:
-        raise UnsupportedSpaceError("support faces require a classical composite")
-    support = np.asarray(support, dtype=int)
-    ordered = np.sort(support)
-    if len(support) == 0 or np.any(ordered[1:] == ordered[:-1]):
-        raise RangeError("the support must be a nonempty set of distinct outcomes")
-    if support.min() < 0 or support.max() >= comp.joint.K:
-        raise RangeError("support indices must address joint outcomes")
-    return _support_face((comp.part_a.level, comp.part_b.level), support)
-
-
-def _support_face(levels: tuple[int, int], support: np.ndarray) -> FaceDescriptor:
-    n_f = len(support)
-    return FaceDescriptor(kind=KIND_CLASSICAL_FACE, levels=levels, n_sub=n_f, support=support)
-
-
-def face_restricted_purity(face: FaceDescriptor, omega: np.ndarray) -> float:
-    """Purity of a face-supported distribution, treated as a state of the face."""
-    if face.kind != KIND_CLASSICAL_FACE:
-        raise UnsupportedSpaceError("face-restricted purity applies to classical faces")
-    return _face_purity(face.n_sub, np.asarray(omega, dtype=float)[face.support])
-
-
-def _face_purity(n_f: int, p: np.ndarray) -> float:
-    """Purity of the distribution ``p`` over an ``n_f``-outcome support."""
-    if n_f == 1:
-        return 1.0
-    return float(_classical_purities(np.array(p, dtype=float)))
 
 
 def coin_record_sigma(s0_size: int) -> float:
@@ -383,21 +283,25 @@ def coin_with_record(
     the support.  The expected marginal coin purity is 1/(2 s0_size - 1):
     the recording environment randomizes like an unconstrained one of half
     its size.
+
+    The 2 s0_size support outcomes, coin value major, are the outcomes of a
+    free 2 x s0_size classical joint and the permutations of the support are
+    its reversible dynamics, so the classical kernel of ``randomize`` draws
+    the samples.
     """
     if s0_size < 1:
         raise RangeError(f"the record set needs at least one string, got {s0_size}")
     _check_run(n_samples, seed)
-    n_b = n_f = 2 * s0_size
+    n_f = 2 * s0_size
     size = min(n_samples, BLOCK_SIZE)
-    # Before the support exists: the index and value arrays over it, and one
-    # block of permuted distributions with its A marginals.
+    # Before the distribution exists, an upper bound: eight vectors over the
+    # support (the distribution takes one), and one block of permuted
+    # distributions with its A marginals.
     check_memory(8 * (8 * n_f + size * (n_f + 2)),
                  f"a {n_f}-outcome support face and a block of {size} permutations of it")
-    face = _support_face((2, n_b), np.concatenate(
-        [np.arange(s0_size), n_b + s0_size + np.arange(s0_size)]))
     p_face = np.zeros(n_f)
     p_face[:s0_size] = 1.0 / s0_size
-    report = _estimate_support_face(face, p_face, n_samples, seed, None)
+    report = _estimate(n_samples, seed, partial(_classical_block, p=p_face, k_a=2), None)
     prediction = Prediction(
         value=1.0 / (2 * s0_size - 1),
         formula_id="class-face",

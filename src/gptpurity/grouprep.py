@@ -33,6 +33,9 @@ IRREDUCIBILITY_PROBES = 3
 # Group elements drawn at once by the Monte Carlo group averages
 # (``GroupSampler.draw_blocks``); their values depend on it.
 DRAW_BLOCK = 1024
+# The classical group S_K keeps its element list while K! is at most this
+# (K <= 6); larger K draw by one row-wise shuffle.
+ENUMERATE_LIMIT = 1000
 # Peak bytes of ``draw_many`` per entry of its (size, K, K) result.  The Haar
 # samplers' ``conjugation_matrix`` holds two of its three products at once:
 # (size, n^2, n^2), (size, K, n^2) and (size, K, K).  That is 32 bytes per
@@ -182,16 +185,16 @@ def _finite_sampler(space: ss.SpaceDescriptor, elements: np.ndarray) -> GroupSam
                         elements)
 
 
-def sampler_for(space: ss.SpaceDescriptor, *, enumerate_limit: int = 1000) -> GroupSampler:
+def sampler_for(space: ss.SpaceDescriptor) -> GroupSampler:
     """The reversible-group sampler belonging to a built-in space.
 
-    Finite groups with at most ``enumerate_limit`` elements carry the full
-    element list; the classical group S_n is enumerated only for small n.
+    The dihedral and boxworld groups carry their full element list, and so
+    does the classical group S_K while K! <= ``ENUMERATE_LIMIT``.
     """
     if space.kind in (ss.KIND_QUANTUM, ss.KIND_REAL_QUANTUM):
         return _haar_sampler(space, real=space.kind == ss.KIND_REAL_QUANTUM)
     if space.kind == ss.KIND_CLASSICAL:
-        if math.factorial(space.K) <= enumerate_limit:
+        if math.factorial(space.K) <= ENUMERATE_LIMIT:
             els = permutation_matrix(np.array(list(itertools.permutations(range(space.K)))))
             return _finite_sampler(space, els)
 

@@ -11,9 +11,10 @@ averages the local purity.  Closed forms:
   for compositions that are not locally tomographic.
 
 ``predict_general`` and ``predict_real_quantum`` take level counts alone.
-``main``, ``general`` and ``nonlocaltomo`` are evaluated as one integer true
-division, from the integer level counts and the exact ratio of the float P0
-(``as_integer_ratio``), so each reported value is correctly rounded.
+``main``, ``general``, ``power-law`` and ``nonlocaltomo`` are evaluated as one
+integer true division, from the integer level counts and the exact ratio of
+the float P0 (``as_integer_ratio``), so each reported value is correctly
+rounded.
 
 Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
@@ -149,7 +150,7 @@ def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
     r = 1 reduces to the classical cancellation, r = 2 to quantum theory.
     The exact value scales like N_B^(1-r) for a large second party.  Its
     integers have up to r log2(N_A N_B) bits, too many for a rational's gcd,
-    so it is evaluated as one correctly rounded integer division times floats.
+    but like ``main`` it is one correctly rounded integer true division.
     """
     if r < 1 or int(r) != r:
         raise RangeError(f"power-law exponent must be a positive integer, got {r}")
@@ -159,12 +160,11 @@ def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
     _check_p0(p0)
     # K_A K_B = (N_A N_B)^r is exact and has r log2(N_A N_B) bits.  K_A, K_B,
     # the product and the temporaries of the powers and of the division hold
-    # up to about 7.4 integers of that size (tracemalloc), so eight are counted.
+    # up to about 7.7 integers of that size (tracemalloc), so eight are counted.
     check_memory(8 * math.ceil(r * math.log2(n_a * n_b) / 8),
                  f"the exact K_A = {n_a}^{r}, K_B = {n_b}^{r} and their product")
-    k_a, k_b = n_a**r, n_b**r
     return Prediction(
-        value=(k_a - 1) / (k_a * k_b - 1) * (n_a * n_b - 1) / (n_a - 1) * p0,
+        value=_main_value(n_a**r, n_b**r, n_a, n_b, p0),
         formula_id="power-law",
         inputs={"r": r, "N_A": n_a, "N_B": n_b, "P0": p0},
     )

@@ -108,8 +108,8 @@ def test_marginalization_commutes_with_local_transformations(rng):
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
     comp_c = cm.compose(ss.build_classical(3), ss.build_classical(3))
     for _ in range(30):
-        ta = grouprep.sampler_for(comp_c.part_a, enumerate_limit=0).draw(rng)
-        tb = grouprep.sampler_for(comp_c.part_b, enumerate_limit=0).draw(rng)
+        ta = grouprep.sampler_for(comp_c.part_a).draw(rng)
+        tb = grouprep.sampler_for(comp_c.part_b).draw(rng)
         omega = random_mixtures(comp_c.joint, 1, rng)[0]
         lhs = cm.marginal_a(comp_c, np.kron(ta, tb) @ omega)
         rhs = ta @ cm.marginal_a(comp_c, omega)

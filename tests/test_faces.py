@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -207,14 +206,6 @@ def test_maximally_entangled_singleton_face_smoke():
     assert rep.mean == pytest.approx(0.5, abs=1e-12)
 
 
-def test_classical_support_face_estimator_matches_restricted_purity():
-    comp = cm.compose(ss.build_classical(2), ss.build_classical(4))
-    support = np.array([0, 1, 4, 5])  # two env strings per coin value
-    face = faces.classical_support_face(comp, support)
-    rep = faces.estimate_face_local_purity(face, 1.0, 400, 3)
-    assert rep.mean == pytest.approx(1.0, abs=1e-12)
-
-
 # -- coin with record ---------------------------------------------------------------------
 
 
@@ -232,18 +223,27 @@ def test_coin_with_record_single_string_never_randomizes():
 
 
 def test_coin_with_record_prediction_equals_face_restricted_purity():
-    # The prediction must equal the initial state's purity computed on the face.
+    # The prediction must equal the initial state's purity computed on the face:
+    # n/(n-1) |p - 1/n|^2 over the n = 2 s0 support outcomes, p uniform on S_0.
     for s0 in (1, 2, 4, 8):
-        n_b = 2 * s0
-        comp = cm.compose(ss.build_classical(2), ss.build_classical(n_b))
-        support = np.concatenate([np.arange(s0), n_b + s0 + np.arange(s0)])
-        face = faces.classical_support_face(comp, support)
-        initial = np.zeros(comp.joint.K)
-        initial[np.arange(s0)] = 1.0 / s0
+        n = 2 * s0
+        p = np.zeros(n)
+        p[:s0] = 1.0 / s0
+        face_purity = n / (n - 1) * float(np.sum((p - 1.0 / n) ** 2))
         res = faces.coin_with_record(s0, 10, 1)
-        assert res.prediction.value == pytest.approx(
-            faces.face_restricted_purity(face, initial), abs=1e-14
-        )
+        assert res.prediction.value == pytest.approx(face_purity, abs=1e-14)
+
+
+@pytest.mark.parametrize("s0", [2, 4, 9, 33])
+def test_coin_with_record_is_the_free_two_by_s0_classical_estimate(s0):
+    # The recorded coin randomizes exactly like a free 2 x s0 classical joint
+    # started from the pure coin times the uniform mixture over S_0.
+    p_face = np.zeros(2 * s0)
+    p_face[:s0] = 1.0 / s0
+    res = faces.coin_with_record(s0, 10_000, 1)
+    free = rnd.estimate_expected_local_purity("classical", 2, s0, 1 / (2 * s0 - 1), 10_000, 1,
+                                              initial=p_face, histogram_bins=None)
+    assert res.report.to_json_dict() == free.to_json_dict()
 
 
 @pytest.mark.parametrize("s0", range(1, 13))
@@ -263,47 +263,6 @@ def test_coin_record_sigma_is_the_hypergeometric_purity_spread(s0):
 def test_coin_with_record_rejects_empty_record():
     with pytest.raises(RangeError):
         faces.coin_with_record(0, 10, 1)
-
-
-def test_classical_face_estimator_tracks_face_restricted_target():
-    # The expected marginal purity equals the face-restricted global purity,
-    # so the mean must track the requested target at every level.
-    comp = cm.compose(ss.build_classical(2), ss.build_classical(4))
-    face = faces.classical_support_face(comp, np.array([0, 1, 4, 5]))
-    for target, seed in ((0.5, 31), (0.2, 33)):
-        rep = faces.estimate_face_local_purity(face, target, 2000, seed)
-        assert rep.realized_global_purity == pytest.approx(target, abs=1e-12)
-        assert abs(rep.mean - target) <= 3 * rep.stderr + 1e-12
-    with pytest.raises(RangeError):
-        faces.estimate_face_local_purity(face, 1.2, 10, 1)
-
-
-def test_support_face_estimate_tracks_the_target_in_any_support_order():
-    # The support is ordered by A outcome once, before the draws; a support
-    # given out of that order must give the same law.
-    comp = cm.compose(ss.build_classical(2), ss.build_classical(4))
-    face = faces.classical_support_face(comp, np.array([5, 0, 6, 1, 4]))
-    rep = faces.estimate_face_local_purity(face, 0.5, 2000, 37)
-    assert rep.realized_global_purity == pytest.approx(0.5, abs=1e-12)
-    # The A marginal of a uniform permutation of p over three A = 1 and two
-    # A = 0 outcomes; its exact mean is taken over all 5! orders.
-    t = math.sqrt(0.5)
-    p = np.full(5, (1 - t) / 5)
-    p[0] += t
-    marginals = [(p[list(perm[:2])].sum(), p[list(perm[2:])].sum())
-                 for perm in itertools.permutations(range(5))]
-    exact = np.mean([2 * ((a0 - 0.5) ** 2 + (a1 - 0.5) ** 2) for a0, a1 in marginals])
-    assert abs(rep.mean - exact) <= 3 * rep.stderr + 1e-12
-
-
-def test_classical_support_face_validates_support():
-    comp = cm.compose(ss.build_classical(2), ss.build_classical(2))
-    with pytest.raises(RangeError):
-        faces.classical_support_face(comp, np.array([0, 0]))
-    with pytest.raises(RangeError):
-        faces.classical_support_face(comp, np.array([0, 9]))
-    with pytest.raises(RangeError):
-        faces.classical_support_face(comp, np.array([], dtype=int))
 
 
 def tilted_face(n):

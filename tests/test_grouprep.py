@@ -103,7 +103,7 @@ def test_finite_draw_many_is_a_gather_of_draws(builder):
 
 
 def test_large_permutation_sampler_draws_as_single_permutations():
-    # 9! > enumerate_limit: one row-wise shuffle replaces 30 rng.permutation calls.
+    # 9! > ENUMERATE_LIMIT: one row-wise shuffle replaces 30 rng.permutation calls.
     sampler = grouprep.sampler_for(ss.build_classical(9))
     assert sampler.elements is None
     rng, ref = np.random.default_rng(4241), np.random.default_rng(4241)
@@ -126,7 +126,7 @@ def test_draw_blocks_shrink_under_the_memory_cap(monkeypatch):
 def test_permutation_matrices_are_01_doubly_stochastic(rng):
     space = ss.build_classical(6)
     for _ in range(25):
-        t = grouprep.sampler_for(space, enumerate_limit=0).draw(rng)
+        t = grouprep.sampler_for(space).draw(rng)
         assert set(np.unique(t)) <= {0.0, 1.0}
         np.testing.assert_allclose(t.sum(axis=0), 1.0)
         np.testing.assert_allclose(t.sum(axis=1), 1.0)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import errors, faces, grouprep, randomize as rnd, statespace as ss
+from gptpurity import errors, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import complete_pauli_set, pauli_haar_average
 
@@ -97,7 +97,7 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    # The support face's index arrays and a block of 1024 permutations of it.
+    # Eight vectors over the coin record's support and a block of 1024 permutations of it.
     (["coin-record", "--s0", "100000000", "--seed", "1"],
      "200000000-outcome support face and a block of 1024 permutations of it would need "
      "1651200016384 bytes"),
@@ -219,17 +219,6 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     assert len(lines) == 1
     assert "kets in dimension 32768 and their Grams would need 1073807360 bytes" in lines[0]
     assert rss < MAX_RSS_MB
-
-
-def test_support_face_marginal_is_counted_against_the_cap(monkeypatch):
-    # A two-outcome support on a 4096 x 2 composite: the permuted block is
-    # tiny, but its A marginal is (1024, 4096), 32 MB; with the block,
-    # 8 * 1024 * (2 + 4096) = 33570816 bytes.
-    face = faces.classical_support_face(
-        cm.compose(ss.build_classical(4096), ss.build_classical(2)), [0, 1])
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 33570815)
-    with pytest.raises(RangeError, match="33570816 bytes"):
-        faces.estimate_face_local_purity(face, 1.0, 2000, 0)
 
 
 @pytest.mark.parametrize("argv", [
