@@ -294,11 +294,11 @@ def coin_with_record(
     _check_run(n_samples, seed)
     n_f = 2 * s0_size
     size = min(n_samples, BLOCK_SIZE)
-    # Before the distribution exists, an upper bound: eight vectors over the
-    # support (the distribution takes one), and one block of permuted
-    # distributions with its A marginals.
-    check_memory(8 * (8 * n_f + size * (n_f + 2)),
-                 f"a {n_f}-outcome support face and a block of {size} permutations of it")
+    # The distribution, then the block and its A marginals that
+    # ``_permuted_block`` checks again once the distribution exists.
+    check_memory(8 * (n_f + size * (n_f + 2)),
+                 f"a 2 x {s0_size} classical joint distribution and a block of {size} "
+                 "permutations of it")
     p_face = np.zeros(n_f)
     p_face[:s0_size] = 1.0 / s0_size
     report = _estimate(n_samples, seed, partial(_classical_block, p=p_face, k_a=2), None)

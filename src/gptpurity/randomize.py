@@ -31,8 +31,10 @@ state mu, so U (t phi + (1-t) mu) U^dagger equals t |psi><psi| + (1-t) mu
 for a Haar-random ket psi.  Its local purity is a Schmidt-side quantity
 (Lubkin 1978; Page 1993): with psi reshaped to an n_A x n_B matrix M it
 depends only on Tr (M M^dagger)^2, so a block of kets gives its purities
-through one batched product of the smaller Gram, and no A marginal is
-formed.  A fixed ``initial`` state is conjugated by a block of Haar
+through the entries of the smaller Gram, and no A marginal is formed.  The
+kets stay real and imaginary parts, and the Gram's entries are pair sums in
+a fixed order with no BLAS call, so these reports are the same bytes on
+every CPU.  A fixed ``initial`` state is conjugated by a block of Haar
 unitaries drawn with one stacked QR.  A report carries no verdict: a
 ``checks.Check`` judges it (``checks.markov_tail`` for its histogram).
 
@@ -304,15 +306,74 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
     )
 
 
+def _unit_kets(rng: np.random.Generator, size: int, d: int, real: bool) -> np.ndarray:
+    """``size`` Haar-random unit kets in C^d (R^d when ``real``) as (parts, size, d) reals.
+
+    Part 0 holds the real parts, drawn before part 1, the imaginary parts.
+    Each ket is divided by the square root of its squared norm, summed over
+    the real parts and then the imaginary ones.
+    """
+    z = np.empty((1 if real else 2, size, d))
+    rng.standard_normal(out=z)
+    norm_sq = np.add.reduce(np.square(z[0]), axis=1)
+    if not real:
+        norm_sq += np.add.reduce(np.square(z[1]), axis=1)
+    z /= np.sqrt(norm_sq)[:, None]
+    return z
+
+
 def haar_kets(size: int, d: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
     """``size`` uniformly random unit vectors in C^d (R^d when ``real``), one per row.
 
     The real parts of the whole stack are drawn before the imaginary parts.
     """
-    psi = rng.normal(size=(size, d))
-    if not real:
-        psi = psi + 1j * rng.normal(size=(size, d))
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    z = _unit_kets(rng, size, d, real)
+    return z[0] if real else z[0] + 1j * z[1]
+
+
+def _apply_isometry(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V psi for the (2, size, n) kets ``z``: a sum over V's n columns, in order."""
+    out = np.zeros((2, z.shape[1], v.shape[0]))
+    term = np.empty(out.shape[1:])
+    x, y = z[:, :, :, None]
+    for c, col in enumerate(v.T):
+        # (vr + i vi)(x + i y) for the column's entries vr + i vi.
+        out[0] += np.multiply(x[:, c], col.real, out=term)
+        out[1] += np.multiply(y[:, c], col.real, out=term)
+        if np.iscomplexobj(v):
+            out[0] -= np.multiply(y[:, c], col.imag, out=term)
+            out[1] += np.multiply(x[:, c], col.imag, out=term)
+    return out
+
+
+def _gram_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Re W and Im W, (k, k, size) each, of W = R R^dagger, without BLAS.
+
+    ``rows`` holds the real (and imaginary) parts of each sample's k rows of
+    length L, samples last: (parts, k, L, size).  Each entry is a sum of
+    contiguous vectors in a fixed order, k(k+1)/2 real parts and k(k-1)/2
+    imaginary ones, mirrored to the transposed entry.  Im W is None for real
+    rows.
+    """
+    parts, k, n_long, size = rows.shape
+    re = np.empty((k, k, size))
+    prod = np.empty((parts, n_long, size))
+    terms = prod.reshape(-1, size)
+    im, turned = (None, None) if parts == 1 else (np.zeros((k, k, size)), np.empty_like(prod))
+    cols = rows.swapaxes(0, 1)
+    for i, row in enumerate(cols):
+        if im is not None and i + 1 < k:
+            # Im W_ij = sum_l y_il x_jl - x_il y_jl: the products of (y_i, -x_i) with row j.
+            turned[0] = row[1]
+            np.negative(row[0], out=turned[1])
+        for j in range(i, k):
+            # Re W_ij = sum_l x_il x_jl + y_il y_jl.
+            np.multiply(row, cols[j], out=prod)
+            re[j, i] = np.add.reduce(terms, axis=0, out=re[i, j])
+            if im is not None and j > i:
+                np.multiply(turned, cols[j], out=prod)
+                np.negative(np.add.reduce(terms, axis=0, out=im[i, j]), out=im[j, i])
+    return re, im
 
 
 def _haar_ket_block(
@@ -335,33 +396,53 @@ def _haar_ket_block(
     collision values Tr(rho_A^2) and Tr(rho^2).
 
     No A marginal is formed.  With psi reshaped to M (n_A x n_B), the
-    smaller Gram W (M M^dagger for n_A <= n_B, M^dagger M otherwise) shares
-    the nonzero spectrum of M M^dagger and Tr W = |psi|^2, so
-    Tr(rho_A^2) = t^2 Tr W^2 + 2t(1-t) Tr(M^dagger sigma_A M) + (1-t)^2 Tr sigma_A^2.
+    smaller Gram W (M M^dagger for n_A <= n_B, M^dagger M otherwise; always
+    M M^dagger when ``sigma_a`` is given) shares the nonzero spectrum of
+    M M^dagger and Tr W = |psi|^2, so
+    Tr(rho_A^2) = t^2 Tr W^2 + 2t(1-t) Tr(sigma_A W) + (1-t)^2 Tr sigma_A^2.
     For maximally mixed mu the purities keep t^2 factored out,
     P_A = t^2 (n_A Tr W^2 - (Tr W)^2)/(n_A - 1) and P = t^2 |psi|^4, so
-    t = 0 gives exactly zero.
+    t = 0 gives exactly zero.  The kets stay real arrays, and every step is
+    elementwise or a sum in a fixed order, with no BLAS call: the values are
+    the same bits on every CPU.
     """
     na, nb = dims
-    d = na * nb if isometry is None else isometry.shape[1]
-    k = min(na, nb)
-    # The kets (mapped into C^(n_A n_B) from an isometry's column space), their
-    # conjugates and W.
-    check_memory((8 if real else 16) * size * (2 * na * nb + k * k),
-                 f"2 blocks of {size} kets in dimension {na * nb} and their Grams")
-    psi = haar_kets(size, d, rng, real=real)
+    dim = na * nb
+    n = dim if isometry is None else isometry.shape[1]
+    parts = 1 if real else 2
+    on_a = sigma_a is not None or na <= nb
+    k = na if on_a else nb
+    # The kets and their samples-last copy for the pair sums; the in-subspace
+    # kets and a term while the isometry maps them; W's parts with two
+    # temporaries; per-sample vectors.
+    sub = parts * n + dim if isometry is not None else 0
+    check_memory(8 * size * (2 * parts * dim + sub + 4 * k * k + 8),
+                 f"{size} kets in dimension {dim} ({2 * parts} x {size} x {dim} reals) "
+                 "and their Grams")
+    m = _unit_kets(rng, size, n, real)
     if isometry is not None:
-        psi = psi @ isometry.T
-    m = psi.reshape(size, na, nb)
-    mc = m.conj()
-    w = m @ mc.transpose(0, 2, 1) if na <= nb else mc.transpose(0, 2, 1) @ m
-    norm_sq = np.einsum("bii->b", w).real
-    tr_w2 = _tr_sq(w)
+        m = _apply_isometry(m, isometry)
+    m = m.reshape(parts, size, na, nb)
+    if not on_a:
+        m = m.swapaxes(2, 3)
+    m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))  # and the drawn layout is freed
+    re, im = _gram_pairs(m)
+    norm_sq = np.add.reduce(np.diagonal(re), axis=-1)
+    if sigma_a is not None:
+        # Tr(sigma_A W) = sum_ij Re(sigma_ij) Re W_ij + Im(sigma_ij) Im W_ij.
+        weighted = sigma_a.real[:, :, None] * re
+        weighted += sigma_a.imag[:, :, None] * im
+        cross = np.add.reduce(weighted, axis=(0, 1))
+    # Tr W^2 = sum_ij (Re W_ij)^2 + (Im W_ij)^2, squared in place.
+    sq = np.square(re, out=re)
+    if im is not None:
+        sq += np.square(im, out=im)
+    tr_w2 = np.add.reduce(sq, axis=(0, 1))
     if sigma_a is None:
         return t * t * (na * tr_w2 - norm_sq**2) / (na - 1), t * t * norm_sq**2
-    cross = np.einsum("ij,bjk,bik->b", sigma_a, m, mc).real
-    tr_a2 = t * t * tr_w2 + 2.0 * t * (1.0 - t) * cross + (1.0 - t) ** 2 * _tr_sq(sigma_a)
-    tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / d
+    tr_sigma2 = np.add.reduce(np.square(sigma_a.real) + np.square(sigma_a.imag), axis=None)
+    tr_a2 = t * t * tr_w2 + 2.0 * t * (1.0 - t) * cross + (1.0 - t) ** 2 * tr_sigma2
+    tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / n
     return tr_a2, tr2
 
 

@@ -9,6 +9,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,50 @@ def test_monte_carlo_reports_match_golden_hashes(capsys, entry):
     code, out = _run(capsys, entry["argv"])
     assert code == 0
     assert out == "".join(entry["stdout"])
+
+
+# numpy's x86-64-v2 SIMD dispatch and OpenBLAS's oldest x86-64 kernel: the two
+# settings under which the golden reports once changed.  Both act only on the
+# child that reads them.
+DISPATCH_SETTINGS = {
+    "numpy-x86-64-v2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+_GOLDEN_CHILD = """
+import contextlib, io, json, sys
+from gptpurity import cli
+outs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(argv)
+    outs.append(out.getvalue())
+print(json.dumps(outs))
+"""
+
+
+def _dynamic_arch_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.parametrize("setting", sorted(DISPATCH_SETTINGS))
+def test_golden_reports_do_not_depend_on_cpu_dispatch(setting):
+    # Every golden argv in a fresh interpreter under the setting gives the
+    # stored bytes.  OPENBLAS_CORETYPE selects a kernel only in an OpenBLAS
+    # built with DYNAMIC_ARCH.
+    if setting == "openblas-prescott" and not _dynamic_arch_openblas():
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **DISPATCH_SETTINGS[setting],
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_CHILD, json.dumps([e["argv"] for e in GOLDEN_ESTIMATES])],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    outs = json.loads(proc.stdout)
+    for entry, out in zip(GOLDEN_ESTIMATES, outs, strict=True):
+        assert out == "".join(entry["stdout"]), " ".join(entry["argv"])
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

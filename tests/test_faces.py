@@ -274,7 +274,20 @@ def tilted_face(n):
                                q @ q.conj().T)
 
 
-@pytest.mark.parametrize("make", [faces.sym_face, faces.antisym_face, tilted_face])
+def singleton_face(n):
+    """The face of the maximally entangled state of C^n (x) C^n: N_S = 1, a complex isometry."""
+    psi = np.eye(n).ravel() / math.sqrt(n)
+    return faces.subspace_face(cm.compose(ss.build_quantum(n), ss.build_quantum(n)),
+                               np.outer(psi, psi).astype(complex))
+
+
+def wide_sym_face(n):
+    """The symmetric face of C^(3n) (x) C^(3n): W has k = 3n > 8 rows."""
+    return faces.sym_face(3 * n)
+
+
+@pytest.mark.parametrize("make", [faces.sym_face, faces.antisym_face, tilted_face,
+                                  singleton_face, wide_sym_face])
 def test_face_ket_kernel_matches_explicit_route(make):
     # The in-face ket goes through the isometry; the explicit route builds
     # rho, then partial_trace -> to_coords -> GramMatrix.norm_sq.

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import errors, grouprep, randomize as rnd, statespace as ss
+from gptpurity import errors, faces, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import complete_pauli_set, pauli_haar_average
 
@@ -97,10 +99,11 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    # Eight vectors over the coin record's support and a block of 1024 permutations of it.
+    # The coin record's 2 x 1e8 joint distribution and a block of 1024
+    # permutations of it with their A marginals.
     (["coin-record", "--s0", "100000000", "--seed", "1"],
-     "200000000-outcome support face and a block of 1024 permutations of it would need "
-     "1651200016384 bytes"),
+     "2 x 100000000 classical joint distribution and a block of 1024 permutations of it "
+     "would need 1640000016384 bytes"),
     # The 4e8-outcome distribution and a block of 1024 permutations of it.
     (["estimate", "--theory", "classical", "--na", "2", "--nb", "200000000", "--p0", "0.3",
       "--seed", "0"],
@@ -112,8 +115,8 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
 def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
     # A 2e8-outcome part alone would need two 1.6 GB vectors, and its
     # descriptor check keeps 96 bytes per coordinate (kept, not re-measured,
-    # since descriptors hold no labels), but no command builds one.  The coin record's support and the
-    # estimate's distribution are refused before they are allocated; the
+    # since descriptors hold no labels), but no command builds one.  The coin record's and the
+    # estimate's distributions are refused before they are allocated; the
     # prediction needs only the level counts and is the classical
     # cancellation, P0 itself.
     argv, refusal = argv
@@ -161,13 +164,48 @@ def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
     assert rss < 46
 
 
+def _face_draw(face, target):
+    """The block draw of ``faces.estimate_face_local_purity``."""
+    levels = face.levels
+    return partial(rnd._haar_ket_block, t=faces._face_interpolation_weight(face.n_sub, target),
+                   dims=levels, isometry=face.isometry,
+                   sigma_a=rnd.partial_trace(face.projector, levels) / face.n_sub)
+
+
+@pytest.mark.parametrize("case", [
+    "2x2", "2x8", "4x4", "8x2", "64x4", "real 2x3", "antisym 4", "9x9", "12x9",
+])
+def test_ket_block_peak_is_within_its_memory_count(monkeypatch, case):
+    # tracemalloc sees every numpy buffer, so a full block's traced peak
+    # must not pass the bytes its memory check counted.  8x2, 64x4 and 12x9
+    # take W from the columns of M.
+    if case == "antisym 4":
+        draw = _face_draw(faces.antisym_face(4), 0.3)
+    else:
+        na, nb = map(int, case.removeprefix("real ").split("x"))
+        draw = partial(rnd._haar_ket_block, t=1.0, dims=(na, nb), real=case.startswith("real"))
+    draw(rnd.sample_rng(1, 0), 2)
+    counted = []
+    monkeypatch.setattr(rnd, "check_memory", lambda nbytes, what: counted.append(nbytes))
+    rng = rnd.sample_rng(1, 1)
+    tracemalloc.start()
+    try:
+        draw(rng, rnd.BLOCK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
+
+
 def test_estimator_blocks_are_refused_beyond_the_cap():
     # The 262144-outcome distribution, the (1024, 262144) float block and its
     # (1024, 256) marginal.
     with pytest.raises(RangeError, match="2151677952 bytes"):
         rnd.estimate_expected_local_purity("classical", 256, 1024, 0.3, 2000, 0)
-    # The (1024, 2^17) complex kets, their conjugate copy and the 2 x 2 Grams.
-    with pytest.raises(RangeError, match="4295032832 bytes"):
+    # The real and imaginary parts of 1024 kets of 2^17 entries, their
+    # samples-last copy and the 2 x 2 Grams.
+    with pytest.raises(RangeError, match="4295163904 bytes"):
         rnd.estimate_expected_local_purity("quantum", 2, 65536, 1.0, 2000, 0)
 
 
@@ -185,20 +223,22 @@ def test_dense_joint_structures_are_derived_only_within_the_cap(monkeypatch):
     assert ss.build_quantum(128).K == 16384
     with pytest.raises(RangeError, match="4096-level quantum space"):
         ss.build_quantum(4096)
-    # A 256x2 block holds 1024 complex kets of 512 entries, their conjugates
-    # and 2 x 2 Grams: 16 * 1024 * (2 * 512 + 4) = 16842752 bytes.
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 16842751)
-    with pytest.raises(RangeError, match="16842752 bytes"):
+    # A 256x2 block holds the real and imaginary parts of 1024 kets of 512
+    # entries, their samples-last copy, 2 x 2 Grams with their temporaries and
+    # 8 per-sample vectors:
+    # 8 * 1024 * (4 * 512 + 4 * 4 + 8) = 16973824 bytes.
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 16973823)
+    with pytest.raises(RangeError, match="16973824 bytes"):
         rnd.estimate_expected_local_purity("quantum", 256, 2, 1.0, 2000, 0)
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 16842752)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 16973824)
     rep = rnd.estimate_expected_local_purity("quantum", 256, 2, 1.0, 2000, 0)
     assert rep.realized_global_purity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     # No A marginal and no descriptor is formed, so large local levels run in
-    # the memory of their ket blocks: 16 * 1024 * (2 * 8192 + 4) bytes, about
-    # 268 MB, at 4096x2.
+    # the memory of their ket blocks: 8 * 1024 * 4 * 8192 bytes, about 268 MB,
+    # at 4096x2.
     for na, nb, max_mb in (("256", "2", MAX_RSS_MB), ("64", "4", 100), ("4096", "2", 320)):
         proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", na,
                                         "--nb", nb, "--p0", "1", "--samples", "2000",
@@ -217,7 +257,8 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert "kets in dimension 32768 and their Grams would need 1073807360 bytes" in lines[0]
+    assert ("kets in dimension 32768 (4 x 1024 x 32768 reals) and their Grams would need "
+            "1073938432 bytes") in lines[0]
     assert rss < MAX_RSS_MB
 
 
@@ -225,9 +266,10 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     (["predict", "nonlocaltomo", "--ma", "2000", "--mb", "2", "--p0", "1"], None),
     (["estimate", "--theory", "real-quantum", "--ma", "2400", "--mb", "2", "--p0", "1",
       "--samples", "2000", "--seed", "0"], None),
-    # Two blocks of 1024 real kets of 131072 entries and their 64 x 64 Grams.
+    # 1024 real kets of 131072 entries, their samples-last copy and their
+    # 64 x 64 Grams with two temporaries.
     (["estimate", "--theory", "real-quantum", "--ma", "2048", "--mb", "64", "--p0", "1",
-      "--samples", "2000", "--seed", "0"], "2181038080 bytes"),
+      "--samples", "2000", "--seed", "0"], "2281766912 bytes"),
 ])
 def test_oversized_real_quantum_joint_is_refused_before_anything_is_built(tmp_path, argv):
     # The prediction needs only the level counts, so no joint descriptor is

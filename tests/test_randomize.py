@@ -412,8 +412,9 @@ def test_estimator_rejects_initial_state_with_wrong_purity(rng):
 def test_ket_kernel_matches_explicit_route(builder, real):
     # Build rho, then partial_trace -> to_coords -> GramMatrix.norm_sq.  The
     # shapes cover both Schmidt sides: W = M M^dagger for 2x3, M^dagger M
-    # for 3x2 and 8x2.
-    for (na, nb), p0 in itertools.product(((2, 3), (3, 2), (8, 2)), (0.5, 1.0)):
+    # for 3x2, 8x2 and 10x9; and W with 8 and 9 rows (8x8, 9x9).
+    shapes = ((2, 3), (3, 2), (8, 2), (8, 8), (9, 9), (10, 9))
+    for (na, nb), p0 in itertools.product(shapes, (0.5, 1.0)):
         n, t = na * nb, math.sqrt(p0)
         part_a, joint = builder(na), builder(n)
         gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
