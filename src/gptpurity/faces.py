@@ -14,10 +14,10 @@ Expected local collision values for quantum faces:
 * (anti)symmetric specialization: (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2),
   where Tr[(pi (E_A (x) I) pi)^2] = n/4 +- 1/2.
 
-A face holds the level counts of its two parts.  Its composite descriptor and
-joint coordinates are derived only when asked, and other layers are reached
-through module aliases, so the (anti)symmetric faces and the coin record run
-no descriptor layer.
+A face holds the level counts of its two parts and orthonormal columns that
+span its subspace, in closed form for the (anti)symmetric faces.  Its composite
+descriptor and joint coordinates are derived only when asked, and other layers
+are reached through module aliases, so no face command runs a descriptor layer.
 """
 
 from __future__ import annotations
@@ -34,26 +34,29 @@ from .errors import (
     EmptyFaceError,
     InvalidDimensionError,
     InvalidProbeError,
+    NormalizationError,
     RangeError,
     UnsupportedSpaceError,
     check_memory,
 )
 from .randomize import (BLOCK_SIZE, McReport, Prediction, _check_run, _classical_block,
-                        _estimate, _haar_ket_block, partial_trace)
+                        _estimate, _gram_pairs, _haar_ket_block)
 
 
 class FaceDescriptor(NamedTuple):
     """A quantum subspace face of two parts, preserved by matched local unitaries.
 
-    ``levels`` are the level counts (n_A, n_B) of the two parts, ``n_sub``
-    is the subspace dimension N_S, ``projector`` projects onto the subspace
-    and the ``isometry`` columns span it.
+    ``levels`` are the level counts (n_A, n_B) of the two parts, and the
+    orthonormal columns of the (n_A n_B) x N_S ``isometry`` V span the subspace.
     """
 
     levels: tuple[int, int]
-    n_sub: int
-    projector: np.ndarray
     isometry: np.ndarray
+
+    @property
+    def n_sub(self) -> int:
+        """The subspace dimension N_S: the isometry's column count."""
+        return self.isometry.shape[1]
 
     @property
     def comp(self) -> comp_mod.CompositeDescriptor:
@@ -62,53 +65,53 @@ class FaceDescriptor(NamedTuple):
 
     @property
     def mu_face(self) -> np.ndarray:
-        """The face-maximally-mixed state in joint coordinates."""
-        return self.comp.joint.to_coords(self.projector / self.n_sub)
+        """The face-maximally-mixed state V V^dagger / N_S in joint coordinates."""
+        return self.comp.joint.to_coords(self.isometry @ self.isometry.conj().T / self.n_sub)
+
+    @property
+    def sigma_a(self) -> np.ndarray:
+        """The A marginal Tr_B(V V^dagger) / N_S of the face-maximally-mixed state.
+
+        Summed over V's columns reshaped n_A x n_B by the ket kernel's pair
+        sums: no d x d array is formed and no BLAS routine runs.
+        """
+        v, (na, nb), n_s = self.isometry, self.levels, self.n_sub
+        parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+        # Per part: V's stacked part, W's part and one column product; complex
+        # columns add their turned copy and numpy's temporary for its products.
+        check_memory(8 * len(parts) * n_s * (na * nb + na * na + (2 * len(parts) - 1) * nb),
+                     f"the A marginal of a {n_s}-dimensional face")
+        re, im = _gram_pairs(np.stack(parts).reshape(len(parts), na, nb, n_s))
+        sigma = np.add.reduce(re, axis=-1)
+        return (sigma if im is None else sigma + 1j * np.add.reduce(im, axis=-1)) / n_s
 
 
-def subspace_face(comp: comp_mod.CompositeDescriptor, projector: np.ndarray) -> FaceDescriptor:
-    """The face of states with full support on a joint Hilbert subspace."""
+def subspace_face(comp: comp_mod.CompositeDescriptor, columns: np.ndarray) -> FaceDescriptor:
+    """The face of states with full support on the span of orthonormal ``columns``."""
     if comp.kind != ss.KIND_QUANTUM:
         raise UnsupportedSpaceError("subspace faces require a quantum composite")
-    return _subspace_face((comp.part_a.level, comp.part_b.level), projector)
-
-
-def _subspace_face(levels: tuple[int, int], projector: np.ndarray) -> FaceDescriptor:
-    w, v = np.linalg.eigh(projector)
-    cols = v[:, w > 0.5]
-    n_sub = cols.shape[1]
-    if n_sub == 0:
-        raise EmptyFaceError("the projector has rank zero")
-    return FaceDescriptor(
-        levels=levels,
-        n_sub=n_sub,
-        projector=np.asarray(projector, dtype=complex),
-        isometry=cols,
-    )
-
-
-def _swap_projector(n: int, sign: int) -> np.ndarray:
-    """(I + sign SWAP)/2 as one real array: SWAP maps |i j> (index n i + j) to |j i>."""
-    d = n * n
-    p = np.zeros((d, d))
-    flat = np.arange(d)
-    i, j = np.divmod(flat, n)
-    p[flat, flat] = 0.5
-    p[flat, n * j + i] += 0.5 * sign
-    return p
+    v = np.asarray(columns)
+    if v.shape[1] == 0:
+        raise EmptyFaceError("the face has no columns")
+    if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > 1e-10:
+        raise NormalizationError("the face columns are not orthonormal")
+    return FaceDescriptor(levels=(comp.part_a.level, comp.part_b.level), isometry=v)
 
 
 def _swap_face(n: int, sign: int) -> FaceDescriptor:
-    """The face on the (anti)symmetric subspace of C^n (x) C^n, counted before it is built."""
+    """The face on the (anti)symmetric subspace of C^n (x) C^n, counted before it is built.
+
+    Column k, for the k-th pair i <= j (i < j when antisymmetric), is |ii>
+    or (|ij> + sign |ji>)/sqrt 2.
+    """
     d, n_s = n * n, n * (n + sign) // 2
-    # At the peak, 5 d^2 reals: the real projector, and inside eigh its copy,
-    # its workspace (2 d^2) and the eigenvectors (after eigh, the complex
-    # projector the face keeps takes 2 d^2).  One d^2 more is slack for the
-    # index arrays and the allocator; then the d x n_s isometry.
-    check_memory(8 * d * (6 * d + n_s),
-                 f"the projector onto a {n_s}-dimensional subspace of C^{d}, "
-                 "its eigendecomposition and isometry")
-    return _subspace_face((n, n), _swap_projector(n, sign))
+    check_memory(8 * d * n_s, f"the isometry of a {n_s}-dimensional subspace of C^{d}")
+    i, j = np.triu_indices(n, 0 if sign == 1 else 1)
+    k = np.arange(n_s)
+    v = np.zeros((n, n, n_s))
+    v[i, j, k] = np.where(i == j, 1.0, math.sqrt(0.5))
+    v[j, i, k] = sign * v[i, j, k]
+    return FaceDescriptor(levels=(n, n), isometry=v.reshape(d, n_s))
 
 
 def sym_face(n: int) -> FaceDescriptor:
@@ -130,33 +133,40 @@ def antisym_face(n: int) -> FaceDescriptor:
 def face_bloch_projector(face: FaceDescriptor, m: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a traceless Hermitian matrix onto the face span.
 
-    pi M pi - pi Tr(pi M pi) / Tr(pi); idempotent and self-adjoint with
-    respect to the invariant inner product on the joint Bloch space.
+    pi M pi - pi Tr(pi M pi) / Tr(pi) for pi = V V^dagger; idempotent and self-adjoint
+    with respect to the invariant inner product on the joint Bloch space.
     """
-    pi = face.projector
+    pi = face.isometry @ face.isometry.conj().T
     pmp = pi @ np.asarray(m) @ pi
-    return pmp - pi * (np.trace(pmp) / np.trace(pi))
+    return pmp - pi * (np.trace(pmp) / face.n_sub)
 
 
 def predict_qface(face: FaceDescriptor, e_a: np.ndarray, tr_purity_global: float) -> Prediction:
     """Expected local collision value Tr(rho_A^2) for a quantum face.
 
-    ``e_a`` probes the local action; it must be Hermitian with Tr E_A = 0 and
-    Tr E_A^2 = 1, and for an irreducible local action the result does not
-    depend on the choice.
+    ``e_a`` probes the local action; it must be an n_A x n_A Hermitian matrix
+    with Tr E_A = 0 and Tr E_A^2 = 1, and for an irreducible local action the
+    result does not depend on the choice.  The ingredient
+    Tr[(pi (E_A (x) I) pi)^2] is |V^dagger (E_A (x) I) V|_F^2.
     """
     e_a = np.asarray(e_a)
-    if abs(np.trace(e_a)) > 1e-8 or abs(np.trace(e_a @ e_a) - 1.0) > 1e-8:
-        raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
     n_a, n_b = face.levels
+    if e_a.shape != (n_a, n_a) or not np.all(np.abs(e_a - e_a.conj().T) <= 1e-8):
+        raise InvalidProbeError(f"probe must be a Hermitian {n_a} x {n_a} matrix")
+    if not (abs(np.trace(e_a)) <= 1e-8 and abs(np.trace(e_a @ e_a) - 1.0) <= 1e-8):
+        raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
     n_s = face.n_sub
     _check_purity_on_face(n_s, tr_purity_global)
     if n_s == 1:
         value = 1.0 / n_a
         ingredient = 0.0
     else:
-        probe = face.projector @ np.kron(e_a, np.eye(n_b)) @ face.projector
-        ingredient = float(np.real(np.trace(probe @ probe)))
+        v = face.isometry
+        # (E_A (x) I) V and V^dagger of it, complex at most.
+        check_memory(16 * n_s * (n_a * n_b + n_s),
+                     f"the probe's action on a {n_s}-dimensional face")
+        probe = v.conj().T @ (e_a @ v.reshape(n_a, -1)).reshape(v.shape)
+        ingredient = float(np.vdot(probe, probe).real)
         value = 1.0 / n_a + (n_a**2 - 1) / (n_s**2 - 1) * ingredient * (
             tr_purity_global - 1.0 / n_s
         )
@@ -233,10 +243,8 @@ def estimate_face_local_purity(
     purity is reported in the same collision units.
     """
     t = _face_interpolation_weight(face.n_sub, target_global_purity)
-    na, nb = face.levels
-    sigma_a = partial_trace(face.projector, (na, nb)) / face.n_sub
-    draw = partial(_haar_ket_block, t=t, dims=(na, nb), isometry=face.isometry,
-                   sigma_a=sigma_a)
+    draw = partial(_haar_ket_block, t=t, dims=face.levels, isometry=face.isometry,
+                   sigma_a=face.sigma_a)
     return _estimate(n_samples, seed, draw, histogram_bins)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gptpurity import composite as cm
 from gptpurity import faces, grouprep, randomize as rnd, statespace as ss
-from gptpurity.errors import EmptyFaceError, InvalidProbeError, RangeError
+from gptpurity.errors import EmptyFaceError, InvalidProbeError, NormalizationError, RangeError
 from gptpurity.purity import purity_from_tr2
 
 
@@ -20,12 +20,42 @@ def test_antisym_of_single_level_is_empty():
         faces.antisym_face(1)
 
 
+def _swap(n):
+    """SWAP on C^n (x) C^n: |i j> (index n i + j) goes to |j i>."""
+    i, j = np.divmod(np.arange(n * n), n)
+    s = np.zeros((n * n, n * n))
+    s[n * j + i, n * i + j] = 1.0
+    return s
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_swap_face_basis_is_orthonormal_and_swap_covariant(n, sign):
+    face = faces.sym_face(n) if sign == 1 else faces.antisym_face(n)
+    v = face.isometry
+    assert face.n_sub == v.shape[1] == n * (n + sign) // 2
+    np.testing.assert_allclose(v.T @ v, np.eye(face.n_sub), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(_swap(n) @ v, sign * v)
+    np.testing.assert_allclose(v @ v.T, (np.eye(n * n) + sign * _swap(n)) / 2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(face.sigma_a, np.eye(n) / n, rtol=0, atol=1e-15)
+
+
+def test_subspace_face_refuses_non_orthonormal_and_empty_columns():
+    comp = cm.compose(ss.build_quantum(2), ss.build_quantum(2))
+    with pytest.raises(NormalizationError):
+        faces.subspace_face(comp, np.array([[1.0], [1.0], [0.0], [0.0]]))
+    with pytest.raises(NormalizationError):
+        faces.subspace_face(comp, np.eye(4)[:, :2] * [1.0, 1.0 + 1e-6])
+    with pytest.raises(EmptyFaceError):
+        faces.subspace_face(comp, np.zeros((4, 0)))
+
+
 def test_face_max_mixed_is_valid_state():
     for face in (faces.sym_face(2), faces.antisym_face(3)):
         joint = face.comp.joint
         assert abs(joint.unit(face.mu_face) - 1.0) < 1e-12
         assert joint.cone_contains(face.mu_face)
-        pi = face.projector
+        pi = face.isometry @ face.isometry.conj().T
         np.testing.assert_allclose(
             joint.to_matrix(face.mu_face), pi / np.trace(pi).real, atol=1e-12
         )
@@ -48,14 +78,11 @@ def test_face_bloch_projector_fixes_in_face_traceless(rng):
     np.testing.assert_allclose(faces.face_bloch_projector(face, m), m, atol=1e-12)
 
 
-def test_face_bloch_projector_kills_orthogonal_block(rng):
-    face = faces.sym_face(2)
-    pi_perp = np.eye(4) - face.projector
-    w = np.linalg.eigh(pi_perp)[1][:, -1]
-    m = np.outer(w, w.conj()) - np.eye(4) / 4
-    out = faces.face_bloch_projector(face, np.outer(w, w.conj()))
+def test_face_bloch_projector_kills_orthogonal_block():
+    # The singlet spans the antisymmetric subspace, orthogonal to the symmetric face.
+    w = faces.antisym_face(2).isometry[:, 0]
+    out = faces.face_bloch_projector(faces.sym_face(2), np.outer(w, w.conj()))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
-    del m
 
 
 def test_face_bloch_projector_idempotent_and_self_adjoint(rng):
@@ -115,8 +142,13 @@ def test_predict_qface_examples():
 
 def test_predict_qface_rejects_bad_probe():
     face = faces.sym_face(2)
-    with pytest.raises(InvalidProbeError):
-        faces.predict_qface(face, np.eye(2), 1.0)
+    for probe in (
+        np.eye(2),  # Tr E = 2
+        np.diag([1.0, -1.0, 0.0]) / math.sqrt(2),  # 3 x 3 on a face of two-level parts
+        np.array([[0.0, 1.0], [0.5, 0.0]]),  # Tr E = 0 and Tr E^2 = 1, but not Hermitian
+    ):
+        with pytest.raises(InvalidProbeError):
+            faces.predict_qface(face, probe, 1.0)
 
 
 def test_predict_qface_probe_independence(rng):
@@ -201,7 +233,7 @@ def test_estimate_face_rejects_unreachable_purity():
 def test_maximally_entangled_singleton_face_smoke():
     comp = cm.compose(ss.build_quantum(2), ss.build_quantum(2))
     psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
-    face = faces.subspace_face(comp, np.outer(psi, psi).astype(complex))
+    face = faces.subspace_face(comp, psi[:, None])
     rep = faces.estimate_face_local_purity(face, 1.0, 50, 2)
     assert rep.mean == pytest.approx(0.5, abs=1e-12)
 
@@ -270,15 +302,14 @@ def tilted_face(n):
     of mu is not I/2 (the (anti)symmetric faces have sigma_A = I/n)."""
     g = np.random.default_rng(5302).normal(size=(2 * n, n, 2)) @ [1, 1j]
     q = np.linalg.qr(g)[0]
-    return faces.subspace_face(cm.compose(ss.build_quantum(2), ss.build_quantum(n)),
-                               q @ q.conj().T)
+    return faces.subspace_face(cm.compose(ss.build_quantum(2), ss.build_quantum(n)), q)
 
 
 def singleton_face(n):
     """The face of the maximally entangled state of C^n (x) C^n: N_S = 1, a complex isometry."""
     psi = np.eye(n).ravel() / math.sqrt(n)
     return faces.subspace_face(cm.compose(ss.build_quantum(n), ss.build_quantum(n)),
-                               np.outer(psi, psi).astype(complex))
+                               psi[:, None].astype(complex))
 
 
 def wide_sym_face(n):
@@ -297,7 +328,9 @@ def test_face_ket_kernel_matches_explicit_route(make):
     dims = (part_a.level, face.comp.part_b.level)
     gram_a = grouprep.analytic_gram(part_a)
     psi = rnd.haar_kets(3, n_s, np.random.default_rng(5301))
-    sigma_a = rnd.partial_trace(face.projector, dims) / n_s
+    sigma_a = face.sigma_a
+    np.testing.assert_allclose(sigma_a, rnd.partial_trace(v @ v.conj().T, dims) / n_s,
+                               rtol=0, atol=1e-15)
     if make is tilted_face:
         assert np.max(np.abs(sigma_a - np.eye(dims[0]) / dims[0])) > 0.01
     collision, tr2 = rnd._haar_ket_block(np.random.default_rng(5301), 3, t, dims, isometry=v,

@@ -9,6 +9,7 @@ import tracemalloc
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gptpurity import composite as cm
@@ -135,21 +136,20 @@ def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv,nbytes", [
-    (["estimate", "--face", "sym", "--n", "100", "--trp", "1", "--seed", "1"], 5204000000),
-    (["predict", "qface", "--n", "100", "--sign", "+", "--trp", "1"], 5204000000),
-    (["estimate", "--face", "antisym", "--n", "100", "--trp", "1", "--seed", "1"], 5196000000),
+    (["estimate", "--face", "sym", "--n", "200", "--trp", "1", "--seed", "1"], 6432000000),
+    (["predict", "qface", "--n", "200", "--sign", "+", "--trp", "1"], 6432000000),
+    (["estimate", "--face", "antisym", "--n", "200", "--trp", "1", "--seed", "1"], 6368000000),
 ])
 def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbytes):
-    # A face holds level counts and builds no joint descriptor; its 10^4 x 10^4
-    # projector, eigh's buffers and the isometry are counted before any exists.
+    # A face holds level counts and builds no joint descriptor; its
+    # 40000 x N_S isometry is counted before it exists.
     proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert (f"subspace of C^10000, its eigendecomposition and isometry would need {nbytes} "
-            "bytes") in lines[0]
+    assert f"subspace of C^40000 would need {nbytes} bytes" in lines[0]
     assert rss < MAX_RSS_MB
 
 
@@ -166,10 +166,34 @@ def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
 
 def _face_draw(face, target):
     """The block draw of ``faces.estimate_face_local_purity``."""
-    levels = face.levels
     return partial(rnd._haar_ket_block, t=faces._face_interpolation_weight(face.n_sub, target),
-                   dims=levels, isometry=face.isometry,
-                   sigma_a=rnd.partial_trace(face.projector, levels) / face.n_sub)
+                   dims=face.levels, isometry=face.isometry, sigma_a=face.sigma_a)
+
+
+@pytest.mark.parametrize("case", ["sym 20", "antisym 21", "complex 2x40"])
+def test_face_marginal_peak_is_within_its_memory_count(monkeypatch, case):
+    # sigma_A of the face-maximally-mixed state comes from the pair sums over
+    # the isometry's columns, real or complex.  Their traced peak stays within
+    # the bytes counted, plus 4 KiB for the Python objects (views, tuples)
+    # that tracemalloc sees beside the arrays.
+    if case == "complex 2x40":
+        g = np.random.default_rng(1).normal(size=(80, 40, 2)) @ [1, 1j]
+        face = faces.subspace_face(cm.compose(ss.build_quantum(2), ss.build_quantum(40)),
+                                   np.linalg.qr(g)[0])
+    else:
+        kind, n = case.split()
+        face = faces.sym_face(int(n)) if kind == "sym" else faces.antisym_face(int(n))
+    face.sigma_a
+    counted = []
+    monkeypatch.setattr(faces, "check_memory", lambda nbytes, what: counted.append(nbytes))
+    tracemalloc.start()
+    try:
+        face.sigma_a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0] + 4096
 
 
 @pytest.mark.parametrize("case", [

@@ -88,6 +88,7 @@ ALLOWLIST = {
     "randomize.predict_nonlocaltomo":
         "tests/test_randomize.py::test_predict_nonlocaltomo_reduces_to_general_when_tomographic",
     "randomize._conjugated_block": _CRIT_14,
+    "randomize.partial_trace": _CRIT_14,
     "randomize._tr_sq": _CRIT_14,
     "statespace.SpaceDescriptor.unit": _CRIT_14,
     "statespace.SpaceDescriptor.bloch_projector": _CRIT_06,
