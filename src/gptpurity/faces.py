@@ -78,10 +78,10 @@ class FaceDescriptor(NamedTuple):
         v, (na, nb), n_s = self.isometry, self.levels, self.n_sub
         parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
         # Per part: V's stacked part, W's part and one column product; complex
-        # columns add their turned copy and numpy's temporary for its products.
-        check_memory(8 * len(parts) * n_s * (na * nb + na * na + (2 * len(parts) - 1) * nb),
+        # columns add their turned copy.
+        check_memory(8 * len(parts) * n_s * (na * nb + na * na + len(parts) * nb),
                      f"the A marginal of a {n_s}-dimensional face")
-        re, im = _gram_pairs(np.stack(parts).reshape(len(parts), na, nb, n_s))
+        re, im = _gram_pairs(np.stack([x.reshape(na, nb, n_s) for x in parts], axis=1))
         sigma = np.add.reduce(re, axis=-1)
         return (sigma if im is None else sigma + 1j * np.add.reduce(im, axis=-1)) / n_s
 

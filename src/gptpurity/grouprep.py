@@ -4,7 +4,9 @@ Group elements act on ambient coordinates as K x K real matrices that fix the
 order unit and map the cone into itself.  This module provides
 
 * uniform samplers for the built-in groups (Haar unitary / orthogonal
-  conjugations, permutations, dihedral groups, the finite boxworld group),
+  conjugations, permutations, dihedral groups, the finite boxworld group);
+  the Haar samplers orthonormalize Ginibre columns and build conjugation
+  superoperators by index arithmetic, with no LAPACK or BLAS call,
 * ``group_average``, the one place that chooses between an exact sum over an
   enumerated group and a Monte Carlo mean over sampled elements,
 * the invariant inner product (Gram matrix) on the Bloch subspace, both by
@@ -37,10 +39,12 @@ DRAW_BLOCK = 1024
 # (K <= 6); larger K draw by one row-wise shuffle.
 ENUMERATE_LIMIT = 1000
 # Peak bytes of ``draw_many`` per entry of its (size, K, K) result.  The Haar
-# samplers' ``conjugation_matrix`` holds two of its three products at once:
-# (size, n^2, n^2), (size, K, n^2) and (size, K, K).  That is 32 bytes per
-# entry for complex quantum (n^2 = K) and under 48 for real quantum, whose
-# float64 products have n^2 < 2K.
+# samplers peak in ``conjugation_matrix``'s rounds, holding the unitaries,
+# M's a <= b half (n^3 (n+1)/2 reals per part), the sum being built and one
+# round of terms (K^2 reals each): at most 32 bytes per entry for complex
+# quantum (n^2 = K) and for real quantum (n^2 < 2K).  numpy's 64 KiB iterator
+# buffer comes on top; one 1024-element block measured 40 bytes per entry at
+# K = 4 and 41 at real K = 3 (tracemalloc).
 _DRAW_BYTES_PER_ENTRY = 48
 
 
@@ -52,16 +56,39 @@ def haar_unitaries(
 ) -> np.ndarray:
     """A (size, n, n) stack of Haar-random unitaries (orthogonal when ``real``).
 
-    One stacked QR of Gaussian (complex Ginibre) matrices, with each column's
-    phase fixed by the diagonal of R.  The real parts of the whole stack are
-    drawn before the imaginary parts.
+    The columns of Gaussian (complex Ginibre) matrices, orthonormalized by
+    modified Gram-Schmidt with one re-orthogonalization pass: the Q of the
+    QR factorization whose R has a positive diagonal, which is Haar
+    distributed (Mezzadri, Notices AMS 54, 592, 2007).  The real parts of
+    the whole stack are drawn before the imaginary parts.  Real and
+    imaginary parts stay real arrays, samples last, and every step is
+    elementwise or a sum in a fixed order, with no LAPACK or BLAS call.
     """
-    z = rng.normal(size=(size, n, n))
-    if not real:
-        z = (z + 1j * rng.normal(size=(size, n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (np.sign(d) if real else d / np.abs(d))[:, None, :]
+    parts = 1 if real else 2
+    z = np.empty((parts, size, n, n))
+    rng.standard_normal(out=z)
+    q = np.ascontiguousarray(z.transpose(0, 3, 2, 1))  # q[:, j] is column j
+    del z
+    prod, step = np.empty((parts, n, size)), np.empty((n, size))
+    for j in range(n):
+        v = q[:, j]
+        for _ in range(2):
+            for col in q[:, :j].swapaxes(0, 1):
+                # v -= col <col, v>, with <col, v> = sum_i conj(col_i) v_i.
+                cr = np.add.reduce(np.multiply(col, v, out=prod), axis=(0, 1))
+                if real:
+                    v[0] -= np.multiply(col[0], cr, out=step)
+                    continue
+                np.multiply(col[0], v[1], out=prod[0])
+                np.multiply(col[1], v[0], out=prod[1])
+                ci = np.add.reduce(prod[0], axis=0) - np.add.reduce(prod[1], axis=0)
+                v[0] -= np.multiply(col[0], cr, out=step)
+                v[0] += np.multiply(col[1], ci, out=step)
+                v[1] -= np.multiply(col[0], ci, out=step)
+                v[1] -= np.multiply(col[1], cr, out=step)
+        v /= np.sqrt(np.add.reduce(np.square(v, out=prod), axis=(0, 1)))
+    u = q.transpose(0, 3, 2, 1)
+    return np.ascontiguousarray(u[0]) if real else u[0] + 1j * u[1]
 
 
 def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -69,21 +96,99 @@ def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Returns the K x K real matrix T with (T c)_k = Tr(B_k U (sum_l c_l B_l) U^dag),
     or a (size, K, K) stack of them for a (size, n, n) stack of unitaries.
-    Row-major vectorization maps U M U^dag to (U (x) conj U) vec(M), and the
-    basis is Hermitian, so with B the (K, n^2) row-vectorized basis
-    T = Re(L B^T) with L = conj(B) (U (x) conj U): two products per unitary,
-    the second a real one, Re(L) Re(B)^T - Im(L) Im(B)^T over L's float view.
+    With B_k = sum_p w_kp E_(i_p j_p) over its few nonzero entries,
+    U B_l U^dag is a short sum of outer products of U's columns, and
+    T_kl = Re sum_pq w_kp w_lq M_(j_p i_p i_q j_q) with M_abcd = U_ac conj(U_bd).
+    A Hermitian basis pairs each term with its mirror, the term of the
+    transposed entries, of equal real part: M_badc = conj(M_abcd) and the
+    weights conjugate.  So only M_abcd with a < b, or a = b and c <= d, is
+    formed and read, twice for a mirrored pair, and each T entry is a few
+    real terms: a coefficient times Re or Im of one such M entry.  The terms
+    are gathered by index and added in rounds, the r-th term of every entry
+    that has one in round r, so each entry's sum has a fixed order; there is
+    no BLAS call.
     """
     k, n = basis.shape[0], basis.shape[1]
-    b = basis.reshape(k, n * n)
     u = np.asarray(u)
-    lead = u.shape[:-2]
-    kron = (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(*lead, n * n, n * n)
-    left = b.conj() @ kron
-    del kron
-    if not np.iscomplexobj(left):
-        return left @ b.T
-    return left.view(float) @ np.stack([b.real, -b.imag], axis=-1).reshape(k, 2 * n * n).T
+    lead, cplx = u.shape[:-2], np.iscomplexobj(u)
+    size = math.prod(lead)
+    pairs = n * (n + 1) // 2
+    srcs, coefs, counts, order = _conjugation_terms(basis.shape, basis.dtype.str, basis.tobytes(),
+                                                    cplx)
+    # M's real (and imaginary) part, samples last, one row a at a time.
+    flat = np.moveaxis(u.reshape(size, n, n), 0, -1)
+    re = np.ascontiguousarray(flat.real)
+    im = np.ascontiguousarray(flat.imag) if cplx else None
+    m = np.empty((2 if cplx else 1, pairs, n, n, size))
+    prod = np.empty((n, n, n, size)) if cplx else None
+    for i in range(n):
+        lo, hi = i * n - i * (i - 1) // 2, (i + 1) * n - (i + 1) * i // 2
+        x, y = re[i, :, None], re[i:, None, :]
+        np.multiply(x, y, out=m[0, lo:hi])
+        if cplx:
+            xi, yi = im[i, :, None], im[i:, None, :]
+            m[0, lo:hi] += np.multiply(xi, yi, out=prod[i:])
+            np.multiply(xi, y, out=m[1, lo:hi])
+            m[1, lo:hi] -= np.multiply(x, yi, out=prod[i:])
+    del re, im, prod
+    m = m.reshape(-1, size)
+    # Round 0 writes every entry that has a term, and the others are zero.
+    t = np.empty((k * k, size))
+    t[np.count_nonzero(counts):] = 0.0
+    buf = np.empty((np.count_nonzero(counts > 1), size))
+    for r in range(srcs.shape[1]):
+        live = np.count_nonzero(counts > r)
+        block = np.take(m, srcs[:live, r], axis=0, out=(buf if r else t)[:live], mode="clip")
+        block *= coefs[:live, r, None]
+        if r:
+            t[:live] += block
+    del m, buf
+    out = np.empty((size, k * k))
+    out[:, order] = t.T
+    return out.reshape(*lead, k, k)
+
+
+@lru_cache(maxsize=8)
+def _conjugation_terms(shape: tuple, dtype: str, data: bytes, cplx: bool) -> tuple:
+    """The term tables of ``conjugation_matrix`` for the basis with these bytes.
+
+    Returns read-only (srcs, coefs, counts, order): row e holds the M rows
+    and coefficients of the counts[e] terms of T entry order[e], in order,
+    and the entries come by descending term count.  ``cplx`` says whether
+    M has an imaginary part.  Cached, so a basis's tables are built once.
+    """
+    basis = np.frombuffer(data, dtype=dtype).reshape(shape)
+    k, n = shape[0], shape[1]
+    half = n * (n + 1) // 2 * n * n  # M rows (a <= b, c, d) of one part
+    # Each element's nonzeros (row, column, weight), padded with zero weights.
+    el, rows, cols = np.nonzero(basis)
+    nnz = np.bincount(el, minlength=k)
+    slot = np.arange(len(el)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+    ij = np.zeros((2, k, nnz.max(initial=1)), dtype=np.intp)
+    w = np.zeros(ij.shape[1:], dtype=basis.dtype)
+    ij[:, el, slot], w[el, slot] = (rows, cols), basis[el, rows, cols]
+    # The term (k, l, p, q) reads M_abcd: a = j_p, b = i_p, c = i_q, d = j_q.
+    a, b = ij[1][:, None, :, None], ij[0][:, None, :, None]
+    g, d = ij[0][None, :, None, :], ij[1][None, :, None, :]
+    # A term read once stands for its mirror too; one that is its own
+    # mirror is read alone, and the mirrors read no M entry.
+    twice, alone = (a < b) | ((a == b) & (g < d)), (a == b) & (g == d)
+    c = w[:, None, :, None] * w[None, :, None, :] * (2.0 * twice + alone)
+    src = ((a * n - a * (a - 1) // 2 + b - a) * n + g) * n + d
+    if cplx:
+        # Re(c M) = Re c Re M - Im c Im M.
+        src, c = np.stack([src, src + half], axis=-1), np.stack([c.real, -c.imag], axis=-1)
+    src, coef = src.reshape(k * k, -1), c.real.reshape(k * k, -1)
+    # Each entry's nonzero terms, in order, packed into row e of the tables;
+    # entries by descending term count, so round r adds to a leading block.
+    e, j = np.nonzero(coef)
+    counts = np.bincount(e, minlength=k * k)
+    most = counts.max(initial=0)
+    at = e, np.arange(len(e)) - np.repeat(np.cumsum(counts) - counts, counts)
+    srcs, coefs = np.zeros((k * k, most), dtype=np.intp), np.zeros((k * k, most))
+    srcs[at], coefs[at] = src[e, j], coef[e, j]
+    order = np.concatenate([np.flatnonzero(counts == v) for v in range(most, -1, -1)])
+    return tuple(ss._frozen(x) for x in (srcs[order], coefs[order], counts[order], order))
 
 
 # -- group samplers --------------------------------------------------------------------
@@ -97,10 +202,11 @@ class GroupSampler(NamedTuple):
     elements, and ``draw_blocks`` a given number of them in memory-bounded
     stacks; ``draw`` is the size-1 case of ``draw_many``.  Every stack comes
     from ``draw_fn``, a function of (generator, size): one gather at uniform
-    indices for an enumerated group, one stacked QR and one batched
-    Kronecker-form ``conjugation_matrix`` for the Haar samplers, one row-wise
-    ``Generator.permuted`` for large permutation groups.  An enumerated group
-    also keeps its ``elements``, over which ``group_average`` sums exactly.
+    indices for an enumerated group, one Gram-Schmidt ``haar_unitaries``
+    stack and one index-arithmetic ``conjugation_matrix`` for the Haar
+    samplers (no LAPACK or BLAS call), one row-wise ``Generator.permuted``
+    for large permutation groups.  An enumerated group also keeps its
+    ``elements``, over which ``group_average`` sums exactly.
 
     Samplers are pure functions of the passed generator.
     """

@@ -87,7 +87,7 @@ class PauliMap:
 
     def evaluate_many(self, states: np.ndarray) -> np.ndarray:
         """Evaluate on a stack of states, shape (m, K)."""
-        return (np.asarray(states) - self.space.max_mixed) @ self.covector
+        return np.einsum("mk,k->m", np.asarray(states) - self.space.max_mixed, self.covector)
 
 
 def pauli_vectors(space: SpaceDescriptor, gram: GramMatrix, directions: np.ndarray) -> np.ndarray:
@@ -180,11 +180,11 @@ def purity_via_pauli_set(pset: tuple[PauliMap, ...], omega: np.ndarray) -> float
     """Purity reconstructed from a complete set: (K-1) * mean of X(omega)^2.
 
     ``omega`` is one state, or a (m, K) stack with one purity per row; the
-    set's stacked covectors act on all of it in one product.
+    set's stacked covectors act on all of it in one ``einsum``.
     """
     space = pset[0].space
     covectors = np.stack([x.covector for x in pset])
-    vals = (np.asarray(omega, dtype=float) - space.max_mixed) @ covectors.T
+    vals = np.einsum("...k,xk->...x", np.asarray(omega, dtype=float) - space.max_mixed, covectors)
     p = (space.K - 1) * np.mean(vals**2, axis=-1)
     return float(p) if p.ndim == 0 else p
 
@@ -205,8 +205,8 @@ def pauli_haar_average(
     """
     rng = np.random.default_rng(0) if rng is None else rng
     omega = np.asarray(omega, dtype=float)
-    avg = grouprep.group_average(sampler, lambda ts: x.evaluate_many(ts @ omega) ** 2,
-                                 rng, n_samples)
+    avg = grouprep.group_average(
+        sampler, lambda ts: x.evaluate_many(np.einsum("bkl,l->bk", ts, omega)) ** 2, rng, n_samples)
     return avg._replace(mean=float(avg.mean), stderr=float(avg.stderr))
 
 

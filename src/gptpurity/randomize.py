@@ -34,8 +34,8 @@ depends only on Tr (M M^dagger)^2, so a block of kets gives its purities
 through the entries of the smaller Gram, and no A marginal is formed.  The
 kets stay real and imaginary parts, and the Gram's entries are pair sums in
 a fixed order with no BLAS call, so these reports are the same bytes on
-every CPU.  A fixed ``initial`` state is conjugated by a block of Haar
-unitaries drawn with one stacked QR.  A report carries no verdict: a
+every CPU.  A fixed ``initial`` state is conjugated, by BLAS products, with a
+block of ``grouprep.haar_unitaries``.  A report carries no verdict: a
 ``checks.Check`` judges it (``checks.markov_tail`` for its histogram).
 
 The level-count paths use no other layer of the package, and the others reach
@@ -350,28 +350,28 @@ def _gram_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Re W and Im W, (k, k, size) each, of W = R R^dagger, without BLAS.
 
     ``rows`` holds the real (and imaginary) parts of each sample's k rows of
-    length L, samples last: (parts, k, L, size).  Each entry is a sum of
-    contiguous vectors in a fixed order, k(k+1)/2 real parts and k(k-1)/2
-    imaginary ones, mirrored to the transposed entry.  Im W is None for real
-    rows.
+    length L, rows first and samples last: (k, parts, L, size), so every
+    product is of two contiguous operands and numpy buffers no temporary.
+    Each entry is a sum of contiguous vectors in a fixed order, k(k+1)/2
+    real parts and k(k-1)/2 imaginary ones, mirrored to the transposed
+    entry.  Im W is None for real rows.
     """
-    parts, k, n_long, size = rows.shape
+    k, parts, n_long, size = rows.shape
     re = np.empty((k, k, size))
     prod = np.empty((parts, n_long, size))
     terms = prod.reshape(-1, size)
     im, turned = (None, None) if parts == 1 else (np.zeros((k, k, size)), np.empty_like(prod))
-    cols = rows.swapaxes(0, 1)
-    for i, row in enumerate(cols):
+    for i, row in enumerate(rows):
         if im is not None and i + 1 < k:
             # Im W_ij = sum_l y_il x_jl - x_il y_jl: the products of (y_i, -x_i) with row j.
             turned[0] = row[1]
             np.negative(row[0], out=turned[1])
         for j in range(i, k):
             # Re W_ij = sum_l x_il x_jl + y_il y_jl.
-            np.multiply(row, cols[j], out=prod)
+            np.multiply(row, rows[j], out=prod)
             re[j, i] = np.add.reduce(terms, axis=0, out=re[i, j])
             if im is not None and j > i:
-                np.multiply(turned, cols[j], out=prod)
+                np.multiply(turned, rows[j], out=prod)
                 np.negative(np.add.reduce(terms, axis=0, out=im[i, j]), out=im[j, i])
     return re, im
 
@@ -425,7 +425,7 @@ def _haar_ket_block(
     m = m.reshape(parts, size, na, nb)
     if not on_a:
         m = m.swapaxes(2, 3)
-    m = np.ascontiguousarray(m.transpose(0, 2, 3, 1))  # and the drawn layout is freed
+    m = np.ascontiguousarray(m.transpose(2, 0, 3, 1))  # and the drawn layout is freed
     re, im = _gram_pairs(m)
     norm_sq = np.add.reduce(np.diagonal(re), axis=-1)
     if sigma_a is not None:

@@ -265,7 +265,7 @@ def random_mixtures(space: SpaceDescriptor, count: int, rng: np.random.Generator
     """Random convex mixtures of K+1 sampled pure states, shape (count, K)."""
     pures = space.sample_pures(rng, space.K + 1)
     weights = rng.dirichlet(np.ones(len(pures)), size=count)
-    return weights @ pures
+    return np.einsum("mi,ik->mk", weights, pures)
 
 
 # -- generalized Gell-Mann coordinates -------------------------------------------------

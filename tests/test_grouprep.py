@@ -60,6 +60,42 @@ def test_haar_unitaries_stack_and_size_one_case(real):
                                atol=1e-12)
 
 
+def _qr_haar_unitaries(size, n, rng, real):
+    """The reference route: one stacked LAPACK QR of the same Ginibre draws,
+    each column's phase fixed by the diagonal of R."""
+    z = rng.normal(size=(size, n, n))
+    if not real:
+        z = (z + 1j * rng.normal(size=(size, n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (np.sign(d) if real else d / np.abs(d))[:, None, :]
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_gram_schmidt_unitaries_match_the_qr_route_without_lapack(monkeypatch, real):
+    # Gram-Schmidt gives the Q whose R has a positive diagonal, which is what
+    # the phase-fixed QR gives, from the same draws in the same order.
+    seeds = {n: 4270 + 10 * real + n for n in (1, 2, 3, 5)}
+    refs = {}
+    for n, seed in seeds.items():
+        rng = np.random.default_rng(seed)
+        refs[n] = (_qr_haar_unitaries(64, n, rng, real), rng.bit_generator.state)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK QR called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    for n, (ref, state) in refs.items():
+        rng = np.random.default_rng(seeds[n])
+        us = grouprep.haar_unitaries(64, n, rng, real=real)
+        assert us.dtype == ref.dtype
+        np.testing.assert_allclose(us, ref, rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == state
+    space = ss.build_real_quantum(2) if real else ss.build_quantum(2)
+    assert grouprep.sampler_for(space).draw_many(np.random.default_rng(4290), 8).shape == (
+        8, space.K, space.K)
+
+
 @pytest.mark.parametrize("builder", [ss.build_quantum, ss.build_real_quantum])
 def test_haar_draw_many_is_a_stack_of_conjugations(builder):
     space = builder(3)
@@ -82,7 +118,7 @@ def _einsum_conjugation(basis, u):
 
 @pytest.mark.parametrize("builder,n", [(ss.build_quantum, 2), (ss.build_quantum, 3),
                                        (ss.build_quantum, 4), (ss.build_real_quantum, 3)])
-def test_kronecker_conjugation_matches_einsum_route(builder, n):
+def test_index_conjugation_matches_einsum_route(builder, n):
     space = builder(n)
     real = space.kind == ss.KIND_REAL_QUANTUM
     us = grouprep.haar_unitaries(64, n, np.random.default_rng(4230 + n), real=real)

@@ -222,6 +222,28 @@ def test_ket_block_peak_is_within_its_memory_count(monkeypatch, case):
     assert peak <= counted[0]
 
 
+@pytest.mark.parametrize("builder,n", [
+    (ss.build_quantum, 2), (ss.build_quantum, 3), (ss.build_quantum, 4), (ss.build_real_quantum, 2),
+], ids=["quantum K=4", "quantum K=9", "quantum K=16", "real-quantum K=3"])
+def test_haar_draw_block_peak_is_within_its_memory_count(monkeypatch, builder, n):
+    # One full draw_many block: the Gram-Schmidt unitaries, then their
+    # conjugation superoperators.  Its traced peak must not pass the bytes
+    # that draw_many's memory check counted.
+    space = builder(n)
+    sampler = grouprep.sampler_for(space)
+    sampler.draw_many(np.random.default_rng(0), 2)
+    counted = []
+    monkeypatch.setattr(errors, "check_memory", lambda nbytes, what: counted.append(nbytes))
+    tracemalloc.start()
+    try:
+        sampler.draw_many(np.random.default_rng(1), grouprep.DRAW_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted == [grouprep._DRAW_BYTES_PER_ENTRY * grouprep.DRAW_BLOCK * space.K**2]
+    assert peak <= counted[0]
+
+
 def test_estimator_blocks_are_refused_beyond_the_cap():
     # The 262144-outcome distribution, the (1024, 262144) float block and its
     # (1024, 256) marginal.
