@@ -18,6 +18,7 @@ import numpy as np
 
 from . import boxworld as bw
 from . import composite as comp_mod
+from . import formulas
 from . import grouprep
 from . import purity as pur
 from . import randomize as rnd
@@ -150,7 +151,7 @@ def _classical_subsystem(seed: int, samples: int) -> list[Check]:
 
 
 def _markov_tail(seed: int, samples: int) -> list[Check]:
-    report = rnd.estimate_expected_local_purity(rnd.QUANTUM, 2, 8, 1.0, samples, seed,
+    report = rnd.estimate_expected_local_purity(formulas.QUANTUM, 2, 8, 1.0, samples, seed,
                                                 histogram_bins=rnd.HISTOGRAM_BINS)
     return [markov_tail(report, x) for x in (2.0, 5.0, 10.0)]
 

@@ -38,15 +38,17 @@ def _lazy(name: str) -> None:
 
 
 # Every layer is in sys.modules from here on, but a command runs only the
-# layers it reads: a quantum estimate runs randomize, not the descriptors,
-# Grams, faces and suites it does not need.
-for _name in ("statespace", "grouprep", "composite", "purity", "boxworld", "randomize",
-              "faces", "checks"):
+# layers it reads: an exact prediction runs formulas alone, with no numpy, and
+# a quantum estimate runs randomize, not the descriptors, Grams, faces and
+# suites it does not need.
+for _name in ("statespace", "grouprep", "composite", "purity", "boxworld", "formulas",
+              "randomize", "faces", "checks"):
     _lazy(_name)
 
 # Imported after the registration, so binding a layer here does not run it.
 from . import checks  # noqa: E402
 from . import faces as faces_mod  # noqa: E402
+from . import formulas  # noqa: E402
 from . import grouprep  # noqa: E402
 from . import randomize as rnd  # noqa: E402
 
@@ -165,25 +167,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_predict(args: argparse.Namespace) -> dict:
     if args.formula == "main":
-        pred = rnd.predict_main(args.ka, args.kb, args.na, args.nb, args.p0)
+        pred = formulas.predict_main(args.ka, args.kb, args.na, args.nb, args.p0)
     elif args.formula == "general":
-        pred = rnd.predict_general(args.theory, args.na, args.nb, args.p0)
+        pred = formulas.predict_general(args.theory, args.na, args.nb, args.p0)
     elif args.formula == "power-law":
-        pred = rnd.predict_power_law(args.r, args.na, args.nb, args.p0)
+        pred = formulas.predict_power_law(args.r, args.na, args.nb, args.p0)
     elif args.formula == "nonlocaltomo":
-        pred = rnd.predict_real_quantum(args.ma, args.mb, args.p0)
+        pred = formulas.predict_real_quantum(args.ma, args.mb, args.p0)
     elif args.formula == "symm":
-        pred = faces_mod.predict_symm(args.n, 1 if args.sign == "+" else -1, args.trp)
+        pred = formulas.predict_symm(args.n, 1 if args.sign == "+" else -1, args.trp)
     else:
         face = faces_mod.sym_face(args.n) if args.sign == "+" else faces_mod.antisym_face(args.n)
         pred = faces_mod.predict_qface(face, faces_mod.default_probe(args.n), args.trp)
     return pred.to_json_dict()
 
 
+# The options that describe an estimate's target; each target reads only some of them.
+_TARGET_OPTIONS = ("na", "nb", "ma", "mb", "n", "p0", "trp")
+
+
 def _require(args: argparse.Namespace, names: list[str]) -> None:
+    """Refuse a target option in ``names`` that is missing, or one not in them that is given."""
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise GptPurityError(f"missing required options: {', '.join('--' + m for m in missing)}")
+    stray = [n for n in _TARGET_OPTIONS if n not in names and getattr(args, n) is not None]
+    if stray:
+        target = f"--face {args.face}" if args.face is not None else f"--theory {args.theory}"
+        raise GptPurityError(f"{target} does not read {', '.join('--' + s for s in stray)}")
 
 
 def _run_estimate(args: argparse.Namespace) -> dict:
@@ -195,19 +206,19 @@ def _run_estimate(args: argparse.Namespace) -> dict:
             face, args.trp, args.samples, args.seed, histogram_bins=bins
         )
         sign = 1 if args.face == "sym" else -1
-        prediction = faces_mod.predict_symm(args.n, sign, args.trp)
+        prediction = formulas.predict_symm(args.n, sign, args.trp)
     elif args.theory == "real-quantum":
         _require(args, ["ma", "mb", "p0"])
         report = rnd.estimate_real_quantum_local_purity(
             args.ma, args.mb, args.p0, args.samples, args.seed, histogram_bins=bins
         )
-        prediction = rnd.predict_real_quantum(args.ma, args.mb, args.p0)
+        prediction = formulas.predict_real_quantum(args.ma, args.mb, args.p0)
     else:
         _require(args, ["na", "nb", "p0"])
         report = rnd.estimate_expected_local_purity(
             args.theory, args.na, args.nb, args.p0, args.samples, args.seed, histogram_bins=bins
         )
-        prediction = rnd.predict_general(args.theory, args.na, args.nb, args.p0)
+        prediction = formulas.predict_general(args.theory, args.na, args.nb, args.p0)
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}
 
 

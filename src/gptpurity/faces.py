@@ -7,12 +7,14 @@ sampler: Haar unitaries on the subspace.  The coin recorded by an
 environment (``coin_with_record``) is classical randomization of a free
 2 x s0 joint, not a face.
 
-Expected local collision values for quantum faces:
+Expected local collision value for a quantum face (``predict_qface``):
 
 * subspace face: 1/N_A + (N_A^2-1)/(N_S^2-1) * Tr[(pi (E_A (x) I) pi)^2]
                  * (Tr rho_AB^2 - 1/N_S)
-* (anti)symmetric specialization: (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2),
-  where Tr[(pi (E_A (x) I) pi)^2] = n/4 +- 1/2.
+
+Its (anti)symmetric specialization, with Tr[(pi (E_A (x) I) pi)^2] =
+n/4 +- 1/2, needs no face: it is ``formulas.predict_symm``, next to the face
+purity range and the recorded coin's exact spread.
 
 A face holds the level counts of its two parts and orthonormal columns that
 span its subspace, in closed form for the (anti)symmetric faces.  Its composite
@@ -39,8 +41,9 @@ from .errors import (
     UnsupportedSpaceError,
     check_memory,
 )
-from .randomize import (BLOCK_SIZE, McReport, Prediction, _check_run, _classical_block,
-                        _estimate, _gram_pairs, _haar_ket_block)
+from .formulas import Prediction, _check_purity_on_face, coin_record_sigma
+from .randomize import (BLOCK_SIZE, McReport, _check_run, _classical_block, _estimate,
+                        _gram_pairs, _haar_ket_block)
 
 
 class FaceDescriptor(NamedTuple):
@@ -190,33 +193,6 @@ def default_probe(n: int) -> np.ndarray:
     return e
 
 
-def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
-    """Expected Tr(rho_A^2) on the (anti)symmetric subspace of C^n (x) C^n.
-
-    (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2); for pure global states the
-    numerator factor is 2.
-    """
-    if sign not in (1, -1):
-        raise RangeError(f"sign must be +1 or -1, got {sign}")
-    if n < 2:
-        raise InvalidDimensionError(f"need n >= 2, got {n}")
-    n_s = n * (n + sign) // 2
-    _check_purity_on_face(n_s, tr_purity_global)
-    value = (1.0 + tr_purity_global) * (n + sign) / (n * n + sign * n + 2)
-    return Prediction(
-        value=value,
-        formula_id="symm",
-        inputs={"n": n, "sign": sign, "tr_purity_global": tr_purity_global},
-    )
-
-
-def _check_purity_on_face(n_sub: int, tr_purity: float) -> None:
-    """Refuse a global Tr(rho^2) outside [1/N_S, 1], the range on a face of dimension N_S."""
-    if not 1.0 / n_sub - 1e-12 <= tr_purity <= 1.0 + 1e-12:
-        raise RangeError(f"Tr rho^2 on a face of dimension {n_sub} must lie in "
-                         f"[1/{n_sub}, 1], got {tr_purity}")
-
-
 def _face_interpolation_weight(n_sub: int, target: float) -> float:
     _check_purity_on_face(n_sub, target)
     lo = 1.0 / n_sub
@@ -254,27 +230,12 @@ def estimate_face_local_purity(
 class CoinRecordResult(NamedTuple):
     """Monte Carlo report and closed-form prediction for the record scenario.
 
-    ``sigma`` is the exact per-sample standard deviation (``coin_record_sigma``).
+    ``sigma`` is the exact per-sample standard deviation (``formulas.coin_record_sigma``).
     """
 
     report: McReport
     prediction: Prediction
     sigma: float
-
-
-def coin_record_sigma(s0_size: int) -> float:
-    """Exact standard deviation of one sample of the recorded coin's purity.
-
-    A sample is (2k/s0 - 1)^2, where k ~ Hypergeometric(2 s0, s0, s0) counts
-    the occupied strings that land on coin value 0.  Its mean is 1/(2 s0 - 1)
-    and, from the hypergeometric fourth central moment, its variance is
-    4 (s0 - 1)^2 / (s0 (2 s0 - 3) (2 s0 - 1)^2): zero only for s0 = 1, where
-    every sample is exact.
-    """
-    if s0_size == 1:
-        return 0.0
-    s = s0_size
-    return math.sqrt(4.0 * (s - 1) ** 2 / (s * (2 * s - 3) * (2 * s - 1) ** 2))
 
 
 def coin_with_record(

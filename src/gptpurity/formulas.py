@@ -1,0 +1,233 @@
+"""Exact predictions: the closed forms, from level counts, with no numpy.
+
+The expected local purity after global randomization depends only on the
+number of degrees of freedom K and the information capacity N of each part,
+so every closed form here is integer and float arithmetic:
+
+* main:        (K_A-1)/(K_A K_B-1) * (N_A N_B-1)/(N_A-1) * P0
+* general:     (K_A-1)/(K_A K_B-1) * P0 / P(phi_A (x) mu_B)
+* power-law:   main with K = N^r on both parts
+* nonlocaltomo (K_A-1)/(K_AB-1) * P0 / (P(phi_A (x) mu_B) - |mu_C|^2),
+  for compositions that are not locally tomographic.
+* symm:        (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2), the expected
+  Tr(rho_A^2) on the (anti)symmetric subspace of C^n (x) C^n.
+
+``predict_general`` and ``predict_real_quantum`` take level counts alone.
+``main``, ``general``, ``power-law`` and ``nonlocaltomo`` are evaluated as one
+integer true division, from the integer level counts and the exact ratio of
+the float P0 (``as_integer_ratio``), so each reported value is correctly
+rounded.  ``coin_record_sigma`` is the exact per-sample spread of the
+recorded coin's purity.
+
+This module uses no other layer of the package but ``errors``, so a command
+that only predicts never imports numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+from .errors import (
+    DegenerateCompositeError,
+    InvalidDimensionError,
+    RangeError,
+    UnsupportedSpaceError,
+    check_memory,
+)
+
+# The theories whose estimates and predictions take two level counts.
+QUANTUM = "quantum"
+CLASSICAL = "classical"
+
+
+class Prediction(NamedTuple):
+    """A closed-form expected local purity with its input echo."""
+
+    value: float
+    formula_id: str
+    inputs: dict
+
+    def to_json_dict(self) -> dict:
+        return {"value": self.value, "formula_id": self.formula_id, "inputs": dict(self.inputs)}
+
+
+def _check_p0(p0: float) -> None:
+    if not 0.0 <= p0 <= 1.0:
+        raise RangeError(f"global purity must lie in [0, 1], got {p0}")
+
+
+def _main_value(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> float:
+    """The main formula, exact in integers and rounded once by the true division."""
+    num, den = p0.as_integer_ratio()
+    return (k_a - 1) * (n_a * n_b - 1) * num / ((k_a * k_b - 1) * (n_a - 1) * den)
+
+
+def predict_main(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> Prediction:
+    """Expected local purity for composites with a composite classical subsystem."""
+    for k, n, side in ((k_a, n_a, "A"), (k_b, n_b, "B")):
+        if not k >= n >= 2:
+            raise RangeError(f"need K >= N >= 2 on part {side}, got K={k}, N={n}")
+    _check_p0(p0)
+    return Prediction(
+        value=_main_value(k_a, k_b, n_a, n_b, p0),
+        formula_id="main",
+        inputs={"K_A": k_a, "K_B": k_b, "N_A": n_a, "N_B": n_b, "P0": p0},
+    )
+
+
+def _check_levels(theory: str, *levels: int) -> None:
+    for n in levels:
+        if n < 2:
+            raise InvalidDimensionError(f"{theory} level count must be >= 2, got {n}")
+
+
+def _local_dimensions(theory: str, n_a: int, n_b: int) -> tuple[int, int]:
+    """K_A and K_B of two quantum or two classical parts with n_A and n_B levels."""
+    if theory not in (QUANTUM, CLASSICAL):
+        raise UnsupportedSpaceError(f"no level-count composite for theory {theory!r}")
+    _check_levels(theory, n_a, n_b)
+    return (n_a * n_a, n_b * n_b) if theory == QUANTUM else (n_a, n_b)
+
+
+def predict_general(theory: str, n_a: int, n_b: int, p0: float) -> Prediction:
+    """Expected local purity of two quantum or two classical parts, from their level counts.
+
+    P(phi_A (x) mu_B) = (N_A-1)/(N_A N_B-1) holds for every composite with a
+    composite classical subsystem, so no descriptor or Gram is built.
+    """
+    k_a, k_b = _local_dimensions(theory, n_a, n_b)
+    _check_p0(p0)
+    return Prediction(
+        value=_main_value(k_a, k_b, n_a, n_b, p0),
+        formula_id="general",
+        inputs={
+            "K_A": k_a,
+            "K_B": k_b,
+            "P0": p0,
+            "P_phi_mu": (n_a - 1) / (n_a * n_b - 1),
+        },
+    )
+
+
+def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
+    """The main formula in a theory class with K = N^r on both parts.
+
+    r = 1 reduces to the classical cancellation, r = 2 to quantum theory.
+    The exact value scales like N_B^(1-r) for a large second party.  Its
+    integers have up to r log2(N_A N_B) bits, too many for a rational's gcd,
+    but like ``main`` it is one correctly rounded integer true division.
+    """
+    if r < 1 or int(r) != r:
+        raise RangeError(f"power-law exponent must be a positive integer, got {r}")
+    for n, side in ((n_a, "A"), (n_b, "B")):
+        if n < 2:
+            raise RangeError(f"need N >= 2 on part {side}, got N={n}")
+    _check_p0(p0)
+    # K_A K_B = (N_A N_B)^r is exact and has r log2(N_A N_B) bits.  K_A, K_B,
+    # the product and the temporaries of the powers and of the division hold
+    # up to about 7.7 integers of that size (tracemalloc), so eight are counted.
+    check_memory(8 * math.ceil(r * math.log2(n_a * n_b) / 8),
+                 f"the exact K_A = {n_a}^{r}, K_B = {n_b}^{r} and their product")
+    return Prediction(
+        value=_main_value(n_a**r, n_b**r, n_a, n_b, p0),
+        formula_id="power-law",
+        inputs={"r": r, "N_A": n_a, "N_B": n_b, "P0": p0},
+    )
+
+
+def predict_nonlocaltomo(
+    k_a: int, k_ab: int, p0: float, p_phi_mu: float, mu_c_norm_sq: float
+) -> Prediction:
+    """Expected local purity without local tomography.
+
+    ``mu_c_norm_sq`` is the squared Gram norm of the locally inaccessible
+    component of the joint maximally mixed state.  The inputs enter as their
+    exact values (``as_integer_ratio``, which an exact rational such as a
+    ``fractions.Fraction`` also has), so the value is correctly rounded.
+    """
+    return _nonlocaltomo(k_a, k_ab, p0, p_phi_mu.as_integer_ratio(),
+                         mu_c_norm_sq.as_integer_ratio())
+
+
+def _nonlocaltomo(k_a: int, k_ab: int, p0: float, phi_mu: tuple[int, int],
+                  mu_c: tuple[int, int]) -> Prediction:
+    """``predict_nonlocaltomo`` with P(phi_A (x) mu_B) and |mu_C|^2 as exact integer ratios."""
+    _check_p0(p0)
+    (a, b), (c, d) = phi_mu, mu_c
+    # P(phi (x) mu) - |mu_C|^2 = gap / (b d), with b d > 0.
+    gap = a * d - c * b
+    if gap <= 0:
+        raise DegenerateCompositeError(
+            f"P(phi (x) mu) - |mu_C|^2 = {gap / (b * d)!r} must be positive"
+        )
+    num, den = p0.as_integer_ratio()
+    return Prediction(
+        value=(k_a - 1) * num * b * d / ((k_ab - 1) * den * gap),
+        formula_id="nonlocaltomo",
+        inputs={
+            "K_A": k_a,
+            "K_AB": k_ab,
+            "P0": p0,
+            "P_phi_mu": a / b,
+            "mu_C_norm_sq": c / d,
+        },
+    )
+
+
+def predict_real_quantum(m_a: int, m_b: int, p0: float) -> Prediction:
+    """The nonlocaltomo formula for two real-quantum systems, from their level counts.
+
+    Real quantum theory on m levels has K = m(m+1)/2, and the joint on
+    n = m_a m_b levels has K_AB = n(n+1)/2 > K_A K_B, so the composition is
+    not locally tomographic.  Purity is (n Tr rho^2 - 1)/(n - 1) and Tr rho^2
+    is multiplicative on products, so Tr (phi_A (x) mu_B)^2 = 1/m_b and
+    P(phi_A (x) mu_B) = (m_a - 1)/(n - 1).  The joint maximally mixed state is
+    the product mu_A (x) mu_B, so its locally inaccessible component vanishes:
+    |mu_C|^2 = 0.
+    """
+    _check_levels("real-quantum", m_b, m_a)
+    n = m_a * m_b
+    return _nonlocaltomo(m_a * (m_a + 1) // 2, n * (n + 1) // 2, p0, (m_a - 1, n - 1), (0, 1))
+
+
+def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
+    """Expected Tr(rho_A^2) on the (anti)symmetric subspace of C^n (x) C^n.
+
+    (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2); for pure global states the
+    numerator factor is 2.
+    """
+    if sign not in (1, -1):
+        raise RangeError(f"sign must be +1 or -1, got {sign}")
+    if n < 2:
+        raise InvalidDimensionError(f"need n >= 2, got {n}")
+    n_s = n * (n + sign) // 2
+    _check_purity_on_face(n_s, tr_purity_global)
+    value = (1.0 + tr_purity_global) * (n + sign) / (n * n + sign * n + 2)
+    return Prediction(
+        value=value,
+        formula_id="symm",
+        inputs={"n": n, "sign": sign, "tr_purity_global": tr_purity_global},
+    )
+
+
+def _check_purity_on_face(n_sub: int, tr_purity: float) -> None:
+    """Refuse a global Tr(rho^2) outside [1/N_S, 1], the range on a face of dimension N_S."""
+    if not 1.0 / n_sub - 1e-12 <= tr_purity <= 1.0 + 1e-12:
+        raise RangeError(f"Tr rho^2 on a face of dimension {n_sub} must lie in "
+                         f"[1/{n_sub}, 1], got {tr_purity}")
+
+
+def coin_record_sigma(s0_size: int) -> float:
+    """Exact standard deviation of one sample of the recorded coin's purity.
+
+    A sample is (2k/s0 - 1)^2, where k ~ Hypergeometric(2 s0, s0, s0) counts
+    the occupied strings that land on coin value 0.  Its mean is 1/(2 s0 - 1)
+    and, from the hypergeometric fourth central moment, its variance is
+    4 (s0 - 1)^2 / (s0 (2 s0 - 3) (2 s0 - 1)^2): zero only for s0 = 1, where
+    every sample is exact.
+    """
+    if s0_size == 1:
+        return 0.0
+    s = s0_size
+    return math.sqrt(4.0 * (s - 1) ** 2 / (s * (2 * s - 3) * (2 * s - 1) ** 2))

@@ -1,20 +1,10 @@
-"""Randomization experiments: closed-form predictions and Monte Carlo estimates.
+"""Randomization experiments: Monte Carlo estimates of the expected local purity.
 
 The central experiment draws a global state of fixed purity, applies a
 Haar-random reversible transformation, marginalizes to one party, and
-averages the local purity.  Closed forms:
-
-* main:        (K_A-1)/(K_A K_B-1) * (N_A N_B-1)/(N_A-1) * P0
-* general:     (K_A-1)/(K_A K_B-1) * P0 / P(phi_A (x) mu_B)
-* power-law:   main with K = N^r on both parts
-* nonlocaltomo (K_A-1)/(K_AB-1) * P0 / (P(phi_A (x) mu_B) - |mu_C|^2),
-  for compositions that are not locally tomographic.
-
-``predict_general`` and ``predict_real_quantum`` take level counts alone.
-``main``, ``general``, ``power-law`` and ``nonlocaltomo`` are evaluated as one
-integer true division, from the integer level counts and the exact ratio of
-the float P0 (``as_integer_ratio``), so each reported value is correctly
-rounded.
+averages the local purity.  The closed forms that an estimate is judged
+against are in ``formulas``, which loads no numpy; this module takes only its
+checks of level counts and of P0 from there.
 
 Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
@@ -38,8 +28,9 @@ every CPU.  A fixed ``initial`` state is conjugated, by BLAS products, with a
 block of ``grouprep.haar_unitaries``.  A report carries no verdict: a
 ``checks.Check`` judges it (``checks.markov_tail`` for its histogram).
 
-The level-count paths use no other layer of the package, and the others reach
-theirs through module aliases, so a lazily registered layer runs only if used.
+The level-count paths use no other layer of the package but ``formulas``, and
+the others reach theirs through module aliases, so a lazily registered layer
+runs only if used.
 """
 
 from __future__ import annotations
@@ -55,160 +46,14 @@ from . import composite as comp_mod
 from . import grouprep
 from . import purity as pur
 from . import statespace as ss
-from .errors import (
-    DegenerateCompositeError,
-    InternalError,
-    InvalidDimensionError,
-    RangeError,
-    UnsupportedSpaceError,
-    check_memory,
-)
+from .errors import InternalError, RangeError, check_memory
+from .formulas import QUANTUM, _check_levels, _check_p0, _local_dimensions
 
 HISTOGRAM_BINS = 100
 GLOBAL_PURITY_TOL = 1e-9
 # Samples per random stream.  It bounds the kernels' working memory; a
 # report depends on it, so changing it changes every Monte Carlo value.
 BLOCK_SIZE = 1024
-# The theories whose estimates and predictions take two level counts.
-QUANTUM = "quantum"
-CLASSICAL = "classical"
-
-
-# -- predictions ---------------------------------------------------------------------------
-
-
-class Prediction(NamedTuple):
-    """A closed-form expected local purity with its input echo."""
-
-    value: float
-    formula_id: str
-    inputs: dict
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "formula_id": self.formula_id, "inputs": dict(self.inputs)}
-
-
-def _check_p0(p0: float) -> None:
-    if not 0.0 <= p0 <= 1.0:
-        raise RangeError(f"global purity must lie in [0, 1], got {p0}")
-
-
-def _main_value(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> float:
-    """The main formula, exact in integers and rounded once by the true division."""
-    num, den = p0.as_integer_ratio()
-    return (k_a - 1) * (n_a * n_b - 1) * num / ((k_a * k_b - 1) * (n_a - 1) * den)
-
-
-def predict_main(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> Prediction:
-    """Expected local purity for composites with a composite classical subsystem."""
-    for k, n, side in ((k_a, n_a, "A"), (k_b, n_b, "B")):
-        if not k >= n >= 2:
-            raise RangeError(f"need K >= N >= 2 on part {side}, got K={k}, N={n}")
-    _check_p0(p0)
-    return Prediction(
-        value=_main_value(k_a, k_b, n_a, n_b, p0),
-        formula_id="main",
-        inputs={"K_A": k_a, "K_B": k_b, "N_A": n_a, "N_B": n_b, "P0": p0},
-    )
-
-
-def _check_levels(theory: str, *levels: int) -> None:
-    for n in levels:
-        if n < 2:
-            raise InvalidDimensionError(f"{theory} level count must be >= 2, got {n}")
-
-
-def _local_dimensions(theory: str, n_a: int, n_b: int) -> tuple[int, int]:
-    """K_A and K_B of two quantum or two classical parts with n_A and n_B levels."""
-    if theory not in (QUANTUM, CLASSICAL):
-        raise UnsupportedSpaceError(f"no level-count composite for theory {theory!r}")
-    _check_levels(theory, n_a, n_b)
-    return (n_a * n_a, n_b * n_b) if theory == QUANTUM else (n_a, n_b)
-
-
-def predict_general(theory: str, n_a: int, n_b: int, p0: float) -> Prediction:
-    """Expected local purity of two quantum or two classical parts, from their level counts.
-
-    P(phi_A (x) mu_B) = (N_A-1)/(N_A N_B-1) holds for every composite with a
-    composite classical subsystem, so no descriptor or Gram is built.
-    """
-    k_a, k_b = _local_dimensions(theory, n_a, n_b)
-    _check_p0(p0)
-    return Prediction(
-        value=_main_value(k_a, k_b, n_a, n_b, p0),
-        formula_id="general",
-        inputs={
-            "K_A": k_a,
-            "K_B": k_b,
-            "P0": p0,
-            "P_phi_mu": (n_a - 1) / (n_a * n_b - 1),
-        },
-    )
-
-
-def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
-    """The main formula in a theory class with K = N^r on both parts.
-
-    r = 1 reduces to the classical cancellation, r = 2 to quantum theory.
-    The exact value scales like N_B^(1-r) for a large second party.  Its
-    integers have up to r log2(N_A N_B) bits, too many for a rational's gcd,
-    but like ``main`` it is one correctly rounded integer true division.
-    """
-    if r < 1 or int(r) != r:
-        raise RangeError(f"power-law exponent must be a positive integer, got {r}")
-    for n, side in ((n_a, "A"), (n_b, "B")):
-        if n < 2:
-            raise RangeError(f"need N >= 2 on part {side}, got N={n}")
-    _check_p0(p0)
-    # K_A K_B = (N_A N_B)^r is exact and has r log2(N_A N_B) bits.  K_A, K_B,
-    # the product and the temporaries of the powers and of the division hold
-    # up to about 7.7 integers of that size (tracemalloc), so eight are counted.
-    check_memory(8 * math.ceil(r * math.log2(n_a * n_b) / 8),
-                 f"the exact K_A = {n_a}^{r}, K_B = {n_b}^{r} and their product")
-    return Prediction(
-        value=_main_value(n_a**r, n_b**r, n_a, n_b, p0),
-        formula_id="power-law",
-        inputs={"r": r, "N_A": n_a, "N_B": n_b, "P0": p0},
-    )
-
-
-def predict_nonlocaltomo(
-    k_a: int, k_ab: int, p0: float, p_phi_mu: float, mu_c_norm_sq: float
-) -> Prediction:
-    """Expected local purity without local tomography.
-
-    ``mu_c_norm_sq`` is the squared Gram norm of the locally inaccessible
-    component of the joint maximally mixed state.  The inputs enter as their
-    exact values (``as_integer_ratio``, which an exact rational such as a
-    ``fractions.Fraction`` also has), so the value is correctly rounded.
-    """
-    return _nonlocaltomo(k_a, k_ab, p0, p_phi_mu.as_integer_ratio(),
-                         mu_c_norm_sq.as_integer_ratio())
-
-
-def _nonlocaltomo(k_a: int, k_ab: int, p0: float, phi_mu: tuple[int, int],
-                  mu_c: tuple[int, int]) -> Prediction:
-    """``predict_nonlocaltomo`` with P(phi_A (x) mu_B) and |mu_C|^2 as exact integer ratios."""
-    _check_p0(p0)
-    (a, b), (c, d) = phi_mu, mu_c
-    # P(phi (x) mu) - |mu_C|^2 = gap / (b d), with b d > 0.
-    gap = a * d - c * b
-    if gap <= 0:
-        raise DegenerateCompositeError(
-            f"P(phi (x) mu) - |mu_C|^2 = {gap / (b * d)!r} must be positive"
-        )
-    num, den = p0.as_integer_ratio()
-    return Prediction(
-        value=(k_a - 1) * num * b * d / ((k_ab - 1) * den * gap),
-        formula_id="nonlocaltomo",
-        inputs={
-            "K_A": k_a,
-            "K_AB": k_ab,
-            "P0": p0,
-            "P_phi_mu": a / b,
-            "mu_C_norm_sq": c / d,
-        },
-    )
 
 
 # -- Monte Carlo reports -----------------------------------------------------------------
@@ -427,6 +272,7 @@ def _haar_ket_block(
         m = m.swapaxes(2, 3)
     m = np.ascontiguousarray(m.transpose(2, 0, 3, 1))  # and the drawn layout is freed
     re, im = _gram_pairs(m)
+    del m  # the kets are not read again, so a face's cross term does not hold them
     norm_sq = np.add.reduce(np.diagonal(re), axis=-1)
     if sigma_a is not None:
         # Tr(sigma_A W) = sum_ij Re(sigma_ij) Re W_ij + Im(sigma_ij) Im W_ij.
@@ -566,22 +412,6 @@ def estimate_expected_local_purity(
 
 
 # -- real quantum theory (not locally tomographic) ----------------------------------------
-
-
-def predict_real_quantum(m_a: int, m_b: int, p0: float) -> Prediction:
-    """The nonlocaltomo formula for two real-quantum systems, from their level counts.
-
-    Real quantum theory on m levels has K = m(m+1)/2, and the joint on
-    n = m_a m_b levels has K_AB = n(n+1)/2 > K_A K_B, so the composition is
-    not locally tomographic.  Purity is (n Tr rho^2 - 1)/(n - 1) and Tr rho^2
-    is multiplicative on products, so Tr (phi_A (x) mu_B)^2 = 1/m_b and
-    P(phi_A (x) mu_B) = (m_a - 1)/(n - 1).  The joint maximally mixed state is
-    the product mu_A (x) mu_B, so its locally inaccessible component vanishes:
-    |mu_C|^2 = 0.
-    """
-    _check_levels("real-quantum", m_b, m_a)
-    n = m_a * m_b
-    return _nonlocaltomo(m_a * (m_a + 1) // 2, n * (n + 1) // 2, p0, (m_a - 1, n - 1), (0, 1))
 
 
 def estimate_real_quantum_local_purity(

@@ -13,7 +13,7 @@ import numpy as np
 from gptpurity import boxworld as bw
 from gptpurity import checks
 from gptpurity import composite as cm
-from gptpurity import faces, grouprep, randomize as rnd, statespace as ss
+from gptpurity import faces, formulas, grouprep, randomize as rnd, statespace as ss
 from gptpurity import purity as pur
 from gptpurity.statespace import random_mixtures
 
@@ -87,7 +87,7 @@ def test_criterion_05_symmetric_antisymmetric_faces():
             for trp in targets:
                 seed += 1
                 rep = faces.estimate_face_local_purity(face, trp, SAMPLES, seed)
-                expected = faces.predict_symm(n, sign, trp).value
+                expected = formulas.predict_symm(n, sign, trp).value
                 good = abs(rep.mean - expected) <= 3 * rep.stderr + EPS
                 ok = ok and good
                 details.append(f"n={n},{'+' if sign > 0 else '-'},trp={trp:g}:"
@@ -185,7 +185,7 @@ def test_criterion_11_coin_with_record():
 
 
 def test_criterion_12_real_quantum_nonlocal_tomography():
-    pred = rnd.predict_real_quantum(2, 2, 1.0)
+    pred = formulas.predict_real_quantum(2, 2, 1.0)
     rep = rnd.estimate_real_quantum_local_purity(2, 2, 1.0, SAMPLES, 1014)
     tr_mean = pur.tr2_from_purity(2, rep.mean)
     tr_sigma = rep.stderr / 2

@@ -103,6 +103,28 @@ def test_golden_reports_do_not_depend_on_cpu_dispatch(setting):
         assert out == "".join(entry["stdout"]), " ".join(entry["argv"])
 
 
+# A fresh interpreter in which any import of numpy raises.
+_NUMPY_FREE_CHILD = 'import sys\nsys.modules["numpy"] = None\n' + _GOLDEN_CHILD
+
+
+def test_golden_predictions_run_without_numpy():
+    # The golden exact predictions print their stored bytes without numpy.
+    golden_main = (DATA / "golden_predict_main.json").read_text()
+    cases = [(json.loads(golden_main)["config"]["argv"], golden_main)]
+    cases += [(e["argv"], "".join(e["stdout"])) for e in GOLDEN_ESTIMATES
+              if e["argv"][0] == "predict"]
+    assert len(cases) == 3
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps([argv for argv, _ in cases])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for (argv, stored), out in zip(cases, json.loads(proc.stdout), strict=True):
+        assert out == stored, " ".join(argv)
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     argv = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2",
             "--p0", "1", "--samples", "300", "--seed", "42", "--histogram"]
@@ -220,16 +242,16 @@ def test_two_design_cli(capsys):
 
 
 def test_real_quantum_estimate_builds_the_pair_once(capsys, monkeypatch):
-    from gptpurity import randomize as rnd
+    from gptpurity import formulas
 
     calls = []
-    predict = rnd.predict_real_quantum
+    predict = formulas.predict_real_quantum
 
     def counted(*args):
         calls.append(args)
         return predict(*args)
 
-    monkeypatch.setattr(rnd, "predict_real_quantum", counted)
+    monkeypatch.setattr(formulas, "predict_real_quantum", counted)
     code, _ = _run(capsys, ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2",
                             "--p0", "1", "--samples", "200", "--seed", "3"])
     assert code == 0
@@ -341,6 +363,15 @@ def test_out_file_holds_the_whole_report_once_the_process_has_ended(tmp_path):
 
 
 _EST = ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1"]
+# One estimate per target with options that the target does not read, and those options.
+_STRAY = [
+    (_EST + ["--n", "5", "--trp", "0.3", "--ma", "7", "--samples", "4", "--seed", "0"],
+     ["--ma", "--n", "--trp"]),
+    (["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2", "--p0", "1", "--nb", "3",
+      "--seed", "1"], ["--nb"]),
+    (["estimate", "--face", "sym", "--n", "2", "--trp", "1", "--p0", "1", "--na", "2",
+      "--seed", "1"], ["--na", "--p0"]),
+]
 # Integers past Python's 4300-digit string limit once squared (D) and on their own (H).
 _D, _H = "9" * 2200, "9" * 4299
 
@@ -376,6 +407,7 @@ _D, _H = "9" * 2200, "9" * 4299
     ["verify", "no-such-suite"],
     ["no-such-command"],
     ["two-design", "--k", "3"],
+    *(argv for argv, _ in _STRAY),
 ])
 def test_bad_input_exits_one_with_one_line(argv, tmp_path):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
@@ -407,6 +439,15 @@ def test_face_purity_out_of_range_names_the_value_and_the_bound(argv, bound, cap
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert f"got {argv[argv.index('--trp') + 1]}" in lines[0] and bound in lines[0]
+
+
+@pytest.mark.parametrize("argv,stray", _STRAY, ids=["quantum", "real-quantum", "face"])
+def test_estimate_refuses_the_options_its_target_does_not_read(argv, stray, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.strip().splitlines()
+    assert line.endswith(" does not read " + ", ".join(stray)), line
 
 
 # -- generated argument vectors ---------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import faces, grouprep, randomize as rnd, statespace as ss
+from gptpurity import faces, formulas, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import EmptyFaceError, InvalidProbeError, NormalizationError, RangeError
 from gptpurity.purity import purity_from_tr2
 
@@ -166,7 +166,7 @@ def test_predict_qface_full_space_reproduces_main_formula():
         comp = cm.compose(ss.build_quantum(na), ss.build_quantum(nb))
         face = faces.subspace_face(comp, np.eye(na * nb, dtype=complex))
         pred = faces.predict_qface(face, faces.default_probe(na), 1.0)
-        main = rnd.predict_main(na**2, nb**2, na, nb, 1.0).value
+        main = formulas.predict_main(na**2, nb**2, na, nb, 1.0).value
         assert purity_from_tr2(na, pred.value) == pytest.approx(main, abs=1e-12)
 
 
@@ -175,13 +175,13 @@ def test_predict_qface_full_space_reproduces_main_formula():
     [(3, 1, 4 / 7), (3, -1, 1 / 2), (2, 1, 3 / 4), (2, -1, 1 / 2), (4, 1, 5 / 11)],
 )
 def test_predict_symm_pure_values(n, sign, expected):
-    assert faces.predict_symm(n, sign, 1.0).value == pytest.approx(expected, abs=1e-14)
+    assert formulas.predict_symm(n, sign, 1.0).value == pytest.approx(expected, abs=1e-14)
 
 
 def test_predict_symm_face_max_mixed_gives_max_mixed_marginal():
     # At the face-maximally-mixed global state (Tr = 1/3 for n = 2 sym), the
     # marginal must be maximally mixed: Tr rho_A^2 = 1/2.
-    assert faces.predict_symm(2, 1, 1 / 3).value == pytest.approx(0.5, abs=1e-14)
+    assert formulas.predict_symm(2, 1, 1 / 3).value == pytest.approx(0.5, abs=1e-14)
 
 
 @pytest.mark.parametrize("n,sign,trp", [
@@ -189,7 +189,7 @@ def test_predict_symm_face_max_mixed_gives_max_mixed_marginal():
 ])
 def test_predict_symm_refuses_purities_outside_the_face_range(n, sign, trp):
     with pytest.raises(RangeError):
-        faces.predict_symm(n, sign, trp)
+        formulas.predict_symm(n, sign, trp)
 
 
 def test_face_estimate_refuses_a_nan_target():
@@ -203,7 +203,7 @@ def test_predict_symm_consistent_with_qface():
             if face.n_sub == 1:
                 continue
             for trp in (1.0, 0.6):
-                a = faces.predict_symm(n, sign, trp).value
+                a = formulas.predict_symm(n, sign, trp).value
                 b = faces.predict_qface(face, faces.default_probe(n), trp).value
                 assert abs(a - b) < 1e-12
 
@@ -288,8 +288,8 @@ def test_coin_record_sigma_is_the_hypergeometric_purity_spread(s0):
     mean = sum(w * v for w, v in zip(pmf, purity))
     var = sum(w * v * v for w, v in zip(pmf, purity)) - mean * mean
     assert mean == Fraction(1, 2 * s0 - 1)
-    assert faces.coin_record_sigma(s0) == pytest.approx(math.sqrt(var), rel=1e-14, abs=0.0)
-    assert (faces.coin_record_sigma(s0) == 0.0) == (s0 == 1)
+    assert formulas.coin_record_sigma(s0) == pytest.approx(math.sqrt(var), rel=1e-14, abs=0.0)
+    assert (formulas.coin_record_sigma(s0) == 0.0) == (s0 == 1)
 
 
 def test_coin_with_record_rejects_empty_record():

@@ -121,11 +121,15 @@ def test_cli_loads_every_traced_layer():
 
 # Standard-library modules that no level-count or face command needs.
 _UNNEEDED = ("fractions", "dataclasses")
+# What no exact prediction needs.
+_NUMPY = ("numpy", "numpy.random")
+# The layers of an exact prediction.
+_FORMULAS = {"cli", "errors", "formulas"}
 
 
-def _executed_by(argv: list[str]) -> set[str]:
+def _executed_by(argv: list[str], unneeded: tuple[str, ...] = _UNNEEDED) -> set[str]:
     """The ``gptpurity`` layers a fresh interpreter has run after ``cli.main(argv)``,
-    and those of ``_UNNEEDED`` it has imported.
+    and those of ``unneeded`` it has imported.
 
     A lazily registered layer that never ran is still a ``_LazyModule``.
     """
@@ -135,43 +139,64 @@ def _executed_by(argv: list[str]) -> set[str]:
             "    assert cli.main(sys.argv[1:]) == 0\n"
             "print(*sorted(n for n, m in sys.modules.items()\n"
             "              if n.startswith('gptpurity.') and type(m) is types.ModuleType))\n"
-            f"print(*(n for n in {_UNNEEDED!r} if n in sys.modules))\n")
+            f"print(*(n for n in {unneeded!r} if n in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=_env(), timeout=120, check=True)
-    return {name.split(".", 1)[-1] for name in proc.stdout.split()}
+    return {name.removeprefix("gptpurity.") for name in proc.stdout.split()}
+
+
+_PREDICT_MAIN = ["predict", "main", "--ka", "4", "--kb", "4", "--na", "2", "--nb", "2", "--p0", "1"]
+_PREDICT_GENERAL = ["predict", "general", "--theory", "quantum", "--na", "8", "--nb", "8",
+                    "--p0", "1"]
+_PREDICT_SYMM = ["predict", "symm", "--n", "3", "--sign", "+", "--trp", "1"]
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (_PREDICT_MAIN, _FORMULAS),
+    (_PREDICT_GENERAL, _FORMULAS),
+    (["estimate", "--theory", "quantum", "--na", "2", "--nb", "8", "--p0", "1",
+      "--samples", "100", "--seed", "1", "--histogram"], _FORMULAS | {"randomize"}),
+    (["estimate", "--theory", "classical", "--na", "2", "--nb", "8", "--p0", "0.3",
+      "--samples", "100", "--seed", "1"], _FORMULAS | {"randomize"}),
+    (["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2", "--p0", "1",
+      "--samples", "100", "--seed", "1"], _FORMULAS | {"randomize"}),
+], ids=["predict-main", "predict-general", "estimate-quantum", "estimate-classical",
+        "estimate-real-quantum"])
+def test_level_count_commands_run_no_descriptor_layer(argv, layers):
+    # No descriptor, Gram, face, suite or boxworld layer runs: only the front
+    # end, the closed forms and the estimators; verify's choices are read only
+    # by verify.
+    assert _executed_by(argv) == layers
 
 
 @pytest.mark.parametrize("argv", [
-    ["predict", "main", "--ka", "4", "--kb", "4", "--na", "2", "--nb", "2", "--p0", "1"],
-    ["predict", "general", "--theory", "quantum", "--na", "8", "--nb", "8", "--p0", "1"],
-    ["estimate", "--theory", "quantum", "--na", "2", "--nb", "8", "--p0", "1",
-     "--samples", "100", "--seed", "1", "--histogram"],
-    ["estimate", "--theory", "classical", "--na", "2", "--nb", "8", "--p0", "0.3",
-     "--samples", "100", "--seed", "1"],
-    ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2", "--p0", "1",
-     "--samples", "100", "--seed", "1"],
-], ids=["predict-main", "predict-general", "estimate-quantum", "estimate-classical",
-        "estimate-real-quantum"])
-def test_level_count_commands_run_no_descriptor_layer(argv):
-    # No descriptor, Gram, face, suite or boxworld layer runs: only the front
-    # end and the estimators; verify's choices are read only by verify.
-    assert _executed_by(argv) == {"cli", "errors", "randomize"}
+    _PREDICT_MAIN,
+    _PREDICT_GENERAL,
+    ["predict", "power-law", "--r", "3", "--na", "2", "--nb", "2", "--p0", "1"],
+    ["predict", "nonlocaltomo", "--ma", "2", "--mb", "2", "--p0", "1"],
+    _PREDICT_SYMM,
+], ids=["main", "general", "power-law", "nonlocaltomo", "symm"])
+def test_exact_predictions_import_no_numpy(argv):
+    assert _executed_by(argv, _UNNEEDED + _NUMPY) == _FORMULAS
 
 
-@pytest.mark.parametrize("argv,checks", [
+_FACE_LAYERS = _FORMULAS | {"randomize", "faces"}
+
+
+@pytest.mark.parametrize("argv,layers", [
     (["estimate", "--face", "sym", "--n", "2", "--trp", "1", "--samples", "100", "--seed", "1"],
-     False),
+     _FACE_LAYERS),
     (["estimate", "--face", "antisym", "--n", "4", "--trp", "0.3", "--samples", "100",
-      "--seed", "1"], False),
-    (["predict", "symm", "--n", "3", "--sign", "+", "--trp", "1"], False),
-    (["predict", "qface", "--n", "4", "--sign", "-", "--trp", "0.3"], False),
-    (["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"], True),
+      "--seed", "1"], _FACE_LAYERS),
+    (_PREDICT_SYMM, _FORMULAS),
+    (["predict", "qface", "--n", "4", "--sign", "-", "--trp", "0.3"], _FACE_LAYERS),
+    (["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"], _FACE_LAYERS | {"checks"}),
 ], ids=["estimate-sym", "estimate-antisym", "predict-symm", "predict-qface", "coin-record"])
-def test_face_commands_run_no_descriptor_layer(argv, checks):
+def test_face_commands_run_no_descriptor_layer(argv, layers):
     # A face holds level counts, so no composite, state space or group layer
-    # runs; coin-record's verdict is a checks.Check.
-    expected = {"cli", "errors", "randomize", "faces"} | ({"checks"} if checks else set())
-    assert _executed_by(argv) == expected
+    # runs; the (anti)symmetric closed form needs no face at all, and
+    # coin-record's verdict is a checks.Check.
+    assert _executed_by(argv) == layers
 
 
 @pytest.mark.parametrize("k", ["1", "2"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import errors, faces, grouprep, randomize as rnd, statespace as ss
+from gptpurity import errors, faces, formulas, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import complete_pauli_set, pauli_haar_average
 
@@ -62,7 +62,7 @@ def test_quantum_16x16_predict_and_estimate_run_in_bounded_memory(tmp_path):
                                     "--na", "16", "--nb", "16", "--p0", "1"])
     assert proc.returncode == 0, proc.stderr
     assert rss < MAX_RSS_MB
-    exact = rnd.predict_main(256, 256, 16, 16, 1.0).value
+    exact = formulas.predict_main(256, 256, 16, 16, 1.0).value
     assert abs(json.loads(proc.stdout)["value"] - exact) <= 1e-12
 
     proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "16", "--nb", "16",

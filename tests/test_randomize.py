@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import checks, errors, grouprep, randomize as rnd, statespace as ss
+from gptpurity import checks, errors, formulas, grouprep, randomize as rnd, statespace as ss
 from gptpurity.errors import (
     DegenerateCompositeError,
     InternalError,
@@ -26,42 +26,42 @@ def _pair(builder, na, nb):
 
 
 def test_predict_main_quantum_two_qubits():
-    assert rnd.predict_main(4, 4, 2, 2, 1.0).value == pytest.approx(3 / 5, abs=1e-15)
+    assert formulas.predict_main(4, 4, 2, 2, 1.0).value == pytest.approx(3 / 5, abs=1e-15)
 
 
 def test_predict_main_classical_cancellation():
     for n_a, n_b, p0 in ((2, 2, 1.0), (3, 5, 0.7), (4, 4, 0.2)):
-        pred = rnd.predict_main(n_a, n_b, n_a, n_b, p0)
+        pred = formulas.predict_main(n_a, n_b, n_a, n_b, p0)
         assert pred.value == pytest.approx(p0, abs=1e-14)
 
 
 def test_predict_main_quantum_2x8():
     # Cross-check against the pure-state form (N_A + 1)/(N_A N_B + 1).
-    pred = rnd.predict_main(4, 64, 2, 8, 1.0)
+    pred = formulas.predict_main(4, 64, 2, 8, 1.0)
     assert pred.value == pytest.approx(3 / 17, abs=1e-15)
     assert pred.value == pytest.approx((2 + 1) / (2 * 8 + 1), abs=1e-15)
 
 
 def test_predict_main_validates_inputs():
     with pytest.raises(RangeError):
-        rnd.predict_main(1, 4, 2, 2, 1.0)
+        formulas.predict_main(1, 4, 2, 2, 1.0)
     with pytest.raises(RangeError):
-        rnd.predict_main(4, 4, 2, 2, 1.5)
+        formulas.predict_main(4, 4, 2, 2, 1.5)
     with pytest.raises(RangeError):
-        rnd.predict_main(2, 4, 3, 2, 1.0)  # K_A < N_A
+        formulas.predict_main(2, 4, 3, 2, 1.0)  # K_A < N_A
 
 
 def test_predict_general_matches_main_for_quantum():
-    pred = rnd.predict_general("quantum", 2, 2, 1.0)
+    pred = formulas.predict_general("quantum", 2, 2, 1.0)
     assert pred.value == pytest.approx(3 / 5, abs=1e-10)
 
 
 def test_predict_general_classical_identity():
-    assert rnd.predict_general("classical", 3, 3, 0.5).value == pytest.approx(0.5, abs=1e-10)
+    assert formulas.predict_general("classical", 3, 3, 0.5).value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_predict_general_quantum_2x4():
-    assert rnd.predict_general("quantum", 2, 4, 1.0).value == pytest.approx(1 / 3, abs=1e-10)
+    assert formulas.predict_general("quantum", 2, 4, 1.0).value == pytest.approx(1 / 3, abs=1e-10)
 
 
 @pytest.mark.parametrize("builder,theory", [(ss.build_quantum, "quantum"),
@@ -73,7 +73,7 @@ def test_predict_general_matches_the_composite_route(builder, theory):
         comp = _pair(builder, na, nb)
         phimu = cm.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
                                               tol=1e-12).numeric
-        pred = rnd.predict_general(theory, na, nb, 0.7)
+        pred = formulas.predict_general(theory, na, nb, 0.7)
         assert abs(pred.inputs["P_phi_mu"] - phimu) <= 1e-15
         assert (pred.inputs["K_A"], pred.inputs["K_B"]) == (comp.part_a.K, comp.part_b.K)
         k_a, k_b = comp.part_a.K, comp.part_b.K
@@ -81,11 +81,11 @@ def test_predict_general_matches_the_composite_route(builder, theory):
 
 
 def test_predict_power_law_cases():
-    assert rnd.predict_power_law(2, 2, 2, 1.0).value == pytest.approx(3 / 5)
-    assert rnd.predict_power_law(1, 5, 7, 0.3).value == pytest.approx(0.3)
-    assert rnd.predict_power_law(3, 2, 2, 1.0).value == pytest.approx(1 / 3)
+    assert formulas.predict_power_law(2, 2, 2, 1.0).value == pytest.approx(3 / 5)
+    assert formulas.predict_power_law(1, 5, 7, 0.3).value == pytest.approx(0.3)
+    assert formulas.predict_power_law(3, 2, 2, 1.0).value == pytest.approx(1 / 3)
     with pytest.raises(RangeError):
-        rnd.predict_power_law(0, 2, 2, 1.0)
+        formulas.predict_power_law(0, 2, 2, 1.0)
 
 
 def _sphere_fourth_moment(d: int, flat_indices) -> float:
@@ -115,7 +115,7 @@ def test_sphere_moment_oracle_value():
 
 
 def test_predict_nonlocaltomo_real_quantum_2x2():
-    pred = rnd.predict_real_quantum(2, 2, 1.0)
+    pred = formulas.predict_real_quantum(2, 2, 1.0)
     assert pred.formula_id == "nonlocaltomo"
     assert pred.inputs["K_A"] == 3 and pred.inputs["K_AB"] == 10
     assert pred.inputs["P_phi_mu"] == pytest.approx(1 / 3, abs=1e-12)
@@ -128,7 +128,7 @@ def test_predict_nonlocaltomo_real_quantum_2x2():
     # The level-count inputs against the numeric route through the joint
     # real-quantum descriptor, its coordinates and its Gram.
     for m_a, m_b in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        inputs = rnd.predict_real_quantum(m_a, m_b, 1.0).inputs
+        inputs = formulas.predict_real_quantum(m_a, m_b, 1.0).inputs
         joint = ss.build_real_quantum(m_a * m_b)
         gram = grouprep.analytic_gram(joint)
         phi = np.zeros((m_a, m_a))
@@ -141,21 +141,22 @@ def test_predict_nonlocaltomo_real_quantum_2x2():
         assert (inputs["K_A"], inputs["K_AB"]) == (ss.build_real_quantum(m_a).K, joint.K)
     for m_a, m_b in ((2, 1), (0, 2)):
         with pytest.raises(InvalidDimensionError, match="real-quantum level count must be >= 2"):
-            rnd.predict_real_quantum(m_a, m_b, 1.0)
+            formulas.predict_real_quantum(m_a, m_b, 1.0)
 
 
 def test_predict_nonlocaltomo_reduces_to_general_when_tomographic():
     comp = _pair(ss.build_quantum, 2, 2)
     phimu = cm.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
                                           tol=1e-10).numeric
-    pred = rnd.predict_nonlocaltomo(4, 16, 1.0, phimu, 0.0)
-    assert pred.value == pytest.approx(rnd.predict_general("quantum", 2, 2, 1.0).value, abs=1e-12)
+    pred = formulas.predict_nonlocaltomo(4, 16, 1.0, phimu, 0.0)
+    general = formulas.predict_general("quantum", 2, 2, 1.0).value
+    assert pred.value == pytest.approx(general, abs=1e-12)
 
 
 def test_predict_nonlocaltomo_edge_cases():
-    assert rnd.predict_nonlocaltomo(3, 10, 0.0, 1 / 3, 0.0).value == 0.0
+    assert formulas.predict_nonlocaltomo(3, 10, 0.0, 1 / 3, 0.0).value == 0.0
     with pytest.raises(DegenerateCompositeError):
-        rnd.predict_nonlocaltomo(3, 10, 1.0, 0.2, 0.5)
+        formulas.predict_nonlocaltomo(3, 10, 1.0, 0.2, 0.5)
 
 
 # -- estimator -------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def test_qubit_oracle_one_one_pure():
 def test_qubit_oracle_one_two_rhs():
     # The right side at (1, 2) is the general closed form in ratio units.
     assert _qubit_rhs(1, 2) == pytest.approx(4 / 21, abs=1e-15)
-    pred = rnd.predict_general("quantum", 2, 4, 1.0).value
+    pred = formulas.predict_general("quantum", 2, 4, 1.0).value
     assert pred * (1.0 - 1.0 / 2) / (1.0 - 1.0 / 8) == pytest.approx(4 / 21, abs=1e-15)
 
 
@@ -255,7 +256,7 @@ def test_qubit_oracle_consistency_triangle():
         na, nb = 2**n_a, 2**n_b
         n = na * nb
         rhs = _qubit_rhs(n_a, n_b)
-        main = rnd.predict_main(na**2, nb**2, na, nb, 1.0).value
+        main = formulas.predict_main(na**2, nb**2, na, nb, 1.0).value
         # E Tr rho_A^2 for a pure global state via the ratio identity:
         tr_a = 1 / na + rhs * (1.0 - 1.0 / n)
         assert purity_from_tr2(na, tr_a) == pytest.approx(main, abs=1e-12)
@@ -309,10 +310,10 @@ def test_report_serialization_roundtrip():
 def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
     if theory == "quantum":
         rep = rnd.estimate_expected_local_purity("quantum", na, nb, p0, 4000, 61)
-        expected = rnd.predict_main(na * na, nb * nb, na, nb, p0).value
+        expected = formulas.predict_main(na * na, nb * nb, na, nb, p0).value
     else:
         rep = rnd.estimate_real_quantum_local_purity(na, nb, p0, 4000, 61)
-        expected = rnd.predict_real_quantum(na, nb, p0).value
+        expected = formulas.predict_real_quantum(na, nb, p0).value
     assert abs(rep.mean - expected) <= 3 * rep.stderr + 1e-12
     assert rep.realized_global_purity == pytest.approx(p0, abs=1e-9)
     if p0 == 0.0:
@@ -324,7 +325,7 @@ def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
 def test_estimator_quantum_asymmetric_parts():
     # 2x3: prediction (K_A-1)/(K_A K_B - 1) * (N_A N_B - 1)/(N_A - 1) = 3/7.
     rep = rnd.estimate_expected_local_purity("quantum", 2, 3, 1.0, 4000, 71)
-    expected = rnd.predict_main(4, 9, 2, 3, 1.0).value
+    expected = formulas.predict_main(4, 9, 2, 3, 1.0).value
     assert expected == pytest.approx(3 / 7, abs=1e-14)
     assert abs(rep.mean - expected) <= 3 * rep.stderr + 1e-12
 
@@ -344,7 +345,7 @@ from hypothesis import strategies as st
 def test_predict_main_quantum_reduces_to_pure_state_form(n_a, n_b, p0):
     # With K = N^2 on both parts the formula factors through
     # (N_A + 1)/(N_A N_B + 1) at p0 = 1 and is linear in p0.
-    pred = rnd.predict_main(n_a**2, n_b**2, n_a, n_b, p0)
+    pred = formulas.predict_main(n_a**2, n_b**2, n_a, n_b, p0)
     expected = p0 * (n_a + 1) / (n_a * n_b + 1)
     assert pred.value == pytest.approx(expected, abs=1e-12)
 
@@ -361,32 +362,32 @@ def test_level_count_predictions_are_correctly_rounded(n_a, n_b, p0):
         return Fraction(k_a - 1, k_a * k_b - 1) * Fraction(n_a * n_b - 1, n_a - 1) * exact_p0
 
     for k_a, k_b, theory in ((n_a**2, n_b**2, "quantum"), (n_a, n_b, "classical")):
-        assert rnd.predict_main(k_a, k_b, n_a, n_b, p0).value == float(main(k_a, k_b))
-        pred = rnd.predict_general(theory, n_a, n_b, p0)
+        assert formulas.predict_main(k_a, k_b, n_a, n_b, p0).value == float(main(k_a, k_b))
+        pred = formulas.predict_general(theory, n_a, n_b, p0)
         assert pred.value == float(main(k_a, k_b))
         assert pred.inputs["P_phi_mu"] == float(Fraction(n_a - 1, n_a * n_b - 1))
     n = n_a * n_b
     k_a, k_ab = n_a * (n_a + 1) // 2, n * (n + 1) // 2
     exact = Fraction(k_a - 1, k_ab - 1) * exact_p0 / Fraction(n_a - 1, n - 1)
-    assert rnd.predict_real_quantum(n_a, n_b, p0).value == float(exact)
+    assert formulas.predict_real_quantum(n_a, n_b, p0).value == float(exact)
     # The largest integers of a power-law prediction stay integer divisions.
-    assert rnd.predict_power_law(2, n_a, n_b, p0).value == pytest.approx(
+    assert formulas.predict_power_law(2, n_a, n_b, p0).value == pytest.approx(
         float(main(n_a**2, n_b**2)), rel=1e-15)
 
 
 def test_level_count_predictions_refuse_bad_theories_and_levels():
     with pytest.raises(InvalidDimensionError, match="quantum level count must be >= 2, got 1"):
-        rnd.predict_general("quantum", 1, 2, 1.0)
+        formulas.predict_general("quantum", 1, 2, 1.0)
     with pytest.raises(InvalidDimensionError, match="classical level count must be >= 2"):
         rnd.estimate_expected_local_purity("classical", 2, 0, 1.0, 10, 1)
     with pytest.raises(UnsupportedSpaceError):
-        rnd.predict_general("real-quantum", 2, 2, 1.0)
+        formulas.predict_general("real-quantum", 2, 2, 1.0)
     with pytest.raises(UnsupportedSpaceError):
         rnd.estimate_expected_local_purity("boxworld", 2, 2, 1.0, 10, 1)
 
 
 def test_nonlocaltomo_asymmetric_real_quantum_agrees_with_oracle():
-    pred = rnd.predict_real_quantum(2, 3, 1.0)
+    pred = formulas.predict_real_quantum(2, 3, 1.0)
     assert pred.inputs["K_AB"] == 21
     assert pred.inputs["P_phi_mu"] == pytest.approx(1 / 5, abs=1e-12)
     assert tr2_from_purity(2, pred.value) == pytest.approx(

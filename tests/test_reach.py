@@ -70,6 +70,8 @@ ALLOWLIST = {
     "faces.subspace_face": _SINGLETON_FACE,
     "faces.face_bloch_projector":
         "tests/test_faces.py::test_face_bloch_projector_fixes_in_face_traceless",
+    "formulas.predict_nonlocaltomo":
+        "tests/test_randomize.py::test_predict_nonlocaltomo_reduces_to_general_when_tomographic",
     "grouprep.GroupSampler.draw": _CRIT_14,
     "grouprep.sampler_for.draw_many":
         "tests/test_grouprep.py::test_large_permutation_sampler_draws_as_single_permutations",
@@ -85,8 +87,6 @@ ALLOWLIST = {
     "purity.PauliMap.__call__": "tests/test_purity.py::test_classical_pauli_values_on_pure_state",
     "purity.pauli_from_direction": _PER_STATE,
     "purity.max_collision_probability": _PER_STATE,
-    "randomize.predict_nonlocaltomo":
-        "tests/test_randomize.py::test_predict_nonlocaltomo_reduces_to_general_when_tomographic",
     "randomize._conjugated_block": _CRIT_14,
     "randomize.partial_trace": _CRIT_14,
     "randomize._tr_sq": _CRIT_14,
