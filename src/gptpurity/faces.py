@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedSpaceError,
     check_memory,
 )
-from .formulas import Prediction, _check_purity_on_face, coin_record_sigma
+from .formulas import Prediction, _check_purity_on_face, coin_record_sigma, predict_coin_record
 from .randomize import (BLOCK_SIZE, McReport, _check_run, _classical_block, _estimate,
                         _gram_pairs, _haar_ket_block)
 
@@ -264,17 +264,12 @@ def coin_with_record(
     n_f = 2 * s0_size
     size = min(n_samples, BLOCK_SIZE)
     # The distribution, then the block and its A marginals that
-    # ``_permuted_block`` checks again once the distribution exists.
+    # ``_classical_block`` checks again once the distribution exists.
     check_memory(8 * (n_f + size * (n_f + 2)),
                  f"a 2 x {s0_size} classical joint distribution and a block of {size} "
                  "permutations of it")
     p_face = np.zeros(n_f)
     p_face[:s0_size] = 1.0 / s0_size
     report = _estimate(n_samples, seed, partial(_classical_block, p=p_face, k_a=2), None)
-    prediction = Prediction(
-        value=1.0 / (2 * s0_size - 1),
-        formula_id="class-face",
-        inputs={"s0_size": s0_size},
-    )
-    return CoinRecordResult(report=report, prediction=prediction,
+    return CoinRecordResult(report=report, prediction=predict_coin_record(s0_size),
                             sigma=coin_record_sigma(s0_size))

@@ -11,13 +11,14 @@ so every closed form here is integer and float arithmetic:
   for compositions that are not locally tomographic.
 * symm:        (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2), the expected
   Tr(rho_A^2) on the (anti)symmetric subspace of C^n (x) C^n.
+* coin-record: 1/(2 s0 - 1), a coin tossed against a recording environment.
 
 ``predict_general`` and ``predict_real_quantum`` take level counts alone.
 ``main``, ``general``, ``power-law`` and ``nonlocaltomo`` are evaluated as one
 integer true division, from the integer level counts and the exact ratio of
 the float P0 (``as_integer_ratio``), so each reported value is correctly
 rounded.  ``coin_record_sigma`` is the exact per-sample spread of the
-recorded coin's purity.
+recorded coin's purity around ``predict_coin_record``.
 
 This module uses no other layer of the package but ``errors``, so a command
 that only predicts never imports numpy.
@@ -216,6 +217,15 @@ def _check_purity_on_face(n_sub: int, tr_purity: float) -> None:
     if not 1.0 / n_sub - 1e-12 <= tr_purity <= 1.0 + 1e-12:
         raise RangeError(f"Tr rho^2 on a face of dimension {n_sub} must lie in "
                          f"[1/{n_sub}, 1], got {tr_purity}")
+
+
+def predict_coin_record(s0_size: int) -> Prediction:
+    """Expected purity of a coin tossed against an environment recording it in s0 strings.
+
+    1/(2 s0 - 1): the record randomizes like a free environment of half its size.
+    """
+    return Prediction(value=1.0 / (2 * s0_size - 1), formula_id="class-face",
+                      inputs={"s0_size": s0_size})
 
 
 def coin_record_sigma(s0_size: int) -> float:

@@ -51,8 +51,9 @@ def fixed_purity_state(space: SpaceDescriptor, p0: float, rng: np.random.Generat
     normalization of the Gram, the mixture has purity t^2 with t = sqrt(p0).
     Note there is no group-invariant measure on a fixed-purity shell for
     p0 < 1; the expected-purity formulas depend only on the purity of the
-    initial state, so this mu-interpolation orbit is sufficient (and a test
-    verifies initial-state independence of the Monte Carlo mean).
+    initial state, so this mu-interpolation orbit is sufficient (exact sums
+    over the 2x2 Clifford group and the 2x3 permutations check this on states
+    of other spectra).
     """
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"target purity must lie in [0, 1], got {p0}")

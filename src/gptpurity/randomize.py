@@ -10,12 +10,11 @@ Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
 derived from (seed, b), and the blocks are reduced in order, so a report
 depends on the seed and the sample count alone.  An estimator only says how
-to draw one block: Haar kets (``_haar_ket_block``), Haar-conjugated fixed
-states (``_conjugated_block``) or permuted distributions
+to draw one block: Haar kets (``_haar_ket_block``) or permuted distributions
 (``_classical_block``), then take the local purity.  No estimator takes a
 Gram: each group acts irreducibly, so its invariant Gram is unique and a
 purity is (n Tr rho^2 - 1)/(n - 1) on n quantum levels and n/(n-1) |x - 1/n|^2
-(``_classical_purities``) on n classical outcomes.  The default quantum
+(``_classical_purities``) on n classical outcomes.  The quantum
 estimate needs no group element: conjugation fixes the maximally mixed
 state mu, so U (t phi + (1-t) mu) U^dagger equals t |psi><psi| + (1-t) mu
 for a Haar-random ket psi.  Its local purity is a Schmidt-side quantity
@@ -24,13 +23,11 @@ depends only on Tr (M M^dagger)^2, so a block of kets gives its purities
 through the entries of the smaller Gram, and no A marginal is formed.  The
 kets stay real and imaginary parts, and the Gram's entries are pair sums in
 a fixed order with no BLAS call, so these reports are the same bytes on
-every CPU.  A fixed ``initial`` state is conjugated, by BLAS products, with a
-block of ``grouprep.haar_unitaries``.  A report carries no verdict: a
-``checks.Check`` judges it (``checks.markov_tail`` for its histogram).
+every CPU.  A report carries no verdict: a ``checks.Check`` judges it
+(``checks.markov_tail`` for its histogram).
 
-The level-count paths use no other layer of the package but ``formulas``, and
-the others reach theirs through module aliases, so a lazily registered layer
-runs only if used.
+This module uses no other layer of the package but ``errors`` and
+``formulas``.
 """
 
 from __future__ import annotations
@@ -42,10 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import composite as comp_mod
-from . import grouprep
-from . import purity as pur
-from . import statespace as ss
 from .errors import InternalError, RangeError, check_memory
 from .formulas import QUANTUM, _check_levels, _check_p0, _local_dimensions
 
@@ -65,11 +58,10 @@ class McReport(NamedTuple):
     ``stderr`` is the sample standard deviation over sqrt(n);
     ``realized_global_purity`` is the mean per-sample global purity.  On the
     Haar-ket path it is computed from each ket's norm (p0 |psi|^4 when mu is
-    maximally mixed; a face reports Tr(rho^2)), on the ``initial`` path from
-    Tr(rho^2) after conjugation, and on the classical path from the permuted
-    joint distribution.  The local values on the quantum paths come from
-    Tr(rho_A^2) alone, on the Haar-ket path without forming rho_A, and on the
-    classical paths from the closed form of each A marginal, with no Gram.
+    maximally mixed; a face reports Tr(rho^2)), and on the classical path
+    from the permuted joint distribution.  The local values on the Haar-ket
+    path come from Tr(rho_A^2) without forming rho_A, and on the classical
+    path from the closed form of each A marginal, with no Gram.
     Reversible transformations preserve purity, so it is constant across
     samples; a spread beyond ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
     """
@@ -292,45 +284,6 @@ def _haar_ket_block(
     return tr_a2, tr2
 
 
-def _conjugated_block(
-    rng: np.random.Generator, size: int, phi: np.ndarray, dims: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local and global generalized purities of ``size`` states U phi U^dagger for Haar U.
-
-    The unitaries come from one ``grouprep.haar_unitaries`` call; each state
-    is reduced to Tr(rho_A^2) and Tr(rho^2).
-    """
-    n = phi.shape[0]
-    # U, U phi, conj(U) and rho are alive at once.
-    check_memory(4 * 16 * size * n * n, f"a block of {size} unitaries in dimension {n}")
-    u = grouprep.haar_unitaries(size, n, rng)
-    rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
-    tr_a2 = _tr_sq(partial_trace(rho, dims))
-    return pur.purity_from_tr2(dims[0], tr_a2), pur.purity_from_tr2(n, _tr_sq(rho))
-
-
-def _permuted_block(rng: np.random.Generator, size: int, p: np.ndarray, k_a: int) -> np.ndarray:
-    """``size`` uniformly random permutations of ``p``, one per row.
-
-    The memory check also counts the (size, k_a) A marginal every caller forms.
-    """
-    check_memory(8 * size * (p.size + k_a),
-                 f"a block of {size} distributions on {p.size} outcomes and their marginals")
-    omega = np.tile(p, (size, 1))
-    return rng.permuted(omega, axis=1, out=omega)
-
-
-def _tr_sq(rho: np.ndarray) -> np.ndarray:
-    """Tr(rho^2) of a square matrix, or of each matrix in a (size, n, n) stack."""
-    return np.einsum("...ij,...ji->...", rho, rho).real
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """The A marginal Tr_B of a (d_a d_b) square matrix, or of each in a stack."""
-    da, db = dims
-    return np.einsum("...ibjb->...ij", rho.reshape(*rho.shape[:-2], da, db, da, db))
-
-
 def _classical_purities(x: np.ndarray) -> np.ndarray:
     """Purity n/(n-1) |x - 1/n|^2 of each row of n-outcome distributions; overwrites x."""
     n = x.shape[-1]
@@ -341,8 +294,14 @@ def _classical_purities(x: np.ndarray) -> np.ndarray:
 def _classical_block(
     rng: np.random.Generator, size: int, p: np.ndarray, k_a: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local and global purities of ``size`` uniform permutations of ``p``."""
-    omega = _permuted_block(rng, size, p, k_a)
+    """Local and global purities of ``size`` uniform permutations of ``p``.
+
+    The memory check counts the block and its (size, k_a) A marginal.
+    """
+    check_memory(8 * size * (p.size + k_a),
+                 f"a block of {size} distributions on {p.size} outcomes and their marginals")
+    omega = np.tile(p, (size, 1))
+    rng.permuted(omega, axis=1, out=omega)
     local = _classical_purities(omega.reshape(size, k_a, -1).sum(axis=2))
     return local, _classical_purities(omega)
 
@@ -355,59 +314,37 @@ def estimate_expected_local_purity(
     n_samples: int,
     seed: int,
     *,
-    initial: np.ndarray | None = None,
     histogram_bins: int | None = HISTOGRAM_BINS,
 ) -> McReport:
     """Monte Carlo mean of the local purity after global randomization.
 
     The parts are two quantum or two classical systems with ``n_a`` and
-    ``n_b`` levels.  Each sample builds a global state of purity ``p0`` (or
-    starts from the fixed ``initial`` joint coordinates when given), applies
-    a uniformly random reversible transformation of the joint space, and
-    takes the purity of the A marginal.  Quantum samples without ``initial``
-    are t |psi><psi| + (1-t) mu for Haar-random kets psi, which has the same
-    distribution; with ``initial`` a Haar unitary conjugates it.  Classical
-    samples are uniform permutations of the joint distribution.
+    ``n_b`` levels.  Each sample takes the global state t phi + (1-t) mu of
+    purity ``p0`` = t^2, applies a uniformly random reversible transformation
+    of the joint space, and takes the purity of the A marginal.  Quantum
+    samples are t |psi><psi| + (1-t) mu for Haar-random kets psi, which has
+    the same distribution; classical samples are uniform permutations of the
+    joint distribution.
 
     No Gram is taken: each part's group acts irreducibly, so its invariant
     Gram is unique and every purity has a closed form, (n Tr rho^2 - 1)/(n - 1)
     for n quantum levels and n/(n-1) |x - 1/n|^2 for n classical outcomes.
-    Only the ``initial`` path builds the composite descriptor, to check the
-    state and read its matrix.
     """
     _local_dimensions(theory, n_a, n_b)
     _check_p0(p0)
     t = math.sqrt(p0)
-    if initial is not None:
-        build = ss.build_quantum if theory == QUANTUM else ss.build_classical
-        joint = comp_mod.compose(build(n_a), build(n_b)).joint
-        initial = np.asarray(initial, dtype=float)
-        ss.validate_state(joint, initial)
-        got = grouprep.analytic_gram(joint).norm_sq(initial - joint.max_mixed)
-        if abs(got - p0) > 1e-9:
-            raise RangeError(
-                f"the supplied initial state has purity {got!r}, requested {p0}"
-            )
-
     if theory == QUANTUM:
-        if initial is None:
-            draw = partial(_haar_ket_block, t=t, dims=(n_a, n_b))
-        else:
-            draw = partial(_conjugated_block, phi=joint.to_matrix(initial), dims=(n_a, n_b))
+        draw = partial(_haar_ket_block, t=t, dims=(n_a, n_b))
     else:
-        if initial is None:
-            k = n_a * n_b
-            size = min(n_samples, BLOCK_SIZE)
-            # The distribution, then the block and its marginals that
-            # ``_permuted_block`` checks again once the distribution exists.
-            check_memory(8 * (k + size * (k + n_a)),
-                         f"a {k}-outcome distribution and a block of {size} permutations of it")
-            p = np.full(k, (1.0 - t) / k)
-            p[0] += t
-        else:
-            p = initial
+        k = n_a * n_b
+        size = min(n_samples, BLOCK_SIZE)
+        # The distribution, then the block and its marginals that
+        # ``_classical_block`` checks again once the distribution exists.
+        check_memory(8 * (k + size * (k + n_a)),
+                     f"a {k}-outcome distribution and a block of {size} permutations of it")
+        p = np.full(k, (1.0 - t) / k)
+        p[0] += t
         draw = partial(_classical_block, p=p, k_a=n_a)
-
     return _estimate(n_samples, seed, draw, histogram_bins)
 
 

@@ -6,6 +6,7 @@ per criterion.  Monte Carlo criteria use 10^4 samples and 3-sigma bands
 degenerate, where the band collapses to float roundoff).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -256,22 +257,39 @@ def test_criterion_14_property_suite():
     notes.append("bounds/invariance/sqrt-convexity")
 
     # estimator seed determinism
-    comp = _pair(ss.build_quantum, 2, 2)
     r1 = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 1000, 99)
     r2 = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 1000, 99)
     ok = ok and r1.mean == r2.mean and r1.stderr == r2.stderr
     notes.append(f"seed determinism (mean {r1.mean:.6f})")
 
-    # initial-state independence of the mean at fixed purity
-    p0 = 0.5
-    init1 = pur.fixed_purity_state(comp.joint, p0, rng)
-    init2 = pur.fixed_purity_state(comp.joint, p0, rng)
-    ra = rnd.estimate_expected_local_purity("quantum", 2, 2, p0, SAMPLES, 301,
-                                            initial=init1)
-    rb = rnd.estimate_expected_local_purity("quantum", 2, 2, p0, SAMPLES, 302,
-                                            initial=init2)
-    sigma = math.hypot(ra.stderr, rb.stderr)
-    ok = ok and abs(ra.mean - rb.mean) <= 3 * sigma + EPS
-    notes.append(f"initial-state independence ({ra.mean:.4f} vs {rb.mean:.4f})")
+    # The mean local purity depends on the initial state only through P0.  A
+    # unitary 2-design averages any quadratic function of the state exactly,
+    # so a sum over every element of the two-qubit Clifford group (and over
+    # every permutation of six outcomes) checks it on full-rank states of
+    # different spectra with no sampling error.
+    exact = np.random.default_rng(1014)
+    cliffords = grouprep.clifford_unitaries(2)
+    perms = np.array(list(itertools.permutations(range(6))))
+    spectra, worst = [], 0.0
+    for _ in range(5):
+        spectra.append(exact.dirichlet(np.ones(4)))
+        u = grouprep.haar_unitaries(1, 4, exact)[0]
+        rho = (u * spectra[-1]) @ u.conj().T
+        conj = cliffords @ rho @ cliffords.conj().transpose(0, 2, 1)
+        rho_a = np.einsum("gibjb->gij", conj.reshape(-1, 2, 2, 2, 2))
+        mean = np.mean(pur.purity_from_tr2(2, np.sum(np.abs(rho_a) ** 2, axis=(1, 2))))
+        p0 = pur.purity_from_tr2(4, np.sum(np.abs(rho) ** 2))
+        worst = max(worst, abs(mean - formulas.predict_general("quantum", 2, 2, p0).value))
+
+        p = exact.dirichlet(np.ones(6))
+        marg = p[perms].reshape(-1, 2, 3).sum(axis=2)
+        mean = np.mean(2.0 * np.sum((marg - 0.5) ** 2, axis=1))
+        p0 = 6 / 5 * np.sum((p - 1 / 6) ** 2)
+        worst = max(worst, abs(mean - formulas.predict_general("classical", 2, 3, p0).value))
+    # Full rank, and no two spectra alike.
+    gaps = [np.max(np.abs(np.sort(a) - np.sort(b)))
+            for a, b in itertools.combinations(spectra, 2)]
+    ok = ok and np.min(spectra) > 1e-3 and min(gaps) > 1e-3 and worst <= EPS
+    notes.append(f"initial-state independence by exact group sums (max dev {worst:.1e})")
 
     _report(14, ok, "; ".join(notes))

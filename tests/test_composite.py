@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import grouprep, randomize as rnd, statespace as ss
+from gptpurity import grouprep, statespace as ss
 from gptpurity.errors import InconsistencyError, UnsupportedCompositeError
 from gptpurity.purity import complete_pauli_set
 from gptpurity.statespace import random_mixtures
@@ -114,15 +114,6 @@ def test_marginalization_commutes_with_local_transformations(rng):
         lhs = cm.marginal_a(comp_c, np.kron(ta, tb) @ omega)
         rhs = ta @ cm.marginal_a(comp_c, omega)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_partial_trace_helper(rng):
-    rho = rng.normal(size=(6, 6))
-    rho = rho @ rho.T
-    rho /= np.trace(rho)
-    full = rnd.partial_trace(rho, (2, 3))
-    assert full.shape == (2, 2)
-    assert np.trace(full) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- capacity witnesses ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ def test_face_dimensions(n, sym_dim, anti_dim):
 def test_antisym_of_single_level_is_empty():
     with pytest.raises(EmptyFaceError):
         faces.antisym_face(1)
+
+
+def _partial_trace(rho, dims):
+    """The A marginal Tr_B of a (d_a d_b) square matrix."""
+    da, db = dims
+    return np.einsum("ibjb->ij", rho.reshape(da, db, da, db))
 
 
 def _swap(n):
@@ -273,8 +280,7 @@ def test_coin_with_record_is_the_free_two_by_s0_classical_estimate(s0):
     p_face = np.zeros(2 * s0)
     p_face[:s0] = 1.0 / s0
     res = faces.coin_with_record(s0, 10_000, 1)
-    free = rnd.estimate_expected_local_purity("classical", 2, s0, 1 / (2 * s0 - 1), 10_000, 1,
-                                              initial=p_face, histogram_bins=None)
+    free = rnd._estimate(10_000, 1, partial(rnd._classical_block, p=p_face, k_a=2), None)
     assert res.report.to_json_dict() == free.to_json_dict()
 
 
@@ -329,7 +335,7 @@ def test_face_ket_kernel_matches_explicit_route(make):
     gram_a = grouprep.analytic_gram(part_a)
     psi = rnd.haar_kets(3, n_s, np.random.default_rng(5301))
     sigma_a = face.sigma_a
-    np.testing.assert_allclose(sigma_a, rnd.partial_trace(v @ v.conj().T, dims) / n_s,
+    np.testing.assert_allclose(sigma_a, _partial_trace(v @ v.conj().T, dims) / n_s,
                                rtol=0, atol=1e-15)
     if make is tilted_face:
         assert np.max(np.abs(sigma_a - np.eye(dims[0]) / dims[0])) > 0.01
@@ -339,7 +345,7 @@ def test_face_ket_kernel_matches_explicit_route(make):
     for k, ket in enumerate(psi):
         sigma = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n_s) / n_s
         rho = v @ sigma @ v.conj().T
-        ref_a = rnd.partial_trace(rho, dims)
+        ref_a = _partial_trace(rho, dims)
         assert local[k] == pytest.approx(
             gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
         assert collision[k] == pytest.approx(np.trace(ref_a @ ref_a).real, abs=1e-12)

@@ -21,9 +21,7 @@ def test_haar_mean_of_pure_state_is_max_mixed(rng):
     sampler = grouprep.sampler_for(space)
     phi = space.sample_pure(rng)
     n = 10_000
-    out = np.zeros((n, space.K))
-    for i in range(n):
-        out[i] = sampler.draw(rng) @ phi
+    out = sampler.draw_many(rng, n) @ phi
     mean = out.mean(axis=0)
     sigma = out.std(axis=0, ddof=1) / math.sqrt(n)
     np.testing.assert_array_less(np.abs(mean - space.max_mixed), 3 * sigma + 1e-12)
@@ -31,10 +29,7 @@ def test_haar_mean_of_pure_state_is_max_mixed(rng):
 
 def test_haar_first_moment_vanishes(rng):
     n, draws = 3, 8000
-    acc = np.zeros((n, n), dtype=complex)
-    for _ in range(draws):
-        acc += grouprep.haar_unitaries(1, n, rng)[0]
-    mean = acc / draws
+    mean = grouprep.haar_unitaries(draws, n, rng).mean(axis=0)
     # each entry has second moment 1/n per draw
     bound = 4 * math.sqrt(1 / (2 * n * draws))
     assert np.max(np.abs(mean.real)) < bound

@@ -104,9 +104,9 @@ def test_statespace_loads_only_the_package_and_its_errors():
 
 
 def test_randomize_loads_neither_faces_nor_boxworld():
-    loaded = _loaded_by("gptpurity.randomize")
-    assert "gptpurity.randomize" in loaded
-    assert not loaded & {"gptpurity.faces", "gptpurity.boxworld"}
+    # Nor any descriptor, Gram or purity layer: only the closed forms' checks.
+    assert _loaded_by("gptpurity.randomize") == {
+        "gptpurity", "gptpurity.errors", "gptpurity.formulas", "gptpurity.randomize"}
 
 
 def test_cli_loads_every_traced_layer():

@@ -22,6 +22,12 @@ def _pair(builder, na, nb):
     return cm.compose(builder(na), builder(nb))
 
 
+def _partial_trace(rho, dims):
+    """The A marginal Tr_B of a (d_a d_b) square matrix, or of each in a stack."""
+    da, db = dims
+    return np.einsum("...ibjb->...ij", rho.reshape(*rho.shape[:-2], da, db, da, db))
+
+
 # -- predictions ---------------------------------------------------------------------
 
 
@@ -190,21 +196,6 @@ def test_estimator_seed_determinism_and_worker_independence():
     assert a.mean == b.mean == c.mean
     assert a.stderr == b.stderr == c.stderr
     np.testing.assert_array_equal(a.histogram_counts, c.histogram_counts)
-
-
-def test_estimator_initial_state_independence():
-    comp = _pair(ss.build_quantum, 2, 2)
-    p0 = 0.5
-    rng = np.random.default_rng(5)
-    init1 = fixed_purity_state(comp.joint, p0, rng)
-    init2 = fixed_purity_state(comp.joint, p0, rng)
-    assert np.max(np.abs(init1 - init2)) > 1e-3
-    rep1 = rnd.estimate_expected_local_purity(
-        "quantum", 2, 2, p0, 4000, 21, initial=init1)
-    rep2 = rnd.estimate_expected_local_purity(
-        "quantum", 2, 2, p0, 4000, 22, initial=init2)
-    sigma = math.hypot(rep1.stderr, rep2.stderr)
-    assert abs(rep1.mean - rep2.mean) <= 3 * sigma
 
 
 def test_estimator_histogram_counts_sum_to_samples():
@@ -397,14 +388,6 @@ def test_nonlocaltomo_asymmetric_real_quantum_agrees_with_oracle():
     assert abs(rep.mean - pred.value) <= 3 * rep.stderr + 1e-12
 
 
-def test_estimator_rejects_initial_state_with_wrong_purity(rng):
-    comp = _pair(ss.build_quantum, 2, 2)
-    init = fixed_purity_state(comp.joint, 0.8, rng)
-    with pytest.raises(RangeError):
-        rnd.estimate_expected_local_purity(
-            "quantum", 2, 2, 0.5, 10, 1, initial=init)
-
-
 # -- the batched kernel against the explicit route -------------------------------------------
 
 
@@ -424,7 +407,7 @@ def test_ket_kernel_matches_explicit_route(builder, real):
         local, glob = rnd._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
         for k, ket in enumerate(psi):
             rho = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n) / n
-            ref_a = rnd.partial_trace(rho, (na, nb))
+            ref_a = _partial_trace(rho, (na, nb))
             assert local[k] == pytest.approx(
                 gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
             assert glob[k] == pytest.approx(
@@ -432,32 +415,7 @@ def test_ket_kernel_matches_explicit_route(builder, real):
             assert glob[k] == pytest.approx(p0, abs=1e-12)
 
 
-def test_conjugated_states_match_explicit_route():
-    # One haar_unitaries draw per block, against U phi U^dagger ->
-    # partial_trace -> to_coords -> GramMatrix.norm_sq per sample.
-    na, nb = 2, 3
-    part_a, joint = ss.build_quantum(na), ss.build_quantum(na * nb)
-    gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
-    phi = joint.to_matrix(fixed_purity_state(joint, 0.5, np.random.default_rng(4400)))
-    got = []
-
-    def draw(rng, size):
-        local, glob = rnd._conjugated_block(rng, size, phi, (na, nb))
-        got.append((size, local, glob))
-        return local, glob
-
-    rnd._estimate(1500, 4401, draw, None)
-    assert [size for size, _, _ in got] == [1024, 476]
-    for b, (size, local, glob) in enumerate(got):
-        us = grouprep.haar_unitaries(size, na * nb, rnd.sample_rng(4401, b))
-        for k in (0, 1, len(us) - 1):
-            rho = us[k] @ phi @ us[k].conj().T
-            ref_a = rnd.partial_trace(rho, (na, nb))
-            assert local[k] == pytest.approx(
-                gram_a.norm_sq(part_a.to_coords(ref_a) - part_a.max_mixed), abs=1e-12)
-            assert glob[k] == pytest.approx(
-                gram_ab.norm_sq(joint.to_coords(rho) - joint.max_mixed), abs=1e-12)
-        assert np.ptp(glob) < rnd.GLOBAL_PURITY_TOL
+def test_permuted_states_match_explicit_route():
     # The classical group permutes outcomes: each permuted state against
     # marginal_a -> GramMatrix.norm_sq, rebuilt from one rng.permutation per
     # sample on an equal stream.  A mu-interpolated state gives every sample
@@ -472,7 +430,7 @@ def test_conjugated_states_match_explicit_route():
             t = math.sqrt(p0)
             p = np.full(k, (1.0 - t) / k)
             p[0] += t
-        got.clear()
+        got = []
 
         def draw_classical(rng, size):
             local, glob = rnd._classical_block(rng, size, p, na)
@@ -537,11 +495,21 @@ def test_driver_refuses_a_global_purity_spread():
 
 
 def test_ket_path_agrees_with_full_unitary_path():
+    # The reference conjugates a fixed state of purity 0.5 with a block of
+    # Haar unitaries per stream and takes Tr(rho_A^2) of the explicit marginal.
     comp = _pair(ss.build_quantum, 2, 2)
-    init = fixed_purity_state(comp.joint, 0.5, np.random.default_rng(5100))
+    phi = comp.joint.to_matrix(fixed_purity_state(comp.joint, 0.5, np.random.default_rng(5100)))
+
+    def draw(rng, size):
+        u = grouprep.haar_unitaries(size, 4, rng)
+        rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
+        rho_a = _partial_trace(rho, (2, 2))
+        tr_a2 = np.einsum("...ij,...ji->...", rho_a, rho_a).real
+        tr2 = np.einsum("...ij,...ji->...", rho, rho).real
+        return purity_from_tr2(2, tr_a2), purity_from_tr2(4, tr2)
+
     ket = rnd.estimate_expected_local_purity("quantum", 2, 2, 0.5, 10_000, 5101)
-    full = rnd.estimate_expected_local_purity(
-        "quantum", 2, 2, 0.5, 10_000, 5102, initial=init)
+    full = rnd._estimate(10_000, 5102, draw, None)
     assert full.realized_global_purity == pytest.approx(0.5, abs=1e-9)
     assert abs(ket.mean - full.mean) <= 3 * math.hypot(ket.stderr, full.stderr)
 

@@ -53,15 +53,16 @@ ARGV = [
 ]
 
 # Tests that several entries name.
+_CRIT_03 = "tests/test_acceptance.py::test_criterion_03_classical_pure_marginals_exact"
 _CRIT_06 = "tests/test_acceptance.py::test_criterion_06_purity_pure_times_maxmixed"
-_CRIT_14 = "tests/test_acceptance.py::test_criterion_14_property_suite"
+_PR_STATE = "tests/test_boxworld.py::test_pr_state_purity_is_exactly_one_third"
 _SINGLETON_FACE = "tests/test_faces.py::test_maximally_entangled_singleton_face_smoke"
 _PER_STATE = "tests/test_checks.py::test_batched_pauli_identities_match_the_per_state_route"
 # Defs that no command runs, each with the test that uses it as a reference.
 ALLOWLIST = {
-    "boxworld.boxworld_purity": "tests/test_boxworld.py::test_pr_state_purity_is_exactly_one_third",
+    "boxworld.boxworld_purity": _PR_STATE,
     "composite.CompositeDescriptor.kind": _SINGLETON_FACE,
-    "composite.compose": _CRIT_14,
+    "composite.compose": _CRIT_03,
     "composite.marginal_a": "tests/test_composite.py::test_marginal_of_correlated_classical_pair",
     "composite._reference_pure": _CRIT_06,
     "composite.purity_pure_times_maxmixed": _CRIT_06,
@@ -72,7 +73,7 @@ ALLOWLIST = {
         "tests/test_faces.py::test_face_bloch_projector_fixes_in_face_traceless",
     "formulas.predict_nonlocaltomo":
         "tests/test_randomize.py::test_predict_nonlocaltomo_reduces_to_general_when_tomographic",
-    "grouprep.GroupSampler.draw": _CRIT_14,
+    "grouprep.GroupSampler.draw": "tests/test_acceptance.py::test_criterion_14_property_suite",
     "grouprep.sampler_for.draw_many":
         "tests/test_grouprep.py::test_large_permutation_sampler_draws_as_single_permutations",
     "grouprep.GramMatrix.matrix":
@@ -83,17 +84,14 @@ ALLOWLIST = {
     "purity.purity_from_tr2": "tests/test_randomize.py::test_qubit_oracle_consistency_triangle",
     "purity.tr2_from_purity":
         "tests/test_acceptance.py::test_criterion_12_real_quantum_nonlocal_tomography",
-    "purity.fixed_purity_state": _CRIT_14,
+    "purity.fixed_purity_state": _CRIT_03,
     "purity.PauliMap.__call__": "tests/test_purity.py::test_classical_pauli_values_on_pure_state",
     "purity.pauli_from_direction": _PER_STATE,
     "purity.max_collision_probability": _PER_STATE,
-    "randomize._conjugated_block": _CRIT_14,
-    "randomize.partial_trace": _CRIT_14,
-    "randomize._tr_sq": _CRIT_14,
-    "statespace.SpaceDescriptor.unit": _CRIT_14,
+    "statespace.SpaceDescriptor.unit": _PR_STATE,
     "statespace.SpaceDescriptor.bloch_projector": _CRIT_06,
-    "statespace.SpaceDescriptor.cone_contains": _CRIT_14,
-    "statespace.validate_state": _CRIT_14,
+    "statespace.SpaceDescriptor.cone_contains": _PR_STATE,
+    "statespace.validate_state": _PR_STATE,
 }
 
 # argv[1]: the argv list, argv[2]: the test ids, argv[3]: the output path.  The
