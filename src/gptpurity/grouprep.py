@@ -525,12 +525,15 @@ _CLOSURE_CHUNK = 256
 
 
 def _phase_canonical(u: np.ndarray) -> np.ndarray:
-    """Each matrix of a (..., d, d) stack times the phase that makes its first
-    entry of modulus above 1e-9 real and positive."""
-    flat = u.reshape(*u.shape[:-2], -1)
-    idx = np.argmax(np.abs(flat) > 1e-9, axis=-1)
-    z = np.take_along_axis(flat, idx[..., None], axis=-1)
-    return u * (z.conj() / np.abs(z))[..., None]
+    """Multiply each unitary of a (..., d, d) stack, in place, by the phase that
+    makes its first entry of modulus above 1e-9 real and positive; return ``u``.
+
+    A unitary's first row has unit norm, so that entry lies in row 0.
+    """
+    row = u[..., 0, :]
+    z = np.take_along_axis(row, np.argmax(np.abs(row) > 1e-9, axis=-1)[..., None], axis=-1)
+    u *= (z.conj() / np.abs(z))[..., None]
+    return u
 
 
 def _keys(u: np.ndarray) -> list[bytes]:

@@ -127,11 +127,18 @@ _NUMPY = ("numpy", "numpy.random")
 _FORMULAS = {"cli", "errors", "formulas"}
 
 
+# SHA-256 of b"abc" (FIPS 180-2, appendix B.1).
+_SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
 def _executed_by(argv: list[str], unneeded: tuple[str, ...] = _UNNEEDED) -> set[str]:
     """The ``gptpurity`` layers a fresh interpreter has run after ``cli.main(argv)``,
     and those of ``unneeded`` it has imported.
 
-    A lazily registered layer that never ran is still a ``_LazyModule``.
+    A lazily registered layer that never ran is still a ``_LazyModule``, and
+    a module blocked by a ``None`` entry in ``sys.modules`` is not imported.
+    The same interpreter then checks that ``hashlib`` still gives the
+    standard SHA-256 digest.
     """
     code = ("import contextlib, io, sys, types\n"
             "from gptpurity import cli\n"
@@ -139,7 +146,9 @@ def _executed_by(argv: list[str], unneeded: tuple[str, ...] = _UNNEEDED) -> set[
             "    assert cli.main(sys.argv[1:]) == 0\n"
             "print(*sorted(n for n, m in sys.modules.items()\n"
             "              if n.startswith('gptpurity.') and type(m) is types.ModuleType))\n"
-            f"print(*(n for n in {unneeded!r} if n in sys.modules))\n")
+            f"print(*(n for n in {unneeded!r} if sys.modules.get(n) is not None))\n"
+            "import hashlib\n"
+            f"assert hashlib.sha256(b'abc').hexdigest() == {_SHA256_ABC!r}\n")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=_env(), timeout=120, check=True)
     return {name.removeprefix("gptpurity.") for name in proc.stdout.split()}
@@ -197,6 +206,29 @@ def test_face_commands_run_no_descriptor_layer(argv, layers):
     # runs; the (anti)symmetric closed form needs no face at all, and
     # coin-record's verdict is a checks.Check.
     assert _executed_by(argv) == layers
+
+
+_OPENSSL = ("numpy.random", "_hashlib")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--theory", "quantum", "--na", "2", "--nb", "2", "--p0", "1",
+     "--samples", "100", "--seed", "1"],
+    ["estimate", "--theory", "classical", "--na", "2", "--nb", "3", "--p0", "0.3",
+     "--samples", "100", "--seed", "1"],
+    ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2", "--p0", "1",
+     "--samples", "100", "--seed", "1"],
+    ["estimate", "--face", "sym", "--n", "2", "--trp", "1", "--samples", "100", "--seed", "1"],
+    ["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"],
+    ["verify", "pauli-identities"],
+    ["verify", "gram-invariance"],
+], ids=["estimate-quantum", "estimate-classical", "estimate-real-quantum", "estimate-sym",
+        "coin-record", "verify-pauli-identities", "verify-gram-invariance"])
+def test_drawing_commands_load_numpy_random_without_openssl(argv):
+    # numpy.random imports secrets, hmac and hashlib, whose _hashlib maps
+    # OpenSSL's libcrypto; cli.main blocks it, so hashlib keeps its built-in
+    # digests (which _executed_by checks) and no seeded draw changes.
+    assert set(_OPENSSL) & _executed_by(argv, _OPENSSL) == {"numpy.random"}
 
 
 @pytest.mark.parametrize("k", ["1", "2"])

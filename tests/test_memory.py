@@ -154,14 +154,29 @@ def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbyte
 
 
 def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
-    # The closure keeps no stacked product alive; its peak was 42 MB before
-    # the closure was batched.
+    # The closure keeps no stacked product alive, and the phases are
+    # canonicalized in place; its peak is about 32.6 MB (35.5 MB with a
+    # canonicalized copy, 42 MB before the closure was batched).
     proc, rss = _run_cli(tmp_path, ["two-design", "--k", "2"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["passed"] is True
     assert doc["max_deviation"] == abs(doc["frame_potential"] - 2.0) < 1e-11
     assert rss < 46
+
+
+def test_two_qubit_clifford_peak_is_within_half_again_its_result():
+    # The 11520 products are canonicalized in place, so besides the 2.95 MB
+    # result the enumeration holds only the 576 local pairs and one phase per
+    # element, not a second copy of the stack (2.2 times the result with one).
+    tracemalloc.start()
+    try:
+        out = grouprep.clifford_unitaries.__wrapped__(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (11520, 4, 4)
+    assert peak <= 1.5 * out.nbytes
 
 
 def _face_draw(face, target):
