@@ -40,10 +40,6 @@ class CompositeDescriptor(NamedTuple):
     part_b: SpaceDescriptor
     joint: SpaceDescriptor
 
-    @property
-    def kind(self) -> str:
-        return self.part_a.kind
-
 
 def compose(a: SpaceDescriptor, b: SpaceDescriptor) -> CompositeDescriptor:
     """Tensor composite of two quantum or two classical spaces.

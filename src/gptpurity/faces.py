@@ -1,25 +1,25 @@
 """Group-invariant faces: constrained randomization inside a quantum subspace.
 
-A face here is the set of states with full support on a subspace S of the
-joint Hilbert space, e.g. the symmetric or antisymmetric subspace of
-C^n (x) C^n.  It carries a face-maximally-mixed state and a stabilizer
+A face here is the set of states with full support on the symmetric or
+antisymmetric subspace S of C^n (x) C^n, the two faces the paper's formula
+extends to.  It carries a face-maximally-mixed state and a stabilizer
 sampler: Haar unitaries on the subspace.  The coin recorded by an
 environment (``coin_with_record``) is classical randomization of a free
 2 x s0 joint, not a face.
 
 Expected local collision value for a quantum face (``predict_qface``):
 
-* subspace face: 1/N_A + (N_A^2-1)/(N_S^2-1) * Tr[(pi (E_A (x) I) pi)^2]
-                 * (Tr rho_AB^2 - 1/N_S)
+* 1/N_A + (N_A^2-1)/(N_S^2-1) * Tr[(pi (E_A (x) I) pi)^2] * (Tr rho_AB^2 - 1/N_S)
 
-Its (anti)symmetric specialization, with Tr[(pi (E_A (x) I) pi)^2] =
-n/4 +- 1/2, needs no face: it is ``formulas.predict_symm``, next to the face
-purity range and the recorded coin's exact spread.
+Its closed form, with Tr[(pi (E_A (x) I) pi)^2] = n/4 +- 1/2, needs no face:
+it is ``formulas.predict_symm``, next to the face purity range and the
+recorded coin's exact spread.
 
-A face holds the level counts of its two parts and orthonormal columns that
-span its subspace, in closed form for the (anti)symmetric faces.  Its composite
-descriptor and joint coordinates are derived only when asked, and other layers
-are reached through module aliases, so no face command runs a descriptor layer.
+A face is its level count n and SWAP sign.  The estimator draws in-face kets
+by index arithmetic (``randomize._swap_scatter``), so it holds no basis; the
+isometry onto the subspace, its composite descriptor and joint coordinates
+are built only when asked, and other layers are reached through module
+aliases, so no face command runs a descriptor layer.
 """
 
 from __future__ import annotations
@@ -36,92 +36,67 @@ from .errors import (
     EmptyFaceError,
     InvalidDimensionError,
     InvalidProbeError,
-    NormalizationError,
     RangeError,
-    UnsupportedSpaceError,
     check_memory,
 )
 from .formulas import Prediction, _check_purity_on_face, coin_record_sigma, predict_coin_record
 from .randomize import (BLOCK_SIZE, McReport, _check_run, _classical_block, _estimate,
-                        _gram_pairs, _haar_ket_block)
+                        _haar_ket_block)
 
 
 class FaceDescriptor(NamedTuple):
-    """A quantum subspace face of two parts, preserved by matched local unitaries.
+    """The symmetric (``sign`` +1) or antisymmetric (-1) subspace of C^n (x) C^n.
 
-    ``levels`` are the level counts (n_A, n_B) of the two parts, and the
-    orthonormal columns of the (n_A n_B) x N_S ``isometry`` V span the subspace.
+    It is preserved by matched local unitaries U (x) U, and ``sign`` is the
+    eigenvalue of SWAP on it.
     """
 
-    levels: tuple[int, int]
-    isometry: np.ndarray
+    n: int
+    sign: int
+
+    @property
+    def levels(self) -> tuple[int, int]:
+        """The level counts (n_A, n_B) = (n, n) of the two parts."""
+        return self.n, self.n
 
     @property
     def n_sub(self) -> int:
-        """The subspace dimension N_S: the isometry's column count."""
-        return self.isometry.shape[1]
+        """The subspace dimension N_S = n(n + sign)/2."""
+        return self.n * (self.n + self.sign) // 2
+
+    @property
+    def isometry(self) -> np.ndarray:
+        """The n^2 x N_S orthonormal columns V spanning the subspace, counted before they are built.
+
+        Column k, for the k-th pair i <= j (i < j when antisymmetric), is |ii>
+        or (|ij> + sign |ji>)/sqrt 2.
+        """
+        n, n_s = self.n, self.n_sub
+        check_memory(8 * n * n * n_s, f"the isometry of a {n_s}-dimensional subspace of C^{n * n}")
+        i, j = np.triu_indices(n, 0 if self.sign == 1 else 1)
+        k = np.arange(n_s)
+        v = np.zeros((n, n, n_s))
+        v[i, j, k] = np.where(i == j, 1.0, math.sqrt(0.5))
+        v[j, i, k] = self.sign * v[i, j, k]
+        return v.reshape(n * n, n_s)
 
     @property
     def comp(self) -> comp_mod.CompositeDescriptor:
         """The composite descriptor of the two parts, built on each access."""
-        return comp_mod.compose(ss.build_quantum(self.levels[0]), ss.build_quantum(self.levels[1]))
+        return comp_mod.compose(ss.build_quantum(self.n), ss.build_quantum(self.n))
 
     @property
     def mu_face(self) -> np.ndarray:
         """The face-maximally-mixed state V V^dagger / N_S in joint coordinates."""
-        return self.comp.joint.to_coords(self.isometry @ self.isometry.conj().T / self.n_sub)
-
-    @property
-    def sigma_a(self) -> np.ndarray:
-        """The A marginal Tr_B(V V^dagger) / N_S of the face-maximally-mixed state.
-
-        Summed over V's columns reshaped n_A x n_B by the ket kernel's pair
-        sums: no d x d array is formed and no BLAS routine runs.
-        """
-        v, (na, nb), n_s = self.isometry, self.levels, self.n_sub
-        parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-        # Per part: V's stacked part, W's part and one column product; complex
-        # columns add their turned copy.
-        check_memory(8 * len(parts) * n_s * (na * nb + na * na + len(parts) * nb),
-                     f"the A marginal of a {n_s}-dimensional face")
-        re, im = _gram_pairs(np.stack([x.reshape(na, nb, n_s) for x in parts], axis=1))
-        sigma = np.add.reduce(re, axis=-1)
-        return (sigma if im is None else sigma + 1j * np.add.reduce(im, axis=-1)) / n_s
-
-
-def subspace_face(comp: comp_mod.CompositeDescriptor, columns: np.ndarray) -> FaceDescriptor:
-    """The face of states with full support on the span of orthonormal ``columns``."""
-    if comp.kind != ss.KIND_QUANTUM:
-        raise UnsupportedSpaceError("subspace faces require a quantum composite")
-    v = np.asarray(columns)
-    if v.shape[1] == 0:
-        raise EmptyFaceError("the face has no columns")
-    if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > 1e-10:
-        raise NormalizationError("the face columns are not orthonormal")
-    return FaceDescriptor(levels=(comp.part_a.level, comp.part_b.level), isometry=v)
-
-
-def _swap_face(n: int, sign: int) -> FaceDescriptor:
-    """The face on the (anti)symmetric subspace of C^n (x) C^n, counted before it is built.
-
-    Column k, for the k-th pair i <= j (i < j when antisymmetric), is |ii>
-    or (|ij> + sign |ji>)/sqrt 2.
-    """
-    d, n_s = n * n, n * (n + sign) // 2
-    check_memory(8 * d * n_s, f"the isometry of a {n_s}-dimensional subspace of C^{d}")
-    i, j = np.triu_indices(n, 0 if sign == 1 else 1)
-    k = np.arange(n_s)
-    v = np.zeros((n, n, n_s))
-    v[i, j, k] = np.where(i == j, 1.0, math.sqrt(0.5))
-    v[j, i, k] = sign * v[i, j, k]
-    return FaceDescriptor(levels=(n, n), isometry=v.reshape(d, n_s))
+        v = self.isometry
+        return self.comp.joint.to_coords(v @ v.T / self.n_sub)
 
 
 def sym_face(n: int) -> FaceDescriptor:
     """States supported on the symmetric subspace of C^n (x) C^n; N_S = n(n+1)/2."""
     if n < 2:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
-    return _swap_face(n, 1)
+    return FaceDescriptor(n, 1)
 
 
 def antisym_face(n: int) -> FaceDescriptor:
@@ -130,7 +105,7 @@ def antisym_face(n: int) -> FaceDescriptor:
         raise EmptyFaceError("the antisymmetric subspace of one level is empty")
     if n < 2:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
-    return _swap_face(n, -1)
+    return FaceDescriptor(n, -1)
 
 
 def face_bloch_projector(face: FaceDescriptor, m: np.ndarray) -> np.ndarray:
@@ -139,7 +114,8 @@ def face_bloch_projector(face: FaceDescriptor, m: np.ndarray) -> np.ndarray:
     pi M pi - pi Tr(pi M pi) / Tr(pi) for pi = V V^dagger; idempotent and self-adjoint
     with respect to the invariant inner product on the joint Bloch space.
     """
-    pi = face.isometry @ face.isometry.conj().T
+    v = face.isometry
+    pi = v @ v.T
     pmp = pi @ np.asarray(m) @ pi
     return pmp - pi * (np.trace(pmp) / face.n_sub)
 
@@ -168,7 +144,7 @@ def predict_qface(face: FaceDescriptor, e_a: np.ndarray, tr_purity_global: float
         # (E_A (x) I) V and V^dagger of it, complex at most.
         check_memory(16 * n_s * (n_a * n_b + n_s),
                      f"the probe's action on a {n_s}-dimensional face")
-        probe = v.conj().T @ (e_a @ v.reshape(n_a, -1)).reshape(v.shape)
+        probe = v.T @ (e_a @ v.reshape(n_a, -1)).reshape(v.shape)
         ingredient = float(np.vdot(probe, probe).real)
         value = 1.0 / n_a + (n_a**2 - 1) / (n_s**2 - 1) * ingredient * (
             tr_purity_global - 1.0 / n_s
@@ -219,8 +195,7 @@ def estimate_face_local_purity(
     purity is reported in the same collision units.
     """
     t = _face_interpolation_weight(face.n_sub, target_global_purity)
-    draw = partial(_haar_ket_block, t=t, dims=face.levels, isometry=face.isometry,
-                   sigma_a=face.sigma_a)
+    draw = partial(_haar_ket_block, t=t, dims=face.levels, swap=face.sign)
     return _estimate(n_samples, seed, draw, histogram_bins)
 
 

@@ -23,7 +23,10 @@ depends only on Tr (M M^dagger)^2, so a block of kets gives its purities
 through the entries of the smaller Gram, and no A marginal is formed.  The
 kets stay real and imaginary parts, and the Gram's entries are pair sums in
 a fixed order with no BLAS call, so these reports are the same bytes on
-every CPU.  A report carries no verdict: a ``checks.Check`` judges it
+every CPU.  A face's kets are drawn in its (anti)symmetric subspace and
+scattered into n x n matrices by index arithmetic (``_swap_scatter``), and the
+A marginal of its maximally mixed state is I/n, so no basis or marginal is
+held.  A report carries no verdict: a ``checks.Check`` judges it
 (``checks.markov_tail`` for its histogram).
 
 This module uses no other layer of the package but ``errors`` and
@@ -168,19 +171,23 @@ def haar_kets(size: int, d: int, rng: np.random.Generator, real: bool = False) -
     return z[0] if real else z[0] + 1j * z[1]
 
 
-def _apply_isometry(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """V psi for the (2, size, n) kets ``z``: a sum over V's n columns, in order."""
-    out = np.zeros((2, z.shape[1], v.shape[0]))
-    term = np.empty(out.shape[1:])
-    x, y = z[:, :, :, None]
-    for c, col in enumerate(v.T):
-        # (vr + i vi)(x + i y) for the column's entries vr + i vi.
-        out[0] += np.multiply(x[:, c], col.real, out=term)
-        out[1] += np.multiply(y[:, c], col.real, out=term)
-        if np.iscomplexobj(v):
-            out[0] -= np.multiply(y[:, c], col.imag, out=term)
-            out[1] += np.multiply(x[:, c], col.imag, out=term)
-    return out
+def _swap_scatter(z: np.ndarray, n: int, sign: int) -> np.ndarray:
+    """The (parts, size, N_S) kets ``z`` of the (anti)symmetric subspace as n x n matrices.
+
+    Coordinate k, for the k-th pair i <= j (i < j when ``sign`` is -1) in
+    row-major order, is the coefficient of |ii> or (|ij> + sign |ji>)/sqrt 2.
+    ``z`` is scaled in place, copied into entry (i, j), negated in place when
+    antisymmetric, and copied into entry (j, i): no block-sized temporary is
+    formed.
+    """
+    i, j = np.triu_indices(n, 0 if sign == 1 else 1)
+    m = np.zeros(z.shape[:-1] + (n, n))
+    z *= np.where(i == j, 1.0, math.sqrt(0.5))
+    m[..., i, j] = z
+    if sign == -1:
+        np.negative(z, out=z)
+    m[..., j, i] = z
+    return m
 
 
 def _gram_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -220,23 +227,22 @@ def _haar_ket_block(
     dims: tuple[int, int],
     *,
     real: bool = False,
-    isometry: np.ndarray | None = None,
-    sigma_a: np.ndarray | None = None,
+    swap: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local and global values of ``size`` states rho = t |psi><psi| + (1-t) mu.
 
-    The kets psi are Haar-random.  Without ``isometry`` they live in
+    The kets psi are Haar-random.  Without ``swap`` they live in
     C^(n_A n_B) (R^(n_A n_B) when ``real``), mu is maximally mixed, and the
-    values are the generalized purities P_A and P.  With it they live in
-    its column space, mu is the normalized projector onto that space,
-    ``sigma_a`` must be the A marginal of mu, and the values are the
-    collision values Tr(rho_A^2) and Tr(rho^2).
+    values are the generalized purities P_A and P.  With ``swap`` = +1 or -1
+    and n_A = n_B = n they live in the symmetric or antisymmetric subspace,
+    of dimension N_S = n(n + swap)/2, mu is the normalized projector onto it,
+    and the values are the collision values Tr(rho_A^2) and Tr(rho^2).
 
     No A marginal is formed.  With psi reshaped to M (n_A x n_B), the
-    smaller Gram W (M M^dagger for n_A <= n_B, M^dagger M otherwise; always
-    M M^dagger when ``sigma_a`` is given) shares the nonzero spectrum of
-    M M^dagger and Tr W = |psi|^2, so
-    Tr(rho_A^2) = t^2 Tr W^2 + 2t(1-t) Tr(sigma_A W) + (1-t)^2 Tr sigma_A^2.
+    smaller Gram W (M M^dagger for n_A <= n_B, M^dagger M otherwise) shares
+    the nonzero spectrum of M M^dagger and Tr W = |psi|^2.  The subspaces
+    are U (x) U invariant, so the A marginal of their mu is I/n and
+    Tr(rho_A^2) = t^2 Tr W^2 + (2t(1-t) Tr W + (1-t)^2)/n.
     For maximally mixed mu the purities keep t^2 factored out,
     P_A = t^2 (n_A Tr W^2 - (Tr W)^2)/(n_A - 1) and P = t^2 |psi|^4, so
     t = 0 gives exactly zero.  The kets stay real arrays, and every step is
@@ -245,42 +251,34 @@ def _haar_ket_block(
     """
     na, nb = dims
     dim = na * nb
-    n = dim if isometry is None else isometry.shape[1]
     parts = 1 if real else 2
-    on_a = sigma_a is not None or na <= nb
+    on_a = na <= nb
     k = na if on_a else nb
-    # The kets and their samples-last copy for the pair sums; the in-subspace
-    # kets and a term while the isometry maps them; W's parts with two
-    # temporaries; per-sample vectors.
-    sub = parts * n + dim if isometry is not None else 0
-    check_memory(8 * size * (2 * parts * dim + sub + 4 * k * k + 8),
+    # The kets and their samples-last copy for the pair sums (a face's
+    # in-subspace kets are freed once scattered, and are fewer); W's parts
+    # with two temporaries; per-sample vectors.
+    check_memory(8 * size * (2 * parts * dim + 4 * k * k + 8),
                  f"{size} kets in dimension {dim} ({2 * parts} x {size} x {dim} reals) "
                  "and their Grams")
-    m = _unit_kets(rng, size, n, real)
-    if isometry is not None:
-        m = _apply_isometry(m, isometry)
-    m = m.reshape(parts, size, na, nb)
+    if swap is None:
+        m = _unit_kets(rng, size, dim, real).reshape(parts, size, na, nb)
+    else:
+        n_s = na * (na + swap) // 2
+        m = _swap_scatter(_unit_kets(rng, size, n_s, real), na, swap)
     if not on_a:
         m = m.swapaxes(2, 3)
     m = np.ascontiguousarray(m.transpose(2, 0, 3, 1))  # and the drawn layout is freed
     re, im = _gram_pairs(m)
-    del m  # the kets are not read again, so a face's cross term does not hold them
     norm_sq = np.add.reduce(np.diagonal(re), axis=-1)
-    if sigma_a is not None:
-        # Tr(sigma_A W) = sum_ij Re(sigma_ij) Re W_ij + Im(sigma_ij) Im W_ij.
-        weighted = sigma_a.real[:, :, None] * re
-        weighted += sigma_a.imag[:, :, None] * im
-        cross = np.add.reduce(weighted, axis=(0, 1))
     # Tr W^2 = sum_ij (Re W_ij)^2 + (Im W_ij)^2, squared in place.
     sq = np.square(re, out=re)
     if im is not None:
         sq += np.square(im, out=im)
     tr_w2 = np.add.reduce(sq, axis=(0, 1))
-    if sigma_a is None:
+    if swap is None:
         return t * t * (na * tr_w2 - norm_sq**2) / (na - 1), t * t * norm_sq**2
-    tr_sigma2 = np.add.reduce(np.square(sigma_a.real) + np.square(sigma_a.imag), axis=None)
-    tr_a2 = t * t * tr_w2 + 2.0 * t * (1.0 - t) * cross + (1.0 - t) ** 2 * tr_sigma2
-    tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / n
+    tr_a2 = t * t * tr_w2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / na
+    tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / n_s
     return tr_a2, tr2
 
 

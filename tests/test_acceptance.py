@@ -112,7 +112,7 @@ def test_criterion_06_purity_pure_times_maxmixed():
         res = cm.purity_pure_times_maxmixed(comp, gram, tol=1e-12)
         good = abs(res.numeric - res.closed_form) <= 1e-12
         ok = ok and good
-        details.append(f"{comp.kind} {na}x{nb}: {res.numeric:.6f}")
+        details.append(f"{comp.part_a.kind} {na}x{nb}: {res.numeric:.6f}")
     comp = _pair(ss.build_quantum, 2, 2)
     sampler = grouprep.sampler_for(comp.joint)
     mc_gram = grouprep.invariant_gram(comp.joint, sampler, n_avg=20_000,

@@ -56,19 +56,16 @@ ARGV = [
 _CRIT_03 = "tests/test_acceptance.py::test_criterion_03_classical_pure_marginals_exact"
 _CRIT_06 = "tests/test_acceptance.py::test_criterion_06_purity_pure_times_maxmixed"
 _PR_STATE = "tests/test_boxworld.py::test_pr_state_purity_is_exactly_one_third"
-_SINGLETON_FACE = "tests/test_faces.py::test_maximally_entangled_singleton_face_smoke"
 _PER_STATE = "tests/test_checks.py::test_batched_pauli_identities_match_the_per_state_route"
 # Defs that no command runs, each with the test that uses it as a reference.
 ALLOWLIST = {
     "boxworld.boxworld_purity": _PR_STATE,
-    "composite.CompositeDescriptor.kind": _SINGLETON_FACE,
     "composite.compose": _CRIT_03,
     "composite.marginal_a": "tests/test_composite.py::test_marginal_of_correlated_classical_pair",
     "composite._reference_pure": _CRIT_06,
     "composite.purity_pure_times_maxmixed": _CRIT_06,
     "faces.FaceDescriptor.comp": "tests/test_faces.py::test_face_ket_kernel_matches_explicit_route",
     "faces.FaceDescriptor.mu_face": "tests/test_faces.py::test_face_max_mixed_is_valid_state",
-    "faces.subspace_face": _SINGLETON_FACE,
     "faces.face_bloch_projector":
         "tests/test_faces.py::test_face_bloch_projector_fixes_in_face_traceless",
     "formulas.predict_nonlocaltomo":
