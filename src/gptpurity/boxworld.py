@@ -73,9 +73,8 @@ def vertex_purities(gram: BoxworldGram = DEFAULT_GRAM) -> tuple[np.ndarray, np.n
 
 def gram_invariance_deviation(gram: BoxworldGram = DEFAULT_GRAM) -> float:
     """max |T^t G T - G| over the full 128-element reversible group."""
-    g = gram.matrix()
     ts = grouprep.sampler_for(boxworld_space()).elements
-    return float(np.max(np.abs(ts.transpose(0, 2, 1) @ g @ ts - g)))
+    return grouprep.invariance_deviation(gram.matrix(), ts)
 
 
 class ObstructionRecord(NamedTuple):

@@ -5,8 +5,10 @@ so a NaN value fails; it is the only pass/fail rule of the package.
 ``markov_tail`` turns a histogram-bearing Monte Carlo report into one.
 ``SUITES`` maps each ``verify`` suite to a ``(seed, samples) -> list[Check]``
 producer, shared by the command line and the acceptance tests; it is the one
-list of suite names.  Other layers are reached through module aliases only,
-so running this module runs none of them.
+list of suite names.  Only ``markov-tail`` samples; the other suites are
+exact, over fixed states and group generators, and read neither argument.
+Other layers are reached through module aliases only, so running this
+module runs none of them.
 """
 
 from __future__ import annotations
@@ -73,15 +75,6 @@ def pauli_identity_deviations(space: ss.SpaceDescriptor,
     return float(dev), float(cdev)
 
 
-def invariance_deviation(gram: grouprep.GramMatrix, ts: np.ndarray, xs: np.ndarray,
-                         ys: np.ndarray) -> float:
-    """Largest |<T_i x_i, T_i y_i> - <x_i, y_i>| in the Gram product over stacked triples."""
-    tx = np.einsum("mkl,ml->mk", ts, xs)
-    ty = np.einsum("mkl,ml->mk", ts, ys)
-    diff = _row_dots(gram.apply(tx), ty) - _row_dots(gram.apply(xs), ys)
-    return float(np.max(np.abs(diff), initial=0.0))
-
-
 def markov_tail(report: rnd.McReport, x: float) -> Check:
     """The Markov inequality P{P(omega_A) >= 1/x} <= x E P(omega_A) on a report's histogram.
 
@@ -103,34 +96,32 @@ def markov_tail(report: rnd.McReport, x: float) -> Check:
 
 def _pauli_identities(seed: int, samples: int) -> list[Check]:
     checks = []
-    rng = np.random.default_rng(seed)
     spaces = {"qubit": ss.build_quantum(2), "classical-4": ss.build_classical(4),
               "square": ss.build_polygon(4), "pentagon": ss.build_polygon(5)}
     for name, space in spaces.items():
-        dev, cdev = pauli_identity_deviations(space, ss.random_mixtures(space, 200, rng))
-        checks.append(Check(f"complete-set-{name}", dev, 1e-10))
-        checks.append(Check(f"collision-{name}", cdev, 1e-10))
+        states = ss.with_midpoints(grouprep.orbit_pures(space))
+        dev, cdev = pauli_identity_deviations(space, states)
+        checks.append(Check(f"complete-set-{name}", dev, EXACT))
+        checks.append(Check(f"collision-{name}", cdev, EXACT))
     qubit = spaces["qubit"]
     gram = grouprep.analytic_gram(qubit)
-    sampler = grouprep.sampler_for(qubit)
     x = pur.complete_pauli_set(qubit, gram)[0]
-    omega = qubit.sample_pure(rng)
-    avg = pur.pauli_haar_average(qubit, sampler, x, omega, n_samples=samples, rng=rng)
+    # A pure state off every symmetry axis: its Bloch vector (0.48, 0.6, 0.64) has unit length.
+    omega = np.array([1.0, 0.48, 0.6, 0.64]) / math.sqrt(2)
+    avg = pur.pauli_haar_average(qubit, grouprep.clifford_sampler(qubit), x, omega)
     expected = pur.purity(qubit, gram, omega) / (qubit.K - 1)
-    checks.append(Check("haar-average-qubit", abs(avg.mean - expected), 3.0 * avg.stderr))
+    checks.append(Check("haar-average-qubit", abs(avg.mean - expected), EXACT))
     return checks
 
 
 def _gram_invariance(seed: int, samples: int) -> list[Check]:
     checks = []
-    rng = np.random.default_rng(seed)
     for space in (ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
                   ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),
                   ss.build_real_quantum(2)):
-        ts = grouprep.sampler_for(space).draw_many(rng, 100)
-        xs, ys = space.project_bloch(rng.normal(size=(2, 100, space.K)))
-        dev = invariance_deviation(grouprep.analytic_gram(space), ts, xs, ys)
-        checks.append(Check(f"gram-invariance-{space.kind}-{space.level}", dev, 1e-8))
+        dev = grouprep.invariance_deviation(grouprep.analytic_gram(space).matrix,
+                                            grouprep.group_generators(space))
+        checks.append(Check(f"gram-invariance-{space.kind}-{space.level}", dev, EXACT))
     return checks
 
 
@@ -182,8 +173,11 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, samples: int) -> list[Check]:
-    """The checks of suite ``name``; a negative seed is refused for every suite."""
+    """The checks of suite ``name``; a negative seed and fewer than 2 samples are
+    refused for every suite, including those that read neither."""
     if seed < 0:
         raise RangeError(f"the seed must be non-negative, got {seed}")
+    if samples < 2:
+        raise RangeError(f"need at least 2 samples for a standard error, got {samples}")
     return SUITES[name](seed, samples)
 

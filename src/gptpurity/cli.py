@@ -229,7 +229,7 @@ def _run_verify(args: argparse.Namespace) -> dict:
 
 
 def _run_two_design(args: argparse.Namespace) -> dict:
-    frame = grouprep.frame_potential(grouprep.clifford_unitaries(args.k))
+    frame = grouprep.frame_potential(grouprep.clifford_traces(args.k))
     check = checks.Check("two-design", abs(frame - 2.0), checks.EXACT if args.k == 1 else 1e-11)
     return {"k": args.k, "frame_potential": frame, "max_deviation": check.value,
             "bound": check.bound, "passed": check.passed}

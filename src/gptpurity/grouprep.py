@@ -12,8 +12,11 @@ order unit and map the cone into itself.  This module provides
 * the invariant inner product (Gram matrix) on the Bloch subspace, both by
   group averaging and by exact analytic constructors,
 * a numerical irreducibility diagnostic based on averaging rank-one maps,
-* enumeration of the one- and two-qubit Clifford groups and their frame
-  potential, which is 2 exactly for a unitary 2-design.
+* generators of a dense subgroup of each built-in group, under which the
+  invariance of a Gram is checked exactly,
+* enumeration of the one- and two-qubit Clifford groups, their traces (for
+  two qubits from the factors, with no stacked group) and frame potential,
+  which is 2 exactly for a unitary 2-design.
 """
 
 from __future__ import annotations
@@ -409,7 +412,7 @@ class GroupAverage(NamedTuple):
 def group_average(
     sampler: GroupSampler,
     f: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     trials: int,
 ) -> GroupAverage:
     """Average of ``f`` over the group, the one rule that picks exact or sampled.
@@ -417,7 +420,8 @@ def group_average(
     ``f`` maps a (size, K, K) stack of elements to per-element values of
     shape (size, ...).  An enumerated group is summed exactly over
     ``sampler.elements``, leaving ``rng`` untouched; any other group draws
-    ``trials`` >= 2 elements through ``GroupSampler.draw_blocks``.  Sampled
+    ``trials`` >= 2 elements through ``GroupSampler.draw_blocks`` from ``rng``
+    (``default_rng(0)`` when it is None).  Sampled
     scalar values are kept for their standard error; array values are summed
     block by block, in memory that does not grow with ``trials``.  What is
     held is refused beyond ``errors.MEMORY_CAP_BYTES`` before any draw, the
@@ -428,6 +432,7 @@ def group_average(
         return GroupAverage(vals.mean(axis=0), np.zeros(vals.shape[1:]), len(vals), True)
     if trials < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {trials}")
+    rng = np.random.default_rng(0) if rng is None else rng
     k = sampler.space.K
     value = f(np.eye(k)[None])[0]
     blocks = sampler.draw_blocks(rng, trials)
@@ -537,7 +542,7 @@ def _phase_canonical(u: np.ndarray) -> np.ndarray:
 
 
 def _keys(u: np.ndarray) -> list[bytes]:
-    """The rounded-entry key of each matrix of a (m, d, d) stack."""
+    """The rounded-entry key of each entry of a stack: each (d, d) matrix, or each row."""
     raw = (np.round(u, 9) + 0.0).tobytes()
     step = len(raw) // len(u)
     return [raw[i:i + step] for i in range(0, len(raw), step)]
@@ -583,40 +588,143 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("aij,bkl->abikjl", a, b).reshape(m * n, p * q, p * q)
 
 
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_PHASE = np.diag([1, 1j])
+
+
+def _two_qubit_factors() -> tuple[np.ndarray, np.ndarray]:
+    """The one-qubit Clifford group and the 20 coset representatives of ``clifford_unitaries(2)``.
+
+    C_2 / phase = (C_1 (x) C_1) {I, CNOT S, iSWAP S, SWAP},  S in S_1 (x) S_1,
+    the four-class decomposition of two-qubit randomized benchmarking
+    (Barends et al., Nature 508, 500, 2014), with S_1 = {I, SH, (SH)^2},
+    whose conjugations cycle the Pauli axes.  Returns (C_1, reps) with reps
+    a (20, 4, 4) stack.
+    """
+    sh = _PHASE @ _HADAMARD
+    s1 = np.stack([np.eye(2), sh, sh @ sh])
+    s11 = _kron_stack(s1, s1)
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    return clifford_unitaries(1), np.concatenate([np.eye(4)[None], cnot @ s11, iswap @ s11,
+                                                  swap[None]])
+
+
 @lru_cache(maxsize=None)
 def clifford_unitaries(k: int = 1) -> np.ndarray:
     """The k-qubit Clifford group modulo global phase (k = 1 or 2).
 
     k = 1 is the breadth-first closure over the Hadamard and phase gates.
-    k = 2 is built from it by the four-class decomposition of two-qubit
-    randomized benchmarking (Barends et al., Nature 508, 500, 2014):
-
-        C_2 / phase = (C_1 (x) C_1) {I, CNOT S, iSWAP S, SWAP},  S in S_1 (x) S_1,
-
-    with S_1 = {I, SH, (SH)^2}, whose conjugations cycle the Pauli axes.
-    The 576 local pairs times the 20 coset representatives are one stacked
-    product, local pair major, and no element repeats.  Every element
-    carries a deterministic phase canonicalization.  Returns one read-only
-    (|G|, d, d) array, shared by every caller; sizes are 24 and 11520.
+    k = 2 is the stacked product of the 576 local pairs of ``_two_qubit_factors``
+    with its 20 coset representatives, local pair major; no element repeats.
+    Every element carries a deterministic phase canonicalization.  Returns
+    one read-only (|G|, d, d) array, shared by every caller; sizes are 24
+    and 11520.
     """
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    s = np.diag([1, 1j]).astype(complex)
     if k == 1:
-        out = _bfs_closure([h, s], expect=24)
+        out = _bfs_closure([_HADAMARD, _PHASE], expect=24)
     elif k == 2:
-        c1 = clifford_unitaries(1)
-        sh = s @ h
-        s1 = np.stack([np.eye(2), sh, sh @ sh])
-        s11 = _kron_stack(s1, s1)
-        cnot = np.eye(4)[[0, 1, 3, 2]]
-        iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        reps = np.concatenate([np.eye(4)[None], cnot @ s11, iswap @ s11, swap[None]])
+        c1, reps = _two_qubit_factors()
         out = _phase_canonical(_kron_stack(c1, c1)[:, None] @ reps).reshape(-1, 4, 4)
     else:
         raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
     out.flags.writeable = False
     return out
+
+
+def clifford_traces(k: int = 1) -> np.ndarray:
+    """Tr g of every element of ``clifford_unitaries(k)``, in its order, up to a phase each.
+
+    k = 2 never stacks the group: Tr((a (x) b) r) = sum a_ij b_kl r_(jl),(ik)
+    over the factors of ``_two_qubit_factors`` is one einsum, and |Tr g|
+    does not depend on the phase canonicalization.
+    """
+    if k != 2:
+        return np.trace(clifford_unitaries(k), axis1=-2, axis2=-1)
+    c1, reps = _two_qubit_factors()
+    return np.einsum("aij,bkl,rjlik->abr", c1, c1, reps.reshape(-1, 2, 2, 2, 2)).reshape(-1)
+
+
+def clifford_sampler(space: ss.SpaceDescriptor) -> GroupSampler:
+    """The 24 one-qubit Cliffords as an enumerated sampler on the qubit.
+
+    The group is a unitary 2-design, so ``group_average`` of a quadratic
+    function of the state over it is the Haar average exactly (Gross,
+    Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007).
+    """
+    if space.kind != ss.KIND_QUANTUM or space.level != 2:
+        raise UnsupportedSpaceError(f"no one-qubit Clifford group on {space.kind}-{space.level}")
+    return _finite_sampler(space, conjugation_matrix(space.hermitian_basis, clifford_unitaries(1)))
+
+
+def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
+    """Pure states that span a space, as the orbit of one under a finite subgroup.
+
+    Vertices for the polytopes, the point masses for classical spaces, and
+    for the qubit the six Pauli eigenstates: the Clifford orbit of |0><0|,
+    in first-discovery order.
+    """
+    if space.vertices is not None:
+        return space.vertices
+    if space.kind == ss.KIND_CLASSICAL:
+        return np.eye(space.K)
+    if space.kind != ss.KIND_QUANTUM or space.level != 2:
+        raise UnsupportedSpaceError(f"no pure-state orbit for {space.kind}-{space.level}")
+    kets = clifford_unitaries(1)[:, :, 0]
+    coords = space.to_coords(kets[:, :, None] * kets[:, None, :].conj())
+    first = {}
+    for i, key in enumerate(_keys(coords)):
+        first.setdefault(key, i)
+    return coords[list(first.values())]
+
+
+def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
+    """A (m, K, K) stack of maps that generate a dense subgroup of the space's group.
+
+    A form invariant under each generator is invariant under the group they
+    generate and, by continuity, under its closure: the whole group.
+    Classical S_K: the transposition (0 1) and the K-cycle.  Polygons and the
+    gbit: every element of D_n.  Qubit: the Clifford generators H and S and
+    T = diag(1, e^(i pi/4)), dense in the unitaries modulo phase (Boykin et
+    al., Inf. Process. Lett. 75, 101, 2000).  Qutrit: the Clifford
+    generators F and P = diag(1, 1, w), w = e^(2 pi i/3), and
+    T = diag(1, z, 1/z), z = e^(2 pi i/9); Clifford and any non-Clifford
+    gate are dense in prime dimension (Campbell, Anwar and Browne, Phys. Rev.
+    X 2, 041021, 2012).  Real qubit: the rotation by 1 rad, an irrational
+    multiple of pi, and diag(1, -1).  Unitaries act by ``conjugation_matrix``;
+    each is built entry by entry, not as a matrix product, so no matmul
+    kernel sets its rounding.
+    """
+    if space.kind == ss.KIND_CLASSICAL:
+        k = space.K
+        return permutation_matrix(np.array([[1, 0, *range(2, k)], [*range(1, k), 0]]))
+    if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
+        return sampler_for(space).elements
+    if space.kind == ss.KIND_QUANTUM and space.level == 2:
+        us = np.stack([_HADAMARD, _PHASE, np.diag([1, np.exp(0.25j * np.pi)])])
+    elif space.kind == ss.KIND_QUANTUM and space.level == 3:
+        w, z = np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 9)
+        f = w ** np.outer(np.arange(3), np.arange(3)) / math.sqrt(3)
+        us = np.stack([f, np.diag([1, 1, w]), np.diag([1, z, 1 / z])])
+    elif space.kind == ss.KIND_REAL_QUANTUM and space.level == 2:
+        c, s = math.cos(1.0), math.sin(1.0)
+        us = np.array([[[c, -s], [s, c]], [[1.0, 0.0], [0.0, -1.0]]])
+    else:
+        raise UnsupportedSpaceError(f"no generator set for {space.kind}-{space.level}")
+    return conjugation_matrix(space.hermitian_basis, us)
+
+
+def invariance_deviation(g: np.ndarray, ts: np.ndarray) -> float:
+    """max |T^t G T - G| of a dense K x K form over a (m, K, K) stack of maps.
+
+    Both products are summed term by term in a fixed order with elementwise
+    steps, so no BLAS kernel or SIMD reduction sets the rounding.
+    """
+    k = len(g)
+    gt = sum(g[None, :, l, None] * ts[:, None, l, :] for l in range(k))
+    tgt = sum(ts[:, l, :, None] * gt[:, l, None, :] for l in range(k))
+    return float(np.max(np.abs(tgt - g), initial=0.0))
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -628,13 +736,12 @@ def swap_operator(d: int) -> np.ndarray:
     return s
 
 
-def frame_potential(unitaries: np.ndarray | Sequence[np.ndarray]) -> float:
-    """Second frame potential F = (1/|G|) sum_g |Tr g|^4 of a finite unitary group.
+def frame_potential(traces: np.ndarray | Sequence[complex]) -> float:
+    """Second frame potential F = (1/|G|) sum_g |Tr g|^4 of a finite unitary group, from its traces.
 
     F is the sum of the squared multiplicities of the irreducible components
     of g (x) g: an integer that is at least 2 in dimension d >= 2, with
     equality exactly when the group is a unitary 2-design (Gross, Audenaert
     and Eisert, J. Math. Phys. 48, 052104, 2007).
     """
-    traces = np.trace(np.asarray(unitaries), axis1=-2, axis2=-1)
-    return float(np.mean(np.abs(traces) ** 4))
+    return float(np.mean(np.abs(np.asarray(traces)) ** 4))

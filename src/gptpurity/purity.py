@@ -201,10 +201,9 @@ def pauli_haar_average(
     """Average of (X o T)(omega)^2 over the reversible group, with float fields.
 
     Equals purity(omega) / (K - 1) for any Pauli map on an irreducible space.
-    ``grouprep.group_average`` sums an enumerated group exactly and draws
-    ``n_samples`` elements of any other.
+    ``grouprep.group_average`` sums an enumerated group exactly, reading no
+    ``rng``, and draws ``n_samples`` elements of any other from it.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     omega = np.asarray(omega, dtype=float)
     avg = grouprep.group_average(
         sampler, lambda ts: x.evaluate_many(np.einsum("bkl,l->bk", ts, omega)) ** 2, rng, n_samples)

@@ -261,11 +261,15 @@ def validate_state(space: SpaceDescriptor, omega: np.ndarray) -> None:
         raise ConeError("state fails the cone test")
 
 
-def random_mixtures(space: SpaceDescriptor, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Random convex mixtures of K+1 sampled pure states, shape (count, K)."""
-    pures = space.sample_pures(rng, space.K + 1)
-    weights = rng.dirichlet(np.ones(len(pures)), size=count)
-    return np.einsum("mi,ik->mk", weights, pures)
+def with_midpoints(states: np.ndarray) -> np.ndarray:
+    """The rows of a (m, K) stack, then the midpoint of each pair i < j in row-major order.
+
+    Two quadratic forms in the Bloch vector that agree on spanning states
+    and on their midpoints agree everywhere: by polarization,
+    4 Q((a + b)/2) = Q(a) + Q(b) + 2 B(a, b) fixes the bilinear form B.
+    """
+    i, j = np.triu_indices(len(states), 1)
+    return np.concatenate([states, 0.5 * (states[i] + states[j])])
 
 
 # -- generalized Gell-Mann coordinates -------------------------------------------------

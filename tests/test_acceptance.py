@@ -16,7 +16,7 @@ from gptpurity import checks
 from gptpurity import composite as cm
 from gptpurity import faces, formulas, grouprep, randomize as rnd, statespace as ss
 from gptpurity import purity as pur
-from gptpurity.statespace import random_mixtures
+from states import random_mixtures
 
 SAMPLES = 10_000
 EPS = 1e-12
@@ -152,7 +152,7 @@ def test_criterion_07_pauli_identities():
 
 
 def test_criterion_08_clifford_two_design():
-    dev = abs(grouprep.frame_potential(grouprep.clifford_unitaries(1)) - 2.0)
+    dev = abs(grouprep.frame_potential(grouprep.clifford_traces(1)) - 2.0)
     ok = dev <= 1e-12
     _report(8, ok, f"k=1 second-moment identity over the full matrix basis: max dev {dev:.2e}")
 

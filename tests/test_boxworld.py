@@ -6,7 +6,7 @@ import pytest
 from gptpurity import boxworld as bw
 from gptpurity import grouprep, statespace as ss
 from gptpurity.errors import ConeError
-from gptpurity.statespace import random_mixtures
+from states import random_mixtures
 
 
 def test_pure_product_states_have_purity_one():

@@ -9,6 +9,7 @@ from gptpurity import checks, cli, grouprep
 from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import (
+    PauliMap,
     complete_pauli_set,
     max_collision_probability,
     pauli_from_direction,
@@ -16,6 +17,7 @@ from gptpurity.purity import (
     purity,
     purity_via_pauli_set,
 )
+from states import random_mixtures
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
@@ -42,8 +44,16 @@ def test_every_suite_refuses_a_negative_seed(suite):
         checks.run_suite(suite, -1, 100)
 
 
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_every_suite_refuses_fewer_than_two_samples(suite, samples):
+    # Refused up front, also by the suites that read no sample count.
+    with pytest.raises(RangeError, match=f"at least 2 samples.*got {samples}"):
+        checks.run_suite(suite, 0, samples)
+
+
 def test_boxworld_values_are_deviations():
-    by_name = {c.name: c for c in checks.run_suite("boxworld", 0, 0)}
+    by_name = {c.name: c for c in checks.run_suite("boxworld", 0, 2)}
     assert by_name["vertex-count"].value == 0.0
     assert by_name["obstruction-a"].value <= 1e-12
     assert by_name["obstruction-b"].bound == 1e-12
@@ -53,7 +63,7 @@ def test_boxworld_values_are_deviations():
 def test_collision_check_detects_a_wrong_optimizer(monkeypatch):
     space = ss.build_quantum(2)
     gram = grouprep.analytic_gram(space)
-    states = ss.random_mixtures(space, 20, np.random.default_rng(3))
+    states = ss.with_midpoints(grouprep.orbit_pures(space))
     dev, cdev = checks.pauli_identity_deviations(space, states)
     assert dev <= 1e-10 and cdev <= 1e-10
 
@@ -88,7 +98,7 @@ def _per_state_pauli_deviations(space, states):
 def test_batched_pauli_identities_match_the_per_state_route(space):
     gram = grouprep.analytic_gram(space)
     pset = complete_pauli_set(space, gram)
-    states = ss.random_mixtures(space, 50, np.random.default_rng(4250))
+    states = random_mixtures(space, 50, np.random.default_rng(4250))
     states[0] = space.max_mixed  # no Bloch direction: the collision optimizer is absent
     np.testing.assert_allclose(
         purity_via_pauli_set(pset, states),
@@ -106,13 +116,72 @@ def test_batched_pauli_identities_match_the_per_state_route(space):
 @pytest.mark.parametrize("space", [ss.build_quantum(3), ss.build_classical(5), ss.build_polygon(5),
                                    ss.build_real_quantum(2)], ids=lambda s: f"{s.kind}-{s.level}")
 def test_batched_gram_invariance_matches_the_per_draw_route(space):
-    gram = grouprep.analytic_gram(space)
-    rng = np.random.default_rng(4260)
-    ts = grouprep.sampler_for(space).draw_many(rng, 40)
-    raw = rng.normal(size=(2, 40, space.K))
-    xs, ys = space.project_bloch(raw)
-    np.testing.assert_allclose(xs, raw[0] @ space.bloch_projector(), rtol=0, atol=1e-12)
-    per_draw = max(abs(gram.inner(t @ x, t @ y) - gram.inner(x, y)) for t, x, y in zip(ts, xs, ys))
-    assert abs(checks.invariance_deviation(gram, ts, xs, ys) - per_draw) <= 1e-12
+    # The stacked deviation of the suite against one product per drawn element.
+    g = grouprep.analytic_gram(space).matrix
+    ts = grouprep.sampler_for(space).draw_many(np.random.default_rng(4260), 40)
+    per_draw = max(np.max(np.abs(t.T @ g @ t - g)) for t in ts)
+    assert abs(grouprep.invariance_deviation(g, ts) - per_draw) <= 1e-13
+    assert grouprep.invariance_deviation(g, ts) <= checks.EXACT
     # A map that is no group element breaks the invariance.
-    assert checks.invariance_deviation(gram, 2.0 * ts, xs, ys) > 1e-3
+    assert grouprep.invariance_deviation(g, 2.0 * ts) > 1e-3
+    # The O(K) Bloch projection of the Pauli maps against the dense projector.
+    raw = np.random.default_rng(4261).normal(size=(40, space.K))
+    np.testing.assert_allclose(space.project_bloch(raw), raw @ space.bloch_projector(), rtol=0,
+                               atol=1e-12)
+
+
+GRAM_SPACES = [ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
+               ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),
+               ss.build_real_quantum(2)]
+
+
+@pytest.mark.parametrize("space", GRAM_SPACES, ids=lambda s: f"{s.kind}-{s.level}")
+def test_a_perturbed_gram_fails_its_generator_check(space):
+    # The suite's seven spaces: one Bloch coordinate scaled by 1 + 1e-6
+    # gives a form that no generator set of the group can leave invariant.
+    g = grouprep.analytic_gram(space).matrix
+    gens = grouprep.group_generators(space)
+    assert grouprep.invariance_deviation(g, gens) <= checks.EXACT
+    d = np.ones(space.K)
+    d[1] += 1e-6
+    assert grouprep.invariance_deviation(d[:, None] * g * d, gens) > 1e-7
+
+
+def test_a_perturbed_pauli_set_fails_complete_set_on_the_fixed_states(monkeypatch):
+    # The first map of every set tilted by 1e-6 along the second: on the
+    # qubit's six pure states, each on one Pauli axis, the change is of
+    # second order (1e-12), and only their midpoints expose it.
+    def tilted(space, gram=None):
+        pset = complete_pauli_set(space, gram)
+        first = PauliMap(space, pset[0].gram, pset[0].vector + 1e-6 * pset[1].vector)
+        return (first, *pset[1:])
+
+    qubit = ss.build_quantum(2)
+    pures = grouprep.orbit_pures(qubit)
+    pset = tilted(qubit)
+    p = grouprep.analytic_gram(qubit).norms_sq(qubit.bloch(pures))
+    assert np.max(np.abs(purity_via_pauli_set(pset, pures) - p)) <= 1e-11
+
+    monkeypatch.setattr(checks.pur, "complete_pauli_set", tilted)
+    by_name = {c.name: c for c in checks.run_suite("pauli-identities", 0, 2)}
+    for name in ("qubit", "classical-4", "square", "pentagon"):
+        assert by_name[f"complete-set-{name}"].value > 1e-7, name
+        assert not by_name[f"complete-set-{name}"].passed
+
+
+def test_pauli_identity_states_are_the_pure_orbit_and_its_midpoints():
+    # Qubit: the six Pauli eigenstates (+-x, +-y, +-z on the Bloch sphere), 15 midpoints.
+    qubit = ss.build_quantum(2)
+    pures = grouprep.orbit_pures(qubit)
+    gram = grouprep.analytic_gram(qubit)
+    blochs = qubit.bloch(pures) * np.sqrt(2)
+    np.testing.assert_allclose(np.sort(np.abs(blochs[:, 1:]).sum(axis=1)), np.ones(6), atol=1e-12)
+    np.testing.assert_allclose(np.abs(blochs[:, 1:]).sum(axis=0), [2, 2, 2], atol=1e-12)
+    np.testing.assert_allclose(gram.norms_sq(qubit.bloch(pures)), np.ones(6), atol=1e-12)
+    states = ss.with_midpoints(pures)
+    assert states.shape == (21, 4)
+    np.testing.assert_array_equal(states[6], (pures[0] + pures[1]) / 2)
+    np.testing.assert_array_equal(states[-1], (pures[4] + pures[5]) / 2)
+    for space, count in ((ss.build_classical(4), 4), (ss.build_polygon(5), 5)):
+        assert len(grouprep.orbit_pures(space)) == count
+        assert len(ss.with_midpoints(grouprep.orbit_pures(space))) == count * (count + 1) // 2

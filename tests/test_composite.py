@@ -7,7 +7,7 @@ from gptpurity import composite as cm
 from gptpurity import grouprep, statespace as ss
 from gptpurity.errors import InconsistencyError, UnsupportedCompositeError
 from gptpurity.purity import complete_pauli_set
-from gptpurity.statespace import random_mixtures
+from states import random_mixtures
 
 
 def _quantum_pair(na, nb):

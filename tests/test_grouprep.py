@@ -495,7 +495,7 @@ def _two_design_superoperators(k):
 
 
 def test_two_design_identity_k1():
-    assert abs(grouprep.frame_potential(grouprep.clifford_unitaries(1)) - 2.0) < 1e-12
+    assert abs(grouprep.frame_potential(grouprep.clifford_traces(1)) - 2.0) < 1e-12
 
 
 def test_two_design_superoperator_on_identity_and_swap():
@@ -515,7 +515,7 @@ def test_two_design_superoperator_on_identity_and_swap():
 def test_superoperators_agree_and_lhs_trace_is_frame_potential(k, bound):
     lhs, rhs = _two_design_superoperators(k)
     assert np.max(np.abs(lhs - rhs)) < bound
-    frame = grouprep.frame_potential(grouprep.clifford_unitaries(k))
+    frame = grouprep.frame_potential(grouprep.clifford_traces(k))
     assert abs(np.trace(lhs) - frame) < 1e-12
     # F - 2 is the squared Frobenius distance between the two sides.
     assert abs(np.linalg.norm(lhs - rhs) ** 2 - (frame - 2.0)) < bound
@@ -525,7 +525,7 @@ def test_pauli_group_is_not_a_two_design():
     # {I, X, Y, Z} is a 1-design only: F = 4, so |F - 2| = 2.
     from gptpurity.purity import pauli_string
 
-    frame = grouprep.frame_potential([pauli_string(p) for p in "IXYZ"])
+    frame = grouprep.frame_potential([np.trace(pauli_string(p)) for p in "IXYZ"])
     assert frame == pytest.approx(4.0, abs=1e-12)
     assert abs(frame - 2.0) > 1.0
 
@@ -544,7 +544,22 @@ def test_clifford_closure_order_is_frozen(k, digest):
 
 
 def test_two_design_identity_k2():
-    assert abs(grouprep.frame_potential(grouprep.clifford_unitaries(2)) - 2.0) < 1e-11
+    assert abs(grouprep.frame_potential(grouprep.clifford_traces(2)) - 2.0) < 1e-11
+
+
+def test_factored_clifford_traces_match_the_enumerated_group():
+    # Element by element in enumeration order, |Tr g| from the factors equals
+    # |Tr g| of the stacked group, whose phases are canonicalized.
+    els = grouprep.clifford_unitaries(2)
+    enumerated = np.trace(els, axis1=1, axis2=2)
+    factored = grouprep.clifford_traces(2)
+    assert factored.shape == (11520,)
+    np.testing.assert_allclose(np.abs(factored), np.abs(enumerated), rtol=0, atol=1e-12)
+    assert abs(grouprep.frame_potential(factored)
+               - grouprep.frame_potential(enumerated)) <= 1e-12
+    # k = 1 takes the traces of the stacked group itself.
+    np.testing.assert_array_equal(grouprep.clifford_traces(1),
+                                  np.trace(grouprep.clifford_unitaries(1), axis1=1, axis2=2))
 
 
 def test_clifford_2q_cosets_equal_the_generated_closure():

@@ -3,6 +3,8 @@ for a linter's unused-import rule), importing a module loads only what it needs,
 command runs only the layers it reads."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import gptpurity
+from gptpurity import cli
 
 PACKAGE = Path(gptpurity.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -220,15 +223,50 @@ _OPENSSL = ("numpy.random", "_hashlib")
      "--samples", "100", "--seed", "1"],
     ["estimate", "--face", "sym", "--n", "2", "--trp", "1", "--samples", "100", "--seed", "1"],
     ["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"],
-    ["verify", "pauli-identities"],
-    ["verify", "gram-invariance"],
 ], ids=["estimate-quantum", "estimate-classical", "estimate-real-quantum", "estimate-sym",
-        "coin-record", "verify-pauli-identities", "verify-gram-invariance"])
+        "coin-record"])
 def test_drawing_commands_load_numpy_random_without_openssl(argv):
     # numpy.random imports secrets, hmac and hashlib, whose _hashlib maps
     # OpenSSL's libcrypto; cli.main blocks it, so hashlib keeps its built-in
     # digests (which _executed_by checks) and no seeded draw changes.
     assert set(_OPENSSL) & _executed_by(argv, _OPENSSL) == {"numpy.random"}
+
+
+# The benchmark's exact-identities commands, seeded as it seeds them.
+_EXACT_IDENTITIES = {
+    "two-design-2": ["two-design", "--k", "2"],
+    "two-design-1": ["two-design", "--k", "1"],
+    "verify-pauli-identities": ["verify", "pauli-identities", "--samples", "10000",
+                                "--seed", "3"],
+    "verify-gram-invariance": ["verify", "gram-invariance", "--seed", "3"],
+    "verify-classical-subsystem": ["verify", "classical-subsystem", "--seed", "3"],
+    "verify-boxworld": ["verify", "boxworld", "--seed", "3"],
+    "predict-nonlocaltomo": ["predict", "nonlocaltomo", "--ma", "3", "--mb", "3", "--p0", "1"],
+    "predict-qface": ["predict", "qface", "--n", "4", "--sign", "-", "--trp", "0.3"],
+    "predict-main": _PREDICT_MAIN,
+}
+
+
+@pytest.mark.parametrize("argv", list(_EXACT_IDENTITIES.values()), ids=list(_EXACT_IDENTITIES))
+def test_exact_identity_commands_load_no_numpy_random(argv):
+    # Exact group sums, generators and fixed states: nothing is drawn, so
+    # numpy.random (2.7 MB of extension modules) is never imported.
+    assert "numpy.random" not in _executed_by(argv, _OPENSSL)
+
+
+@pytest.mark.parametrize("suite", ["pauli-identities", "gram-invariance", "classical-subsystem",
+                                   "boxworld"])
+def test_exact_suites_give_the_same_checks_for_any_seed(suite):
+    # The whole report but its echoed configuration, byte for byte, under two
+    # seeds and two sample counts.
+    outs = []
+    for seed, samples in (("0", "2"), ("4119606545", "10000")):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["verify", suite, "--seed", seed, "--samples", samples]) == 0
+        doc = json.loads(out.getvalue())
+        assert doc.pop("config")["seed"] == int(seed)
+        outs.append(json.dumps(doc, sort_keys=True, indent=2).encode())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("k", ["1", "2"])

@@ -13,7 +13,7 @@ from gptpurity.errors import (
     RangeError,
     UnsupportedSpaceError,
 )
-from gptpurity.statespace import random_mixtures
+from states import random_mixtures
 
 
 def _space_gram(space):

@@ -57,6 +57,8 @@ _CRIT_03 = "tests/test_acceptance.py::test_criterion_03_classical_pure_marginals
 _CRIT_06 = "tests/test_acceptance.py::test_criterion_06_purity_pure_times_maxmixed"
 _PR_STATE = "tests/test_boxworld.py::test_pr_state_purity_is_exactly_one_third"
 _PER_STATE = "tests/test_checks.py::test_batched_pauli_identities_match_the_per_state_route"
+_HAAR_KETS = "tests/test_statespace.py::test_haar_kets_size_one_is_haar_ket_and_sample_pure"
+_BLOCKS = "tests/test_grouprep.py::test_draw_blocks_shrink_under_the_memory_cap"
 # Defs that no command runs, each with the test that uses it as a reference.
 ALLOWLIST = {
     "boxworld.boxworld_purity": _PR_STATE,
@@ -70,11 +72,16 @@ ALLOWLIST = {
         "tests/test_faces.py::test_face_bloch_projector_fixes_in_face_traceless",
     "formulas.predict_nonlocaltomo":
         "tests/test_randomize.py::test_predict_nonlocaltomo_reduces_to_general_when_tomographic",
+    "grouprep.haar_unitaries": "tests/test_grouprep.py::test_haar_unitaries_stack_and_size_one_case",
     "grouprep.GroupSampler.draw": "tests/test_acceptance.py::test_criterion_14_property_suite",
+    "grouprep.GroupSampler.draw_many":
+        "tests/test_grouprep.py::test_finite_draw_many_is_a_gather_of_draws",
+    "grouprep.GroupSampler.draw_blocks": _BLOCKS,
+    "grouprep._draw_block": _BLOCKS,
+    "grouprep._haar_sampler":
+        "tests/test_grouprep.py::test_haar_draw_many_is_a_stack_of_conjugations",
     "grouprep.sampler_for.draw_many":
         "tests/test_grouprep.py::test_large_permutation_sampler_draws_as_single_permutations",
-    "grouprep.GramMatrix.matrix":
-        "tests/test_grouprep.py::test_square_gram_is_euclidean_on_bloch_plane",
     "grouprep.check_irreducible": "tests/test_grouprep.py::test_check_irreducible_pentagon_exact",
     "grouprep._rank_one_deviation": _CRIT_06,
     "grouprep.invariant_gram": _CRIT_06,
@@ -85,6 +92,9 @@ ALLOWLIST = {
     "purity.PauliMap.__call__": "tests/test_purity.py::test_classical_pauli_values_on_pure_state",
     "purity.pauli_from_direction": _PER_STATE,
     "purity.max_collision_probability": _PER_STATE,
+    "randomize.haar_kets": _HAAR_KETS,
+    "statespace.SpaceDescriptor.sample_pures": _HAAR_KETS,
+    "statespace.SpaceDescriptor.sample_pure": _HAAR_KETS,
     "statespace.SpaceDescriptor.unit": _PR_STATE,
     "statespace.SpaceDescriptor.bloch_projector": _CRIT_06,
     "statespace.SpaceDescriptor.cone_contains": _PR_STATE,

@@ -10,7 +10,7 @@ from gptpurity import grouprep
 from gptpurity import randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
-from gptpurity.statespace import random_mixtures
+from states import random_mixtures
 
 
 @pytest.mark.parametrize("n,k", [(2, 4), (3, 9), (5, 25), (128, 16384)])
