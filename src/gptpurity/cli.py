@@ -38,18 +38,19 @@ def _lazy(name: str) -> None:
 
 
 # Every layer is in sys.modules from here on, but a command runs only the
-# layers it reads: an exact prediction runs formulas alone, with no numpy, and
-# a quantum estimate runs randomize, not the descriptors, Grams, faces and
-# suites it does not need.
-for _name in ("statespace", "grouprep", "composite", "purity", "boxworld", "formulas",
-              "randomize", "faces", "checks"):
+# layers it reads: an exact prediction runs formulas alone, with no numpy, a
+# quantum estimate runs randomize, not the descriptors, Grams, faces and
+# suites it does not need, and two-design runs clifford alone.  No command
+# runs haar.
+for _name in ("statespace", "grouprep", "clifford", "haar", "composite", "purity", "boxworld",
+              "formulas", "randomize", "faces", "checks"):
     _lazy(_name)
 
 # Imported after the registration, so binding a layer here does not run it.
 from . import checks  # noqa: E402
+from . import clifford  # noqa: E402
 from . import faces as faces_mod  # noqa: E402
 from . import formulas  # noqa: E402
-from . import grouprep  # noqa: E402
 from . import randomize as rnd  # noqa: E402
 
 # The interpreter's final collections would walk every object the command
@@ -229,7 +230,7 @@ def _run_verify(args: argparse.Namespace) -> dict:
 
 
 def _run_two_design(args: argparse.Namespace) -> dict:
-    frame = grouprep.frame_potential(grouprep.clifford_traces(args.k))
+    frame = clifford.frame_potential(clifford.clifford_traces(args.k))
     check = checks.Check("two-design", abs(frame - 2.0), checks.EXACT if args.k == 1 else 1e-11)
     return {"k": args.k, "frame_potential": frame, "max_deviation": check.value,
             "bound": check.bound, "passed": check.passed}

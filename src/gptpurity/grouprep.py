@@ -1,22 +1,22 @@
-"""Reversible-transformation groups: sampling, averaging, and diagnostics.
+"""Reversible-transformation groups: exact sums, invariant forms and generators.
 
 Group elements act on ambient coordinates as K x K real matrices that fix the
 order unit and map the cone into itself.  This module provides
 
-* uniform samplers for the built-in groups (Haar unitary / orthogonal
-  conjugations, permutations, dihedral groups, the finite boxworld group);
-  the Haar samplers orthonormalize Ginibre columns and build conjugation
-  superoperators by index arithmetic, with no LAPACK or BLAS call,
+* conjugation superoperators built by index arithmetic, with no LAPACK or
+  BLAS call, and a sampler for each built-in group (Haar unitary /
+  orthogonal conjugations, permutations, dihedral groups, the finite
+  boxworld group) that holds an enumerated group's elements,
 * ``group_average``, the one place that chooses between an exact sum over an
   enumerated group and a Monte Carlo mean over sampled elements,
-* the invariant inner product (Gram matrix) on the Bloch subspace, both by
-  group averaging and by exact analytic constructors,
-* a numerical irreducibility diagnostic based on averaging rank-one maps,
+* the analytic invariant inner product (Gram matrix) on the Bloch subspace,
 * generators of a dense subgroup of each built-in group, under which the
-  invariance of a Gram is checked exactly,
-* enumeration of the one- and two-qubit Clifford groups, their traces (for
-  two qubits from the factors, with no stacked group) and frame potential,
-  which is 2 exactly for a unitary 2-design.
+  invariance of a Gram is checked exactly, and the qubit's Clifford sampler
+  and Pauli-eigenstate orbit.
+
+The Clifford groups are enumerated in ``clifford``; the Haar draws and the
+group-averaged Gram, which no command runs, are in ``haar``.  Both are
+reached through module aliases, so running this module runs neither.
 """
 
 from __future__ import annotations
@@ -24,74 +24,22 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import clifford
 from . import errors
+from . import haar
 from . import statespace as ss
-from .errors import InternalError, RangeError, ReducibleSpaceError, UnsupportedSpaceError
+from .errors import RangeError, UnsupportedSpaceError
 
-DEFAULT_GRAM_SAMPLES = 20_000
-# Random Bloch vectors the irreducibility diagnostic averages over.
-IRREDUCIBILITY_PROBES = 3
-# Group elements drawn at once by the Monte Carlo group averages
-# (``GroupSampler.draw_blocks``); their values depend on it.
-DRAW_BLOCK = 1024
 # The classical group S_K keeps its element list while K! is at most this
 # (K <= 6); larger K draw by one row-wise shuffle.
 ENUMERATE_LIMIT = 1000
-# Peak bytes of ``draw_many`` per entry of its (size, K, K) result.  The Haar
-# samplers peak in ``conjugation_matrix``'s rounds, holding the unitaries,
-# M's a <= b half (n^3 (n+1)/2 reals per part), the sum being built and one
-# round of terms (K^2 reals each): at most 32 bytes per entry for complex
-# quantum (n^2 = K) and for real quantum (n^2 < 2K).  numpy's 64 KiB iterator
-# buffer comes on top; one 1024-element block measured 40 bytes per entry at
-# K = 4 and 41 at real K = 3 (tracemalloc).
-_DRAW_BYTES_PER_ENTRY = 48
 
 
-# -- raw matrix-group sampling -------------------------------------------------------
-
-
-def haar_unitaries(
-    size: int, n: int, rng: np.random.Generator, *, real: bool = False
-) -> np.ndarray:
-    """A (size, n, n) stack of Haar-random unitaries (orthogonal when ``real``).
-
-    The columns of Gaussian (complex Ginibre) matrices, orthonormalized by
-    modified Gram-Schmidt with one re-orthogonalization pass: the Q of the
-    QR factorization whose R has a positive diagonal, which is Haar
-    distributed (Mezzadri, Notices AMS 54, 592, 2007).  The real parts of
-    the whole stack are drawn before the imaginary parts.  Real and
-    imaginary parts stay real arrays, samples last, and every step is
-    elementwise or a sum in a fixed order, with no LAPACK or BLAS call.
-    """
-    parts = 1 if real else 2
-    z = np.empty((parts, size, n, n))
-    rng.standard_normal(out=z)
-    q = np.ascontiguousarray(z.transpose(0, 3, 2, 1))  # q[:, j] is column j
-    del z
-    prod, step = np.empty((parts, n, size)), np.empty((n, size))
-    for j in range(n):
-        v = q[:, j]
-        for _ in range(2):
-            for col in q[:, :j].swapaxes(0, 1):
-                # v -= col <col, v>, with <col, v> = sum_i conj(col_i) v_i.
-                cr = np.add.reduce(np.multiply(col, v, out=prod), axis=(0, 1))
-                if real:
-                    v[0] -= np.multiply(col[0], cr, out=step)
-                    continue
-                np.multiply(col[0], v[1], out=prod[0])
-                np.multiply(col[1], v[0], out=prod[1])
-                ci = np.add.reduce(prod[0], axis=0) - np.add.reduce(prod[1], axis=0)
-                v[0] -= np.multiply(col[0], cr, out=step)
-                v[0] += np.multiply(col[1], ci, out=step)
-                v[1] -= np.multiply(col[0], ci, out=step)
-                v[1] -= np.multiply(col[1], cr, out=step)
-        v /= np.sqrt(np.add.reduce(np.square(v, out=prod), axis=(0, 1)))
-    u = q.transpose(0, 3, 2, 1)
-    return np.ascontiguousarray(u[0]) if real else u[0] + 1j * u[1]
+# -- conjugation superoperators ------------------------------------------------------
 
 
 def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -200,16 +148,15 @@ def _conjugation_terms(shape: tuple, dtype: str, data: bytes, cplx: bool) -> tup
 class GroupSampler(NamedTuple):
     """Uniform sampler over a space's reversible-transformation group.
 
-    ``draw`` yields a K x K real matrix T with ``order_unit @ T == order_unit``
-    and ``T(cone) <= cone``.  ``draw_many`` yields a stack of independent
-    elements, and ``draw_blocks`` a given number of them in memory-bounded
-    stacks; ``draw`` is the size-1 case of ``draw_many``.  Every stack comes
-    from ``draw_fn``, a function of (generator, size): one gather at uniform
-    indices for an enumerated group, one Gram-Schmidt ``haar_unitaries``
-    stack and one index-arithmetic ``conjugation_matrix`` for the Haar
-    samplers (no LAPACK or BLAS call), one row-wise ``Generator.permuted``
-    for large permutation groups.  An enumerated group also keeps its
-    ``elements``, over which ``group_average`` sums exactly.
+    ``draw_fn``, a function of (generator, size), yields a (size, K, K) stack
+    of independent elements T with ``order_unit @ T == order_unit`` and
+    ``T(cone) <= cone``: one gather at uniform indices for an enumerated
+    group, one Gram-Schmidt ``haar.haar_unitaries`` stack and one
+    ``conjugation_matrix`` for the Haar samplers, one row-wise
+    ``Generator.permuted`` for large permutation groups.  ``haar.draw``,
+    ``haar.draw_many`` and ``haar.draw_blocks`` call it under a memory
+    check.  An enumerated group also keeps its ``elements``, over which
+    ``group_average`` sums exactly.
 
     Samplers are pure functions of the passed generator.
     """
@@ -217,41 +164,6 @@ class GroupSampler(NamedTuple):
     space: ss.SpaceDescriptor
     draw_fn: Callable[[np.random.Generator, int], np.ndarray]
     elements: np.ndarray | None = None
-
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return self.draw_many(rng, 1)[0]
-
-    def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """A (size, K, K) stack of independent uniform elements.
-
-        Refused beyond ``errors.MEMORY_CAP_BYTES``, counting the
-        conjugation intermediates of the Haar samplers.
-        """
-        k = self.space.K
-        errors.check_memory(_DRAW_BYTES_PER_ENTRY * size * k * k,
-                            f"a stack of {size} group elements on {k} coordinates")
-        return self.draw_fn(rng, size)
-
-    def draw_blocks(self, rng: np.random.Generator, total: int) -> Iterator[np.ndarray]:
-        """``total`` independent elements as ``draw_many`` stacks of ``DRAW_BLOCK``.
-
-        Blocks shrink (to one element at the least) where a full block would
-        pass ``errors.MEMORY_CAP_BYTES``; only the last block is shorter
-        otherwise.
-        """
-        block = _draw_block(self.space.K)
-        for lo in range(0, total, block):
-            yield self.draw_many(rng, min(block, total - lo))
-
-
-def _draw_block(k: int) -> int:
-    """Elements per ``draw_blocks`` stack on ``k`` coordinates."""
-    return max(1, min(DRAW_BLOCK, errors.MEMORY_CAP_BYTES // (_DRAW_BYTES_PER_ENTRY * k * k)))
-
-
-def _haar_sampler(space: ss.SpaceDescriptor, real: bool) -> GroupSampler:
-    return GroupSampler(space, lambda rng, size: conjugation_matrix(
-        space.hermitian_basis, haar_unitaries(size, space.level, rng, real=real)))
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:
@@ -301,7 +213,7 @@ def sampler_for(space: ss.SpaceDescriptor) -> GroupSampler:
     does the classical group S_K while K! <= ``ENUMERATE_LIMIT``.
     """
     if space.kind in (ss.KIND_QUANTUM, ss.KIND_REAL_QUANTUM):
-        return _haar_sampler(space, real=space.kind == ss.KIND_REAL_QUANTUM)
+        return haar._haar_sampler(space, real=space.kind == ss.KIND_REAL_QUANTUM)
     if space.kind == ss.KIND_CLASSICAL:
         if math.factorial(space.K) <= ENUMERATE_LIMIT:
             els = permutation_matrix(np.array(list(itertools.permutations(range(space.K)))))
@@ -333,7 +245,7 @@ class GramMatrix(NamedTuple):
     ``scale`` times the Euclidean projector onto ``ker u``, so
     ``G x = scale (x - u (u.x)/(u.u))`` costs O(K) and nothing K x K is
     held.  ``stored`` is a dense K x K matrix that takes its place: the
-    group-averaged reference of ``invariant_gram``.
+    group-averaged reference of ``haar.invariant_gram``.
 
     ``apply`` is the one operation that reads ``stored``; ``inner``,
     ``norm_sq`` and ``norms_sq`` are built on it.  ``matrix`` is the dense
@@ -420,12 +332,12 @@ def group_average(
     ``f`` maps a (size, K, K) stack of elements to per-element values of
     shape (size, ...).  An enumerated group is summed exactly over
     ``sampler.elements``, leaving ``rng`` untouched; any other group draws
-    ``trials`` >= 2 elements through ``GroupSampler.draw_blocks`` from ``rng``
-    (``default_rng(0)`` when it is None).  Sampled
-    scalar values are kept for their standard error; array values are summed
-    block by block, in memory that does not grow with ``trials``.  What is
-    held is refused beyond ``errors.MEMORY_CAP_BYTES`` before any draw, the
-    value shape read off ``f`` of the identity.
+    ``trials`` >= 2 elements through ``haar.draw_blocks`` from ``rng``
+    (``default_rng(0)`` when it is None).  Sampled scalar values are kept for
+    their standard error; array values are summed block by block, in memory
+    that does not grow with ``trials``.  What is held is refused beyond
+    ``errors.MEMORY_CAP_BYTES`` before any draw, the value shape read off
+    ``f`` of the identity.
     """
     if sampler.elements is not None:
         vals = f(sampler.elements)
@@ -435,215 +347,16 @@ def group_average(
     rng = np.random.default_rng(0) if rng is None else rng
     k = sampler.space.K
     value = f(np.eye(k)[None])[0]
-    blocks = sampler.draw_blocks(rng, trials)
+    blocks = haar.draw_blocks(sampler, rng, trials)
     if value.ndim == 0:
         # The blocks' values and their concatenation are alive at once.
         errors.check_memory(2 * 8 * trials, f"2 arrays of {trials} per-sample values")
         vals = np.concatenate([f(ts) for ts in blocks])
         return GroupAverage(vals.mean(), vals.std(ddof=1) / math.sqrt(trials), trials, False)
-    block = min(trials, _draw_block(k))
+    block = min(trials, haar._draw_block(k))
     errors.check_memory(8 * (block + 1) * value.size,
                         f"a block of {block} per-sample values of width {value.size} and their sum")
     return GroupAverage(sum(f(ts).sum(axis=0) for ts in blocks) / trials, None, trials, False)
-
-
-def check_irreducible(
-    space: ss.SpaceDescriptor,
-    sampler: GroupSampler,
-    trials: int = 2000,
-    rng: np.random.Generator | None = None,
-    n_probes: int = IRREDUCIBILITY_PROBES,
-) -> float:
-    """Deviation of the averaged rank-one map from a multiple of the identity.
-
-    For random Bloch vectors x, the group average of T x x^T T^T must be
-    c * P with P the projector onto the Bloch subspace; the returned value is
-    the maximum relative entry deviation over probes.  Values of order one
-    indicate a reducible action; an irreducible action gives a value at the
-    statistical-error scale (zero for exact finite sums).
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    return _rank_one_deviation(space, sampler, trials, rng, n_probes)[0]
-
-
-def _rank_one_deviation(
-    space: ss.SpaceDescriptor,
-    sampler: GroupSampler,
-    trials: int,
-    rng: np.random.Generator,
-    n_probes: int,
-) -> tuple[float, float]:
-    """``check_irreducible``'s deviation, and the threshold an irreducible
-    action stays under: 1e-8 for an exact sum, ten times the statistical
-    error 1/sqrt(trials) otherwise."""
-    if n_probes < 1:
-        raise RangeError(f"need at least 1 probe, got {n_probes}")
-    p = space.bloch_projector()
-    worst = 0.0
-    for _ in range(n_probes):
-        x = p @ rng.normal(size=space.K)
-        x /= np.linalg.norm(x)
-        avg = group_average(sampler, lambda ts: np.einsum("bi,bj->bij", ts @ x, ts @ x),
-                            rng, trials)
-        c = np.trace(avg.mean) / (space.K - 1)
-        worst = max(worst, float(np.max(np.abs(avg.mean - c * p)) / c))
-    return worst, 1e-8 if avg.exact else 10.0 / math.sqrt(trials)
-
-
-def invariant_gram(
-    space: ss.SpaceDescriptor,
-    sampler: GroupSampler,
-    n_avg: int = DEFAULT_GRAM_SAMPLES,
-    rng: np.random.Generator | None = None,
-    *,
-    check_trials: int = 4000,
-) -> GramMatrix:
-    """Invariant Gram by group averaging of the Euclidean Bloch product.
-
-    Averages T^T E T over the group with ``group_average`` (exact for
-    enumerated finite groups, ``n_avg`` draws with ~1/sqrt(n_avg) error
-    otherwise) and rescales so 32 sampled pure states have mean norm 1.
-    Raises ``ReducibleSpaceError``, before the Gram average, when the
-    irreducibility diagnostic exceeds ten times the statistical error of its
-    ``check_trials`` draws (1e-8 for an exact sum), since no invariant
-    product is then unique.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    dev, threshold = _rank_one_deviation(space, sampler, check_trials, rng, IRREDUCIBILITY_PROBES)
-    if dev > threshold:
-        raise ReducibleSpaceError(
-            f"irreducibility deviation {dev:.3g} exceeds threshold; "
-            "the invariant inner product is not unique"
-        )
-    e = space.bloch_projector()
-    g = group_average(sampler, lambda ts: ts.transpose(0, 2, 1) @ e @ ts, rng, n_avg).mean
-    b = space.sample_pures(rng, 32) - space.max_mixed
-    scale = 1.0 / float(np.mean(np.einsum("bi,ij,bj->b", b, g, b)))
-    return GramMatrix(scale, space.order_unit, ss._frozen(scale * g))
-
-
-# -- Clifford group and the 2-design identity ---------------------------------------------
-
-# Frontier elements expanded per stacked product in the Clifford closure; it
-# bounds the product arrays, which no stored element is a view of.
-_CLOSURE_CHUNK = 256
-
-
-def _phase_canonical(u: np.ndarray) -> np.ndarray:
-    """Multiply each unitary of a (..., d, d) stack, in place, by the phase that
-    makes its first entry of modulus above 1e-9 real and positive; return ``u``.
-
-    A unitary's first row has unit norm, so that entry lies in row 0.
-    """
-    row = u[..., 0, :]
-    z = np.take_along_axis(row, np.argmax(np.abs(row) > 1e-9, axis=-1)[..., None], axis=-1)
-    u *= (z.conj() / np.abs(z))[..., None]
-    return u
-
-
-def _keys(u: np.ndarray) -> list[bytes]:
-    """The rounded-entry key of each entry of a stack: each (d, d) matrix, or each row."""
-    raw = (np.round(u, 9) + 0.0).tobytes()
-    step = len(raw) // len(u)
-    return [raw[i:i + step] for i in range(0, len(raw), step)]
-
-
-def _bfs_closure(generators: list[np.ndarray], expect: int) -> np.ndarray:
-    """Breadth-first closure of the generated group modulo phase.
-
-    Elements come in discovery order: level by level, and within a level by
-    frontier element, then by generator.  Each chunk of the frontier is
-    multiplied by every generator in one stacked product, and new elements
-    are copied into one preallocated (expect, d, d) array, which is returned.
-    """
-    gens = np.stack(generators)
-    d = gens.shape[1]
-    out = np.empty((expect, d, d), dtype=complex)
-    out[0] = np.eye(d)
-    seen = set(_keys(out[:1]))
-    lo, hi = 0, 1  # the current level is out[lo:hi]
-    while lo < hi:
-        n = hi
-        for c in range(lo, hi, _CLOSURE_CHUNK):
-            frontier = out[c:min(c + _CLOSURE_CHUNK, hi), None]
-            prod = _phase_canonical(np.matmul(gens[None], frontier)).reshape(-1, d, d)
-            fresh = []
-            for i, k in enumerate(_keys(prod)):
-                if k not in seen:
-                    seen.add(k)
-                    fresh.append(i)
-            if n + len(fresh) > expect:
-                raise InternalError(f"group closure exceeded {expect} elements")
-            out[n:n + len(fresh)] = prod[fresh]
-            n += len(fresh)
-        lo, hi = hi, n
-    if hi != expect:
-        raise InternalError(f"group closure produced {hi} elements, expected {expect}")
-    return out
-
-
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker products a_i (x) b_j of two stacks of square matrices, i-major."""
-    (m, p, _), (n, q, _) = a.shape, b.shape
-    return np.einsum("aij,bkl->abikjl", a, b).reshape(m * n, p * q, p * q)
-
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_PHASE = np.diag([1, 1j])
-
-
-def _two_qubit_factors() -> tuple[np.ndarray, np.ndarray]:
-    """The one-qubit Clifford group and the 20 coset representatives of ``clifford_unitaries(2)``.
-
-    C_2 / phase = (C_1 (x) C_1) {I, CNOT S, iSWAP S, SWAP},  S in S_1 (x) S_1,
-    the four-class decomposition of two-qubit randomized benchmarking
-    (Barends et al., Nature 508, 500, 2014), with S_1 = {I, SH, (SH)^2},
-    whose conjugations cycle the Pauli axes.  Returns (C_1, reps) with reps
-    a (20, 4, 4) stack.
-    """
-    sh = _PHASE @ _HADAMARD
-    s1 = np.stack([np.eye(2), sh, sh @ sh])
-    s11 = _kron_stack(s1, s1)
-    cnot = np.eye(4)[[0, 1, 3, 2]]
-    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    return clifford_unitaries(1), np.concatenate([np.eye(4)[None], cnot @ s11, iswap @ s11,
-                                                  swap[None]])
-
-
-@lru_cache(maxsize=None)
-def clifford_unitaries(k: int = 1) -> np.ndarray:
-    """The k-qubit Clifford group modulo global phase (k = 1 or 2).
-
-    k = 1 is the breadth-first closure over the Hadamard and phase gates.
-    k = 2 is the stacked product of the 576 local pairs of ``_two_qubit_factors``
-    with its 20 coset representatives, local pair major; no element repeats.
-    Every element carries a deterministic phase canonicalization.  Returns
-    one read-only (|G|, d, d) array, shared by every caller; sizes are 24
-    and 11520.
-    """
-    if k == 1:
-        out = _bfs_closure([_HADAMARD, _PHASE], expect=24)
-    elif k == 2:
-        c1, reps = _two_qubit_factors()
-        out = _phase_canonical(_kron_stack(c1, c1)[:, None] @ reps).reshape(-1, 4, 4)
-    else:
-        raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
-    out.flags.writeable = False
-    return out
-
-
-def clifford_traces(k: int = 1) -> np.ndarray:
-    """Tr g of every element of ``clifford_unitaries(k)``, in its order, up to a phase each.
-
-    k = 2 never stacks the group: Tr((a (x) b) r) = sum a_ij b_kl r_(jl),(ik)
-    over the factors of ``_two_qubit_factors`` is one einsum, and |Tr g|
-    does not depend on the phase canonicalization.
-    """
-    if k != 2:
-        return np.trace(clifford_unitaries(k), axis1=-2, axis2=-1)
-    c1, reps = _two_qubit_factors()
-    return np.einsum("aij,bkl,rjlik->abr", c1, c1, reps.reshape(-1, 2, 2, 2, 2)).reshape(-1)
 
 
 def clifford_sampler(space: ss.SpaceDescriptor) -> GroupSampler:
@@ -655,7 +368,8 @@ def clifford_sampler(space: ss.SpaceDescriptor) -> GroupSampler:
     """
     if space.kind != ss.KIND_QUANTUM or space.level != 2:
         raise UnsupportedSpaceError(f"no one-qubit Clifford group on {space.kind}-{space.level}")
-    return _finite_sampler(space, conjugation_matrix(space.hermitian_basis, clifford_unitaries(1)))
+    us = clifford.clifford_unitaries(1)
+    return _finite_sampler(space, conjugation_matrix(space.hermitian_basis, us))
 
 
 def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
@@ -671,10 +385,10 @@ def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
         return np.eye(space.K)
     if space.kind != ss.KIND_QUANTUM or space.level != 2:
         raise UnsupportedSpaceError(f"no pure-state orbit for {space.kind}-{space.level}")
-    kets = clifford_unitaries(1)[:, :, 0]
+    kets = clifford.clifford_unitaries(1)[:, :, 0]
     coords = space.to_coords(kets[:, :, None] * kets[:, None, :].conj())
     first = {}
-    for i, key in enumerate(_keys(coords)):
+    for i, key in enumerate(clifford._keys(coords)):
         first.setdefault(key, i)
     return coords[list(first.values())]
 
@@ -702,7 +416,7 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         return sampler_for(space).elements
     if space.kind == ss.KIND_QUANTUM and space.level == 2:
-        us = np.stack([_HADAMARD, _PHASE, np.diag([1, np.exp(0.25j * np.pi)])])
+        us = np.stack([clifford._HADAMARD, clifford._PHASE, np.diag([1, np.exp(0.25j * np.pi)])])
     elif space.kind == ss.KIND_QUANTUM and space.level == 3:
         w, z = np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 9)
         f = w ** np.outer(np.arange(3), np.arange(3)) / math.sqrt(3)
@@ -734,14 +448,3 @@ def swap_operator(d: int) -> np.ndarray:
         for j in range(d):
             s[d * j + i, d * i + j] = 1.0
     return s
-
-
-def frame_potential(traces: np.ndarray | Sequence[complex]) -> float:
-    """Second frame potential F = (1/|G|) sum_g |Tr g|^4 of a finite unitary group, from its traces.
-
-    F is the sum of the squared multiplicities of the irreducible components
-    of g (x) g: an integer that is at least 2 in dimension d >= 2, with
-    equality exactly when the group is a unitary 2-design (Gross, Audenaert
-    and Eisert, J. Math. Phys. 48, 052104, 2007).
-    """
-    return float(np.mean(np.abs(np.asarray(traces)) ** 4))

@@ -14,7 +14,8 @@ import numpy as np
 from gptpurity import boxworld as bw
 from gptpurity import checks
 from gptpurity import composite as cm
-from gptpurity import faces, formulas, grouprep, randomize as rnd, statespace as ss
+from gptpurity import clifford, faces, formulas, grouprep, haar, randomize as rnd
+from gptpurity import statespace as ss
 from gptpurity import purity as pur
 from states import random_mixtures
 
@@ -115,8 +116,8 @@ def test_criterion_06_purity_pure_times_maxmixed():
         details.append(f"{comp.part_a.kind} {na}x{nb}: {res.numeric:.6f}")
     comp = _pair(ss.build_quantum, 2, 2)
     sampler = grouprep.sampler_for(comp.joint)
-    mc_gram = grouprep.invariant_gram(comp.joint, sampler, n_avg=20_000,
-                                      rng=np.random.default_rng(1006))
+    mc_gram = haar.invariant_gram(comp.joint, sampler, n_avg=20_000,
+                                  rng=np.random.default_rng(1006))
     res = cm.purity_pure_times_maxmixed(comp, mc_gram, tol=1e-6)
     ok = ok and abs(res.numeric - res.closed_form) <= 1e-6
     _report(6, ok, "P(phi x mu) analytic to 1e-12: " + ", ".join(details)
@@ -152,7 +153,7 @@ def test_criterion_07_pauli_identities():
 
 
 def test_criterion_08_clifford_two_design():
-    dev = abs(grouprep.frame_potential(grouprep.clifford_traces(1)) - 2.0)
+    dev = abs(clifford.frame_potential(clifford.clifford_traces(1)) - 2.0)
     ok = dev <= 1e-12
     _report(8, ok, f"k=1 second-moment identity over the full matrix basis: max dev {dev:.2e}")
 
@@ -246,7 +247,7 @@ def test_criterion_14_property_suite():
         for omega in states:
             p = pur.purity(space, gram, omega)
             ok = ok and -1e-12 <= p <= 1 + 1e-12
-            t = sampler.draw(rng)
+            t = haar.draw(sampler, rng)
             ok = ok and abs(pur.purity(space, gram, t @ omega) - p) <= 1e-9
         for _ in range(100):
             trio = random_mixtures(space, 3, rng)
@@ -268,12 +269,12 @@ def test_criterion_14_property_suite():
     # every permutation of six outcomes) checks it on full-rank states of
     # different spectra with no sampling error.
     exact = np.random.default_rng(1014)
-    cliffords = grouprep.clifford_unitaries(2)
+    cliffords = clifford.clifford_unitaries(2)
     perms = np.array(list(itertools.permutations(range(6))))
     spectra, worst = [], 0.0
     for _ in range(5):
         spectra.append(exact.dirichlet(np.ones(4)))
-        u = grouprep.haar_unitaries(1, 4, exact)[0]
+        u = haar.haar_unitaries(1, 4, exact)[0]
         rho = (u * spectra[-1]) @ u.conj().T
         conj = cliffords @ rho @ cliffords.conj().transpose(0, 2, 1)
         rho_a = np.einsum("gibjb->gij", conj.reshape(-1, 2, 2, 2, 2))

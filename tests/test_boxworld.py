@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptpurity import boxworld as bw
-from gptpurity import grouprep, statespace as ss
+from gptpurity import grouprep, haar, statespace as ss
 from gptpurity.errors import ConeError
 from states import random_mixtures
 
@@ -76,7 +76,7 @@ def test_group_elements_preserve_cone(rng):
     space = bw.boxworld_space()
     sampler = grouprep.sampler_for(space)
     for omega in random_mixtures(space, 10, rng):
-        t = sampler.draw(rng)
+        t = haar.draw(sampler, rng)
         assert space.cone_contains(t @ omega)
 
 

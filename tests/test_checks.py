@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gptpurity import checks, cli, grouprep
+from gptpurity import checks, cli, grouprep, haar
 from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import (
@@ -118,7 +118,7 @@ def test_batched_pauli_identities_match_the_per_state_route(space):
 def test_batched_gram_invariance_matches_the_per_draw_route(space):
     # The stacked deviation of the suite against one product per drawn element.
     g = grouprep.analytic_gram(space).matrix
-    ts = grouprep.sampler_for(space).draw_many(np.random.default_rng(4260), 40)
+    ts = haar.draw_many(grouprep.sampler_for(space), np.random.default_rng(4260), 40)
     per_draw = max(np.max(np.abs(t.T @ g @ t - g)) for t in ts)
     assert abs(grouprep.invariance_deviation(g, ts) - per_draw) <= 1e-13
     assert grouprep.invariance_deviation(g, ts) <= checks.EXACT

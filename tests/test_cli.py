@@ -50,8 +50,9 @@ def test_monte_carlo_reports_match_golden_hashes(capsys, entry):
     # The exact stdout of whole reports, one line per list item: the
     # benchmark's mc-acceptance and large-composite commands at workload
     # seed 1, `verify markov-tail`, `coin-record --s0 1`, `verify boxworld`,
-    # and `verify pauli-identities` and `verify gram-invariance`, whose Haar
-    # unitaries and conjugations run no LAPACK or BLAS routine.
+    # `verify pauli-identities` and `verify gram-invariance`, whose
+    # conjugations run no LAPACK or BLAS routine, and `two-design --k 1` and
+    # `--k 2`, whose Clifford products are elementwise.
     # A change of any Monte Carlo value, down to one ulp, shows here as a
     # diff of its field.
     code, out = _run(capsys, entry["argv"])

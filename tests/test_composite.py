@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import grouprep, statespace as ss
+from gptpurity import grouprep, haar, statespace as ss
 from gptpurity.errors import InconsistencyError, UnsupportedCompositeError
 from gptpurity.purity import complete_pauli_set
 from states import random_mixtures
@@ -100,16 +100,16 @@ def test_marginal_of_correlated_classical_pair():
 def test_marginalization_commutes_with_local_transformations(rng):
     comp, _, _ = _quantum_pair(2, 2)
     for _ in range(30):
-        ta = grouprep.sampler_for(comp.part_a).draw(rng)
-        tb = grouprep.sampler_for(comp.part_b).draw(rng)
+        ta = haar.draw(grouprep.sampler_for(comp.part_a), rng)
+        tb = haar.draw(grouprep.sampler_for(comp.part_b), rng)
         omega = random_mixtures(comp.joint, 1, rng)[0]
         lhs = cm.marginal_a(comp, np.kron(ta, tb) @ omega)
         rhs = ta @ cm.marginal_a(comp, omega)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
     comp_c = cm.compose(ss.build_classical(3), ss.build_classical(3))
     for _ in range(30):
-        ta = grouprep.sampler_for(comp_c.part_a).draw(rng)
-        tb = grouprep.sampler_for(comp_c.part_b).draw(rng)
+        ta = haar.draw(grouprep.sampler_for(comp_c.part_a), rng)
+        tb = haar.draw(grouprep.sampler_for(comp_c.part_b), rng)
         omega = random_mixtures(comp_c.joint, 1, rng)[0]
         lhs = cm.marginal_a(comp_c, np.kron(ta, tb) @ omega)
         rhs = ta @ cm.marginal_a(comp_c, omega)

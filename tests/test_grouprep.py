@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import errors, grouprep, purity as pur, statespace as ss
+from gptpurity import clifford, errors, grouprep, haar, purity as pur, statespace as ss
 from gptpurity.errors import RangeError, ReducibleSpaceError, UnsupportedSpaceError
 
 
@@ -12,7 +16,7 @@ def test_haar_conjugation_is_gram_orthogonal(rng):
     space = ss.build_quantum(3)
     gram = grouprep.analytic_gram(space)
     for _ in range(20):
-        t = grouprep.sampler_for(space).draw(rng)
+        t = haar.draw(grouprep.sampler_for(space), rng)
         np.testing.assert_allclose(t.T @ gram.matrix @ t, gram.matrix, atol=1e-9)
 
 
@@ -21,7 +25,7 @@ def test_haar_mean_of_pure_state_is_max_mixed(rng):
     sampler = grouprep.sampler_for(space)
     phi = space.sample_pure(rng)
     n = 10_000
-    out = sampler.draw_many(rng, n) @ phi
+    out = haar.draw_many(sampler, rng, n) @ phi
     mean = out.mean(axis=0)
     sigma = out.std(axis=0, ddof=1) / math.sqrt(n)
     np.testing.assert_array_less(np.abs(mean - space.max_mixed), 3 * sigma + 1e-12)
@@ -29,7 +33,7 @@ def test_haar_mean_of_pure_state_is_max_mixed(rng):
 
 def test_haar_first_moment_vanishes(rng):
     n, draws = 3, 8000
-    mean = grouprep.haar_unitaries(draws, n, rng).mean(axis=0)
+    mean = haar.haar_unitaries(draws, n, rng).mean(axis=0)
     # each entry has second moment 1/n per draw
     bound = 4 * math.sqrt(1 / (2 * n * draws))
     assert np.max(np.abs(mean.real)) < bound
@@ -37,18 +41,18 @@ def test_haar_first_moment_vanishes(rng):
 
 
 def test_haar_unitary_is_unitary(rng):
-    u = grouprep.haar_unitaries(1, 5, rng)[0]
+    u = haar.haar_unitaries(1, 5, rng)[0]
     np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
 
 
 @pytest.mark.parametrize("real", [False, True])
 def test_haar_unitaries_stack_and_size_one_case(real):
     for n in (1, 2, 5):
-        one = grouprep.haar_unitaries(1, n, np.random.default_rng(4200 + n), real=real)
+        one = haar.haar_unitaries(1, n, np.random.default_rng(4200 + n), real=real)
         assert one.shape == (1, n, n)
         assert one.dtype == (float if real else complex)
         np.testing.assert_allclose(one[0] @ one[0].conj().T, np.eye(n), atol=1e-12)
-    us = grouprep.haar_unitaries(7, 4, np.random.default_rng(4210), real=real)
+    us = haar.haar_unitaries(7, 4, np.random.default_rng(4210), real=real)
     assert us.shape == (7, 4, 4)
     assert us.dtype == (float if real else complex)
     np.testing.assert_allclose(us @ us.conj().transpose(0, 2, 1), np.broadcast_to(np.eye(4), us.shape),
@@ -82,12 +86,12 @@ def test_gram_schmidt_unitaries_match_the_qr_route_without_lapack(monkeypatch, r
     monkeypatch.setattr(np.linalg, "qr", refuse)
     for n, (ref, state) in refs.items():
         rng = np.random.default_rng(seeds[n])
-        us = grouprep.haar_unitaries(64, n, rng, real=real)
+        us = haar.haar_unitaries(64, n, rng, real=real)
         assert us.dtype == ref.dtype
         np.testing.assert_allclose(us, ref, rtol=0, atol=1e-12)
         assert rng.bit_generator.state == state
     space = ss.build_real_quantum(2) if real else ss.build_quantum(2)
-    assert grouprep.sampler_for(space).draw_many(np.random.default_rng(4290), 8).shape == (
+    assert haar.draw_many(grouprep.sampler_for(space), np.random.default_rng(4290), 8).shape == (
         8, space.K, space.K)
 
 
@@ -95,10 +99,10 @@ def test_gram_schmidt_unitaries_match_the_qr_route_without_lapack(monkeypatch, r
 def test_haar_draw_many_is_a_stack_of_conjugations(builder):
     space = builder(3)
     sampler = grouprep.sampler_for(space)
-    ts = sampler.draw_many(np.random.default_rng(4220), 5)
+    ts = haar.draw_many(sampler, np.random.default_rng(4220), 5)
     assert ts.shape == (5, space.K, space.K)
     real = space.kind == ss.KIND_REAL_QUANTUM
-    us = grouprep.haar_unitaries(5, 3, np.random.default_rng(4220), real=real)
+    us = haar.haar_unitaries(5, 3, np.random.default_rng(4220), real=real)
     for t, u in zip(ts, us):
         np.testing.assert_allclose(t, grouprep.conjugation_matrix(space.hermitian_basis, u),
                                    atol=1e-12)
@@ -116,7 +120,7 @@ def _einsum_conjugation(basis, u):
 def test_index_conjugation_matches_einsum_route(builder, n):
     space = builder(n)
     real = space.kind == ss.KIND_REAL_QUANTUM
-    us = grouprep.haar_unitaries(64, n, np.random.default_rng(4230 + n), real=real)
+    us = haar.haar_unitaries(64, n, np.random.default_rng(4230 + n), real=real)
     ts = grouprep.conjugation_matrix(space.hermitian_basis, us)
     assert ts.shape == (64, space.K, space.K)
     assert ts.dtype == float
@@ -128,9 +132,9 @@ def test_index_conjugation_matches_einsum_route(builder, n):
 @pytest.mark.parametrize("builder", [ss.build_classical, ss.build_polygon])
 def test_finite_draw_many_is_a_gather_of_draws(builder):
     sampler = grouprep.sampler_for(builder(5))
-    ts = sampler.draw_many(np.random.default_rng(4240), 30)
+    ts = haar.draw_many(sampler, np.random.default_rng(4240), 30)
     rng = np.random.default_rng(4240)
-    np.testing.assert_array_equal(ts, np.stack([sampler.draw(rng) for _ in range(30)]))
+    np.testing.assert_array_equal(ts, np.stack([haar.draw(sampler, rng) for _ in range(30)]))
 
 
 def test_large_permutation_sampler_draws_as_single_permutations():
@@ -138,7 +142,7 @@ def test_large_permutation_sampler_draws_as_single_permutations():
     sampler = grouprep.sampler_for(ss.build_classical(9))
     assert sampler.elements is None
     rng, ref = np.random.default_rng(4241), np.random.default_rng(4241)
-    ts = sampler.draw_many(rng, 30)
+    ts = haar.draw_many(sampler, rng, 30)
     # Column j of a permutation matrix is the unit vector at perm[j].
     ref_ts = np.stack([np.eye(9)[:, ref.permutation(9)] for _ in range(30)])
     np.testing.assert_array_equal(ts, ref_ts)
@@ -147,17 +151,19 @@ def test_large_permutation_sampler_draws_as_single_permutations():
 
 def test_draw_blocks_shrink_under_the_memory_cap(monkeypatch):
     sampler = grouprep.sampler_for(ss.build_quantum(2))
-    full = [len(ts) for ts in sampler.draw_blocks(np.random.default_rng(0), 2 * grouprep.DRAW_BLOCK + 5)]
-    assert full == [grouprep.DRAW_BLOCK, grouprep.DRAW_BLOCK, 5]
+    blocks = haar.draw_blocks(sampler, np.random.default_rng(0), 2 * haar.DRAW_BLOCK + 5)
+    full = [len(ts) for ts in blocks]
+    assert full == [haar.DRAW_BLOCK, haar.DRAW_BLOCK, 5]
     # Room for ten elements on K = 4 coordinates.
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", grouprep._DRAW_BYTES_PER_ENTRY * 16 * 10)
-    assert [len(ts) for ts in sampler.draw_blocks(np.random.default_rng(0), 25)] == [10, 10, 5]
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", haar._DRAW_BYTES_PER_ENTRY * 16 * 10)
+    blocks = haar.draw_blocks(sampler, np.random.default_rng(0), 25)
+    assert [len(ts) for ts in blocks] == [10, 10, 5]
 
 
 def test_permutation_matrices_are_01_doubly_stochastic(rng):
     space = ss.build_classical(6)
     for _ in range(25):
-        t = grouprep.sampler_for(space).draw(rng)
+        t = haar.draw(grouprep.sampler_for(space), rng)
         assert set(np.unique(t)) <= {0.0, 1.0}
         np.testing.assert_allclose(t.sum(axis=0), 1.0)
         np.testing.assert_allclose(t.sum(axis=1), 1.0)
@@ -174,7 +180,7 @@ def test_orthogonal_conjugation_preserves_real_cone(rng):
     space = ss.build_real_quantum(2)
     mm = space.max_mixed
     for _ in range(100):
-        t = grouprep.sampler_for(space).draw(rng)
+        t = haar.draw(grouprep.sampler_for(space), rng)
         omega = 0.7 * space.sample_pure(rng) + 0.3 * mm
         assert space.cone_contains(t @ omega)
 
@@ -183,13 +189,13 @@ def test_orthogonal_conjugation_preserves_real_cone(rng):
 
 
 def test_clifford_1q_has_24_elements_including_identity():
-    els = grouprep.clifford_unitaries(1)
+    els = clifford.clifford_unitaries(1)
     assert len(els) == 24
     assert els.shape == (24, 2, 2) and not els.flags.writeable
-    assert grouprep.clifford_unitaries(1) is els
-    keys = set(grouprep._keys(els))
-    ident = grouprep._phase_canonical(np.eye(2, dtype=complex))
-    assert grouprep._keys(ident[None])[0] in keys
+    assert clifford.clifford_unitaries(1) is els
+    keys = set(clifford._keys(els))
+    ident = clifford._phase_canonical(np.eye(2, dtype=complex))
+    assert clifford._keys(ident[None])[0] in keys
 
 
 def test_clifford_1q_permutes_pauli_directions():
@@ -197,26 +203,26 @@ def test_clifford_1q_permutes_pauli_directions():
 
     paulis = [pauli_string(p) for p in "XYZ"]
     signed = [s * p for p in paulis for s in (1, -1)]
-    for u in grouprep.clifford_unitaries(1):
+    for u in clifford.clifford_unitaries(1):
         for p in paulis:
             img = u @ p @ u.conj().T
             assert any(np.allclose(img, q, atol=1e-9) for q in signed)
 
 
 def test_clifford_1q_closed_under_composition_and_inverse():
-    els = grouprep.clifford_unitaries(1)
-    keys = set(grouprep._keys(els))
-    assert set(grouprep._keys(grouprep._phase_canonical(els.conj().transpose(0, 2, 1)))) <= keys
+    els = clifford.clifford_unitaries(1)
+    keys = set(clifford._keys(els))
+    assert set(clifford._keys(clifford._phase_canonical(els.conj().transpose(0, 2, 1)))) <= keys
     rng = np.random.default_rng(1)
     for _ in range(200):
         a, b = rng.integers(24, size=2)
-        prod = grouprep._phase_canonical(els[a] @ els[b])
-        assert grouprep._keys(prod[None])[0] in keys
+        prod = clifford._phase_canonical(els[a] @ els[b])
+        assert clifford._keys(prod[None])[0] in keys
 
 
 def test_enumerate_clifford_1q_conjugations_fix_max_mixed():
     space = ss.build_quantum(2)
-    conj = grouprep.conjugation_matrix(space.hermitian_basis, grouprep.clifford_unitaries(1))
+    conj = grouprep.conjugation_matrix(space.hermitian_basis, clifford.clifford_unitaries(1))
     assert conj.shape == (24, 4, 4)
     for t in conj:
         np.testing.assert_allclose(t @ space.max_mixed, space.max_mixed, atol=1e-12)
@@ -234,7 +240,7 @@ def test_enumerate_clifford_1q_conjugations_fix_max_mixed():
 def test_invariant_gram_matches_analytic(space):
     sampler = grouprep.sampler_for(space)
     rng = np.random.default_rng(11)
-    gram = grouprep.invariant_gram(space, sampler, n_avg=3000, rng=rng, check_trials=3000)
+    gram = haar.invariant_gram(space, sampler, n_avg=3000, rng=rng, check_trials=3000)
     np.testing.assert_allclose(gram.matrix, grouprep.analytic_gram(space).matrix, atol=1e-10)
 
 
@@ -272,7 +278,7 @@ def test_gram_pure_norm_and_invariance(rng):
         for _ in range(100):
             phi = space.bloch(space.sample_pure(rng))
             assert abs(gram.norm_sq(phi) - 1.0) < 1e-12
-            t = sampler.draw(rng)
+            t = haar.draw(sampler, rng)
             x, y = p @ rng.normal(size=space.K), p @ rng.normal(size=space.K)
             assert abs(gram.inner(t @ x, t @ y) - gram.inner(x, y)) < 1e-8
 
@@ -280,10 +286,10 @@ def test_gram_pure_norm_and_invariance(rng):
 def test_gram_seed_cross_check(rng):
     space = ss.build_quantum(2)
     sampler = grouprep.sampler_for(space)
-    g1 = grouprep.invariant_gram(space, sampler, n_avg=2000,
-                                 rng=np.random.default_rng(1), check_trials=2000)
-    g2 = grouprep.invariant_gram(space, sampler, n_avg=2000,
-                                 rng=np.random.default_rng(2), check_trials=2000)
+    g1 = haar.invariant_gram(space, sampler, n_avg=2000,
+                             rng=np.random.default_rng(1), check_trials=2000)
+    g2 = haar.invariant_gram(space, sampler, n_avg=2000,
+                             rng=np.random.default_rng(2), check_trials=2000)
     np.testing.assert_allclose(g1.matrix, g2.matrix, atol=1e-9)
 
 
@@ -316,22 +322,22 @@ def _reducible_cylinder_space_and_sampler():
 
 def test_check_irreducible_flags_reducible_rep(rng):
     space, sampler = _reducible_cylinder_space_and_sampler()
-    dev = grouprep.check_irreducible(space, sampler, trials=3000, rng=rng)
+    dev = haar.check_irreducible(space, sampler, trials=3000, rng=rng)
     assert dev > 0.3
     with pytest.raises(ReducibleSpaceError):
-        grouprep.invariant_gram(space, sampler, n_avg=100, rng=rng, check_trials=3000)
+        haar.invariant_gram(space, sampler, n_avg=100, rng=rng, check_trials=3000)
 
 
 def test_check_irreducible_pentagon_exact():
     space = ss.build_polygon(5)
     sampler = grouprep.sampler_for(space)
-    assert grouprep.check_irreducible(space, sampler) < 1e-10
+    assert haar.check_irreducible(space, sampler) < 1e-10
 
 
 def test_check_irreducible_qubit_statistical():
     space = ss.build_quantum(2)
     sampler = grouprep.sampler_for(space)
-    dev = grouprep.check_irreducible(
+    dev = haar.check_irreducible(
         space, sampler, trials=100_000, rng=np.random.default_rng(3), n_probes=1
     )
     assert dev < 1e-2
@@ -345,31 +351,31 @@ def test_check_irreducible_qubit_statistical():
 def test_check_irreducible_refuses_zero_trials(rng):
     space, sampler = _reducible_cylinder_space_and_sampler()
     with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 0"):
-        grouprep.check_irreducible(space, sampler, trials=0, rng=rng)
+        haar.check_irreducible(space, sampler, trials=0, rng=rng)
 
 
 def test_check_irreducible_refuses_zero_probes():
     space = ss.build_polygon(5)
     with pytest.raises(RangeError, match="at least 1 probe, got 0"):
-        grouprep.check_irreducible(space, grouprep.sampler_for(space), n_probes=0)
+        haar.check_irreducible(space, grouprep.sampler_for(space), n_probes=0)
 
 
 def test_invariant_gram_refuses_zero_check_trials(rng):
     space, sampler = _reducible_cylinder_space_and_sampler()
     with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 0"):
-        grouprep.invariant_gram(space, sampler, n_avg=100, rng=rng, check_trials=0)
+        haar.invariant_gram(space, sampler, n_avg=100, rng=rng, check_trials=0)
 
 
 def test_invariant_gram_refuses_one_check_trial(rng):
     space, sampler = _reducible_cylinder_space_and_sampler()
     with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 1"):
-        grouprep.invariant_gram(space, sampler, n_avg=100, rng=rng, check_trials=1)
+        haar.invariant_gram(space, sampler, n_avg=100, rng=rng, check_trials=1)
 
 
 def test_invariant_gram_refuses_zero_averaging_samples(rng):
     space = ss.build_quantum(2)
     with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 0"):
-        grouprep.invariant_gram(space, grouprep.sampler_for(space), n_avg=0, rng=rng)
+        haar.invariant_gram(space, grouprep.sampler_for(space), n_avg=0, rng=rng)
 
 
 # -- the group-average primitive ------------------------------------------------------------
@@ -405,10 +411,10 @@ def test_group_average_samples_as_the_concatenated_draw_blocks_route():
     def f(ts):
         return x.evaluate_many(ts @ omega) ** 2
 
-    trials = 2 * grouprep.DRAW_BLOCK + 500
+    trials = 2 * haar.DRAW_BLOCK + 500
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
     avg = grouprep.group_average(sampler, f, rng, trials)
-    vals = np.concatenate([f(ts) for ts in sampler.draw_blocks(ref, trials)])
+    vals = np.concatenate([f(ts) for ts in haar.draw_blocks(sampler, ref, trials)])
     assert not avg.exact
     assert avg.n_samples == trials
     assert avg.mean == vals.mean()
@@ -421,10 +427,10 @@ def test_group_average_samples_as_the_concatenated_draw_blocks_route():
 
 def test_group_average_sums_array_values_block_by_block():
     sampler = grouprep.sampler_for(ss.build_quantum(2))
-    trials = 2 * grouprep.DRAW_BLOCK + 500
+    trials = 2 * haar.DRAW_BLOCK + 500
     rng, ref = np.random.default_rng(13), np.random.default_rng(13)
     avg = grouprep.group_average(sampler, lambda ts: ts, rng, trials)
-    expected = sum(ts.sum(axis=0) for ts in sampler.draw_blocks(ref, trials)) / trials
+    expected = sum(ts.sum(axis=0) for ts in haar.draw_blocks(sampler, ref, trials)) / trials
     assert not avg.exact
     assert avg.n_samples == trials
     assert avg.stderr is None
@@ -435,7 +441,7 @@ def test_group_average_sums_array_values_block_by_block():
 def test_group_average_refuses_what_it_holds_before_any_draw(monkeypatch):
     sampler = grouprep.sampler_for(ss.build_quantum(2))
     # Room for draws of ten elements on K = 4 coordinates.
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", grouprep._DRAW_BYTES_PER_ENTRY * 16 * 10)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", haar._DRAW_BYTES_PER_ENTRY * 16 * 10)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
 
@@ -460,10 +466,10 @@ def test_array_averages_do_not_grow_with_the_trial_count(monkeypatch):
     monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 1 << 20)
     qubit = ss.build_quantum(2)
     sampler = grouprep.sampler_for(qubit)
-    dev = grouprep.check_irreducible(qubit, sampler, trials=5000, rng=np.random.default_rng(1))
+    dev = haar.check_irreducible(qubit, sampler, trials=5000, rng=np.random.default_rng(1))
     assert dev < 10 / math.sqrt(5000)
-    gram = grouprep.invariant_gram(qubit, sampler, n_avg=5000, rng=np.random.default_rng(2),
-                                   check_trials=5000)
+    gram = haar.invariant_gram(qubit, sampler, n_avg=5000, rng=np.random.default_rng(2),
+                               check_trials=5000)
     np.testing.assert_allclose(gram.matrix, grouprep.analytic_gram(qubit).matrix, atol=1e-10)
 
 
@@ -481,7 +487,7 @@ def _two_design_superoperators(k):
     [(i,k),(j,l)].
     """
     d = 2**k
-    us = np.stack(grouprep.clifford_unitaries(k))
+    us = np.stack(clifford.clifford_unitaries(k))
     a = np.einsum("gij,gkl->gikjl", us, us).reshape(len(us), -1)
     dd = d * d
     lhs = (a.T @ a.conj() / len(us)).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3)
@@ -495,7 +501,7 @@ def _two_design_superoperators(k):
 
 
 def test_two_design_identity_k1():
-    assert abs(grouprep.frame_potential(grouprep.clifford_traces(1)) - 2.0) < 1e-12
+    assert abs(clifford.frame_potential(clifford.clifford_traces(1)) - 2.0) < 1e-12
 
 
 def test_two_design_superoperator_on_identity_and_swap():
@@ -515,7 +521,7 @@ def test_two_design_superoperator_on_identity_and_swap():
 def test_superoperators_agree_and_lhs_trace_is_frame_potential(k, bound):
     lhs, rhs = _two_design_superoperators(k)
     assert np.max(np.abs(lhs - rhs)) < bound
-    frame = grouprep.frame_potential(grouprep.clifford_traces(k))
+    frame = clifford.frame_potential(clifford.clifford_traces(k))
     assert abs(np.trace(lhs) - frame) < 1e-12
     # F - 2 is the squared Frobenius distance between the two sides.
     assert abs(np.linalg.norm(lhs - rhs) ** 2 - (frame - 2.0)) < bound
@@ -525,7 +531,7 @@ def test_pauli_group_is_not_a_two_design():
     # {I, X, Y, Z} is a 1-design only: F = 4, so |F - 2| = 2.
     from gptpurity.purity import pauli_string
 
-    frame = grouprep.frame_potential([np.trace(pauli_string(p)) for p in "IXYZ"])
+    frame = clifford.frame_potential([np.trace(pauli_string(p)) for p in "IXYZ"])
     assert frame == pytest.approx(4.0, abs=1e-12)
     assert abs(frame - 2.0) > 1.0
 
@@ -539,49 +545,76 @@ def test_clifford_closure_order_is_frozen(k, digest):
     # k = 1, local pair major over the 20 coset representatives for k = 2.
     import hashlib
 
-    keys = b"".join(grouprep._keys(grouprep.clifford_unitaries(k)))
+    keys = b"".join(clifford._keys(clifford.clifford_unitaries(k)))
     assert hashlib.sha256(keys).hexdigest() == digest
 
 
+# The sha256 of each Clifford stack, printed by a fresh interpreter.
+_CLIFFORD_DIGESTS = """
+import hashlib
+from gptpurity import clifford
+for a in (clifford.clifford_unitaries(1), clifford.clifford_unitaries(2),
+          clifford.clifford_traces(2)):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_clifford_stacks_do_not_depend_on_cpu_dispatch():
+    # Every complex product is elementwise in real arithmetic, so numpy's
+    # x86-64-v2 dispatch gives the bytes of the default dispatch.
+    src = str(Path(clifford.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    digests = []
+    for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}):
+        proc = subprocess.run([sys.executable, "-c", _CLIFFORD_DIGESTS], capture_output=True,
+                              text=True, env={**env, **setting}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
+
+
 def test_two_design_identity_k2():
-    assert abs(grouprep.frame_potential(grouprep.clifford_traces(2)) - 2.0) < 1e-11
+    assert abs(clifford.frame_potential(clifford.clifford_traces(2)) - 2.0) < 1e-11
 
 
 def test_factored_clifford_traces_match_the_enumerated_group():
     # Element by element in enumeration order, |Tr g| from the factors equals
     # |Tr g| of the stacked group, whose phases are canonicalized.
-    els = grouprep.clifford_unitaries(2)
+    els = clifford.clifford_unitaries(2)
     enumerated = np.trace(els, axis1=1, axis2=2)
-    factored = grouprep.clifford_traces(2)
+    factored = clifford.clifford_traces(2)
     assert factored.shape == (11520,)
     np.testing.assert_allclose(np.abs(factored), np.abs(enumerated), rtol=0, atol=1e-12)
-    assert abs(grouprep.frame_potential(factored)
-               - grouprep.frame_potential(enumerated)) <= 1e-12
+    assert abs(clifford.frame_potential(factored)
+               - clifford.frame_potential(enumerated)) <= 1e-12
     # k = 1 takes the traces of the stacked group itself.
-    np.testing.assert_array_equal(grouprep.clifford_traces(1),
-                                  np.trace(grouprep.clifford_unitaries(1), axis1=1, axis2=2))
+    np.testing.assert_array_equal(clifford.clifford_traces(1),
+                                  np.trace(clifford.clifford_unitaries(1), axis1=1, axis2=2))
 
 
 def test_clifford_2q_cosets_equal_the_generated_closure():
     # The coset construction against the breadth-first closure over its
     # generators H (x) I, I (x) H, S (x) I, I (x) S and CNOT.
-    els = grouprep.clifford_unitaries(2)
+    els = clifford.clifford_unitaries(2)
     assert els.shape == (11520, 4, 4) and not els.flags.writeable
-    assert grouprep.clifford_unitaries(2) is els
-    keys = grouprep._keys(els)
+    assert clifford.clifford_unitaries(2) is els
+    keys = clifford._keys(els)
     assert len(set(keys)) == 11520
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     s = np.diag([1, 1j])
     eye = np.eye(2)
     cnot = np.eye(4)[[0, 1, 3, 2]]
-    closure = grouprep._bfs_closure(
+    closure = clifford._bfs_closure(
         [np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot], expect=11520)
-    assert set(grouprep._keys(closure)) == set(keys)
+    assert set(clifford._keys(closure)) == set(keys)
 
 
 def test_unsupported_clifford_order():
     with pytest.raises(UnsupportedSpaceError):
-        grouprep.clifford_unitaries(3)
+        clifford.clifford_unitaries(3)
 
 
 def test_sample_dihedral_draws_group_elements(rng):
@@ -589,14 +622,14 @@ def test_sample_dihedral_draws_group_elements(rng):
     sampler = grouprep.sampler_for(space)
     elements = sampler.elements
     for _ in range(20):
-        t = sampler.draw(rng)
+        t = haar.draw(sampler, rng)
         assert any(np.allclose(t, e, atol=1e-12) for e in elements)
 
 
 def test_large_classical_group_is_finite_but_not_enumerated(rng):
     sampler = grouprep.sampler_for(ss.build_classical(8))
     assert sampler.elements is None
-    t = sampler.draw(rng)
+    t = haar.draw(sampler, rng)
     np.testing.assert_allclose(t.sum(axis=0), 1.0)
 
 
@@ -634,4 +667,5 @@ def test_enumerated_draws_are_one_gather_of_the_element_list(space, order):
     assert len(elements) == order
     for s in (4250, 4251, 4252):
         expected = elements[np.random.default_rng(s).integers(len(elements), size=50)]
-        np.testing.assert_array_equal(sampler.draw_many(np.random.default_rng(s), 50), expected)
+        drawn = haar.draw_many(sampler, np.random.default_rng(s), 50)
+        np.testing.assert_array_equal(drawn, expected)

@@ -54,6 +54,36 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+# numpy names that reach BLAS or LAPACK (or, for einsum, may).
+_BLAS_NAMES = ("matmul", "dot", "vdot", "inner", "tensordot", "linalg", "einsum")
+
+
+def blas_entry_points(source: str) -> list[str]:
+    """Each ``@`` of ``source`` and each name, attribute or import in ``_BLAS_NAMES``, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in _BLAS_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            found += [(node.lineno, part) for name in names for part in name.split(".")
+                      if part in _BLAS_NAMES]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_clifford_makes_no_blas_call():
+    planted = ("import numpy as np\nfrom numpy.linalg import norm\nfrom numpy import dot\n"
+               "def f(a, b):\n    a @= b\n    return np.einsum('ij,jk', a @ b, a.T.dot(b))\n")
+    assert blas_entry_points(planted) == [
+        "line 2: linalg", "line 3: dot", "line 5: @", "line 6: @", "line 6: dot",
+        "line 6: einsum"]
+    assert blas_entry_points((PACKAGE / "clifford.py").read_text(encoding="utf-8")) == []
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level names of the absolute imports of ``source``."""
     names = set()
@@ -269,11 +299,26 @@ def test_exact_suites_give_the_same_checks_for_any_seed(suite):
     assert outs[0] == outs[1]
 
 
+# The exact-identities commands that read no Clifford group.
+_NO_CLIFFORD = ("verify-classical-subsystem", "verify-boxworld", "predict-nonlocaltomo",
+                "predict-qface", "predict-main")
+
+
+@pytest.mark.parametrize("name", list(_EXACT_IDENTITIES))
+def test_exact_identity_commands_run_no_haar_layer(name):
+    # The Haar draws and the group-averaged Gram are test references that no
+    # command runs; a command that reads no qubit group runs no Clifford
+    # enumeration either.
+    executed = _executed_by(_EXACT_IDENTITIES[name])
+    assert "haar" not in executed
+    assert ("clifford" in executed) == (name not in _NO_CLIFFORD)
+
+
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_two_design_runs_no_descriptor_layer(k):
     # The Clifford group and its frame potential are plain unitary stacks, so
-    # no state space runs; the verdict is a checks.Check.
-    assert _executed_by(["two-design", "--k", k]) == {"cli", "errors", "checks", "grouprep"}
+    # no state space or group layer runs; the verdict is a checks.Check.
+    assert _executed_by(["two-design", "--k", k]) == {"cli", "errors", "checks", "clifford"}
 
 
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():

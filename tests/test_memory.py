@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import errors, faces, formulas, grouprep, randomize as rnd, statespace as ss
+from gptpurity import clifford, errors, faces, formulas, grouprep, haar, randomize as rnd
+from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import complete_pauli_set, pauli_haar_average
 
@@ -175,12 +176,13 @@ def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
 
 
 def test_two_qubit_clifford_peak_is_within_half_again_its_result():
-    # The 11520 products are canonicalized in place, so besides the 2.95 MB
-    # result the enumeration holds only the 576 local pairs and one phase per
-    # element, not a second copy of the stack (2.2 times the result with one).
+    # The 11520 products are formed and canonicalized one coset
+    # representative at a time, so besides the 2.95 MB result the enumeration
+    # holds only the 576 local pairs and one representative's products, not a
+    # second copy of the stack (2.2 times the result with one).
     tracemalloc.start()
     try:
-        out = grouprep.clifford_unitaries.__wrapped__(2)
+        out = clifford.clifford_unitaries.__wrapped__(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,16 +229,16 @@ def test_haar_draw_block_peak_is_within_its_memory_count(monkeypatch, builder, n
     # that draw_many's memory check counted.
     space = builder(n)
     sampler = grouprep.sampler_for(space)
-    sampler.draw_many(np.random.default_rng(0), 2)
+    haar.draw_many(sampler, np.random.default_rng(0), 2)
     counted = []
     monkeypatch.setattr(errors, "check_memory", lambda nbytes, what: counted.append(nbytes))
     tracemalloc.start()
     try:
-        sampler.draw_many(np.random.default_rng(1), grouprep.DRAW_BLOCK)
+        haar.draw_many(sampler, np.random.default_rng(1), haar.DRAW_BLOCK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counted == [grouprep._DRAW_BYTES_PER_ENTRY * grouprep.DRAW_BLOCK * space.K**2]
+    assert counted == [haar._DRAW_BYTES_PER_ENTRY * haar.DRAW_BLOCK * space.K**2]
     assert peak <= counted[0]
 
 

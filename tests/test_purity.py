@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity import grouprep, statespace as ss
+from gptpurity import clifford, grouprep, haar, statespace as ss
 from gptpurity import purity as pur
 from gptpurity.errors import (
     DegenerateDirectionError,
@@ -93,7 +93,7 @@ def test_purity_invariance_under_group(rng):
         sampler = grouprep.sampler_for(space)
         for omega in random_mixtures(space, 50, rng):
             p = pur.purity(space, gram, omega)
-            t = sampler.draw(rng)
+            t = haar.draw(sampler, rng)
             assert abs(pur.purity(space, gram, t @ omega) - p) < 1e-9
 
 
@@ -274,7 +274,7 @@ def test_pauli_set_elements_connected_by_group_up_to_sign(rng):
         (ss.build_classical(4), grouprep.sampler_for(ss.build_classical(4)).elements),
         (ss.build_polygon(5), grouprep.sampler_for(ss.build_polygon(5)).elements),
         (ss.build_quantum(2), grouprep.conjugation_matrix(ss.build_quantum(2).hermitian_basis,
-                                                          grouprep.clifford_unitaries(1))),
+                                                          clifford.clifford_unitaries(1))),
     ]
     for space, elements in cases:
         gram = grouprep.analytic_gram(space)

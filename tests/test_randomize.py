@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import checks, errors, formulas, grouprep, randomize as rnd, statespace as ss
+from gptpurity import checks, errors, formulas, grouprep, haar, randomize as rnd
+from gptpurity import statespace as ss
 from gptpurity.errors import (
     DegenerateCompositeError,
     InternalError,
@@ -501,7 +502,7 @@ def test_ket_path_agrees_with_full_unitary_path():
     phi = comp.joint.to_matrix(fixed_purity_state(comp.joint, 0.5, np.random.default_rng(5100)))
 
     def draw(rng, size):
-        u = grouprep.haar_unitaries(size, 4, rng)
+        u = haar.haar_unitaries(size, 4, rng)
         rho = (u @ phi) @ u.conj().transpose(0, 2, 1)
         rho_a = _partial_trace(rho, (2, 2))
         tr_a2 = np.einsum("...ij,...ji->...", rho_a, rho_a).real

@@ -72,19 +72,17 @@ ALLOWLIST = {
         "tests/test_faces.py::test_face_bloch_projector_fixes_in_face_traceless",
     "formulas.predict_nonlocaltomo":
         "tests/test_randomize.py::test_predict_nonlocaltomo_reduces_to_general_when_tomographic",
-    "grouprep.haar_unitaries": "tests/test_grouprep.py::test_haar_unitaries_stack_and_size_one_case",
-    "grouprep.GroupSampler.draw": "tests/test_acceptance.py::test_criterion_14_property_suite",
-    "grouprep.GroupSampler.draw_many":
-        "tests/test_grouprep.py::test_finite_draw_many_is_a_gather_of_draws",
-    "grouprep.GroupSampler.draw_blocks": _BLOCKS,
-    "grouprep._draw_block": _BLOCKS,
-    "grouprep._haar_sampler":
-        "tests/test_grouprep.py::test_haar_draw_many_is_a_stack_of_conjugations",
     "grouprep.sampler_for.draw_many":
         "tests/test_grouprep.py::test_large_permutation_sampler_draws_as_single_permutations",
-    "grouprep.check_irreducible": "tests/test_grouprep.py::test_check_irreducible_pentagon_exact",
-    "grouprep._rank_one_deviation": _CRIT_06,
-    "grouprep.invariant_gram": _CRIT_06,
+    "haar.haar_unitaries": "tests/test_grouprep.py::test_haar_unitaries_stack_and_size_one_case",
+    "haar._haar_sampler": "tests/test_grouprep.py::test_haar_draw_many_is_a_stack_of_conjugations",
+    "haar.draw": "tests/test_acceptance.py::test_criterion_14_property_suite",
+    "haar.draw_many": "tests/test_grouprep.py::test_finite_draw_many_is_a_gather_of_draws",
+    "haar.draw_blocks": _BLOCKS,
+    "haar._draw_block": _BLOCKS,
+    "haar.check_irreducible": "tests/test_grouprep.py::test_check_irreducible_pentagon_exact",
+    "haar._rank_one_deviation": _CRIT_06,
+    "haar.invariant_gram": _CRIT_06,
     "purity.purity_from_tr2": "tests/test_randomize.py::test_qubit_oracle_consistency_triangle",
     "purity.tr2_from_purity":
         "tests/test_acceptance.py::test_criterion_12_real_quantum_nonlocal_tomography",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptpurity import composite as cm
-from gptpurity import grouprep
+from gptpurity import grouprep, haar
 from gptpurity import randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
@@ -151,7 +151,7 @@ def test_max_mixed_fixed_by_sampled_transformations(rng):
     for space in spaces:
         sampler = grouprep.sampler_for(space)
         for _ in range(20):
-            t = sampler.draw(rng)
+            t = haar.draw(sampler, rng)
             np.testing.assert_allclose(t @ space.max_mixed, space.max_mixed, atol=1e-10)
             assert abs(space.order_unit @ t @ space.max_mixed - 1.0) < 1e-10
 
@@ -221,7 +221,7 @@ def test_descriptors_are_immutable():
     with pytest.raises(ValueError):
         gram.matrix[0, 0] = 7.0
     square = ss.build_polygon(4)
-    averaged = grouprep.invariant_gram(square, grouprep.sampler_for(square))
+    averaged = haar.invariant_gram(square, grouprep.sampler_for(square))
     with pytest.raises(ValueError):
         averaged.stored[0, 0] = 7.0
     records = ((gram, "scale"), (averaged, "stored"), (grouprep.sampler_for(space), "draw_fn"),
