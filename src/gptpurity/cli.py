@@ -178,8 +178,7 @@ def _run_predict(args: argparse.Namespace) -> dict:
     elif args.formula == "symm":
         pred = formulas.predict_symm(args.n, 1 if args.sign == "+" else -1, args.trp)
     else:
-        face = faces_mod.sym_face(args.n) if args.sign == "+" else faces_mod.antisym_face(args.n)
-        pred = faces_mod.predict_qface(face, faces_mod.default_probe(args.n), args.trp)
+        pred = formulas.predict_qface(args.n, 1 if args.sign == "+" else -1, args.trp)
     return pred.to_json_dict()
 
 

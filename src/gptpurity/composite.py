@@ -1,17 +1,16 @@
-"""Locally tomographic tensor composites and classical-subsystem machinery.
+"""Classical subsystems: capacity witnesses and the centered-subsystem identities.
 
-Only quantum (x) quantum and classical (x) classical composites are
-first-class: those are the transitive, locally tomographic cases where the
-joint state space is again a built-in.  The joint coordinates use the tensor
-product of the local bases, so the coordinate vector of a product state is
-the Kronecker product of the local coordinate vectors, and marginalization is
-contraction with the other party's order unit (partial trace for quantum,
-row sums for classical).
+A capacity witness is a maximal set of perfectly distinguishable pure states
+with the effects that tell them apart (``capacity_witness``).
+``verify_centered_dynamical`` measures how far a witness is from the
+identities of a centered classical subsystem, (1/n) sum omega_i = mu and
+<omega_i, omega_j> = -1/(N-1) for i != j under the invariant Gram, and
+``checks`` judges them for ``verify classical-subsystem``.
 
-Nothing here grows faster than the joint dimension K = K_A K_B.  A quantum
-joint keeps the levels (n_A, n_B) of its Kronecker factors, not a basis,
-and its analytic Gram stores no K x K matrix, so the joint purity constant
-P(phi_A (x) mu_B) costs O(K).
+The composites that this subsystem structure feeds, and the constant
+P(phi_A (x) mu_B) = (N_A-1)/(N_A N_B-1) it gives them, are level-count
+closed forms in ``formulas``; the tests build the tensor composites they are
+checked against.
 """
 
 from __future__ import annotations
@@ -21,64 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import statespace as ss
-from .errors import (InconsistencyError, UnsupportedCompositeError, UnsupportedSpaceError,
-                     check_memory)
+from .errors import InconsistencyError, UnsupportedSpaceError
 from .grouprep import GramMatrix
 from .statespace import SpaceDescriptor
-
-
-class CompositeDescriptor(NamedTuple):
-    """A bipartite composite with K_AB = K_A * K_B.
-
-    ``joint`` is a full SpaceDescriptor whose coordinate basis is the tensor
-    product of the local bases; the flat index of the local pair (i, j) is
-    ``i * K_B + j``.  A quantum joint's factor levels are those of A
-    followed by those of B.
-    """
-
-    part_a: SpaceDescriptor
-    part_b: SpaceDescriptor
-    joint: SpaceDescriptor
-
-
-def compose(a: SpaceDescriptor, b: SpaceDescriptor) -> CompositeDescriptor:
-    """Tensor composite of two quantum or two classical spaces.
-
-    Mixed kinds, polygons and boxworld have no supported transitive
-    tomographic composite here; bipartite boxworld is built by its own
-    dedicated constructor and is not transitive.
-    """
-    if a.kind != b.kind or a.kind not in (ss.KIND_QUANTUM, ss.KIND_CLASSICAL):
-        raise UnsupportedCompositeError(
-            f"no transitive tomographic composite for kinds {a.kind!r} x {b.kind!r}"
-        )
-    check_memory(
-        ss.DESCRIPTOR_BYTES_PER_COORD * a.K * b.K,
-        f"the {a.K * b.K}-coordinate joint {a.kind} space",
-    )
-    if a.kind == ss.KIND_CLASSICAL:
-        joint = ss.build_classical(a.N * b.N)
-        return CompositeDescriptor(part_a=a, part_b=b, joint=joint)
-    n = a.level * b.level
-    joint = SpaceDescriptor(
-        kind=ss.KIND_QUANTUM,
-        K=a.K * b.K,
-        N=n,
-        order_unit=np.kron(a.order_unit, b.order_unit),
-        max_mixed=np.kron(a.max_mixed, b.max_mixed),
-        level=n,
-        factor_levels=a.factor_levels + b.factor_levels,
-    )
-    return CompositeDescriptor(part_a=a, part_b=b, joint=joint)
-
-
-def marginal_a(comp: CompositeDescriptor, omega: np.ndarray) -> np.ndarray:
-    """Reduced state on A: contraction of the B slot with B's order unit."""
-    c = np.asarray(omega, dtype=float).reshape(comp.part_a.K, comp.part_b.K)
-    return c @ comp.part_b.order_unit
-
-
-# -- classical subsystems and capacity witnesses ----------------------------------------
 
 
 class ClassicalSubsystemWitness(NamedTuple):
@@ -174,46 +118,3 @@ def verify_centered_dynamical(
         gram_offdiag_deviation=off_dev,
         expected_offdiag=expected,
     )
-
-
-# -- the composite purity constant P(phi_A (x) mu_B) --------------------------------------
-
-
-def _reference_pure(space: SpaceDescriptor) -> np.ndarray:
-    if space.kind in (ss.KIND_QUANTUM, ss.KIND_REAL_QUANTUM):
-        m = np.zeros((space.level, space.level))
-        m[0, 0] = 1.0
-        return space.to_coords(m)
-    if space.kind == ss.KIND_CLASSICAL:
-        e = np.zeros(space.K)
-        e[0] = 1.0
-        return e
-    if space.vertices is not None:
-        return np.array(space.vertices[0])
-    raise UnsupportedSpaceError(f"no reference pure state for kind {space.kind!r}")
-
-
-class PurityPhiMu(NamedTuple):
-    """The quantity P(phi_A (x) mu_B), numerically and in closed form."""
-
-    numeric: float
-    closed_form: float
-
-
-def purity_pure_times_maxmixed(
-    comp: CompositeDescriptor, gram_ab: GramMatrix, tol: float = 1e-6
-) -> PurityPhiMu:
-    """Purity of (pure on A) (x) (maximally mixed on B) under the joint Gram.
-
-    For composites carrying a composite classical subsystem this equals
-    (N_A - 1)/(N_A N_B - 1); a mismatch beyond ``tol`` raises.
-    """
-    phi = _reference_pure(comp.part_a)
-    omega = np.kron(phi, comp.part_b.max_mixed)
-    numeric = gram_ab.norm_sq(omega - comp.joint.max_mixed)
-    closed = (comp.part_a.N - 1.0) / (comp.part_a.N * comp.part_b.N - 1.0)
-    if abs(numeric - closed) > tol:
-        raise InconsistencyError(
-            f"P(phi (x) mu) = {numeric!r} disagrees with closed form {closed!r}"
-        )
-    return PurityPhiMu(numeric=numeric, closed_form=closed)

@@ -2,11 +2,16 @@
 
 Arrays that grow with a request (a coordinate block, a dense Gram, a stacked
 basis, a descriptor, a block of Monte Carlo samples) are checked against
-``MEMORY_CAP_BYTES`` by ``check_memory`` before they are allocated.
+``MEMORY_CAP_BYTES`` by ``check_memory`` before they are allocated.  A sum
+that holds no array but grows with a request (the face prediction's index
+sums) is checked against ``WORK_CAP_TERMS`` by ``check_work`` before it starts.
 """
 
 # Largest single array a request may allocate when it grows with the request.
 MEMORY_CAP_BYTES = 1 << 30
+# Most terms a pure-Python sum may take when it grows with the request: 9-15 s
+# of `predict qface` on a 2-core x86-64 VM.
+WORK_CAP_TERMS = 10**7
 
 
 class GptPurityError(Exception):
@@ -70,4 +75,12 @@ def check_memory(nbytes: int, what: str) -> None:
     if nbytes > MEMORY_CAP_BYTES:
         raise RangeError(
             f"{what} would need {nbytes} bytes, over the {MEMORY_CAP_BYTES}-byte memory cap"
+        )
+
+
+def check_work(terms: int, what: str) -> None:
+    """Refuse, before summing, ``what`` taking more than ``WORK_CAP_TERMS`` terms."""
+    if terms > WORK_CAP_TERMS:
+        raise RangeError(
+            f"{what} would sum {terms} terms, over the {WORK_CAP_TERMS}-term work cap"
         )

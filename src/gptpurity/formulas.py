@@ -11,6 +11,9 @@ so every closed form here is integer and float arithmetic:
   for compositions that are not locally tomographic.
 * symm:        (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2), the expected
   Tr(rho_A^2) on the (anti)symmetric subspace of C^n (x) C^n.
+* qface:       1/N_A + (N_A^2-1)/(N_S^2-1) * Tr[(pi (E_A (x) I) pi)^2]
+  * (Tr rho^2 - 1/N_S), the same expectation with its ingredient summed over
+  the face's pair indices for a probe E_A, not taken from n/4 +- 1/2.
 * coin-record: 1/(2 s0 - 1), a coin tossed against a recording environment.
 
 ``predict_general`` and ``predict_real_quantum`` take level counts alone.
@@ -31,10 +34,13 @@ from typing import NamedTuple
 
 from .errors import (
     DegenerateCompositeError,
+    EmptyFaceError,
     InvalidDimensionError,
+    InvalidProbeError,
     RangeError,
     UnsupportedSpaceError,
     check_memory,
+    check_work,
 )
 
 # The theories whose estimates and predictions take two level counts.
@@ -217,6 +223,108 @@ def _check_purity_on_face(n_sub: int, tr_purity: float) -> None:
     if not 1.0 / n_sub - 1e-12 <= tr_purity <= 1.0 + 1e-12:
         raise RangeError(f"Tr rho^2 on a face of dimension {n_sub} must lie in "
                          f"[1/{n_sub}, 1], got {tr_purity}")
+
+
+def _check_face(n: int, sign: int) -> None:
+    """Refuse an (anti)symmetric face of C^n (x) C^n that has no states or fewer than two levels."""
+    if sign not in (1, -1):
+        raise RangeError(f"sign must be +1 or -1, got {sign}")
+    if sign == -1 and n == 1:
+        raise EmptyFaceError("the antisymmetric subspace of one level is empty")
+    if n < 2:
+        raise InvalidDimensionError(f"need n >= 2, got {n}")
+
+
+# (|1><1| - |2><2|) / sqrt(2), by (row, column): the simplest valid probe.
+_DEFAULT_PROBE = {(0, 0): 1.0 / math.sqrt(2), (1, 1): -1.0 / math.sqrt(2)}
+
+
+def _probe_columns(n: int, probe: dict) -> dict[int, dict[int, complex]]:
+    """The entries of a valid probe by column, then row; refuse an invalid one."""
+    columns: dict[int, dict[int, complex]] = {}
+    for (a, i), e in probe.items():
+        if not (0 <= a < n and 0 <= i < n
+                and abs(e - probe.get((i, a), 0.0).conjugate()) <= 1e-8):
+            raise InvalidProbeError(f"probe must be a Hermitian {n} x {n} matrix")
+        columns.setdefault(i, {})[a] = e
+    trace = sum(e for (a, i), e in probe.items() if a == i)
+    trace_sq = sum(e * probe.get((i, a), 0.0) for (a, i), e in probe.items())
+    if not (abs(trace) <= 1e-8 and abs(trace_sq - 1.0) <= 1e-8):
+        raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
+    return columns
+
+
+def _probe_trace_sq(n: int, sign: int, columns: dict[int, dict[int, complex]]) -> float:
+    """Tr[(pi (E_A (x) I) pi)^2] = sum_k |pi (E_A (x) I) c_k|^2 over the face's columns c_k.
+
+    c_k is |ii> or (|ij> + sign |ji>)/sqrt 2 for a pair i <= j (i < j when
+    antisymmetric), and pi = (I + sign SWAP)/2 sends the entries x_ab, x_ba
+    of a vector to (x_ab + sign x_ba)/2 and its mirror.  So each unordered
+    pair a != b of (E_A (x) I) c_k adds |x_ab + sign x_ba|^2 / 2, and each
+    a = b adds |x_aa|^2 on the symmetric face and nothing on the
+    antisymmetric one.  A column c_k adds nothing unless i or j is a nonzero
+    column of E_A, so only those are visited.
+    """
+    r = math.sqrt(0.5)
+    total = 0.0
+    for i in sorted(columns):
+        for j in range(n):
+            # A pair of two nonzero columns is visited once, from its smaller one.
+            if (j < i and j in columns) or (j == i and sign == -1):
+                continue
+            # (E_A (x) I) c_k, up to a global sign, which leaves the norm alone when j < i.
+            x = {(a, j): (1.0 if i == j else r) * e for a, e in columns[i].items()}
+            if i != j:
+                for a, e in columns.get(j, {}).items():
+                    x[a, i] = sign * r * e
+            for (a, b), v in x.items():
+                if a == b:
+                    if sign == 1:
+                        total += v.real * v.real + v.imag * v.imag
+                elif a < b or (b, a) not in x:
+                    v += sign * x.get((b, a), 0.0)
+                    total += (v.real * v.real + v.imag * v.imag) / 2
+    return total
+
+
+def predict_qface(n: int, sign: int, tr_purity_global: float,
+                  probe: dict | None = None) -> Prediction:
+    """Expected local collision value Tr(rho_A^2) for a quantum face, by index sums.
+
+    The face is the symmetric (``sign`` +1) or antisymmetric (-1) subspace of
+    C^n (x) C^n, of dimension N_S = n(n + sign)/2.  ``probe`` holds the
+    nonzero entries of E_A by (row, column); it must be a Hermitian n x n
+    matrix with Tr E_A = 0 and Tr E_A^2 = 1, and for an irreducible local
+    action the result does not depend on the choice.  The default is
+    (|1><1| - |2><2|)/sqrt 2.  The ingredient Tr[(pi (E_A (x) I) pi)^2] is
+    summed over the face columns that meet the probe (``_probe_trace_sq``),
+    nnz(E_A) n terms at most, counted against the work cap first.
+    """
+    _check_face(n, sign)
+    probe = _DEFAULT_PROBE if probe is None else probe
+    columns = _probe_columns(n, probe)
+    n_s = n * (n + sign) // 2
+    _check_purity_on_face(n_s, tr_purity_global)
+    if n_s == 1:
+        value = 1.0 / n
+        ingredient = 0.0
+    else:
+        check_work(len(probe) * (n if sign == 1 else n - 1),
+                   f"the probe's action on a {n_s}-dimensional face")
+        ingredient = _probe_trace_sq(n, sign, columns)
+        value = 1.0 / n + (n**2 - 1) / (n_s**2 - 1) * ingredient * (
+            tr_purity_global - 1.0 / n_s
+        )
+    return Prediction(
+        value=value,
+        formula_id="qface",
+        inputs={
+            "N_A": n,
+            "N_S": n_s,
+            "tr_purity_global": tr_purity_global,
+            "probe_trace_sq": ingredient,
+        },
+    )
 
 
 def predict_coin_record(s0_size: int) -> Prediction:

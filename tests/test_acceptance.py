@@ -13,11 +13,10 @@ import numpy as np
 
 from gptpurity import boxworld as bw
 from gptpurity import checks
-from gptpurity import composite as cm
 from gptpurity import clifford, faces, formulas, grouprep, haar, randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity import purity as pur
-from states import random_mixtures
+from states import compose, marginal_a, purity_pure_times_maxmixed, random_mixtures
 
 SAMPLES = 10_000
 EPS = 1e-12
@@ -29,7 +28,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _pair(builder, na, nb):
-    return cm.compose(builder(na), builder(nb))
+    return compose(builder(na), builder(nb))
 
 
 def test_criterion_01_quantum_2x2_random_pure():
@@ -60,7 +59,7 @@ def test_criterion_03_classical_pure_marginals_exact():
         rng = rnd.sample_rng(1003, i)
         omega = pur.fixed_purity_state(comp.joint, 1.0, rng)
         sampled = omega[rng.permutation(comp.joint.K)]
-        marg = cm.marginal_a(comp, sampled)
+        marg = marginal_a(comp, sampled)
         worst = max(worst, abs(pur.purity(comp.part_a, gram_a, marg) - 1.0))
     ok = worst <= 1e-12
     _report(3, ok, f"classical 2x8 pure: max |P(marginal) - 1| = {worst:.2e} over {SAMPLES} samples")
@@ -97,7 +96,7 @@ def test_criterion_05_symmetric_antisymmetric_faces():
     anti2 = faces.estimate_face_local_purity(faces.antisym_face(2), 1.0, 200, 7)
     ok = ok and abs(anti2.mean - 0.5) <= 1e-12
     for n in (2, 3, 4):
-        pred = faces.predict_qface(faces.sym_face(n), faces.default_probe(n), 1.0)
+        pred = formulas.predict_qface(n, 1, 1.0)
         ok = ok and abs(pred.inputs["probe_trace_sq"] - (n / 4 + 0.5)) <= 1e-10
     _report(5, ok, "faces MC/prediction: " + "; ".join(details) + "; antisym n=2 exact 0.5; "
                    "sym probe ingredient n/4 + 1/2 to 1e-10")
@@ -108,9 +107,9 @@ def test_criterion_06_purity_pure_times_maxmixed():
     details = []
     for builder, na, nb in ((ss.build_quantum, 2, 2), (ss.build_quantum, 2, 4),
                             (ss.build_classical, 2, 2), (ss.build_classical, 3, 4)):
-        comp = cm.compose(builder(na), builder(nb))
+        comp = compose(builder(na), builder(nb))
         gram = grouprep.analytic_gram(comp.joint)
-        res = cm.purity_pure_times_maxmixed(comp, gram, tol=1e-12)
+        res = purity_pure_times_maxmixed(comp, gram, tol=1e-12)
         good = abs(res.numeric - res.closed_form) <= 1e-12
         ok = ok and good
         details.append(f"{comp.part_a.kind} {na}x{nb}: {res.numeric:.6f}")
@@ -118,7 +117,7 @@ def test_criterion_06_purity_pure_times_maxmixed():
     sampler = grouprep.sampler_for(comp.joint)
     mc_gram = haar.invariant_gram(comp.joint, sampler, n_avg=20_000,
                                   rng=np.random.default_rng(1006))
-    res = cm.purity_pure_times_maxmixed(comp, mc_gram, tol=1e-6)
+    res = purity_pure_times_maxmixed(comp, mc_gram, tol=1e-6)
     ok = ok and abs(res.numeric - res.closed_form) <= 1e-6
     _report(6, ok, "P(phi x mu) analytic to 1e-12: " + ", ".join(details)
                    + f"; MC-gram route: {res.numeric:.8f} to 1e-6")

@@ -51,8 +51,9 @@ def test_monte_carlo_reports_match_golden_hashes(capsys, entry):
     # benchmark's mc-acceptance and large-composite commands at workload
     # seed 1, `verify markov-tail`, `coin-record --s0 1`, `verify boxworld`,
     # `verify pauli-identities` and `verify gram-invariance`, whose
-    # conjugations run no LAPACK or BLAS routine, and `two-design --k 1` and
-    # `--k 2`, whose Clifford products are elementwise.
+    # conjugations run no LAPACK or BLAS routine, `two-design --k 1` and
+    # `--k 2`, whose Clifford products are elementwise, and the benchmark's
+    # `predict qface`, whose ingredient is a pure-Python index sum.
     # A change of any Monte Carlo value, down to one ulp, shows here as a
     # diff of its field.
     code, out = _run(capsys, entry["argv"])
@@ -114,7 +115,7 @@ def test_golden_predictions_run_without_numpy():
     cases = [(json.loads(golden_main)["config"]["argv"], golden_main)]
     cases += [(e["argv"], "".join(e["stdout"])) for e in GOLDEN_ESTIMATES
               if e["argv"][0] == "predict"]
-    assert len(cases) == 3
+    assert len(cases) == 4
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -398,6 +399,7 @@ _D, _H = "9" * 2200, "9" * 4299
     ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "-1", "--p0", "1", "--seed", "1"],
     ["predict", "general", "--theory", "quantum", "--na", _D, "--nb", "2", "--p0", "1"],
     ["predict", "qface", "--n", _D, "--sign", "+", "--trp", "1"],
+    ["predict", "qface", "--n", "1000000000", "--sign", "+", "--trp", "1"],
     ["predict", "nonlocaltomo", "--ma", _D, "--mb", "2", "--p0", "1"],
     ["coin-record", "--s0", _H, "--seed", "1"],
     ["estimate", "--theory", "classical", "--na", _H, "--nb", "2", "--p0", "0.3", "--seed", "0"],

@@ -7,11 +7,11 @@ from gptpurity import composite as cm
 from gptpurity import grouprep, haar, statespace as ss
 from gptpurity.errors import InconsistencyError, UnsupportedCompositeError
 from gptpurity.purity import complete_pauli_set
-from states import random_mixtures
+from states import compose, marginal_a, purity_pure_times_maxmixed, random_mixtures
 
 
 def _quantum_pair(na, nb):
-    comp = cm.compose(ss.build_quantum(na), ss.build_quantum(nb))
+    comp = compose(ss.build_quantum(na), ss.build_quantum(nb))
     return comp, grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
 
 
@@ -25,9 +25,9 @@ def test_joint_factor_levels_are_those_of_a_then_b():
     # Joint basis element i K_B + j is the Kronecker product of A's element i
     # and B's element j, also when A is itself a joint.
     a, b = ss.build_quantum(2), ss.build_quantum(3)
-    joint = cm.compose(a, b).joint
+    joint = compose(a, b).joint
     assert joint.factor_levels == (2, 3)
-    nested = cm.compose(joint, a).joint
+    nested = compose(joint, a).joint
     assert nested.factor_levels == (2, 3, 2)
     kron = np.einsum("aij,bkl->abikjl", joint.hermitian_basis, a.hermitian_basis)
     np.testing.assert_allclose(nested.hermitian_basis, kron.reshape(144, 12, 12),
@@ -35,23 +35,23 @@ def test_joint_factor_levels_are_those_of_a_then_b():
 
 
 def test_compose_classical_dimensions():
-    comp = cm.compose(ss.build_classical(2), ss.build_classical(3))
+    comp = compose(ss.build_classical(2), ss.build_classical(3))
     assert comp.joint.K == 6
     assert comp.joint.N == 6
 
 
 def test_compose_rejects_unsupported_pairs():
     with pytest.raises(UnsupportedCompositeError):
-        cm.compose(ss.build_quantum(2), ss.build_classical(2))
+        compose(ss.build_quantum(2), ss.build_classical(2))
     with pytest.raises(UnsupportedCompositeError):
-        cm.compose(ss.build_polygon(4), ss.build_polygon(4))
+        compose(ss.build_polygon(4), ss.build_polygon(4))
     with pytest.raises(UnsupportedCompositeError):
-        cm.compose(ss.build_boxworld_local(), ss.build_boxworld_local())
+        compose(ss.build_boxworld_local(), ss.build_boxworld_local())
 
 
 def test_product_of_max_mixed_is_joint_max_mixed():
     for comp in (_quantum_pair(2, 3)[0],
-                 cm.compose(ss.build_classical(3), ss.build_classical(4))):
+                 compose(ss.build_classical(3), ss.build_classical(4))):
         prod = np.kron(comp.part_a.max_mixed, comp.part_b.max_mixed)
         np.testing.assert_allclose(prod, comp.joint.max_mixed, atol=1e-14)
 
@@ -80,7 +80,7 @@ def test_marginal_of_product_is_factor(rng):
     a = comp.part_a.sample_pure(rng)
     b = comp.part_b.sample_pure(rng)
     prod = np.kron(a, b)
-    np.testing.assert_allclose(cm.marginal_a(comp, prod), a, atol=1e-12)
+    np.testing.assert_allclose(marginal_a(comp, prod), a, atol=1e-12)
 
 
 def test_marginal_of_bell_state_is_max_mixed():
@@ -88,13 +88,13 @@ def test_marginal_of_bell_state_is_max_mixed():
     bell = np.zeros(4)
     bell[0] = bell[3] = 1 / math.sqrt(2)
     coords = comp.joint.to_coords(np.outer(bell, bell))
-    np.testing.assert_allclose(cm.marginal_a(comp, coords), comp.part_a.max_mixed, atol=1e-12)
+    np.testing.assert_allclose(marginal_a(comp, coords), comp.part_a.max_mixed, atol=1e-12)
 
 
 def test_marginal_of_correlated_classical_pair():
-    comp = cm.compose(ss.build_classical(2), ss.build_classical(2))
+    comp = compose(ss.build_classical(2), ss.build_classical(2))
     omega = np.array([0.5, 0.0, 0.0, 0.5])
-    np.testing.assert_allclose(cm.marginal_a(comp, omega), [0.5, 0.5])
+    np.testing.assert_allclose(marginal_a(comp, omega), [0.5, 0.5])
 
 
 def test_marginalization_commutes_with_local_transformations(rng):
@@ -103,16 +103,16 @@ def test_marginalization_commutes_with_local_transformations(rng):
         ta = haar.draw(grouprep.sampler_for(comp.part_a), rng)
         tb = haar.draw(grouprep.sampler_for(comp.part_b), rng)
         omega = random_mixtures(comp.joint, 1, rng)[0]
-        lhs = cm.marginal_a(comp, np.kron(ta, tb) @ omega)
-        rhs = ta @ cm.marginal_a(comp, omega)
+        lhs = marginal_a(comp, np.kron(ta, tb) @ omega)
+        rhs = ta @ marginal_a(comp, omega)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-    comp_c = cm.compose(ss.build_classical(3), ss.build_classical(3))
+    comp_c = compose(ss.build_classical(3), ss.build_classical(3))
     for _ in range(30):
         ta = haar.draw(grouprep.sampler_for(comp_c.part_a), rng)
         tb = haar.draw(grouprep.sampler_for(comp_c.part_b), rng)
         omega = random_mixtures(comp_c.joint, 1, rng)[0]
-        lhs = cm.marginal_a(comp_c, np.kron(ta, tb) @ omega)
-        rhs = ta @ cm.marginal_a(comp_c, omega)
+        lhs = marginal_a(comp_c, np.kron(ta, tb) @ omega)
+        rhs = ta @ marginal_a(comp_c, omega)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -182,9 +182,9 @@ def test_verify_centered_dynamical_gram_values(space, expected):
     ],
 )
 def test_purity_pure_times_maxmixed(builder, na, nb, expected):
-    comp = cm.compose(builder(na), builder(nb))
+    comp = compose(builder(na), builder(nb))
     gram_ab = grouprep.analytic_gram(comp.joint)
-    res = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-12)
+    res = purity_pure_times_maxmixed(comp, gram_ab, tol=1e-12)
     assert res.numeric == pytest.approx(expected, abs=1e-12)
     assert res.closed_form == pytest.approx(expected, abs=1e-15)
 
@@ -193,7 +193,7 @@ def test_purity_pure_times_maxmixed_inconsistency_raises():
     comp, _, gram_ab = _quantum_pair(2, 2)
     bad = grouprep.GramMatrix(2.0 * gram_ab.scale, comp.joint.order_unit, 2.0 * gram_ab.matrix)
     with pytest.raises(InconsistencyError):
-        cm.purity_pure_times_maxmixed(comp, bad, tol=1e-6)
+        purity_pure_times_maxmixed(comp, bad, tol=1e-6)
 
 
 def test_subspace_orthogonality_under_joint_gram(rng):
@@ -210,10 +210,10 @@ def test_subspace_orthogonality_under_joint_gram(rng):
 
 def test_inner_product_with_max_mixed_scaling(rng):
     for builder, na, nb in ((ss.build_quantum, 2, 3), (ss.build_classical, 3, 4)):
-        comp = cm.compose(builder(na), builder(nb))
+        comp = compose(builder(na), builder(nb))
         gram_a = grouprep.analytic_gram(comp.part_a)
         gram_ab = grouprep.analytic_gram(comp.joint)
-        scale = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
+        scale = purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
         pa = comp.part_a.bloch_projector()
         mu_b = comp.part_b.max_mixed
         for _ in range(30):
@@ -235,10 +235,10 @@ def test_global_pauli_norm_matches_inverse_sqrt_scaling():
     # Dividing the representer by its norm 1/sqrt(P(phi_A (x) mu_B)) makes a
     # Pauli map on the composite.
     for builder, na, nb in ((ss.build_quantum, 2, 2), (ss.build_classical, 2, 3)):
-        comp = cm.compose(builder(na), builder(nb))
+        comp = compose(builder(na), builder(nb))
         gram_a = grouprep.analytic_gram(comp.part_a)
         gram_ab = grouprep.analytic_gram(comp.joint)
-        scale = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
+        scale = purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
         for pauli in complete_pauli_set(comp.part_a, gram_a)[:2]:
             norm = _riesz_norm(comp, gram_ab, pauli)
             assert abs(norm - 1 / math.sqrt(scale)) < 1e-6
@@ -256,7 +256,7 @@ def _density(psi):
 
 @pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 4)])
 def test_factored_joint_coordinates_match_kron_stacked_basis(na, nb, rng):
-    comp = cm.compose(ss.build_quantum(na), ss.build_quantum(nb))
+    comp = compose(ss.build_quantum(na), ss.build_quantum(nb))
     joint = comp.joint
     basis = _kron_stacked_basis(comp)
     n = na * nb
@@ -289,9 +289,9 @@ def test_factored_joint_coordinates_match_kron_stacked_basis(na, nb, rng):
 
 @pytest.mark.parametrize("builder", [ss.build_quantum, ss.build_classical])
 def test_global_pauli_norm_matches_pinv_riesz_route(builder):
-    comp = cm.compose(builder(2), builder(3))
+    comp = compose(builder(2), builder(3))
     gram_a = grouprep.analytic_gram(comp.part_a)
     gram_ab = grouprep.analytic_gram(comp.joint)
-    phimu = cm.purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
+    phimu = purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
     for pauli in complete_pauli_set(comp.part_a, gram_a):
         assert abs(1 / math.sqrt(phimu) - _riesz_norm(comp, gram_ab, pauli)) < 1e-12

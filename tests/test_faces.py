@@ -1,12 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gptpurity import faces, formulas, grouprep, randomize as rnd
+from gptpurity import errors, faces, formulas, grouprep, randomize as rnd
 from gptpurity.errors import EmptyFaceError, InvalidProbeError, RangeError
 from gptpurity.purity import purity_from_tr2
+from states import (default_probe, face_bloch_projector, face_composite, isometry, mu_face,
+                    probe_entries, qface_by_isometry)
 
 
 @pytest.mark.parametrize("n,sym_dim,anti_dim", [(2, 3, 1), (3, 6, 3), (4, 10, 6)])
@@ -38,7 +41,7 @@ def _swap(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_swap_face_basis_is_orthonormal_and_swap_covariant(n, sign):
     face = faces.sym_face(n) if sign == 1 else faces.antisym_face(n)
-    v = face.isometry
+    v = isometry(face)
     assert face.n_sub == v.shape[1] == n * (n + sign) // 2
     np.testing.assert_allclose(v.T @ v, np.eye(face.n_sub), rtol=0, atol=1e-15)
     np.testing.assert_array_equal(_swap(n) @ v, sign * v)
@@ -54,7 +57,7 @@ def test_swap_face_basis_is_orthonormal_and_swap_covariant(n, sign):
 def test_swap_scatter_is_the_dense_column_sum_bit_for_bit(n, sign):
     # Each row of V has at most one nonzero entry, so the column sum V z in
     # column order adds only +-0.0 to it: the scatter gives the same bits.
-    v = faces.FaceDescriptor(n, sign).isometry
+    v = isometry(faces.FaceDescriptor(n, sign))
     z = rnd._unit_kets(np.random.default_rng(5303), 5, v.shape[1], False)
     dense = np.zeros((2, 5, n * n))
     for c, col in enumerate(v.T):
@@ -66,12 +69,12 @@ def test_swap_scatter_is_the_dense_column_sum_bit_for_bit(n, sign):
 
 def test_face_max_mixed_is_valid_state():
     for face in (faces.sym_face(2), faces.antisym_face(3)):
-        joint = face.comp.joint
-        assert abs(joint.unit(face.mu_face) - 1.0) < 1e-12
-        assert joint.cone_contains(face.mu_face)
-        pi = face.isometry @ face.isometry.conj().T
+        joint = face_composite(face).joint
+        assert abs(joint.unit(mu_face(face)) - 1.0) < 1e-12
+        assert joint.cone_contains(mu_face(face))
+        pi = isometry(face) @ isometry(face).conj().T
         np.testing.assert_allclose(
-            joint.to_matrix(face.mu_face), pi / np.trace(pi).real, atol=1e-12
+            joint.to_matrix(mu_face(face)), pi / np.trace(pi).real, atol=1e-12
         )
 
 
@@ -86,45 +89,46 @@ def _random_traceless_hermitian(d, rng):
 
 def test_face_bloch_projector_fixes_in_face_traceless(rng):
     face = faces.sym_face(2)
-    v = face.isometry
+    v = isometry(face)
     sigma = _random_traceless_hermitian(face.n_sub, rng)
     m = v @ sigma @ v.conj().T  # supported on the face, face-trace zero
-    np.testing.assert_allclose(faces.face_bloch_projector(face, m), m, atol=1e-12)
+    np.testing.assert_allclose(face_bloch_projector(face, m), m, atol=1e-12)
 
 
 def test_face_bloch_projector_kills_orthogonal_block():
     # The singlet spans the antisymmetric subspace, orthogonal to the symmetric face.
-    w = faces.antisym_face(2).isometry[:, 0]
-    out = faces.face_bloch_projector(faces.sym_face(2), np.outer(w, w.conj()))
+    w = isometry(faces.antisym_face(2))[:, 0]
+    out = face_bloch_projector(faces.sym_face(2), np.outer(w, w.conj()))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_face_bloch_projector_idempotent_and_self_adjoint(rng):
     face = faces.sym_face(3)
-    joint = face.comp.joint
+    joint = face_composite(face).joint
     gram = grouprep.analytic_gram(joint)
     for _ in range(20):
         m = _random_traceless_hermitian(9, rng)
-        once = faces.face_bloch_projector(face, m)
-        twice = faces.face_bloch_projector(face, once)
+        once = face_bloch_projector(face, m)
+        twice = face_bloch_projector(face, once)
         np.testing.assert_allclose(twice, once, atol=1e-12)
         n = _random_traceless_hermitian(9, rng)
-        lhs = gram.inner(joint.to_coords(faces.face_bloch_projector(face, m)), joint.to_coords(n))
-        rhs = gram.inner(joint.to_coords(m), joint.to_coords(faces.face_bloch_projector(face, n)))
+        lhs = gram.inner(joint.to_coords(face_bloch_projector(face, m)), joint.to_coords(n))
+        rhs = gram.inner(joint.to_coords(m), joint.to_coords(face_bloch_projector(face, n)))
         assert abs(lhs - rhs) < 1e-10
 
 
 def test_face_states_orthogonal_to_face_max_mixed_bloch(rng):
     # In-face Bloch differences are Gram-orthogonal to the face center's Bloch.
     face = faces.sym_face(2)
-    joint = face.comp.joint
+    joint = face_composite(face).joint
     gram = grouprep.analytic_gram(joint)
-    mu_f_bloch = face.mu_face - joint.max_mixed
-    v = face.isometry
+    mu_f = mu_face(face)
+    mu_f_bloch = mu_f - joint.max_mixed
+    v = isometry(face)
     for _ in range(30):
         psi = rnd.haar_kets(1, face.n_sub, rng)[0]
         rho = v @ np.outer(psi, psi.conj()) @ v.conj().T
-        bar = joint.to_coords(rho) - face.mu_face
+        bar = joint.to_coords(rho) - mu_f
         assert abs(gram.inner(bar, mu_f_bloch)) < 1e-8
 
 
@@ -133,46 +137,62 @@ def test_face_states_orthogonal_to_face_max_mixed_bloch(rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_probe_ingredient_symmetric(n):
-    face = faces.sym_face(n)
-    pred = faces.predict_qface(face, faces.default_probe(n), 1.0)
+    pred = formulas.predict_qface(n, 1, 1.0)
     assert pred.inputs["probe_trace_sq"] == pytest.approx(n / 4 + 0.5, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_probe_ingredient_antisymmetric(n):
-    face = faces.antisym_face(n)
-    pred = faces.predict_qface(face, faces.default_probe(n), 1.0)
+    pred = formulas.predict_qface(n, -1, 1.0)
     assert pred.inputs["probe_trace_sq"] == pytest.approx(n / 4 - 0.5, abs=1e-10)
 
 
 def test_predict_qface_examples():
-    assert faces.predict_qface(faces.sym_face(2), faces.default_probe(2), 1.0).value == (
-        pytest.approx(3 / 4, abs=1e-12)
-    )
-    assert faces.predict_qface(faces.antisym_face(2), faces.default_probe(2), 1.0).value == (
-        pytest.approx(1 / 2, abs=1e-15)
-    )
+    assert formulas.predict_qface(2, 1, 1.0).value == pytest.approx(3 / 4, abs=1e-12)
+    assert formulas.predict_qface(2, -1, 1.0).value == pytest.approx(1 / 2, abs=1e-15)
 
 
 def test_predict_qface_rejects_bad_probe():
-    face = faces.sym_face(2)
     for probe in (
         np.eye(2),  # Tr E = 2
-        np.diag([1.0, -1.0, 0.0]) / math.sqrt(2),  # 3 x 3 on a face of two-level parts
+        np.diag([1.0, 0.0, -1.0]) / math.sqrt(2),  # 3 x 3 on a face of two-level parts
         np.array([[0.0, 1.0], [0.5, 0.0]]),  # Tr E = 0 and Tr E^2 = 1, but not Hermitian
     ):
         with pytest.raises(InvalidProbeError):
-            faces.predict_qface(face, probe, 1.0)
+            formulas.predict_qface(2, 1, 1.0, probe_entries(probe))
+        with pytest.raises(InvalidProbeError):
+            qface_by_isometry(faces.sym_face(2), probe, 1.0)
+
+
+def test_predict_qface_refuses_an_oversized_sum_before_it_starts(monkeypatch):
+    # The default probe's two nonzero columns each meet n symmetric pair
+    # columns (n - 1 antisymmetric), one term per probe entry.
+    monkeypatch.setattr(errors, "WORK_CAP_TERMS", 2 * 50 - 1)
+    with pytest.raises(RangeError, match="would sum 100 terms, over the 99-term work cap"):
+        formulas.predict_qface(50, 1, 1.0)
+    assert formulas.predict_qface(50, -1, 1.0).inputs["probe_trace_sq"] == 12.0
 
 
 def test_predict_qface_probe_independence(rng):
-    for face in (faces.sym_face(3), faces.antisym_face(3)):
+    # The index sums against the dense isometry route, on the default probe
+    # and on random complex Hermitian probes; both are probe-independent.
+    for n, sign in itertools.product(range(2, 7), (1, -1)):
+        face = faces.FaceDescriptor(n, sign)
+        probes = [default_probe(n)]
+        for _ in range(3):
+            e = _random_traceless_hermitian(n, rng)
+            probes.append(e / math.sqrt(np.trace(e @ e).real))
         values = []
-        for _ in range(2):
-            e = _random_traceless_hermitian(3, rng)
-            e = e / math.sqrt(np.trace(e @ e).real)
-            values.append(faces.predict_qface(face, e, 0.7).value)
-        assert abs(values[0] - values[1]) < 1e-10
+        for e in probes:
+            entries = None if e is probes[0] else probe_entries(e)
+            # Tr rho^2 = 1 is the only purity on the one-state antisymmetric face of n = 2.
+            for trp in (1.0,) if face.n_sub == 1 else (1.0, 0.7):
+                pred = formulas.predict_qface(n, sign, trp, entries)
+                value, ingredient = qface_by_isometry(face, e, trp)
+                assert abs(pred.value - value) <= 1e-12
+                assert abs(pred.inputs["probe_trace_sq"] - ingredient) <= 1e-12
+            values.append(pred.value)
+        assert max(values) - min(values) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -209,7 +229,7 @@ def test_predict_symm_consistent_with_qface():
                 continue
             for trp in (1.0, 0.6):
                 a = formulas.predict_symm(n, sign, trp).value
-                b = faces.predict_qface(face, faces.default_probe(n), trp).value
+                b = formulas.predict_qface(n, sign, trp).value
                 assert abs(a - b) < 1e-12
 
 
@@ -312,9 +332,10 @@ def test_face_ket_kernel_matches_explicit_route(make):
     # maps it through the isometry, builds rho, then partial_trace -> to_coords
     # -> GramMatrix.norm_sq.
     face = make(3)
-    part_a = face.comp.part_a
-    n_s, v, t = face.n_sub, face.isometry, math.sqrt(0.5)
-    dims = (part_a.level, face.comp.part_b.level)
+    comp = face_composite(face)
+    part_a = comp.part_a
+    n_s, v, t = face.n_sub, isometry(face), math.sqrt(0.5)
+    dims = (part_a.level, comp.part_b.level)
     gram_a = grouprep.analytic_gram(part_a)
     psi = rnd.haar_kets(3, n_s, np.random.default_rng(5301))
     collision, tr2 = rnd._haar_ket_block(np.random.default_rng(5301), 3, t, dims,

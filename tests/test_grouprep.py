@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import composite as cm
 from gptpurity import clifford, errors, grouprep, haar, purity as pur, statespace as ss
 from gptpurity.errors import RangeError, ReducibleSpaceError, UnsupportedSpaceError
+from states import compose
 
 
 def test_haar_conjugation_is_gram_orthogonal(rng):
@@ -636,7 +636,7 @@ def test_large_classical_group_is_finite_but_not_enumerated(rng):
 @pytest.mark.parametrize(
     "space",
     [ss.build_quantum(3), ss.build_classical(5), ss.build_real_quantum(3), ss.build_polygon(5),
-     cm.compose(ss.build_quantum(2), ss.build_quantum(3)).joint],
+     compose(ss.build_quantum(2), ss.build_quantum(3)).joint],
     ids=["quantum-3", "classical-5", "real-quantum-3", "polygon-5", "quantum-2x3"],
 )
 def test_scale_only_gram_matches_dense_projector(space, rng):

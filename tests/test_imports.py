@@ -191,6 +191,7 @@ _PREDICT_MAIN = ["predict", "main", "--ka", "4", "--kb", "4", "--na", "2", "--nb
 _PREDICT_GENERAL = ["predict", "general", "--theory", "quantum", "--na", "8", "--nb", "8",
                     "--p0", "1"]
 _PREDICT_SYMM = ["predict", "symm", "--n", "3", "--sign", "+", "--trp", "1"]
+_PREDICT_QFACE = ["predict", "qface", "--n", "4", "--sign", "-", "--trp", "0.3"]
 
 
 @pytest.mark.parametrize("argv,layers", [
@@ -217,7 +218,8 @@ def test_level_count_commands_run_no_descriptor_layer(argv, layers):
     ["predict", "power-law", "--r", "3", "--na", "2", "--nb", "2", "--p0", "1"],
     ["predict", "nonlocaltomo", "--ma", "2", "--mb", "2", "--p0", "1"],
     _PREDICT_SYMM,
-], ids=["main", "general", "power-law", "nonlocaltomo", "symm"])
+    _PREDICT_QFACE,
+], ids=["main", "general", "power-law", "nonlocaltomo", "symm", "qface"])
 def test_exact_predictions_import_no_numpy(argv):
     assert _executed_by(argv, _UNNEEDED + _NUMPY) == _FORMULAS
 
@@ -231,13 +233,13 @@ _FACE_LAYERS = _FORMULAS | {"randomize", "faces"}
     (["estimate", "--face", "antisym", "--n", "4", "--trp", "0.3", "--samples", "100",
       "--seed", "1"], _FACE_LAYERS),
     (_PREDICT_SYMM, _FORMULAS),
-    (["predict", "qface", "--n", "4", "--sign", "-", "--trp", "0.3"], _FACE_LAYERS),
+    (_PREDICT_QFACE, _FORMULAS),
     (["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"], _FACE_LAYERS | {"checks"}),
 ], ids=["estimate-sym", "estimate-antisym", "predict-symm", "predict-qface", "coin-record"])
 def test_face_commands_run_no_descriptor_layer(argv, layers):
     # A face holds level counts, so no composite, state space or group layer
-    # runs; the (anti)symmetric closed form needs no face at all, and
-    # coin-record's verdict is a checks.Check.
+    # runs; neither face prediction (the closed form and the index sums)
+    # needs a face at all, and coin-record's verdict is a checks.Check.
     assert _executed_by(argv) == layers
 
 
@@ -272,7 +274,7 @@ _EXACT_IDENTITIES = {
     "verify-classical-subsystem": ["verify", "classical-subsystem", "--seed", "3"],
     "verify-boxworld": ["verify", "boxworld", "--seed", "3"],
     "predict-nonlocaltomo": ["predict", "nonlocaltomo", "--ma", "3", "--mb", "3", "--p0", "1"],
-    "predict-qface": ["predict", "qface", "--n", "4", "--sign", "-", "--trp", "0.3"],
+    "predict-qface": _PREDICT_QFACE,
     "predict-main": _PREDICT_MAIN,
 }
 

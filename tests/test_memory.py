@@ -12,13 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import composite as cm
 from gptpurity import clifford, errors, faces, formulas, grouprep, haar, randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import complete_pauli_set, pauli_haar_average
+from states import compose
 
-SRC = str(Path(cm.__file__).resolve().parents[1])
+SRC = str(Path(formulas.__file__).resolve().parents[1])
 # The child runs one CLI command and writes its own peak RSS (KiB) to a file,
 # so stdout and stderr stay exactly what the CLI wrote.  It reads VmHWM where
 # the kernel reports it: Linux carries the spawning process's peak into the
@@ -138,24 +138,30 @@ def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
 
 @pytest.mark.parametrize("argv,nbytes", [
     (["estimate", "--face", "sym", "--n", "200", "--trp", "1", "--seed", "1"], 2621505536),
-    (["predict", "qface", "--n", "200", "--sign", "+", "--trp", "1"], 6432000000),
+    (["predict", "qface", "--n", "200", "--sign", "+", "--trp", "1"], None),
     (["estimate", "--face", "antisym", "--n", "200", "--trp", "1", "--seed", "1"], 2621505536),
 ])
 def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbytes):
     # A face holds its level count and sign, and builds no joint descriptor.
-    # The prediction's 40000 x N_S isometry is counted before it exists; the
-    # estimator holds none, and its block of 1024 in-face kets, scattered
-    # into C^40000, is refused by the ket block's own check.
-    what = ("subspace of C^40000" if argv[0] == "predict" else
-            "1024 kets in dimension 40000 (4 x 1024 x 40000 reals) and their Grams")
+    # The prediction builds no isometry either: its index sums take 400 terms
+    # over the pair columns that meet the default probe, and give
+    # n/4 + 1/2 = 50.5.  The estimator's block of 1024 in-face kets,
+    # scattered into C^40000, is refused by the ket block's own check.
     proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
+    assert "Traceback" not in proc.stderr
+    assert rss < MAX_RSS_MB
+    if nbytes is None:
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["inputs"]["probe_trace_sq"] == 50.5
+        assert abs(doc["value"] - formulas.predict_symm(200, 1, 1.0).value) <= 1e-12
+        return
+    what = "1024 kets in dimension 40000 (4 x 1024 x 40000 reals) and their Grams"
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert f"{what} would need {nbytes} bytes" in lines[0]
-    assert rss < MAX_RSS_MB
 
 
 def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
@@ -254,7 +260,7 @@ def test_estimator_blocks_are_refused_beyond_the_cap():
 
 
 def test_dense_joint_structures_are_derived_only_within_the_cap(monkeypatch):
-    joint = cm.compose(ss.build_quantum(16), ss.build_quantum(16)).joint
+    joint = compose(ss.build_quantum(16), ss.build_quantum(16)).joint
     assert joint.factor_levels == (16, 16)
     with pytest.raises(RangeError, match="bytes"):
         joint.hermitian_basis

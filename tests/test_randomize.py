@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptpurity import composite as cm
 from gptpurity import checks, errors, formulas, grouprep, haar, randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import (
@@ -17,10 +16,11 @@ from gptpurity.errors import (
     UnsupportedSpaceError,
 )
 from gptpurity.purity import fixed_purity_state, purity_from_tr2, tr2_from_purity
+from states import compose, marginal_a, purity_pure_times_maxmixed
 
 
 def _pair(builder, na, nb):
-    return cm.compose(builder(na), builder(nb))
+    return compose(builder(na), builder(nb))
 
 
 def _partial_trace(rho, dims):
@@ -78,7 +78,7 @@ def test_predict_general_matches_the_composite_route(builder, theory):
     # analytic Gram, on composites small enough to build.
     for na, nb in ((2, 2), (2, 3), (3, 2), (4, 4)):
         comp = _pair(builder, na, nb)
-        phimu = cm.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
+        phimu = purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
                                               tol=1e-12).numeric
         pred = formulas.predict_general(theory, na, nb, 0.7)
         assert abs(pred.inputs["P_phi_mu"] - phimu) <= 1e-15
@@ -153,7 +153,7 @@ def test_predict_nonlocaltomo_real_quantum_2x2():
 
 def test_predict_nonlocaltomo_reduces_to_general_when_tomographic():
     comp = _pair(ss.build_quantum, 2, 2)
-    phimu = cm.purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
+    phimu = purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
                                           tol=1e-10).numeric
     pred = formulas.predict_nonlocaltomo(4, 16, 1.0, phimu, 0.0)
     general = formulas.predict_general("quantum", 2, 2, 1.0).value
@@ -444,7 +444,7 @@ def test_permuted_states_match_explicit_route():
             ref = rnd.sample_rng(4402, b)
             for j in range(size):
                 omega = p[ref.permutation(k)]
-                marg = cm.marginal_a(comp, omega)
+                marg = marginal_a(comp, omega)
                 assert abs(local[j] - gram_a.norm_sq(marg - comp.part_a.max_mixed)) <= 1e-15
                 assert abs(glob[j] - gram_ab.norm_sq(omega - comp.joint.max_mixed)) <= 1e-15
             if p0 == 0.0:

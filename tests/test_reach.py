@@ -62,14 +62,6 @@ _BLOCKS = "tests/test_grouprep.py::test_draw_blocks_shrink_under_the_memory_cap"
 # Defs that no command runs, each with the test that uses it as a reference.
 ALLOWLIST = {
     "boxworld.boxworld_purity": _PR_STATE,
-    "composite.compose": _CRIT_03,
-    "composite.marginal_a": "tests/test_composite.py::test_marginal_of_correlated_classical_pair",
-    "composite._reference_pure": _CRIT_06,
-    "composite.purity_pure_times_maxmixed": _CRIT_06,
-    "faces.FaceDescriptor.comp": "tests/test_faces.py::test_face_ket_kernel_matches_explicit_route",
-    "faces.FaceDescriptor.mu_face": "tests/test_faces.py::test_face_max_mixed_is_valid_state",
-    "faces.face_bloch_projector":
-        "tests/test_faces.py::test_face_bloch_projector_fixes_in_face_traceless",
     "formulas.predict_nonlocaltomo":
         "tests/test_randomize.py::test_predict_nonlocaltomo_reduces_to_general_when_tomographic",
     "grouprep.sampler_for.draw_many":

@@ -10,7 +10,7 @@ from gptpurity import grouprep, haar
 from gptpurity import randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
-from states import random_mixtures
+from states import compose, random_mixtures
 
 
 @pytest.mark.parametrize("n,k", [(2, 4), (3, 9), (5, 25), (128, 16384)])
@@ -304,7 +304,7 @@ def test_index_arithmetic_matches_loop_built_basis(d, real, rng):
 
 @pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 4)])
 def test_joint_index_arithmetic_matches_kronecker_of_loop_bases(na, nb, rng):
-    joint = cm.compose(ss.build_quantum(na), ss.build_quantum(nb)).joint
+    joint = compose(ss.build_quantum(na), ss.build_quantum(nb)).joint
     basis = _oracle((na, nb), False)
     assert joint.factor_levels == (na, nb)
     np.testing.assert_allclose(joint.hermitian_basis, basis, rtol=0, atol=1e-15)
