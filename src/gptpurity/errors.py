@@ -42,10 +42,6 @@ class UnsupportedSpaceError(GptPurityError, ValueError):
     """The requested operation is not defined for this space kind."""
 
 
-class UnsupportedCompositeError(GptPurityError, ValueError):
-    """The requested pair of spaces has no supported tensor composite."""
-
-
 class DegenerateDirectionError(GptPurityError, ValueError):
     """A direction vector is (numerically) zero."""
 

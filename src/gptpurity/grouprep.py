@@ -153,10 +153,10 @@ class GroupSampler(NamedTuple):
     ``T(cone) <= cone``: one gather at uniform indices for an enumerated
     group, one Gram-Schmidt ``haar.haar_unitaries`` stack and one
     ``conjugation_matrix`` for the Haar samplers, one row-wise
-    ``Generator.permuted`` for large permutation groups.  ``haar.draw``,
-    ``haar.draw_many`` and ``haar.draw_blocks`` call it under a memory
-    check.  An enumerated group also keeps its ``elements``, over which
-    ``group_average`` sums exactly.
+    ``Generator.permuted`` for large permutation groups.  ``haar.draw_many``
+    and ``haar.draw_blocks`` call it under a memory check.  An enumerated
+    group also keeps its ``elements``, over which ``group_average`` sums
+    exactly.
 
     Samplers are pure functions of the passed generator.
     """
@@ -238,40 +238,28 @@ def sampler_for(space: ss.SpaceDescriptor) -> GroupSampler:
 class GramMatrix(NamedTuple):
     """Invariant inner product on the Bloch subspace.
 
-    The product G is a symmetric positive semidefinite form supported on the
-    Bloch subspace ``ker u`` of the order unit u and normalized so that pure
-    states have norm 1; ``scale`` records the pure-state rescaling factor
-    that was applied.  Without ``stored`` (every ``analytic_gram``), G is
-    ``scale`` times the Euclidean projector onto ``ker u``, so
-    ``G x = scale (x - u (u.x)/(u.u))`` costs O(K) and nothing K x K is
-    held.  ``stored`` is a dense K x K matrix that takes its place: the
-    group-averaged reference of ``haar.invariant_gram``.
-
-    ``apply`` is the one operation that reads ``stored``; ``inner``,
-    ``norm_sq`` and ``norms_sq`` are built on it.  ``matrix`` is the dense
-    form; without ``stored`` it is built on each access and refused beyond
-    ``errors.MEMORY_CAP_BYTES``.
+    The product G is ``scale`` times the Euclidean projector onto the Bloch
+    subspace ``ker u`` of the order unit u, normalized so that pure states
+    have norm 1; ``scale`` records the pure-state rescaling factor that was
+    applied.  So ``G x = scale (x - u (u.x)/(u.u))`` costs O(K) and nothing
+    K x K is held.  ``inner``, ``norm_sq`` and ``norms_sq`` are built on
+    ``apply``.  ``matrix`` is the dense form, built on each access and
+    refused beyond ``errors.MEMORY_CAP_BYTES``.
     """
 
     scale: float
     order_unit: np.ndarray
-    stored: np.ndarray | None = None
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense K x K Gram matrix."""
-        if self.stored is not None:
-            return self.stored
         u = self.order_unit
         errors.check_memory(8 * u.size * u.size, f"a dense {u.size} x {u.size} Gram matrix")
         return ss._frozen(self.scale * (np.eye(u.size) - np.outer(u, u) / float(u @ u)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The covector G x of a vector, or of each row of a (m, K) stack."""
-        x = np.asarray(x, dtype=float)
-        if self.stored is not None:
-            return x @ self.stored
-        cov = ss.project_off(x, self.order_unit)
+        cov = ss.project_off(np.asarray(x, dtype=float), self.order_unit)
         cov *= self.scale
         return cov
 

@@ -5,7 +5,8 @@ holds the Haar samplers of ``grouprep.sampler_for`` (Gram-Schmidt unitaries
 conjugated by ``grouprep.conjugation_matrix``, with no LAPACK or BLAS call),
 the memory-checked drawing of any ``grouprep.GroupSampler`` (through which
 ``grouprep.group_average`` samples), the irreducibility diagnostic and the
-invariant Gram by group averaging.
+invariant Gram by group averaging, a dense K x K array that tests compare
+with ``grouprep.analytic_gram``.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ def _haar_sampler(space: ss.SpaceDescriptor, real: bool) -> gr.GroupSampler:
         space.hermitian_basis, haar_unitaries(size, space.level, rng, real=real)))
 
 
-def draw(sampler: gr.GroupSampler, rng: np.random.Generator) -> np.ndarray:
-    """One uniform element: the size-1 case of ``draw_many``."""
-    return draw_many(sampler, rng, 1)[0]
-
-
 def draw_many(sampler: gr.GroupSampler, rng: np.random.Generator, size: int) -> np.ndarray:
     """A (size, K, K) stack of independent uniform elements, from ``sampler.draw_fn``.
 
@@ -148,7 +144,7 @@ def _rank_one_deviation(
     error 1/sqrt(trials) otherwise."""
     if n_probes < 1:
         raise RangeError(f"need at least 1 probe, got {n_probes}")
-    p = space.bloch_projector()
+    p = gr.GramMatrix(1.0, space.order_unit).matrix
     worst = 0.0
     for _ in range(n_probes):
         x = p @ rng.normal(size=space.K)
@@ -167,12 +163,13 @@ def invariant_gram(
     rng: np.random.Generator | None = None,
     *,
     check_trials: int = 4000,
-) -> gr.GramMatrix:
+) -> np.ndarray:
     """Invariant Gram by group averaging of the Euclidean Bloch product.
 
     Averages T^T E T over the group with ``grouprep.group_average`` (exact
     for enumerated finite groups, ``n_avg`` draws with ~1/sqrt(n_avg) error
     otherwise) and rescales so 32 sampled pure states have mean norm 1.
+    Returns the read-only dense K x K array.
     Raises ``ReducibleSpaceError``, before the Gram average, when the
     irreducibility diagnostic exceeds ten times the statistical error of its
     ``check_trials`` draws (1e-8 for an exact sum), since no invariant
@@ -185,8 +182,8 @@ def invariant_gram(
             f"irreducibility deviation {dev:.3g} exceeds threshold; "
             "the invariant inner product is not unique"
         )
-    e = space.bloch_projector()
+    e = gr.GramMatrix(1.0, space.order_unit).matrix
     g = gr.group_average(sampler, lambda ts: ts.transpose(0, 2, 1) @ e @ ts, rng, n_avg).mean
     b = space.sample_pures(rng, 32) - space.max_mixed
     scale = 1.0 / float(np.mean(np.einsum("bi,ij,bj->b", b, g, b)))
-    return gr.GramMatrix(scale, space.order_unit, ss._frozen(scale * g))
+    return ss._frozen(scale * g)

@@ -58,7 +58,7 @@ def fixed_purity_state(space: SpaceDescriptor, p0: float, rng: np.random.Generat
     if not 0.0 <= p0 <= 1.0:
         raise RangeError(f"target purity must lie in [0, 1], got {p0}")
     t = math.sqrt(p0)
-    phi = space.sample_pure(rng)
+    phi = space.sample_pures(rng, 1)[0]
     return t * phi + (1.0 - t) * space.max_mixed
 
 
@@ -94,20 +94,14 @@ class PauliMap:
 def pauli_vectors(space: SpaceDescriptor, gram: GramMatrix, directions: np.ndarray) -> np.ndarray:
     """Normalize each row of a (m, K) stack of directions to a Pauli-map vector.
 
-    A row is projected onto the Bloch subspace (``project_bloch``, O(K)) and
-    divided by its Gram norm.
+    A row is projected onto the Bloch subspace (``statespace.project_off``,
+    O(K)) and divided by its Gram norm.
     """
-    v = space.project_bloch(directions)
+    v = ss.project_off(np.asarray(directions, dtype=float), space.order_unit)
     nsq = gram.norms_sq(v)
     if np.any(nsq < 1e-24):
         raise DegenerateDirectionError("zero direction has no associated Pauli map")
     return v / np.sqrt(nsq)[:, None]
-
-
-def pauli_from_direction(space: SpaceDescriptor, gram: GramMatrix, v: np.ndarray) -> PauliMap:
-    """Normalize a Bloch direction to a Pauli map: the one-row case of ``pauli_vectors``."""
-    vector = pauli_vectors(space, gram, np.asarray(v, dtype=float)[None])[0]
-    return PauliMap(space=space, gram=gram, vector=vector)
 
 
 _PAULI_1Q = {
@@ -232,5 +226,5 @@ def max_collision_probability(
         return CollisionResult(value=0.5, optimizer=None)
     return CollisionResult(
         value=0.5 * (1.0 + p),
-        optimizer=pauli_from_direction(space, gram, b),
+        optimizer=PauliMap(space, gram, pauli_vectors(space, gram, b[None])[0]),
     )

@@ -5,15 +5,13 @@ an order unit (the covector giving total probability), the maximally mixed
 state, and a kind-specific cone test and pure-state sampler.  Matrix-valued
 theories (quantum over C, quantum over R) are vectorized in a fixed
 orthonormal Hermitian basis whose first element is ``identity/sqrt(d)``, so
-that states of all kinds are plain real vectors and the tensor product of
-coordinate vectors is the coordinate vector of the tensor product.  It is
-the generalized Gell-Mann basis (Bertlmann and Krammer, J. Phys. A 41,
-235303, 2008), whose elements have at most two nonzero entries, so
-coordinates are index arithmetic.  A descriptor stores no basis, only the
-level of each Kronecker factor: one for a built-in space, one per party for
-a composite.
+that states of all kinds are plain real vectors.  It is the generalized
+Gell-Mann basis (Bertlmann and Krammer, J. Phys. A 41, 235303, 2008), whose
+elements have at most two nonzero entries, so coordinates are index
+arithmetic.  A descriptor stores no basis: a matrix kind is one Gell-Mann
+factor of its level.
 
-Arrays that grow with a joint space are checked against
+Arrays that grow with a space are checked against
 ``errors.MEMORY_CAP_BYTES`` by ``errors.check_memory`` before they are
 allocated.
 """
@@ -87,13 +85,6 @@ class SpaceDescriptor:
     level:
         Kind parameter: Hilbert-space dimension, outcome count, or vertex
         count.  ``None`` only for the bipartite boxworld space.
-    factor_levels:
-        Matrix-valued kinds only: the level d_i of each Kronecker factor of
-        the basis, whose element order ``factor_layout`` gives (complex for
-        ``quantum``, real for ``real-quantum``).  Basis element ``k`` is the
-        Kronecker product of one element per factor, ``k`` being the
-        row-major flat index of their indices.  A built-in space has one
-        factor; a composite has one per party.
     vertices:
         ``(n_pure, K)`` array of all pure states for polytopal kinds.
     effects:
@@ -106,7 +97,6 @@ class SpaceDescriptor:
     order_unit: np.ndarray
     max_mixed: np.ndarray
     level: int | None = None
-    factor_levels: tuple[int, ...] | None = None
     vertices: np.ndarray | None = None
     effects: np.ndarray | None = None
 
@@ -122,19 +112,6 @@ class SpaceDescriptor:
         """Evaluate the order unit on ``x``."""
         return float(self.order_unit @ np.asarray(x, dtype=float))
 
-    def bloch_projector(self) -> np.ndarray:
-        """Euclidean-orthogonal projector onto the Bloch subspace ``ker u``, as a K x K matrix."""
-        check_memory(8 * self.K * self.K, f"a {self.K} x {self.K} Bloch projector")
-        u = self.order_unit
-        return np.eye(self.K) - np.outer(u, u) / float(u @ u)
-
-    def project_bloch(self, x: np.ndarray) -> np.ndarray:
-        """``bloch_projector() @ x`` without the K x K matrix: x - u (u.x)/(u.u).
-
-        ``x`` is a vector or a stack whose last axis holds the coordinates.
-        """
-        return project_off(np.asarray(x, dtype=float), self.order_unit)
-
     def bloch(self, omega: np.ndarray) -> np.ndarray:
         """Bloch vector ``omega - max_mixed`` of a normalized state, or of each row of a (m, K) stack."""
         omega = np.asarray(omega, dtype=float)
@@ -148,51 +125,33 @@ class SpaceDescriptor:
 
     # -- matrix representation (quantum kinds) ------------------------------------
 
-    def _layouts(self) -> list[FactorLayout]:
-        if self.factor_levels is None:
+    def _layout(self) -> FactorLayout:
+        if self.kind not in _MATRIX_KINDS:
             raise UnsupportedSpaceError(f"space kind {self.kind!r} has no matrix form")
-        return [factor_layout(d, self.kind == KIND_REAL_QUANTUM) for d in self.factor_levels]
+        return factor_layout(self.level, self.kind == KIND_REAL_QUANTUM)
 
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
         """The matrix ``sum_k c_k B_k`` of coordinates, or of each in a stack.
 
-        The inverse of ``to_coords``: ``_pair_matrix`` scatters each factor's
-        coordinates to its (row, column) axis pair, and the pairs are then
-        reordered to rows (i_1..i_m) and columns (j_1..j_m).  Complex kinds
-        give complex matrices.
+        The inverse of ``to_coords``.  Complex kinds give complex matrices.
         """
-        layouts = self._layouts()
+        lay = self._layout()
         coords = np.asarray(coords)
-        lead, m = coords.shape[:-1], len(layouts)
-        t, before, after = coords, math.prod(lead), self.K
-        for lay in layouts:
-            after //= lay.K
-            t = _pair_matrix(t.reshape(before, lay.K, after), lay)
-            before *= lay.d**2
-        t = t.reshape(math.prod(lead), *(lay.d for lay in layouts for _ in "ij"))
-        t = t.transpose(0, *range(1, 2 * m + 1, 2), *range(2, 2 * m + 1, 2))
-        return t.reshape(*lead, self.level, self.level)
+        lead = coords.shape[:-1]
+        return _pair_matrix(coords.reshape(math.prod(lead), lay.K), lay).reshape(
+            *lead, lay.d, lay.d)
 
     def to_coords(self, matrix: np.ndarray) -> np.ndarray:
         """Real parts of the coordinates ``c_k = Tr(B_k @ M)`` of a matrix, or of each in a stack.
 
-        ``M`` is viewed with row axes (r_1..r_m) and column axes (c_1..c_m),
-        and ``_pair_coords`` replaces each factor's pair (r_f, c_f) by its
-        coordinates.  That map is linear and needs no Hermitian input, so it
-        also holds on the partial results of a joint.
+        The map is linear and needs no Hermitian input.
         """
-        layouts = self._layouts()
+        lay = self._layout()
         matrix = np.asarray(matrix)
         matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
-        lead, dims, m = matrix.shape[:-2], [lay.d for lay in layouts], len(layouts)
-        t = matrix.reshape(math.prod(lead), *dims, *dims)
-        t = t.transpose(0, *(a for f in range(1, m + 1) for a in (f, f + m)))
-        before, after = math.prod(lead), self.level**2
-        for f, lay in enumerate(layouts):
-            after //= lay.d**2
-            t = _pair_coords(t.reshape(before, lay.d, lay.d, after), lay, take_real=f == m - 1)
-            before *= lay.K
-        return t.reshape(*lead, self.K)
+        lead = matrix.shape[:-2]
+        return _pair_coords(matrix.reshape(math.prod(lead), lay.d, lay.d), lay).reshape(
+            *lead, lay.K)
 
     @cached_property
     def hermitian_basis(self) -> np.ndarray | None:
@@ -202,7 +161,7 @@ class SpaceDescriptor:
         ``to_matrix`` holds about three of its size at its peak, and that is
         refused beyond ``errors.MEMORY_CAP_BYTES``.
         """
-        if self.factor_levels is None:
+        if self.kind not in _MATRIX_KINDS:
             return None
         n, itemsize = self.level, 8 if self.kind == KIND_REAL_QUANTUM else 16
         check_memory(3 * itemsize * self.K * n * n,
@@ -246,10 +205,6 @@ class SpaceDescriptor:
         if self.vertices is not None:
             return self.vertices[rng.integers(len(self.vertices), size=size)]
         raise UnsupportedSpaceError(f"no pure-state sampler for kind {self.kind!r}")
-
-    def sample_pure(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a uniformly random pure state: the size-1 case of ``sample_pures``."""
-        return self.sample_pures(rng, 1)[0]
 
 
 def validate_state(space: SpaceDescriptor, omega: np.ndarray) -> None:
@@ -305,43 +260,39 @@ def factor_layout(d: int, real: bool) -> FactorLayout:
     return FactorLayout(d, real, _frozen(rows), _frozen(cols), _frozen(scale), k)
 
 
-def _pair_coords(t: np.ndarray, lay: FactorLayout, *, take_real: bool) -> np.ndarray:
-    """Coordinates of each (d, d) slice M of a (X, d, d, Y) array, as (X, K_d, Y).
+def _pair_coords(t: np.ndarray, lay: FactorLayout) -> np.ndarray:
+    """Real parts of the coordinates of each (d, d) slice M of a (X, d, d) array, as (X, K_d).
 
     u = Tr M/sqrt(d), x_jk = (M_jk + M_kj)/sqrt(2), y_jk = i (M_jk - M_kj)/sqrt(2)
-    and z_l = (sum_{i<l} M_ii - l M_ll)/sqrt(l (l+1)).  ``take_real`` keeps
-    only the real parts, and forms no complex one.
+    and z_l = (sum_{i<l} M_ii - l M_ll)/sqrt(l (l+1)); no complex part is formed.
     """
-    diag = t[:, np.arange(lay.d), np.arange(lay.d)]
+    diag = t[:, np.arange(lay.d), np.arange(lay.d)].real
     hi, lo = t[:, lay.rows, lay.cols], t[:, lay.cols, lay.rows]
-    if take_real:
-        diag, x, y = diag.real, hi.real + lo.real, None if lay.real else lo.imag - hi.imag
-    else:
-        x, y = hi + lo, None if lay.real else 1j * (hi - lo)
+    x, y = hi.real + lo.real, None if lay.real else lo.imag - hi.imag
     del hi, lo
-    z = np.cumsum(diag, axis=1)[:, :-1] - np.arange(1, lay.d)[:, None] * diag[:, 1:]
+    z = np.cumsum(diag, axis=1)[:, :-1] - np.arange(1, lay.d) * diag[:, 1:]
     parts = (diag.sum(axis=1, keepdims=True), x, y, z)
     out = np.concatenate([a for a in parts if a is not None], axis=1)
-    out /= lay.scale[:, None]
+    out /= lay.scale
     return out
 
 
 def _pair_matrix(c: np.ndarray, lay: FactorLayout) -> np.ndarray:
-    """The inverse of ``_pair_coords``: (X, K_d, Y) coordinates to (X, d, d, Y) matrices.
+    """The inverse of ``_pair_coords``: (X, K_d) coordinates to (X, d, d) matrices.
 
     M_jk = (x_jk - i y_jk)/sqrt(2), M_kj = (x_jk + i y_jk)/sqrt(2), and the
     diagonal entry i is u/sqrt(d) + sum_{l>i} z_l/s_l - i z_i/s_i.
     """
     d, p = lay.d, len(lay.rows)
-    c = c / lay.scale[:, None]
+    c = c / lay.scale
     x, w = c[:, 1:1 + p], c[:, lay.K - (d - 1):]
-    out = np.zeros((len(c), d, d, c.shape[2]), dtype=c.dtype if lay.real else complex)
+    out = np.zeros((len(c), d, d), dtype=c.dtype if lay.real else complex)
     iy = 0.0 if lay.real else 1j * c[:, 1 + p:1 + 2 * p]
     out[:, lay.rows, lay.cols] = x - iy
     out[:, lay.cols, lay.rows] = x + iy
     diag = np.repeat(c[:, :1], d, axis=1)
     diag[:, :-1] += np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    diag[:, 1:] -= np.arange(1, d)[:, None] * w
+    diag[:, 1:] -= np.arange(1, d) * w
     out[:, np.arange(d), np.arange(d)] = diag
     return out
 
@@ -372,7 +323,6 @@ def _matrix_space(kind: str, n: int, k: int) -> SpaceDescriptor:
         order_unit=order_unit,
         max_mixed=max_mixed,
         level=n,
-        factor_levels=(n,),
     )
 
 

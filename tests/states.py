@@ -1,14 +1,18 @@
 """Test references that no command runs: random mixed states, tensor composites and
-their P(phi_A (x) mu_B) constant, and the dense isometry route of a quantum face."""
+their P(phi_A (x) mu_B) constant, and the dense isometry route of a quantum face.
+
+A quantum composite is a dense reference: its basis is the Kronecker product of
+the parts' ``hermitian_basis`` stacks, and its coordinates are einsums over it."""
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from gptpurity import statespace as ss
-from gptpurity.errors import (InconsistencyError, InvalidProbeError, UnsupportedCompositeError,
-                              UnsupportedSpaceError, check_memory)
+from gptpurity.errors import (InconsistencyError, InvalidProbeError, UnsupportedSpaceError,
+                              check_memory)
 from gptpurity.formulas import _check_purity_on_face
 
 
@@ -27,8 +31,7 @@ class CompositeDescriptor(NamedTuple):
 
     ``joint`` is a full SpaceDescriptor whose coordinate basis is the tensor
     product of the local bases; the flat index of the local pair (i, j) is
-    ``i * K_B + j``.  A quantum joint's factor levels are those of A
-    followed by those of B.
+    ``i * K_B + j``.
     """
 
     part_a: ss.SpaceDescriptor
@@ -36,32 +39,47 @@ class CompositeDescriptor(NamedTuple):
     joint: ss.SpaceDescriptor
 
 
+@dataclass(frozen=True, eq=False)
+class DenseJoint(ss.SpaceDescriptor):
+    """A quantum joint that holds its (K, n, n) Kronecker-product basis."""
+
+    basis: np.ndarray | None = None
+
+    @property
+    def hermitian_basis(self):
+        return self.basis
+
+    def to_coords(self, matrix):
+        return np.einsum("kij,...ji->...k", self.basis, np.asarray(matrix)).real
+
+    def to_matrix(self, coords):
+        return np.einsum("...k,kij->...ij", np.asarray(coords), self.basis)
+
+
 def compose(a, b):
     """Tensor composite of two quantum or two classical spaces.
 
     Mixed kinds, polygons and boxworld have no supported transitive
-    tomographic composite.  A quantum joint keeps the levels of its Kronecker
-    factors, not a basis, so its descriptor grows like K_A K_B.
+    tomographic composite.  A quantum joint holds its dense basis, of
+    K_A K_B n^2 complex entries for n = n_A n_B levels.
     """
     if a.kind != b.kind or a.kind not in (ss.KIND_QUANTUM, ss.KIND_CLASSICAL):
-        raise UnsupportedCompositeError(
+        raise UnsupportedSpaceError(
             f"no transitive tomographic composite for kinds {a.kind!r} x {b.kind!r}"
         )
-    check_memory(
-        ss.DESCRIPTOR_BYTES_PER_COORD * a.K * b.K,
-        f"the {a.K * b.K}-coordinate joint {a.kind} space",
-    )
     if a.kind == ss.KIND_CLASSICAL:
         return CompositeDescriptor(part_a=a, part_b=b, joint=ss.build_classical(a.N * b.N))
-    n = a.level * b.level
-    joint = ss.SpaceDescriptor(
+    n, k = a.level * b.level, a.K * b.K
+    check_memory(16 * k * n * n, f"the dense {k}-element basis of the joint quantum space")
+    basis = np.einsum("aij,bkl->abikjl", a.hermitian_basis, b.hermitian_basis)
+    joint = DenseJoint(
         kind=ss.KIND_QUANTUM,
-        K=a.K * b.K,
+        K=k,
         N=n,
         order_unit=np.kron(a.order_unit, b.order_unit),
         max_mixed=np.kron(a.max_mixed, b.max_mixed),
         level=n,
-        factor_levels=a.factor_levels + b.factor_levels,
+        basis=ss._frozen(basis.reshape(k, n, n)),
     )
     return CompositeDescriptor(part_a=a, part_b=b, joint=joint)
 
@@ -99,10 +117,11 @@ def purity_pure_times_maxmixed(comp, gram_ab, tol=1e-6):
 
     For composites carrying a composite classical subsystem this equals
     (N_A - 1)/(N_A N_B - 1), the lemma behind ``formulas.predict_general``;
-    a mismatch beyond ``tol`` raises.
+    a mismatch beyond ``tol`` raises.  ``gram_ab`` is a ``GramMatrix`` or a
+    dense K x K array such as ``haar.invariant_gram``'s.
     """
-    omega = np.kron(reference_pure(comp.part_a), comp.part_b.max_mixed)
-    numeric = gram_ab.norm_sq(omega - comp.joint.max_mixed)
+    b = np.kron(reference_pure(comp.part_a), comp.part_b.max_mixed) - comp.joint.max_mixed
+    numeric = float(b @ gram_ab @ b) if isinstance(gram_ab, np.ndarray) else gram_ab.norm_sq(b)
     closed = (comp.part_a.N - 1.0) / (comp.part_a.N * comp.part_b.N - 1.0)
     if abs(numeric - closed) > tol:
         raise InconsistencyError(

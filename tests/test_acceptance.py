@@ -137,7 +137,7 @@ def test_criterion_07_pauli_identities():
     gram = grouprep.analytic_gram(qubit)
     sampler = grouprep.sampler_for(qubit)
     x = pur.complete_pauli_set(qubit, gram)[0]
-    omega = qubit.sample_pure(rng)
+    omega = qubit.sample_pures(rng, 1)[0]
     avg = pur.pauli_haar_average(qubit, sampler, x, omega, n_samples=SAMPLES, rng=rng)
     expected = pur.purity(qubit, gram, omega) / (qubit.K - 1)
     ok = ok and abs(avg.mean - expected) <= 3 * avg.stderr + EPS
@@ -246,7 +246,7 @@ def test_criterion_14_property_suite():
         for omega in states:
             p = pur.purity(space, gram, omega)
             ok = ok and -1e-12 <= p <= 1 + 1e-12
-            t = haar.draw(sampler, rng)
+            t = haar.draw_many(sampler, rng, 1)[0]
             ok = ok and abs(pur.purity(space, gram, t @ omega) - p) <= 1e-9
         for _ in range(100):
             trio = random_mixtures(space, 3, rng)

@@ -76,7 +76,7 @@ def test_group_elements_preserve_cone(rng):
     space = bw.boxworld_space()
     sampler = grouprep.sampler_for(space)
     for omega in random_mixtures(space, 10, rng):
-        t = haar.draw(sampler, rng)
+        t = haar.draw_many(sampler, rng, 1)[0]
         assert space.cone_contains(t @ omega)
 
 

@@ -12,7 +12,6 @@ from gptpurity.purity import (
     PauliMap,
     complete_pauli_set,
     max_collision_probability,
-    pauli_from_direction,
     pauli_vectors,
     purity,
     purity_via_pauli_set,
@@ -67,12 +66,12 @@ def test_collision_check_detects_a_wrong_optimizer(monkeypatch):
     dev, cdev = checks.pauli_identity_deviations(space, states)
     assert dev <= 1e-10 and cdev <= 1e-10
 
-    # Pauli maps along a fixed direction instead of each state's own.  The map
-    # is built before the patch, which ``pauli_from_direction`` would also see.
-    x = pauli_from_direction(space, gram, np.eye(space.K)[1])
+    # Pauli maps along a fixed direction instead of each state's own, built
+    # before the patch.
+    x = pauli_vectors(space, gram, np.eye(space.K)[1:2])
 
     def wrong(space, gram, directions):
-        return np.tile(x.vector, (len(directions), 1))
+        return np.tile(x[0], (len(directions), 1))
 
     monkeypatch.setattr(checks.pur, "pauli_vectors", wrong)
     _, cdev = checks.pauli_identity_deviations(space, states)
@@ -107,7 +106,7 @@ def test_batched_pauli_identities_match_the_per_state_route(space):
                                [purity(space, gram, omega) for omega in states], rtol=0, atol=1e-12)
     b = space.bloch(states[1:])
     np.testing.assert_allclose(pauli_vectors(space, gram, b),
-                               [pauli_from_direction(space, gram, v).vector for v in b],
+                               [pauli_vectors(space, gram, v[None])[0] for v in b],
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(checks.pauli_identity_deviations(space, states),
                                _per_state_pauli_deviations(space, states), rtol=0, atol=1e-12)
@@ -126,7 +125,8 @@ def test_batched_gram_invariance_matches_the_per_draw_route(space):
     assert grouprep.invariance_deviation(g, 2.0 * ts) > 1e-3
     # The O(K) Bloch projection of the Pauli maps against the dense projector.
     raw = np.random.default_rng(4261).normal(size=(40, space.K))
-    np.testing.assert_allclose(space.project_bloch(raw), raw @ space.bloch_projector(), rtol=0,
+    np.testing.assert_allclose(ss.project_off(raw, space.order_unit),
+                               raw @ grouprep.GramMatrix(1.0, space.order_unit).matrix, rtol=0,
                                atol=1e-12)
 
 

@@ -51,9 +51,11 @@ def test_monte_carlo_reports_match_golden_hashes(capsys, entry):
     # benchmark's mc-acceptance and large-composite commands at workload
     # seed 1, `verify markov-tail`, `coin-record --s0 1`, `verify boxworld`,
     # `verify pauli-identities` and `verify gram-invariance`, whose
-    # conjugations run no LAPACK or BLAS routine, `two-design --k 1` and
-    # `--k 2`, whose Clifford products are elementwise, and the benchmark's
-    # `predict qface`, whose ingredient is a pure-Python index sum.
+    # conjugations run no LAPACK or BLAS routine, `verify classical-subsystem`,
+    # whose witnesses go through `to_coords` and `GramMatrix.apply`,
+    # `two-design --k 1` and `--k 2`, whose Clifford products are
+    # elementwise, and the benchmark's `predict qface`, whose ingredient is a
+    # pure-Python index sum.
     # A change of any Monte Carlo value, down to one ulp, shows here as a
     # diff of its field.
     code, out = _run(capsys, entry["argv"])

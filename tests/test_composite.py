@@ -5,8 +5,8 @@ import pytest
 
 from gptpurity import composite as cm
 from gptpurity import grouprep, haar, statespace as ss
-from gptpurity.errors import InconsistencyError, UnsupportedCompositeError
-from gptpurity.purity import complete_pauli_set
+from gptpurity.errors import InconsistencyError, UnsupportedSpaceError
+from gptpurity.purity import complete_pauli_set, purity
 from states import compose, marginal_a, purity_pure_times_maxmixed, random_mixtures
 
 
@@ -21,17 +21,33 @@ def test_compose_quantum_dimensions():
     assert comp.joint.N == 4
 
 
-def test_joint_factor_levels_are_those_of_a_then_b():
-    # Joint basis element i K_B + j is the Kronecker product of A's element i
-    # and B's element j, also when A is itself a joint.
+def test_joint_factor_levels_are_those_of_a_then_b(rng):
+    # Joint coordinate i K_B + j is the product of A's coordinate i and B's
+    # coordinate j, also when A is itself a joint.
     a, b = ss.build_quantum(2), ss.build_quantum(3)
     joint = compose(a, b).joint
-    assert joint.factor_levels == (2, 3)
     nested = compose(joint, a).joint
-    assert nested.factor_levels == (2, 3, 2)
-    kron = np.einsum("aij,bkl->abikjl", joint.hermitian_basis, a.hermitian_basis)
-    np.testing.assert_allclose(nested.hermitian_basis, kron.reshape(144, 12, 12),
-                               rtol=0, atol=1e-15)
+    x, y = rng.normal(size=joint.K), rng.normal(size=a.K)
+    product = np.kron(joint.to_matrix(x), a.to_matrix(y))
+    np.testing.assert_allclose(nested.to_coords(product), np.kron(x, y), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(nested.to_matrix(np.kron(x, y)), product, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (2, 2)])
+def test_dense_joint_purity_is_that_of_the_single_factor_space(na, nb, rng):
+    # The dense joint reference and the one n = n_A n_B level Gell-Mann factor
+    # give every density matrix the purity (n Tr rho^2 - 1)/(n - 1).
+    n = na * nb
+    joint, flat = compose(ss.build_quantum(na), ss.build_quantum(nb)).joint, ss.build_quantum(n)
+    rhos = []
+    for rank in (1, 2, n):
+        z = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        rhos.append(z @ z.conj().T / np.vdot(z, z).real)
+    expected = [(n * np.vdot(rho, rho).real - 1) / (n - 1) for rho in rhos]
+    for space in (joint, flat):
+        gram = grouprep.analytic_gram(space)
+        got = [purity(space, gram, omega) for omega in space.to_coords(np.stack(rhos))]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_compose_classical_dimensions():
@@ -41,11 +57,11 @@ def test_compose_classical_dimensions():
 
 
 def test_compose_rejects_unsupported_pairs():
-    with pytest.raises(UnsupportedCompositeError):
+    with pytest.raises(UnsupportedSpaceError):
         compose(ss.build_quantum(2), ss.build_classical(2))
-    with pytest.raises(UnsupportedCompositeError):
+    with pytest.raises(UnsupportedSpaceError):
         compose(ss.build_polygon(4), ss.build_polygon(4))
-    with pytest.raises(UnsupportedCompositeError):
+    with pytest.raises(UnsupportedSpaceError):
         compose(ss.build_boxworld_local(), ss.build_boxworld_local())
 
 
@@ -59,8 +75,8 @@ def test_product_of_max_mixed_is_joint_max_mixed():
 def test_product_states_pass_joint_cone(rng):
     comp, _, _ = _quantum_pair(2, 3)
     for _ in range(25):
-        a = comp.part_a.sample_pure(rng)
-        b = comp.part_b.sample_pure(rng)
+        a = comp.part_a.sample_pures(rng, 1)[0]
+        b = comp.part_b.sample_pures(rng, 1)[0]
         prod = np.kron(a, b)
         assert comp.joint.cone_contains(prod)
         assert abs(comp.joint.unit(prod) - 1.0) < 1e-10
@@ -68,8 +84,8 @@ def test_product_states_pass_joint_cone(rng):
 
 def test_joint_coords_match_matrix_kron(rng):
     comp, _, _ = _quantum_pair(2, 3)
-    a = comp.part_a.sample_pure(rng)
-    b = comp.part_b.sample_pure(rng)
+    a = comp.part_a.sample_pures(rng, 1)[0]
+    b = comp.part_b.sample_pures(rng, 1)[0]
     prod = np.kron(a, b)
     expected = np.kron(comp.part_a.to_matrix(a), comp.part_b.to_matrix(b))
     np.testing.assert_allclose(comp.joint.to_matrix(prod), expected, atol=1e-12)
@@ -77,8 +93,8 @@ def test_joint_coords_match_matrix_kron(rng):
 
 def test_marginal_of_product_is_factor(rng):
     comp, _, _ = _quantum_pair(2, 2)
-    a = comp.part_a.sample_pure(rng)
-    b = comp.part_b.sample_pure(rng)
+    a = comp.part_a.sample_pures(rng, 1)[0]
+    b = comp.part_b.sample_pures(rng, 1)[0]
     prod = np.kron(a, b)
     np.testing.assert_allclose(marginal_a(comp, prod), a, atol=1e-12)
 
@@ -100,16 +116,16 @@ def test_marginal_of_correlated_classical_pair():
 def test_marginalization_commutes_with_local_transformations(rng):
     comp, _, _ = _quantum_pair(2, 2)
     for _ in range(30):
-        ta = haar.draw(grouprep.sampler_for(comp.part_a), rng)
-        tb = haar.draw(grouprep.sampler_for(comp.part_b), rng)
+        ta = haar.draw_many(grouprep.sampler_for(comp.part_a), rng, 1)[0]
+        tb = haar.draw_many(grouprep.sampler_for(comp.part_b), rng, 1)[0]
         omega = random_mixtures(comp.joint, 1, rng)[0]
         lhs = marginal_a(comp, np.kron(ta, tb) @ omega)
         rhs = ta @ marginal_a(comp, omega)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
     comp_c = compose(ss.build_classical(3), ss.build_classical(3))
     for _ in range(30):
-        ta = haar.draw(grouprep.sampler_for(comp_c.part_a), rng)
-        tb = haar.draw(grouprep.sampler_for(comp_c.part_b), rng)
+        ta = haar.draw_many(grouprep.sampler_for(comp_c.part_a), rng, 1)[0]
+        tb = haar.draw_many(grouprep.sampler_for(comp_c.part_b), rng, 1)[0]
         omega = random_mixtures(comp_c.joint, 1, rng)[0]
         lhs = marginal_a(comp_c, np.kron(ta, tb) @ omega)
         rhs = ta @ marginal_a(comp_c, omega)
@@ -191,15 +207,16 @@ def test_purity_pure_times_maxmixed(builder, na, nb, expected):
 
 def test_purity_pure_times_maxmixed_inconsistency_raises():
     comp, _, gram_ab = _quantum_pair(2, 2)
-    bad = grouprep.GramMatrix(2.0 * gram_ab.scale, comp.joint.order_unit, 2.0 * gram_ab.matrix)
-    with pytest.raises(InconsistencyError):
-        purity_pure_times_maxmixed(comp, bad, tol=1e-6)
+    for bad in (grouprep.GramMatrix(2.0 * gram_ab.scale, comp.joint.order_unit),
+                2.0 * gram_ab.matrix):
+        with pytest.raises(InconsistencyError):
+            purity_pure_times_maxmixed(comp, bad, tol=1e-6)
 
 
 def test_subspace_orthogonality_under_joint_gram(rng):
     comp, gram_a, gram_ab = _quantum_pair(2, 2)
-    pa = comp.part_a.bloch_projector()
-    pb = comp.part_b.bloch_projector()
+    pa = grouprep.GramMatrix(1.0, comp.part_a.order_unit).matrix
+    pb = grouprep.GramMatrix(1.0, comp.part_b.order_unit).matrix
     mu_b = comp.part_b.max_mixed
     for _ in range(50):
         a = pa @ rng.normal(size=4)
@@ -214,7 +231,7 @@ def test_inner_product_with_max_mixed_scaling(rng):
         gram_a = grouprep.analytic_gram(comp.part_a)
         gram_ab = grouprep.analytic_gram(comp.joint)
         scale = purity_pure_times_maxmixed(comp, gram_ab, tol=1e-10).numeric
-        pa = comp.part_a.bloch_projector()
+        pa = grouprep.GramMatrix(1.0, comp.part_a.order_unit).matrix
         mu_b = comp.part_b.max_mixed
         for _ in range(30):
             x = pa @ rng.normal(size=comp.part_a.K)
@@ -227,7 +244,8 @@ def _riesz_norm(comp, gram_ab, pauli):
     """Gram norm of the Bloch representer of the covector X_A (x) u_B, by pseudo-inverse."""
     dense = gram_ab.matrix
     covector = np.kron(pauli.covector, comp.part_b.order_unit)
-    w = comp.joint.bloch_projector() @ np.linalg.pinv(dense, hermitian=True) @ covector
+    proj = grouprep.GramMatrix(1.0, comp.joint.order_unit).matrix
+    w = proj @ np.linalg.pinv(dense, hermitian=True) @ covector
     return math.sqrt(w @ dense @ w)
 
 

@@ -16,14 +16,14 @@ def test_haar_conjugation_is_gram_orthogonal(rng):
     space = ss.build_quantum(3)
     gram = grouprep.analytic_gram(space)
     for _ in range(20):
-        t = haar.draw(grouprep.sampler_for(space), rng)
+        t = haar.draw_many(grouprep.sampler_for(space), rng, 1)[0]
         np.testing.assert_allclose(t.T @ gram.matrix @ t, gram.matrix, atol=1e-9)
 
 
 def test_haar_mean_of_pure_state_is_max_mixed(rng):
     space = ss.build_quantum(2)
     sampler = grouprep.sampler_for(space)
-    phi = space.sample_pure(rng)
+    phi = space.sample_pures(rng, 1)[0]
     n = 10_000
     out = haar.draw_many(sampler, rng, n) @ phi
     mean = out.mean(axis=0)
@@ -134,7 +134,8 @@ def test_finite_draw_many_is_a_gather_of_draws(builder):
     sampler = grouprep.sampler_for(builder(5))
     ts = haar.draw_many(sampler, np.random.default_rng(4240), 30)
     rng = np.random.default_rng(4240)
-    np.testing.assert_array_equal(ts, np.stack([haar.draw(sampler, rng) for _ in range(30)]))
+    np.testing.assert_array_equal(ts, np.concatenate([haar.draw_many(sampler, rng, 1)
+                                                      for _ in range(30)]))
 
 
 def test_large_permutation_sampler_draws_as_single_permutations():
@@ -163,7 +164,7 @@ def test_draw_blocks_shrink_under_the_memory_cap(monkeypatch):
 def test_permutation_matrices_are_01_doubly_stochastic(rng):
     space = ss.build_classical(6)
     for _ in range(25):
-        t = haar.draw(grouprep.sampler_for(space), rng)
+        t = haar.draw_many(grouprep.sampler_for(space), rng, 1)[0]
         assert set(np.unique(t)) <= {0.0, 1.0}
         np.testing.assert_allclose(t.sum(axis=0), 1.0)
         np.testing.assert_allclose(t.sum(axis=1), 1.0)
@@ -180,8 +181,8 @@ def test_orthogonal_conjugation_preserves_real_cone(rng):
     space = ss.build_real_quantum(2)
     mm = space.max_mixed
     for _ in range(100):
-        t = haar.draw(grouprep.sampler_for(space), rng)
-        omega = 0.7 * space.sample_pure(rng) + 0.3 * mm
+        t = haar.draw_many(grouprep.sampler_for(space), rng, 1)[0]
+        omega = 0.7 * space.sample_pures(rng, 1)[0] + 0.3 * mm
         assert space.cone_contains(t @ omega)
 
 
@@ -241,7 +242,7 @@ def test_invariant_gram_matches_analytic(space):
     sampler = grouprep.sampler_for(space)
     rng = np.random.default_rng(11)
     gram = haar.invariant_gram(space, sampler, n_avg=3000, rng=rng, check_trials=3000)
-    np.testing.assert_allclose(gram.matrix, grouprep.analytic_gram(space).matrix, atol=1e-10)
+    np.testing.assert_allclose(gram, grouprep.analytic_gram(space).matrix, atol=1e-10)
 
 
 def test_quantum_gram_matches_scaled_trace_product(rng):
@@ -249,8 +250,8 @@ def test_quantum_gram_matches_scaled_trace_product(rng):
         space = ss.build_quantum(n)
         gram = grouprep.analytic_gram(space)
         for _ in range(20):
-            a = space.bloch(space.sample_pure(rng))
-            b = space.bloch(space.sample_pure(rng))
+            a = space.bloch(space.sample_pures(rng, 1)[0])
+            b = space.bloch(space.sample_pures(rng, 1)[0])
             expected = n / (n - 1) * np.trace(space.to_matrix(a) @ space.to_matrix(b)).real
             assert abs(gram.inner(a, b) - expected) < 1e-12
 
@@ -260,8 +261,8 @@ def test_classical_gram_matches_scaled_componentwise(rng):
     space = ss.build_classical(n)
     gram = grouprep.analytic_gram(space)
     for _ in range(20):
-        a = space.bloch(space.sample_pure(rng))
-        b = space.bloch(space.sample_pure(rng))
+        a = space.bloch(space.sample_pures(rng, 1)[0])
+        b = space.bloch(space.sample_pures(rng, 1)[0])
         assert abs(gram.inner(a, b) - n / (n - 1) * np.dot(a, b)) < 1e-12
 
 
@@ -274,11 +275,11 @@ def test_gram_pure_norm_and_invariance(rng):
     for space in (ss.build_quantum(2), ss.build_classical(3), ss.build_polygon(5)):
         gram = grouprep.analytic_gram(space)
         sampler = grouprep.sampler_for(space)
-        p = space.bloch_projector()
+        p = grouprep.GramMatrix(1.0, space.order_unit).matrix
         for _ in range(100):
-            phi = space.bloch(space.sample_pure(rng))
+            phi = space.bloch(space.sample_pures(rng, 1)[0])
             assert abs(gram.norm_sq(phi) - 1.0) < 1e-12
-            t = haar.draw(sampler, rng)
+            t = haar.draw_many(sampler, rng, 1)[0]
             x, y = p @ rng.normal(size=space.K), p @ rng.normal(size=space.K)
             assert abs(gram.inner(t @ x, t @ y) - gram.inner(x, y)) < 1e-8
 
@@ -290,7 +291,7 @@ def test_gram_seed_cross_check(rng):
                              rng=np.random.default_rng(1), check_trials=2000)
     g2 = haar.invariant_gram(space, sampler, n_avg=2000,
                              rng=np.random.default_rng(2), check_trials=2000)
-    np.testing.assert_allclose(g1.matrix, g2.matrix, atol=1e-9)
+    np.testing.assert_allclose(g1, g2, atol=1e-9)
 
 
 def _reducible_cylinder_space_and_sampler():
@@ -406,7 +407,7 @@ def test_group_average_samples_as_the_concatenated_draw_blocks_route():
     qubit = ss.build_quantum(2)
     sampler = grouprep.sampler_for(qubit)
     x = pur.complete_pauli_set(qubit)[0]
-    omega = qubit.sample_pure(np.random.default_rng(11))
+    omega = qubit.sample_pures(np.random.default_rng(11), 1)[0]
 
     def f(ts):
         return x.evaluate_many(ts @ omega) ** 2
@@ -470,7 +471,7 @@ def test_array_averages_do_not_grow_with_the_trial_count(monkeypatch):
     assert dev < 10 / math.sqrt(5000)
     gram = haar.invariant_gram(qubit, sampler, n_avg=5000, rng=np.random.default_rng(2),
                                check_trials=5000)
-    np.testing.assert_allclose(gram.matrix, grouprep.analytic_gram(qubit).matrix, atol=1e-10)
+    np.testing.assert_allclose(gram, grouprep.analytic_gram(qubit).matrix, atol=1e-10)
 
 
 # -- two-design ----------------------------------------------------------------------------
@@ -622,14 +623,14 @@ def test_sample_dihedral_draws_group_elements(rng):
     sampler = grouprep.sampler_for(space)
     elements = sampler.elements
     for _ in range(20):
-        t = haar.draw(sampler, rng)
+        t = haar.draw_many(sampler, rng, 1)[0]
         assert any(np.allclose(t, e, atol=1e-12) for e in elements)
 
 
 def test_large_classical_group_is_finite_but_not_enumerated(rng):
     sampler = grouprep.sampler_for(ss.build_classical(8))
     assert sampler.elements is None
-    t = haar.draw(sampler, rng)
+    t = haar.draw_many(sampler, rng, 1)[0]
     np.testing.assert_allclose(t.sum(axis=0), 1.0)
 
 
@@ -641,19 +642,17 @@ def test_large_classical_group_is_finite_but_not_enumerated(rng):
 )
 def test_scale_only_gram_matches_dense_projector(space, rng):
     gram = grouprep.analytic_gram(space)
-    assert gram.stored is None
-    dense = gram.scale * space.bloch_projector()
+    u = space.order_unit
+    dense = gram.scale * (np.eye(space.K) - np.outer(u, u) / (u @ u))
     np.testing.assert_allclose(gram.matrix, dense, atol=1e-12)
     rows = rng.normal(size=(6, space.K))
-    stored = grouprep.GramMatrix(gram.scale, space.order_unit, dense)
-    for g in (gram, stored):
-        np.testing.assert_allclose(g.apply(rows), rows @ dense, atol=1e-12)
-        np.testing.assert_allclose(g.apply(rows[0]), dense @ rows[0], atol=1e-12)
-        np.testing.assert_allclose(g.norms_sq(rows), np.einsum("bk,kl,bl->b", rows, dense, rows),
-                                   atol=1e-12)
-        for x, y in zip(rows[:-1], rows[1:]):
-            assert abs(g.inner(x, y) - x @ dense @ y) < 1e-12
-            assert abs(g.norm_sq(x) - x @ dense @ x) < 1e-12
+    np.testing.assert_allclose(gram.apply(rows), rows @ dense, atol=1e-12)
+    np.testing.assert_allclose(gram.apply(rows[0]), dense @ rows[0], atol=1e-12)
+    np.testing.assert_allclose(gram.norms_sq(rows), np.einsum("bk,kl,bl->b", rows, dense, rows),
+                               atol=1e-12)
+    for x, y in zip(rows[:-1], rows[1:]):
+        assert abs(gram.inner(x, y) - x @ dense @ y) < 1e-12
+        assert abs(gram.norm_sq(x) - x @ dense @ x) < 1e-12
 
 
 @pytest.mark.parametrize("space,order", [

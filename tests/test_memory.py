@@ -16,7 +16,6 @@ from gptpurity import clifford, errors, faces, formulas, grouprep, haar, randomi
 from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import complete_pauli_set, pauli_haar_average
-from states import compose
 
 SRC = str(Path(formulas.__file__).resolve().parents[1])
 # The child runs one CLI command and writes its own peak RSS (KiB) to a file,
@@ -260,14 +259,20 @@ def test_estimator_blocks_are_refused_beyond_the_cap():
 
 
 def test_dense_joint_structures_are_derived_only_within_the_cap(monkeypatch):
-    joint = compose(ss.build_quantum(16), ss.build_quantum(16)).joint
-    assert joint.factor_levels == (16, 16)
-    with pytest.raises(RangeError, match="bytes"):
-        joint.hermitian_basis
-    with pytest.raises(RangeError, match="bytes"):
-        grouprep.analytic_gram(joint).matrix
-    with pytest.raises(RangeError, match="bytes"):
-        joint.bloch_projector()
+    # K = 65536, as for a 16 x 16 joint: the stacked basis and the dense Gram
+    # are refused before anything of their size is allocated.
+    space = ss.build_quantum(256)
+    gram = grouprep.analytic_gram(space)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="bytes"):
+            space.hermitian_basis
+        with pytest.raises(RangeError, match="bytes"):
+            gram.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.K == 65536 and peak < 1 << 20
     # A local level needs no stacked basis and the estimator no marginal;
     # only its descriptor and the estimator's ket blocks grow with it.
     assert ss.build_quantum(128).K == 16384

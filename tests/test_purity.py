@@ -93,7 +93,7 @@ def test_purity_invariance_under_group(rng):
         sampler = grouprep.sampler_for(space)
         for omega in random_mixtures(space, 50, rng):
             p = pur.purity(space, gram, omega)
-            t = haar.draw(sampler, rng)
+            t = haar.draw_many(sampler, rng, 1)[0]
             assert abs(pur.purity(space, gram, t @ omega) - p) < 1e-9
 
 
@@ -115,11 +115,11 @@ def test_sqrt_purity_convexity(rng):
 def test_pauli_from_direction_qubit_z(rng):
     space, gram = _space_gram(ss.build_quantum(2))
     z_dir = space.bloch(space.to_coords(np.diag([1.0, 0.0])))
-    x = pur.pauli_from_direction(space, gram, z_dir)
+    x = pur.PauliMap(space, gram, pur.pauli_vectors(space, gram, z_dir[None])[0])
     assert gram.norm_sq(x.vector) == pytest.approx(1.0, abs=1e-12)
     assert x(space.max_mixed) == pytest.approx(0.0, abs=1e-15)
     for _ in range(20):
-        omega = space.sample_pure(rng)
+        omega = space.sample_pures(rng, 1)[0]
         expected = np.trace(pur.pauli_string("Z") @ space.to_matrix(omega)).real
         assert x(omega) == pytest.approx(expected, abs=1e-12)
 
@@ -127,7 +127,7 @@ def test_pauli_from_direction_qubit_z(rng):
 def test_pauli_from_direction_rejects_zero():
     space, gram = _space_gram(ss.build_quantum(2))
     with pytest.raises(DegenerateDirectionError):
-        pur.pauli_from_direction(space, gram, np.zeros(4))
+        pur.pauli_vectors(space, gram, np.zeros((1, 4)))
 
 
 def test_complete_set_sizes():
@@ -207,7 +207,7 @@ def test_pauli_haar_average_qubit_pure(rng):
     space, gram = _space_gram(ss.build_quantum(2))
     sampler = grouprep.sampler_for(space)
     x = pur.complete_pauli_set(space, gram)[0]
-    omega = space.sample_pure(rng)
+    omega = space.sample_pures(rng, 1)[0]
     avg = pur.pauli_haar_average(space, sampler, x, omega, n_samples=10_000, rng=rng)
     assert abs(avg.mean - 1 / 3) <= 3 * avg.stderr
 
@@ -220,7 +220,7 @@ def test_pauli_haar_average_matches_purity_over_k_minus_one(builder, level, seed
     rng = np.random.default_rng(seed)
     space, gram = _space_gram(builder(level))
     sampler = grouprep.sampler_for(space)
-    x = pur.pauli_from_direction(space, gram, rng.normal(size=space.K))
+    x = pur.PauliMap(space, gram, pur.pauli_vectors(space, gram, rng.normal(size=(1, space.K)))[0])
     omega = random_mixtures(space, 1, rng)[0]
     avg = pur.pauli_haar_average(space, sampler, x, omega, n_samples=5000, rng=rng)
     assert avg.n_samples == 5000 and not avg.exact
@@ -252,7 +252,7 @@ def test_pauli_haar_average_max_mixed_zero(rng):
 
 def test_collision_probability_endpoints(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    pure = space.sample_pure(rng)
+    pure = space.sample_pures(rng, 1)[0]
     res = pur.max_collision_probability(space, gram, pure)
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert gram.norm_sq(res.optimizer.vector) == pytest.approx(1.0, abs=1e-12)

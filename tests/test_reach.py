@@ -68,7 +68,6 @@ ALLOWLIST = {
         "tests/test_grouprep.py::test_large_permutation_sampler_draws_as_single_permutations",
     "haar.haar_unitaries": "tests/test_grouprep.py::test_haar_unitaries_stack_and_size_one_case",
     "haar._haar_sampler": "tests/test_grouprep.py::test_haar_draw_many_is_a_stack_of_conjugations",
-    "haar.draw": "tests/test_acceptance.py::test_criterion_14_property_suite",
     "haar.draw_many": "tests/test_grouprep.py::test_finite_draw_many_is_a_gather_of_draws",
     "haar.draw_blocks": _BLOCKS,
     "haar._draw_block": _BLOCKS,
@@ -80,13 +79,10 @@ ALLOWLIST = {
         "tests/test_acceptance.py::test_criterion_12_real_quantum_nonlocal_tomography",
     "purity.fixed_purity_state": _CRIT_03,
     "purity.PauliMap.__call__": "tests/test_purity.py::test_classical_pauli_values_on_pure_state",
-    "purity.pauli_from_direction": _PER_STATE,
     "purity.max_collision_probability": _PER_STATE,
     "randomize.haar_kets": _HAAR_KETS,
     "statespace.SpaceDescriptor.sample_pures": _HAAR_KETS,
-    "statespace.SpaceDescriptor.sample_pure": _HAAR_KETS,
     "statespace.SpaceDescriptor.unit": _PR_STATE,
-    "statespace.SpaceDescriptor.bloch_projector": _CRIT_06,
     "statespace.SpaceDescriptor.cone_contains": _PR_STATE,
     "statespace.validate_state": _PR_STATE,
 }
