@@ -3,8 +3,8 @@
 Group elements act on ambient coordinates as K x K real matrices that fix the
 order unit and map the cone into itself.  This module provides
 
-* conjugation superoperators built by index arithmetic, with no LAPACK or
-  BLAS call, and a sampler for each built-in group (Haar unitary /
+* conjugation superoperators, each column the coordinates of one conjugated
+  basis element, with no LAPACK or BLAS call, and a sampler for each built-in group (Haar unitary /
   orthogonal conjugations, permutations, dihedral groups, the finite
   boxworld group) that holds an enumerated group's elements,
 * ``group_average``, the one place that chooses between an exact sum over an
@@ -42,104 +42,22 @@ ENUMERATE_LIMIT = 1000
 # -- conjugation superoperators ------------------------------------------------------
 
 
-def conjugation_matrix(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Superoperator of M -> U M U^dag in an orthonormal Hermitian basis.
+def conjugation_matrix(space: ss.SpaceDescriptor, u: np.ndarray) -> np.ndarray:
+    """Superoperator of M -> U M U^dag in a space's orthonormal Hermitian basis.
 
     Returns the K x K real matrix T with (T c)_k = Tr(B_k U (sum_l c_l B_l) U^dag),
-    or a (size, K, K) stack of them for a (size, n, n) stack of unitaries.
-    With B_k = sum_p w_kp E_(i_p j_p) over its few nonzero entries,
-    U B_l U^dag is a short sum of outer products of U's columns, and
-    T_kl = Re sum_pq w_kp w_lq M_(j_p i_p i_q j_q) with M_abcd = U_ac conj(U_bd).
-    A Hermitian basis pairs each term with its mirror, the term of the
-    transposed entries, of equal real part: M_badc = conj(M_abcd) and the
-    weights conjugate.  So only M_abcd with a < b, or a = b and c <= d, is
-    formed and read, twice for a mirrored pair, and each T entry is a few
-    real terms: a coefficient times Re or Im of one such M entry.  The terms
-    are gathered by index and added in rounds, the r-th term of every entry
-    that has one in round r, so each entry's sum has a fixed order; there is
-    no BLAS call.
+    or a (..., K, K) stack of them for a (..., n, n) stack of unitaries.
+    Column l is ``space.to_coords(U B_l U^dag)`` for B_l of
+    ``space.hermitian_basis``, both products by ``clifford._product``: summed
+    in a fixed order with no BLAS call.  One l at a time, so the working
+    memory is a few (..., n, n) stacks.
     """
-    k, n = basis.shape[0], basis.shape[1]
     u = np.asarray(u)
-    lead, cplx = u.shape[:-2], np.iscomplexobj(u)
-    size = math.prod(lead)
-    pairs = n * (n + 1) // 2
-    srcs, coefs, counts, order = _conjugation_terms(basis.shape, basis.dtype.str, basis.tobytes(),
-                                                    cplx)
-    # M's real (and imaginary) part, samples last, one row a at a time.
-    flat = np.moveaxis(u.reshape(size, n, n), 0, -1)
-    re = np.ascontiguousarray(flat.real)
-    im = np.ascontiguousarray(flat.imag) if cplx else None
-    m = np.empty((2 if cplx else 1, pairs, n, n, size))
-    prod = np.empty((n, n, n, size)) if cplx else None
-    for i in range(n):
-        lo, hi = i * n - i * (i - 1) // 2, (i + 1) * n - (i + 1) * i // 2
-        x, y = re[i, :, None], re[i:, None, :]
-        np.multiply(x, y, out=m[0, lo:hi])
-        if cplx:
-            xi, yi = im[i, :, None], im[i:, None, :]
-            m[0, lo:hi] += np.multiply(xi, yi, out=prod[i:])
-            np.multiply(xi, y, out=m[1, lo:hi])
-            m[1, lo:hi] -= np.multiply(x, yi, out=prod[i:])
-    del re, im, prod
-    m = m.reshape(-1, size)
-    # Round 0 writes every entry that has a term, and the others are zero.
-    t = np.empty((k * k, size))
-    t[np.count_nonzero(counts):] = 0.0
-    buf = np.empty((np.count_nonzero(counts > 1), size))
-    for r in range(srcs.shape[1]):
-        live = np.count_nonzero(counts > r)
-        block = np.take(m, srcs[:live, r], axis=0, out=(buf if r else t)[:live], mode="clip")
-        block *= coefs[:live, r, None]
-        if r:
-            t[:live] += block
-    del m, buf
-    out = np.empty((size, k * k))
-    out[:, order] = t.T
-    return out.reshape(*lead, k, k)
-
-
-@lru_cache(maxsize=8)
-def _conjugation_terms(shape: tuple, dtype: str, data: bytes, cplx: bool) -> tuple:
-    """The term tables of ``conjugation_matrix`` for the basis with these bytes.
-
-    Returns read-only (srcs, coefs, counts, order): row e holds the M rows
-    and coefficients of the counts[e] terms of T entry order[e], in order,
-    and the entries come by descending term count.  ``cplx`` says whether
-    M has an imaginary part.  Cached, so a basis's tables are built once.
-    """
-    basis = np.frombuffer(data, dtype=dtype).reshape(shape)
-    k, n = shape[0], shape[1]
-    half = n * (n + 1) // 2 * n * n  # M rows (a <= b, c, d) of one part
-    # Each element's nonzeros (row, column, weight), padded with zero weights.
-    el, rows, cols = np.nonzero(basis)
-    nnz = np.bincount(el, minlength=k)
-    slot = np.arange(len(el)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
-    ij = np.zeros((2, k, nnz.max(initial=1)), dtype=np.intp)
-    w = np.zeros(ij.shape[1:], dtype=basis.dtype)
-    ij[:, el, slot], w[el, slot] = (rows, cols), basis[el, rows, cols]
-    # The term (k, l, p, q) reads M_abcd: a = j_p, b = i_p, c = i_q, d = j_q.
-    a, b = ij[1][:, None, :, None], ij[0][:, None, :, None]
-    g, d = ij[0][None, :, None, :], ij[1][None, :, None, :]
-    # A term read once stands for its mirror too; one that is its own
-    # mirror is read alone, and the mirrors read no M entry.
-    twice, alone = (a < b) | ((a == b) & (g < d)), (a == b) & (g == d)
-    c = w[:, None, :, None] * w[None, :, None, :] * (2.0 * twice + alone)
-    src = ((a * n - a * (a - 1) // 2 + b - a) * n + g) * n + d
-    if cplx:
-        # Re(c M) = Re c Re M - Im c Im M.
-        src, c = np.stack([src, src + half], axis=-1), np.stack([c.real, -c.imag], axis=-1)
-    src, coef = src.reshape(k * k, -1), c.real.reshape(k * k, -1)
-    # Each entry's nonzero terms, in order, packed into row e of the tables;
-    # entries by descending term count, so round r adds to a leading block.
-    e, j = np.nonzero(coef)
-    counts = np.bincount(e, minlength=k * k)
-    most = counts.max(initial=0)
-    at = e, np.arange(len(e)) - np.repeat(np.cumsum(counts) - counts, counts)
-    srcs, coefs = np.zeros((k * k, most), dtype=np.intp), np.zeros((k * k, most))
-    srcs[at], coefs[at] = src[e, j], coef[e, j]
-    order = np.concatenate([np.flatnonzero(counts == v) for v in range(most, -1, -1)])
-    return tuple(ss._frozen(x) for x in (srcs[order], coefs[order], counts[order], order))
+    u_dag = u.conj().swapaxes(-1, -2)
+    out = np.empty((*u.shape[:-2], space.K, space.K))
+    for l, b in enumerate(space.hermitian_basis):
+        out[..., l] = space.to_coords(clifford._product(clifford._product(u, b), u_dag))
+    return out
 
 
 # -- group samplers --------------------------------------------------------------------
@@ -151,8 +69,8 @@ class GroupSampler(NamedTuple):
     ``draw_fn``, a function of (generator, size), yields a (size, K, K) stack
     of independent elements T with ``order_unit @ T == order_unit`` and
     ``T(cone) <= cone``: one gather at uniform indices for an enumerated
-    group, one Gram-Schmidt ``haar.haar_unitaries`` stack and one
-    ``conjugation_matrix`` for the Haar samplers, one row-wise
+    group, one Gram-Schmidt ``haar.haar_unitaries`` stack conjugated by
+    ``conjugation_matrix``, one basis element at a time, for the Haar samplers, one row-wise
     ``Generator.permuted`` for large permutation groups.  ``haar.draw_many``
     and ``haar.draw_blocks`` call it under a memory check.  An enumerated
     group also keeps its ``elements``, over which ``group_average`` sums
@@ -357,7 +275,7 @@ def clifford_sampler(space: ss.SpaceDescriptor) -> GroupSampler:
     if space.kind != ss.KIND_QUANTUM or space.level != 2:
         raise UnsupportedSpaceError(f"no one-qubit Clifford group on {space.kind}-{space.level}")
     us = clifford.clifford_unitaries(1)
-    return _finite_sampler(space, conjugation_matrix(space.hermitian_basis, us))
+    return _finite_sampler(space, conjugation_matrix(space, us))
 
 
 def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
@@ -394,9 +312,9 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
     T = diag(1, z, 1/z), z = e^(2 pi i/9); Clifford and any non-Clifford
     gate are dense in prime dimension (Campbell, Anwar and Browne, Phys. Rev.
     X 2, 041021, 2012).  Real qubit: the rotation by 1 rad, an irrational
-    multiple of pi, and diag(1, -1).  Unitaries act by ``conjugation_matrix``;
-    each is built entry by entry, not as a matrix product, so no matmul
-    kernel sets its rounding.
+    multiple of pi, and diag(1, -1).  Unitaries act by ``conjugation_matrix``,
+    whose products are summed elementwise in a fixed order, so no matmul
+    kernel sets their rounding.
     """
     if space.kind == ss.KIND_CLASSICAL:
         k = space.K
@@ -414,7 +332,7 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
         us = np.array([[[c, -s], [s, c]], [[1.0, 0.0], [0.0, -1.0]]])
     else:
         raise UnsupportedSpaceError(f"no generator set for {space.kind}-{space.level}")
-    return conjugation_matrix(space.hermitian_basis, us)
+    return conjugation_matrix(space, us)
 
 
 def invariance_deviation(g: np.ndarray, ts: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 No command runs this module; tests check the exact routes against it.  It
 holds the Haar samplers of ``grouprep.sampler_for`` (Gram-Schmidt unitaries
-conjugated by ``grouprep.conjugation_matrix``, with no LAPACK or BLAS call),
+conjugated by ``grouprep.conjugation_matrix`` one basis element at a time,
+with no LAPACK or BLAS call),
 the memory-checked drawing of any ``grouprep.GroupSampler`` (through which
 ``grouprep.group_average`` samples), the irreducibility diagnostic and the
 invariant Gram by group averaging, a dense K x K array that tests compare
@@ -28,12 +29,12 @@ IRREDUCIBILITY_PROBES = 3
 # (``draw_blocks``); their values depend on it.
 DRAW_BLOCK = 1024
 # Peak bytes of ``draw_many`` per entry of its (size, K, K) result.  The Haar
-# samplers peak in ``conjugation_matrix``'s rounds, holding the unitaries,
-# M's a <= b half (n^3 (n+1)/2 reals per part), the sum being built and one
-# round of terms (K^2 reals each): at most 32 bytes per entry for complex
-# quantum (n^2 = K) and for real quantum (n^2 < 2K).  numpy's 64 KiB iterator
-# buffer comes on top; one 1024-element block measured 40 bytes per entry at
-# K = 4 and 41 at real K = 3 (tracemalloc).
+# samplers peak in ``conjugation_matrix``, holding the result (8 bytes per
+# entry), the unitaries and their adjoints, and the complex products and real
+# temporaries of one basis element: a few (size, n, n) stacks, n^2 entries
+# per element against the result's K^2 (n^2 = K complex, n^2 < 2K real).
+# One 1024-element block measured 32.3 / 18.5 / 13.5 bytes per entry at
+# K = 4 / 9 / 16 and 42.3 at real K = 3 (tracemalloc).
 _DRAW_BYTES_PER_ENTRY = 48
 
 
@@ -80,7 +81,7 @@ def haar_unitaries(
 def _haar_sampler(space: ss.SpaceDescriptor, real: bool) -> gr.GroupSampler:
     """Conjugations by Haar unitaries (orthogonals when ``real``), drawn in stacks."""
     return gr.GroupSampler(space, lambda rng, size: gr.conjugation_matrix(
-        space.hermitian_basis, haar_unitaries(size, space.level, rng, real=real)))
+        space, haar_unitaries(size, space.level, rng, real=real)))
 
 
 def draw_many(sampler: gr.GroupSampler, rng: np.random.Generator, size: int) -> np.ndarray:

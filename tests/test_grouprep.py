@@ -104,7 +104,7 @@ def test_haar_draw_many_is_a_stack_of_conjugations(builder):
     real = space.kind == ss.KIND_REAL_QUANTUM
     us = haar.haar_unitaries(5, 3, np.random.default_rng(4220), real=real)
     for t, u in zip(ts, us):
-        np.testing.assert_allclose(t, grouprep.conjugation_matrix(space.hermitian_basis, u),
+        np.testing.assert_allclose(t, grouprep.conjugation_matrix(space, u),
                                    atol=1e-12)
         np.testing.assert_allclose(space.order_unit @ t, space.order_unit, atol=1e-12)
 
@@ -115,18 +115,43 @@ def _einsum_conjugation(basis, u):
     return np.real(np.einsum("kij,...lji->...kl", basis, rotated))
 
 
-@pytest.mark.parametrize("builder,n", [(ss.build_quantum, 2), (ss.build_quantum, 3),
-                                       (ss.build_quantum, 4), (ss.build_real_quantum, 3)])
-def test_index_conjugation_matches_einsum_route(builder, n):
-    space = builder(n)
+def _drawn(space):
     real = space.kind == ss.KIND_REAL_QUANTUM
-    us = haar.haar_unitaries(64, n, np.random.default_rng(4230 + n), real=real)
-    ts = grouprep.conjugation_matrix(space.hermitian_basis, us)
-    assert ts.shape == (64, space.K, space.K)
+    return haar.haar_unitaries(64, space.level, np.random.default_rng(4230 + space.level),
+                               real=real)
+
+
+def _generators(space):
+    """The unitaries whose conjugations ``group_generators`` returns, caught at the call."""
+    seen, route = [], grouprep.conjugation_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouprep, "conjugation_matrix", lambda sp, u: seen.append(u) or route(sp, u))
+        grouprep.group_generators(space)
+    return seen[0]
+
+
+# Haar draws, and the stacks that the exact suites conjugate.
+_CONJUGATION_CASES = [
+    *(pytest.param(b, n, _drawn, id=f"{b.__name__}-{n}")
+      for b, n in ((ss.build_quantum, 2), (ss.build_quantum, 3), (ss.build_quantum, 4),
+                   (ss.build_real_quantum, 2), (ss.build_real_quantum, 3))),
+    pytest.param(ss.build_quantum, 2, lambda space: clifford.clifford_unitaries(1),
+                 id="clifford-1q"),
+    *(pytest.param(b, n, _generators, id=f"generators-{b.__name__}-{n}")
+      for b, n in ((ss.build_quantum, 2), (ss.build_quantum, 3), (ss.build_real_quantum, 2))),
+]
+
+
+@pytest.mark.parametrize("builder,n,unitaries", _CONJUGATION_CASES)
+def test_conjugation_matches_einsum_route(builder, n, unitaries):
+    space = builder(n)
+    us = unitaries(space)
+    ts = grouprep.conjugation_matrix(space, us)
+    assert ts.shape == (len(us), space.K, space.K)
     assert ts.dtype == float
     np.testing.assert_allclose(ts, _einsum_conjugation(space.hermitian_basis, us), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(grouprep.conjugation_matrix(space.hermitian_basis, us[0]), ts[0],
-                               rtol=0, atol=1e-15)
+    # Each element alone gives the bytes it has in the stack.
+    np.testing.assert_array_equal(np.stack([grouprep.conjugation_matrix(space, u) for u in us]), ts)
 
 
 @pytest.mark.parametrize("builder", [ss.build_classical, ss.build_polygon])
@@ -223,7 +248,7 @@ def test_clifford_1q_closed_under_composition_and_inverse():
 
 def test_enumerate_clifford_1q_conjugations_fix_max_mixed():
     space = ss.build_quantum(2)
-    conj = grouprep.conjugation_matrix(space.hermitian_basis, clifford.clifford_unitaries(1))
+    conj = grouprep.conjugation_matrix(space, clifford.clifford_unitaries(1))
     assert conj.shape == (24, 4, 4)
     for t in conj:
         np.testing.assert_allclose(t @ space.max_mixed, space.max_mixed, atol=1e-12)

@@ -273,7 +273,7 @@ def test_pauli_set_elements_connected_by_group_up_to_sign(rng):
     cases = [
         (ss.build_classical(4), grouprep.sampler_for(ss.build_classical(4)).elements),
         (ss.build_polygon(5), grouprep.sampler_for(ss.build_polygon(5)).elements),
-        (ss.build_quantum(2), grouprep.conjugation_matrix(ss.build_quantum(2).hermitian_basis,
+        (ss.build_quantum(2), grouprep.conjugation_matrix(ss.build_quantum(2),
                                                           clifford.clifford_unitaries(1))),
     ]
     for space, elements in cases:

@@ -10,7 +10,7 @@ from gptpurity import grouprep, haar
 from gptpurity import randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
-from states import compose, random_mixtures
+from states import random_mixtures
 
 
 @pytest.mark.parametrize("n,k", [(2, 4), (3, 9), (5, 25), (128, 16384)])
@@ -263,16 +263,6 @@ def _loop_symmetric_basis(d):
     return np.concatenate([full[:1 + pairs], full[1 + 2 * pairs:]]).real
 
 
-def _oracle(levels, real):
-    """The Kronecker-stacked basis of a joint with these factor levels."""
-    basis = np.ones((1, 1, 1))
-    for d in levels:
-        b = _loop_symmetric_basis(d) if real else _loop_hermitian_basis(d)
-        basis = np.einsum("aij,bkl->abikjl", basis, b).reshape(
-            len(basis) * len(b), basis.shape[1] * d, basis.shape[1] * d)
-    return basis
-
-
 def _random_matrices(rng, size, n, real):
     z = rng.normal(size=(size, n, n))
     if not real:
@@ -284,7 +274,7 @@ def _random_matrices(rng, size, n, real):
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_index_arithmetic_matches_loop_built_basis(d, real, rng):
     space = ss.build_real_quantum(d) if real else ss.build_quantum(d)
-    basis = _oracle((d,), real)
+    basis = _loop_symmetric_basis(d) if real else _loop_hermitian_basis(d)
     np.testing.assert_allclose(space.hermitian_basis, basis, rtol=0, atol=1e-15)
     # A batched stack of general (not Hermitian) matrices: the real part of
     # Tr(B_k M) for every k.
@@ -299,19 +289,6 @@ def test_index_arithmetic_matches_loop_built_basis(d, real, rng):
     np.testing.assert_allclose(space.to_coords(space.to_matrix(c)), c, rtol=0, atol=1e-14)
     np.testing.assert_allclose(space.to_coords(np.eye(d, dtype=int)),
                                np.sqrt(d) * (np.arange(space.K) == 0), rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("na,nb", [(2, 3), (3, 2), (4, 4)])
-def test_joint_index_arithmetic_matches_kronecker_of_loop_bases(na, nb, rng):
-    joint = compose(ss.build_quantum(na), ss.build_quantum(nb)).joint
-    basis = _oracle((na, nb), False)
-    np.testing.assert_allclose(joint.hermitian_basis, basis, rtol=0, atol=1e-15)
-    ms = _random_matrices(rng, 4, na * nb, False)
-    np.testing.assert_allclose(joint.to_coords(ms), np.einsum("kij,bji->bk", basis, ms).real,
-                               rtol=0, atol=1e-13)
-    c = rng.normal(size=(2, joint.K))
-    np.testing.assert_allclose(joint.to_matrix(c), np.einsum("bk,kij->bij", c, basis),
-                               rtol=0, atol=1e-13)
 
 
 def test_haar_kets_size_one_is_haar_ket_and_sample_pure():
