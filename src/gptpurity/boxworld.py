@@ -73,7 +73,7 @@ def vertex_purities(gram: BoxworldGram = DEFAULT_GRAM) -> tuple[np.ndarray, np.n
 
 def gram_invariance_deviation(gram: BoxworldGram = DEFAULT_GRAM) -> float:
     """max |T^t G T - G| over the full 128-element reversible group."""
-    ts = grouprep.sampler_for(boxworld_space()).elements
+    ts = grouprep.group_elements(boxworld_space())
     return grouprep.invariance_deviation(gram.matrix(), ts)
 
 
@@ -141,7 +141,7 @@ def transitivity_obstruction_witness(gram: BoxworldGram = DEFAULT_GRAM) -> bool:
     if abs(prod_p.mean() - pr_p.mean()) < 1e-6:
         raise RangeError("the chosen gram does not separate the vertex families")
     space = boxworld_space()
-    ts = grouprep.sampler_for(space).elements
+    ts = grouprep.group_elements(space)
     # The first product and the first PR vertex, moved by every element: (128, 2, 9).
     b = space.vertices[[0, ss.BOXWORLD_PRODUCT_COUNT]] @ ts.transpose(0, 2, 1) - space.max_mixed
     p = np.einsum("gvk,kl,gvl->gv", b, gram.matrix(), b)

@@ -6,7 +6,8 @@ so a NaN value fails; it is the only pass/fail rule of the package.
 ``SUITES`` maps each ``verify`` suite to a ``(seed, samples) -> list[Check]``
 producer, shared by the command line and the acceptance tests; it is the one
 list of suite names.  Only ``markov-tail`` samples; the other suites are
-exact, over fixed states and group generators, and read neither argument.
+exact, over fixed states, enumerated groups and group generators, and read
+neither argument.
 Other layers are reached through module aliases only, so running this
 module runs none of them.
 """
@@ -108,9 +109,9 @@ def _pauli_identities(seed: int, samples: int) -> list[Check]:
     x = pur.complete_pauli_set(qubit, gram)[0]
     # A pure state off every symmetry axis: its Bloch vector (0.48, 0.6, 0.64) has unit length.
     omega = np.array([1.0, 0.48, 0.6, 0.64]) / math.sqrt(2)
-    avg = pur.pauli_haar_average(qubit, grouprep.clifford_sampler(qubit), x, omega)
+    avg = pur.pauli_haar_average(grouprep.clifford_elements(qubit), x, omega)
     expected = pur.purity(qubit, gram, omega) / (qubit.K - 1)
-    checks.append(Check("haar-average-qubit", abs(avg.mean - expected), EXACT))
+    checks.append(Check("haar-average-qubit", abs(avg - expected), EXACT))
     return checks
 
 
@@ -119,9 +120,12 @@ def _gram_invariance(seed: int, samples: int) -> list[Check]:
     for space in (ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
                   ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),
                   ss.build_real_quantum(2)):
-        dev = grouprep.invariance_deviation(grouprep.analytic_gram(space).matrix,
-                                            grouprep.group_generators(space))
+        ts = grouprep.group_generators(space)
+        dev = grouprep.invariance_deviation(grouprep.analytic_gram(space).matrix, ts)
         checks.append(Check(f"gram-invariance-{space.kind}-{space.level}", dev, EXACT))
+        # Only the unit direction and the analytic Gram's Bloch form are invariant.
+        extra = abs(grouprep.invariant_form_dimension(ts) - 2)
+        checks.append(Check(f"gram-uniqueness-{space.kind}-{space.level}", float(extra), 0.0))
     return checks
 
 
@@ -150,6 +154,8 @@ def _markov_tail(seed: int, samples: int) -> list[Check]:
 def _boxworld(seed: int, samples: int) -> list[Check]:
     prod_p, pr_p = bw.vertex_purities()
     obstruction = bw.boxworld_normalization_obstruction()
+    # The unit direction and the free weights a and b of the two blocks.
+    forms = grouprep.invariant_form_dimension(grouprep.group_generators(bw.boxworld_space()))
     return [
         Check("vertex-count", float(abs(len(bw.boxworld_space().vertices) - 24)), 0.0),
         Check("product-purity-one", float(np.max(np.abs(prod_p - 1.0))), EXACT),
@@ -158,6 +164,7 @@ def _boxworld(seed: int, samples: int) -> list[Check]:
         Check("obstruction-b", abs(obstruction.solution_b), EXACT),
         Check("degenerate-zero-purity", abs(obstruction.zero_purity_value), EXACT),
         Check("group-invariance", bw.gram_invariance_deviation(), EXACT),
+        Check("invariant-forms", float(abs(forms - 3)), 0.0),
         Check("non-transitivity-witness",
               0.0 if bw.transitivity_obstruction_witness() else 1.0, 0.0),
     ]

@@ -41,8 +41,8 @@ def _lazy(name: str) -> None:
 # layers it reads: an exact prediction runs formulas alone, with no numpy, a
 # quantum estimate runs randomize, not the descriptors, Grams, faces and
 # suites it does not need, and two-design runs clifford alone.  No command
-# runs haar.
-for _name in ("statespace", "grouprep", "clifford", "haar", "composite", "purity", "boxworld",
+# draws a group element, so no Haar sampler is in the package.
+for _name in ("statespace", "grouprep", "clifford", "composite", "purity", "boxworld",
               "formulas", "randomize", "faces", "checks"):
     _lazy(_name)
 

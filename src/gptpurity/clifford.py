@@ -28,13 +28,20 @@ def _sum_of_products(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarr
     """sum_p x_p y_p over broadcast pairs of complex (or real) arrays, in order.
 
     Each term is (xr yr - xi yi) + i (xr yi + xi yr) by elementwise real
-    steps, and the terms are added in the order given.
+    steps, and the terms are added in the order given.  A real pair takes
+    the one product x y, and a sum of real pairs only is returned as float64:
+    the real part of the complex route, bit for bit.
     """
     re = im = 0.0
     for x, y in pairs:
+        if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+            re = re + x * y
+            continue
         xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
         re = re + (xr * yr - xi * yi)
         im = im + (xr * yi + xi * yr)
+    if isinstance(im, float):
+        return np.asarray(re, dtype=float)
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     return out

@@ -143,23 +143,15 @@ def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
     )
 
 
-def predict_nonlocaltomo(
-    k_a: int, k_ab: int, p0: float, p_phi_mu: float, mu_c_norm_sq: float
-) -> Prediction:
-    """Expected local purity without local tomography.
-
-    ``mu_c_norm_sq`` is the squared Gram norm of the locally inaccessible
-    component of the joint maximally mixed state.  The inputs enter as their
-    exact values (``as_integer_ratio``, which an exact rational such as a
-    ``fractions.Fraction`` also has), so the value is correctly rounded.
-    """
-    return _nonlocaltomo(k_a, k_ab, p0, p_phi_mu.as_integer_ratio(),
-                         mu_c_norm_sq.as_integer_ratio())
-
-
 def _nonlocaltomo(k_a: int, k_ab: int, p0: float, phi_mu: tuple[int, int],
                   mu_c: tuple[int, int]) -> Prediction:
-    """``predict_nonlocaltomo`` with P(phi_A (x) mu_B) and |mu_C|^2 as exact integer ratios."""
+    """Expected local purity without local tomography, from exact integer ratios.
+
+    ``phi_mu`` is P(phi_A (x) mu_B) and ``mu_c`` the squared Gram norm
+    |mu_C|^2 of the locally inaccessible component of the joint maximally
+    mixed state, each as (numerator, denominator), so the value is correctly
+    rounded.
+    """
     _check_p0(p0)
     (a, b), (c, d) = phi_mu, mu_c
     # P(phi (x) mu) - |mu_C|^2 = gap / (b d), with b d > 0.

@@ -4,19 +4,19 @@ Group elements act on ambient coordinates as K x K real matrices that fix the
 order unit and map the cone into itself.  This module provides
 
 * conjugation superoperators, each column the coordinates of one conjugated
-  basis element, with no LAPACK or BLAS call, and a sampler for each built-in group (Haar unitary /
-  orthogonal conjugations, permutations, dihedral groups, the finite
-  boxworld group) that holds an enumerated group's elements,
-* ``group_average``, the one place that chooses between an exact sum over an
-  enumerated group and a Monte Carlo mean over sampled elements,
+  basis element, with no LAPACK or BLAS call,
+* the element stacks of the enumerable groups (dihedral groups, the gbit,
+  bipartite boxworld, S_K while K! <= ``ENUMERATE_LIMIT``, and the qubit's 24
+  Cliffords), over which commands sum exactly,
 * the analytic invariant inner product (Gram matrix) on the Bloch subspace,
 * generators of a dense subgroup of each built-in group, under which the
-  invariance of a Gram is checked exactly, and the qubit's Clifford sampler
-  and Pauli-eigenstate orbit.
+  invariance of a Gram is checked exactly, and the dimension of the space
+  of forms they leave invariant, which proves that Gram unique up to scale,
+* the qubit's Pauli-eigenstate orbit.
 
-The Clifford groups are enumerated in ``clifford``; the Haar draws and the
-group-averaged Gram, which no command runs, are in ``haar``.  Both are
-reached through module aliases, so running this module runs neither.
+The Clifford groups are enumerated in ``clifford``, reached through a module
+alias, so running this module does not run it.  No command draws a group
+element: the Haar samplers and the group-averaged Gram are test references.
 """
 
 from __future__ import annotations
@@ -24,19 +24,21 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import clifford
 from . import errors
-from . import haar
 from . import statespace as ss
-from .errors import RangeError, UnsupportedSpaceError
+from .errors import UnsupportedSpaceError
 
 # The classical group S_K keeps its element list while K! is at most this
-# (K <= 6); larger K draw by one row-wise shuffle.
+# (K <= 6).
 ENUMERATE_LIMIT = 1000
+# Rank threshold of ``invariant_form_dimension``, relative to the largest
+# entry of its linear system.
+RANK_TOL = 1e-9
 
 
 # -- conjugation superoperators ------------------------------------------------------
@@ -60,28 +62,7 @@ def conjugation_matrix(space: ss.SpaceDescriptor, u: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- group samplers --------------------------------------------------------------------
-
-
-class GroupSampler(NamedTuple):
-    """Uniform sampler over a space's reversible-transformation group.
-
-    ``draw_fn``, a function of (generator, size), yields a (size, K, K) stack
-    of independent elements T with ``order_unit @ T == order_unit`` and
-    ``T(cone) <= cone``: one gather at uniform indices for an enumerated
-    group, one Gram-Schmidt ``haar.haar_unitaries`` stack conjugated by
-    ``conjugation_matrix``, one basis element at a time, for the Haar samplers, one row-wise
-    ``Generator.permuted`` for large permutation groups.  ``haar.draw_many``
-    and ``haar.draw_blocks`` call it under a memory check.  An enumerated
-    group also keeps its ``elements``, over which ``group_average`` sums
-    exactly.
-
-    Samplers are pure functions of the passed generator.
-    """
-
-    space: ss.SpaceDescriptor
-    draw_fn: Callable[[np.random.Generator, int], np.ndarray]
-    elements: np.ndarray | None = None
+# -- enumerable groups ------------------------------------------------------------------
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:
@@ -118,36 +99,21 @@ def _boxworld_group_elements() -> np.ndarray:
     return np.concatenate([pairs, pairs @ swap_operator(3)])
 
 
-def _finite_sampler(space: ss.SpaceDescriptor, elements: np.ndarray) -> GroupSampler:
-    # A stack of uniform indices draws as ``size`` single draws would.
-    return GroupSampler(space, lambda rng, size: elements[rng.integers(len(elements), size=size)],
-                        elements)
+def group_elements(space: ss.SpaceDescriptor) -> np.ndarray:
+    """The (|G|, K, K) element stack of a built-in space's enumerable reversible group.
 
-
-def sampler_for(space: ss.SpaceDescriptor) -> GroupSampler:
-    """The reversible-group sampler belonging to a built-in space.
-
-    The dihedral and boxworld groups carry their full element list, and so
-    does the classical group S_K while K! <= ``ENUMERATE_LIMIT``.
+    Dihedral groups for polygons and the gbit, the 128-element boxworld
+    group, and S_K while K! <= ``ENUMERATE_LIMIT``, as permutation matrices
+    in lexicographic order.  Other groups are refused.
     """
-    if space.kind in (ss.KIND_QUANTUM, ss.KIND_REAL_QUANTUM):
-        return haar._haar_sampler(space, real=space.kind == ss.KIND_REAL_QUANTUM)
-    if space.kind == ss.KIND_CLASSICAL:
-        if math.factorial(space.K) <= ENUMERATE_LIMIT:
-            els = permutation_matrix(np.array(list(itertools.permutations(range(space.K)))))
-            return _finite_sampler(space, els)
-
-        def draw_many(rng, size):
-            # One row-wise shuffle draws as ``size`` calls of rng.permutation(K).
-            return permutation_matrix(rng.permuted(np.tile(np.arange(space.K), (size, 1)), axis=1))
-
-        return GroupSampler(space, draw_many)
+    if space.kind == ss.KIND_CLASSICAL and math.factorial(space.K) <= ENUMERATE_LIMIT:
+        return permutation_matrix(np.array(list(itertools.permutations(range(space.K)))))
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         n = space.level if space.kind == ss.KIND_POLYGON else 4
-        return _finite_sampler(space, ss.lift_plane(dihedral_elements(n)))
+        return ss.lift_plane(dihedral_elements(n))
     if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
-        return _finite_sampler(space, _boxworld_group_elements())
-    raise UnsupportedSpaceError(f"no group sampler for kind {space.kind!r}")
+        return _boxworld_group_elements()
+    raise UnsupportedSpaceError(f"no enumerated group for {space.kind}-{space.level}")
 
 
 # -- invariant inner product -------------------------------------------------------------
@@ -214,68 +180,16 @@ def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
     return GramMatrix(scale, space.order_unit)
 
 
-class GroupAverage(NamedTuple):
-    """Group average of per-element values.
+def clifford_elements(space: ss.SpaceDescriptor) -> np.ndarray:
+    """The 24 one-qubit Cliffords as a (24, 4, 4) stack of conjugations of the qubit.
 
-    ``stderr`` is 0 for an exact sum and None for a sampled average of array
-    values, whose per-sample values are not kept.
-    """
-
-    mean: np.ndarray | float
-    stderr: np.ndarray | float | None
-    n_samples: int
-    exact: bool
-
-
-def group_average(
-    sampler: GroupSampler,
-    f: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator | None,
-    trials: int,
-) -> GroupAverage:
-    """Average of ``f`` over the group, the one rule that picks exact or sampled.
-
-    ``f`` maps a (size, K, K) stack of elements to per-element values of
-    shape (size, ...).  An enumerated group is summed exactly over
-    ``sampler.elements``, leaving ``rng`` untouched; any other group draws
-    ``trials`` >= 2 elements through ``haar.draw_blocks`` from ``rng``
-    (``default_rng(0)`` when it is None).  Sampled scalar values are kept for
-    their standard error; array values are summed block by block, in memory
-    that does not grow with ``trials``.  What is held is refused beyond
-    ``errors.MEMORY_CAP_BYTES`` before any draw, the value shape read off
-    ``f`` of the identity.
-    """
-    if sampler.elements is not None:
-        vals = f(sampler.elements)
-        return GroupAverage(vals.mean(axis=0), np.zeros(vals.shape[1:]), len(vals), True)
-    if trials < 2:
-        raise RangeError(f"need at least 2 samples for a standard error, got {trials}")
-    rng = np.random.default_rng(0) if rng is None else rng
-    k = sampler.space.K
-    value = f(np.eye(k)[None])[0]
-    blocks = haar.draw_blocks(sampler, rng, trials)
-    if value.ndim == 0:
-        # The blocks' values and their concatenation are alive at once.
-        errors.check_memory(2 * 8 * trials, f"2 arrays of {trials} per-sample values")
-        vals = np.concatenate([f(ts) for ts in blocks])
-        return GroupAverage(vals.mean(), vals.std(ddof=1) / math.sqrt(trials), trials, False)
-    block = min(trials, haar._draw_block(k))
-    errors.check_memory(8 * (block + 1) * value.size,
-                        f"a block of {block} per-sample values of width {value.size} and their sum")
-    return GroupAverage(sum(f(ts).sum(axis=0) for ts in blocks) / trials, None, trials, False)
-
-
-def clifford_sampler(space: ss.SpaceDescriptor) -> GroupSampler:
-    """The 24 one-qubit Cliffords as an enumerated sampler on the qubit.
-
-    The group is a unitary 2-design, so ``group_average`` of a quadratic
-    function of the state over it is the Haar average exactly (Gross,
-    Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007).
+    The group is a unitary 2-design, so the mean over it of a quadratic
+    function of the state is the Haar average exactly (Gross, Audenaert and
+    Eisert, J. Math. Phys. 48, 052104, 2007).
     """
     if space.kind != ss.KIND_QUANTUM or space.level != 2:
         raise UnsupportedSpaceError(f"no one-qubit Clifford group on {space.kind}-{space.level}")
-    us = clifford.clifford_unitaries(1)
-    return _finite_sampler(space, conjugation_matrix(space, us))
+    return conjugation_matrix(space, clifford.clifford_unitaries(1))
 
 
 def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
@@ -305,9 +219,11 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
     A form invariant under each generator is invariant under the group they
     generate and, by continuity, under its closure: the whole group.
     Classical S_K: the transposition (0 1) and the K-cycle.  Polygons and the
-    gbit: every element of D_n.  Qubit: the Clifford generators H and S and
-    T = diag(1, e^(i pi/4)), dense in the unitaries modulo phase (Boykin et
-    al., Inf. Process. Lett. 75, 101, 2000).  Qutrit: the Clifford
+    gbit: every element of D_n.  Bipartite boxworld: the D4 rotation and
+    reflection on A, then on B, and the swap of the parties (elements 8, 32,
+    1, 4 and 64 of the enumerated group).  Qubit: the Clifford generators H
+    and S and T = diag(1, e^(i pi/4)), dense in the unitaries modulo phase
+    (Boykin et al., Inf. Process. Lett. 75, 101, 2000).  Qutrit: the Clifford
     generators F and P = diag(1, 1, w), w = e^(2 pi i/3), and
     T = diag(1, z, 1/z), z = e^(2 pi i/9); Clifford and any non-Clifford
     gate are dense in prime dimension (Campbell, Anwar and Browne, Phys. Rev.
@@ -320,7 +236,9 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
         k = space.K
         return permutation_matrix(np.array([[1, 0, *range(2, k)], [*range(1, k), 0]]))
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
-        return sampler_for(space).elements
+        return group_elements(space)
+    if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
+        return _boxworld_group_elements()[[8, 32, 1, 4, 64]]
     if space.kind == ss.KIND_QUANTUM and space.level == 2:
         us = np.stack([clifford._HADAMARD, clifford._PHASE, np.diag([1, np.exp(0.25j * np.pi)])])
     elif space.kind == ss.KIND_QUANTUM and space.level == 3:
@@ -345,6 +263,68 @@ def invariance_deviation(g: np.ndarray, ts: np.ndarray) -> float:
     gt = sum(g[None, :, l, None] * ts[:, None, l, :] for l in range(k))
     tgt = sum(ts[:, l, :, None] * gt[:, l, None, :] for l in range(k))
     return float(np.max(np.abs(tgt - g), initial=0.0))
+
+
+def invariant_form_dimension(ts: np.ndarray) -> int:
+    """Dimension of the space of symmetric K x K forms X with T^t X T = X for each T of ``ts``.
+
+    For the generators of an irreducible group it is 2: the unit direction
+    and one form on the Bloch subspace, so the invariant Gram is unique up to
+    its scale.  The rank of the linear system (``_invariance_system``) is
+    taken by Gaussian elimination with partial pivoting (``_rank``); like
+    the system, it is built from elementwise steps with no BLAS or LAPACK
+    call.
+    """
+    system = _invariance_system(ts)
+    return system.shape[1] - _rank(system)
+
+
+def _invariance_system(ts: np.ndarray) -> np.ndarray:
+    """The (m P, P) matrix of X -> (T^t X T - X for each T) on symmetric X, P = K(K+1)/2.
+
+    Forms are written in the basis of symmetric matrices that is orthonormal
+    under the Frobenius product, pairs a <= b in row-major order:
+    E_aa = e_a e_a^t and E_ab = (e_a e_b^t + e_b e_a^t)/sqrt 2, so a form's
+    coordinates are X_aa and sqrt 2 X_ab, and the system's singular values
+    are those of the map.  Column p of block g holds the coordinates of
+    T^t E_p T = w_p (r_a^t r_b + r_b^t r_a) less those of E_p, for the rows
+    r of T, with w = 1/2 on the diagonal and 1/sqrt 2 off it.
+    """
+    m, k = len(ts), ts.shape[-1]
+    a, b = np.triu_indices(k)
+    errors.check_memory(3 * 8 * m * len(a) * len(a),
+                        f"the invariant-form system of {m} maps on {k} coordinates")
+    diag = a == b
+    # Row q, column p: the coordinate scale of entry q times w_p.
+    sw = np.where(diag, 1.0, math.sqrt(2))[:, None] * np.where(diag, 0.5, math.sqrt(0.5))
+
+    def image(t):
+        # Entry (a_q, b_q) of w_p (r_(a_p)^t r_(b_p) + r_(b_p)^t r_(a_p)), scaled.
+        ta, tb = t[a], t[b]
+        return sw * (ta[:, a] * tb[:, b] + tb[:, a] * ta[:, b]).T
+
+    base = image(np.eye(k))
+    return np.concatenate([image(t) - base for t in ts])
+
+
+def _rank(a: np.ndarray) -> int:
+    """Rank of a matrix by Gaussian elimination with partial pivoting; overwrites ``a``.
+
+    A pivot counts when its magnitude exceeds ``RANK_TOL`` times the largest
+    entry of ``a``.  Each elimination step is one elementwise outer update.
+    """
+    tol = RANK_TOL * max(np.max(a, initial=0.0), -np.min(a, initial=0.0))
+    rank = 0
+    for col in range(a.shape[1]):
+        if rank == len(a):
+            break
+        piv = rank + int(np.argmax(np.abs(a[rank:, col])))
+        if abs(a[piv, col]) <= tol:
+            continue
+        a[[rank, piv]] = a[[piv, rank]]
+        a[rank + 1:, col:] -= np.multiply.outer(a[rank + 1:, col] / a[rank, col], a[rank, col:])
+        rank += 1
+    return rank
 
 
 def swap_operator(d: int) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import grouprep
 from . import statespace as ss
-from .errors import DegenerateDirectionError, RangeError, UnsupportedSpaceError
-from .grouprep import GramMatrix, GroupAverage, GroupSampler
+from .errors import DegenerateDirectionError, UnsupportedSpaceError
+from .grouprep import GramMatrix
 from .statespace import SpaceDescriptor
 
 # Purity below which a state counts as maximally mixed: it has no Bloch
@@ -42,24 +42,6 @@ def purity_from_tr2(n: int, tr_sq: float) -> float:
 def tr2_from_purity(n: int, p: float) -> float:
     """Inverse conversion: Tr(rho^2) = ((n-1) P + 1) / n."""
     return ((n - 1.0) * p + 1.0) / n
-
-
-def fixed_purity_state(space: SpaceDescriptor, p0: float, rng: np.random.Generator) -> np.ndarray:
-    """A state of purity exactly ``p0``: sqrt(p0) * phi + (1 - sqrt(p0)) * mu.
-
-    ``phi`` is a sampled pure state.  By Bloch linearity and the pure-state
-    normalization of the Gram, the mixture has purity t^2 with t = sqrt(p0).
-    Note there is no group-invariant measure on a fixed-purity shell for
-    p0 < 1; the expected-purity formulas depend only on the purity of the
-    initial state, so this mu-interpolation orbit is sufficient (exact sums
-    over the 2x2 Clifford group and the 2x3 permutations check this on states
-    of other spectra).
-    """
-    if not 0.0 <= p0 <= 1.0:
-        raise RangeError(f"target purity must lie in [0, 1], got {p0}")
-    t = math.sqrt(p0)
-    phi = space.sample_pures(rng, 1)[0]
-    return t * phi + (1.0 - t) * space.max_mixed
 
 
 # -- Pauli maps -------------------------------------------------------------------------
@@ -184,24 +166,16 @@ def purity_via_pauli_set(pset: tuple[PauliMap, ...], omega: np.ndarray) -> float
     return float(p) if p.ndim == 0 else p
 
 
-def pauli_haar_average(
-    space: SpaceDescriptor,
-    sampler: GroupSampler,
-    x: PauliMap,
-    omega: np.ndarray,
-    n_samples: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> GroupAverage:
-    """Average of (X o T)(omega)^2 over the reversible group, with float fields.
+def pauli_haar_average(elements: np.ndarray, x: PauliMap, omega: np.ndarray) -> float:
+    """Mean of (X o T)(omega)^2 over a (|G|, K, K) stack of group elements, summed exactly.
 
-    Equals purity(omega) / (K - 1) for any Pauli map on an irreducible space.
-    ``grouprep.group_average`` sums an enumerated group exactly, reading no
-    ``rng``, and draws ``n_samples`` elements of any other from it.
+    Equals purity(omega) / (K - 1) for any Pauli map on an irreducible space
+    when the stack is the whole group, or a 2-design such as
+    ``grouprep.clifford_elements``.
     """
     omega = np.asarray(omega, dtype=float)
-    avg = grouprep.group_average(
-        sampler, lambda ts: x.evaluate_many(np.einsum("bkl,l->bk", ts, omega)) ** 2, rng, n_samples)
-    return avg._replace(mean=float(avg.mean), stderr=float(avg.stderr))
+    vals = x.evaluate_many(np.einsum("bkl,l->bk", elements, omega)) ** 2
+    return float(vals.mean(axis=0))
 
 
 class CollisionResult(NamedTuple):

@@ -162,15 +162,6 @@ def _unit_kets(rng: np.random.Generator, size: int, d: int, real: bool) -> np.nd
     return z
 
 
-def haar_kets(size: int, d: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
-    """``size`` uniformly random unit vectors in C^d (R^d when ``real``), one per row.
-
-    The real parts of the whole stack are drawn before the imaginary parts.
-    """
-    z = _unit_kets(rng, size, d, real)
-    return z[0] if real else z[0] + 1j * z[1]
-
-
 def _swap_scatter(z: np.ndarray, n: int, sign: int) -> np.ndarray:
     """The (parts, size, N_S) kets ``z`` of the (anti)symmetric subspace as n x n matrices.
 

@@ -2,7 +2,8 @@
 
 Every space is described by the same data: an ambient real dimension ``K``,
 an order unit (the covector giving total probability), the maximally mixed
-state, and a kind-specific cone test and pure-state sampler.  Matrix-valued
+state, and a kind-specific cone test; a polytope also holds its pure states.
+Nothing here draws a random state.  Matrix-valued
 theories (quantum over C, quantum over R) are vectorized in a fixed
 orthonormal Hermitian basis whose first element is ``identity/sqrt(d)``, so
 that states of all kinds are plain real vectors.  It is the generalized
@@ -181,30 +182,6 @@ class SpaceDescriptor:
         if self.effects is not None:
             return bool(np.all(self.effects @ x >= -CONE_TOL))
         raise UnsupportedSpaceError(f"no cone test for kind {self.kind!r}")
-
-    # -- pure states ---------------------------------------------------------------
-
-    def sample_pures(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """A (size, K) stack of uniformly random pure states (group-orbit uniform).
-
-        Matrix kinds map one ``randomize.haar_kets`` stack with one
-        ``to_coords``; the others gather at uniform indices, drawn as ``size``
-        single draws.
-        """
-        if self.kind in _MATRIX_KINDS:
-            # Imported here: the estimators own the ket draw, and importing
-            # this module loads no layer above it.
-            from .randomize import haar_kets
-
-            psi = haar_kets(size, self.level, rng, real=self.kind == KIND_REAL_QUANTUM)
-            return self.to_coords(psi[:, :, None] * psi[:, None, :].conj())
-        if self.kind == KIND_CLASSICAL:
-            e = np.zeros((size, self.K))
-            e[np.arange(size), rng.integers(self.K, size=size)] = 1.0
-            return e
-        if self.vertices is not None:
-            return self.vertices[rng.integers(len(self.vertices), size=size)]
-        raise UnsupportedSpaceError(f"no pure-state sampler for kind {self.kind!r}")
 
 
 def validate_state(space: SpaceDescriptor, omega: np.ndarray) -> None:

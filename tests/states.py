@@ -15,10 +15,12 @@ from gptpurity.errors import (InconsistencyError, InvalidProbeError, Unsupported
                               check_memory)
 from gptpurity.formulas import _check_purity_on_face
 
+import haar
+
 
 def random_mixtures(space, count, rng):
     """Random convex mixtures of K+1 sampled pure states, shape (count, K)."""
-    pures = space.sample_pures(rng, space.K + 1)
+    pures = haar.sample_pures(space, rng, space.K + 1)
     weights = rng.dirichlet(np.ones(len(pures)), size=count)
     return np.einsum("mi,ik->mk", weights, pures)
 

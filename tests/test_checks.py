@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gptpurity import checks, cli, grouprep, haar
+from gptpurity import checks, cli, grouprep
 from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import (
@@ -16,6 +16,7 @@ from gptpurity.purity import (
     purity,
     purity_via_pauli_set,
 )
+import haar
 from states import random_mixtures
 
 
@@ -117,7 +118,7 @@ def test_batched_pauli_identities_match_the_per_state_route(space):
 def test_batched_gram_invariance_matches_the_per_draw_route(space):
     # The stacked deviation of the suite against one product per drawn element.
     g = grouprep.analytic_gram(space).matrix
-    ts = haar.draw_many(grouprep.sampler_for(space), np.random.default_rng(4260), 40)
+    ts = haar.draw_many(haar.sampler_for(space), np.random.default_rng(4260), 40)
     per_draw = max(np.max(np.abs(t.T @ g @ t - g)) for t in ts)
     assert abs(grouprep.invariance_deviation(g, ts) - per_draw) <= 1e-13
     assert grouprep.invariance_deviation(g, ts) <= checks.EXACT
@@ -185,3 +186,18 @@ def test_pauli_identity_states_are_the_pure_orbit_and_its_midpoints():
     for space, count in ((ss.build_classical(4), 4), (ss.build_polygon(5), 5)):
         assert len(grouprep.orbit_pures(space)) == count
         assert len(ss.with_midpoints(grouprep.orbit_pures(space))) == count * (count + 1) // 2
+
+
+def test_uniqueness_rows_fail_when_the_generators_fix_every_form(monkeypatch):
+    # The identity alone leaves all K(K+1)/2 symmetric forms invariant, so
+    # every row reads that count less the expected 2 (3 for boxworld) and fails.
+    monkeypatch.setattr(checks.grouprep, "group_generators", lambda space: np.eye(space.K)[None])
+    rows = {c.name: c for c in checks.run_suite("gram-invariance", 0, 2)
+            + checks.run_suite("boxworld", 0, 2)
+            if c.name.startswith("gram-uniqueness-") or c.name == "invariant-forms"}
+    expected = {"quantum-2": 8, "quantum-3": 43, "classical-3": 4, "classical-5": 13,
+                "polygon-4": 4, "polygon-5": 4, "real-quantum-2": 4}
+    assert {name: c.value for name, c in rows.items()} == {
+        **{f"gram-uniqueness-{name}": float(v) for name, v in expected.items()},
+        "invariant-forms": 42.0}
+    assert not any(c.passed for c in rows.values())

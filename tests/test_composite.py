@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gptpurity import composite as cm
-from gptpurity import grouprep, haar, statespace as ss
+from gptpurity import grouprep, statespace as ss
 from gptpurity.errors import InconsistencyError, UnsupportedSpaceError
 from gptpurity.purity import complete_pauli_set, purity
+import haar
 from states import compose, marginal_a, purity_pure_times_maxmixed, random_mixtures
 
 
@@ -75,8 +76,8 @@ def test_product_of_max_mixed_is_joint_max_mixed():
 def test_product_states_pass_joint_cone(rng):
     comp, _, _ = _quantum_pair(2, 3)
     for _ in range(25):
-        a = comp.part_a.sample_pures(rng, 1)[0]
-        b = comp.part_b.sample_pures(rng, 1)[0]
+        a = haar.sample_pures(comp.part_a, rng, 1)[0]
+        b = haar.sample_pures(comp.part_b, rng, 1)[0]
         prod = np.kron(a, b)
         assert comp.joint.cone_contains(prod)
         assert abs(comp.joint.unit(prod) - 1.0) < 1e-10
@@ -84,8 +85,8 @@ def test_product_states_pass_joint_cone(rng):
 
 def test_joint_coords_match_matrix_kron(rng):
     comp, _, _ = _quantum_pair(2, 3)
-    a = comp.part_a.sample_pures(rng, 1)[0]
-    b = comp.part_b.sample_pures(rng, 1)[0]
+    a = haar.sample_pures(comp.part_a, rng, 1)[0]
+    b = haar.sample_pures(comp.part_b, rng, 1)[0]
     prod = np.kron(a, b)
     expected = np.kron(comp.part_a.to_matrix(a), comp.part_b.to_matrix(b))
     np.testing.assert_allclose(comp.joint.to_matrix(prod), expected, atol=1e-12)
@@ -93,8 +94,8 @@ def test_joint_coords_match_matrix_kron(rng):
 
 def test_marginal_of_product_is_factor(rng):
     comp, _, _ = _quantum_pair(2, 2)
-    a = comp.part_a.sample_pures(rng, 1)[0]
-    b = comp.part_b.sample_pures(rng, 1)[0]
+    a = haar.sample_pures(comp.part_a, rng, 1)[0]
+    b = haar.sample_pures(comp.part_b, rng, 1)[0]
     prod = np.kron(a, b)
     np.testing.assert_allclose(marginal_a(comp, prod), a, atol=1e-12)
 
@@ -116,16 +117,16 @@ def test_marginal_of_correlated_classical_pair():
 def test_marginalization_commutes_with_local_transformations(rng):
     comp, _, _ = _quantum_pair(2, 2)
     for _ in range(30):
-        ta = haar.draw_many(grouprep.sampler_for(comp.part_a), rng, 1)[0]
-        tb = haar.draw_many(grouprep.sampler_for(comp.part_b), rng, 1)[0]
+        ta = haar.draw_many(haar.sampler_for(comp.part_a), rng, 1)[0]
+        tb = haar.draw_many(haar.sampler_for(comp.part_b), rng, 1)[0]
         omega = random_mixtures(comp.joint, 1, rng)[0]
         lhs = marginal_a(comp, np.kron(ta, tb) @ omega)
         rhs = ta @ marginal_a(comp, omega)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
     comp_c = compose(ss.build_classical(3), ss.build_classical(3))
     for _ in range(30):
-        ta = haar.draw_many(grouprep.sampler_for(comp_c.part_a), rng, 1)[0]
-        tb = haar.draw_many(grouprep.sampler_for(comp_c.part_b), rng, 1)[0]
+        ta = haar.draw_many(haar.sampler_for(comp_c.part_a), rng, 1)[0]
+        tb = haar.draw_many(haar.sampler_for(comp_c.part_b), rng, 1)[0]
         omega = random_mixtures(comp_c.joint, 1, rng)[0]
         lhs = marginal_a(comp_c, np.kron(ta, tb) @ omega)
         rhs = ta @ marginal_a(comp_c, omega)

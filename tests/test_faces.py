@@ -8,6 +8,7 @@ import pytest
 from gptpurity import errors, faces, formulas, grouprep, randomize as rnd
 from gptpurity.errors import EmptyFaceError, InvalidProbeError, RangeError
 from gptpurity.purity import purity_from_tr2
+import haar
 from states import (default_probe, face_bloch_projector, face_composite, isometry, mu_face,
                     probe_entries, qface_by_isometry)
 
@@ -126,7 +127,7 @@ def test_face_states_orthogonal_to_face_max_mixed_bloch(rng):
     mu_f_bloch = mu_f - joint.max_mixed
     v = isometry(face)
     for _ in range(30):
-        psi = rnd.haar_kets(1, face.n_sub, rng)[0]
+        psi = haar.haar_kets(1, face.n_sub, rng)[0]
         rho = v @ np.outer(psi, psi.conj()) @ v.conj().T
         bar = joint.to_coords(rho) - mu_f
         assert abs(gram.inner(bar, mu_f_bloch)) < 1e-8
@@ -337,7 +338,7 @@ def test_face_ket_kernel_matches_explicit_route(make):
     n_s, v, t = face.n_sub, isometry(face), math.sqrt(0.5)
     dims = (part_a.level, comp.part_b.level)
     gram_a = grouprep.analytic_gram(part_a)
-    psi = rnd.haar_kets(3, n_s, np.random.default_rng(5301))
+    psi = haar.haar_kets(3, n_s, np.random.default_rng(5301))
     collision, tr2 = rnd._haar_ket_block(np.random.default_rng(5301), 3, t, dims,
                                          swap=face.sign)
     local = purity_from_tr2(dims[0], collision)

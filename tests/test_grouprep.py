@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import clifford, errors, grouprep, haar, purity as pur, statespace as ss
+from gptpurity import clifford, errors, grouprep, purity as pur, statespace as ss
 from gptpurity.errors import RangeError, ReducibleSpaceError, UnsupportedSpaceError
+import haar
 from states import compose
 
 
@@ -16,14 +17,14 @@ def test_haar_conjugation_is_gram_orthogonal(rng):
     space = ss.build_quantum(3)
     gram = grouprep.analytic_gram(space)
     for _ in range(20):
-        t = haar.draw_many(grouprep.sampler_for(space), rng, 1)[0]
+        t = haar.draw_many(haar.sampler_for(space), rng, 1)[0]
         np.testing.assert_allclose(t.T @ gram.matrix @ t, gram.matrix, atol=1e-9)
 
 
 def test_haar_mean_of_pure_state_is_max_mixed(rng):
     space = ss.build_quantum(2)
-    sampler = grouprep.sampler_for(space)
-    phi = space.sample_pures(rng, 1)[0]
+    sampler = haar.sampler_for(space)
+    phi = haar.sample_pures(space, rng, 1)[0]
     n = 10_000
     out = haar.draw_many(sampler, rng, n) @ phi
     mean = out.mean(axis=0)
@@ -91,14 +92,14 @@ def test_gram_schmidt_unitaries_match_the_qr_route_without_lapack(monkeypatch, r
         np.testing.assert_allclose(us, ref, rtol=0, atol=1e-12)
         assert rng.bit_generator.state == state
     space = ss.build_real_quantum(2) if real else ss.build_quantum(2)
-    assert haar.draw_many(grouprep.sampler_for(space), np.random.default_rng(4290), 8).shape == (
+    assert haar.draw_many(haar.sampler_for(space), np.random.default_rng(4290), 8).shape == (
         8, space.K, space.K)
 
 
 @pytest.mark.parametrize("builder", [ss.build_quantum, ss.build_real_quantum])
 def test_haar_draw_many_is_a_stack_of_conjugations(builder):
     space = builder(3)
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     ts = haar.draw_many(sampler, np.random.default_rng(4220), 5)
     assert ts.shape == (5, space.K, space.K)
     real = space.kind == ss.KIND_REAL_QUANTUM
@@ -156,7 +157,7 @@ def test_conjugation_matches_einsum_route(builder, n, unitaries):
 
 @pytest.mark.parametrize("builder", [ss.build_classical, ss.build_polygon])
 def test_finite_draw_many_is_a_gather_of_draws(builder):
-    sampler = grouprep.sampler_for(builder(5))
+    sampler = haar.sampler_for(builder(5))
     ts = haar.draw_many(sampler, np.random.default_rng(4240), 30)
     rng = np.random.default_rng(4240)
     np.testing.assert_array_equal(ts, np.concatenate([haar.draw_many(sampler, rng, 1)
@@ -165,7 +166,7 @@ def test_finite_draw_many_is_a_gather_of_draws(builder):
 
 def test_large_permutation_sampler_draws_as_single_permutations():
     # 9! > ENUMERATE_LIMIT: one row-wise shuffle replaces 30 rng.permutation calls.
-    sampler = grouprep.sampler_for(ss.build_classical(9))
+    sampler = haar.sampler_for(ss.build_classical(9))
     assert sampler.elements is None
     rng, ref = np.random.default_rng(4241), np.random.default_rng(4241)
     ts = haar.draw_many(sampler, rng, 30)
@@ -176,7 +177,7 @@ def test_large_permutation_sampler_draws_as_single_permutations():
 
 
 def test_draw_blocks_shrink_under_the_memory_cap(monkeypatch):
-    sampler = grouprep.sampler_for(ss.build_quantum(2))
+    sampler = haar.sampler_for(ss.build_quantum(2))
     blocks = haar.draw_blocks(sampler, np.random.default_rng(0), 2 * haar.DRAW_BLOCK + 5)
     full = [len(ts) for ts in blocks]
     assert full == [haar.DRAW_BLOCK, haar.DRAW_BLOCK, 5]
@@ -189,14 +190,14 @@ def test_draw_blocks_shrink_under_the_memory_cap(monkeypatch):
 def test_permutation_matrices_are_01_doubly_stochastic(rng):
     space = ss.build_classical(6)
     for _ in range(25):
-        t = haar.draw_many(grouprep.sampler_for(space), rng, 1)[0]
+        t = haar.draw_many(haar.sampler_for(space), rng, 1)[0]
         assert set(np.unique(t)) <= {0.0, 1.0}
         np.testing.assert_allclose(t.sum(axis=0), 1.0)
         np.testing.assert_allclose(t.sum(axis=1), 1.0)
 
 
 def test_dihedral_four_enumerates_eight_elements():
-    sampler = grouprep.sampler_for(ss.build_polygon(4))
+    sampler = haar.sampler_for(ss.build_polygon(4))
     assert len(sampler.elements) == 8
     keys = {np.round(t, 10).tobytes() for t in sampler.elements}
     assert len(keys) == 8
@@ -206,8 +207,8 @@ def test_orthogonal_conjugation_preserves_real_cone(rng):
     space = ss.build_real_quantum(2)
     mm = space.max_mixed
     for _ in range(100):
-        t = haar.draw_many(grouprep.sampler_for(space), rng, 1)[0]
-        omega = 0.7 * space.sample_pures(rng, 1)[0] + 0.3 * mm
+        t = haar.draw_many(haar.sampler_for(space), rng, 1)[0]
+        omega = 0.7 * haar.sample_pures(space, rng, 1)[0] + 0.3 * mm
         assert space.cone_contains(t @ omega)
 
 
@@ -254,6 +255,95 @@ def test_enumerate_clifford_1q_conjugations_fix_max_mixed():
         np.testing.assert_allclose(t @ space.max_mixed, space.max_mixed, atol=1e-12)
 
 
+def test_real_products_take_one_product_and_give_the_complex_route_bits(rng):
+    a, b = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3, 3))
+    real = clifford._product(a, b)
+    assert real.dtype == np.float64
+    np.testing.assert_array_equal(real, clifford._product(a + 0j, b + 0j).real)
+    # An orthogonal conjugation of real quantum theory, through to its coordinates.
+    space = ss.build_real_quantum(3)
+    us = haar.haar_unitaries(4, 3, rng, real=True)
+    np.testing.assert_array_equal(grouprep.conjugation_matrix(space, us),
+                                  grouprep.conjugation_matrix(space, us + 0j))
+
+
+def test_only_enumerable_groups_have_element_stacks():
+    assert len(grouprep.group_elements(ss.build_classical(6))) == 720
+    for space in (ss.build_quantum(2), ss.build_real_quantum(2), ss.build_classical(7)):
+        with pytest.raises(UnsupportedSpaceError, match="no enumerated group"):
+            grouprep.group_elements(space)
+
+
+# -- uniqueness of the invariant gram -----------------------------------------------------
+
+# The spaces of ``verify gram-invariance``, and the gbit.
+UNIQUE_GRAM_SPACES = [ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
+                      ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),
+                      ss.build_real_quantum(2), ss.build_boxworld_local()]
+
+
+def _sym_coords(x):
+    """A symmetric form in the orthonormal basis of ``grouprep._invariance_system``."""
+    a, b = np.triu_indices(len(x))
+    return np.where(a == b, 1.0, math.sqrt(2)) * x[a, b]
+
+
+@pytest.mark.parametrize("space", UNIQUE_GRAM_SPACES, ids=lambda s: f"{s.kind}-{s.level}")
+def test_generators_leave_only_the_unit_and_the_gram_invariant(space):
+    ts = grouprep.group_generators(space)
+    assert grouprep.invariant_form_dimension(ts) == 2
+    system = grouprep._invariance_system(ts)
+    # The order unit's square and the analytic Gram solve the system.
+    u = space.order_unit
+    for form in (np.outer(u, u), grouprep.analytic_gram(space).matrix):
+        assert np.max(np.abs(system @ _sym_coords(form))) <= 1e-12
+    # The rank is far from the elimination's threshold: LAPACK finds the same
+    # rank, and the smallest nonzero singular value is at least 0.5.
+    sv = np.linalg.svd(system, compute_uv=False)
+    nonzero = sv[sv > grouprep.RANK_TOL * np.max(np.abs(system))]
+    assert len(nonzero) == system.shape[1] - 2
+    assert nonzero.min() >= 0.5
+
+
+def test_partial_generator_sets_leave_more_forms_invariant():
+    # The transposition (0 1) alone fixes each form that is constant on its
+    # orbits of outcome pairs: 11 of the 15 on five outcomes.  The qubit's S
+    # and T both rotate about z, which leaves the unit, the unit-z cross
+    # term, z^2 and x^2 + y^2.
+    transposition = grouprep.group_generators(ss.build_classical(5))[:1]
+    assert grouprep.invariant_form_dimension(transposition) == 11
+    s_and_t = grouprep.group_generators(ss.build_quantum(2))[1:]
+    assert grouprep.invariant_form_dimension(s_and_t) == 4
+
+
+def test_boxworld_generators_generate_the_group_and_leave_three_forms_invariant():
+    # The unit and the free weights a and b of the correlation and marginal
+    # blocks, from the five generators and from all 128 elements.
+    space = ss.build_boxworld_bipartite()
+    gens = grouprep.group_generators(space)
+    elements = grouprep.group_elements(space)
+    assert grouprep.invariant_form_dimension(gens) == 3
+    assert grouprep.invariant_form_dimension(elements) == 3
+    # Their closure is the group: the entries are 0 and +-1, so products are exact.
+    seen, frontier = {np.eye(9).tobytes()}, [np.eye(9)]
+    while frontier:
+        products, frontier = [g @ t + 0.0 for t in frontier for g in gens], []
+        for t in products:
+            if t.tobytes() not in seen:
+                seen.add(t.tobytes())
+                frontier.append(t)
+    assert seen == {(t + 0.0).tobytes() for t in elements}
+
+
+def test_elimination_rank_matches_lapack_on_a_known_rank():
+    # Rank 3 in 6 columns, with the columns mixed so no pivot is trivial.
+    rng = np.random.default_rng(4300)
+    a = rng.normal(size=(9, 3)) @ rng.normal(size=(3, 6))
+    assert grouprep._rank(a.copy()) == np.linalg.matrix_rank(a) == 3
+    assert grouprep._rank(np.zeros((4, 3))) == 0
+    assert grouprep._rank(np.eye(3)[:2]) == 2
+
+
 # -- invariant gram -----------------------------------------------------------------------
 
 
@@ -264,7 +354,7 @@ def test_enumerate_clifford_1q_conjugations_fix_max_mixed():
     ids=lambda s: f"{s.kind}-{s.level}",
 )
 def test_invariant_gram_matches_analytic(space):
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     rng = np.random.default_rng(11)
     gram = haar.invariant_gram(space, sampler, n_avg=3000, rng=rng, check_trials=3000)
     np.testing.assert_allclose(gram, grouprep.analytic_gram(space).matrix, atol=1e-10)
@@ -275,8 +365,8 @@ def test_quantum_gram_matches_scaled_trace_product(rng):
         space = ss.build_quantum(n)
         gram = grouprep.analytic_gram(space)
         for _ in range(20):
-            a = space.bloch(space.sample_pures(rng, 1)[0])
-            b = space.bloch(space.sample_pures(rng, 1)[0])
+            a = space.bloch(haar.sample_pures(space, rng, 1)[0])
+            b = space.bloch(haar.sample_pures(space, rng, 1)[0])
             expected = n / (n - 1) * np.trace(space.to_matrix(a) @ space.to_matrix(b)).real
             assert abs(gram.inner(a, b) - expected) < 1e-12
 
@@ -286,8 +376,8 @@ def test_classical_gram_matches_scaled_componentwise(rng):
     space = ss.build_classical(n)
     gram = grouprep.analytic_gram(space)
     for _ in range(20):
-        a = space.bloch(space.sample_pures(rng, 1)[0])
-        b = space.bloch(space.sample_pures(rng, 1)[0])
+        a = space.bloch(haar.sample_pures(space, rng, 1)[0])
+        b = space.bloch(haar.sample_pures(space, rng, 1)[0])
         assert abs(gram.inner(a, b) - n / (n - 1) * np.dot(a, b)) < 1e-12
 
 
@@ -299,10 +389,10 @@ def test_square_gram_is_euclidean_on_bloch_plane():
 def test_gram_pure_norm_and_invariance(rng):
     for space in (ss.build_quantum(2), ss.build_classical(3), ss.build_polygon(5)):
         gram = grouprep.analytic_gram(space)
-        sampler = grouprep.sampler_for(space)
+        sampler = haar.sampler_for(space)
         p = grouprep.GramMatrix(1.0, space.order_unit).matrix
         for _ in range(100):
-            phi = space.bloch(space.sample_pures(rng, 1)[0])
+            phi = space.bloch(haar.sample_pures(space, rng, 1)[0])
             assert abs(gram.norm_sq(phi) - 1.0) < 1e-12
             t = haar.draw_many(sampler, rng, 1)[0]
             x, y = p @ rng.normal(size=space.K), p @ rng.normal(size=space.K)
@@ -311,7 +401,7 @@ def test_gram_pure_norm_and_invariance(rng):
 
 def test_gram_seed_cross_check(rng):
     space = ss.build_quantum(2)
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     g1 = haar.invariant_gram(space, sampler, n_avg=2000,
                              rng=np.random.default_rng(1), check_trials=2000)
     g2 = haar.invariant_gram(space, sampler, n_avg=2000,
@@ -342,7 +432,7 @@ def _reducible_cylinder_space_and_sampler():
             t[k, 3:, 3:] = [[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]]
         return t
 
-    sampler = grouprep.GroupSampler(space, draw_many)
+    sampler = haar.GroupSampler(space, draw_many)
     return space, sampler
 
 
@@ -356,13 +446,13 @@ def test_check_irreducible_flags_reducible_rep(rng):
 
 def test_check_irreducible_pentagon_exact():
     space = ss.build_polygon(5)
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     assert haar.check_irreducible(space, sampler) < 1e-10
 
 
 def test_check_irreducible_qubit_statistical():
     space = ss.build_quantum(2)
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     dev = haar.check_irreducible(
         space, sampler, trials=100_000, rng=np.random.default_rng(3), n_probes=1
     )
@@ -383,7 +473,7 @@ def test_check_irreducible_refuses_zero_trials(rng):
 def test_check_irreducible_refuses_zero_probes():
     space = ss.build_polygon(5)
     with pytest.raises(RangeError, match="at least 1 probe, got 0"):
-        haar.check_irreducible(space, grouprep.sampler_for(space), n_probes=0)
+        haar.check_irreducible(space, haar.sampler_for(space), n_probes=0)
 
 
 def test_invariant_gram_refuses_zero_check_trials(rng):
@@ -401,7 +491,7 @@ def test_invariant_gram_refuses_one_check_trial(rng):
 def test_invariant_gram_refuses_zero_averaging_samples(rng):
     space = ss.build_quantum(2)
     with pytest.raises(RangeError, match="at least 2 samples for a standard error, got 0"):
-        haar.invariant_gram(space, grouprep.sampler_for(space), n_avg=0, rng=rng)
+        haar.invariant_gram(space, haar.sampler_for(space), n_avg=0, rng=rng)
 
 
 # -- the group-average primitive ------------------------------------------------------------
@@ -410,7 +500,7 @@ def test_invariant_gram_refuses_zero_averaging_samples(rng):
 @pytest.mark.parametrize("space,order", [(ss.build_classical(4), 24), (ss.build_polygon(5), 10)],
                          ids=["classical-4", "polygon-5"])
 def test_group_average_sums_an_enumerated_group_exactly(space, order):
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     v = np.random.default_rng(5).normal(size=space.K)
 
     def f(ts):
@@ -418,7 +508,7 @@ def test_group_average_sums_an_enumerated_group_exactly(space, order):
 
     rng = np.random.default_rng(7)
     state = rng.bit_generator.state
-    avg = grouprep.group_average(sampler, f, rng, 0)
+    avg = haar.group_average(sampler, f, rng, 0)
     expected = sum(f(t[None])[0] for t in sampler.elements) / order
     assert avg.exact
     assert avg.n_samples == order
@@ -430,32 +520,32 @@ def test_group_average_sums_an_enumerated_group_exactly(space, order):
 def test_group_average_samples_as_the_concatenated_draw_blocks_route():
     # The route of ``verify pauli-identities``' haar-average-qubit check.
     qubit = ss.build_quantum(2)
-    sampler = grouprep.sampler_for(qubit)
+    sampler = haar.sampler_for(qubit)
     x = pur.complete_pauli_set(qubit)[0]
-    omega = qubit.sample_pures(np.random.default_rng(11), 1)[0]
+    omega = haar.sample_pures(qubit, np.random.default_rng(11), 1)[0]
 
     def f(ts):
         return x.evaluate_many(ts @ omega) ** 2
 
     trials = 2 * haar.DRAW_BLOCK + 500
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
-    avg = grouprep.group_average(sampler, f, rng, trials)
+    avg = haar.group_average(sampler, f, rng, trials)
     vals = np.concatenate([f(ts) for ts in haar.draw_blocks(sampler, ref, trials)])
     assert not avg.exact
     assert avg.n_samples == trials
     assert avg.mean == vals.mean()
     assert avg.stderr == vals.std(ddof=1) / math.sqrt(trials)
     assert rng.bit_generator.state == ref.bit_generator.state
-    pauli = pur.pauli_haar_average(qubit, sampler, x, omega, trials, np.random.default_rng(12))
+    pauli = haar.pauli_haar_average(qubit, sampler, x, omega, trials, np.random.default_rng(12))
     assert pauli == (avg.mean, avg.stderr, trials, False)
     assert type(pauli.mean) is float and type(pauli.stderr) is float
 
 
 def test_group_average_sums_array_values_block_by_block():
-    sampler = grouprep.sampler_for(ss.build_quantum(2))
+    sampler = haar.sampler_for(ss.build_quantum(2))
     trials = 2 * haar.DRAW_BLOCK + 500
     rng, ref = np.random.default_rng(13), np.random.default_rng(13)
-    avg = grouprep.group_average(sampler, lambda ts: ts, rng, trials)
+    avg = haar.group_average(sampler, lambda ts: ts, rng, trials)
     expected = sum(ts.sum(axis=0) for ts in haar.draw_blocks(sampler, ref, trials)) / trials
     assert not avg.exact
     assert avg.n_samples == trials
@@ -465,7 +555,7 @@ def test_group_average_sums_array_values_block_by_block():
 
 
 def test_group_average_refuses_what_it_holds_before_any_draw(monkeypatch):
-    sampler = grouprep.sampler_for(ss.build_quantum(2))
+    sampler = haar.sampler_for(ss.build_quantum(2))
     # Room for draws of ten elements on K = 4 coordinates.
     monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", haar._DRAW_BYTES_PER_ENTRY * 16 * 10)
     rng = np.random.default_rng(0)
@@ -477,13 +567,13 @@ def test_group_average_refuses_what_it_holds_before_any_draw(monkeypatch):
     # One block of ten (16, 16) values and their sum: 8 * 11 * 256 bytes.
     with pytest.raises(RangeError, match="a block of 10 per-sample values of width 256 "
                                          "and their sum would need 22528 bytes"):
-        grouprep.group_average(sampler, kron_square, rng, 1000)
+        haar.group_average(sampler, kron_square, rng, 1000)
     # Scalar values are kept, and concatenated: 2 * 8 * 1000 bytes.
     with pytest.raises(RangeError, match="2 arrays of 1000 per-sample values would need 16000 bytes"):
-        grouprep.group_average(sampler, lambda ts: ts[:, 0, 0], rng, 1000)
+        haar.group_average(sampler, lambda ts: ts[:, 0, 0], rng, 1000)
     assert rng.bit_generator.state == state
     # (4, 4) values are never wider than their draws.
-    assert grouprep.group_average(sampler, lambda ts: ts, rng, 1000).mean.shape == (4, 4)
+    assert haar.group_average(sampler, lambda ts: ts, rng, 1000).mean.shape == (4, 4)
 
 
 def test_array_averages_do_not_grow_with_the_trial_count(monkeypatch):
@@ -491,7 +581,7 @@ def test_array_averages_do_not_grow_with_the_trial_count(monkeypatch):
     # 1280000 bytes; one block of them and their sum fit in 1 MiB.
     monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 1 << 20)
     qubit = ss.build_quantum(2)
-    sampler = grouprep.sampler_for(qubit)
+    sampler = haar.sampler_for(qubit)
     dev = haar.check_irreducible(qubit, sampler, trials=5000, rng=np.random.default_rng(1))
     assert dev < 10 / math.sqrt(5000)
     gram = haar.invariant_gram(qubit, sampler, n_avg=5000, rng=np.random.default_rng(2),
@@ -645,7 +735,7 @@ def test_unsupported_clifford_order():
 
 def test_sample_dihedral_draws_group_elements(rng):
     space = ss.build_polygon(5)
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     elements = sampler.elements
     for _ in range(20):
         t = haar.draw_many(sampler, rng, 1)[0]
@@ -653,7 +743,7 @@ def test_sample_dihedral_draws_group_elements(rng):
 
 
 def test_large_classical_group_is_finite_but_not_enumerated(rng):
-    sampler = grouprep.sampler_for(ss.build_classical(8))
+    sampler = haar.sampler_for(ss.build_classical(8))
     assert sampler.elements is None
     t = haar.draw_many(sampler, rng, 1)[0]
     np.testing.assert_allclose(t.sum(axis=0), 1.0)
@@ -686,7 +776,7 @@ def test_scale_only_gram_matches_dense_projector(space, rng):
 def test_enumerated_draws_are_one_gather_of_the_element_list(space, order):
     # An enumerated group draws through its draw function like every other
     # sampler; the stream is that of one gather at uniform indices.
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     elements = sampler.elements
     assert len(elements) == order
     for s in (4250, 4251, 4252):

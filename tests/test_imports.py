@@ -4,6 +4,7 @@ command runs only the layers it reads."""
 
 import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import gptpurity
-from gptpurity import cli
+from gptpurity import cli, grouprep
 
 PACKAGE = Path(gptpurity.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -84,6 +85,13 @@ def test_clifford_makes_no_blas_call():
     assert blas_entry_points((PACKAGE / "clifford.py").read_text(encoding="utf-8")) == []
 
 
+def test_invariant_form_elimination_makes_no_blas_call():
+    source = "".join(inspect.getsource(f) for f in (
+        grouprep.invariant_form_dimension, grouprep._invariance_system, grouprep._rank))
+    assert "def _rank" in source
+    assert blas_entry_points(source) == []
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level names of the absolute imports of ``source``."""
     names = set()
@@ -140,6 +148,20 @@ def test_randomize_loads_neither_faces_nor_boxworld():
     # Nor any descriptor, Gram or purity layer: only the closed forms' checks.
     assert _loaded_by("gptpurity.randomize") == {
         "gptpurity", "gptpurity.errors", "gptpurity.formulas", "gptpurity.randomize"}
+
+
+def test_no_module_imports_the_haar_references():
+    # The Haar samplers and the group-averaged Gram are test references:
+    # no package module imports them, and cli registers no such layer.
+    assert not (PACKAGE / "haar.py").exists()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+                assert "haar" not in {p for n in names for p in n.split(".")}, path.name
+    layers = ("errors", "cli", "statespace", "grouprep", "clifford", "composite", "purity",
+              "boxworld", "formulas", "randomize", "faces", "checks")
+    assert _loaded_by("gptpurity.cli") == {"gptpurity", *(f"gptpurity.{n}" for n in layers)}
 
 
 def test_cli_loads_every_traced_layer():

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import clifford, errors, faces, formulas, grouprep, haar, randomize as rnd
+from gptpurity import clifford, errors, faces, formulas, grouprep, randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
-from gptpurity.purity import complete_pauli_set, pauli_haar_average
+from gptpurity.purity import complete_pauli_set
+import haar
 
 SRC = str(Path(formulas.__file__).resolve().parents[1])
 # The child runs one CLI command and writes its own peak RSS (KiB) to a file,
@@ -233,7 +234,7 @@ def test_haar_draw_block_peak_is_within_its_memory_count(monkeypatch, builder, n
     # conjugation superoperators.  Its traced peak must not pass the bytes
     # that draw_many's memory check counted.
     space = builder(n)
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     haar.draw_many(sampler, np.random.default_rng(0), 2)
     counted = []
     monkeypatch.setattr(errors, "check_memory", lambda nbytes, what: counted.append(nbytes))
@@ -367,8 +368,8 @@ def test_per_sample_arrays_are_refused_before_any_draw():
     qubit = ss.build_quantum(2)
     x = complete_pauli_set(qubit, grouprep.analytic_gram(qubit))[0]
     with pytest.raises(RangeError, match="3200000000 bytes"):
-        pauli_haar_average(qubit, grouprep.sampler_for(qubit), x, qubit.max_mixed,
-                           n_samples=200_000_000)
+        haar.pauli_haar_average(qubit, haar.sampler_for(qubit), x, qubit.max_mixed,
+                                n_samples=200_000_000)
 
 
 def test_oversized_sample_count_exits_one_before_allocating(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity import clifford, grouprep, haar, statespace as ss
+from gptpurity import clifford, grouprep, statespace as ss
 from gptpurity import purity as pur
 from gptpurity.errors import (
     DegenerateDirectionError,
@@ -13,6 +13,7 @@ from gptpurity.errors import (
     RangeError,
     UnsupportedSpaceError,
 )
+import haar
 from states import random_mixtures
 
 
@@ -61,20 +62,20 @@ def test_tr2_conversion_roundtrip(n, p):
 
 def test_fixed_purity_state_endpoints(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    full = pur.fixed_purity_state(space, 1.0, rng)
+    full = haar.fixed_purity_state(space, 1.0, rng)
     assert pur.purity(space, gram, full) == pytest.approx(1.0, abs=1e-12)
-    null = pur.fixed_purity_state(space, 0.0, rng)
+    null = haar.fixed_purity_state(space, 0.0, rng)
     np.testing.assert_allclose(null, space.max_mixed, atol=1e-15)
 
 
 def test_fixed_purity_state_hits_target_and_converts(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    omega = pur.fixed_purity_state(space, 0.25, rng)
+    omega = haar.fixed_purity_state(space, 0.25, rng)
     assert pur.purity(space, gram, omega) == pytest.approx(0.25, abs=1e-12)
     rho = space.to_matrix(omega)
     assert np.trace(rho @ rho).real == pytest.approx(5 / 8, abs=1e-12)
     with pytest.raises(RangeError):
-        pur.fixed_purity_state(space, 1.5, rng)
+        haar.fixed_purity_state(space, 1.5, rng)
 
 
 def test_purity_bounds_and_zero_iff_max_mixed(rng):
@@ -90,7 +91,7 @@ def test_purity_bounds_and_zero_iff_max_mixed(rng):
 def test_purity_invariance_under_group(rng):
     for space in (ss.build_quantum(3), ss.build_classical(4), ss.build_polygon(6)):
         gram = grouprep.analytic_gram(space)
-        sampler = grouprep.sampler_for(space)
+        sampler = haar.sampler_for(space)
         for omega in random_mixtures(space, 50, rng):
             p = pur.purity(space, gram, omega)
             t = haar.draw_many(sampler, rng, 1)[0]
@@ -119,7 +120,7 @@ def test_pauli_from_direction_qubit_z(rng):
     assert gram.norm_sq(x.vector) == pytest.approx(1.0, abs=1e-12)
     assert x(space.max_mixed) == pytest.approx(0.0, abs=1e-15)
     for _ in range(20):
-        omega = space.sample_pures(rng, 1)[0]
+        omega = haar.sample_pures(space, rng, 1)[0]
         expected = np.trace(pur.pauli_string("Z") @ space.to_matrix(omega)).real
         assert x(omega) == pytest.approx(expected, abs=1e-12)
 
@@ -205,10 +206,10 @@ def test_purity_via_pauli_set_matches_purity_on_random_states(rng):
 
 def test_pauli_haar_average_qubit_pure(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     x = pur.complete_pauli_set(space, gram)[0]
-    omega = space.sample_pures(rng, 1)[0]
-    avg = pur.pauli_haar_average(space, sampler, x, omega, n_samples=10_000, rng=rng)
+    omega = haar.sample_pures(space, rng, 1)[0]
+    avg = haar.pauli_haar_average(space, sampler, x, omega, n_samples=10_000, rng=rng)
     assert abs(avg.mean - 1 / 3) <= 3 * avg.stderr
 
 
@@ -219,10 +220,10 @@ def test_pauli_haar_average_matches_purity_over_k_minus_one(builder, level, seed
     # 5000 samples span four full draw_many blocks and one partial one.
     rng = np.random.default_rng(seed)
     space, gram = _space_gram(builder(level))
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     x = pur.PauliMap(space, gram, pur.pauli_vectors(space, gram, rng.normal(size=(1, space.K)))[0])
     omega = random_mixtures(space, 1, rng)[0]
-    avg = pur.pauli_haar_average(space, sampler, x, omega, n_samples=5000, rng=rng)
+    avg = haar.pauli_haar_average(space, sampler, x, omega, n_samples=5000, rng=rng)
     assert avg.n_samples == 5000 and not avg.exact
     expected = pur.purity(space, gram, omega) / (space.K - 1)
     assert abs(avg.mean - expected) <= 3 * avg.stderr
@@ -230,20 +231,22 @@ def test_pauli_haar_average_matches_purity_over_k_minus_one(builder, level, seed
 
 def test_pauli_haar_average_classical_exact():
     space, gram = _space_gram(ss.build_classical(4))
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     assert sampler.elements is not None and len(sampler.elements) == 24
     x = pur.complete_pauli_set(space, gram)[0]
     pure = np.array([1.0, 0, 0, 0])
-    avg = pur.pauli_haar_average(space, sampler, x, pure)
+    avg = haar.pauli_haar_average(space, sampler, x, pure)
     assert avg.exact
     assert avg.mean == pytest.approx(1 / 3, abs=1e-14)
+    # The package's sum over the element stack is the reference's exact branch.
+    assert pur.pauli_haar_average(grouprep.group_elements(space), x, pure) == avg.mean
 
 
 def test_pauli_haar_average_max_mixed_zero(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    sampler = grouprep.sampler_for(space)
+    sampler = haar.sampler_for(space)
     x = pur.complete_pauli_set(space, gram)[1]
-    avg = pur.pauli_haar_average(space, sampler, x, space.max_mixed, n_samples=100, rng=rng)
+    avg = haar.pauli_haar_average(space, sampler, x, space.max_mixed, n_samples=100, rng=rng)
     assert avg.mean == pytest.approx(0.0, abs=1e-20)
 
 
@@ -252,7 +255,7 @@ def test_pauli_haar_average_max_mixed_zero(rng):
 
 def test_collision_probability_endpoints(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    pure = space.sample_pures(rng, 1)[0]
+    pure = haar.sample_pures(space, rng, 1)[0]
     res = pur.max_collision_probability(space, gram, pure)
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert gram.norm_sq(res.optimizer.vector) == pytest.approx(1.0, abs=1e-12)
@@ -263,7 +266,7 @@ def test_collision_probability_endpoints(rng):
 
 def test_collision_probability_quarter_purity(rng):
     space, gram = _space_gram(ss.build_quantum(2))
-    omega = pur.fixed_purity_state(space, 0.25, rng)
+    omega = haar.fixed_purity_state(space, 0.25, rng)
     res = pur.max_collision_probability(space, gram, omega)
     assert res.value == pytest.approx(5 / 8, abs=1e-12)
 
@@ -271,8 +274,8 @@ def test_collision_probability_quarter_purity(rng):
 def test_pauli_set_elements_connected_by_group_up_to_sign(rng):
     # Every map in a complete set is a group image of the first, up to sign.
     cases = [
-        (ss.build_classical(4), grouprep.sampler_for(ss.build_classical(4)).elements),
-        (ss.build_polygon(5), grouprep.sampler_for(ss.build_polygon(5)).elements),
+        (ss.build_classical(4), grouprep.group_elements(ss.build_classical(4))),
+        (ss.build_polygon(5), grouprep.group_elements(ss.build_polygon(5))),
         (ss.build_quantum(2), grouprep.conjugation_matrix(ss.build_quantum(2),
                                                           clifford.clifford_unitaries(1))),
     ]
@@ -292,5 +295,5 @@ def test_fixed_purity_state_purity_matches_target_everywhere(p0):
     space = ss.build_quantum(2)
     gram = grouprep.analytic_gram(space)
     gen = np.random.default_rng(12)
-    omega = pur.fixed_purity_state(space, p0, gen)
+    omega = haar.fixed_purity_state(space, p0, gen)
     assert pur.purity(space, gram, omega) == pytest.approx(p0, abs=1e-10)

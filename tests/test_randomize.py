@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptpurity import checks, errors, formulas, grouprep, haar, randomize as rnd
+from gptpurity import checks, errors, formulas, grouprep, randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import (
     DegenerateCompositeError,
@@ -15,7 +15,8 @@ from gptpurity.errors import (
     RangeError,
     UnsupportedSpaceError,
 )
-from gptpurity.purity import fixed_purity_state, purity_from_tr2, tr2_from_purity
+from gptpurity.purity import purity_from_tr2, tr2_from_purity
+import haar
 from states import compose, marginal_a, purity_pure_times_maxmixed
 
 
@@ -155,15 +156,15 @@ def test_predict_nonlocaltomo_reduces_to_general_when_tomographic():
     comp = _pair(ss.build_quantum, 2, 2)
     phimu = purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
                                           tol=1e-10).numeric
-    pred = formulas.predict_nonlocaltomo(4, 16, 1.0, phimu, 0.0)
+    pred = formulas._nonlocaltomo(4, 16, 1.0, phimu.as_integer_ratio(), (0, 1))
     general = formulas.predict_general("quantum", 2, 2, 1.0).value
     assert pred.value == pytest.approx(general, abs=1e-12)
 
 
 def test_predict_nonlocaltomo_edge_cases():
-    assert formulas.predict_nonlocaltomo(3, 10, 0.0, 1 / 3, 0.0).value == 0.0
+    assert formulas._nonlocaltomo(3, 10, 0.0, (1, 3), (0, 1)).value == 0.0
     with pytest.raises(DegenerateCompositeError):
-        formulas.predict_nonlocaltomo(3, 10, 1.0, 0.2, 0.5)
+        formulas._nonlocaltomo(3, 10, 1.0, (1, 5), (1, 2))
 
 
 # -- estimator -------------------------------------------------------------------------
@@ -404,7 +405,7 @@ def test_ket_kernel_matches_explicit_route(builder, real):
         part_a, joint = builder(na), builder(n)
         gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
         # The block draws its kets as haar_kets does from the same generator.
-        psi = rnd.haar_kets(3, n, np.random.default_rng(5300), real=real)
+        psi = haar.haar_kets(3, n, np.random.default_rng(5300), real=real)
         local, glob = rnd._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
         for k, ket in enumerate(psi):
             rho = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n) / n
@@ -499,7 +500,8 @@ def test_ket_path_agrees_with_full_unitary_path():
     # The reference conjugates a fixed state of purity 0.5 with a block of
     # Haar unitaries per stream and takes Tr(rho_A^2) of the explicit marginal.
     comp = _pair(ss.build_quantum, 2, 2)
-    phi = comp.joint.to_matrix(fixed_purity_state(comp.joint, 0.5, np.random.default_rng(5100)))
+    phi = comp.joint.to_matrix(haar.fixed_purity_state(comp.joint, 0.5,
+                                                       np.random.default_rng(5100)))
 
     def draw(rng, size):
         u = haar.haar_unitaries(size, 4, rng)

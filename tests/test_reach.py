@@ -53,35 +53,16 @@ ARGV = [
 ]
 
 # Tests that several entries name.
-_CRIT_03 = "tests/test_acceptance.py::test_criterion_03_classical_pure_marginals_exact"
-_CRIT_06 = "tests/test_acceptance.py::test_criterion_06_purity_pure_times_maxmixed"
 _PR_STATE = "tests/test_boxworld.py::test_pr_state_purity_is_exactly_one_third"
 _PER_STATE = "tests/test_checks.py::test_batched_pauli_identities_match_the_per_state_route"
-_HAAR_KETS = "tests/test_statespace.py::test_haar_kets_size_one_is_haar_ket_and_sample_pure"
-_BLOCKS = "tests/test_grouprep.py::test_draw_blocks_shrink_under_the_memory_cap"
 # Defs that no command runs, each with the test that uses it as a reference.
 ALLOWLIST = {
     "boxworld.boxworld_purity": _PR_STATE,
-    "formulas.predict_nonlocaltomo":
-        "tests/test_randomize.py::test_predict_nonlocaltomo_reduces_to_general_when_tomographic",
-    "grouprep.sampler_for.draw_many":
-        "tests/test_grouprep.py::test_large_permutation_sampler_draws_as_single_permutations",
-    "haar.haar_unitaries": "tests/test_grouprep.py::test_haar_unitaries_stack_and_size_one_case",
-    "haar._haar_sampler": "tests/test_grouprep.py::test_haar_draw_many_is_a_stack_of_conjugations",
-    "haar.draw_many": "tests/test_grouprep.py::test_finite_draw_many_is_a_gather_of_draws",
-    "haar.draw_blocks": _BLOCKS,
-    "haar._draw_block": _BLOCKS,
-    "haar.check_irreducible": "tests/test_grouprep.py::test_check_irreducible_pentagon_exact",
-    "haar._rank_one_deviation": _CRIT_06,
-    "haar.invariant_gram": _CRIT_06,
     "purity.purity_from_tr2": "tests/test_randomize.py::test_qubit_oracle_consistency_triangle",
     "purity.tr2_from_purity":
         "tests/test_acceptance.py::test_criterion_12_real_quantum_nonlocal_tomography",
-    "purity.fixed_purity_state": _CRIT_03,
     "purity.PauliMap.__call__": "tests/test_purity.py::test_classical_pauli_values_on_pure_state",
     "purity.max_collision_probability": _PER_STATE,
-    "randomize.haar_kets": _HAAR_KETS,
-    "statespace.SpaceDescriptor.sample_pures": _HAAR_KETS,
     "statespace.SpaceDescriptor.unit": _PR_STATE,
     "statespace.SpaceDescriptor.cone_contains": _PR_STATE,
     "statespace.validate_state": _PR_STATE,

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptpurity import composite as cm
-from gptpurity import grouprep, haar
-from gptpurity import randomize as rnd
+from gptpurity import grouprep
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
+import haar
 from states import random_mixtures
 
 
@@ -117,7 +117,7 @@ def test_bloch_linearity_over_mixtures(weights):
     space = ss.build_classical(5)
     lam = np.array(weights) / np.sum(weights)
     gen = np.random.default_rng(7)
-    states = space.sample_pures(gen, len(lam))
+    states = haar.sample_pures(space, gen, len(lam))
     mixed = lam @ states
     blochs = states - space.max_mixed
     np.testing.assert_allclose(space.bloch(mixed), lam @ blochs, atol=1e-14)
@@ -149,7 +149,7 @@ def test_max_mixed_fixed_by_sampled_transformations(rng):
         ss.build_boxworld_bipartite(),
     ]
     for space in spaces:
-        sampler = grouprep.sampler_for(space)
+        sampler = haar.sampler_for(space)
         for _ in range(20):
             t = haar.draw_many(sampler, rng, 1)[0]
             np.testing.assert_allclose(t @ space.max_mixed, space.max_mixed, atol=1e-10)
@@ -221,10 +221,10 @@ def test_descriptors_are_immutable():
     with pytest.raises(ValueError):
         gram.matrix[0, 0] = 7.0
     square = ss.build_polygon(4)
-    averaged = haar.invariant_gram(square, grouprep.sampler_for(square))
+    averaged = haar.invariant_gram(square, haar.sampler_for(square))
     with pytest.raises(ValueError):
         averaged[0, 0] = 7.0
-    records = ((gram, "scale"), (grouprep.sampler_for(space), "draw_fn"),
+    records = ((gram, "scale"), (haar.sampler_for(space), "draw_fn"),
                (cm.capacity_witness(space), "states"))
     for record, field in records:
         with pytest.raises(AttributeError):
@@ -293,20 +293,20 @@ def test_index_arithmetic_matches_loop_built_basis(d, real, rng):
 
 def test_haar_kets_size_one_is_haar_ket_and_sample_pure():
     for real in (False, True):
-        kets = rnd.haar_kets(6, 5, np.random.default_rng(11), real=real)
+        kets = haar.haar_kets(6, 5, np.random.default_rng(11), real=real)
         assert kets.shape == (6, 5) and np.iscomplexobj(kets) != real
         np.testing.assert_allclose(np.linalg.norm(kets, axis=1), 1.0, atol=1e-15)
-    one = rnd.haar_kets(1, 5, np.random.default_rng(12))
+    one = haar.haar_kets(1, 5, np.random.default_rng(12))
     assert one.shape == (1, 5)
     assert np.linalg.norm(one) == pytest.approx(1.0, abs=1e-15)
     for space in (ss.build_quantum(3), ss.build_real_quantum(3)):
         real = space.kind == ss.KIND_REAL_QUANTUM
-        psi = rnd.haar_kets(4, 3, np.random.default_rng(13), real=real)
+        psi = haar.haar_kets(4, 3, np.random.default_rng(13), real=real)
         rhos = psi[:, :, None] * psi[:, None, :].conj()
-        np.testing.assert_array_equal(space.sample_pures(np.random.default_rng(13), 4),
+        np.testing.assert_array_equal(haar.sample_pures(space, np.random.default_rng(13), 4),
                                       space.to_coords(rhos))
     for space in (ss.build_classical(4), ss.build_polygon(5)):
         # A gather at uniform indices draws the stream of single draws.
         a, b = np.random.default_rng(15), np.random.default_rng(15)
-        stack = space.sample_pures(a, 4)
-        np.testing.assert_array_equal(stack, [space.sample_pures(b, 1)[0] for _ in range(4)])
+        stack = haar.sample_pures(space, a, 4)
+        np.testing.assert_array_equal(stack, [haar.sample_pures(space, b, 1)[0] for _ in range(4)])
