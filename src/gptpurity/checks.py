@@ -1,8 +1,7 @@
 """The verification registry: every verdict is a deviation against a bound.
 
-A ``Check`` passes when its non-negative ``value`` is at most its ``bound``,
-so a NaN value fails; it is the only pass/fail rule of the package.
-``markov_tail`` turns a histogram-bearing Monte Carlo report into one.
+Every verdict is an ``errors.Check``.  ``markov_tail`` turns a
+histogram-bearing Monte Carlo report into one.
 ``SUITES`` maps each ``verify`` suite to a ``(seed, samples) -> list[Check]``
 producer, shared by the command line and the acceptance tests; it is the one
 list of suite names.  Only ``markov-tail`` samples; the other suites are
@@ -15,7 +14,6 @@ module runs none of them.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,26 +24,7 @@ from . import grouprep
 from . import purity as pur
 from . import randomize as rnd
 from . import statespace as ss
-from .errors import RangeError
-
-# Tolerance of the exact identities checked in floating point.
-EXACT = 1e-12
-
-
-class Check(NamedTuple):
-    """A named non-negative deviation and the bound it must not exceed."""
-
-    name: str
-    value: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.value <= self.bound)
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "bound": self.bound,
-                "passed": self.passed}
+from .errors import EXACT, Check, RangeError
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .errors import GptPurityError
+from .errors import EXACT, Check, GptPurityError
 
 
 def _lazy(name: str) -> None:
@@ -40,8 +40,8 @@ def _lazy(name: str) -> None:
 # Every layer is in sys.modules from here on, but a command runs only the
 # layers it reads: an exact prediction runs formulas alone, with no numpy, a
 # quantum estimate runs randomize, not the descriptors, Grams, faces and
-# suites it does not need, and two-design runs clifford alone.  No command
-# draws a group element, so no Haar sampler is in the package.
+# suites it does not need, and two-design runs clifford alone, with no numpy.
+# No command draws a group element, so no Haar sampler is in the package.
 for _name in ("statespace", "grouprep", "clifford", "composite", "purity", "boxworld",
               "formulas", "randomize", "faces", "checks"):
     _lazy(_name)
@@ -229,18 +229,18 @@ def _run_verify(args: argparse.Namespace) -> dict:
 
 
 def _run_two_design(args: argparse.Namespace) -> dict:
-    frame = clifford.frame_potential(clifford.clifford_traces(args.k))
-    check = checks.Check("two-design", abs(frame - 2.0), checks.EXACT if args.k == 1 else 1e-11)
-    return {"k": args.k, "frame_potential": frame, "max_deviation": check.value,
+    # F = num / den exactly, so it passes only when num == 2 den.
+    num, den = clifford.frame_potential(clifford.clifford_traces(args.k))
+    check = Check("two-design", abs(num - 2 * den) / den, 0.0)
+    return {"k": args.k, "frame_potential": num / den, "max_deviation": check.value,
             "bound": check.bound, "passed": check.passed}
 
 
 def _run_coin_record(args: argparse.Namespace) -> dict:
     res = faces_mod.coin_with_record(args.s0, args.samples, args.seed)
     # Only a record of one string has sigma = 0: every sample is then exact.
-    check = checks.Check("coin-record", abs(res.report.mean - res.prediction.value),
-                         3.0 * res.sigma / math.sqrt(res.report.n_samples) if res.sigma > 0
-                         else checks.EXACT)
+    check = Check("coin-record", abs(res.report.mean - res.prediction.value),
+                  3.0 * res.sigma / math.sqrt(res.report.n_samples) if res.sigma > 0 else EXACT)
     return {"result": res.report.to_json_dict(),
             "prediction": res.prediction.to_json_dict(),
             "passed": check.passed}

@@ -1,206 +1,158 @@
-"""The one- and two-qubit Clifford groups and the unitary 2-design identity.
+"""The one- and two-qubit Clifford groups and the unitary 2-design identity, exactly.
 
-Enumeration of the one- and two-qubit Clifford groups modulo global phase,
-their traces (for two qubits from the factors, with no stacked group) and
-their frame potential, which is 2 exactly for a unitary 2-design.  Every
-complex product is formed from real and imaginary parts by elementwise real
-steps and summed in a fixed order: no BLAS kernel, complex SIMD loop or fused
-multiply-add sets the rounding, so the stacks have the same bytes under any
-CPU dispatch.  This module reads no state space.
+An element modulo global phase is a pair (k, G): G is a row-major tuple of
+Gaussian integers and the unitary is G / (1 + i)^k.  H = [[1, 1], [1, -1]] /
+(1 + i) is the Hadamard gate up to the phase e^(-i pi/4), and S = diag(1, i).
+Gaussian integers are Python complex numbers with integer parts, which every
+product and sum here keeps exact: their parts stay far below 2^53.  So the
+canonical form is an exact key, the group is closed with no rounding, and the
+frame potential is one ratio of integers.  This module imports no numpy and
+reads no state space.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-import numpy as np
+from .errors import UnsupportedSpaceError
 
-from .errors import InternalError, UnsupportedSpaceError
+# The units of the Gaussian integers.
+_UNITS = (1, 1j, -1, -1j)
+_HADAMARD = (1, (1, 1, 1, -1))
+_PHASE = (0, (1, 0, 0, 1j))
 
-# Frontier elements expanded per stacked product in the Clifford closure; it
-# bounds the product arrays, which no stored element is a view of.
-_CLOSURE_CHUNK = 256
 
+def canonical(k: int, g: tuple) -> tuple[int, tuple]:
+    """The canonical (k, G) of G / (1 + i)^k modulo phase; G may also be a column.
 
-def _sum_of_products(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """sum_p x_p y_p over broadcast pairs of complex (or real) arrays, in order.
-
-    Each term is (xr yr - xi yi) + i (xr yi + xi yr) by elementwise real
-    steps, and the terms are added in the order given.  A real pair takes
-    the one product x y, and a sum of real pairs only is returned as float64:
-    the real part of the complex route, bit for bit.
+    G is divided by 1 + i while every entry a + bi allows it (a + b even), and
+    then multiplied by the unit that puts its first nonzero entry in re > 0,
+    im >= 0.  Two unitaries, or two unit columns, give the same key exactly
+    when they agree up to phase: no Gaussian prime but 1 + i divides a power
+    of 2.
     """
-    re = im = 0.0
-    for x, y in pairs:
-        if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
-            re = re + x * y
-            continue
-        xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-        re = re + (xr * yr - xi * yi)
-        im = im + (xr * yi + xi * yr)
-    if isinstance(im, float):
-        return np.asarray(re, dtype=float)
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    while all((x.real + x.imag) % 2 == 0 for x in g):
+        g = tuple(x * (1 - 1j) / 2 for x in g)
+        k -= 1
+    first = next(x for x in g if x)
+    unit = next(u for u in _UNITS if (u * first).real > 0 and (u * first).imag >= 0)
+    return k, tuple(unit * x for x in g)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrix product of two broadcast stacks of square matrices, summed over the
-    inner index in order."""
-    return _sum_of_products((a[..., :, l, None], b[..., None, l, :]) for l in range(a.shape[-1]))
+def entries(element: tuple[int, tuple]) -> tuple[complex, ...]:
+    """The row-major complex entries of an element's unitary G / (1 + i)^k = G ((1 - i)/2)^k.
 
-
-def _phase_canonical(u: np.ndarray) -> np.ndarray:
-    """Multiply each unitary of a complex (..., d, d) stack, in place, by the phase
-    that makes its first entry of modulus above 1e-9 real and positive; return ``u``.
-
-    A unitary's first row has unit norm, so that entry lies in row 0.
+    They are dyadic Gaussian rationals, so no entry is rounded.
     """
-    re, im = u.real, u.imag
-    row_re, row_im = re[..., 0, :], im[..., 0, :]
-    at = np.argmax(row_re * row_re + row_im * row_im > 1e-18, axis=-1)[..., None]
-    x = np.take_along_axis(row_re, at, axis=-1)[..., None]
-    y = np.take_along_axis(row_im, at, axis=-1)[..., None]
-    r = np.sqrt(x * x + y * y)
-    c, s = x / r, y / r
-    # (re + i im)(c - i s) = (re c + im s) + i (im c - re s).
-    t = re * s
-    re *= c
-    re += im * s
-    im *= c
-    im -= t
-    return u
+    k, g = element
+    scale = ((1 - 1j) / 2) ** k
+    return tuple(x * scale for x in g)
 
 
-def _keys(u: np.ndarray) -> list[bytes]:
-    """The rounded-entry key of each entry of a stack: each (d, d) matrix, or each row."""
-    raw = (np.round(u, 9) + 0.0).tobytes()
-    step = len(raw) // len(u)
-    return [raw[i:i + step] for i in range(0, len(raw), step)]
+def _mul(a: tuple[int, tuple], b: tuple[int, tuple]) -> tuple[int, tuple]:
+    """The canonical product a b of two elements."""
+    (ka, ga), (kb, gb) = a, b
+    d = math.isqrt(len(ga))
+    return canonical(ka + kb, tuple(sum(ga[i * d + l] * gb[l * d + j] for l in range(d))
+                                    for i in range(d) for j in range(d)))
 
 
-def _bfs_closure(generators: list[np.ndarray], expect: int) -> np.ndarray:
-    """Breadth-first closure of the generated group modulo phase.
-
-    Elements come in discovery order: level by level, and within a level by
-    frontier element, then by generator.  Each chunk of the frontier is
-    multiplied by every generator in one stacked product, and new elements
-    are copied into one preallocated (expect, d, d) array, which is returned.
-    """
-    gens = np.stack(generators)
-    d = gens.shape[1]
-    out = np.empty((expect, d, d), dtype=complex)
-    out[0] = np.eye(d)
-    seen = set(_keys(out[:1]))
-    lo, hi = 0, 1  # the current level is out[lo:hi]
-    while lo < hi:
-        n = hi
-        for c in range(lo, hi, _CLOSURE_CHUNK):
-            frontier = out[c:min(c + _CLOSURE_CHUNK, hi), None]
-            prod = _phase_canonical(_product(gens[None], frontier)).reshape(-1, d, d)
-            fresh = []
-            for i, k in enumerate(_keys(prod)):
-                if k not in seen:
-                    seen.add(k)
-                    fresh.append(i)
-            if n + len(fresh) > expect:
-                raise InternalError(f"group closure exceeded {expect} elements")
-            out[n:n + len(fresh)] = prod[fresh]
-            n += len(fresh)
-        lo, hi = hi, n
-    if hi != expect:
-        raise InternalError(f"group closure produced {hi} elements, expected {expect}")
-    return out
+def _kron(a: tuple[int, tuple], b: tuple[int, tuple]) -> tuple[int, tuple]:
+    """The canonical Kronecker product a (x) b of two elements."""
+    (ka, ga), (kb, gb) = a, b
+    da, db = math.isqrt(len(ga)), math.isqrt(len(gb))
+    return canonical(ka + kb, tuple(ga[i * da + j] * gb[k * db + l]
+                                    for i in range(da) for k in range(db)
+                                    for j in range(da) for l in range(db)))
 
 
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker products a_i (x) b_j of two stacks of square matrices, i-major."""
-    (m, p, _), (n, q, _) = a.shape, b.shape
-    pair = (a[:, None, :, None, :, None], b[None, :, None, :, None, :])
-    return _sum_of_products([pair]).reshape(m * n, p * q, p * q)
+def _perm(cols: Sequence[int], scale: Sequence[complex] | None = None) -> tuple[int, tuple]:
+    """The monomial element whose row r holds ``scale[r]`` (1 by default) in column cols[r]."""
+    d = len(cols)
+    scale = scale or [1] * d
+    return canonical(0, tuple(scale[r] if c == cols[r] else 0
+                              for r in range(d) for c in range(d)))
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_PHASE = np.diag([1, 1j])
+def _closure(generators: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+    """Breadth-first closure of the generated group modulo phase, in discovery order:
+    level by level, and within a level by frontier element, then by generator g,
+    each new element g x."""
+    d = math.isqrt(len(generators[0][1]))
+    found = {_perm(range(d)): None}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in generators:
+                y = _mul(g, x)
+                if y not in found:
+                    found[y] = None
+                    fresh.append(y)
+        frontier = fresh
+    return list(found)
 
 
-def _two_qubit_factors() -> tuple[np.ndarray, np.ndarray]:
-    """The one-qubit Clifford group and the 20 coset representatives of ``clifford_unitaries(2)``.
+@lru_cache(maxsize=None)
+def one_qubit_group() -> tuple[tuple[int, tuple], ...]:
+    """The 24 one-qubit Cliffords modulo phase: the closure over H and S, identity first."""
+    return tuple(_closure([_HADAMARD, _PHASE]))
+
+
+def _two_qubit_factors() -> tuple[tuple, list[tuple[int, tuple]]]:
+    """The one-qubit Clifford group and the 20 coset representatives of the two-qubit group.
 
     C_2 / phase = (C_1 (x) C_1) {I, CNOT S, iSWAP S, SWAP},  S in S_1 (x) S_1,
     the four-class decomposition of two-qubit randomized benchmarking
     (Barends et al., Nature 508, 500, 2014), with S_1 = {I, SH, (SH)^2},
-    whose conjugations cycle the Pauli axes.  Returns (C_1, reps) with reps
-    a (20, 4, 4) stack.
+    whose conjugations cycle the Pauli axes.  Every one of the 11520 products
+    (a (x) b) r is a distinct element.
     """
-    sh = _product(_PHASE, _HADAMARD)
-    s1 = np.stack([np.eye(2), sh, _product(sh, sh)])
-    s11 = _kron_stack(s1, s1)
-    cnot = np.eye(4)[[0, 1, 3, 2]]
-    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    return clifford_unitaries(1), np.concatenate([np.eye(4)[None], _product(cnot, s11),
-                                                  _product(iswap, s11), swap[None]])
+    ident, sh = _perm([0, 1]), _mul(_PHASE, _HADAMARD)
+    s1 = [ident, sh, _mul(sh, sh)]
+    s11 = [_kron(a, b) for a in s1 for b in s1]
+    cnot, iswap = _perm([0, 1, 3, 2]), _perm([0, 2, 1, 3], [1, 1j, 1j, 1])
+    reps = [_perm([0, 1, 2, 3])] + [_mul(cnot, s) for s in s11] + [_mul(iswap, s) for s in s11]
+    return one_qubit_group(), reps + [_perm([0, 2, 1, 3])]
 
 
-@lru_cache(maxsize=None)
-def clifford_unitaries(k: int = 1) -> np.ndarray:
-    """The k-qubit Clifford group modulo global phase (k = 1 or 2).
+def clifford_traces(k: int = 1) -> Iterator[tuple[int, complex]]:
+    """Tr g of every k-qubit Clifford g modulo phase (k = 1 or 2), each as (k_g, t_g):
+    Tr g = t_g / (1 + i)^(k_g) up to a phase.
 
-    k = 1 is the breadth-first closure over the Hadamard and phase gates.
-    k = 2 is the product of the 576 local pairs of ``_two_qubit_factors``
-    with its 20 coset representatives, local pair major; no element repeats.
-    It is formed one representative at a time, so besides the result only
-    the local pairs and one representative's products are held.  Every
-    element carries a deterministic phase canonicalization.  Returns one
-    read-only (|G|, d, d) array, shared by every caller; sizes are 24 and
-    11520.
+    k = 1 is ``one_qubit_group()`` in its order.  k = 2 never forms the
+    group, and yields each trace as it is taken: Tr((a (x) b) r) =
+    sum a_ij b_kl r_(jl),(ik) over the factors of ``_two_qubit_factors``,
+    local pair major, first w_(b, r, j, i) = sum_kl b_kl r_(jl),(ik), then
+    sum_ij a_ij w_(b, r, j, i).
     """
     if k == 1:
-        out = _bfs_closure([_HADAMARD, _PHASE], expect=24)
-    elif k == 2:
-        c1, reps = _two_qubit_factors()
-        pairs = _kron_stack(c1, c1)
-        out = np.empty((len(pairs), len(reps), 4, 4), dtype=complex)
-        for r, rep in enumerate(reps):
-            out[:, r] = _phase_canonical(_product(pairs, rep))
-        out = out.reshape(-1, 4, 4)
-    else:
-        raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
-    out.flags.writeable = False
-    return out
-
-
-def clifford_traces(k: int = 1) -> np.ndarray:
-    """Tr g of every element of ``clifford_unitaries(k)``, in its order, up to a phase each.
-
-    k = 2 never stacks the group: Tr((a (x) b) r) = sum a_ij b_kl r_(jl),(ik)
-    over the factors of ``_two_qubit_factors``, first w_(b, r, j, i) =
-    sum_kl b_kl r_(jl),(ik), then sum_ij a_ij w_(b, r, j, i); |Tr g| does not
-    depend on the phase canonicalization.
-    """
+        return ((kg, g[0] + g[3]) for kg, g in one_qubit_group())
     if k != 2:
-        return np.trace(clifford_unitaries(k), axis1=-2, axis2=-1)
+        raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
     c1, reps = _two_qubit_factors()
-    r = reps.reshape(-1, 2, 2, 2, 2)  # r[n, j, l, i, k] = r_(jl),(ik)
-    w = _sum_of_products((c1[:, None, k, l, None, None], r[None, :, :, l, :, k])
-                         for k in range(2) for l in range(2))
-    return _sum_of_products((c1[:, None, None, i, j], w[None, :, :, j, i])
-                            for i in range(2) for j in range(2)).reshape(-1)
+    # w[b][r] = (k_b + k_r, w_(b, r, j, i) at 2 i + j, like a_ij), with b_kl at 2 p + q.
+    w = [[(kb + kr, [sum(b[2 * p + q] * r[8 * j + 4 * q + 2 * i + p]
+                         for p in range(2) for q in range(2))
+                     for i in range(2) for j in range(2)]) for kr, r in reps] for kb, b in c1]
+    return ((ka + kw, a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3)
+            for ka, (a0, a1, a2, a3) in c1 for wb in w for kw, (w0, w1, w2, w3) in wb)
 
 
-def frame_potential(traces: np.ndarray | Sequence[complex]) -> float:
-    """Second frame potential F = (1/|G|) sum_g |Tr g|^4 of a finite unitary group, from its traces.
+def frame_potential(traces: Iterable[tuple[int, complex]]) -> tuple[int, int]:
+    """Second frame potential F = (1/|G|) sum_g |Tr g|^4 of a finite unitary group, as
+    the integers (num, den) with F = num / den, from its traces (k_g, t_g).
 
-    F is the sum of the squared multiplicities of the irreducible components
-    of g (x) g: an integer that is at least 2 in dimension d >= 2, with
-    equality exactly when the group is a unitary 2-design (Gross, Audenaert
-    and Eisert, J. Math. Phys. 48, 052104, 2007).  |Tr g|^2 is the sum of the
-    squared real and imaginary parts.
+    |Tr g|^4 = |t_g|^4 / 4^(k_g): the traces are counted by (k_g, |t_g|^2)
+    as they come.  F is the sum of the squared multiplicities of the irreducible
+    components of g (x) g: an integer that is at least 2 in dimension d >= 2,
+    with equality exactly when the group is a unitary 2-design (Gross,
+    Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007).
     """
-    t = np.asarray(traces, dtype=complex)
-    sq = t.real * t.real + t.imag * t.imag
-    return float(np.mean(sq * sq))
+    counts = Counter((k, int(t.real * t.real + t.imag * t.imag)) for k, t in traces)
+    top = max(k for k, _ in counts)
+    num = sum(m * n * n << 2 * (top - k) for (k, n), m in counts.items())
+    return num, sum(counts.values()) << 2 * top

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the memory cap every layer checks.
+"""Exception types, the verdict type and the memory cap shared across the package.
+
+A ``Check`` passes when its non-negative ``value`` is at most its ``bound``,
+so a NaN value fails; it is the only pass/fail rule of the package.
 
 Arrays that grow with a request (a coordinate block, a dense Gram, a stacked
 basis, a descriptor, a block of Monte Carlo samples) are checked against
@@ -7,11 +10,31 @@ that holds no array but grows with a request (the face prediction's index
 sums) is checked against ``WORK_CAP_TERMS`` by ``check_work`` before it starts.
 """
 
+from typing import NamedTuple
+
 # Largest single array a request may allocate when it grows with the request.
 MEMORY_CAP_BYTES = 1 << 30
 # Most terms a pure-Python sum may take when it grows with the request: 9-15 s
 # of `predict qface` on a 2-core x86-64 VM.
 WORK_CAP_TERMS = 10**7
+# Tolerance of the exact identities checked in floating point.
+EXACT = 1e-12
+
+
+class Check(NamedTuple):
+    """A named non-negative deviation and the bound it must not exceed."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.bound)
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "value": self.value, "bound": self.bound,
+                "passed": self.passed}
 
 
 class GptPurityError(Exception):
@@ -32,10 +55,6 @@ class ConeError(GptPurityError, ValueError):
 
 class RangeError(GptPurityError, ValueError):
     """A numeric argument lies outside its documented range."""
-
-
-class ReducibleSpaceError(GptPurityError):
-    """The group action fails the irreducibility diagnostic."""
 
 
 class UnsupportedSpaceError(GptPurityError, ValueError):

@@ -14,8 +14,8 @@ order unit and map the cone into itself.  This module provides
   of forms they leave invariant, which proves that Gram unique up to scale,
 * the qubit's Pauli-eigenstate orbit.
 
-The Clifford groups are enumerated in ``clifford``, reached through a module
-alias, so running this module does not run it.  No command draws a group
+The Clifford groups are enumerated exactly in ``clifford``, reached through a
+module alias, so running this module does not run it.  No command draws a group
 element: the Haar samplers and the group-averaged Gram are test references.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,21 +44,51 @@ RANK_TOL = 1e-9
 # -- conjugation superoperators ------------------------------------------------------
 
 
+def _sum_of_products(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """sum_p x_p y_p over broadcast pairs of complex (or real) arrays, in order.
+
+    Each term is (xr yr - xi yi) + i (xr yi + xi yr) by elementwise real
+    steps, and the terms are added in the order given, so no BLAS kernel,
+    complex SIMD loop or fused multiply-add sets the rounding.  A real pair
+    takes the one product x y, and a sum of real pairs only is returned as
+    float64: the real part of the complex route, bit for bit.
+    """
+    re = im = 0.0
+    for x, y in pairs:
+        if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+            re = re + x * y
+            continue
+        xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+        re = re + (xr * yr - xi * yi)
+        im = im + (xr * yi + xi * yr)
+    if isinstance(im, float):
+        return np.asarray(re, dtype=float)
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product of two broadcast stacks of square matrices, summed over the
+    inner index in order."""
+    return _sum_of_products((a[..., :, l, None], b[..., None, l, :]) for l in range(a.shape[-1]))
+
+
 def conjugation_matrix(space: ss.SpaceDescriptor, u: np.ndarray) -> np.ndarray:
     """Superoperator of M -> U M U^dag in a space's orthonormal Hermitian basis.
 
     Returns the K x K real matrix T with (T c)_k = Tr(B_k U (sum_l c_l B_l) U^dag),
     or a (..., K, K) stack of them for a (..., n, n) stack of unitaries.
     Column l is ``space.to_coords(U B_l U^dag)`` for B_l of
-    ``space.hermitian_basis``, both products by ``clifford._product``: summed
-    in a fixed order with no BLAS call.  One l at a time, so the working
+    ``space.hermitian_basis``, both products by ``_product``: summed in a
+    fixed order with no BLAS call.  One l at a time, so the working
     memory is a few (..., n, n) stacks.
     """
     u = np.asarray(u)
     u_dag = u.conj().swapaxes(-1, -2)
     out = np.empty((*u.shape[:-2], space.K, space.K))
     for l, b in enumerate(space.hermitian_basis):
-        out[..., l] = space.to_coords(clifford._product(clifford._product(u, b), u_dag))
+        out[..., l] = space.to_coords(_product(_product(u, b), u_dag))
     return out
 
 
@@ -180,6 +210,13 @@ def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
     return GramMatrix(scale, space.order_unit)
 
 
+def clifford_unitaries() -> np.ndarray:
+    """The 24 one-qubit Cliffords modulo phase as a (24, 2, 2) complex stack, in the order
+    of ``clifford.one_qubit_group()``, with no entry rounded (``clifford.entries``)."""
+    return np.array([clifford.entries(e) for e in clifford.one_qubit_group()],
+                    dtype=complex).reshape(-1, 2, 2)
+
+
 def clifford_elements(space: ss.SpaceDescriptor) -> np.ndarray:
     """The 24 one-qubit Cliffords as a (24, 4, 4) stack of conjugations of the qubit.
 
@@ -189,7 +226,7 @@ def clifford_elements(space: ss.SpaceDescriptor) -> np.ndarray:
     """
     if space.kind != ss.KIND_QUANTUM or space.level != 2:
         raise UnsupportedSpaceError(f"no one-qubit Clifford group on {space.kind}-{space.level}")
-    return conjugation_matrix(space, clifford.clifford_unitaries(1))
+    return conjugation_matrix(space, clifford_unitaries())
 
 
 def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
@@ -197,7 +234,8 @@ def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
 
     Vertices for the polytopes, the point masses for classical spaces, and
     for the qubit the six Pauli eigenstates: the Clifford orbit of |0><0|,
-    in first-discovery order.
+    in first-discovery order.  Two Cliffords give the same state exactly when
+    their first columns have the same canonical form modulo phase.
     """
     if space.vertices is not None:
         return space.vertices
@@ -205,12 +243,11 @@ def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
         return np.eye(space.K)
     if space.kind != ss.KIND_QUANTUM or space.level != 2:
         raise UnsupportedSpaceError(f"no pure-state orbit for {space.kind}-{space.level}")
-    kets = clifford.clifford_unitaries(1)[:, :, 0]
-    coords = space.to_coords(kets[:, :, None] * kets[:, None, :].conj())
     first = {}
-    for i, key in enumerate(clifford._keys(coords)):
-        first.setdefault(key, i)
-    return coords[list(first.values())]
+    for i, (k, g) in enumerate(clifford.one_qubit_group()):
+        first.setdefault(clifford.canonical(k, g[0::2]), i)
+    kets = clifford_unitaries()[list(first.values()), :, 0]
+    return space.to_coords(kets[:, :, None] * kets[:, None, :].conj())
 
 
 def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
@@ -240,7 +277,8 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
     if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
         return _boxworld_group_elements()[[8, 32, 1, 4, 64]]
     if space.kind == ss.KIND_QUANTUM and space.level == 2:
-        us = np.stack([clifford._HADAMARD, clifford._PHASE, np.diag([1, np.exp(0.25j * np.pi)])])
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        us = np.stack([h, np.diag([1, 1j]), np.diag([1, np.exp(0.25j * np.pi)])])
     elif space.kind == ss.KIND_QUANTUM and space.level == 3:
         w, z = np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 9)
         f = w ** np.outer(np.arange(3), np.arange(3)) / math.sqrt(3)

@@ -26,7 +26,7 @@ a fixed order with no BLAS call, so these reports are the same bytes on
 every CPU.  A face's kets are drawn in its (anti)symmetric subspace and
 scattered into n x n matrices by index arithmetic (``_swap_scatter``), and the
 A marginal of its maximally mixed state is I/n, so no basis or marginal is
-held.  A report carries no verdict: a ``checks.Check`` judges it
+held.  A report carries no verdict: an ``errors.Check`` judges it
 (``checks.markov_tail`` for its histogram).
 
 This module uses no other layer of the package but ``errors`` and

@@ -483,4 +483,3 @@ def build_boxworld_bipartite() -> SpaceDescriptor:
 
 
 BOXWORLD_PRODUCT_COUNT = 16
-BOXWORLD_PR_COUNT = 8

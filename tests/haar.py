@@ -24,7 +24,7 @@ from gptpurity import errors
 from gptpurity import grouprep as gr
 from gptpurity import randomize as rnd
 from gptpurity import statespace as ss
-from gptpurity.errors import RangeError, ReducibleSpaceError, UnsupportedSpaceError
+from gptpurity.errors import GptPurityError, RangeError, UnsupportedSpaceError
 
 DEFAULT_GRAM_SAMPLES = 20_000
 # Random Bloch vectors the irreducibility diagnostic averages over.
@@ -40,6 +40,10 @@ DRAW_BLOCK = 1024
 # One 1024-element block measured 32.3 / 18.5 / 13.5 bytes per entry at
 # K = 4 / 9 / 16 and 42.3 at real K = 3 (tracemalloc).
 _DRAW_BYTES_PER_ENTRY = 48
+
+
+class ReducibleSpaceError(GptPurityError):
+    """The group action fails the irreducibility diagnostic."""
 
 
 # -- random states -----------------------------------------------------------------------

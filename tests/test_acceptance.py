@@ -16,6 +16,7 @@ from gptpurity import checks
 from gptpurity import clifford, faces, formulas, grouprep, randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity import purity as pur
+from cliffords import two_qubit_unitaries
 import haar
 from states import compose, marginal_a, purity_pure_times_maxmixed, random_mixtures
 
@@ -153,9 +154,9 @@ def test_criterion_07_pauli_identities():
 
 
 def test_criterion_08_clifford_two_design():
-    dev = abs(clifford.frame_potential(clifford.clifford_traces(1)) - 2.0)
-    ok = dev <= 1e-12
-    _report(8, ok, f"k=1 second-moment identity over the full matrix basis: max dev {dev:.2e}")
+    num, den = clifford.frame_potential(clifford.clifford_traces(1))
+    ok = num == 2 * den
+    _report(8, ok, f"k=1 second-moment identity over the full matrix basis: F = {num}/{den}")
 
 
 def _suite_detail(suite: list) -> str:
@@ -269,7 +270,7 @@ def test_criterion_14_property_suite():
     # every permutation of six outcomes) checks it on full-rank states of
     # different spectra with no sampling error.
     exact = np.random.default_rng(1014)
-    cliffords = clifford.clifford_unitaries(2)
+    cliffords = two_qubit_unitaries()
     perms = np.array(list(itertools.permutations(range(6))))
     spectra, worst = [], 0.0
     for _ in range(5):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gptpurity import checks, cli, grouprep
+from gptpurity import checks, cli, errors, grouprep
 from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import (
@@ -32,9 +32,9 @@ def test_every_check_is_a_deviation_under_its_bound_at_the_defaults(suite):
 
 
 def test_a_nan_deviation_fails():
-    assert not checks.Check("nan", math.nan, 1.0).passed
-    assert checks.Check("edge", 1e-12, 1e-12).passed
-    assert checks.Check("edge", 1e-12, 1e-12).to_json_dict() == {
+    assert not errors.Check("nan", math.nan, 1.0).passed
+    assert errors.Check("edge", 1e-12, 1e-12).passed
+    assert errors.Check("edge", 1e-12, 1e-12).to_json_dict() == {
         "name": "edge", "value": 1e-12, "bound": 1e-12, "passed": True}
 
 
@@ -121,7 +121,7 @@ def test_batched_gram_invariance_matches_the_per_draw_route(space):
     ts = haar.draw_many(haar.sampler_for(space), np.random.default_rng(4260), 40)
     per_draw = max(np.max(np.abs(t.T @ g @ t - g)) for t in ts)
     assert abs(grouprep.invariance_deviation(g, ts) - per_draw) <= 1e-13
-    assert grouprep.invariance_deviation(g, ts) <= checks.EXACT
+    assert grouprep.invariance_deviation(g, ts) <= errors.EXACT
     # A map that is no group element breaks the invariance.
     assert grouprep.invariance_deviation(g, 2.0 * ts) > 1e-3
     # The O(K) Bloch projection of the Pauli maps against the dense projector.
@@ -142,7 +142,7 @@ def test_a_perturbed_gram_fails_its_generator_check(space):
     # gives a form that no generator set of the group can leave invariant.
     g = grouprep.analytic_gram(space).matrix
     gens = grouprep.group_generators(space)
-    assert grouprep.invariance_deviation(g, gens) <= checks.EXACT
+    assert grouprep.invariance_deviation(g, gens) <= errors.EXACT
     d = np.ones(space.K)
     d[1] += 1e-6
     assert grouprep.invariance_deviation(d[:, None] * g * d, gens) > 1e-7

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity import checks, cli
+from gptpurity import checks, cli, errors
 
 DATA = Path(__file__).parent / "data"
 
@@ -241,8 +241,8 @@ def test_two_design_cli(capsys):
     code, out = _run(capsys, ["two-design", "--k", "1"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["max_deviation"] < 1e-12
-    assert doc["max_deviation"] == abs(doc["frame_potential"] - 2.0)
+    assert doc["frame_potential"] == 2.0
+    assert doc["max_deviation"] == doc["bound"] == 0.0
 
 
 def test_real_quantum_estimate_builds_the_pair_once(capsys, monkeypatch):
@@ -289,7 +289,7 @@ def test_coin_record_band_holds_when_few_samples_coincide():
 
 def test_failed_verification_exits_two(capsys, monkeypatch):
     monkeypatch.setitem(checks.SUITES, "boxworld",
-                        lambda seed, samples: [checks.Check("forced", 1.0, 0.0)])
+                        lambda seed, samples: [errors.Check("forced", 1.0, 0.0)])
     code = cli.main(["verify", "boxworld"])
     assert code == 2
     doc = json.loads(capsys.readouterr().out)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from gptpurity import clifford, errors, grouprep, purity as pur, statespace as ss
-from gptpurity.errors import RangeError, ReducibleSpaceError, UnsupportedSpaceError
+from gptpurity.errors import RangeError, UnsupportedSpaceError
+import cliffords
 import haar
+from haar import ReducibleSpaceError
 from states import compose
 
 
@@ -136,7 +138,7 @@ _CONJUGATION_CASES = [
     *(pytest.param(b, n, _drawn, id=f"{b.__name__}-{n}")
       for b, n in ((ss.build_quantum, 2), (ss.build_quantum, 3), (ss.build_quantum, 4),
                    (ss.build_real_quantum, 2), (ss.build_real_quantum, 3))),
-    pytest.param(ss.build_quantum, 2, lambda space: clifford.clifford_unitaries(1),
+    pytest.param(ss.build_quantum, 2, lambda space: grouprep.clifford_unitaries(),
                  id="clifford-1q"),
     *(pytest.param(b, n, _generators, id=f"generators-{b.__name__}-{n}")
       for b, n in ((ss.build_quantum, 2), (ss.build_quantum, 3), (ss.build_real_quantum, 2))),
@@ -215,14 +217,41 @@ def test_orthogonal_conjugation_preserves_real_cone(rng):
 # -- clifford ---------------------------------------------------------------------------
 
 
+_UNITS = (1, 1j, -1, -1j)
+
+
+def _adjoint(element):
+    """The canonical inverse of an exact element: G^dag / (1 - i)^k, equal to
+    G^dag / (1 + i)^k up to the phase i^k."""
+    k, g = element
+    d = math.isqrt(len(g))
+    return clifford.canonical(k, tuple(g[j * d + i].conjugate()
+                                       for i in range(d) for j in range(d)))
+
+
 def test_clifford_1q_has_24_elements_including_identity():
-    els = clifford.clifford_unitaries(1)
-    assert len(els) == 24
-    assert els.shape == (24, 2, 2) and not els.flags.writeable
-    assert clifford.clifford_unitaries(1) is els
-    keys = set(clifford._keys(els))
-    ident = clifford._phase_canonical(np.eye(2, dtype=complex))
-    assert clifford._keys(ident[None])[0] in keys
+    els = clifford.one_qubit_group()
+    assert len(els) == len(set(els)) == 24
+    assert clifford.one_qubit_group() is els
+    assert els[0] == clifford.canonical(0, (1, 0, 0, 1))
+    us = grouprep.clifford_unitaries()
+    assert us.shape == (24, 2, 2) and us.dtype == complex
+    # Dyadic entries: the stack is unitary with no rounding.
+    np.testing.assert_array_equal(us @ us.conj().transpose(0, 2, 1),
+                                  np.broadcast_to(np.eye(2), us.shape))
+
+
+def test_canonical_form_is_idempotent_and_unchanged_by_each_unit():
+    for k, g in clifford.one_qubit_group() + cliffords.two_qubit_elements()[::97]:
+        assert clifford.canonical(k, g) == (k, g)
+        # Some entry is not divisible by 1 + i, and the first nonzero one has
+        # re > 0 and im >= 0.
+        assert any((x.real + x.imag) % 2 for x in g)
+        first = next(x for x in g if x)
+        assert first.real > 0 and first.imag >= 0
+        for u in _UNITS:
+            assert clifford.canonical(k, tuple(u * x for x in g)) == (k, g)
+            assert clifford.canonical(k + 1, tuple((1 + 1j) * u * x for x in g)) == (k, g)
 
 
 def test_clifford_1q_permutes_pauli_directions():
@@ -230,26 +259,33 @@ def test_clifford_1q_permutes_pauli_directions():
 
     paulis = [pauli_string(p) for p in "XYZ"]
     signed = [s * p for p in paulis for s in (1, -1)]
-    for u in clifford.clifford_unitaries(1):
+    for u in grouprep.clifford_unitaries():
         for p in paulis:
             img = u @ p @ u.conj().T
             assert any(np.allclose(img, q, atol=1e-9) for q in signed)
 
 
 def test_clifford_1q_closed_under_composition_and_inverse():
-    els = clifford.clifford_unitaries(1)
-    keys = set(clifford._keys(els))
-    assert set(clifford._keys(clifford._phase_canonical(els.conj().transpose(0, 2, 1)))) <= keys
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        a, b = rng.integers(24, size=2)
-        prod = clifford._phase_canonical(els[a] @ els[b])
-        assert clifford._keys(prod[None])[0] in keys
+    els = clifford.one_qubit_group()
+    keys = set(els)
+    for a in els:
+        assert _adjoint(a) in keys
+        assert clifford._mul(a, _adjoint(a)) == els[0]
+        assert {clifford._mul(a, b) for b in els} == keys
+    # The two-qubit group, at 200 random pairs and every inverse.
+    els = cliffords.two_qubit_elements()
+    keys = set(els)
+    ident = clifford.canonical(0, tuple(int(i == j) for i in range(4) for j in range(4)))
+    assert ident in keys
+    assert {_adjoint(a) for a in els} == keys
+    for i, j in np.random.default_rng(1).integers(len(els), size=(200, 2)):
+        assert clifford._mul(els[i], els[j]) in keys
+        assert clifford._mul(els[i], _adjoint(els[i])) == ident
 
 
 def test_enumerate_clifford_1q_conjugations_fix_max_mixed():
     space = ss.build_quantum(2)
-    conj = grouprep.conjugation_matrix(space, clifford.clifford_unitaries(1))
+    conj = grouprep.conjugation_matrix(space, grouprep.clifford_unitaries())
     assert conj.shape == (24, 4, 4)
     for t in conj:
         np.testing.assert_allclose(t @ space.max_mixed, space.max_mixed, atol=1e-12)
@@ -257,9 +293,9 @@ def test_enumerate_clifford_1q_conjugations_fix_max_mixed():
 
 def test_real_products_take_one_product_and_give_the_complex_route_bits(rng):
     a, b = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3, 3))
-    real = clifford._product(a, b)
+    real = grouprep._product(a, b)
     assert real.dtype == np.float64
-    np.testing.assert_array_equal(real, clifford._product(a + 0j, b + 0j).real)
+    np.testing.assert_array_equal(real, grouprep._product(a + 0j, b + 0j).real)
     # An orthogonal conjugation of real quantum theory, through to its coordinates.
     space = ss.build_real_quantum(3)
     us = haar.haar_unitaries(4, 3, rng, real=True)
@@ -603,7 +639,7 @@ def _two_design_superoperators(k):
     [(i,k),(j,l)].
     """
     d = 2**k
-    us = np.stack(clifford.clifford_unitaries(k))
+    us = grouprep.clifford_unitaries() if k == 1 else cliffords.two_qubit_unitaries()
     a = np.einsum("gij,gkl->gikjl", us, us).reshape(len(us), -1)
     dd = d * d
     lhs = (a.T @ a.conj() / len(us)).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3)
@@ -617,7 +653,8 @@ def _two_design_superoperators(k):
 
 
 def test_two_design_identity_k1():
-    assert abs(clifford.frame_potential(clifford.clifford_traces(1)) - 2.0) < 1e-12
+    num, den = clifford.frame_potential(clifford.clifford_traces(1))
+    assert num == 2 * den
 
 
 def test_two_design_superoperator_on_identity_and_swap():
@@ -637,19 +674,29 @@ def test_two_design_superoperator_on_identity_and_swap():
 def test_superoperators_agree_and_lhs_trace_is_frame_potential(k, bound):
     lhs, rhs = _two_design_superoperators(k)
     assert np.max(np.abs(lhs - rhs)) < bound
-    frame = clifford.frame_potential(clifford.clifford_traces(k))
+    num, den = clifford.frame_potential(clifford.clifford_traces(k))
+    frame = num / den
     assert abs(np.trace(lhs) - frame) < 1e-12
     # F - 2 is the squared Frobenius distance between the two sides.
     assert abs(np.linalg.norm(lhs - rhs) ** 2 - (frame - 2.0)) < bound
 
 
 def test_pauli_group_is_not_a_two_design():
-    # {I, X, Y, Z} is a 1-design only: F = 4, so |F - 2| = 2.
-    from gptpurity.purity import pauli_string
+    # {I, X, Y, Z} is a 1-design only: F = 4 exactly.
+    paulis = [clifford._perm([0, 1]), clifford._perm([1, 0]), clifford._perm([1, 0], [-1j, 1j]),
+              clifford._perm([0, 1], [1, -1])]
+    num, den = clifford.frame_potential([(k, g[0] + g[3]) for k, g in paulis])
+    assert (num, den) == (16, 4)
 
-    frame = clifford.frame_potential([np.trace(pauli_string(p)) for p in "IXYZ"])
-    assert frame == pytest.approx(4.0, abs=1e-12)
-    assert abs(frame - 2.0) > 1.0
+
+def _float_closure_keys(us):
+    """The key of each unitary of a stack: its entries rounded to 9 decimals after the
+    phase that makes the first entry of row 0 with modulus above 1e-9 real and positive."""
+    row = us[:, 0, :]
+    first = row[np.arange(len(us)), np.argmax(np.abs(row) > 1e-9, axis=1)]
+    raw = (np.round(us * (first.conj() / np.abs(first))[:, None, None], 9) + 0.0).tobytes()
+    step = len(raw) // len(us)
+    return [raw[i:i + step] for i in range(0, len(raw), step)]
 
 
 @pytest.mark.parametrize("k,digest", [
@@ -659,25 +706,30 @@ def test_pauli_group_is_not_a_two_design():
 def test_clifford_closure_order_is_frozen(k, digest):
     # sha256 of the ordered rounded keys: the closure's discovery order for
     # k = 1, local pair major over the 20 coset representatives for k = 2.
+    # The digests were recorded on stacks enumerated in floating point, so the
+    # exact groups hold the same elements modulo phase in the same order.
     import hashlib
 
-    keys = b"".join(clifford._keys(clifford.clifford_unitaries(k)))
-    assert hashlib.sha256(keys).hexdigest() == digest
+    us = grouprep.clifford_unitaries() if k == 1 else cliffords.two_qubit_unitaries()
+    assert hashlib.sha256(b"".join(_float_closure_keys(us))).hexdigest() == digest
 
 
-# The sha256 of each Clifford stack, printed by a fresh interpreter.
+# The sha256 of the qubit's Clifford stack, its conjugations and its Pauli
+# orbit, printed by a fresh interpreter.
 _CLIFFORD_DIGESTS = """
 import hashlib
-from gptpurity import clifford
-for a in (clifford.clifford_unitaries(1), clifford.clifford_unitaries(2),
-          clifford.clifford_traces(2)):
+from gptpurity import grouprep, statespace as ss
+qubit = ss.build_quantum(2)
+for a in (grouprep.clifford_unitaries(), grouprep.clifford_elements(qubit),
+          grouprep.orbit_pures(qubit)):
     print(hashlib.sha256(a.tobytes()).hexdigest())
 """
 
 
 def test_clifford_stacks_do_not_depend_on_cpu_dispatch():
-    # Every complex product is elementwise in real arithmetic, so numpy's
-    # x86-64-v2 dispatch gives the bytes of the default dispatch.
+    # The stack is exact, and every complex product of its conjugations is
+    # elementwise in real arithmetic, so numpy's x86-64-v2 dispatch gives the
+    # bytes of the default dispatch.
     src = str(Path(clifford.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -693,44 +745,48 @@ def test_clifford_stacks_do_not_depend_on_cpu_dispatch():
 
 
 def test_two_design_identity_k2():
-    assert abs(clifford.frame_potential(clifford.clifford_traces(2)) - 2.0) < 1e-11
+    num, den = clifford.frame_potential(clifford.clifford_traces(2))
+    assert num == 2 * den
 
 
 def test_factored_clifford_traces_match_the_enumerated_group():
-    # Element by element in enumeration order, |Tr g| from the factors equals
-    # |Tr g| of the stacked group, whose phases are canonicalized.
-    els = clifford.clifford_unitaries(2)
-    enumerated = np.trace(els, axis1=1, axis2=2)
-    factored = clifford.clifford_traces(2)
-    assert factored.shape == (11520,)
-    np.testing.assert_allclose(np.abs(factored), np.abs(enumerated), rtol=0, atol=1e-12)
-    assert abs(clifford.frame_potential(factored)
-               - clifford.frame_potential(enumerated)) <= 1e-12
-    # k = 1 takes the traces of the stacked group itself.
-    np.testing.assert_array_equal(clifford.clifford_traces(1),
-                                  np.trace(clifford.clifford_unitaries(1), axis1=1, axis2=2))
+    # Element by element in enumeration order, |Tr g|^2 = |t|^2 / 2^k from
+    # the factors equals that of the enumerated group, whose elements are
+    # canonical, exactly.
+    enumerated = [(k, sum(g[::5])) for k, g in cliffords.two_qubit_elements()]
+    factored = list(clifford.clifford_traces(2))
+    assert len(factored) == 11520
+
+    def sq(t):
+        return int(t.real) ** 2 + int(t.imag) ** 2
+
+    assert all(sq(t) << kf == sq(tf) << k for (k, t), (kf, tf) in zip(enumerated, factored))
+    num, den = clifford.frame_potential(enumerated)
+    assert num == 2 * den
+    # k = 1 takes the traces of the group itself: those of the complex stack.
+    np.testing.assert_array_equal(
+        np.trace(grouprep.clifford_unitaries(), axis1=1, axis2=2),
+        [clifford.entries((k, (t,)))[0] for k, t in clifford.clifford_traces(1)])
 
 
 def test_clifford_2q_cosets_equal_the_generated_closure():
-    # The coset construction against the breadth-first closure over its
+    # The coset construction against the exact breadth-first closure over its
     # generators H (x) I, I (x) H, S (x) I, I (x) S and CNOT.
-    els = clifford.clifford_unitaries(2)
-    assert els.shape == (11520, 4, 4) and not els.flags.writeable
-    assert clifford.clifford_unitaries(2) is els
-    keys = clifford._keys(els)
-    assert len(set(keys)) == 11520
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    s = np.diag([1, 1j])
-    eye = np.eye(2)
-    cnot = np.eye(4)[[0, 1, 3, 2]]
-    closure = clifford._bfs_closure(
-        [np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot], expect=11520)
-    assert set(clifford._keys(closure)) == set(keys)
+    els = cliffords.two_qubit_elements()
+    assert len(set(els)) == 11520
+    us = cliffords.two_qubit_unitaries()
+    assert us.shape == (11520, 4, 4) and not us.flags.writeable
+    h, s, eye = clifford._HADAMARD, clifford._PHASE, clifford._perm([0, 1])
+    closure = clifford._closure([clifford._kron(h, eye), clifford._kron(eye, h),
+                                 clifford._kron(s, eye), clifford._kron(eye, s),
+                                 clifford._perm([0, 1, 3, 2])])
+    assert len(closure) == 11520
+    assert set(closure) == set(els)
 
 
 def test_unsupported_clifford_order():
     with pytest.raises(UnsupportedSpaceError):
-        clifford.clifford_unitaries(3)
+        clifford.clifford_traces(3)
 
 
 def test_sample_dihedral_draws_group_elements(rng):

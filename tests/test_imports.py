@@ -77,12 +77,23 @@ def blas_entry_points(source: str) -> list[str]:
 
 
 def test_clifford_makes_no_blas_call():
+    # The Clifford groups are exact Gaussian-integer arithmetic: the module
+    # imports no numpy, only the standard library and the package's errors.
+    source = (PACKAGE / "clifford.py").read_text(encoding="utf-8")
+    assert imported_modules(source) == {"__future__", "collections", "functools", "math", "typing"}
+    assert blas_entry_points(source) == []
+
+
+def test_conjugation_makes_no_blas_call():
     planted = ("import numpy as np\nfrom numpy.linalg import norm\nfrom numpy import dot\n"
                "def f(a, b):\n    a @= b\n    return np.einsum('ij,jk', a @ b, a.T.dot(b))\n")
     assert blas_entry_points(planted) == [
         "line 2: linalg", "line 3: dot", "line 5: @", "line 6: @", "line 6: dot",
         "line 6: einsum"]
-    assert blas_entry_points((PACKAGE / "clifford.py").read_text(encoding="utf-8")) == []
+    source = "".join(inspect.getsource(f) for f in (
+        grouprep.conjugation_matrix, grouprep._product, grouprep._sum_of_products))
+    assert "def _sum_of_products" in source
+    assert blas_entry_points(source) == []
 
 
 def test_invariant_form_elimination_makes_no_blas_call():
@@ -256,12 +267,13 @@ _FACE_LAYERS = _FORMULAS | {"randomize", "faces"}
       "--seed", "1"], _FACE_LAYERS),
     (_PREDICT_SYMM, _FORMULAS),
     (_PREDICT_QFACE, _FORMULAS),
-    (["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"], _FACE_LAYERS | {"checks"}),
+    (["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"], _FACE_LAYERS),
 ], ids=["estimate-sym", "estimate-antisym", "predict-symm", "predict-qface", "coin-record"])
 def test_face_commands_run_no_descriptor_layer(argv, layers):
     # A face holds level counts, so no composite, state space or group layer
     # runs; neither face prediction (the closed form and the index sums)
-    # needs a face at all, and coin-record's verdict is a checks.Check.
+    # needs a face at all, and coin-record's verdict is an errors.Check, so
+    # no suite runs.
     assert _executed_by(argv) == layers
 
 
@@ -323,9 +335,10 @@ def test_exact_suites_give_the_same_checks_for_any_seed(suite):
     assert outs[0] == outs[1]
 
 
-# The exact-identities commands that read no Clifford group.
-_NO_CLIFFORD = ("verify-classical-subsystem", "verify-boxworld", "predict-nonlocaltomo",
-                "predict-qface", "predict-main")
+# The exact-identities commands that read no Clifford group: gram-invariance
+# takes the qubit's generators H, S and T as complex matrices of its own.
+_NO_CLIFFORD = ("verify-gram-invariance", "verify-classical-subsystem", "verify-boxworld",
+                "predict-nonlocaltomo", "predict-qface", "predict-main")
 
 
 @pytest.mark.parametrize("name", list(_EXACT_IDENTITIES))
@@ -340,9 +353,11 @@ def test_exact_identity_commands_run_no_haar_layer(name):
 
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_two_design_runs_no_descriptor_layer(k):
-    # The Clifford group and its frame potential are plain unitary stacks, so
-    # no state space or group layer runs; the verdict is a checks.Check.
-    assert _executed_by(["two-design", "--k", k]) == {"cli", "errors", "checks", "clifford"}
+    # The Clifford group and its frame potential are exact Gaussian-integer
+    # arithmetic, so no state space, group or suite layer runs and neither
+    # numpy nor fractions is imported; the verdict is an errors.Check.
+    assert _executed_by(["two-design", "--k", k], _UNNEEDED + _NUMPY) == {
+        "cli", "errors", "clifford"}
 
 
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity import clifford, grouprep, statespace as ss
+from gptpurity import grouprep, statespace as ss
 from gptpurity import purity as pur
 from gptpurity.errors import (
     DegenerateDirectionError,
@@ -276,8 +276,7 @@ def test_pauli_set_elements_connected_by_group_up_to_sign(rng):
     cases = [
         (ss.build_classical(4), grouprep.group_elements(ss.build_classical(4))),
         (ss.build_polygon(5), grouprep.group_elements(ss.build_polygon(5))),
-        (ss.build_quantum(2), grouprep.conjugation_matrix(ss.build_quantum(2),
-                                                          clifford.clifford_unitaries(1))),
+        (ss.build_quantum(2), grouprep.clifford_elements(ss.build_quantum(2))),
     ]
     for space, elements in cases:
         gram = grouprep.analytic_gram(space)
