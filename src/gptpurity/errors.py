@@ -49,10 +49,6 @@ class NormalizationError(GptPurityError, ValueError):
     """A vector expected to be a normalized state is not."""
 
 
-class ConeError(GptPurityError, ValueError):
-    """A vector fails the cone (positivity) test of its space."""
-
-
 class RangeError(GptPurityError, ValueError):
     """A numeric argument lies outside its documented range."""
 

@@ -6,8 +6,8 @@ order unit and map the cone into itself.  This module provides
 * conjugation superoperators, each column the coordinates of one conjugated
   basis element, with no LAPACK or BLAS call,
 * the element stacks of the enumerable groups (dihedral groups, the gbit,
-  bipartite boxworld, S_K while K! <= ``ENUMERATE_LIMIT``, and the qubit's 24
-  Cliffords), over which commands sum exactly,
+  S_K while K! <= ``ENUMERATE_LIMIT``, and the qubit's 24 Cliffords), over
+  which commands sum exactly,
 * the analytic invariant inner product (Gram matrix) on the Bloch subspace,
 * generators of a dense subgroup of each built-in group, under which the
   invariance of a Gram is checked exactly, and the dimension of the space
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -117,32 +116,18 @@ def dihedral_elements(n: int) -> np.ndarray:
     return np.stack(mats)
 
 
-@lru_cache(maxsize=None)
-def _boxworld_group_elements() -> np.ndarray:
-    """All 128 reversible transformations of bipartite boxworld.
-
-    These are the local pairs G_A (x) G_B with G in D4 on each side (G_A
-    major), then each of those composed with the swap of the two parties.
-    """
-    g = ss.lift_plane(ss.gbit_symmetries())
-    pairs = (g[:, None, :, None, :, None] * g[None, :, None, :, None, :]).reshape(64, 9, 9)
-    return np.concatenate([pairs, pairs @ swap_operator(3)])
-
-
 def group_elements(space: ss.SpaceDescriptor) -> np.ndarray:
     """The (|G|, K, K) element stack of a built-in space's enumerable reversible group.
 
-    Dihedral groups for polygons and the gbit, the 128-element boxworld
-    group, and S_K while K! <= ``ENUMERATE_LIMIT``, as permutation matrices
-    in lexicographic order.  Other groups are refused.
+    Dihedral groups for polygons and the gbit, and S_K while
+    K! <= ``ENUMERATE_LIMIT``, as permutation matrices in lexicographic
+    order.  Other groups are refused.
     """
     if space.kind == ss.KIND_CLASSICAL and math.factorial(space.K) <= ENUMERATE_LIMIT:
         return permutation_matrix(np.array(list(itertools.permutations(range(space.K)))))
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         n = space.level if space.kind == ss.KIND_POLYGON else 4
         return ss.lift_plane(dihedral_elements(n))
-    if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
-        return _boxworld_group_elements()
     raise UnsupportedSpaceError(f"no enumerated group for {space.kind}-{space.level}")
 
 
@@ -256,9 +241,7 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
     A form invariant under each generator is invariant under the group they
     generate and, by continuity, under its closure: the whole group.
     Classical S_K: the transposition (0 1) and the K-cycle.  Polygons and the
-    gbit: every element of D_n.  Bipartite boxworld: the D4 rotation and
-    reflection on A, then on B, and the swap of the parties (elements 8, 32,
-    1, 4 and 64 of the enumerated group).  Qubit: the Clifford generators H
+    gbit: every element of D_n.  Qubit: the Clifford generators H
     and S and T = diag(1, e^(i pi/4)), dense in the unitaries modulo phase
     (Boykin et al., Inf. Process. Lett. 75, 101, 2000).  Qutrit: the Clifford
     generators F and P = diag(1, 1, w), w = e^(2 pi i/3), and
@@ -274,8 +257,6 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
         return permutation_matrix(np.array([[1, 0, *range(2, k)], [*range(1, k), 0]]))
     if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
         return group_elements(space)
-    if space.kind == ss.KIND_BOXWORLD_BIPARTITE:
-        return _boxworld_group_elements()[[8, 32, 1, 4, 64]]
     if space.kind == ss.KIND_QUANTUM and space.level == 2:
         h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         us = np.stack([h, np.diag([1, 1j]), np.diag([1, np.exp(0.25j * np.pi)])])
@@ -363,12 +344,3 @@ def _rank(a: np.ndarray) -> int:
         a[rank + 1:, col:] -= np.multiply.outer(a[rank + 1:, col] / a[rank, col], a[rank, col:])
         rank += 1
     return rank
-
-
-def swap_operator(d: int) -> np.ndarray:
-    """Swap of the two tensor factors of C^d (x) C^d."""
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[d * j + i, d * i + j] = 1.0
-    return s

@@ -5,7 +5,8 @@ invariant inner product, normalized so pure states have purity 1 and the
 maximally mixed state purity 0.  A Pauli map is a unit-norm linear functional
 on the Bloch subspace; a complete set of Paulis is a finite group orbit of
 one such map (signs quotiented) whose mean-square values reproduce
-purity / (K - 1).
+purity / (K - 1).  ``pauli_identity_deviations`` checks that identity and the
+collision identity on a whole stack of states at once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class PauliMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vector", ss._frozen(np.asarray(self.vector, dtype=float)))
         object.__setattr__(self, "covector", ss._frozen(self.gram.apply(self.vector)))
-
-    def __call__(self, omega: np.ndarray) -> float:
-        """Evaluate on a normalized state (coordinates)."""
-        return float(self.covector @ (np.asarray(omega, dtype=float) - self.space.max_mixed))
 
     def evaluate_many(self, states: np.ndarray) -> np.ndarray:
         """Evaluate on a stack of states, shape (m, K)."""
@@ -178,27 +174,29 @@ def pauli_haar_average(elements: np.ndarray, x: PauliMap, omega: np.ndarray) -> 
     return float(vals.mean(axis=0))
 
 
-class CollisionResult(NamedTuple):
-    """Best repeat-outcome probability over Pauli measurements."""
-
-    value: float
-    optimizer: PauliMap | None
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("mk,mk->m", x, y)
 
 
-def max_collision_probability(
-    space: SpaceDescriptor, gram: GramMatrix, omega: np.ndarray
-) -> CollisionResult:
-    """Maximum probability that two identically prepared copies agree.
+def pauli_identity_deviations(space: SpaceDescriptor,
+                              states: np.ndarray) -> tuple[float, float]:
+    """Largest deviations of the complete-Pauli-set and collision identities.
 
-    Equals (1 + purity) / 2, attained by the Pauli map along the state's own
-    Bloch direction; for the maximally mixed state every Pauli gives 1/2 and
-    the optimizer is undefined.
+    Over the rows of a (m, K) stack of states, the first is
+    |(purity via the complete set) - P|; the second is
+    |1/2 (1 + X(omega)^2) - 1/2 (1 + P)| for the Pauli map X along the
+    state's own Bloch direction, which attains the largest probability that
+    two copies agree, (1 + P)/2 (1/2 for a state without a direction).  Every
+    term is computed for the whole stack at once.
     """
-    b = space.bloch(omega)
-    p = gram.norm_sq(b)
-    if p < MIXED_PURITY_FLOOR:
-        return CollisionResult(value=0.5, optimizer=None)
-    return CollisionResult(
-        value=0.5 * (1.0 + p),
-        optimizer=PauliMap(space, gram, pauli_vectors(space, gram, b[None])[0]),
-    )
+    gram = grouprep.analytic_gram(space)
+    pset = complete_pauli_set(space, gram)
+    b = space.bloch(states)
+    p = gram.norms_sq(b)
+    dev = np.max(np.abs(purity_via_pauli_set(pset, states) - p), initial=0.0)
+    attained = np.full(len(b), 0.5)
+    directed = p >= MIXED_PURITY_FLOOR
+    x = gram.apply(pauli_vectors(space, gram, b[directed]))
+    attained[directed] = 0.5 * (1.0 + _row_dots(x, b[directed]) ** 2)
+    cdev = np.max(np.abs(attained - 0.5 * (1.0 + p)), initial=0.0)
+    return float(dev), float(cdev)

@@ -1,9 +1,10 @@
 """Concrete convex state spaces over a shared real-coordinate descriptor.
 
 Every space is described by the same data: an ambient real dimension ``K``,
-an order unit (the covector giving total probability), the maximally mixed
-state, and a kind-specific cone test; a polytope also holds its pure states.
-Nothing here draws a random state.  Matrix-valued
+an order unit (the covector giving total probability) and the maximally mixed
+state; a polytope also holds its pure states and extremal effects.  The
+spaces are the single-system ones; bipartite boxworld is held exactly, with no
+descriptor, in ``boxworld``.  Nothing here draws a random state.  Matrix-valued
 theories (quantum over C, quantum over R) are vectorized in a fixed
 orthonormal Hermitian basis whose first element is ``identity/sqrt(d)``, so
 that states of all kinds are plain real vectors.  It is the generalized
@@ -27,15 +28,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConeError,
-    InternalError,
     InvalidDimensionError,
     NormalizationError,
     UnsupportedSpaceError,
     check_memory,
 )
 
-CONE_TOL = 1e-9
 NORM_TOL = 1e-9
 # A descriptor holds two float64 vectors, 16 bytes per coordinate.  The
 # bound of 96 was measured when every built-in space also stored a label
@@ -48,7 +46,6 @@ KIND_CLASSICAL = "classical"
 KIND_POLYGON = "polygon"
 KIND_REAL_QUANTUM = "real-quantum"
 KIND_BOXWORLD_LOCAL = "boxworld-local"
-KIND_BOXWORLD_BIPARTITE = "boxworld-bipartite"
 
 _MATRIX_KINDS = (KIND_QUANTUM, KIND_REAL_QUANTUM)
 
@@ -74,7 +71,7 @@ class SpaceDescriptor:
     ----------
     kind:
         One of ``quantum``, ``classical``, ``polygon``, ``real-quantum``,
-        ``boxworld-local``, ``boxworld-bipartite``.
+        ``boxworld-local``.
     K:
         Ambient real dimension (parameters of an unnormalized state).
     N:
@@ -85,11 +82,11 @@ class SpaceDescriptor:
         The unique state fixed by every reversible transformation.
     level:
         Kind parameter: Hilbert-space dimension, outcome count, or vertex
-        count.  ``None`` only for the bipartite boxworld space.
+        count.
     vertices:
         ``(n_pure, K)`` array of all pure states for polytopal kinds.
     effects:
-        ``(n_eff, K)`` extremal effect covectors used by polytopal cone tests.
+        ``(n_eff, K)`` extremal effect covectors of a polytope.
     """
 
     kind: str
@@ -97,7 +94,7 @@ class SpaceDescriptor:
     N: int
     order_unit: np.ndarray
     max_mixed: np.ndarray
-    level: int | None = None
+    level: int
     vertices: np.ndarray | None = None
     effects: np.ndarray | None = None
 
@@ -108,10 +105,6 @@ class SpaceDescriptor:
                 object.__setattr__(self, name, _frozen(np.asarray(a)))
 
     # -- generic linear structure -------------------------------------------------
-
-    def unit(self, x: np.ndarray) -> float:
-        """Evaluate the order unit on ``x``."""
-        return float(self.order_unit @ np.asarray(x, dtype=float))
 
     def bloch(self, omega: np.ndarray) -> np.ndarray:
         """Bloch vector ``omega - max_mixed`` of a normalized state, or of each row of a (m, K) stack."""
@@ -168,29 +161,6 @@ class SpaceDescriptor:
         check_memory(3 * itemsize * self.K * n * n,
                      f"the stacked {self.K}-element basis of {n} x {n} matrices")
         return _frozen(self.to_matrix(np.eye(self.K)))
-
-    # -- cone test ----------------------------------------------------------------
-
-    def cone_contains(self, x: np.ndarray) -> bool:
-        """Membership test for the cone of unnormalized states, up to ``CONE_TOL``."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == KIND_CLASSICAL:
-            return bool(np.all(x >= -CONE_TOL))
-        if self.kind in _MATRIX_KINDS:
-            eigs = np.linalg.eigvalsh(self.to_matrix(x))
-            return bool(np.all(eigs >= -CONE_TOL))
-        if self.effects is not None:
-            return bool(np.all(self.effects @ x >= -CONE_TOL))
-        raise UnsupportedSpaceError(f"no cone test for kind {self.kind!r}")
-
-
-def validate_state(space: SpaceDescriptor, omega: np.ndarray) -> None:
-    """Raise unless ``omega`` is a normalized state of ``space``, up to ``NORM_TOL``."""
-    omega = np.asarray(omega, dtype=float)
-    if abs(space.unit(omega) - 1.0) > NORM_TOL:
-        raise NormalizationError(f"order-unit value {space.unit(omega)!r} != 1")
-    if not space.cone_contains(omega):
-        raise ConeError("state fails the cone test")
 
 
 def with_midpoints(states: np.ndarray) -> np.ndarray:
@@ -280,8 +250,7 @@ def _pair_matrix(c: np.ndarray, lay: FactorLayout) -> np.ndarray:
 def build_quantum(n: int) -> SpaceDescriptor:
     """Quantum n-level system, vectorized in the Hermitian basis.
 
-    K = n^2, N = n.  The cone test checks positive semidefiniteness of the
-    reassembled matrix; the maximally mixed state is identity/n.
+    K = n^2, N = n; the maximally mixed state is identity/n.
     """
     if n < 2:
         raise InvalidDimensionError(f"quantum level count must be >= 2, got {n}")
@@ -394,92 +363,9 @@ def build_boxworld_local() -> SpaceDescriptor:
     )
 
 
-def boxworld_pr_state() -> np.ndarray:
-    """The canonical PR-box state, flattened row-major from its 3x3 matrix form."""
-    w = np.zeros((3, 3))
-    w[0, 0] = 1.0
-    w[1, 1] = w[1, 2] = w[2, 1] = 0.5
-    w[2, 2] = -0.5
-    return w.ravel()
-
-
-def gbit_symmetries() -> np.ndarray:
-    """The eight 2x2 orthogonal matrices of the square's dihedral group D4.
-
-    All entries are exactly 0 or +-1 (rotations by multiples of pi/2 and
-    reflections through the axes and diagonals), so group orbits of states
-    with exact rational coordinates stay exact.
-    """
-    rotations = [
-        [[1, 0], [0, 1]],
-        [[0, -1], [1, 0]],
-        [[-1, 0], [0, -1]],
-        [[0, 1], [-1, 0]],
-    ]
-    reflections = [
-        [[1, 0], [0, -1]],
-        [[0, 1], [1, 0]],
-        [[-1, 0], [0, 1]],
-        [[0, -1], [-1, 0]],
-    ]
-    return np.array(rotations + reflections, dtype=float)
-
-
 def lift_plane(g: np.ndarray) -> np.ndarray:
     """Lift a 2x2 Bloch-plane symmetry, or each of a (..., 2, 2) stack, to the
     3-dim ambient coordinates."""
     t = np.tile(np.eye(3), (*np.shape(g)[:-2], 1, 1))
     t[..., 1:, 1:] = g
     return t
-
-
-def _pr_orbit() -> np.ndarray:
-    """Orbit of the PR state under local D4 x D4; eight distinct states."""
-    w = boxworld_pr_state().reshape(3, 3)
-    seen: dict[bytes, np.ndarray] = {}
-    for ga in gbit_symmetries():
-        for gb in gbit_symmetries():
-            v = lift_plane(ga) @ w @ lift_plane(gb).T
-            key = np.round(v, 12).tobytes()
-            if key not in seen:
-                seen[key] = v.ravel()
-    return np.stack(list(seen.values()))
-
-
-@lru_cache(maxsize=1)
-def build_boxworld_bipartite() -> SpaceDescriptor:
-    """Two gbits under the maximal (no-signalling) tensor product.
-
-    K = 9.  Coordinates are the row-major entries of the 3x3 coefficient
-    matrix over the local bases, so coordinate 0 is the normalization.  The
-    24 pure states are cached on the descriptor: the 16 products first, then
-    the 8 PR-type states (the local-D4 orbit of the canonical PR state).
-    The cone test checks nonnegativity of all products of extremal local
-    effects.
-    """
-    products = np.stack(
-        [np.kron(a, b) for a in _GBIT_VERTICES for b in _GBIT_VERTICES]
-    )
-    pr = _pr_orbit()
-    if len(pr) != 8:
-        raise InternalError(f"PR orbit enumeration produced {len(pr)} states, expected 8")
-    vertices = np.vstack([products, pr])
-    effect_products = np.stack(
-        [np.kron(e, f) for e in _GBIT_EFFECTS for f in _GBIT_EFFECTS]
-    )
-    order_unit = np.zeros(9)
-    order_unit[0] = 1.0
-    max_mixed = order_unit.copy()
-    return SpaceDescriptor(
-        kind=KIND_BOXWORLD_BIPARTITE,
-        K=9,
-        N=4,
-        order_unit=order_unit,
-        max_mixed=max_mixed,
-        level=None,
-        vertices=vertices,
-        effects=effect_products,
-    )
-
-
-BOXWORLD_PRODUCT_COUNT = 16

@@ -171,7 +171,11 @@ def sampler_for(space: ss.SpaceDescriptor) -> GroupSampler:
                                                       axis=1))
 
         return GroupSampler(space, draw_many)
-    elements = gr.group_elements(space)
+    return gather_sampler(space, gr.group_elements(space))
+
+
+def gather_sampler(space: ss.SpaceDescriptor, elements: np.ndarray) -> GroupSampler:
+    """The sampler of an enumerated group: a gather at uniform indices into ``elements``."""
     # A stack of uniform indices draws as ``size`` single draws would.
     return GroupSampler(space, lambda rng, size: elements[rng.integers(len(elements), size=size)],
                         elements)

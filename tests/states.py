@@ -1,21 +1,89 @@
-"""Test references that no command runs: random mixed states, tensor composites and
-their P(phi_A (x) mu_B) constant, and the dense isometry route of a quantum face.
+"""Test references that no command runs: cone tests, one Pauli map on one state and
+the best collision probability, random mixed states, tensor composites and their
+P(phi_A (x) mu_B) constant, the dense isometry route of a quantum face, and the
+float descriptor of bipartite boxworld.
 
 A quantum composite is a dense reference: its basis is the Kronecker product of
-the parts' ``hermitian_basis`` stacks, and its coordinates are einsums over it."""
+the parts' ``hermitian_basis`` stacks, and its coordinates are einsums over it.
+The boxworld descriptor, its 128 group elements and its block-weighted Gram are
+in the unscaled gbit basis (1, x, y), the reference for the exact ``boxworld``."""
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from gptpurity import statespace as ss
-from gptpurity.errors import (InconsistencyError, InvalidProbeError, UnsupportedSpaceError,
-                              check_memory)
+from gptpurity.errors import (GptPurityError, InconsistencyError, InvalidProbeError,
+                              NormalizationError, UnsupportedSpaceError, check_memory)
 from gptpurity.formulas import _check_purity_on_face
+from gptpurity.purity import MIXED_PURITY_FLOOR, PauliMap, pauli_vectors
 
 import haar
+
+CONE_TOL = 1e-9
+
+
+class ConeError(GptPurityError, ValueError):
+    """A vector fails the cone (positivity) test of its space."""
+
+
+def unit(space, x):
+    """Evaluate the order unit on ``x``."""
+    return float(space.order_unit @ np.asarray(x, dtype=float))
+
+
+def cone_contains(space, x):
+    """Membership test for the cone of unnormalized states, up to ``CONE_TOL``."""
+    x = np.asarray(x, dtype=float)
+    if space.kind == ss.KIND_CLASSICAL:
+        return bool(np.all(x >= -CONE_TOL))
+    if space.kind in (ss.KIND_QUANTUM, ss.KIND_REAL_QUANTUM):
+        eigs = np.linalg.eigvalsh(space.to_matrix(x))
+        return bool(np.all(eigs >= -CONE_TOL))
+    if space.effects is not None:
+        return bool(np.all(space.effects @ x >= -CONE_TOL))
+    raise UnsupportedSpaceError(f"no cone test for kind {space.kind!r}")
+
+
+def validate_state(space, omega):
+    """Raise unless ``omega`` is a normalized state of ``space``, up to ``statespace.NORM_TOL``."""
+    omega = np.asarray(omega, dtype=float)
+    if abs(unit(space, omega) - 1.0) > ss.NORM_TOL:
+        raise NormalizationError(f"order-unit value {unit(space, omega)!r} != 1")
+    if not cone_contains(space, omega):
+        raise ConeError("state fails the cone test")
+
+
+def pauli_value(x, omega):
+    """A Pauli map evaluated on one normalized state (coordinates)."""
+    return float(x.covector @ (np.asarray(omega, dtype=float) - x.space.max_mixed))
+
+
+class CollisionResult(NamedTuple):
+    """Best repeat-outcome probability over Pauli measurements."""
+
+    value: float
+    optimizer: PauliMap | None
+
+
+def max_collision_probability(space, gram, omega):
+    """Maximum probability that two identically prepared copies agree.
+
+    Equals (1 + purity) / 2, attained by the Pauli map along the state's own
+    Bloch direction; for the maximally mixed state every Pauli gives 1/2 and
+    the optimizer is undefined.
+    """
+    b = space.bloch(omega)
+    p = gram.norm_sq(b)
+    if p < MIXED_PURITY_FLOOR:
+        return CollisionResult(value=0.5, optimizer=None)
+    return CollisionResult(
+        value=0.5 * (1.0 + p),
+        optimizer=PauliMap(space, gram, pauli_vectors(space, gram, b[None])[0]),
+    )
 
 
 def random_mixtures(space, count, rng):
@@ -207,3 +275,132 @@ def qface_by_isometry(face, e_a, tr_purity_global):
     ingredient = float(np.vdot(probe, probe).real)
     value = 1.0 / n + (n**2 - 1) / (n_s**2 - 1) * ingredient * (tr_purity_global - 1.0 / n_s)
     return value, ingredient
+
+
+# -- the float bipartite boxworld ----------------------------------------------------------
+
+KIND_BOXWORLD_BIPARTITE = "boxworld-bipartite"
+BOXWORLD_PRODUCT_COUNT = 16
+# Flat 9-coordinate layout: index 3*i + j holds the coefficient of e_i (x) e_j,
+# with local index 0 the normalization direction.
+_CORR_IDX = np.array([4, 5, 7, 8])  # A-hat (x) B-hat block
+_MARG_IDX = np.array([1, 2, 3, 6])  # mu (x) B-hat and A-hat (x) mu blocks
+
+
+def boxworld_pr_state():
+    """The canonical PR-box state, flattened row-major from its 3x3 matrix form."""
+    w = np.zeros((3, 3))
+    w[0, 0] = 1.0
+    w[1, 1] = w[1, 2] = w[2, 1] = 0.5
+    w[2, 2] = -0.5
+    return w.ravel()
+
+
+def gbit_symmetries():
+    """The eight 2x2 orthogonal matrices of the square's dihedral group D4.
+
+    All entries are exactly 0 or +-1 (rotations by multiples of pi/2 and
+    reflections through the axes and diagonals).
+    """
+    rotations = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]]
+    reflections = [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[-1, 0], [0, 1]], [[0, -1], [-1, 0]]]
+    return np.array(rotations + reflections, dtype=float)
+
+
+def _pr_orbit():
+    """Orbit of the PR state under local D4 x D4; eight distinct states."""
+    w = boxworld_pr_state().reshape(3, 3)
+    seen = {}
+    for ga in gbit_symmetries():
+        for gb in gbit_symmetries():
+            v = ss.lift_plane(ga) @ w @ ss.lift_plane(gb).T
+            seen.setdefault(np.round(v, 12).tobytes(), v.ravel())
+    return np.stack(list(seen.values()))
+
+
+@lru_cache(maxsize=1)
+def build_boxworld_bipartite():
+    """Two gbits under the maximal (no-signalling) tensor product.
+
+    K = 9.  Coordinates are the row-major entries of the 3x3 coefficient
+    matrix over the local bases, so coordinate 0 is the normalization.  The
+    24 pure states are the 16 products first, then the 8 PR-type states (the
+    local-D4 orbit of the canonical PR state).  The cone test checks
+    nonnegativity of all products of extremal local effects.
+    """
+    products = np.stack([np.kron(a, b) for a in ss._GBIT_VERTICES for b in ss._GBIT_VERTICES])
+    pr = _pr_orbit()
+    assert len(pr) == 8
+    order_unit = np.zeros(9)
+    order_unit[0] = 1.0
+    return ss.SpaceDescriptor(
+        kind=KIND_BOXWORLD_BIPARTITE,
+        K=9,
+        N=4,
+        order_unit=order_unit,
+        max_mixed=order_unit.copy(),
+        level=len(products) + len(pr),
+        vertices=np.vstack([products, pr]),
+        effects=np.stack([np.kron(e, f) for e in ss._GBIT_EFFECTS for f in ss._GBIT_EFFECTS]),
+    )
+
+
+def swap_operator(d):
+    """Swap of the two tensor factors of C^d (x) C^d."""
+    s = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            s[d * j + i, d * i + j] = 1.0
+    return s
+
+
+@lru_cache(maxsize=1)
+def boxworld_group_elements():
+    """All 128 reversible transformations of bipartite boxworld.
+
+    These are the local pairs G_A (x) G_B with G in D4 on each side (G_A
+    major), then each of those composed with the swap of the two parties.
+    """
+    g = ss.lift_plane(gbit_symmetries())
+    pairs = (g[:, None, :, None, :, None] * g[None, :, None, :, None, :]).reshape(64, 9, 9)
+    return np.concatenate([pairs, pairs @ swap_operator(3)])
+
+
+def boxworld_generators():
+    """The D4 rotation and reflection on A, then on B, and the swap of the parties:
+    elements 8, 32, 1, 4 and 64 of ``boxworld_group_elements``."""
+    return boxworld_group_elements()[[8, 32, 1, 4, 64]]
+
+
+def group_sampler(space):
+    """``haar.sampler_for`` a built-in space, or a gather over the boxworld descriptor's group."""
+    if space.kind == KIND_BOXWORLD_BIPARTITE:
+        return haar.gather_sampler(space, boxworld_group_elements())
+    return haar.sampler_for(space)
+
+
+class BoxworldGram(NamedTuple):
+    """Block-weighted invariant inner product on the boxworld Bloch subspace.
+
+    ``a`` weighs the correlation block, ``b`` the two marginal blocks, and
+    ``c`` is the overall constant; a genuine inner product needs a, b > 0.
+    """
+
+    a: float = 1.0
+    b: float = 1.0
+    c: float = 1.0 / 3.0
+
+    def matrix(self):
+        d = np.zeros(9)
+        d[_CORR_IDX] = self.a
+        d[_MARG_IDX] = self.b
+        return self.c * np.diag(d)
+
+
+def boxworld_purity(omega, gram=BoxworldGram()):
+    """c <omega-hat, omega-hat> with the block-weighted inner product."""
+    space = build_boxworld_bipartite()
+    omega = np.asarray(omega, dtype=float)
+    validate_state(space, omega)
+    b = omega - space.max_mixed
+    return float(b @ gram.matrix() @ b)

@@ -8,6 +8,7 @@ degenerate, where the band collapses to float roundoff).
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -132,7 +133,7 @@ def test_criterion_07_pauli_identities():
     spaces = [ss.build_quantum(2), ss.build_quantum(4), ss.build_quantum(8),
               ss.build_classical(16), ss.build_polygon(4), ss.build_polygon(5)]
     for space in spaces:
-        dev, cdev = checks.pauli_identity_deviations(space, random_mixtures(space, 1000, rng))
+        dev, cdev = pur.pauli_identity_deviations(space, random_mixtures(space, 1000, rng))
         ok = ok and dev <= 1e-10 and cdev <= 1e-10
         details.append(f"{space.kind}-{space.level}: set {dev:.1e}, coll {cdev:.1e}")
     qubit = ss.build_quantum(2)
@@ -164,10 +165,10 @@ def _suite_detail(suite: list) -> str:
 
 
 def test_criterion_09_boxworld():
-    pr = bw.boxworld_purity(ss.boxworld_pr_state())
+    pr = bw.purity(bw.vertices()[bw.PRODUCT_COUNT])
     suite = checks.run_suite("boxworld", 0, SAMPLES)
-    ok = pr == 1 / 3 and all(c.passed for c in suite)
-    _report(9, ok, f"P(PR) = {pr} (exactly 1/3: {pr == 1 / 3}); " + _suite_detail(suite))
+    ok = pr == Fraction(1, 3) and all(c.passed for c in suite)
+    _report(9, ok, f"P(PR) = {pr} (exactly 1/3: {pr == Fraction(1, 3)}); " + _suite_detail(suite))
 
 
 def test_criterion_10_centered_classical_subsystems():

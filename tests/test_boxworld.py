@@ -1,34 +1,80 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gptpurity import boxworld as bw
-from gptpurity import grouprep, statespace as ss
-from gptpurity.errors import ConeError
+from gptpurity import grouprep
 import haar
-from states import random_mixtures
+from states import (BOXWORLD_PRODUCT_COUNT, BoxworldGram, ConeError, boxworld_generators,
+                    boxworld_group_elements, boxworld_pr_state, boxworld_purity,
+                    build_boxworld_bipartite, cone_contains, group_sampler, random_mixtures)
+
+# The exact rescaled basis (1, sqrt2 x, sqrt2 y) on each gbit, back to the
+# float descriptor's (1, x, y): coordinate 3 i + j scales by s_i s_j.
+_LOCAL = np.array([1.0, 1 / math.sqrt(2), 1 / math.sqrt(2)])
+_UNSCALE = np.kron(_LOCAL, _LOCAL)
+
+
+def _matrix(t):
+    """The 9 x 9 matrix of an exact signed permutation."""
+    m = np.zeros((9, 9))
+    for i, (p, s) in enumerate(t):
+        m[i, p] = s
+    return m
+
+
+def _unscaled(v):
+    return np.array(v) * _UNSCALE
+
+
+def test_exact_vertices_are_the_reference_vertices():
+    verts = bw.vertices()
+    assert len(verts) == 24 and len(set(verts)) == 24
+    assert all(set(v) <= {-1, 0, 1} for v in verts)
+    np.testing.assert_allclose([_unscaled(v) for v in verts],
+                               build_boxworld_bipartite().vertices, rtol=0, atol=1e-15)
+
+
+def test_exact_signed_permutations_are_the_reference_elements():
+    # Each element is 0/+-1 in both bases, since it maps each local
+    # coordinate pair (x, y) onto itself up to order and sign.
+    ts = bw.group_elements()
+    assert len(ts) == 128 and len(set(ts)) == 128
+    np.testing.assert_array_equal([_matrix(t) for t in ts], boxworld_group_elements())
+    np.testing.assert_array_equal([_matrix(t) for t in bw.group_generators()],
+                                  boxworld_generators())
+
+
+def test_invariant_forms_match_the_elimination():
+    # The exact signed-orbit count against the float elimination on the same maps.
+    identity = (tuple((i, 1) for i in range(9)),)
+    for maps, expected in ((bw.group_generators(), 3), (bw.group_elements(), 3),
+                           (bw.group_elements()[:64], 4), (identity, 45)):
+        assert bw.invariant_forms(maps) == expected
+        assert grouprep.invariant_form_dimension(np.array([_matrix(t) for t in maps])) == expected
 
 
 def test_pure_product_states_have_purity_one():
     prod, _ = bw.vertex_purities()
-    assert len(prod) == 16
-    np.testing.assert_allclose(prod, 1.0, atol=1e-12)
-    space = bw.boxworld_space()
-    omega = np.kron(ss._GBIT_VERTICES[0], ss._GBIT_VERTICES[0])
-    assert bw.boxworld_purity(omega) == pytest.approx(1.0, abs=1e-12)
+    assert prod == [1] * 16
+    assert all(isinstance(p, Fraction) for p in prod)
+    for v in bw.vertices()[:BOXWORLD_PRODUCT_COUNT]:
+        assert abs(boxworld_purity(_unscaled(v)) - 1.0) <= 1e-15
 
 
 def test_pr_state_purity_is_exactly_one_third():
-    assert bw.boxworld_purity(ss.boxworld_pr_state()) == 1 / 3
+    assert boxworld_purity(boxworld_pr_state()) == 1 / 3
     _, pr = bw.vertex_purities()
-    assert len(pr) == 8
-    assert np.all(pr == 1 / 3)
+    assert pr == [Fraction(1, 3)] * 8
+    for v in bw.vertices()[BOXWORLD_PRODUCT_COUNT:]:
+        assert abs(boxworld_purity(_unscaled(v)) - 1 / 3) <= 1e-15
 
 
 def test_max_mixed_has_zero_purity():
-    space = bw.boxworld_space()
-    assert bw.boxworld_purity(space.max_mixed) == 0.0
+    assert bw.purity((1, 0, 0, 0, 0, 0, 0, 0, 0)) == 0
+    assert boxworld_purity(build_boxworld_bipartite().max_mixed) == 0.0
 
 
 def test_purity_rejects_states_outside_cone():
@@ -36,75 +82,83 @@ def test_purity_rejects_states_outside_cone():
     bad[0] = 1.0
     bad[4] = 2.0
     with pytest.raises(ConeError):
-        bw.boxworld_purity(bad)
+        boxworld_purity(bad)
 
 
 def test_purity_bounds_and_zero_iff_max_mixed(rng):
-    space = bw.boxworld_space()
+    space = build_boxworld_bipartite()
     for omega in random_mixtures(space, 500, rng):
-        p = bw.boxworld_purity(omega)
+        p = boxworld_purity(omega)
         assert -1e-12 <= p <= 1 + 1e-12
         if p < 1e-10:
             np.testing.assert_allclose(omega, space.max_mixed, atol=1e-4)
 
 
 def test_sqrt_purity_convexity(rng):
-    space = bw.boxworld_space()
+    space = build_boxworld_bipartite()
     for _ in range(200):
         states = random_mixtures(space, 3, rng)
         lam = rng.dirichlet(np.ones(3))
         mixed = lam @ states
-        lhs = math.sqrt(bw.boxworld_purity(mixed))
-        rhs = sum(l * math.sqrt(bw.boxworld_purity(s)) for l, s in zip(lam, states))
+        lhs = math.sqrt(boxworld_purity(mixed))
+        rhs = sum(l * math.sqrt(boxworld_purity(s)) for l, s in zip(lam, states))
         assert lhs <= rhs + 1e-12
 
 
 def test_purity_invariant_under_full_group(rng):
-    space = bw.boxworld_space()
-    elements = grouprep.group_elements(space)
+    space = build_boxworld_bipartite()
+    elements = boxworld_group_elements()
     assert len(elements) == 128
     for omega in random_mixtures(space, 20, rng):
-        p = bw.boxworld_purity(omega)
+        p = boxworld_purity(omega)
         for t in elements[::7]:
-            assert abs(bw.boxworld_purity(t @ omega) - p) < 1e-12
+            assert abs(boxworld_purity(t @ omega) - p) < 1e-12
 
 
 def test_default_gram_invariance_over_full_group():
-    assert bw.gram_invariance_deviation() < 1e-12
+    assert bw.gram_invariance_deviation() == 0
+    assert grouprep.invariance_deviation(BoxworldGram().matrix(), boxworld_group_elements()) < 1e-12
 
 
 def test_group_elements_preserve_cone(rng):
-    space = bw.boxworld_space()
-    sampler = haar.sampler_for(space)
+    space = build_boxworld_bipartite()
+    sampler = group_sampler(space)
     for omega in random_mixtures(space, 10, rng):
         t = haar.draw_many(sampler, rng, 1)[0]
-        assert space.cone_contains(t @ omega)
+        assert cone_contains(space, t @ omega)
 
 
 def test_obstruction_solution_is_three_zero():
     rec = bw.boxworld_normalization_obstruction()
-    assert rec.solution_a == pytest.approx(3.0, abs=1e-12)
-    assert rec.solution_b == pytest.approx(0.0, abs=1e-12)
-    assert rec.violated_constraint == "b > 0"
+    assert (rec.solution_a, rec.solution_b) == (3, 0)
     # Coefficients of (a, b) in the two purity expressions: (1/3, 2/3), (1/3, 0).
-    np.testing.assert_allclose(rec.product_coefficients, [1 / 3, 2 / 3], atol=1e-12)
-    np.testing.assert_allclose(rec.pr_coefficients, [1 / 3, 0.0], atol=1e-12)
+    assert rec.product_coefficients == (Fraction(1, 3), Fraction(2, 3))
+    assert rec.pr_coefficients == (Fraction(1, 3), 0)
 
 
 def test_obstruction_degenerate_gram_zero_on_nontrivial_state():
     rec = bw.boxworld_normalization_obstruction()
-    space = bw.boxworld_space()
-    assert rec.zero_purity_value == pytest.approx(0.0, abs=1e-12)
-    assert np.max(np.abs(rec.zero_purity_state - space.max_mixed)) > 0.5
+    assert rec.zero_purity_value == 0
+    witness = _unscaled(rec.zero_purity_state)
+    space = build_boxworld_bipartite()
+    assert np.max(np.abs(witness - space.max_mixed)) > 0.5
+    assert boxworld_purity(witness, BoxworldGram(a=3.0, b=0.0)) == 0.0
 
 
 def test_degenerate_gram_normalizes_both_families():
     rec = bw.boxworld_normalization_obstruction()
-    degenerate = bw.BoxworldGram(a=rec.solution_a, b=rec.solution_b)
-    prod, pr = bw.vertex_purities(degenerate)
-    np.testing.assert_allclose(prod, 1.0, atol=1e-12)
-    np.testing.assert_allclose(pr, 1.0, atol=1e-12)
+    prod, pr = bw.vertex_purities(rec.solution_a, rec.solution_b)
+    assert prod + pr == [1] * 24
+    degenerate = BoxworldGram(a=3.0, b=0.0)
+    for v in bw.vertices():
+        assert abs(boxworld_purity(_unscaled(v), degenerate) - 1.0) <= 1e-15
 
 
-def test_purity_separates_vertex_classes_over_group():
+def test_purity_separates_vertex_classes_over_group(monkeypatch):
     assert bw.transitivity_obstruction_witness()
+    # A map outside the group (the swap of coordinates 1 and 4) takes some
+    # product vertex off the vertex set, and the witness fails.
+    elements = bw.group_elements()
+    off = tuple((p, 1) for p in (0, 4, 2, 3, 1, 5, 6, 7, 8))
+    monkeypatch.setattr(bw, "group_elements", lambda: (*elements, off))
+    assert not bw.transitivity_obstruction_witness()

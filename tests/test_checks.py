@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from gptpurity import checks, cli, errors, grouprep
+from gptpurity import purity as pur
 from gptpurity import statespace as ss
 from gptpurity.errors import RangeError
 from gptpurity.purity import (
     PauliMap,
     complete_pauli_set,
-    max_collision_probability,
     pauli_vectors,
     purity,
     purity_via_pauli_set,
 )
 import haar
-from states import random_mixtures
+from states import max_collision_probability, pauli_value, random_mixtures
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
@@ -54,17 +54,16 @@ def test_every_suite_refuses_fewer_than_two_samples(suite, samples):
 
 def test_boxworld_values_are_deviations():
     by_name = {c.name: c for c in checks.run_suite("boxworld", 0, 2)}
-    assert by_name["vertex-count"].value == 0.0
-    assert by_name["obstruction-a"].value <= 1e-12
-    assert by_name["obstruction-b"].bound == 1e-12
-    assert by_name["non-transitivity-witness"].value == 0.0
+    # Every fact is an exact equality, so each value and bound is 0.
+    assert len(by_name) == 9
+    assert all(c.value == c.bound == 0.0 for c in by_name.values())
 
 
 def test_collision_check_detects_a_wrong_optimizer(monkeypatch):
     space = ss.build_quantum(2)
     gram = grouprep.analytic_gram(space)
     states = ss.with_midpoints(grouprep.orbit_pures(space))
-    dev, cdev = checks.pauli_identity_deviations(space, states)
+    dev, cdev = pur.pauli_identity_deviations(space, states)
     assert dev <= 1e-10 and cdev <= 1e-10
 
     # Pauli maps along a fixed direction instead of each state's own, built
@@ -74,8 +73,8 @@ def test_collision_check_detects_a_wrong_optimizer(monkeypatch):
     def wrong(space, gram, directions):
         return np.tile(x[0], (len(directions), 1))
 
-    monkeypatch.setattr(checks.pur, "pauli_vectors", wrong)
-    _, cdev = checks.pauli_identity_deviations(space, states)
+    monkeypatch.setattr(pur, "pauli_vectors", wrong)
+    _, cdev = pur.pauli_identity_deviations(space, states)
     assert cdev > 1e-3
 
 
@@ -88,7 +87,7 @@ def _per_state_pauli_deviations(space, states):
         p = purity(space, gram, omega)
         dev = max(dev, abs(purity_via_pauli_set(pset, omega) - p))
         x = max_collision_probability(space, gram, omega).optimizer
-        attained = 0.5 if x is None else 0.5 * (1.0 + x(omega) ** 2)
+        attained = 0.5 if x is None else 0.5 * (1.0 + pauli_value(x, omega) ** 2)
         cdev = max(cdev, abs(attained - 0.5 * (1.0 + p)))
     return dev, cdev
 
@@ -109,7 +108,7 @@ def test_batched_pauli_identities_match_the_per_state_route(space):
     np.testing.assert_allclose(pauli_vectors(space, gram, b),
                                [pauli_vectors(space, gram, v[None])[0] for v in b],
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(checks.pauli_identity_deviations(space, states),
+    np.testing.assert_allclose(pur.pauli_identity_deviations(space, states),
                                _per_state_pauli_deviations(space, states), rtol=0, atol=1e-12)
 
 
@@ -192,6 +191,7 @@ def test_uniqueness_rows_fail_when_the_generators_fix_every_form(monkeypatch):
     # The identity alone leaves all K(K+1)/2 symmetric forms invariant, so
     # every row reads that count less the expected 2 (3 for boxworld) and fails.
     monkeypatch.setattr(checks.grouprep, "group_generators", lambda space: np.eye(space.K)[None])
+    monkeypatch.setattr(checks.bw, "group_generators", lambda: (tuple((i, 1) for i in range(9)),))
     rows = {c.name: c for c in checks.run_suite("gram-invariance", 0, 2)
             + checks.run_suite("boxworld", 0, 2)
             if c.name.startswith("gram-uniqueness-") or c.name == "invariant-forms"}

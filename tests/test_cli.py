@@ -111,6 +111,17 @@ def test_golden_reports_do_not_depend_on_cpu_dispatch(setting):
 _NUMPY_FREE_CHILD = 'import sys\nsys.modules["numpy"] = None\n' + _GOLDEN_CHILD
 
 
+def _numpy_free_outputs(argvs):
+    """The stdout of each argv, run in one fresh interpreter in which importing numpy raises."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_golden_predictions_run_without_numpy():
     # The golden exact predictions print their stored bytes without numpy.
     golden_main = (DATA / "golden_predict_main.json").read_text()
@@ -118,14 +129,17 @@ def test_golden_predictions_run_without_numpy():
     cases += [(e["argv"], "".join(e["stdout"])) for e in GOLDEN_ESTIMATES
               if e["argv"][0] == "predict"]
     assert len(cases) == 4
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps([argv for argv, _ in cases])],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    for (argv, stored), out in zip(cases, json.loads(proc.stdout), strict=True):
+    for (argv, stored), out in zip(cases, _numpy_free_outputs([a for a, _ in cases]), strict=True):
+        assert out == stored, " ".join(argv)
+
+
+def test_golden_exact_groups_run_without_numpy():
+    # The Clifford frame potentials and the boxworld suite are exact integer
+    # and rational arithmetic: they print their stored bytes without numpy.
+    cases = [(e["argv"], "".join(e["stdout"])) for e in GOLDEN_ESTIMATES
+             if e["argv"][0] == "two-design" or e["argv"] == ["verify", "boxworld"]]
+    assert len(cases) == 3
+    for (argv, stored), out in zip(cases, _numpy_free_outputs([a for a, _ in cases]), strict=True):
         assert out == stored, " ".join(argv)
 
 

@@ -9,8 +9,8 @@ from gptpurity import errors, faces, formulas, grouprep, randomize as rnd
 from gptpurity.errors import EmptyFaceError, InvalidProbeError, RangeError
 from gptpurity.purity import purity_from_tr2
 import haar
-from states import (default_probe, face_bloch_projector, face_composite, isometry, mu_face,
-                    probe_entries, qface_by_isometry)
+from states import (cone_contains, default_probe, face_bloch_projector, face_composite, isometry,
+                    mu_face, probe_entries, qface_by_isometry, unit)
 
 
 @pytest.mark.parametrize("n,sym_dim,anti_dim", [(2, 3, 1), (3, 6, 3), (4, 10, 6)])
@@ -71,8 +71,8 @@ def test_swap_scatter_is_the_dense_column_sum_bit_for_bit(n, sign):
 def test_face_max_mixed_is_valid_state():
     for face in (faces.sym_face(2), faces.antisym_face(3)):
         joint = face_composite(face).joint
-        assert abs(joint.unit(mu_face(face)) - 1.0) < 1e-12
-        assert joint.cone_contains(mu_face(face))
+        assert abs(unit(joint, mu_face(face)) - 1.0) < 1e-12
+        assert cone_contains(joint, mu_face(face))
         pi = isometry(face) @ isometry(face).conj().T
         np.testing.assert_allclose(
             joint.to_matrix(mu_face(face)), pi / np.trace(pi).real, atol=1e-12

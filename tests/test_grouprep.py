@@ -12,7 +12,8 @@ from gptpurity.errors import RangeError, UnsupportedSpaceError
 import cliffords
 import haar
 from haar import ReducibleSpaceError
-from states import compose
+from states import (boxworld_generators, boxworld_group_elements, build_boxworld_bipartite,
+                    compose, cone_contains, group_sampler, swap_operator)
 
 
 def test_haar_conjugation_is_gram_orthogonal(rng):
@@ -211,7 +212,7 @@ def test_orthogonal_conjugation_preserves_real_cone(rng):
     for _ in range(100):
         t = haar.draw_many(haar.sampler_for(space), rng, 1)[0]
         omega = 0.7 * haar.sample_pures(space, rng, 1)[0] + 0.3 * mm
-        assert space.cone_contains(t @ omega)
+        assert cone_contains(space, t @ omega)
 
 
 # -- clifford ---------------------------------------------------------------------------
@@ -355,9 +356,8 @@ def test_partial_generator_sets_leave_more_forms_invariant():
 def test_boxworld_generators_generate_the_group_and_leave_three_forms_invariant():
     # The unit and the free weights a and b of the correlation and marginal
     # blocks, from the five generators and from all 128 elements.
-    space = ss.build_boxworld_bipartite()
-    gens = grouprep.group_generators(space)
-    elements = grouprep.group_elements(space)
+    gens = boxworld_generators()
+    elements = boxworld_group_elements()
     assert grouprep.invariant_form_dimension(gens) == 3
     assert grouprep.invariant_form_dimension(elements) == 3
     # Their closure is the group: the entries are 0 and +-1, so products are exact.
@@ -644,7 +644,7 @@ def _two_design_superoperators(k):
     dd = d * d
     lhs = (a.T @ a.conj() / len(us)).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3)
     lhs = lhs.reshape(dd * dd, dd * dd)
-    swap = grouprep.swap_operator(d)
+    swap = swap_operator(d)
     pi_s, pi_a = (np.eye(dd) + swap) / 2, (np.eye(dd) - swap) / 2
     rhs = (2.0 / (d * (d + 1))) * np.outer(pi_s.ravel(), pi_s.ravel()) + (
         2.0 / (d * (d - 1))
@@ -663,7 +663,7 @@ def test_two_design_superoperator_on_identity_and_swap():
     ident = np.eye(d * d)
     np.testing.assert_allclose((lhs @ ident.ravel()).reshape(4, 4), ident, atol=1e-12)
     np.testing.assert_allclose((rhs @ ident.ravel()).reshape(4, 4), ident, atol=1e-12)
-    swap = grouprep.swap_operator(d)
+    swap = swap_operator(d)
     # Direct evaluation of the projector side: Tr(pi_s S) = Tr(pi_s) and
     # Tr(pi_a S) = -Tr(pi_a), so the right side returns pi_s - pi_a = S.
     np.testing.assert_allclose((rhs @ swap.ravel()).reshape(4, 4), swap, atol=1e-12)
@@ -827,12 +827,12 @@ def test_scale_only_gram_matches_dense_projector(space, rng):
 
 
 @pytest.mark.parametrize("space,order", [
-    (ss.build_polygon(5), 10), (ss.build_classical(4), 24), (ss.build_boxworld_bipartite(), 128),
+    (ss.build_polygon(5), 10), (ss.build_classical(4), 24), (build_boxworld_bipartite(), 128),
 ], ids=["polygon-5", "classical-4", "boxworld-bipartite"])
 def test_enumerated_draws_are_one_gather_of_the_element_list(space, order):
     # An enumerated group draws through its draw function like every other
     # sampler; the stream is that of one gather at uniform indices.
-    sampler = haar.sampler_for(space)
+    sampler = group_sampler(space)
     elements = sampler.elements
     assert len(elements) == order
     for s in (4250, 4251, 4252):

@@ -84,6 +84,18 @@ def test_clifford_makes_no_blas_call():
     assert blas_entry_points(source) == []
 
 
+@pytest.mark.parametrize("name,modules", [
+    ("boxworld.py", {"__future__", "fractions", "functools", "typing"}),
+    ("checks.py", {"__future__", "math"}),
+])
+def test_boxworld_suite_makes_no_blas_call(name, modules):
+    # Bipartite boxworld is exact rational arithmetic on signed permutations,
+    # and the suite registry reaches every numpy layer through module aliases.
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert imported_modules(source) == modules
+    assert blas_entry_points(source) == []
+
+
 def test_conjugation_makes_no_blas_call():
     planted = ("import numpy as np\nfrom numpy.linalg import norm\nfrom numpy import dot\n"
                "def f(a, b):\n    a @= b\n    return np.einsum('ij,jk', a @ b, a.T.dot(b))\n")
@@ -358,6 +370,12 @@ def test_two_design_runs_no_descriptor_layer(k):
     # numpy nor fractions is imported; the verdict is an errors.Check.
     assert _executed_by(["two-design", "--k", k], _UNNEEDED + _NUMPY) == {
         "cli", "errors", "clifford"}
+
+
+def test_verify_boxworld_runs_no_descriptor_layer():
+    # Every boxworld state and map has entries in {-1, 0, 1}, so no state
+    # space, group or purity layer runs and numpy is not imported.
+    assert _executed_by(["verify", "boxworld"], _NUMPY) == {"cli", "errors", "checks", "boxworld"}
 
 
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():

@@ -14,7 +14,7 @@ from gptpurity.errors import (
     UnsupportedSpaceError,
 )
 import haar
-from states import random_mixtures
+from states import max_collision_probability, pauli_value, random_mixtures
 
 
 def _space_gram(space):
@@ -118,11 +118,11 @@ def test_pauli_from_direction_qubit_z(rng):
     z_dir = space.bloch(space.to_coords(np.diag([1.0, 0.0])))
     x = pur.PauliMap(space, gram, pur.pauli_vectors(space, gram, z_dir[None])[0])
     assert gram.norm_sq(x.vector) == pytest.approx(1.0, abs=1e-12)
-    assert x(space.max_mixed) == pytest.approx(0.0, abs=1e-15)
+    assert pauli_value(x, space.max_mixed) == pytest.approx(0.0, abs=1e-15)
     for _ in range(20):
         omega = haar.sample_pures(space, rng, 1)[0]
         expected = np.trace(pur.pauli_string("Z") @ space.to_matrix(omega)).real
-        assert x(omega) == pytest.approx(expected, abs=1e-12)
+        assert pauli_value(x, omega) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pauli_from_direction_rejects_zero():
@@ -145,7 +145,7 @@ def test_classical_pauli_values_on_pure_state():
     space = ss.build_classical(3)
     pset = pur.complete_pauli_set(space)
     e1 = np.array([1.0, 0.0, 0.0])
-    vals = [x(e1) for x in pset]
+    vals = [pauli_value(x, e1) for x in pset]
     np.testing.assert_allclose(vals, [1.0, -0.5, -0.5], atol=1e-12)
 
 
@@ -154,7 +154,7 @@ def test_pauli_maps_have_unit_norm_and_vanish_on_mu():
         gram = grouprep.analytic_gram(space)
         for x in pur.complete_pauli_set(space, gram):
             assert gram.norm_sq(x.vector) == pytest.approx(1.0, abs=1e-10)
-            assert x(space.max_mixed) == pytest.approx(0.0, abs=1e-12)
+            assert pauli_value(x, space.max_mixed) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pauli_values_bounded_by_one(rng):
@@ -256,10 +256,10 @@ def test_pauli_haar_average_max_mixed_zero(rng):
 def test_collision_probability_endpoints(rng):
     space, gram = _space_gram(ss.build_quantum(2))
     pure = haar.sample_pures(space, rng, 1)[0]
-    res = pur.max_collision_probability(space, gram, pure)
+    res = max_collision_probability(space, gram, pure)
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert gram.norm_sq(res.optimizer.vector) == pytest.approx(1.0, abs=1e-12)
-    mixed = pur.max_collision_probability(space, gram, space.max_mixed)
+    mixed = max_collision_probability(space, gram, space.max_mixed)
     assert mixed.value == 0.5
     assert mixed.optimizer is None
 
@@ -267,7 +267,7 @@ def test_collision_probability_endpoints(rng):
 def test_collision_probability_quarter_purity(rng):
     space, gram = _space_gram(ss.build_quantum(2))
     omega = haar.fixed_purity_state(space, 0.25, rng)
-    res = pur.max_collision_probability(space, gram, omega)
+    res = max_collision_probability(space, gram, omega)
     assert res.value == pytest.approx(5 / 8, abs=1e-12)
 
 

@@ -52,20 +52,11 @@ ARGV = [
     (["estimate", "--theory", "quantum", "--seed", "1"], 1),
 ]
 
-# Tests that several entries name.
-_PR_STATE = "tests/test_boxworld.py::test_pr_state_purity_is_exactly_one_third"
-_PER_STATE = "tests/test_checks.py::test_batched_pauli_identities_match_the_per_state_route"
 # Defs that no command runs, each with the test that uses it as a reference.
 ALLOWLIST = {
-    "boxworld.boxworld_purity": _PR_STATE,
     "purity.purity_from_tr2": "tests/test_randomize.py::test_qubit_oracle_consistency_triangle",
     "purity.tr2_from_purity":
         "tests/test_acceptance.py::test_criterion_12_real_quantum_nonlocal_tomography",
-    "purity.PauliMap.__call__": "tests/test_purity.py::test_classical_pauli_values_on_pure_state",
-    "purity.max_collision_probability": _PER_STATE,
-    "statespace.SpaceDescriptor.unit": _PR_STATE,
-    "statespace.SpaceDescriptor.cone_contains": _PR_STATE,
-    "statespace.validate_state": _PR_STATE,
 }
 
 # argv[1]: the argv list, argv[2]: the test ids, argv[3]: the output path.  The

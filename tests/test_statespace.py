@@ -10,7 +10,8 @@ from gptpurity import grouprep
 from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError
 import haar
-from states import random_mixtures
+from states import (boxworld_pr_state, build_boxworld_bipartite, cone_contains, group_sampler,
+                    random_mixtures, unit)
 
 
 @pytest.mark.parametrize("n,k", [(2, 4), (3, 9), (5, 25), (128, 16384)])
@@ -48,8 +49,8 @@ def test_classical_max_mixed_and_pure():
     np.testing.assert_allclose(space.max_mixed, [0.5, 0.5])
     four = ss.build_classical(4)
     pure = np.array([1.0, 0.0, 0.0, 0.0])
-    assert four.cone_contains(pure)
-    assert abs(four.unit(pure) - 1.0) < 1e-15
+    assert cone_contains(four, pure)
+    assert abs(unit(four, pure) - 1.0) < 1e-15
     with pytest.raises(InvalidDimensionError):
         ss.build_classical(1)
 
@@ -74,11 +75,11 @@ def test_polygon_vertices_pass_cone_and_interior_points_too(rng):
     for n in (4, 5, 6):
         space = ss.build_polygon(n)
         for v in space.vertices:
-            assert space.cone_contains(v)
+            assert cone_contains(space, v)
         for omega in random_mixtures(space, 50, rng):
-            assert space.cone_contains(omega)
+            assert cone_contains(space, omega)
         outside = np.array([1.0, 1.1, 0.0])
-        assert not space.cone_contains(outside)
+        assert not cone_contains(space, outside)
 
 
 @pytest.mark.parametrize("m,k", [(2, 3), (3, 6), (4, 10), (8, 36)])
@@ -133,7 +134,7 @@ def test_quantum_cone_agrees_with_eigenvalue_check(rng):
             h = h @ h.conj().T  # force PSD half the time
         coords = space.to_coords(h)
         expected = bool(np.all(np.linalg.eigvalsh(h) >= -1e-9))
-        assert space.cone_contains(coords) == expected
+        assert cone_contains(space, coords) == expected
         hits += expected
     assert 0 < hits < 1000
 
@@ -146,10 +147,10 @@ def test_max_mixed_fixed_by_sampled_transformations(rng):
         ss.build_polygon(5),
         ss.build_real_quantum(2),
         ss.build_boxworld_local(),
-        ss.build_boxworld_bipartite(),
+        build_boxworld_bipartite(),
     ]
     for space in spaces:
-        sampler = haar.sampler_for(space)
+        sampler = group_sampler(space)
         for _ in range(20):
             t = haar.draw_many(sampler, rng, 1)[0]
             np.testing.assert_allclose(t @ space.max_mixed, space.max_mixed, atol=1e-10)
@@ -160,7 +161,7 @@ def test_max_mixed_fixed_by_sampled_transformations(rng):
 
 
 def test_boxworld_has_24_distinct_pure_states():
-    space = ss.build_boxworld_bipartite()
+    space = build_boxworld_bipartite()
     assert space.K == 9
     assert len(space.vertices) == 24
     keys = {np.round(v, 10).tobytes() for v in space.vertices}
@@ -168,20 +169,20 @@ def test_boxworld_has_24_distinct_pure_states():
 
 
 def test_boxworld_vertices_pass_cone_test():
-    space = ss.build_boxworld_bipartite()
+    space = build_boxworld_bipartite()
     for v in space.vertices:
-        assert space.cone_contains(v)
-        assert abs(space.unit(v) - 1.0) < 1e-12
-    assert space.cone_contains(ss.boxworld_pr_state())
+        assert cone_contains(space, v)
+        assert abs(unit(space, v) - 1.0) < 1e-12
+    assert cone_contains(space, boxworld_pr_state())
 
 
 def test_boxworld_max_mixed_bloch_is_zero_matrix():
-    space = ss.build_boxworld_bipartite()
+    space = build_boxworld_bipartite()
     np.testing.assert_allclose(space.bloch(space.max_mixed).reshape(3, 3), 0.0)
 
 
 def test_boxworld_pr_state_matches_its_matrix_form():
-    w = ss.boxworld_pr_state().reshape(3, 3)
+    w = boxworld_pr_state().reshape(3, 3)
     expected = np.array([[1.0, 0, 0], [0, 0.5, 0.5], [0, 0.5, -0.5]])
     np.testing.assert_allclose(w, expected)
 
@@ -189,7 +190,7 @@ def test_boxworld_pr_state_matches_its_matrix_form():
 def test_boxworld_vertices_are_extreme_points():
     # Each vertex must be infeasible as a convex combination of the others.
     linprog = pytest.importorskip("scipy.optimize").linprog
-    space = ss.build_boxworld_bipartite()
+    space = build_boxworld_bipartite()
     verts = np.asarray(space.vertices)
     for i in range(len(verts)):
         others = np.delete(verts, i, axis=0)
