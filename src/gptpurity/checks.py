@@ -84,7 +84,7 @@ def _classical_subsystem(seed: int, samples: int) -> list[Check]:
                         ("classical-4", ss.build_classical(4)),
                         ("classical-8", ss.build_classical(8)),
                         ("qubit", ss.build_quantum(2)),
-                        ("square-gbit", ss.build_boxworld_local())):
+                        ("square-gbit", ss.build_polygon(4))):
         gram = grouprep.analytic_gram(space)
         report = comp_mod.verify_centered_dynamical(space, gram, comp_mod.capacity_witness(space))
         checks.append(Check(f"centered-{name}",

@@ -40,19 +40,16 @@ class ClassicalSubsystemWitness(NamedTuple):
 
 
 def _polygon_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
+    """Vertex 0 and vertex (n+1)//2, its antipode for even n and the most
+    opposite vertex for odd n, told apart by the affine functional e0 that is 1
+    on the first and 0 on the second: e0 = (-g.b1, g)/(g.g) with g = b0 - b1
+    for their Bloch vectors b."""
     verts = space.vertices
     n = space.level
-    if n % 2 == 0:
-        v0, v1 = verts[0], verts[n // 2]
-        e0 = 0.5 * np.array([1.0, v0[1], v0[2]])
-    else:
-        # No centered pair exists for odd polygons; use the most-opposite
-        # vertex and the affine functional separating the pair.
-        j = (n + 1) // 2
-        v0, v1 = verts[0], verts[j]
-        g = (v0 - v1)[1:]
-        denom = float(g @ (v0 - v1)[1:])
-        e0 = np.concatenate([[-float(g @ v1[1:]) / denom], g / denom])
+    v0, v1 = verts[0], verts[(n + 1) // 2]
+    g = (v0 - v1)[1:]
+    denom = float(g @ g)
+    e0 = np.concatenate([[-float(g @ v1[1:]) / denom], g / denom])
     e1 = space.order_unit - e0
     states = np.stack([v0, v1])
     effects = np.stack([e0, e1])
@@ -70,7 +67,7 @@ def capacity_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
     """A maximal classical subsystem with its distinguishing measurement.
 
     Quantum: the basis projectors.  Classical: the outcomes.  Even polygons
-    (including the gbit square): an antipodal vertex pair, which is centered.
+    (the gbit square among them): an antipodal vertex pair, which is centered.
     Odd polygons: a two-element witness exists but is not centered.
     """
     if space.kind == ss.KIND_QUANTUM or space.kind == ss.KIND_REAL_QUANTUM:
@@ -84,11 +81,6 @@ def capacity_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
         return ClassicalSubsystemWitness(states=eye, effects=eye.copy(), centered=True)
     if space.kind == ss.KIND_POLYGON:
         return _polygon_witness(space)
-    if space.kind == ss.KIND_BOXWORLD_LOCAL:
-        states = np.stack([space.vertices[0], space.vertices[3]])  # omega++ and omega--
-        effects = np.stack([space.effects[0], space.effects[1]])  # Y and u - Y
-        centered = bool(np.allclose(states.mean(axis=0), space.max_mixed, atol=1e-12))
-        return ClassicalSubsystemWitness(states=states, effects=effects, centered=centered)
     raise UnsupportedSpaceError(f"no capacity witness for kind {space.kind!r}")
 
 

@@ -61,10 +61,6 @@ class DegenerateDirectionError(GptPurityError, ValueError):
     """A direction vector is (numerically) zero."""
 
 
-class DegenerateCompositeError(GptPurityError, ValueError):
-    """A composite-dependent denominator is zero or negative."""
-
-
 class InconsistencyError(GptPurityError):
     """Two routes to the same quantity disagree beyond tolerance."""
 

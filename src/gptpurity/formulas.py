@@ -33,7 +33,6 @@ import math
 from typing import NamedTuple
 
 from .errors import (
-    DegenerateCompositeError,
     EmptyFaceError,
     InvalidDimensionError,
     InvalidProbeError,
@@ -143,37 +142,6 @@ def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
     )
 
 
-def _nonlocaltomo(k_a: int, k_ab: int, p0: float, phi_mu: tuple[int, int],
-                  mu_c: tuple[int, int]) -> Prediction:
-    """Expected local purity without local tomography, from exact integer ratios.
-
-    ``phi_mu`` is P(phi_A (x) mu_B) and ``mu_c`` the squared Gram norm
-    |mu_C|^2 of the locally inaccessible component of the joint maximally
-    mixed state, each as (numerator, denominator), so the value is correctly
-    rounded.
-    """
-    _check_p0(p0)
-    (a, b), (c, d) = phi_mu, mu_c
-    # P(phi (x) mu) - |mu_C|^2 = gap / (b d), with b d > 0.
-    gap = a * d - c * b
-    if gap <= 0:
-        raise DegenerateCompositeError(
-            f"P(phi (x) mu) - |mu_C|^2 = {gap / (b * d)!r} must be positive"
-        )
-    num, den = p0.as_integer_ratio()
-    return Prediction(
-        value=(k_a - 1) * num * b * d / ((k_ab - 1) * den * gap),
-        formula_id="nonlocaltomo",
-        inputs={
-            "K_A": k_a,
-            "K_AB": k_ab,
-            "P0": p0,
-            "P_phi_mu": a / b,
-            "mu_C_norm_sq": c / d,
-        },
-    )
-
-
 def predict_real_quantum(m_a: int, m_b: int, p0: float) -> Prediction:
     """The nonlocaltomo formula for two real-quantum systems, from their level counts.
 
@@ -183,11 +151,20 @@ def predict_real_quantum(m_a: int, m_b: int, p0: float) -> Prediction:
     is multiplicative on products, so Tr (phi_A (x) mu_B)^2 = 1/m_b and
     P(phi_A (x) mu_B) = (m_a - 1)/(n - 1).  The joint maximally mixed state is
     the product mu_A (x) mu_B, so its locally inaccessible component vanishes:
-    |mu_C|^2 = 0.
+    |mu_C|^2 = 0, and the denominator P(phi_A (x) mu_B) - |mu_C|^2 is positive.
+    The value (K_A-1)(n-1) P0/((K_AB-1)(m_a-1)) is one integer true division.
     """
     _check_levels("real-quantum", m_b, m_a)
+    _check_p0(p0)
     n = m_a * m_b
-    return _nonlocaltomo(m_a * (m_a + 1) // 2, n * (n + 1) // 2, p0, (m_a - 1, n - 1), (0, 1))
+    k_a, k_ab = m_a * (m_a + 1) // 2, n * (n + 1) // 2
+    num, den = p0.as_integer_ratio()
+    return Prediction(
+        value=(k_a - 1) * num * (n - 1) / ((k_ab - 1) * den * (m_a - 1)),
+        formula_id="nonlocaltomo",
+        inputs={"K_A": k_a, "K_AB": k_ab, "P0": p0, "P_phi_mu": (m_a - 1) / (n - 1),
+                "mu_C_norm_sq": 0.0},
+    )
 
 
 def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:

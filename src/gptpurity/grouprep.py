@@ -5,9 +5,9 @@ order unit and map the cone into itself.  This module provides
 
 * conjugation superoperators, each column the coordinates of one conjugated
   basis element, with no LAPACK or BLAS call,
-* the element stacks of the enumerable groups (dihedral groups, the gbit,
-  S_K while K! <= ``ENUMERATE_LIMIT``, and the qubit's 24 Cliffords), over
-  which commands sum exactly,
+* the element stacks of the enumerable groups (dihedral groups, read off
+  the polygon's vertices, S_K while K! <= ``ENUMERATE_LIMIT``, and the
+  qubit's 24 Cliffords), over which commands sum exactly,
 * the analytic invariant inner product (Gram matrix) on the Bloch subspace,
 * generators of a dense subgroup of each built-in group, under which the
   invariance of a Gram is checked exactly, and the dimension of the space
@@ -102,32 +102,24 @@ def permutation_matrix(perm: np.ndarray) -> np.ndarray:
     return t
 
 
-def dihedral_elements(n: int) -> np.ndarray:
-    """The 2n elements of D_n acting on the Bloch plane: rotations, then reflections."""
-    mats = []
-    for k in range(n):
-        a = 2 * math.pi * k / n
-        mats.append(np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]))
-    for k in range(n):
-        a = math.pi * k / n
-        mats.append(
-            np.array([[math.cos(2 * a), math.sin(2 * a)], [math.sin(2 * a), -math.cos(2 * a)]])
-        )
-    return np.stack(mats)
-
-
 def group_elements(space: ss.SpaceDescriptor) -> np.ndarray:
     """The (|G|, K, K) element stack of a built-in space's enumerable reversible group.
 
-    Dihedral groups for polygons and the gbit, and S_K while
-    K! <= ``ENUMERATE_LIMIT``, as permutation matrices in lexicographic
-    order.  Other groups are refused.
+    S_K while K! <= ``ENUMERATE_LIMIT``, as permutation matrices in
+    lexicographic order, and D_n for polygons: the rotations, then the
+    reflections, with rotation k and reflection k taking their entries from
+    vertex k's (cos, sin) = (c, s), [[c, -s], [s, c]] and [[c, s], [s, -c]].
+    Other groups are refused.
     """
     if space.kind == ss.KIND_CLASSICAL and math.factorial(space.K) <= ENUMERATE_LIMIT:
         return permutation_matrix(np.array(list(itertools.permutations(range(space.K)))))
-    if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
-        n = space.level if space.kind == ss.KIND_POLYGON else 4
-        return ss.lift_plane(dihedral_elements(n))
+    if space.kind == ss.KIND_POLYGON:
+        c, s = space.vertices[:, 1], space.vertices[:, 2]
+        t = np.tile(np.eye(3), (2, space.level, 1, 1))
+        t[..., 1, 1], t[..., 2, 1] = c, s
+        t[0, :, 1, 2], t[0, :, 2, 2] = -s, c
+        t[1, :, 1, 2], t[1, :, 2, 2] = s, -c
+        return t.reshape(-1, 3, 3)
     raise UnsupportedSpaceError(f"no enumerated group for {space.kind}-{space.level}")
 
 
@@ -186,7 +178,7 @@ def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
     if space.kind in (ss.KIND_QUANTUM, ss.KIND_CLASSICAL, ss.KIND_REAL_QUANTUM):
         n = space.level
         scale = n / (n - 1)
-    elif space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
+    elif space.kind == ss.KIND_POLYGON:
         scale = 1.0
     else:
         raise UnsupportedSpaceError(
@@ -240,8 +232,8 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
 
     A form invariant under each generator is invariant under the group they
     generate and, by continuity, under its closure: the whole group.
-    Classical S_K: the transposition (0 1) and the K-cycle.  Polygons and the
-    gbit: every element of D_n.  Qubit: the Clifford generators H
+    Classical S_K: the transposition (0 1) and the K-cycle.  Polygons: every
+    element of D_n.  Qubit: the Clifford generators H
     and S and T = diag(1, e^(i pi/4)), dense in the unitaries modulo phase
     (Boykin et al., Inf. Process. Lett. 75, 101, 2000).  Qutrit: the Clifford
     generators F and P = diag(1, 1, w), w = e^(2 pi i/3), and
@@ -255,7 +247,7 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
     if space.kind == ss.KIND_CLASSICAL:
         k = space.K
         return permutation_matrix(np.array([[1, 0, *range(2, k)], [*range(1, k), 0]]))
-    if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
+    if space.kind == ss.KIND_POLYGON:
         return group_elements(space)
     if space.kind == ss.KIND_QUANTUM and space.level == 2:
         h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

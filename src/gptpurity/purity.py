@@ -98,13 +98,6 @@ def pauli_string(label: str) -> np.ndarray:
     return m
 
 
-def _sign_canonical(v: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(np.abs(v) > 1e-10)
-    if len(nz) and v[nz[0]] < 0:
-        return -v
-    return v
-
-
 def complete_pauli_set(
     space: SpaceDescriptor, gram: GramMatrix | None = None
 ) -> tuple[PauliMap, ...]:
@@ -113,9 +106,9 @@ def complete_pauli_set(
     Quantum k qubits: the 4^k - 1 non-identity Pauli-string maps
     rho -> Tr(sigma rho) / sqrt(2^k - 1), enumerated lexicographically over
     {I, X, Y, Z}^k.  Classical n: the n component read-outs
-    p -> p_i - (sum_{j != i} p_j) / (n - 1).  Polygons: the dihedral orbit of
-    the first coordinate map, signs quotiented (n maps for odd n, n/2 for
-    even n; the square reduces to the two coordinates).
+    p -> p_i - (sum_{j != i} p_j) / (n - 1).  Polygons: the vertices' Bloch
+    vectors, one from each antipodal pair: the first n for odd n, the first
+    n/2 for even n (the square's two coordinates).
     """
     gram = grouprep.analytic_gram(space) if gram is None else gram
     if space.kind == ss.KIND_QUANTUM:
@@ -137,15 +130,10 @@ def complete_pauli_set(
             vec[i] = (n - 1.0) / n
             maps.append(PauliMap(space=space, gram=gram, vector=vec))
         return tuple(maps)
-    if space.kind in (ss.KIND_POLYGON, ss.KIND_BOXWORLD_LOCAL):
+    if space.kind == ss.KIND_POLYGON:
         n = space.level
-        x1 = np.array([1.0, 0.0])
-        seen: dict[bytes, np.ndarray] = {}
-        for g in grouprep.dihedral_elements(n):
-            d = _sign_canonical(g.T @ x1)
-            seen.setdefault((np.round(d, 10) + 0.0).tobytes(), d)
-        return tuple(PauliMap(space=space, gram=gram, vector=np.concatenate([[0.0], d]))
-                     for d in seen.values())
+        blochs = space.bloch(space.vertices[:n if n % 2 else n // 2])
+        return tuple(PauliMap(space=space, gram=gram, vector=v) for v in blochs)
     raise UnsupportedSpaceError(f"no complete Pauli set for kind {space.kind!r}")
 
 

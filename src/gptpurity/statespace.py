@@ -2,16 +2,17 @@
 
 Every space is described by the same data: an ambient real dimension ``K``,
 an order unit (the covector giving total probability) and the maximally mixed
-state; a polytope also holds its pure states and extremal effects.  The
-spaces are the single-system ones; bipartite boxworld is held exactly, with no
-descriptor, in ``boxworld``.  Nothing here draws a random state.  Matrix-valued
-theories (quantum over C, quantum over R) are vectorized in a fixed
-orthonormal Hermitian basis whose first element is ``identity/sqrt(d)``, so
-that states of all kinds are plain real vectors.  It is the generalized
-Gell-Mann basis (Bertlmann and Krammer, J. Phys. A 41, 235303, 2008), whose
-elements have at most two nonzero entries, so coordinates are index
-arithmetic.  A descriptor stores no basis: a matrix kind is one Gell-Mann
-factor of its level.
+state; a polygon also holds its vertices, its pure states.  The spaces are the
+single-system ones; the gbit, boxworld's local system, is the square
+``build_polygon(4)``, and bipartite boxworld is held exactly, with no
+descriptor, in ``boxworld``.  Nothing here draws a random state.
+Matrix-valued theories (quantum over C, quantum over R) are vectorized in a
+fixed orthonormal Hermitian basis whose first element is ``identity/sqrt(d)``,
+so that states of all kinds are plain real vectors.  It is the generalized
+Gell-Mann basis (Bertlmann and Krammer, J. Phys. A 41, 235303, 2008): each
+off-diagonal element has two nonzero entries and each diagonal z_l has
+l + 1, so coordinates are index arithmetic.  A descriptor stores no basis: a
+matrix kind is one Gell-Mann factor of its level.
 
 Arrays that grow with a space are checked against
 ``errors.MEMORY_CAP_BYTES`` by ``errors.check_memory`` before they are
@@ -45,7 +46,6 @@ KIND_QUANTUM = "quantum"
 KIND_CLASSICAL = "classical"
 KIND_POLYGON = "polygon"
 KIND_REAL_QUANTUM = "real-quantum"
-KIND_BOXWORLD_LOCAL = "boxworld-local"
 
 _MATRIX_KINDS = (KIND_QUANTUM, KIND_REAL_QUANTUM)
 
@@ -70,8 +70,7 @@ class SpaceDescriptor:
     Attributes
     ----------
     kind:
-        One of ``quantum``, ``classical``, ``polygon``, ``real-quantum``,
-        ``boxworld-local``.
+        One of ``quantum``, ``classical``, ``polygon``, ``real-quantum``.
     K:
         Ambient real dimension (parameters of an unnormalized state).
     N:
@@ -84,9 +83,8 @@ class SpaceDescriptor:
         Kind parameter: Hilbert-space dimension, outcome count, or vertex
         count.
     vertices:
-        ``(n_pure, K)`` array of all pure states for polytopal kinds.
-    effects:
-        ``(n_eff, K)`` extremal effect covectors of a polytope.
+        ``(n, K)`` array of a polygon's pure states, in the order of
+        ``_polygon_vertices``.
     """
 
     kind: str
@@ -96,10 +94,9 @@ class SpaceDescriptor:
     max_mixed: np.ndarray
     level: int
     vertices: np.ndarray | None = None
-    effects: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("order_unit", "max_mixed", "vertices", "effects"):
+        for name in ("order_unit", "max_mixed", "vertices"):
             a = getattr(self, name)
             if a is not None:
                 object.__setattr__(self, name, _frozen(np.asarray(a)))
@@ -119,9 +116,12 @@ class SpaceDescriptor:
 
     # -- matrix representation (quantum kinds) ------------------------------------
 
-    def _layout(self) -> FactorLayout:
+    def _require_matrix_form(self) -> None:
         if self.kind not in _MATRIX_KINDS:
             raise UnsupportedSpaceError(f"space kind {self.kind!r} has no matrix form")
+
+    def _layout(self) -> FactorLayout:
+        self._require_matrix_form()
         return factor_layout(self.level, self.kind == KIND_REAL_QUANTUM)
 
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
@@ -148,15 +148,14 @@ class SpaceDescriptor:
             *lead, lay.K)
 
     @cached_property
-    def hermitian_basis(self) -> np.ndarray | None:
+    def hermitian_basis(self) -> np.ndarray:
         """The ``(K, d, d)`` stacked basis, ``to_matrix(eye(K))``, built on first access.
 
-        ``None`` for kinds without a matrix form.  The stack grows like d^4;
-        ``to_matrix`` holds about three of its size at its peak, and that is
-        refused beyond ``errors.MEMORY_CAP_BYTES``.
+        Refused, like ``to_matrix``, for kinds without a matrix form.  The
+        stack grows like d^4; ``to_matrix`` holds about three of its size at
+        its peak, and that is refused beyond ``errors.MEMORY_CAP_BYTES``.
         """
-        if self.kind not in _MATRIX_KINDS:
-            return None
+        self._require_matrix_form()
         n, itemsize = self.level, 8 if self.kind == KIND_REAL_QUANTUM else 16
         check_memory(3 * itemsize * self.K * n * n,
                      f"the stacked {self.K}-element basis of {n} x {n} matrices")
@@ -288,14 +287,9 @@ def build_classical(n: int) -> SpaceDescriptor:
 
 
 def _polygon_vertices(n: int) -> np.ndarray:
+    """Vertex k, (1, cos a, sin a) at a = 2 pi k/n: the group, Pauli set and witness read these."""
     ang = 2 * np.pi * np.arange(n) / n
     return np.column_stack([np.ones(n), np.cos(ang), np.sin(ang)])
-
-
-def _polygon_effects(n: int) -> np.ndarray:
-    """Edge covectors: x*cos(phi_k) + y*sin(phi_k) <= u*cos(pi/n)."""
-    phi = (2 * np.arange(n) + 1) * np.pi / n
-    return np.column_stack([np.full(n, math.cos(math.pi / n)), -np.cos(phi), -np.sin(phi)])
 
 
 def build_polygon(n: int) -> SpaceDescriptor:
@@ -304,7 +298,7 @@ def build_polygon(n: int) -> SpaceDescriptor:
     K = 3.  Pure states sit at angles 2*pi*k/n starting at angle 0, with
     normalization coordinate 1; the reversible group is dihedral D_n.  The
     capacity is 2 for every n >= 4; the triangle n = 3 is the classical
-    3-outcome simplex in disguise and has N = 3.
+    3-outcome simplex in disguise and has N = 3.  The square n = 4 is the gbit.
     """
     if n < 3:
         raise InvalidDimensionError(f"polygon vertex count must be >= 3, got {n}")
@@ -317,7 +311,6 @@ def build_polygon(n: int) -> SpaceDescriptor:
         max_mixed=order_unit.copy(),
         level=n,
         vertices=_polygon_vertices(n),
-        effects=_polygon_effects(n),
     )
 
 
@@ -330,42 +323,3 @@ def build_real_quantum(m: int) -> SpaceDescriptor:
         raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m}")
     return _matrix_space(KIND_REAL_QUANTUM, m, m * (m + 1) // 2)
 
-
-# -- boxworld ---------------------------------------------------------------------------
-
-# Local gbit, in the representation whose pure states are (1, +-1/sqrt2, +-1/sqrt2).
-_GBIT_VERTICES = np.array(
-    [[1.0, r / math.sqrt(2), s / math.sqrt(2)] for r in (1, -1) for s in (1, -1)]
-)
-# Extremal effects Y, u - Y, Z, u - Z.
-_GBIT_EFFECTS = np.array(
-    [
-        [0.5, 1 / math.sqrt(2), 0.0],
-        [0.5, -1 / math.sqrt(2), 0.0],
-        [0.5, 0.0, 1 / math.sqrt(2)],
-        [0.5, 0.0, -1 / math.sqrt(2)],
-    ]
-)
-
-
-def build_boxworld_local() -> SpaceDescriptor:
-    """One gbit: the square state space of a single boxworld party."""
-    order_unit = np.array([1.0, 0.0, 0.0])
-    return SpaceDescriptor(
-        kind=KIND_BOXWORLD_LOCAL,
-        K=3,
-        N=2,
-        order_unit=order_unit,
-        max_mixed=order_unit.copy(),
-        level=4,
-        vertices=_GBIT_VERTICES,
-        effects=_GBIT_EFFECTS,
-    )
-
-
-def lift_plane(g: np.ndarray) -> np.ndarray:
-    """Lift a 2x2 Bloch-plane symmetry, or each of a (..., 2, 2) stack, to the
-    3-dim ambient coordinates."""
-    t = np.tile(np.eye(3), (*np.shape(g)[:-2], 1, 1))
-    t[..., 1:, 1:] = g
-    return t

@@ -6,7 +6,9 @@ float descriptor of bipartite boxworld.
 A quantum composite is a dense reference: its basis is the Kronecker product of
 the parts' ``hermitian_basis`` stacks, and its coordinates are einsums over it.
 The boxworld descriptor, its 128 group elements and its block-weighted Gram are
-in the unscaled gbit basis (1, x, y), the reference for the exact ``boxworld``."""
+in the unscaled gbit basis (1, x, y), the reference for the exact ``boxworld``.
+Its gbit, with pure states (1, +-1/sqrt2, +-1/sqrt2), is the square
+``build_polygon(4)`` turned by pi/4."""
 
 import math
 from dataclasses import dataclass
@@ -30,6 +32,12 @@ class ConeError(GptPurityError, ValueError):
     """A vector fails the cone (positivity) test of its space."""
 
 
+def polygon_effects(n):
+    """Edge covectors of the regular n-gon: x cos(phi_k) + y sin(phi_k) <= u cos(pi/n)."""
+    phi = (2 * np.arange(n) + 1) * np.pi / n
+    return np.column_stack([np.full(n, math.cos(math.pi / n)), -np.cos(phi), -np.sin(phi)])
+
+
 def unit(space, x):
     """Evaluate the order unit on ``x``."""
     return float(space.order_unit @ np.asarray(x, dtype=float))
@@ -43,8 +51,10 @@ def cone_contains(space, x):
     if space.kind in (ss.KIND_QUANTUM, ss.KIND_REAL_QUANTUM):
         eigs = np.linalg.eigvalsh(space.to_matrix(x))
         return bool(np.all(eigs >= -CONE_TOL))
-    if space.effects is not None:
-        return bool(np.all(space.effects @ x >= -CONE_TOL))
+    if space.kind == ss.KIND_POLYGON:
+        return bool(np.all(polygon_effects(space.level) @ x >= -CONE_TOL))
+    if space.kind == KIND_BOXWORLD_BIPARTITE:
+        return bool(np.all(BOXWORLD_EFFECTS @ x >= -CONE_TOL))
     raise UnsupportedSpaceError(f"no cone test for kind {space.kind!r}")
 
 
@@ -281,6 +291,20 @@ def qface_by_isometry(face, e_a, tr_purity_global):
 
 KIND_BOXWORLD_BIPARTITE = "boxworld-bipartite"
 BOXWORLD_PRODUCT_COUNT = 16
+# The local gbit's pure states, and its extremal effects Y, u - Y, Z, u - Z.
+GBIT_VERTICES = np.array(
+    [[1.0, r / math.sqrt(2), s / math.sqrt(2)] for r in (1, -1) for s in (1, -1)]
+)
+GBIT_EFFECTS = np.array(
+    [
+        [0.5, 1 / math.sqrt(2), 0.0],
+        [0.5, -1 / math.sqrt(2), 0.0],
+        [0.5, 0.0, 1 / math.sqrt(2)],
+        [0.5, 0.0, -1 / math.sqrt(2)],
+    ]
+)
+# The products of local extremal effects: the facets of the bipartite cone.
+BOXWORLD_EFFECTS = np.stack([np.kron(e, f) for e in GBIT_EFFECTS for f in GBIT_EFFECTS])
 # Flat 9-coordinate layout: index 3*i + j holds the coefficient of e_i (x) e_j,
 # with local index 0 the normalization direction.
 _CORR_IDX = np.array([4, 5, 7, 8])  # A-hat (x) B-hat block
@@ -294,6 +318,14 @@ def boxworld_pr_state():
     w[1, 1] = w[1, 2] = w[2, 1] = 0.5
     w[2, 2] = -0.5
     return w.ravel()
+
+
+def lift_plane(g):
+    """Lift a 2x2 Bloch-plane symmetry, or each of a (..., 2, 2) stack, to the
+    3-dim ambient coordinates."""
+    t = np.tile(np.eye(3), (*np.shape(g)[:-2], 1, 1))
+    t[..., 1:, 1:] = g
+    return t
 
 
 def gbit_symmetries():
@@ -313,7 +345,7 @@ def _pr_orbit():
     seen = {}
     for ga in gbit_symmetries():
         for gb in gbit_symmetries():
-            v = ss.lift_plane(ga) @ w @ ss.lift_plane(gb).T
+            v = lift_plane(ga) @ w @ lift_plane(gb).T
             seen.setdefault(np.round(v, 12).tobytes(), v.ravel())
     return np.stack(list(seen.values()))
 
@@ -328,7 +360,7 @@ def build_boxworld_bipartite():
     local-D4 orbit of the canonical PR state).  The cone test checks
     nonnegativity of all products of extremal local effects.
     """
-    products = np.stack([np.kron(a, b) for a in ss._GBIT_VERTICES for b in ss._GBIT_VERTICES])
+    products = np.stack([np.kron(a, b) for a in GBIT_VERTICES for b in GBIT_VERTICES])
     pr = _pr_orbit()
     assert len(pr) == 8
     order_unit = np.zeros(9)
@@ -341,7 +373,6 @@ def build_boxworld_bipartite():
         max_mixed=order_unit.copy(),
         level=len(products) + len(pr),
         vertices=np.vstack([products, pr]),
-        effects=np.stack([np.kron(e, f) for e in ss._GBIT_EFFECTS for f in ss._GBIT_EFFECTS]),
     )
 
 
@@ -361,7 +392,7 @@ def boxworld_group_elements():
     These are the local pairs G_A (x) G_B with G in D4 on each side (G_A
     major), then each of those composed with the swap of the two parties.
     """
-    g = ss.lift_plane(gbit_symmetries())
+    g = lift_plane(gbit_symmetries())
     pairs = (g[:, None, :, None, :, None] * g[None, :, None, :, None, :]).reshape(64, 9, 9)
     return np.concatenate([pairs, pairs @ swap_operator(3)])
 

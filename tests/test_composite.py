@@ -63,8 +63,6 @@ def test_compose_rejects_unsupported_pairs():
         compose(ss.build_quantum(2), ss.build_classical(2))
     with pytest.raises(UnsupportedSpaceError):
         compose(ss.build_polygon(4), ss.build_polygon(4))
-    with pytest.raises(UnsupportedSpaceError):
-        compose(ss.build_boxworld_local(), ss.build_boxworld_local())
 
 
 def test_product_of_max_mixed_is_joint_max_mixed():
@@ -147,16 +145,28 @@ def test_qubit_witness_exact_delta():
 
 
 def test_square_gbit_witness_is_centered():
-    space = ss.build_boxworld_local()
+    # The gbit is the square: vertices 0 and 2, told apart by (1 +- x)/2.
+    space = ss.build_polygon(4)
     w = cm.capacity_witness(space)
     assert w.centered
+    np.testing.assert_allclose(w.states, space.vertices[[0, 2]], rtol=0, atol=0)
     np.testing.assert_allclose(w.states.mean(axis=0), space.max_mixed, atol=1e-14)
     np.testing.assert_allclose(w.effects @ w.states.T, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(w.effects, [[0.5, 0.5, 0.0], [0.5, -0.5, 0.0]], atol=1e-16)
 
 
 def test_even_polygon_witness_is_centered():
-    w = cm.capacity_witness(ss.build_polygon(4))
-    assert w.centered
+    # The odd polygons' separating functional gives the antipodal pair's
+    # centered witness for every even n.
+    for n in (4, 6, 8, 12):
+        space = ss.build_polygon(n)
+        w = cm.capacity_witness(space)
+        assert w.centered
+        np.testing.assert_allclose(w.effects @ w.states.T, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(w.effects.sum(axis=0), space.order_unit, atol=1e-15)
+        np.testing.assert_allclose(w.effects[0], 0.5 * space.vertices[0], atol=1e-15)
+        vals = w.effects @ space.vertices.T
+        assert vals.min() >= -1e-15 and vals.max() <= 1 + 1e-15
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -176,7 +186,7 @@ def test_odd_polygon_witness_exists_but_not_centered(n):
     [
         (ss.build_classical(4), -1 / 3),
         (ss.build_quantum(2), -1.0),
-        (ss.build_boxworld_local(), -1.0),
+        (ss.build_polygon(4), -1.0),
     ],
     ids=["classical-4", "qubit", "square-gbit"],
 )

@@ -206,6 +206,33 @@ def test_dihedral_four_enumerates_eight_elements():
     assert len(keys) == 8
 
 
+def _trig_dihedral(n):
+    """D_n by its own trigonometry: rotations by 2 pi k/n, then reflections through
+    the axes at angle pi k/n, lifted to the ambient coordinates."""
+    mats = []
+    for k in range(n):
+        a = 2 * math.pi * k / n
+        mats.append([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    for k in range(n):
+        a = math.pi * k / n
+        mats.append([[math.cos(2 * a), math.sin(2 * a)], [math.sin(2 * a), -math.cos(2 * a)]])
+    t = np.tile(np.eye(3), (2 * n, 1, 1))
+    t[:, 1:, 1:] = mats
+    return t
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_polygon_group_is_the_trig_dihedral_group_on_the_vertices(n):
+    space = ss.build_polygon(n)
+    elements = grouprep.group_elements(space)
+    np.testing.assert_allclose(elements, _trig_dihedral(n), rtol=0, atol=1e-15)
+    # Each element permutes the vertices, up to the rounding of its products.
+    images = np.einsum("gkl,vl->gvk", elements, space.vertices)
+    dists = np.max(np.abs(images[:, :, None, :] - space.vertices[None, None]), axis=-1)
+    assert np.all(dists.min(axis=-1) <= 1e-14)
+    assert all(len(set(row)) == n for row in dists.argmin(axis=-1))
+
+
 def test_orthogonal_conjugation_preserves_real_cone(rng):
     space = ss.build_real_quantum(2)
     mm = space.max_mixed
@@ -313,10 +340,10 @@ def test_only_enumerable_groups_have_element_stacks():
 
 # -- uniqueness of the invariant gram -----------------------------------------------------
 
-# The spaces of ``verify gram-invariance``, and the gbit.
+# The spaces of ``verify gram-invariance``; the gbit is the square polygon-4.
 UNIQUE_GRAM_SPACES = [ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
                       ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),
-                      ss.build_real_quantum(2), ss.build_boxworld_local()]
+                      ss.build_real_quantum(2)]
 
 
 def _sym_coords(x):

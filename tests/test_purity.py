@@ -135,8 +135,16 @@ def test_complete_set_sizes():
     assert len(pur.complete_pauli_set(ss.build_quantum(2))) == 3
     assert len(pur.complete_pauli_set(ss.build_quantum(4))) == 15
     assert len(pur.complete_pauli_set(ss.build_classical(6))) == 6
-    assert len(pur.complete_pauli_set(ss.build_polygon(4))) == 2
-    assert len(pur.complete_pauli_set(ss.build_polygon(5))) == 5
+    # Polygons: one vertex Bloch vector from each antipodal pair, n maps for
+    # odd n and n/2 for even n, reproducing purity on the vertices and their
+    # midpoints.
+    for n in range(3, 13):
+        space = ss.build_polygon(n)
+        pset = pur.complete_pauli_set(space)
+        assert len(pset) == (n if n % 2 else n // 2)
+        states = ss.with_midpoints(space.vertices)
+        p = grouprep.analytic_gram(space).norms_sq(space.bloch(states))
+        assert np.max(np.abs(pur.purity_via_pauli_set(pset, states) - p)) <= 1e-15
     with pytest.raises(UnsupportedSpaceError):
         pur.complete_pauli_set(ss.build_quantum(3))
 

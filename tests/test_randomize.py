@@ -9,7 +9,6 @@ import pytest
 from gptpurity import checks, errors, formulas, grouprep, randomize as rnd
 from gptpurity import statespace as ss
 from gptpurity.errors import (
-    DegenerateCompositeError,
     InternalError,
     InvalidDimensionError,
     RangeError,
@@ -129,6 +128,7 @@ def test_predict_nonlocaltomo_real_quantum_2x2():
     assert pred.inputs["P_phi_mu"] == pytest.approx(1 / 3, abs=1e-12)
     assert pred.inputs["mu_C_norm_sq"] == 0.0
     assert pred.value == pytest.approx(2 / 3, abs=1e-12)
+    assert formulas.predict_real_quantum(2, 3, 0.0).value == 0.0
     # Equivalent collision value matches the sphere-moment oracle.
     assert tr2_from_purity(2, pred.value) == pytest.approx(
         _sphere_moment_expected_tr2(2, 2), abs=1e-12
@@ -153,18 +153,15 @@ def test_predict_nonlocaltomo_real_quantum_2x2():
 
 
 def test_predict_nonlocaltomo_reduces_to_general_when_tomographic():
+    # (K_A-1)/(K_AB-1) * P0/(P(phi_A (x) mu_B) - |mu_C|^2) on a locally tomographic
+    # quantum 2x2 composite, K_AB = K_A K_B = 16 and |mu_C|^2 = 0, is the general formula.
     comp = _pair(ss.build_quantum, 2, 2)
     phimu = purity_pure_times_maxmixed(comp, grouprep.analytic_gram(comp.joint),
                                           tol=1e-10).numeric
-    pred = formulas._nonlocaltomo(4, 16, 1.0, phimu.as_integer_ratio(), (0, 1))
-    general = formulas.predict_general("quantum", 2, 2, 1.0).value
-    assert pred.value == pytest.approx(general, abs=1e-12)
-
-
-def test_predict_nonlocaltomo_edge_cases():
-    assert formulas._nonlocaltomo(3, 10, 0.0, (1, 3), (0, 1)).value == 0.0
-    with pytest.raises(DegenerateCompositeError):
-        formulas._nonlocaltomo(3, 10, 1.0, (1, 5), (1, 2))
+    p0 = 1.0
+    value = (4 - 1) / (16 - 1) * p0 / (phimu - 0.0)
+    general = formulas.predict_general("quantum", 2, 2, p0).value
+    assert value == pytest.approx(general, abs=1e-12)
 
 
 # -- estimator -------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gptpurity import composite as cm
 from gptpurity import grouprep
 from gptpurity import statespace as ss
-from gptpurity.errors import InvalidDimensionError, NormalizationError
+from gptpurity.errors import InvalidDimensionError, NormalizationError, UnsupportedSpaceError
 import haar
 from states import (boxworld_pr_state, build_boxworld_bipartite, cone_contains, group_sampler,
                     random_mixtures, unit)
@@ -82,6 +82,16 @@ def test_polygon_vertices_pass_cone_and_interior_points_too(rng):
         assert not cone_contains(space, outside)
 
 
+def test_non_matrix_kinds_refuse_every_matrix_view():
+    for space in (ss.build_classical(3), ss.build_polygon(4)):
+        with pytest.raises(UnsupportedSpaceError, match="no matrix form"):
+            space.hermitian_basis
+        with pytest.raises(UnsupportedSpaceError, match="no matrix form"):
+            space.to_matrix(np.eye(space.K))
+        with pytest.raises(UnsupportedSpaceError, match="no matrix form"):
+            space.to_coords(np.eye(2))
+
+
 @pytest.mark.parametrize("m,k", [(2, 3), (3, 6), (4, 10), (8, 36)])
 def test_real_quantum_dimensions(m, k):
     space = ss.build_real_quantum(m)
@@ -146,7 +156,7 @@ def test_max_mixed_fixed_by_sampled_transformations(rng):
         ss.build_classical(4),
         ss.build_polygon(5),
         ss.build_real_quantum(2),
-        ss.build_boxworld_local(),
+        ss.build_polygon(4),
         build_boxworld_bipartite(),
     ]
     for space in spaces:
