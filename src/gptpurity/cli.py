@@ -174,7 +174,7 @@ def _run_predict(args: argparse.Namespace) -> dict:
     elif args.formula == "power-law":
         pred = formulas.predict_power_law(args.r, args.na, args.nb, args.p0)
     elif args.formula == "nonlocaltomo":
-        pred = formulas.predict_real_quantum(args.ma, args.mb, args.p0)
+        pred = formulas.predict_general("real-quantum", args.ma, args.mb, args.p0)
     elif args.formula == "symm":
         pred = formulas.predict_symm(args.n, 1 if args.sign == "+" else -1, args.trp)
     else:
@@ -201,24 +201,20 @@ def _run_estimate(args: argparse.Namespace) -> dict:
     bins = rnd.HISTOGRAM_BINS if args.histogram else None
     if args.face is not None:
         _require(args, ["n", "trp"])
-        face = faces_mod.sym_face(args.n) if args.face == "sym" else faces_mod.antisym_face(args.n)
-        report = faces_mod.estimate_face_local_purity(
-            face, args.trp, args.samples, args.seed, histogram_bins=bins
-        )
         sign = 1 if args.face == "sym" else -1
+        report = faces_mod.estimate_face_local_purity(
+            args.n, sign, args.trp, args.samples, args.seed, histogram_bins=bins
+        )
         prediction = formulas.predict_symm(args.n, sign, args.trp)
-    elif args.theory == "real-quantum":
-        _require(args, ["ma", "mb", "p0"])
-        report = rnd.estimate_real_quantum_local_purity(
-            args.ma, args.mb, args.p0, args.samples, args.seed, histogram_bins=bins
-        )
-        prediction = formulas.predict_real_quantum(args.ma, args.mb, args.p0)
     else:
-        _require(args, ["na", "nb", "p0"])
+        # Real quantum spells its level counts --ma and --mb.
+        a, b = ("ma", "mb") if args.theory == "real-quantum" else ("na", "nb")
+        _require(args, [a, b, "p0"])
+        n_a, n_b = getattr(args, a), getattr(args, b)
         report = rnd.estimate_expected_local_purity(
-            args.theory, args.na, args.nb, args.p0, args.samples, args.seed, histogram_bins=bins
+            args.theory, n_a, n_b, args.p0, args.samples, args.seed, histogram_bins=bins
         )
-        prediction = formulas.predict_general(args.theory, args.na, args.nb, args.p0)
+        prediction = formulas.predict_general(args.theory, n_a, n_b, args.p0)
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}
 
 

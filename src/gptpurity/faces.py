@@ -2,11 +2,12 @@
 
 A face here is the set of states with full support on the symmetric or
 antisymmetric subspace S of C^n (x) C^n, the two faces the paper's formula
-extends to.  It is held as its level count n and SWAP sign, and its
-stabilizer acts transitively on its pure states, so the estimator draws
-Haar-random in-face kets by index arithmetic (``randomize._swap_scatter``)
-and mixes them with the face-maximally-mixed state: no basis, isometry or
-joint descriptor is built.  The coin recorded by an environment
+extends to.  It is given by its level count n and SWAP sign alone, the
+arguments of its predictions, and its stabilizer acts transitively on its
+pure states, so the estimator draws Haar-random in-face kets by index
+arithmetic (``randomize._swap_scatter``) and mixes them with the
+face-maximally-mixed state: no basis, isometry or joint descriptor is
+built.  The coin recorded by an environment
 (``coin_with_record``) is classical randomization of a free 2 x s0 joint,
 not a face.
 
@@ -31,39 +32,6 @@ from .randomize import (BLOCK_SIZE, McReport, _check_run, _classical_block, _est
                         _haar_ket_block)
 
 
-class FaceDescriptor(NamedTuple):
-    """The symmetric (``sign`` +1) or antisymmetric (-1) subspace of C^n (x) C^n.
-
-    It is preserved by matched local unitaries U (x) U, and ``sign`` is the
-    eigenvalue of SWAP on it.
-    """
-
-    n: int
-    sign: int
-
-    @property
-    def levels(self) -> tuple[int, int]:
-        """The level counts (n_A, n_B) = (n, n) of the two parts."""
-        return self.n, self.n
-
-    @property
-    def n_sub(self) -> int:
-        """The subspace dimension N_S = n(n + sign)/2."""
-        return self.n * (self.n + self.sign) // 2
-
-
-def sym_face(n: int) -> FaceDescriptor:
-    """States supported on the symmetric subspace of C^n (x) C^n; N_S = n(n+1)/2."""
-    _check_face(n, 1)
-    return FaceDescriptor(n, 1)
-
-
-def antisym_face(n: int) -> FaceDescriptor:
-    """States supported on the antisymmetric subspace; N_S = n(n-1)/2."""
-    _check_face(n, -1)
-    return FaceDescriptor(n, -1)
-
-
 def _face_interpolation_weight(n_sub: int, target: float) -> float:
     _check_purity_on_face(n_sub, target)
     lo = 1.0 / n_sub
@@ -73,7 +41,8 @@ def _face_interpolation_weight(n_sub: int, target: float) -> float:
 
 
 def estimate_face_local_purity(
-    face: FaceDescriptor,
+    n: int,
+    sign: int,
     target_global_purity: float,
     n_samples: int,
     seed: int,
@@ -82,15 +51,19 @@ def estimate_face_local_purity(
 ) -> McReport:
     """Monte Carlo expected local purity over face-constrained random states.
 
-    States of the requested global Tr(rho^2) interpolate a Haar-random
-    in-face pure state with the face-maximally-mixed state, which is what a
-    Haar unitary of the subspace makes of a fixed one (the stabilizer acts
-    transitively on in-face pure states).  Targets are collision values with
-    floor 1/N_S; the sample value is Tr(rho_A^2) and the realized global
-    purity is reported in the same collision units.
+    The face is the symmetric (``sign`` +1) or antisymmetric (-1) subspace
+    of C^n (x) C^n, of dimension N_S = n(n + sign)/2, as in
+    ``formulas.predict_symm``.  States of the requested global Tr(rho^2)
+    interpolate a Haar-random in-face pure state with the
+    face-maximally-mixed state, which is what a Haar unitary of the subspace
+    makes of a fixed one (the stabilizer acts transitively on in-face pure
+    states).  Targets are collision values with floor 1/N_S; the sample
+    value is Tr(rho_A^2) and the realized global purity is reported in the
+    same collision units.
     """
-    t = _face_interpolation_weight(face.n_sub, target_global_purity)
-    draw = partial(_haar_ket_block, t=t, dims=face.levels, swap=face.sign)
+    _check_face(n, sign)
+    t = _face_interpolation_weight(n * (n + sign) // 2, target_global_purity)
+    draw = partial(_haar_ket_block, t=t, dims=(n, n), swap=sign)
     return _estimate(n_samples, seed, draw, histogram_bins)
 
 

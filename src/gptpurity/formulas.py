@@ -8,7 +8,7 @@ so every closed form here is integer and float arithmetic:
 * general:     (K_A-1)/(K_A K_B-1) * P0 / P(phi_A (x) mu_B)
 * power-law:   main with K = N^r on both parts
 * nonlocaltomo (K_A-1)/(K_AB-1) * P0 / (P(phi_A (x) mu_B) - |mu_C|^2),
-  for compositions that are not locally tomographic.
+  for compositions that are not locally tomographic (real quantum theory).
 * symm:        (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2), the expected
   Tr(rho_A^2) on the (anti)symmetric subspace of C^n (x) C^n.
 * qface:       1/N_A + (N_A^2-1)/(N_S^2-1) * Tr[(pi (E_A (x) I) pi)^2]
@@ -16,11 +16,14 @@ so every closed form here is integer and float arithmetic:
   the face's pair indices for a probe E_A, not taken from n/4 +- 1/2.
 * coin-record: 1/(2 s0 - 1), a coin tossed against a recording environment.
 
-``predict_general`` and ``predict_real_quantum`` take level counts alone.
-``main``, ``general``, ``power-law`` and ``nonlocaltomo`` are evaluated as one
-integer true division, from the integer level counts and the exact ratio of
-the float P0 (``as_integer_ratio``), so each reported value is correctly
-rounded.  ``coin_record_sigma`` is the exact per-sample spread of the
+``predict_general`` takes a theory and two level counts alone: one table
+gives K(n) = n^2, n or n(n+1)/2 for quantum, classical or real-quantum
+systems, and K_AB = K(n_A n_B); it reports ``general``, or ``nonlocaltomo``
+for real quantum theory.  ``main``, ``general``, ``power-law`` and
+``nonlocaltomo`` are evaluated as one integer true division, from the
+integer level counts and the exact ratio of the float P0
+(``as_integer_ratio``), so each reported value is correctly rounded.
+``coin_record_sigma`` is the exact per-sample spread of the
 recorded coin's purity around ``predict_coin_record``.
 
 This module uses no other layer of the package but ``errors``, so a command
@@ -42,9 +45,16 @@ from .errors import (
     check_work,
 )
 
-# The theories whose estimates and predictions take two level counts.
+# The level-count theories, each with K(n), the degrees of freedom of one
+# system on n levels; a joint of n_A n_B levels has K_AB = K(n_A n_B).
 QUANTUM = "quantum"
 CLASSICAL = "classical"
+REAL_QUANTUM = "real-quantum"
+_DEGREES_OF_FREEDOM = {
+    QUANTUM: lambda n: n * n,
+    CLASSICAL: lambda n: n,
+    REAL_QUANTUM: lambda n: n * (n + 1) // 2,
+}
 
 
 class Prediction(NamedTuple):
@@ -63,10 +73,10 @@ def _check_p0(p0: float) -> None:
         raise RangeError(f"global purity must lie in [0, 1], got {p0}")
 
 
-def _main_value(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> float:
-    """The main formula, exact in integers and rounded once by the true division."""
+def _main_value(k_a: int, k_ab: int, n_a: int, n_ab: int, p0: float) -> float:
+    """(K_A-1)/(K_AB-1) * (N_AB-1)/(N_A-1) * P0, exact in integers and rounded once."""
     num, den = p0.as_integer_ratio()
-    return (k_a - 1) * (n_a * n_b - 1) * num / ((k_a * k_b - 1) * (n_a - 1) * den)
+    return (k_a - 1) * (n_ab - 1) * num / ((k_ab - 1) * (n_a - 1) * den)
 
 
 def predict_main(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> Prediction:
@@ -76,44 +86,44 @@ def predict_main(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> Predictio
             raise RangeError(f"need K >= N >= 2 on part {side}, got K={k}, N={n}")
     _check_p0(p0)
     return Prediction(
-        value=_main_value(k_a, k_b, n_a, n_b, p0),
+        value=_main_value(k_a, k_a * k_b, n_a, n_a * n_b, p0),
         formula_id="main",
         inputs={"K_A": k_a, "K_B": k_b, "N_A": n_a, "N_B": n_b, "P0": p0},
     )
 
 
-def _check_levels(theory: str, *levels: int) -> None:
-    for n in levels:
+def _check_levels(theory: str, n_a: int, n_b: int) -> None:
+    """Refuse a theory without a level-count table, then a part of fewer than two levels."""
+    if theory not in _DEGREES_OF_FREEDOM:
+        raise UnsupportedSpaceError(f"no level-count composite for theory {theory!r}")
+    for n in (n_a, n_b):
         if n < 2:
             raise InvalidDimensionError(f"{theory} level count must be >= 2, got {n}")
 
 
-def _local_dimensions(theory: str, n_a: int, n_b: int) -> tuple[int, int]:
-    """K_A and K_B of two quantum or two classical parts with n_A and n_B levels."""
-    if theory not in (QUANTUM, CLASSICAL):
-        raise UnsupportedSpaceError(f"no level-count composite for theory {theory!r}")
-    _check_levels(theory, n_a, n_b)
-    return (n_a * n_a, n_b * n_b) if theory == QUANTUM else (n_a, n_b)
-
-
 def predict_general(theory: str, n_a: int, n_b: int, p0: float) -> Prediction:
-    """Expected local purity of two quantum or two classical parts, from their level counts.
+    """Expected local purity of two parts of one level-count theory, from their level counts.
 
-    P(phi_A (x) mu_B) = (N_A-1)/(N_A N_B-1) holds for every composite with a
-    composite classical subsystem, so no descriptor or Gram is built.
+    Every such theory has a composite classical subsystem, so
+    P(phi_A (x) mu_B) = (N_A-1)/(N_A N_B-1), and its joint maximally mixed
+    state is mu_A (x) mu_B, so |mu_C|^2 = 0: no descriptor or Gram is
+    built.  Quantum and classical parts are locally tomographic,
+    K_AB = K_A K_B, and report the ``general`` formula; real quantum theory
+    has K_AB > K_A K_B and reports the ``nonlocaltomo`` one.  Both are
+    (K_A-1)/(K_AB-1) * P0 / P(phi_A (x) mu_B), one integer true division.
     """
-    k_a, k_b = _local_dimensions(theory, n_a, n_b)
+    _check_levels(theory, n_a, n_b)
     _check_p0(p0)
-    return Prediction(
-        value=_main_value(k_a, k_b, n_a, n_b, p0),
-        formula_id="general",
-        inputs={
-            "K_A": k_a,
-            "K_B": k_b,
-            "P0": p0,
-            "P_phi_mu": (n_a - 1) / (n_a * n_b - 1),
-        },
-    )
+    k_of, n_ab = _DEGREES_OF_FREEDOM[theory], n_a * n_b
+    k_a, k_b, k_ab = k_of(n_a), k_of(n_b), k_of(n_ab)
+    value = _main_value(k_a, k_ab, n_a, n_ab, p0)
+    p_phi_mu = (n_a - 1) / (n_ab - 1)
+    if k_ab == k_a * k_b:
+        return Prediction(value=value, formula_id="general",
+                          inputs={"K_A": k_a, "K_B": k_b, "P0": p0, "P_phi_mu": p_phi_mu})
+    return Prediction(value=value, formula_id="nonlocaltomo",
+                      inputs={"K_A": k_a, "K_AB": k_ab, "P0": p0, "P_phi_mu": p_phi_mu,
+                              "mu_C_norm_sq": 0.0})
 
 
 def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
@@ -136,34 +146,9 @@ def predict_power_law(r: int, n_a: int, n_b: int, p0: float) -> Prediction:
     check_memory(8 * math.ceil(r * math.log2(n_a * n_b) / 8),
                  f"the exact K_A = {n_a}^{r}, K_B = {n_b}^{r} and their product")
     return Prediction(
-        value=_main_value(n_a**r, n_b**r, n_a, n_b, p0),
+        value=_main_value(n_a**r, n_a**r * n_b**r, n_a, n_a * n_b, p0),
         formula_id="power-law",
         inputs={"r": r, "N_A": n_a, "N_B": n_b, "P0": p0},
-    )
-
-
-def predict_real_quantum(m_a: int, m_b: int, p0: float) -> Prediction:
-    """The nonlocaltomo formula for two real-quantum systems, from their level counts.
-
-    Real quantum theory on m levels has K = m(m+1)/2, and the joint on
-    n = m_a m_b levels has K_AB = n(n+1)/2 > K_A K_B, so the composition is
-    not locally tomographic.  Purity is (n Tr rho^2 - 1)/(n - 1) and Tr rho^2
-    is multiplicative on products, so Tr (phi_A (x) mu_B)^2 = 1/m_b and
-    P(phi_A (x) mu_B) = (m_a - 1)/(n - 1).  The joint maximally mixed state is
-    the product mu_A (x) mu_B, so its locally inaccessible component vanishes:
-    |mu_C|^2 = 0, and the denominator P(phi_A (x) mu_B) - |mu_C|^2 is positive.
-    The value (K_A-1)(n-1) P0/((K_AB-1)(m_a-1)) is one integer true division.
-    """
-    _check_levels("real-quantum", m_b, m_a)
-    _check_p0(p0)
-    n = m_a * m_b
-    k_a, k_ab = m_a * (m_a + 1) // 2, n * (n + 1) // 2
-    num, den = p0.as_integer_ratio()
-    return Prediction(
-        value=(k_a - 1) * num * (n - 1) / ((k_ab - 1) * den * (m_a - 1)),
-        formula_id="nonlocaltomo",
-        inputs={"K_A": k_a, "K_AB": k_ab, "P0": p0, "P_phi_mu": (m_a - 1) / (n - 1),
-                "mu_C_norm_sq": 0.0},
     )
 
 
@@ -173,10 +158,7 @@ def predict_symm(n: int, sign: int, tr_purity_global: float) -> Prediction:
     (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2); for pure global states the
     numerator factor is 2.
     """
-    if sign not in (1, -1):
-        raise RangeError(f"sign must be +1 or -1, got {sign}")
-    if n < 2:
-        raise InvalidDimensionError(f"need n >= 2, got {n}")
+    _check_face(n, sign)
     n_s = n * (n + sign) // 2
     _check_purity_on_face(n_s, tr_purity_global)
     value = (1.0 + tr_purity_global) * (n + sign) / (n * n + sign * n + 2)

@@ -267,12 +267,11 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
 def invariance_deviation(g: np.ndarray, ts: np.ndarray) -> float:
     """max |T^t G T - G| of a dense K x K form over a (m, K, K) stack of maps.
 
-    Both products are summed term by term in a fixed order with elementwise
-    steps, so no BLAS kernel or SIMD reduction sets the rounding.
+    Both products are ``_product``s, summed term by term in a fixed order
+    with elementwise steps, so no BLAS kernel or SIMD reduction sets the
+    rounding.
     """
-    k = len(g)
-    gt = sum(g[None, :, l, None] * ts[:, None, l, :] for l in range(k))
-    tgt = sum(ts[:, l, :, None] * gt[:, l, None, :] for l in range(k))
+    tgt = _product(ts.swapaxes(-1, -2), _product(g, ts))
     return float(np.max(np.abs(tgt - g), initial=0.0))
 
 

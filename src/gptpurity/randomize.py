@@ -10,10 +10,11 @@ Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
 derived from (seed, b), and the blocks are reduced in order, so a report
 depends on the seed and the sample count alone.  An estimator only says how
-to draw one block: Haar kets (``_haar_ket_block``) or permuted distributions
-(``_classical_block``), then take the local purity.  No estimator takes a
-Gram: each group acts irreducibly, so its invariant Gram is unique and a
-purity is (n Tr rho^2 - 1)/(n - 1) on n quantum levels and n/(n-1) |x - 1/n|^2
+to draw one block: Haar kets (``_haar_ket_block``, real ones for real
+quantum theory) or permuted distributions (``_classical_block``), then take
+the local purity.  No estimator takes a Gram: each group acts irreducibly,
+so its invariant Gram is unique and a purity is (n Tr rho^2 - 1)/(n - 1) on
+n quantum or real-quantum levels and n/(n-1) |x - 1/n|^2
 (``_classical_purities``) on n classical outcomes.  The quantum
 estimate needs no group element: conjugation fixes the maximally mixed
 state mu, so U (t phi + (1-t) mu) U^dagger equals t |psi><psi| + (1-t) mu
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalError, RangeError, check_memory
-from .formulas import QUANTUM, _check_levels, _check_p0, _local_dimensions
+from .formulas import CLASSICAL, REAL_QUANTUM, _check_levels, _check_p0
 
 HISTOGRAM_BINS = 100
 GLOBAL_PURITY_TOL = 1e-9
@@ -307,24 +308,25 @@ def estimate_expected_local_purity(
 ) -> McReport:
     """Monte Carlo mean of the local purity after global randomization.
 
-    The parts are two quantum or two classical systems with ``n_a`` and
-    ``n_b`` levels.  Each sample takes the global state t phi + (1-t) mu of
-    purity ``p0`` = t^2, applies a uniformly random reversible transformation
-    of the joint space, and takes the purity of the A marginal.  Quantum
-    samples are t |psi><psi| + (1-t) mu for Haar-random kets psi, which has
-    the same distribution; classical samples are uniform permutations of the
-    joint distribution.
+    The parts are two quantum, two classical or two real-quantum systems
+    with ``n_a`` and ``n_b`` levels.  Each sample takes the global state
+    t phi + (1-t) mu of purity ``p0`` = t^2, applies a uniformly random
+    reversible transformation of the joint space, and takes the purity of
+    the A marginal.  Quantum samples are t |psi><psi| + (1-t) mu for
+    Haar-random kets psi, which has the same distribution; real-quantum
+    samples take uniformly random real unit kets, the orbit of a pure state
+    under Haar-random orthogonal conjugation; classical samples are uniform
+    permutations of the joint distribution.
 
     No Gram is taken: each part's group acts irreducibly, so its invariant
     Gram is unique and every purity has a closed form, (n Tr rho^2 - 1)/(n - 1)
-    for n quantum levels and n/(n-1) |x - 1/n|^2 for n classical outcomes.
+    for n quantum or real-quantum levels and n/(n-1) |x - 1/n|^2 for n
+    classical outcomes.  The report is in generalized-purity units.
     """
-    _local_dimensions(theory, n_a, n_b)
+    _check_levels(theory, n_a, n_b)
     _check_p0(p0)
     t = math.sqrt(p0)
-    if theory == QUANTUM:
-        draw = partial(_haar_ket_block, t=t, dims=(n_a, n_b))
-    else:
+    if theory == CLASSICAL:
         k = n_a * n_b
         size = min(n_samples, BLOCK_SIZE)
         # The distribution, then the block and its marginals that
@@ -334,30 +336,6 @@ def estimate_expected_local_purity(
         p = np.full(k, (1.0 - t) / k)
         p[0] += t
         draw = partial(_classical_block, p=p, k_a=n_a)
-    return _estimate(n_samples, seed, draw, histogram_bins)
-
-
-# -- real quantum theory (not locally tomographic) ----------------------------------------
-
-
-def estimate_real_quantum_local_purity(
-    m_a: int,
-    m_b: int,
-    p0: float,
-    n_samples: int,
-    seed: int,
-    *,
-    histogram_bins: int | None = HISTOGRAM_BINS,
-) -> McReport:
-    """Monte Carlo expected local purity in bipartite real quantum theory.
-
-    States are real symmetric density matrices; the global group is
-    conjugation by Haar-random orthogonal matrices on the joint space, which
-    maps t |phi><phi| + (1-t) mu to t |psi><psi| + (1-t) mu for a uniformly
-    random real unit vector psi.  The report is in generalized-purity units;
-    convert with ``purity.tr2_from_purity`` for collision values.
-    """
-    _check_p0(p0)
-    _check_levels("real-quantum", m_b, m_a)
-    draw = partial(_haar_ket_block, t=math.sqrt(p0), dims=(m_a, m_b), real=True)
+    else:
+        draw = partial(_haar_ket_block, t=t, dims=(n_a, n_b), real=theory == REAL_QUANTUM)
     return _estimate(n_samples, seed, draw, histogram_bins)

@@ -213,43 +213,45 @@ def purity_pure_times_maxmixed(comp, gram_ab, tol=1e-6):
 # -- the dense isometry route of a quantum face --------------------------------------------
 
 
-def isometry(face):
+def isometry(n, sign):
     """The n^2 x N_S orthonormal columns V spanning the face, counted before they are built.
 
-    Column k, for the k-th pair i <= j (i < j when antisymmetric), is |ii>
-    or (|ij> + sign |ji>)/sqrt 2.
+    The face is the symmetric (``sign`` +1) or antisymmetric (-1) subspace
+    of C^n (x) C^n, of dimension N_S = n(n + sign)/2.  Column k, for the
+    k-th pair i <= j (i < j when antisymmetric), is |ii> or
+    (|ij> + sign |ji>)/sqrt 2.
     """
-    n, n_s = face.n, face.n_sub
+    n_s = n * (n + sign) // 2
     check_memory(8 * n * n * n_s, f"the isometry of a {n_s}-dimensional subspace of C^{n * n}")
-    i, j = np.triu_indices(n, 0 if face.sign == 1 else 1)
+    i, j = np.triu_indices(n, 0 if sign == 1 else 1)
     k = np.arange(n_s)
     v = np.zeros((n, n, n_s))
     v[i, j, k] = np.where(i == j, 1.0, math.sqrt(0.5))
-    v[j, i, k] = face.sign * v[i, j, k]
+    v[j, i, k] = sign * v[i, j, k]
     return v.reshape(n * n, n_s)
 
 
-def face_composite(face):
-    """The composite descriptor of the face's two quantum parts."""
-    return compose(ss.build_quantum(face.n), ss.build_quantum(face.n))
+def face_composite(n):
+    """The composite descriptor of a face's two n-level quantum parts."""
+    return compose(ss.build_quantum(n), ss.build_quantum(n))
 
 
-def mu_face(face):
+def mu_face(n, sign):
     """The face-maximally-mixed state V V^dagger / N_S in joint coordinates."""
-    v = isometry(face)
-    return face_composite(face).joint.to_coords(v @ v.T / face.n_sub)
+    v = isometry(n, sign)
+    return face_composite(n).joint.to_coords(v @ v.T / v.shape[1])
 
 
-def face_bloch_projector(face, m):
+def face_bloch_projector(n, sign, m):
     """Orthogonal projection of a traceless Hermitian matrix onto the face span.
 
     pi M pi - pi Tr(pi M pi) / Tr(pi) for pi = V V^dagger; idempotent and self-adjoint
     with respect to the invariant inner product on the joint Bloch space.
     """
-    v = isometry(face)
+    v = isometry(n, sign)
     pi = v @ v.T
     pmp = pi @ np.asarray(m) @ pi
-    return pmp - pi * (np.trace(pmp) / face.n_sub)
+    return pmp - pi * (np.trace(pmp) / v.shape[1])
 
 
 def default_probe(n):
@@ -266,20 +268,19 @@ def probe_entries(e_a):
     return {(int(a), int(i)): e_a[a, i].item() for a, i in zip(*np.nonzero(e_a))}
 
 
-def qface_by_isometry(face, e_a, tr_purity_global):
+def qface_by_isometry(n, sign, e_a, tr_purity_global):
     """(value, ingredient) of the face prediction, with Tr[(pi (E_A (x) I) pi)^2] taken as
     |V^dagger (E_A (x) I) V|_F^2 by two dense products."""
     e_a = np.asarray(e_a)
-    n = face.n
     if e_a.shape != (n, n) or not np.all(np.abs(e_a - e_a.conj().T) <= 1e-8):
         raise InvalidProbeError(f"probe must be a Hermitian {n} x {n} matrix")
     if not (abs(np.trace(e_a)) <= 1e-8 and abs(np.trace(e_a @ e_a) - 1.0) <= 1e-8):
         raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
-    n_s = face.n_sub
+    n_s = n * (n + sign) // 2
     _check_purity_on_face(n_s, tr_purity_global)
     if n_s == 1:
         return 1.0 / n, 0.0
-    v = isometry(face)
+    v = isometry(n, sign)
     check_memory(16 * n_s * (n * n + n_s), f"the probe's action on a {n_s}-dimensional face")
     probe = v.T @ (e_a @ v.reshape(n, -1)).reshape(v.shape)
     ingredient = float(np.vdot(probe, probe).real)

@@ -84,19 +84,19 @@ def test_criterion_05_symmetric_antisymmetric_faces():
     details = []
     seed = 1050
     for n in (2, 3, 4):
-        for sign, face in ((1, faces.sym_face(n)), (-1, faces.antisym_face(n))):
+        for sign in (1, -1):
             targets = [1.0]
-            if face.n_sub > 1:
+            if n * (n + sign) // 2 > 1:
                 targets.append(0.6)
             for trp in targets:
                 seed += 1
-                rep = faces.estimate_face_local_purity(face, trp, SAMPLES, seed)
+                rep = faces.estimate_face_local_purity(n, sign, trp, SAMPLES, seed)
                 expected = formulas.predict_symm(n, sign, trp).value
                 good = abs(rep.mean - expected) <= 3 * rep.stderr + EPS
                 ok = ok and good
                 details.append(f"n={n},{'+' if sign > 0 else '-'},trp={trp:g}:"
                                f"{rep.mean:.4f}/{expected:.4f}")
-    anti2 = faces.estimate_face_local_purity(faces.antisym_face(2), 1.0, 200, 7)
+    anti2 = faces.estimate_face_local_purity(2, -1, 1.0, 200, 7)
     ok = ok and abs(anti2.mean - 0.5) <= 1e-12
     for n in (2, 3, 4):
         pred = formulas.predict_qface(n, 1, 1.0)
@@ -189,8 +189,8 @@ def test_criterion_11_coin_with_record():
 
 
 def test_criterion_12_real_quantum_nonlocal_tomography():
-    pred = formulas.predict_real_quantum(2, 2, 1.0)
-    rep = rnd.estimate_real_quantum_local_purity(2, 2, 1.0, SAMPLES, 1014)
+    pred = formulas.predict_general("real-quantum", 2, 2, 1.0)
+    rep = rnd.estimate_expected_local_purity("real-quantum", 2, 2, 1.0, SAMPLES, 1014)
     tr_mean = pur.tr2_from_purity(2, rep.mean)
     tr_sigma = rep.stderr / 2
     # Independent sphere-moment oracle: E Tr rho_A^2 = 5/6 for a uniform unit

@@ -260,20 +260,24 @@ def test_two_design_cli(capsys):
 
 
 def test_real_quantum_estimate_builds_the_pair_once(capsys, monkeypatch):
+    # Each level-count estimate makes one prediction call, real quantum's too.
     from gptpurity import formulas
 
     calls = []
-    predict = formulas.predict_real_quantum
+    predict = formulas.predict_general
 
     def counted(*args):
         calls.append(args)
         return predict(*args)
 
-    monkeypatch.setattr(formulas, "predict_real_quantum", counted)
-    code, _ = _run(capsys, ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "2",
-                            "--p0", "1", "--samples", "200", "--seed", "3"])
-    assert code == 0
-    assert calls == [(2, 2, 1.0)]
+    monkeypatch.setattr(formulas, "predict_general", counted)
+    for theory, a, b in (("quantum", "--na", "--nb"), ("classical", "--na", "--nb"),
+                         ("real-quantum", "--ma", "--mb")):
+        calls.clear()
+        code, _ = _run(capsys, ["estimate", "--theory", theory, a, "2", b, "2",
+                                "--p0", "1", "--samples", "200", "--seed", "3"])
+        assert code == 0
+        assert calls == [(theory, 2, 2, 1.0)]
 
 
 def test_coin_record_cli(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptpurity import errors, faces, formulas, grouprep, randomize as rnd
+from gptpurity import cli, errors, faces, formulas, grouprep, randomize as rnd
 from gptpurity.errors import EmptyFaceError, InvalidProbeError, RangeError
 from gptpurity.purity import purity_from_tr2
 import haar
@@ -15,13 +15,21 @@ from states import (cone_contains, default_probe, face_bloch_projector, face_com
 
 @pytest.mark.parametrize("n,sym_dim,anti_dim", [(2, 3, 1), (3, 6, 3), (4, 10, 6)])
 def test_face_dimensions(n, sym_dim, anti_dim):
-    assert faces.sym_face(n).n_sub == sym_dim
-    assert faces.antisym_face(n).n_sub == anti_dim
+    for sign, n_s in ((1, sym_dim), (-1, anti_dim)):
+        assert formulas.predict_qface(n, sign, 1.0).inputs["N_S"] == n_s
+        assert isometry(n, sign).shape == (n * n, n_s)
 
 
-def test_antisym_of_single_level_is_empty():
+def test_antisym_of_single_level_is_empty(capsys):
+    # The estimator and both predictions refuse the empty face through one check.
     with pytest.raises(EmptyFaceError):
-        faces.antisym_face(1)
+        faces.estimate_face_local_purity(1, -1, 1.0, 10, 1)
+    for predict in (formulas.predict_symm, formulas.predict_qface):
+        with pytest.raises(EmptyFaceError, match="antisymmetric subspace of one level is empty"):
+            predict(1, -1, 1.0)
+    assert cli.main(["predict", "symm", "--n", "1", "--sign", "-", "--trp", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "gptpurity: error: the antisymmetric subspace of one level is empty\n")
 
 
 def _partial_trace(rho, dims):
@@ -41,15 +49,15 @@ def _swap(n):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_swap_face_basis_is_orthonormal_and_swap_covariant(n, sign):
-    face = faces.sym_face(n) if sign == 1 else faces.antisym_face(n)
-    v = isometry(face)
-    assert face.n_sub == v.shape[1] == n * (n + sign) // 2
-    np.testing.assert_allclose(v.T @ v, np.eye(face.n_sub), rtol=0, atol=1e-15)
+    v = isometry(n, sign)
+    n_s = v.shape[1]
+    assert n_s == n * (n + sign) // 2
+    np.testing.assert_allclose(v.T @ v, np.eye(n_s), rtol=0, atol=1e-15)
     np.testing.assert_array_equal(_swap(n) @ v, sign * v)
     np.testing.assert_allclose(v @ v.T, (np.eye(n * n) + sign * _swap(n)) / 2, rtol=0, atol=1e-15)
     # The subspace is U (x) U invariant, so the A marginal of its mu is I/n,
     # which the face kernel takes instead of forming it.
-    np.testing.assert_allclose(_partial_trace(v @ v.T, (n, n)) / face.n_sub, np.eye(n) / n,
+    np.testing.assert_allclose(_partial_trace(v @ v.T, (n, n)) / n_s, np.eye(n) / n,
                                rtol=0, atol=1e-15)
 
 
@@ -58,7 +66,7 @@ def test_swap_face_basis_is_orthonormal_and_swap_covariant(n, sign):
 def test_swap_scatter_is_the_dense_column_sum_bit_for_bit(n, sign):
     # Each row of V has at most one nonzero entry, so the column sum V z in
     # column order adds only +-0.0 to it: the scatter gives the same bits.
-    v = isometry(faces.FaceDescriptor(n, sign))
+    v = isometry(n, sign)
     z = rnd._unit_kets(np.random.default_rng(5303), 5, v.shape[1], False)
     dense = np.zeros((2, 5, n * n))
     for c, col in enumerate(v.T):
@@ -69,13 +77,13 @@ def test_swap_scatter_is_the_dense_column_sum_bit_for_bit(n, sign):
 
 
 def test_face_max_mixed_is_valid_state():
-    for face in (faces.sym_face(2), faces.antisym_face(3)):
-        joint = face_composite(face).joint
-        assert abs(unit(joint, mu_face(face)) - 1.0) < 1e-12
-        assert cone_contains(joint, mu_face(face))
-        pi = isometry(face) @ isometry(face).conj().T
+    for n, sign in ((2, 1), (3, -1)):
+        joint = face_composite(n).joint
+        assert abs(unit(joint, mu_face(n, sign)) - 1.0) < 1e-12
+        assert cone_contains(joint, mu_face(n, sign))
+        pi = isometry(n, sign) @ isometry(n, sign).conj().T
         np.testing.assert_allclose(
-            joint.to_matrix(mu_face(face)), pi / np.trace(pi).real, atol=1e-12
+            joint.to_matrix(mu_face(n, sign)), pi / np.trace(pi).real, atol=1e-12
         )
 
 
@@ -89,45 +97,42 @@ def _random_traceless_hermitian(d, rng):
 
 
 def test_face_bloch_projector_fixes_in_face_traceless(rng):
-    face = faces.sym_face(2)
-    v = isometry(face)
-    sigma = _random_traceless_hermitian(face.n_sub, rng)
+    v = isometry(2, 1)
+    sigma = _random_traceless_hermitian(v.shape[1], rng)
     m = v @ sigma @ v.conj().T  # supported on the face, face-trace zero
-    np.testing.assert_allclose(face_bloch_projector(face, m), m, atol=1e-12)
+    np.testing.assert_allclose(face_bloch_projector(2, 1, m), m, atol=1e-12)
 
 
 def test_face_bloch_projector_kills_orthogonal_block():
     # The singlet spans the antisymmetric subspace, orthogonal to the symmetric face.
-    w = isometry(faces.antisym_face(2))[:, 0]
-    out = face_bloch_projector(faces.sym_face(2), np.outer(w, w.conj()))
+    w = isometry(2, -1)[:, 0]
+    out = face_bloch_projector(2, 1, np.outer(w, w.conj()))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_face_bloch_projector_idempotent_and_self_adjoint(rng):
-    face = faces.sym_face(3)
-    joint = face_composite(face).joint
+    joint = face_composite(3).joint
     gram = grouprep.analytic_gram(joint)
     for _ in range(20):
         m = _random_traceless_hermitian(9, rng)
-        once = face_bloch_projector(face, m)
-        twice = face_bloch_projector(face, once)
+        once = face_bloch_projector(3, 1, m)
+        twice = face_bloch_projector(3, 1, once)
         np.testing.assert_allclose(twice, once, atol=1e-12)
         n = _random_traceless_hermitian(9, rng)
-        lhs = gram.inner(joint.to_coords(face_bloch_projector(face, m)), joint.to_coords(n))
-        rhs = gram.inner(joint.to_coords(m), joint.to_coords(face_bloch_projector(face, n)))
+        lhs = gram.inner(joint.to_coords(face_bloch_projector(3, 1, m)), joint.to_coords(n))
+        rhs = gram.inner(joint.to_coords(m), joint.to_coords(face_bloch_projector(3, 1, n)))
         assert abs(lhs - rhs) < 1e-10
 
 
 def test_face_states_orthogonal_to_face_max_mixed_bloch(rng):
     # In-face Bloch differences are Gram-orthogonal to the face center's Bloch.
-    face = faces.sym_face(2)
-    joint = face_composite(face).joint
+    joint = face_composite(2).joint
     gram = grouprep.analytic_gram(joint)
-    mu_f = mu_face(face)
+    mu_f = mu_face(2, 1)
     mu_f_bloch = mu_f - joint.max_mixed
-    v = isometry(face)
+    v = isometry(2, 1)
     for _ in range(30):
-        psi = haar.haar_kets(1, face.n_sub, rng)[0]
+        psi = haar.haar_kets(1, v.shape[1], rng)[0]
         rho = v @ np.outer(psi, psi.conj()) @ v.conj().T
         bar = joint.to_coords(rho) - mu_f
         assert abs(gram.inner(bar, mu_f_bloch)) < 1e-8
@@ -162,7 +167,7 @@ def test_predict_qface_rejects_bad_probe():
         with pytest.raises(InvalidProbeError):
             formulas.predict_qface(2, 1, 1.0, probe_entries(probe))
         with pytest.raises(InvalidProbeError):
-            qface_by_isometry(faces.sym_face(2), probe, 1.0)
+            qface_by_isometry(2, 1, probe, 1.0)
 
 
 def test_predict_qface_refuses_an_oversized_sum_before_it_starts(monkeypatch):
@@ -178,7 +183,6 @@ def test_predict_qface_probe_independence(rng):
     # The index sums against the dense isometry route, on the default probe
     # and on random complex Hermitian probes; both are probe-independent.
     for n, sign in itertools.product(range(2, 7), (1, -1)):
-        face = faces.FaceDescriptor(n, sign)
         probes = [default_probe(n)]
         for _ in range(3):
             e = _random_traceless_hermitian(n, rng)
@@ -187,9 +191,9 @@ def test_predict_qface_probe_independence(rng):
         for e in probes:
             entries = None if e is probes[0] else probe_entries(e)
             # Tr rho^2 = 1 is the only purity on the one-state antisymmetric face of n = 2.
-            for trp in (1.0,) if face.n_sub == 1 else (1.0, 0.7):
+            for trp in (1.0,) if (n, sign) == (2, -1) else (1.0, 0.7):
                 pred = formulas.predict_qface(n, sign, trp, entries)
-                value, ingredient = qface_by_isometry(face, e, trp)
+                value, ingredient = qface_by_isometry(n, sign, e, trp)
                 assert abs(pred.value - value) <= 1e-12
                 assert abs(pred.inputs["probe_trace_sq"] - ingredient) <= 1e-12
             values.append(pred.value)
@@ -220,13 +224,13 @@ def test_predict_symm_refuses_purities_outside_the_face_range(n, sign, trp):
 
 def test_face_estimate_refuses_a_nan_target():
     with pytest.raises(RangeError):
-        faces.estimate_face_local_purity(faces.sym_face(2), float("nan"), 100, 1)
+        faces.estimate_face_local_purity(2, 1, float("nan"), 100, 1)
 
 
 def test_predict_symm_consistent_with_qface():
     for n in (2, 3, 4):
-        for sign, face in ((1, faces.sym_face(n)), (-1, faces.antisym_face(n))):
-            if face.n_sub == 1:
+        for sign in (1, -1):
+            if (n, sign) == (2, -1):  # the one-state face has no mixed states
                 continue
             for trp in (1.0, 0.6):
                 a = formulas.predict_symm(n, sign, trp).value
@@ -238,22 +242,22 @@ def test_predict_symm_consistent_with_qface():
 
 
 def test_estimate_sym_face_two_levels():
-    rep = faces.estimate_face_local_purity(faces.sym_face(2), 1.0, 4000, 17)
+    rep = faces.estimate_face_local_purity(2, 1, 1.0, 4000, 17)
     assert abs(rep.mean - 0.75) <= 3 * rep.stderr + 1e-12
     assert rep.realized_global_purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimate_antisym_two_levels_exact_half():
-    rep = faces.estimate_face_local_purity(faces.antisym_face(2), 1.0, 200, 23)
+    rep = faces.estimate_face_local_purity(2, -1, 1.0, 200, 23)
     assert rep.mean == 0.5
     assert rep.stderr == 0.0
 
 
 def test_estimate_face_rejects_unreachable_purity():
     with pytest.raises(RangeError):
-        faces.estimate_face_local_purity(faces.sym_face(2), 0.2, 10, 1)  # below 1/3
+        faces.estimate_face_local_purity(2, 1, 0.2, 10, 1)  # below 1/3
     with pytest.raises(RangeError):
-        faces.estimate_face_local_purity(faces.antisym_face(2), 0.9, 10, 1)
+        faces.estimate_face_local_purity(2, -1, 0.9, 10, 1)
 
 
 # -- coin with record ---------------------------------------------------------------------
@@ -322,25 +326,23 @@ def test_coin_with_record_rejects_empty_record():
         faces.coin_with_record(0, 10, 1)
 
 
-def wide_sym_face(n):
-    """The symmetric face of C^(3n) (x) C^(3n): W has k = 3n > 8 rows."""
-    return faces.sym_face(3 * n)
-
-
-@pytest.mark.parametrize("make", [faces.sym_face, faces.antisym_face, wide_sym_face])
-def test_face_ket_kernel_matches_explicit_route(make):
+# The wide symmetric face, of C^9 (x) C^9, has a W of k = 9 > 8 rows.
+@pytest.mark.parametrize("n,sign", [pytest.param(3, 1, id="sym_face"),
+                                    pytest.param(3, -1, id="antisym_face"),
+                                    pytest.param(9, 1, id="wide_sym_face")])
+def test_face_ket_kernel_matches_explicit_route(n, sign):
     # The in-face ket is scattered into its pair entries; the explicit route
     # maps it through the isometry, builds rho, then partial_trace -> to_coords
     # -> GramMatrix.norm_sq.
-    face = make(3)
-    comp = face_composite(face)
+    comp = face_composite(n)
     part_a = comp.part_a
-    n_s, v, t = face.n_sub, isometry(face), math.sqrt(0.5)
+    v, t = isometry(n, sign), math.sqrt(0.5)
+    n_s = v.shape[1]
     dims = (part_a.level, comp.part_b.level)
     gram_a = grouprep.analytic_gram(part_a)
     psi = haar.haar_kets(3, n_s, np.random.default_rng(5301))
     collision, tr2 = rnd._haar_ket_block(np.random.default_rng(5301), 3, t, dims,
-                                         swap=face.sign)
+                                         swap=sign)
     local = purity_from_tr2(dims[0], collision)
     for k, ket in enumerate(psi):
         sigma = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n_s) / n_s

@@ -103,7 +103,8 @@ def test_conjugation_makes_no_blas_call():
         "line 2: linalg", "line 3: dot", "line 5: @", "line 6: @", "line 6: dot",
         "line 6: einsum"]
     source = "".join(inspect.getsource(f) for f in (
-        grouprep.conjugation_matrix, grouprep._product, grouprep._sum_of_products))
+        grouprep.conjugation_matrix, grouprep.invariance_deviation, grouprep._product,
+        grouprep._sum_of_products))
     assert "def _sum_of_products" in source
     assert blas_entry_points(source) == []
 

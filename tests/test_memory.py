@@ -190,9 +190,10 @@ def test_ket_block_peak_is_within_its_memory_count(monkeypatch, case):
     # until they are scattered into n x n matrices.
     if case.startswith(("sym", "antisym")):
         kind, n = case.split()
-        face = faces.sym_face(int(n)) if kind == "sym" else faces.antisym_face(int(n))
-        draw = partial(rnd._haar_ket_block, t=faces._face_interpolation_weight(face.n_sub, 0.3),
-                       dims=face.levels, swap=face.sign)
+        n, sign = int(n), 1 if kind == "sym" else -1
+        draw = partial(rnd._haar_ket_block,
+                       t=faces._face_interpolation_weight(n * (n + sign) // 2, 0.3),
+                       dims=(n, n), swap=sign)
     else:
         na, nb = map(int, case.removeprefix("real ").split("x"))
         draw = partial(rnd._haar_ket_block, t=1.0, dims=(na, nb), real=case.startswith("real"))
@@ -348,7 +349,7 @@ def test_power_law_exact_integers_are_counted_against_the_cap(tmp_path):
 
 def test_per_sample_arrays_are_refused_before_any_draw():
     with pytest.raises(RangeError, match="4800000000 bytes"):
-        rnd.estimate_real_quantum_local_purity(2, 2, 1.0, 200_000_000, 0)
+        rnd.estimate_expected_local_purity("real-quantum", 2, 2, 1.0, 200_000_000, 0)
     qubit = ss.build_quantum(2)
     x = complete_pauli_set(qubit, grouprep.analytic_gram(qubit))[0]
     with pytest.raises(RangeError, match="3200000000 bytes"):

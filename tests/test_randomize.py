@@ -122,13 +122,13 @@ def test_sphere_moment_oracle_value():
 
 
 def test_predict_nonlocaltomo_real_quantum_2x2():
-    pred = formulas.predict_real_quantum(2, 2, 1.0)
+    pred = formulas.predict_general("real-quantum", 2, 2, 1.0)
     assert pred.formula_id == "nonlocaltomo"
     assert pred.inputs["K_A"] == 3 and pred.inputs["K_AB"] == 10
     assert pred.inputs["P_phi_mu"] == pytest.approx(1 / 3, abs=1e-12)
     assert pred.inputs["mu_C_norm_sq"] == 0.0
     assert pred.value == pytest.approx(2 / 3, abs=1e-12)
-    assert formulas.predict_real_quantum(2, 3, 0.0).value == 0.0
+    assert formulas.predict_general("real-quantum", 2, 3, 0.0).value == 0.0
     # Equivalent collision value matches the sphere-moment oracle.
     assert tr2_from_purity(2, pred.value) == pytest.approx(
         _sphere_moment_expected_tr2(2, 2), abs=1e-12
@@ -136,7 +136,7 @@ def test_predict_nonlocaltomo_real_quantum_2x2():
     # The level-count inputs against the numeric route through the joint
     # real-quantum descriptor, its coordinates and its Gram.
     for m_a, m_b in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        inputs = formulas.predict_real_quantum(m_a, m_b, 1.0).inputs
+        inputs = formulas.predict_general("real-quantum", m_a, m_b, 1.0).inputs
         joint = ss.build_real_quantum(m_a * m_b)
         gram = grouprep.analytic_gram(joint)
         phi = np.zeros((m_a, m_a))
@@ -149,7 +149,7 @@ def test_predict_nonlocaltomo_real_quantum_2x2():
         assert (inputs["K_A"], inputs["K_AB"]) == (ss.build_real_quantum(m_a).K, joint.K)
     for m_a, m_b in ((2, 1), (0, 2)):
         with pytest.raises(InvalidDimensionError, match="real-quantum level count must be >= 2"):
-            formulas.predict_real_quantum(m_a, m_b, 1.0)
+            formulas.predict_general("real-quantum", m_a, m_b, 1.0)
 
 
 def test_predict_nonlocaltomo_reduces_to_general_when_tomographic():
@@ -204,7 +204,7 @@ def test_estimator_histogram_counts_sum_to_samples():
 
 
 def test_real_quantum_estimator_matches_sphere_oracle():
-    rep = rnd.estimate_real_quantum_local_purity(2, 2, 1.0, 4000, 31)
+    rep = rnd.estimate_expected_local_purity("real-quantum", 2, 2, 1.0, 4000, 31)
     tr_mean = tr2_from_purity(2, rep.mean)
     tr_sigma = rep.stderr / 2  # d(tr)/d(P) = (n-1)/n = 1/2
     assert abs(tr_mean - 5 / 6) <= 3 * tr_sigma
@@ -298,12 +298,8 @@ def test_report_serialization_roundtrip():
     pytest.param("real-quantum", 7, 7, 0.0, id="real-quantum-7x7-0.0"),
 ])
 def test_estimator_tracks_prediction_at_mixed_purity(theory, na, nb, p0):
-    if theory == "quantum":
-        rep = rnd.estimate_expected_local_purity("quantum", na, nb, p0, 4000, 61)
-        expected = formulas.predict_main(na * na, nb * nb, na, nb, p0).value
-    else:
-        rep = rnd.estimate_real_quantum_local_purity(na, nb, p0, 4000, 61)
-        expected = formulas.predict_real_quantum(na, nb, p0).value
+    rep = rnd.estimate_expected_local_purity(theory, na, nb, p0, 4000, 61)
+    expected = formulas.predict_general(theory, na, nb, p0).value
     assert abs(rep.mean - expected) <= 3 * rep.stderr + 1e-12
     assert rep.realized_global_purity == pytest.approx(p0, abs=1e-9)
     if p0 == 0.0:
@@ -344,22 +340,26 @@ def test_predict_main_quantum_reduces_to_pure_state_form(n_a, n_b, p0):
        st.floats(min_value=0, max_value=1))
 @settings(max_examples=300, deadline=None)
 def test_level_count_predictions_are_correctly_rounded(n_a, n_b, p0):
-    # Each value is the float nearest its exact rational: the main formula, its
-    # quantum and classical level-count forms and the real-quantum form.
+    # Each value is the float nearest its exact rational: the main formula, and
+    # the quantum, classical and real-quantum forms of ``predict_general``.
     exact_p0 = Fraction(p0)
 
     def main(k_a, k_b):
         return Fraction(k_a - 1, k_a * k_b - 1) * Fraction(n_a * n_b - 1, n_a - 1) * exact_p0
 
-    for k_a, k_b, theory in ((n_a**2, n_b**2, "quantum"), (n_a, n_b, "classical")):
+    for k_a, k_b in ((n_a**2, n_b**2), (n_a, n_b)):
         assert formulas.predict_main(k_a, k_b, n_a, n_b, p0).value == float(main(k_a, k_b))
-        pred = formulas.predict_general(theory, n_a, n_b, p0)
-        assert pred.value == float(main(k_a, k_b))
-        assert pred.inputs["P_phi_mu"] == float(Fraction(n_a - 1, n_a * n_b - 1))
     n = n_a * n_b
     k_a, k_ab = n_a * (n_a + 1) // 2, n * (n + 1) // 2
-    exact = Fraction(k_a - 1, k_ab - 1) * exact_p0 / Fraction(n_a - 1, n - 1)
-    assert formulas.predict_real_quantum(n_a, n_b, p0).value == float(exact)
+    exact = {
+        "quantum": main(n_a**2, n_b**2),
+        "classical": main(n_a, n_b),
+        "real-quantum": Fraction(k_a - 1, k_ab - 1) * exact_p0 / Fraction(n_a - 1, n - 1),
+    }
+    for theory, value in exact.items():
+        pred = formulas.predict_general(theory, n_a, n_b, p0)
+        assert pred.value == float(value)
+        assert pred.inputs["P_phi_mu"] == float(Fraction(n_a - 1, n - 1))
     # The largest integers of a power-law prediction stay integer divisions.
     assert formulas.predict_power_law(2, n_a, n_b, p0).value == pytest.approx(
         float(main(n_a**2, n_b**2)), rel=1e-15)
@@ -370,20 +370,20 @@ def test_level_count_predictions_refuse_bad_theories_and_levels():
         formulas.predict_general("quantum", 1, 2, 1.0)
     with pytest.raises(InvalidDimensionError, match="classical level count must be >= 2"):
         rnd.estimate_expected_local_purity("classical", 2, 0, 1.0, 10, 1)
-    with pytest.raises(UnsupportedSpaceError):
-        formulas.predict_general("real-quantum", 2, 2, 1.0)
+    with pytest.raises(UnsupportedSpaceError, match="no level-count composite for theory 'gbit'"):
+        formulas.predict_general("gbit", 2, 2, 1.0)
     with pytest.raises(UnsupportedSpaceError):
         rnd.estimate_expected_local_purity("boxworld", 2, 2, 1.0, 10, 1)
 
 
 def test_nonlocaltomo_asymmetric_real_quantum_agrees_with_oracle():
-    pred = formulas.predict_real_quantum(2, 3, 1.0)
+    pred = formulas.predict_general("real-quantum", 2, 3, 1.0)
     assert pred.inputs["K_AB"] == 21
     assert pred.inputs["P_phi_mu"] == pytest.approx(1 / 5, abs=1e-12)
     assert tr2_from_purity(2, pred.value) == pytest.approx(
         _sphere_moment_expected_tr2(2, 3), abs=1e-12
     )
-    rep = rnd.estimate_real_quantum_local_purity(2, 3, 1.0, 3000, 99)
+    rep = rnd.estimate_expected_local_purity("real-quantum", 2, 3, 1.0, 3000, 99)
     assert abs(rep.mean - pred.value) <= 3 * rep.stderr + 1e-12
 
 
@@ -412,6 +412,31 @@ def test_ket_kernel_matches_explicit_route(builder, real):
             assert glob[k] == pytest.approx(
                 gram_ab.norm_sq(joint.to_coords(rho) - joint.max_mixed), abs=1e-12)
             assert glob[k] == pytest.approx(p0, abs=1e-12)
+
+
+# The seeds, the sample count and alpha were fixed before the first run.
+KS_SAMPLES = 10_000
+KS_ALPHA = 1e-6
+
+
+@pytest.mark.parametrize("real,nb,seed", [(False, 2, 6101), (False, 8, 6102),
+                                          (True, 2, 6103), (True, 8, 6104)])
+def test_ket_kernel_local_purity_has_its_exact_law(real, nb, seed):
+    # On Haar-random pure states of 2 x nb levels P_A = r^2, for the Bloch
+    # vector r of the A marginal, whose eigenvalues (1 +- r)/2 have the
+    # fixed-trace Wishart density |l1 - l2|^b (l1 l2)^(b(nb - 1)/2 - 1), b = 2
+    # for complex kets and 1 for real ones.  So P_A ~ Beta((b + 1)/2, b(nb - 1)/2):
+    # Beta(3/2, nb - 1) for complex kets and Beta(1, (nb - 1)/2) for real ones.
+    stats = pytest.importorskip("scipy.stats")
+
+    def law(b):
+        return stats.beta((b + 1) / 2, b * (nb - 1) / 2).cdf
+
+    local, _ = rnd._haar_ket_block(np.random.default_rng(seed), KS_SAMPLES, 1.0, (2, nb), real=real)
+    assert stats.kstest(local, law(1 if real else 2)).pvalue > KS_ALPHA
+    if real and nb == 8:
+        # Negative control: real kets judged against the complex law are rejected.
+        assert stats.kstest(local, law(2)).pvalue < KS_ALPHA
 
 
 def test_permuted_states_match_explicit_route():
