@@ -22,7 +22,7 @@ from . import grouprep
 from . import purity as pur
 from . import randomize as rnd
 from . import statespace as ss
-from .errors import EXACT, Check, RangeError
+from .errors import Check, RangeError
 
 
 def markov_tail(report: rnd.McReport, x: float) -> Check:
@@ -46,35 +46,29 @@ def markov_tail(report: rnd.McReport, x: float) -> Check:
 
 def _pauli_identities(seed: int, samples: int) -> list[Check]:
     checks = []
-    spaces = {"qubit": ss.build_quantum(2), "classical-4": ss.build_classical(4),
-              "square": ss.build_polygon(4), "pentagon": ss.build_polygon(5)}
-    for name, space in spaces.items():
-        states = ss.with_midpoints(grouprep.orbit_pures(space))
-        dev, cdev = pur.pauli_identity_deviations(space, states)
-        checks.append(Check(f"complete-set-{name}", dev, EXACT))
-        checks.append(Check(f"collision-{name}", cdev, EXACT))
-    qubit = spaces["qubit"]
-    gram = grouprep.analytic_gram(qubit)
-    x = pur.complete_pauli_set(qubit, gram)[0]
-    # A pure state off every symmetry axis: its Bloch vector (0.48, 0.6, 0.64) has unit length.
-    omega = [c / math.sqrt(2) for c in (1.0, 0.48, 0.6, 0.64)]
-    avg = pur.pauli_haar_average(grouprep.clifford_elements(qubit), x, omega)
-    expected = pur.purity(qubit, gram, omega) / (qubit.K - 1)
-    checks.append(Check("haar-average-qubit", abs(avg - expected), EXACT))
+    for name, space in (("qubit", ss.QUBIT), ("classical-4", ss.build_classical(4)),
+                        ("square", ss.SQUARE), ("pentagon", ss.PENTAGON)):
+        dev, cdev = pur.pauli_identity_deviations(space, ss.with_midpoints(space.pures))
+        checks.append(Check(f"complete-set-{name}", float(dev), 0.0))
+        checks.append(Check(f"collision-{name}", float(cdev), 0.0))
+    x, omega = pur.complete_pauli_set(ss.QUBIT)[0], pur.OFF_AXIS_QUBIT
+    avg = pur.pauli_haar_average(ss.QUBIT, grouprep.qubit_cliffords(), x, omega)
+    expected = pur.purity(ss.QUBIT, omega) / 3
+    checks.append(Check("haar-average-qubit", float(abs(avg - expected)), 0.0))
     return checks
 
 
 def _gram_invariance(seed: int, samples: int) -> list[Check]:
     checks = []
-    for space in (ss.build_quantum(2), ss.build_quantum(3), ss.build_classical(3),
-                  ss.build_classical(5), ss.build_polygon(4), ss.build_polygon(5),
-                  ss.build_real_quantum(2)):
-        ts = grouprep.group_generators(space)
-        dev = grouprep.invariance_deviation(grouprep.analytic_gram(space).matrix, ts)
-        checks.append(Check(f"gram-invariance-{space.kind}-{space.level}", dev, EXACT))
-        # Only the unit direction and the analytic Gram's Bloch form are invariant.
-        extra = abs(grouprep.invariant_form_dimension(ts) - 2)
-        checks.append(Check(f"gram-uniqueness-{space.kind}-{space.level}", float(extra), 0.0))
+    for space in (ss.QUBIT, ss.QUTRIT, ss.build_classical(3), ss.build_classical(5), ss.SQUARE,
+                  ss.PENTAGON, ss.REAL_QUBIT):
+        r, generators = grouprep.group_generators(space)
+        dev = grouprep.invariance_deviation(space.gram, generators, r)
+        checks.append(Check(f"gram-invariance-{space.kind}-{space.level}", float(dev), 0.0))
+        # Only the unit direction and the Gram's Bloch form are invariant.
+        forms = grouprep.invariant_form_count(grouprep.closure(generators, r), r)
+        checks.append(Check(f"gram-uniqueness-{space.kind}-{space.level}",
+                            float(abs(forms - 2)), 0.0))
     return checks
 
 
@@ -83,14 +77,12 @@ def _classical_subsystem(seed: int, samples: int) -> list[Check]:
     for name, space in (("classical-2", ss.build_classical(2)),
                         ("classical-4", ss.build_classical(4)),
                         ("classical-8", ss.build_classical(8)),
-                        ("qubit", ss.build_quantum(2)),
-                        ("square-gbit", ss.build_polygon(4))):
-        gram = grouprep.analytic_gram(space)
-        report = comp_mod.verify_centered_dynamical(space, gram, comp_mod.capacity_witness(space))
-        checks.append(Check(f"centered-{name}",
-                            max(report.center_deviation, report.gram_offdiag_deviation), 1e-10))
-    pentagon = comp_mod.capacity_witness(ss.build_polygon(5))
-    checks.append(Check("pentagon-not-centered", float(pentagon.centered), 0.0))
+                        ("qubit", ss.QUBIT),
+                        ("square-gbit", ss.SQUARE)):
+        dev = max(comp_mod.centered_deviations(space, comp_mod.capacity_witness(space)))
+        checks.append(Check(f"centered-{name}", float(dev), 0.0))
+    center, _ = comp_mod.centered_deviations(ss.PENTAGON, comp_mod.capacity_witness(ss.PENTAGON))
+    checks.append(Check("pentagon-not-centered", float(center == 0), 0.0))
     return checks
 
 

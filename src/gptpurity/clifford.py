@@ -42,16 +42,6 @@ def canonical(k: int, g: tuple) -> tuple[int, tuple]:
     return k, tuple(unit * x for x in g)
 
 
-def entries(element: tuple[int, tuple]) -> tuple[complex, ...]:
-    """The row-major complex entries of an element's unitary G / (1 + i)^k = G ((1 - i)/2)^k.
-
-    They are dyadic Gaussian rationals, so no entry is rounded.
-    """
-    k, g = element
-    scale = ((1 - 1j) / 2) ** k
-    return tuple(x * scale for x in g)
-
-
 def _mul(a: tuple[int, tuple], b: tuple[int, tuple]) -> tuple[int, tuple]:
     """The canonical product a b of two elements."""
     (ka, ga), (kb, gb) = a, b

@@ -21,9 +21,9 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from gptpurity import errors
-from gptpurity import grouprep as gr
 from gptpurity import randomize as rnd
-from gptpurity import statespace as ss
+from reference import grouprep as gr
+from reference import statespace as ss
 from gptpurity.errors import GptPurityError, RangeError, UnsupportedSpaceError
 
 DEFAULT_GRAM_SAMPLES = 20_000

@@ -17,11 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gptpurity import statespace as ss
 from gptpurity.errors import (GptPurityError, InconsistencyError, InvalidProbeError,
                               NormalizationError, UnsupportedSpaceError, check_memory)
 from gptpurity.formulas import _check_purity_on_face
-from gptpurity.purity import MIXED_PURITY_FLOOR, PauliMap, pauli_vectors
+from reference import statespace as ss
+from reference.purity import MIXED_PURITY_FLOOR, PauliMap, pauli_vectors
 
 import haar
 

@@ -14,9 +14,11 @@ import numpy as np
 
 from gptpurity import boxworld as bw
 from gptpurity import checks
-from gptpurity import clifford, faces, formulas, grouprep, randomize as rnd
-from gptpurity import statespace as ss
-from gptpurity import purity as pur
+from gptpurity import clifford, faces, formulas, randomize as rnd
+from gptpurity.purity import purity_from_tr2, tr2_from_purity
+from reference import grouprep
+from reference import purity as pur
+from reference import statespace as ss
 from cliffords import two_qubit_unitaries
 import haar
 from states import compose, marginal_a, purity_pure_times_maxmixed, random_mixtures
@@ -36,7 +38,7 @@ def _pair(builder, na, nb):
 
 def test_criterion_01_quantum_2x2_random_pure():
     rep = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, SAMPLES, 1001)
-    tr_mean = pur.tr2_from_purity(2, rep.mean)
+    tr_mean = tr2_from_purity(2, rep.mean)
     dev = abs(rep.mean - 3 / 5)
     ok = dev <= 3 * rep.stderr + EPS
     _report(1, ok, f"quantum 2x2 pure: E P = {rep.mean:.4f} (target 0.6, "
@@ -191,7 +193,7 @@ def test_criterion_11_coin_with_record():
 def test_criterion_12_real_quantum_nonlocal_tomography():
     pred = formulas.predict_general("real-quantum", 2, 2, 1.0)
     rep = rnd.estimate_expected_local_purity("real-quantum", 2, 2, 1.0, SAMPLES, 1014)
-    tr_mean = pur.tr2_from_purity(2, rep.mean)
+    tr_mean = tr2_from_purity(2, rep.mean)
     tr_sigma = rep.stderr / 2
     # Independent sphere-moment oracle: E Tr rho_A^2 = 5/6 for a uniform unit
     # vector in R^4 reshaped to a 2x2 matrix (isotropic fourth moments).
@@ -206,7 +208,7 @@ def test_criterion_12_real_quantum_nonlocal_tomography():
                         (a == b) * (c == e) + (a == c) * (b == e) + (a == e) * (b == c)
                     ) / (d * (d + 2))
     ok = (abs(oracle - 5 / 6) <= 1e-12
-          and abs(pur.tr2_from_purity(2, pred.value) - oracle) <= 1e-12
+          and abs(tr2_from_purity(2, pred.value) - oracle) <= 1e-12
           and abs(tr_mean - 5 / 6) <= 3 * tr_sigma + EPS)
     _report(12, ok, f"real quantum 2x2: E Tr = {tr_mean:.4f} vs oracle {oracle:.4f} "
                     f"(prediction E P = {pred.value:.4f})")
@@ -280,8 +282,8 @@ def test_criterion_14_property_suite():
         rho = (u * spectra[-1]) @ u.conj().T
         conj = cliffords @ rho @ cliffords.conj().transpose(0, 2, 1)
         rho_a = np.einsum("gibjb->gij", conj.reshape(-1, 2, 2, 2, 2))
-        mean = np.mean(pur.purity_from_tr2(2, np.sum(np.abs(rho_a) ** 2, axis=(1, 2))))
-        p0 = pur.purity_from_tr2(4, np.sum(np.abs(rho) ** 2))
+        mean = np.mean(purity_from_tr2(2, np.sum(np.abs(rho_a) ** 2, axis=(1, 2))))
+        p0 = purity_from_tr2(4, np.sum(np.abs(rho) ** 2))
         worst = max(worst, abs(mean - formulas.predict_general("quantum", 2, 2, p0).value))
 
         p = exact.dirichlet(np.ones(6))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gptpurity import boxworld as bw
-from gptpurity import grouprep
+from reference import grouprep
 import haar
 from states import (BOXWORLD_PRODUCT_COUNT, BoxworldGram, ConeError, boxworld_generators,
                     boxworld_group_elements, boxworld_pr_state, boxworld_purity,

@@ -1,16 +1,19 @@
 """The verification registry: deviations, bounds and the one verdict rule."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gptpurity import checks, cli, errors, grouprep
-from gptpurity import purity as pur
-from gptpurity import statespace as ss
+from gptpurity import checks, cli, errors
+from gptpurity import purity as exact_pur
+from gptpurity import statespace as exact_ss
 from gptpurity.errors import RangeError
-from gptpurity.purity import (
-    PauliMap,
+from reference import grouprep
+from reference import purity as pur
+from reference import statespace as ss
+from reference.purity import (
     complete_pauli_set,
     pauli_vectors,
     purity,
@@ -151,18 +154,17 @@ def test_a_perturbed_pauli_set_fails_complete_set_on_the_fixed_states(monkeypatc
     # The first map of every set tilted by 1e-6 along the second: on the
     # qubit's six pure states, each on one Pauli axis, the change is of
     # second order (1e-12), and only their midpoints expose it.
-    def tilted(space, gram=None):
-        pset = complete_pauli_set(space, gram)
-        first = PauliMap(space, pset[0].gram, pset[0].vector + 1e-6 * pset[1].vector)
-        return (first, *pset[1:])
+    complete_set = exact_pur.complete_pauli_set
 
-    qubit = ss.build_quantum(2)
-    pures = grouprep.orbit_pures(qubit)
-    pset = tilted(qubit)
-    p = grouprep.analytic_gram(qubit).norms_sq(qubit.bloch(pures))
-    assert np.max(np.abs(purity_via_pauli_set(pset, pures) - p)) <= 1e-11
+    def tilted(space):
+        pset = complete_set(space)
+        return (tuple(a + Fraction(1, 10**6) * b for a, b in zip(pset[0], pset[1])), *pset[1:])
 
     monkeypatch.setattr(checks.pur, "complete_pauli_set", tilted)
+    qubit = exact_ss.QUBIT
+    dev, _ = exact_pur.pauli_identity_deviations(qubit, qubit.pures)
+    assert 0 < dev <= 1e-11
+
     by_name = {c.name: c for c in checks.run_suite("pauli-identities", 0, 2)}
     for name in ("qubit", "classical-4", "square", "pentagon"):
         assert by_name[f"complete-set-{name}"].value > 1e-7, name
@@ -190,7 +192,8 @@ def test_pauli_identity_states_are_the_pure_orbit_and_its_midpoints():
 def test_uniqueness_rows_fail_when_the_generators_fix_every_form(monkeypatch):
     # The identity alone leaves all K(K+1)/2 symmetric forms invariant, so
     # every row reads that count less the expected 2 (3 for boxworld) and fails.
-    monkeypatch.setattr(checks.grouprep, "group_generators", lambda space: np.eye(space.K)[None])
+    monkeypatch.setattr(checks.grouprep, "group_generators",
+                        lambda space: (2, ((tuple(range(len(space.mixed))), (0,) * len(space.mixed)),)))
     monkeypatch.setattr(checks.bw, "group_generators", lambda: (tuple((i, 1) for i in range(9)),))
     rows = {c.name: c for c in checks.run_suite("gram-invariance", 0, 2)
             + checks.run_suite("boxworld", 0, 2)

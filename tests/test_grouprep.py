@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import clifford, errors, grouprep, purity as pur, statespace as ss
+from gptpurity import clifford, errors
 from gptpurity.errors import RangeError, UnsupportedSpaceError
+from reference import grouprep, purity as pur, statespace as ss
 import cliffords
 import haar
 from haar import ReducibleSpaceError
@@ -283,7 +284,7 @@ def test_canonical_form_is_idempotent_and_unchanged_by_each_unit():
 
 
 def test_clifford_1q_permutes_pauli_directions():
-    from gptpurity.purity import pauli_string
+    from reference.purity import pauli_string
 
     paulis = [pauli_string(p) for p in "XYZ"]
     signed = [s * p for p in paulis for s in (1, -1)]
@@ -745,7 +746,7 @@ def test_clifford_closure_order_is_frozen(k, digest):
 # orbit, printed by a fresh interpreter.
 _CLIFFORD_DIGESTS = """
 import hashlib
-from gptpurity import grouprep, statespace as ss
+from reference import grouprep, statespace as ss
 qubit = ss.build_quantum(2)
 for a in (grouprep.clifford_unitaries(), grouprep.clifford_elements(qubit),
           grouprep.orbit_pures(qubit)):
@@ -757,9 +758,9 @@ def test_clifford_stacks_do_not_depend_on_cpu_dispatch():
     # The stack is exact, and every complex product of its conjugations is
     # elementwise in real arithmetic, so numpy's x86-64-v2 dispatch gives the
     # bytes of the default dispatch.
-    src = str(Path(clifford.__file__).resolve().parents[1])
+    paths = [str(Path(clifford.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     digests = []
     for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}):
@@ -793,7 +794,7 @@ def test_factored_clifford_traces_match_the_enumerated_group():
     # k = 1 takes the traces of the group itself: those of the complex stack.
     np.testing.assert_array_equal(
         np.trace(grouprep.clifford_unitaries(), axis1=1, axis2=2),
-        [clifford.entries((k, (t,)))[0] for k, t in clifford.clifford_traces(1)])
+        [cliffords.entries((k, (t,)))[0] for k, t in clifford.clifford_traces(1)])
 
 
 def test_clifford_2q_cosets_equal_the_generated_closure():

@@ -16,11 +16,15 @@ from pathlib import Path
 import pytest
 
 import gptpurity
-from gptpurity import cli, grouprep
+from gptpurity import cli
+from reference import grouprep
 
 PACKAGE = Path(gptpurity.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+# The test modules, and the float references of the exact suite layers.
+REFERENCE_MODULES = sorted(TESTS.glob("reference/*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py")) + REFERENCE_MODULES
 CHILD = PACKAGE.parents[1] / "perfbench" / "child.py"
 
 
@@ -129,12 +133,13 @@ def imported_modules(source: str) -> set[str]:
 
 def test_only_descriptors_and_pauli_maps_are_dataclasses():
     # SpaceDescriptor (frozen arrays, a cached basis) and PauliMap (a derived
-    # frozen covector) are dataclasses; every other record is a NamedTuple.
+    # frozen covector) are dataclasses, and both are float references; every
+    # other record is a NamedTuple.
     planted = "import numpy.linalg\nfrom dataclasses import dataclass\nfrom . import errors\n"
     assert imported_modules(planted) == {"numpy", "dataclasses"}
-    found = {p.name for p in MODULES
+    found = {str(p.relative_to(p.parents[1])) for p in MODULES + REFERENCE_MODULES
              if "dataclasses" in imported_modules(p.read_text(encoding="utf-8"))}
-    assert found == {"statespace.py", "purity.py"}
+    assert found == {"reference/statespace.py", "reference/purity.py"}
 
 
 def _env() -> dict[str, str]:
@@ -348,9 +353,9 @@ def test_exact_suites_give_the_same_checks_for_any_seed(suite):
     assert outs[0] == outs[1]
 
 
-# The exact-identities commands that read no Clifford group: gram-invariance
-# takes the qubit's generators H, S and T as complex matrices of its own.
-_NO_CLIFFORD = ("verify-gram-invariance", "verify-classical-subsystem", "verify-boxworld",
+# The exact-identities commands that read no Clifford group: pauli-identities
+# and gram-invariance take the qubit's group from clifford as signed permutations.
+_NO_CLIFFORD = ("verify-classical-subsystem", "verify-boxworld",
                 "predict-nonlocaltomo", "predict-qface", "predict-main")
 
 
@@ -377,6 +382,17 @@ def test_verify_boxworld_runs_no_descriptor_layer():
     # Every boxworld state and map has entries in {-1, 0, 1}, so no state
     # space, group or purity layer runs and numpy is not imported.
     assert _executed_by(["verify", "boxworld"], _NUMPY) == {"cli", "errors", "checks", "boxworld"}
+
+
+@pytest.mark.parametrize("suite,layers", [
+    ("pauli-identities", {"statespace", "grouprep", "clifford", "purity"}),
+    ("gram-invariance", {"statespace", "grouprep", "clifford"}),
+    ("classical-subsystem", {"statespace", "composite"}),
+])
+def test_exact_suites_run_only_their_exact_layers(suite, layers):
+    # Exact coordinates, monomial maps and characters: numpy is not
+    # imported, and no Haar, face, estimator or boxworld layer runs.
+    assert _executed_by(["verify", suite], _NUMPY) == {"cli", "errors", "checks", *layers}
 
 
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import errors, faces, formulas, grouprep, randomize as rnd
-from gptpurity import statespace as ss
+from gptpurity import errors, faces, formulas, randomize as rnd
 from gptpurity.errors import RangeError
-from gptpurity.purity import complete_pauli_set
+from reference import grouprep
+from reference import statespace as ss
+from reference.purity import complete_pauli_set
 import haar
 
 SRC = str(Path(formulas.__file__).resolve().parents[1])

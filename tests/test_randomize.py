@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptpurity import checks, errors, formulas, grouprep, randomize as rnd
-from gptpurity import statespace as ss
+from gptpurity import checks, errors, formulas, randomize as rnd
+from reference import grouprep
+from reference import statespace as ss
 from gptpurity.errors import (
     InternalError,
     InvalidDimensionError,

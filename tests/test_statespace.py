@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity import composite as cm
-from gptpurity import grouprep
-from gptpurity import statespace as ss
 from gptpurity.errors import InvalidDimensionError, NormalizationError, UnsupportedSpaceError
+from reference import composite as cm
+from reference import grouprep
+from reference import statespace as ss
 import haar
 from states import (boxworld_pr_state, build_boxworld_bipartite, cone_contains, group_sampler,
                     random_mixtures, unit)
