@@ -53,7 +53,7 @@ def _pauli_identities(seed: int, samples: int) -> list[Check]:
         checks.append(Check(f"collision-{name}", float(cdev), 0.0))
     x, omega = pur.complete_pauli_set(ss.QUBIT)[0], pur.OFF_AXIS_QUBIT
     avg = pur.pauli_haar_average(ss.QUBIT, grouprep.qubit_cliffords(), x, omega)
-    expected = pur.purity(ss.QUBIT, omega) / 3
+    expected = pur.purity(ss.QUBIT, omega) * ss.rational(1, 3)
     checks.append(Check("haar-average-qubit", float(abs(avg - expected)), 0.0))
     return checks
 

@@ -1,17 +1,13 @@
 """Classical subsystems: capacity witnesses and the centered-subsystem identities.
 
-A capacity witness is a maximal set of perfectly distinguishable pure states.
+A capacity witness is a maximal set of perfectly distinguishable pure states;
 ``centered_deviations`` measures how far one is from a centered classical
-subsystem, (1/n) sum omega_i = mu and <omega_i, omega_j> = -1/(N-1) for
-i != j under the invariant Gram, for ``verify classical-subsystem``.  The
-effects that tell the states apart, the tensor composites and their constant
-P(phi_A (x) mu_B) = (N_A-1)/(N_A N_B-1), a level-count closed form in
+subsystem.  The effects that tell the states apart, and the tensor composites
+with their constant P(phi_A (x) mu_B) = (N_A-1)/(N_A N_B-1), a closed form in
 ``formulas``, are test references.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import statespace as ss
 
@@ -31,10 +27,10 @@ def centered_deviations(space: ss.Space, states: tuple) -> tuple[object, object]
     """max |(1/n) sum omega_i - mu| over coordinates, and max |<b_i, b_j> + 1/(n-1)| over
     the Bloch vectors b of pairs i != j."""
     n = len(states)
-    center = max(abs(Fraction(1, n) * sum(coords) - mu)
+    center = max(abs(ss.rational(1, n) * sum(coords) - mu)
                  for coords, mu in zip(zip(*states), space.mixed))
     blochs = [ss.bloch(space, s) for s in states]
     covectors = [ss.covector(space, b) for b in blochs]
-    off = max(abs(ss.dot(c, b) + Fraction(1, n - 1))
+    off = max(abs(ss.dot(c, b) + ss.rational(1, n - 1))
               for i, c in enumerate(covectors) for j, b in enumerate(blochs) if i != j)
     return center, off

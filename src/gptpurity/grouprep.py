@@ -12,8 +12,6 @@ Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import clifford
 from . import statespace as ss
 from .errors import UnsupportedSpaceError
@@ -46,7 +44,8 @@ def phase(r: int, e: int) -> int | Cyc:
 
 def compose(s: Map, t: Map, r: int) -> Map:
     """The product S T."""
-    return tuple(t[0][p] for p in s[0]), tuple((e + t[1][p]) % r for p, e in zip(*s))
+    (tp, te), (sp, se) = t, s
+    return tuple([tp[p] for p in sp]), tuple([(e + te[p]) % r for p, e in zip(sp, se)])
 
 
 def apply(t: Map, v: tuple, r: int) -> tuple:
@@ -82,7 +81,7 @@ def invariant_form_count(elements: tuple[Map, ...], r: int) -> object:
     for t in elements:
         chi = character(t, r)
         total = total + chi * chi + character(compose(t, t, r), r)
-    return Fraction(1, 2 * len(elements)) * total
+    return ss.rational(1, 2 * len(elements)) * total
 
 
 def invariance_deviation(gram: tuple, maps: tuple[Map, ...], r: int) -> object:

@@ -1,21 +1,18 @@
 """Generalized purity and complete sets of Pauli maps, exactly.
 
-Purity is the Gram square <b, b> of a state's Bloch vector b = omega - mixed
-(``statespace``): 1 on pure states, 0 on the maximally mixed state.  A Pauli
-map is the functional X(omega) = <x, omega - mixed> of a Bloch vector x of
-Gram norm 1; a complete set of them reproduces purity / (K - 1) as the mean
-of X(omega)^2.
+Purity is the Gram square <b, b> of a state's Bloch vector b = omega - mixed:
+1 on pure states, 0 on the maximally mixed state.  A Pauli map is the
+functional <x, omega - mixed> of a Bloch vector x of Gram norm 1; a complete
+set of them has mean X(omega)^2 = purity / (K - 1).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import grouprep
 from . import statespace as ss
 
 # A pure qubit state off every symmetry axis: its Bloch vector (12, 15, 16)/25 has unit length.
-OFF_AXIS_QUBIT = (1, Fraction(12, 25), Fraction(3, 5), Fraction(16, 25))
+OFF_AXIS_QUBIT = (1, ss.rational(12, 25), ss.rational(3, 5), ss.rational(16, 25))
 
 
 def purity(space: ss.Space, omega: tuple) -> object:
@@ -56,7 +53,7 @@ def pauli_identity_deviations(space: ss.Space, states: tuple) -> tuple[object, o
     |<b, b>^2 - P^2|/(2 P) (0 for a state without a direction).
     """
     covectors = [ss.covector(space, x) for x in complete_pauli_set(space)]
-    scale = Fraction(len(space.mixed) - 1, len(covectors))
+    scale = ss.rational(len(space.mixed) - 1, len(covectors))
     dev = cdev = 0
     for omega in states:
         b, p = ss.bloch(space, omega), purity(space, omega)
@@ -73,4 +70,4 @@ def pauli_haar_average(space: ss.Space, maps: tuple, x: tuple, omega: tuple) -> 
     for any Pauli map when the maps are a 2-design, such as ``grouprep.qubit_cliffords``."""
     cov = ss.covector(space, x)
     values = [ss.dot(cov, ss.bloch(space, grouprep.apply(t, omega, 2))) for t in maps]
-    return sum(v * v for v in values) * Fraction(1, len(values))
+    return sum(v * v for v in values) * ss.rational(1, len(values))

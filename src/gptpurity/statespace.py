@@ -1,21 +1,17 @@
-"""The built-in state spaces in exact coordinates.
+"""The built-in state spaces in exact coordinates, where their reversible maps are monomial.
 
-Each space is held where its pure states, maximally mixed state and Gram are
-exact and its reversible maps (``grouprep``) are monomial: the qubit in Pauli
-coordinates Tr(P rho), P = I, X, Y, Z, the real qubit likewise with I, X, Z,
-the qutrit in displacement coordinates Tr(D_a^dag rho) (Appleby, J. Math.
-Phys. 46, 052107, 2005), a classical space as probabilities, the square (the
-gbit) in boxworld's rescaled basis (1, x - y, x + y) and the pentagon in
-(1, z, conj z), z = x + i y.  Coordinates are ints, ``Fraction``s and
-``Cyc``s, so every identity of the suites is an exact equality; a deviation
-becomes a float only when a check reports it.
+The qubit is held in Pauli coordinates Tr(P rho), the real qubit likewise, the
+qutrit in displacement coordinates Tr(D_a^dag rho) (Appleby, J. Math. Phys.
+46, 052107, 2005), a classical space as probabilities, the square (the gbit)
+in boxworld's rescaled basis (1, x - y, x + y) and the pentagon in
+(1, z, conj z), z = x + i y.  Coordinates are ints and ``Cyc`` numbers, so
+every identity is exact; a deviation becomes a float only in a report.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidDimensionError
@@ -25,13 +21,12 @@ KIND_CLASSICAL = "classical"
 KIND_POLYGON = "polygon"
 KIND_REAL_QUANTUM = "real-quantum"
 
-HALF = Fraction(1, 2)
 
 
 class Cyc:
-    """(sum_k c[k] zeta^k)/d in Q(zeta), zeta = e^(2 pi i/r) for a prime r, with int c and d;
-    rationals mix in.  The powers of zeta sum to 0 and satisfy no other relation, so a
-    number is zero exactly when its coefficients are equal."""
+    """(sum_k c[k] zeta^k)/d with int c and d > 0, zeta = e^(2 pi i/r): a rational for r = 1,
+    else a number of the cyclotomic field Q(zeta) for a prime r, whose powers of zeta sum to 0
+    and satisfy no other relation, so that it is zero exactly when its coefficients are equal."""
 
     __slots__ = ("c", "d")
 
@@ -45,41 +40,58 @@ class Cyc:
         """zeta^e."""
         return cls(int(k == e % r) for k in range(r))
 
-    def _lift(self, x) -> Cyc:
-        return x if isinstance(x, Cyc) else Cyc((x.numerator,) + (0,) * (len(self.c) - 1),
-                                                x.denominator)
+    def _pair(self, x) -> tuple[Cyc, Cyc]:
+        """Both numbers over the longer coefficient tuple: a rational pads with zeros."""
+        x = x if isinstance(x, Cyc) else Cyc((x,))
+        m, n = len(self.c), len(x.c)
+        if m == n:
+            return self, x
+        pad = Cyc(self.c + (0,) * (n - m), self.d) if m < n else Cyc(x.c + (0,) * (m - n), x.d)
+        return (pad, x) if m < n else (self, pad)
 
     def __add__(self, x) -> Cyc:
         if type(x) is int and x == 0:  # the start of a sum
             return self
-        x = self._lift(x)
-        return Cyc([a * x.d + b * self.d for a, b in zip(self.c, x.c)], self.d * x.d)
+        a, b = self._pair(x)
+        return Cyc([p * b.d + q * a.d for p, q in zip(a.c, b.c)], a.d * b.d)
 
     __radd__ = __add__
 
     def __sub__(self, x) -> Cyc:
         return self + -1 * x
 
+    def __rsub__(self, x) -> Cyc:
+        return -1 * self + x
+
     def __mul__(self, x) -> Cyc:
-        x, r = self._lift(x), len(self.c)
-        out = [0] * r
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(x.c if a else ()):
-                out[(i + j) % r] += a * b
-        return Cyc(out, self.d * x.d)
+        a, b = self._pair(x)
+        if len(a.c) == 1:
+            return Cyc((a.c[0] * b.c[0],), a.d * b.d)
+        out = [0] * len(a.c)
+        for i, p in enumerate(a.c):
+            for j, q in enumerate(b.c if p else ()):
+                out[(i + j) % len(out)] += p * q
+        return Cyc(out, a.d * b.d)
 
     __rmul__ = __mul__
 
     def __eq__(self, x) -> bool:
-        x = self._lift(x)
-        d = [a * x.d - b * self.d for a, b in zip(self.c, x.c)]
-        return all(a == d[0] for a in d)
+        a, b = self._pair(x)
+        d = [p * b.d - q * a.d for p, q in zip(a.c, b.c)]
+        return all(v == d[0] for v in d) and (len(d) > 1 or d[0] == 0)
 
-    def __abs__(self) -> float:
-        """|x| as a float, 0.0 exactly when x is zero: only a report reads it."""
+    def __abs__(self) -> float:  # 0.0 exactly when x is zero; only reports read it
         r = len(self.c)
         return 0.0 if self == 0 else abs(sum(a * cmath.exp(2j * cmath.pi * k / r)
                                              for k, a in enumerate(self.c))) / self.d
+
+
+def rational(a: int, b: int = 1) -> Cyc:
+    """a/b, b > 0."""
+    return Cyc((a,), b)
+
+
+HALF = rational(1, 2)
 
 
 class Space(NamedTuple):
@@ -125,13 +137,12 @@ def build_classical(n: int) -> Space:
     if n < 2:
         raise InvalidDimensionError(f"classical outcome count must be >= 2, got {n}")
     pures = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    gram = tuple(((i, j), Fraction(n * a - 1, n - 1)) for i, row in enumerate(pures)
+    gram = tuple(((i, j), rational(n * a - 1, n - 1)) for i, row in enumerate(pures)
                  for j, a in enumerate(row))
-    return Space(KIND_CLASSICAL, n, pures, (Fraction(1, n),) * n, gram)
+    return Space(KIND_CLASSICAL, n, pures, (rational(1, n),) * n, gram)
 
 
-# The qubit, with its six Pauli eigenstates in the order of their Clifford orbit: the purity
-# is |(x, y, z)|^2.
+# The qubit, with its six Pauli eigenstates in the order of their Clifford orbit.
 QUBIT = Space(KIND_QUANTUM, 2, ((1, 0, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0),
                                 (1, -1, 0, 0), (1, 0, 0, -1)),
               (1, 0, 0, 0), (((1, 1), 1), ((2, 2), 1), ((3, 3), 1)))
@@ -139,7 +150,6 @@ QUBIT = Space(KIND_QUANTUM, 2, ((1, 0, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0,
 # Tr rho^2 = (1/3) sum_a x_a x_(-a), so the purity (3 Tr rho^2 - 1)/2 pairs a with -a at 1/2.
 QUTRIT = Space(KIND_QUANTUM, 3, (), (1,) + (0,) * 8,
                tuple(((a, 3 * (-(a // 3) % 3) + -a % 3), HALF) for a in range(1, 9)))
-# The real qubit: the purity is |(x, z)|^2.
 REAL_QUBIT = Space(KIND_REAL_QUANTUM, 2, (), (1, 0, 0), (((1, 1), 1), ((2, 2), 1)))
 # The polygons, vertex k at angle 2 pi k/n with a Euclidean Bloch plane: the square's
 # vertices are (1, +-1, +-1), and the pentagon's (1, zeta^k, zeta^-k), zeta = e^(2 pi i/5).

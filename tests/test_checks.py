@@ -1,7 +1,6 @@
 """The verification registry: deviations, bounds and the one verdict rule."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,12 +152,13 @@ def test_a_perturbed_gram_fails_its_generator_check(space):
 def test_a_perturbed_pauli_set_fails_complete_set_on_the_fixed_states(monkeypatch):
     # The first map of every set tilted by 1e-6 along the second: on the
     # qubit's six pure states, each on one Pauli axis, the change is of
-    # second order (1e-12), and only their midpoints expose it.
+    # second order (1e-12), and their midpoints expose it at first order.
     complete_set = exact_pur.complete_pauli_set
 
     def tilted(space):
         pset = complete_set(space)
-        return (tuple(a + Fraction(1, 10**6) * b for a, b in zip(pset[0], pset[1])), *pset[1:])
+        tilt = exact_ss.rational(1, 10**6)
+        return (tuple(a + tilt * b for a, b in zip(pset[0], pset[1])), *pset[1:])
 
     monkeypatch.setattr(checks.pur, "complete_pauli_set", tilted)
     qubit = exact_ss.QUBIT

@@ -390,9 +390,11 @@ def test_verify_boxworld_runs_no_descriptor_layer():
     ("classical-subsystem", {"statespace", "composite"}),
 ])
 def test_exact_suites_run_only_their_exact_layers(suite, layers):
-    # Exact coordinates, monomial maps and characters: numpy is not
-    # imported, and no Haar, face, estimator or boxworld layer runs.
-    assert _executed_by(["verify", suite], _NUMPY) == {"cli", "errors", "checks", *layers}
+    # Exact coordinates, monomial maps and characters over int coefficients:
+    # neither numpy nor fractions nor dataclasses is imported, and no Haar,
+    # face, estimator or boxworld layer runs.
+    assert _executed_by(["verify", suite], _UNNEEDED + _NUMPY) == {"cli", "errors", "checks",
+                                                                   *layers}
 
 
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():
