@@ -94,13 +94,9 @@ def _name(space: ss.Space) -> str:
     return f"{space.kind}-{space.level}"
 
 
-def _unitaries(*rows) -> np.ndarray:
-    return np.array(rows, dtype=complex)
-
-
 # The float unitaries of the exact generators that are not read from ``clifford``.
-_QUTRIT_FP = _unitaries(W ** np.outer(np.arange(3), np.arange(3)) / math.sqrt(3),
-                        np.diag([1, 1, W]))
+_QUTRIT_FP = np.array([W ** np.outer(np.arange(3), np.arange(3)) / math.sqrt(3),
+                       np.diag([1, 1, W])])
 _REBIT_HZ = np.array([np.array([[1, 1], [1, -1]]) / math.sqrt(2), [[1, 0], [0, -1]]])
 
 
