@@ -14,50 +14,41 @@ Each gbit is written in the rescaled basis (1, sqrt2 x, sqrt2 y), in which
 its pure states are (1, +-1, +-1).  A state is the 9-tuple of coefficients of
 e_i (x) e_j at index 3 i + j.  Every pure state then has entries in
 {-1, 0, 1}, and every reversible map is a signed permutation of the nine
-coordinates, so purities are ``fractions.Fraction`` values and every fact
-below is an exact equality.  This module imports no numpy.
+coordinates, a ``grouprep`` map with r = 2, so purities are ``statespace``
+rationals and every fact below is an exact equality.  This module imports no
+numpy.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+
+from . import grouprep
+from . import statespace as ss
+from .grouprep import Map
 
 # The correlation block A-hat (x) B-hat, and the marginal blocks
 # mu (x) B-hat and A-hat (x) mu.
 CORR = (4, 5, 7, 8)
 MARG = (1, 2, 3, 6)
 # The overall constant c of the default inner product.
-SCALE = Fraction(1, 3)
+SCALE = ss.rational(1, 3)
 PRODUCT_COUNT = 16
-
-# A signed permutation T, held as its rows: row i is (p, s) with T[i, p] = s,
-# so (T v)[i] = s v[p].
-Map = tuple[tuple[int, int], ...]
-
-
-def _compose(s: Map, t: Map) -> Map:
-    """The product S T."""
-    return tuple((t[p][0], sign * t[p][1]) for p, sign in s)
-
-
-def _apply(t: Map, v: tuple[int, ...]) -> tuple[int, ...]:
-    """T v."""
-    return tuple(sign * v[p] for p, sign in t)
 
 
 def _kron(a: Map, b: Map) -> Map:
     """A (x) B of two maps of one gbit."""
-    return tuple((3 * pa + pb, sa * sb) for pa, sa in a for pb, sb in b)
+    return (tuple(3 * pa + pb for pa in a[0] for pb in b[0]),
+            tuple((ea + eb) % 2 for ea in a[1] for eb in b[1]))
 
 
 def _gbit_symmetries() -> list[Map]:
     """D4 on one gbit: the rotations R^k by k pi/2, then the reflections R^k F, F = diag(1, -1)."""
-    rotations = [((0, 1), (1, 1), (2, 1))]
+    rotations = [((0, 1, 2), (0, 0, 0))]
     for _ in range(3):
-        rotations.append(_compose(((0, 1), (2, -1), (1, 1)), rotations[-1]))
-    return rotations + [_compose(r, ((0, 1), (1, 1), (2, -1))) for r in rotations]
+        rotations.append(grouprep.compose(((0, 2, 1), (0, 1, 0)), rotations[-1], 2))
+    return rotations + [grouprep.compose(r, ((0, 1, 2), (0, 0, 1)), 2) for r in rotations]
 
 
 @lru_cache(maxsize=1)
@@ -69,8 +60,8 @@ def group_elements() -> tuple[Map, ...]:
     """
     d4 = _gbit_symmetries()
     pairs = [_kron(a, b) for a in d4 for b in d4]
-    swap = tuple((3 * (r % 3) + r // 3, 1) for r in range(9))
-    return tuple(pairs + [_compose(t, swap) for t in pairs])
+    swap = (tuple(3 * (r % 3) + r // 3 for r in range(9)), (0,) * 9)
+    return tuple(pairs + [grouprep.compose(t, swap, 2) for t in pairs])
 
 
 def group_generators() -> tuple[Map, ...]:
@@ -88,11 +79,11 @@ def vertices() -> tuple[tuple[int, ...], ...]:
     gbit = [(1, r, s) for r in (1, -1) for s in (1, -1)]
     products = [tuple(x * y for x in a for y in b) for a in gbit for b in gbit]
     pr = (1, 0, 0, 0, 1, 1, 0, 1, -1)
-    orbit = dict.fromkeys(_apply(t, pr) for t in group_elements())
+    orbit = dict.fromkeys(grouprep.apply(t, pr, 2) for t in group_elements())
     return tuple(products + list(orbit))
 
 
-def purity(v: tuple[int, ...], a: Fraction | int = 1, b: Fraction | int = 1) -> Fraction:
+def purity(v: tuple[int, ...], a: ss.Cyc | int = 1, b: ss.Cyc | int = 1) -> ss.Cyc:
     """The block-weighted purity c (a |corr|^2 + b |marg|^2) of a normalized state.
 
     A rescaled correlation entry is twice, and a rescaled marginal entry
@@ -100,54 +91,19 @@ def purity(v: tuple[int, ...], a: Fraction | int = 1, b: Fraction | int = 1) -> 
     """
     corr = sum(v[i] * v[i] for i in CORR)
     marg = sum(v[i] * v[i] for i in MARG)
-    return SCALE * (a * Fraction(corr, 4) + b * Fraction(marg, 2))
+    return SCALE * (a * ss.rational(corr, 4) + b * ss.rational(marg, 2))
 
 
-def vertex_purities(a: Fraction | int = 1,
-                    b: Fraction | int = 1) -> tuple[list[Fraction], list[Fraction]]:
+# The default inner product's Gram, as the nonzero entries ((i, i), w) of a diagonal form:
+# w is the purity of coordinate vector i, c/4 on the correlation block and c/2 on the marginal.
+GRAM = tuple(((k, k), purity(tuple(int(i == k) for i in range(9)))) for k in range(1, 9))
+
+
+def vertex_purities(a: ss.Cyc | int = 1,
+                    b: ss.Cyc | int = 1) -> tuple[list[ss.Cyc], list[ss.Cyc]]:
     """Purities of the 16 product vertices and of the 8 PR-type vertices."""
     p = [purity(v, a, b) for v in vertices()]
     return p[:PRODUCT_COUNT], p[PRODUCT_COUNT:]
-
-
-def gram_invariance_deviation() -> Fraction:
-    """max |T^t G T - G| of the default inner product over the full group.
-
-    G is diagonal, so T^t G T for a signed permutation T is the diagonal
-    with G[p_i, p_i] at i: the deviation is the largest change of weight
-    under a coordinate's image.
-    """
-    # The diagonal of G: the purity of each coordinate vector.
-    weight = [purity(tuple(int(i == k) for i in range(9))) for k in range(9)]
-    return max(abs(weight[p] - weight[i]) for t in group_elements() for i, (p, _) in enumerate(t))
-
-
-def invariant_forms(ts: tuple[Map, ...]) -> int:
-    """Dimension of the space of symmetric 9 x 9 forms X with T^t X T = X for each T of ``ts``.
-
-    For a signed permutation the condition reads X[p_i, p_j] = s_i s_j X[i, j],
-    so the maps link index pairs with signs.  A form is fixed by its value on
-    one pair of each linked class, and a class that links a pair to itself
-    with sign -1 forces 0: the dimension counts the classes without such a
-    cycle.
-    """
-    signs: dict[tuple[int, int], int] = {}
-    count = 0
-    for start in ((i, j) for i in range(9) for j in range(i, 9)):
-        if start in signs:
-            continue
-        signs[start], stack, consistent = 1, [start], True
-        while stack:
-            i, j = stack.pop()
-            for t in ts:
-                (pi, si), (pj, sj) = t[i], t[j]
-                image, sign = (min(pi, pj), max(pi, pj)), signs[i, j] * si * sj
-                if image not in signs:
-                    signs[image] = sign
-                    stack.append(image)
-                consistent = consistent and signs[image] == sign
-        count += consistent
-    return count
 
 
 class ObstructionRecord(NamedTuple):
@@ -160,12 +116,12 @@ class ObstructionRecord(NamedTuple):
     one, exhibited by ``zero_purity_state``.
     """
 
-    solution_a: Fraction
-    solution_b: Fraction
-    product_coefficients: tuple[Fraction, Fraction]
-    pr_coefficients: tuple[Fraction, Fraction]
+    solution_a: ss.Cyc
+    solution_b: ss.Cyc
+    product_coefficients: tuple[ss.Cyc, ss.Cyc]
+    pr_coefficients: tuple[ss.Cyc, ss.Cyc]
     zero_purity_state: tuple[int, ...]
-    zero_purity_value: Fraction
+    zero_purity_value: ss.Cyc
 
 
 def boxworld_normalization_obstruction() -> ObstructionRecord:
@@ -195,5 +151,6 @@ def transitivity_obstruction_witness() -> bool:
     """
     verts = vertices()
     index = {v: k for k, v in enumerate(verts)}
-    orbits = {frozenset(index.get(_apply(t, v)) for t in group_elements()) for v in verts}
+    orbits = {frozenset(index.get(grouprep.apply(t, v, 2)) for t in group_elements())
+              for v in verts}
     return orbits == {frozenset(range(PRODUCT_COUNT)), frozenset(range(PRODUCT_COUNT, 24))}

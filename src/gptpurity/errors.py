@@ -3,9 +3,10 @@
 A ``Check`` passes when its non-negative ``value`` is at most its ``bound``,
 so a NaN value fails; it is the only pass/fail rule of the package.
 
-Arrays that grow with a request (a coordinate block, a dense Gram, a stacked
-basis, a descriptor, a block of Monte Carlo samples) are checked against
-``MEMORY_CAP_BYTES`` by ``check_memory`` before they are allocated.  A sum
+What grows with a request (an estimate's per-sample arrays, its blocks of
+kets or of permuted classical distributions, the exact integers of the
+power-law level count, the recorded coin's joint distribution) is checked
+against ``MEMORY_CAP_BYTES`` by ``check_memory`` before it is allocated.  A sum
 that holds no array but grows with a request (the face prediction's index
 sums) is checked against ``WORK_CAP_TERMS`` by ``check_work`` before it starts.
 """

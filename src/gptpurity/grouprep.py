@@ -2,9 +2,10 @@
 
 A map T of ``statespace`` coordinates is a permutation p and phase exponents
 e mod r: (T v)[i] = zeta^e[i] v[p[i]], zeta = e^(2 pi i/r).  For r = 2 these
-are signed permutations, as in ``boxworld``; the pentagon's D_5 has r = 5,
-and the qutrit's 216 Cliffords modulo phase, SL(2, Z_3) on the displacement
-labels with the displacements, r = 3.  A finite group that acts irreducibly
+are signed permutations, such as the qubit's Cliffords in Pauli coordinates
+and the 128 maps of bipartite boxworld (``boxworld``); the pentagon's D_5
+has r = 5, and the qutrit's 216 Cliffords modulo phase, SL(2, Z_3) on the
+displacement labels with the displacements, r = 3.  A finite group that acts irreducibly
 on the Bloch subspace fixes only the unit direction and one Bloch form, so a
 Gram it fixes is the full group's up to scale (Schur's lemma; Gross,
 Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007).

@@ -6,6 +6,7 @@ qutrit in displacement coordinates Tr(D_a^dag rho) (Appleby, J. Math. Phys.
 in boxworld's rescaled basis (1, x - y, x + y) and the pentagon in
 (1, z, conj z), z = x + i y.  Coordinates are ints and ``Cyc`` numbers, so
 every identity is exact; a deviation becomes a float only in a report.
+Bipartite boxworld (``boxworld``) holds its purities as the same rationals.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ class Cyc:
         return Cyc(out, a.d * b.d)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, x) -> Cyc:  # by a nonzero rational
+        n, d = (x.c[0], x.d) if isinstance(x, Cyc) else (x, 1)
+        return self * Cyc((d if n > 0 else -d,), abs(n))
 
     def __eq__(self, x) -> bool:
         a, b = self._pair(x)

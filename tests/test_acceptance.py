@@ -8,7 +8,6 @@ degenerate, where the band collapses to float roundoff).
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from gptpurity import boxworld as bw
 from gptpurity import checks
 from gptpurity import clifford, faces, formulas, randomize as rnd
 from gptpurity.purity import purity_from_tr2, tr2_from_purity
+from gptpurity.statespace import rational
 from reference import grouprep
 from reference import purity as pur
 from reference import statespace as ss
@@ -169,8 +169,9 @@ def _suite_detail(suite: list) -> str:
 def test_criterion_09_boxworld():
     pr = bw.purity(bw.vertices()[bw.PRODUCT_COUNT])
     suite = checks.run_suite("boxworld", 0, SAMPLES)
-    ok = pr == Fraction(1, 3) and all(c.passed for c in suite)
-    _report(9, ok, f"P(PR) = {pr} (exactly 1/3: {pr == Fraction(1, 3)}); " + _suite_detail(suite))
+    ok = pr == rational(1, 3) and all(c.passed for c in suite)
+    _report(9, ok, f"P(PR) = {abs(pr):.6f} (exactly 1/3: {pr == rational(1, 3)}); "
+            + _suite_detail(suite))
 
 
 def test_criterion_10_centered_classical_subsystems():

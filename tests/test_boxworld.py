@@ -1,10 +1,11 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gptpurity import boxworld as bw
+from gptpurity import grouprep as gr
+from gptpurity import statespace as ss
 from reference import grouprep
 import haar
 from states import (BOXWORLD_PRODUCT_COUNT, BoxworldGram, ConeError, boxworld_generators,
@@ -20,8 +21,8 @@ _UNSCALE = np.kron(_LOCAL, _LOCAL)
 def _matrix(t):
     """The 9 x 9 matrix of an exact signed permutation."""
     m = np.zeros((9, 9))
-    for i, (p, s) in enumerate(t):
-        m[i, p] = s
+    for i, (p, e) in enumerate(zip(*t)):
+        m[i, p] = (-1) ** e
     return m
 
 
@@ -48,18 +49,18 @@ def test_exact_signed_permutations_are_the_reference_elements():
 
 
 def test_invariant_forms_match_the_elimination():
-    # The exact signed-orbit count against the float elimination on the same maps.
-    identity = (tuple((i, 1) for i in range(9)),)
-    for maps, expected in ((bw.group_generators(), 3), (bw.group_elements(), 3),
+    # The exact character count against the float elimination on the same group.
+    identity = ((tuple(range(9)), (0,) * 9),)
+    for maps, expected in ((gr.closure(bw.group_generators(), 2), 3), (bw.group_elements(), 3),
                            (bw.group_elements()[:64], 4), (identity, 45)):
-        assert bw.invariant_forms(maps) == expected
+        assert gr.invariant_form_count(maps, 2) == expected
         assert grouprep.invariant_form_dimension(np.array([_matrix(t) for t in maps])) == expected
 
 
 def test_pure_product_states_have_purity_one():
     prod, _ = bw.vertex_purities()
     assert prod == [1] * 16
-    assert all(isinstance(p, Fraction) for p in prod)
+    assert all(isinstance(p, ss.Cyc) for p in prod)
     for v in bw.vertices()[:BOXWORLD_PRODUCT_COUNT]:
         assert abs(boxworld_purity(_unscaled(v)) - 1.0) <= 1e-15
 
@@ -67,7 +68,7 @@ def test_pure_product_states_have_purity_one():
 def test_pr_state_purity_is_exactly_one_third():
     assert boxworld_purity(boxworld_pr_state()) == 1 / 3
     _, pr = bw.vertex_purities()
-    assert pr == [Fraction(1, 3)] * 8
+    assert pr == [ss.rational(1, 3)] * 8
     for v in bw.vertices()[BOXWORLD_PRODUCT_COUNT:]:
         assert abs(boxworld_purity(_unscaled(v)) - 1 / 3) <= 1e-15
 
@@ -116,7 +117,9 @@ def test_purity_invariant_under_full_group(rng):
 
 
 def test_default_gram_invariance_over_full_group():
-    assert bw.gram_invariance_deviation() == 0
+    # The suite checks the generators alone, which generate all 128 maps.
+    assert set(gr.closure(bw.group_generators(), 2)) == set(bw.group_elements())
+    assert gr.invariance_deviation(bw.GRAM, bw.group_elements(), 2) == 0
     assert grouprep.invariance_deviation(BoxworldGram().matrix(), boxworld_group_elements()) < 1e-12
 
 
@@ -132,8 +135,8 @@ def test_obstruction_solution_is_three_zero():
     rec = bw.boxworld_normalization_obstruction()
     assert (rec.solution_a, rec.solution_b) == (3, 0)
     # Coefficients of (a, b) in the two purity expressions: (1/3, 2/3), (1/3, 0).
-    assert rec.product_coefficients == (Fraction(1, 3), Fraction(2, 3))
-    assert rec.pr_coefficients == (Fraction(1, 3), 0)
+    assert rec.product_coefficients == (ss.rational(1, 3), ss.rational(2, 3))
+    assert rec.pr_coefficients == (ss.rational(1, 3), 0)
 
 
 def test_obstruction_degenerate_gram_zero_on_nontrivial_state():
@@ -159,6 +162,6 @@ def test_purity_separates_vertex_classes_over_group(monkeypatch):
     # A map outside the group (the swap of coordinates 1 and 4) takes some
     # product vertex off the vertex set, and the witness fails.
     elements = bw.group_elements()
-    off = tuple((p, 1) for p in (0, 4, 2, 3, 1, 5, 6, 7, 8))
+    off = ((0, 4, 2, 3, 1, 5, 6, 7, 8), (0,) * 9)
     monkeypatch.setattr(bw, "group_elements", lambda: (*elements, off))
     assert not bw.transitivity_obstruction_witness()

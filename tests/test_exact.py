@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from gptpurity import boxworld as bw
 from gptpurity import composite as cm
 from gptpurity import grouprep as gr
 from gptpurity import purity as pur
@@ -242,13 +243,18 @@ def test_character_count_sees_a_reducible_subgroup(space, index, count):
     assert gr_ref.invariant_form_dimension(float_map(space, one, r)[None]) == count
 
 
-@pytest.mark.parametrize("space", GRAM_SPACES, ids=_name)
-def test_a_perturbed_exact_gram_fails_its_invariance_check(space):
+# Each space's Gram and group generators, then bipartite boxworld's.
+INVARIANCE_INPUTS = [pytest.param(space.gram, *gr.group_generators(space), id=_name(space))
+                     for space in GRAM_SPACES] + [
+    pytest.param(bw.GRAM, 2, bw.group_generators(), id="boxworld")]
+
+
+@pytest.mark.parametrize("gram,r,gens", INVARIANCE_INPUTS)
+def test_a_perturbed_exact_gram_fails_its_invariance_check(gram, r, gens):
     # The weight of the first Bloch coordinate's square moved by 1e-6: no
     # generator set of the group leaves that form invariant.
-    r, gens = gr.group_generators(space)
-    assert gr.invariance_deviation(space.gram, gens, r) == 0
-    gram = dict(space.gram)
+    assert gr.invariance_deviation(gram, gens, r) == 0
+    gram = dict(gram)
     perturbed = tuple({**gram, (1, 1): gram.get((1, 1), 0) + ss.rational(1, 10**6)}.items())
     assert gr.invariance_deviation(perturbed, gens, r) > 1e-7
 
@@ -263,3 +269,6 @@ def test_cyclotomic_arithmetic_is_exact():
     assert abs(golden - golden) == 0.0 and abs(zeta) == pytest.approx(1.0, abs=1e-15)
     third = Cyc.root(3, 1) * ss.rational(1, 3)
     assert third * 3 == Cyc.root(3, 1) and third != Cyc.root(3, 1)
+    # A quotient by a negative rational keeps a positive denominator.
+    quotient = ss.rational(-2, 3) / ss.rational(-2, 9)
+    assert quotient == 3 and quotient.d == 1 and abs(ss.rational(1, 3) / -2) == 1 / 6

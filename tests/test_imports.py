@@ -89,12 +89,13 @@ def test_clifford_makes_no_blas_call():
 
 
 @pytest.mark.parametrize("name,modules", [
-    ("boxworld.py", {"__future__", "fractions", "functools", "typing"}),
+    ("boxworld.py", {"__future__", "functools", "typing"}),
     ("checks.py", {"__future__", "math"}),
 ])
 def test_boxworld_suite_makes_no_blas_call(name, modules):
-    # Bipartite boxworld is exact rational arithmetic on signed permutations,
-    # and the suite registry reaches every numpy layer through module aliases.
+    # Bipartite boxworld is exact rational arithmetic on signed permutations
+    # (``grouprep`` maps with r = 2), and the suite registry reaches every
+    # numpy layer through module aliases.
     source = (PACKAGE / name).read_text(encoding="utf-8")
     assert imported_modules(source) == modules
     assert blas_entry_points(source) == []
@@ -378,21 +379,16 @@ def test_two_design_runs_no_descriptor_layer(k):
         "cli", "errors", "clifford"}
 
 
-def test_verify_boxworld_runs_no_descriptor_layer():
-    # Every boxworld state and map has entries in {-1, 0, 1}, so no state
-    # space, group or purity layer runs and numpy is not imported.
-    assert _executed_by(["verify", "boxworld"], _NUMPY) == {"cli", "errors", "checks", "boxworld"}
-
-
 @pytest.mark.parametrize("suite,layers", [
     ("pauli-identities", {"statespace", "grouprep", "clifford", "purity"}),
     ("gram-invariance", {"statespace", "grouprep", "clifford"}),
     ("classical-subsystem", {"statespace", "composite"}),
+    ("boxworld", {"statespace", "grouprep", "boxworld"}),
 ])
 def test_exact_suites_run_only_their_exact_layers(suite, layers):
     # Exact coordinates, monomial maps and characters over int coefficients:
     # neither numpy nor fractions nor dataclasses is imported, and no Haar,
-    # face, estimator or boxworld layer runs.
+    # face or estimator layer runs (boxworld only in its own suite).
     assert _executed_by(["verify", suite], _UNNEEDED + _NUMPY) == {"cli", "errors", "checks",
                                                                    *layers}
 
