@@ -37,8 +37,12 @@ This module uses no other layer of the package but ``errors`` and
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
+import types
 from collections.abc import Callable
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -94,14 +98,54 @@ class McReport(NamedTuple):
         return d
 
 
+# Two threads' first draws must not both hold the placeholder below.
+_IMPORT_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1)
+def _pcg64_types() -> tuple[type, type, type]:
+    """numpy's ``Generator``, ``PCG64`` and ``SeedSequence``, not all of ``numpy.random``.
+
+    The ``numpy.random`` package also loads the legacy ``RandomState``, three
+    other bit generators and ``_pickle``, which no estimator uses.  Unless it
+    is loaded already, the three extension modules are imported under a
+    placeholder package for ``numpy.random`` that lives only for these
+    imports; a later ``import numpy.random`` runs the package itself, which
+    reuses the same modules and types.  Any ``ImportError`` on that route
+    falls back to the package.
+    """
+    with _IMPORT_LOCK:
+        if "numpy.random" not in sys.modules:
+            placeholder = types.ModuleType("numpy.random")
+            placeholder.__path__ = [os.path.join(np.__path__[0], "random")]
+            sys.modules["numpy.random"] = placeholder
+            try:
+                from numpy.random._generator import Generator
+                from numpy.random._pcg64 import PCG64
+                from numpy.random.bit_generator import SeedSequence
+
+                return Generator, PCG64, SeedSequence
+            except ImportError:
+                pass
+            finally:
+                del sys.modules["numpy.random"]
+    from numpy import random
+
+    return random.Generator, random.PCG64, random.SeedSequence
+
+
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for block ``index`` of a run with ``seed``.
 
     Estimators draw samples in blocks of ``BLOCK_SIZE``; every block owns an
     independent stream derived from (seed, index), so no drawn value depends
-    on how the work is scheduled.
+    on how the work is scheduled.  It is ``default_rng``'s own construction,
+    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(index,))))``,
+    built from ``_pcg64_types`` so that drawing loads no more of
+    ``numpy.random`` than that.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    generator, pcg64, seed_sequence = _pcg64_types()
+    return generator(pcg64(seed_sequence(entropy=seed, spawn_key=(index,))))
 
 
 def _check_run(n_samples: int, seed: int) -> None:

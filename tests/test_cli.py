@@ -106,6 +106,46 @@ def test_golden_reports_do_not_depend_on_cpu_dispatch(setting):
         assert out == "".join(entry["stdout"]), " ".join(entry["argv"])
 
 
+# A fresh interpreter in which numpy.random's PCG64 module cannot be imported
+# on its own, as if numpy's layout had changed: the finder refuses it unless
+# the package itself (which has a __file__, unlike sample_rng's placeholder)
+# is importing it.
+_PACKAGE_ONLY_CHILD = """
+import sys
+class RefusePcg64:
+    refused = 0
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == "numpy.random._pcg64" and not hasattr(sys.modules.get("numpy.random"),
+                                                         "__file__"):
+            cls.refused += 1
+            raise ImportError(name)
+        return None
+sys.meta_path.insert(0, RefusePcg64)
+""" + _GOLDEN_CHILD + """
+assert RefusePcg64.refused >= 1
+assert sys.modules["numpy.random"].__file__.endswith("__init__.py")
+"""
+
+
+def test_golden_draws_fall_back_to_the_numpy_random_package():
+    # sample_rng's narrow import fails, so it takes the package's types: the
+    # drawing commands give the stored bytes, and no placeholder is left in
+    # sys.modules (the real package is there instead).
+    cases = [e for e in GOLDEN_ESTIMATES if e["argv"][0] in ("estimate", "coin-record")
+             or e["argv"][:2] == ["verify", "markov-tail"]]
+    assert len(cases) >= 5
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PACKAGE_ONLY_CHILD, json.dumps([e["argv"] for e in cases])],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for entry, out in zip(cases, json.loads(proc.stdout), strict=True):
+        assert out == "".join(entry["stdout"]), " ".join(entry["argv"])
+
+
 # A fresh interpreter in which any import of numpy raises.
 _NUMPY_FREE_CHILD = 'import sys\nsys.modules["numpy"] = None\n' + _GOLDEN_CHILD
 

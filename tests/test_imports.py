@@ -206,8 +206,8 @@ def test_cli_loads_every_traced_layer():
 
 # Standard-library modules that no level-count or face command needs.
 _UNNEEDED = ("fractions", "dataclasses")
-# What no exact prediction needs.
-_NUMPY = ("numpy", "numpy.random")
+# What no exact prediction needs: numpy and every one of its submodules.
+_NUMPY = ("numpy",)
 # The layers of an exact prediction.
 _FORMULAS = {"cli", "errors", "formulas"}
 
@@ -218,7 +218,7 @@ _SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 def _executed_by(argv: list[str], unneeded: tuple[str, ...] = _UNNEEDED) -> set[str]:
     """The ``gptpurity`` layers a fresh interpreter has run after ``cli.main(argv)``,
-    and those of ``unneeded`` it has imported.
+    and the modules it has imported that are, or lie under, a name in ``unneeded``.
 
     A lazily registered layer that never ran is still a ``_LazyModule``, and
     a module blocked by a ``None`` entry in ``sys.modules`` is not imported.
@@ -231,7 +231,8 @@ def _executed_by(argv: list[str], unneeded: tuple[str, ...] = _UNNEEDED) -> set[
             "    assert cli.main(sys.argv[1:]) == 0\n"
             "print(*sorted(n for n, m in sys.modules.items()\n"
             "              if n.startswith('gptpurity.') and type(m) is types.ModuleType))\n"
-            f"print(*(n for n in {unneeded!r} if sys.modules.get(n) is not None))\n"
+            f"print(*(n for n, m in sys.modules.items() if m is not None\n"
+            f"        and any(n == u or n.startswith(u + '.') for u in {unneeded!r})))\n"
             "import hashlib\n"
             f"assert hashlib.sha256(b'abc').hexdigest() == {_SHA256_ABC!r}\n")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
@@ -296,7 +297,12 @@ def test_face_commands_run_no_descriptor_layer(argv, layers):
     assert _executed_by(argv) == layers
 
 
-_OPENSSL = ("numpy.random", "_hashlib")
+# The part of numpy.random a draw needs: its PCG64 Generator and SeedSequence.
+_PCG64 = {"numpy.random._generator", "numpy.random._pcg64", "numpy.random.bit_generator"}
+# What no draw needs: the package itself, the legacy RandomState, the other
+# bit generators, their unpickling helpers and OpenSSL.
+_NOT_DRAWN = {"numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
+              "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle", "_hashlib"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,11 +316,15 @@ _OPENSSL = ("numpy.random", "_hashlib")
     ["coin-record", "--s0", "4", "--samples", "100", "--seed", "1"],
 ], ids=["estimate-quantum", "estimate-classical", "estimate-real-quantum", "estimate-sym",
         "coin-record"])
-def test_drawing_commands_load_numpy_random_without_openssl(argv):
-    # numpy.random imports secrets, hmac and hashlib, whose _hashlib maps
-    # OpenSSL's libcrypto; cli.main blocks it, so hashlib keeps its built-in
-    # digests (which _executed_by checks) and no seeded draw changes.
-    assert set(_OPENSSL) & _executed_by(argv, _OPENSSL) == {"numpy.random"}
+def test_drawing_commands_load_only_the_pcg64_generator(argv):
+    # randomize.sample_rng imports three extension modules of numpy.random,
+    # not the package; bit_generator imports secrets, hmac and hashlib, whose
+    # _hashlib maps OpenSSL's libcrypto.  cli.main blocks it, so hashlib
+    # keeps its built-in digests (which _executed_by checks) and no seeded
+    # draw changes.
+    loaded = _executed_by(argv, ("numpy.random", "_hashlib"))
+    assert _PCG64 <= loaded
+    assert not loaded & _NOT_DRAWN
 
 
 # The benchmark's exact-identities commands, seeded as it seeds them.
@@ -335,8 +345,8 @@ _EXACT_IDENTITIES = {
 @pytest.mark.parametrize("argv", list(_EXACT_IDENTITIES.values()), ids=list(_EXACT_IDENTITIES))
 def test_exact_identity_commands_load_no_numpy_random(argv):
     # Exact group sums, generators and fixed states: nothing is drawn, so
-    # numpy.random (2.7 MB of extension modules) is never imported.
-    assert "numpy.random" not in _executed_by(argv, _OPENSSL)
+    # no module of numpy.random (2.7 MB of extension modules) is imported.
+    assert not {n for n in _executed_by(argv, ("numpy.random",)) if n.startswith("numpy")}
 
 
 @pytest.mark.parametrize("suite", ["pauli-identities", "gram-invariance", "classical-subsystem",

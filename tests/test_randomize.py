@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +510,77 @@ def test_blocks_spans_and_streams():
         with pytest.raises(RangeError):
             rnd._estimate(n_samples, seed, draw, None)
     assert calls == []
+
+
+# Draws on sample_rng's own route in a fresh interpreter (numpy.random not yet
+# loaded), then compares them with default_rng once the package is imported.
+_NARROW_STREAMS = """
+import sys
+import numpy as np
+from gptpurity import randomize as rnd
+pairs = ((0, 0), (9, 2), (4119606545, 7), (2**64 + 5, 1), (2**100 + 3, 12))
+grid = np.arange(24.0).reshape(4, 6)
+drawn = []
+for seed, b in pairs:
+    rng = rnd.sample_rng(seed, b)
+    drawn.append((type(rng), rng.standard_normal(7), rng.permuted(grid, axis=1)))
+assert "numpy.random._generator" in sys.modules
+assert "numpy.random" not in sys.modules and "numpy.random.mtrand" not in sys.modules
+import numpy.random
+assert rnd._pcg64_types() == (numpy.random.Generator, numpy.random.PCG64,
+                              numpy.random.SeedSequence)
+for (seed, b), (kind, normal, permuted) in zip(pairs, drawn):
+    ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+    assert kind is numpy.random.Generator
+    assert normal.tobytes() == ref.standard_normal(7).tobytes(), (seed, b)
+    assert permuted.tobytes() == ref.permuted(grid, axis=1).tobytes(), (seed, b)
+print(len(drawn))
+"""
+
+
+# Eight threads make a process's first draws at once, with a short switch
+# interval: each gets a Generator of the one type, and no placeholder stays.
+_CONCURRENT_FIRST_DRAWS = """
+import sys, threading
+from gptpurity import randomize as rnd
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+kinds, errors = [], []
+def first_draw(seed):
+    barrier.wait()
+    try:
+        kinds.append(type(rnd.sample_rng(seed, 0)))
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=first_draw, args=(seed,)) for seed in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+assert errors == [], errors[:2]
+assert len(kinds) == 8 and len(set(kinds)) == 1
+assert "numpy.random" not in sys.modules
+print(kinds[0].__name__)
+"""
+
+
+def _fresh_interpreter(code: str) -> str:
+    src = str(Path(rnd.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_block_streams_are_default_rng_streams_without_the_package():
+    assert _fresh_interpreter(_NARROW_STREAMS).split() == ["5"]
+
+
+def test_concurrent_first_draws_import_the_generator_once():
+    assert _fresh_interpreter(_CONCURRENT_FIRST_DRAWS).split() == ["Generator"]
 
 
 def test_driver_refuses_a_global_purity_spread():
