@@ -1,21 +1,23 @@
 """Command-line front end: predictors, estimators, and verification suites.
 
-Reports are JSON documents with the parsed configuration echoed under
-``config``; histograms can be written as CSV with columns
+The command line is read by ``parse_args`` from one option table,
+``_TABLE``, which also prints every level's ``-h`` help; no argparse is
+loaded.  Reports are JSON documents with the parsed configuration echoed
+under ``config``; histograms can be written as CSV with columns
 ``bin_lo,bin_hi,count``.  Identical argument vectors (including seeds)
-produce byte-identical reports.  Exit codes: 0 success, 2 verification
-failure, 1 usage error.
+produce byte-identical reports.  Exit codes: 0 success (and help), 2
+verification failure, 1 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import importlib.util
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from .errors import EXACT, Check, GptPurityError
 
@@ -60,113 +62,240 @@ from . import randomize as rnd  # noqa: E402
 atexit.register(gc.freeze)
 
 
-class _SuiteNames:
-    """``verify``'s choices: the names of ``checks.SUITES``, read only when they are tested.
+# -- the option table ------------------------------------------------------------------
 
-    argparse tests a value against its choices, and lists them in help and
-    errors, only when a ``verify`` command is parsed, so no other command runs
-    ``checks`` to build the parser.
+# Each option maps to (kind, default, help).  A kind is int, float or str,
+# which converts a value as argparse's ``type=`` did; a tuple of the allowed
+# values, converted with the type of the first; bool for a flag, which takes
+# no value; or None for verify's SUITE, whose choices are the names of
+# ``checks.SUITES``, read only when a verify command is parsed.  _REQUIRED
+# marks an option with no default.
+_REQUIRED = object()
+_COMMON = {
+    "--out": (str, None, "write the report to this path instead of stdout"),
+    "--format": (("json", "csv"), "json", "csv is valid only for histogram-bearing estimates"),
+}
+_P0 = (float, _REQUIRED, "global generalized purity")
+_LEVELS = {"--na": (int, _REQUIRED, "level count of part A"),
+           "--nb": (int, _REQUIRED, "level count of part B"), "--p0": _P0}
+_REAL = {"--ma": (int, _REQUIRED, "real-quantum level count of part A"),
+         "--mb": (int, _REQUIRED, "real-quantum level count of part B"), "--p0": _P0}
+_FACE = {"--n": (int, _REQUIRED, "local level count n of the face of C^n x C^n"),
+         "--sign": (("+", "-"), _REQUIRED, "+ for the symmetric face, - for the antisymmetric"),
+         "--trp": (float, _REQUIRED, "global Tr(rho^2)")}
+
+# Each command or formula, by its words on the command line, maps to its help
+# and its options, besides --out and --format; predict maps to None, and its
+# formulas are the entries under it.
+_TABLE = {
+    ("predict",): ("closed-form expected local purity", None),
+    ("predict", "main"): ("the paper's formula, from K and N of both parts", {
+        "--ka": (int, _REQUIRED, "K of part A: the dimension of its state space's span"),
+        "--kb": (int, _REQUIRED, "K of part B"),
+        "--na": (int, _REQUIRED, "N of part A: its count of perfectly distinguishable states"),
+        "--nb": (int, _REQUIRED, "N of part B"),
+        "--p0": _P0}),
+    ("predict", "general"): ("quantum or classical parts, from their level counts", {
+        "--theory": (("quantum", "classical"), _REQUIRED, "the theory of both parts"),
+        **_LEVELS}),
+    ("predict", "power-law"): ("parts with K = N^r", {
+        "--r": (int, _REQUIRED, "the exponent r"), **_LEVELS}),
+    ("predict", "nonlocaltomo"): ("real quantum parts, which are not locally tomographic",
+                                  _REAL),
+    ("predict", "symm"): ("Tr(rho_A^2) on a face of C^n x C^n, in closed form", _FACE),
+    ("predict", "qface"): ("Tr(rho_A^2) on a face of C^n x C^n, by index sums", _FACE),
+    ("estimate",): ("Monte Carlo expected local purity", {
+        "--theory": (("quantum", "classical", "real-quantum"), None,
+                     "the theory of both parts (or --face)"),
+        "--face": (("sym", "antisym"), None, "the face of C^n x C^n to draw from (or --theory)"),
+        "--na": (int, None, "level/outcome count of part A"),
+        "--nb": (int, None, "level/outcome count of part B"),
+        "--ma": (int, None, "real-quantum level count of part A"),
+        "--mb": (int, None, "real-quantum level count of part B"),
+        "--n": (int, None, "local level count for face estimates"),
+        "--p0": (float, None, "global generalized purity"),
+        "--trp": (float, None, "global Tr(rho^2) for face estimates"),
+        "--samples": (int, 10_000, "Monte Carlo sample count"),
+        "--seed": (int, _REQUIRED, "seed of the draws"),
+        "--histogram": (bool, False, "attach a 100-bin histogram of the per-sample values")}),
+    ("verify",): ("bounded verification suites", {
+        "SUITE": (None, _REQUIRED, "the suite to run, one of:"),
+        "--seed": (int, 2024, "seed of the sampling suites"),
+        "--samples": (int, 10_000, "sample count of the sampling suites")}),
+    ("two-design",): ("Clifford second-moment identity", {
+        "--k": ((1, 2), 1, "qubit count of the Clifford group")}),
+    ("coin-record",): ("coin tossing against a recording environment", {
+        "--s0": (int, _REQUIRED, "count of the recorded strings that accompany coin value 0"),
+        "--samples": (int, 10_000, "Monte Carlo sample count"),
+        "--seed": (int, _REQUIRED, "seed of the draws")}),
+}
+# The names the words of a path are stored under, and estimate's two
+# targets, each mapped to the other: exactly one of them is given.
+_DESTS = ("command", "formula")
+_ONE_OF = {"--theory": "--face", "--face": "--theory"}
+
+
+def _fail(message: str) -> None:
+    """Refuse the command line with one line, as every usage error does."""
+    print(f"gptpurity: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _choices(kind) -> tuple | None:
+    return tuple(checks.SUITES) if kind is None else kind if isinstance(kind, tuple) else None
+
+
+def _option(item: str, names: list[str]) -> tuple[str | None, str | None] | None:
+    """How argparse read ``item`` among the options ``names``.
+
+    An option gives (its name, its ``=`` value or None): ``--name`` and
+    ``--name=value`` by the whole name or, as ``allow_abbrev``, by the one
+    name they begin (a prefix of two names is an error), and ``-h`` as
+    ``--help``.  An unknown option gives (None, None), and a positional item
+    None: one that does not begin with a dash, ``-``, ``--``, a negative
+    number, or an unknown one that holds a space.
     """
+    if not item.startswith("-") or item in ("-", "--"):
+        return None
+    if item.startswith("-h"):
+        return "--help", item[2:] or None
+    name, eq, value = item.partition("=")
+    found = ([name] if name in names
+             else [n for n in names if n.startswith(name)] if name.startswith("--") else [])
+    if len(found) > 1:
+        _fail(f"ambiguous option: {item} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    whole, dot, frac = item[1:].partition(".")
+    if (whole.isdecimal() or dot and not whole) and (not dot or frac.isdecimal()) or " " in item:
+        return None
+    return None, None
 
-    def __contains__(self, name: object) -> bool:
-        return name in checks.SUITES
 
-    def __iter__(self):
-        return iter(checks.SUITES)
+def _value(name: str, kind, text: str):
+    """``text`` converted by the option's kind, and checked against its choices."""
+    choices = _choices(kind)
+    convert = type(choices[0]) if choices else kind
+    try:
+        value = convert(text)
+    except ValueError:
+        _fail(f"argument {name}: invalid {convert.__name__} value: {text!r}")
+    if choices is not None and value not in choices:
+        _fail(f"argument {name}: invalid choice: {value!r} "
+              f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits with status 1 and one line on usage errors."""
+def _help(path: tuple[str, ...], about: str, options: dict | None) -> str:
+    """The usage and help of a level, listed from the table."""
+    prog = " ".join(("gptpurity",) + path)
+    if options is None:
+        rows = [(p[-1], _TABLE[p][0]) for p in _TABLE if p[:-1] == path]
+        usage = f"{prog} {{{','.join(name for name, _ in rows)}}} ..."
+        title = f"{_DESTS[len(path)]}s:"
+    else:
+        rows = []
+        for name, (kind, default, text) in options.items():
+            choices = _choices(kind)
+            if kind is None:
+                text = f"{text} {', '.join(choices)}"
+            elif kind is not bool:
+                name += (f" {{{','.join(map(str, choices))}}}" if choices
+                         else f" {kind.__name__.upper()}")
+                text += (" (required)" if default is _REQUIRED
+                         else "" if default is None else f" (default: {default})")
+            rows.append((name, text))
+        usage = f"{prog}{' SUITE' if 'SUITE' in options else ''} [options]"
+        title = "arguments:"
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [f"usage: {usage}", "", about, "", title]
+    lines += [f"  {name:<{width}}{text}" for name, text in rows]
+    return "\n".join(lines) + "\n"
 
-    def error(self, message: str) -> None:  # noqa: D401 - argparse contract
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read a command line by the option table, as argparse read it.
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="csv is valid only for histogram-bearing estimates")
-
-    parser = _Parser(prog="gptpurity", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    predict = sub.add_parser("predict", help="closed-form expected local purity")
-    psub = predict.add_subparsers(dest="formula", required=True)
-
-    p_main = psub.add_parser("main", parents=[common])
-    p_main.add_argument("--ka", type=int, required=True)
-    p_main.add_argument("--kb", type=int, required=True)
-    p_main.add_argument("--na", type=int, required=True)
-    p_main.add_argument("--nb", type=int, required=True)
-    p_main.add_argument("--p0", type=float, required=True)
-
-    p_gen = psub.add_parser("general", parents=[common])
-    p_gen.add_argument("--theory", choices=("quantum", "classical"), required=True)
-    p_gen.add_argument("--na", type=int, required=True)
-    p_gen.add_argument("--nb", type=int, required=True)
-    p_gen.add_argument("--p0", type=float, required=True)
-
-    p_pow = psub.add_parser("power-law", parents=[common])
-    p_pow.add_argument("--r", type=int, required=True)
-    p_pow.add_argument("--na", type=int, required=True)
-    p_pow.add_argument("--nb", type=int, required=True)
-    p_pow.add_argument("--p0", type=float, required=True)
-
-    p_nlt = psub.add_parser("nonlocaltomo", parents=[common])
-    p_nlt.add_argument("--ma", type=int, required=True)
-    p_nlt.add_argument("--mb", type=int, required=True)
-    p_nlt.add_argument("--p0", type=float, required=True)
-
-    p_symm = psub.add_parser("symm", parents=[common])
-    p_symm.add_argument("--n", type=int, required=True)
-    p_symm.add_argument("--sign", choices=("+", "-"), required=True)
-    p_symm.add_argument("--trp", type=float, required=True)
-
-    p_qface = psub.add_parser("qface", parents=[common])
-    p_qface.add_argument("--n", type=int, required=True)
-    p_qface.add_argument("--sign", choices=("+", "-"), required=True)
-    p_qface.add_argument("--trp", type=float, required=True)
-
-    est = sub.add_parser("estimate", parents=[common], help="Monte Carlo expected local purity")
-    target = est.add_mutually_exclusive_group(required=True)
-    target.add_argument("--theory", choices=("quantum", "classical", "real-quantum"))
-    target.add_argument("--face", choices=("sym", "antisym"))
-    est.add_argument("--na", type=int, help="level/outcome count of part A")
-    est.add_argument("--nb", type=int, help="level/outcome count of part B")
-    est.add_argument("--ma", type=int, help="real-quantum level count of part A")
-    est.add_argument("--mb", type=int, help="real-quantum level count of part B")
-    est.add_argument("--n", type=int, help="local level count for face estimates")
-    est.add_argument("--p0", type=float, help="global generalized purity")
-    est.add_argument("--trp", type=float, help="global Tr(rho^2) for face estimates")
-    est.add_argument("--samples", type=int, default=10_000)
-    est.add_argument("--seed", type=int, required=True)
-    est.add_argument("--histogram", action="store_true",
-                     help="attach a 100-bin histogram of the per-sample values")
-
-    # Raw help text, so no suite name is broken at its hyphen.
-    ver = sub.add_parser("verify", parents=[common], help="bounded verification suites",
-                         formatter_class=argparse.RawTextHelpFormatter)
-    ver.add_argument("suite", choices=_SuiteNames(), metavar="SUITE",
-                     help="one of: %(choices)s")
-    ver.add_argument("--seed", type=int, default=2024)
-    ver.add_argument("--samples", type=int, default=10_000)
-
-    two = sub.add_parser("two-design", parents=[common], help="Clifford second-moment identity")
-    two.add_argument("--k", type=int, default=1, choices=(1, 2))
-
-    coin = sub.add_parser("coin-record", parents=[common], help="coin tossing against a recording environment")
-    coin.add_argument("--s0", type=int, required=True)
-    coin.add_argument("--samples", type=int, default=10_000)
-    coin.add_argument("--seed", type=int, required=True)
-
-    return parser
+    The command, and predict's formula, come first; before them -h or --help
+    prints that level's help.  Then options come in any order, around
+    verify's SUITE, as ``--name value`` or ``--name=value``, by whole name or
+    unique prefix; a repeated option keeps its last value, and ``--`` next to
+    verify's SUITE makes every item after it positional.  An option's value is the next item,
+    even one that begins with a dash (``--trp -inf``).  Help goes to stdout
+    and exits 0; a usage error is one line on stderr and exits 1.  The
+    namespace holds the command, predict's formula, and every option of the
+    command, with its default where none was given (None for a required one).
+    """
+    path, values, seen, unknown, rest, suite_at = (), {}, set(), [], False, None
+    about, options, names = __doc__.split("\n", 1)[0], None, ["--help"]
+    items = enumerate(argv)
+    for index, item in items:
+        if item == "--" and options is not None and not rest:
+            # It ends the options; like argparse, it is dropped only right
+            # before or after verify's SUITE.
+            rest = True
+            if "SUITE" not in options or "SUITE" in seen and suite_at != index - 1:
+                unknown.append(item)
+            continue
+        found = None if rest else _option(item, names)
+        if found == (None, None):
+            unknown.append(item)
+        elif found:
+            name, text = found
+            kind = bool if name == "--help" else options[name][0]
+            if kind is bool and text is not None:
+                _fail(f"argument {name}: ignored explicit argument {text!r}")
+            if name == "--help":
+                sys.stdout.write(_help(path, about, options))
+                raise SystemExit(0)
+            if kind is not bool and text is None:
+                text = next(items, (None, None))[1]
+                if text is None:
+                    _fail(f"argument {name}: expected one argument")
+            if _ONE_OF.get(name) in seen:
+                _fail(f"argument {name}: not allowed with argument {_ONE_OF[name]}")
+            values[name[2:]] = True if kind is bool else _value(name, kind, text)
+            seen.add(name)
+        elif options is None:
+            words = [p[-1] for p in _TABLE if p[:-1] == path]
+            if item not in words:
+                _fail(f"argument {_DESTS[len(path)]}: invalid choice: {item!r} "
+                      f"(choose from {', '.join(map(repr, words))})")
+            values[_DESTS[len(path)]] = item
+            path += (item,)
+            about, options = _TABLE[path]
+            if options is not None:
+                options = {**_COMMON, **options}
+                names = [name for name in options if name.startswith("--")] + ["--help"]
+                values.update((name.lstrip("-").lower(), None if spec[1] is _REQUIRED else spec[1])
+                              for name, spec in options.items())
+                # Like argparse, refuse an ambiguous prefix before reading any option.
+                after = argv[index + 1:]
+                for later in after[:after.index("--")] if "--" in after else after:
+                    _option(later, names)
+        elif "SUITE" in options and "SUITE" not in seen:
+            values["suite"] = _value("SUITE", None, item)
+            seen.add("SUITE")
+            suite_at = index
+        else:
+            unknown.append(item)
+    if options is None:
+        _fail(f"the following arguments are required: {_DESTS[len(path)]}")
+    missing = [name for name, spec in options.items() if spec[1] is _REQUIRED and name not in seen]
+    if missing:
+        _fail(f"the following arguments are required: {', '.join(missing)}")
+    if _ONE_OF.keys() <= options.keys() and not _ONE_OF.keys() & seen:
+        _fail(f"one of the arguments {' '.join(_ONE_OF)} is required")
+    if unknown:
+        _fail(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values)
 
 
 # -- command bodies ---------------------------------------------------------------------
 
 
-def _run_predict(args: argparse.Namespace) -> dict:
+def _run_predict(args: SimpleNamespace) -> dict:
     if args.formula == "main":
         pred = formulas.predict_main(args.ka, args.kb, args.na, args.nb, args.p0)
     elif args.formula == "general":
@@ -186,7 +315,7 @@ def _run_predict(args: argparse.Namespace) -> dict:
 _TARGET_OPTIONS = ("na", "nb", "ma", "mb", "n", "p0", "trp")
 
 
-def _require(args: argparse.Namespace, names: list[str]) -> None:
+def _require(args: SimpleNamespace, names: list[str]) -> None:
     """Refuse a target option in ``names`` that is missing, or one not in them that is given."""
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
@@ -197,7 +326,7 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
         raise GptPurityError(f"{target} does not read {', '.join('--' + s for s in stray)}")
 
 
-def _run_estimate(args: argparse.Namespace) -> dict:
+def _run_estimate(args: SimpleNamespace) -> dict:
     bins = rnd.HISTOGRAM_BINS if args.histogram else None
     if args.face is not None:
         _require(args, ["n", "trp"])
@@ -218,13 +347,13 @@ def _run_estimate(args: argparse.Namespace) -> dict:
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}
 
 
-def _run_verify(args: argparse.Namespace) -> dict:
+def _run_verify(args: SimpleNamespace) -> dict:
     results = checks.run_suite(args.suite, args.seed, args.samples)
     return {"checks": [c.to_json_dict() for c in results],
             "passed": all(c.passed for c in results)}
 
 
-def _run_two_design(args: argparse.Namespace) -> dict:
+def _run_two_design(args: SimpleNamespace) -> dict:
     # F = num / den exactly, so it passes only when num == 2 den.
     num, den = clifford.frame_potential(clifford.clifford_traces(args.k))
     check = Check("two-design", abs(num - 2 * den) / den, 0.0)
@@ -232,7 +361,7 @@ def _run_two_design(args: argparse.Namespace) -> dict:
             "bound": check.bound, "passed": check.passed}
 
 
-def _run_coin_record(args: argparse.Namespace) -> dict:
+def _run_coin_record(args: SimpleNamespace) -> dict:
     res = faces_mod.coin_with_record(args.s0, args.samples, args.seed)
     # Only a record of one string has sigma = 0: every sample is then exact.
     check = Check("coin-record", abs(res.report.mean - res.prediction.value),
@@ -245,7 +374,7 @@ def _run_coin_record(args: argparse.Namespace) -> dict:
 # -- report output -----------------------------------------------------------------------
 
 
-def _config_dict(args: argparse.Namespace, argv: list[str]) -> dict:
+def _config_dict(args: SimpleNamespace, argv: list[str]) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in ("out", "format") and v is not None}
     cfg["argv"] = list(argv)
     return cfg
@@ -270,7 +399,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_counts(args: argparse.Namespace) -> None:
+def _check_counts(args: SimpleNamespace) -> None:
     """Refuse an integer option other than ``--seed`` of magnitude 2^63 or more.
 
     No array dimension or sample count can be that large, and such an
@@ -290,8 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     # It does nothing once OpenSSL is loaded.
     sys.modules.setdefault("_hashlib", None)
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         _check_counts(args)
         if args.command == "predict":

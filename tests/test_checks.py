@@ -24,7 +24,7 @@ from states import max_collision_probability, pauli_value, random_mixtures
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_every_check_is_a_deviation_under_its_bound_at_the_defaults(suite):
-    args = cli.build_parser().parse_args(["verify", suite])
+    args = cli.parse_args(["verify", suite])
     results = checks.run_suite(suite, args.seed, args.samples)
     assert results
     for check in results:

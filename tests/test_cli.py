@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptpurity import checks, cli, errors
+from reference import argparse_cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -390,6 +392,28 @@ def test_verify_usage_lists_the_suites_of_the_registry():
     assert all(name in proc.stdout for name in checks.SUITES)
 
 
+_TOKENS = re.compile(r"[\s{},]+")
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["-h"], ["predict", "estimate", "verify", "two-design", "coin-record", "--help"]),
+    (["predict", "-h"], ["main", "general", "power-law", "nonlocaltomo", "symm", "qface"]),
+    (["predict", "main", "-h"], ["--ka", "--kb", "--na", "--nb", "--p0", "--out", "--format",
+                                 "json", "csv", "--help"]),
+    (["estimate", "-h"], ["--theory", "quantum", "classical", "real-quantum", "--face", "sym",
+                          "antisym", "--na", "--nb", "--ma", "--mb", "--n", "--p0", "--trp",
+                          "--samples", "--seed", "--histogram", "--out", "--format", "json",
+                          "csv"]),
+    (["two-design", "-h"], ["--k", "1", "2", "--out", "--format", "json", "csv"]),
+    (["coin-record", "-h"], ["--s0", "--samples", "--seed", "--out", "--format", "json", "csv"]),
+], ids=["top", "predict", "predict-main", "estimate", "two-design", "coin-record"])
+def test_help_lists_every_word_of_its_level(argv, words):
+    proc = _run_module(argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: gptpurity")
+    assert set(words) <= set(_TOKENS.split(proc.stdout)), proc.stdout
+
+
 # Registered before cli's exit hook, so it runs after it: atexit is last in, first out.
 _EXIT_PROBE = """
 import atexit, gc, sys
@@ -564,9 +588,14 @@ def _argv(draw):
         options.update(samples=_SAMPLES, seed=_SEED)
     argv = list(head)
     for name, values in options.items():
-        # --name=value keeps a negative or non-finite value from reading as a flag.
         value = draw(values)
-        argv.append(f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}")
+        text = repr(value) if isinstance(value, float) else str(value)
+        # Both spellings; a value that begins with a dash is always written
+        # --name=value, which argparse read too.
+        if text.startswith("-") or draw(st.booleans()):
+            argv.append(f"--{name}={text}")
+        else:
+            argv += [f"--{name}", text]
     if head[0] == "estimate" and draw(st.booleans()):
         argv.append("--histogram")
     if draw(st.booleans()):
@@ -615,3 +644,143 @@ def test_generated_argv_ends_in_strict_json_or_exit_one(argv):
     for row in rows:
         lo, hi, count = row.split(",")
         assert math.isfinite(float(lo)) and math.isfinite(float(hi)) and int(count) >= 0, argv
+
+
+# -- the option table against argparse ----------------------------------------------------
+
+# Every option of every command, the words that lead to it, and the texts a
+# generated value is drawn from: valid and invalid ones, over-long ints (_D,
+# _H and one past Python's 4300-digit limit), and values that begin with a dash.
+_INT_TEXTS = ["0", "1", "2", "3", "01", "-1", "-5", "x", "1.5", " 4", "1_0", "", _D, _H, "9" * 4301]
+_FLOAT_TEXTS = ["0", "0.5", "1", "-0.5", ".5", "-.5", "1e-3", "-1e-3", "nan", "inf", "-inf", "x"]
+_VALUE_TEXTS = {
+    **dict.fromkeys(["ka", "kb", "na", "nb", "ma", "mb", "n", "r", "s0", "samples", "seed", "k"],
+                    _INT_TEXTS),
+    **dict.fromkeys(["p0", "trp"], _FLOAT_TEXTS),
+    "theory": ["quantum", "classical", "real-quantum", "bogus"],
+    "face": ["sym", "antisym", "bogus"],
+    "sign": ["+", "-", "0"],
+    "format": ["json", "csv", "xml"],
+    "out": ["report.json", "-", "-o", "a b"],
+    "bogus": ["1"],
+}
+# Each command or formula, with a valid value of each option it needs, and its other options.
+_LEAVES = {
+    ("predict", "main"): ({"ka": "4", "kb": "4", "na": "2", "nb": "2", "p0": "1"}, ""),
+    ("predict", "general"): ({"theory": "quantum", "na": "2", "nb": "3", "p0": "0.5"}, ""),
+    ("predict", "power-law"): ({"r": "3", "na": "2", "nb": "2", "p0": "1"}, ""),
+    ("predict", "nonlocaltomo"): ({"ma": "2", "mb": "2", "p0": "1"}, ""),
+    ("predict", "symm"): ({"n": "3", "sign": "+", "trp": "1"}, ""),
+    ("predict", "qface"): ({"n": "3", "sign": "-", "trp": "1"}, ""),
+    ("estimate",): ({"theory": "quantum", "na": "2", "nb": "2", "p0": "1", "seed": "1"},
+                    "face ma mb n trp samples histogram"),
+    ("verify",): ({}, "seed samples"),
+    ("two-design",): ({"k": "2"}, ""),
+    ("coin-record",): ({"s0": "2", "seed": "1"}, "samples"),
+}
+_EXTRAS = ["-h", "--help", "--he", "--h", "-x", "stray", "--"]
+
+
+@st.composite
+def _table_argv(draw):
+    """A generated command line, and the same one with every value written
+    apart written ``--name=value``."""
+    path = draw(st.sampled_from(sorted(_LEAVES)))
+    needed, others = _LEAVES[path]
+    names = [*needed, *others.split(), "out", "format", "bogus", "histogram", "na"]
+    # Most needed options, with a valid value or not, then any options, in any order.
+    options = [(name, text) for name, text in needed.items() if draw(st.integers(0, 9))]
+    options += [(draw(st.sampled_from(names)), None) for _ in range(draw(st.integers(0, 4)))]
+    groups, joined = [], []
+    for name, text in draw(st.permutations(options)):
+        # The whole name or any prefix: unique, ambiguous or naming another option.
+        spelled = "--" + name[:draw(st.integers(1, len(name)))] if draw(
+            st.integers(0, 2)) == 0 else "--" + name
+        if name == "histogram":
+            item = draw(st.sampled_from([spelled, spelled + "=1"]))
+            groups.append([item])
+            joined.append([item])
+            continue
+        if text is None or draw(st.integers(0, 3)) == 0:
+            text = draw(st.sampled_from(_VALUE_TEXTS[name]))
+        groups.append([f"{spelled}={text}"] if draw(st.booleans()) else [spelled, text])
+        joined.append([f"{spelled}={text}"])
+    extras = []
+    if path == ("verify",):
+        extras = [draw(st.sampled_from(sorted(checks.SUITES)))] if draw(st.integers(0, 9)) else []
+        extras += draw(st.lists(st.sampled_from([*checks.SUITES, "no-such-suite", "--"]),
+                                max_size=2))
+    if draw(st.integers(0, 4)) == 0:
+        extras.append(draw(st.sampled_from(_EXTRAS)))
+    for extra in extras:
+        at = draw(st.integers(0, len(groups)))
+        groups.insert(at, [extra])
+        joined.insert(at, [extra])
+    head = list(path)
+    if draw(st.integers(0, 19)) == 0:
+        # A missing or unknown word, or help before the words end.
+        head = draw(st.sampled_from([head[:-1], head[:-1] + ["nosuch"], head[:-1] + ["-h"],
+                                     ["--he"] + head]))
+    return [head + sum(groups, []), head + sum(joined, [])]
+
+
+def _outcome(parse, argv):
+    """("ok", the repr of each value of the namespace), or (the exit code, None) with
+    its output checked; a repr tells 1 from 1.0 and True, and nan equals nan."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return "ok", {k: repr(v) for k, v in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith("usage: "), argv
+    else:
+        assert code == 1 and out.getvalue() == "", argv
+        assert len(err.getvalue().splitlines()) == 1, argv
+    return code, None
+
+
+def _argparse(argv):
+    return argparse_cli.build_parser().parse_args(argv)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argvs=_table_argv())
+def test_table_parser_reads_argv_as_argparse_did(argvs):
+    _check_like_argparse(*argvs)
+
+
+@pytest.mark.parametrize("argv,joined", [
+    # Values written apart that begin with a dash.
+    (["predict", "symm", "--n", "3", "--sign", "+", "--trp", "-inf"],
+     ["predict", "symm", "--n=3", "--sign=+", "--trp=-inf"]),
+    (["verify", "boxworld", "--out", "-o"], ["verify", "boxworld", "--out=-o"]),
+    # Both targets of an estimate; "--" next to SUITE or not; negative
+    # numbers and items with a space, which argparse read as positionals;
+    # help after an error that argparse found first, or before one it did not.
+    *([argv, argv] for argv in [
+        ["estimate", "--theory", "quantum", "--face=sym", "--na=2", "--nb=2", "--p0=1",
+         "--seed=1"],
+        ["verify", "boxworld", "--"], ["verify", "--", "boxworld"], ["verify", "--", "--seed=1"],
+        ["verify", "boxworld", "--seed=1", "--"], ["verify", "-5", "-h"], ["verify", "-.5", "-h"],
+        ["verify", "-1.5.1", "-h"], ["verify", "--x y", "-h"], ["--s0= 4", "--h"],
+        ["predict", "main", "-h", "--n=3"], ["predict", "main", "--bogus", "-h"],
+        ["predict", "main", "--help=1"], ["-hx", "predict"], ["two-design", "-h=1"]]),
+])
+def test_table_parser_reads_edge_cases_as_argparse_did(argv, joined):
+    _check_like_argparse(argv, joined)
+
+
+def _check_like_argparse(argv, joined):
+    # The same namespace, or both refuse, or both print help.  The one
+    # difference: a value written apart that begins with a dash, which
+    # argparse took for an option and refused; the table reads it as the
+    # value, as argparse read it written --name=value.
+    got = _outcome(cli.parse_args, argv)
+    want = _outcome(_argparse, argv)
+    if got != want:
+        assert want[0] == 1, (argv, got, want)
+        assert any(a.startswith("--") and "=" not in a and b.startswith("-")
+                   for a, b in zip(argv, argv[1:])), (argv, got, want)
+        assert got == _outcome(_argparse, joined), (argv, got, want)

@@ -204,8 +204,10 @@ def test_cli_loads_every_traced_layer():
     assert {f"gptpurity.{name}" for name in layers} <= _loaded_by("gptpurity.cli")
 
 
-# Standard-library modules that no level-count or face command needs.
-_UNNEEDED = ("fractions", "dataclasses")
+# Standard-library modules that no level-count or face command needs: the
+# command line is read by cli's option table, with no argparse (whose help
+# and messages load gettext, and gettext locale).
+_UNNEEDED = ("fractions", "dataclasses", "argparse", "gettext", "locale")
 # What no exact prediction needs: numpy and every one of its submodules.
 _NUMPY = ("numpy",)
 # The layers of an exact prediction.

@@ -2,8 +2,8 @@
 
 A fresh interpreter turns on ``sys.setprofile`` before ``import gptpurity.cli``
 and runs ``ARGV`` in-process through ``cli.main``: every command and formula,
-every ``verify`` suite, a histogram and a CSV estimate, ``coin-record --s0 1``
-and two usage errors.  A def (methods and nested defs included) that no argv
+every ``verify`` suite, a histogram and a CSV estimate, ``coin-record --s0 1``,
+a help page, abbreviated options and two usage errors.  A def (methods and nested defs included) that no argv
 calls fails the test, unless ``ALLOWLIST`` names the test that uses it as a
 reference.  The same interpreter then runs the named tests under the profiler,
 and an entry fails when its test does not call the def, when an argv does, or
@@ -48,6 +48,8 @@ ARGV = [
     (["two-design", "--k", "2"], 0),
     (["coin-record", "--s0", "1", "--samples", "50", "--seed", "1"], 0),
     (["coin-record", "--s0", "3", "--samples", "50", "--seed", "1"], 0),
+    (["estimate", "-h"], 0),
+    (["predict", "general", "--th", "quantum", "--na=2", "--nb", "3", "--p", "0.5"], 0),
     (["verify", "nosuch"], 1),
     (["estimate", "--theory", "quantum", "--seed", "1"], 1),
 ]
