@@ -220,12 +220,13 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     The command, and predict's formula, come first; before them -h or --help
     prints that level's help.  Then options come in any order, around
     verify's SUITE, as ``--name value`` or ``--name=value``, by whole name or
-    unique prefix; a repeated option keeps its last value, and ``--`` next to
-    verify's SUITE makes every item after it positional.  An option's value is the next item,
-    even one that begins with a dash (``--trp -inf``).  Help goes to stdout
-    and exits 0; a usage error is one line on stderr and exits 1.  The
-    namespace holds the command, predict's formula, and every option of the
-    command, with its default where none was given (None for a required one).
+    unique prefix; a repeated option keeps its last value, and ``--`` next
+    to verify's SUITE makes every item after it positional.  An option's
+    value is the next item, even one that begins with a dash (``--trp
+    -inf``).  Help goes to stdout and exits 0; a usage error is one line on
+    stderr and exits 1.  The namespace holds the command, predict's formula,
+    and every option of the command, with its default where none was given
+    (None for a required one).
     """
     path, values, seen, unknown, rest, suite_at = (), {}, set(), [], False, None
     about, options, names = __doc__.split("\n", 1)[0], None, ["--help"]

@@ -651,7 +651,8 @@ def test_generated_argv_ends_in_strict_json_or_exit_one(argv):
 # Every option of every command, the words that lead to it, and the texts a
 # generated value is drawn from: valid and invalid ones, over-long ints (_D,
 # _H and one past Python's 4300-digit limit), and values that begin with a dash.
-_INT_TEXTS = ["0", "1", "2", "3", "01", "-1", "-5", "x", "1.5", " 4", "1_0", "", _D, _H, "9" * 4301]
+_INT_TEXTS = ["0", "1", "2", "3", "01", "-1", "-5", "x", "1.5", " 4", "1_0", "",
+              _D, _H, "9" * 4301]
 _FLOAT_TEXTS = ["0", "0.5", "1", "-0.5", ".5", "-.5", "1e-3", "-1e-3", "nan", "inf", "-inf", "x"]
 _VALUE_TEXTS = {
     **dict.fromkeys(["ka", "kb", "na", "nb", "ma", "mb", "n", "r", "s0", "samples", "seed", "k"],

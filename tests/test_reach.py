@@ -3,9 +3,9 @@
 A fresh interpreter turns on ``sys.setprofile`` before ``import gptpurity.cli``
 and runs ``ARGV`` in-process through ``cli.main``: every command and formula,
 every ``verify`` suite, a histogram and a CSV estimate, ``coin-record --s0 1``,
-a help page, abbreviated options and two usage errors.  A def (methods and nested defs included) that no argv
-calls fails the test, unless ``ALLOWLIST`` names the test that uses it as a
-reference.  The same interpreter then runs the named tests under the profiler,
+a help page, abbreviated options and two usage errors.  A def (methods and
+nested defs included) that no argv calls fails the test, unless
+``ALLOWLIST`` names the test that uses it as a reference.  The same interpreter then runs the named tests under the profiler,
 and an entry fails when its test does not call the def, when an argv does, or
 when the def no longer exists.
 """
