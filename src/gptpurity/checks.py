@@ -5,8 +5,8 @@ histogram-bearing Monte Carlo report into one.
 ``SUITES`` maps each ``verify`` suite to a ``(seed, samples) -> list[Check]``
 producer, shared by the command line and the acceptance tests; it is the one
 list of suite names.  Only ``markov-tail`` samples; the other suites are
-exact, over fixed states, enumerated groups and group generators, and read
-neither argument.
+exact, over fixed states, the qubit's 24 Cliffords and the forms that group
+generators fix, and read neither argument.
 Other layers are reached through module aliases only, so running this
 module runs none of them.
 """
@@ -66,7 +66,7 @@ def _gram_invariance(seed: int, samples: int) -> list[Check]:
         dev = grouprep.invariance_deviation(space.gram, generators, r)
         checks.append(Check(f"gram-invariance-{space.kind}-{space.level}", float(dev), 0.0))
         # Only the unit direction and the Gram's Bloch form are invariant.
-        forms = grouprep.invariant_form_count(grouprep.closure(generators, r), r)
+        forms = grouprep.invariant_form_count(generators, r)
         checks.append(Check(f"gram-uniqueness-{space.kind}-{space.level}",
                             float(abs(forms - 2)), 0.0))
     return checks
@@ -97,7 +97,7 @@ def _boxworld(seed: int, samples: int) -> list[Check]:
     obstruction = bw.boxworld_normalization_obstruction()
     gens = bw.group_generators()
     # The unit direction and the free weights a and b of the two blocks.
-    forms = grouprep.invariant_form_count(grouprep.closure(gens, 2), 2)
+    forms = grouprep.invariant_form_count(gens, 2)
     dev = grouprep.invariance_deviation(bw.GRAM, gens, 2)
     return [
         Check("vertex-count", float(abs(len(bw.vertices()) - 24)), 0.0),

@@ -42,17 +42,18 @@ def _lazy(name: str) -> None:
 # Every layer is in sys.modules from here on, but a command runs only the
 # layers it reads: an exact prediction runs formulas alone, with no numpy, a
 # quantum estimate runs randomize, not the descriptors, Grams, faces and
-# suites it does not need, and two-design runs clifford alone, with no numpy.
+# suites it does not need, and two-design runs grouprep's form count, with no
+# numpy.
 # No command draws a group element, so no Haar sampler is in the package.
-for _name in ("statespace", "grouprep", "clifford", "composite", "purity", "boxworld",
+for _name in ("statespace", "grouprep", "composite", "purity", "boxworld",
               "formulas", "randomize", "faces", "checks"):
     _lazy(_name)
 
 # Imported after the registration, so binding a layer here does not run it.
 from . import checks  # noqa: E402
-from . import clifford  # noqa: E402
 from . import faces as faces_mod  # noqa: E402
 from . import formulas  # noqa: E402
+from . import grouprep  # noqa: E402
 from . import randomize as rnd  # noqa: E402
 
 # The interpreter's final collections would walk every object the command
@@ -355,10 +356,11 @@ def _run_verify(args: SimpleNamespace) -> dict:
 
 
 def _run_two_design(args: SimpleNamespace) -> dict:
-    # F = num / den exactly, so it passes only when num == 2 den.
-    num, den = clifford.frame_potential(clifford.clifford_traces(args.k))
-    check = Check("two-design", abs(num - 2 * den) / den, 0.0)
-    return {"k": args.k, "frame_potential": num / den, "max_deviation": check.value,
+    # F = (1/|G|) sum_g |Tr g|^4 is the count of the forms that the Cliffords fix on the
+    # Pauli coordinates, whose character is |Tr g|^2; a 2-design has F = 2 exactly.
+    forms = grouprep.invariant_form_count(grouprep.clifford_generators(args.k), 2)
+    check = Check("two-design", float(abs(forms - 2)), 0.0)
+    return {"k": args.k, "frame_potential": float(forms), "max_deviation": check.value,
             "bound": check.bound, "passed": check.passed}
 
 

@@ -2,28 +2,31 @@
 
 A map T of ``statespace`` coordinates is a permutation p and phase exponents
 e mod r: (T v)[i] = zeta^e[i] v[p[i]], zeta = e^(2 pi i/r).  For r = 2 these
-are signed permutations, such as the qubit's Cliffords in Pauli coordinates
-and the 128 maps of bipartite boxworld (``boxworld``); the pentagon's D_5
-has r = 5, and the qutrit's 216 Cliffords modulo phase, SL(2, Z_3) on the
-displacement labels with the displacements, r = 3.  A finite group that acts irreducibly
-on the Bloch subspace fixes only the unit direction and one Bloch form, so a
-Gram it fixes is the full group's up to scale (Schur's lemma; Gross,
-Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007).
+are signed permutations, such as the k-qubit Cliffords on the 4^k Pauli
+coordinates and the 128 maps of bipartite boxworld (``boxworld``); the
+pentagon's D_5 has r = 5, and the qutrit's 216 Cliffords modulo phase, SL(2, Z_3)
+on the displacement labels with the displacements, r = 3.  A finite group that
+acts irreducibly on the Bloch subspace fixes only the unit direction and one
+Bloch form, so a Gram its generators fix is the full group's up to scale (Schur's
+lemma; Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007).
 """
 
 from __future__ import annotations
 
-from . import clifford
 from . import statespace as ss
 from .errors import UnsupportedSpaceError
 from .statespace import Cyc
 
 Map = tuple[tuple[int, ...], tuple[int, ...]]
 
-# The Paulis X, Y, Z, row-major, as Gaussian integers.
-_PAULIS = ((0, 1, 1, 0), (0, -1j, 1j, 0), (1, 0, 0, -1))
+# On the Pauli coordinates (I, X, Y, Z), H swaps X and Z and negates Y; S sends X to Y, Y to -X.
+_H, _S = ((0, 3, 2, 1), (0, 0, 1, 0)), ((0, 2, 1, 3), (0, 1, 0, 0))
+# CNOT, control first, on the two-qubit Pauli coordinates: P (x) Q at 4 P + Q.
+_CNOT = ((0, 1, 14, 15, 5, 4, 11, 10, 9, 8, 7, 6, 12, 13, 2, 3),
+         (0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0))
 
 _GENERATORS = {
+    (ss.KIND_QUANTUM, 2): (2, (_H, _S)),
     # The maps by which the qutrit's Fourier gate w^(jk)/sqrt 3 and phase gate
     # diag(1, 1, w) conjugate the displacements: D_a goes to w^<chi, S a> D_(S a).
     (ss.KIND_QUANTUM, 3): (3, (((0, 3, 6, 2, 5, 8, 1, 4, 7), (0,) * 9),
@@ -66,23 +69,27 @@ def closure(generators: tuple[Map, ...], r: int) -> tuple[Map, ...]:
     return tuple(found)
 
 
-def character(t: Map, r: int) -> int | Cyc:
-    """Tr T: the sum of the phases zeta^e of the coordinates that T maps to themselves."""
-    counts = [0] * r
-    for i, (p, e) in enumerate(zip(*t)):
-        counts[e] += p == i
-    return counts[0] - counts[1] if r == 2 else Cyc(counts)
+def invariant_form_count(maps: tuple[Map, ...], r: int) -> int:
+    """The dimension of the bilinear forms X with T^t X T = X for every given map T.
 
-
-def invariant_form_count(elements: tuple[Map, ...], r: int) -> object:
-    """The dimension of the symmetric forms X with T^t X T = X for every T of a finite group:
-    (1/|G|) sum_g (chi(g)^2 + chi(g^2))/2, the symmetric-square character formula (Serre,
-    *Linear Representations of Finite Groups*, section 2.1)."""
-    total = 0
-    for t in elements:
-        chi = character(t, r)
-        total = total + chi * chi + character(compose(t, t, r), r)
-    return ss.rational(1, 2 * len(elements)) * total
+    Entry (p_k, p_l) of T^t X T is zeta^(e_k + e_l) X[k][l], so a search over the pairs
+    (k, l), carrying exponents from each orbit's first pair, finds the orbits of the
+    group the maps generate.  An orbit is one free entry unless it returns to a pair
+    with another exponent, which forces it to 0.  For a group this is (1/|G|) sum_g
+    chi(g)^2 (Serre, *Linear Representations of Finite Groups*, 2.1).
+    """
+    n, exponent, count = len(maps[0][0]), {}, 0
+    for root in ((k, l) for k in range(n) for l in range(n) if (k, l) not in exponent):
+        exponent[root], frontier, free = 0, [root], True
+        while frontier:
+            k, l = frontier.pop()
+            for p, e in maps:
+                pair, x = (p[k], p[l]), (exponent[k, l] + e[k] + e[l]) % r
+                if pair not in exponent:
+                    frontier.append(pair)
+                free &= exponent.setdefault(pair, x) == x
+        count += free
+    return count
 
 
 def invariance_deviation(gram: tuple, maps: tuple[Map, ...], r: int) -> object:
@@ -92,39 +99,38 @@ def invariance_deviation(gram: tuple, maps: tuple[Map, ...], r: int) -> object:
                for k, (pk, ek) in enumerate(zip(*t)) for l, (pl, el) in enumerate(zip(*t)))
 
 
-def _pauli_map(element: tuple[int, tuple]) -> Map:
-    """The signed permutation of the Pauli coordinates by which a Clifford (k, G) of
-    ``clifford`` conjugates: G P G^dag = s 2^k Q sends coordinate P to s times Q."""
-    g = element[1]
-    perm, signs = [0] * 4, [0] * 4
-    for p, pauli in enumerate(_PAULIS, 1):
-        gp = [sum(g[2 * i + l] * pauli[2 * l + j] for l in range(2))
-              for i in range(2) for j in range(2)]
-        # Tr(Q G P G^dag) = sum Q_ji (G P)_il conj(G_jl): +-2^(k+1) for one Q, 0 for the others.
-        for q, other in enumerate(_PAULIS, 1):
-            if t := sum(other[2 * j + i] * gp[2 * i + l] * complex(g[2 * j + l]).conjugate()
-                        for i in range(2) for j in range(2) for l in range(2)):
-                perm[q], signs[q] = p, int(t.real < 0)
-    return tuple(perm), tuple(signs)
+def kron(a: Map, b: Map, r: int) -> Map:
+    """A (x) B: coordinate d i + j, for B's d coordinates, is A's i times B's j."""
+    d = len(b[0])
+    return (tuple(d * pa + pb for pa in a[0] for pb in b[0]),
+            tuple((ea + eb) % r for ea in a[1] for eb in b[1]))
+
+
+def clifford_generators(k: int) -> tuple[Map, ...]:
+    """Maps that generate the k-qubit Cliffords' conjugation of the 4^k Pauli coordinates,
+    k = 1 or 2: H and S, or H (x) I, I (x) H, S (x) I, I (x) S and CNOT."""
+    if k == 1:
+        return _H, _S
+    if k != 2:
+        raise UnsupportedSpaceError(f"Clifford generators support k in (1, 2), got {k}")
+    eye = ((0, 1, 2, 3), (0,) * 4)
+    return kron(_H, eye, 2), kron(eye, _H, 2), kron(_S, eye, 2), kron(eye, _S, 2), _CNOT
 
 
 def qubit_cliffords() -> tuple[Map, ...]:
-    """The 24 Cliffords of ``clifford.one_qubit_group()`` as signed permutations, in its order:
-    both are breadth-first closures over H and S, its second and third elements."""
-    return closure(group_generators(ss.QUBIT)[1], 2)
+    """The 24 one-qubit Cliffords as signed permutations of the Pauli coordinates, in the
+    breadth-first order of their closure over H and S."""
+    return closure(clifford_generators(1), 2)
 
 
 def group_generators(space: ss.Space) -> tuple[int, tuple[Map, ...]]:
     """(r, maps) that generate a built-in space's finite reversible group.
 
-    Classical n: the transposition (0 1) and the n-cycle.  Qubit: H and S.  The
-    others: ``_GENERATORS``.
+    Classical n: the transposition (0 1) and the n-cycle.  The others: ``_GENERATORS``.
     """
     n, zeros = space.level, (0,) * space.level
     if space.kind == ss.KIND_CLASSICAL:
         return 2, (((1, 0, *range(2, n)), zeros), (tuple((i - 1) % n for i in range(n)), zeros))
-    if (space.kind, n) == (ss.KIND_QUANTUM, 2):
-        return 2, tuple(map(_pauli_map, clifford.one_qubit_group()[1:3]))
     if (space.kind, n) in _GENERATORS:
         return _GENERATORS[space.kind, n]
     raise UnsupportedSpaceError(f"no finite group for {space.kind}-{n}")

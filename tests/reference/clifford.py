@@ -17,7 +17,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import UnsupportedSpaceError
+from gptpurity.errors import UnsupportedSpaceError
 
 # The units of the Gaussian integers.
 _UNITS = (1, 1j, -1, -1j)

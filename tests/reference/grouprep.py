@@ -12,11 +12,14 @@ order unit and map the cone into itself.  This module provides
 * generators of a dense subgroup of each built-in group, under which the
   invariance of a Gram is checked exactly, and the dimension of the space
   of forms they leave invariant, which proves that Gram unique up to scale,
+* the dimension of all forms that a finite group of exact monomial maps
+  fixes, by characters over the whole group: the reference of the
+  generator-only count of ``gptpurity.grouprep``,
 * the qubit's Pauli-eigenstate orbit.
 
-The Clifford groups are enumerated exactly in ``clifford``, reached through a
-module alias, so running this module does not run it.  No command draws a group
-element: the Haar samplers and the group-averaged Gram are test references.
+The Clifford groups are enumerated exactly in ``clifford``, the trace oracle of
+``two-design``.  No command draws a group element: the Haar samplers and the
+group-averaged Gram are test references.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from gptpurity import clifford, errors
+from gptpurity import errors
 from gptpurity.errors import UnsupportedSpaceError
 
 import cliffords
 
-from . import statespace as ss
+from . import clifford, statespace as ss
 
 # The classical group S_K keeps its element list while K! is at most this
 # (K <= 6).
@@ -289,6 +292,23 @@ def invariant_form_dimension(ts: np.ndarray) -> int:
     """
     system = _invariance_system(ts)
     return system.shape[1] - _rank(system)
+
+
+def character_form_count(elements: Iterable[tuple], r: int) -> int:
+    """Dimension of all K x K forms that a finite group of ``gptpurity.grouprep`` maps fixes:
+    (1/|G|) sum_g chi(g)^2 (Serre, *Linear Representations of Finite Groups*, 2.1).
+
+    chi(g) = Tr g is the sum of zeta^e[i], zeta = e^(2 pi i/r), over the
+    coordinates i with p[i] = i.  The average is an integer, read off after
+    a check that the float sum lies within 1e-9 of it.
+    """
+    zeta = np.exp(2j * np.pi / r)
+    chis = np.array([sum(zeta ** e for i, (p, e) in enumerate(zip(*t)) if p == i) + 0j
+                     for t in elements])
+    total = np.sum(chis * chis) / len(chis)
+    count = round(total.real)
+    assert abs(total - count) < 1e-9, total
+    return count
 
 
 def _invariance_system(ts: np.ndarray) -> np.ndarray:

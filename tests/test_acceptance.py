@@ -13,10 +13,10 @@ import numpy as np
 
 from gptpurity import boxworld as bw
 from gptpurity import checks
-from gptpurity import clifford, faces, formulas, randomize as rnd
+from gptpurity import faces, formulas, grouprep as gr, randomize as rnd
 from gptpurity.purity import purity_from_tr2, tr2_from_purity
 from gptpurity.statespace import rational
-from reference import grouprep
+from reference import clifford, grouprep
 from reference import purity as pur
 from reference import statespace as ss
 from cliffords import two_qubit_unitaries
@@ -157,9 +157,12 @@ def test_criterion_07_pauli_identities():
 
 
 def test_criterion_08_clifford_two_design():
+    # The oracle's traces and the form count that two-design reads.
     num, den = clifford.frame_potential(clifford.clifford_traces(1))
-    ok = num == 2 * den
-    _report(8, ok, f"k=1 second-moment identity over the full matrix basis: F = {num}/{den}")
+    forms = gr.invariant_form_count(gr.clifford_generators(1), 2)
+    ok = num == 2 * den == forms * den
+    _report(8, ok, f"k=1 second-moment identity over the full matrix basis: F = {num}/{den}, "
+                   f"{forms} forms fixed by H and S")
 
 
 def _suite_detail(suite: list) -> str:

@@ -49,12 +49,17 @@ def test_exact_signed_permutations_are_the_reference_elements():
 
 
 def test_invariant_forms_match_the_elimination():
-    # The exact character count against the float elimination on the same group.
+    # The exact count against the characters over the same group and the float
+    # elimination of its symmetric forms.  Each group fixes only symmetric
+    # forms; the identity fixes all 81, of which 45 are symmetric.
     identity = ((tuple(range(9)), (0,) * 9),)
-    for maps, expected in ((gr.closure(bw.group_generators(), 2), 3), (bw.group_elements(), 3),
-                           (bw.group_elements()[:64], 4), (identity, 45)):
+    for maps, expected, symmetric in ((bw.group_generators(), 3, 3),
+                                      (gr.closure(bw.group_generators(), 2), 3, 3),
+                                      (bw.group_elements(), 3, 3),
+                                      (bw.group_elements()[:64], 4, 4), (identity, 81, 45)):
         assert gr.invariant_form_count(maps, 2) == expected
-        assert grouprep.invariant_form_dimension(np.array([_matrix(t) for t in maps])) == expected
+        assert grouprep.character_form_count(gr.closure(maps, 2), 2) == expected
+        assert grouprep.invariant_form_dimension(np.array([_matrix(t) for t in maps])) == symmetric
 
 
 def test_pure_product_states_have_purity_one():

@@ -190,17 +190,17 @@ def test_pauli_identity_states_are_the_pure_orbit_and_its_midpoints():
 
 
 def test_uniqueness_rows_fail_when_the_generators_fix_every_form(monkeypatch):
-    # The identity alone leaves all K(K+1)/2 symmetric forms invariant, so
-    # every row reads that count less the expected 2 (3 for boxworld) and fails.
+    # The identity alone leaves all K^2 forms invariant, so every row reads
+    # that count less the expected 2 (3 for boxworld) and fails.
     monkeypatch.setattr(checks.grouprep, "group_generators",
                         lambda space: (2, ((tuple(range(len(space.mixed))), (0,) * len(space.mixed)),)))
     monkeypatch.setattr(checks.bw, "group_generators", lambda: ((tuple(range(9)), (0,) * 9),))
     rows = {c.name: c for c in checks.run_suite("gram-invariance", 0, 2)
             + checks.run_suite("boxworld", 0, 2)
             if c.name.startswith("gram-uniqueness-") or c.name == "invariant-forms"}
-    expected = {"quantum-2": 8, "quantum-3": 43, "classical-3": 4, "classical-5": 13,
-                "polygon-4": 4, "polygon-5": 4, "real-quantum-2": 4}
+    expected = {"quantum-2": 14, "quantum-3": 79, "classical-3": 7, "classical-5": 23,
+                "polygon-4": 7, "polygon-5": 7, "real-quantum-2": 7}
     assert {name: c.value for name, c in rows.items()} == {
         **{f"gram-uniqueness-{name}": float(v) for name, v in expected.items()},
-        "invariant-forms": 42.0}
+        "invariant-forms": 78.0}
     assert not any(c.passed for c in rows.values())

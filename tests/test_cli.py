@@ -54,9 +54,9 @@ def test_monte_carlo_reports_match_golden_hashes(capsys, entry):
     # seed 1, `verify markov-tail`, `coin-record --s0 1`, `verify boxworld`,
     # `verify pauli-identities`, `verify gram-invariance` and
     # `verify classical-subsystem`, exact over rational and cyclotomic
-    # coordinates, `two-design --k 1` and `--k 2`, whose Clifford products are
-    # elementwise, and the benchmark's `predict qface`, whose ingredient is a
-    # pure-Python index sum.
+    # coordinates, `two-design --k 1` and `--k 2`, whose frame potential is an
+    # integer count of the forms that signed permutations fix, and the
+    # benchmark's `predict qface`, whose ingredient is a pure-Python index sum.
     # A change of any Monte Carlo value, down to one ulp, shows here as a
     # diff of its field.
     code, out = _run(capsys, entry["argv"])

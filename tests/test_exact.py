@@ -95,7 +95,7 @@ def _name(space: ss.Space) -> str:
     return f"{space.kind}-{space.level}"
 
 
-# The float unitaries of the exact generators that are not read from ``clifford``.
+# The float unitaries of the exact generators that are not the qubit's Cliffords.
 _QUTRIT_FP = np.array([W ** np.outer(np.arange(3), np.arange(3)) / math.sqrt(3),
                        np.diag([1, 1, W])])
 _REBIT_HZ = np.array([np.array([[1, 1], [1, -1]]) / math.sqrt(2), [[1, 0], [0, -1]]])
@@ -106,7 +106,7 @@ def test_exact_generators_are_the_reference_maps(space):
     r, gens = gr.group_generators(space)
     ref = reference(space)
     if space.kind == ss.KIND_QUANTUM and space.level == 2:
-        # All 24 Cliffords, in clifford.one_qubit_group() order; H and S are the generators.
+        # All 24 Cliffords, in the reference's order; H and S are the generators.
         expected = gr_ref.clifford_elements(ref)
         np.testing.assert_allclose([float_map(space, t, r) for t in gr.qubit_cliffords()],
                                    expected, rtol=0, atol=1e-12)
@@ -221,26 +221,33 @@ def test_exact_witnesses_are_the_reference_witnesses(space):
 
 @pytest.mark.parametrize("space", GRAM_SPACES, ids=_name)
 def test_character_count_is_the_reference_elimination(space):
-    # gram-uniqueness-*: the character count over the whole finite group and
-    # the float elimination over the dense subgroup's generators both find
-    # the unit direction and the Gram, and nothing else.
+    # gram-uniqueness-*: the generator count, the same count over the whole
+    # finite group, the characters over that group and the float elimination
+    # over the dense subgroup's generators all find the unit direction and
+    # the Gram, and nothing else.
     r, gens = gr.group_generators(space)
-    assert gr.invariant_form_count(gr.closure(gens, r), r) == 2
+    group = gr.closure(gens, r)
+    assert gr.invariant_form_count(gens, r) == gr.invariant_form_count(group, r) == 2
+    assert gr_ref.character_form_count(group, r) == 2
     assert gr_ref.invariant_form_dimension(gr_ref.group_generators(reference(space))) == 2
 
 
-@pytest.mark.parametrize("space,index,count", [
-    (ss.QUBIT, 1, 4),
-    (ss.build_classical(5), 0, 11),
+@pytest.mark.parametrize("space,index,count,symmetric", [
+    (ss.QUBIT, 1, 6, 4),
+    (ss.build_classical(5), 0, 17, 11),
 ], ids=["qubit-S", "classical-5-transposition"])
-def test_character_count_sees_a_reducible_subgroup(space, index, count):
-    # The qubit's S rotates about z, which leaves the unit, the unit-z cross
-    # term, z^2 and x^2 + y^2; the transposition (0 1) leaves 11 of the 15
-    # forms on five outcomes.  The float elimination over the same one map agrees.
+def test_character_count_sees_a_reducible_subgroup(space, index, count, symmetric):
+    # The qubit's S rotates about z: it fixes the 4 forms on (unit, z) and, on
+    # (x, y), x^2 + y^2 and the antisymmetric x y - y x.  The transposition
+    # (0 1) fixes 4^2 + 1 forms on five outcomes, 4 trivial and 1 sign
+    # components.  The characters over the generated group agree, and the float
+    # elimination over the same one map finds the symmetric ones among them.
     r, gens = gr.group_generators(space)
     one = gens[index]
-    assert gr.invariant_form_count(gr.closure((one,), r), r) == count
-    assert gr_ref.invariant_form_dimension(float_map(space, one, r)[None]) == count
+    group = gr.closure((one,), r)
+    assert gr.invariant_form_count((one,), r) == gr.invariant_form_count(group, r) == count
+    assert gr_ref.character_form_count(group, r) == count
+    assert gr_ref.invariant_form_dimension(float_map(space, one, r)[None]) == symmetric
 
 
 # Each space's Gram and group generators, then bipartite boxworld's.

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import clifford, errors
+from gptpurity import errors
+from gptpurity import grouprep as gr
 from gptpurity.errors import RangeError, UnsupportedSpaceError
-from reference import grouprep, purity as pur, statespace as ss
+from reference import clifford, grouprep, purity as pur, statespace as ss
 import cliffords
 import haar
 from haar import ReducibleSpaceError
@@ -681,8 +682,10 @@ def _two_design_superoperators(k):
 
 
 def test_two_design_identity_k1():
+    # two-design reads F as the count of the forms that the generators' Pauli
+    # maps fix; the oracle sums |Tr g|^4 over every element.
     num, den = clifford.frame_potential(clifford.clifford_traces(1))
-    assert num == 2 * den
+    assert num == 2 * den == gr.invariant_form_count(gr.clifford_generators(1), 2) * den
 
 
 def test_two_design_superoperator_on_identity_and_swap():
@@ -710,11 +713,16 @@ def test_superoperators_agree_and_lhs_trace_is_frame_potential(k, bound):
 
 
 def test_pauli_group_is_not_a_two_design():
-    # {I, X, Y, Z} is a 1-design only: F = 4 exactly.
+    # {I, X, Y, Z} is a 1-design only: F = 4 exactly, and F = 16 for two qubits,
+    # from the oracle's traces and from the forms that the Pauli maps fix.
     paulis = [clifford._perm([0, 1]), clifford._perm([1, 0]), clifford._perm([1, 0], [-1j, 1j]),
               clifford._perm([0, 1], [1, -1])]
-    num, den = clifford.frame_potential([(k, g[0] + g[3]) for k, g in paulis])
-    assert (num, den) == (16, 4)
+    for k, group in ((1, paulis), (2, [clifford._kron(a, b) for a in paulis for b in paulis])):
+        d = 2**k
+        num, den = clifford.frame_potential((kg, sum(g[::d + 1])) for kg, g in group)
+        assert num == 4**k * den
+        us = np.array([cliffords.entries(e) for e in group]).reshape(-1, d, d)
+        assert gr.invariant_form_count(tuple(cliffords.pauli_maps(us)), 2) == 4**k
 
 
 def _float_closure_keys(us):
@@ -758,7 +766,7 @@ def test_clifford_stacks_do_not_depend_on_cpu_dispatch():
     # The stack is exact, and every complex product of its conjugations is
     # elementwise in real arithmetic, so numpy's x86-64-v2 dispatch gives the
     # bytes of the default dispatch.
-    paths = [str(Path(clifford.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    paths = [str(Path(errors.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
@@ -774,7 +782,7 @@ def test_clifford_stacks_do_not_depend_on_cpu_dispatch():
 
 def test_two_design_identity_k2():
     num, den = clifford.frame_potential(clifford.clifford_traces(2))
-    assert num == 2 * den
+    assert num == 2 * den == gr.invariant_form_count(gr.clifford_generators(2), 2) * den
 
 
 def test_factored_clifford_traces_match_the_enumerated_group():
@@ -799,7 +807,8 @@ def test_factored_clifford_traces_match_the_enumerated_group():
 
 def test_clifford_2q_cosets_equal_the_generated_closure():
     # The coset construction against the exact breadth-first closure over its
-    # generators H (x) I, I (x) H, S (x) I, I (x) S and CNOT.
+    # generators H (x) I, I (x) H, S (x) I, I (x) S and CNOT, as unitaries and
+    # as grouprep's signed permutations of the 16 Pauli coordinates.
     els = cliffords.two_qubit_elements()
     assert len(set(els)) == 11520
     us = cliffords.two_qubit_unitaries()
@@ -810,11 +819,31 @@ def test_clifford_2q_cosets_equal_the_generated_closure():
                                  clifford._perm([0, 1, 3, 2])])
     assert len(closure) == 11520
     assert set(closure) == set(els)
+    # grouprep's five generators close to the Pauli conjugations of the same
+    # elements.  Each is checked first, so a wrong one cannot close a larger group.
+    maps = set(cliffords.pauli_maps(us))
+    assert set(gr.clifford_generators(2)) <= maps
+    group = gr.closure(gr.clifford_generators(2), 2)
+    assert len(group) == 11520
+    assert set(group) == maps
 
 
 def test_unsupported_clifford_order():
     with pytest.raises(UnsupportedSpaceError):
         clifford.clifford_traces(3)
+    for k in (0, 3):
+        with pytest.raises(UnsupportedSpaceError):
+            gr.clifford_generators(k)
+
+
+def test_local_cliffords_count_4_on_both_routes():
+    # Negative control: C_1 (x) C_1 is no two-qubit 2-design, F = 2 * 2 from the
+    # oracle's traces and from the forms that H and S on either qubit fix.
+    c1 = clifford.one_qubit_group()
+    local = (clifford._kron(a, b) for a in c1 for b in c1)
+    num, den = clifford.frame_potential((kg, sum(g[::5])) for kg, g in local)
+    assert num == 4 * den
+    assert gr.invariant_form_count(gr.clifford_generators(2)[:4], 2) == 4
 
 
 def test_sample_dihedral_draws_group_elements(rng):

@@ -81,10 +81,11 @@ def blas_entry_points(source: str) -> list[str]:
 
 
 def test_clifford_makes_no_blas_call():
-    # The Clifford groups are exact Gaussian-integer arithmetic: the module
-    # imports no numpy, only the standard library and the package's errors.
-    source = (PACKAGE / "clifford.py").read_text(encoding="utf-8")
-    assert imported_modules(source) == {"__future__", "collections", "functools", "math", "typing"}
+    # The trace oracle of two-design is exact Gaussian-integer arithmetic: the
+    # module imports no numpy, only the standard library and the package's errors.
+    source = (Path(__file__).parent / "reference" / "clifford.py").read_text(encoding="utf-8")
+    assert imported_modules(source) == {"__future__", "collections", "functools", "gptpurity",
+                                        "math", "typing"}
     assert blas_entry_points(source) == []
 
 
@@ -189,8 +190,8 @@ def test_no_module_imports_the_haar_references():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
                 assert "haar" not in {p for n in names for p in n.split(".")}, path.name
-    layers = ("errors", "cli", "statespace", "grouprep", "clifford", "composite", "purity",
-              "boxworld", "formulas", "randomize", "faces", "checks")
+    layers = ("errors", "cli", "statespace", "grouprep", "composite", "purity", "boxworld",
+              "formulas", "randomize", "faces", "checks")
     assert _loaded_by("gptpurity.cli") == {"gptpurity", *(f"gptpurity.{n}" for n in layers)}
 
 
@@ -366,39 +367,40 @@ def test_exact_suites_give_the_same_checks_for_any_seed(suite):
     assert outs[0] == outs[1]
 
 
-# The exact-identities commands that read no Clifford group: pauli-identities
-# and gram-invariance take the qubit's group from clifford as signed permutations.
-_NO_CLIFFORD = ("verify-classical-subsystem", "verify-boxworld",
-                "predict-nonlocaltomo", "predict-qface", "predict-main")
+# The exact-identities commands that read no group: two-design, pauli-identities,
+# gram-invariance and boxworld take theirs from grouprep as monomial maps.
+_NO_GROUP = ("verify-classical-subsystem", "predict-nonlocaltomo", "predict-qface",
+             "predict-main")
 
 
 @pytest.mark.parametrize("name", list(_EXACT_IDENTITIES))
 def test_exact_identity_commands_run_no_haar_layer(name):
-    # The Haar draws and the group-averaged Gram are test references that no
-    # command runs; a command that reads no qubit group runs no Clifford
-    # enumeration either.
+    # The Haar draws, the group-averaged Gram and the Clifford trace oracle are
+    # test references that no command runs; a command that reads no group runs
+    # no grouprep either.
     executed = _executed_by(_EXACT_IDENTITIES[name])
-    assert "haar" not in executed
-    assert ("clifford" in executed) == (name not in _NO_CLIFFORD)
+    assert not {"haar", "clifford"} & executed
+    assert ("grouprep" in executed) == (name not in _NO_GROUP)
 
 
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_two_design_runs_no_descriptor_layer(k):
-    # The Clifford group and its frame potential are exact Gaussian-integer
-    # arithmetic, so no state space, group or suite layer runs and neither
-    # numpy nor fractions is imported; the verdict is an errors.Check.
+    # The frame potential is grouprep's form count on the Clifford generators'
+    # signed permutations, so only grouprep and the exact statespace it reads
+    # run, no float descriptor, purity or suite layer, and neither numpy nor
+    # fractions is imported; the verdict is an errors.Check.
     assert _executed_by(["two-design", "--k", k], _UNNEEDED + _NUMPY) == {
-        "cli", "errors", "clifford"}
+        "cli", "errors", "grouprep", "statespace"}
 
 
 @pytest.mark.parametrize("suite,layers", [
-    ("pauli-identities", {"statespace", "grouprep", "clifford", "purity"}),
-    ("gram-invariance", {"statespace", "grouprep", "clifford"}),
+    ("pauli-identities", {"statespace", "grouprep", "purity"}),
+    ("gram-invariance", {"statespace", "grouprep"}),
     ("classical-subsystem", {"statespace", "composite"}),
     ("boxworld", {"statespace", "grouprep", "boxworld"}),
 ])
 def test_exact_suites_run_only_their_exact_layers(suite, layers):
-    # Exact coordinates, monomial maps and characters over int coefficients:
+    # Exact coordinates, monomial maps and form counts over int coefficients:
     # neither numpy nor fractions nor dataclasses is imported, and no Haar,
     # face or estimator layer runs (boxworld only in its own suite).
     assert _executed_by(["verify", suite], _UNNEEDED + _NUMPY) == {"cli", "errors", "checks",
