@@ -15,8 +15,10 @@ its pure states are (1, +-1, +-1).  A state is the 9-tuple of coefficients of
 e_i (x) e_j at index 3 i + j.  Every pure state then has entries in
 {-1, 0, 1}, and every reversible map is a signed permutation of the nine
 coordinates, a ``grouprep`` map with r = 2.  So purities are ``statespace``
-rationals, every fact below is an exact equality, and the three invariant
-forms are counted from the five generators alone.  No numpy is imported.
+rationals, every fact below is an exact equality, and the PR-type states,
+the vertex orbits and the three invariant forms all come from the five
+generators of the 128 reversible maps, which are never enumerated.  No numpy
+is imported.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import NamedTuple
 
 from . import grouprep
 from . import statespace as ss
-from .grouprep import Map
 
 # The correlation block A-hat (x) B-hat, and the marginal blocks
 # mu (x) B-hat and A-hat (x) mu.
@@ -37,44 +38,24 @@ SCALE = ss.rational(1, 3)
 PRODUCT_COUNT = 16
 
 
-def _gbit_symmetries() -> list[Map]:
-    """D4 on one gbit: the rotations R^k by k pi/2, then the reflections R^k F, F = diag(1, -1)."""
-    rotations = [((0, 1, 2), (0, 0, 0))]
-    for _ in range(3):
-        rotations.append(grouprep.compose(((0, 2, 1), (0, 1, 0)), rotations[-1], 2))
-    return rotations + [grouprep.compose(r, ((0, 1, 2), (0, 0, 1)), 2) for r in rotations]
-
-
-@lru_cache(maxsize=1)
-def group_elements() -> tuple[Map, ...]:
-    """All 128 reversible transformations of bipartite boxworld.
-
-    These are the local pairs G_A (x) G_B (``grouprep.kron``), G in D4 on
-    each side, G_A major, then each composed with the swap of the two parties.
-    """
-    d4 = _gbit_symmetries()
-    pairs = [grouprep.kron(a, b, 2) for a in d4 for b in d4]
-    swap = (tuple(3 * (r % 3) + r // 3 for r in range(9)), (0,) * 9)
-    return tuple(pairs + [grouprep.compose(t, swap, 2) for t in pairs])
-
-
-def group_generators() -> tuple[Map, ...]:
-    """The D4 rotation and reflection on A, then on B, and the swap of the parties."""
-    return tuple(group_elements()[i] for i in (8, 32, 1, 4, 64))
+# The generators of the 128 reversible maps: the D4 rotation by pi/2 and the reflection
+# diag(1, -1) of one gbit's (x, y), on A, then on B, and the swap of the two parties.
+GENERATORS = (((0, 1, 2, 6, 7, 8, 3, 4, 5), (0, 0, 0, 1, 1, 1, 0, 0, 0)),
+              ((0, 1, 2, 3, 4, 5, 6, 7, 8), (0, 0, 0, 0, 0, 0, 1, 1, 1)),
+              ((0, 2, 1, 3, 5, 4, 6, 8, 7), (0, 1, 0, 0, 1, 0, 0, 1, 0)),
+              ((0, 1, 2, 3, 4, 5, 6, 7, 8), (0, 0, 1, 0, 0, 1, 0, 0, 1)),
+              ((0, 3, 6, 1, 4, 7, 2, 5, 8), (0,) * 9))
+# The canonical PR box.
+PR = (1, 0, 0, 0, 1, 1, 0, 1, -1)
 
 
 @lru_cache(maxsize=1)
 def vertices() -> tuple[tuple[int, ...], ...]:
-    """The 24 pure states: the 16 products, then the 8 PR-type states.
-
-    The PR-type states are the images of the canonical PR box under the
-    group, in first-discovery order.
-    """
+    """The 24 pure states: the 16 products, then the 8 PR-type states, the orbit of the
+    canonical PR box in ``grouprep.orbit``'s breadth-first order."""
     gbit = [(1, r, s) for r in (1, -1) for s in (1, -1)]
     products = [tuple(x * y for x in a for y in b) for a in gbit for b in gbit]
-    pr = (1, 0, 0, 0, 1, 1, 0, 1, -1)
-    orbit = dict.fromkeys(grouprep.apply(t, pr, 2) for t in group_elements())
-    return tuple(products + list(orbit))
+    return tuple(products) + grouprep.orbit(PR, GENERATORS, 2)
 
 
 def purity(v: tuple[int, ...], a: ss.Cyc | int = 1, b: ss.Cyc | int = 1) -> ss.Cyc:
@@ -145,6 +126,5 @@ def transitivity_obstruction_witness() -> bool:
     """
     verts = vertices()
     index = {v: k for k, v in enumerate(verts)}
-    orbits = {frozenset(index.get(grouprep.apply(t, v, 2)) for t in group_elements())
-              for v in verts}
+    orbits = {frozenset(index.get(w) for w in grouprep.orbit(v, GENERATORS, 2)) for v in verts}
     return orbits == {frozenset(range(PRODUCT_COUNT)), frozenset(range(PRODUCT_COUNT, 24))}

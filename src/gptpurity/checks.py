@@ -5,8 +5,8 @@ histogram-bearing Monte Carlo report into one.
 ``SUITES`` maps each ``verify`` suite to a ``(seed, samples) -> list[Check]``
 producer, shared by the command line and the acceptance tests; it is the one
 list of suite names.  Only ``markov-tail`` samples; the other suites are
-exact, over fixed states, the qubit's 24 Cliffords and the forms that group
-generators fix, and read neither argument.
+exact, over fixed states and the forms and orbits of groups given by their
+generators, and read neither argument.
 Other layers are reached through module aliases only, so running this
 module runs none of them.
 """
@@ -52,7 +52,12 @@ def _pauli_identities(seed: int, samples: int) -> list[Check]:
         checks.append(Check(f"complete-set-{name}", float(dev), 0.0))
         checks.append(Check(f"collision-{name}", float(cdev), 0.0))
     x, omega = pur.complete_pauli_set(ss.QUBIT)[0], pur.OFF_AXIS_QUBIT
-    avg = pur.pauli_haar_average(ss.QUBIT, grouprep.qubit_cliffords(), x, omega)
+    # X(T omega)^2 = b^t T^t c c^t T b for b = omega - mixed and c = G x, so its mean over
+    # the Cliffords is b^t Pi(c c^t) b, the projection over H and S.
+    c, b = ss.covector(ss.QUBIT, x), ss.bloch(ss.QUBIT, omega)
+    form = [((k, l), ck * cl) for k, ck in enumerate(c) for l, cl in enumerate(c)]
+    pi = grouprep.twirl(form, grouprep.clifford_generators(1), 2)
+    avg = sum(w * b[k] * b[l] for (k, l), w in pi)
     expected = pur.purity(ss.QUBIT, omega) * ss.rational(1, 3)
     checks.append(Check("haar-average-qubit", float(abs(avg - expected)), 0.0))
     return checks
@@ -95,10 +100,9 @@ def _markov_tail(seed: int, samples: int) -> list[Check]:
 def _boxworld(seed: int, samples: int) -> list[Check]:
     prod_p, pr_p = bw.vertex_purities()
     obstruction = bw.boxworld_normalization_obstruction()
-    gens = bw.group_generators()
     # The unit direction and the free weights a and b of the two blocks.
-    forms = grouprep.invariant_form_count(gens, 2)
-    dev = grouprep.invariance_deviation(bw.GRAM, gens, 2)
+    forms = grouprep.invariant_form_count(bw.GENERATORS, 2)
+    dev = grouprep.invariance_deviation(bw.GRAM, bw.GENERATORS, 2)
     return [
         Check("vertex-count", float(abs(len(bw.vertices()) - 24)), 0.0),
         Check("product-purity-one", float(max(abs(p - 1) for p in prod_p)), 0.0),

@@ -42,9 +42,9 @@ def _lazy(name: str) -> None:
 # Every layer is in sys.modules from here on, but a command runs only the
 # layers it reads: an exact prediction runs formulas alone, with no numpy, a
 # quantum estimate runs randomize, not the descriptors, Grams, faces and
-# suites it does not need, and two-design runs grouprep's form count, with no
-# numpy.
-# No command draws a group element, so no Haar sampler is in the package.
+# suites it does not need, and two-design runs grouprep alone, with no numpy.
+# No command draws or enumerates a group element: grouprep walks orbits from
+# generators, so no Haar sampler or closure is in the package.
 for _name in ("statespace", "grouprep", "composite", "purity", "boxworld",
               "formulas", "randomize", "faces", "checks"):
     _lazy(_name)

@@ -8,7 +8,6 @@ set of them has mean X(omega)^2 = purity / (K - 1).
 
 from __future__ import annotations
 
-from . import grouprep
 from . import statespace as ss
 
 # A pure qubit state off every symmetry axis: its Bloch vector (12, 15, 16)/25 has unit length.
@@ -64,10 +63,3 @@ def pauli_identity_deviations(space: ss.Space, states: tuple) -> tuple[object, o
             cdev = max(cdev, miss / 2 / abs(p))
     return dev, cdev
 
-
-def pauli_haar_average(space: ss.Space, maps: tuple, x: tuple, omega: tuple) -> object:
-    """Mean of X(T omega)^2 over signed permutations T, summed exactly: purity(omega)/(K - 1)
-    for any Pauli map when the maps are a 2-design, such as ``grouprep.qubit_cliffords``."""
-    cov = ss.covector(space, x)
-    values = [ss.dot(cov, ss.bloch(space, grouprep.apply(t, omega, 2))) for t in maps]
-    return sum(v * v for v in values) * ss.rational(1, len(values))

@@ -13,8 +13,11 @@ order unit and map the cone into itself.  This module provides
   invariance of a Gram is checked exactly, and the dimension of the space
   of forms they leave invariant, which proves that Gram unique up to scale,
 * the dimension of all forms that a finite group of exact monomial maps
-  fixes, by characters over the whole group: the reference of the
-  generator-only count of ``gptpurity.grouprep``,
+  fixes, by characters over the whole group, and the plain mean of T^t Q T
+  over it: the references of the generator-only count and projection of
+  ``gptpurity.grouprep``,
+* the breadth-first closure of exact monomial maps, which enumerates the
+  whole group those generator-only walks never form,
 * the qubit's Pauli-eigenstate orbit.
 
 The Clifford groups are enumerated exactly in ``clifford``, the trace oracle of
@@ -32,6 +35,7 @@ import numpy as np
 
 from gptpurity import errors
 from gptpurity.errors import UnsupportedSpaceError
+from gptpurity.statespace import Cyc
 
 import cliffords
 
@@ -309,6 +313,49 @@ def character_form_count(elements: Iterable[tuple], r: int) -> int:
     count = round(total.real)
     assert abs(total - count) < 1e-9, total
     return count
+
+
+def form_mean(form: tuple, elements: tuple, r: int) -> dict:
+    """(1/|G|) sum_T T^t Q T over a finite group of ``gptpurity.grouprep`` maps, from the
+    sparse entries ((k, l), w) of Q, as {(k, l): w}.
+
+    Entry (p_k, p_l) of T^t Q T is zeta^(e_k + e_l) Q[k][l].  The terms of each pair of
+    source and target entry are counted by their exponent x first, so the sum over the
+    group is taken in ints and each such pair adds (sum_x count_x zeta^x) Q[k][l] once.
+    """
+    counts = {}
+    for p, e in elements:
+        for (k, l), _ in form:
+            counts.setdefault(((p[k], p[l]), (k, l)), [0] * r)[(e[k] + e[l]) % r] += 1
+    q, total = dict(form), {}
+    for (target, source), c in counts.items():
+        total[target] = total.get(target, 0) + Cyc(c) * q[source] / len(elements)
+    return total
+
+
+# -- the closure of exact monomial maps ------------------------------------------------
+
+
+def compose(s: tuple, t: tuple, r: int) -> tuple:
+    """The product S T of two ``gptpurity.grouprep`` maps."""
+    (tp, te), (sp, se) = t, s
+    return tuple([tp[p] for p in sp]), tuple([(e + te[p]) % r for p, e in zip(sp, se)])
+
+
+def closure(generators: tuple, r: int) -> tuple:
+    """The group the maps generate, breadth first from the identity: level by level,
+    and within a level by frontier element, then by generator g, each new g x.
+
+    Nothing bounds the group it forms, so a test checks each generator against
+    known maps before closing them.
+    """
+    k = len(generators[0][0])
+    found = dict.fromkeys([(tuple(range(k)), (0,) * k)])
+    frontier = list(found)
+    while frontier:
+        fresh = [compose(g, x, r) for x in frontier for g in generators]
+        frontier = [found.setdefault(y, y) for y in fresh if y not in found]
+    return tuple(found)
 
 
 def _invariance_system(ts: np.ndarray) -> np.ndarray:

@@ -30,35 +30,50 @@ def _unscaled(v):
     return np.array(v) * _UNSCALE
 
 
+def _keys(vectors):
+    return {tuple(np.round(v, 12) + 0.0) for v in vectors}
+
+
 def test_exact_vertices_are_the_reference_vertices():
+    # The 16 products in the reference's order, then the 8 PR-type states, the orbit
+    # of the canonical PR box (``grouprep.orbit``), against the reference's D4 x D4
+    # orbit as a set, since the breadth-first order over the generators is not the
+    # reference's loop order; the canonical PR box comes first.
     verts = bw.vertices()
     assert len(verts) == 24 and len(set(verts)) == 24
     assert all(set(v) <= {-1, 0, 1} for v in verts)
-    np.testing.assert_allclose([_unscaled(v) for v in verts],
-                               build_boxworld_bipartite().vertices, rtol=0, atol=1e-15)
+    ref = build_boxworld_bipartite().vertices
+    np.testing.assert_allclose([_unscaled(v) for v in verts[:BOXWORLD_PRODUCT_COUNT]],
+                               ref[:BOXWORLD_PRODUCT_COUNT], rtol=0, atol=1e-15)
+    assert _keys(_unscaled(v) for v in verts[BOXWORLD_PRODUCT_COUNT:]) == _keys(
+        ref[BOXWORLD_PRODUCT_COUNT:])
+    assert verts[BOXWORLD_PRODUCT_COUNT] == bw.PR
+    np.testing.assert_allclose(_unscaled(bw.PR), boxworld_pr_state(), rtol=0, atol=1e-15)
 
 
 def test_exact_signed_permutations_are_the_reference_elements():
     # Each element is 0/+-1 in both bases, since it maps each local
-    # coordinate pair (x, y) onto itself up to order and sign.
-    ts = bw.group_elements()
+    # coordinate pair (x, y) onto itself up to order and sign.  The generators are
+    # the reference's, in order, and their closure is the reference's 128 maps.
+    np.testing.assert_array_equal([_matrix(t) for t in bw.GENERATORS], boxworld_generators())
+    ts = grouprep.closure(bw.GENERATORS, 2)
     assert len(ts) == 128 and len(set(ts)) == 128
-    np.testing.assert_array_equal([_matrix(t) for t in ts], boxworld_group_elements())
-    np.testing.assert_array_equal([_matrix(t) for t in bw.group_generators()],
-                                  boxworld_generators())
+    assert _keys(_matrix(t).ravel() for t in ts) == _keys(
+        m.ravel() for m in boxworld_group_elements())
 
 
 def test_invariant_forms_match_the_elimination():
     # The exact count against the characters over the same group and the float
     # elimination of its symmetric forms.  Each group fixes only symmetric
     # forms; the identity fixes all 81, of which 45 are symmetric.
+    # The local maps D4 x D4, without the swap, fix one more.
     identity = ((tuple(range(9)), (0,) * 9),)
-    for maps, expected, symmetric in ((bw.group_generators(), 3, 3),
-                                      (gr.closure(bw.group_generators(), 2), 3, 3),
-                                      (bw.group_elements(), 3, 3),
-                                      (bw.group_elements()[:64], 4, 4), (identity, 81, 45)):
+    for maps, expected, symmetric in ((bw.GENERATORS, 3, 3),
+                                      (grouprep.closure(bw.GENERATORS, 2), 3, 3),
+                                      (grouprep.closure(bw.GENERATORS[:4], 2), 4, 4),
+                                      (identity, 81, 45)):
         assert gr.invariant_form_count(maps, 2) == expected
-        assert grouprep.character_form_count(gr.closure(maps, 2), 2) == expected
+        assert grouprep.character_form_count(grouprep.closure(maps, 2), 2) == expected
         assert grouprep.invariant_form_dimension(np.array([_matrix(t) for t in maps])) == symmetric
 
 
@@ -123,8 +138,9 @@ def test_purity_invariant_under_full_group(rng):
 
 def test_default_gram_invariance_over_full_group():
     # The suite checks the generators alone, which generate all 128 maps.
-    assert set(gr.closure(bw.group_generators(), 2)) == set(bw.group_elements())
-    assert gr.invariance_deviation(bw.GRAM, bw.group_elements(), 2) == 0
+    group = grouprep.closure(bw.GENERATORS, 2)
+    assert len(group) == 128
+    assert gr.invariance_deviation(bw.GRAM, group, 2) == 0
     assert grouprep.invariance_deviation(BoxworldGram().matrix(), boxworld_group_elements()) < 1e-12
 
 
@@ -164,9 +180,8 @@ def test_degenerate_gram_normalizes_both_families():
 
 def test_purity_separates_vertex_classes_over_group(monkeypatch):
     assert bw.transitivity_obstruction_witness()
-    # A map outside the group (the swap of coordinates 1 and 4) takes some
+    # A generator outside the group (the swap of coordinates 1 and 4) takes some
     # product vertex off the vertex set, and the witness fails.
-    elements = bw.group_elements()
     off = ((0, 4, 2, 3, 1, 5, 6, 7, 8), (0,) * 9)
-    monkeypatch.setattr(bw, "group_elements", lambda: (*elements, off))
+    monkeypatch.setattr(bw, "GENERATORS", (*bw.GENERATORS, off))
     assert not bw.transitivity_obstruction_witness()

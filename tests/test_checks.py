@@ -194,7 +194,7 @@ def test_uniqueness_rows_fail_when_the_generators_fix_every_form(monkeypatch):
     # that count less the expected 2 (3 for boxworld) and fails.
     monkeypatch.setattr(checks.grouprep, "group_generators",
                         lambda space: (2, ((tuple(range(len(space.mixed))), (0,) * len(space.mixed)),)))
-    monkeypatch.setattr(checks.bw, "group_generators", lambda: ((tuple(range(9)), (0,) * 9),))
+    monkeypatch.setattr(checks.bw, "GENERATORS", ((tuple(range(9)), (0,) * 9),))
     rows = {c.name: c for c in checks.run_suite("gram-invariance", 0, 2)
             + checks.run_suite("boxworld", 0, 2)
             if c.name.startswith("gram-uniqueness-") or c.name == "invariant-forms"}

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from gptpurity import boxworld as bw
+from gptpurity import checks
 from gptpurity import composite as cm
 from gptpurity import grouprep as gr
 from gptpurity import purity as pur
@@ -108,7 +109,7 @@ def test_exact_generators_are_the_reference_maps(space):
     if space.kind == ss.KIND_QUANTUM and space.level == 2:
         # All 24 Cliffords, in the reference's order; H and S are the generators.
         expected = gr_ref.clifford_elements(ref)
-        np.testing.assert_allclose([float_map(space, t, r) for t in gr.qubit_cliffords()],
+        np.testing.assert_allclose([float_map(space, t, r) for t in gr_ref.closure(gens, r)],
                                    expected, rtol=0, atol=1e-12)
         expected = expected[1:3]
     elif space.kind == ss.KIND_QUANTUM:
@@ -136,7 +137,7 @@ def test_exact_groups_are_the_reference_groups(space, order):
     # element a Gram-orthogonal map of the float coordinates, and for the
     # enumerable groups exactly the reference's element stack.
     r, gens = gr.group_generators(space)
-    group = gr.closure(gens, r)
+    group = gr_ref.closure(gens, r)
     assert len(group) == order
     maps = np.array([float_map(space, t, r) for t in group])
     g = gr_ref.analytic_gram(reference(space)).matrix
@@ -145,8 +146,6 @@ def test_exact_groups_are_the_reference_groups(space, order):
         expected = gr_ref.group_elements(reference(space))
         assert {(m.round(12) + 0.0).tobytes() for m in maps} == {
             (m.round(12) + 0.0).tobytes() for m in expected}
-    if space.kind == ss.KIND_QUANTUM and space.level == 2:
-        assert group == gr.qubit_cliffords()
 
 
 @pytest.mark.parametrize("space", GRAM_SPACES, ids=_name)
@@ -192,14 +191,21 @@ def test_exact_pauli_sets_and_purities_are_the_reference_ones(space):
 
 
 def test_exact_haar_average_is_the_reference_average():
-    # haar-average-qubit: the same state, Pauli map and 24 maps, the same mean.
+    # haar-average-qubit: the same state and Pauli map, and the suite's projection over H
+    # and S is the plain mean of X(T omega)^2 over the 24 maps of their closure.
     qubit, ref = ss.QUBIT, ss_ref.build_quantum(2)
     omega = vector(pur.OFF_AXIS_QUBIT).real / math.sqrt(2)
     np.testing.assert_allclose(omega, [c / math.sqrt(2) for c in (1.0, 0.48, 0.6, 0.64)],
                                atol=1e-15)
     x = pur.complete_pauli_set(qubit)[0]
-    avg = pur.pauli_haar_average(qubit, gr.qubit_cliffords(), x, pur.OFF_AXIS_QUBIT)
+    group = gr_ref.closure(gr.clifford_generators(1), 2)
+    assert len(group) == 24
+    cov = ss.covector(qubit, x)
+    values = [ss.dot(cov, ss.bloch(qubit, gr.apply(t, pur.OFF_AXIS_QUBIT, 2))) for t in group]
+    avg = sum(v * v for v in values) * ss.rational(1, 24)
     assert avg == ss.rational(1, 3) == pur.purity(qubit, pur.OFF_AXIS_QUBIT) * ss.rational(1, 3)
+    row = {c.name: c for c in checks.run_suite("pauli-identities", 0, 2)}["haar-average-qubit"]
+    assert (row.value, row.bound) == (0.0, 0.0)
     x_ref = pur_ref.complete_pauli_set(ref)[0]
     assert abs(pur_ref.pauli_haar_average(gr_ref.clifford_elements(ref), x_ref, omega)
                - value(avg).real) <= 1e-15
@@ -226,7 +232,7 @@ def test_character_count_is_the_reference_elimination(space):
     # over the dense subgroup's generators all find the unit direction and
     # the Gram, and nothing else.
     r, gens = gr.group_generators(space)
-    group = gr.closure(gens, r)
+    group = gr_ref.closure(gens, r)
     assert gr.invariant_form_count(gens, r) == gr.invariant_form_count(group, r) == 2
     assert gr_ref.character_form_count(group, r) == 2
     assert gr_ref.invariant_form_dimension(gr_ref.group_generators(reference(space))) == 2
@@ -244,16 +250,65 @@ def test_character_count_sees_a_reducible_subgroup(space, index, count, symmetri
     # elimination over the same one map finds the symmetric ones among them.
     r, gens = gr.group_generators(space)
     one = gens[index]
-    group = gr.closure((one,), r)
+    group = gr_ref.closure((one,), r)
     assert gr.invariant_form_count((one,), r) == gr.invariant_form_count(group, r) == count
     assert gr_ref.character_form_count(group, r) == count
     assert gr_ref.invariant_form_dimension(float_map(space, one, r)[None]) == symmetric
 
 
+def _form(n: int) -> tuple:
+    """A rational n x n form with no symmetry: entry (k, l) is
+    (k^2 - 3 l + 2 k l - 1)/(1 + (k + 2 l) mod 5)."""
+    return tuple(((k, l), ss.rational(k * k - 3 * l + 2 * k * l - 1, 1 + (k + 2 * l) % 5))
+                 for k in range(n) for l in range(n))
+
+
+def _dense(entries, n: int) -> list:
+    entries = dict(entries)
+    return [entries.get((k, l), 0) for k in range(n) for l in range(n)]
+
+
+# Each space's group generators, bipartite boxworld's and the two-qubit Cliffords', then
+# each generator of a space alone.
+TWIRL_INPUTS = [pytest.param(*gr.group_generators(space), id=_name(space))
+                for space in GRAM_SPACES] + [
+    pytest.param(2, bw.GENERATORS, id="boxworld"),
+    pytest.param(2, gr.clifford_generators(2), id="clifford-2")] + [
+    pytest.param(gr.group_generators(space)[0], (t,), id=f"{_name(space)}-{i}")
+    for space in GRAM_SPACES for i, t in enumerate(gr.group_generators(space)[1])]
+
+
+@pytest.mark.parametrize("r,gens", TWIRL_INPUTS)
+def test_twirl_is_the_plain_mean_over_the_closure(r, gens):
+    # Pi(Q) from the pair orbits of the generators against (1/|G|) sum_T T^t Q T over
+    # the enumerated group, exactly.  The full groups fix real forms only, so every
+    # exponent of their free orbits is 0; the qutrit's phase gate alone (r = 3) has free
+    # orbits with exponents 1 and 2, and tests the conjugate phase zeta^(-x) of the
+    # orbit mean.
+    n = len(gens[0][0])
+    form, group = _form(n), gr_ref.closure(gens, r)
+    twirled = gr.twirl(form, gens, r)
+    assert _dense(twirled, n) == _dense(gr_ref.form_mean(form, group, r), n)
+    assert any(w != 0 for _, w in twirled)
+    # A fixed form is its own projection.
+    assert _dense(gr.twirl(twirled, gens, r), n) == _dense(twirled, n)
+
+
+def test_twirl_over_a_subgroup_is_not_the_group_mean():
+    # Negative control: S alone rotates about z and fixes e_z e_z^t, while the
+    # Cliffords spread it evenly over x, y and z.
+    ez = (((3, 3), 1),)
+    h_s = gr.clifford_generators(1)
+    full = _dense(gr_ref.form_mean(ez, gr_ref.closure(h_s, 2), 2), 4)
+    assert _dense(gr.twirl(ez, h_s, 2), 4) == full
+    assert full[5] == full[10] == full[15] == ss.rational(1, 3)
+    assert _dense(gr.twirl(ez, h_s[1:], 2), 4) != full
+
+
 # Each space's Gram and group generators, then bipartite boxworld's.
 INVARIANCE_INPUTS = [pytest.param(space.gram, *gr.group_generators(space), id=_name(space))
                      for space in GRAM_SPACES] + [
-    pytest.param(bw.GRAM, 2, bw.group_generators(), id="boxworld")]
+    pytest.param(bw.GRAM, 2, bw.GENERATORS, id="boxworld")]
 
 
 @pytest.mark.parametrize("gram,r,gens", INVARIANCE_INPUTS)

@@ -819,11 +819,12 @@ def test_clifford_2q_cosets_equal_the_generated_closure():
                                  clifford._perm([0, 1, 3, 2])])
     assert len(closure) == 11520
     assert set(closure) == set(els)
-    # grouprep's five generators close to the Pauli conjugations of the same
-    # elements.  Each is checked first, so a wrong one cannot close a larger group.
+    # gptpurity.grouprep's five generators close, in the reference closure, to the Pauli
+    # conjugations of the same elements.  Each is checked first, so a wrong one cannot
+    # close a larger group.
     maps = set(cliffords.pauli_maps(us))
     assert set(gr.clifford_generators(2)) <= maps
-    group = gr.closure(gr.clifford_generators(2), 2)
+    group = grouprep.closure(gr.clifford_generators(2), 2)
     assert len(group) == 11520
     assert set(group) == maps
 

@@ -386,11 +386,11 @@ def test_exact_identity_commands_run_no_haar_layer(name):
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_two_design_runs_no_descriptor_layer(k):
     # The frame potential is grouprep's form count on the Clifford generators'
-    # signed permutations, so only grouprep and the exact statespace it reads
-    # run, no float descriptor, purity or suite layer, and neither numpy nor
+    # signed permutations, whose phases are +-1, so only grouprep runs: no exact
+    # statespace, float descriptor, purity or suite layer, and neither numpy nor
     # fractions is imported; the verdict is an errors.Check.
     assert _executed_by(["two-design", "--k", k], _UNNEEDED + _NUMPY) == {
-        "cli", "errors", "grouprep", "statespace"}
+        "cli", "errors", "grouprep"}
 
 
 @pytest.mark.parametrize("suite,layers", [

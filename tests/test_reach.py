@@ -206,8 +206,11 @@ def test_every_def_serves_a_command_or_a_named_test(tmp_path):
     assert got["pytest"] == 0, proc.stdout[-3000:]
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        defs.update(defs_of(path.read_text(encoding="utf-8"), path.stem))
-    assert len(defs) > 100
+        found = defs_of(path.read_text(encoding="utf-8"), path.stem)
+        # The walker sees every module that holds code; only the package marker has none.
+        assert found or path.stem == "__init__", path.name
+        defs.update(found)
+    assert "cli.main" in defs
     tests = {test: {tuple(k) for k in keys} for test, keys in got["tests"].items()}
     failures = reach_failures(defs, {tuple(k) for k in got["commands"]}, tests, ALLOWLIST)
     assert failures == [], "\n".join(failures)
