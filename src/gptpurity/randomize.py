@@ -110,8 +110,10 @@ def _pcg64_types() -> tuple[type, type, type]:
     other bit generators and ``_pickle``, which no estimator uses.  Unless it
     is loaded already, the three extension modules are imported under a
     placeholder package for ``numpy.random`` that lives only for these
-    imports; a later ``import numpy.random`` runs the package itself, which
-    reuses the same modules and types.  Any ``ImportError`` on that route
+    imports.  Their ``sys.modules`` entries go with it, so a later ``import
+    numpy.random`` runs the package itself, which imports them again: that
+    gives back the same modules and types and binds the modules on it
+    (``numpy.random.bit_generator``).  Any ``ImportError`` on that route
     falls back to the package.
     """
     with _IMPORT_LOCK:
@@ -128,7 +130,8 @@ def _pcg64_types() -> tuple[type, type, type]:
             except ImportError:
                 pass
             finally:
-                del sys.modules["numpy.random"]
+                for name in ("", "._generator", "._pcg64", ".bit_generator"):
+                    sys.modules.pop("numpy.random" + name, None)
     from numpy import random
 
     return random.Generator, random.PCG64, random.SeedSequence
@@ -154,8 +157,8 @@ def _check_run(n_samples: int, seed: int) -> None:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
     if seed < 0:
         raise RangeError(f"the seed must be non-negative, got {seed}")
-    # The values, the global purities and one temporary of the reduction (the
-    # deviations in ``std`` or the clipped values of the histogram).
+    # The values, the global purities and the deviations in ``std``; the
+    # histogram's clipped values are one block.
     check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
 
 
@@ -179,7 +182,14 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
         raise InternalError(f"global purity varied by {spread:.3g} across samples")
     counts = edges = None
     if histogram_bins:
-        counts, edges = np.histogram(np.clip(vals, 0.0, 1.0), bins=histogram_bins, range=(0.0, 1.0))
+        # Binned a block at a time, so the clipped copy and the histogram's
+        # temporaries hold one block; each value falls in its bin on its own,
+        # so the summed counts are those of the whole array.
+        counts = 0
+        for lo in range(0, n_samples, BLOCK_SIZE):
+            block, edges = np.histogram(np.clip(vals[lo:lo + BLOCK_SIZE], 0.0, 1.0),
+                                        bins=histogram_bins, range=(0.0, 1.0))
+            counts += block
     return McReport(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(n_samples)),

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,32 @@ def test_only_descriptors_and_pauli_maps_are_dataclasses():
     assert found == {"reference/statespace.py", "reference/purity.py"}
 
 
+def compile_peak(source: str) -> int:
+    """The peak memory that ``compile`` of ``source`` allocates, as ``tracemalloc`` traces it."""
+    tracemalloc.start()
+    try:
+        compile(source, "<source>", "exec")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_module_every_command_compiles_peaks_above_randomize():
+    # Without written bytecode every command compiles the front end from
+    # source, so none of its modules may be a larger compile than the
+    # estimators' own; the option table is a module of its own for this.  The
+    # traced peak repeats exactly.  Joined, as one cli.py was, cli and options
+    # peak at 1.39 MB against randomize's 0.85 MB.
+    def source(name):
+        return (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+
+    limit = compile_peak(source("randomize"))
+    peaks = {name: compile_peak(source(name)) for name in ("__init__", "errors", "cli", "options")}
+    assert {name: peak for name, peak in peaks.items() if peak >= limit} == {}
+    joined = source("options") + source("cli").replace("from __future__ import annotations\n", "")
+    assert compile_peak(joined) > limit
+
+
 def _env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
@@ -175,6 +202,12 @@ def test_statespace_loads_only_the_package_and_its_errors():
         "gptpurity", "gptpurity.errors", "gptpurity.statespace"}
 
 
+def test_options_loads_no_layer():
+    # The option table reads verify's SUITE choices from checks only when a
+    # verify command line is parsed.
+    assert _loaded_by("gptpurity.options") == {"gptpurity", "gptpurity.options"}
+
+
 def test_randomize_loads_neither_faces_nor_boxworld():
     # Nor any descriptor, Gram or purity layer: only the closed forms' checks.
     assert _loaded_by("gptpurity.randomize") == {
@@ -190,8 +223,8 @@ def test_no_module_imports_the_haar_references():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
                 assert "haar" not in {p for n in names for p in n.split(".")}, path.name
-    layers = ("errors", "cli", "statespace", "grouprep", "composite", "purity", "boxworld",
-              "formulas", "randomize", "faces", "checks")
+    layers = ("errors", "cli", "options", "statespace", "grouprep", "composite", "purity",
+              "boxworld", "formulas", "randomize", "faces", "checks")
     assert _loaded_by("gptpurity.cli") == {"gptpurity", *(f"gptpurity.{n}" for n in layers)}
 
 
@@ -212,7 +245,7 @@ _UNNEEDED = ("fractions", "dataclasses", "argparse", "gettext", "locale")
 # What no exact prediction needs: numpy and every one of its submodules.
 _NUMPY = ("numpy",)
 # The layers of an exact prediction.
-_FORMULAS = {"cli", "errors", "formulas"}
+_FORMULAS = {"cli", "errors", "options", "formulas"}
 
 
 # SHA-256 of b"abc" (FIPS 180-2, appendix B.1).
@@ -300,8 +333,11 @@ def test_face_commands_run_no_descriptor_layer(argv, layers):
     assert _executed_by(argv) == layers
 
 
-# The part of numpy.random a draw needs: its PCG64 Generator and SeedSequence.
-_PCG64 = {"numpy.random._generator", "numpy.random._pcg64", "numpy.random.bit_generator"}
+# What a draw leaves in sys.modules of numpy.random: the helpers that its PCG64
+# Generator and SeedSequence import.  The three extension modules that hold
+# those types are dropped from it with the placeholder package, so that a later
+# ``import numpy.random`` binds them on the package.
+_PCG64_HELPERS = {"numpy.random._common", "numpy.random._bounded_integers"}
 # What no draw needs: the package itself, the legacy RandomState, the other
 # bit generators, their unpickling helpers and OpenSSL.
 _NOT_DRAWN = {"numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
@@ -326,7 +362,7 @@ def test_drawing_commands_load_only_the_pcg64_generator(argv):
     # keeps its built-in digests (which _executed_by checks) and no seeded
     # draw changes.
     loaded = _executed_by(argv, ("numpy.random", "_hashlib"))
-    assert _PCG64 <= loaded
+    assert {n for n in loaded if n.startswith("numpy")} == _PCG64_HELPERS
     assert not loaded & _NOT_DRAWN
 
 
@@ -390,7 +426,7 @@ def test_two_design_runs_no_descriptor_layer(k):
     # statespace, float descriptor, purity or suite layer, and neither numpy nor
     # fractions is imported; the verdict is an errors.Check.
     assert _executed_by(["two-design", "--k", k], _UNNEEDED + _NUMPY) == {
-        "cli", "errors", "grouprep"}
+        "cli", "errors", "options", "grouprep"}
 
 
 @pytest.mark.parametrize("suite,layers", [
@@ -403,8 +439,8 @@ def test_exact_suites_run_only_their_exact_layers(suite, layers):
     # Exact coordinates, monomial maps and form counts over int coefficients:
     # neither numpy nor fractions nor dataclasses is imported, and no Haar,
     # face or estimator layer runs (boxworld only in its own suite).
-    assert _executed_by(["verify", suite], _UNNEEDED + _NUMPY) == {"cli", "errors", "checks",
-                                                                   *layers}
+    assert _executed_by(["verify", suite], _UNNEEDED + _NUMPY) == {"cli", "errors", "options",
+                                                                   "checks", *layers}
 
 
 def test_verify_boxworld_runs_boxworld_and_the_module_entry_point_works():

@@ -512,6 +512,31 @@ def test_blocks_spans_and_streams():
     assert calls == []
 
 
+def test_histogram_binned_per_block_is_the_whole_array_histogram():
+    # 2500 values, not a multiple of BLOCK_SIZE: all 101 bin edges, their float
+    # neighbours, values below 0 and above 1 (clipped to the end bins) and
+    # uniform fill, shuffled across the three blocks.
+    edges = np.linspace(0.0, 1.0, 101)
+    vals = np.concatenate([
+        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+        -np.geomspace(1e-300, 1e3, 40), 1.0 + np.geomspace(1e-15, 1e3, 40)])
+    rng = np.random.default_rng(4700)
+    vals = rng.permutation(np.concatenate([vals, rng.uniform(-0.2, 1.2, 2500 - vals.size)]))
+    assert vals.size == 2500 and 2500 % rnd.BLOCK_SIZE
+    starts = iter(range(0, 2500, rnd.BLOCK_SIZE))
+
+    def draw(_rng, size):
+        lo = next(starts)
+        return vals[lo:lo + size], 1.0
+
+    rep = rnd._estimate(2500, 0, draw, rnd.HISTOGRAM_BINS)
+    counts, want_edges = np.histogram(np.clip(vals, 0, 1), 100, (0, 1))
+    assert rep.histogram_counts.dtype == counts.dtype
+    assert rep.histogram_counts.tobytes() == counts.tobytes()
+    assert rep.histogram_edges.tobytes() == want_edges.tobytes()
+    assert counts[0] > 40 and counts[-1] > 40
+
+
 # Draws on sample_rng's own route in a fresh interpreter (numpy.random not yet
 # loaded), then compares them with default_rng once the package is imported.
 _NARROW_STREAMS = """
@@ -524,8 +549,8 @@ drawn = []
 for seed, b in pairs:
     rng = rnd.sample_rng(seed, b)
     drawn.append((type(rng), rng.standard_normal(7), rng.permuted(grid, axis=1)))
-assert "numpy.random._generator" in sys.modules
-assert "numpy.random" not in sys.modules and "numpy.random.mtrand" not in sys.modules
+assert drawn[0][0].__module__ == "numpy.random._generator"
+assert not {"numpy.random", "numpy.random._generator", "numpy.random.mtrand"} & sys.modules.keys()
 import numpy.random
 assert rnd._pcg64_types() == (numpy.random.Generator, numpy.random.PCG64,
                               numpy.random.SeedSequence)
@@ -535,6 +560,20 @@ for (seed, b), (kind, normal, permuted) in zip(pairs, drawn):
     assert normal.tobytes() == ref.standard_normal(7).tobytes(), (seed, b)
     assert permuted.tobytes() == ref.permuted(grid, axis=1).tobytes(), (seed, b)
 print(len(drawn))
+"""
+
+
+# A process's first draw, then ``import numpy.random``: the package binds the
+# three extension modules the draw imported, and they hold the drawn types.
+_PACKAGE_AFTER_A_DRAW = """
+from gptpurity import randomize as rnd
+rng = rnd.sample_rng(3, 0)
+seed_sequence = rnd._pcg64_types()[2]
+import numpy.random
+assert numpy.random.bit_generator.SeedSequence is seed_sequence
+assert numpy.random._generator.Generator is type(rng) is numpy.random.Generator
+assert numpy.random._pcg64.PCG64 is type(rng.bit_generator) is numpy.random.PCG64
+print(seed_sequence.__module__)
 """
 
 
@@ -577,6 +616,10 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_block_streams_are_default_rng_streams_without_the_package():
     assert _fresh_interpreter(_NARROW_STREAMS).split() == ["5"]
+
+
+def test_numpy_random_after_a_draw_binds_the_drawn_modules():
+    assert _fresh_interpreter(_PACKAGE_AFTER_A_DRAW).split() == ["numpy.random.bit_generator"]
 
 
 def test_concurrent_first_draws_import_the_generator_once():
