@@ -1,12 +1,12 @@
-"""Command-line front end: predictors, estimators, and verification suites.
+"""The option table of the ``gptpurity`` command line, and its parser.
 
-That first line is also the top-level ``-h`` text.  The command line is
-read by ``parse_args`` from one option table, ``_TABLE``, which also prints
-every level's ``-h`` help; no argparse is loaded.  Importing this module
-runs no layer of the package: verify's SUITE choices, the names of
-``checks.SUITES``, are read only when a verify command line is parsed.
-``cli`` binds ``parse_args``; the table is a module of its own so that no
-single compile of the front end's source holds both.
+The command line is read by ``parse_args`` from one option table,
+``_TABLE``, which also prints every level's ``-h`` help; no argparse is
+loaded.  Importing this module runs no layer of the package: verify's SUITE
+choices, the names of ``checks.SUITES``, are read only when a verify
+command line is parsed.  ``cli`` binds ``parse_args``; the table is a
+module of its own so that no single compile of the front end's source
+holds both.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from types import SimpleNamespace
 # ``checks.SUITES``, read only when a verify command is parsed.  _REQUIRED
 # marks an option with no default.
 _REQUIRED = object()
+# The top-level -h text.
+_ABOUT = "Command-line front end: predictors, estimators, and verification suites."
 _COMMON = {
     "--out": (str, None, "write the report to this path instead of stdout"),
     "--format": (("json", "csv"), "json", "csv is valid only for histogram-bearing estimates"),
@@ -184,7 +186,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     (None for a required one).
     """
     path, values, seen, unknown, rest, suite_at = (), {}, set(), [], False, None
-    about, options, names = __doc__.split("\n", 1)[0], None, ["--help"]
+    about, options, names = _ABOUT, None, ["--help"]
     items = enumerate(argv)
     for index, item in items:
         if item == "--" and options is not None and not rest:

@@ -111,10 +111,14 @@ def _pcg64_types() -> tuple[type, type, type]:
     is loaded already, the three extension modules are imported under a
     placeholder package for ``numpy.random`` that lives only for these
     imports.  Their ``sys.modules`` entries go with it, so a later ``import
-    numpy.random`` runs the package itself, which imports them again: that
-    gives back the same modules and types and binds the modules on it
-    (``numpy.random.bit_generator``).  Any ``ImportError`` on that route
-    falls back to the package.
+    numpy.random`` runs the package itself, which imports them again and
+    binds them on it (``numpy.random.bit_generator``).  That import gives
+    back the same modules and types only because a Cython extension module
+    is made once per process and its module object is returned when it is
+    imported again; on a numpy whose modules carry per-module state (for
+    subinterpreters) the types would be new, and the test program
+    ``_PACKAGE_AFTER_A_DRAW`` in ``tests/test_randomize.py`` fails.  Any
+    ``ImportError`` on that route falls back to the package.
     """
     with _IMPORT_LOCK:
         if "numpy.random" not in sys.modules:
@@ -157,8 +161,8 @@ def _check_run(n_samples: int, seed: int) -> None:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
     if seed < 0:
         raise RangeError(f"the seed must be non-negative, got {seed}")
-    # The values, the global purities and the deviations in ``std``; the
-    # histogram's clipped values are one block.
+    # The values, the global purities and one temporary of the reduction (the
+    # deviations in ``std`` or the clipped values of the histogram).
     check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
 
 
@@ -182,14 +186,7 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
         raise InternalError(f"global purity varied by {spread:.3g} across samples")
     counts = edges = None
     if histogram_bins:
-        # Binned a block at a time, so the clipped copy and the histogram's
-        # temporaries hold one block; each value falls in its bin on its own,
-        # so the summed counts are those of the whole array.
-        counts = 0
-        for lo in range(0, n_samples, BLOCK_SIZE):
-            block, edges = np.histogram(np.clip(vals[lo:lo + BLOCK_SIZE], 0.0, 1.0),
-                                        bins=histogram_bins, range=(0.0, 1.0))
-            counts += block
+        counts, edges = np.histogram(np.clip(vals, 0.0, 1.0), bins=histogram_bins, range=(0.0, 1.0))
     return McReport(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(n_samples)),

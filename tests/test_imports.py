@@ -146,13 +146,22 @@ def test_only_descriptors_and_pauli_maps_are_dataclasses():
 
 
 def compile_peak(source: str) -> int:
-    """The peak memory that ``compile`` of ``source`` allocates, as ``tracemalloc`` traces it."""
-    tracemalloc.start()
+    """The peak memory that ``compile`` of ``source`` allocates, as ``tracemalloc`` traces it.
+
+    Tracing that is already on (``-X tracemalloc``) is kept on, and the
+    peak is counted from what it held before the compile.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         compile(source, "<source>", "exec")
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
 
 
 def test_no_module_every_command_compiles_peaks_above_randomize():

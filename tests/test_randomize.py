@@ -512,31 +512,6 @@ def test_blocks_spans_and_streams():
     assert calls == []
 
 
-def test_histogram_binned_per_block_is_the_whole_array_histogram():
-    # 2500 values, not a multiple of BLOCK_SIZE: all 101 bin edges, their float
-    # neighbours, values below 0 and above 1 (clipped to the end bins) and
-    # uniform fill, shuffled across the three blocks.
-    edges = np.linspace(0.0, 1.0, 101)
-    vals = np.concatenate([
-        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
-        -np.geomspace(1e-300, 1e3, 40), 1.0 + np.geomspace(1e-15, 1e3, 40)])
-    rng = np.random.default_rng(4700)
-    vals = rng.permutation(np.concatenate([vals, rng.uniform(-0.2, 1.2, 2500 - vals.size)]))
-    assert vals.size == 2500 and 2500 % rnd.BLOCK_SIZE
-    starts = iter(range(0, 2500, rnd.BLOCK_SIZE))
-
-    def draw(_rng, size):
-        lo = next(starts)
-        return vals[lo:lo + size], 1.0
-
-    rep = rnd._estimate(2500, 0, draw, rnd.HISTOGRAM_BINS)
-    counts, want_edges = np.histogram(np.clip(vals, 0, 1), 100, (0, 1))
-    assert rep.histogram_counts.dtype == counts.dtype
-    assert rep.histogram_counts.tobytes() == counts.tobytes()
-    assert rep.histogram_edges.tobytes() == want_edges.tobytes()
-    assert counts[0] > 40 and counts[-1] > 40
-
-
 # Draws on sample_rng's own route in a fresh interpreter (numpy.random not yet
 # loaded), then compares them with default_rng once the package is imported.
 _NARROW_STREAMS = """
