@@ -185,12 +185,6 @@ def _check_counts(args: SimpleNamespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # numpy.random.bit_generator, which every draw loads, imports secrets,
-    # whose hashlib would map OpenSSL (3.4 MB) for digests no command
-    # computes.  A None entry makes hashlib fall back to its built-in
-    # digests; every generator here is seeded, so no drawn value changes.
-    # It does nothing once OpenSSL is loaded.
-    sys.modules.setdefault("_hashlib", None)
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parse_args(argv)
     try:

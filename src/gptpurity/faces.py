@@ -4,10 +4,10 @@ A face here is the set of states with full support on the symmetric or
 antisymmetric subspace S of C^n (x) C^n, the two faces the paper's formula
 extends to.  It is given by its level count n and SWAP sign alone, the
 arguments of its predictions, and its stabilizer acts transitively on its
-pure states, so the estimator draws Haar-random in-face kets by index
-arithmetic (``randomize._swap_scatter``) and mixes them with the
-face-maximally-mixed state: no basis, isometry or joint descriptor is
-built.  The coin recorded by an environment
+pure states, so the estimator draws Haar-random in-face kets, written
+into n x n matrices by index arithmetic (``randomize._ket_rows``), and
+mixes them with the face-maximally-mixed state: no basis, isometry or
+joint descriptor is built.  The coin recorded by an environment
 (``coin_with_record``) is classical randomization of a free 2 x s0 joint,
 not a face.
 

@@ -3,8 +3,7 @@
 The central experiment draws a global state of fixed purity, applies a
 Haar-random reversible transformation, marginalizes to one party, and
 averages the local purity.  The closed forms that an estimate is judged
-against are in ``formulas``, which loads no numpy; this module takes only its
-checks of level counts and of P0 from there.
+against are in ``formulas``, which loads no numpy.
 
 Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
@@ -25,13 +24,13 @@ through the entries of the smaller Gram, and no A marginal is formed.  The
 kets stay real and imaginary parts, and the Gram's entries are pair sums in
 a fixed order with no BLAS call, so these reports are the same bytes on
 every CPU.  A face's kets are drawn in its (anti)symmetric subspace and
-scattered into n x n matrices by index arithmetic (``_swap_scatter``), and the
-A marginal of its maximally mixed state is I/n, so no basis or marginal is
-held.  A report carries no verdict: an ``errors.Check`` judges it
-(``checks.markov_tail`` for its histogram).
+laid out as n x n matrices (``_ket_rows``); the A marginal of its maximally
+mixed state is I/n: no basis or marginal is held.  A report carries no
+verdict: an ``errors.Check`` judges it (``checks.markov_tail`` for its
+histogram).
 
-This module uses no other layer of the package but ``errors`` and
-``formulas``.
+This module uses no other layer of the package but ``errors`` and, for its
+checks of level counts and of P0, ``formulas``.
 """
 
 from __future__ import annotations
@@ -55,6 +54,9 @@ GLOBAL_PURITY_TOL = 1e-9
 # Samples per random stream.  It bounds the kernels' working memory; a
 # report depends on it, so changing it changes every Monte Carlo value.
 BLOCK_SIZE = 1024
+# Samples per slice of a ket block, which bounds the temporaries of its
+# layout and pair sums.  No value depends on it.
+SLICE_SIZE = 512
 
 
 # -- Monte Carlo reports -----------------------------------------------------------------
@@ -83,23 +85,20 @@ class McReport(NamedTuple):
     histogram_edges: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
-        d = {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "realized_global_purity": self.realized_global_purity,
-        }
-        if self.histogram_counts is not None:
-            d["histogram"] = {
-                "counts": [int(c) for c in self.histogram_counts],
-                "edges": [float(e) for e in self.histogram_edges],
-            }
+        d = self._asdict()
+        counts, edges = d.pop("histogram_counts"), d.pop("histogram_edges")
+        if counts is not None:
+            d["histogram"] = {"counts": counts.tolist(), "edges": edges.tolist()}
         return d
 
 
 # Two threads' first draws must not both hold the placeholder below.
 _IMPORT_LOCK = threading.Lock()
+
+
+def _randbits(k: int) -> int:
+    """``secrets.randbits``: ``k`` bits of ``os.urandom``, as ``SystemRandom.getrandbits``."""
+    return int.from_bytes(os.urandom((k + 7) // 8), "big") >> (-k % 8)
 
 
 @lru_cache(maxsize=1)
@@ -109,22 +108,21 @@ def _pcg64_types() -> tuple[type, type, type]:
     The ``numpy.random`` package also loads the legacy ``RandomState``, three
     other bit generators and ``_pickle``, which no estimator uses.  Unless it
     is loaded already, the three extension modules are imported under a
-    placeholder package for ``numpy.random`` that lives only for these
-    imports.  Their ``sys.modules`` entries go with it, so a later ``import
-    numpy.random`` runs the package itself, which imports them again and
-    binds them on it (``numpy.random.bit_generator``).  That import gives
-    back the same modules and types only because a Cython extension module
-    is made once per process and its module object is returned when it is
-    imported again; on a numpy whose modules carry per-module state (for
-    subinterpreters) the types would be new, and the test program
-    ``_PACKAGE_AFTER_A_DRAW`` in ``tests/test_randomize.py`` fails.  Any
-    ``ImportError`` on that route falls back to the package.
+    placeholder package and a placeholder ``secrets`` (the real one loads
+    ``hashlib``) holding the one name ``bit_generator`` takes, ``randbits``.
+    Their ``sys.modules`` entries go with the placeholders, so a later
+    ``import numpy.random`` runs the package, which imports them again and
+    binds them on it: the same modules and types, as a Cython extension
+    module is made once per process (``_PACKAGE_AFTER_A_DRAW`` in
+    ``tests/test_randomize.py`` fails where it is not).  Any ``ImportError``
+    on that route falls back to the package.
     """
     with _IMPORT_LOCK:
         if "numpy.random" not in sys.modules:
             placeholder = types.ModuleType("numpy.random")
             placeholder.__path__ = [os.path.join(np.__path__[0], "random")]
             sys.modules["numpy.random"] = placeholder
+            secrets = sys.modules.setdefault("secrets", types.SimpleNamespace(randbits=_randbits))
             try:
                 from numpy.random._generator import Generator
                 from numpy.random._pcg64 import PCG64
@@ -136,6 +134,8 @@ def _pcg64_types() -> tuple[type, type, type]:
             finally:
                 for name in ("", "._generator", "._pcg64", ".bit_generator"):
                     sys.modules.pop("numpy.random" + name, None)
+                if secrets.randbits is _randbits:
+                    del sys.modules["secrets"]
     from numpy import random
 
     return random.Generator, random.PCG64, random.SeedSequence
@@ -161,8 +161,8 @@ def _check_run(n_samples: int, seed: int) -> None:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
     if seed < 0:
         raise RangeError(f"the seed must be non-negative, got {seed}")
-    # The values, the global purities and one temporary of the reduction (the
-    # deviations in ``std`` or the clipped values of the histogram).
+    # The values, the global purities and one temporary of the reduction
+    # (``std``'s deviations or the values' bins).
     check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
 
 
@@ -184,70 +184,62 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
     spread = float(np.ptp(gvals))
     if spread > GLOBAL_PURITY_TOL:
         raise InternalError(f"global purity varied by {spread:.3g} across samples")
+    mean = float(vals.mean())
+    if math.isnan(mean):
+        raise InternalError("the mean of the sample values is NaN")
     counts = edges = None
     if histogram_bins:
-        counts, edges = np.histogram(np.clip(vals, 0.0, 1.0), bins=histogram_bins, range=(0.0, 1.0))
-    return McReport(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(n_samples)),
-        n_samples=n_samples,
-        seed=int(seed),
-        realized_global_purity=float(gvals.mean()),
-        histogram_counts=counts,
-        histogram_edges=edges,
-    )
+        # np.histogram's counts of the values clipped to [0, 1]: a value's bin
+        # is the number of inner edges at or below it.
+        edges = np.linspace(0.0, 1.0, histogram_bins + 1)
+        counts = np.bincount(np.searchsorted(edges[1:-1], vals, side="right"),
+                             minlength=histogram_bins)
+    return McReport(mean, float(vals.std(ddof=1) / math.sqrt(n_samples)), n_samples, int(seed),
+                    float(gvals.mean()), counts, edges)
 
 
-def _unit_kets(rng: np.random.Generator, size: int, d: int, real: bool) -> np.ndarray:
-    """``size`` Haar-random unit kets in C^d (R^d when ``real``) as (parts, size, d) reals.
+def _ket_rows(z: list, dims: tuple[int, int], swap: int | None) -> np.ndarray:
+    """The unit kets with real (and imaginary) parts ``z``, (size, d) each, as rows.
 
-    Part 0 holds the real parts, drawn before part 1, the imaginary parts.
-    Each ket is divided by the square root of its squared norm, summed over
-    the real parts and then the imaginary ones.
+    The rows are (k, parts, L, size), samples last: entry (a, b) of M
+    (n_A x n_B) is row a, column b (row b, column a when n_A > n_B).  A
+    face's coordinate of the k-th pair i <= j (i < j when ``swap`` is -1),
+    row-major, is the coefficient of |ii> or (|ij> + swap |ji>)/sqrt 2: it
+    goes to (i, j) and, times ``swap``, to (j, i).  ``z`` is divided in place
+    by each ket's norm, squared and summed over the real parts and then the
+    imaginary ones, and a face's pairs i < j are scaled by sqrt(1/2).
     """
-    z = np.empty((1 if real else 2, size, d))
-    rng.standard_normal(out=z)
-    norm_sq = np.add.reduce(np.square(z[0]), axis=1)
-    if not real:
-        norm_sq += np.add.reduce(np.square(z[1]), axis=1)
-    z /= np.sqrt(norm_sq)[:, None]
-    return z
+    na, nb = dims
+    norm = np.sqrt(sum(np.add.reduce(np.square(x), axis=1) for x in z))[:, None]
+    rows = np.zeros((min(dims), len(z), max(dims), len(norm)))
+    for part, x in enumerate(z):
+        x /= norm
+        if swap is None:
+            m = x.T.reshape(na, nb, -1)
+            rows[:, part] = m if na <= nb else m.swapaxes(0, 1)
+        else:
+            i, j = np.triu_indices(na, 0 if swap == 1 else 1)
+            x *= np.where(i == j, 1.0, math.sqrt(0.5))
+            rows[i, part, j] = x.T
+            rows[j, part, i] = swap * x.T
+    return rows
 
 
-def _swap_scatter(z: np.ndarray, n: int, sign: int) -> np.ndarray:
-    """The (parts, size, N_S) kets ``z`` of the (anti)symmetric subspace as n x n matrices.
-
-    Coordinate k, for the k-th pair i <= j (i < j when ``sign`` is -1) in
-    row-major order, is the coefficient of |ii> or (|ij> + sign |ji>)/sqrt 2.
-    ``z`` is scaled in place, copied into entry (i, j), negated in place when
-    antisymmetric, and copied into entry (j, i): no block-sized temporary is
-    formed.
-    """
-    i, j = np.triu_indices(n, 0 if sign == 1 else 1)
-    m = np.zeros(z.shape[:-1] + (n, n))
-    z *= np.where(i == j, 1.0, math.sqrt(0.5))
-    m[..., i, j] = z
-    if sign == -1:
-        np.negative(z, out=z)
-    m[..., j, i] = z
-    return m
-
-
-def _gram_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Re W and Im W, (k, k, size) each, of W = R R^dagger, without BLAS.
+def _gram_traces(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tr W and Tr W^2 of W = R R^dagger, per sample, without BLAS.
 
     ``rows`` holds the real (and imaginary) parts of each sample's k rows of
     length L, rows first and samples last: (k, parts, L, size), so every
     product is of two contiguous operands and numpy buffers no temporary.
-    Each entry is a sum of contiguous vectors in a fixed order, k(k+1)/2
-    real parts and k(k-1)/2 imaginary ones, mirrored to the transposed
-    entry.  Im W is None for real rows.
+    Each entry of W is a sum of contiguous vectors in a fixed order,
+    k(k+1)/2 real parts and k(k-1)/2 imaginary ones, mirrored to the
+    transposed entry.
     """
-    k, parts, n_long, size = rows.shape
+    k, parts, _, size = rows.shape
     re = np.empty((k, k, size))
-    prod = np.empty((parts, n_long, size))
+    prod = np.empty_like(rows[0])
     terms = prod.reshape(-1, size)
-    im, turned = (None, None) if parts == 1 else (np.zeros((k, k, size)), np.empty_like(prod))
+    im, turned = (None, None) if parts == 1 else (np.zeros_like(re), np.empty_like(prod))
     for i, row in enumerate(rows):
         if im is not None and i + 1 < k:
             # Im W_ij = sum_l y_il x_jl - x_il y_jl: the products of (y_i, -x_i) with row j.
@@ -260,7 +252,12 @@ def _gram_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
             if im is not None and j > i:
                 np.multiply(turned, rows[j], out=prod)
                 np.negative(np.add.reduce(terms, axis=0, out=im[i, j]), out=im[j, i])
-    return re, im
+    norm_sq = np.add.reduce(np.diagonal(re), axis=-1)
+    # Tr W^2 = sum_ij (Re W_ij)^2 + (Im W_ij)^2, squared in place.
+    np.square(re, out=re)
+    if im is not None:
+        re += np.square(im, out=im)
+    return norm_sq, np.add.reduce(re, axis=(0, 1))
 
 
 def _haar_ket_block(
@@ -288,41 +285,30 @@ def _haar_ket_block(
     Tr(rho_A^2) = t^2 Tr W^2 + (2t(1-t) Tr W + (1-t)^2)/n.
     For maximally mixed mu the purities keep t^2 factored out,
     P_A = t^2 (n_A Tr W^2 - (Tr W)^2)/(n_A - 1) and P = t^2 |psi|^4, so
-    t = 0 gives exactly zero.  The kets stay real arrays, and every step is
-    elementwise or a sum in a fixed order, with no BLAS call: the values are
-    the same bits on every CPU.
+    t = 0 gives exactly zero.  The kets stay real arrays, taken in slices of
+    ``SLICE_SIZE`` samples, and every step is elementwise or a sum in a fixed
+    order, with no BLAS call: the values are the same bits on every CPU.
     """
     na, nb = dims
     dim = na * nb
-    parts = 1 if real else 2
-    on_a = na <= nb
-    k = na if on_a else nb
-    # The kets and their samples-last copy for the pair sums (a face's
-    # in-subspace kets are freed once scattered, and are fewer); W's parts
-    # with two temporaries; per-sample vectors.
-    check_memory(8 * size * (2 * parts * dim + 4 * k * k + 8),
-                 f"{size} kets in dimension {dim} ({2 * parts} x {size} x {dim} reals) "
-                 "and their Grams")
-    if swap is None:
-        m = _unit_kets(rng, size, dim, real).reshape(parts, size, na, nb)
-    else:
-        n_s = na * (na + swap) // 2
-        m = _swap_scatter(_unit_kets(rng, size, n_s, real), na, swap)
-    if not on_a:
-        m = m.swapaxes(2, 3)
-    m = np.ascontiguousarray(m.transpose(2, 0, 3, 1))  # and the drawn layout is freed
-    re, im = _gram_pairs(m)
-    norm_sq = np.add.reduce(np.diagonal(re), axis=-1)
-    # Tr W^2 = sum_ij (Re W_ij)^2 + (Im W_ij)^2, squared in place.
-    sq = np.square(re, out=re)
-    if im is not None:
-        sq += np.square(im, out=im)
-    tr_w2 = np.add.reduce(sq, axis=(0, 1))
+    n_s = dim if swap is None else na * (na + swap) // 2
+    # Slices of at least two samples: numpy sums the vectors of two or more
+    # samples in order, but one sample's pairwise.
+    step = max(SLICE_SIZE, 2)
+    # The real parts of every ket and 8 per-sample vectors; in one slice, the
+    # imaginary parts and the kets' rows, then the pair sums' two products and
+    # the parts of W.
+    check_memory(8 * (size * (n_s + 8) + min(size, step + 1) * (
+        (1 if real else 2) * (n_s + dim + 2 * max(dims)) - n_s + 2 * min(dims) ** 2)),
+                 f"{size} kets in dimension {dim} ({size} x {n_s} real parts) and their Grams")
+    # Every real part is drawn before any imaginary part, as in one draw of the block.
+    norm_sq, tr_w2 = np.hstack([
+        _gram_traces(_ket_rows([x] if real else [x, rng.standard_normal(x.shape)], dims, swap))
+        for x in np.split(rng.standard_normal((size, n_s)), range(step, size - 1, step))])
     if swap is None:
         return t * t * (na * tr_w2 - norm_sq**2) / (na - 1), t * t * norm_sq**2
-    tr_a2 = t * t * tr_w2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / na
-    tr2 = t * t * norm_sq**2 + (2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2) / n_s
-    return tr_a2, tr2
+    cross = 2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2
+    return t * t * tr_w2 + cross / na, t * t * norm_sq**2 + cross / n_s
 
 
 def _classical_purities(x: np.ndarray) -> np.ndarray:

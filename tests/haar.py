@@ -21,7 +21,6 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from gptpurity import errors
-from gptpurity import randomize as rnd
 from reference import grouprep as gr
 from reference import statespace as ss
 from gptpurity.errors import GptPurityError, RangeError, UnsupportedSpaceError
@@ -49,13 +48,32 @@ class ReducibleSpaceError(GptPurityError):
 # -- random states -----------------------------------------------------------------------
 
 
+def _unit_kets(rng: np.random.Generator, size: int, d: int, real: bool) -> np.ndarray:
+    """``size`` Haar-random unit kets in C^d (R^d when ``real``) as (parts, size, d) reals.
+
+    Part 0 holds the real parts, drawn before part 1, the imaginary parts.
+    Each ket is divided by the square root of its squared norm, summed over
+    the real parts and then the imaginary ones.  This is the draw of the
+    estimators' ket kernel, which takes it one slice of samples at a time
+    (``randomize._ket_rows``); the tests compare its kets with these bit
+    for bit.
+    """
+    z = np.empty((1 if real else 2, size, d))
+    rng.standard_normal(out=z)
+    norm_sq = np.add.reduce(np.square(z[0]), axis=1)
+    if not real:
+        norm_sq += np.add.reduce(np.square(z[1]), axis=1)
+    z /= np.sqrt(norm_sq)[:, None]
+    return z
+
+
 def haar_kets(size: int, d: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
     """``size`` uniformly random unit vectors in C^d (R^d when ``real``), one per row.
 
     The draw of the estimators' ket kernel: the real parts of the whole
     stack are drawn before the imaginary parts.
     """
-    z = rnd._unit_kets(rng, size, d, real)
+    z = _unit_kets(rng, size, d, real)
     return z[0] if real else z[0] + 1j * z[1]
 
 

@@ -62,19 +62,52 @@ def test_swap_face_basis_is_orthonormal_and_swap_covariant(n, sign):
                                rtol=0, atol=1e-15)
 
 
+def _kernel_kets(monkeypatch, size, dims, real=False, swap=None):
+    """The samples-last kets ``_haar_ket_block`` hands its pair sums, joined over its slices."""
+    slices, gram_traces = [], rnd._gram_traces
+    monkeypatch.setattr(rnd, "_gram_traces", lambda rows: slices.append(rows) or gram_traces(rows))
+    rnd._haar_ket_block(np.random.default_rng(5303), size, 1.0, dims, real=real, swap=swap)
+    return np.concatenate(slices, axis=-1)
+
+
+def _assert_samples_last(kets, rows, dims):
+    """``rows`` are ``kets`` (parts, size, n_A n_B) as M, or M^T when n_A > n_B, samples last."""
+    m = kets.reshape(*kets.shape[:2], *dims)
+    if dims[0] > dims[1]:
+        m = m.swapaxes(2, 3)
+    expected = m.transpose(2, 0, 3, 1)
+    assert rows.shape == expected.shape
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+
+# 1000 samples end in a partial slice.
+_SIZES = (3, 1000, 1024)
+
+
+@pytest.mark.parametrize("dims,real", [((2, 8), False), ((8, 2), False), ((2, 3), True)],
+                         ids=["quantum 2x8", "quantum 8x2", "real 2x3"])
+def test_kernel_kets_are_the_reference_draw_bit_for_bit(monkeypatch, dims, real):
+    # The kernel lays its kets out one slice at a time straight into
+    # (k, parts, L, size) rows: they must be the reference draw's unit kets.
+    for size in _SIZES:
+        kets = haar._unit_kets(np.random.default_rng(5303), size, dims[0] * dims[1], real)
+        _assert_samples_last(kets, _kernel_kets(monkeypatch, size, dims, real), dims)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_swap_scatter_is_the_dense_column_sum_bit_for_bit(n, sign):
-    # Each row of V has at most one nonzero entry, so the column sum V z in
-    # column order adds only +-0.0 to it: the scatter gives the same bits.
+def test_face_kets_are_the_dense_column_sum_bit_for_bit(monkeypatch, n, sign):
+    # A face's kets, laid out as n x n matrices one slice at a time, are the
+    # dense column sum V z of the reference draw in column order: each row of
+    # V has at most one nonzero entry, so the sum adds only +-0.0 to it and
+    # gives the same bits.
     v = isometry(n, sign)
-    z = rnd._unit_kets(np.random.default_rng(5303), 5, v.shape[1], False)
-    dense = np.zeros((2, 5, n * n))
-    for c, col in enumerate(v.T):
-        dense += z[:, :, c, None] * col
-    scattered = rnd._swap_scatter(z, n, sign).reshape(dense.shape)
-    for part in range(2):
-        assert np.array_equal(scattered[part].view(np.uint64), dense[part].view(np.uint64))
+    for size in _SIZES:
+        z = haar._unit_kets(np.random.default_rng(5303), size, v.shape[1], False)
+        kets = np.zeros((2, size, n * n))
+        for c, col in enumerate(v.T):
+            kets += z[:, :, c, None] * col
+        _assert_samples_last(kets, _kernel_kets(monkeypatch, size, (n, n), swap=sign), (n, n))
 
 
 def test_face_max_mixed_is_valid_state():

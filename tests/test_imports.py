@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import gptpurity
-from gptpurity import cli
+from gptpurity import cli, randomize
 from reference import grouprep
 
 PACKAGE = Path(gptpurity.__file__).resolve().parent
@@ -348,9 +348,10 @@ def test_face_commands_run_no_descriptor_layer(argv, layers):
 # ``import numpy.random`` binds them on the package.
 _PCG64_HELPERS = {"numpy.random._common", "numpy.random._bounded_integers"}
 # What no draw needs: the package itself, the legacy RandomState, the other
-# bit generators, their unpickling helpers and OpenSSL.
+# bit generators, their unpickling helpers, and secrets with what it loads.
 _NOT_DRAWN = {"numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
-              "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle", "_hashlib"}
+              "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle",
+              "secrets", "hmac", "hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -366,13 +367,47 @@ _NOT_DRAWN = {"numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
         "coin-record"])
 def test_drawing_commands_load_only_the_pcg64_generator(argv):
     # randomize.sample_rng imports three extension modules of numpy.random,
-    # not the package; bit_generator imports secrets, hmac and hashlib, whose
-    # _hashlib maps OpenSSL's libcrypto.  cli.main blocks it, so hashlib
-    # keeps its built-in digests (which _executed_by checks) and no seeded
-    # draw changes.
-    loaded = _executed_by(argv, ("numpy.random", "_hashlib"))
+    # not the package, and gives bit_generator a placeholder secrets, so
+    # neither secrets nor its hmac, hashlib and _hashlib (OpenSSL) is
+    # loaded; hashlib still gives its digests afterwards (_executed_by checks).
+    loaded = _executed_by(argv, ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib"))
     assert {n for n in loaded if n.startswith("numpy")} == _PCG64_HELPERS
     assert not loaded & _NOT_DRAWN
+
+
+# After a draw in a fresh interpreter: secrets is the standard library's, and
+# unseeded SeedSequences, whose entropy comes from the placeholder's randbits,
+# still differ.
+_SECRETS_AFTER_A_DRAW = """
+import sys
+from gptpurity import randomize as rnd
+assert "secrets" not in sys.modules
+rnd.sample_rng(1, 0).random()
+assert "secrets" not in sys.modules
+import secrets
+assert secrets.__file__.endswith("secrets.py") and secrets.token_bytes(4) is not None
+import numpy.random
+assert numpy.random.bit_generator.randbits is rnd._randbits
+entropies = {numpy.random.SeedSequence().entropy for _ in range(2)}
+assert len(entropies) == 2 and all(0 < e < 2**128 for e in entropies), entropies
+print("ok")
+"""
+
+
+def test_a_draw_leaves_secrets_and_unseeded_entropy_as_they_were():
+    proc = subprocess.run([sys.executable, "-c", _SECRETS_AFTER_A_DRAW], capture_output=True,
+                          text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 64, 128])
+def test_placeholder_randbits_gives_at_most_k_bits(k):
+    values = [randomize._randbits(k) for _ in range(64)]
+    assert all(isinstance(v, int) and 0 <= v < 2**k for v in values)
+    if k >= 7:
+        # 64 draws of k random bits: a fixed value or a short top is 2^-63 likely.
+        assert len(set(values)) > 1 and max(values).bit_length() == k
 
 
 # The benchmark's exact-identities commands, seeded as it seeds them.

@@ -138,16 +138,18 @@ def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv,nbytes", [
-    (["estimate", "--face", "sym", "--n", "200", "--trp", "1", "--seed", "1"], 2621505536),
+    (["estimate", "--face", "sym", "--n", "300", "--trp", "1", "--seed", "1"], 2037594736),
     (["predict", "qface", "--n", "200", "--sign", "+", "--trp", "1"], None),
-    (["estimate", "--face", "antisym", "--n", "200", "--trp", "1", "--seed", "1"], 2621505536),
+    (["estimate", "--face", "antisym", "--n", "300", "--trp", "1", "--seed", "1"], 2033905936),
 ])
 def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbytes):
     # A face holds its level count and sign, and builds no joint descriptor.
     # The prediction builds no isometry either: its index sums take 400 terms
     # over the pair columns that meet the default probe, and give
-    # n/4 + 1/2 = 50.5.  The estimator's block of 1024 in-face kets,
-    # scattered into C^40000, is refused by the ket block's own check.
+    # n/4 + 1/2 = 50.5.  The estimator's block of 1024 in-face kets, laid
+    # out in C^90000 one slice at a time, is refused by the ket block's own
+    # check: the in-face real parts of the block, and one slice's kets in
+    # C^90000 with their Grams.
     proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
     assert "Traceback" not in proc.stderr
     assert rss < MAX_RSS_MB
@@ -157,7 +159,8 @@ def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbyte
         assert doc["inputs"]["probe_trace_sq"] == 50.5
         assert abs(doc["value"] - formulas.predict_symm(200, 1, 1.0).value) <= 1e-12
         return
-    what = "1024 kets in dimension 40000 (4 x 1024 x 40000 reals) and their Grams"
+    n_s = 300 * (300 + (1 if argv[2] == "sym" else -1)) // 2
+    what = f"1024 kets in dimension 90000 (1024 x {n_s} real parts) and their Grams"
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.strip().splitlines()
@@ -239,9 +242,9 @@ def test_estimator_blocks_are_refused_beyond_the_cap():
     # (1024, 256) marginal.
     with pytest.raises(RangeError, match="2151677952 bytes"):
         rnd.estimate_expected_local_purity("classical", 256, 1024, 0.3, 2000, 0)
-    # The real and imaginary parts of 1024 kets of 2^17 entries, their
-    # samples-last copy and the 2 x 2 Grams.
-    with pytest.raises(RangeError, match="4295163904 bytes"):
+    # The real parts of 1024 kets of 2^17 entries, and in a slice of 513 their
+    # imaginary parts, their rows, the pair sums' products and the 2 x 2 Grams.
+    with pytest.raises(RangeError, match="3763437632 bytes"):
         rnd.estimate_expected_local_purity("quantum", 2, 65536, 1.0, 2000, 0)
 
 
@@ -265,21 +268,22 @@ def test_dense_joint_structures_are_derived_only_within_the_cap(monkeypatch):
     assert ss.build_quantum(128).K == 16384
     with pytest.raises(RangeError, match="4096-level quantum space"):
         ss.build_quantum(4096)
-    # A 256x2 block holds the real and imaginary parts of 1024 kets of 512
-    # entries, their samples-last copy, 2 x 2 Grams with their temporaries and
-    # 8 per-sample vectors:
-    # 8 * 1024 * (4 * 512 + 4 * 4 + 8) = 16973824 bytes.
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 16973823)
-    with pytest.raises(RangeError, match="16973824 bytes"):
+    # A 256x2 block holds the real parts of 1024 kets of 512 entries and 8
+    # per-sample vectors, and in a slice of at most 513 samples their
+    # imaginary parts, their rows, the pair sums' two products and the
+    # 2 x 2 Grams: 8 * (1024 * (512 + 8) + 513 * (2 * (512 + 512 + 512) - 512 + 8))
+    # = 14798912 bytes.
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 14798911)
+    with pytest.raises(RangeError, match="14798912 bytes"):
         rnd.estimate_expected_local_purity("quantum", 256, 2, 1.0, 2000, 0)
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 16973824)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 14798912)
     rep = rnd.estimate_expected_local_purity("quantum", 256, 2, 1.0, 2000, 0)
     assert rep.realized_global_purity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     # No A marginal and no descriptor is formed, so large local levels run in
-    # the memory of their ket blocks: 8 * 1024 * 4 * 8192 bytes, about 268 MB,
+    # the memory of their ket blocks: 235307072 bytes, about 235 MB, counted
     # at 4096x2.
     for na, nb, max_mb in (("256", "2", MAX_RSS_MB), ("64", "4", 100), ("4096", "2", 320)):
         proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", na,
@@ -290,8 +294,8 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
         doc = json.loads(proc.stdout)
         assert abs(doc["result"]["mean"] - doc["prediction"]["value"]) <= (
             3 * doc["result"]["stderr"])
-    # At 16384x2 the ket blocks alone pass the cap, and are refused before a draw.
-    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "16384",
+    # At 32768x2 the ket blocks alone pass the cap, and are refused before a draw.
+    proc, rss = _run_cli(tmp_path, ["estimate", "--theory", "quantum", "--na", "32768",
                                     "--nb", "2", "--p0", "1", "--samples", "2000",
                                     "--seed", "0"], address_limit=4 << 30)
     assert proc.returncode == 1
@@ -299,8 +303,8 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert ("kets in dimension 32768 (4 x 1024 x 32768 reals) and their Grams would need "
-            "1073938432 bytes") in lines[0]
+    assert ("kets in dimension 65536 (1024 x 65536 real parts) and their Grams would need "
+            "1881768000 bytes") in lines[0]
     assert rss < MAX_RSS_MB
 
 
@@ -308,10 +312,10 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
     (["predict", "nonlocaltomo", "--ma", "2000", "--mb", "2", "--p0", "1"], None),
     (["estimate", "--theory", "real-quantum", "--ma", "2400", "--mb", "2", "--p0", "1",
       "--samples", "2000", "--seed", "0"], None),
-    # 1024 real kets of 131072 entries, their samples-last copy and their
-    # 64 x 64 Grams with two temporaries.
+    # 1024 real kets of 131072 entries, and in a slice of 513 their rows,
+    # the pair sums' product and their 64 x 64 Grams.
     (["estimate", "--theory", "real-quantum", "--ma", "2048", "--mb", "64", "--p0", "1",
-      "--samples", "2000", "--seed", "0"], "2281766912 bytes"),
+      "--samples", "2000", "--seed", "0"], "1662156800 bytes"),
 ])
 def test_oversized_real_quantum_joint_is_refused_before_anything_is_built(tmp_path, argv):
     # The prediction needs only the level counts, so no joint descriptor is

@@ -609,6 +609,61 @@ def test_driver_refuses_a_global_purity_spread():
         rnd._estimate(100, 0, draw, None)
 
 
+@pytest.mark.parametrize("bins", [rnd.HISTOGRAM_BINS, None])
+def test_estimate_refuses_a_nan_sample_value(bins):
+    # np.histogram drops NaN and searchsorted would bin it last; no report
+    # is made of it, with or without a histogram.
+    def draw(rng, size):
+        return np.where(np.arange(size) == 3, np.nan, 0.5), 1.0
+
+    with pytest.raises(InternalError, match="NaN"):
+        rnd._estimate(10, 0, draw, bins)
+
+
+@st.composite
+def _binned_values(draw):
+    """A bin count and values on its edges, one ulp either side of them, and anywhere in [-2, 3]."""
+    bins = draw(st.sampled_from([1, 7, rnd.HISTOGRAM_BINS]))
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    special = [*edges, *np.nextafter(edges, -np.inf), *np.nextafter(edges, np.inf), -0.0, -1e-300,
+               -3.5, 1.0 + 1e-12, 7.25]
+    value = st.one_of(st.sampled_from([float(x) for x in special]),
+                      st.floats(min_value=-2.0, max_value=3.0, allow_nan=False))
+    return bins, draw(st.lists(value, min_size=2, max_size=300))
+
+
+@given(_binned_values())
+@settings(max_examples=300, deadline=None)
+def test_histogram_is_np_histogram_of_the_clipped_values(binned):
+    # Every value on an edge goes to the bin that the edge opens, 1.0 to the
+    # last bin, and values outside [0, 1] to the end bins.
+    bins, values = binned
+    vals = np.array(values)
+    rep = rnd._estimate(len(vals), 0, lambda rng, size: (vals, 1.0), bins)
+    counts, edges = np.histogram(np.clip(vals, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
+    assert rep.histogram_edges.dtype == edges.dtype and rep.histogram_counts.dtype == counts.dtype
+    assert np.array_equal(rep.histogram_edges.view(np.uint64), edges.view(np.uint64))
+    assert np.array_equal(rep.histogram_counts, counts)
+
+
+@pytest.mark.parametrize("size", [rnd.BLOCK_SIZE, rnd.BLOCK_SIZE - 1])
+@pytest.mark.parametrize("dims,real,swap", [((2, 8), False, None), ((8, 2), False, None),
+                                            ((9, 9), False, None), ((3, 5), True, None),
+                                            ((4, 4), False, -1), ((5, 5), False, 1)])
+def test_ket_block_values_do_not_depend_on_the_slice_size(monkeypatch, dims, real, swap, size):
+    # One sample's pair sums would be summed pairwise, so a lone last sample
+    # (1023 = 146 x 7 + 1) joins the slice before it, and a slice size of 1
+    # takes two samples.
+    def block():
+        return rnd._haar_ket_block(rnd.sample_rng(4801, 0), size, 0.6, dims, real=real, swap=swap)
+
+    expected = block()
+    for slice_size in (1, 7, rnd.BLOCK_SIZE):
+        monkeypatch.setattr(rnd, "SLICE_SIZE", slice_size)
+        for got, want in zip(block(), expected):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), slice_size
+
+
 # -- statistical cross-checks ----------------------------------------------------------------
 
 
