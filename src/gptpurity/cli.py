@@ -42,12 +42,12 @@ def _lazy(name: str) -> None:
 
 # Every layer is in sys.modules from here on, but a command runs only the
 # layers it reads: an exact prediction runs formulas alone, with no numpy, a
-# quantum estimate runs randomize, not the descriptors, Grams, faces and
-# suites it does not need, and two-design runs grouprep alone, with no numpy.
+# quantum estimate runs randomize and blocks, not the descriptors, Grams, faces
+# and suites it does not need, and two-design runs grouprep alone, with no numpy.
 # No command draws or enumerates a group element: grouprep walks orbits from
 # generators, so no Haar sampler or closure is in the package.
 for _name in ("statespace", "grouprep", "composite", "purity", "boxworld",
-              "formulas", "randomize", "faces", "checks"):
+              "formulas", "blocks", "randomize", "faces", "checks"):
     _lazy(_name)
 
 # Imported after the registration, so binding a layer here does not run it.

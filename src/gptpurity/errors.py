@@ -7,16 +7,21 @@ What grows with a request (an estimate's per-sample arrays, its blocks of
 kets or of permuted classical distributions, the exact integers of the
 power-law level count, the recorded coin's joint distribution) is checked
 against ``MEMORY_CAP_BYTES`` by ``check_memory`` before it is allocated.  A sum
-that holds no array but grows with a request (the face prediction's index
-sums) is checked against ``WORK_CAP_TERMS`` by ``check_work`` before it starts.
+that grows with a request is checked against ``WORK_CAP_TERMS`` by
+``check_work`` before it starts.  A term of the face prediction's index sums
+is one pure-Python addition; a term of a block of Haar kets' pair sums is
+``blocks.PRODUCTS_PER_TERM`` = 512 of their elementwise numpy products,
+which took 0.7-1.6 us on a 2-core x86-64 VM (1024-ket blocks: quantum
+16 x 64 and 32 x 32, real 48 x 48, faces at n = 20 to 80).  So one
+prediction, or one block of an estimate, is capped at about 7-16 s.
 """
 
 from typing import NamedTuple
 
 # Largest single array a request may allocate when it grows with the request.
 MEMORY_CAP_BYTES = 1 << 30
-# Most terms a pure-Python sum may take when it grows with the request: 9-15 s
-# of `predict qface` on a 2-core x86-64 VM.
+# Most terms a sum may take when it grows with the request: 9-15 s of
+# `predict qface` on a 2-core x86-64 VM.
 WORK_CAP_TERMS = 10**7
 # Tolerance of the exact identities checked in floating point.
 EXACT = 1e-12

@@ -5,7 +5,7 @@ antisymmetric subspace S of C^n (x) C^n, the two faces the paper's formula
 extends to.  It is given by its level count n and SWAP sign alone, the
 arguments of its predictions, and its stabilizer acts transitively on its
 pure states, so the estimator draws Haar-random in-face kets, written
-into n x n matrices by index arithmetic (``randomize._ket_rows``), and
+into n x n matrices by index arithmetic (``blocks._ket_rows``), and
 mixes them with the face-maximally-mixed state: no basis, isometry or
 joint descriptor is built.  The coin recorded by an environment
 (``coin_with_record``) is classical randomization of a free 2 x s0 joint,
@@ -25,11 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import _classical_block, _haar_ket_block
 from .errors import RangeError, check_memory
 from .formulas import (Prediction, _check_face, _check_purity_on_face, coin_record_sigma,
                        predict_coin_record)
-from .randomize import (BLOCK_SIZE, McReport, _check_run, _classical_block, _estimate,
-                        _haar_ket_block)
+from .randomize import BLOCK_SIZE, McReport, _check_run, _estimate
 
 
 def _face_interpolation_weight(n_sub: int, target: float) -> float:
@@ -98,7 +98,7 @@ def coin_with_record(
 
     The 2 s0_size support outcomes, coin value major, are the outcomes of a
     free 2 x s0_size classical joint and the permutations of the support are
-    its reversible dynamics, so the classical kernel of ``randomize`` draws
+    its reversible dynamics, so the classical kernel of ``blocks`` draws
     the samples.
     """
     if s0_size < 1:

@@ -1,12 +1,12 @@
 """The option table of the ``gptpurity`` command line, and its parser.
 
 The command line is read by ``parse_args`` from one option table,
-``_TABLE``, which also prints every level's ``-h`` help; no argparse is
-loaded.  Importing this module runs no layer of the package: verify's SUITE
-choices, the names of ``checks.SUITES``, are read only when a verify
-command line is parsed.  ``cli`` binds ``parse_args``; the table is a
-module of its own so that no single compile of the front end's source
-holds both.
+``_TABLE``, from which ``usage`` lists every level's ``-h`` help; no
+argparse is loaded.  Importing this module runs no layer of the package:
+verify's SUITE choices, the names of ``checks.SUITES``, are read only when
+a verify command line is parsed, and ``usage`` only when ``-h`` is.
+``cli`` binds ``parse_args``; the table is a module of its own so that no
+single compile of the front end's source holds both.
 """
 
 from __future__ import annotations
@@ -143,34 +143,6 @@ def _value(name: str, kind, text: str):
     return value
 
 
-def _help(path: tuple[str, ...], about: str, options: dict | None) -> str:
-    """The usage and help of a level, listed from the table."""
-    prog = " ".join(("gptpurity",) + path)
-    if options is None:
-        rows = [(p[-1], _TABLE[p][0]) for p in _TABLE if p[:-1] == path]
-        usage = f"{prog} {{{','.join(name for name, _ in rows)}}} ..."
-        title = f"{_DESTS[len(path)]}s:"
-    else:
-        rows = []
-        for name, (kind, default, text) in options.items():
-            choices = _choices(kind)
-            if kind is None:
-                text = f"{text} {', '.join(choices)}"
-            elif kind is not bool:
-                name += (f" {{{','.join(map(str, choices))}}}" if choices
-                         else f" {kind.__name__.upper()}")
-                text += (" (required)" if default is _REQUIRED
-                         else "" if default is None else f" (default: {default})")
-            rows.append((name, text))
-        usage = f"{prog}{' SUITE' if 'SUITE' in options else ''} [options]"
-        title = "arguments:"
-    rows.append(("-h, --help", "show this help and exit"))
-    width = max(len(name) for name, _ in rows) + 2
-    lines = [f"usage: {usage}", "", about, "", title]
-    lines += [f"  {name:<{width}}{text}" for name, text in rows]
-    return "\n".join(lines) + "\n"
-
-
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """Read a command line by the option table, as argparse read it.
 
@@ -205,6 +177,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             if kind is bool and text is not None:
                 _fail(f"argument {name}: ignored explicit argument {text!r}")
             if name == "--help":
+                from .usage import _help
+
                 sys.stdout.write(_help(path, about, options))
                 raise SystemExit(0)
             if kind is not bool and text is None:

@@ -9,28 +9,16 @@ Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
 derived from (seed, b), and the blocks are reduced in order, so a report
 depends on the seed and the sample count alone.  An estimator only says how
-to draw one block: Haar kets (``_haar_ket_block``, real ones for real
-quantum theory) or permuted distributions (``_classical_block``), then take
-the local purity.  No estimator takes a Gram: each group acts irreducibly,
-so its invariant Gram is unique and a purity is (n Tr rho^2 - 1)/(n - 1) on
-n quantum or real-quantum levels and n/(n-1) |x - 1/n|^2
-(``_classical_purities``) on n classical outcomes.  The quantum
-estimate needs no group element: conjugation fixes the maximally mixed
-state mu, so U (t phi + (1-t) mu) U^dagger equals t |psi><psi| + (1-t) mu
-for a Haar-random ket psi.  Its local purity is a Schmidt-side quantity
-(Lubkin 1978; Page 1993): with psi reshaped to an n_A x n_B matrix M it
-depends only on Tr (M M^dagger)^2, so a block of kets gives its purities
-through the entries of the smaller Gram, and no A marginal is formed.  The
-kets stay real and imaginary parts, and the Gram's entries are pair sums in
-a fixed order with no BLAS call, so these reports are the same bytes on
-every CPU.  A face's kets are drawn in its (anti)symmetric subspace and
-laid out as n x n matrices (``_ket_rows``); the A marginal of its maximally
-mixed state is I/n: no basis or marginal is held.  A report carries no
-verdict: an ``errors.Check`` judges it (``checks.markov_tail`` for its
-histogram).
+to draw one block, with a kernel of ``blocks``: Haar kets
+(``_haar_ket_block``, real ones for real quantum theory) or permuted
+distributions (``_classical_block``).  The quantum estimate needs no group
+element: conjugation fixes the maximally mixed state mu, so
+U (t phi + (1-t) mu) U^dagger equals t |psi><psi| + (1-t) mu for a
+Haar-random ket psi.  A report carries no verdict: an ``errors.Check``
+judges it (``checks.markov_tail`` for its histogram).
 
-This module uses no other layer of the package but ``errors`` and, for its
-checks of level counts and of P0, ``formulas``.
+This module uses no other layer of the package but its kernels, ``errors``
+and, for its checks of level counts and of P0, ``formulas``.
 """
 
 from __future__ import annotations
@@ -46,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import _classical_block, _haar_ket_block
 from .errors import InternalError, RangeError, check_memory
 from .formulas import CLASSICAL, REAL_QUANTUM, _check_levels, _check_p0
 
@@ -54,9 +43,6 @@ GLOBAL_PURITY_TOL = 1e-9
 # Samples per random stream.  It bounds the kernels' working memory; a
 # report depends on it, so changing it changes every Monte Carlo value.
 BLOCK_SIZE = 1024
-# Samples per slice of a ket block, which bounds the temporaries of its
-# layout and pair sums.  No value depends on it.
-SLICE_SIZE = 512
 
 
 # -- Monte Carlo reports -----------------------------------------------------------------
@@ -184,6 +170,9 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
     spread = float(np.ptp(gvals))
     if spread > GLOBAL_PURITY_TOL:
         raise InternalError(f"global purity varied by {spread:.3g} across samples")
+    # Freed before the values' reduction, whose temporaries then reuse its pages.
+    realized = float(gvals.mean())
+    del gvals
     mean = float(vals.mean())
     if math.isnan(mean):
         raise InternalError("the mean of the sample values is NaN")
@@ -195,142 +184,7 @@ def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | N
         counts = np.bincount(np.searchsorted(edges[1:-1], vals, side="right"),
                              minlength=histogram_bins)
     return McReport(mean, float(vals.std(ddof=1) / math.sqrt(n_samples)), n_samples, int(seed),
-                    float(gvals.mean()), counts, edges)
-
-
-def _ket_rows(z: list, dims: tuple[int, int], swap: int | None) -> np.ndarray:
-    """The unit kets with real (and imaginary) parts ``z``, (size, d) each, as rows.
-
-    The rows are (k, parts, L, size), samples last: entry (a, b) of M
-    (n_A x n_B) is row a, column b (row b, column a when n_A > n_B).  A
-    face's coordinate of the k-th pair i <= j (i < j when ``swap`` is -1),
-    row-major, is the coefficient of |ii> or (|ij> + swap |ji>)/sqrt 2: it
-    goes to (i, j) and, times ``swap``, to (j, i).  ``z`` is divided in place
-    by each ket's norm, squared and summed over the real parts and then the
-    imaginary ones, and a face's pairs i < j are scaled by sqrt(1/2).
-    """
-    na, nb = dims
-    norm = np.sqrt(sum(np.add.reduce(np.square(x), axis=1) for x in z))[:, None]
-    rows = np.zeros((min(dims), len(z), max(dims), len(norm)))
-    for part, x in enumerate(z):
-        x /= norm
-        if swap is None:
-            m = x.T.reshape(na, nb, -1)
-            rows[:, part] = m if na <= nb else m.swapaxes(0, 1)
-        else:
-            i, j = np.triu_indices(na, 0 if swap == 1 else 1)
-            x *= np.where(i == j, 1.0, math.sqrt(0.5))
-            rows[i, part, j] = x.T
-            rows[j, part, i] = swap * x.T
-    return rows
-
-
-def _gram_traces(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tr W and Tr W^2 of W = R R^dagger, per sample, without BLAS.
-
-    ``rows`` holds the real (and imaginary) parts of each sample's k rows of
-    length L, rows first and samples last: (k, parts, L, size), so every
-    product is of two contiguous operands and numpy buffers no temporary.
-    Each entry of W is a sum of contiguous vectors in a fixed order,
-    k(k+1)/2 real parts and k(k-1)/2 imaginary ones, mirrored to the
-    transposed entry.
-    """
-    k, parts, _, size = rows.shape
-    re = np.empty((k, k, size))
-    prod = np.empty_like(rows[0])
-    terms = prod.reshape(-1, size)
-    im, turned = (None, None) if parts == 1 else (np.zeros_like(re), np.empty_like(prod))
-    for i, row in enumerate(rows):
-        if im is not None and i + 1 < k:
-            # Im W_ij = sum_l y_il x_jl - x_il y_jl: the products of (y_i, -x_i) with row j.
-            turned[0] = row[1]
-            np.negative(row[0], out=turned[1])
-        for j in range(i, k):
-            # Re W_ij = sum_l x_il x_jl + y_il y_jl.
-            np.multiply(row, rows[j], out=prod)
-            re[j, i] = np.add.reduce(terms, axis=0, out=re[i, j])
-            if im is not None and j > i:
-                np.multiply(turned, rows[j], out=prod)
-                np.negative(np.add.reduce(terms, axis=0, out=im[i, j]), out=im[j, i])
-    norm_sq = np.add.reduce(np.diagonal(re), axis=-1)
-    # Tr W^2 = sum_ij (Re W_ij)^2 + (Im W_ij)^2, squared in place.
-    np.square(re, out=re)
-    if im is not None:
-        re += np.square(im, out=im)
-    return norm_sq, np.add.reduce(re, axis=(0, 1))
-
-
-def _haar_ket_block(
-    rng: np.random.Generator,
-    size: int,
-    t: float,
-    dims: tuple[int, int],
-    *,
-    real: bool = False,
-    swap: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local and global values of ``size`` states rho = t |psi><psi| + (1-t) mu.
-
-    The kets psi are Haar-random.  Without ``swap`` they live in
-    C^(n_A n_B) (R^(n_A n_B) when ``real``), mu is maximally mixed, and the
-    values are the generalized purities P_A and P.  With ``swap`` = +1 or -1
-    and n_A = n_B = n they live in the symmetric or antisymmetric subspace,
-    of dimension N_S = n(n + swap)/2, mu is the normalized projector onto it,
-    and the values are the collision values Tr(rho_A^2) and Tr(rho^2).
-
-    No A marginal is formed.  With psi reshaped to M (n_A x n_B), the
-    smaller Gram W (M M^dagger for n_A <= n_B, M^dagger M otherwise) shares
-    the nonzero spectrum of M M^dagger and Tr W = |psi|^2.  The subspaces
-    are U (x) U invariant, so the A marginal of their mu is I/n and
-    Tr(rho_A^2) = t^2 Tr W^2 + (2t(1-t) Tr W + (1-t)^2)/n.
-    For maximally mixed mu the purities keep t^2 factored out,
-    P_A = t^2 (n_A Tr W^2 - (Tr W)^2)/(n_A - 1) and P = t^2 |psi|^4, so
-    t = 0 gives exactly zero.  The kets stay real arrays, taken in slices of
-    ``SLICE_SIZE`` samples, and every step is elementwise or a sum in a fixed
-    order, with no BLAS call: the values are the same bits on every CPU.
-    """
-    na, nb = dims
-    dim = na * nb
-    n_s = dim if swap is None else na * (na + swap) // 2
-    # Slices of at least two samples: numpy sums the vectors of two or more
-    # samples in order, but one sample's pairwise.
-    step = max(SLICE_SIZE, 2)
-    # The real parts of every ket and 8 per-sample vectors; in one slice, the
-    # imaginary parts and the kets' rows, then the pair sums' two products and
-    # the parts of W.
-    check_memory(8 * (size * (n_s + 8) + min(size, step + 1) * (
-        (1 if real else 2) * (n_s + dim + 2 * max(dims)) - n_s + 2 * min(dims) ** 2)),
-                 f"{size} kets in dimension {dim} ({size} x {n_s} real parts) and their Grams")
-    # Every real part is drawn before any imaginary part, as in one draw of the block.
-    norm_sq, tr_w2 = np.hstack([
-        _gram_traces(_ket_rows([x] if real else [x, rng.standard_normal(x.shape)], dims, swap))
-        for x in np.split(rng.standard_normal((size, n_s)), range(step, size - 1, step))])
-    if swap is None:
-        return t * t * (na * tr_w2 - norm_sq**2) / (na - 1), t * t * norm_sq**2
-    cross = 2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2
-    return t * t * tr_w2 + cross / na, t * t * norm_sq**2 + cross / n_s
-
-
-def _classical_purities(x: np.ndarray) -> np.ndarray:
-    """Purity n/(n-1) |x - 1/n|^2 of each row of n-outcome distributions; overwrites x."""
-    n = x.shape[-1]
-    x -= 1.0 / n
-    return n / (n - 1) * np.einsum("...k,...k->...", x, x)
-
-
-def _classical_block(
-    rng: np.random.Generator, size: int, p: np.ndarray, k_a: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local and global purities of ``size`` uniform permutations of ``p``.
-
-    The memory check counts the block and its (size, k_a) A marginal.
-    """
-    check_memory(8 * size * (p.size + k_a),
-                 f"a block of {size} distributions on {p.size} outcomes and their marginals")
-    omega = np.tile(p, (size, 1))
-    rng.permuted(omega, axis=1, out=omega)
-    local = _classical_purities(omega.reshape(size, k_a, -1).sum(axis=2))
-    return local, _classical_purities(omega)
+                    realized, counts, edges)
 
 
 def estimate_expected_local_purity(

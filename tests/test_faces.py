@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptpurity import cli, errors, faces, formulas, randomize as rnd
+from gptpurity import blocks, cli, errors, faces, formulas
 from gptpurity.errors import EmptyFaceError, InvalidProbeError, RangeError
 from gptpurity.purity import purity_from_tr2
 from reference import grouprep
@@ -64,9 +64,10 @@ def test_swap_face_basis_is_orthonormal_and_swap_covariant(n, sign):
 
 def _kernel_kets(monkeypatch, size, dims, real=False, swap=None):
     """The samples-last kets ``_haar_ket_block`` hands its pair sums, joined over its slices."""
-    slices, gram_traces = [], rnd._gram_traces
-    monkeypatch.setattr(rnd, "_gram_traces", lambda rows: slices.append(rows) or gram_traces(rows))
-    rnd._haar_ket_block(np.random.default_rng(5303), size, 1.0, dims, real=real, swap=swap)
+    slices, gram_traces = [], blocks._gram_traces
+    monkeypatch.setattr(blocks, "_gram_traces",
+                        lambda rows: slices.append(rows) or gram_traces(rows))
+    blocks._haar_ket_block(np.random.default_rng(5303), size, 1.0, dims, real=real, swap=swap)
     return np.concatenate(slices, axis=-1)
 
 
@@ -375,7 +376,7 @@ def test_face_ket_kernel_matches_explicit_route(n, sign):
     dims = (part_a.level, comp.part_b.level)
     gram_a = grouprep.analytic_gram(part_a)
     psi = haar.haar_kets(3, n_s, np.random.default_rng(5301))
-    collision, tr2 = rnd._haar_ket_block(np.random.default_rng(5301), 3, t, dims,
+    collision, tr2 = blocks._haar_ket_block(np.random.default_rng(5301), 3, t, dims,
                                          swap=sign)
     local = purity_from_tr2(dims[0], collision)
     for k, ket in enumerate(psi):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import errors, faces, formulas, randomize as rnd
+from gptpurity import blocks, errors, faces, formulas, randomize as rnd
 from gptpurity.errors import RangeError
 from reference import grouprep
 from reference import statespace as ss
@@ -168,6 +168,65 @@ def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbyte
     assert f"{what} would need {nbytes} bytes" in lines[0]
 
 
+@pytest.mark.parametrize("sign", ["sym", "antisym"])
+def test_face_pair_sums_beyond_the_work_cap_exit_one_before_any_draw(tmp_path, sign):
+    # Both faces at n = 200 pass the memory cap (907 MB counted for sym), but
+    # each block of 1024 kets would take k^2 = 40000 pair-sum products of
+    # 2 x 200 values per ket: 32000000 terms of 512 products, about a minute.
+    proc, rss = _run_cli(tmp_path, ["estimate", "--face", sign, "--n", "200", "--trp", "1",
+                                    "--seed", "1"], address_limit=4 << 30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert ("the pair sums of 1024 kets' 200 x 200 Grams (512 products per term) would sum "
+            "32000000 terms, over the 10000000-term work cap") in lines[0]
+    assert rss < MAX_RSS_MB
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test on any use."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"the block used its generator's {name}")
+
+
+def test_ket_block_work_is_refused_before_its_kets_are_drawn(monkeypatch):
+    # The refusal comes before the block's first draw and allocation: only
+    # the per-sample arrays of the run (160 kB) are traced.
+    monkeypatch.setattr(rnd, "sample_rng", lambda seed, index: _NoDraws())
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="would sum 32000000 terms"):
+            faces.estimate_face_local_purity(200, 1, 1.0, 10_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("dims,real,swap,terms", [
+    # 1024 kets: k(k+1)/2 real products of L values, and with imaginary parts
+    # k^2 products of 2L values, in units of 512.
+    ((2, 8), False, None, 1024 * 2 * 8 * 4 // 512),
+    ((8, 2), False, None, 1024 * 2 * 8 * 4 // 512),
+    ((2, 3), True, None, 1024 * 3 * 3 // 512),
+    ((3, 3), False, 1, 1024 * 2 * 3 * 9 // 512),
+    ((5, 5), False, -1, 1024 * 2 * 5 * 25 // 512),
+])
+def test_ket_block_counts_its_pair_sum_products(monkeypatch, dims, real, swap, terms):
+    def block():
+        return blocks._haar_ket_block(rnd.sample_rng(2, 0), rnd.BLOCK_SIZE, 1.0, dims, real=real,
+                                      swap=swap)
+
+    monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms - 1)
+    with pytest.raises(RangeError, match=f"would sum {terms} terms, over the {terms - 1}-term"):
+        block()
+    monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms)
+    assert len(block()[0]) == rnd.BLOCK_SIZE
+
+
 def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
     # --k 2 yields its 11520 traces one at a time from the one-qubit factors
     # and never forms the group, so it peaks where --k 1 does: about 15.0 MB
@@ -195,15 +254,15 @@ def test_ket_block_peak_is_within_its_memory_count(monkeypatch, case):
     if case.startswith(("sym", "antisym")):
         kind, n = case.split()
         n, sign = int(n), 1 if kind == "sym" else -1
-        draw = partial(rnd._haar_ket_block,
+        draw = partial(blocks._haar_ket_block,
                        t=faces._face_interpolation_weight(n * (n + sign) // 2, 0.3),
                        dims=(n, n), swap=sign)
     else:
         na, nb = map(int, case.removeprefix("real ").split("x"))
-        draw = partial(rnd._haar_ket_block, t=1.0, dims=(na, nb), real=case.startswith("real"))
+        draw = partial(blocks._haar_ket_block, t=1.0, dims=(na, nb), real=case.startswith("real"))
     draw(rnd.sample_rng(1, 0), 2)
     counted = []
-    monkeypatch.setattr(rnd, "check_memory", lambda nbytes, what: counted.append(nbytes))
+    monkeypatch.setattr(blocks, "check_memory", lambda nbytes, what: counted.append(nbytes))
     rng = rnd.sample_rng(1, 1)
     tracemalloc.start()
     try:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptpurity import checks, errors, formulas, randomize as rnd
+from gptpurity import blocks, checks, errors, formulas, randomize as rnd
 from reference import grouprep
 from reference import statespace as ss
 from gptpurity.errors import (
@@ -408,7 +408,7 @@ def test_ket_kernel_matches_explicit_route(builder, real):
         gram_a, gram_ab = grouprep.analytic_gram(part_a), grouprep.analytic_gram(joint)
         # The block draws its kets as haar_kets does from the same generator.
         psi = haar.haar_kets(3, n, np.random.default_rng(5300), real=real)
-        local, glob = rnd._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
+        local, glob = blocks._haar_ket_block(np.random.default_rng(5300), 3, t, (na, nb), real=real)
         for k, ket in enumerate(psi):
             rho = t * np.outer(ket, ket.conj()) + (1 - t) * np.eye(n) / n
             ref_a = _partial_trace(rho, (na, nb))
@@ -437,7 +437,8 @@ def test_ket_kernel_local_purity_has_its_exact_law(real, nb, seed):
     def law(b):
         return stats.beta((b + 1) / 2, b * (nb - 1) / 2).cdf
 
-    local, _ = rnd._haar_ket_block(np.random.default_rng(seed), KS_SAMPLES, 1.0, (2, nb), real=real)
+    local, _ = blocks._haar_ket_block(np.random.default_rng(seed), KS_SAMPLES, 1.0, (2, nb),
+                                      real=real)
     assert stats.kstest(local, law(1 if real else 2)).pvalue > KS_ALPHA
     if real and nb == 8:
         # Negative control: real kets judged against the complex law are rejected.
@@ -462,7 +463,7 @@ def test_permuted_states_match_explicit_route():
         got = []
 
         def draw_classical(rng, size):
-            local, glob = rnd._classical_block(rng, size, p, na)
+            local, glob = blocks._classical_block(rng, size, p, na)
             got.append((size, local, glob))
             return local, glob
 
@@ -655,11 +656,12 @@ def test_ket_block_values_do_not_depend_on_the_slice_size(monkeypatch, dims, rea
     # (1023 = 146 x 7 + 1) joins the slice before it, and a slice size of 1
     # takes two samples.
     def block():
-        return rnd._haar_ket_block(rnd.sample_rng(4801, 0), size, 0.6, dims, real=real, swap=swap)
+        return blocks._haar_ket_block(rnd.sample_rng(4801, 0), size, 0.6, dims, real=real,
+                                      swap=swap)
 
     expected = block()
     for slice_size in (1, 7, rnd.BLOCK_SIZE):
-        monkeypatch.setattr(rnd, "SLICE_SIZE", slice_size)
+        monkeypatch.setattr(blocks, "SLICE_SIZE", slice_size)
         for got, want in zip(block(), expected):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), slice_size
 
