@@ -15,7 +15,10 @@ imaginary parts, and the Gram's entries are pair sums in a fixed order with
 no BLAS call, so these values are the same bits on every CPU.  A face's kets
 are drawn in its (anti)symmetric subspace and laid out as n x n matrices
 (``_ket_rows``).  A ket block is refused up front beyond the memory cap, and
-beyond the work cap by the count of its pair sums' products.
+beyond the work cap by the count of its pair sums' products.  Both classical
+estimates, the free joint's and the recorded coin's, draw through
+``_permutation_draw``, which counts a distribution and its block before
+building either.
 
 This module uses no other layer of the package but ``errors``.
 """
@@ -23,6 +26,7 @@ This module uses no other layer of the package but ``errors``.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -173,11 +177,26 @@ def _classical_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local and global purities of ``size`` uniform permutations of ``p``.
 
-    The memory check counts the block and its (size, k_a) A marginal.
+    Its memory is counted by ``_permutation_draw``, the one way to draw it.
     """
-    check_memory(8 * (size * (p.size + k_a)),
-                 f"a block of {size} distributions on {p.size} outcomes and their marginals")
     omega = np.tile(p, (size, 1))
     rng.permuted(omega, axis=1, out=omega)
     local = _classical_purities(omega.reshape(size, k_a, -1).sum(axis=2))
     return local, _classical_purities(omega)
+
+
+def _permutation_draw(k: int, k_a: int, rest: float, head: int, value: float, size: int,
+                      what: str) -> partial:
+    """The draw of uniform permutations of p on k = k_a k_b outcomes, blocks of ``size`` at most.
+
+    p is ``value`` on its first ``head`` outcomes and ``rest`` on the others.
+    Before p exists, the memory check counts it, a block of ``size``
+    permutations of it, their (size, k_a) A marginals and three per-sample
+    vectors: the local and global purities and a temporary of the closed form.
+    ``what`` names p in a refusal.
+    """
+    check_memory(8 * (k + size * (k + k_a + 3)),
+                 f"{what} and a block of {size} permutations of it")
+    p = np.full(k, rest)
+    p[:head] = value
+    return partial(_classical_block, p=p, k_a=k_a)

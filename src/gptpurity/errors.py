@@ -51,24 +51,12 @@ class InvalidDimensionError(GptPurityError, ValueError):
     """A builder was asked for a dimension outside its valid range."""
 
 
-class NormalizationError(GptPurityError, ValueError):
-    """A vector expected to be a normalized state is not."""
-
-
 class RangeError(GptPurityError, ValueError):
     """A numeric argument lies outside its documented range."""
 
 
 class UnsupportedSpaceError(GptPurityError, ValueError):
     """The requested operation is not defined for this space kind."""
-
-
-class DegenerateDirectionError(GptPurityError, ValueError):
-    """A direction vector is (numerically) zero."""
-
-
-class InconsistencyError(GptPurityError):
-    """Two routes to the same quantity disagree beyond tolerance."""
 
 
 class EmptyFaceError(GptPurityError, ValueError):

@@ -21,14 +21,10 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import NamedTuple
 
-import numpy as np
-
-from .blocks import _classical_block, _haar_ket_block
-from .errors import RangeError, check_memory
-from .formulas import (Prediction, _check_face, _check_purity_on_face, coin_record_sigma,
-                       predict_coin_record)
+from .blocks import _haar_ket_block, _permutation_draw
+from .errors import RangeError
+from .formulas import _check_face, _check_purity_on_face
 from .randomize import BLOCK_SIZE, McReport, _check_run, _estimate
 
 
@@ -70,49 +66,26 @@ def estimate_face_local_purity(
 # -- coin tossing against a record-keeping environment --------------------------------------
 
 
-class CoinRecordResult(NamedTuple):
-    """Monte Carlo report and closed-form prediction for the record scenario.
-
-    ``sigma`` is the exact per-sample standard deviation (``formulas.coin_record_sigma``).
-    """
-
-    report: McReport
-    prediction: Prediction
-    sigma: float
-
-
-def coin_with_record(
-    s0_size: int,
-    n_samples: int,
-    seed: int,
-) -> CoinRecordResult:
+def coin_with_record(s0_size: int, n_samples: int, seed: int) -> McReport:
     """Toss a known coin against an environment that records its value.
 
     The environment has 2 * s0_size configurations; strings in S_0 accompany
     coin value 0 and the rest accompany value 1, so the joint support is the
     face {0 s_0} union {1 s_1}.  The initial state is the pure coin times the
     uniform mixture over S_0, and the dynamics are uniform permutations of
-    the support.  The expected marginal coin purity is 1/(2 s0_size - 1):
-    the recording environment randomizes like an unconstrained one of half
-    its size.
+    the support.  The expected marginal coin purity is 1/(2 s0_size - 1)
+    (``formulas.predict_coin_record``): the recording environment randomizes
+    like an unconstrained one of half its size.
 
     The 2 s0_size support outcomes, coin value major, are the outcomes of a
     free 2 x s0_size classical joint and the permutations of the support are
-    its reversible dynamics, so the classical kernel of ``blocks`` draws
-    the samples.
+    its reversible dynamics, so it draws through ``blocks._permutation_draw``
+    as the classical estimate does.
     """
     if s0_size < 1:
         raise RangeError(f"the record set needs at least one string, got {s0_size}")
     _check_run(n_samples, seed)
-    n_f = 2 * s0_size
-    size = min(n_samples, BLOCK_SIZE)
-    # The distribution, then the block and its A marginals that
-    # ``_classical_block`` checks again once the distribution exists.
-    check_memory(8 * (n_f + size * (n_f + 2)),
-                 f"a 2 x {s0_size} classical joint distribution and a block of {size} "
-                 "permutations of it")
-    p_face = np.zeros(n_f)
-    p_face[:s0_size] = 1.0 / s0_size
-    report = _estimate(n_samples, seed, partial(_classical_block, p=p_face, k_a=2), None)
-    return CoinRecordResult(report=report, prediction=predict_coin_record(s0_size),
-                            sigma=coin_record_sigma(s0_size))
+    draw = _permutation_draw(2 * s0_size, 2, 0.0, s0_size, 1.0 / s0_size,
+                             min(n_samples, BLOCK_SIZE),
+                             f"a 2 x {s0_size} classical joint distribution")
+    return _estimate(n_samples, seed, draw, None)

@@ -11,10 +11,10 @@ derived from (seed, b), and the blocks are reduced in order, so a report
 depends on the seed and the sample count alone.  An estimator only says how
 to draw one block, with a kernel of ``blocks``: Haar kets
 (``_haar_ket_block``, real ones for real quantum theory) or permuted
-distributions (``_classical_block``).  The quantum estimate needs no group
-element: conjugation fixes the maximally mixed state mu, so
-U (t phi + (1-t) mu) U^dagger equals t |psi><psi| + (1-t) mu for a
-Haar-random ket psi.  A report carries no verdict: an ``errors.Check``
+distributions (``_classical_block``, built by ``_permutation_draw``).  The
+quantum estimate needs no group element: conjugation fixes the maximally
+mixed state mu, so U (t phi + (1-t) mu) U^dagger equals
+t |psi><psi| + (1-t) mu for a Haar-random ket psi.  A report carries no verdict: an ``errors.Check``
 judges it (``checks.markov_tail`` for its histogram).
 
 This module uses no other layer of the package but its kernels, ``errors``
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import _classical_block, _haar_ket_block
+from .blocks import _haar_ket_block, _permutation_draw
 from .errors import InternalError, RangeError, check_memory
 from .formulas import CLASSICAL, REAL_QUANTUM, _check_levels, _check_p0
 
@@ -195,7 +195,7 @@ def estimate_expected_local_purity(
     n_samples: int,
     seed: int,
     *,
-    histogram_bins: int | None = HISTOGRAM_BINS,
+    histogram_bins: int | None = None,
 ) -> McReport:
     """Monte Carlo mean of the local purity after global randomization.
 
@@ -218,15 +218,10 @@ def estimate_expected_local_purity(
     _check_p0(p0)
     t = math.sqrt(p0)
     if theory == CLASSICAL:
+        # t phi + (1-t) mu with phi the first outcome.
         k = n_a * n_b
-        size = min(n_samples, BLOCK_SIZE)
-        # The distribution, then the block and its marginals that
-        # ``_classical_block`` checks again once the distribution exists.
-        check_memory(8 * (k + size * (k + n_a)),
-                     f"a {k}-outcome distribution and a block of {size} permutations of it")
-        p = np.full(k, (1.0 - t) / k)
-        p[0] += t
-        draw = partial(_classical_block, p=p, k_a=n_a)
+        draw = _permutation_draw(k, n_a, (1.0 - t) / k, 1, (1.0 - t) / k + t,
+                                 min(n_samples, BLOCK_SIZE), f"a {k}-outcome distribution")
     else:
         draw = partial(_haar_ket_block, t=t, dims=(n_a, n_b), real=theory == REAL_QUANTUM)
     return _estimate(n_samples, seed, draw, histogram_bins)

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gptpurity.errors import InconsistencyError, UnsupportedSpaceError
+from gptpurity.errors import UnsupportedSpaceError
 
-from . import statespace as ss
+from . import InconsistencyError, statespace as ss
 from .grouprep import GramMatrix
 from .statespace import SpaceDescriptor
 

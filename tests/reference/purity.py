@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gptpurity.errors import DegenerateDirectionError, UnsupportedSpaceError
+from gptpurity.errors import UnsupportedSpaceError
 
-from . import grouprep
+from . import DegenerateDirectionError, grouprep
 from . import statespace as ss
 from .grouprep import GramMatrix
 from .statespace import SpaceDescriptor

@@ -28,12 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gptpurity.errors import (
-    InvalidDimensionError,
-    NormalizationError,
-    UnsupportedSpaceError,
-    check_memory,
-)
+from gptpurity.errors import InvalidDimensionError, UnsupportedSpaceError, check_memory
+
+from . import NormalizationError
 
 NORM_TOL = 1e-9
 # A descriptor holds two float64 vectors, 16 bytes per coordinate.  The

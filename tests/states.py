@@ -17,10 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gptpurity.errors import (GptPurityError, InconsistencyError, InvalidProbeError,
-                              NormalizationError, UnsupportedSpaceError, check_memory)
+from gptpurity.errors import GptPurityError, InvalidProbeError, UnsupportedSpaceError, check_memory
 from gptpurity.formulas import _check_purity_on_face
-from reference import statespace as ss
+from reference import InconsistencyError, NormalizationError, statespace as ss
 from reference.purity import MIXED_PURITY_FLOOR, PauliMap, pauli_vectors
 
 import haar

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gptpurity.errors import InconsistencyError, UnsupportedSpaceError
-from reference import composite as cm
+from gptpurity.errors import UnsupportedSpaceError
+from reference import InconsistencyError, composite as cm
 from reference import grouprep, statespace as ss
 from reference.purity import complete_pauli_set, purity
 import haar

@@ -299,16 +299,16 @@ def test_estimate_face_rejects_unreachable_purity():
 
 
 def test_coin_with_record_quarter():
-    res = faces.coin_with_record(4, 6000, 29)
-    assert res.prediction.value == pytest.approx(1 / 7, abs=1e-15)
-    assert abs(res.report.mean - 1 / 7) <= 3 * res.report.stderr + 1e-12
+    rep = faces.coin_with_record(4, 6000, 29)
+    assert formulas.predict_coin_record(4).value == pytest.approx(1 / 7, abs=1e-15)
+    assert abs(rep.mean - 1 / 7) <= 3 * rep.stderr + 1e-12
 
 
 def test_coin_with_record_single_string_never_randomizes():
-    res = faces.coin_with_record(1, 300, 7)
-    assert res.prediction.value == 1.0
-    assert res.report.mean == pytest.approx(1.0, abs=1e-12)
-    assert res.report.stderr == pytest.approx(0.0, abs=1e-15)
+    rep = faces.coin_with_record(1, 300, 7)
+    assert formulas.predict_coin_record(1).value == 1.0
+    assert rep.mean == pytest.approx(1.0, abs=1e-12)
+    assert rep.stderr == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coin_with_record_prediction_equals_face_restricted_purity():
@@ -319,8 +319,7 @@ def test_coin_with_record_prediction_equals_face_restricted_purity():
         p = np.zeros(n)
         p[:s0] = 1.0 / s0
         face_purity = n / (n - 1) * float(np.sum((p - 1.0 / n) ** 2))
-        res = faces.coin_with_record(s0, 10, 1)
-        assert res.prediction.value == pytest.approx(face_purity, abs=1e-14)
+        assert formulas.predict_coin_record(s0).value == pytest.approx(face_purity, abs=1e-14)
 
 
 def _coin_record_moments(s0):
@@ -342,10 +341,10 @@ def test_coin_with_record_is_the_free_two_by_s0_classical_estimate(s0):
     # from the pure coin times the uniform mixture over S_0, whose exact mean
     # is the hypergeometric one; the estimate lies within 3 sigma / sqrt(n).
     n = 10_000
-    res = faces.coin_with_record(s0, n, 1)
-    assert res.report.n_samples == n
+    rep = faces.coin_with_record(s0, n, 1)
+    assert rep.n_samples == n
     mean = float(_coin_record_moments(s0)[0])
-    assert abs(res.report.mean - mean) <= 3 * formulas.coin_record_sigma(s0) / math.sqrt(n)
+    assert abs(rep.mean - mean) <= 3 * formulas.coin_record_sigma(s0) / math.sqrt(n)
 
 
 @pytest.mark.parametrize("s0", range(1, 13))

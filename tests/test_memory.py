@@ -103,15 +103,15 @@ def test_oversized_classical_estimate_exits_one_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     # The coin record's 2 x 1e8 joint distribution and a block of 1024
-    # permutations of it with their A marginals.
+    # permutations of it with their A marginals and 3 per-sample vectors.
     (["coin-record", "--s0", "100000000", "--seed", "1"],
      "2 x 100000000 classical joint distribution and a block of 1024 permutations of it "
-     "would need 1640000016384 bytes"),
+     "would need 1640000040960 bytes"),
     # The 4e8-outcome distribution and a block of 1024 permutations of it.
     (["estimate", "--theory", "classical", "--na", "2", "--nb", "200000000", "--p0", "0.3",
       "--seed", "0"],
      "400000000-outcome distribution and a block of 1024 permutations of it would need "
-     "3280000016384 bytes"),
+     "3280000040960 bytes"),
     (["predict", "general", "--theory", "classical", "--na", "2", "--nb", "200000000",
       "--p0", "0.3"], None),
 ])
@@ -274,6 +274,29 @@ def test_ket_block_peak_is_within_its_memory_count(monkeypatch, case):
     assert peak <= counted[0]
 
 
+@pytest.mark.parametrize("k,k_a,head", [
+    (4, 2, 1), (16, 2, 1), (16, 8, 1), (64, 8, 1), (4096, 64, 1), (8, 2, 4), (66, 2, 33),
+], ids=["2x2", "2x8", "8x2", "8x8", "64x64", "coin 4", "coin 33"])
+def test_classical_block_peak_is_within_its_memory_count(monkeypatch, k, k_a, head):
+    # A full block's traced peak, its permutations, their marginals and both
+    # purity vectors, must not pass the bytes its draw's builder counted
+    # (p, built before the trace, is counted too).
+    counted = []
+    monkeypatch.setattr(blocks, "check_memory", lambda nbytes, what: counted.append(nbytes))
+    draw = blocks._permutation_draw(k, k_a, 0.1 / k, head, 0.9 / head + 0.1 / k, rnd.BLOCK_SIZE,
+                                    "p")
+    draw(rnd.sample_rng(1, 0), 2)
+    rng = rnd.sample_rng(1, 1)
+    tracemalloc.start()
+    try:
+        draw(rng, rnd.BLOCK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted == [8 * (k + rnd.BLOCK_SIZE * (k + k_a + 3))]
+    assert peak <= counted[0]
+
+
 @pytest.mark.parametrize("builder,n", [
     (ss.build_quantum, 2), (ss.build_quantum, 3), (ss.build_quantum, 4), (ss.build_real_quantum, 2),
 ], ids=["quantum K=4", "quantum K=9", "quantum K=16", "real-quantum K=3"])
@@ -297,9 +320,9 @@ def test_haar_draw_block_peak_is_within_its_memory_count(monkeypatch, builder, n
 
 
 def test_estimator_blocks_are_refused_beyond_the_cap():
-    # The 262144-outcome distribution, the (1024, 262144) float block and its
-    # (1024, 256) marginal.
-    with pytest.raises(RangeError, match="2151677952 bytes"):
+    # The 262144-outcome distribution, the (1024, 262144) float block, its
+    # (1024, 256) marginal and 3 per-sample vectors.
+    with pytest.raises(RangeError, match="2151702528 bytes"):
         rnd.estimate_expected_local_purity("classical", 256, 1024, 0.3, 2000, 0)
     # The real parts of 1024 kets of 2^17 entries, and in a slice of 513 their
     # imaginary parts, their rows, the pair sums' products and the 2 x 2 Grams.

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity.errors import (
-    DegenerateDirectionError,
-    NormalizationError,
-    RangeError,
-    UnsupportedSpaceError,
-)
+from gptpurity.errors import RangeError, UnsupportedSpaceError
 from gptpurity.purity import purity_from_tr2, tr2_from_purity
-from reference import grouprep, statespace as ss
+from reference import DegenerateDirectionError, NormalizationError, grouprep, statespace as ss
 from reference import purity as pur
 import haar
 from states import max_collision_probability, pauli_value, random_mixtures

@@ -193,7 +193,7 @@ def test_estimator_classical_mixed_transfers_ignorance():
 
 
 def test_estimator_seed_determinism_and_worker_independence():
-    kw = dict(p0=0.5, n_samples=600, seed=77)
+    kw = dict(p0=0.5, n_samples=600, seed=77, histogram_bins=rnd.HISTOGRAM_BINS)
     a = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
     b = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
     c = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
@@ -203,7 +203,8 @@ def test_estimator_seed_determinism_and_worker_independence():
 
 
 def test_estimator_histogram_counts_sum_to_samples():
-    rep = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 300, 3)
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 300, 3,
+                                             histogram_bins=rnd.HISTOGRAM_BINS)
     assert rep.histogram_counts.sum() == 300
     assert len(rep.histogram_edges) == len(rep.histogram_counts) + 1
 
@@ -261,7 +262,8 @@ def test_qubit_oracle_consistency_triangle():
 
 
 def test_markov_tail_quantum_2x8():
-    rep = rnd.estimate_expected_local_purity("quantum", 2, 8, 1.0, 4000, 51)
+    rep = rnd.estimate_expected_local_purity("quantum", 2, 8, 1.0, 4000, 51,
+                                             histogram_bins=rnd.HISTOGRAM_BINS)
     res = checks.markov_tail(rep, 5.0)
     assert res.passed
     assert res.name == "markov-x-5"
@@ -270,7 +272,8 @@ def test_markov_tail_quantum_2x8():
 
 
 def test_markov_tail_degenerate_classical():
-    rep = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 200, 5)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 200, 5,
+                                             histogram_bins=rnd.HISTOGRAM_BINS)
     res = checks.markov_tail(rep, 2.0)
     assert res.value == pytest.approx(1.0)
     assert res.bound >= 1.0
@@ -278,17 +281,18 @@ def test_markov_tail_degenerate_classical():
 
 
 def test_markov_tail_rejects_bad_inputs():
-    rep = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 50, 5)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 50, 5,
+                                             histogram_bins=rnd.HISTOGRAM_BINS)
     with pytest.raises(RangeError):
         checks.markov_tail(rep, 0.5)
-    bare = rnd.estimate_expected_local_purity(
-        "classical", 2, 2, 1.0, 50, 5, histogram_bins=None)
+    bare = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 50, 5)
     with pytest.raises(RangeError):
         checks.markov_tail(bare, 2.0)
 
 
 def test_report_serialization_roundtrip():
-    rep = rnd.estimate_expected_local_purity("classical", 2, 4, 0.5, 100, 9)
+    rep = rnd.estimate_expected_local_purity("classical", 2, 4, 0.5, 100, 9,
+                                             histogram_bins=rnd.HISTOGRAM_BINS)
     doc = rep.to_json_dict()
     assert doc["n_samples"] == 100
     assert doc["seed"] == 9
@@ -482,12 +486,12 @@ def test_permuted_states_match_explicit_route():
 
 def test_classical_memory_check_counts_both_block_arrays(monkeypatch):
     # A 2x8 estimate holds its 16-outcome distribution, then a block of 1024
-    # rows of K = 16 and their A marginals of K_A = 2:
-    # 8 * (16 + 1024 * (16 + 2)) = 147584 bytes, counted before the distribution.
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 147583)
-    with pytest.raises(RangeError, match="147584 bytes"):
+    # rows of K = 16, their A marginals of K_A = 2 and three per-sample vectors:
+    # 8 * (16 + 1024 * (16 + 2 + 3)) = 172160 bytes, counted before the distribution.
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 172159)
+    with pytest.raises(RangeError, match="172160 bytes"):
         rnd.estimate_expected_local_purity("classical", 2, 8, 0.3, 2000, 0)
-    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 147584)
+    monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 172160)
     rep = rnd.estimate_expected_local_purity("classical", 2, 8, 0.3, 2000, 0)
     assert rep.realized_global_purity == pytest.approx(0.3, abs=1e-9)
 

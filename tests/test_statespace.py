@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity.errors import InvalidDimensionError, NormalizationError, UnsupportedSpaceError
-from reference import composite as cm
+from gptpurity.errors import InvalidDimensionError, UnsupportedSpaceError
+from reference import NormalizationError, composite as cm
 from reference import grouprep
 from reference import statespace as ss
 import haar
