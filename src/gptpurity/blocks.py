@@ -3,7 +3,7 @@
 ``randomize._estimate`` hands each block of samples to one kernel, which
 returns the block's local and global values: Haar kets (``_haar_ket_block``,
 real ones for real quantum theory, in-face ones for a face) or permuted
-distributions (``_classical_block``).  No kernel takes a Gram: each group
+distributions (``_permutation_draw``).  No kernel takes a Gram: each group
 acts irreducibly, so its invariant Gram is unique and a purity is
 (n Tr rho^2 - 1)/(n - 1) on n quantum or real-quantum levels and
 n/(n-1) |x - 1/n|^2 (``_classical_purities``) on n classical outcomes.  A
@@ -14,29 +14,30 @@ of the smaller Gram, and no A marginal is formed.  The kets stay real and
 imaginary parts, and the Gram's entries are pair sums in a fixed order with
 no BLAS call, so these values are the same bits on every CPU.  A face's kets
 are drawn in its (anti)symmetric subspace and laid out as n x n matrices
-(``_ket_rows``).  A ket block is refused up front beyond the memory cap, and
-beyond the work cap by the count of its pair sums' products.  Both classical
+(``_ket_rows``).  No kernel checks a cap: ``randomize._estimate`` checks a
+draw's count of its bytes and work before the first block.  Both classical
 estimates, the free joint's and the recorded coin's, draw through
-``_permutation_draw``, which counts a distribution and its block before
-building either.
+``_permutation_draw``.
 
-This module uses no other layer of the package but ``errors``.
+This module uses no other layer of the package.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import partial
 
 import numpy as np
-
-from .errors import check_memory, check_work
 
 # Samples per slice of a ket block, which bounds the temporaries of its
 # layout and pair sums.  No value depends on it.
 SLICE_SIZE = 512
 # Elementwise products of a ket block's pair sums per term of the work cap.
 PRODUCTS_PER_TERM = 512
+# Such products per permuted element of a classical block: 11-16 ns against
+# 1.4-2.8 ns per product on a 2-core x86-64 VM.
+PRODUCTS_PER_ELEMENT = 8
 
 
 def _ket_rows(z: list, dims: tuple[int, int], swap: int | None) -> np.ndarray:
@@ -136,25 +137,10 @@ def _haar_ket_block(
     order, with no BLAS call: the values are the same bits on every CPU.
     """
     na, nb = dims
-    dim = na * nb
-    k, length = min(dims), max(dims)
-    parts = 1 if real else 2
-    n_s = dim if swap is None else na * (na + swap) // 2
+    n_s = na * nb if swap is None else na * (na + swap) // 2
     # Slices of at least two samples: numpy sums the vectors of two or more
     # samples in order, but one sample's pairwise.
     step = max(SLICE_SIZE, 2)
-    # The real parts of every ket and 8 per-sample vectors; in one slice, the
-    # imaginary parts and the kets' rows, then the pair sums' two products and
-    # the parts of W.
-    check_memory(8 * (size * (n_s + 8) + min(size, step + 1) * (
-        parts * (n_s + dim + 2 * length) - n_s + 2 * k**2)),
-                 f"{size} kets in dimension {dim} ({size} x {n_s} real parts) and their Grams")
-    # The pair sums multiply rows of parts x L values: k(k+1)/2 times for Re W
-    # and, with imaginary parts, k(k-1)/2 times for Im W, per sample.
-    products = size * parts * length * (k * (k + 1) // 2 + (parts - 1) * k * (k - 1) // 2)
-    check_work(-(-products // PRODUCTS_PER_TERM),
-               f"the pair sums of {size} kets' {k} x {k} Grams "
-               f"({PRODUCTS_PER_TERM} products per term)")
     # Every real part is drawn before any imaginary part, as in one draw of the block.
     norm_sq, tr_w2 = np.hstack([
         _gram_traces(_ket_rows([x] if real else [x, rng.standard_normal(x.shape)], dims, swap))
@@ -165,6 +151,30 @@ def _haar_ket_block(
     return t * t * tr_w2 + cross / na, t * t * norm_sq**2 + cross / n_s
 
 
+def _ket_draw(t: float, dims: tuple[int, int], *, real: bool = False,
+              swap: int | None = None) -> tuple[partial, Callable]:
+    """The draw of ``_haar_ket_block`` states, and its count (``randomize._estimate``)."""
+    na, nb = dims
+    dim = na * nb
+    k, length = min(dims), max(dims)
+    parts = 1 if real else 2
+    n_s = dim if swap is None else na * (na + swap) // 2
+    # The pair sums multiply rows of parts x L values: k(k+1)/2 times for Re W
+    # and, with imaginary parts, k(k-1)/2 times for Im W, per sample.
+    products = parts * length * (k * (k + 1) // 2 + (parts - 1) * k * (k - 1) // 2)
+
+    def cost(size: int) -> tuple[int, str, int, str]:
+        # The real parts of every ket and 8 per-sample vectors; in one slice, the imaginary
+        # parts and the kets' rows, then the pair sums' two products and the parts of W.
+        return (8 * (size * (n_s + 8) + min(size, max(SLICE_SIZE, 2) + 1) * (
+                    parts * (n_s + dim + 2 * length) - n_s + 2 * k**2)),
+                f"{size} kets in dimension {dim} ({size} x {n_s} real parts) and their Grams",
+                size * products, f"the pair sums of {size} kets' {k} x {k} Grams "
+                                 f"({PRODUCTS_PER_TERM} products per term)")
+
+    return partial(_haar_ket_block, t=t, dims=dims, real=real, swap=swap), cost
+
+
 def _classical_purities(x: np.ndarray) -> np.ndarray:
     """Purity n/(n-1) |x - 1/n|^2 of each row of n-outcome distributions; overwrites x."""
     n = x.shape[-1]
@@ -172,31 +182,28 @@ def _classical_purities(x: np.ndarray) -> np.ndarray:
     return n / (n - 1) * np.einsum("...k,...k->...", x, x)
 
 
-def _classical_block(
-    rng: np.random.Generator, size: int, p: np.ndarray, k_a: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local and global purities of ``size`` uniform permutations of ``p``.
+def _permutation_draw(k: int, k_a: int, rest: float, head: int, value: float | np.ndarray,
+                      what: str) -> tuple[Callable, Callable]:
+    """The draw of uniform permutations of p on k = k_a k_b outcomes, and its count.
 
-    Its memory is counted by ``_permutation_draw``, the one way to draw it.
+    p is ``value`` (one number, or ``head`` of them) on its first ``head``
+    outcomes and ``rest`` on the others, and ``what`` names it.  Each block
+    builds p, so none exists before ``randomize._estimate``'s checks pass.
     """
-    omega = np.tile(p, (size, 1))
-    rng.permuted(omega, axis=1, out=omega)
-    local = _classical_purities(omega.reshape(size, k_a, -1).sum(axis=2))
-    return local, _classical_purities(omega)
 
+    def block(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        p = np.full(k, rest)
+        p[:head] = value
+        omega = np.tile(p, (size, 1))
+        rng.permuted(omega, axis=1, out=omega)
+        local = _classical_purities(omega.reshape(size, k_a, -1).sum(axis=2))
+        return local, _classical_purities(omega)
 
-def _permutation_draw(k: int, k_a: int, rest: float, head: int, value: float, size: int,
-                      what: str) -> partial:
-    """The draw of uniform permutations of p on k = k_a k_b outcomes, blocks of ``size`` at most.
+    def cost(size: int) -> tuple[int, str, int, str]:
+        # p, its permutations, their (size, k_a) A marginals and three per-sample vectors:
+        # the local and global purities and a temporary of the closed form.
+        return (8 * (k + size * (k + k_a + 3)), f"{what} and a block of {size} permutations of it",
+                size * k * PRODUCTS_PER_ELEMENT, f"{size} permutations of {what} "
+                f"({PRODUCTS_PER_ELEMENT} products per element, {PRODUCTS_PER_TERM} per term)")
 
-    p is ``value`` on its first ``head`` outcomes and ``rest`` on the others.
-    Before p exists, the memory check counts it, a block of ``size``
-    permutations of it, their (size, k_a) A marginals and three per-sample
-    vectors: the local and global purities and a temporary of the closed form.
-    ``what`` names p in a refusal.
-    """
-    check_memory(8 * (k + size * (k + k_a + 3)),
-                 f"{what} and a block of {size} permutations of it")
-    p = np.full(k, rest)
-    p[:head] = value
-    return partial(_classical_block, p=p, k_a=k_a)
+    return block, cost

@@ -127,11 +127,11 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, samples: int) -> list[Check]:
-    """The checks of suite ``name``; a negative seed and fewer than 2 samples are
-    refused for every suite, including those that read neither."""
-    if seed < 0:
-        raise RangeError(f"the seed must be non-negative, got {seed}")
+    """The checks of suite ``name``; fewer than 2 samples and a negative seed are
+    refused in that order, as an estimate refuses them, for every suite."""
     if samples < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {samples}")
+    if seed < 0:
+        raise RangeError(f"the seed must be non-negative, got {seed}")
     return SUITES[name](seed, samples)
 

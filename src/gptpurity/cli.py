@@ -154,10 +154,7 @@ def _config_dict(args: SimpleNamespace, argv: list[str]) -> dict:
     return cfg
 
 
-def _histogram_csv(report: dict) -> str:
-    hist = report.get("result", {}).get("histogram")
-    if hist is None:
-        raise GptPurityError("csv format requires a histogram-bearing estimate report")
+def _histogram_csv(hist: dict) -> str:
     lines = ["bin_lo,bin_hi,count"]
     edges = hist["edges"]
     for lo, hi, count in zip(edges[:-1], edges[1:], hist["counts"]):
@@ -190,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     try:
         _check_counts(args)
+        # Refused before the command runs, so that no estimate is drawn for it.
+        if args.format == "csv" and not getattr(args, "histogram", False):
+            raise GptPurityError("csv format requires a histogram-bearing estimate report")
         if args.command == "predict":
             body = _run_predict(args)
         elif args.command == "estimate":
@@ -205,11 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     report = {"command": args.command, "config": _config_dict(args, argv), **body}
     if args.format == "csv":
-        try:
-            text = _histogram_csv(report)
-        except GptPurityError as exc:
-            print(f"gptpurity: error: {exc}", file=sys.stderr)
-            return 1
+        text = _histogram_csv(report["result"]["histogram"])
     else:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     try:

@@ -1,19 +1,18 @@
-"""Exception types, the verdict type and the memory cap shared across the package.
+"""Exception types, the verdict type and the caps shared across the package.
 
 A ``Check`` passes when its non-negative ``value`` is at most its ``bound``,
 so a NaN value fails; it is the only pass/fail rule of the package.
 
-What grows with a request (an estimate's per-sample arrays, its blocks of
-kets or of permuted classical distributions, the exact integers of the
-power-law level count, the recorded coin's joint distribution) is checked
-against ``MEMORY_CAP_BYTES`` by ``check_memory`` before it is allocated.  A sum
-that grows with a request is checked against ``WORK_CAP_TERMS`` by
-``check_work`` before it starts.  A term of the face prediction's index sums
-is one pure-Python addition; a term of a block of Haar kets' pair sums is
-``blocks.PRODUCTS_PER_TERM`` = 512 of their elementwise numpy products,
-which took 0.7-1.6 us on a 2-core x86-64 VM (1024-ket blocks: quantum
-16 x 64 and 32 x 32, real 48 x 48, faces at n = 20 to 80).  So one
-prediction, or one block of an estimate, is capped at about 7-16 s.
+What grows with a request (an estimate's per-sample arrays and its first
+block, the exact integers of the power-law level count) is checked against
+``MEMORY_CAP_BYTES`` by ``check_memory`` before it is allocated, and its work
+against ``WORK_CAP_TERMS`` by ``check_work`` before it starts; an estimate is
+checked by ``randomize._estimate`` alone, as a whole.  A term of the face
+prediction's index sums is one pure-Python addition; a term of an estimate is
+``blocks.PRODUCTS_PER_TERM`` = 512 elementwise numpy products of its kets'
+pair sums, which took 0.7-1.6 us on a 2-core x86-64 VM (quantum 16 x 64 and
+32 x 32, real 48 x 48, faces at n = 20 to 80), or 64 permuted classical
+elements.  So one prediction, or one whole estimate, is capped at about 7-16 s.
 """
 
 from typing import NamedTuple

@@ -20,12 +20,11 @@ also holds the face purity range and the recorded coin's exact spread.
 from __future__ import annotations
 
 import math
-from functools import partial
 
-from .blocks import _haar_ket_block, _permutation_draw
+from .blocks import _ket_draw, _permutation_draw
 from .errors import RangeError
 from .formulas import _check_face, _check_purity_on_face
-from .randomize import BLOCK_SIZE, McReport, _check_run, _estimate
+from .randomize import McReport, _estimate
 
 
 def _face_interpolation_weight(n_sub: int, target: float) -> float:
@@ -59,8 +58,7 @@ def estimate_face_local_purity(
     """
     _check_face(n, sign)
     t = _face_interpolation_weight(n * (n + sign) // 2, target_global_purity)
-    draw = partial(_haar_ket_block, t=t, dims=(n, n), swap=sign)
-    return _estimate(n_samples, seed, draw, histogram_bins)
+    return _estimate(n_samples, seed, *_ket_draw(t, (n, n), swap=sign), histogram_bins)
 
 
 # -- coin tossing against a record-keeping environment --------------------------------------
@@ -84,8 +82,6 @@ def coin_with_record(s0_size: int, n_samples: int, seed: int) -> McReport:
     """
     if s0_size < 1:
         raise RangeError(f"the record set needs at least one string, got {s0_size}")
-    _check_run(n_samples, seed)
     draw = _permutation_draw(2 * s0_size, 2, 0.0, s0_size, 1.0 / s0_size,
-                             min(n_samples, BLOCK_SIZE),
                              f"a 2 x {s0_size} classical joint distribution")
-    return _estimate(n_samples, seed, draw, None)
+    return _estimate(n_samples, seed, *draw, None)

@@ -8,14 +8,14 @@ against are in ``formulas``, which loads no numpy.
 Every estimator runs through one Monte Carlo driver, ``_estimate``: samples
 come in fixed blocks of ``BLOCK_SIZE``, block b draws from the generator
 derived from (seed, b), and the blocks are reduced in order, so a report
-depends on the seed and the sample count alone.  An estimator only says how
-to draw one block, with a kernel of ``blocks``: Haar kets
-(``_haar_ket_block``, real ones for real quantum theory) or permuted
-distributions (``_classical_block``, built by ``_permutation_draw``).  The
-quantum estimate needs no group element: conjugation fixes the maximally
-mixed state mu, so U (t phi + (1-t) mu) U^dagger equals
-t |psi><psi| + (1-t) mu for a Haar-random ket psi.  A report carries no verdict: an ``errors.Check``
-judges it (``checks.markov_tail`` for its histogram).
+depends on the seed and the sample count alone.  An estimator only names a
+draw of ``blocks``, Haar kets or permuted distributions, with its count of
+bytes and work, which ``_estimate`` checks against the caps before the first
+block.  The quantum estimate needs no group element: conjugation fixes the
+maximally mixed state mu, so U (t phi + (1-t) mu) U^dagger equals
+t |psi><psi| + (1-t) mu for a Haar-random ket psi.  A report carries no
+verdict: an ``errors.Check`` judges it (``checks.markov_tail`` for its
+histogram).
 
 This module uses no other layer of the package but its kernels, ``errors``
 and, for its checks of level counts and of P0, ``formulas``.
@@ -29,13 +29,13 @@ import sys
 import threading
 import types
 from collections.abc import Callable
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import _haar_ket_block, _permutation_draw
-from .errors import InternalError, RangeError, check_memory
+from .blocks import PRODUCTS_PER_TERM, _ket_draw, _permutation_draw
+from .errors import InternalError, RangeError, check_memory, check_work
 from .formulas import CLASSICAL, REAL_QUANTUM, _check_levels, _check_p0
 
 HISTOGRAM_BINS = 100
@@ -141,8 +141,20 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return generator(pcg64(seed_sequence(entropy=seed, spawn_key=(index,))))
 
 
-def _check_run(n_samples: int, seed: int) -> None:
-    """Refuse a sample count or seed that no run takes, and per-sample arrays beyond the cap."""
+def _estimate(n_samples: int, seed: int, draw: Callable, cost: Callable,
+              histogram_bins: int | None) -> McReport:
+    """The one Monte Carlo loop, and the one place that prices a draw.
+
+    Block b holds samples [b BLOCK_SIZE, (b + 1) BLOCK_SIZE) and draws from
+    ``sample_rng(seed, b)``; ``draw(rng, size)`` returns the block's sample
+    values and global purities (an array or one number), and ``cost(size)``
+    a block's bytes and ``size`` samples' products, each with its name.
+    Before any draw, a run is refused for fewer than 2 samples, a negative
+    seed, per-sample arrays or a first block beyond the memory cap, or
+    products beyond the work cap, in that order.  Reversible transformations
+    preserve purity, so a spread of the global purities beyond
+    ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
+    """
     if n_samples < 2:
         raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
     if seed < 0:
@@ -150,18 +162,9 @@ def _check_run(n_samples: int, seed: int) -> None:
     # The values, the global purities and one temporary of the reduction
     # (``std``'s deviations or the values' bins).
     check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
-
-
-def _estimate(n_samples: int, seed: int, draw: Callable, histogram_bins: int | None) -> McReport:
-    """The one Monte Carlo loop: every estimator is a ``draw`` over its blocks.
-
-    Block b holds samples [b BLOCK_SIZE, (b + 1) BLOCK_SIZE) and draws from
-    ``sample_rng(seed, b)``; ``draw(rng, size)`` returns the block's sample
-    values and global purities (an array or one number).  Reversible
-    transformations preserve purity, so a spread of the global purities
-    beyond ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
-    """
-    _check_run(n_samples, seed)
+    check_memory(*cost(min(n_samples, BLOCK_SIZE))[:2])
+    _, _, products, what = cost(n_samples)
+    check_work(-(-products // PRODUCTS_PER_TERM), what)
     vals = np.empty(n_samples)
     gvals = np.empty(n_samples)
     for b, lo in enumerate(range(0, n_samples, BLOCK_SIZE)):
@@ -209,10 +212,8 @@ def estimate_expected_local_purity(
     under Haar-random orthogonal conjugation; classical samples are uniform
     permutations of the joint distribution.
 
-    No Gram is taken: each part's group acts irreducibly, so its invariant
-    Gram is unique and every purity has a closed form, (n Tr rho^2 - 1)/(n - 1)
-    for n quantum or real-quantum levels and n/(n-1) |x - 1/n|^2 for n
-    classical outcomes.  The report is in generalized-purity units.
+    No Gram is taken: each part's group acts irreducibly, so every purity has
+    a closed form (``blocks``).  The report is in generalized-purity units.
     """
     _check_levels(theory, n_a, n_b)
     _check_p0(p0)
@@ -221,7 +222,7 @@ def estimate_expected_local_purity(
         # t phi + (1-t) mu with phi the first outcome.
         k = n_a * n_b
         draw = _permutation_draw(k, n_a, (1.0 - t) / k, 1, (1.0 - t) / k + t,
-                                 min(n_samples, BLOCK_SIZE), f"a {k}-outcome distribution")
+                                 f"a {k}-outcome distribution")
     else:
-        draw = partial(_haar_ket_block, t=t, dims=(n_a, n_b), real=theory == REAL_QUANTUM)
-    return _estimate(n_samples, seed, draw, histogram_bins)
+        draw = _ket_draw(t, (n_a, n_b), real=theory == REAL_QUANTUM)
+    return _estimate(n_samples, seed, *draw, histogram_bins)

@@ -81,6 +81,46 @@ def blas_entry_points(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+_CAP_CHECKS = ("check_memory", "check_work")
+
+
+def cap_checks(source: str) -> list[tuple[str, str]]:
+    """(innermost enclosing def, check) of each call of ``source`` to a cap check, in order.
+
+    A call by attribute (``errors.check_work``) counts, and one outside any
+    def is charged to ``<module>``.
+    """
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in _CAP_CHECKS:
+                found.append((node.lineno, owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return [(owner, name) for _, owner, name in sorted(found)]
+
+
+def test_only_the_driver_checks_a_draw_against_the_caps():
+    planted = ("from . import errors\nfrom .errors import check_memory\n"
+               "check_memory(1, 'x')\n"
+               "def f(n):\n    def g():\n        errors.check_work(n, 'y')\n"
+               "    check_memory(n, 'z')\n    return g\n")
+    assert cap_checks(planted) == [("<module>", "check_memory"), ("g", "check_work"),
+                                   ("f", "check_memory")]
+    # A draw is priced in one place and one order: the per-sample arrays,
+    # the first block's bytes, then the whole request's work.
+    read = {name: cap_checks((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+            for name in ("blocks", "faces", "randomize")}
+    assert read == {"blocks": [], "faces": [], "randomize": [
+        ("_estimate", "check_memory"), ("_estimate", "check_memory"), ("_estimate", "check_work")]}
+
+
 def test_clifford_makes_no_blas_call():
     # The trace oracle of two-design is exact Gaussian-integer arithmetic: the
     # module imports no numpy, only the standard library and the package's errors.
@@ -261,8 +301,9 @@ def test_randomize_loads_neither_faces_nor_boxworld():
         "gptpurity.randomize"}
 
 
-def test_blocks_loads_only_the_package_and_its_errors():
-    assert _loaded_by("gptpurity.blocks") == {"gptpurity", "gptpurity.blocks", "gptpurity.errors"}
+def test_blocks_loads_only_the_package():
+    # The kernels check no cap: ``randomize._estimate`` checks their counts.
+    assert _loaded_by("gptpurity.blocks") == {"gptpurity", "gptpurity.blocks"}
 
 
 def test_no_module_imports_the_haar_references():

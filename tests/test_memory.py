@@ -171,8 +171,8 @@ def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbyte
 @pytest.mark.parametrize("sign", ["sym", "antisym"])
 def test_face_pair_sums_beyond_the_work_cap_exit_one_before_any_draw(tmp_path, sign):
     # Both faces at n = 200 pass the memory cap (907 MB counted for sym), but
-    # each block of 1024 kets would take k^2 = 40000 pair-sum products of
-    # 2 x 200 values per ket: 32000000 terms of 512 products, about a minute.
+    # the default 10^4 kets would take k^2 = 40000 pair-sum products of
+    # 2 x 200 values per ket: 312500000 terms of 512 products, about 8 minutes.
     proc, rss = _run_cli(tmp_path, ["estimate", "--face", sign, "--n", "200", "--trp", "1",
                                     "--seed", "1"], address_limit=4 << 30)
     assert proc.returncode == 1
@@ -180,8 +180,8 @@ def test_face_pair_sums_beyond_the_work_cap_exit_one_before_any_draw(tmp_path, s
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert ("the pair sums of 1024 kets' 200 x 200 Grams (512 products per term) would sum "
-            "32000000 terms, over the 10000000-term work cap") in lines[0]
+    assert ("the pair sums of 10000 kets' 200 x 200 Grams (512 products per term) would sum "
+            "312500000 terms, over the 10000000-term work cap") in lines[0]
     assert rss < MAX_RSS_MB
 
 
@@ -193,12 +193,12 @@ class _NoDraws:
 
 
 def test_ket_block_work_is_refused_before_its_kets_are_drawn(monkeypatch):
-    # The refusal comes before the block's first draw and allocation: only
-    # the per-sample arrays of the run (160 kB) are traced.
+    # The refusal comes before the first draw and before the per-sample
+    # arrays are allocated.
     monkeypatch.setattr(rnd, "sample_rng", lambda seed, index: _NoDraws())
     tracemalloc.start()
     try:
-        with pytest.raises(RangeError, match="would sum 32000000 terms"):
+        with pytest.raises(RangeError, match="would sum 312500000 terms"):
             faces.estimate_face_local_purity(200, 1, 1.0, 10_000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -216,15 +216,101 @@ def test_ket_block_work_is_refused_before_its_kets_are_drawn(monkeypatch):
     ((5, 5), False, -1, 1024 * 2 * 5 * 25 // 512),
 ])
 def test_ket_block_counts_its_pair_sum_products(monkeypatch, dims, real, swap, terms):
-    def block():
-        return blocks._haar_ket_block(rnd.sample_rng(2, 0), rnd.BLOCK_SIZE, 1.0, dims, real=real,
-                                      swap=swap)
-
+    # The draw's pure count, and a request of one block exactly at the cap
+    # and one term over it.
+    draw = blocks._ket_draw(1.0, dims, real=real, swap=swap)
+    assert -(-draw[1](rnd.BLOCK_SIZE)[2] // blocks.PRODUCTS_PER_TERM) == terms
     monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms - 1)
     with pytest.raises(RangeError, match=f"would sum {terms} terms, over the {terms - 1}-term"):
-        block()
+        rnd._estimate(rnd.BLOCK_SIZE, 2, *draw, None)
     monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms)
-    assert len(block()[0]) == rnd.BLOCK_SIZE
+    assert rnd._estimate(rnd.BLOCK_SIZE, 2, *draw, None).n_samples == rnd.BLOCK_SIZE
+
+
+@pytest.mark.parametrize("run,argv,terms", [
+    # 80 x 80 Grams of 2 x 80 values per in-face ket: 2000 terms per ket.
+    (partial(faces.estimate_face_local_purity, 80, 1, 1.0),
+     ["estimate", "--face", "sym", "--n", "80", "--trp", "1"], 20_000_000),
+    # 128 x 128 Grams of 2 x 128 values per ket: 8192 terms per ket.
+    (partial(rnd.estimate_expected_local_purity, "quantum", 128, 128, 1.0),
+     ["estimate", "--theory", "quantum", "--na", "128", "--nb", "128", "--p0", "1"], 81_920_000),
+], ids=["sym 80", "quantum 128x128"])
+def test_request_work_is_refused_before_any_draw(tmp_path, monkeypatch, run, argv, terms):
+    # Each block of 1024 kets is under the cap (2048000 and 8388608 terms),
+    # but the default 10^4 kets of the request are not.
+    refusal = f"would sum {terms} terms, over the 10000000-term work cap"
+    monkeypatch.setattr(rnd, "sample_rng", lambda seed, index: _NoDraws())
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match=refusal):
+            run(10_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    proc, rss = _run_cli(tmp_path, argv + ["--seed", "1"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert refusal in lines[0]
+    assert rss < MAX_RSS_MB
+
+
+@pytest.mark.parametrize("theory,n_samples,terms", [
+    # Quantum 2 x 8: 2 x 8 x (3 + 1) = 64 pair-sum products per ket; classical
+    # 2 x 8: 16 permuted elements of 8 products.  Ceilings of the whole
+    # request, however its blocks split it.
+    ("quantum", 2500, 313), ("quantum", 3000, 375), ("classical", 2500, 625),
+    ("classical", 2501, 626),
+])
+def test_request_at_the_work_cap_passes_and_one_term_over_is_refused(monkeypatch, theory,
+                                                                       n_samples, terms):
+    monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms - 1)
+    with pytest.raises(RangeError, match=f"would sum {terms} terms, over the {terms - 1}-term"):
+        rnd.estimate_expected_local_purity(theory, 2, 8, 0.3, n_samples, 1)
+    monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms)
+    assert rnd.estimate_expected_local_purity(theory, 2, 8, 0.3, n_samples, 1).n_samples == (
+        n_samples)
+
+
+@pytest.mark.parametrize("bad,refusal", [
+    (["--samples", "1", "--seed", "0"], "need at least 2 samples for a standard error, got 1"),
+    (["--seed", "-1"], "the seed must be non-negative, got -1"),
+], ids=["samples", "seed"])
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--theory", "classical", "--na", "2", "--nb", "200000000", "--p0", "0.3"],
+    ["coin-record", "--s0", "200000000"],
+], ids=["estimate", "coin-record"])
+def test_classical_callers_refuse_a_bad_run_by_the_same_first_check(tmp_path, argv, bad,
+                                                                     refusal):
+    # Both draw 4e8-outcome distributions (3.2 GB each), which the block
+    # check would refuse, but the sample count and the seed come first.
+    proc, rss = _run_cli(tmp_path, argv + bad, address_limit=4 << 30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"gptpurity: error: {refusal}"]
+    assert rss < MAX_RSS_MB
+
+
+@pytest.mark.parametrize("n_samples,seed,refusal", [
+    (1, 0, "need at least 2 samples"), (10_000, -1, "the seed must be non-negative"),
+], ids=["samples", "seed"])
+def test_classical_callers_refuse_before_building_their_distribution(monkeypatch, n_samples,
+                                                                     seed, refusal):
+    # A 2e6-outcome distribution would be 16 MB: small enough to build by
+    # mistake in this process, large enough for the trace to see.
+    monkeypatch.setattr(rnd, "sample_rng", lambda seed, index: _NoDraws())
+    for run in (partial(rnd.estimate_expected_local_purity, "classical", 2, 1_000_000, 0.3),
+                partial(faces.coin_with_record, 1_000_000)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match=refusal):
+                run(n_samples, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
@@ -246,23 +332,20 @@ def test_two_design_k2_closure_runs_in_bounded_memory(tmp_path):
 @pytest.mark.parametrize("case", [
     "2x2", "2x8", "4x4", "8x2", "64x4", "real 2x3", "antisym 4", "sym 16", "9x9", "12x9",
 ])
-def test_ket_block_peak_is_within_its_memory_count(monkeypatch, case):
+def test_ket_block_peak_is_within_its_memory_count(case):
     # tracemalloc sees every numpy buffer, so a full block's traced peak
-    # must not pass the bytes its memory check counted.  8x2, 64x4 and 12x9
+    # must not pass the bytes its draw's pure count gives.  8x2, 64x4 and 12x9
     # take W from the columns of M.  A face block also holds its in-face kets
     # until they are scattered into n x n matrices.
     if case.startswith(("sym", "antisym")):
         kind, n = case.split()
         n, sign = int(n), 1 if kind == "sym" else -1
-        draw = partial(blocks._haar_ket_block,
-                       t=faces._face_interpolation_weight(n * (n + sign) // 2, 0.3),
-                       dims=(n, n), swap=sign)
+        draw, cost = blocks._ket_draw(faces._face_interpolation_weight(n * (n + sign) // 2, 0.3),
+                                      (n, n), swap=sign)
     else:
         na, nb = map(int, case.removeprefix("real ").split("x"))
-        draw = partial(blocks._haar_ket_block, t=1.0, dims=(na, nb), real=case.startswith("real"))
+        draw, cost = blocks._ket_draw(1.0, (na, nb), real=case.startswith("real"))
     draw(rnd.sample_rng(1, 0), 2)
-    counted = []
-    monkeypatch.setattr(blocks, "check_memory", lambda nbytes, what: counted.append(nbytes))
     rng = rnd.sample_rng(1, 1)
     tracemalloc.start()
     try:
@@ -270,21 +353,17 @@ def test_ket_block_peak_is_within_its_memory_count(monkeypatch, case):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(counted) == 1
-    assert peak <= counted[0]
+    assert peak <= cost(rnd.BLOCK_SIZE)[0]
 
 
 @pytest.mark.parametrize("k,k_a,head", [
     (4, 2, 1), (16, 2, 1), (16, 8, 1), (64, 8, 1), (4096, 64, 1), (8, 2, 4), (66, 2, 33),
 ], ids=["2x2", "2x8", "8x2", "8x8", "64x64", "coin 4", "coin 33"])
-def test_classical_block_peak_is_within_its_memory_count(monkeypatch, k, k_a, head):
-    # A full block's traced peak, its permutations, their marginals and both
-    # purity vectors, must not pass the bytes its draw's builder counted
-    # (p, built before the trace, is counted too).
-    counted = []
-    monkeypatch.setattr(blocks, "check_memory", lambda nbytes, what: counted.append(nbytes))
-    draw = blocks._permutation_draw(k, k_a, 0.1 / k, head, 0.9 / head + 0.1 / k, rnd.BLOCK_SIZE,
-                                    "p")
+def test_classical_block_peak_is_within_its_memory_count(k, k_a, head):
+    # A full block's traced peak, its p, its permutations, their marginals
+    # and both purity vectors, must not pass the bytes its draw's pure count
+    # gives.
+    draw, cost = blocks._permutation_draw(k, k_a, 0.1 / k, head, 0.9 / head + 0.1 / k, "p")
     draw(rnd.sample_rng(1, 0), 2)
     rng = rnd.sample_rng(1, 1)
     tracemalloc.start()
@@ -293,8 +372,9 @@ def test_classical_block_peak_is_within_its_memory_count(monkeypatch, k, k_a, he
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counted == [8 * (k + rnd.BLOCK_SIZE * (k + k_a + 3))]
-    assert peak <= counted[0]
+    counted = cost(rnd.BLOCK_SIZE)[0]
+    assert counted == 8 * (k + rnd.BLOCK_SIZE * (k + k_a + 3))
+    assert peak <= counted
 
 
 @pytest.mark.parametrize("builder,n", [

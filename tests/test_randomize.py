@@ -28,6 +28,11 @@ def _pair(builder, na, nb):
     return compose(builder(na), builder(nb))
 
 
+def _unpriced(size):
+    """The count of a test draw that ``_estimate`` passes whatever its size."""
+    return 0, "", 0, ""
+
+
 def _partial_trace(rho, dims):
     """The A marginal Tr_B of a (d_a d_b) square matrix, or of each in a stack."""
     da, db = dims
@@ -464,14 +469,15 @@ def test_permuted_states_match_explicit_route():
             t = math.sqrt(p0)
             p = np.full(k, (1.0 - t) / k)
             p[0] += t
+        block, cost = blocks._permutation_draw(k, na, 0.0, k, p, "p")
         got = []
 
         def draw_classical(rng, size):
-            local, glob = blocks._classical_block(rng, size, p, na)
+            local, glob = block(rng, size)
             got.append((size, local, glob))
             return local, glob
 
-        rnd._estimate(1500, 4402, draw_classical, None)
+        rnd._estimate(1500, 4402, draw_classical, cost, None)
         assert [size for size, _, _ in got] == [1024, 476]
         for b, (size, local, glob) in enumerate(got):
             ref = rnd.sample_rng(4402, b)
@@ -487,7 +493,7 @@ def test_permuted_states_match_explicit_route():
 def test_classical_memory_check_counts_both_block_arrays(monkeypatch):
     # A 2x8 estimate holds its 16-outcome distribution, then a block of 1024
     # rows of K = 16, their A marginals of K_A = 2 and three per-sample vectors:
-    # 8 * (16 + 1024 * (16 + 2 + 3)) = 172160 bytes, counted before the distribution.
+    # 8 * (16 + 1024 * (16 + 2 + 3)) = 172160 bytes, counted before any block.
     monkeypatch.setattr(errors, "MEMORY_CAP_BYTES", 172159)
     with pytest.raises(RangeError, match="172160 bytes"):
         rnd.estimate_expected_local_purity("classical", 2, 8, 0.3, 2000, 0)
@@ -503,7 +509,7 @@ def test_blocks_spans_and_streams():
         calls.append((size, rng.bit_generator.state))
         return np.full(size, 0.5), 1.0
 
-    rep = rnd._estimate(2500, 9, draw, None)
+    rep = rnd._estimate(2500, 9, draw, _unpriced, None)
     assert [size for size, _ in calls] == [1024, 1024, 452]
     for b, (_, state) in enumerate(calls):
         assert state == rnd.sample_rng(9, b).bit_generator.state
@@ -513,7 +519,35 @@ def test_blocks_spans_and_streams():
     calls.clear()
     for n_samples, seed in ((1, 9), (2500, -1)):
         with pytest.raises(RangeError):
-            rnd._estimate(n_samples, seed, draw, None)
+            rnd._estimate(n_samples, seed, draw, _unpriced, None)
+    assert calls == []
+
+
+def test_driver_prices_a_run_in_one_order_before_any_draw():
+    # Each run fails every check from the one it names on, so it names the
+    # first that fails: the sample count, the seed, the per-sample arrays,
+    # the first block's bytes and then the whole request's products.
+    calls = []
+
+    def draw(rng, size):
+        calls.append(size)
+        return np.full(size, 0.5), 1.0
+
+    def cost(size):
+        return 1 << 31, f"a block of {size}", size << 40, f"{size} samples' products"
+
+    def light(size):
+        return 8, "", size << 40, f"{size} samples' products"
+
+    for n_samples, seed, count, refusal in (
+            (1, -1, cost, "need at least 2 samples for a standard error, got 1"),
+            (200_000_000, -1, cost, "the seed must be non-negative, got -1"),
+            (200_000_000, 0, cost, "3 arrays of 200000000 per-sample values would need 4800000000"),
+            (3000, 0, cost, "a block of 1024 would need 2147483648 bytes"),
+            # 3000 x 2^40 products, 512 to a term, however the 3 blocks split them.
+            (3000, 0, light, f"3000 samples' products would sum {3000 << 31} terms")):
+        with pytest.raises(RangeError, match=f"^{refusal}"):
+            rnd._estimate(n_samples, seed, draw, count, None)
     assert calls == []
 
 
@@ -611,7 +645,7 @@ def test_driver_refuses_a_global_purity_spread():
         return np.zeros(size), rng.random(size)
 
     with pytest.raises(InternalError, match="global purity varied"):
-        rnd._estimate(100, 0, draw, None)
+        rnd._estimate(100, 0, draw, _unpriced, None)
 
 
 @pytest.mark.parametrize("bins", [rnd.HISTOGRAM_BINS, None])
@@ -622,7 +656,7 @@ def test_estimate_refuses_a_nan_sample_value(bins):
         return np.where(np.arange(size) == 3, np.nan, 0.5), 1.0
 
     with pytest.raises(InternalError, match="NaN"):
-        rnd._estimate(10, 0, draw, bins)
+        rnd._estimate(10, 0, draw, _unpriced, bins)
 
 
 @st.composite
@@ -644,7 +678,7 @@ def test_histogram_is_np_histogram_of_the_clipped_values(binned):
     # last bin, and values outside [0, 1] to the end bins.
     bins, values = binned
     vals = np.array(values)
-    rep = rnd._estimate(len(vals), 0, lambda rng, size: (vals, 1.0), bins)
+    rep = rnd._estimate(len(vals), 0, lambda rng, size: (vals, 1.0), _unpriced, bins)
     counts, edges = np.histogram(np.clip(vals, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
     assert rep.histogram_edges.dtype == edges.dtype and rep.histogram_counts.dtype == counts.dtype
     assert np.array_equal(rep.histogram_edges.view(np.uint64), edges.view(np.uint64))
@@ -689,7 +723,7 @@ def test_ket_path_agrees_with_full_unitary_path():
         return purity_from_tr2(2, tr_a2), purity_from_tr2(4, tr2)
 
     ket = rnd.estimate_expected_local_purity("quantum", 2, 2, 0.5, 10_000, 5101)
-    full = rnd._estimate(10_000, 5102, draw, None)
+    full = rnd._estimate(10_000, 5102, draw, _unpriced, None)
     assert full.realized_global_purity == pytest.approx(0.5, abs=1e-9)
     assert abs(ket.mean - full.mean) <= 3 * math.hypot(ket.stderr, full.stderr)
 
