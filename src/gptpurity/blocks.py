@@ -182,13 +182,13 @@ def _classical_purities(x: np.ndarray) -> np.ndarray:
     return n / (n - 1) * np.einsum("...k,...k->...", x, x)
 
 
-def _permutation_draw(k: int, k_a: int, rest: float, head: int, value: float | np.ndarray,
+def _permutation_draw(k: int, k_a: int, rest: float, head: int, value: float,
                       what: str) -> tuple[Callable, Callable]:
     """The draw of uniform permutations of p on k = k_a k_b outcomes, and its count.
 
-    p is ``value`` (one number, or ``head`` of them) on its first ``head``
-    outcomes and ``rest`` on the others, and ``what`` names it.  Each block
-    builds p, so none exists before ``randomize._estimate``'s checks pass.
+    p is ``value`` on its first ``head`` outcomes and ``rest`` on the others,
+    and ``what`` names it.  Each block builds p, so none exists before
+    ``randomize._estimate``'s checks pass.
     """
 
     def block(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:

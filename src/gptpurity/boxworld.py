@@ -74,10 +74,9 @@ def purity(v: tuple[int, ...], a: ss.Cyc | int = 1, b: ss.Cyc | int = 1) -> ss.C
 GRAM = tuple(((k, k), purity(tuple(int(i == k) for i in range(9)))) for k in range(1, 9))
 
 
-def vertex_purities(a: ss.Cyc | int = 1,
-                    b: ss.Cyc | int = 1) -> tuple[list[ss.Cyc], list[ss.Cyc]]:
-    """Purities of the 16 product vertices and of the 8 PR-type vertices."""
-    p = [purity(v, a, b) for v in vertices()]
+def vertex_purities() -> tuple[list[ss.Cyc], list[ss.Cyc]]:
+    """Default purities of the 16 product vertices and of the 8 PR-type vertices."""
+    p = [purity(v) for v in vertices()]
     return p[:PRODUCT_COUNT], p[PRODUCT_COUNT:]
 
 

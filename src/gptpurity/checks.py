@@ -93,7 +93,7 @@ def _classical_subsystem(seed: int, samples: int) -> list[Check]:
 
 def _markov_tail(seed: int, samples: int) -> list[Check]:
     report = rnd.estimate_expected_local_purity(formulas.QUANTUM, 2, 8, 1.0, samples, seed,
-                                                histogram_bins=rnd.HISTOGRAM_BINS)
+                                                histogram=True)
     return [markov_tail(report, x) for x in (2.0, 5.0, 10.0)]
 
 

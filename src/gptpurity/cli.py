@@ -99,12 +99,11 @@ def _require(args: SimpleNamespace, names: list[str]) -> None:
 
 
 def _run_estimate(args: SimpleNamespace) -> dict:
-    bins = rnd.HISTOGRAM_BINS if args.histogram else None
     if args.face is not None:
         _require(args, ["n", "trp"])
         sign = 1 if args.face == "sym" else -1
         report = faces_mod.estimate_face_local_purity(
-            args.n, sign, args.trp, args.samples, args.seed, histogram_bins=bins
+            args.n, sign, args.trp, args.samples, args.seed, histogram=args.histogram
         )
         prediction = formulas.predict_symm(args.n, sign, args.trp)
     else:
@@ -113,7 +112,7 @@ def _run_estimate(args: SimpleNamespace) -> dict:
         _require(args, [a, b, "p0"])
         n_a, n_b = getattr(args, a), getattr(args, b)
         report = rnd.estimate_expected_local_purity(
-            args.theory, n_a, n_b, args.p0, args.samples, args.seed, histogram_bins=bins
+            args.theory, n_a, n_b, args.p0, args.samples, args.seed, histogram=args.histogram
         )
         prediction = formulas.predict_general(args.theory, n_a, n_b, args.p0)
     return {"result": report.to_json_dict(), "prediction": prediction.to_json_dict()}

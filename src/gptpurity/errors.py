@@ -62,10 +62,6 @@ class EmptyFaceError(GptPurityError, ValueError):
     """The requested face contains no states."""
 
 
-class InvalidProbeError(GptPurityError, ValueError):
-    """A probe matrix violates its trace normalization conditions."""
-
-
 class InternalError(GptPurityError):
     """An internal self-check failed; indicates a bug, not bad input."""
 

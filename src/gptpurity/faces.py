@@ -14,7 +14,8 @@ not a face.
 The face's predictions need no face: ``formulas.predict_symm`` is the closed
 form (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2), and ``formulas.predict_qface``
 takes its ingredient Tr[(pi (E_A (x) I) pi)^2] by index sums.  ``formulas``
-also holds the face purity range and the recorded coin's exact spread.
+also holds the face purity range and the recorded coin's record check and exact
+spread.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 import math
 
 from .blocks import _ket_draw, _permutation_draw
-from .errors import RangeError
-from .formulas import _check_face, _check_purity_on_face
+from .formulas import _check_face, _check_purity_on_face, _check_record
 from .randomize import McReport, _estimate
 
 
@@ -42,7 +42,7 @@ def estimate_face_local_purity(
     n_samples: int,
     seed: int,
     *,
-    histogram_bins: int | None = None,
+    histogram: bool = False,
 ) -> McReport:
     """Monte Carlo expected local purity over face-constrained random states.
 
@@ -58,7 +58,7 @@ def estimate_face_local_purity(
     """
     _check_face(n, sign)
     t = _face_interpolation_weight(n * (n + sign) // 2, target_global_purity)
-    return _estimate(n_samples, seed, *_ket_draw(t, (n, n), swap=sign), histogram_bins)
+    return _estimate(n_samples, seed, *_ket_draw(t, (n, n), swap=sign), histogram)
 
 
 # -- coin tossing against a record-keeping environment --------------------------------------
@@ -80,8 +80,7 @@ def coin_with_record(s0_size: int, n_samples: int, seed: int) -> McReport:
     its reversible dynamics, so it draws through ``blocks._permutation_draw``
     as the classical estimate does.
     """
-    if s0_size < 1:
-        raise RangeError(f"the record set needs at least one string, got {s0_size}")
+    _check_record(s0_size)
     draw = _permutation_draw(2 * s0_size, 2, 0.0, s0_size, 1.0 / s0_size,
                              f"a 2 x {s0_size} classical joint distribution")
-    return _estimate(n_samples, seed, *draw, None)
+    return _estimate(n_samples, seed, *draw, False)

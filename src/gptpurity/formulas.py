@@ -13,18 +13,13 @@ so every closed form here is integer and float arithmetic:
   Tr(rho_A^2) on the (anti)symmetric subspace of C^n (x) C^n.
 * qface:       1/N_A + (N_A^2-1)/(N_S^2-1) * Tr[(pi (E_A (x) I) pi)^2]
   * (Tr rho^2 - 1/N_S), the same expectation with its ingredient summed over
-  the face's pair indices for a probe E_A, not taken from n/4 +- 1/2.
+  the face's pair indices, not taken from n/4 +- 1/2.
 * coin-record: 1/(2 s0 - 1), a coin tossed against a recording environment.
 
-``predict_general`` takes a theory and two level counts alone: one table
-gives K(n) = n^2, n or n(n+1)/2 for quantum, classical or real-quantum
-systems, and K_AB = K(n_A n_B); it reports ``general``, or ``nonlocaltomo``
-for real quantum theory.  ``main``, ``general``, ``power-law`` and
-``nonlocaltomo`` are evaluated as one integer true division, from the
-integer level counts and the exact ratio of the float P0
-(``as_integer_ratio``), so each reported value is correctly rounded.
-``coin_record_sigma`` is the exact per-sample spread of the
-recorded coin's purity around ``predict_coin_record``.
+``main``, ``general``, ``power-law`` and ``nonlocaltomo`` are each one
+integer true division, of the level counts and the exact ratio of the float
+P0, so each value is correctly rounded.  ``coin_record_sigma`` is the exact
+per-sample spread of the recorded coin's purity.
 
 This module uses no other layer of the package but ``errors``, so a command
 that only predicts never imports numpy.
@@ -38,7 +33,6 @@ from typing import NamedTuple
 from .errors import (
     EmptyFaceError,
     InvalidDimensionError,
-    InvalidProbeError,
     RangeError,
     UnsupportedSpaceError,
     check_memory,
@@ -186,96 +180,55 @@ def _check_face(n: int, sign: int) -> None:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
 
 
-# (|1><1| - |2><2|) / sqrt(2), by (row, column): the simplest valid probe.
-_DEFAULT_PROBE = {(0, 0): 1.0 / math.sqrt(2), (1, 1): -1.0 / math.sqrt(2)}
+def _probe_trace_sq(n: int, sign: int) -> float:
+    """Tr[(pi (E_A (x) I) pi)^2] for E_A = e (|1><1| - |2><2|), e = 1/sqrt 2, by index sums.
 
-
-def _probe_columns(n: int, probe: dict) -> dict[int, dict[int, complex]]:
-    """The entries of a valid probe by column, then row; refuse an invalid one."""
-    columns: dict[int, dict[int, complex]] = {}
-    for (a, i), e in probe.items():
-        if not (0 <= a < n and 0 <= i < n
-                and abs(e - probe.get((i, a), 0.0).conjugate()) <= 1e-8):
-            raise InvalidProbeError(f"probe must be a Hermitian {n} x {n} matrix")
-        columns.setdefault(i, {})[a] = e
-    trace = sum(e for (a, i), e in probe.items() if a == i)
-    trace_sq = sum(e * probe.get((i, a), 0.0) for (a, i), e in probe.items())
-    if not (abs(trace) <= 1e-8 and abs(trace_sq - 1.0) <= 1e-8):
-        raise InvalidProbeError("probe must satisfy Tr E_A = 0 and Tr E_A^2 = 1")
-    return columns
-
-
-def _probe_trace_sq(n: int, sign: int, columns: dict[int, dict[int, complex]]) -> float:
-    """Tr[(pi (E_A (x) I) pi)^2] = sum_k |pi (E_A (x) I) c_k|^2 over the face's columns c_k.
-
-    c_k is |ii> or (|ij> + sign |ji>)/sqrt 2 for a pair i <= j (i < j when
-    antisymmetric), and pi = (I + sign SWAP)/2 sends the entries x_ab, x_ba
-    of a vector to (x_ab + sign x_ba)/2 and its mirror.  So each unordered
-    pair a != b of (E_A (x) I) c_k adds |x_ab + sign x_ba|^2 / 2, and each
-    a = b adds |x_aa|^2 on the symmetric face and nothing on the
-    antisymmetric one.  A column c_k adds nothing unless i or j is a nonzero
-    column of E_A, so only those are visited.
+    It is sum_k |pi (E_A (x) I) c_k|^2 over the face's columns c_k, |ii> or
+    (|ij> + sign |ji>)/sqrt 2 for a pair i <= j (i < j when antisymmetric),
+    with pi = (I + sign SWAP)/2.  Only a column with i or j in {1, 2} adds:
+    |11> and |22> add e^2 each on the symmetric face, the pair {1, 2} adds 0,
+    and each pair {1, j} or {2, j}, j >= 3, adds (e/sqrt 2)^2 / 2.  Those of
+    1 come first, then those of 2, each in the order of j.
     """
-    r = math.sqrt(0.5)
+    e = 1.0 / math.sqrt(2)
+    v = math.sqrt(0.5) * e
     total = 0.0
-    for i in sorted(columns):
-        for j in range(n):
-            # A pair of two nonzero columns is visited once, from its smaller one.
-            if (j < i and j in columns) or (j == i and sign == -1):
-                continue
-            # (E_A (x) I) c_k, up to a global sign, which leaves the norm alone when j < i.
-            x = {(a, j): (1.0 if i == j else r) * e for a, e in columns[i].items()}
-            if i != j:
-                for a, e in columns.get(j, {}).items():
-                    x[a, i] = sign * r * e
-            for (a, b), v in x.items():
-                if a == b:
-                    if sign == 1:
-                        total += v.real * v.real + v.imag * v.imag
-                elif a < b or (b, a) not in x:
-                    v += sign * x.get((b, a), 0.0)
-                    total += (v.real * v.real + v.imag * v.imag) / 2
+    for _ in range(2):
+        if sign == 1:
+            total += e * e
+        for _ in range(2, n):
+            total += v * v / 2
     return total
 
 
-def predict_qface(n: int, sign: int, tr_purity_global: float,
-                  probe: dict | None = None) -> Prediction:
+def predict_qface(n: int, sign: int, tr_purity_global: float) -> Prediction:
     """Expected local collision value Tr(rho_A^2) for a quantum face, by index sums.
 
     The face is the symmetric (``sign`` +1) or antisymmetric (-1) subspace of
-    C^n (x) C^n, of dimension N_S = n(n + sign)/2.  ``probe`` holds the
-    nonzero entries of E_A by (row, column); it must be a Hermitian n x n
-    matrix with Tr E_A = 0 and Tr E_A^2 = 1, and for an irreducible local
-    action the result does not depend on the choice.  The default is
-    (|1><1| - |2><2|)/sqrt 2.  The ingredient Tr[(pi (E_A (x) I) pi)^2] is
-    summed over the face columns that meet the probe (``_probe_trace_sq``),
-    nnz(E_A) n terms at most, counted against the work cap first.
+    C^n (x) C^n, of dimension N_S = n(n + sign)/2.  The local action is
+    irreducible, so the ingredient Tr[(pi (E_A (x) I) pi)^2] is the same for
+    every traceless Hermitian E_A with Tr E_A^2 = 1; it is summed for one
+    (``_probe_trace_sq``), 2n terms at most, counted against the work cap first.
     """
     _check_face(n, sign)
-    probe = _DEFAULT_PROBE if probe is None else probe
-    columns = _probe_columns(n, probe)
     n_s = n * (n + sign) // 2
     _check_purity_on_face(n_s, tr_purity_global)
     if n_s == 1:
-        value = 1.0 / n
-        ingredient = 0.0
+        value, ingredient = 1.0 / n, 0.0
     else:
-        check_work(len(probe) * (n if sign == 1 else n - 1),
+        check_work(2 * (n if sign == 1 else n - 1),
                    f"the probe's action on a {n_s}-dimensional face")
-        ingredient = _probe_trace_sq(n, sign, columns)
-        value = 1.0 / n + (n**2 - 1) / (n_s**2 - 1) * ingredient * (
-            tr_purity_global - 1.0 / n_s
-        )
-    return Prediction(
-        value=value,
-        formula_id="qface",
-        inputs={
-            "N_A": n,
-            "N_S": n_s,
-            "tr_purity_global": tr_purity_global,
-            "probe_trace_sq": ingredient,
-        },
-    )
+        ingredient = _probe_trace_sq(n, sign)
+        value = 1.0 / n + (n**2 - 1) / (n_s**2 - 1) * ingredient * (tr_purity_global - 1.0 / n_s)
+    return Prediction(value=value, formula_id="qface",
+                      inputs={"N_A": n, "N_S": n_s, "tr_purity_global": tr_purity_global,
+                              "probe_trace_sq": ingredient})
+
+
+def _check_record(s0_size: int) -> None:
+    """Refuse a recorded coin whose record set holds no string."""
+    if s0_size < 1:
+        raise RangeError(f"the record set needs at least one string, got {s0_size}")
 
 
 def predict_coin_record(s0_size: int) -> Prediction:
@@ -283,6 +236,7 @@ def predict_coin_record(s0_size: int) -> Prediction:
 
     1/(2 s0 - 1): the record randomizes like a free environment of half its size.
     """
+    _check_record(s0_size)
     return Prediction(value=1.0 / (2 * s0_size - 1), formula_id="class-face",
                       inputs={"s0_size": s0_size})
 
@@ -296,6 +250,7 @@ def coin_record_sigma(s0_size: int) -> float:
     4 (s0 - 1)^2 / (s0 (2 s0 - 3) (2 s0 - 1)^2): zero only for s0 = 1, where
     every sample is exact.
     """
+    _check_record(s0_size)
     if s0_size == 1:
         return 0.0
     s = s0_size

@@ -20,16 +20,6 @@ def purity(space: ss.Space, omega: tuple) -> object:
     return ss.dot(ss.covector(space, b), b)
 
 
-def purity_from_tr2(n: int, tr_sq: float) -> float:
-    """Convert the quantum collision value Tr(rho^2) on C^n to purity."""
-    return (n * tr_sq - 1.0) / (n - 1.0)
-
-
-def tr2_from_purity(n: int, p: float) -> float:
-    """Inverse conversion: Tr(rho^2) = ((n-1) P + 1) / n."""
-    return ((n - 1.0) * p + 1.0) / n
-
-
 def complete_pauli_set(space: ss.Space) -> tuple:
     """The vectors x of the canonical complete set of Pauli maps: the Bloch vectors of the
     pure states, one from each antipodal pair (the qubit's z, x and y; the classical
@@ -42,24 +32,29 @@ def complete_pauli_set(space: ss.Space) -> tuple:
     return tuple(pset)
 
 
-def pauli_identity_deviations(space: ss.Space, states: tuple) -> tuple[object, object]:
+def pauli_identity_deviations(space: ss.Space, states: tuple) -> tuple[float, float]:
     """Largest deviations of the complete-set and collision identities over the states.
 
-    The first is |(K - 1) mean_x X(omega)^2 - P|.  The second is
-    |1/2 (1 + X(omega)^2) - 1/2 (1 + P)| for the Pauli map X along the state's
-    own Bloch direction, b/sqrt(P), which attains the largest probability
-    that two copies agree: X(omega)^2 = <b, b>^2/P, so the deviation is
-    |<b, b>^2 - P^2|/(2 P) (0 for a state without a direction).
+    The first is |(K - 1) mean_x X(omega)^2 - P|.  The second checks that
+    the Pauli map X along the state's own Bloch direction, b/sqrt(P), which
+    attains X(omega)^2 = P and so the largest probability 1/2 (1 + P) that
+    two copies agree, is a measurement: X^2 <= 1 on every pure state.  The
+    complete set holds the pure Bloch vectors up to sign, so that is
+    <b, x>^2 <= <b, b> for each x of it; the value is the largest excess
+    <b, x>^2 - <b, b>, or 0.
     """
-    covectors = [ss.covector(space, x) for x in complete_pauli_set(space)]
-    scale = ss.rational(len(space.mixed) - 1, len(covectors))
-    dev = cdev = 0
+    pset = complete_pauli_set(space)
+    scale = ss.rational(len(space.mixed) - 1, len(pset))
+    dev = cdev = 0.0
     for omega in states:
-        b, p = ss.bloch(space, omega), purity(space, omega)
-        values = [ss.dot(c, b) for c in covectors]
-        dev = max(dev, abs(scale * sum(v * v for v in values) - p))
-        norm = ss.dot(ss.covector(space, b), b)
-        if miss := abs(norm * norm - p * p):
-            cdev = max(cdev, miss / 2 / abs(p))
+        b = ss.bloch(space, omega)
+        c = ss.covector(space, b)
+        p = ss.dot(c, b)
+        squares = [d * d for d in (ss.dot(c, x) for x in pset)]
+        dev = max(dev, abs(scale * sum(squares) - p))
+        for sq in squares:
+            # A zero excess is found exactly; any other is far from zero, so its float
+            # keeps its sign.
+            if not sq == p:
+                cdev = max(cdev, abs(sq) - abs(p))
     return dev, cdev
-

@@ -142,7 +142,7 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _estimate(n_samples: int, seed: int, draw: Callable, cost: Callable,
-              histogram_bins: int | None) -> McReport:
+              histogram: bool) -> McReport:
     """The one Monte Carlo loop, and the one place that prices a draw.
 
     Block b holds samples [b BLOCK_SIZE, (b + 1) BLOCK_SIZE) and draws from
@@ -180,12 +180,12 @@ def _estimate(n_samples: int, seed: int, draw: Callable, cost: Callable,
     if math.isnan(mean):
         raise InternalError("the mean of the sample values is NaN")
     counts = edges = None
-    if histogram_bins:
-        # np.histogram's counts of the values clipped to [0, 1]: a value's bin
-        # is the number of inner edges at or below it.
-        edges = np.linspace(0.0, 1.0, histogram_bins + 1)
+    if histogram:
+        # np.histogram's counts of the values clipped to [0, 1] in ``HISTOGRAM_BINS``
+        # bins: a value's bin is the number of inner edges at or below it.
+        edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
         counts = np.bincount(np.searchsorted(edges[1:-1], vals, side="right"),
-                             minlength=histogram_bins)
+                             minlength=HISTOGRAM_BINS)
     return McReport(mean, float(vals.std(ddof=1) / math.sqrt(n_samples)), n_samples, int(seed),
                     realized, counts, edges)
 
@@ -198,7 +198,7 @@ def estimate_expected_local_purity(
     n_samples: int,
     seed: int,
     *,
-    histogram_bins: int | None = None,
+    histogram: bool = False,
 ) -> McReport:
     """Monte Carlo mean of the local purity after global randomization.
 
@@ -225,4 +225,4 @@ def estimate_expected_local_purity(
                                  f"a {k}-outcome distribution")
     else:
         draw = _ket_draw(t, (n_a, n_b), real=theory == REAL_QUANTUM)
-    return _estimate(n_samples, seed, *draw, histogram_bins)
+    return _estimate(n_samples, seed, *draw, histogram)

@@ -19,5 +19,9 @@ class DegenerateDirectionError(GptPurityError, ValueError):
     """A direction vector is (numerically) zero."""
 
 
+class InvalidProbeError(GptPurityError, ValueError):
+    """A probe matrix violates its trace normalization conditions."""
+
+
 class InconsistencyError(GptPurityError):
     """Two routes to the same quantity disagree beyond tolerance."""

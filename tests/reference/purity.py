@@ -6,7 +6,8 @@ maximally mixed state purity 0.  A Pauli map is a unit-norm linear functional
 on the Bloch subspace; a complete set of Paulis is a finite group orbit of
 one such map (signs quotiented) whose mean-square values reproduce
 purity / (K - 1).  ``pauli_identity_deviations`` checks that identity and the
-collision identity on a whole stack of states at once.
+collision identity on a whole stack of states at once.  ``purity_from_tr2`` and
+``tr2_from_purity`` convert a quantum collision value Tr(rho^2) to purity and back.
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ def purity(space: SpaceDescriptor, gram: GramMatrix, omega: np.ndarray) -> float
     """Squared Gram length of the Bloch vector of a normalized state."""
     b = space.bloch(omega)
     return gram.norm_sq(b)
+
+
+def purity_from_tr2(n: int, tr_sq: float) -> float:
+    """Convert the quantum collision value Tr(rho^2) on C^n to purity."""
+    return (n * tr_sq - 1.0) / (n - 1.0)
+
+
+def tr2_from_purity(n: int, p: float) -> float:
+    """Inverse conversion: Tr(rho^2) = ((n-1) P + 1) / n."""
+    return ((n - 1.0) * p + 1.0) / n
 
 
 # -- Pauli maps -------------------------------------------------------------------------

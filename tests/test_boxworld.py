@@ -171,8 +171,7 @@ def test_obstruction_degenerate_gram_zero_on_nontrivial_state():
 
 def test_degenerate_gram_normalizes_both_families():
     rec = bw.boxworld_normalization_obstruction()
-    prod, pr = bw.vertex_purities(rec.solution_a, rec.solution_b)
-    assert prod + pr == [1] * 24
+    assert [bw.purity(v, rec.solution_a, rec.solution_b) for v in bw.vertices()] == [1] * 24
     degenerate = BoxworldGram(a=3.0, b=0.0)
     for v in bw.vertices():
         assert abs(boxworld_purity(_unscaled(v), degenerate) - 1.0) <= 1e-15

@@ -80,6 +80,20 @@ def test_collision_check_detects_a_wrong_optimizer(monkeypatch):
     assert cdev > 1e-3
 
 
+def test_a_doubled_gram_fails_the_collision_row(monkeypatch):
+    # Twice the qubit's Gram gives each pure state purity 2, so the map along
+    # its own direction reads X^2 = 2 on it and is no measurement: the row
+    # reads <b, b>^2 - <b, b> = 2.  The other spaces' rows still pass.
+    qubit = exact_ss.QUBIT
+    monkeypatch.setattr(checks.ss, "QUBIT", qubit._replace(
+        gram=tuple((ij, 2 * w) for ij, w in qubit.gram)))
+    by_name = {c.name: c for c in checks.run_suite("pauli-identities", 0, 2)}
+    assert (by_name["collision-qubit"].value, by_name["complete-set-qubit"].value) == (2.0, 2.0)
+    assert not by_name["collision-qubit"].passed
+    for name in ("classical-4", "square", "pentagon"):
+        assert by_name[f"collision-{name}"].passed, name
+
+
 def _per_state_pauli_deviations(space, states):
     """The per-state route: one purity, Pauli-set sum and collision optimizer per state."""
     gram = grouprep.analytic_gram(space)

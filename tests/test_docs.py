@@ -3,9 +3,10 @@
 Every backticked identifier in a row of the "Library layout" table (an
 optional call's argument list dropped) must resolve as an attribute path of
 that row's module, of a class defined there, or of the package, whose
-modules resolve by name (``formulas``, ``errors.Check``).  Backticked text
-that is no identifier (a path, a command line, a string) is prose; so are
-the identifiers in ``PROSE``.
+modules resolve by name (``formulas``, ``errors.Check``), and a call may list
+no more arguments than its def or NamedTuple takes.  Backticked text that is
+no identifier (a path, a command line, a string) is prose; so are the
+identifiers in ``PROSE``.
 """
 
 import importlib
@@ -23,7 +24,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PROSE = {"verify", "gptpurity", "P(phi x mu)"}
 
 _ROW = re.compile(r"\| `(\w+)`\s*\|(.*)\|")
-_IDENTIFIER = re.compile(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?")
+_IDENTIFIER = re.compile(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\((.*)\))?")
 
 
 def table_rows(text: str) -> list[tuple[str, list[str]]]:
@@ -34,16 +35,22 @@ def table_rows(text: str) -> list[tuple[str, list[str]]]:
             for m in map(_ROW.fullmatch, table.splitlines()) if m]
 
 
-def _resolves(root: object, path: str) -> bool:
+def _resolves(root: object, path: str, args: str | None) -> bool:
+    """Whether ``path`` is an attribute path of ``root`` that takes ``args``, if given."""
     for part in path.split("."):
         if not hasattr(root, part):
             return False
         root = getattr(root, part)
-    return True
+    if not args or not callable(root):
+        return True
+    params = inspect.signature(root).parameters.values()
+    return (any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params)
+            or len(args.split(",")) <= len(params))
 
 
 def unresolved(module_name: str, tokens: list[str]) -> list[str]:
-    """The identifier tokens of a row that its module, its classes and the package lack."""
+    """The identifier tokens of a row that its module, its classes and the package lack,
+    or whose argument list is longer than the def or NamedTuple it calls takes."""
     module = importlib.import_module(f"gptpurity.{module_name}")
     roots = [module, gptpurity] + [c for c in vars(module).values()
                                    if inspect.isclass(c) and c.__module__ == module.__name__]
@@ -52,12 +59,12 @@ def unresolved(module_name: str, tokens: list[str]) -> list[str]:
         match = _IDENTIFIER.fullmatch(token)
         if token in PROSE or match is None:
             continue
-        path = match.group(1)
+        path, args = match.groups()
         # A package module resolves once it is imported.
         head = path.split(".")[0]
         if importlib.util.find_spec(f"gptpurity.{head}") is not None:
             importlib.import_module(f"gptpurity.{head}")
-        if not any(_resolves(root, path) for root in roots):
+        if not any(_resolves(root, path, args) for root in roots):
             missing.append(token)
     return missing
 
@@ -75,3 +82,13 @@ def test_module_table_check_sees_a_stale_name():
                "`tests/states.py`, `formulas.predict_real_quantum`, `errors.Check` |\n\n")
     [(name, tokens)] = table_rows(planted)
     assert unresolved(name, tokens) == ["FaceDescriptor", "formulas.predict_real_quantum"]
+
+
+def test_module_table_check_sees_a_stale_argument_list():
+    planted = ("| module | contents |\n|---|---|\n"
+               "| `formulas` | `predict_qface(n, sign, trp, probe)`, `predict_symm(n, sign, trp)`, "
+               "`Prediction(value, formula_id, inputs)`, `Prediction(value, formula_id, inputs, "
+               "checks)`, `predict_coin_record()`, `errors.Check(name, value, bound)` |\n\n")
+    [(name, tokens)] = table_rows(planted)
+    assert unresolved(name, tokens) == ["predict_qface(n, sign, trp, probe)",
+                                        "Prediction(value, formula_id, inputs, checks)"]

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptpurity import blocks, cli, errors, faces, formulas
-from gptpurity.errors import EmptyFaceError, InvalidProbeError, RangeError
-from gptpurity.purity import purity_from_tr2
-from reference import grouprep
+from gptpurity import blocks, cli, errors, faces, formulas, randomize
+from gptpurity.errors import EmptyFaceError, RangeError
+from reference import InvalidProbeError, grouprep
+from reference.purity import purity_from_tr2
 import haar
 from states import (cone_contains, default_probe, face_bloch_projector, face_composite, isometry,
-                    mu_face, probe_entries, qface_by_isometry, unit)
+                    mu_face, qface_by_isometry, unit)
 
 
 @pytest.mark.parametrize("n,sym_dim,anti_dim", [(2, 3, 1), (3, 6, 3), (4, 10, 6)])
@@ -193,14 +193,12 @@ def test_predict_qface_examples():
     assert formulas.predict_qface(2, -1, 1.0).value == pytest.approx(1 / 2, abs=1e-15)
 
 
-def test_predict_qface_rejects_bad_probe():
+def test_qface_reference_rejects_bad_probe():
     for probe in (
         np.eye(2),  # Tr E = 2
         np.diag([1.0, 0.0, -1.0]) / math.sqrt(2),  # 3 x 3 on a face of two-level parts
         np.array([[0.0, 1.0], [0.5, 0.0]]),  # Tr E = 0 and Tr E^2 = 1, but not Hermitian
     ):
-        with pytest.raises(InvalidProbeError):
-            formulas.predict_qface(2, 1, 1.0, probe_entries(probe))
         with pytest.raises(InvalidProbeError):
             qface_by_isometry(2, 1, probe, 1.0)
 
@@ -215,24 +213,21 @@ def test_predict_qface_refuses_an_oversized_sum_before_it_starts(monkeypatch):
 
 
 def test_predict_qface_probe_independence(rng):
-    # The index sums against the dense isometry route, on the default probe
-    # and on random complex Hermitian probes; both are probe-independent.
+    # The fixed-probe index sums against the dense isometry route, on that
+    # probe and on random complex Hermitian probes: the ingredient does not
+    # depend on the probe.
     for n, sign in itertools.product(range(2, 7), (1, -1)):
         probes = [default_probe(n)]
         for _ in range(3):
             e = _random_traceless_hermitian(n, rng)
             probes.append(e / math.sqrt(np.trace(e @ e).real))
-        values = []
-        for e in probes:
-            entries = None if e is probes[0] else probe_entries(e)
-            # Tr rho^2 = 1 is the only purity on the one-state antisymmetric face of n = 2.
-            for trp in (1.0,) if (n, sign) == (2, -1) else (1.0, 0.7):
-                pred = formulas.predict_qface(n, sign, trp, entries)
+        # Tr rho^2 = 1 is the only purity on the one-state antisymmetric face of n = 2.
+        for trp in (1.0,) if (n, sign) == (2, -1) else (1.0, 0.7):
+            pred = formulas.predict_qface(n, sign, trp)
+            for e in probes:
                 value, ingredient = qface_by_isometry(n, sign, e, trp)
                 assert abs(pred.value - value) <= 1e-12
                 assert abs(pred.inputs["probe_trace_sq"] - ingredient) <= 1e-12
-            values.append(pred.value)
-        assert max(values) - min(values) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -355,9 +350,19 @@ def test_coin_record_sigma_is_the_hypergeometric_purity_spread(s0):
     assert (formulas.coin_record_sigma(s0) == 0.0) == (s0 == 1)
 
 
-def test_coin_with_record_rejects_empty_record():
-    with pytest.raises(RangeError):
-        faces.coin_with_record(0, 10, 1)
+def test_coin_with_record_rejects_empty_record(monkeypatch, capsys):
+    # The estimate, its value and its spread refuse an empty record set by one
+    # check, and the command refuses it in one line before any draw.
+    monkeypatch.setattr(randomize, "sample_rng", lambda seed, index: pytest.fail("drew"))
+    for s0 in (0, -3):
+        message = f"the record set needs at least one string, got {s0}"
+        with pytest.raises(RangeError, match=message):
+            faces.coin_with_record(s0, 10, 1)
+        for formula in (formulas.predict_coin_record, formulas.coin_record_sigma):
+            with pytest.raises(RangeError, match=message):
+                formula(s0)
+        assert cli.main(["coin-record", "--s0", str(s0), "--samples", "10", "--seed", "1"]) == 1
+        assert capsys.readouterr() == ("", f"gptpurity: error: {message}\n")
 
 
 # The wide symmetric face, of C^9 (x) C^9, has a W of k = 9 > 8 rows.

@@ -222,9 +222,9 @@ def test_ket_block_counts_its_pair_sum_products(monkeypatch, dims, real, swap, t
     assert -(-draw[1](rnd.BLOCK_SIZE)[2] // blocks.PRODUCTS_PER_TERM) == terms
     monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms - 1)
     with pytest.raises(RangeError, match=f"would sum {terms} terms, over the {terms - 1}-term"):
-        rnd._estimate(rnd.BLOCK_SIZE, 2, *draw, None)
+        rnd._estimate(rnd.BLOCK_SIZE, 2, *draw, False)
     monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms)
-    assert rnd._estimate(rnd.BLOCK_SIZE, 2, *draw, None).n_samples == rnd.BLOCK_SIZE
+    assert rnd._estimate(rnd.BLOCK_SIZE, 2, *draw, False).n_samples == rnd.BLOCK_SIZE
 
 
 @pytest.mark.parametrize("run,argv,terms", [

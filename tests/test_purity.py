@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptpurity.errors import RangeError, UnsupportedSpaceError
-from gptpurity.purity import purity_from_tr2, tr2_from_purity
+from reference.purity import purity_from_tr2, tr2_from_purity
 from reference import DegenerateDirectionError, NormalizationError, grouprep, statespace as ss
 from reference import purity as pur
 import haar

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gptpurity.errors import (
     RangeError,
     UnsupportedSpaceError,
 )
-from gptpurity.purity import purity_from_tr2, tr2_from_purity
+from reference.purity import purity_from_tr2, tr2_from_purity
 import haar
 from states import compose, marginal_a, purity_pure_times_maxmixed
 
@@ -198,7 +199,7 @@ def test_estimator_classical_mixed_transfers_ignorance():
 
 
 def test_estimator_seed_determinism_and_worker_independence():
-    kw = dict(p0=0.5, n_samples=600, seed=77, histogram_bins=rnd.HISTOGRAM_BINS)
+    kw = dict(p0=0.5, n_samples=600, seed=77, histogram=True)
     a = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
     b = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
     c = rnd.estimate_expected_local_purity("quantum", 2, 2, **kw)
@@ -209,7 +210,7 @@ def test_estimator_seed_determinism_and_worker_independence():
 
 def test_estimator_histogram_counts_sum_to_samples():
     rep = rnd.estimate_expected_local_purity("quantum", 2, 2, 1.0, 300, 3,
-                                             histogram_bins=rnd.HISTOGRAM_BINS)
+                                             histogram=True)
     assert rep.histogram_counts.sum() == 300
     assert len(rep.histogram_edges) == len(rep.histogram_counts) + 1
 
@@ -268,7 +269,7 @@ def test_qubit_oracle_consistency_triangle():
 
 def test_markov_tail_quantum_2x8():
     rep = rnd.estimate_expected_local_purity("quantum", 2, 8, 1.0, 4000, 51,
-                                             histogram_bins=rnd.HISTOGRAM_BINS)
+                                             histogram=True)
     res = checks.markov_tail(rep, 5.0)
     assert res.passed
     assert res.name == "markov-x-5"
@@ -278,7 +279,7 @@ def test_markov_tail_quantum_2x8():
 
 def test_markov_tail_degenerate_classical():
     rep = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 200, 5,
-                                             histogram_bins=rnd.HISTOGRAM_BINS)
+                                             histogram=True)
     res = checks.markov_tail(rep, 2.0)
     assert res.value == pytest.approx(1.0)
     assert res.bound >= 1.0
@@ -287,7 +288,7 @@ def test_markov_tail_degenerate_classical():
 
 def test_markov_tail_rejects_bad_inputs():
     rep = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 50, 5,
-                                             histogram_bins=rnd.HISTOGRAM_BINS)
+                                             histogram=True)
     with pytest.raises(RangeError):
         checks.markov_tail(rep, 0.5)
     bare = rnd.estimate_expected_local_purity("classical", 2, 2, 1.0, 50, 5)
@@ -297,7 +298,7 @@ def test_markov_tail_rejects_bad_inputs():
 
 def test_report_serialization_roundtrip():
     rep = rnd.estimate_expected_local_purity("classical", 2, 4, 0.5, 100, 9,
-                                             histogram_bins=rnd.HISTOGRAM_BINS)
+                                             histogram=True)
     doc = rep.to_json_dict()
     assert doc["n_samples"] == 100
     assert doc["seed"] == 9
@@ -458,18 +459,20 @@ def test_permuted_states_match_explicit_route():
     # The classical group permutes outcomes: each permuted state against
     # marginal_a -> GramMatrix.norm_sq, rebuilt from one rng.permutation per
     # sample on an equal stream.  A mu-interpolated state gives every sample
-    # the same local purity, so a generic (Dirichlet) initial state joins it.
+    # the same local purity, so a state of five equal heads, whose A marginal
+    # depends on where the permutation sends them, joins it.
     for (na, nb), p0 in itertools.product(((2, 8), (3, 5)), (0.0, 0.3, 1.0, None)):
         comp = _pair(ss.build_classical, na, nb)
         gram_a, gram_ab = grouprep.analytic_gram(comp.part_a), grouprep.analytic_gram(comp.joint)
         k = comp.joint.K
         if p0 is None:
-            p = np.random.default_rng(4403).dirichlet(np.ones(k))
+            head, value, rest = 5, 0.15, 0.25 / (k - 5)
         else:
             t = math.sqrt(p0)
-            p = np.full(k, (1.0 - t) / k)
-            p[0] += t
-        block, cost = blocks._permutation_draw(k, na, 0.0, k, p, "p")
+            head, value, rest = 1, (1.0 - t) / k + t, (1.0 - t) / k
+        p = np.full(k, rest)
+        p[:head] = value
+        block, cost = blocks._permutation_draw(k, na, rest, head, value, "p")
         got = []
 
         def draw_classical(rng, size):
@@ -477,7 +480,7 @@ def test_permuted_states_match_explicit_route():
             got.append((size, local, glob))
             return local, glob
 
-        rnd._estimate(1500, 4402, draw_classical, cost, None)
+        rnd._estimate(1500, 4402, draw_classical, cost, False)
         assert [size for size, _, _ in got] == [1024, 476]
         for b, (size, local, glob) in enumerate(got):
             ref = rnd.sample_rng(4402, b)
@@ -509,7 +512,7 @@ def test_blocks_spans_and_streams():
         calls.append((size, rng.bit_generator.state))
         return np.full(size, 0.5), 1.0
 
-    rep = rnd._estimate(2500, 9, draw, _unpriced, None)
+    rep = rnd._estimate(2500, 9, draw, _unpriced, False)
     assert [size for size, _ in calls] == [1024, 1024, 452]
     for b, (_, state) in enumerate(calls):
         assert state == rnd.sample_rng(9, b).bit_generator.state
@@ -519,7 +522,7 @@ def test_blocks_spans_and_streams():
     calls.clear()
     for n_samples, seed in ((1, 9), (2500, -1)):
         with pytest.raises(RangeError):
-            rnd._estimate(n_samples, seed, draw, _unpriced, None)
+            rnd._estimate(n_samples, seed, draw, _unpriced, False)
     assert calls == []
 
 
@@ -547,7 +550,7 @@ def test_driver_prices_a_run_in_one_order_before_any_draw():
             # 3000 x 2^40 products, 512 to a term, however the 3 blocks split them.
             (3000, 0, light, f"3000 samples' products would sum {3000 << 31} terms")):
         with pytest.raises(RangeError, match=f"^{refusal}"):
-            rnd._estimate(n_samples, seed, draw, count, None)
+            rnd._estimate(n_samples, seed, draw, count, False)
     assert calls == []
 
 
@@ -645,18 +648,18 @@ def test_driver_refuses_a_global_purity_spread():
         return np.zeros(size), rng.random(size)
 
     with pytest.raises(InternalError, match="global purity varied"):
-        rnd._estimate(100, 0, draw, _unpriced, None)
+        rnd._estimate(100, 0, draw, _unpriced, False)
 
 
-@pytest.mark.parametrize("bins", [rnd.HISTOGRAM_BINS, None])
-def test_estimate_refuses_a_nan_sample_value(bins):
+@pytest.mark.parametrize("histogram", [True, False])
+def test_estimate_refuses_a_nan_sample_value(histogram):
     # np.histogram drops NaN and searchsorted would bin it last; no report
     # is made of it, with or without a histogram.
     def draw(rng, size):
         return np.where(np.arange(size) == 3, np.nan, 0.5), 1.0
 
     with pytest.raises(InternalError, match="NaN"):
-        rnd._estimate(10, 0, draw, _unpriced, bins)
+        rnd._estimate(10, 0, draw, _unpriced, histogram)
 
 
 @st.composite
@@ -678,7 +681,8 @@ def test_histogram_is_np_histogram_of_the_clipped_values(binned):
     # last bin, and values outside [0, 1] to the end bins.
     bins, values = binned
     vals = np.array(values)
-    rep = rnd._estimate(len(vals), 0, lambda rng, size: (vals, 1.0), _unpriced, bins)
+    with mock.patch.object(rnd, "HISTOGRAM_BINS", bins):
+        rep = rnd._estimate(len(vals), 0, lambda rng, size: (vals, 1.0), _unpriced, True)
     counts, edges = np.histogram(np.clip(vals, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
     assert rep.histogram_edges.dtype == edges.dtype and rep.histogram_counts.dtype == counts.dtype
     assert np.array_equal(rep.histogram_edges.view(np.uint64), edges.view(np.uint64))
@@ -723,7 +727,7 @@ def test_ket_path_agrees_with_full_unitary_path():
         return purity_from_tr2(2, tr_a2), purity_from_tr2(4, tr2)
 
     ket = rnd.estimate_expected_local_purity("quantum", 2, 2, 0.5, 10_000, 5101)
-    full = rnd._estimate(10_000, 5102, draw, _unpriced, None)
+    full = rnd._estimate(10_000, 5102, draw, _unpriced, False)
     assert full.realized_global_purity == pytest.approx(0.5, abs=1e-9)
     assert abs(ket.mean - full.mean) <= 3 * math.hypot(ket.stderr, full.stderr)
 

@@ -56,9 +56,6 @@ ARGV = [
 
 # Defs that no command runs, each with the test that uses it as a reference.
 ALLOWLIST = {
-    "purity.purity_from_tr2": "tests/test_randomize.py::test_qubit_oracle_consistency_triangle",
-    "purity.tr2_from_purity":
-        "tests/test_acceptance.py::test_criterion_12_real_quantum_nonlocal_tomography",
     "randomize._randbits": "tests/test_imports.py::test_placeholder_randbits_gives_at_most_k_bits",
 }
 
