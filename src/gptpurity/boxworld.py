@@ -16,7 +16,7 @@ e_i (x) e_j at index 3 i + j.  Every pure state then has entries in
 {-1, 0, 1}, and every reversible map is a signed permutation of the nine
 coordinates, a ``grouprep`` map with r = 2.  So purities are ``statespace``
 rationals, every fact below is an exact equality, and the PR-type states,
-the vertex orbits and the three invariant forms all come from the five
+the two vertex orbits and the three invariant forms all come from the five
 generators of the 128 reversible maps, which are never enumerated.  No numpy
 is imported.
 """
@@ -24,7 +24,6 @@ is imported.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import grouprep
 from . import statespace as ss
@@ -74,56 +73,29 @@ def purity(v: tuple[int, ...], a: ss.Cyc | int = 1, b: ss.Cyc | int = 1) -> ss.C
 GRAM = tuple(((k, k), purity(tuple(int(i == k) for i in range(9)))) for k in range(1, 9))
 
 
-def vertex_purities() -> tuple[list[ss.Cyc], list[ss.Cyc]]:
-    """Default purities of the 16 product vertices and of the 8 PR-type vertices."""
-    p = [purity(v) for v in vertices()]
-    return p[:PRODUCT_COUNT], p[PRODUCT_COUNT:]
+# The first gbit vertex on B with A maximally mixed: its Bloch vector is all marginal,
+# which a form with b = 0 does not see.
+MARGINAL_STATE = (1, 1, 1, 0, 0, 0, 0, 0, 0)
 
 
-class ObstructionRecord(NamedTuple):
-    """Why no invariant inner product normalizes all boxworld pure states.
+def normalizing_weights() -> tuple[ss.Cyc, ss.Cyc]:
+    """The block weights (a, b) giving both vertex families purity 1, by Cramer's rule.
 
-    The purities of the two vertex families are linear in the block weights:
-    P(product) = c (a + 2 b) and P(PR) = c a with c = 1/3.  Solving for both
-    to equal 1 forces b = 0, which violates positivity; the resulting
-    degenerate form assigns purity 0 to states besides the maximally mixed
-    one, exhibited by ``zero_purity_state``.
-    """
-
-    solution_a: ss.Cyc
-    solution_b: ss.Cyc
-    product_coefficients: tuple[ss.Cyc, ss.Cyc]
-    pr_coefficients: tuple[ss.Cyc, ss.Cyc]
-    zero_purity_state: tuple[int, ...]
-    zero_purity_value: ss.Cyc
-
-
-def boxworld_normalization_obstruction() -> ObstructionRecord:
-    """Solve for weights giving every pure state purity 1; report the failure.
-
-    The 2x2 linear system over the first product and the first PR vertex
-    has the unique solution (a, b) = (3, 0) by Cramer's rule, so
-    simultaneous normalization requires a degenerate (b = 0) form.
+    P(product) = c (a + 2 b) and P(PR) = c a with c = 1/3, so (a, b) = (3, 0): b = 0
+    violates positivity, and the degenerate form gives ``MARGINAL_STATE`` purity 0.
     """
     verts = vertices()
     (p, q), (r, s) = [(purity(v, 1, 0), purity(v, 0, 1)) for v in
                       (verts[0], verts[PRODUCT_COUNT])]
     det = p * s - q * r
-    a, b = (s - q) / det, (p - r) / det
-    # The first gbit vertex on B with A maximally mixed: its Bloch vector is
-    # all marginal, which the degenerate form does not see.
-    witness = (1, 1, 1, 0, 0, 0, 0, 0, 0)
-    return ObstructionRecord(a, b, (p, q), (r, s), witness, purity(witness, a, b))
+    return (s - q) / det, (p - r) / det
 
 
 def transitivity_obstruction_witness() -> bool:
-    """True when the group's orbits on the 24 vertices are exactly the two families.
-
-    Then every element maps the vertex set onto itself and no element
-    connects a product vertex with a PR-type vertex: bipartite boxworld is
-    not transitive.
+    """True when the group's orbits on the 24 vertices are exactly the two families: orbits
+    partition the vertices, so the orbits of the first product vertex and of ``PR`` decide
+    it.  Then no element connects a product with a PR-type vertex: boxworld is not transitive.
     """
     verts = vertices()
-    index = {v: k for k, v in enumerate(verts)}
-    orbits = {frozenset(index.get(w) for w in grouprep.orbit(v, GENERATORS, 2)) for v in verts}
-    return orbits == {frozenset(range(PRODUCT_COUNT)), frozenset(range(PRODUCT_COUNT, 24))}
+    return (set(grouprep.orbit(verts[0], GENERATORS, 2)) == set(verts[:PRODUCT_COUNT])
+            and set(grouprep.orbit(PR, GENERATORS, 2)) == set(verts[PRODUCT_COUNT:]))

@@ -22,7 +22,7 @@ from . import grouprep
 from . import purity as pur
 from . import randomize as rnd
 from . import statespace as ss
-from .errors import Check, RangeError
+from .errors import Check, RangeError, check_run
 
 
 def markov_tail(report: rnd.McReport, x: float) -> Check:
@@ -98,18 +98,19 @@ def _markov_tail(seed: int, samples: int) -> list[Check]:
 
 
 def _boxworld(seed: int, samples: int) -> list[Check]:
-    prod_p, pr_p = bw.vertex_purities()
-    obstruction = bw.boxworld_normalization_obstruction()
+    p = [bw.purity(v) for v in bw.vertices()]
+    a, b = bw.normalizing_weights()
     # The unit direction and the free weights a and b of the two blocks.
     forms = grouprep.invariant_form_count(bw.GENERATORS, 2)
     dev = grouprep.invariance_deviation(bw.GRAM, bw.GENERATORS, 2)
     return [
-        Check("vertex-count", float(abs(len(bw.vertices()) - 24)), 0.0),
-        Check("product-purity-one", float(max(abs(p - 1) for p in prod_p)), 0.0),
-        Check("pr-purity-one-third", float(max(abs(3 * p - 1) for p in pr_p) / 3), 0.0),
-        Check("obstruction-a", float(abs(obstruction.solution_a - 3)), 0.0),
-        Check("obstruction-b", float(abs(obstruction.solution_b)), 0.0),
-        Check("degenerate-zero-purity", float(abs(obstruction.zero_purity_value)), 0.0),
+        Check("vertex-count", float(abs(len(p) - 24)), 0.0),
+        Check("product-purity-one", float(max(abs(x - 1) for x in p[:bw.PRODUCT_COUNT])), 0.0),
+        Check("pr-purity-one-third",
+              float(max(abs(3 * x - 1) for x in p[bw.PRODUCT_COUNT:]) / 3), 0.0),
+        Check("obstruction-a", float(abs(a - 3)), 0.0),
+        Check("obstruction-b", float(abs(b)), 0.0),
+        Check("degenerate-zero-purity", float(abs(bw.purity(bw.MARGINAL_STATE, a, b))), 0.0),
         Check("group-invariance", float(dev), 0.0),
         Check("invariant-forms", float(abs(forms - 3)), 0.0),
         Check("non-transitivity-witness",
@@ -127,11 +128,7 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, samples: int) -> list[Check]:
-    """The checks of suite ``name``; fewer than 2 samples and a negative seed are
-    refused in that order, as an estimate refuses them, for every suite."""
-    if samples < 2:
-        raise RangeError(f"need at least 2 samples for a standard error, got {samples}")
-    if seed < 0:
-        raise RangeError(f"the seed must be non-negative, got {seed}")
+    """The checks of suite ``name``; a run is refused by ``errors.check_run``, as an estimate is."""
+    check_run(samples, seed)
     return SUITES[name](seed, samples)
 

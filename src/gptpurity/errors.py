@@ -80,3 +80,11 @@ def check_work(terms: int, what: str) -> None:
         raise RangeError(
             f"{what} would sum {terms} terms, over the {WORK_CAP_TERMS}-term work cap"
         )
+
+
+def check_run(n_samples: int, seed: int) -> None:
+    """Refuse a run of fewer than 2 samples, then one with a negative seed."""
+    if n_samples < 2:
+        raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
+    if seed < 0:
+        raise RangeError(f"the seed must be non-negative, got {seed}")

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import PRODUCTS_PER_TERM, _ket_draw, _permutation_draw
-from .errors import InternalError, RangeError, check_memory, check_work
+from .errors import InternalError, check_memory, check_run, check_work
 from .formulas import CLASSICAL, REAL_QUANTUM, _check_levels, _check_p0
 
 HISTOGRAM_BINS = 100
@@ -155,10 +155,7 @@ def _estimate(n_samples: int, seed: int, draw: Callable, cost: Callable,
     preserve purity, so a spread of the global purities beyond
     ``GLOBAL_PURITY_TOL`` raises ``InternalError``.
     """
-    if n_samples < 2:
-        raise RangeError(f"need at least 2 samples for a standard error, got {n_samples}")
-    if seed < 0:
-        raise RangeError(f"the seed must be non-negative, got {seed}")
+    check_run(n_samples, seed)
     # The values, the global purities and one temporary of the reduction
     # (``std``'s deviations or the values' bins).
     check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")

@@ -173,11 +173,16 @@ def pauli_identity_deviations(space: SpaceDescriptor,
     """Largest deviations of the complete-Pauli-set and collision identities.
 
     Over the rows of a (m, K) stack of states, the first is
-    |(purity via the complete set) - P|; the second is
-    |1/2 (1 + X(omega)^2) - 1/2 (1 + P)| for the Pauli map X along the
-    state's own Bloch direction, which attains the largest probability that
-    two copies agree, (1 + P)/2 (1/2 for a state without a direction).  Every
-    term is computed for the whole stack at once.
+    |(purity via the complete set) - P|.  The second is the larger of two
+    deviations for the Pauli map X along the state's own Bloch direction,
+    which should attain the largest probability that two copies agree,
+    (1 + P)/2 (1/2 for a state without a direction):
+    |1/2 (1 + X(omega)^2) - 1/2 (1 + P)|, and, as in the exact row, the
+    largest excess <b, x>^2 - <b, b> over the maps x of the complete set, or
+    0, which is positive when X is no measurement.  The first part holds for
+    a Gram of any scale, since X is normalized by the Gram it checks; the
+    second fails a Gram that gives pure states a purity above 1.  Every term
+    is computed for the whole stack at once.
     """
     gram = grouprep.analytic_gram(space)
     pset = complete_pauli_set(space, gram)
@@ -188,5 +193,8 @@ def pauli_identity_deviations(space: SpaceDescriptor,
     directed = p >= MIXED_PURITY_FLOOR
     x = gram.apply(pauli_vectors(space, gram, b[directed]))
     attained[directed] = 0.5 * (1.0 + _row_dots(x, b[directed]) ** 2)
-    cdev = np.max(np.abs(attained - 0.5 * (1.0 + p)), initial=0.0)
+    squares = np.einsum("mk,xk->mx", b, np.stack([y.covector for y in pset])) ** 2
+    excess = np.max(squares, axis=1) - p
+    cdev = max(np.max(np.abs(attained - 0.5 * (1.0 + p)), initial=0.0),
+               np.max(excess, initial=0.0))
     return float(dev), float(cdev)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_invariant_forms_match_the_elimination():
 
 
 def test_pure_product_states_have_purity_one():
-    prod, _ = bw.vertex_purities()
+    prod = [bw.purity(v) for v in bw.vertices()[:BOXWORLD_PRODUCT_COUNT]]
     assert prod == [1] * 16
     assert all(isinstance(p, ss.Cyc) for p in prod)
     for v in bw.vertices()[:BOXWORLD_PRODUCT_COUNT]:
@@ -87,7 +88,7 @@ def test_pure_product_states_have_purity_one():
 
 def test_pr_state_purity_is_exactly_one_third():
     assert boxworld_purity(boxworld_pr_state()) == 1 / 3
-    _, pr = bw.vertex_purities()
+    pr = [bw.purity(v) for v in bw.vertices()[BOXWORLD_PRODUCT_COUNT:]]
     assert pr == [ss.rational(1, 3)] * 8
     for v in bw.vertices()[BOXWORLD_PRODUCT_COUNT:]:
         assert abs(boxworld_purity(_unscaled(v)) - 1 / 3) <= 1e-15
@@ -153,25 +154,27 @@ def test_group_elements_preserve_cone(rng):
 
 
 def test_obstruction_solution_is_three_zero():
-    rec = bw.boxworld_normalization_obstruction()
-    assert (rec.solution_a, rec.solution_b) == (3, 0)
-    # Coefficients of (a, b) in the two purity expressions: (1/3, 2/3), (1/3, 0).
-    assert rec.product_coefficients == (ss.rational(1, 3), ss.rational(2, 3))
-    assert rec.pr_coefficients == (ss.rational(1, 3), 0)
+    assert bw.normalizing_weights() == (3, 0)
+    # Coefficients of (a, b) in the two purity expressions, on the first product and
+    # the first PR vertex: (1/3, 2/3), (1/3, 0).
+    verts = bw.vertices()
+    assert [(bw.purity(v, 1, 0), bw.purity(v, 0, 1))
+            for v in (verts[0], verts[BOXWORLD_PRODUCT_COUNT])] == [
+        (ss.rational(1, 3), ss.rational(2, 3)), (ss.rational(1, 3), 0)]
 
 
 def test_obstruction_degenerate_gram_zero_on_nontrivial_state():
-    rec = bw.boxworld_normalization_obstruction()
-    assert rec.zero_purity_value == 0
-    witness = _unscaled(rec.zero_purity_state)
+    a, b = bw.normalizing_weights()
+    assert bw.purity(bw.MARGINAL_STATE, a, b) == 0
+    witness = _unscaled(bw.MARGINAL_STATE)
     space = build_boxworld_bipartite()
     assert np.max(np.abs(witness - space.max_mixed)) > 0.5
     assert boxworld_purity(witness, BoxworldGram(a=3.0, b=0.0)) == 0.0
 
 
 def test_degenerate_gram_normalizes_both_families():
-    rec = bw.boxworld_normalization_obstruction()
-    assert [bw.purity(v, rec.solution_a, rec.solution_b) for v in bw.vertices()] == [1] * 24
+    a, b = bw.normalizing_weights()
+    assert [bw.purity(v, a, b) for v in bw.vertices()] == [1] * 24
     degenerate = BoxworldGram(a=3.0, b=0.0)
     for v in bw.vertices():
         assert abs(boxworld_purity(_unscaled(v), degenerate) - 1.0) <= 1e-15
@@ -184,3 +187,33 @@ def test_purity_separates_vertex_classes_over_group(monkeypatch):
     off = ((0, 4, 2, 3, 1, 5, 6, 7, 8), (0,) * 9)
     monkeypatch.setattr(bw, "GENERATORS", (*bw.GENERATORS, off))
     assert not bw.transitivity_obstruction_witness()
+
+
+def test_the_witness_walks_two_orbits_in_little_memory(monkeypatch):
+    # The orbits of the first product vertex and of PR decide it.  A walk from
+    # each of the 24 vertices peaks at 183 KiB of traced 9-tuples; the two walks
+    # of 16 and 8 states stay far below 64 KiB.  The vertices are cached first,
+    # so their own walk from PR is not counted.
+    bw.vertices()
+    walks, walk = [], gr.orbit
+
+    def orbit(v, maps, r):
+        walks.append(v)
+        return walk(v, maps, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(bw.grouprep, "orbit", orbit)
+        assert bw.transitivity_obstruction_witness()
+    assert walks == [bw.vertices()[0], bw.PR]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert bw.transitivity_obstruction_witness()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -94,8 +94,24 @@ def test_a_doubled_gram_fails_the_collision_row(monkeypatch):
         assert by_name[f"collision-{name}"].passed, name
 
 
+@pytest.mark.parametrize("space", [ss.build_quantum(2), ss.build_classical(4), ss.build_polygon(4),
+                                   ss.build_polygon(5)], ids=lambda s: f"{s.kind}-{s.level}")
+def test_a_doubled_gram_fails_the_reference_collision_value(space, monkeypatch):
+    # The float reference of the collision row, on the suite's states: twice
+    # the Gram makes a pure state's own map read <b, x>^2 = 4 on it, against
+    # <b, b> = 2, so the value is about 2; it must be at least 1.
+    states = ss.with_midpoints(grouprep.orbit_pures(space))
+    assert max(pur.pauli_identity_deviations(space, states)) <= 1e-12
+    gram = grouprep.analytic_gram
+    monkeypatch.setattr(pur.grouprep, "analytic_gram",
+                        lambda s: gram(s)._replace(scale=2 * gram(s).scale))
+    _, cdev = pur.pauli_identity_deviations(space, states)
+    assert cdev >= 1
+
+
 def _per_state_pauli_deviations(space, states):
-    """The per-state route: one purity, Pauli-set sum and collision optimizer per state."""
+    """The per-state route: one purity, Pauli-set sum, collision optimizer and measurement
+    condition per state."""
     gram = grouprep.analytic_gram(space)
     pset = complete_pauli_set(space, gram)
     dev = cdev = 0.0
@@ -104,7 +120,8 @@ def _per_state_pauli_deviations(space, states):
         dev = max(dev, abs(purity_via_pauli_set(pset, omega) - p))
         x = max_collision_probability(space, gram, omega).optimizer
         attained = 0.5 if x is None else 0.5 * (1.0 + pauli_value(x, omega) ** 2)
-        cdev = max(cdev, abs(attained - 0.5 * (1.0 + p)))
+        excess = max(pauli_value(y, omega) ** 2 for y in pset) - p
+        cdev = max(cdev, abs(attained - 0.5 * (1.0 + p)), excess)
     return dev, cdev
 
 

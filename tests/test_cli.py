@@ -506,6 +506,7 @@ _D, _H = "9" * 2200, "9" * 4299
     ["verify", "no-such-suite"],
     ["no-such-command"],
     ["two-design", "--k", "3"],
+    ["coin-record", "--s0", "4", "--seed"],
     *(argv for argv, _ in _STRAY),
 ])
 def test_bad_input_exits_one_with_one_line(argv, tmp_path):
@@ -767,7 +768,9 @@ def test_table_parser_reads_argv_as_argparse_did(argvs):
         ["verify", "boxworld", "--seed=1", "--"], ["verify", "-5", "-h"], ["verify", "-.5", "-h"],
         ["verify", "-1.5.1", "-h"], ["verify", "--x y", "-h"], ["--s0= 4", "--h"],
         ["predict", "main", "-h", "--n=3"], ["predict", "main", "--bogus", "-h"],
-        ["predict", "main", "--help=1"], ["-hx", "predict"], ["two-design", "-h=1"]]),
+        ["predict", "main", "--help=1"], ["-hx", "predict"], ["two-design", "-h=1"],
+        # An option that takes a value, last and without one.
+        ["coin-record", "--s0", "4", "--seed"]]),
 ])
 def test_table_parser_reads_edge_cases_as_argparse_did(argv, joined):
     _check_like_argparse(argv, joined)

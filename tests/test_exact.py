@@ -21,6 +21,7 @@ from gptpurity import composite as cm
 from gptpurity import grouprep as gr
 from gptpurity import purity as pur
 from gptpurity import statespace as ss
+from gptpurity.errors import InvalidDimensionError, UnsupportedSpaceError
 from gptpurity.statespace import Cyc
 from reference import composite as cm_ref
 from reference import grouprep as gr_ref
@@ -319,6 +320,15 @@ def test_a_perturbed_exact_gram_fails_its_invariance_check(gram, r, gens):
     gram = dict(gram)
     perturbed = tuple({**gram, (1, 1): gram.get((1, 1), 0) + ss.rational(1, 10**6)}.items())
     assert gr.invariance_deviation(perturbed, gens, r) > 1e-7
+
+
+def test_exact_builders_refuse_what_they_cannot_build():
+    # A classical space needs two outcomes, and only the built-in spaces have generators.
+    with pytest.raises(InvalidDimensionError,
+                       match="^classical outcome count must be >= 2, got 1$"):
+        ss.build_classical(1)
+    with pytest.raises(UnsupportedSpaceError, match="^no finite group for quantum-4$"):
+        gr.group_generators(ss.QUBIT._replace(level=4))
 
 
 def test_cyclotomic_arithmetic_is_exact():

@@ -33,6 +33,16 @@ def test_antisym_of_single_level_is_empty(capsys):
         "gptpurity: error: the antisymmetric subspace of one level is empty\n")
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_a_sign_other_than_plus_or_minus_one_is_refused(sign):
+    # The command line reads only + and -; the one face check refuses any other sign.
+    for call in (lambda: faces.estimate_face_local_purity(3, sign, 1.0, 10, 1),
+                 lambda: formulas.predict_symm(3, sign, 1.0),
+                 lambda: formulas.predict_qface(3, sign, 1.0)):
+        with pytest.raises(RangeError, match=f"^sign must be \\+1 or -1, got {sign}$"):
+            call()
+
+
 def _partial_trace(rho, dims):
     """The A marginal Tr_B of a (d_a d_b) square matrix."""
     da, db = dims

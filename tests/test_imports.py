@@ -131,7 +131,7 @@ def test_clifford_makes_no_blas_call():
 
 
 @pytest.mark.parametrize("name,modules", [
-    ("boxworld.py", {"__future__", "functools", "typing"}),
+    ("boxworld.py", {"__future__", "functools"}),
     ("checks.py", {"__future__", "math"}),
 ])
 def test_boxworld_suite_makes_no_blas_call(name, modules):

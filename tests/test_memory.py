@@ -145,11 +145,12 @@ def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
 def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbytes):
     # A face holds its level count and sign, and builds no joint descriptor.
     # The prediction builds no isometry either: its index sums take 400 terms
-    # over the pair columns that meet the default probe, and give
+    # over the pair columns that meet the fixed probe, and give
     # n/4 + 1/2 = 50.5.  The estimator's block of 1024 in-face kets, laid
-    # out in C^90000 one slice at a time, is refused by the ket block's own
-    # check: the in-face real parts of the block, and one slice's kets in
-    # C^90000 with their Grams.
+    # out in C^90000 one slice at a time, is refused before its first draw by
+    # randomize._estimate's check of the count that blocks._ket_draw gives:
+    # the in-face real parts of the block, and one slice's kets in C^90000
+    # with their Grams.
     proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
     assert "Traceback" not in proc.stderr
     assert rss < MAX_RSS_MB
@@ -482,7 +483,8 @@ def test_oversized_local_estimate_exits_one_before_allocating(tmp_path):
 def test_oversized_real_quantum_joint_is_refused_before_anything_is_built(tmp_path, argv):
     # The prediction needs only the level counts, so no joint descriptor is
     # built; what grows with the levels is the estimator's ket block, refused
-    # by its own check.
+    # before its first draw by randomize._estimate's check of the count that
+    # blocks._ket_draw gives.
     argv, refusal = argv
     proc, rss = _run_cli(tmp_path, argv, address_limit=4 << 30)
     assert rss < MAX_RSS_MB
