@@ -33,8 +33,6 @@ import numpy as np
 # Samples per slice of a ket block, which bounds the temporaries of its
 # layout and pair sums.  No value depends on it.
 SLICE_SIZE = 512
-# Elementwise products of a ket block's pair sums per term of the work cap.
-PRODUCTS_PER_TERM = 512
 # Such products per permuted element of a classical block: 11-16 ns against
 # 1.4-2.8 ns per product on a 2-core x86-64 VM.
 PRODUCTS_PER_ELEMENT = 8
@@ -138,13 +136,13 @@ def _haar_ket_block(
     """
     na, nb = dims
     n_s = na * nb if swap is None else na * (na + swap) // 2
-    # Slices of at least two samples: numpy sums the vectors of two or more
-    # samples in order, but one sample's pairwise.
-    step = max(SLICE_SIZE, 2)
     # Every real part is drawn before any imaginary part, as in one draw of the block.
+    # No slice holds one sample alone: numpy sums the vectors of two or more
+    # samples in order, but one sample's pairwise.
+    slices = np.split(rng.standard_normal((size, n_s)), range(SLICE_SIZE, size - 1, SLICE_SIZE))
     norm_sq, tr_w2 = np.hstack([
         _gram_traces(_ket_rows([x] if real else [x, rng.standard_normal(x.shape)], dims, swap))
-        for x in np.split(rng.standard_normal((size, n_s)), range(step, size - 1, step))])
+        for x in slices])
     if swap is None:
         return t * t * (na * tr_w2 - norm_sq**2) / (na - 1), t * t * norm_sq**2
     cross = 2.0 * t * (1.0 - t) * norm_sq + (1.0 - t) ** 2
@@ -166,11 +164,10 @@ def _ket_draw(t: float, dims: tuple[int, int], *, real: bool = False,
     def cost(size: int) -> tuple[int, str, int, str]:
         # The real parts of every ket and 8 per-sample vectors; in one slice, the imaginary
         # parts and the kets' rows, then the pair sums' two products and the parts of W.
-        return (8 * (size * (n_s + 8) + min(size, max(SLICE_SIZE, 2) + 1) * (
+        return (8 * (size * (n_s + 8) + min(size, SLICE_SIZE + 1) * (
                     parts * (n_s + dim + 2 * length) - n_s + 2 * k**2)),
                 f"{size} kets in dimension {dim} ({size} x {n_s} real parts) and their Grams",
-                size * products, f"the pair sums of {size} kets' {k} x {k} Grams "
-                                 f"({PRODUCTS_PER_TERM} products per term)")
+                size * products, f"the pair sums of {size} kets' {k} x {k} Grams")
 
     return partial(_haar_ket_block, t=t, dims=dims, real=real, swap=swap), cost
 
@@ -204,6 +201,6 @@ def _permutation_draw(k: int, k_a: int, rest: float, head: int, value: float,
         # the local and global purities and a temporary of the closed form.
         return (8 * (k + size * (k + k_a + 3)), f"{what} and a block of {size} permutations of it",
                 size * k * PRODUCTS_PER_ELEMENT, f"{size} permutations of {what} "
-                f"({PRODUCTS_PER_ELEMENT} products per element, {PRODUCTS_PER_TERM} per term)")
+                f"({PRODUCTS_PER_ELEMENT} products per element)")
 
     return block, cost

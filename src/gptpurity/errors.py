@@ -6,22 +6,21 @@ so a NaN value fails; it is the only pass/fail rule of the package.
 What grows with a request (an estimate's per-sample arrays and its first
 block, the exact integers of the power-law level count) is checked against
 ``MEMORY_CAP_BYTES`` by ``check_memory`` before it is allocated, and its work
-against ``WORK_CAP_TERMS`` by ``check_work`` before it starts; an estimate is
-checked by ``randomize._estimate`` alone, as a whole.  A term of the face
-prediction's index sums is one pure-Python addition; a term of an estimate is
-``blocks.PRODUCTS_PER_TERM`` = 512 elementwise numpy products of its kets'
-pair sums, which took 0.7-1.6 us on a 2-core x86-64 VM (quantum 16 x 64 and
-32 x 32, real 48 x 48, faces at n = 20 to 80), or 64 permuted classical
-elements.  So one prediction, or one whole estimate, is capped at about 7-16 s.
+against ``WORK_CAP_PRODUCTS`` by ``check_work`` before it starts; an estimate
+is checked by ``randomize._estimate`` alone, as a whole.  Its work is counted
+in elementwise numpy products of its kets' pair sums, 1.4-3.1 ns each on a
+2-core x86-64 VM (quantum 16 x 64 and 32 x 32, real 48 x 48, faces at n = 20
+to 80), or ``blocks.PRODUCTS_PER_ELEMENT`` per permuted classical element.
+So one whole estimate is capped at about 7-16 s.  Every closed form is
+arithmetic on its inputs and needs no work cap.
 """
 
 from typing import NamedTuple
 
 # Largest single array a request may allocate when it grows with the request.
 MEMORY_CAP_BYTES = 1 << 30
-# Most terms a sum may take when it grows with the request: 9-15 s of
-# `predict qface` on a 2-core x86-64 VM.
-WORK_CAP_TERMS = 10**7
+# Most elementwise products an estimate may take: 7-16 s on a 2-core x86-64 VM.
+WORK_CAP_PRODUCTS = 512 * 10**7
 # Tolerance of the exact identities checked in floating point.
 EXACT = 1e-12
 
@@ -46,20 +45,8 @@ class GptPurityError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidDimensionError(GptPurityError, ValueError):
-    """A builder was asked for a dimension outside its valid range."""
-
-
 class RangeError(GptPurityError, ValueError):
-    """A numeric argument lies outside its documented range."""
-
-
-class UnsupportedSpaceError(GptPurityError, ValueError):
-    """The requested operation is not defined for this space kind."""
-
-
-class EmptyFaceError(GptPurityError, ValueError):
-    """The requested face contains no states."""
+    """An input lies outside the range its function or formula is defined on."""
 
 
 class InternalError(GptPurityError):
@@ -74,11 +61,11 @@ def check_memory(nbytes: int, what: str) -> None:
         )
 
 
-def check_work(terms: int, what: str) -> None:
-    """Refuse, before summing, ``what`` taking more than ``WORK_CAP_TERMS`` terms."""
-    if terms > WORK_CAP_TERMS:
+def check_work(products: int, what: str) -> None:
+    """Refuse, before it starts, ``what`` taking more than ``WORK_CAP_PRODUCTS`` products."""
+    if products > WORK_CAP_PRODUCTS:
         raise RangeError(
-            f"{what} would sum {terms} terms, over the {WORK_CAP_TERMS}-term work cap"
+            f"{what} would take {products} products, over the {WORK_CAP_PRODUCTS}-product work cap"
         )
 
 

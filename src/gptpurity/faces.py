@@ -13,9 +13,9 @@ not a face.
 
 The face's predictions need no face: ``formulas.predict_symm`` is the closed
 form (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2), and ``formulas.predict_qface``
-takes its ingredient Tr[(pi (E_A (x) I) pi)^2] by index sums.  ``formulas``
-also holds the face purity range and the recorded coin's record check and exact
-spread.
+the paper's general formula with its ingredient Tr[(pi (E_A (x) I) pi)^2] =
+(n +- 2)/4.  ``formulas`` also holds the face purity range and the recorded
+coin's record check and exact spread.
 """
 
 from __future__ import annotations

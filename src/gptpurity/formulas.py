@@ -12,8 +12,8 @@ so every closed form here is integer and float arithmetic:
 * symm:        (1 + Tr rho^2) (n +- 1) / (n^2 +- n + 2), the expected
   Tr(rho_A^2) on the (anti)symmetric subspace of C^n (x) C^n.
 * qface:       1/N_A + (N_A^2-1)/(N_S^2-1) * Tr[(pi (E_A (x) I) pi)^2]
-  * (Tr rho^2 - 1/N_S), the same expectation with its ingredient summed over
-  the face's pair indices, not taken from n/4 +- 1/2.
+  * (Tr rho^2 - 1/N_S), the same expectation from the paper's general
+  formula, with its ingredient (n + 2 sign)/4.
 * coin-record: 1/(2 s0 - 1), a coin tossed against a recording environment.
 
 ``main``, ``general``, ``power-law`` and ``nonlocaltomo`` are each one
@@ -30,14 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    EmptyFaceError,
-    InvalidDimensionError,
-    RangeError,
-    UnsupportedSpaceError,
-    check_memory,
-    check_work,
-)
+from .errors import RangeError, check_memory
 
 # The level-count theories, each with K(n), the degrees of freedom of one
 # system on n levels; a joint of n_A n_B levels has K_AB = K(n_A n_B).
@@ -89,10 +82,10 @@ def predict_main(k_a: int, k_b: int, n_a: int, n_b: int, p0: float) -> Predictio
 def _check_levels(theory: str, n_a: int, n_b: int) -> None:
     """Refuse a theory without a level-count table, then a part of fewer than two levels."""
     if theory not in _DEGREES_OF_FREEDOM:
-        raise UnsupportedSpaceError(f"no level-count composite for theory {theory!r}")
+        raise RangeError(f"no level-count composite for theory {theory!r}")
     for n in (n_a, n_b):
         if n < 2:
-            raise InvalidDimensionError(f"{theory} level count must be >= 2, got {n}")
+            raise RangeError(f"{theory} level count must be >= 2, got {n}")
 
 
 def predict_general(theory: str, n_a: int, n_b: int, p0: float) -> Prediction:
@@ -175,40 +168,24 @@ def _check_face(n: int, sign: int) -> None:
     if sign not in (1, -1):
         raise RangeError(f"sign must be +1 or -1, got {sign}")
     if sign == -1 and n == 1:
-        raise EmptyFaceError("the antisymmetric subspace of one level is empty")
+        raise RangeError("the antisymmetric subspace of one level is empty")
     if n < 2:
-        raise InvalidDimensionError(f"need n >= 2, got {n}")
-
-
-def _probe_trace_sq(n: int, sign: int) -> float:
-    """Tr[(pi (E_A (x) I) pi)^2] for E_A = e (|1><1| - |2><2|), e = 1/sqrt 2, by index sums.
-
-    It is sum_k |pi (E_A (x) I) c_k|^2 over the face's columns c_k, |ii> or
-    (|ij> + sign |ji>)/sqrt 2 for a pair i <= j (i < j when antisymmetric),
-    with pi = (I + sign SWAP)/2.  Only a column with i or j in {1, 2} adds:
-    |11> and |22> add e^2 each on the symmetric face, the pair {1, 2} adds 0,
-    and each pair {1, j} or {2, j}, j >= 3, adds (e/sqrt 2)^2 / 2.  Those of
-    1 come first, then those of 2, each in the order of j.
-    """
-    e = 1.0 / math.sqrt(2)
-    v = math.sqrt(0.5) * e
-    total = 0.0
-    for _ in range(2):
-        if sign == 1:
-            total += e * e
-        for _ in range(2, n):
-            total += v * v / 2
-    return total
+        raise RangeError(f"need n >= 2, got {n}")
 
 
 def predict_qface(n: int, sign: int, tr_purity_global: float) -> Prediction:
-    """Expected local collision value Tr(rho_A^2) for a quantum face, by index sums.
+    """Expected local collision value Tr(rho_A^2) for a quantum face, by the general formula.
 
     The face is the symmetric (``sign`` +1) or antisymmetric (-1) subspace of
     C^n (x) C^n, of dimension N_S = n(n + sign)/2.  The local action is
     irreducible, so the ingredient Tr[(pi (E_A (x) I) pi)^2] is the same for
-    every traceless Hermitian E_A with Tr E_A^2 = 1; it is summed for one
-    (``_probe_trace_sq``), 2n terms at most, counted against the work cap first.
+    every traceless Hermitian E_A with Tr E_A^2 = 1.  For E_A = e (|1><1| -
+    |2><2|), e = 1/sqrt 2, and pi = (I + sign SWAP)/2 it is
+    sum_k |pi (E_A (x) I) c_k|^2 over the face's columns c_k, |ii> or
+    (|ij> + sign |ji>)/sqrt 2 for a pair i <= j (i < j when antisymmetric).
+    Only a column with i or j in {1, 2} adds: |11> and |22> add 1/2 each on
+    the symmetric face, the pair {1, 2} adds 0, and each of the 2(n - 2)
+    pairs {1, j} or {2, j}, j >= 3, adds 1/8.  So it is (n + 2 sign)/4.
     """
     _check_face(n, sign)
     n_s = n * (n + sign) // 2
@@ -216,9 +193,7 @@ def predict_qface(n: int, sign: int, tr_purity_global: float) -> Prediction:
     if n_s == 1:
         value, ingredient = 1.0 / n, 0.0
     else:
-        check_work(2 * (n if sign == 1 else n - 1),
-                   f"the probe's action on a {n_s}-dimensional face")
-        ingredient = _probe_trace_sq(n, sign)
+        ingredient = (n + 2 * sign) / 4
         value = 1.0 / n + (n**2 - 1) / (n_s**2 - 1) * ingredient * (tr_purity_global - 1.0 / n_s)
     return Prediction(value=value, formula_id="qface",
                       inputs={"N_A": n, "N_S": n_s, "tr_purity_global": tr_purity_global,

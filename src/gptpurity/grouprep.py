@@ -17,7 +17,7 @@ Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007).
 from __future__ import annotations
 
 from . import statespace as ss
-from .errors import UnsupportedSpaceError
+from .errors import RangeError
 
 Map = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -132,7 +132,7 @@ def clifford_generators(k: int) -> tuple[Map, ...]:
     if k == 1:
         return _H, _S
     if k != 2:
-        raise UnsupportedSpaceError(f"Clifford generators support k in (1, 2), got {k}")
+        raise RangeError(f"Clifford generators support k in (1, 2), got {k}")
     eye = ((0, 1, 2, 3), (0,) * 4)
     return kron(_H, eye, 2), kron(eye, _H, 2), kron(_S, eye, 2), kron(eye, _S, 2), _CNOT
 
@@ -147,4 +147,4 @@ def group_generators(space: ss.Space) -> tuple[int, tuple[Map, ...]]:
         return 2, (((1, 0, *range(2, n)), zeros), (tuple((i - 1) % n for i in range(n)), zeros))
     if (space.kind, n) in _GENERATORS:
         return _GENERATORS[space.kind, n]
-    raise UnsupportedSpaceError(f"no finite group for {space.kind}-{n}")
+    raise RangeError(f"no finite group for {space.kind}-{n}")

@@ -107,15 +107,16 @@ def _option(item: str, names: list[str]) -> tuple[str | None, str | None] | None
 
     An option gives (its name, its ``=`` value or None): ``--name`` and
     ``--name=value`` by the whole name or, as ``allow_abbrev``, by the one
-    name they begin (a prefix of two names is an error), and ``-h`` as
-    ``--help``.  An unknown option gives (None, None), and a positional item
-    None: one that does not begin with a dash, ``-``, ``--``, a negative
-    number, or an unknown one that holds a space.
+    name they begin (a prefix of two names is an error), and ``-h``,
+    ``-hvalue`` and ``-h=value`` as ``--help``.  An unknown option gives
+    (None, None), and a positional item None: one that does not begin with a
+    dash, ``-``, ``--``, a negative number, or an unknown one that holds a
+    space.
     """
     if not item.startswith("-") or item in ("-", "--"):
         return None
     if item.startswith("-h"):
-        return "--help", item[2:] or None
+        return "--help", item[3:] if item[2:3] == "=" else item[2:] or None
     name, eq, value = item.partition("=")
     found = ([name] if name in names
              else [n for n in names if n.startswith(name)] if name.startswith("--") else [])
@@ -175,7 +176,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             name, text = found
             kind = bool if name == "--help" else options[name][0]
             if kind is bool and text is not None:
-                _fail(f"argument {name}: ignored explicit argument {text!r}")
+                shown = "-h/--help" if name == "--help" else name
+                _fail(f"argument {shown}: ignored explicit argument {text!r}")
             if name == "--help":
                 from .usage import _help
 
@@ -185,9 +187,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 text = next(items, (None, None))[1]
                 if text is None:
                     _fail(f"argument {name}: expected one argument")
+            # Like argparse, convert the value before refusing the other target.
+            values[name[2:]] = True if kind is bool else _value(name, kind, text)
             if _ONE_OF.get(name) in seen:
                 _fail(f"argument {name}: not allowed with argument {_ONE_OF[name]}")
-            values[name[2:]] = True if kind is bool else _value(name, kind, text)
             seen.add(name)
         elif options is None:
             words = [p[-1] for p in _TABLE if p[:-1] == path]
@@ -199,7 +202,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             about, options = _TABLE[path]
             if options is not None:
                 options = {**_COMMON, **options}
-                names = [name for name in options if name.startswith("--")] + ["--help"]
+                names = ["--help"] + [name for name in options if name.startswith("--")]
                 values.update((name.lstrip("-").lower(), None if spec[1] is _REQUIRED else spec[1])
                               for name, spec in options.items())
                 # Like argparse, refuse an ambiguous prefix before reading any option.

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import PRODUCTS_PER_TERM, _ket_draw, _permutation_draw
+from .blocks import _ket_draw, _permutation_draw
 from .errors import InternalError, check_memory, check_run, check_work
 from .formulas import CLASSICAL, REAL_QUANTUM, _check_levels, _check_p0
 
@@ -160,8 +160,7 @@ def _estimate(n_samples: int, seed: int, draw: Callable, cost: Callable,
     # (``std``'s deviations or the values' bins).
     check_memory(3 * 8 * n_samples, f"3 arrays of {n_samples} per-sample values")
     check_memory(*cost(min(n_samples, BLOCK_SIZE))[:2])
-    _, _, products, what = cost(n_samples)
-    check_work(-(-products // PRODUCTS_PER_TERM), what)
+    check_work(*cost(n_samples)[2:])
     vals = np.empty(n_samples)
     gvals = np.empty(n_samples)
     for b, lo in enumerate(range(0, n_samples, BLOCK_SIZE)):

@@ -15,7 +15,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import InvalidDimensionError
+from .errors import RangeError
 
 KIND_QUANTUM = "quantum"
 KIND_CLASSICAL = "classical"
@@ -140,7 +140,7 @@ def with_midpoints(states: tuple) -> tuple:
 def build_classical(n: int) -> Space:
     """n outcomes: the point masses, and the Gram (n delta_ij - 1)/(n - 1)."""
     if n < 2:
-        raise InvalidDimensionError(f"classical outcome count must be >= 2, got {n}")
+        raise RangeError(f"classical outcome count must be >= 2, got {n}")
     pures = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     gram = tuple(((i, j), rational(n * a - 1, n - 1)) for i, row in enumerate(pures)
                  for j, a in enumerate(row))

@@ -23,7 +23,7 @@ import numpy as np
 from gptpurity import errors
 from reference import grouprep as gr
 from reference import statespace as ss
-from gptpurity.errors import GptPurityError, RangeError, UnsupportedSpaceError
+from gptpurity.errors import GptPurityError, RangeError
 
 DEFAULT_GRAM_SAMPLES = 20_000
 # Random Bloch vectors the irreducibility diagnostic averages over.
@@ -92,7 +92,7 @@ def sample_pures(space: ss.SpaceDescriptor, rng: np.random.Generator, size: int)
         return e
     if space.vertices is not None:
         return space.vertices[rng.integers(len(space.vertices), size=size)]
-    raise UnsupportedSpaceError(f"no pure-state sampler for kind {space.kind!r}")
+    raise RangeError(f"no pure-state sampler for kind {space.kind!r}")
 
 
 def fixed_purity_state(space: ss.SpaceDescriptor, p0: float,

@@ -17,7 +17,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from gptpurity.errors import UnsupportedSpaceError
+from gptpurity.errors import RangeError
 
 # The units of the Gaussian integers.
 _UNITS = (1, 1j, -1, -1j)
@@ -122,7 +122,7 @@ def clifford_traces(k: int = 1) -> Iterator[tuple[int, complex]]:
     if k == 1:
         return ((kg, g[0] + g[3]) for kg, g in one_qubit_group())
     if k != 2:
-        raise UnsupportedSpaceError(f"Clifford enumeration supports k in (1, 2), got {k}")
+        raise RangeError(f"Clifford enumeration supports k in (1, 2), got {k}")
     c1, reps = _two_qubit_factors()
     # w[b][r] = (k_b + k_r, w_(b, r, j, i) at 2 i + j, like a_ij), with b_kl at 2 p + q.
     w = [[(kb + kr, [sum(b[2 * p + q] * r[8 * j + 4 * q + 2 * i + p]

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gptpurity.errors import UnsupportedSpaceError
+from gptpurity.errors import RangeError
 
 from . import InconsistencyError, statespace as ss
 from .grouprep import GramMatrix
@@ -82,7 +82,7 @@ def capacity_witness(space: SpaceDescriptor) -> ClassicalSubsystemWitness:
         return ClassicalSubsystemWitness(states=eye, effects=eye.copy(), centered=True)
     if space.kind == ss.KIND_POLYGON:
         return _polygon_witness(space)
-    raise UnsupportedSpaceError(f"no capacity witness for kind {space.kind!r}")
+    raise RangeError(f"no capacity witness for kind {space.kind!r}")
 
 
 class CenteredReport(NamedTuple):

@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from gptpurity import errors
-from gptpurity.errors import UnsupportedSpaceError
+from gptpurity.errors import RangeError
 from gptpurity.statespace import Cyc
 
 import cliffords
@@ -129,7 +129,7 @@ def group_elements(space: ss.SpaceDescriptor) -> np.ndarray:
         t[0, :, 1, 2], t[0, :, 2, 2] = -s, c
         t[1, :, 1, 2], t[1, :, 2, 2] = s, -c
         return t.reshape(-1, 3, 3)
-    raise UnsupportedSpaceError(f"no enumerated group for {space.kind}-{space.level}")
+    raise RangeError(f"no enumerated group for {space.kind}-{space.level}")
 
 
 # -- invariant inner product -------------------------------------------------------------
@@ -190,7 +190,7 @@ def analytic_gram(space: ss.SpaceDescriptor) -> GramMatrix:
     elif space.kind == ss.KIND_POLYGON:
         scale = 1.0
     else:
-        raise UnsupportedSpaceError(
+        raise RangeError(
             f"no pure-normalized invariant gram for kind {space.kind!r}"
         )
     return GramMatrix(scale, space.order_unit)
@@ -211,7 +211,7 @@ def clifford_elements(space: ss.SpaceDescriptor) -> np.ndarray:
     Eisert, J. Math. Phys. 48, 052104, 2007).
     """
     if space.kind != ss.KIND_QUANTUM or space.level != 2:
-        raise UnsupportedSpaceError(f"no one-qubit Clifford group on {space.kind}-{space.level}")
+        raise RangeError(f"no one-qubit Clifford group on {space.kind}-{space.level}")
     return conjugation_matrix(space, clifford_unitaries())
 
 
@@ -228,7 +228,7 @@ def orbit_pures(space: ss.SpaceDescriptor) -> np.ndarray:
     if space.kind == ss.KIND_CLASSICAL:
         return np.eye(space.K)
     if space.kind != ss.KIND_QUANTUM or space.level != 2:
-        raise UnsupportedSpaceError(f"no pure-state orbit for {space.kind}-{space.level}")
+        raise RangeError(f"no pure-state orbit for {space.kind}-{space.level}")
     first = {}
     for i, (k, g) in enumerate(clifford.one_qubit_group()):
         first.setdefault(clifford.canonical(k, g[0::2]), i)
@@ -269,7 +269,7 @@ def group_generators(space: ss.SpaceDescriptor) -> np.ndarray:
         c, s = math.cos(1.0), math.sin(1.0)
         us = np.array([[[c, -s], [s, c]], [[1.0, 0.0], [0.0, -1.0]]])
     else:
-        raise UnsupportedSpaceError(f"no generator set for {space.kind}-{space.level}")
+        raise RangeError(f"no generator set for {space.kind}-{space.level}")
     return conjugation_matrix(space, us)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gptpurity.errors import UnsupportedSpaceError
+from gptpurity.errors import RangeError
 
 from . import DegenerateDirectionError, grouprep
 from . import statespace as ss
@@ -117,7 +117,7 @@ def complete_pauli_set(
         n = space.level
         k = n.bit_length() - 1
         if 2**k != n:
-            raise UnsupportedSpaceError(
+            raise RangeError(
                 f"complete Pauli sets need a qubit register; level {n} is not a power of 2"
             )
         # Every string but the leading identity, as one to_coords stack.
@@ -136,7 +136,7 @@ def complete_pauli_set(
         n = space.level
         blochs = space.bloch(space.vertices[:n if n % 2 else n // 2])
         return tuple(PauliMap(space=space, gram=gram, vector=v) for v in blochs)
-    raise UnsupportedSpaceError(f"no complete Pauli set for kind {space.kind!r}")
+    raise RangeError(f"no complete Pauli set for kind {space.kind!r}")
 
 
 def purity_via_pauli_set(pset: tuple[PauliMap, ...], omega: np.ndarray) -> float | np.ndarray:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gptpurity.errors import InvalidDimensionError, UnsupportedSpaceError, check_memory
+from gptpurity.errors import RangeError, check_memory
 
 from . import NormalizationError
 
@@ -115,7 +115,7 @@ class SpaceDescriptor:
 
     def _require_matrix_form(self) -> None:
         if self.kind not in _MATRIX_KINDS:
-            raise UnsupportedSpaceError(f"space kind {self.kind!r} has no matrix form")
+            raise RangeError(f"space kind {self.kind!r} has no matrix form")
 
     def _layout(self) -> FactorLayout:
         self._require_matrix_form()
@@ -249,7 +249,7 @@ def build_quantum(n: int) -> SpaceDescriptor:
     K = n^2, N = n; the maximally mixed state is identity/n.
     """
     if n < 2:
-        raise InvalidDimensionError(f"quantum level count must be >= 2, got {n}")
+        raise RangeError(f"quantum level count must be >= 2, got {n}")
     return _matrix_space(KIND_QUANTUM, n, n * n)
 
 
@@ -271,7 +271,7 @@ def _matrix_space(kind: str, n: int, k: int) -> SpaceDescriptor:
 def build_classical(n: int) -> SpaceDescriptor:
     """Classical n-outcome system: probability vectors, K = N = n."""
     if n < 2:
-        raise InvalidDimensionError(f"classical outcome count must be >= 2, got {n}")
+        raise RangeError(f"classical outcome count must be >= 2, got {n}")
     check_memory(DESCRIPTOR_BYTES_PER_COORD * n, f"the {n}-outcome classical space")
     return SpaceDescriptor(
         kind=KIND_CLASSICAL,
@@ -298,7 +298,7 @@ def build_polygon(n: int) -> SpaceDescriptor:
     3-outcome simplex in disguise and has N = 3.  The square n = 4 is the gbit.
     """
     if n < 3:
-        raise InvalidDimensionError(f"polygon vertex count must be >= 3, got {n}")
+        raise RangeError(f"polygon vertex count must be >= 3, got {n}")
     order_unit = np.array([1.0, 0.0, 0.0])
     return SpaceDescriptor(
         kind=KIND_POLYGON,
@@ -317,6 +317,6 @@ def build_real_quantum(m: int) -> SpaceDescriptor:
     K = m(m+1)/2; the reversible group is conjugation by orthogonal matrices.
     """
     if m < 2:
-        raise InvalidDimensionError(f"real-quantum level count must be >= 2, got {m}")
+        raise RangeError(f"real-quantum level count must be >= 2, got {m}")
     return _matrix_space(KIND_REAL_QUANTUM, m, m * (m + 1) // 2)
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gptpurity.errors import GptPurityError, UnsupportedSpaceError, check_memory
+from gptpurity.errors import GptPurityError, RangeError, check_memory
 from gptpurity.formulas import _check_purity_on_face
 from reference import InconsistencyError, InvalidProbeError, NormalizationError, statespace as ss
 from reference.purity import MIXED_PURITY_FLOOR, PauliMap, pauli_vectors
@@ -54,7 +54,7 @@ def cone_contains(space, x):
         return bool(np.all(polygon_effects(space.level) @ x >= -CONE_TOL))
     if space.kind == KIND_BOXWORLD_BIPARTITE:
         return bool(np.all(BOXWORLD_EFFECTS @ x >= -CONE_TOL))
-    raise UnsupportedSpaceError(f"no cone test for kind {space.kind!r}")
+    raise RangeError(f"no cone test for kind {space.kind!r}")
 
 
 def validate_state(space, omega):
@@ -143,7 +143,7 @@ def compose(a, b):
     K_A K_B n^2 complex entries for n = n_A n_B levels.
     """
     if a.kind != b.kind or a.kind not in (ss.KIND_QUANTUM, ss.KIND_CLASSICAL):
-        raise UnsupportedSpaceError(
+        raise RangeError(
             f"no transitive tomographic composite for kinds {a.kind!r} x {b.kind!r}"
         )
     if a.kind == ss.KIND_CLASSICAL:
@@ -181,7 +181,7 @@ def reference_pure(space):
         return e
     if space.vertices is not None:
         return np.array(space.vertices[0])
-    raise UnsupportedSpaceError(f"no reference pure state for kind {space.kind!r}")
+    raise RangeError(f"no reference pure state for kind {space.kind!r}")
 
 
 class PurityPhiMu(NamedTuple):

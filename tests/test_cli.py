@@ -56,7 +56,7 @@ def test_monte_carlo_reports_match_golden_hashes(capsys, entry):
     # `verify classical-subsystem`, exact over rational and cyclotomic
     # coordinates, `two-design --k 1` and `--k 2`, whose frame potential is an
     # integer count of the forms that signed permutations fix, and the
-    # benchmark's `predict qface`, whose ingredient is a pure-Python index sum.
+    # benchmark's `predict qface`, whose ingredient is the closed form (n - 2)/4.
     # A change of any Monte Carlo value, down to one ulp, shows here as a
     # diff of its field.
     code, out = _run(capsys, entry["argv"])
@@ -495,7 +495,7 @@ _D, _H = "9" * 2200, "9" * 4299
     ["estimate", "--theory", "real-quantum", "--ma", "2", "--mb", "-1", "--p0", "1", "--seed", "1"],
     ["predict", "general", "--theory", "quantum", "--na", _D, "--nb", "2", "--p0", "1"],
     ["predict", "qface", "--n", _D, "--sign", "+", "--trp", "1"],
-    ["predict", "qface", "--n", "1000000000", "--sign", "+", "--trp", "1"],
+    ["predict", "qface", "--n", str(2**63), "--sign", "+", "--trp", "1"],
     ["predict", "nonlocaltomo", "--ma", _D, "--mb", "2", "--p0", "1"],
     ["coin-record", "--s0", _H, "--seed", "1"],
     ["estimate", "--theory", "classical", "--na", _H, "--nb", "2", "--p0", "0.3", "--seed", "0"],
@@ -520,6 +520,18 @@ def test_bad_input_exits_one_with_one_line(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("n", [10**9, 2**63 - 1])
+def test_predict_qface_answers_every_count_that_symm_answers(n, capsys):
+    # The ingredient is a closed form, so qface needs no work cap and refuses
+    # only the counts of 2^63 or more that every command refuses.
+    values = []
+    for formula in ("qface", "symm"):
+        code, out = _run(capsys, ["predict", formula, "--n", str(n), "--sign", "+", "--trp", "1"])
+        assert code == 0
+        values.append(json.loads(out, parse_constant=_reject_constant)["value"])
+    assert abs(values[0] - values[1]) <= 1e-15 * values[1]
 
 
 @pytest.mark.parametrize("argv,bound", [
@@ -727,8 +739,9 @@ def _table_argv(draw):
 
 
 def _outcome(parse, argv):
-    """("ok", the repr of each value of the namespace), or (the exit code, None) with
-    its output checked; a repr tells 1 from 1.0 and True, and nan equals nan."""
+    """("ok", the repr of each value of the namespace), (0, None) for help, or (1, the
+    text after ``error: ``), with its output checked; a repr tells 1 from 1.0 and True,
+    and nan equals nan.  argparse names each subcommand in its prefix, the table does not."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -737,10 +750,11 @@ def _outcome(parse, argv):
             code = exc.code
     if code == 0:
         assert err.getvalue() == "" and out.getvalue().startswith("usage: "), argv
-    else:
-        assert code == 1 and out.getvalue() == "", argv
-        assert len(err.getvalue().splitlines()) == 1, argv
-    return code, None
+        return 0, None
+    assert code == 1 and out.getvalue() == "", argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, argv
+    return 1, lines[0].split(": error: ", 1)[1]
 
 
 def _argparse(argv):
@@ -777,14 +791,55 @@ def test_table_parser_reads_edge_cases_as_argparse_did(argv, joined):
 
 
 def _check_like_argparse(argv, joined):
-    # The same namespace, or both refuse, or both print help.  The one
-    # difference: a value written apart that begins with a dash, which
-    # argparse took for an option and refused; the table reads it as the
-    # value, as argparse read it written --name=value.
+    # The same namespace, or both refuse with the same message, or both print
+    # help.  The one difference: a value written apart that begins with a
+    # dash, which argparse took for an option and refused; the table reads it
+    # as the value, as argparse read it written --name=value.
     got = _outcome(cli.parse_args, argv)
     want = _outcome(_argparse, argv)
     if got != want:
         assert want[0] == 1, (argv, got, want)
         assert any(a.startswith("--") and "=" not in a and b.startswith("-")
                    for a, b in zip(argv, argv[1:])), (argv, got, want)
-        assert got == _outcome(_argparse, joined), (argv, got, want)
+        # Refusals are compared by outcome alone: one may echo items as
+        # written apart, the other as written joined.
+        joined_outcome = _outcome(_argparse, joined)
+        assert got == joined_outcome or got[0] == joined_outcome[0] == 1, (argv, got, want)
+
+
+_SUITES = "'pauli-identities', 'gram-invariance', 'classical-subsystem', 'markov-tail', 'boxworld'"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["estimate", "--h"], "ambiguous option: --h could match --help, --histogram"),
+    (["coin-record", "--s0", "4", "--seed"], "argument --seed: expected one argument"),
+    (["two-design", "--h=1"], "argument -h/--help: ignored explicit argument '1'"),
+    (["two-design", "-h=1"], "argument -h/--help: ignored explicit argument '1'"),
+    (["estimate", "--histogram=1"], "argument --histogram: ignored explicit argument '1'"),
+    (["estimate", "--theory", "quantum", "--face", "sym"],
+     "argument --face: not allowed with argument --theory"),
+    (["two-design", "--k", "3"], "argument --k: invalid choice: 3 (choose from 1, 2)"),
+    # argparse converts a value before it refuses the other target.
+    (["estimate", "--theory", "quantum", "--face", "bogus"],
+     "argument --face: invalid choice: 'bogus' (choose from 'sym', 'antisym')"),
+    (["verify", "no-such-suite"],
+     f"argument SUITE: invalid choice: 'no-such-suite' (choose from {_SUITES})"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command' (choose from "
+                          "'predict', 'estimate', 'verify', 'two-design', 'coin-record')"),
+    (["predict", "main", "--ka", "x"], "argument --ka: invalid int value: 'x'"),
+    (["predict", "symm", "--trp", "x"], "argument --trp: invalid float value: 'x'"),
+    ([], "the following arguments are required: command"),
+    (["predict"], "the following arguments are required: formula"),
+    (["predict", "symm", "--n", "3"], "the following arguments are required: --sign, --trp"),
+    (["estimate", "--seed", "1"], "one of the arguments --theory --face is required"),
+    (["two-design", "stray", "-x"], "unrecognized arguments: stray -x"),
+])
+def test_table_parser_refusals_read_as_argparse_wrote_them(argv, line, capsys):
+    # Every form of the table parser's refusal, by its whole line.
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"gptpurity: error: {line}"]
+    assert _outcome(_argparse, argv) == (1, line)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gptpurity.errors import UnsupportedSpaceError
+from gptpurity.errors import RangeError
 from reference import InconsistencyError, composite as cm
 from reference import grouprep, statespace as ss
 from reference.purity import complete_pauli_set, purity
@@ -59,9 +59,9 @@ def test_compose_classical_dimensions():
 
 
 def test_compose_rejects_unsupported_pairs():
-    with pytest.raises(UnsupportedSpaceError):
+    with pytest.raises(RangeError):
         compose(ss.build_quantum(2), ss.build_classical(2))
-    with pytest.raises(UnsupportedSpaceError):
+    with pytest.raises(RangeError):
         compose(ss.build_polygon(4), ss.build_polygon(4))
 
 

@@ -21,7 +21,7 @@ from gptpurity import composite as cm
 from gptpurity import grouprep as gr
 from gptpurity import purity as pur
 from gptpurity import statespace as ss
-from gptpurity.errors import InvalidDimensionError, UnsupportedSpaceError
+from gptpurity.errors import RangeError
 from gptpurity.statespace import Cyc
 from reference import composite as cm_ref
 from reference import grouprep as gr_ref
@@ -324,10 +324,10 @@ def test_a_perturbed_exact_gram_fails_its_invariance_check(gram, r, gens):
 
 def test_exact_builders_refuse_what_they_cannot_build():
     # A classical space needs two outcomes, and only the built-in spaces have generators.
-    with pytest.raises(InvalidDimensionError,
+    with pytest.raises(RangeError,
                        match="^classical outcome count must be >= 2, got 1$"):
         ss.build_classical(1)
-    with pytest.raises(UnsupportedSpaceError, match="^no finite group for quantum-4$"):
+    with pytest.raises(RangeError, match="^no finite group for quantum-4$"):
         gr.group_generators(ss.QUBIT._replace(level=4))
 
 

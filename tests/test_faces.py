@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gptpurity import blocks, cli, errors, faces, formulas, randomize
-from gptpurity.errors import EmptyFaceError, RangeError
+from gptpurity import blocks, cli, faces, formulas, randomize
+from gptpurity.errors import RangeError
 from reference import InvalidProbeError, grouprep
 from reference.purity import purity_from_tr2
 import haar
@@ -23,10 +23,10 @@ def test_face_dimensions(n, sym_dim, anti_dim):
 
 def test_antisym_of_single_level_is_empty(capsys):
     # The estimator and both predictions refuse the empty face through one check.
-    with pytest.raises(EmptyFaceError):
+    with pytest.raises(RangeError):
         faces.estimate_face_local_purity(1, -1, 1.0, 10, 1)
     for predict in (formulas.predict_symm, formulas.predict_qface):
-        with pytest.raises(EmptyFaceError, match="antisymmetric subspace of one level is empty"):
+        with pytest.raises(RangeError, match="antisymmetric subspace of one level is empty"):
             predict(1, -1, 1.0)
     assert cli.main(["predict", "symm", "--n", "1", "--sign", "-", "--trp", "1"]) == 1
     assert capsys.readouterr().err == (
@@ -186,16 +186,17 @@ def test_face_states_orthogonal_to_face_max_mixed_bloch(rng):
 # -- predictions -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+# Up to 2^62 the ingredient is (n + 2 sign)/4, correctly rounded, with no sum to refuse.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 10**6, 2**62])
 def test_probe_ingredient_symmetric(n):
     pred = formulas.predict_qface(n, 1, 1.0)
-    assert pred.inputs["probe_trace_sq"] == pytest.approx(n / 4 + 0.5, abs=1e-10)
+    assert pred.inputs["probe_trace_sq"] == float(Fraction(n + 2, 4))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 64, 10**6, 2**62])
 def test_probe_ingredient_antisymmetric(n):
     pred = formulas.predict_qface(n, -1, 1.0)
-    assert pred.inputs["probe_trace_sq"] == pytest.approx(n / 4 - 0.5, abs=1e-10)
+    assert pred.inputs["probe_trace_sq"] == float(Fraction(n - 2, 4))
 
 
 def test_predict_qface_examples():
@@ -213,19 +214,10 @@ def test_qface_reference_rejects_bad_probe():
             qface_by_isometry(2, 1, probe, 1.0)
 
 
-def test_predict_qface_refuses_an_oversized_sum_before_it_starts(monkeypatch):
-    # The default probe's two nonzero columns each meet n symmetric pair
-    # columns (n - 1 antisymmetric), one term per probe entry.
-    monkeypatch.setattr(errors, "WORK_CAP_TERMS", 2 * 50 - 1)
-    with pytest.raises(RangeError, match="would sum 100 terms, over the 99-term work cap"):
-        formulas.predict_qface(50, 1, 1.0)
-    assert formulas.predict_qface(50, -1, 1.0).inputs["probe_trace_sq"] == 12.0
-
-
 def test_predict_qface_probe_independence(rng):
-    # The fixed-probe index sums against the dense isometry route, on that
-    # probe and on random complex Hermitian probes: the ingredient does not
-    # depend on the probe.
+    # The closed-form ingredient against the dense isometry route, on the
+    # fixed probe and on random complex Hermitian probes: the ingredient does
+    # not depend on the probe.
     for n, sign in itertools.product(range(2, 7), (1, -1)):
         probes = [default_probe(n)]
         for _ in range(3):
@@ -268,14 +260,14 @@ def test_face_estimate_refuses_a_nan_target():
 
 
 def test_predict_symm_consistent_with_qface():
-    for n in (2, 3, 4):
-        for sign in (1, -1):
-            if (n, sign) == (2, -1):  # the one-state face has no mixed states
-                continue
-            for trp in (1.0, 0.6):
-                a = formulas.predict_symm(n, sign, trp).value
-                b = formulas.predict_qface(n, sign, trp).value
-                assert abs(a - b) < 1e-12
+    # To 1e-15 relative at every count up to 2^62, at Tr rho^2 = 1, 0.5 and
+    # 1/N_S (only 1 on the one-state face of n = 2, sign -1).
+    for n, sign in itertools.product([*range(2, 65), 10**6, 2**62], (1, -1)):
+        n_s = n * (n + sign) // 2
+        for trp in {1.0, max(0.5, 1 / n_s), 1 / n_s}:
+            a = formulas.predict_symm(n, sign, trp).value
+            b = formulas.predict_qface(n, sign, trp).value
+            assert abs(a - b) <= 1e-15 * a, (n, sign, trp)
 
 
 # -- estimation -------------------------------------------------------------------------

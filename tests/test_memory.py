@@ -144,9 +144,8 @@ def test_huge_classical_parts_are_refused_before_they_are_built(tmp_path, argv):
 ])
 def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbytes):
     # A face holds its level count and sign, and builds no joint descriptor.
-    # The prediction builds no isometry either: its index sums take 400 terms
-    # over the pair columns that meet the fixed probe, and give
-    # n/4 + 1/2 = 50.5.  The estimator's block of 1024 in-face kets, laid
+    # The prediction builds no isometry either: its ingredient is
+    # (n + 2)/4 = 50.5 in closed form.  The estimator's block of 1024 in-face kets, laid
     # out in C^90000 one slice at a time, is refused before its first draw by
     # randomize._estimate's check of the count that blocks._ket_draw gives:
     # the in-face real parts of the block, and one slice's kets in C^90000
@@ -173,7 +172,7 @@ def test_oversized_faces_are_refused_before_they_are_built(tmp_path, argv, nbyte
 def test_face_pair_sums_beyond_the_work_cap_exit_one_before_any_draw(tmp_path, sign):
     # Both faces at n = 200 pass the memory cap (907 MB counted for sym), but
     # the default 10^4 kets would take k^2 = 40000 pair-sum products of
-    # 2 x 200 values per ket: 312500000 terms of 512 products, about 8 minutes.
+    # 2 x 200 values per ket: 1.6 x 10^11 products, about 8 minutes.
     proc, rss = _run_cli(tmp_path, ["estimate", "--face", sign, "--n", "200", "--trp", "1",
                                     "--seed", "1"], address_limit=4 << 30)
     assert proc.returncode == 1
@@ -181,8 +180,8 @@ def test_face_pair_sums_beyond_the_work_cap_exit_one_before_any_draw(tmp_path, s
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert ("the pair sums of 10000 kets' 200 x 200 Grams (512 products per term) would sum "
-            "312500000 terms, over the 10000000-term work cap") in lines[0]
+    assert ("the pair sums of 10000 kets' 200 x 200 Grams would take 160000000000 products, "
+            "over the 5120000000-product work cap") in lines[0]
     assert rss < MAX_RSS_MB
 
 
@@ -199,7 +198,7 @@ def test_ket_block_work_is_refused_before_its_kets_are_drawn(monkeypatch):
     monkeypatch.setattr(rnd, "sample_rng", lambda seed, index: _NoDraws())
     tracemalloc.start()
     try:
-        with pytest.raises(RangeError, match="would sum 312500000 terms"):
+        with pytest.raises(RangeError, match="would take 160000000000 products"):
             faces.estimate_face_local_purity(200, 1, 1.0, 10_000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -207,39 +206,42 @@ def test_ket_block_work_is_refused_before_its_kets_are_drawn(monkeypatch):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("dims,real,swap,terms", [
-    # 1024 kets: k(k+1)/2 real products of L values, and with imaginary parts
-    # k^2 products of 2L values, in units of 512.
-    ((2, 8), False, None, 1024 * 2 * 8 * 4 // 512),
-    ((8, 2), False, None, 1024 * 2 * 8 * 4 // 512),
-    ((2, 3), True, None, 1024 * 3 * 3 // 512),
-    ((3, 3), False, 1, 1024 * 2 * 3 * 9 // 512),
-    ((5, 5), False, -1, 1024 * 2 * 5 * 25 // 512),
+@pytest.mark.parametrize("dims,real,swap,products", [
+    # Two kets, the smallest run: k(k+1)/2 real products of L values, and
+    # with imaginary parts k^2 products of 2L values, per ket.
+    ((2, 8), False, None, 2 * 2 * 8 * 4),
+    ((8, 2), False, None, 2 * 2 * 8 * 4),
+    ((2, 3), True, None, 2 * 3 * 3),
+    ((3, 3), False, 1, 2 * 2 * 3 * 9),
+    ((5, 5), False, -1, 2 * 2 * 5 * 25),
 ])
-def test_ket_block_counts_its_pair_sum_products(monkeypatch, dims, real, swap, terms):
-    # The draw's pure count, and a request of one block exactly at the cap
-    # and one term over it.
+def test_ket_block_counts_its_pair_sum_products(monkeypatch, dims, real, swap, products):
+    # The draw's pure count, per ket, and a request of two kets exactly at
+    # the cap and one product over it.
     draw = blocks._ket_draw(1.0, dims, real=real, swap=swap)
-    assert -(-draw[1](rnd.BLOCK_SIZE)[2] // blocks.PRODUCTS_PER_TERM) == terms
-    monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms - 1)
-    with pytest.raises(RangeError, match=f"would sum {terms} terms, over the {terms - 1}-term"):
-        rnd._estimate(rnd.BLOCK_SIZE, 2, *draw, False)
-    monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms)
-    assert rnd._estimate(rnd.BLOCK_SIZE, 2, *draw, False).n_samples == rnd.BLOCK_SIZE
+    assert draw[1](2)[2] == products
+    assert draw[1](rnd.BLOCK_SIZE)[2] == rnd.BLOCK_SIZE // 2 * products
+    monkeypatch.setattr(errors, "WORK_CAP_PRODUCTS", products - 1)
+    with pytest.raises(RangeError,
+                       match=f"would take {products} products, over the {products - 1}-product"):
+        rnd._estimate(2, 2, *draw, False)
+    monkeypatch.setattr(errors, "WORK_CAP_PRODUCTS", products)
+    assert rnd._estimate(2, 2, *draw, False).n_samples == 2
 
 
-@pytest.mark.parametrize("run,argv,terms", [
-    # 80 x 80 Grams of 2 x 80 values per in-face ket: 2000 terms per ket.
+@pytest.mark.parametrize("run,argv,products", [
+    # 80 x 80 Grams of 2 x 80 values per in-face ket: 1024000 products per ket.
     (partial(faces.estimate_face_local_purity, 80, 1, 1.0),
-     ["estimate", "--face", "sym", "--n", "80", "--trp", "1"], 20_000_000),
-    # 128 x 128 Grams of 2 x 128 values per ket: 8192 terms per ket.
+     ["estimate", "--face", "sym", "--n", "80", "--trp", "1"], 10_240_000_000),
+    # 128 x 128 Grams of 2 x 128 values per ket: 4194304 products per ket.
     (partial(rnd.estimate_expected_local_purity, "quantum", 128, 128, 1.0),
-     ["estimate", "--theory", "quantum", "--na", "128", "--nb", "128", "--p0", "1"], 81_920_000),
+     ["estimate", "--theory", "quantum", "--na", "128", "--nb", "128", "--p0", "1"],
+     41_943_040_000),
 ], ids=["sym 80", "quantum 128x128"])
-def test_request_work_is_refused_before_any_draw(tmp_path, monkeypatch, run, argv, terms):
-    # Each block of 1024 kets is under the cap (2048000 and 8388608 terms),
-    # but the default 10^4 kets of the request are not.
-    refusal = f"would sum {terms} terms, over the 10000000-term work cap"
+def test_request_work_is_refused_before_any_draw(tmp_path, monkeypatch, run, argv, products):
+    # Each block of 1024 kets is under the cap (1048576000 and 4294967296
+    # products), but the default 10^4 kets of the request are not.
+    refusal = f"would take {products} products, over the 5120000000-product work cap"
     monkeypatch.setattr(rnd, "sample_rng", lambda seed, index: _NoDraws())
     tracemalloc.start()
     try:
@@ -260,19 +262,29 @@ def test_request_work_is_refused_before_any_draw(tmp_path, monkeypatch, run, arg
 
 @pytest.mark.parametrize("theory,n_samples,terms", [
     # Quantum 2 x 8: 2 x 8 x (3 + 1) = 64 pair-sum products per ket; classical
-    # 2 x 8: 16 permuted elements of 8 products.  Ceilings of the whole
-    # request, however its blocks split it.
+    # 2 x 8: 16 permuted elements of 8 products.  ``terms`` is the whole
+    # request's count in terms of 512 products, rounded up, the unit the
+    # cap once had; however its blocks split it.
     ("quantum", 2500, 313), ("quantum", 3000, 375), ("classical", 2500, 625),
     ("classical", 2501, 626),
 ])
 def test_request_at_the_work_cap_passes_and_one_term_over_is_refused(monkeypatch, theory,
                                                                        n_samples, terms):
-    monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms - 1)
-    with pytest.raises(RangeError, match=f"would sum {terms} terms, over the {terms - 1}-term"):
-        rnd.estimate_expected_local_purity(theory, 2, 8, 0.3, n_samples, 1)
-    monkeypatch.setattr(errors, "WORK_CAP_TERMS", terms)
-    assert rnd.estimate_expected_local_purity(theory, 2, 8, 0.3, n_samples, 1).n_samples == (
-        n_samples)
+    # A request runs at a cap of its own product count and is refused at one
+    # less.  A cap of 512 T products refuses exactly the requests of more
+    # than T terms, so the cap refuses the same requests in either unit.
+    products = n_samples * (64 if theory == "quantum" else 16 * 8)
+    assert -(-products // 512) == terms
+    for cap, runs in ((products - 1, False), (products, True), (512 * (terms - 1), False),
+                      (512 * terms, True)):
+        monkeypatch.setattr(errors, "WORK_CAP_PRODUCTS", cap)
+        if runs:
+            assert rnd.estimate_expected_local_purity(theory, 2, 8, 0.3, n_samples,
+                                                      1).n_samples == n_samples
+            continue
+        with pytest.raises(RangeError,
+                           match=f"would take {products} products, over the {cap}-product"):
+            rnd.estimate_expected_local_purity(theory, 2, 8, 0.3, n_samples, 1)
 
 
 @pytest.mark.parametrize("bad,refusal", [

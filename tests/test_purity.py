@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity.errors import RangeError, UnsupportedSpaceError
+from gptpurity.errors import RangeError
 from reference.purity import purity_from_tr2, tr2_from_purity
 from reference import DegenerateDirectionError, NormalizationError, grouprep, statespace as ss
 from reference import purity as pur
@@ -141,7 +141,7 @@ def test_complete_set_sizes():
         states = ss.with_midpoints(space.vertices)
         p = grouprep.analytic_gram(space).norms_sq(space.bloch(states))
         assert np.max(np.abs(pur.purity_via_pauli_set(pset, states) - p)) <= 1e-15
-    with pytest.raises(UnsupportedSpaceError):
+    with pytest.raises(RangeError):
         pur.complete_pauli_set(ss.build_quantum(3))
 
 

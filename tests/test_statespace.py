@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity.errors import InvalidDimensionError, UnsupportedSpaceError
+from gptpurity.errors import RangeError
 from reference import NormalizationError, composite as cm
 from reference import grouprep
 from reference import statespace as ss
@@ -34,7 +34,7 @@ def test_quantum_basis_orthonormal():
 
 
 def test_quantum_rejects_small_dimension():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(RangeError):
         ss.build_quantum(1)
 
 
@@ -51,7 +51,7 @@ def test_classical_max_mixed_and_pure():
     pure = np.array([1.0, 0.0, 0.0, 0.0])
     assert cone_contains(four, pure)
     assert abs(unit(four, pure) - 1.0) < 1e-15
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(RangeError):
         ss.build_classical(1)
 
 
@@ -67,7 +67,7 @@ def test_polygon_max_mixed_center_and_errors():
     square = ss.build_polygon(4)
     np.testing.assert_allclose(square.bloch(square.max_mixed), 0.0, atol=1e-15)
     assert square.max_mixed[1] == square.max_mixed[2] == 0.0
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(RangeError):
         ss.build_polygon(2)
 
 
@@ -84,11 +84,11 @@ def test_polygon_vertices_pass_cone_and_interior_points_too(rng):
 
 def test_non_matrix_kinds_refuse_every_matrix_view():
     for space in (ss.build_classical(3), ss.build_polygon(4)):
-        with pytest.raises(UnsupportedSpaceError, match="no matrix form"):
+        with pytest.raises(RangeError, match="no matrix form"):
             space.hermitian_basis
-        with pytest.raises(UnsupportedSpaceError, match="no matrix form"):
+        with pytest.raises(RangeError, match="no matrix form"):
             space.to_matrix(np.eye(space.K))
-        with pytest.raises(UnsupportedSpaceError, match="no matrix form"):
+        with pytest.raises(RangeError, match="no matrix form"):
             space.to_coords(np.eye(2))
 
 
